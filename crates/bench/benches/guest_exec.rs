@@ -1,5 +1,5 @@
 //! Functional-emulation throughput: guest MIPS through the guest-layer
-//! fast path (DESIGN.md §17) versus the decode-per-step byte oracle.
+//! fast path (DESIGN.md §16) versus the decode-per-step byte oracle.
 //!
 //! Two workloads, each run to `Halt` both ways:
 //!

@@ -6,8 +6,6 @@
 //! * `inline_batched`   — default batch size, timing consumed inline,
 //! * `inline_per_inst`  — `event_batch = 1`, reproducing the old
 //!   one-callback-per-retired-instruction delivery,
-//! * `threaded_batched` — default batch size, timing overlapped on a
-//!   worker thread,
 //! * `fanout_batched`   — default batch size, one worker per timing
 //!   pipeline fed by the zero-copy `Arc` broadcast.
 //!
@@ -26,9 +24,8 @@
 //!
 //! * `translate_scratch/{scratch_reuse,fresh_alloc}` — repeatedly
 //!   translate the same decoded region to IR, either recycling one
-//!   [`IrScratch`] arena (what the engine's synchronous path and every
-//!   pool worker do since DESIGN.md §15) or allocating fresh vectors
-//!   per translation (the old behavior). The emitted IR is pinned
+//!   [`IrScratch`] arena (what the engine does) or allocating fresh
+//!   vectors per translation (the old behavior). The emitted IR is pinned
 //!   identical; only allocator traffic differs.
 //!
 //! Throughput is host events retired per iteration; results land in
@@ -307,7 +304,6 @@ fn tol_run(mem: &GuestMem, entry: u32, templates: bool) -> u64 {
         im_bb_threshold: 1,
         bb_sb_threshold: 16,
         retire_templates: templates,
-        interp_decode_cache: templates,
         ..TolConfig::default()
     };
     let mut tol = Tol::new(cfg, entry);
@@ -340,9 +336,6 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("inline_per_inst", |b| {
         b.iter(|| black_box(run_once(1, TimingBackendKind::Inline)))
-    });
-    g.bench_function("threaded_batched", |b| {
-        b.iter(|| black_box(run_once(darco_host::events::EVENT_BATCH, TimingBackendKind::Threaded)))
     });
     g.bench_function("fanout_batched", |b| {
         b.iter(|| black_box(run_once(darco_host::events::EVENT_BATCH, TimingBackendKind::Fanout)))

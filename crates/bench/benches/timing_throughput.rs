@@ -12,7 +12,7 @@
 //! * `timing_sink/{1,3}p_oracle` — the same stream through the legacy
 //!   per-set layout with shortcuts off (`flat_mem = false`,
 //!   `mem_shortcuts = false`), the configuration PR 3 shipped,
-//! * `timing_backend/{inline,threaded,fanout}_3p` — the full backend
+//! * `timing_backend/{inline,fanout}_3p` — the full backend
 //!   (spawn, zero-copy broadcast, join) on the 3-pipeline set.
 //!
 //! Throughput is host events consumed per iteration; scripts/bench.sh
@@ -29,7 +29,6 @@ fn bench(c: &mut Criterion) {
 
     // The replay must be schedule-independent before it is worth timing.
     let inline = replay_backend(&batches, TimingBackendKind::Inline);
-    assert_eq!(inline, replay_backend(&batches, TimingBackendKind::Threaded));
     assert_eq!(inline, replay_backend(&batches, TimingBackendKind::Fanout));
     assert_eq!(
         replay_sink(&batches, 3, true),
@@ -49,9 +48,6 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(events));
     g.bench_function("inline_3p", |b| {
         b.iter(|| black_box(replay_backend(&batches, TimingBackendKind::Inline)))
-    });
-    g.bench_function("threaded_3p", |b| {
-        b.iter(|| black_box(replay_backend(&batches, TimingBackendKind::Threaded)))
     });
     g.bench_function("fanout_3p", |b| {
         b.iter(|| black_box(replay_backend(&batches, TimingBackendKind::Fanout)))

@@ -16,7 +16,7 @@
 //! * `timing`                — the timing layer in isolation: a
 //!   prerecorded host-event stream replayed through the `TimingSink`
 //!   (1 vs 3 pipelines, shipping memory model vs the legacy full-probe
-//!   oracle) and through each full backend (inline/threaded/fanout);
+//!   oracle) and through each full backend (inline/fanout);
 //!   events/sec, per-backend wall seconds, and the sink-level speedup
 //!   of the shipping model over the oracle,
 //! * `analysis`              — the IR analysis framework: guest MIPS
@@ -31,22 +31,8 @@
 //! * `host`                  — the machine the numbers were taken on
 //!   (core count, available parallelism), so wall-clock rows can be
 //!   compared across runs,
-//! * `translation`           — the background translation pool
-//!   (DESIGN.md §15): wall seconds with `translate_workers = 0` (the
-//!   synchronous oracle) vs the pool, job/install/stall/discard
-//!   counters, and worker utilization — with the two serialized
-//!   reports asserted byte-identical. On a single-CPU host the
-//!   comparison is labeled `channel-overhead-only`: the pool cannot
-//!   overlap anything there, so a speedup at or below 1.0 is the
-//!   expected cost of the channels, not a regression,
-//! * `block_memo`            — steady-state block timing memoization
-//!   over `BlockRetire` macro-events (DESIGN.md §16): wall seconds
-//!   with the memo on (shipping) vs off (the per-instruction oracle),
-//!   engine-side macro-event counters and timing-side memo hit/record
-//!   counters — with the two serialized reports asserted
-//!   byte-identical in the same run,
 //! * `guest_exec`            — the guest-layer fast path (DESIGN.md
-//!   §17): raw functional-emulation MIPS with the pre-decoded micro-op
+//!   §16): raw functional-emulation MIPS with the pre-decoded micro-op
 //!   buffers, lazy flags and width-native memory access on vs the
 //!   decode-per-step byte oracle (final architectural state and guest
 //!   memory asserted identical), engagement counters, plus full-system
@@ -75,18 +61,17 @@ struct SinkRates {
 #[derive(Serialize)]
 struct BackendWall {
     inline: f64,
-    threaded: f64,
     fanout: f64,
 }
 
 #[derive(Serialize)]
 struct TimingBlock {
-    /// What the threaded/fanout backend wall numbers (and by extension
-    /// `sink_speedup_3p` read against them) measure on this host:
+    /// What the fanout backend wall number (and by extension
+    /// `sink_speedup_3p` read against it) measures on this host:
     /// `"overlap"` on a multi-core machine, or
     /// `"channel-overhead-only"` when only one CPU is available — the
     /// spawned timing workers cannot run alongside the producer there,
-    /// so their walls carry the broadcast-channel cost with none of the
+    /// so its wall carries the broadcast-channel cost with none of the
     /// overlap benefit and must not be read as a regression.
     comparison: &'static str,
     /// Events in the replayed stream.
@@ -173,8 +158,8 @@ struct HostBlock {
     /// Logical processors listed in `/proc/cpuinfo` (0 when the file is
     /// unavailable, e.g. off Linux).
     cpus: usize,
-    /// `std::thread::available_parallelism()` — what the translation
-    /// pool and `run-set` default to.
+    /// `std::thread::available_parallelism()` — what `run-set` defaults
+    /// to.
     available_parallelism: usize,
 }
 
@@ -185,186 +170,6 @@ fn host_block() -> HostBlock {
     HostBlock {
         cpus,
         available_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
-}
-
-#[derive(Serialize)]
-struct TranslationBlock {
-    /// What the sync-vs-pool wall-clock comparison measures on this
-    /// host: `"overlap"` on a multi-core machine, or
-    /// `"channel-overhead-only"` when only one CPU is available — the
-    /// pool cannot overlap compile work with emulation there, so
-    /// `speedup` hovers at or below 1.0 by construction and must not
-    /// be read as a regression.
-    comparison: &'static str,
-    /// Pool size used for the overlapped runs.
-    workers: usize,
-    /// Best wall seconds with `translate_workers = 0` (synchronous).
-    sync_wall_seconds: f64,
-    /// Best wall seconds with the pool enabled.
-    pool_wall_seconds: f64,
-    /// `sync_wall_seconds / pool_wall_seconds`; on a single-core host
-    /// this hovers around 1.0 (the overlap buys nothing, the channel
-    /// overhead costs almost nothing).
-    speedup: f64,
-    /// Compile jobs handed to the pool.
-    jobs_enqueued: u64,
-    /// Installs that consumed a pool result instead of recompiling.
-    installed_from_pool: u64,
-    /// Pool results that were already finished at the install point.
-    ready_at_install: u64,
-    /// Install points that had to block on an in-flight job.
-    stalls_at_install: u64,
-    /// Pending jobs discarded because guest code pages were written
-    /// between enqueue and install (SMC safety).
-    discarded_smc: u64,
-    /// Pending jobs discarded because the re-formed region differed
-    /// from the snapshot (profile drift between enqueue and install).
-    discarded_stale: u64,
-    /// High-water mark of concurrently pending jobs.
-    max_in_flight: u64,
-    /// Total seconds workers spent compiling (summed across workers).
-    worker_busy_seconds: f64,
-    /// `worker_busy_seconds / (workers * pool_wall_seconds)`.
-    worker_utilization: f64,
-}
-
-fn run_translation(scale: f64, workers: usize) -> (Report, darco_tol::TranslationPoolStats, f64) {
-    let mut cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        ..SystemConfig::default()
-    };
-    cfg.tol.translate_workers = workers;
-    let w = generate(&suites::quicktest_profile(), scale);
-    let mut sys = System::new(w, cfg);
-    let t0 = std::time::Instant::now();
-    let report = sys.run_to_completion();
-    let secs = t0.elapsed().as_secs_f64();
-    (report, sys.tol().pool_stats(), secs)
-}
-
-fn translation_block(scale: f64, reps: usize, workers: usize, cpus: usize) -> TranslationBlock {
-    // Warm-up + best-of per configuration; counters come from the first
-    // timed pool run (the wall-clock-dependent ready/stall split is the
-    // only nondeterministic part).
-    let (sync_report, _, _) = run_translation(scale, 0);
-    let mut sync_wall = f64::MAX;
-    for _ in 0..reps.max(1) {
-        sync_wall = sync_wall.min(run_translation(scale, 0).2);
-    }
-    let (pool_report, stats, first_wall) = run_translation(scale, workers);
-    let mut pool_wall = first_wall;
-    for _ in 1..reps.max(1) {
-        pool_wall = pool_wall.min(run_translation(scale, workers).2);
-    }
-    // The tentpole guarantee: the pool changes wall-clock only.
-    let sync_json = serde_json::to_string(&sync_report).expect("serialize");
-    let pool_json = serde_json::to_string(&pool_report).expect("serialize");
-    assert_eq!(sync_json, pool_json, "translation pool changed the serialized report");
-    TranslationBlock {
-        comparison: if cpus <= 1 { "channel-overhead-only" } else { "overlap" },
-        workers: stats.workers,
-        sync_wall_seconds: sync_wall,
-        pool_wall_seconds: pool_wall,
-        speedup: sync_wall / pool_wall,
-        jobs_enqueued: stats.jobs_enqueued,
-        installed_from_pool: stats.installed_from_pool,
-        ready_at_install: stats.ready_at_install,
-        stalls_at_install: stats.stalls_at_install,
-        discarded_smc: stats.discarded_smc,
-        discarded_stale: stats.discarded_stale,
-        max_in_flight: stats.max_in_flight,
-        worker_busy_seconds: stats.worker_busy_ns as f64 / 1e9,
-        worker_utilization: stats.worker_busy_ns as f64
-            / 1e9
-            / (stats.workers.max(1) as f64 * pool_wall),
-    }
-}
-
-#[derive(Serialize)]
-struct BlockMemoBlock {
-    /// Best wall seconds with the memo on (the shipping default).
-    memo_wall_seconds: f64,
-    /// Best wall seconds with the memo off (per-instruction oracle).
-    oracle_wall_seconds: f64,
-    /// `oracle_wall_seconds / memo_wall_seconds`.
-    speedup: f64,
-    /// Engine side: `BlockRetire` macro-events emitted.
-    macro_events: u64,
-    /// Per-instruction `Retire` events those macro-events replaced.
-    insts_suppressed: u64,
-    /// Engine-side stream (re-)records.
-    engine_records: u64,
-    /// Engine-side memos dropped (evictions, flushes, gen bumps).
-    engine_invalidations: u64,
-    /// Blocks whose collection was abandoned after repeated changes.
-    abandoned: u64,
-    /// Timing side: macro-events whose footprint replayed (precondition
-    /// held, deltas bulk-applied).
-    memo_hits: u64,
-    /// Timing side: footprints recorded (first sight or stream change).
-    memo_records: u64,
-    /// Replays refused because touched state had changed underneath.
-    precondition_misses: u64,
-    /// Timing-side memos dropped for generation/stream mismatches.
-    memo_invalidations: u64,
-    /// Instructions whose timing came from a bulk-applied footprint.
-    insts_replayed: u64,
-}
-
-/// One full-system run with the memo switched on or off (both the
-/// engine's macro-event emission and the timing-side memoization).
-fn run_block_memo(
-    scale: f64,
-    on: bool,
-) -> (Report, darco_tol::EngineMemoStats, darco_timing::MemoStats, f64) {
-    let mut cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        ..SystemConfig::default()
-    };
-    cfg.tol.block_memo = on;
-    cfg.timing.block_memo = on;
-    let w = generate(&suites::quicktest_profile(), scale);
-    let mut sys = System::new(w, cfg);
-    let t0 = std::time::Instant::now();
-    let report = sys.run_to_completion();
-    let secs = t0.elapsed().as_secs_f64();
-    (report, sys.tol().memo_stats(), sys.memo_stats(), secs)
-}
-
-fn block_memo_block(scale: f64, reps: usize) -> BlockMemoBlock {
-    let (memo_report, eng, tim, first_wall) = run_block_memo(scale, true);
-    let mut memo_wall = first_wall;
-    for _ in 1..reps.max(1) {
-        memo_wall = memo_wall.min(run_block_memo(scale, true).3);
-    }
-    let (oracle_report, _, _, oracle_first) = run_block_memo(scale, false);
-    let mut oracle_wall = oracle_first;
-    for _ in 1..reps.max(1) {
-        oracle_wall = oracle_wall.min(run_block_memo(scale, false).3);
-    }
-    // The tentpole guarantee: memoization changes wall-clock only.
-    let memo_json = serde_json::to_string(&memo_report).expect("serialize");
-    let oracle_json = serde_json::to_string(&oracle_report).expect("serialize");
-    assert_eq!(memo_json, oracle_json, "block memoization changed the serialized report");
-    BlockMemoBlock {
-        memo_wall_seconds: memo_wall,
-        oracle_wall_seconds: oracle_wall,
-        speedup: oracle_wall / memo_wall,
-        macro_events: eng.macro_events,
-        insts_suppressed: eng.insts_suppressed,
-        engine_records: eng.records,
-        engine_invalidations: eng.invalidations,
-        abandoned: eng.abandoned,
-        memo_hits: tim.hits,
-        memo_records: tim.records,
-        precondition_misses: tim.precondition_misses,
-        memo_invalidations: tim.invalidations,
-        insts_replayed: tim.insts_replayed,
     }
 }
 
@@ -524,8 +329,6 @@ struct BenchReport {
     timing: TimingBlock,
     analysis: AnalysisBlock,
     code_cache: CodeCacheBlock,
-    translation: TranslationBlock,
-    block_memo: BlockMemoBlock,
     guest_exec: GuestExecBlock,
 }
 
@@ -578,7 +381,6 @@ fn timing_block(reps: usize, cpus: usize) -> TimingBlock {
         sink_speedup_3p: oracle_3p / fast_3p,
         backend_wall_seconds: BackendWall {
             inline: best_of(reps, || replay_backend(&batches, TimingBackendKind::Inline)),
-            threaded: best_of(reps, || replay_backend(&batches, TimingBackendKind::Threaded)),
             fanout: best_of(reps, || replay_backend(&batches, TimingBackendKind::Fanout)),
         },
     }
@@ -770,13 +572,6 @@ fn main() {
         timing: timing_block(reps, cpus),
         analysis: analysis_block(scale, reps),
         code_cache: code_cache_block(scale, reps),
-        translation: translation_block(
-            scale,
-            reps,
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            cpus,
-        ),
-        block_memo: block_memo_block(scale, reps),
         guest_exec: guest_exec_block(scale, reps),
     };
     let json = serde_json::to_string_pretty(&summary).expect("serialize report");

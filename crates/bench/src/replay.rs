@@ -105,7 +105,6 @@ mod tests {
         let batches = record_stream();
         assert!(batches.iter().map(|b| b.len()).sum::<usize>() > 10_000);
         let inline = replay_backend(&batches, TimingBackendKind::Inline);
-        assert_eq!(inline, replay_backend(&batches, TimingBackendKind::Threaded));
         assert_eq!(inline, replay_backend(&batches, TimingBackendKind::Fanout));
         assert_eq!(replay_sink(&batches, 3, true), replay_sink(&batches, 3, false));
     }

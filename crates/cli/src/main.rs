@@ -17,24 +17,21 @@
 //!                                    # dump a profile for editing
 //! darco run --profile <file.json>   # run a custom edited profile
 //!
-//! options: --scale S            dynamic-length scale (default 0.5)
+//! options: --profile FILE       load a custom profile (JSON) as the next
+//!                               benchmark
+//!          --scale S            dynamic-length scale (default 0.5)
 //!          --cache-policy P     code-cache overflow policy: flush
 //!                               (default, whole-cache flush) or fifo
 //!                               (partial eviction with space reuse and
 //!                               selective unchaining)
-//!          --cosim              enable co-simulation checking (run)
+//!          --cosim              enable co-simulation checking (run,
+//!                               run-set, analyze)
 //!          --timing-backend B   schedule the timing simulator: auto
-//!                               (default: inline on a single-CPU host,
-//!                               fanout otherwise), inline, threaded
-//!                               (one overlapped worker) or fanout (one
-//!                               worker per pipeline); results are
-//!                               bit-identical
-//!          --threaded-timing    alias for --timing-backend threaded
-//!          --block-memo on|off  steady-state block timing memoization
-//!                               over macro-retire events (default on);
-//!                               off expands every block through the
-//!                               per-instruction oracle — reports are
-//!                               byte-identical either way
+//!                               (default: fanout, one worker per
+//!                               pipeline, on a multi-CPU host; inline on
+//!                               a single-CPU host and for run-set jobs
+//!                               running side by side), inline or fanout;
+//!                               results are bit-identical
 //!          --guest-fast-path on|off
 //!                               guest-layer fast path: pre-decoded
 //!                               micro-op buffers with lazy flag
@@ -42,18 +39,12 @@
 //!                               memory access (default on); off runs
 //!                               the decode-per-step byte oracle —
 //!                               reports are byte-identical either way
-//!          --translate-workers N
-//!                               background translation pool size: the
-//!                               Rust-side BBM/SBM compile work overlaps
-//!                               with emulation on N threads, joined at
-//!                               the deterministic install point so
-//!                               reports are byte-identical; 0 =
-//!                               synchronous oracle (default: all
-//!                               available cores)
 //!          --jobs N             worker threads for run-set (default:
 //!                               all available cores)
-//!          --n N                rows/instructions to print (trace/disasm)
-//!          --json               machine-readable output (run, run-set)
+//!          --n N                rows/instructions to print (trace,
+//!                               disasm, analyze, timeline)
+//!          --json               machine-readable output (run, run-set,
+//!                               verify, analyze)
 //! ```
 
 use darco_core::{Report, System, SystemConfig, TimingBackendKind};
@@ -92,63 +83,51 @@ fn usage() {
     eprintln!(
         "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
          [--profile FILE] [--scale S] [--cache-policy flush|fifo] [--cosim] \
-         [--timing-backend auto|inline|threaded|fanout] [--threaded-timing] [--block-memo on|off] \
-         [--guest-fast-path on|off] [--translate-workers N] [--jobs N] [--n N] [--json]"
+         [--timing-backend auto|inline|fanout] [--guest-fast-path on|off] [--jobs N] [--n N] [--json]"
     );
 }
 
+/// The flags every subcommand shares, parsed by one loop. A subcommand
+/// reads the ones that apply to it: `run-set` runs all of `profiles`
+/// across `jobs` threads, the others run [`Opts::profile`].
 struct Opts {
-    profile: BenchProfile,
+    /// Benchmarks named on the command line or loaded with `--profile`,
+    /// in order.
+    profiles: Vec<BenchProfile>,
     scale: f64,
     cosim: bool,
     timing_backend: TimingBackendKind,
     cache_policy: CachePolicy,
-    /// `None` keeps [`TolConfig`]'s default (available parallelism).
-    translate_workers: Option<usize>,
-    /// `None` keeps both configs' default (on).
-    block_memo: Option<bool>,
     /// `None` keeps [`TolConfig`]'s default (on).
     guest_fast_path: Option<bool>,
+    /// `None` means all available cores.
+    jobs: Option<usize>,
     n: usize,
     json: bool,
 }
 
 impl Opts {
+    /// The benchmark a single-run subcommand works on: the last one
+    /// given, `quicktest` when none was.
+    fn profile(&self) -> BenchProfile {
+        self.profiles.last().cloned().unwrap_or_else(suites::quicktest_profile)
+    }
+
     /// Applies the optional flags onto a TOL config.
     fn apply_tol(&self, tol: &mut TolConfig) {
         tol.cache_policy = self.cache_policy;
-        if let Some(w) = self.translate_workers {
-            tol.translate_workers = w;
-        }
-        if let Some(on) = self.block_memo {
-            tol.block_memo = on;
-        }
         if let Some(on) = self.guest_fast_path {
             tol.guest_fast_path = on;
         }
     }
-
-    /// Applies the optional flags onto a full system config (the memo
-    /// switch spans the engine and the timing side).
-    fn apply_system(&self, cfg: &mut SystemConfig) {
-        self.apply_tol(&mut cfg.tol);
-        if let Some(on) = self.block_memo {
-            cfg.timing.block_memo = on;
-        }
-    }
-}
-
-fn parse_cache_policy(v: &str) -> CachePolicy {
-    v.parse().unwrap_or_else(|e: String| bail(&e))
 }
 
 fn parse_backend(v: &str) -> TimingBackendKind {
     match v {
         "auto" => TimingBackendKind::Auto,
         "inline" => TimingBackendKind::Inline,
-        "threaded" => TimingBackendKind::Threaded,
         "fanout" => TimingBackendKind::Fanout,
-        other => bail(&format!("unknown timing backend {other} (auto|inline|threaded|fanout)")),
+        other => bail(&format!("unknown timing backend {other} (auto|inline|fanout)")),
     }
 }
 
@@ -160,91 +139,69 @@ fn parse_on_off(flag: &str, v: &str) -> bool {
     }
 }
 
+/// A roster benchmark (or `quicktest`) by name.
+fn named_profile(name: &str) -> BenchProfile {
+    suites::by_name(name).unwrap_or_else(|| {
+        if name == "quicktest" {
+            suites::quicktest_profile()
+        } else {
+            bail(&format!("unknown benchmark {name}; try `darco list`"))
+        }
+    })
+}
+
 fn parse(rest: &[String]) -> Opts {
-    let mut profile = None;
-    let mut scale = 0.5;
-    let mut cosim = false;
-    let mut timing_backend = TimingBackendKind::Auto;
-    let mut cache_policy = CachePolicy::Flush;
-    let mut translate_workers = None;
-    let mut block_memo = None;
-    let mut guest_fast_path = None;
-    let mut n = 20;
-    let mut json = false;
+    let mut o = Opts {
+        profiles: Vec::new(),
+        scale: 0.5,
+        cosim: false,
+        timing_backend: TimingBackendKind::Auto,
+        cache_policy: CachePolicy::Flush,
+        guest_fast_path: None,
+        jobs: None,
+        n: 20,
+        json: false,
+    };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
+        let mut value =
+            |what: &str| it.next().unwrap_or_else(|| bail(&format!("{a} needs {what}")));
         match a.as_str() {
             "--profile" => {
-                let path = it.next().unwrap_or_else(|| bail("--profile needs a path"));
+                let path = value("a path");
                 let text = std::fs::read_to_string(path)
                     .unwrap_or_else(|e| bail(&format!("read {path}: {e}")));
                 let p: BenchProfile = serde_json::from_str(&text)
                     .unwrap_or_else(|e| bail(&format!("parse {path}: {e}")));
                 p.validate().unwrap_or_else(|e| bail(&format!("invalid profile: {e}")));
-                profile = Some(p);
+                o.profiles.push(p);
             }
             "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bail("--scale needs a number"));
+                o.scale =
+                    value("a number").parse().unwrap_or_else(|_| bail("--scale needs a number"));
             }
-            "--cosim" => cosim = true,
-            "--timing-backend" => {
-                let v = it.next().unwrap_or_else(|| bail("--timing-backend needs a mode"));
-                timing_backend = parse_backend(v);
-            }
-            "--threaded-timing" => timing_backend = TimingBackendKind::Threaded,
+            "--cosim" => o.cosim = true,
+            "--timing-backend" => o.timing_backend = parse_backend(value("a mode")),
             "--cache-policy" => {
-                let v = it.next().unwrap_or_else(|| bail("--cache-policy needs flush|fifo"));
-                cache_policy = parse_cache_policy(v);
+                o.cache_policy = value("flush|fifo").parse().unwrap_or_else(|e: String| bail(&e));
             }
-            "--translate-workers" => {
-                translate_workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| bail("--translate-workers needs a count")),
-                );
+            "--guest-fast-path" => o.guest_fast_path = Some(parse_on_off(a, value("on|off"))),
+            "--jobs" => {
+                let n: usize = value("a thread count")
+                    .parse()
+                    .unwrap_or_else(|_| bail("--jobs needs a thread count"));
+                if n == 0 {
+                    bail("--jobs must be at least 1");
+                }
+                o.jobs = Some(n);
             }
-            "--block-memo" => {
-                let v = it.next().unwrap_or_else(|| bail("--block-memo needs on|off"));
-                block_memo = Some(parse_on_off("--block-memo", v));
-            }
-            "--guest-fast-path" => {
-                let v = it.next().unwrap_or_else(|| bail("--guest-fast-path needs on|off"));
-                guest_fast_path = Some(parse_on_off("--guest-fast-path", v));
-            }
-            "--json" => json = true,
-            "--n" => {
-                n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bail("--n needs a count"));
-            }
-            name if !name.starts_with('-') => {
-                profile = Some(suites::by_name(name).unwrap_or_else(|| {
-                    if name == "quicktest" {
-                        suites::quicktest_profile()
-                    } else {
-                        bail(&format!("unknown benchmark {name}; try `darco list`"))
-                    }
-                }))
-            }
+            "--n" => o.n = value("a count").parse().unwrap_or_else(|_| bail("--n needs a count")),
+            "--json" => o.json = true,
+            name if !name.starts_with('-') => o.profiles.push(named_profile(name)),
             other => bail(&format!("unknown flag {other}")),
         }
     }
-    Opts {
-        profile: profile.unwrap_or_else(suites::quicktest_profile),
-        scale,
-        cosim,
-        timing_backend,
-        cache_policy,
-        translate_workers,
-        block_memo,
-        guest_fast_path,
-        n,
-        json,
-    }
+    o
 }
 
 fn bail(msg: &str) -> ! {
@@ -277,14 +234,15 @@ fn list() {
 
 fn run(rest: &[String]) {
     let o = parse(rest);
-    eprintln!("running {} at scale {} ...", o.profile.name, o.scale);
+    let profile = o.profile();
+    eprintln!("running {} at scale {} ...", profile.name, o.scale);
     let mut cfg = SystemConfig {
         cosim: o.cosim,
         timing_backend: o.timing_backend,
         ..SystemConfig::default()
     };
-    o.apply_system(&mut cfg);
-    let mut sys = System::new(generate(&o.profile, o.scale), cfg);
+    o.apply_tol(&mut cfg.tol);
+    let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
     if o.json {
         println!("{}", serde_json::to_string_pretty(&report).expect("serialize"));
@@ -300,99 +258,26 @@ fn run(rest: &[String]) {
 /// independent system, so results are identical at any thread count;
 /// only the wall-clock changes.
 fn run_set(rest: &[String]) {
-    let mut names: Vec<String> = Vec::new();
-    let mut scale = 0.5;
-    let mut jobs: Option<usize> = None;
-    let mut cosim = false;
-    let mut timing_backend = TimingBackendKind::Auto;
-    let mut cache_policy = CachePolicy::Flush;
-    let mut translate_workers: Option<usize> = None;
-    let mut block_memo: Option<bool> = None;
-    let mut guest_fast_path: Option<bool> = None;
-    let mut json = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bail("--scale needs a number"));
-            }
-            "--jobs" => {
-                let n: usize = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| bail("--jobs needs a thread count"));
-                if n == 0 {
-                    bail("--jobs must be at least 1");
-                }
-                jobs = Some(n);
-            }
-            "--cosim" => cosim = true,
-            "--timing-backend" => {
-                let v = it.next().unwrap_or_else(|| bail("--timing-backend needs a mode"));
-                timing_backend = parse_backend(v);
-            }
-            "--threaded-timing" => timing_backend = TimingBackendKind::Threaded,
-            "--cache-policy" => {
-                let v = it.next().unwrap_or_else(|| bail("--cache-policy needs flush|fifo"));
-                cache_policy = parse_cache_policy(v);
-            }
-            "--translate-workers" => {
-                translate_workers = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| bail("--translate-workers needs a count")),
-                );
-            }
-            "--block-memo" => {
-                let v = it.next().unwrap_or_else(|| bail("--block-memo needs on|off"));
-                block_memo = Some(parse_on_off("--block-memo", v));
-            }
-            "--guest-fast-path" => {
-                let v = it.next().unwrap_or_else(|| bail("--guest-fast-path needs on|off"));
-                guest_fast_path = Some(parse_on_off("--guest-fast-path", v));
-            }
-            "--json" => json = true,
-            name if !name.starts_with('-') => names.push(name.to_owned()),
-            other => bail(&format!("unknown flag {other}")),
-        }
-    }
-    let profiles: Vec<BenchProfile> = if names.is_empty() {
-        suites::all_profiles()
-    } else {
-        names
-            .iter()
-            .map(|n| {
-                suites::by_name(n).unwrap_or_else(|| {
-                    if n == "quicktest" {
-                        suites::quicktest_profile()
-                    } else {
-                        bail(&format!("unknown benchmark {n}; try `darco list`"))
-                    }
-                })
-            })
-            .collect()
+    let o = parse(rest);
+    let jobs =
+        o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let mut cfg = darco_core::RunConfig {
+        scale: o.scale,
+        cosim: o.cosim,
+        timing_backend: o.timing_backend,
+        ..Default::default()
     };
-    let jobs = jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let mut cfg = darco_core::RunConfig { scale, cosim, timing_backend, ..Default::default() };
-    cfg.tol.cache_policy = cache_policy;
-    if let Some(w) = translate_workers {
-        cfg.tol.translate_workers = w;
-    }
-    if let Some(on) = block_memo {
-        cfg.tol.block_memo = on;
-        cfg.timing.block_memo = on;
-    }
-    if let Some(on) = guest_fast_path {
-        cfg.tol.guest_fast_path = on;
-    }
-    eprintln!("running {} benchmark(s) at scale {scale} on {jobs} thread(s) ...", profiles.len());
+    o.apply_tol(&mut cfg.tol);
+    let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles };
+    eprintln!(
+        "running {} benchmark(s) at scale {} on {jobs} thread(s) ...",
+        profiles.len(),
+        o.scale
+    );
     let t0 = std::time::Instant::now();
     let runs = darco_core::experiments::run_set_parallel(&profiles, &cfg, jobs);
     let elapsed = t0.elapsed();
-    if json {
+    if o.json {
         println!("{}", serde_json::to_string_pretty(&runs).expect("serialize"));
     } else {
         println!(
@@ -421,11 +306,12 @@ fn run_set(rest: &[String]) {
 /// any superblock failed verification.
 fn verify(rest: &[String]) {
     let o = parse(rest);
-    eprintln!("verifying {} at scale {} ...", o.profile.name, o.scale);
+    let profile = o.profile();
+    eprintln!("verifying {} at scale {} ...", profile.name, o.scale);
     let mut cfg = SystemConfig { cosim: true, ..SystemConfig::default() };
-    o.apply_system(&mut cfg);
+    o.apply_tol(&mut cfg.tol);
     cfg.tol.verify = true;
-    let mut sys = System::new(generate(&o.profile, o.scale), cfg);
+    let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
     if o.json {
         println!("{}", serde_json::to_string_pretty(&report).expect("serialize"));
@@ -456,8 +342,9 @@ fn verify(rest: &[String]) {
 /// are dumped.
 fn analyze(rest: &[String]) {
     let o = parse(rest);
-    eprintln!("analyzing {} at scale {} ...", o.profile.name, o.scale);
-    let w = generate(&o.profile, o.scale);
+    let profile = o.profile();
+    eprintln!("analyzing {} at scale {} ...", profile.name, o.scale);
+    let w = generate(&profile, o.scale);
     // Pre-execution snapshot of guest memory, for re-decoding the
     // regions the layer translated (workload code is not self-modifying).
     let analysis_mem = w.mem.clone();
@@ -466,7 +353,7 @@ fn analyze(rest: &[String]) {
         timing_backend: o.timing_backend,
         ..SystemConfig::default()
     };
-    o.apply_system(&mut cfg);
+    o.apply_tol(&mut cfg.tol);
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
     if o.json {
@@ -597,7 +484,7 @@ fn print_report(r: &Report) {
 
 fn trace(rest: &[String]) {
     let o = parse(rest);
-    let w = generate(&o.profile, o.scale);
+    let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
     let mut cpu = w.initial.clone();
     println!("first {} guest instructions of {}:", o.n, w.name);
@@ -621,7 +508,7 @@ fn trace(rest: &[String]) {
 
 fn disasm(rest: &[String]) {
     let o = parse(rest);
-    let w = generate(&o.profile, o.scale);
+    let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
     let mut tol_cfg = TolConfig { bb_sb_threshold: 50, ..TolConfig::default() };
     o.apply_tol(&mut tol_cfg);
@@ -672,8 +559,8 @@ fn timeline(rest: &[String]) {
     let o = parse(rest);
     let mut cfg =
         SystemConfig { cosim: false, window_guest_insts: 50_000, ..SystemConfig::default() };
-    o.apply_system(&mut cfg);
-    let mut sys = System::new(generate(&o.profile, o.scale), cfg);
+    o.apply_tol(&mut cfg.tol);
+    let mut sys = System::new(generate(&o.profile(), o.scale), cfg);
     let r = sys.run_to_completion();
     println!(
         "{}: per-window (50K guest insts) cycles and TOL share — the start-up transient:",
@@ -702,14 +589,7 @@ fn export_profile(rest: &[String]) {
     let (Some(name), Some(path)) = (rest.first(), rest.get(1)) else {
         bail("usage: darco export-profile <benchmark> <file.json>")
     };
-    let profile = suites::by_name(name).unwrap_or_else(|| {
-        if name == "quicktest" {
-            suites::quicktest_profile()
-        } else {
-            bail(&format!("unknown benchmark {name}"))
-        }
-    });
-    let json = serde_json::to_string_pretty(&profile).expect("serialize profile");
+    let json = serde_json::to_string_pretty(&named_profile(name)).expect("serialize profile");
     std::fs::write(path, json).unwrap_or_else(|e| bail(&format!("write {path}: {e}")));
     eprintln!("wrote {path}; edit it and run `darco run --profile {path}`");
 }

@@ -5,11 +5,11 @@
 //! timing pipelines, the co-simulation checker, trace statistics — as
 //! [`HostEventSink`]s in a [`SinkSet`], so each consumer sees the exact
 //! same ordered stream regardless of how it is scheduled. That property
-//! is what lets the timing simulator run *overlapped* with emulation
-//! ([`TimingBackend::Threaded`]) or *fanned out* one worker per pipeline
-//! ([`TimingBackend::Fanout`]) with results bit-identical to the inline
-//! mode: the batches crossing the channels are the very batches the
-//! inline sink would have consumed, in the same order.
+//! is what lets the timing simulator run *fanned out*, one worker per
+//! pipeline overlapped with emulation ([`TimingBackend::Fanout`]), with
+//! results bit-identical to the inline mode: the batches crossing the
+//! channels are the very batches the inline sink would have consumed, in
+//! the same order.
 //!
 //! Batches cross threads as `Arc<[HostEvent]>`: the emulation thread
 //! hands its staging buffer over once (see `EventBuffer`'s shared drain
@@ -18,8 +18,8 @@
 
 use crate::checker::StateChecker;
 use crate::system::{SystemConfig, Window};
-use darco_host::{BlockId, DynInst, HostEvent, HostEventSink, Owner, TraceStatsSink};
-use darco_timing::{BlockMemo, MemoStats, Pipeline, Stats};
+use darco_host::{HostEvent, HostEventSink, Owner, TraceStatsSink};
+use darco_timing::{Pipeline, Stats};
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -67,12 +67,6 @@ struct PipelineSink {
     pipeline: Pipeline,
     timeline: Vec<Window>,
     last_mark: WindowMark,
-    /// Block timing memo for `BlockRetire` macro-events; `None` expands
-    /// every macro-event through the per-instruction oracle
-    /// ([`TimingConfig::block_memo`]).
-    ///
-    /// [`TimingConfig::block_memo`]: darco_timing::TimingConfig::block_memo
-    memo: Option<BlockMemo>,
 }
 
 impl PipelineSink {
@@ -82,30 +76,6 @@ impl PipelineSink {
             pipeline: Pipeline::new(cfg.timing.clone()),
             timeline: Vec::new(),
             last_mark: WindowMark::default(),
-            memo: cfg.timing.block_memo.then(BlockMemo::new),
-        }
-    }
-
-    /// Consumes one `BlockRetire` macro-event: replay the memoized
-    /// timing footprint when it provably applies, expand through the
-    /// per-instruction pipeline otherwise. Macro-event streams carry
-    /// application code only, so the TOL-only pipeline drops them
-    /// whole.
-    fn block_retire(&mut self, block: BlockId, insts: &Arc<[DynInst]>) {
-        debug_assert!(
-            insts.iter().all(|d| d.owner() == Owner::App),
-            "macro-events carry application code only"
-        );
-        if self.role == PipelineRole::TolOnly {
-            return;
-        }
-        match &mut self.memo {
-            Some(memo) => memo.replay_or_record(&mut self.pipeline, block, insts),
-            None => {
-                for d in insts.iter() {
-                    self.pipeline.retire(d);
-                }
-            }
         }
     }
 
@@ -142,9 +112,6 @@ impl HostEventSink for PipelineSink {
                     if mine {
                         self.pipeline.retire(d);
                     }
-                }
-                HostEvent::BlockRetire { block, insts, .. } => {
-                    self.block_retire(*block, insts);
                 }
                 HostEvent::WindowMark { guest_insts }
                     if self.role == PipelineRole::Shared
@@ -192,19 +159,6 @@ impl TimingSink {
             self.shared.timeline,
         )
     }
-
-    /// Block-memo statistics merged across the attached pipelines
-    /// (simulator-speed side only — never part of a serialized
-    /// [`Report`](crate::Report)).
-    pub fn memo_stats(&self) -> MemoStats {
-        let mut s = MemoStats::default();
-        for u in std::iter::once(&self.shared).chain(&self.app_only).chain(&self.tol_only) {
-            if let Some(m) = &u.memo {
-                s.merge(&m.stats());
-            }
-        }
-        s
-    }
 }
 
 impl HostEventSink for TimingSink {
@@ -227,14 +181,6 @@ impl HostEventSink for TimingSink {
                                 u.pipeline.retire(d);
                             }
                         }
-                    }
-                }
-                HostEvent::BlockRetire { block, insts, .. } => {
-                    // Application code only: the TOL-only pipeline (its
-                    // `block_retire` is a no-op) is skipped outright.
-                    self.shared.block_retire(*block, insts);
-                    if let Some(u) = &mut self.app_only {
-                        u.block_retire(*block, insts);
                     }
                 }
                 HostEvent::WindowMark { guest_insts }
@@ -292,8 +238,8 @@ impl HostEventSink for CheckerSink {
 }
 
 /// How the timing pipelines are scheduled relative to functional
-/// emulation. All three produce byte-identical reports; they differ only
-/// in wall-clock overlap.
+/// emulation. Every schedule produces byte-identical reports; they
+/// differ only in wall-clock overlap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum TimingBackendKind {
     /// Resolve against the host at construction: [`Inline`] on a
@@ -306,8 +252,6 @@ pub enum TimingBackendKind {
     Auto,
     /// Timing consumes each batch on the emulation thread, as it flushes.
     Inline,
-    /// All pipelines on one worker thread, overlapped with emulation.
-    Threaded,
     /// One worker thread per pipeline, each fed the same shared batches.
     Fanout,
 }
@@ -334,15 +278,13 @@ impl TimingBackendKind {
 pub enum TimingBackend {
     /// Timing consumes each batch on the emulation thread, as it flushes.
     /// Boxed: the sink holds three full pipelines and would otherwise
-    /// dwarf the threaded handles.
+    /// dwarf the fan-out handles.
     Inline(Box<TimingSink>),
-    /// Timing runs overlapped on one worker thread behind a bounded
-    /// channel; the emulation thread only pays for the channel send.
-    /// Identical batches in identical order make the results
+    /// Each pipeline on its own worker thread behind a bounded channel,
+    /// fed zero-copy by broadcasting the same `Arc<[HostEvent]>` batch
+    /// to every worker; the emulation thread only pays for the channel
+    /// sends. Identical batches in identical order make the results
     /// bit-identical to [`TimingBackend::Inline`].
-    Threaded(ThreadedTiming),
-    /// Each pipeline on its own worker thread, fed zero-copy by
-    /// broadcasting the same `Arc<[HostEvent]>` batch to every worker.
     Fanout(FanoutTiming),
 }
 
@@ -353,7 +295,6 @@ impl TimingBackend {
         match cfg.timing_backend.resolve() {
             TimingBackendKind::Auto => unreachable!("resolve() returns a concrete kind"),
             TimingBackendKind::Inline => TimingBackend::Inline(Box::new(sink)),
-            TimingBackendKind::Threaded => TimingBackend::Threaded(ThreadedTiming::spawn(sink)),
             TimingBackendKind::Fanout => TimingBackend::Fanout(FanoutTiming::spawn(sink)),
         }
     }
@@ -366,7 +307,6 @@ impl TimingBackend {
     pub fn finish(self) -> TimingSink {
         match self {
             TimingBackend::Inline(sink) => *sink,
-            TimingBackend::Threaded(t) => t.join(),
             TimingBackend::Fanout(f) => f.join(),
         }
     }
@@ -376,7 +316,6 @@ impl HostEventSink for TimingBackend {
     fn consume(&mut self, batch: &[HostEvent]) {
         match self {
             TimingBackend::Inline(sink) => sink.consume(batch),
-            TimingBackend::Threaded(t) => t.send(Arc::from(batch)),
             TimingBackend::Fanout(f) => f.send(Arc::from(batch)),
         }
     }
@@ -388,7 +327,6 @@ impl HostEventSink for TimingBackend {
     fn consume_shared(&mut self, batch: Arc<[HostEvent]>) {
         match self {
             TimingBackend::Inline(sink) => sink.consume(&batch),
-            TimingBackend::Threaded(t) => t.send(batch),
             TimingBackend::Fanout(f) => f.send(batch),
         }
     }
@@ -397,54 +335,6 @@ impl HostEventSink for TimingBackend {
 /// Depth of the batch channel to each timing worker: enough to absorb
 /// bursts, small enough to bound memory and keep back-pressure.
 const TIMING_CHANNEL_DEPTH: usize = 8;
-
-/// A [`TimingSink`] running on its own worker thread.
-#[derive(Debug)]
-pub struct ThreadedTiming {
-    tx: Option<mpsc::SyncSender<Arc<[HostEvent]>>>,
-    handle: Option<JoinHandle<TimingSink>>,
-}
-
-impl ThreadedTiming {
-    /// Moves `sink` to a worker thread consuming batches off a bounded
-    /// channel.
-    pub fn spawn(mut sink: TimingSink) -> ThreadedTiming {
-        let (tx, rx) = mpsc::sync_channel::<Arc<[HostEvent]>>(TIMING_CHANNEL_DEPTH);
-        let handle = std::thread::Builder::new()
-            .name("darco-timing".into())
-            .spawn(move || {
-                while let Ok(batch) = rx.recv() {
-                    sink.consume(&batch);
-                }
-                sink
-            })
-            .expect("spawn timing worker");
-        ThreadedTiming { tx: Some(tx), handle: Some(handle) }
-    }
-
-    fn send(&mut self, batch: Arc<[HostEvent]>) {
-        let tx = self.tx.as_ref().expect("timing worker already joined");
-        // A send error means the worker panicked; surface that panic
-        // instead of a send error by joining.
-        if tx.send(batch).is_err() {
-            self.tx = None;
-            let worker = self.handle.take().expect("timing worker handle");
-            match worker.join() {
-                Err(p) => std::panic::resume_unwind(p),
-                Ok(_) => unreachable!("timing worker exited while the channel was open"),
-            }
-        }
-    }
-
-    fn join(mut self) -> TimingSink {
-        drop(self.tx.take()); // close the channel: the worker drains and returns
-        let worker = self.handle.take().expect("timing worker handle");
-        match worker.join() {
-            Ok(sink) => sink,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
-}
 
 /// The fan-out backend: one worker thread per pipeline, each behind its
 /// own bounded channel, all fed the same `Arc` batch (a send is one
@@ -630,15 +520,6 @@ mod tests {
             backend.consume(c);
         }
         backend.finish().into_parts()
-    }
-
-    #[test]
-    fn threaded_backend_matches_inline() {
-        let (a, _, _, wa) = backend_parts(TimingBackendKind::Inline, 64);
-        let (b, _, _, wb) = backend_parts(TimingBackendKind::Threaded, 64);
-        assert_eq!(a.total_insts(), b.total_insts());
-        assert_eq!(a.total_cycles, b.total_cycles);
-        assert_eq!(wa, wb);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   once into per-block [`ExecOp`] buffers: operand registers resolved to
 //!   raw indices, effective-address recipes precomputed, and a fn-pointer
 //!   handler selected per op, executed by a tight dispatch loop. Blocks
-//!   are cached direct-mapped by entry pc and invalidated by the same
-//!   per-page write-generation stamps the interpreter's decode cache uses
+//!   are cached direct-mapped by entry pc and invalidated by the
+//!   per-page write-generation stamps the code cache's SMC check uses
 //!   ([`GuestMem::page_gen`]): a block is valid while the stamps of its
 //!   first and last byte's pages match the values seen at build time
 //!   (block spans are < 4 KiB, so at most one page boundary is crossed).
@@ -52,8 +52,7 @@ pub const UOP_BLOCK_CAP: usize = 48;
 
 /// Write-generation stamp covering `len` bytes at `pc`: the max of the
 /// first and last byte's page stamps. Only valid for spans that cross at
-/// most one page boundary (guaranteed by [`UOP_BLOCK_CAP`]). Mirrors the
-/// interpreter decode cache's validation in `darco-tol`.
+/// most one page boundary (guaranteed by [`UOP_BLOCK_CAP`]).
 #[inline]
 fn span_gen(mem: &GuestMem, pc: u32, len: u32) -> u64 {
     let first = mem.page_gen(pc);

@@ -62,24 +62,6 @@ pub enum TranslationKind {
 pub enum HostEvent {
     /// A host instruction retired.
     Retire(DynInst),
-    /// A steady-state translated block retired as one macro-event: the
-    /// engine proved the block's retired stream identical to `insts`
-    /// (same instructions, same addresses, same branch outcomes) and
-    /// collapsed the per-instruction `Retire` run into this single
-    /// event. Consumers either expand it (`for d in insts.iter()`), or —
-    /// like the block-memoizing timing sink — replay a recorded
-    /// footprint keyed by `block` and the `Arc` identity of `insts`.
-    /// The stream contract is unchanged: expanding every `BlockRetire`
-    /// in place reproduces exactly the per-instruction stream.
-    BlockRetire {
-        /// Code-cache handle of the retiring translation; the `gen`
-        /// field lets consumers drop state for recycled slots.
-        block: crate::isa::BlockId,
-        /// How many times this block has retired as a macro-event.
-        iteration: u64,
-        /// The block's invariant retired instruction stream.
-        insts: Arc<[DynInst]>,
-    },
     /// The dispatcher entered an execution mode for the next unit.
     ModeEnter(ExecMode),
     /// A region was translated (BBM) or formed + optimized (SBM).
@@ -199,14 +181,8 @@ pub struct RetireSink<F: FnMut(&DynInst)>(pub F);
 impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
     fn consume(&mut self, batch: &[HostEvent]) {
         for e in batch {
-            match e {
-                HostEvent::Retire(d) => (self.0)(d),
-                HostEvent::BlockRetire { insts, .. } => {
-                    for d in insts.iter() {
-                        (self.0)(d);
-                    }
-                }
-                _ => {}
+            if let HostEvent::Retire(d) = e {
+                (self.0)(d);
             }
         }
     }
@@ -306,10 +282,9 @@ impl std::fmt::Debug for EventBuffer<'_> {
 /// `Serialize`/`Deserialize` are implemented by hand (not derived)
 /// because the batch-accounting fields (`batches`, `max_batch`) must
 /// stay *out* of the serialized form: batch boundaries legitimately
-/// differ across event-batch sizes and between macro-event
-/// ([`HostEvent::BlockRetire`]) and per-instruction streams, while
-/// serialized reports are required to be byte-identical across those
-/// purely-mechanical choices. Deserialized stats carry zeros there.
+/// differ across event-batch sizes, while serialized reports are
+/// required to be byte-identical across that purely-mechanical choice.
+/// Deserialized stats carry zeros there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
     /// Host instructions retired.
@@ -424,12 +399,6 @@ impl HostEventSink for TraceStatsSink {
                 HostEvent::Retire(d) => {
                     s.retired += 1;
                     s.component_insts[d.component.index()] += 1;
-                }
-                HostEvent::BlockRetire { insts, .. } => {
-                    s.retired += insts.len() as u64;
-                    for d in insts.iter() {
-                        s.component_insts[d.component.index()] += 1;
-                    }
                 }
                 HostEvent::ModeEnter(m) => s.mode_enters[m.index()] += 1,
                 HostEvent::Translated { kind, host_len, .. } => {
@@ -595,35 +564,10 @@ mod tests {
         assert_eq!(n, 2);
     }
 
-    fn block_retire(n: u64) -> HostEvent {
-        let insts: Vec<DynInst> = (0..n)
-            .map(|i| DynInst::plain(i * 4, ExecClass::SimpleInt, Component::AppCode))
-            .collect();
-        HostEvent::BlockRetire {
-            block: crate::isa::BlockId { idx: 7, gen: 1 },
-            iteration: 0,
-            insts: insts.into(),
-        }
-    }
-
-    #[test]
-    fn block_retires_expand_in_trace_stats_and_retire_sinks() {
-        // A macro-event must count exactly like its expansion.
-        let mut macro_sink = TraceStatsSink::default();
-        macro_sink.consume(&[block_retire(5), retire_at(0)]);
-        assert_eq!(macro_sink.stats.retired, 6);
-        assert_eq!(macro_sink.stats.component_insts[Component::AppCode.index()], 6);
-
-        let mut n = 0u64;
-        let mut sink = RetireSink(|_d: &DynInst| n += 1);
-        sink.consume(&[block_retire(3), HostEvent::ModeEnter(ExecMode::Sbm)]);
-        assert_eq!(n, 3);
-    }
-
     #[test]
     fn trace_stats_serialization_omits_batch_accounting() {
-        // Batch boundaries are a mechanical choice (batch size,
-        // macro-events); serialized reports must not expose them.
+        // Batch boundaries are a mechanical choice (the batch size);
+        // serialized reports must not expose them.
         let mut sink = TraceStatsSink::default();
         {
             let mut buf = EventBuffer::new(4, &mut sink);

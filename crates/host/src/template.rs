@@ -131,23 +131,6 @@ pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<RetireTemplate> {
         .collect()
 }
 
-/// Rebases templates compiled at host base 0 to `host_base`, shifting
-/// every prebuilt pc and every baked direct-branch target. Because
-/// [`compile_block`] derives both as `host_base + 4 * index`, rebasing a
-/// base-0 compilation is exactly equal to compiling at `host_base` —
-/// which lets a background translation worker compile templates before
-/// the code cache has decided the block's placement. Direct exits are
-/// unaffected (their branch is resolved at execution time and stays
-/// `None` in the template).
-pub fn rebase_templates(templates: &mut [RetireTemplate], host_base: u64) {
-    for t in templates {
-        t.inst.pc += host_base;
-        if let Some(b) = t.inst.branch.as_mut() {
-            b.1 += host_base;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,19 +179,5 @@ mod tests {
         assert_eq!(t[0].dyn_kind, RetireDyn::CondBranch);
         assert_eq!(t[1].inst.branch, Some((BranchKind::UncondDirect, 0x4000, true)));
         assert_eq!(t[1].dyn_kind, RetireDyn::Fixed);
-    }
-
-    #[test]
-    fn rebased_base_zero_compilation_equals_direct_compilation() {
-        let insts = vec![
-            HInst::Alu { op: HAluOp::Add, rd: HReg(3), ra: HReg(1), rb: HReg(2) },
-            HInst::Ld { rd: HReg(4), base: HReg(5), off: 8, width: Width::W4 },
-            HInst::Br { cond: crate::isa::HCond::Eq, ra: HReg(1), rb: HReg(2), target: 3 },
-            HInst::Jump { target: 0 },
-            HInst::Exit(Exit::Direct { guest_target: 0x200, link: None }),
-        ];
-        let mut rebased = compile_block(&insts, 0);
-        rebase_templates(&mut rebased, 0x9_8000);
-        assert_eq!(rebased, compile_block(&insts, 0x9_8000));
     }
 }

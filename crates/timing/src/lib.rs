@@ -46,7 +46,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod memo;
 pub mod memsys;
 pub mod pipeline;
 pub mod plru;
@@ -57,7 +56,6 @@ pub mod tlb;
 
 pub use cache::{Cache, Lookup};
 pub use config::{CacheParams, Interaction, TimingConfig, TlbParams};
-pub use memo::{BlockMemo, MemoStats};
 pub use memsys::MemSystem;
 pub use pipeline::Pipeline;
 pub use stats::{BubbleCause, Stats};

@@ -37,16 +37,6 @@ impl PlruSet {
         }
     }
 
-    /// Raw tree bits, for state capture by the block-memo recorder.
-    pub(crate) fn bits(&self) -> u64 {
-        self.bits
-    }
-
-    /// Restores raw tree bits captured by [`PlruSet::bits`].
-    pub(crate) fn set_bits(&mut self, bits: u64) {
-        self.bits = bits;
-    }
-
     /// Returns the victim way among `ways` ways (the pseudo-least
     /// recently used one). Does not modify state.
     pub fn victim(&self, ways: u32) -> u32 {

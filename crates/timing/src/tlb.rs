@@ -111,34 +111,6 @@ impl Tlb {
         (TlbOutcome::Walk, self.walk_latency)
     }
 
-    /// The two level caches, for block-memo set capture (`0` = L1).
-    pub(crate) fn level(&self, l: usize) -> &Cache {
-        if l == 0 {
-            &self.l1
-        } else {
-            &self.l2
-        }
-    }
-
-    /// Mutable access to a level cache, for block-memo restore.
-    pub(crate) fn level_mut(&mut self, l: usize) -> &mut Cache {
-        if l == 0 {
-            &mut self.l1
-        } else {
-            &mut self.l2
-        }
-    }
-
-    /// Page number of the last access (shortcut state).
-    pub(crate) fn last_page(&self) -> u64 {
-        self.last_page
-    }
-
-    /// Restores the last-page shortcut state.
-    pub(crate) fn set_last_page(&mut self, page: u64) {
-        self.last_page = page;
-    }
-
     /// L1 TLB miss rate.
     pub fn l1_miss_rate(&self) -> f64 {
         self.l1.miss_rate()

@@ -35,7 +35,7 @@
 
 use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
-use darco_host::{compile_block, rebase_templates, BlockId, Exit, HInst, RetireTemplate};
+use darco_host::{compile_block, BlockId, Exit, HInst, RetireTemplate};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -147,33 +147,6 @@ pub struct Installed {
     pub flushed: bool,
     /// Blocks evicted to make room ([`CachePolicy::Fifo`] only).
     pub evicted: Vec<Evicted>,
-}
-
-/// A finished translation ready to install: everything
-/// [`CodeCache::install`] takes except the host placement, which the
-/// cache decides at install time.
-///
-/// This is the handle a background translation worker produces — the
-/// compile work happens off the emulation thread, and the engine passes
-/// the handle to [`CodeCache::install_prepared`] at the same
-/// deterministic point a synchronous translation would install.
-#[derive(Debug)]
-pub struct Prepared {
-    /// The translated host instructions.
-    pub insts: Vec<HInst>,
-    /// Block kind (BBM basic block or SBM superblock).
-    pub kind: BlockKind,
-    /// Host instructions before the first exit stub.
-    pub body_len: u32,
-    /// Guest instructions retired when exiting through each stub.
-    pub stub_guest_counts: Vec<u32>,
-    /// Guest instructions the translation covers.
-    pub guest_len: u32,
-    /// Guest addresses of the covered instructions (for SMC stamping).
-    pub guest_pcs: Vec<u32>,
-    /// Retirement templates compiled at host base 0 by a worker, rebased
-    /// by the cache to the chosen base; `None` means compile at install.
-    pub templates: Option<Vec<RetireTemplate>>,
 }
 
 /// One installed translation.
@@ -394,39 +367,6 @@ impl CodeCache {
         guest_pcs: Vec<u32>,
         mem: &GuestMem,
     ) -> Result<Installed, CacheError> {
-        self.install_prepared(
-            guest_entry,
-            Prepared {
-                insts,
-                kind,
-                body_len,
-                stub_guest_counts,
-                guest_len,
-                guest_pcs,
-                templates: None,
-            },
-            mem,
-        )
-    }
-
-    /// [`CodeCache::install`] from a prepared handle. Same placement,
-    /// eviction and stamping semantics; the difference is that a
-    /// [`Prepared`] may carry base-relative retirement templates from a
-    /// background translation worker, which are rebased to the chosen
-    /// host base instead of recompiled (debug builds assert the rebased
-    /// templates equal an install-time compilation).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CodeCache::install`].
-    pub fn install_prepared(
-        &mut self,
-        guest_entry: u32,
-        p: Prepared,
-        mem: &GuestMem,
-    ) -> Result<Installed, CacheError> {
-        let Prepared { insts, kind, body_len, stub_guest_counts, guest_len, guest_pcs, templates } =
-            p;
         let n = insts.len() as u32;
         if n > self.capacity {
             return Err(CacheError::TooLarge { insts: insts.len(), capacity: self.capacity });
@@ -466,18 +406,7 @@ impl CodeCache {
         }
         let host_base = self.alloc(n, &mut evicted);
         let (code_pages, smc_gen) = smc_stamp(mem, guest_pcs.iter().copied());
-        let templates = match templates {
-            Some(mut t) => {
-                rebase_templates(&mut t, host_base);
-                debug_assert_eq!(
-                    t,
-                    compile_block(&insts, host_base),
-                    "rebased worker templates must equal install-time compilation"
-                );
-                t
-            }
-            None => compile_block(&insts, host_base),
-        };
+        let templates = compile_block(&insts, host_base);
         let block = TranslatedBlock {
             guest_entry,
             host_base,
@@ -801,10 +730,7 @@ const PAGE_SHIFT: u32 = 12;
 /// over-approximated to [`darco_guest::exec::MAX_INST_LEN`] bytes; a
 /// spurious page inclusion only makes invalidation more conservative,
 /// never less safe.
-pub(crate) fn smc_stamp(
-    mem: &GuestMem,
-    guest_pcs: impl IntoIterator<Item = u32>,
-) -> (Vec<u32>, u64) {
+fn smc_stamp(mem: &GuestMem, guest_pcs: impl IntoIterator<Item = u32>) -> (Vec<u32>, u64) {
     let span = darco_guest::exec::MAX_INST_LEN as u32 - 1;
     let mut pages: Vec<u32> = Vec::new();
     for pc in guest_pcs {
@@ -816,14 +742,6 @@ pub(crate) fn smc_stamp(
     }
     let gen = pages.iter().map(|&p| mem.page_gen(p << PAGE_SHIFT)).max().unwrap_or(0);
     (pages, gen)
-}
-
-/// Whether any of `pages` has a write-generation newer than `gen` — the
-/// pending-job variant of [`CodeCache::smc_stale`], used to invalidate a
-/// background translation whose covered guest bytes were written between
-/// enqueue and install.
-pub(crate) fn pages_dirty(mem: &GuestMem, pages: &[u32], gen: u64) -> bool {
-    pages.iter().any(|&p| mem.page_gen(p << PAGE_SHIFT) > gen)
 }
 
 #[cfg(test)]

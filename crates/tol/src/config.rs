@@ -90,45 +90,13 @@ pub struct TolConfig {
     ///
     /// [`RetireTemplate`]: darco_host::template::RetireTemplate
     pub retire_templates: bool,
-    /// Cache decoded guest instructions in the interpreter (direct-mapped
-    /// by guest pc, invalidated by the [`GuestMem`] per-page write
-    /// generation), so hot not-yet-translated loops skip `decode()`.
-    /// Purely a simulator-speed switch: the emitted stream is unchanged.
-    ///
-    /// [`GuestMem`]: darco_guest::GuestMem
-    pub interp_decode_cache: bool,
-    /// Background translation workers: the Rust-side compile work of a
-    /// BBM/SBM translation (decode → IR → analysis → optimization →
-    /// verification → emission) runs on this many pool threads,
-    /// overlapped with emulation, and joined at the same deterministic
-    /// simulated install point the synchronous path uses — so every
-    /// serialized report is byte-identical across settings (DESIGN.md
-    /// §15). `0` disables the pool entirely (the synchronous oracle).
-    /// Defaults to the host's available parallelism. Purely a
-    /// wall-clock switch.
-    #[serde(default = "default_translate_workers")]
-    pub translate_workers: usize,
-    /// Collapse steady-state translated-block retirement into one
-    /// [`HostEvent::BlockRetire`] macro-event per execution: once a
-    /// block has executed [`MEMO_STEADY`] times, the engine collects its
-    /// retired stream, proves it identical to the previous execution's,
-    /// and emits a single macro-event carrying the shared stream instead
-    /// of per-instruction events (DESIGN.md §16). Consumers expand the
-    /// macro-event (or memoize its timing), so every serialized report
-    /// is byte-identical either way. `false` keeps the always-available
-    /// per-instruction oracle. Purely a simulator-speed switch.
-    ///
-    /// [`HostEvent::BlockRetire`]: darco_host::events::HostEvent::BlockRetire
-    /// [`MEMO_STEADY`]: crate::engine::Tol::MEMO_STEADY
-    #[serde(default = "default_block_memo")]
-    pub block_memo: bool,
     /// Guest-layer fast path: pre-decoded micro-op buffers with lazy
     /// flag materialization in the interpreter ([`ExecCtx`]), plus the
     /// width-native [`GuestMem`] access path with its L0 page-pointer
     /// cache. The byte-wise decode-per-step path stays reachable as the
     /// always-available oracle (`false`); architectural state, memory
     /// and every serialized report are byte-identical either way.
-    /// Purely a simulator-speed switch (DESIGN.md §17).
+    /// Purely a simulator-speed switch (DESIGN.md §16).
     ///
     /// [`ExecCtx`]: darco_guest::uops::ExecCtx
     /// [`GuestMem`]: darco_guest::GuestMem
@@ -141,19 +109,6 @@ pub struct TolConfig {
 #[allow(dead_code)] // consumed via the serde attribute with real serde
 fn default_guest_fast_path() -> bool {
     true
-}
-
-/// Serde default for [`TolConfig::block_memo`] (profiles written before
-/// macro-events existed deserialize with them enabled).
-#[allow(dead_code)] // consumed via the serde attribute with real serde
-fn default_block_memo() -> bool {
-    true
-}
-
-/// Serde default for [`TolConfig::translate_workers`] (profiles written
-/// before the pool existed deserialize to the pool default).
-fn default_translate_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 impl Default for TolConfig {
@@ -182,9 +137,6 @@ impl Default for TolConfig {
             verify: false,
             event_batch: darco_host::events::EVENT_BATCH,
             retire_templates: true,
-            interp_decode_cache: true,
-            translate_workers: default_translate_workers(),
-            block_memo: true,
             guest_fast_path: true,
         }
     }

@@ -16,21 +16,16 @@
 //! simulator and co-simulates against the authoritative functional
 //! emulator between steps.
 
-use crate::codecache::{
-    pages_dirty, BlockKind, CacheHealth, CodeCache, EvictCause, Evicted, Prepared, TranslatedBlock,
-};
+use crate::codecache::{BlockKind, CacheHealth, CodeCache, EvictCause, Evicted, TranslatedBlock};
+use crate::compile::{compile_bb, compile_sb, SbOutcome};
 use crate::config::TolConfig;
 use crate::emission::Emitter;
 use crate::ibtc::Ibtc;
 use crate::interp;
 use crate::ir::{self, EXIT_TARGET_REG, FLAGS_REG};
-use crate::pool::{
-    compile_bb, compile_sb, stamp_region, JobKind, JobOut, PendingJob, SbOutcome, TranslatePool,
-    TranslationPoolStats,
-};
 use crate::profile::{Profiler, StaticMode};
-use crate::superblock::{form_region, form_region_into};
-use crate::translate::{decode_bb, decode_bb_into, RegionInst, TranslateScratch};
+use crate::superblock::form_region_into;
+use crate::translate::{decode_bb_into, RegionInst, TranslateScratch};
 use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
 use darco_host::events::{EventBuffer, ExecMode, HostEvent, HostEventSink, TranslationKind};
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE};
@@ -39,65 +34,9 @@ use darco_host::{
     exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HInst, HostState, Outcome, RetireDyn,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Execution mode (re-export of the profiler's mode classification).
 pub type Mode = StaticMode;
-
-/// Where a block execution's retired instructions go: straight into the
-/// event buffer (the per-instruction path), or into a collection buffer
-/// the macro-event memo compares against the previous execution.
-enum BlockOut<'e, 'b> {
-    /// Emit per-instruction `Retire` events.
-    Events(&'e mut EventBuffer<'b>),
-    /// Collect into a scratch stream for the macro-event compare.
-    Scratch(&'e mut Vec<DynInst>),
-}
-
-impl BlockOut<'_, '_> {
-    #[inline]
-    fn retire(&mut self, d: DynInst) {
-        match self {
-            BlockOut::Events(ev) => ev.retire(d),
-            BlockOut::Scratch(v) => v.push(d),
-        }
-    }
-}
-
-/// Engine-side macro-event memo for one code-cache slot.
-#[derive(Debug)]
-struct BlockMemoSlot {
-    /// Slot generation the memo was recorded under.
-    gen: u32,
-    /// The last execution's retired stream. Kept as a shared allocation
-    /// so a matching execution re-emits the *same* `Arc` — downstream
-    /// consumers key their own memos on its pointer identity.
-    stream: Option<Arc<[DynInst]>>,
-    /// Macro-events emitted against the current `stream`.
-    iterations: u64,
-    /// Consecutive executions whose stream differed from the stored
-    /// one; at [`Tol::MEMO_ABANDON`] the block stops being collected.
-    fails: u32,
-}
-
-/// Engine-side macro-event counters. Deliberately not part of
-/// [`RunSummary`] or any serialized report: those stay byte-identical
-/// across [`TolConfig::block_memo`] settings.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct EngineMemoStats {
-    /// `BlockRetire` macro-events emitted with a proven-identical
-    /// (shared-`Arc`) stream.
-    pub macro_events: u64,
-    /// Per-instruction `Retire` events suppressed by those macro-events.
-    pub insts_suppressed: u64,
-    /// Executions whose stream differed from the stored one (or had no
-    /// stored stream) and re-recorded the memo.
-    pub records: u64,
-    /// Memos dropped for evictions, flushes or generation bumps.
-    pub invalidations: u64,
-    /// Blocks abandoned after repeated stream changes.
-    pub abandoned: u64,
-}
 
 /// Counters the engine maintains across a run.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -198,8 +137,6 @@ pub struct Tol {
     spec_targets: std::collections::HashMap<(BlockId, u32), (u32, BlockId)>,
     /// Reused allocation for the retirement event buffer.
     ev_storage: Vec<HostEvent>,
-    /// The interpreter's decoded-instruction cache.
-    dcache: interp::DecodeCache,
     /// The guest layer's micro-op execution context (pre-decoded block
     /// buffers + lazy flags), used by the interpreter when
     /// [`TolConfig::guest_fast_path`] is on.
@@ -212,23 +149,8 @@ pub struct Tol {
     /// Total wall-clock nanoseconds in the analysis-driven passes
     /// (`deadflags` + `rangesimp`), BBM and SBM combined.
     analysis_ns: u64,
-    /// Reusable translation buffers for the synchronous compile path
-    /// (the pool workers each own their own IR scratch).
+    /// Reusable translation buffers.
     scratch: TranslateScratch,
-    /// Background translation pool; `None` when
-    /// [`TolConfig::translate_workers`] is 0 (the synchronous oracle).
-    pool: Option<TranslatePool>,
-    /// In-flight background jobs keyed by (kind, guest entry).
-    pending: std::collections::HashMap<(JobKind, u32), PendingJob>,
-    /// Engine-side pool counters (enqueues, joins, discards).
-    pool_counts: TranslationPoolStats,
-    /// Per-slot macro-event memos, keyed by code-cache slot index
-    /// (invalidated on eviction, flush, and generation bump).
-    block_memo: std::collections::HashMap<u32, BlockMemoSlot>,
-    /// Reused collection buffer for the macro-event compare.
-    memo_scratch: Vec<DynInst>,
-    /// Engine-side macro-event counters (not serialized into reports).
-    memo_counts: EngineMemoStats,
 }
 
 impl Tol {
@@ -242,8 +164,6 @@ impl Tol {
         cc.set_policy(cfg.cache_policy);
         let mut em = Emitter::new();
         em.interp_templates = cfg.retire_templates;
-        let pool = (cfg.translate_workers > 0)
-            .then(|| TranslatePool::new(cfg.translate_workers, cfg.clone()));
         let mut tol = Tol {
             cc,
             ibtc: Ibtc::new(cfg.ibtc_entries),
@@ -256,18 +176,11 @@ impl Tol {
             resume_translated: false,
             spec_targets: std::collections::HashMap::new(),
             ev_storage: Vec::new(),
-            dcache: interp::DecodeCache::new(),
             fastctx: darco_guest::uops::ExecCtx::new(),
             pass_deltas: Vec::new(),
             pass_nanos: Vec::new(),
             analysis_ns: 0,
             scratch: TranslateScratch::default(),
-            pool,
-            pending: std::collections::HashMap::new(),
-            pool_counts: TranslationPoolStats::default(),
-            block_memo: std::collections::HashMap::new(),
-            memo_scratch: Vec::new(),
-            memo_counts: EngineMemoStats::default(),
             cfg,
         };
         tol.store_cpu(&CpuState::at(entry));
@@ -421,7 +334,6 @@ impl Tol {
             let n = self.run_translated(mem, ev, budget)?;
             Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Bbm })
         } else {
-            self.maybe_enqueue_bb(pc, count, mem);
             let n = self.interpret_bb(mem, ev)?;
             Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Im })
         }
@@ -478,8 +390,6 @@ impl Tol {
             self.prof.mark_static([gpc], StaticMode::Im);
             let r = if fast {
                 interp::step_fast(&mut cpu, mem, &mut self.em, &mut self.fastctx, ev)
-            } else if self.cfg.interp_decode_cache {
-                interp::step_cached(&mut cpu, mem, &mut self.em, &mut self.dcache, ev)
             } else {
                 interp::step(&mut cpu, mem, &mut self.em, ev)
             };
@@ -533,9 +443,6 @@ impl Tol {
             ev.push(HostEvent::Evict { entry: e.entry, smc: e.smc });
             self.ibtc.invalidate(e.id);
             self.spec_targets.retain(|&(b, _), &mut (_, to)| b != e.id && to != e.id);
-            if self.block_memo.remove(&e.id.idx).is_some() {
-                self.memo_counts.invalidations += 1;
-            }
         }
     }
 
@@ -549,14 +456,7 @@ impl Tol {
         mem: &GuestMem,
         ev: &mut EventBuffer<'_>,
     ) -> Option<BlockId> {
-        // Join the in-flight background translation if a valid one
-        // exists; otherwise compile synchronously. Both are the same
-        // pure function of (region, cfg), so the installed code, the
-        // simulated cost and every event are identical either way.
-        let (compiled, templates) = match self.take_pooled(JobKind::Bb, entry, region, mem) {
-            Some(JobOut::Bb { compiled, templates }) => (compiled, Some(templates)),
-            _ => (compile_bb(region, &self.cfg, &mut self.scratch.ir), None),
-        };
+        let compiled = compile_bb(region, &self.cfg, &mut self.scratch.ir);
         if let Some(d) = &compiled.deadflags {
             self.counters.flags_killed += d.flags_killed;
             self.analysis_ns += d.nanos;
@@ -577,25 +477,20 @@ impl Tol {
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
         let ins = self
             .cc
-            .install_prepared(
+            .install(
                 entry,
-                Prepared {
-                    insts: compiled.insts,
-                    kind: BlockKind::Bb,
-                    body_len: compiled.body_len,
-                    stub_guest_counts: compiled.stub_guest_counts,
-                    guest_len: compiled.guest_len,
-                    guest_pcs: region.iter().map(|r| r.pc).collect(),
-                    templates,
-                },
+                compiled.insts,
+                BlockKind::Bb,
+                compiled.body_len,
+                compiled.stub_guest_counts,
+                compiled.guest_len,
+                region.iter().map(|r| r.pc).collect(),
                 mem,
             )
             .ok()?;
         if ins.flushed {
             self.ibtc.clear();
             self.spec_targets.clear();
-            self.memo_counts.invalidations += self.block_memo.len() as u64;
-            self.block_memo.clear();
         }
         self.note_evictions(&ins.evicted, ev);
         ev.push(HostEvent::Translated { entry, kind: TranslationKind::Bb, host_len });
@@ -625,13 +520,7 @@ impl Tol {
                 return Err(e);
             }
         };
-        // Join the in-flight background optimization if a valid one
-        // exists; otherwise compile synchronously (same pure function of
-        // (region, cfg) — see `install_bb`).
-        let (compiled, templates) = match self.take_pooled(JobKind::Sb, entry, &region, mem) {
-            Some(JobOut::Sb { compiled, templates }) => (compiled, Some(templates)),
-            _ => (compile_sb(&region, &self.cfg, &mut self.scratch.ir), None),
-        };
+        let compiled = compile_sb(&region, &self.cfg, &mut self.scratch.ir);
         match &compiled.outcome {
             SbOutcome::Optimized(stats) => {
                 self.counters.verified_blocks += stats.blocks_verified;
@@ -655,17 +544,14 @@ impl Tol {
         self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.insts.len());
         self.counters.sbm_invocations += 1;
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Sbm);
-        let res = self.cc.install_prepared(
+        let res = self.cc.install(
             entry,
-            Prepared {
-                insts: compiled.insts,
-                kind: BlockKind::Sb,
-                body_len: compiled.body_len,
-                stub_guest_counts: compiled.stub_guest_counts,
-                guest_len: compiled.guest_len,
-                guest_pcs: region.iter().map(|r| r.pc).collect(),
-                templates,
-            },
+            compiled.insts,
+            BlockKind::Sb,
+            compiled.body_len,
+            compiled.stub_guest_counts,
+            compiled.guest_len,
+            region.iter().map(|r| r.pc).collect(),
             mem,
         );
         self.scratch.region = region;
@@ -675,146 +561,11 @@ impl Tol {
         if ins.flushed {
             self.ibtc.clear();
             self.spec_targets.clear();
-            self.memo_counts.invalidations += self.block_memo.len() as u64;
-            self.block_memo.clear();
         }
         self.note_evictions(&ins.evicted, ev);
         ev.push(HostEvent::Translated { entry, kind: TranslationKind::Sb, host_len });
         ev.push(HostEvent::CacheInsert { entry, flushed: ins.flushed });
         Ok(Some((ins.id, ins.flushed)))
-    }
-
-    /// Lead (in block executions) between the SBM background-enqueue
-    /// trigger and the promotion threshold: how much emulation the
-    /// superblock compile can overlap with. Any constant is
-    /// deterministic (the join validates the snapshot against
-    /// install-time state); a small one keeps the profile snapshot close
-    /// to what the install point sees, so jobs are rarely discarded as
-    /// stale.
-    const SB_ENQUEUE_LEAD: u64 = 8;
-
-    /// Background-translation trigger for BBM: the last interpreted
-    /// visit before promotion (`count == IM/BBth`; the next visit
-    /// crosses the strict `count > IM/BBth` check) snapshots the block
-    /// and hands the compile work to the pool. The trigger is a pure
-    /// function of the deterministic profile counter, and the join in
-    /// [`Tol::install_bb`] validates the snapshot, so emitted streams
-    /// never depend on pool timing. A block re-translated after an
-    /// eviction passes this count only once, so re-translations stay
-    /// synchronous — rare by construction.
-    fn maybe_enqueue_bb(&mut self, pc: u32, count: u32, mem: &GuestMem) {
-        if self.pool.is_none()
-            || count != self.cfg.im_bb_threshold
-            || self.pending.contains_key(&(JobKind::Bb, pc))
-        {
-            return;
-        }
-        // A decode fault stays synchronous: the promote path surfaces
-        // the same fault to the caller.
-        let Ok(region) = decode_bb(mem, pc) else { return };
-        self.enqueue(JobKind::Bb, pc, region, mem);
-    }
-
-    /// Background-translation trigger for SBM, [`Tol::SB_ENQUEUE_LEAD`]
-    /// executions before the promotion check in `run_translated` (which
-    /// fires at `BB/SBth`, or at 4x that for blocks already covered by a
-    /// superblock). A covered block's trigger can fire twice (once per
-    /// threshold); the second fire drops the first snapshot, whose
-    /// profile is out of date.
-    fn maybe_enqueue_sb(&mut self, entry: u32, exec_count: u64, mem: &GuestMem) {
-        if self.pool.is_none() {
-            return;
-        }
-        let th = self.cfg.bb_sb_threshold as u64;
-        let covered = self.prof.static_mode(entry) == Some(StaticMode::Sbm);
-        let fire_at = if covered {
-            (4 * th).saturating_sub(Self::SB_ENQUEUE_LEAD).max(1)
-        } else {
-            th.saturating_sub(Self::SB_ENQUEUE_LEAD).max(1)
-        };
-        if exec_count != fire_at {
-            return;
-        }
-        if self.pending.remove(&(JobKind::Sb, entry)).is_some() {
-            self.pool_counts.discarded_stale += 1;
-        }
-        let Ok((region, _bbs)) = form_region(mem, entry, &self.prof, &self.cfg) else { return };
-        self.enqueue(JobKind::Sb, entry, region, mem);
-    }
-
-    /// Stamps the snapshot's code pages and submits the job.
-    fn enqueue(&mut self, kind: JobKind, entry: u32, region: Vec<RegionInst>, mem: &GuestMem) {
-        let Some(pool) = self.pool.as_mut() else { return };
-        let (pages, gen) = stamp_region(mem, &region);
-        let rx = pool.submit(kind, region.clone());
-        self.pending.insert((kind, entry), PendingJob { rx, region, pages, gen });
-        self.pool_counts.jobs_enqueued += 1;
-        self.pool_counts.max_in_flight =
-            self.pool_counts.max_in_flight.max(self.pending.len() as u64);
-    }
-
-    /// Removes and joins the pending background job for `(kind, entry)`,
-    /// validating it against the *install-time* inputs: the covered code
-    /// pages must be unwritten since enqueue (the pending-job arm of SMC
-    /// invalidation) and the snapshot region must equal the freshly
-    /// formed one. Any mismatch discards the job and returns `None`; the
-    /// caller then recompiles synchronously from the fresh inputs — so
-    /// the installed artifact is always a pure function of install-time
-    /// state, independent of pool timing.
-    fn take_pooled(
-        &mut self,
-        kind: JobKind,
-        entry: u32,
-        fresh: &[RegionInst],
-        mem: &GuestMem,
-    ) -> Option<JobOut> {
-        let job = self.pending.remove(&(kind, entry))?;
-        if pages_dirty(mem, &job.pages, job.gen) {
-            self.pool_counts.discarded_smc += 1;
-            return None;
-        }
-        if job.region.as_slice() != fresh {
-            self.pool_counts.discarded_stale += 1;
-            return None;
-        }
-        let out = match job.rx.try_recv() {
-            Ok(out) => {
-                self.pool_counts.ready_at_install += 1;
-                Some(out)
-            }
-            Err(std::sync::mpsc::TryRecvError::Empty) => {
-                self.pool_counts.stalls_at_install += 1;
-                job.rx.recv().ok()
-            }
-            // Every worker died (a compile panicked): fall back to the
-            // synchronous path for this and all later installs.
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => None,
-        };
-        if out.is_some() {
-            self.pool_counts.installed_from_pool += 1;
-        }
-        out
-    }
-
-    /// Background-translation pool statistics (wall-clock side only).
-    /// Deliberately not part of [`RunSummary`] or any serialized report:
-    /// those stay byte-identical across `translate_workers` settings.
-    pub fn pool_stats(&self) -> TranslationPoolStats {
-        let mut s = self.pool_counts;
-        if let Some(p) = &self.pool {
-            s.workers = p.workers();
-            s.jobs_completed = p.completed();
-            s.worker_busy_ns = p.busy_ns();
-        }
-        s
-    }
-
-    /// Engine-side macro-event memo statistics (simulator-speed side
-    /// only). Deliberately not part of [`RunSummary`] or any serialized
-    /// report: those stay byte-identical across
-    /// [`TolConfig::block_memo`] settings.
-    pub fn memo_stats(&self) -> EngineMemoStats {
-        self.memo_counts
     }
 
     /// Follows promotion redirects (the patched entry jump of a promoted
@@ -876,7 +627,7 @@ impl Tol {
                 return Ok(executed);
             }
 
-            let (exit, exit_idx, guest_n, cond_taken) = self.exec_block_memo(bid, mem, ev);
+            let (exit, exit_idx, guest_n, cond_taken) = self.exec_block(bid, mem, ev);
             executed += guest_n;
             self.counters.guest_insts += guest_n;
 
@@ -893,9 +644,6 @@ impl Tol {
                 self.em.bbm_instrumentation(ev, host_base + 4 * exit_idx as u64, entry);
                 if let Some(taken) = cond_taken {
                     self.prof.record_edge(entry, taken);
-                }
-                if !promoted {
-                    self.maybe_enqueue_sb(entry, exec_count, mem);
                 }
             }
 
@@ -1063,90 +811,6 @@ impl Tol {
         }
     }
 
-    /// Executions before a translated block is considered steady-state
-    /// and its retirement collapses into one
-    /// [`HostEvent::BlockRetire`] macro-event per execution (gated by
-    /// [`TolConfig::block_memo`]). Cold blocks keep emitting
-    /// per-instruction events so short-lived translations never pay the
-    /// collection overhead.
-    pub const MEMO_STEADY: u64 = 8;
-
-    /// Consecutive executions with a changed retirement stream after
-    /// which macro-event collection for the block is abandoned (it
-    /// reverts to per-instruction events). Matching executions reset
-    /// the count, so an occasional divergent iteration — a loop's final
-    /// trip, a rare side exit — never abandons a block.
-    const MEMO_ABANDON: u32 = 4;
-
-    /// Macro-event dispatch: cold blocks (and memo-disabled, stale or
-    /// abandoned ones) execute straight into the event buffer; a
-    /// steady-state block collects its retired stream into the scratch
-    /// buffer, compares it with the previous execution's, and emits one
-    /// [`HostEvent::BlockRetire`]. On a match the *stored* `Arc` is
-    /// re-emitted, so downstream consumers can prove stream identity by
-    /// pointer comparison; on a mismatch a fresh `Arc` is minted and
-    /// stored (consumers transparently re-record). Either way the
-    /// expanded stream is bit-identical to the per-instruction path.
-    fn exec_block_memo(
-        &mut self,
-        bid: BlockId,
-        mem: &mut GuestMem,
-        ev: &mut EventBuffer<'_>,
-    ) -> (Exit, usize, u64, Option<bool>) {
-        // `exec_count` holds *prior* executions: `run_translated`
-        // increments it after this returns.
-        let exec_count = self.cc.block(bid).expect("guarded live at dispatch").exec_count;
-        if !self.cfg.block_memo || exec_count < Self::MEMO_STEADY {
-            return self.exec_block(bid, mem, &mut BlockOut::Events(ev));
-        }
-        match self.block_memo.get(&bid.idx) {
-            // A reused slot index under a new generation is a different
-            // translation; drop the stale memo and start over.
-            Some(slot) if slot.gen != bid.gen => {
-                self.block_memo.remove(&bid.idx);
-                self.memo_counts.invalidations += 1;
-            }
-            Some(slot) if slot.fails >= Self::MEMO_ABANDON => {
-                return self.exec_block(bid, mem, &mut BlockOut::Events(ev));
-            }
-            _ => {}
-        }
-        let mut scratch = std::mem::take(&mut self.memo_scratch);
-        scratch.clear();
-        let ret = self.exec_block(bid, mem, &mut BlockOut::Scratch(&mut scratch));
-        let slot = self.block_memo.entry(bid.idx).or_insert(BlockMemoSlot {
-            gen: bid.gen,
-            stream: None,
-            iterations: 0,
-            fails: 0,
-        });
-        self.memo_counts.macro_events += 1;
-        self.memo_counts.insts_suppressed += scratch.len() as u64;
-        let stream = match &slot.stream {
-            Some(s) if **s == *scratch => {
-                slot.fails = 0;
-                slot.iterations += 1;
-                Arc::clone(s)
-            }
-            prior => {
-                if prior.is_some() {
-                    slot.fails += 1;
-                    if slot.fails == Self::MEMO_ABANDON {
-                        self.memo_counts.abandoned += 1;
-                    }
-                }
-                let fresh: Arc<[DynInst]> = scratch.as_slice().into();
-                slot.stream = Some(Arc::clone(&fresh));
-                slot.iterations = 1;
-                self.memo_counts.records += 1;
-                fresh
-            }
-        };
-        ev.push(HostEvent::BlockRetire { block: bid, iteration: slot.iterations, insts: stream });
-        self.memo_scratch = scratch;
-        ret
-    }
-
     /// Executes one translated block functionally, emitting its dynamic
     /// host instructions. Returns the exit, the host index of the exit
     /// instruction, guest instructions retired, and — when the block ends
@@ -1160,12 +824,12 @@ impl Tol {
         &mut self,
         bid: BlockId,
         mem: &mut GuestMem,
-        out: &mut BlockOut<'_, '_>,
+        ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         if self.cfg.retire_templates {
-            self.exec_block_templates(bid, mem, out)
+            self.exec_block_templates(bid, mem, ev)
         } else {
-            self.exec_block_rederive(bid, mem, out)
+            self.exec_block_rederive(bid, mem, ev)
         }
     }
 
@@ -1176,7 +840,7 @@ impl Tol {
         &mut self,
         bid: BlockId,
         mem: &mut GuestMem,
-        out: &mut BlockOut<'_, '_>,
+        ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         let block = self.cc.block(bid).expect("guarded live at dispatch");
         let mut idx = 0usize;
@@ -1220,7 +884,7 @@ impl Tol {
                 RetireDyn::Fixed | RetireDyn::Mem { .. } => {}
             }
             app_insts += 1;
-            out.retire(d);
+            ev.retire(d);
 
             match outcome {
                 Outcome::Next => idx += 1,
@@ -1242,7 +906,7 @@ impl Tol {
         &mut self,
         bid: BlockId,
         mem: &mut GuestMem,
-        out: &mut BlockOut<'_, '_>,
+        ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         let block = self.cc.block(bid).expect("guarded live at dispatch");
         let host_base = block.host_base;
@@ -1330,7 +994,7 @@ impl Tol {
                 _ => {}
             }
             app_insts += 1;
-            out.retire(d);
+            ev.retire(d);
 
             match outcome {
                 Outcome::Next => idx += 1,
@@ -1662,47 +1326,6 @@ mod tests {
         let (ref_cpu, ref_n) = run_reference(&mut mem_ref, entry);
         assert!(ref_cpu.arch_eq(&tol.emulated_state()));
         assert_eq!(tol.counters().guest_insts, ref_n);
-    }
-
-    /// Runs the program and collects the fully expanded retirement
-    /// stream (macro-events expanded by [`darco_host::RetireSink`]).
-    fn collect_stream(mem: &mut GuestMem, entry: u32, cfg: TolConfig) -> (Tol, Vec<DynInst>) {
-        let mut tol = Tol::new(cfg, entry);
-        let mut cpu = CpuState::at(entry);
-        cpu.set_gpr(Gpr::Esp, 0x10_0000);
-        tol.set_state(&cpu);
-        let mut stream = Vec::new();
-        let mut sink = darco_host::RetireSink(|d: &DynInst| stream.push(*d));
-        tol.run(mem, &mut sink, 50_000_000).unwrap();
-        (tol, stream)
-    }
-
-    #[test]
-    fn macro_events_expand_to_the_per_instruction_stream() {
-        let (mut mem_off, entry) = loop_program(20_000);
-        let cfg_off = TolConfig { block_memo: false, ..TolConfig::default() };
-        let (tol_off, stream_off) = collect_stream(&mut mem_off, entry, cfg_off);
-        assert_eq!(tol_off.memo_stats().macro_events, 0, "memo off emits none");
-
-        let (mut mem_on, _) = loop_program(20_000);
-        let (tol_on, stream_on) = collect_stream(&mut mem_on, entry, TolConfig::default());
-        let s = tol_on.memo_stats();
-        assert!(s.macro_events > 0, "hot loop must go steady-state");
-        assert!(s.insts_suppressed > s.records, "streams must mostly repeat");
-        assert_eq!(tol_on.counters().guest_insts, tol_off.counters().guest_insts);
-        assert_eq!(stream_on.len(), stream_off.len());
-        assert!(stream_on == stream_off, "expanded streams must be bit-identical");
-    }
-
-    #[test]
-    fn memo_survives_side_exit_divergence() {
-        // The loop's final iteration leaves through a different exit
-        // than the steady-state ones — one re-record, never an abandon.
-        let (mut mem, entry) = loop_program(20_000);
-        let (tol, _) = collect_stream(&mut mem, entry, TolConfig::default());
-        let s = tol.memo_stats();
-        assert_eq!(s.abandoned, 0, "occasional divergence must not abandon");
-        assert!(s.records < s.macro_events / 10, "re-records must be rare");
     }
 
     #[test]

@@ -7,92 +7,17 @@
 //! progress because of the high per-instruction emulation cost
 //! (Sec. III-B) — the emitted stream reflects that cost.
 //!
-//! Hot not-yet-translated loops re-decode the same guest bytes every
-//! iteration; [`DecodeCache`] memoizes decode results per guest pc,
-//! using [`GuestMem`]'s per-page write generation to stay correct under
-//! self-modifying code. The cache changes simulator speed only — the
-//! executed semantics and the emitted cost stream are identical.
+//! Hot not-yet-translated loops would re-decode the same guest bytes
+//! every iteration; [`step_fast`] executes them from the guest layer's
+//! pre-decoded micro-op buffers instead, with [`step`] as the
+//! decode-per-step reference. The executed semantics and the emitted
+//! cost stream are identical.
 
 use crate::emission::Emitter;
-use darco_guest::exec::{self, StepInfo, MAX_INST_LEN};
+use darco_guest::exec::{self, StepInfo};
 use darco_guest::uops::ExecCtx;
-use darco_guest::{decode, CpuState, DecodeError, GuestMem, Inst};
+use darco_guest::{CpuState, DecodeError, GuestMem};
 use darco_host::events::EventBuffer;
-
-/// Entries in the direct-mapped decode cache (power of two).
-pub const DECODE_CACHE_ENTRIES: usize = 1024;
-
-#[derive(Debug, Clone, Copy)]
-struct DecodeEntry {
-    pc: u32,
-    /// Highest page write generation over the instruction's bytes at
-    /// fill time; any later store to those pages bumps it.
-    gen: u64,
-    inst: Inst,
-    len: u8,
-}
-
-/// Direct-mapped cache of decoded guest instructions, keyed by guest pc
-/// and invalidated by the memory write generation of the pages the
-/// encoding spans.
-#[derive(Debug)]
-pub struct DecodeCache {
-    entries: Box<[Option<DecodeEntry>]>,
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to `decode()`.
-    pub misses: u64,
-}
-
-impl Default for DecodeCache {
-    fn default() -> DecodeCache {
-        DecodeCache::new()
-    }
-}
-
-/// Highest write generation over the pages `[pc, pc + len)` spans (an
-/// encoding crosses at most one page boundary).
-fn span_gen(mem: &GuestMem, pc: u32, len: u32) -> u64 {
-    mem.page_gen(pc).max(mem.page_gen(pc.wrapping_add(len - 1)))
-}
-
-impl DecodeCache {
-    /// Creates an empty cache.
-    pub fn new() -> DecodeCache {
-        DecodeCache {
-            entries: vec![None; DECODE_CACHE_ENTRIES].into_boxed_slice(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Returns the decoded instruction at `pc`, from the cache when the
-    /// entry is still valid (same pc, no store to the spanned pages
-    /// since fill), decoding and filling otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode failures; a failing pc is not cached.
-    pub fn lookup_or_decode(
-        &mut self,
-        pc: u32,
-        mem: &GuestMem,
-    ) -> Result<(Inst, usize), DecodeError> {
-        let slot = pc as usize & (DECODE_CACHE_ENTRIES - 1);
-        if let Some(e) = self.entries[slot] {
-            if e.pc == pc && e.gen == span_gen(mem, pc, e.len as u32) {
-                self.hits += 1;
-                return Ok((e.inst, e.len as usize));
-            }
-        }
-        self.misses += 1;
-        let window = mem.window(pc, MAX_INST_LEN);
-        let (inst, len) = decode(&window)?;
-        self.entries[slot] =
-            Some(DecodeEntry { pc, gen: span_gen(mem, pc, len as u32), inst, len: len as u8 });
-        Ok((inst, len))
-    }
-}
 
 /// Interprets one guest instruction: executes it functionally on `cpu`
 /// and emits the IM host-cost stream.
@@ -112,29 +37,8 @@ pub fn step(
     Ok(info)
 }
 
-/// [`step`] with decode memoized through `cache`. Functionally and
-/// stream-identical to [`step`]; only the simulator-side decode work is
-/// skipped on a hit.
-///
-/// # Errors
-///
-/// Propagates decode failures from the guest instruction stream.
-pub fn step_cached(
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    em: &mut Emitter,
-    cache: &mut DecodeCache,
-    ev: &mut EventBuffer<'_>,
-) -> Result<StepInfo, DecodeError> {
-    let pc = cpu.eip;
-    let (inst, len) = cache.lookup_or_decode(pc, mem)?;
-    let info = exec::exec_decoded(cpu, mem, inst, len);
-    em.interp_step(ev, pc, &info);
-    Ok(info)
-}
-
 /// [`step`] through the guest layer's pre-decoded micro-op buffers with
-/// lazy flag materialization (`--guest-fast-path`, DESIGN.md §17).
+/// lazy flag materialization (`--guest-fast-path`, DESIGN.md §16).
 /// Functionally and stream-identical to [`step`] — the op carries its
 /// precomputed emission shape, so the cost stream is emitted through
 /// [`Emitter::interp_step_shaped`] without re-deriving the shape key.
@@ -205,56 +109,15 @@ mod tests {
         let mut sink = darco_host::events::NullSink;
         let mut ev = EventBuffer::new(64, &mut sink);
         assert!(step(&mut cpu, &mut mem, &mut em, &mut ev).is_err());
-        let mut cache = DecodeCache::new();
-        assert!(step_cached(&mut cpu, &mut mem, &mut em, &mut cache, &mut ev).is_err());
-    }
-
-    #[test]
-    fn cached_interpretation_matches_uncached() {
-        // A counted loop: the same pcs are interpreted many times, so the
-        // cached run must both hit and agree with the uncached run.
-        let mut a = Asm::new(0x1000);
-        a.push(Inst::MovRI { dst: Gpr::Ecx, imm: 50 });
-        let top = a.here();
-        a.push(Inst::AluRI { op: darco_guest::AluOp::Add, dst: Gpr::Eax, imm: 3 });
-        a.push(Inst::AluRI { op: darco_guest::AluOp::Sub, dst: Gpr::Ecx, imm: 1 });
-        a.push(Inst::Jcc { cond: darco_guest::Cond::Ne, target: top });
-        a.push(Inst::Halt);
-        let p = a.assemble();
-
-        let run = |cached: bool| -> (CpuState, u64, u64) {
-            let mut mem = GuestMem::new();
-            mem.write_bytes(p.base, &p.bytes);
-            let mut cpu = CpuState::at(p.base);
-            let mut em = Emitter::new();
-            let mut n = 0u64;
-            let mut sink = darco_host::events::RetireSink(|_: &darco_host::DynInst| n += 1);
-            let mut ev = EventBuffer::new(64, &mut sink);
-            let mut cache = DecodeCache::new();
-            while !cpu.halted {
-                if cached {
-                    step_cached(&mut cpu, &mut mem, &mut em, &mut cache, &mut ev).unwrap();
-                } else {
-                    step(&mut cpu, &mut mem, &mut em, &mut ev).unwrap();
-                }
-            }
-            ev.flush();
-            (cpu, n, cache.hits)
-        };
-
-        let (cpu_u, n_u, _) = run(false);
-        let (cpu_c, n_c, hits) = run(true);
-        assert!(cpu_u.arch_eq(&cpu_c));
-        assert_eq!(n_u, n_c, "cost stream must be identical");
-        assert!(hits > 100, "loop body must hit the decode cache, got {hits}");
     }
 
     #[test]
     fn fast_interpretation_matches_uncached() {
-        // Same loop as the decode-cache test, driven through the micro-op
-        // fast path. State and cost stream must be identical; the
-        // debug_assert inside interp_step_shaped additionally pins the
-        // static emission shape against the dynamic key on every step.
+        // A counted loop (the same pcs interpreted many times) driven
+        // through the micro-op fast path. State and cost stream must be
+        // identical to the reference; the debug_assert inside
+        // interp_step_shaped additionally pins the static emission shape
+        // against the dynamic key on every step.
         let mut a = Asm::new(0x1000);
         a.push(Inst::MovRI { dst: Gpr::Ecx, imm: 50 });
         let top = a.here();
@@ -291,36 +154,5 @@ mod tests {
         assert!(cpu_u.arch_eq(&cpu_f));
         assert_eq!(n_u, n_f, "cost stream must be identical");
         assert!(hits > 100, "loop body must hit the micro-op cache, got {hits}");
-    }
-
-    #[test]
-    fn decode_cache_invalidated_by_guest_stores() {
-        // Self-modifying code at the cache level: decode, hit, overwrite
-        // the immediate byte, and the next lookup must re-decode.
-        let mut a = Asm::new(0x2000);
-        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 5 });
-        let p = a.assemble();
-        let mut mem = GuestMem::new();
-        mem.write_bytes(p.base, &p.bytes);
-
-        let mut cache = DecodeCache::new();
-        let (i0, len) = cache.lookup_or_decode(0x2000, &mem).unwrap();
-        assert_eq!(i0, Inst::MovRI { dst: Gpr::Eax, imm: 5 });
-        let (i1, _) = cache.lookup_or_decode(0x2000, &mem).unwrap();
-        assert_eq!(i1, i0);
-        assert_eq!(cache.hits, 1);
-
-        // Patch the last byte of the encoding (the immediate's MSB).
-        let imm_byte = 0x2000 + len as u32 - 1;
-        mem.write_u8(imm_byte, 0x01);
-        let (i2, _) = cache.lookup_or_decode(0x2000, &mem).unwrap();
-        assert_ne!(i2, i0, "stale decode served after a store to the encoding");
-        assert_eq!(cache.hits, 1, "store must force a re-decode");
-        assert_eq!(cache.misses, 2);
-
-        // And the refilled entry hits again until the next store.
-        let (i3, _) = cache.lookup_or_decode(0x2000, &mem).unwrap();
-        assert_eq!(i3, i2);
-        assert_eq!(cache.hits, 2);
     }
 }

@@ -52,6 +52,7 @@
 
 pub mod analysis;
 pub mod codecache;
+mod compile;
 pub mod config;
 pub mod emission;
 pub mod engine;
@@ -59,7 +60,6 @@ pub mod ibtc;
 pub mod interp;
 pub mod ir;
 pub mod opt;
-mod pool;
 pub mod profile;
 pub mod superblock;
 pub mod translate;
@@ -67,6 +67,5 @@ pub mod verify;
 
 pub use analysis::analyze_region_text;
 pub use config::TolConfig;
-pub use engine::{EngineMemoStats, Mode, RunSummary, StepOutcome, Tol, TolCounters};
-pub use pool::TranslationPoolStats;
+pub use engine::{Mode, RunSummary, StepOutcome, Tol, TolCounters};
 pub use verify::{PassDelta, VerifyFailure, VerifyStats};

@@ -14,37 +14,18 @@ use crate::translate::{decode_bb_into, RegionInst};
 use darco_guest::{DecodeError, GuestMem, Inst};
 use std::collections::HashSet;
 
-/// Forms the superblock region rooted at `entry`.
-///
-/// Returns the guest-instruction path ready for
-/// [`translate_region`](crate::translate::translate_region), and the
-/// number of basic blocks it spans.
+/// Forms the superblock region rooted at `entry` into caller-provided
+/// buffers (the engine's scratch arena reuses the allocations across
+/// formations): the guest-instruction path, ready for
+/// [`translate_region`](crate::translate::translate_region), is appended
+/// to `region` and the visited set filled in, both assumed empty on
+/// entry. Returns the number of basic blocks the region spans.
 ///
 /// # Errors
 ///
 /// Propagates decode failures (the region root must already have been
-/// translated once, so failures indicate guest self-modification, which
-/// is unsupported).
-pub fn form_region(
-    mem: &GuestMem,
-    entry: u32,
-    prof: &Profiler,
-    cfg: &TolConfig,
-) -> Result<(Vec<RegionInst>, u32), DecodeError> {
-    let mut region: Vec<RegionInst> = Vec::new();
-    let mut visited = HashSet::new();
-    let bbs = form_region_into(mem, entry, prof, cfg, &mut region, &mut visited)?;
-    Ok((region, bbs))
-}
-
-/// [`form_region`] into caller-provided buffers: the region vector is
-/// appended to and the visited set filled in, both assumed empty on
-/// entry. Lets the engine's scratch arena reuse the allocations across
-/// superblock formations.
-///
-/// # Errors
-///
-/// Same as [`form_region`]; on error the buffers hold partial contents.
+/// translated once, so failures indicate guest self-modification). On
+/// error the buffers hold partial contents.
 pub(crate) fn form_region_into(
     mem: &GuestMem,
     entry: u32,
@@ -101,6 +82,17 @@ mod tests {
     use super::*;
     use darco_guest::asm::Asm;
     use darco_guest::{AluOp, Cond, Gpr};
+
+    fn form_region(
+        mem: &GuestMem,
+        entry: u32,
+        prof: &Profiler,
+        cfg: &TolConfig,
+    ) -> Result<(Vec<RegionInst>, u32), DecodeError> {
+        let mut region = Vec::new();
+        let bbs = form_region_into(mem, entry, prof, cfg, &mut region, &mut HashSet::new())?;
+        Ok((region, bbs))
+    }
 
     /// Program: A: cmp;jcc->C | B: add;jmp->D | C: add;jmp->D | D: halt
     fn diamond() -> (GuestMem, u32, u32, u32) {

@@ -84,8 +84,8 @@ pub(crate) fn decode_bb_into(
 /// vectors a translation builds its [`IrBlock`] from. A fresh
 /// translation takes the (empty, but sized) buffers, and
 /// [`IrScratch::recycle`] returns a finished block's allocations so the
-/// next translation on the same engine or pool worker starts with
-/// capacity instead of `Vec::new()`.
+/// next translation on the same engine starts with capacity instead of
+/// `Vec::new()`.
 #[derive(Debug, Default)]
 pub struct IrScratch {
     ops: Vec<IrOp>,
@@ -121,11 +121,10 @@ impl IrScratch {
     }
 }
 
-/// Reusable translation buffers for an engine's synchronous compile
-/// path: the decoded-region vector, the superblock-formation visited
-/// set, and the IR-side [`IrScratch`]. One translation is in flight per
-/// engine at a time, so a single arena suffices; pool workers own one
-/// [`IrScratch`] each instead.
+/// Reusable translation buffers for an engine's compile path: the
+/// decoded-region vector, the superblock-formation visited set, and the
+/// IR-side [`IrScratch`]. One translation is in flight per engine at a
+/// time, so a single arena suffices.
 #[derive(Debug, Default)]
 pub(crate) struct TranslateScratch {
     pub(crate) region: Vec<RegionInst>,

@@ -7,14 +7,10 @@
 # deadflags/rangesimp passes on vs off, dead flag defs killed,
 # per-pass wall time, the `code_cache` block: flush vs fifo under a
 # constrained capacity — installs, flushes, evictions, unchains,
-# retranslations, occupancy and dead-space ratio, the `translation`
-# block: synchronous vs background-pool wall seconds, job/stall/discard
-# counters and worker utilization, the `block_memo` block:
-# steady-state block timing memoization on vs off with engine and
-# timing-side memo counters, and the `guest_exec` block: raw
-# functional-emulation MIPS through the guest-layer fast path vs the
-# decode-per-step byte oracle with micro-op/lazy-flag engagement
-# counters — each speed switch's two serialized reports asserted
+# retranslations, occupancy and dead-space ratio, and the `guest_exec`
+# block: raw functional-emulation MIPS through the guest-layer fast
+# path vs the decode-per-step byte oracle with micro-op/lazy-flag
+# engagement counters and the two serialized reports asserted
 # byte-identical) from repeated timed runs of the same configuration.
 #
 # Every report is also appended as a timestamped copy under
@@ -46,14 +42,6 @@ import json, sys
 with open("BENCH_report.json") as f:
     r = json.load(f)
 assert r["guest_mips"] > 0, f"guest_mips {r['guest_mips']} must be positive"
-t = r["translation"]
-assert t["workers"] >= 1, "pool must have spawned workers"
-assert t["sync_wall_seconds"] > 0 and t["pool_wall_seconds"] > 0
-assert t["comparison"] in ("overlap", "channel-overhead-only")
-m = r["block_memo"]
-assert m["macro_events"] > 0, "steady-state blocks must emit macro-events"
-assert m["memo_hits"] > 0, f"memo_hits {m['memo_hits']} must be positive"
-assert m["insts_replayed"] > 0, "replayed footprints must cover instructions"
 g = r["guest_exec"]
 assert g["guest_insts"] > 0, "guest_exec must retire instructions"
 assert g["speedup"] > 0, "guest_exec speedup must be recorded"
@@ -64,10 +52,6 @@ assert g["flag_forces"] < g["flag_defs"], \
 assert r["timing"]["comparison"] in ("overlap", "channel-overhead-only")
 print(
     f"bench smoke OK: {r['guest_mips']:.2f} guest MIPS, "
-    f"translation {t['workers']} worker(s) [{t['comparison']}], "
-    f"sync {t['sync_wall_seconds']:.3f}s vs pool {t['pool_wall_seconds']:.3f}s, "
-    f"block memo {m['memo_hits']} hits / {m['memo_records']} records "
-    f"({m['insts_replayed']} insts replayed), "
     f"guest exec {g['fast_mips']:.2f} vs {g['oracle_mips']:.2f} MIPS "
     f"({g['speedup']:.2f}x, {g['uop_hits']} uop hits)"
 )

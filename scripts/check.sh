@@ -3,9 +3,9 @@
 # suite. CI and pre-commit both run exactly this.
 #
 #   scripts/check.sh           # the full gate
-#   scripts/check.sh --tsan    # ThreadSanitizer pass over the threaded
-#                              # and fan-out event-stream tests (needs
-#                              # nightly + rust-src; skips gracefully)
+#   scripts/check.sh --tsan    # ThreadSanitizer pass over the fan-out
+#                              # event-stream tests (needs nightly +
+#                              # rust-src; skips gracefully)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,10 +24,10 @@ if [ "${1:-}" = "--tsan" ]; then
         exit 0
     fi
     host=$(rustc +nightly -vV | sed -n 's/^host: //p')
-    echo "== tsan: event_stream threaded/fanout tests on $host"
+    echo "== tsan: event_stream fanout tests on $host"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \
-        --test event_stream -- threaded fanout
+        --test event_stream -- fanout
     # The guest crate carries the interior-mutable L0 page cache
     # (Cell-based, Send-not-Sync by design); run its unit tests under
     # the sanitizer too so a future Sync impl can't slip a race in.
@@ -51,6 +51,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
+# The paper-facing output is pinned byte for byte: a change that moves
+# a figure must regenerate the file and say why.
+echo "== figures all | cmp - figures_output.txt"
+target/release/figures all | cmp - figures_output.txt
+
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -59,5 +64,11 @@ cargo bench --workspace --no-run
 
 echo "== cargo test -q --release --test event_stream --test properties"
 cargo test -q --release --test event_stream --test properties
+
+echo "== cargo test -q --release --manifest-path benchmark/Cargo.toml"
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark/run.sh --smoke"
+bash benchmark/run.sh --smoke
 
 echo "all checks passed"

@@ -152,8 +152,7 @@ fn smc_invalidates_translated_code_exactly() {
 // FIFO partial eviction across the full system.
 // ---------------------------------------------------------------------
 
-const BACKENDS: [TimingBackendKind; 3] =
-    [TimingBackendKind::Inline, TimingBackendKind::Threaded, TimingBackendKind::Fanout];
+const BACKENDS: [TimingBackendKind; 2] = [TimingBackendKind::Inline, TimingBackendKind::Fanout];
 
 /// Capacity small enough that the quicktest working set churns the
 /// cache — evicted hot translations actually come back rather than

@@ -3,156 +3,38 @@
 //! The contract of the event bus (DESIGN.md §9) is that consumers see
 //! the exact retire-order stream in the exact same batches regardless of
 //! where they run. These tests pin the strongest observable consequence:
-//! a run with the timing pipelines overlapped on one worker thread
-//! (`Threaded`) or fanned out one worker per pipeline (`Fanout`)
-//! produces a byte-identical [`Report`] to the inline run — at any
-//! event-batch size.
+//! a run with the timing pipelines fanned out one worker per pipeline
+//! (`Fanout`) produces a byte-identical [`Report`] to the inline run —
+//! at any event-batch size — and so does every fast path against its
+//! reference twin.
 //!
 //! [`Report`]: darco::core::Report
 
 use darco::core::{Report, System, SystemConfig, TimingBackendKind};
 use darco::workloads::{generate, suites};
 
-const BACKENDS: [TimingBackendKind; 3] =
-    [TimingBackendKind::Inline, TimingBackendKind::Threaded, TimingBackendKind::Fanout];
+const BACKENDS: [TimingBackendKind; 2] = [TimingBackendKind::Inline, TimingBackendKind::Fanout];
 
-fn run_with(
-    profile_idx: usize,
-    scale: f64,
-    backend: TimingBackendKind,
-    cosim: bool,
-    event_batch: usize,
-) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
-        cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        timing_backend: backend,
-        ..SystemConfig::default()
-    };
-    if event_batch > 0 {
-        cfg.tol.event_batch = event_batch;
-    }
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
-    sys.run_to_completion()
-}
-
-fn run(profile_idx: usize, scale: f64, backend: TimingBackendKind, cosim: bool) -> Report {
-    run_with(profile_idx, scale, backend, cosim, 0)
-}
-
-/// Like [`run`], but with an explicit background-translation pool size
-/// (DESIGN.md §15). `0` is the synchronous oracle.
-fn run_pool(profile_idx: usize, scale: f64, backend: TimingBackendKind, workers: usize) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
+/// The configuration every test here starts from: all three timing
+/// pipelines and timeline sampling, so a [`Report`] carries everything
+/// that could diverge.
+fn base_cfg() -> SystemConfig {
+    SystemConfig {
         cosim: false,
         app_only_pipeline: true,
         tol_only_pipeline: true,
         window_guest_insts: 20_000,
-        timing_backend: backend,
         ..SystemConfig::default()
-    };
-    cfg.tol.translate_workers = workers;
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
-    sys.run_to_completion()
-}
-
-/// Like [`run`], but with the retirement-template and decode-cache fast
-/// paths switched together (both on = shipping config, both off = the
-/// per-retire re-derivation oracle kept for exactly this comparison).
-fn run_fast_paths(profile_idx: usize, scale: f64, cosim: bool, fast: bool) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
-        cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        ..SystemConfig::default()
-    };
-    cfg.tol.retire_templates = fast;
-    cfg.tol.interp_decode_cache = fast;
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
-    sys.run_to_completion()
-}
-
-/// Like [`run`], but with the memory-model fast paths (flat tag layout
-/// and last-line/last-page shortcuts) switched together — both off is
-/// the full-probe legacy-layout oracle.
-fn run_mem_paths(profile_idx: usize, scale: f64, cosim: bool, fast: bool) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
-        cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        ..SystemConfig::default()
-    };
-    cfg.timing.flat_mem = fast;
-    cfg.timing.mem_shortcuts = fast;
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
-    sys.run_to_completion()
-}
-
-/// Like [`run_with`], but with the block-timing memo (DESIGN.md §16)
-/// switched on both sides of the event bus together — the engine's
-/// steady-state macro-retire emission and the timing sinks' replay
-/// tables — versus the always-available per-instruction oracle.
-fn run_memo(
-    profile_idx: usize,
-    scale: f64,
-    backend: TimingBackendKind,
-    cosim: bool,
-    event_batch: usize,
-    memo: bool,
-) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
-        cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        timing_backend: backend,
-        ..SystemConfig::default()
-    };
-    if event_batch > 0 {
-        cfg.tol.event_batch = event_batch;
     }
-    cfg.tol.block_memo = memo;
-    cfg.timing.block_memo = memo;
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
-    sys.run_to_completion()
 }
 
-/// Like [`run_with`], but with the guest-layer fast path (DESIGN.md
-/// §17) switched: pre-decoded micro-op buffers with lazy flag
-/// materialization plus the width-native memory access path, versus the
-/// decode-per-step byte-oracle interpreter. The switch spans the engine
-/// and the cosim checker's private authoritative emulator.
-fn run_guest_fast(
-    profile_idx: usize,
-    scale: f64,
-    backend: TimingBackendKind,
-    cosim: bool,
-    event_batch: usize,
-    fast: bool,
-) -> Report {
-    let profiles = suites::all_profiles();
-    let mut cfg = SystemConfig {
-        cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        timing_backend: backend,
-        ..SystemConfig::default()
-    };
-    if event_batch > 0 {
-        cfg.tol.event_batch = event_batch;
-    }
-    cfg.tol.guest_fast_path = fast;
-    let mut sys = System::new(generate(&profiles[profile_idx], scale), cfg);
+/// Runs roster profile `profile_idx` at `scale` under [`base_cfg`] as
+/// adjusted by `set` (the axis a test varies: backend, cosim, batch
+/// size, a fast-path switch).
+fn run_cfg(profile_idx: usize, scale: f64, set: impl FnOnce(&mut SystemConfig)) -> Report {
+    let mut cfg = base_cfg();
+    set(&mut cfg);
+    let mut sys = System::new(generate(&suites::all_profiles()[profile_idx], scale), cfg);
     sys.run_to_completion()
 }
 
@@ -164,26 +46,12 @@ fn fingerprint<T: serde::Serialize>(v: &T) -> String {
 }
 
 #[test]
-fn threaded_timing_is_bit_identical_across_profiles() {
-    for idx in 0..3 {
-        let inline = run(idx, 0.05, TimingBackendKind::Inline, false);
-        let threaded = run(idx, 0.05, TimingBackendKind::Threaded, false);
-        assert!(inline.timing.total_cycles > 0);
-        assert!(inline.trace.batches > 0, "event stream must be batched");
-        assert_eq!(
-            fingerprint(&inline),
-            fingerprint(&threaded),
-            "profile {} diverged between inline and threaded timing",
-            inline.name
-        );
-    }
-}
-
-#[test]
 fn fanout_timing_is_bit_identical_across_profiles() {
     for idx in 0..3 {
-        let inline = run(idx, 0.05, TimingBackendKind::Inline, false);
-        let fanout = run(idx, 0.05, TimingBackendKind::Fanout, false);
+        let inline = run_cfg(idx, 0.05, |c| c.timing_backend = TimingBackendKind::Inline);
+        let fanout = run_cfg(idx, 0.05, |c| c.timing_backend = TimingBackendKind::Fanout);
+        assert!(inline.timing.total_cycles > 0);
+        assert!(inline.trace.batches > 0, "event stream must be batched");
         assert!(inline.app_only.is_some() && inline.tol_only.is_some());
         assert_eq!(
             fingerprint(&inline),
@@ -202,9 +70,15 @@ fn all_backends_agree_at_extreme_batch_sizes() {
     // (batches/max_batch) legitimately differs across batch sizes, so
     // compare fingerprints within one batch size across backends.
     for &batch in &[1usize, 64, 4096] {
-        let reference = run_with(0, 0.04, TimingBackendKind::Inline, false, batch);
+        let at = |backend| {
+            run_cfg(0, 0.04, |c| {
+                c.timing_backend = backend;
+                c.tol.event_batch = batch;
+            })
+        };
+        let reference = at(TimingBackendKind::Inline);
         for &backend in &BACKENDS[1..] {
-            let other = run_with(0, 0.04, backend, false, batch);
+            let other = at(backend);
             assert_eq!(
                 fingerprint(&reference),
                 fingerprint(&other),
@@ -215,48 +89,28 @@ fn all_backends_agree_at_extreme_batch_sizes() {
 }
 
 #[test]
-fn threaded_timing_is_bit_identical_with_cosim() {
-    let inline = run(0, 0.03, TimingBackendKind::Inline, true);
-    let threaded = run(0, 0.03, TimingBackendKind::Threaded, true);
-    assert!(inline.cosim_checks > 0, "checker must run as a sink");
-    assert_eq!(fingerprint(&inline), fingerprint(&threaded));
-}
-
-#[test]
 fn fanout_timing_is_bit_identical_with_cosim() {
-    let inline = run(0, 0.03, TimingBackendKind::Inline, true);
-    let fanout = run(0, 0.03, TimingBackendKind::Fanout, true);
+    let on = |backend| {
+        run_cfg(0, 0.03, |c| {
+            c.timing_backend = backend;
+            c.cosim = true;
+        })
+    };
+    let inline = on(TimingBackendKind::Inline);
+    let fanout = on(TimingBackendKind::Fanout);
     assert!(fanout.cosim_checks > 0, "checker stays inline under fan-out");
     assert_eq!(fingerprint(&inline), fingerprint(&fanout));
 }
 
 #[test]
-fn threaded_and_fanout_timing_with_translation_pool() {
-    // The two thread-spawning timing backends with the background
-    // translation pool on top (four compile workers): the maximum
-    // cross-thread configuration. Byte-identical to the fully
-    // synchronous inline run. Named "threaded"/"fanout" so the
-    // ThreadSanitizer gate (scripts/check.sh --tsan) picks it up.
-    let reference = run_pool(0, 0.04, TimingBackendKind::Inline, 0);
-    for backend in [TimingBackendKind::Threaded, TimingBackendKind::Fanout] {
-        let pooled = run_pool(0, 0.04, backend, 4);
-        assert_eq!(
-            fingerprint(&reference),
-            fingerprint(&pooled),
-            "backend {backend:?} with translate_workers 4 diverged from the synchronous run"
-        );
-    }
-}
-
-#[test]
 fn retirement_templates_are_bit_identical_across_profiles() {
-    // The precomputed-template exec path and the interpreter decode
-    // cache are pure simulator-speed optimizations: the whole Report
-    // (timing, filtered pipelines, timeline, TOL summary, trace) must
-    // match the re-derivation oracle byte for byte.
+    // The precomputed-template exec path is a pure simulator-speed
+    // optimization: the whole Report (timing, filtered pipelines,
+    // timeline, TOL summary, trace) must match the re-derivation oracle
+    // byte for byte.
     for idx in 0..3 {
-        let fast = run_fast_paths(idx, 0.05, false, true);
-        let oracle = run_fast_paths(idx, 0.05, false, false);
+        let fast = run_cfg(idx, 0.05, |c| c.tol.retire_templates = true);
+        let oracle = run_cfg(idx, 0.05, |c| c.tol.retire_templates = false);
         assert!(fast.timing.total_cycles > 0);
         assert_eq!(
             fingerprint(&fast),
@@ -269,8 +123,14 @@ fn retirement_templates_are_bit_identical_across_profiles() {
 
 #[test]
 fn retirement_templates_are_bit_identical_with_cosim() {
-    let fast = run_fast_paths(0, 0.03, true, true);
-    let oracle = run_fast_paths(0, 0.03, true, false);
+    let templates = |fast| {
+        run_cfg(0, 0.03, |c| {
+            c.cosim = true;
+            c.tol.retire_templates = fast;
+        })
+    };
+    let fast = templates(true);
+    let oracle = templates(false);
     assert!(fast.cosim_checks > 0, "checker must run as a sink");
     assert_eq!(fast.cosim_checks, oracle.cosim_checks);
     assert_eq!(fingerprint(&fast), fingerprint(&oracle));
@@ -282,9 +142,15 @@ fn memory_fast_paths_are_bit_identical_across_profiles() {
     // shortcuts are pure simulator-speed optimizations: same hits, same
     // victims, same counters, same cycles — the whole Report must match
     // the full-probe legacy-layout oracle byte for byte.
+    let mem_paths = |idx, fast| {
+        run_cfg(idx, 0.05, |c| {
+            c.timing.flat_mem = fast;
+            c.timing.mem_shortcuts = fast;
+        })
+    };
     for idx in 0..3 {
-        let fast = run_mem_paths(idx, 0.05, false, true);
-        let oracle = run_mem_paths(idx, 0.05, false, false);
+        let fast = mem_paths(idx, true);
+        let oracle = mem_paths(idx, false);
         assert!(fast.timing.total_cycles > 0);
         assert_eq!(
             fingerprint(&fast),
@@ -296,67 +162,6 @@ fn memory_fast_paths_are_bit_identical_across_profiles() {
 }
 
 #[test]
-fn block_memo_is_bit_identical_across_backends_and_batches() {
-    // The acceptance matrix for the block-timing memo: against the
-    // memo-off per-instruction oracle, every timing backend at
-    // per-instruction delivery (batch 1), a mid batch and the
-    // default-sized 4096 batch produces a byte-identical report with
-    // the memo on — macro-retire bulk-apply included.
-    for &batch in &[1usize, 64, 4096] {
-        let oracle = run_memo(0, 0.04, TimingBackendKind::Inline, false, batch, false);
-        for &backend in &BACKENDS {
-            let memo = run_memo(0, 0.04, backend, false, batch, true);
-            assert_eq!(
-                fingerprint(&oracle),
-                fingerprint(&memo),
-                "block memo diverged on backend {backend:?} at event_batch {batch}"
-            );
-        }
-    }
-}
-
-#[test]
-fn block_memo_is_bit_identical_with_cosim() {
-    // The cosim checker consumes the same expanded stream the memo
-    // suppresses on the timing side, so it must still see every retire
-    // and still agree with the oracle run check for check.
-    let oracle = run_memo(0, 0.03, TimingBackendKind::Inline, true, 0, false);
-    for backend in [TimingBackendKind::Threaded, TimingBackendKind::Fanout] {
-        let memo = run_memo(0, 0.03, backend, true, 0, true);
-        assert!(memo.cosim_checks > 0, "checker must run as a sink");
-        assert_eq!(memo.cosim_checks, oracle.cosim_checks);
-        assert_eq!(
-            fingerprint(&oracle),
-            fingerprint(&memo),
-            "block memo diverged under cosim on backend {backend:?}"
-        );
-    }
-}
-
-#[test]
-fn block_memo_actually_engages() {
-    // Guard that the equalities above are not vacuous: under the
-    // default (memo-on) configuration the timing sinks must see
-    // macro-events and score real replay hits.
-    let profiles = suites::all_profiles();
-    let cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(generate(&profiles[0], 0.05), cfg);
-    sys.run_to_completion();
-    let engine = sys.tol().memo_stats();
-    let timing = sys.memo_stats();
-    assert!(engine.macro_events > 0, "steady-state blocks must emit macro-events");
-    assert!(engine.insts_suppressed > 0);
-    assert!(timing.hits > 0, "replay must score hits on a loopy workload");
-    assert!(timing.insts_replayed > 0);
-}
-
-#[test]
 fn guest_fast_path_is_bit_identical_across_backends_and_batches() {
     // The acceptance matrix for the guest-layer fast path: against the
     // decode-per-step byte oracle, every timing backend at
@@ -364,9 +169,16 @@ fn guest_fast_path_is_bit_identical_across_backends_and_batches() {
     // default-sized 4096 batch produces a byte-identical report with
     // the micro-op buffers and lazy flags on.
     for &batch in &[1usize, 64, 4096] {
-        let oracle = run_guest_fast(0, 0.04, TimingBackendKind::Inline, false, batch, false);
+        let at = |backend, fast| {
+            run_cfg(0, 0.04, |c| {
+                c.timing_backend = backend;
+                c.tol.event_batch = batch;
+                c.tol.guest_fast_path = fast;
+            })
+        };
+        let oracle = at(TimingBackendKind::Inline, false);
         for &backend in &BACKENDS {
-            let fast = run_guest_fast(0, 0.04, backend, false, batch, true);
+            let fast = at(backend, true);
             assert_eq!(
                 fingerprint(&oracle),
                 fingerprint(&fast),
@@ -381,8 +193,14 @@ fn guest_fast_path_is_bit_identical_across_profiles() {
     // Cross-profile sweep (different instruction mixes stress different
     // micro-op handlers and flag producers/consumers).
     for idx in 0..3 {
-        let fast = run_guest_fast(idx, 0.05, TimingBackendKind::Inline, false, 0, true);
-        let oracle = run_guest_fast(idx, 0.05, TimingBackendKind::Inline, false, 0, false);
+        let on = |fast| {
+            run_cfg(idx, 0.05, |c| {
+                c.timing_backend = TimingBackendKind::Inline;
+                c.tol.guest_fast_path = fast;
+            })
+        };
+        let fast = on(true);
+        let oracle = on(false);
         assert!(fast.timing.total_cycles > 0);
         assert_eq!(
             fingerprint(&fast),
@@ -395,21 +213,24 @@ fn guest_fast_path_is_bit_identical_across_profiles() {
 
 #[test]
 fn guest_fast_path_threaded_and_fanout_with_cosim() {
-    // The cosim checker runs its own ExecCtx on its private memory copy,
-    // so this exercises two independent fast paths against one oracle
-    // run, under both thread-spawning backends. Named
-    // "threaded"/"fanout" so the ThreadSanitizer gate picks it up.
-    let oracle = run_guest_fast(0, 0.03, TimingBackendKind::Inline, true, 0, false);
-    for backend in [TimingBackendKind::Threaded, TimingBackendKind::Fanout] {
-        let fast = run_guest_fast(0, 0.03, backend, true, 0, true);
-        assert!(fast.cosim_checks > 0, "checker must run as a sink");
-        assert_eq!(fast.cosim_checks, oracle.cosim_checks);
-        assert_eq!(
-            fingerprint(&oracle),
-            fingerprint(&fast),
-            "guest fast path diverged under cosim on backend {backend:?}"
-        );
-    }
+    // The guest fast path switch spans the engine and the cosim
+    // checker's private authoritative emulator (its own ExecCtx on its
+    // own memory copy), so this exercises two independent fast paths
+    // against one oracle run, under the thread-spawning backend. The
+    // name predates the removal of the single-worker backend; it still
+    // says "fanout", which is what the ThreadSanitizer gate filters on.
+    let on = |backend, fast| {
+        run_cfg(0, 0.03, |c| {
+            c.timing_backend = backend;
+            c.cosim = true;
+            c.tol.guest_fast_path = fast;
+        })
+    };
+    let oracle = on(TimingBackendKind::Inline, false);
+    let fast = on(TimingBackendKind::Fanout, true);
+    assert!(fast.cosim_checks > 0, "checker must run as a sink");
+    assert_eq!(fast.cosim_checks, oracle.cosim_checks);
+    assert_eq!(fingerprint(&oracle), fingerprint(&fast), "guest fast path diverged under cosim");
 }
 
 #[test]
@@ -417,15 +238,7 @@ fn guest_fast_path_actually_engages() {
     // Guard that the equalities above are not vacuous: under the
     // default (fast-path-on) configuration the interpreter must hit the
     // pre-decoded micro-op buffers and elide flag materializations.
-    let profiles = suites::all_profiles();
-    let cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(generate(&profiles[0], 0.05), cfg);
+    let mut sys = System::new(generate(&suites::all_profiles()[0], 0.05), base_cfg());
     sys.run_to_completion();
     let stats = sys.tol().fast_stats();
     assert!(stats.uop_hits > 0, "interpreter must execute from cached micro-op buffers");
@@ -443,23 +256,8 @@ fn per_instruction_batching_matches_default() {
     // `event_batch = 1` degenerates to per-instruction delivery; the
     // stream contents (and thus the report) must not depend on the
     // batch size, only the batch structure does.
-    let mut cfg = SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        window_guest_insts: 20_000,
-        ..SystemConfig::default()
-    };
-    let profiles = suites::all_profiles();
-    let batched = {
-        let mut sys = System::new(generate(&profiles[0], 0.05), cfg.clone());
-        sys.run_to_completion()
-    };
-    cfg.tol.event_batch = 1;
-    let per_inst = {
-        let mut sys = System::new(generate(&profiles[0], 0.05), cfg);
-        sys.run_to_completion()
-    };
+    let batched = run_cfg(0, 0.05, |_| {});
+    let per_inst = run_cfg(0, 0.05, |c| c.tol.event_batch = 1);
     assert!(batched.trace.max_batch > 1);
     assert_eq!(per_inst.trace.max_batch, 1);
     // Everything except the batch accounting is identical.

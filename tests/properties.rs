@@ -241,8 +241,8 @@ fn translation_preserves_architecture() {
 
 /// The retirement-template fast path must emit the *exact* same
 /// `DynInst` stream as a straight re-derivation: for random programs,
-/// run the full TOL twice — templates plus decode cache on, then both
-/// off (the oracle) — and compare the streams element-wise.
+/// run the full TOL twice — templates on, then off (the oracle) — and
+/// compare the streams element-wise.
 #[test]
 fn retirement_templates_match_rederivation_oracle() {
     use darco::host::{events::RetireSink, DynInst};
@@ -259,7 +259,6 @@ fn retirement_templates_match_rederivation_oracle() {
                 im_bb_threshold: 1,
                 bb_sb_threshold: 2,
                 retire_templates: fast,
-                interp_decode_cache: fast,
                 ..TolConfig::default()
             };
             let mut tol = Tol::new(cfg, cpu.eip);
@@ -330,13 +329,12 @@ fn guest_fast_path_matches_oracle_per_step() {
     }
 }
 
-/// Self-modifying code invalidates *both* generation-stamped caches —
-/// the interpreter decode cache and the pre-decoded micro-op buffers:
-/// a program that patches an immediate byte inside its own loop body
-/// every iteration must converge to the reference result under the
-/// plain interpreter, the decode-cache path and the fast path alike.
+/// Self-modifying code invalidates the generation-stamped pre-decoded
+/// micro-op buffers: a program that patches an immediate byte inside
+/// its own loop body every iteration must converge to the reference
+/// result under the plain interpreter and the fast path alike.
 #[test]
-fn smc_invalidates_decode_cache_and_uop_buffers() {
+fn smc_invalidates_uop_buffers() {
     use darco::guest::ExecCtx;
     for case in 0u64..8 {
         let mut rng = SmallRng::seed_from_u64(0xDA_000A + case);
@@ -355,8 +353,8 @@ fn smc_invalidates_decode_cache_and_uop_buffers() {
         //            Jcc Ne top
         //            Halt
         // The short MovRI encoding places the imm8 at offset +2, so the
-        // store rewrites a byte inside an already-cached block; both
-        // caches must observe the new generation stamp next iteration.
+        // store rewrites a byte inside an already-cached block, which
+        // must observe the new generation stamp next iteration.
         let base = 0x1000u32;
         let head = darco::guest::encode::encode_to_vec(&Inst::MovRI { dst: Gpr::Ebp, imm: iters });
         let patch = MemRef {
@@ -415,27 +413,11 @@ fn smc_invalidates_decode_cache_and_uop_buffers() {
             );
         }
 
-        // Full TOL, decode cache on / fast path off, then fast path on:
-        // both must land on the reference state.
-        for (label, cfg) in [
-            (
-                "decode-cache",
-                TolConfig {
-                    interp_decode_cache: true,
-                    guest_fast_path: false,
-                    im_bb_threshold: u32::MAX,
-                    ..TolConfig::default()
-                },
-            ),
-            (
-                "fast-path",
-                TolConfig {
-                    guest_fast_path: true,
-                    im_bb_threshold: u32::MAX,
-                    ..TolConfig::default()
-                },
-            ),
-        ] {
+        // Full TOL, fast path off, then on: both must land on the
+        // reference state.
+        for (label, guest_fast_path) in [("byte-interpreter", false), ("fast-path", true)] {
+            let cfg =
+                TolConfig { guest_fast_path, im_bb_threshold: u32::MAX, ..TolConfig::default() };
             let (emu_cpu, emu_n) = run_tol(&mem, &cpu, cfg);
             assert_eq!(emu_n, ref_n, "case {case}: {label} instruction count");
             assert!(
