@@ -199,7 +199,6 @@ fn replay_rederive(insts: &[HInst], regs: &[u32; 64], replays: usize, ev: &mut E
                 }
             }
             d.srcs = srcs;
-            d.recompute_ops();
             match *inst {
                 HInst::Br { target, .. } | HInst::BrFlags { target, .. } => {
                     d = d.with_branch(

@@ -442,6 +442,12 @@ mod tests {
     }
 
     #[test]
+    fn host_event_stays_48_bytes() {
+        // The benchmark reports `host.event_bytes` as an exact metric.
+        assert_eq!(std::mem::size_of::<HostEvent>(), 48);
+    }
+
+    #[test]
     fn event_buffer_flush_preserves_retire_order() {
         // Push far more events than one batch holds; the delivered
         // stream must be the exact per-instruction retire order, with

@@ -172,22 +172,7 @@ pub struct DynInst {
     pub dst: u8,
     /// Source register ids, [`NO_REG`]-padded.
     pub srcs: [u8; 2],
-    /// Operand-presence mask: bit 0/1 set when `srcs[0]`/`srcs[1]` is a
-    /// real register, bit 2 when `dst` is. Redundant with the operand
-    /// fields, but precomputed at record-construction time so the
-    /// timing scoreboard loop visits only live slots instead of testing
-    /// all three against [`NO_REG`] per retirement. Code that writes
-    /// `dst`/`srcs` directly (rather than through the builders) must
-    /// call [`DynInst::recompute_ops`] afterwards.
-    pub ops: u8,
 }
-
-/// Bit set in [`DynInst::ops`] when `srcs[0]` is a real register.
-pub const OP_SRC0: u8 = 1 << 0;
-/// Bit set in [`DynInst::ops`] when `srcs[1]` is a real register.
-pub const OP_SRC1: u8 = 1 << 1;
-/// Bit set in [`DynInst::ops`] when `dst` is a real register.
-pub const OP_DST: u8 = 1 << 2;
 
 impl DynInst {
     /// A plain instruction with no memory access or branch.
@@ -200,39 +185,19 @@ impl DynInst {
             branch: None,
             dst: NO_REG,
             srcs: [NO_REG, NO_REG],
-            ops: 0,
         }
     }
 
     /// Sets the destination register (builder-style).
     pub fn with_dst(mut self, dst: u8) -> DynInst {
         self.dst = dst;
-        self.recompute_ops();
         self
     }
 
     /// Sets the source registers (builder-style).
     pub fn with_srcs(mut self, a: u8, b: u8) -> DynInst {
         self.srcs = [a, b];
-        self.recompute_ops();
         self
-    }
-
-    /// Rebuilds [`DynInst::ops`] from the current operand fields. Must
-    /// be called after writing `dst`/`srcs` directly.
-    #[inline]
-    pub fn recompute_ops(&mut self) {
-        self.ops = u8::from(self.srcs[0] != NO_REG)
-            | u8::from(self.srcs[1] != NO_REG) << 1
-            | u8::from(self.dst != NO_REG) << 2;
-    }
-
-    /// Whether [`DynInst::ops`] is consistent with the operand fields
-    /// (debug-asserted on the timing hot path).
-    pub fn ops_consistent(&self) -> bool {
-        let mut expect = *self;
-        expect.recompute_ops();
-        expect.ops == self.ops
     }
 
     /// Attaches a memory event (builder-style).
@@ -297,26 +262,6 @@ mod tests {
         assert_eq!(d.dst, 40);
         assert_eq!(d.mem.unwrap().size, 8);
         assert!(d.branch.is_none());
-        assert_eq!(d.ops, OP_SRC0 | OP_DST);
-        assert!(d.ops_consistent());
-    }
-
-    #[test]
-    fn builders_maintain_operand_mask() {
-        let plain = DynInst::plain(0, ExecClass::SimpleInt, Component::AppCode);
-        assert_eq!(plain.ops, 0);
-        assert_eq!(plain.with_dst(int_reg(1)).ops, OP_DST);
-        assert_eq!(plain.with_srcs(NO_REG, int_reg(2)).ops, OP_SRC1);
-        assert_eq!(plain.with_srcs(int_reg(1), int_reg(2)).with_dst(int_reg(3)).ops, 0b111);
-        // Re-setting a slot to NO_REG clears its bit again.
-        assert_eq!(plain.with_dst(int_reg(1)).with_dst(NO_REG).ops, 0);
-
-        let mut direct = plain;
-        direct.dst = int_reg(5);
-        assert!(!direct.ops_consistent(), "direct writes must be followed by recompute_ops");
-        direct.recompute_ops();
-        assert!(direct.ops_consistent());
-        assert_eq!(direct.ops, OP_DST);
     }
 
     #[test]

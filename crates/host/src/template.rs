@@ -125,7 +125,6 @@ pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<RetireTemplate> {
                 }
             }
             d.srcs = srcs;
-            d.recompute_ops();
             RetireTemplate { inst: d, dyn_kind }
         })
         .collect()

@@ -9,16 +9,19 @@
 //! * **Flat** (shipping, [`Cache::new`]): one contiguous set-major
 //!   entry array for the whole cache, each entry `(tag << 1) | 1` with
 //!   `0` meaning invalid — a probe touches a single short run of one
-//!   allocation, and the common 2/4/8-way shapes get monomorphized
-//!   probe loops with the associativity known at compile time.
+//!   allocation, and the common 2/4/8-way shapes get a monomorphized,
+//!   branch-free scan (`probe_set::<W>`: a hit mask and a free mask over
+//!   all `W` entries, `trailing_zeros` of each) feeding the table-driven
+//!   PLRU of [`crate::plru`].
 //! * **Legacy** ([`Cache::legacy`]): the original per-set `Vec<u64>`
 //!   tags + `Vec<bool>` valid layout (two heap allocations and three
 //!   pointer hops per probe), kept reachable as the equivalence oracle
 //!   behind `TimingConfig::flat_mem = false`.
 //!
-//! Presence checks and demand probes share one way-scan helper
-//! (`find_way`) in the flat layout, so `contains` and `probe_fill`
-//! cannot drift apart.
+//! Presence checks (`contains`) and the run-time-associativity demand
+//! probe (`probe_set_any`) share the early-exit way scan `find_way`; the
+//! mask scan picks the same ways (lowest matching index first) and is
+//! held to the legacy layout by `flat_and_legacy_layouts_are_bit_exact`.
 
 use crate::config::CacheParams;
 use crate::plru::PlruSet;
@@ -63,20 +66,33 @@ pub struct Cache {
     misses: u64,
 }
 
-/// Position of `key` in a set's entry run, if present. The single probe
-/// helper shared by presence checks and demand probes (an invalid way is
-/// found the same way, with `key = 0`).
+/// Position of `key` in a set's entry run, if present (an invalid way
+/// is found the same way, with `key = 0`).
 #[inline(always)]
 fn find_way(set: &[u64], key: u64) -> Option<usize> {
     set.iter().position(|&e| e == key)
 }
 
 /// Probe-and-fill over one flat set with compile-time associativity:
-/// the slice length is pinned to `W`, so the scan unrolls.
+/// the slice length is pinned to `W`, so the scan unrolls into straight
+/// compares. Bit `w` of `hit`/`free` is way `w`, so `trailing_zeros`
+/// picks the way the early-exit scans of [`probe_set_any`] would.
 #[inline(always)]
 fn probe_set<const W: usize>(set: &mut [u64], plru: &mut PlruSet, key: u64) -> Lookup {
     let set: &mut [u64; W] = set.try_into().expect("set run matches associativity");
-    probe_set_any(set, plru, key, W as u32)
+    let (mut hit, mut free) = (0u32, 0u32);
+    for (w, &e) in set.iter().enumerate() {
+        hit |= u32::from(e == key) << w;
+        free |= u32::from(e == 0) << w;
+    }
+    if hit != 0 {
+        plru.touch(hit.trailing_zeros(), W as u32);
+        return Lookup::Hit;
+    }
+    let victim = if free != 0 { free.trailing_zeros() } else { plru.victim(W as u32) };
+    set[victim as usize % W] = key; // `% W`: no-op, spares the bounds check
+    plru.touch(victim, W as u32);
+    Lookup::Miss
 }
 
 /// Probe-and-fill over one flat set, associativity known at runtime.
@@ -331,9 +347,16 @@ mod tests {
         // odd 1-way case: every lookup outcome, presence answer and
         // counter must match between the two layouts.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for &(size, block, ways) in
-            &[(128u32, 16u32, 2u32), (1024, 32, 4), (4096, 64, 8), (256, 16, 1)]
-        {
+        // The last shape is the L1 TLB's (64 pages, 8-way): 8 sets of
+        // 4 KiB "blocks" put the 8-way mask probe on the tag bits a TLB
+        // sees.
+        for &(size, block, ways) in &[
+            (128u32, 16u32, 2u32),
+            (1024, 32, 4),
+            (4096, 64, 8),
+            (256, 16, 1),
+            (64 * 4096, 4096, 8),
+        ] {
             let p = CacheParams { size, block, ways, hit_latency: 1 };
             let mut flat = Cache::new(p);
             let mut legacy = Cache::legacy(p);

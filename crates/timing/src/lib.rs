@@ -55,7 +55,7 @@ pub mod stats;
 pub mod tlb;
 
 pub use cache::{Cache, Lookup};
-pub use config::{CacheParams, Interaction, TimingConfig, TlbParams};
+pub use config::{CacheParams, Interaction, TimingConfig, TimingConfigError, TlbParams};
 pub use memsys::MemSystem;
 pub use pipeline::Pipeline;
 pub use stats::{BubbleCause, Stats};

@@ -22,10 +22,26 @@ use crate::memsys::MemSystem;
 use crate::predictor::Predictor;
 use crate::stats::{BubbleCause, Stats};
 use darco_host::stream::NO_REG;
-use darco_host::{Component, DynInst, ExecClass, Owner};
-use std::collections::VecDeque;
+use darco_host::{DynInst, ExecClass, Owner};
 
-const REGS: usize = 96; // 64 int + 32 fp
+/// Register ids in use: 64 int + 32 fp.
+const REGS: u8 = 96;
+/// Scoreboard slots: one per `u8` value, so an operand byte indexes
+/// without a bounds check. Slot [`NO_REG`] (255) is never written and
+/// always reads 0, which can never be a strict maximum — an absent
+/// operand needs no test.
+const SLOTS: usize = 256;
+/// Where an instruction without a destination writes; never read (real
+/// ids are below [`REGS`]).
+const TRASH_SLOT: usize = 254;
+/// Tag-byte bit: the producer was a load that missed the L1-D. The low
+/// bits hold the producer's [`darco_host::Component::index`].
+const TAG_LOAD_MISS: u8 = 0x80;
+
+const D_CACHE_MISS: usize = BubbleCause::DCacheMiss.index();
+const I_CACHE_MISS: usize = BubbleCause::ICacheMiss.index();
+const BRANCH: usize = BubbleCause::Branch.index();
+const SCHEDULING: usize = BubbleCause::Scheduling.index();
 
 /// Trace-driven pipeline simulator; feed with [`Pipeline::retire`] and
 /// collect results with [`Pipeline::finish`].
@@ -36,19 +52,30 @@ pub struct Pipeline {
     pred: Vec<Predictor>,
     stats: Stats,
 
-    reg_ready: [u64; REGS],
-    reg_load_miss: [bool; REGS],
-    reg_producer: [Component; REGS],
+    /// Cycle each register's value is on the bypass network.
+    reg_ready: [u64; SLOTS],
+    /// Who produced it: component index, plus [`TAG_LOAD_MISS`].
+    reg_tag: [u8; SLOTS],
 
     last_issue: u64,
     issued_in_cycle: u32,
-    iq_ring: VecDeque<u64>,
+    /// Issue times of the last `iq_size` instructions, the oldest at
+    /// `iq_head`. Starts as `u64::MAX`, so that "oldest + 1" wraps to
+    /// the 0 a queue that is not full yet imposes.
+    iq_ring: Box<[u64]>,
+    iq_head: usize,
+    /// `partial_cycle[n]`: the bubble share of an issue cycle that used
+    /// `n` of its slots, `(width - n) / width`; 0 for `n = 0`, a cycle
+    /// that is not left behind.
+    partial_cycle: Box<[f64]>,
 
     fetch_pos: u64,
     fetch_in_cycle: u32,
     last_fetch_line: u64,
     i_line_shift: u32,
-    redirect_at: Option<(u64, Component)>,
+    /// Pending resteer: the cycle fetch resumes and the component index
+    /// of the mispredicted branch.
+    redirect_at: Option<(u64, usize)>,
 
     // Two units per complex class (one per pipe), unpipelined.
     unit_free_cint: [u64; 2],
@@ -68,7 +95,14 @@ fn pred_idx(interaction: Interaction, owner: Owner) -> usize {
 
 impl Pipeline {
     /// Builds a pipeline from the configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`TimingConfig::validate`] rejects the configuration
+    /// (zero issue width or IQ size, non-power-of-two geometry, ...); the
+    /// message names the field.
     pub fn new(cfg: TimingConfig) -> Pipeline {
+        cfg.validate().expect("TimingConfig cannot be simulated");
         let copies = match cfg.interaction {
             Interaction::Shared => 1,
             Interaction::Isolated => 2,
@@ -77,18 +111,22 @@ impl Pipeline {
         // Line size is a power of two; cache the shift so the hot retire
         // path never divides.
         let i_line_shift = mem.i_line_bytes().trailing_zeros();
+        let width = cfg.issue_width;
         Pipeline {
             mem,
             pred: (0..copies)
                 .map(|_| Predictor::new(cfg.bp_history_bits, cfg.btb_entries))
                 .collect(),
-            stats: Stats { issue_width: cfg.issue_width, ..Stats::default() },
-            reg_ready: [0; REGS],
-            reg_load_miss: [false; REGS],
-            reg_producer: [Component::AppCode; REGS],
+            stats: Stats { issue_width: width, ..Stats::default() },
+            reg_ready: [0; SLOTS],
+            reg_tag: [0; SLOTS],
             last_issue: 0,
             issued_in_cycle: 0,
-            iq_ring: VecDeque::with_capacity(cfg.iq_size as usize + 1),
+            iq_ring: vec![u64::MAX; cfg.iq_size as usize].into_boxed_slice(),
+            iq_head: 0,
+            partial_cycle: (0..=width)
+                .map(|n| if n == 0 { 0.0 } else { (width - n) as f64 / width as f64 })
+                .collect(),
             fetch_pos: 0,
             fetch_in_cycle: 0,
             last_fetch_line: u64::MAX,
@@ -103,22 +141,33 @@ impl Pipeline {
     }
 
     /// Processes one retired instruction.
+    ///
+    /// Two thirds of the stream is plain integer work with nothing to
+    /// look up, so the constraint arithmetic is straight-line (selects,
+    /// fixed-slot reads) and only the rare events — redirect, I-line
+    /// change, memory access, branch — are branches. Held bit-identical
+    /// to the readable model in `tests/retire_reference.rs`.
     pub fn retire(&mut self, d: &DynInst) {
+        debug_assert!(
+            [d.srcs[0], d.srcs[1], d.dst].iter().all(|&r| r < REGS || r == NO_REG),
+            "register id out of range: {d:?}"
+        );
         let owner = d.owner();
-        self.stats.count_inst(d.component);
+        let comp = d.component.index();
+        let width = self.cfg.issue_width;
+        self.stats.insts[comp] += 1;
 
         // ---- Front end ----------------------------------------------
-        let mut frontend_cause: Option<(BubbleCause, Component)> = None;
-        let natural = if self.fetch_in_cycle < self.cfg.issue_width {
-            self.fetch_pos
-        } else {
-            self.fetch_pos + 1
-        };
+        // Cause and component of a front-end delay. "Scheduling, by this
+        // instruction" doubles as "none": it is what a stall nobody else
+        // claims is charged to.
+        let (mut fe_cause, mut fe_comp) = (SCHEDULING, comp);
+        let natural = self.fetch_pos + u64::from(self.fetch_in_cycle >= width);
         let mut fetch = natural;
-        if let Some((at, comp)) = self.redirect_at.take() {
+        if let Some((at, by)) = self.redirect_at.take() {
             if at > fetch {
                 fetch = at;
-                frontend_cause = Some((BubbleCause::Branch, comp));
+                (fe_cause, fe_comp) = (BRANCH, by);
             }
             self.last_fetch_line = u64::MAX; // refetch the target line
         }
@@ -131,54 +180,35 @@ impl Pipeline {
                 // The larger of redirect vs I$ delay dominates attribution.
                 let branch_delay = fetch - natural;
                 fetch += icache_delay;
-                if frontend_cause.is_none() || icache_delay > branch_delay {
-                    frontend_cause = Some((BubbleCause::ICacheMiss, d.component));
+                if fe_cause == SCHEDULING || icache_delay > branch_delay {
+                    (fe_cause, fe_comp) = (I_CACHE_MISS, comp);
                 }
             }
         }
-        if fetch > self.fetch_pos {
-            self.fetch_pos = fetch;
-            self.fetch_in_cycle = 1;
-        } else {
-            self.fetch_in_cycle += 1;
-        }
+        // `fetch >= natural >= fetch_pos`, so the store needs no test.
+        self.fetch_in_cycle = if fetch > self.fetch_pos { 1 } else { self.fetch_in_cycle + 1 };
+        self.fetch_pos = fetch;
 
         let decode_ready = fetch + self.cfg.frontend_depth as u64;
-        let iq_ready = if self.iq_ring.len() == self.cfg.iq_size as usize {
-            self.iq_ring.front().copied().unwrap_or(0) + 1
-        } else {
-            0
-        };
+        let iq_ready = self.iq_ring[self.iq_head].wrapping_add(1);
         let t_front = decode_ready.max(iq_ready) + 1;
 
         // ---- Issue constraints --------------------------------------
-        let t_inorder = if self.issued_in_cycle < self.cfg.issue_width {
-            self.last_issue
-        } else {
-            self.last_issue + 1
-        };
+        let t_inorder = self.last_issue + u64::from(self.issued_in_cycle >= width);
 
         // `reg_ready` holds the cycle the producer's result is on the
         // bypass network (its EXE completion). The consumer reads in its
         // own EXE stage (issue + 2), so the issue-time constraint is the
-        // bypass time minus the pipeline offset.
+        // bypass time minus the pipeline offset. The destination takes
+        // part for WAW ordering. The first strict maximum in slot order
+        // names the producer.
         let mut t_src_exec = 0u64;
-        let mut src_load_miss = false;
-        let mut src_producer = d.component;
-        debug_assert!(d.ops_consistent(), "stale operand mask: {d:?}");
-        let mut ops = d.ops;
-        while ops != 0 {
-            let slot = ops.trailing_zeros() as usize;
-            ops &= ops - 1;
-            // Slots 0/1 are the sources; slot 2 is dst, which
-            // participates for WAW ordering on the scoreboard. The mask
-            // pre-filters NO_REG, so dead slots cost nothing here.
-            let s = if slot < 2 { d.srcs[slot] } else { d.dst };
+        let mut src_tag = comp as u8;
+        for s in [d.srcs[0], d.srcs[1], d.dst] {
             let r = self.reg_ready[s as usize];
             if r > t_src_exec {
                 t_src_exec = r;
-                src_load_miss = self.reg_load_miss[s as usize];
-                src_producer = self.reg_producer[s as usize];
+                src_tag = self.reg_tag[s as usize];
             }
         }
         let t_src = t_src_exec.saturating_sub(2);
@@ -188,38 +218,27 @@ impl Pipeline {
         let issue = t_front.max(t_inorder).max(t_src).max(t_unit);
 
         // ---- Bubble attribution -------------------------------------
+        let new_cycle = issue > self.last_issue;
         let gap = issue.saturating_sub(self.last_issue + 1) as f64;
-        let partial = if issue > self.last_issue && self.issued_in_cycle > 0 {
-            (self.cfg.issue_width - self.issued_in_cycle.min(self.cfg.issue_width)) as f64
-                / self.cfg.issue_width as f64
+        let left_behind = if new_cycle { self.issued_in_cycle.min(width) } else { 0 };
+        let bubble = gap + self.partial_cycle[left_behind as usize];
+        let (cause, by) = if issue == t_src && src_tag & TAG_LOAD_MISS != 0 {
+            (D_CACHE_MISS, (src_tag & !TAG_LOAD_MISS) as usize)
+        } else if issue == t_front {
+            (fe_cause, fe_comp)
         } else {
-            0.0
+            // Dependence, busy unit, front-end rate or in-order width.
+            (SCHEDULING, comp)
         };
-        let bubble = gap + partial;
-        if bubble > 0.0 {
-            let (cause, comp) = if issue == t_src && src_load_miss {
-                (BubbleCause::DCacheMiss, src_producer)
-            } else if issue == t_front && frontend_cause.is_some() {
-                frontend_cause.unwrap()
-            } else if issue == t_src || issue == t_unit {
-                (BubbleCause::Scheduling, d.component)
-            } else {
-                // Front-end rate or in-order width limitation.
-                (BubbleCause::Scheduling, d.component)
-            };
-            self.stats.add_bubble(comp, cause, bubble);
-        }
+        // Not under `if bubble > 0.0`: the sums start at +0.0 and only
+        // ever receive non-negative terms, so they are never -0.0 and
+        // `x + 0.0` leaves every bit of them alone.
+        self.stats.bubbles[by][cause] += bubble;
 
-        if issue > self.last_issue {
-            self.last_issue = issue;
-            self.issued_in_cycle = 1;
-        } else {
-            self.issued_in_cycle += 1;
-        }
-        self.iq_ring.push_back(issue);
-        if self.iq_ring.len() > self.cfg.iq_size as usize {
-            self.iq_ring.pop_front();
-        }
+        self.issued_in_cycle = if new_cycle { 1 } else { self.issued_in_cycle + 1 };
+        self.last_issue = issue; // `issue >= t_inorder >= last_issue`
+        self.iq_ring[self.iq_head] = issue;
+        self.iq_head = if self.iq_head + 1 == self.iq_ring.len() { 0 } else { self.iq_head + 1 };
 
         // ---- Execute ------------------------------------------------
         let exec = issue + 2; // ISSUE -> RR -> EXE
@@ -262,12 +281,9 @@ impl Pipeline {
         let complete = exec + latency;
         self.max_completion = self.max_completion.max(complete);
 
-        if d.dst != NO_REG {
-            let i = d.dst as usize;
-            self.reg_ready[i] = complete;
-            self.reg_load_miss[i] = load_missed;
-            self.reg_producer[i] = d.component;
-        }
+        let dst = if d.dst == NO_REG { TRASH_SLOT } else { d.dst as usize };
+        self.reg_ready[dst] = complete;
+        self.reg_tag[dst] = comp as u8 | if load_missed { TAG_LOAD_MISS } else { 0 };
 
         // ---- Control flow -------------------------------------------
         if let Some((kind, target, taken)) = d.branch {
@@ -276,7 +292,7 @@ impl Pipeline {
             self.stats.record_branch(owner, mispredict);
             if mispredict {
                 // Resolved in EXE; resteer the cycle after.
-                self.redirect_at = Some((exec + 1, d.component));
+                self.redirect_at = Some((exec + 1, comp));
             }
         }
     }
@@ -350,8 +366,8 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darco_host::stream::{int_reg, DynInst};
-    use darco_host::BranchKind;
+    use darco_host::stream::int_reg;
+    use darco_host::{BranchKind, Component};
 
     fn simple(pc: u64) -> DynInst {
         DynInst::plain(pc, ExecClass::SimpleInt, Component::AppCode)

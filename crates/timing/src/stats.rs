@@ -41,25 +41,9 @@ impl BubbleCause {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            BubbleCause::DCacheMiss => 0,
-            BubbleCause::ICacheMiss => 1,
-            BubbleCause::Branch => 2,
-            BubbleCause::Scheduling => 3,
-        }
-    }
-}
-
-fn comp_index(c: Component) -> usize {
-    match c {
-        Component::AppCode => 0,
-        Component::TolOthers => 1,
-        Component::TolIm => 2,
-        Component::TolBbm => 3,
-        Component::TolSbm => 4,
-        Component::TolChaining => 5,
-        Component::TolLookup => 6,
+    /// Column of [`Stats::bubbles`] (the position in [`BubbleCause::ALL`]).
+    pub(crate) const fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -68,9 +52,9 @@ fn comp_index(c: Component) -> usize {
 pub struct Stats {
     /// Total execution cycles (completion time of the last instruction).
     pub total_cycles: u64,
-    /// Retired instructions per component.
+    /// Retired instructions per component ([`Component::index`] order).
     pub insts: [u64; 7],
-    /// Bubble cycles per component per cause.
+    /// Bubble cycles per component per cause ([`BubbleCause::ALL`] order).
     pub bubbles: [[f64; 4]; 7],
     /// Demand L1-D accesses/misses per owner `[app, tol]`.
     pub d_accesses: [u64; 2],
@@ -98,19 +82,9 @@ fn owner_idx(o: Owner) -> usize {
 }
 
 impl Stats {
-    /// Records one retired instruction.
-    pub(crate) fn count_inst(&mut self, c: Component) {
-        self.insts[comp_index(c)] += 1;
-    }
-
-    /// Records bubble cycles.
-    pub(crate) fn add_bubble(&mut self, c: Component, cause: BubbleCause, cycles: f64) {
-        self.bubbles[comp_index(c)][cause.index()] += cycles;
-    }
-
     /// Instructions retired by a component.
     pub fn component_insts(&self, c: Component) -> u64 {
-        self.insts[comp_index(c)]
+        self.insts[c.index()]
     }
 
     /// Total retired instructions.
@@ -134,7 +108,7 @@ impl Stats {
 
     /// Bubble cycles of one cause for a component.
     pub fn component_bubbles(&self, c: Component, cause: BubbleCause) -> f64 {
-        self.bubbles[comp_index(c)][cause.index()]
+        self.bubbles[c.index()][cause.index()]
     }
 
     /// Bubble cycles of one cause for an owner.
@@ -232,10 +206,9 @@ mod tests {
     #[test]
     fn accounting_roundtrip() {
         let mut s = Stats { issue_width: 2, ..Stats::default() };
-        s.count_inst(Component::AppCode);
-        s.count_inst(Component::AppCode);
-        s.count_inst(Component::TolLookup);
-        s.add_bubble(Component::TolLookup, BubbleCause::DCacheMiss, 3.0);
+        s.insts[Component::AppCode.index()] = 2;
+        s.insts[Component::TolLookup.index()] = 1;
+        s.bubbles[Component::TolLookup.index()][BubbleCause::DCacheMiss.index()] = 3.0;
         s.total_cycles = 5;
 
         assert_eq!(s.total_insts(), 3);
@@ -271,5 +244,8 @@ mod tests {
     fn labels() {
         assert_eq!(BubbleCause::DCacheMiss.label(), "D$ miss bubbles");
         assert_eq!(BubbleCause::ALL.len(), 4);
+        for (i, b) in BubbleCause::ALL.iter().enumerate() {
+            assert_eq!(b.index(), i, "{b:?} index out of sync with ALL");
+        }
     }
 }

@@ -971,7 +971,6 @@ impl Tol {
                 }
             }
             d.srcs = srcs;
-            d.recompute_ops();
             match (*inst, outcome) {
                 (HInst::Br { target, .. }, out) | (HInst::BrFlags { target, .. }, out) => {
                     let taken = matches!(out, Outcome::Taken(_));

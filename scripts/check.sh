@@ -65,6 +65,11 @@ cargo bench --workspace --no-run
 echo "== cargo test -q --release --test event_stream --test properties"
 cargo test -q --release --test event_stream --test properties
 
+# The timing hot path must compute the same thing with overflow checks
+# and debug_assert! compiled out (its differential test runs here too).
+echo "== cargo test -q --release -p darco-timing"
+cargo test -q --release -p darco-timing
+
 echo "== cargo test -q --release --manifest-path benchmark/Cargo.toml"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
