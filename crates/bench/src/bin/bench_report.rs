@@ -388,7 +388,7 @@ fn timing_block(reps: usize, cpus: usize) -> TimingBlock {
 
 /// One run with the analysis passes toggled; returns the report, the
 /// per-pass wall-clock samples, the analysis-pass total, and wall secs.
-fn run_analysis(scale: f64, analysis_on: bool) -> (Report, Vec<(String, u64)>, u64, f64) {
+fn run_analysis(scale: f64, analysis_on: bool) -> (Report, Vec<(&'static str, u64)>, u64, f64) {
     let mut cfg = SystemConfig {
         cosim: false,
         app_only_pipeline: true,

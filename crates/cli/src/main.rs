@@ -346,14 +346,17 @@ fn analyze(rest: &[String]) {
     eprintln!("analyzing {} at scale {} ...", profile.name, o.scale);
     let w = generate(&profile, o.scale);
     // Pre-execution snapshot of guest memory, for re-decoding the
-    // regions the layer translated (workload code is not self-modifying).
+    // regions the layer translated (workload code is not self-modifying)
+    // and for the functional rerun below.
     let analysis_mem = w.mem.clone();
+    let (entry, initial) = (w.entry, w.initial.clone());
     let mut cfg = SystemConfig {
         cosim: o.cosim,
         timing_backend: o.timing_backend,
         ..SystemConfig::default()
     };
     o.apply_tol(&mut cfg.tol);
+    let tol_cfg = cfg.tol.clone();
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
     if o.json {
@@ -384,9 +387,17 @@ fn analyze(rest: &[String]) {
         }
     }
 
-    // Per-pass deltas with the wall-clock timing the serialized report
-    // deliberately omits.
-    let nanos = tol.pass_nanos();
+    // Wall-clock of the compile path, which the serialized report
+    // deliberately omits, from a rerun of the software layer alone with
+    // its events discarded: stage times and the `Tol::run` wall they are
+    // a share of then come from one and the same run.
+    let mut rerun = Tol::new(tol_cfg, entry);
+    rerun.set_state(&initial);
+    let started = std::time::Instant::now();
+    rerun.run(&mut analysis_mem.clone(), &mut darco_host::NullSink, u64::MAX).expect("ran above");
+    let run_ns = started.elapsed().as_nanos() as f64;
+    let nanos = rerun.pass_nanos();
+
     println!(
         "{:18} {:>7} {:>14} {:>13} {:>16} {:>10}",
         "pass", "runs", "insts removed", "flags killed", "branches folded", "time"
@@ -403,12 +414,24 @@ fn analyze(rest: &[String]) {
             ns as f64 / 1e6,
         );
     }
+    // The whole compile path, not just the passes that report deltas.
+    println!("\n{:18} {:>10} {:>22}", "compile stage", "time", "share of Tol::run wall");
+    let stage_row = |stage: &str, ns: u64| {
+        let ns = ns as f64;
+        println!("{stage:18} {:>8.2}ms {:>21.1}%", ns / 1e6, ns / run_ns * 100.0);
+    };
+    for &(stage, ns) in nanos {
+        stage_row(stage, ns);
+    }
+    stage_row("total", nanos.iter().map(|&(_, ns)| ns).sum());
+    println!("(Tol::run alone, events discarded: {:.2}ms)", run_ns / 1e6);
+
     let c = &report.tol.counters;
     println!(
         "\nanalysis: {} dead FlagsArith killed, {} branches folded, {:.2}ms in analysis passes",
         c.flags_killed,
         c.branches_folded,
-        tol.analysis_ns() as f64 / 1e6,
+        rerun.analysis_ns() as f64 / 1e6,
     );
     println!(
         "host insts {} over {} guest insts ({:.3} host/guest)",

@@ -14,11 +14,11 @@
 //! turns a flags-word fact into a taken/untaken verdict where the
 //! known bits determine the condition.
 
+use super::regset::RegVec;
 use super::{Analysis, Direction, Lattice};
 use crate::ir::{IrBlock, IrInst, IrOp, IrReg};
 use darco_guest::Cond;
-use darco_host::{eval_alu, eval_flags, FlagsKind, HAluOp, HReg, Width};
-use std::collections::HashMap;
+use darco_host::{eval_alu, eval_flags, FlagsKind, HAluOp, Width};
 
 /// Flags-word bit positions (the guest `Flags::to_word` layout).
 const CF: u32 = 1 << 0;
@@ -313,19 +313,19 @@ pub fn decide(cond: Cond, f: &AbsVal) -> Option<bool> {
     }
 }
 
-/// Abstract state at one program point: facts per integer register.
-/// Absent registers are unconstrained (top); `r0` is the hardwired
-/// zero register.
+/// Abstract state at one program point: facts per integer register,
+/// stored densely by [`IrReg::index`]. Absent registers are
+/// unconstrained (top); `r0` is the hardwired zero register.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ValMap(HashMap<IrReg, AbsVal>);
+pub struct ValMap(RegVec<AbsVal>);
 
 impl ValMap {
     /// The fact for `r`, if anything is known.
     pub fn get(&self, r: IrReg) -> Option<AbsVal> {
-        if r == IrReg::Phys(HReg(0)) {
+        if r == IrReg::ZERO {
             return Some(AbsVal::constant(0));
         }
-        self.0.get(&r).copied()
+        self.0.get(r.index())
     }
 
     /// The fact for `r`, defaulting to top.
@@ -335,19 +335,61 @@ impl ValMap {
 
     fn set(&mut self, r: IrReg, v: AbsVal) {
         if v == AbsVal::top() {
-            self.0.remove(&r);
+            self.0.remove(r.index());
         } else {
-            self.0.insert(r, v);
+            self.0.insert(r.index(), v);
         }
+    }
+
+    /// Forgets everything (the block-entry state), keeping the buffer.
+    pub fn clear(&mut self) {
+        self.0.clear();
     }
 }
 
 impl Lattice for ValMap {
     fn join(&mut self, other: &ValMap) {
-        self.0.retain(|k, _| other.0.contains_key(k));
-        for (k, v) in &mut self.0 {
-            v.join(&other.0[k]);
+        self.0.intersect_with(&other.0, |v, o| v.join(&o));
+    }
+}
+
+/// Applies `inst` forward: `fact` is the state before the instruction
+/// and becomes the state after it.
+pub fn transfer(inst: &IrInst, fact: &mut ValMap) {
+    match *inst {
+        IrInst::Alu { op, rd, ra, rb } => {
+            let v = alu_result(op, fact.get_or_top(ra), fact.get_or_top(rb));
+            fact.set(rd, v);
         }
+        IrInst::AluI { op, rd, ra, imm } => {
+            let v = alu_result(op, fact.get_or_top(ra), AbsVal::constant(imm as u32));
+            fact.set(rd, v);
+        }
+        IrInst::Li { rd, imm } => fact.set(rd, AbsVal::constant(imm as u32)),
+        IrInst::FlagsArith { kind, rd, ra, rb } => {
+            let v = flags_result(kind, fact.get_or_top(ra), fact.get_or_top(rb));
+            fact.set(rd, v);
+        }
+        IrInst::Ld { rd, width, .. } => {
+            let v = match width {
+                Width::W1 => AbsVal { zeros: !0xFF, ones: 0, lo: 0, hi: 0xFF },
+                Width::W2 => AbsVal { zeros: !0xFFFF, ones: 0, lo: 0, hi: 0xFFFF },
+                Width::W4 | Width::W8 => AbsVal::top(),
+            };
+            fact.set(rd, v);
+        }
+        IrInst::Mul { rd, .. } | IrInst::Div { rd, .. } | IrInst::CvtFI { rd, .. } => {
+            fact.set(rd, AbsVal::top());
+        }
+        IrInst::Nop
+        | IrInst::Prefetch { .. }
+        | IrInst::St { .. }
+        | IrInst::FSt { .. }
+        | IrInst::FLd { .. }
+        | IrInst::FMov { .. }
+        | IrInst::FArith { .. }
+        | IrInst::CvtIF { .. }
+        | IrInst::BrFlags { .. } => {}
     }
 }
 
@@ -363,41 +405,7 @@ impl Analysis for KnownBits {
     }
 
     fn transfer(&self, op: &IrOp, _idx: usize, fact: &mut ValMap, _block: &IrBlock) {
-        match op.inst {
-            IrInst::Alu { op, rd, ra, rb } => {
-                let v = alu_result(op, fact.get_or_top(ra), fact.get_or_top(rb));
-                fact.set(rd, v);
-            }
-            IrInst::AluI { op, rd, ra, imm } => {
-                let v = alu_result(op, fact.get_or_top(ra), AbsVal::constant(imm as u32));
-                fact.set(rd, v);
-            }
-            IrInst::Li { rd, imm } => fact.set(rd, AbsVal::constant(imm as u32)),
-            IrInst::FlagsArith { kind, rd, ra, rb } => {
-                let v = flags_result(kind, fact.get_or_top(ra), fact.get_or_top(rb));
-                fact.set(rd, v);
-            }
-            IrInst::Ld { rd, width, .. } => {
-                let v = match width {
-                    Width::W1 => AbsVal { zeros: !0xFF, ones: 0, lo: 0, hi: 0xFF },
-                    Width::W2 => AbsVal { zeros: !0xFFFF, ones: 0, lo: 0, hi: 0xFFFF },
-                    Width::W4 | Width::W8 => AbsVal::top(),
-                };
-                fact.set(rd, v);
-            }
-            IrInst::Mul { rd, .. } | IrInst::Div { rd, .. } | IrInst::CvtFI { rd, .. } => {
-                fact.set(rd, AbsVal::top());
-            }
-            IrInst::Nop
-            | IrInst::Prefetch { .. }
-            | IrInst::St { .. }
-            | IrInst::FSt { .. }
-            | IrInst::FLd { .. }
-            | IrInst::FMov { .. }
-            | IrInst::FArith { .. }
-            | IrInst::CvtIF { .. }
-            | IrInst::BrFlags { .. } => {}
-        }
+        transfer(&op.inst, fact);
     }
 }
 

@@ -8,40 +8,70 @@
 //! overwrites it before any use, side exit, or the body end; virtual
 //! temporaries are dead when no later op reads them.
 
+use super::regset::RegSet;
 use super::{Analysis, Direction, Lattice};
-use crate::ir::{IrBlock, IrFreg, IrInst, IrOp, IrReg, FSCRATCH_BASE};
-use darco_host::{HFreg, HReg};
-use std::collections::HashSet;
+use crate::ir::{IrBlock, IrInst, IrOp, IrReg, EXIT_TARGET_REG, FSCRATCH_BASE};
 
 /// The set of registers live at a program point.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LiveSet {
-    /// Live integer registers (pinned and virtual).
-    pub int: HashSet<IrReg>,
-    /// Live FP registers (pinned and virtual).
-    pub fp: HashSet<IrFreg>,
+    /// Live integer registers (pinned and virtual), by
+    /// [`IrReg::index`].
+    pub int: RegSet,
+    /// Live FP registers (pinned and virtual), by
+    /// [`IrFreg::index`](crate::ir::IrFreg::index).
+    pub fp: RegSet,
 }
+
+/// Integer half of the pinned architectural state every exit observes:
+/// r1..=r10 (guest GPRs, the flags word, the exit-target register).
+const PINNED_INT: u64 = (1 << (EXIT_TARGET_REG.0 + 1)) - 2;
+/// FP half of the pinned state: f0..f7.
+const PINNED_FP: u64 = (1 << FSCRATCH_BASE) - 1;
 
 impl LiveSet {
     /// Whether integer register `r` is live.
     pub fn contains_int(&self, r: IrReg) -> bool {
-        self.int.contains(&r)
+        self.int.contains(r.index())
+    }
+
+    /// Makes the whole pinned state live (what an exit point observes).
+    fn observe_pinned(&mut self) {
+        self.int.insert_phys(PINNED_INT);
+        self.fp.insert_phys(PINNED_FP);
     }
 }
 
 impl Lattice for LiveSet {
     fn join(&mut self, other: &LiveSet) {
-        self.int.extend(other.int.iter().copied());
-        self.fp.extend(other.fp.iter().copied());
+        self.int.union_with(&other.int);
+        self.fp.union_with(&other.fp);
     }
 }
 
-/// The full pinned architectural state (what every exit observes):
-/// integer r1..=r10 (guest GPRs, flags, exit target) and FP f0..f7.
-fn pinned() -> LiveSet {
-    LiveSet {
-        int: (1..=10).map(|r| IrReg::Phys(HReg(r))).collect(),
-        fp: (0..FSCRATCH_BASE).map(|f| IrFreg::Phys(HFreg(f))).collect(),
+/// Applies `inst` backward: `fact` is the set live after the
+/// instruction and becomes the set live before it.
+fn transfer(inst: &IrInst, fact: &mut LiveSet) {
+    if *inst == IrInst::Nop {
+        return;
+    }
+    if inst.is_branch() {
+        // A side exit may leave the block: everything pinned is
+        // observable there, in addition to whatever the fall-through
+        // path needs.
+        fact.observe_pinned();
+    }
+    if let Some(d) = inst.dst() {
+        fact.int.remove(d.index());
+    }
+    if let Some(d) = inst.fdst() {
+        fact.fp.remove(d.index());
+    }
+    for s in inst.srcs().into_iter().flatten() {
+        fact.int.insert(s.index());
+    }
+    for s in inst.fsrcs().into_iter().flatten() {
+        fact.fp.insert(s.index());
     }
 }
 
@@ -53,31 +83,11 @@ impl Analysis for Liveness {
     const DIRECTION: Direction = Direction::Backward;
 
     fn boundary(&self, _block: &IrBlock) -> LiveSet {
-        pinned()
+        LiveSet { int: RegSet::of_phys(PINNED_INT), fp: RegSet::of_phys(PINNED_FP) }
     }
 
     fn transfer(&self, op: &IrOp, _idx: usize, fact: &mut LiveSet, _block: &IrBlock) {
-        if op.inst == IrInst::Nop {
-            return;
-        }
-        if op.inst.is_branch() {
-            // A side exit may leave the block: everything pinned is
-            // observable there, in addition to whatever the fall-through
-            // path needs.
-            fact.join(&pinned());
-        }
-        if let Some(d) = op.inst.dst() {
-            fact.int.remove(&d);
-        }
-        if let Some(d) = op.inst.fdst() {
-            fact.fp.remove(&d);
-        }
-        for s in op.inst.srcs().into_iter().flatten() {
-            fact.int.insert(s);
-        }
-        for s in op.inst.fsrcs().into_iter().flatten() {
-            fact.fp.insert(s);
-        }
+        transfer(&op.inst, fact);
     }
 }
 
@@ -87,22 +97,30 @@ pub fn facts(block: &IrBlock) -> Vec<LiveSet> {
     super::solve(&Liveness, block)
 }
 
-/// Indices of `FlagsArith` ops whose definition is dead: no later op
-/// reads it before it is overwritten, and control cannot leave the
-/// block in between. These are exactly the materializations the
-/// translator's intrinsic elision would have skipped.
-pub fn dead_flag_defs(block: &IrBlock) -> Vec<usize> {
-    let live = facts(block);
-    block
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(i, op)| match op.inst {
-            IrInst::FlagsArith { rd, .. } => !live[i + 1].contains_int(rd),
-            _ => false,
-        })
-        .map(|(i, _)| i)
-        .collect()
+/// Collects into `dead` the indices of `FlagsArith` ops whose
+/// definition is dead: no later op reads it before it is overwritten,
+/// and control cannot leave the block in between. These are exactly the
+/// materializations the translator's intrinsic elision would have
+/// skipped.
+///
+/// One backward sweep over the single running fact `live` — the body is
+/// linear, so the set live after op `i` depends on nothing but the set
+/// live after op `i + 1`. The result equals filtering on [`facts`],
+/// without materializing a set per program point.
+pub fn dead_flag_defs(block: &IrBlock, live: &mut LiveSet, dead: &mut Vec<usize>) {
+    live.int.clear();
+    live.fp.clear();
+    live.observe_pinned();
+    dead.clear();
+    for (i, op) in block.ops.iter().enumerate().rev() {
+        if let IrInst::FlagsArith { rd, .. } = op.inst {
+            if !live.contains_int(rd) {
+                dead.push(i);
+            }
+        }
+        transfer(&op.inst, live);
+    }
+    dead.reverse();
 }
 
 #[cfg(test)]
@@ -110,6 +128,7 @@ mod tests {
     use super::*;
     use crate::ir::{IrOp, FLAGS_REG};
     use darco_guest::Cond;
+    use darco_host::HReg;
     use darco_host::{Exit, FlagsKind, HAluOp};
 
     const FLAGS: IrReg = IrReg::Phys(FLAGS_REG);
@@ -122,6 +141,12 @@ mod tests {
             fallthrough: Exit::Halt,
             guest_len: 1,
         }
+    }
+
+    fn dead_flag_defs(block: &IrBlock) -> Vec<usize> {
+        let mut dead = Vec::new();
+        super::dead_flag_defs(block, &mut LiveSet::default(), &mut dead);
+        dead
     }
 
     fn fa(ra: IrReg) -> IrInst {

@@ -28,6 +28,7 @@
 pub mod knownbits;
 pub mod liveness;
 pub mod oracle;
+pub mod regset;
 
 use crate::ir::{IrBlock, IrOp};
 

@@ -7,22 +7,29 @@
 //! those are excluded from every serialized report.
 
 use crate::config::TolConfig;
-use crate::ir::{lower, RegMap};
-use crate::opt;
+use crate::ir::{lower, IrBlock, IrFreg, IrReg, RegMap};
+use crate::ir::{FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
+use crate::opt::{self, OptScratch};
 use crate::translate::{translate_region, translate_region_scratch, IrScratch, RegionInst};
-use crate::verify::VerifyStats;
-use darco_host::{HFreg, HInst};
+use crate::verify::{PassSample, VerifyStats};
+use darco_host::{HFreg, HInst, HReg};
 
-/// What the `deadflags` analysis did to a BBM block, reported back so
-/// the engine can merge counters at the install point.
-#[derive(Debug)]
-pub(crate) struct DeadflagsDelta {
-    /// Dead `FlagsArith` definitions deleted.
-    pub flags_killed: u64,
-    /// Net live instructions removed.
-    pub insts_removed: i64,
-    /// Wall-clock nanoseconds the pass took.
-    pub nanos: u64,
+/// Wall-clock nanoseconds per stage of the compile path, in encounter
+/// order: the passes under their [`PassDelta`](crate::verify::PassDelta)
+/// names, the stages around them under their own. Lives outside every
+/// serialized struct: reports must be bit-identical across reruns.
+pub(crate) type StageNanos = Vec<(&'static str, u64)>;
+
+/// Runs `f`, adding the wall-clock time it took to `stage`'s entry.
+pub(crate) fn timed<T>(nanos: &mut StageNanos, stage: &'static str, f: impl FnOnce() -> T) -> T {
+    let start = std::time::Instant::now();
+    let out = f();
+    let ns = start.elapsed().as_nanos() as u64;
+    match nanos.iter_mut().find(|(s, _)| *s == stage) {
+        Some(e) => e.1 += ns,
+        None => nanos.push((stage, ns)),
+    }
+    out
 }
 
 /// A compiled BBM basic block, ready to stamp and install.
@@ -32,7 +39,8 @@ pub(crate) struct BbCompiled {
     pub stub_guest_counts: Vec<u32>,
     pub guest_len: u32,
     pub body_len: u32,
-    pub deadflags: Option<DeadflagsDelta>,
+    /// What the `deadflags` kill did, when it ran.
+    pub deadflags: Option<PassSample>,
 }
 
 /// How a superblock's optimization pipeline ended.
@@ -61,9 +69,8 @@ pub(crate) struct SbCompiled {
 /// BBM register allocation: temporaries never live across guest
 /// instruction boundaries, so a per-guest-instruction round-robin over
 /// the scratch file suffices (and can never run out).
-pub(crate) fn bbm_allocate(block: &crate::ir::IrBlock) -> RegMap {
-    use crate::ir::{IrFreg, IrReg, FSCRATCH_BASE, SCRATCH_BASE};
-    let mut map = RegMap::default();
+pub(crate) fn bbm_allocate(block: &IrBlock, map: &mut RegMap) {
+    map.clear();
     let mut gi = u32::MAX;
     let mut next_int = SCRATCH_BASE;
     let mut next_fp = FSCRATCH_BASE;
@@ -73,112 +80,112 @@ pub(crate) fn bbm_allocate(block: &crate::ir::IrBlock) -> RegMap {
             next_int = SCRATCH_BASE;
             next_fp = FSCRATCH_BASE;
         }
-        let alloc_int = |v: u32, map: &mut RegMap, next: &mut u8| {
-            map.int.entry(v).or_insert_with(|| {
-                let r = darco_host::HReg(*next);
-                *next += 1;
-                assert!(*next <= crate::ir::SCRATCH_END, "BBM scratch overflow");
-                r
-            });
-        };
-        for s in op.inst.srcs().into_iter().flatten() {
-            if let IrReg::Virt(v) = s {
-                alloc_int(v, &mut map, &mut next_int);
+        let mut alloc_int = |r: IrReg| {
+            if let IrReg::Virt(v) = r {
+                if map.int.get(v as usize).is_none() {
+                    map.int.insert(v as usize, HReg(next_int));
+                    next_int += 1;
+                    assert!(next_int <= SCRATCH_END, "BBM scratch overflow");
+                }
             }
-        }
-        if let Some(IrReg::Virt(v)) = op.inst.dst() {
-            alloc_int(v, &mut map, &mut next_int);
-        }
-        let alloc_fp = |v: u32, map: &mut RegMap, next: &mut u8| {
-            map.fp.entry(v).or_insert_with(|| {
-                let r = HFreg(*next);
-                *next += 1;
-                assert!(*next <= crate::ir::FSCRATCH_END, "BBM FP scratch overflow");
-                r
-            });
         };
-        for s in op.inst.fsrcs().into_iter().flatten() {
-            if let IrFreg::Virt(v) = s {
-                alloc_fp(v, &mut map, &mut next_fp);
+        op.inst.srcs().into_iter().flatten().for_each(&mut alloc_int);
+        op.inst.dst().into_iter().for_each(&mut alloc_int);
+        let mut alloc_fp = |r: IrFreg| {
+            if let IrFreg::Virt(v) = r {
+                if map.fp.get(v as usize).is_none() {
+                    map.fp.insert(v as usize, HFreg(next_fp));
+                    next_fp += 1;
+                    assert!(next_fp <= FSCRATCH_END, "BBM FP scratch overflow");
+                }
             }
-        }
-        if let Some(IrFreg::Virt(v)) = op.inst.fdst() {
-            alloc_fp(v, &mut map, &mut next_fp);
-        }
+        };
+        op.inst.fsrcs().into_iter().flatten().for_each(&mut alloc_fp);
+        op.inst.fdst().into_iter().for_each(&mut alloc_fp);
     }
-    map
+}
+
+/// Lowers `block` with the assignment in `opt.map` and takes the block
+/// apart: `(insts, body_len, stub_guest_counts, guest_len)`, the block's
+/// buffers going back to `ir`.
+fn finish(
+    mut block: IrBlock,
+    ir: &mut IrScratch,
+    opt: &OptScratch,
+    nanos: &mut StageNanos,
+) -> (Vec<HInst>, u32, Vec<u32>, u32) {
+    let insts = timed(nanos, "lower", || lower(&block, &opt.map));
+    let body_len = insts.len() as u32 - 1 - block.stubs.len() as u32;
+    let stub_guest_counts = std::mem::take(&mut block.stub_guest_counts);
+    let guest_len = block.guest_len;
+    ir.recycle(block);
+    (insts, body_len, stub_guest_counts, guest_len)
 }
 
 /// The BBM compile pipeline as a pure function of `(region, cfg)`:
 /// translate, optionally run the analysis-driven `deadflags` kill and
-/// the peephole passes, allocate, lower.
+/// the peephole passes, allocate, lower. Wall-clock per stage goes to
+/// `nanos`.
 pub(crate) fn compile_bb(
     region: &[RegionInst],
     cfg: &TolConfig,
-    scratch: &mut IrScratch,
+    ir: &mut IrScratch,
+    opt: &mut OptScratch,
+    nanos: &mut StageNanos,
 ) -> BbCompiled {
-    let mut block = translate_region_scratch(region, cfg.opt_deadflags, scratch);
-    let deadflags = if cfg.opt_deadflags {
+    let mut block =
+        timed(nanos, "translate", || translate_region_scratch(region, cfg.opt_deadflags, ir));
+    let deadflags = cfg.opt_deadflags.then(|| {
         // Eager flag materialization + liveness-driven kill converges
         // to the same host code the intrinsic elision produces.
-        let live_before = block.ops.iter().filter(|o| o.inst != crate::ir::IrInst::Nop).count();
-        let start = std::time::Instant::now();
-        let killed = opt::deadflags::run(&mut block);
-        let nanos = start.elapsed().as_nanos() as u64;
-        let live_after = block.ops.iter().filter(|o| o.inst != crate::ir::IrInst::Nop).count();
-        Some(DeadflagsDelta {
+        let live_before = opt::count_live(&block);
+        let killed = timed(nanos, "deadflags", || opt::deadflags::run(&mut block, opt));
+        PassSample {
+            pass: "deadflags",
+            insts_removed: live_before as i64 - opt::count_live(&block) as i64,
             flags_killed: u64::from(killed),
-            insts_removed: live_before as i64 - live_after as i64,
-            nanos,
-        })
-    } else {
-        None
-    };
+            branches_folded: 0,
+        }
+    });
     if cfg.bbm_peephole {
-        opt::constprop::run(&mut block, true);
-        opt::dce::run(&mut block);
+        timed(nanos, "bbm-constprop", || opt::constprop::run(&mut block, true, opt));
+        timed(nanos, "bbm-dce", || opt::dce::run(&mut block, opt));
     }
-    let map = bbm_allocate(&block);
-    let insts = lower(&block, &map);
-    let body_len = insts.len() as u32 - 1 - block.stubs.len() as u32;
-    let stub_guest_counts = std::mem::take(&mut block.stub_guest_counts);
-    let guest_len = block.guest_len;
-    scratch.recycle(block);
+    timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
+    let (insts, body_len, stub_guest_counts, guest_len) = finish(block, ir, opt, nanos);
     BbCompiled { insts, stub_guest_counts, guest_len, body_len, deadflags }
 }
 
 /// The SBM compile pipeline as a pure function of `(region, cfg)`:
 /// translate eagerly, run the full optimization pipeline (falling back
 /// to the unoptimized lowering on allocation failure or a verifier
-/// rejection), lower.
+/// rejection), lower. Wall-clock per stage goes to `nanos`.
 pub(crate) fn compile_sb(
     region: &[RegionInst],
     cfg: &TolConfig,
-    scratch: &mut IrScratch,
+    ir: &mut IrScratch,
+    opt: &mut OptScratch,
+    nanos: &mut StageNanos,
 ) -> SbCompiled {
-    let block = translate_region_scratch(region, cfg.opt_deadflags, scratch);
+    let block =
+        timed(nanos, "translate", || translate_region_scratch(region, cfg.opt_deadflags, ir));
     let ir_len = block.ops.len();
-    let (mut block, map, outcome) = match opt::optimize_stats(block, cfg) {
-        Ok((opt_block, map, stats)) => (opt_block, map, SbOutcome::Optimized(stats)),
-        Err(opt::OptError::OutOfRegisters) => {
-            // Fall back to the intrinsically elided translation so the
-            // unoptimized lowering matches the non-eager path exactly.
-            let block = translate_region(region);
-            let map = bbm_allocate(&block);
-            (block, map, SbOutcome::OutOfRegisters)
-        }
-        Err(opt::OptError::Miscompile(_)) => {
-            // The verifier rejected a pass's output: never install
-            // unverified code; fall back to the unoptimized lowering.
-            let block = translate_region(region);
-            let map = bbm_allocate(&block);
-            (block, map, SbOutcome::Miscompile)
+    let (block, outcome) = match opt::run_pipeline(block, cfg, opt::pipeline(cfg), opt, nanos) {
+        Ok((opt_block, stats)) => (opt_block, SbOutcome::Optimized(stats)),
+        Err(e) => {
+            // Out of registers, or the verifier rejected a pass's output
+            // (never install unverified code): fall back to the
+            // intrinsically elided translation, so the unoptimized
+            // lowering matches the non-eager path exactly.
+            let block = timed(nanos, "translate", || translate_region(region));
+            timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
+            let outcome = match e {
+                opt::OptError::OutOfRegisters => SbOutcome::OutOfRegisters,
+                opt::OptError::Miscompile(_) => SbOutcome::Miscompile,
+            };
+            (block, outcome)
         }
     };
-    let insts = lower(&block, &map);
-    let body_len = insts.len() as u32 - 1 - block.stubs.len() as u32;
-    let stub_guest_counts = std::mem::take(&mut block.stub_guest_counts);
-    let guest_len = block.guest_len;
-    scratch.recycle(block);
+    let (insts, body_len, stub_guest_counts, guest_len) = finish(block, ir, opt, nanos);
     SbCompiled { insts, stub_guest_counts, guest_len, body_len, ir_len, outcome }
 }

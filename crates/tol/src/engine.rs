@@ -17,7 +17,7 @@
 //! emulator between steps.
 
 use crate::codecache::{BlockKind, CacheHealth, CodeCache, EvictCause, Evicted, TranslatedBlock};
-use crate::compile::{compile_bb, compile_sb, SbOutcome};
+use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
 use crate::config::TolConfig;
 use crate::emission::Emitter;
 use crate::ibtc::Ibtc;
@@ -143,12 +143,9 @@ pub struct Tol {
     fastctx: darco_guest::uops::ExecCtx,
     /// Accumulated per-pass deltas across every optimized block.
     pass_deltas: Vec<crate::verify::PassDelta>,
-    /// Wall-clock nanoseconds per pass, keyed like `pass_deltas`. Kept
-    /// outside [`TolCounters`] so serialized reports stay deterministic.
-    pass_nanos: Vec<(String, u64)>,
-    /// Total wall-clock nanoseconds in the analysis-driven passes
-    /// (`deadflags` + `rangesimp`), BBM and SBM combined.
-    analysis_ns: u64,
+    /// Wall-clock nanoseconds per compile-path stage. Kept outside
+    /// [`TolCounters`] so serialized reports stay deterministic.
+    pass_nanos: StageNanos,
     /// Reusable translation buffers.
     scratch: TranslateScratch,
 }
@@ -179,7 +176,6 @@ impl Tol {
             fastctx: darco_guest::uops::ExecCtx::new(),
             pass_deltas: Vec::new(),
             pass_nanos: Vec::new(),
-            analysis_ns: 0,
             scratch: TranslateScratch::default(),
             cfg,
         };
@@ -230,13 +226,18 @@ impl Tol {
     /// [`TolCounters`] or [`RunSummary`]: serialized reports must stay
     /// bit-identical across reruns.
     pub fn analysis_ns(&self) -> u64 {
-        self.analysis_ns
+        let of = |stage| self.pass_nanos.iter().find(|(s, _)| *s == stage).map_or(0, |e| e.1);
+        of("deadflags") + of("rangesimp")
     }
 
-    /// Wall-clock nanoseconds per optimization pass, keyed like
-    /// [`RunSummary::pass_deltas`]. Same determinism caveat as
-    /// [`Tol::analysis_ns`].
-    pub fn pass_nanos(&self) -> &[(String, u64)] {
+    /// Wall-clock nanoseconds per stage of the compile path, BBM and
+    /// SBM combined, in encounter order: the passes keyed like
+    /// [`RunSummary::pass_deltas`] (BBM's peephole pair as
+    /// `bbm-constprop` / `bbm-dce`), and around them `region` (decode /
+    /// superblock formation), `translate` (guest → IR), `regalloc`,
+    /// `lower` (IR → host) and `install` (retirement templates + code
+    /// cache). Same determinism caveat as [`Tol::analysis_ns`].
+    pub fn pass_nanos(&self) -> &[(&'static str, u64)] {
         &self.pass_nanos
     }
 
@@ -319,7 +320,9 @@ impl Tol {
         if promote {
             let mut region = std::mem::take(&mut self.scratch.region);
             region.clear();
-            if let Err(e) = decode_bb_into(mem, pc, &mut region) {
+            let decoded =
+                timed(&mut self.pass_nanos, "region", || decode_bb_into(mem, pc, &mut region));
+            if let Err(e) = decoded {
                 self.scratch.region = region;
                 return Err(e);
             }
@@ -456,28 +459,17 @@ impl Tol {
         mem: &GuestMem,
         ev: &mut EventBuffer<'_>,
     ) -> Option<BlockId> {
-        let compiled = compile_bb(region, &self.cfg, &mut self.scratch.ir);
+        let TranslateScratch { ir, opt, .. } = &mut self.scratch;
+        let compiled = compile_bb(region, &self.cfg, ir, opt, &mut self.pass_nanos);
         if let Some(d) = &compiled.deadflags {
             self.counters.flags_killed += d.flags_killed;
-            self.analysis_ns += d.nanos;
-            crate::verify::merge_nanos(&mut self.pass_nanos, "deadflags", d.nanos);
-            crate::verify::merge_delta(
-                &mut self.pass_deltas,
-                &crate::verify::PassDelta {
-                    pass: "deadflags".to_string(),
-                    runs: 1,
-                    insts_removed: d.insts_removed,
-                    flags_killed: d.flags_killed,
-                    branches_folded: 0,
-                },
-            );
+            crate::verify::merge_delta(&mut self.pass_deltas, d);
         }
         let host_len = compiled.insts.len() as u32;
         self.em.bb_translate(ev, entry, region, compiled.insts.len());
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
-        let ins = self
-            .cc
-            .install(
+        let ins = timed(&mut self.pass_nanos, "install", || {
+            self.cc.install(
                 entry,
                 compiled.insts,
                 BlockKind::Bb,
@@ -487,7 +479,8 @@ impl Tol {
                 region.iter().map(|r| r.pc).collect(),
                 mem,
             )
-            .ok()?;
+        })
+        .ok()?;
         if ins.flushed {
             self.ibtc.clear();
             self.spec_targets.clear();
@@ -511,7 +504,9 @@ impl Tol {
         let mut visited = std::mem::take(&mut self.scratch.visited);
         region.clear();
         visited.clear();
-        let formed = form_region_into(mem, entry, &self.prof, &self.cfg, &mut region, &mut visited);
+        let formed = timed(&mut self.pass_nanos, "region", || {
+            form_region_into(mem, entry, &self.prof, &self.cfg, &mut region, &mut visited)
+        });
         self.scratch.visited = visited;
         let bbs = match formed {
             Ok(bbs) => bbs,
@@ -520,21 +515,16 @@ impl Tol {
                 return Err(e);
             }
         };
-        let compiled = compile_sb(&region, &self.cfg, &mut self.scratch.ir);
+        let TranslateScratch { ir, opt, .. } = &mut self.scratch;
+        let compiled = compile_sb(&region, &self.cfg, ir, opt, &mut self.pass_nanos);
         match &compiled.outcome {
             SbOutcome::Optimized(stats) => {
                 self.counters.verified_blocks += stats.blocks_verified;
                 self.counters.tv_differential += stats.tv_differential;
-                for d in &stats.pass_deltas {
+                for d in &stats.passes {
                     self.counters.flags_killed += d.flags_killed;
                     self.counters.branches_folded += d.branches_folded;
                     crate::verify::merge_delta(&mut self.pass_deltas, d);
-                }
-                for (pass, ns) in &stats.pass_nanos {
-                    if pass == "deadflags" || pass == "rangesimp" {
-                        self.analysis_ns += ns;
-                    }
-                    crate::verify::merge_nanos(&mut self.pass_nanos, pass, *ns);
                 }
             }
             SbOutcome::OutOfRegisters => self.counters.opt_bailouts += 1,
@@ -544,16 +534,18 @@ impl Tol {
         self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.insts.len());
         self.counters.sbm_invocations += 1;
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Sbm);
-        let res = self.cc.install(
-            entry,
-            compiled.insts,
-            BlockKind::Sb,
-            compiled.body_len,
-            compiled.stub_guest_counts,
-            compiled.guest_len,
-            region.iter().map(|r| r.pc).collect(),
-            mem,
-        );
+        let res = timed(&mut self.pass_nanos, "install", || {
+            self.cc.install(
+                entry,
+                compiled.insts,
+                BlockKind::Sb,
+                compiled.body_len,
+                compiled.stub_guest_counts,
+                compiled.guest_len,
+                region.iter().map(|r| r.pc).collect(),
+                mem,
+            )
+        });
         self.scratch.region = region;
         let Ok(ins) = res else {
             return Ok(None);

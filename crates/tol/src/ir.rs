@@ -14,9 +14,9 @@
 //! registers** for temporaries, assigned to host scratch registers by
 //! register allocation at lowering time.
 
+use crate::analysis::regset::RegVec;
 use darco_guest::{Cond, FpOp};
 use darco_host::{Exit, FlagsKind, HAluOp, HFreg, HInst, HReg, Width};
-use std::collections::HashMap;
 
 /// Dedicated physical register an indirect exit's guest target is moved
 /// into before the block's [`Exit::Indirect`].
@@ -390,27 +390,34 @@ pub struct IrBlock {
     pub guest_len: u32,
 }
 
-/// Register assignment produced by allocation: virtual → physical.
+/// Register assignment produced by allocation: virtual → physical,
+/// indexed by virtual register number.
 #[derive(Debug, Clone, Default)]
 pub struct RegMap {
     /// Integer assignment.
-    pub int: HashMap<u32, HReg>,
+    pub int: RegVec<HReg>,
     /// FP assignment.
-    pub fp: HashMap<u32, HFreg>,
+    pub fp: RegVec<HFreg>,
 }
 
 impl RegMap {
+    /// Forgets every assignment, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.int.clear();
+        self.fp.clear();
+    }
+
     fn r(&self, r: IrReg) -> HReg {
         match r {
             IrReg::Phys(p) => p,
-            IrReg::Virt(v) => *self.int.get(&v).expect("unallocated virtual register"),
+            IrReg::Virt(v) => self.int.get(v as usize).expect("unallocated virtual register"),
         }
     }
 
     fn f(&self, r: IrFreg) -> HFreg {
         match r {
             IrFreg::Phys(p) => p,
-            IrFreg::Virt(v) => *self.fp.get(&v).expect("unallocated virtual FP register"),
+            IrFreg::Virt(v) => self.fp.get(v as usize).expect("unallocated virtual FP register"),
         }
     }
 }
@@ -426,14 +433,14 @@ impl RegMap {
 /// Panics if a virtual register has no assignment in `map` or a branch
 /// targets a non-existent stub.
 pub fn lower(block: &IrBlock, map: &RegMap) -> Vec<HInst> {
-    let body: Vec<&IrOp> = block.ops.iter().filter(|op| op.inst != IrInst::Nop).collect();
-    let body_len = body.len() as u32;
+    let body = || block.ops.iter().filter(|op| op.inst != IrInst::Nop);
+    let body_len = body().count() as u32;
     let stub_pos = |stub: u32| -> u32 {
         assert!((stub as usize) < block.stubs.len(), "branch to missing stub");
         body_len + 1 + stub
     };
-    let mut out = Vec::with_capacity(body.len() + 1 + block.stubs.len());
-    for op in body {
+    let mut out = Vec::with_capacity(body_len as usize + 1 + block.stubs.len());
+    for op in body() {
         let h = match op.inst {
             IrInst::Nop => unreachable!("tombstones filtered"),
             IrInst::Alu { op, rd, ra, rb } => {

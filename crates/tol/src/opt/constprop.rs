@@ -8,9 +8,10 @@
 //! original definition point backwards, because the copy source always
 //! dominates the use in linear code.
 
+use super::OptScratch;
+use crate::analysis::regset::{RegSet, RegVec};
 use crate::ir::{IrBlock, IrInst, IrReg};
-use darco_host::{eval_alu, HAluOp, HReg};
-use std::collections::HashMap;
+use darco_host::{eval_alu, HAluOp};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Value {
@@ -18,45 +19,57 @@ enum Value {
     CopyOf(IrReg),
 }
 
-#[derive(Default)]
-struct Facts {
-    map: HashMap<IrReg, Value>,
+/// What is known about each register at the sweep's current point.
+#[derive(Debug, Default)]
+pub(crate) struct Facts {
+    map: RegVec<Value>,
+    /// Registers some `CopyOf` fact may name (a superset: bits are only
+    /// cleared when the register is invalidated). Lets a definition
+    /// skip the search for copies of the register it overwrites.
+    copied: RegSet,
 }
 
 impl Facts {
-    fn invalidate(&mut self, r: IrReg) {
-        self.map.remove(&r);
-        self.map.retain(|_, v| *v != Value::CopyOf(r));
+    fn clear(&mut self) {
+        self.map.clear();
+        self.copied.clear();
     }
 
-    /// Resolves `r` through copy chains to a known constant. Iterative
-    /// with a visited set: the facts map should be acyclic (copies point
-    /// backward in linear code), but a cyclic entry must degrade to
-    /// "unknown" rather than recurse forever.
+    fn set_copy(&mut self, r: IrReg, of: IrReg) {
+        self.map.insert(r.index(), Value::CopyOf(of));
+        self.copied.insert(of.index());
+    }
+
+    fn invalidate(&mut self, r: IrReg) {
+        self.map.remove(r.index());
+        if self.copied.contains(r.index()) {
+            self.copied.remove(r.index());
+            self.map.retain(|v| *v != Value::CopyOf(r));
+        }
+    }
+
+    /// Resolves `r` through copy chains to a known constant. The facts
+    /// should be acyclic (copies point backward in linear code); a
+    /// chain longer than the map's span can only be a cycle, which
+    /// degrades to "unknown" rather than loop forever.
     fn constant(&self, r: IrReg) -> Option<u32> {
         let mut cur = r;
-        let mut visited: Vec<IrReg> = Vec::new();
-        loop {
+        for _ in 0..=self.map.span() {
             if cur == IrReg::ZERO {
                 return Some(0);
             }
-            match self.map.get(&cur)? {
-                Value::Const(c) => return Some(*c),
-                Value::CopyOf(s) => {
-                    if visited.contains(&cur) {
-                        return None;
-                    }
-                    visited.push(cur);
-                    cur = *s;
-                }
+            match self.map.get(cur.index())? {
+                Value::Const(c) => return Some(c),
+                Value::CopyOf(s) => cur = s,
             }
         }
+        None
     }
 
     /// Resolves a register to its oldest live equivalent.
     fn resolve(&self, r: IrReg) -> IrReg {
-        match self.map.get(&r) {
-            Some(Value::CopyOf(s)) => *s,
+        match self.map.get(r.index()) {
+            Some(Value::CopyOf(s)) => s,
             _ => r,
         }
     }
@@ -75,16 +88,17 @@ fn as_copy(inst: &IrInst) -> Option<(IrReg, IrReg)> {
 
 /// Runs the pass in place. `fold` additionally evaluates fully-constant
 /// operations.
-pub fn run(block: &mut IrBlock, fold: bool) {
-    let mut facts = Facts::default();
+pub fn run(block: &mut IrBlock, fold: bool, scratch: &mut OptScratch) {
+    let facts = &mut scratch.constprop;
+    facts.clear();
     for op in &mut block.ops {
         // 1. Rewrite sources: copies to their origin, constants into
         //    immediate forms where the shape allows it.
-        rewrite_sources(&mut op.inst, &facts, fold);
+        rewrite_sources(&mut op.inst, facts, fold);
 
         // 2. Fold fully-constant computations.
         if fold {
-            if let Some(c) = fold_inst(&op.inst, &facts) {
+            if let Some(c) = fold_inst(&op.inst, facts) {
                 if let Some(rd) = op.inst.dst() {
                     op.inst = IrInst::Li { rd, imm: c as i32 as i64 };
                 }
@@ -97,25 +111,19 @@ pub fn run(block: &mut IrBlock, fold: bool) {
             facts.invalidate(rd);
             match op.inst {
                 IrInst::Li { imm, .. } => {
-                    facts.map.insert(rd, Value::Const(imm as u32));
+                    facts.map.insert(rd.index(), Value::Const(imm as u32));
                 }
                 _ => {
                     if let Some((dst, src)) = copy {
                         debug_assert_eq!(dst, rd);
                         if let Some(c) = facts.constant(src) {
-                            facts.map.insert(rd, Value::Const(c));
+                            facts.map.insert(rd.index(), Value::Const(c));
                         } else if src != rd {
-                            facts.map.insert(rd, Value::CopyOf(facts.resolve(src)));
+                            facts.set_copy(rd, facts.resolve(src));
                         }
                     }
                 }
             }
-        }
-        if let Some(fd) = op.inst.fdst() {
-            // FP facts are not tracked; just make sure no stale integer
-            // fact involves an FP-written register (they are disjoint
-            // spaces, so nothing to do). Kept for symmetry.
-            let _ = fd;
         }
     }
 }
@@ -180,16 +188,19 @@ fn fold_inst(inst: &IrInst, facts: &Facts) -> Option<u32> {
     }
 }
 
-#[allow(dead_code)]
-fn phys(i: u8) -> IrReg {
-    IrReg::Phys(HReg(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::IrOp;
-    use darco_host::{Exit, Width};
+    use darco_host::{Exit, HReg, Width};
+
+    fn phys(i: u8) -> IrReg {
+        IrReg::Phys(HReg(i))
+    }
+
+    fn run(block: &mut IrBlock, fold: bool) {
+        super::run(block, fold, &mut OptScratch::default());
+    }
 
     fn block(ops: Vec<IrInst>) -> IrBlock {
         IrBlock {
@@ -266,16 +277,16 @@ mod tests {
         // from the forward sweep, but `constant` must not hang or
         // overflow the stack if it ever does.
         let mut f = Facts::default();
-        f.map.insert(IrReg::Virt(0), Value::CopyOf(IrReg::Virt(1)));
-        f.map.insert(IrReg::Virt(1), Value::CopyOf(IrReg::Virt(0)));
+        f.set_copy(IrReg::Virt(0), IrReg::Virt(1));
+        f.set_copy(IrReg::Virt(1), IrReg::Virt(0));
         assert_eq!(f.constant(IrReg::Virt(0)), None);
         assert_eq!(f.constant(IrReg::Virt(1)), None);
         // Self-cycle degenerate case.
-        f.map.insert(IrReg::Virt(2), Value::CopyOf(IrReg::Virt(2)));
+        f.set_copy(IrReg::Virt(2), IrReg::Virt(2));
         assert_eq!(f.constant(IrReg::Virt(2)), None);
         // Chains ending in a constant still resolve through the guard.
-        f.map.insert(IrReg::Virt(3), Value::Const(9));
-        f.map.insert(IrReg::Virt(4), Value::CopyOf(IrReg::Virt(3)));
+        f.map.insert(IrReg::Virt(3).index(), Value::Const(9));
+        f.set_copy(IrReg::Virt(4), IrReg::Virt(3));
         assert_eq!(f.constant(IrReg::Virt(4)), Some(9));
     }
 

@@ -12,6 +12,8 @@
 //! are overwritten unpredictably, while virtuals are single-assignment
 //! by construction.
 
+use super::OptScratch;
+use crate::analysis::regset::{RegSet, RegVec};
 use crate::ir::{IrBlock, IrInst, IrReg};
 use darco_host::HAluOp;
 use std::collections::HashMap;
@@ -27,15 +29,30 @@ enum Expr {
     Load(Vn, i32, u8, u64), // base vn, offset, width bytes, memory version
 }
 
-#[derive(Default)]
-struct Numbering {
+/// The value-numbering state. Registers are numbered through a dense
+/// array; expressions are keyed by structure, so their table stays a
+/// hash map (cleared, not dropped, between blocks).
+#[derive(Debug, Default)]
+pub(crate) struct Numbering {
     next: Vn,
-    reg_vn: HashMap<IrReg, Vn>,
+    reg_vn: RegVec<Vn>,
     expr_vn: HashMap<Expr, (Vn, IrReg)>, // value + the virtual holding it
+    /// Registers recorded as a holder in `expr_vn`. A definition only
+    /// has to search the table when it overwrites one of these — which
+    /// single-assignment virtuals never are.
+    holders: RegSet,
     mem_version: u64,
 }
 
 impl Numbering {
+    fn clear(&mut self) {
+        self.next = 0;
+        self.reg_vn.clear();
+        self.expr_vn.clear();
+        self.holders.clear();
+        self.mem_version = 0;
+    }
+
     fn fresh(&mut self) -> Vn {
         self.next += 1;
         self.next - 1
@@ -45,11 +62,11 @@ impl Numbering {
         if r == IrReg::ZERO {
             return self.vn_expr_only(Expr::Const(0));
         }
-        if let Some(&v) = self.reg_vn.get(&r) {
+        if let Some(v) = self.reg_vn.get(r.index()) {
             return v;
         }
         let v = self.fresh();
-        self.reg_vn.insert(r, v);
+        self.reg_vn.insert(r.index(), v);
         v
     }
 
@@ -59,19 +76,28 @@ impl Numbering {
             return v;
         }
         let v = self.fresh();
-        self.expr_vn.insert(e, (v, IrReg::ZERO));
+        self.hold(e, v, IrReg::ZERO);
         v
     }
 
+    fn hold(&mut self, e: Expr, v: Vn, holder: IrReg) {
+        self.expr_vn.insert(e, (v, holder));
+        self.holders.insert(holder.index());
+    }
+
     fn kill(&mut self, r: IrReg) {
-        self.reg_vn.remove(&r);
-        self.expr_vn.retain(|_, (_, holder)| *holder != r);
+        self.reg_vn.remove(r.index());
+        if self.holders.contains(r.index()) {
+            self.holders.remove(r.index());
+            self.expr_vn.retain(|_, (_, holder)| *holder != r);
+        }
     }
 }
 
 /// Runs CSE in place.
-pub fn run(block: &mut IrBlock) {
-    let mut n = Numbering::default();
+pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
+    let n = &mut scratch.cse;
+    n.clear();
     for op in &mut block.ops {
         let expr = match op.inst {
             IrInst::Alu { op: o, ra, rb, .. } => {
@@ -106,7 +132,7 @@ pub fn run(block: &mut IrBlock) {
             // Opaque definition (div, flags, cvt): fresh value.
             n.kill(rd);
             let v = n.fresh();
-            n.reg_vn.insert(rd, v);
+            n.reg_vn.insert(rd.index(), v);
             continue;
         };
 
@@ -115,15 +141,15 @@ pub fn run(block: &mut IrBlock) {
                 // Reuse: replace with a copy from the holder.
                 op.inst = IrInst::AluI { op: HAluOp::Or, rd, ra: holder, imm: 0 };
                 n.kill(rd);
-                n.reg_vn.insert(rd, v);
+                n.reg_vn.insert(rd.index(), v);
             }
             _ => {
                 let v = n.fresh();
                 n.kill(rd);
-                n.reg_vn.insert(rd, v);
+                n.reg_vn.insert(rd.index(), v);
                 // Record the holder only for single-assignment virtuals.
                 if matches!(rd, IrReg::Virt(_)) {
-                    n.expr_vn.insert(expr, (v, rd));
+                    n.hold(expr, v, rd);
                 }
             }
         }
@@ -148,6 +174,10 @@ mod tests {
             fallthrough: Exit::Halt,
             guest_len: 1,
         }
+    }
+
+    fn run(block: &mut IrBlock) {
+        super::run(block, &mut OptScratch::default());
     }
 
     fn is_copy_from(inst: &IrInst, src: IrReg) -> bool {

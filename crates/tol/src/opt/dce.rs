@@ -1,98 +1,46 @@
 //! Dead-code elimination by backward liveness.
 //!
-//! Pinned physical registers hold emulated guest state, so they are
-//! live-out at the end of the body and at every side exit (a `BrFlags`
-//! revives them when sweeping backward). Virtual temporaries are only
-//! live between definition and last use and are never observable at
-//! exits. Dead definitions are replaced with `Nop` tombstones, which
-//! lowering drops.
+//! Pinned physical registers hold emulated guest state, observable at
+//! the end of the body and at every side exit; this pass treats them as
+//! live everywhere and never removes a definition of one (a pinned
+//! definition overwritten before any exit is `deadflags`' business).
+//! Virtual temporaries are only live between definition and last use
+//! and are never observable at exits. Dead definitions are replaced
+//! with `Nop` tombstones, which lowering drops.
 
+use super::OptScratch;
 use crate::ir::{IrBlock, IrFreg, IrInst, IrReg};
-use std::collections::HashSet;
-
-#[derive(Default)]
-struct Live {
-    int: HashSet<IrReg>,
-    fp: HashSet<IrFreg>,
-    all_phys: bool, // shorthand for "every physical register is live"
-}
-
-impl Live {
-    fn at_exit() -> Live {
-        Live { int: HashSet::new(), fp: HashSet::new(), all_phys: true }
-    }
-
-    fn is_live_int(&self, r: IrReg) -> bool {
-        match r {
-            IrReg::Phys(_) => self.all_phys || self.int.contains(&r),
-            IrReg::Virt(_) => self.int.contains(&r),
-        }
-    }
-
-    fn is_live_fp(&self, r: IrFreg) -> bool {
-        match r {
-            IrFreg::Phys(_) => self.all_phys || self.fp.contains(&r),
-            IrFreg::Virt(_) => self.fp.contains(&r),
-        }
-    }
-
-    fn def_int(&mut self, r: IrReg) {
-        self.int.remove(&r);
-        if let IrReg::Phys(_) = r {
-            if self.all_phys {
-                // Materialize "all phys except r": switch to explicit
-                // tracking is wasteful; instead keep all_phys and accept
-                // the (sound) over-approximation. A killed phys def
-                // before any exit is rare after flag elision.
-            }
-        }
-    }
-
-    fn def_fp(&mut self, r: IrFreg) {
-        self.fp.remove(&r);
-    }
-
-    fn use_int(&mut self, r: IrReg) {
-        self.int.insert(r);
-    }
-
-    fn use_fp(&mut self, r: IrFreg) {
-        self.fp.insert(r);
-    }
-}
 
 /// Runs DCE in place.
-pub fn run(block: &mut IrBlock) {
-    let mut live = Live::at_exit();
+pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
+    // Only virtuals need tracking: the ones some later op still reads.
+    let OptScratch { used_int, used_fp, .. } = scratch;
+    used_int.clear();
+    used_fp.clear();
     for op in block.ops.iter_mut().rev() {
-        if op.inst.is_branch() {
-            // Side exit: all guest state observable.
-            live.all_phys = true;
-        }
         let inst = op.inst;
-        let dead = !inst.has_side_effect() && inst != IrInst::Nop && {
-            let d_int = inst.dst().map(|d| live.is_live_int(d));
-            let d_fp = inst.fdst().map(|d| live.is_live_fp(d));
-            match (d_int, d_fp) {
+        let live_int = |d| matches!(d, IrReg::Phys(_)) || used_int.contains(d.index());
+        let live_fp = |d| matches!(d, IrFreg::Phys(_)) || used_fp.contains(d.index());
+        let dead = !inst.has_side_effect()
+            && match (inst.dst(), inst.fdst()) {
                 (None, None) => false, // no destination: keep (Nop only)
-                (a, b) => !a.unwrap_or(false) && !b.unwrap_or(false),
-            }
-        };
+                (a, b) => !a.is_some_and(live_int) && !b.is_some_and(live_fp),
+            };
         if dead {
             op.inst = IrInst::Nop;
             continue;
         }
         if let Some(d) = inst.dst() {
-            live.def_int(d);
+            used_int.remove(d.index());
         }
         if let Some(d) = inst.fdst() {
-            live.def_fp(d);
+            used_fp.remove(d.index());
         }
         for s in inst.srcs().into_iter().flatten() {
-            live.use_int(s);
+            used_int.insert(s.index());
         }
         for s in inst.fsrcs().into_iter().flatten() {
-            live.use_fp(s);
+            used_fp.insert(s.index());
         }
     }
 }
@@ -124,7 +72,7 @@ mod tests {
             IrInst::Li { rd: IrReg::Virt(0), imm: 1 }, // dead
             IrInst::AluI { op: HAluOp::Add, rd: phys(1), ra: phys(1), imm: 2 },
         ]);
-        run(&mut b);
+        run(&mut b, &mut OptScratch::default());
         assert_eq!(b.ops[0].inst, IrInst::Nop);
         assert_ne!(b.ops[1].inst, IrInst::Nop, "pinned result stays");
     }
@@ -135,7 +83,7 @@ mod tests {
             IrInst::Li { rd: IrReg::Virt(0), imm: 1 },
             IrInst::Alu { op: HAluOp::Add, rd: phys(1), ra: phys(1), rb: IrReg::Virt(0) },
         ]);
-        run(&mut b);
+        run(&mut b, &mut OptScratch::default());
         assert!(matches!(b.ops[0].inst, IrInst::Li { .. }));
     }
 
@@ -147,7 +95,7 @@ mod tests {
             IrInst::Li { rd: IrReg::Virt(0), imm: 1 },
             IrInst::AluI { op: HAluOp::Add, rd: IrReg::Virt(1), ra: IrReg::Virt(0), imm: 1 },
         ]);
-        run(&mut b);
+        run(&mut b, &mut OptScratch::default());
         assert_eq!(b.ops[0].inst, IrInst::Nop);
         assert_eq!(b.ops[1].inst, IrInst::Nop);
     }
@@ -158,7 +106,7 @@ mod tests {
             IrInst::St { rs: phys(1), base: phys(2), off: 0, width: Width::W4 },
             IrInst::BrFlags { cond: Cond::E, flags: phys(9), stub: 0 },
         ]);
-        run(&mut b);
+        run(&mut b, &mut OptScratch::default());
         assert!(b.ops.iter().all(|o| o.inst != IrInst::Nop));
     }
 
@@ -175,7 +123,7 @@ mod tests {
             },
             IrInst::BrFlags { cond: Cond::E, flags: IrReg::Virt(0), stub: 0 },
         ]);
-        run(&mut b);
+        run(&mut b, &mut OptScratch::default());
         assert!(matches!(b.ops[0].inst, IrInst::FlagsArith { .. }));
     }
 
@@ -187,7 +135,7 @@ mod tests {
             IrInst::FMov { fd: IrFreg::Virt(1), fa: IrFreg::Phys(darco_host::HFreg(2)) },
             IrInst::FSt { fs: IrFreg::Virt(1), base: phys(2), off: 0 },
         ]);
-        run(&mut b);
+        run(&mut b, &mut OptScratch::default());
         assert_eq!(b.ops[0].inst, IrInst::Nop);
         assert!(matches!(b.ops[1].inst, IrInst::FMov { .. }));
     }

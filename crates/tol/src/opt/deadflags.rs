@@ -19,30 +19,39 @@
 //!
 //! [`liveness`]: crate::analysis::liveness
 
+use super::OptScratch;
 use crate::analysis::liveness;
+use crate::analysis::regset::RegSet;
 use crate::ir::{IrBlock, IrInst, IrReg};
-use std::collections::HashSet;
 
 /// Runs dead-flag elimination over `block`; returns how many flag
 /// definitions were deleted.
-pub fn run(block: &mut IrBlock) -> u32 {
+pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) -> u32 {
     // A region with no materialized flag definition has nothing this
-    // pass could ever delete — skip the backward liveness fixpoint
+    // pass could ever delete — skip the backward liveness sweep
     // outright (common for pure-FP and address-arithmetic regions).
     if !block.ops.iter().any(|o| matches!(o.inst, IrInst::FlagsArith { .. })) {
         return 0;
     }
-    let dead = liveness::dead_flag_defs(block);
+    let OptScratch { live, dead, uses, used_int, .. } = scratch;
+    liveness::dead_flag_defs(block, live, dead);
     if dead.is_empty() {
         return 0;
     }
-    for &i in &dead {
+    for &i in dead.iter() {
         block.ops[i].inst = IrInst::Nop;
     }
-    for &i in &dead {
-        fold_staged_imm(block, i);
+    // Reader counts of every integer register after the kill. A refold
+    // below removes the one read of the virtual it folds and touches no
+    // other register's count, so one tally serves every candidate.
+    uses.clear();
+    for s in block.ops.iter().flat_map(|o| o.inst.srcs().into_iter().flatten()) {
+        uses.insert(s.index(), uses.get(s.index()).unwrap_or(0) + 1);
     }
-    sweep_dead_virts(block);
+    for &i in dead.iter() {
+        fold_staged_imm(block, i, |r| uses.get(r.index()).unwrap_or(0));
+    }
+    sweep_dead_virts(block, used_int);
     dead.len() as u32
 }
 
@@ -50,7 +59,7 @@ pub fn run(block: &mut IrBlock) -> u32 {
 /// single `AluI` when the staged immediate has no other reader — the
 /// shape the translator emits directly when it knows the flags are
 /// dead.
-fn fold_staged_imm(block: &mut IrBlock, i: usize) {
+fn fold_staged_imm(block: &mut IrBlock, i: usize, uses: impl Fn(IrReg) -> u32) {
     if i == 0 || i + 1 >= block.ops.len() {
         return;
     }
@@ -60,17 +69,7 @@ fn fold_staged_imm(block: &mut IrBlock, i: usize) {
     let IrInst::Alu { op, rd, ra, rb } = block.ops[i + 1].inst else {
         return;
     };
-    if rb != li_rd || ra == li_rd {
-        return;
-    }
-    let uses = block
-        .ops
-        .iter()
-        .filter(|o| o.inst != IrInst::Nop)
-        .flat_map(|o| o.inst.srcs().into_iter().flatten())
-        .filter(|&s| s == li_rd)
-        .count();
-    if uses != 1 {
+    if rb != li_rd || ra == li_rd || uses(li_rd) != 1 {
         return;
     }
     // `Li` truncates its immediate to 32 bits on write, so the round
@@ -82,22 +81,23 @@ fn fold_staged_imm(block: &mut IrBlock, i: usize) {
 /// Backward sweep deleting pure ops that define a virtual temporary no
 /// later op reads. Virtuals are block-local and invisible to side
 /// exits, so an unread definition is unobservable.
-fn sweep_dead_virts(block: &mut IrBlock) {
-    let mut used: HashSet<IrReg> = HashSet::new();
-    for i in (0..block.ops.len()).rev() {
-        let inst = &block.ops[i].inst;
-        if *inst == IrInst::Nop {
+fn sweep_dead_virts(block: &mut IrBlock, used: &mut RegSet) {
+    used.clear();
+    for op in block.ops.iter_mut().rev() {
+        let inst = op.inst;
+        if inst == IrInst::Nop {
             continue;
         }
         let dead_virt_def = !inst.has_side_effect()
             && inst.fdst().is_none()
-            && matches!(inst.dst(), Some(IrReg::Virt(_)))
-            && !used.contains(&inst.dst().unwrap());
+            && matches!(inst.dst(), Some(d @ IrReg::Virt(_)) if !used.contains(d.index()));
         if dead_virt_def {
-            block.ops[i].inst = IrInst::Nop;
+            op.inst = IrInst::Nop;
             continue;
         }
-        used.extend(inst.srcs().into_iter().flatten());
+        for s in inst.srcs().into_iter().flatten() {
+            used.insert(s.index());
+        }
     }
 }
 
@@ -106,7 +106,8 @@ mod tests {
     use super::*;
     use crate::config::TolConfig;
     use crate::ir::{IrOp, FLAGS_REG};
-    use crate::opt::{run_pipeline, OptError, Pass};
+    use crate::opt::tests::run_passes;
+    use crate::opt::{OptError, Pass};
     use crate::verify::PassKind;
     use darco_guest::Cond;
     use darco_host::{Exit, FlagsKind, HAluOp, HReg};
@@ -144,7 +145,7 @@ mod tests {
             ],
             0,
         );
-        assert_eq!(run(&mut b), 1);
+        assert_eq!(run(&mut b, &mut OptScratch::default()), 1);
         let live: Vec<_> = b.ops.iter().map(|o| o.inst).filter(|i| *i != IrInst::Nop).collect();
         assert_eq!(
             live,
@@ -157,6 +158,38 @@ mod tests {
     }
 
     #[test]
+    fn staged_imm_with_another_reader_is_not_refolded() {
+        // The same shape, but a store also reads the staged immediate:
+        // folding it away would leave the store reading nothing.
+        let mut b = block(
+            vec![
+                IrInst::Li { rd: IrReg::Virt(0), imm: 5 },
+                IrInst::FlagsArith {
+                    kind: FlagsKind::Add,
+                    rd: FLAGS,
+                    ra: phys(1),
+                    rb: IrReg::Virt(0),
+                },
+                IrInst::Alu { op: HAluOp::Add, rd: phys(1), ra: phys(1), rb: IrReg::Virt(0) },
+                IrInst::St {
+                    rs: IrReg::Virt(0),
+                    base: phys(2),
+                    off: 0,
+                    width: darco_host::Width::W4,
+                },
+                IrInst::FlagsArith { kind: FlagsKind::Sub, rd: FLAGS, ra: phys(1), rb: phys(2) },
+            ],
+            0,
+        );
+        let before = b.clone();
+        assert_eq!(run(&mut b, &mut OptScratch::default()), 1);
+        assert_eq!(b.ops[1].inst, IrInst::Nop, "the dead flags def goes");
+        for i in [0, 2, 3, 4] {
+            assert_eq!(b.ops[i], before.ops[i], "op {i} stays as it was");
+        }
+    }
+
+    #[test]
     fn flags_observed_by_branch_survive() {
         let mut b = block(
             vec![
@@ -166,7 +199,11 @@ mod tests {
             ],
             1,
         );
-        assert_eq!(run(&mut b), 0, "both defs observable (branch, then block end)");
+        assert_eq!(
+            run(&mut b, &mut OptScratch::default()),
+            0,
+            "both defs observable (branch, then block end)"
+        );
     }
 
     #[test]
@@ -185,7 +222,7 @@ mod tests {
             ],
             0,
         );
-        assert_eq!(run(&mut b), 1);
+        assert_eq!(run(&mut b, &mut OptScratch::default()), 1);
         let live = b.ops.iter().filter(|o| o.inst != IrInst::Nop).count();
         assert_eq!(live, 1, "the And feeding only the dead flags is swept too");
     }
@@ -197,13 +234,12 @@ mod tests {
         let broken = Pass {
             name: "deadflags",
             kind: PassKind::DeadFlags,
-            run: |b, _| {
+            run: |b, _, _, _| {
                 if let Some(op) =
                     b.ops.iter_mut().find(|o| matches!(o.inst, IrInst::FlagsArith { .. }))
                 {
                     op.inst = IrInst::Nop;
                 }
-                crate::opt::PassEffect::default()
             },
         };
         let b = block(
@@ -214,7 +250,7 @@ mod tests {
             1,
         );
         let cfg = TolConfig { verify: true, ..TolConfig::default() };
-        match run_pipeline(b, &cfg, &[broken]) {
+        match run_passes(b, &cfg, &[broken]) {
             Err(OptError::Miscompile(f)) => assert_eq!(f.pass, "deadflags"),
             other => panic!("verifier missed the live-flag kill: {other:?}"),
         }

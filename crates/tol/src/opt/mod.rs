@@ -28,9 +28,13 @@ pub mod regalloc;
 pub mod schedule;
 pub mod swprefetch;
 
+use crate::analysis::knownbits::ValMap;
+use crate::analysis::liveness::LiveSet;
+use crate::analysis::regset::{RegSet, RegVec};
+use crate::compile::{timed, StageNanos};
 use crate::config::TolConfig;
 use crate::ir::{self, IrBlock, IrInst, RegMap};
-use crate::verify::{self, PassDelta, PassKind, VerifyFailure, VerifyStats};
+use crate::verify::{self, PassKind, PassSample, VerifyFailure, VerifyStats};
 
 /// Why optimization could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +60,34 @@ impl std::fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
+/// Every buffer the passes and the allocators work in, owned by the
+/// engine and lent to one compilation at a time. Each pass clears what
+/// it uses on entry, so the contents never carry from block to block —
+/// only the allocations do, and a pass allocates only while a block is
+/// larger than any the engine has compiled before. `Default` allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct OptScratch {
+    /// `deadflags`: the running liveness fact and the dead definitions.
+    pub(crate) live: LiveSet,
+    pub(crate) dead: Vec<usize>,
+    /// `deadflags`: reader count per integer register.
+    pub(crate) uses: RegVec<u32>,
+    /// `deadflags`, `dce`: registers some later op still reads.
+    pub(crate) used_int: RegSet,
+    pub(crate) used_fp: RegSet,
+    /// `rangesimp`: the running known-bits fact.
+    pub(crate) vals: ValMap,
+    pub(crate) constprop: constprop::Facts,
+    pub(crate) cse: cse::Numbering,
+    pub(crate) sched: schedule::Scratch,
+    pub(crate) regalloc: regalloc::Scratch,
+    /// The register assignment of the block compiled last, written by
+    /// [`regalloc::run`] (SBM) or the BBM allocator and read by
+    /// [`ir::lower`].
+    pub map: RegMap,
+}
+
 /// Analysis-level effects a pass reports back to the pipeline driver
 /// for the per-pass accounting (`RunSummary::pass_deltas`).
 #[derive(Debug, Clone, Copy, Default)]
@@ -71,93 +103,76 @@ pub(crate) struct PassEffect {
 pub(crate) struct Pass {
     pub name: &'static str,
     pub kind: PassKind,
-    pub run: fn(&mut IrBlock, &TolConfig) -> PassEffect,
+    pub run: fn(&mut IrBlock, &TolConfig, &mut OptScratch, &mut PassEffect),
 }
 
-/// Builds the canonical pass order for `cfg` (Sec. II-A-1), extended
-/// with the analysis-driven passes (DESIGN.md §13): `deadflags` first —
-/// it restores the intrinsically elided flag shapes the later passes
-/// expect — and `rangesimp` after the propagation passes have seeded
-/// constants, before DCE sweeps what folding freed.
-fn pipeline(cfg: &TolConfig) -> Vec<Pass> {
-    let mut passes = Vec::new();
-    if cfg.opt_deadflags {
-        passes.push(Pass {
+/// The `TolConfig` switch that turns a pass on.
+type Enabled = fn(&TolConfig) -> bool;
+
+/// The canonical pass order (Sec. II-A-1), each pass with the switch
+/// that enables it, extended with the analysis-driven passes
+/// (DESIGN.md §13): `deadflags` first — it restores the intrinsically
+/// elided flag shapes the later passes expect — and `rangesimp` after
+/// the propagation passes have seeded constants, before DCE sweeps what
+/// folding freed. The second `constprop` cleans up the copies CSE
+/// introduces.
+static PIPELINE: [(Enabled, Pass); 8] = [
+    (
+        |c| c.opt_deadflags,
+        Pass {
             name: "deadflags",
             kind: PassKind::DeadFlags,
-            run: |b, _| PassEffect { flags_killed: deadflags::run(b), branches_folded: 0 },
-        });
-    }
-    if cfg.opt_const_prop || cfg.opt_const_fold {
-        passes.push(Pass {
+            run: |b, _, s, e| e.flags_killed = deadflags::run(b, s),
+        },
+    ),
+    (
+        |c| c.opt_const_prop || c.opt_const_fold,
+        Pass {
             name: "constprop",
             kind: PassKind::Rewrite,
-            run: |b, c| {
-                constprop::run(b, c.opt_const_fold);
-                PassEffect::default()
-            },
-        });
-    }
-    if cfg.opt_cse {
-        passes.push(Pass {
-            name: "cse",
-            kind: PassKind::Rewrite,
-            run: |b, _| {
-                cse::run(b);
-                PassEffect::default()
-            },
-        });
-        // CSE introduces copies; clean them up.
-        passes.push(Pass {
+            run: |b, c, s, _| constprop::run(b, c.opt_const_fold, s),
+        },
+    ),
+    (
+        |c| c.opt_cse,
+        Pass { name: "cse", kind: PassKind::Rewrite, run: |b, _, s, _| cse::run(b, s) },
+    ),
+    (
+        |c| c.opt_cse,
+        Pass {
             name: "constprop-cleanup",
             kind: PassKind::Rewrite,
-            run: |b, c| {
-                constprop::run(b, c.opt_const_fold);
-                PassEffect::default()
-            },
-        });
-    }
-    if cfg.opt_rangesimp {
-        passes.push(Pass {
+            run: |b, c, s, _| constprop::run(b, c.opt_const_fold, s),
+        },
+    ),
+    (
+        |c| c.opt_rangesimp,
+        Pass {
             name: "rangesimp",
             kind: PassKind::BranchFold,
-            run: |b, _| {
-                let stats = rangesimp::run(b);
-                PassEffect { flags_killed: 0, branches_folded: stats.branches_folded }
-            },
-        });
-    }
-    if cfg.opt_dce {
-        passes.push(Pass {
-            name: "dce",
-            kind: PassKind::Dce,
-            run: |b, _| {
-                dce::run(b);
-                PassEffect::default()
-            },
-        });
-    }
-    if cfg.opt_sw_prefetch {
-        passes.push(Pass {
+            run: |b, _, s, e| e.branches_folded = rangesimp::run(b, s).branches_folded,
+        },
+    ),
+    (|c| c.opt_dce, Pass { name: "dce", kind: PassKind::Dce, run: |b, _, s, _| dce::run(b, s) }),
+    (
+        |c| c.opt_sw_prefetch,
+        Pass {
             name: "swprefetch",
             kind: PassKind::Insert,
-            run: |b, _| {
+            run: |b, _, _, _| {
                 swprefetch::run(b);
-                PassEffect::default()
             },
-        });
-    }
-    if cfg.opt_schedule {
-        passes.push(Pass {
-            name: "schedule",
-            kind: PassKind::Schedule,
-            run: |b, _| {
-                schedule::run(b);
-                PassEffect::default()
-            },
-        });
-    }
-    passes
+        },
+    ),
+    (
+        |c| c.opt_schedule,
+        Pass { name: "schedule", kind: PassKind::Schedule, run: |b, _, s, _| schedule::run(b, s) },
+    ),
+];
+
+/// The passes `cfg` enables, in pipeline order.
+pub(crate) fn pipeline(cfg: &TolConfig) -> impl Iterator<Item = &'static Pass> + '_ {
+    PIPELINE.iter().filter(move |(enabled, _)| enabled(cfg)).map(|(_, pass)| pass)
 }
 
 /// Concrete replay trials the soundness oracle runs per optimized
@@ -165,7 +180,7 @@ fn pipeline(cfg: &TolConfig) -> Vec<Pass> {
 const ORACLE_TRIALS: u64 = 2;
 
 /// Non-`Nop` instruction count (the measure the per-pass deltas use).
-fn count_live(block: &IrBlock) -> usize {
+pub(crate) fn count_live(block: &IrBlock) -> usize {
     block.ops.iter().filter(|o| o.inst != IrInst::Nop).count()
 }
 
@@ -192,36 +207,41 @@ pub fn optimize_stats(
     block: IrBlock,
     cfg: &TolConfig,
 ) -> Result<(IrBlock, RegMap, VerifyStats), OptError> {
-    run_pipeline(block, cfg, &pipeline(cfg))
+    let mut scratch = OptScratch::default();
+    let (block, stats) =
+        run_pipeline(block, cfg, pipeline(cfg), &mut scratch, &mut StageNanos::new())?;
+    Ok((block, scratch.map, stats))
 }
 
 /// Pipeline driver, parameterized over the pass list so tests can
 /// inject deliberately broken passes and prove the verifier catches
-/// them.
-pub(crate) fn run_pipeline(
+/// them. On success the register assignment is in `scratch.map`. Time
+/// spent in each pass and in allocation is added to `nanos` whether or
+/// not the pipeline completes.
+pub(crate) fn run_pipeline<'p>(
     mut block: IrBlock,
     cfg: &TolConfig,
-    passes: &[Pass],
-) -> Result<(IrBlock, RegMap, VerifyStats), OptError> {
+    passes: impl IntoIterator<Item = &'p Pass>,
+    scratch: &mut OptScratch,
+    nanos: &mut StageNanos,
+) -> Result<(IrBlock, VerifyStats), OptError> {
     let checking = cfg.verify || cfg!(debug_assertions);
-    let mut stats = VerifyStats::default();
+    let mut stats =
+        VerifyStats { passes: Vec::with_capacity(PIPELINE.len()), ..VerifyStats::default() };
     let original = checking.then(|| block.clone());
+    let mut live = count_live(&block);
     for pass in passes {
         let pre = checking.then(|| block.clone());
-        let live_before = count_live(&block);
-        let start = std::time::Instant::now();
-        let effect = (pass.run)(&mut block, cfg);
-        verify::merge_nanos(&mut stats.pass_nanos, pass.name, start.elapsed().as_nanos() as u64);
-        verify::merge_delta(
-            &mut stats.pass_deltas,
-            &PassDelta {
-                pass: pass.name.to_string(),
-                runs: 1,
-                insts_removed: live_before as i64 - count_live(&block) as i64,
-                flags_killed: u64::from(effect.flags_killed),
-                branches_folded: u64::from(effect.branches_folded),
-            },
-        );
+        let mut effect = PassEffect::default();
+        timed(nanos, pass.name, || (pass.run)(&mut block, cfg, scratch, &mut effect));
+        let live_after = count_live(&block);
+        stats.passes.push(PassSample {
+            pass: pass.name,
+            insts_removed: live as i64 - live_after as i64,
+            flags_killed: u64::from(effect.flags_killed),
+            branches_folded: u64::from(effect.branches_folded),
+        });
+        live = live_after;
         if let Some(pre) = &pre {
             if *pre != block {
                 verify::check_pass(pass.name, pass.kind, pre, &block, &mut stats)
@@ -242,11 +262,12 @@ pub(crate) fn run_pipeline(
             })));
         }
     }
-    let map = regalloc::run(&block)?;
+    timed(nanos, "regalloc", || regalloc::run(&block, scratch))?;
     if let Some(original) = &original {
-        verify::check_result(original, &block, &map, &mut stats).map_err(OptError::Miscompile)?;
+        verify::check_result(original, &block, &scratch.map, &mut stats)
+            .map_err(OptError::Miscompile)?;
     }
-    Ok((block, map, stats))
+    Ok((block, stats))
 }
 
 #[cfg(test)]
@@ -254,6 +275,15 @@ mod tests {
     use super::*;
     use crate::ir::{IrInst, IrOp, IrReg};
     use darco_host::{Exit, HAluOp, HReg, Width};
+
+    /// [`run_pipeline`] over an explicit pass list, in fresh scratch.
+    pub(crate) fn run_passes(
+        block: IrBlock,
+        cfg: &TolConfig,
+        passes: &[Pass],
+    ) -> Result<(IrBlock, VerifyStats), OptError> {
+        run_pipeline(block, cfg, passes, &mut OptScratch::default(), &mut StageNanos::new())
+    }
 
     fn block(ops: Vec<IrInst>) -> IrBlock {
         IrBlock {
@@ -292,7 +322,7 @@ mod tests {
         let (opt, map) = optimize(b, &TolConfig::default()).unwrap();
         let live: Vec<_> = opt.ops.iter().filter(|o| o.inst != IrInst::Nop).collect();
         assert_eq!(live.len(), 2, "only the two AluIs remain: {live:?}");
-        assert!(map.int.is_empty(), "no virtuals survive");
+        assert_eq!(map.int.iter().count(), 0, "no virtuals survive");
     }
 
     #[test]
@@ -309,7 +339,7 @@ mod tests {
         let cfg = TolConfig::no_optimization();
         let (opt, map) = optimize(b.clone(), &cfg).unwrap();
         assert_eq!(opt.ops.len(), b.ops.len());
-        assert_eq!(map.int.len(), 1);
+        assert_eq!(map.int.iter().count(), 1);
     }
 
     #[test]
@@ -337,11 +367,10 @@ mod tests {
         let broken = Pass {
             name: "dce",
             kind: PassKind::Dce,
-            run: |b, _| {
+            run: |b, _, _, _| {
                 if let Some(op) = b.ops.iter_mut().find(|o| o.inst.is_store()) {
                     op.inst = IrInst::Nop;
                 }
-                PassEffect::default()
             },
         };
         let b = block(vec![
@@ -359,7 +388,7 @@ mod tests {
             },
         ]);
         let cfg = TolConfig { verify: true, ..TolConfig::default() };
-        match run_pipeline(b, &cfg, &[broken]) {
+        match run_passes(b, &cfg, &[broken]) {
             Err(OptError::Miscompile(f)) => {
                 assert_eq!(f.pass, "dce");
                 assert_eq!(f.invariant, "side-effecting instructions never removed");
@@ -376,18 +405,17 @@ mod tests {
         let broken = Pass {
             name: "constprop",
             kind: PassKind::Rewrite,
-            run: |b, _| {
+            run: |b, _, _, _| {
                 for op in &mut b.ops {
                     if let IrInst::Li { rd, imm } = op.inst {
                         op.inst = IrInst::Li { rd, imm: imm + 1 };
                     }
                 }
-                PassEffect::default()
             },
         };
         let b = block(vec![IrInst::Li { rd: IrReg::Phys(HReg(1)), imm: 5 }]);
         let cfg = TolConfig { verify: true, ..TolConfig::default() };
-        match run_pipeline(b, &cfg, &[broken]) {
+        match run_passes(b, &cfg, &[broken]) {
             Err(OptError::Miscompile(f)) => assert_eq!(f.pass, "constprop"),
             other => panic!("verifier missed the wrong constant: {other:?}"),
         }
@@ -400,9 +428,8 @@ mod tests {
         let broken = Pass {
             name: "schedule",
             kind: PassKind::Schedule,
-            run: |b, _| {
+            run: |b, _, _, _| {
                 b.ops.reverse();
-                PassEffect::default()
             },
         };
         let b = block(vec![
@@ -415,7 +442,7 @@ mod tests {
             },
         ]);
         let cfg = TolConfig { verify: true, ..TolConfig::default() };
-        match run_pipeline(b, &cfg, &[broken]) {
+        match run_passes(b, &cfg, &[broken]) {
             Err(OptError::Miscompile(f)) => assert_eq!(f.pass, "schedule"),
             other => panic!("verifier missed the reorder: {other:?}"),
         }

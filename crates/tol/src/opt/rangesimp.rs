@@ -18,6 +18,7 @@
 //!
 //! [`knownbits`]: crate::analysis::knownbits
 
+use super::OptScratch;
 use crate::analysis::knownbits::{self, AbsVal};
 use crate::ir::{IrBlock, IrInst};
 use darco_host::HAluOp;
@@ -32,14 +33,22 @@ pub struct RangeSimpStats {
 }
 
 /// Runs range simplification over `block`.
-pub fn run(block: &mut IrBlock) -> RangeSimpStats {
-    let facts = knownbits::facts(block);
+///
+/// One forward sweep over a single running fact: before op `i` is
+/// looked at, `vals` is the state [`knownbits::facts`] calls
+/// `facts[i]`; the transfer function is applied to the *original* op,
+/// after which `vals` is `facts[i + 1]`, and only then is the op
+/// rewritten — so every decision rests on the facts of the block as it
+/// came in, the ones the verifier recomputes.
+pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) -> RangeSimpStats {
+    let vals = &mut scratch.vals;
+    vals.clear();
     let mut stats = RangeSimpStats::default();
     for i in 0..block.ops.len() {
-        match block.ops[i].inst {
+        let inst = block.ops[i].inst;
+        match inst {
             IrInst::BrFlags { cond, flags, .. } => {
-                let f = facts[i].get(flags).unwrap_or_else(AbsVal::top);
-                match knownbits::decide(cond, &f) {
+                match knownbits::decide(cond, &vals.get_or_top(flags)) {
                     Some(false) => {
                         block.ops[i].inst = IrInst::Nop;
                         stats.branches_folded += 1;
@@ -57,26 +66,26 @@ pub fn run(block: &mut IrBlock) -> RangeSimpStats {
                 }
             }
             IrInst::Alu { rd, .. } => {
-                if let Some(c) = facts[i + 1].get(rd).and_then(|v| v.as_const()) {
+                knownbits::transfer(&inst, vals);
+                if let Some(c) = vals.get(rd).and_then(|v| v.as_const()) {
                     block.ops[i].inst = IrInst::Li { rd, imm: c as i64 };
                     stats.alu_simplified += 1;
                 }
             }
             IrInst::AluI { op, rd, ra, imm } => {
-                if let Some(c) = facts[i + 1].get(rd).and_then(|v| v.as_const()) {
+                let a: AbsVal = vals.get_or_top(ra);
+                knownbits::transfer(&inst, vals);
+                if let Some(c) = vals.get(rd).and_then(|v| v.as_const()) {
                     block.ops[i].inst = IrInst::Li { rd, imm: c as i64 };
                     stats.alu_simplified += 1;
-                } else if op == HAluOp::And {
-                    let a = facts[i].get(ra).unwrap_or_else(AbsVal::top);
-                    if !a.zeros & !(imm as u32) == 0 {
-                        // Every maskable bit is already known clear: the
-                        // mask is an identity.
-                        block.ops[i].inst = IrInst::AluI { op: HAluOp::Or, rd, ra, imm: 0 };
-                        stats.alu_simplified += 1;
-                    }
+                } else if op == HAluOp::And && !a.zeros & !(imm as u32) == 0 {
+                    // Every maskable bit is already known clear: the
+                    // mask is an identity.
+                    block.ops[i].inst = IrInst::AluI { op: HAluOp::Or, rd, ra, imm: 0 };
+                    stats.alu_simplified += 1;
                 }
             }
-            _ => {}
+            _ => knownbits::transfer(&inst, vals),
         }
     }
     stats
@@ -87,7 +96,8 @@ mod tests {
     use super::*;
     use crate::config::TolConfig;
     use crate::ir::{IrOp, IrReg, FLAGS_REG};
-    use crate::opt::{run_pipeline, OptError, Pass};
+    use crate::opt::tests::run_passes;
+    use crate::opt::{OptError, Pass};
     use crate::verify::PassKind;
     use darco_guest::Cond;
     use darco_host::{Exit, FlagsKind, HReg, Width};
@@ -125,7 +135,7 @@ mod tests {
             ],
             1,
         );
-        let stats = run(&mut b);
+        let stats = run(&mut b, &mut OptScratch::default());
         assert_eq!(stats.branches_folded, 1);
         assert_eq!(b.ops[3].inst, IrInst::Nop);
     }
@@ -147,7 +157,7 @@ mod tests {
             ],
             1,
         );
-        let stats = run(&mut b);
+        let stats = run(&mut b, &mut OptScratch::default());
         assert_eq!(stats.branches_folded, 1);
         assert!(matches!(b.ops[3].inst, IrInst::BrFlags { .. }), "the exit itself stays");
         assert_eq!(b.ops[4].inst, IrInst::Nop, "unreachable store removed");
@@ -165,7 +175,7 @@ mod tests {
             ],
             0,
         );
-        let stats = run(&mut b);
+        let stats = run(&mut b, &mut OptScratch::default());
         assert_eq!(stats.alu_simplified, 2);
         assert_eq!(
             b.ops[1].inst,
@@ -181,11 +191,10 @@ mod tests {
         let broken = Pass {
             name: "rangesimp",
             kind: PassKind::BranchFold,
-            run: |b, _| {
+            run: |b, _, _, _| {
                 if let Some(op) = b.ops.iter_mut().find(|o| o.inst.is_branch()) {
                     op.inst = IrInst::Nop;
                 }
-                crate::opt::PassEffect::default()
             },
         };
         let b = block(
@@ -196,7 +205,7 @@ mod tests {
             1,
         );
         let cfg = TolConfig { verify: true, ..TolConfig::default() };
-        match run_pipeline(b, &cfg, &[broken]) {
+        match run_passes(b, &cfg, &[broken]) {
             Err(OptError::Miscompile(f)) => assert_eq!(f.pass, "rangesimp"),
             other => panic!("verifier missed the undecided fold: {other:?}"),
         }

@@ -8,96 +8,107 @@
 //! the guest's own accesses), so exhaustion is reported and the caller
 //! falls back to unoptimized lowering.
 
-use crate::ir::{
-    IrBlock, IrFreg, IrReg, RegMap, FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END,
-};
+use super::OptScratch;
+use crate::analysis::regset::RegVec;
+use crate::ir::{IrBlock, IrFreg, IrReg, FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
 use crate::opt::OptError;
 use darco_host::{HFreg, HReg};
-use std::collections::HashMap;
 
+/// One virtual's live interval, `[first mention, last mention]`.
 #[derive(Debug, Clone, Copy)]
 struct Interval {
+    virt: u32,
     start: usize,
     end: usize,
 }
 
-fn intervals<T: Copy + Eq + std::hash::Hash>(
-    defs_uses: impl Iterator<Item = (usize, T, bool)>, // (pos, reg, is_def)
-) -> Vec<(T, Interval)> {
-    let mut map: HashMap<T, Interval> = HashMap::new();
-    let mut order: Vec<T> = Vec::new();
-    for (pos, reg, _is_def) in defs_uses {
-        map.entry(reg).and_modify(|iv| iv.end = pos).or_insert_with(|| {
-            order.push(reg);
-            Interval { start: pos, end: pos }
-        });
-    }
-    order.into_iter().map(|r| (r, map[&r])).collect()
+/// The allocator's reusable buffers (one register file at a time).
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Intervals in order of first mention — in linear code, order of
+    /// increasing start.
+    ivs: Vec<Interval>,
+    /// Position of each virtual's interval in `ivs`.
+    slot: RegVec<u32>,
+    free: Vec<u8>,
+    active: Vec<(usize, u8)>, // (end, register number)
 }
 
-fn scan<T: Copy + Eq + std::hash::Hash, P: Copy>(
-    ivs: Vec<(T, Interval)>,
-    pool: Vec<P>,
-) -> Result<HashMap<T, P>, OptError> {
-    let mut free = pool;
-    let mut active: Vec<(usize, P)> = Vec::new(); // (end, reg)
-    let mut out = HashMap::new();
-    for (v, iv) in ivs {
+/// Linear scan over the virtuals of one register file: `mentions` are
+/// their `(position, virtual)` reads and writes in program order,
+/// `pool` the registers to hand out (low end first), `assign` receives
+/// each decision.
+fn allocate(
+    mentions: impl Iterator<Item = (usize, u32)>,
+    pool: std::ops::Range<u8>,
+    s: &mut Scratch,
+    mut assign: impl FnMut(u32, u8),
+) -> Result<(), OptError> {
+    s.ivs.clear();
+    s.slot.clear();
+    for (pos, virt) in mentions {
+        match s.slot.get(virt as usize) {
+            Some(k) => s.ivs[k as usize].end = pos,
+            None => {
+                s.slot.insert(virt as usize, s.ivs.len() as u32);
+                s.ivs.push(Interval { virt, start: pos, end: pos });
+            }
+        }
+    }
+    s.free.clear();
+    s.free.extend(pool.rev());
+    s.active.clear();
+    for iv in &s.ivs {
         // Expire finished intervals.
-        active.retain(|&(end, p)| {
+        s.active.retain(|&(end, p)| {
             if end < iv.start {
-                free.push(p);
+                s.free.push(p);
                 false
             } else {
                 true
             }
         });
-        let p = free.pop().ok_or(OptError::OutOfRegisters)?;
-        active.push((iv.end, p));
-        out.insert(v, p);
+        let p = s.free.pop().ok_or(OptError::OutOfRegisters)?;
+        s.active.push((iv.end, p));
+        assign(iv.virt, p);
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Allocates every virtual register in `block` to a scratch physical.
+/// Allocates every virtual register in `block` to a scratch physical,
+/// leaving the assignment in `scratch.map`.
 ///
 /// # Errors
 ///
 /// [`OptError::OutOfRegisters`] when live virtuals exceed the scratch
 /// file at some point.
-pub fn run(block: &IrBlock) -> Result<RegMap, OptError> {
-    let mut int_events = Vec::new();
-    let mut fp_events = Vec::new();
-    for (pos, op) in block.ops.iter().enumerate() {
-        for s in op.inst.srcs().into_iter().flatten() {
-            if let IrReg::Virt(v) = s {
-                int_events.push((pos, v, false));
-            }
-        }
-        if let Some(IrReg::Virt(v)) = op.inst.dst() {
-            int_events.push((pos, v, true));
-        }
-        for s in op.inst.fsrcs().into_iter().flatten() {
-            if let IrFreg::Virt(v) = s {
-                fp_events.push((pos, v, false));
-            }
-        }
-        if let Some(IrFreg::Virt(v)) = op.inst.fdst() {
-            fp_events.push((pos, v, true));
-        }
-    }
-    let int_pool: Vec<HReg> = (SCRATCH_BASE..SCRATCH_END).rev().map(HReg).collect();
-    let fp_pool: Vec<HFreg> = (FSCRATCH_BASE..FSCRATCH_END).rev().map(HFreg).collect();
-    let int = scan(intervals(int_events.into_iter()), int_pool)?;
-    let fp = scan(intervals(fp_events.into_iter()), fp_pool)?;
-    Ok(RegMap { int, fp })
+pub fn run(block: &IrBlock, scratch: &mut OptScratch) -> Result<(), OptError> {
+    let OptScratch { regalloc, map, .. } = scratch;
+    map.clear();
+    let ops = || block.ops.iter().enumerate();
+    let int = ops().flat_map(|(pos, op)| {
+        let regs = op.inst.srcs().into_iter().flatten().chain(op.inst.dst());
+        regs.filter_map(move |r| if let IrReg::Virt(v) = r { Some((pos, v)) } else { None })
+    });
+    allocate(int, SCRATCH_BASE..SCRATCH_END, regalloc, |v, p| map.int.insert(v as usize, HReg(p)))?;
+    let fp = ops().flat_map(|(pos, op)| {
+        let regs = op.inst.fsrcs().into_iter().flatten().chain(op.inst.fdst());
+        regs.filter_map(move |r| if let IrFreg::Virt(v) = r { Some((pos, v)) } else { None })
+    });
+    allocate(fp, FSCRATCH_BASE..FSCRATCH_END, regalloc, |v, p| map.fp.insert(v as usize, HFreg(p)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{IrInst, IrOp};
+    use crate::ir::{IrInst, IrOp, RegMap};
     use darco_host::{Exit, HAluOp};
+
+    fn run(block: &IrBlock) -> Result<RegMap, OptError> {
+        let mut scratch = OptScratch::default();
+        super::run(block, &mut scratch)?;
+        Ok(scratch.map)
+    }
 
     fn block(ops: Vec<IrInst>) -> IrBlock {
         IrBlock {
@@ -129,7 +140,7 @@ mod tests {
             },
         ]);
         let m = run(&b).unwrap();
-        assert_eq!(m.int[&0], m.int[&1]);
+        assert_eq!(m.int.get(0), m.int.get(1));
     }
 
     #[test]
@@ -145,7 +156,7 @@ mod tests {
             },
         ]);
         let m = run(&b).unwrap();
-        assert_ne!(m.int[&0], m.int[&1]);
+        assert_ne!(m.int.get(0), m.int.get(1));
     }
 
     #[test]
@@ -160,7 +171,7 @@ mod tests {
             },
         ]);
         let m = run(&b).unwrap();
-        let r = m.int[&0];
+        let r = m.int.get(0).unwrap();
         assert!((SCRATCH_BASE..SCRATCH_END).contains(&r.0));
         assert!(!r.is_tol(), "allocation must stay in the application half");
     }
@@ -192,7 +203,7 @@ mod tests {
             IrInst::FMov { fd: IrFreg::Phys(HFreg(1)), fa: IrFreg::Virt(0) },
         ]);
         let m = run(&b).unwrap();
-        let f = m.fp[&0];
+        let f = m.fp.get(0).unwrap();
         assert!((FSCRATCH_BASE..FSCRATCH_END).contains(&f.0));
     }
 }

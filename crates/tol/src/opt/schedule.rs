@@ -11,8 +11,9 @@
 //!   loads may reorder among themselves (the software layer has no
 //!   disambiguation — listed in Sec. III-E as an opportunity).
 
+use super::OptScratch;
+use crate::analysis::regset::RegVec;
 use crate::ir::{IrBlock, IrInst, IrOp};
-use std::collections::HashMap;
 
 /// Approximate result latency used for priority (matches Table I).
 fn latency(inst: &IrInst) -> u32 {
@@ -28,135 +29,157 @@ fn latency(inst: &IrInst) -> u32 {
     }
 }
 
+/// The scheduler's reusable buffers. A window is at most a few hundred
+/// ops, so everything is a flat vector indexed by window position or
+/// register index; nothing is allocated per op.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    window: Vec<IrOp>,
+    out: Vec<IrOp>,
+    /// `succ[succ_of[i].0..succ_of[i].1]` are the ops that must follow
+    /// op `i`, without duplicates.
+    succ: Vec<u32>,
+    succ_of: Vec<(u32, u32)>,
+    preds: Vec<u32>,
+    height: Vec<u32>,
+    ready: Vec<u32>,
+    /// Per register: `(next definition, earliest read before it)`,
+    /// the read being the head of a list threaded through `reads`;
+    /// [`NIL`] for none.
+    int: RegVec<(u32, u32)>,
+    fp: RegVec<(u32, u32)>,
+    /// `(reading op, next later read of the same register)` cells.
+    reads: Vec<(u32, u32)>,
+    loads_before_store: Vec<u32>,
+}
+
+/// "No op": no later definition, the end of a read list, an empty
+/// issue slot.
+const NIL: u32 = u32::MAX;
+
 /// Runs the scheduler in place.
-pub fn run(block: &mut IrBlock) {
-    let ops = std::mem::take(&mut block.ops);
-    let mut out = Vec::with_capacity(ops.len());
-    let mut window = Vec::new();
-    for op in ops {
+pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
+    let s = &mut scratch.sched;
+    s.out.clear();
+    for op in block.ops.drain(..) {
         if op.inst == IrInst::Nop {
             continue; // drop tombstones while we are re-laying out
         }
-        let is_barrier = op.inst.is_branch();
-        if is_barrier {
-            schedule_window(&mut window, &mut out);
-            out.push(op); // the barrier keeps its position
+        if op.inst.is_branch() {
+            schedule_window(s);
+            s.out.push(op); // the barrier keeps its position
         } else {
-            window.push(op);
+            s.window.push(op);
         }
     }
-    schedule_window(&mut window, &mut out);
-    block.ops = out;
+    schedule_window(s);
+    // The block takes the scheduled buffer; its old one serves the
+    // next call.
+    std::mem::swap(&mut block.ops, &mut s.out);
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Res {
-    Int(crate::ir::IrReg),
-    Fp(crate::ir::IrFreg),
+/// Makes `b` a successor of the op being visited, `a`, whose successors
+/// are `succ[first..]`, unless it is none, `a` itself, or known.
+fn add_succ(succ: &mut Vec<u32>, preds: &mut [u32], first: usize, a: u32, b: u32) {
+    if b != NIL && b != a && !succ[first..].contains(&b) {
+        succ.push(b);
+        preds[b as usize] += 1;
+    }
 }
 
-fn schedule_window(window: &mut Vec<IrOp>, out: &mut Vec<IrOp>) {
-    if window.len() <= 2 {
-        out.append(window);
+/// List-schedules `s.window` onto the end of `s.out` and empties it.
+fn schedule_window(s: &mut Scratch) {
+    let n = s.window.len();
+    if n <= 2 {
+        s.out.append(&mut s.window);
         return;
     }
-    let n = window.len();
-    // Build the dependence DAG.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut preds: Vec<u32> = vec![0; n];
-    let mut last_def: HashMap<Res, usize> = HashMap::new();
-    let mut uses_since_def: HashMap<Res, Vec<usize>> = HashMap::new();
-    let mut last_store: Option<usize> = None;
-    let mut loads_since_store: Vec<usize> = Vec::new();
-
-    let add_edge = |succs: &mut Vec<Vec<usize>>, preds: &mut Vec<u32>, a: usize, b: usize| {
-        if a != b && !succs[a].contains(&b) {
-            succs[a].push(b);
-            preds[b] += 1;
-        }
-    };
-
-    for (i, op) in window.iter().enumerate() {
-        let srcs: Vec<Res> = op
-            .inst
-            .srcs()
-            .into_iter()
-            .flatten()
-            .map(Res::Int)
-            .chain(op.inst.fsrcs().into_iter().flatten().map(Res::Fp))
-            .collect();
-        let dsts: Vec<Res> =
-            op.inst.dst().map(Res::Int).into_iter().chain(op.inst.fdst().map(Res::Fp)).collect();
-
-        // RAW: this use depends on the last def.
-        for s in &srcs {
-            if let Some(&d) = last_def.get(s) {
-                add_edge(&mut succs, &mut preds, d, i);
-            }
-            uses_since_def.entry(*s).or_default().push(i);
-        }
-        for d in &dsts {
-            // WAW on the previous def.
-            if let Some(&p) = last_def.get(d) {
-                add_edge(&mut succs, &mut preds, p, i);
-            }
-            // WAR on uses since that def.
-            if let Some(us) = uses_since_def.get(d) {
-                for &u in us {
-                    add_edge(&mut succs, &mut preds, u, i);
+    // The dependence DAG and the critical-path heights, in one backward
+    // sweep: every successor of an op comes later in the window, so it
+    // has been visited, and has its height, when the op is reached.
+    s.succ.clear();
+    s.succ_of.clear();
+    s.succ_of.resize(n, (0, 0));
+    s.preds.clear();
+    s.preds.resize(n, 0);
+    s.height.clear();
+    s.height.resize(n, 0);
+    s.reads.clear();
+    s.int.clear();
+    s.fp.clear();
+    s.loads_before_store.clear();
+    let mut next_store = NIL;
+    for (i, op) in s.window.iter().enumerate().rev() {
+        let (i, first) = (i as u32, s.succ.len());
+        // A read of `r` precedes the next write of `r` (WAR); a write
+        // precedes it too (WAW), and every read up to it (RAW).
+        let mut touch = |track: &mut RegVec<(u32, u32)>, r: usize, is_def: bool| {
+            let (next_def, mut read) = track.get(r).unwrap_or((NIL, NIL));
+            add_succ(&mut s.succ, &mut s.preds, first, i, next_def);
+            if is_def {
+                while read != NIL {
+                    let (reader, later) = s.reads[read as usize];
+                    add_succ(&mut s.succ, &mut s.preds, first, i, reader);
+                    read = later;
                 }
+                track.insert(r, (i, NIL));
+            } else {
+                track.insert(r, (next_def, s.reads.len() as u32));
+                s.reads.push((i, read));
             }
-            last_def.insert(*d, i);
-            uses_since_def.insert(*d, Vec::new());
-        }
-        // Memory order (prefetches order like loads).
+        };
+        op.inst.srcs().into_iter().flatten().for_each(|r| touch(&mut s.int, r.index(), false));
+        op.inst.fsrcs().into_iter().flatten().for_each(|r| touch(&mut s.fp, r.index(), false));
+        op.inst.dst().into_iter().for_each(|r| touch(&mut s.int, r.index(), true));
+        op.inst.fdst().into_iter().for_each(|r| touch(&mut s.fp, r.index(), true));
+        // Memory order: a store is ordered with every other memory
+        // operation; loads (and prefetches, which order like loads)
+        // only with stores.
         if op.inst.is_load() || matches!(op.inst, IrInst::Prefetch { .. }) {
-            if let Some(s) = last_store {
-                add_edge(&mut succs, &mut preds, s, i);
-            }
-            loads_since_store.push(i);
+            add_succ(&mut s.succ, &mut s.preds, first, i, next_store);
+            s.loads_before_store.push(i);
         } else if op.inst.is_store() {
-            if let Some(s) = last_store {
-                add_edge(&mut succs, &mut preds, s, i);
+            add_succ(&mut s.succ, &mut s.preds, first, i, next_store);
+            for l in s.loads_before_store.drain(..) {
+                add_succ(&mut s.succ, &mut s.preds, first, i, l);
             }
-            for &l in &loads_since_store {
-                add_edge(&mut succs, &mut preds, l, i);
-            }
-            loads_since_store.clear();
-            last_store = Some(i);
+            next_store = i;
         }
+        s.succ_of[i as usize] = (first as u32, s.succ.len() as u32);
+        let below = s.succ[first..].iter().map(|&t| s.height[t as usize]).max().unwrap_or(0);
+        s.height[i as usize] = below + latency(&op.inst);
     }
+    let (succ, succ_of) = (&s.succ, &s.succ_of);
+    let succs = |i: u32| &succ[succ_of[i as usize].0 as usize..succ_of[i as usize].1 as usize];
 
-    // Critical-path heights.
-    let mut height = vec![0u32; n];
-    for i in (0..n).rev() {
-        let h = succs[i].iter().map(|&s| height[s]).max().unwrap_or(0);
-        height[i] = h + latency(&window[i].inst);
-    }
-
-    // Greedy list schedule, two slots per cycle.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| preds[i] == 0).collect();
+    // Greedy list schedule, two slots per cycle: each cycle issues the
+    // (up to) two ready ops first by (height desc, index asc); ops they
+    // release become ready for the next cycle.
+    s.ready.clear();
+    s.ready.extend((0..n as u32).filter(|&i| s.preds[i as usize] == 0));
     let mut emitted = 0usize;
-    let mut order = Vec::with_capacity(n);
     while emitted < n {
-        // Pick up to 2 from the ready list by (height desc, index asc).
-        ready.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
-        let take = ready.len().min(2);
-        let picked: Vec<usize> = ready.drain(..take).collect();
-        debug_assert!(!picked.is_empty(), "cyclic dependence graph");
-        for i in picked {
-            order.push(i);
+        let mut picked = [NIL; 2];
+        for p in &mut picked {
+            let best = (0..s.ready.len())
+                .min_by_key(|&k| (std::cmp::Reverse(s.height[s.ready[k] as usize]), s.ready[k]));
+            if let Some(k) = best {
+                *p = s.ready.swap_remove(k);
+            }
+        }
+        debug_assert!(picked[0] != NIL, "cyclic dependence graph");
+        for i in picked.into_iter().filter(|&i| i != NIL) {
+            s.out.push(s.window[i as usize]);
             emitted += 1;
-            for &s in &succs[i] {
-                preds[s] -= 1;
-                if preds[s] == 0 {
-                    ready.push(s);
+            for &t in succs(i) {
+                s.preds[t as usize] -= 1;
+                if s.preds[t as usize] == 0 {
+                    s.ready.push(t);
                 }
             }
         }
     }
-    out.extend(order.into_iter().map(|i| window[i]));
-    window.clear();
+    s.window.clear();
 }
 
 #[cfg(test)]
@@ -164,6 +187,11 @@ mod tests {
     use super::*;
     use crate::ir::{IrBlock, IrReg};
     use darco_host::{Exit, HAluOp, HReg, Width};
+    use std::collections::HashMap;
+
+    fn run(block: &mut IrBlock) {
+        super::run(block, &mut OptScratch::default());
+    }
 
     fn phys(i: u8) -> IrReg {
         IrReg::Phys(HReg(i))

@@ -13,7 +13,6 @@
 //! long enough for the prefetch distance to matter.
 
 use crate::ir::{IrBlock, IrInst, IrOp, IrReg};
-use std::collections::HashSet;
 
 /// Cache line size assumed by the prefetch distance (Table I L1-D).
 const LINE: i32 = 64;
@@ -31,7 +30,7 @@ pub fn run(block: &mut IrBlock) -> usize {
     if block.ops.iter().filter(|o| o.inst != IrInst::Nop).count() < MIN_OPS {
         return 0;
     }
-    let mut seen: HashSet<(crate::ir::IrReg, i32)> = HashSet::new();
+    let mut seen: Vec<(IrReg, i32)> = Vec::new();
     let mut insertions: Vec<(usize, IrOp)> = Vec::new();
     for (i, op) in block.ops.iter().enumerate() {
         let (base, off) = match op.inst {
@@ -39,10 +38,12 @@ pub fn run(block: &mut IrBlock) -> usize {
             IrInst::FLd { base, off, .. } => (base, off),
             _ => continue,
         };
-        // One prefetch per (base, line) target.
-        if !seen.insert((base, off.wrapping_add(LINE) / LINE)) {
+        // One prefetch per (base, line) target (a block has a handful).
+        let target = (base, off.wrapping_add(LINE) / LINE);
+        if seen.contains(&target) {
             continue;
         }
+        seen.push(target);
         // Insert a few live ops ahead of the load (clamped to the block
         // start); the scheduler may hoist it further. A virtual base
         // must not be read before its definition, so the prefetch never
@@ -165,7 +166,7 @@ mod tests {
         ops.push(IrInst::Alu { op: HAluOp::Add, rd: phys(1), ra: phys(1), rb: IrReg::Virt(0) });
         let mut b = block(ops);
         run(&mut b);
-        crate::opt::dce::run(&mut b);
+        crate::opt::dce::run(&mut b, &mut crate::opt::OptScratch::default());
         assert!(
             b.ops.iter().any(|o| matches!(o.inst, IrInst::Prefetch { .. })),
             "prefetches have a microarchitectural side effect"

@@ -122,14 +122,17 @@ impl IrScratch {
 }
 
 /// Reusable translation buffers for an engine's compile path: the
-/// decoded-region vector, the superblock-formation visited set, and the
-/// IR-side [`IrScratch`]. One translation is in flight per engine at a
-/// time, so a single arena suffices.
+/// decoded-region vector, the superblock-formation visited set, the
+/// IR-side [`IrScratch`] and the passes' [`OptScratch`]. One translation
+/// is in flight per engine at a time, so a single arena suffices.
+///
+/// [`OptScratch`]: crate::opt::OptScratch
 #[derive(Debug, Default)]
 pub(crate) struct TranslateScratch {
     pub(crate) region: Vec<RegionInst>,
     pub(crate) visited: std::collections::HashSet<u32>,
     pub(crate) ir: IrScratch,
+    pub(crate) opt: crate::opt::OptScratch,
 }
 
 /// Whether instruction `i`'s flag definition must be materialized:

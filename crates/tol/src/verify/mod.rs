@@ -124,7 +124,7 @@ pub(crate) fn fail<T>(
 /// much it shrank the instruction stream. Deliberately holds no
 /// wall-clock data — it is serialized into [`Report`] fingerprints that
 /// must be bit-identical across reruns; pass timing travels separately
-/// through [`VerifyStats::pass_nanos`].
+/// through [`Tol::pass_nanos`](crate::Tol::pass_nanos).
 ///
 /// [`Report`]: ../../darco_core/struct.Report.html
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -133,6 +133,22 @@ pub struct PassDelta {
     pub pass: String,
     /// How many blocks the pass ran over.
     pub runs: u64,
+    /// Net non-`Nop` instructions removed (negative if it grew).
+    pub insts_removed: i64,
+    /// `FlagsArith` definitions deleted.
+    pub flags_killed: u64,
+    /// `BrFlags` statically folded.
+    pub branches_folded: u64,
+}
+
+/// What one pass application did to one block, as the pass manager
+/// records it: a borrowed name and plain counters, so recording a
+/// sample allocates no `String`. [`merge_delta`] folds samples into the
+/// serialized [`PassDelta`] rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PassSample {
+    /// Pass name (matches the pipeline's pass registry).
+    pub pass: &'static str,
     /// Net non-`Nop` instructions removed (negative if it grew).
     pub insts_removed: i64,
     /// `FlagsArith` definitions deleted.
@@ -152,52 +168,23 @@ pub struct VerifyStats {
     pub tv_symbolic: u64,
     /// Translation validations that needed the differential fallback.
     pub tv_differential: u64,
-    /// Per-pass instruction deltas, in pipeline order.
-    pub pass_deltas: Vec<PassDelta>,
-    /// Wall-clock nanoseconds per pass, keyed like `pass_deltas`. Kept
-    /// out of [`PassDelta`] (and thus out of every serialized report) so
-    /// reports stay deterministic across reruns.
-    pub pass_nanos: Vec<(String, u64)>,
+    /// One sample per pass application, in pipeline order.
+    pub passes: Vec<PassSample>,
 }
 
-impl VerifyStats {
-    /// Accumulates another stats record into this one; per-pass deltas
-    /// merge by pass name.
-    pub fn merge(&mut self, other: &VerifyStats) {
-        self.blocks_verified += other.blocks_verified;
-        self.passes_checked += other.passes_checked;
-        self.tv_symbolic += other.tv_symbolic;
-        self.tv_differential += other.tv_differential;
-        for d in &other.pass_deltas {
-            merge_delta(&mut self.pass_deltas, d);
-        }
-        for (pass, ns) in &other.pass_nanos {
-            merge_nanos(&mut self.pass_nanos, pass, *ns);
-        }
-    }
-}
-
-/// Folds one delta into a list keyed by pass name (appending new
-/// passes in encounter order, which is pipeline order).
-pub fn merge_delta(deltas: &mut Vec<PassDelta>, d: &PassDelta) {
-    if let Some(e) = deltas.iter_mut().find(|e| e.pass == d.pass) {
-        e.runs += d.runs;
-        e.insts_removed += d.insts_removed;
-        e.flags_killed += d.flags_killed;
-        e.branches_folded += d.branches_folded;
-    } else {
-        deltas.push(d.clone());
-    }
-}
-
-/// Folds one pass-timing sample into a `(pass, nanos)` list keyed by
-/// pass name, appending new passes in encounter order.
-pub fn merge_nanos(nanos: &mut Vec<(String, u64)>, pass: &str, ns: u64) {
-    if let Some(e) = nanos.iter_mut().find(|(p, _)| p == pass) {
-        e.1 += ns;
-    } else {
-        nanos.push((pass.to_string(), ns));
-    }
+/// Folds one pass application into a list keyed by pass name (appending
+/// new passes in encounter order, which is pipeline order). The name is
+/// copied into a `String` only the first time a pass is seen.
+pub fn merge_delta(deltas: &mut Vec<PassDelta>, s: &PassSample) {
+    let at = deltas.iter().position(|e| e.pass == s.pass).unwrap_or_else(|| {
+        deltas.push(PassDelta { pass: s.pass.to_string(), ..PassDelta::default() });
+        deltas.len() - 1
+    });
+    let e = &mut deltas[at];
+    e.runs += 1;
+    e.insts_removed += s.insts_removed;
+    e.flags_killed += s.flags_killed;
+    e.branches_folded += s.branches_folded;
 }
 
 fn count_proof(stats: &mut VerifyStats, proof: tv::Proof) {

@@ -673,7 +673,7 @@ pub fn check_allocation(
     let mut int_ivs: Vec<(u32, (usize, usize))> = Vec::new();
     for (r, du) in &df.int {
         if let IrReg::Virt(v) = r {
-            match map.int.get(v) {
+            match map.int.get(*v as usize) {
                 None => {
                     return fail(
                         pass,
@@ -702,7 +702,7 @@ pub fn check_allocation(
     let mut fp_ivs: Vec<(u32, (usize, usize))> = Vec::new();
     for (r, du) in &df.fp {
         if let IrFreg::Virt(v) = r {
-            match map.fp.get(v) {
+            match map.fp.get(*v as usize) {
                 None => {
                     return fail(
                         pass,
@@ -730,7 +730,7 @@ pub fn check_allocation(
     }
     let mentioned_int: HashSet<u32> = int_ivs.iter().map(|&(v, _)| v).collect();
     let mentioned_fp: HashSet<u32> = fp_ivs.iter().map(|&(v, _)| v).collect();
-    if let Some(v) = map.int.keys().find(|v| !mentioned_int.contains(v)) {
+    if let Some(v) = map.int.iter().map(|(v, _)| v as u32).find(|v| !mentioned_int.contains(v)) {
         return fail(
             pass,
             "no spurious assignments",
@@ -739,7 +739,7 @@ pub fn check_allocation(
             block,
         );
     }
-    if let Some(v) = map.fp.keys().find(|v| !mentioned_fp.contains(v)) {
+    if let Some(v) = map.fp.iter().map(|(v, _)| v as u32).find(|v| !mentioned_fp.contains(v)) {
         return fail(
             pass,
             "no spurious assignments",
@@ -750,11 +750,12 @@ pub fn check_allocation(
     }
     for (i, &(va, (sa, ea))) in int_ivs.iter().enumerate() {
         for &(vb, (sb, eb)) in &int_ivs[i + 1..] {
-            if map.int[&va] == map.int[&vb] && sa <= eb && sb <= ea {
+            let reg = |v: u32| map.int.get(v as usize).expect("presence checked above");
+            if reg(va) == reg(vb) && sa <= eb && sb <= ea {
                 return fail(
                     pass,
                     "assignment is a bijection over live ranges",
-                    format!("t{va} [{sa},{ea}] and t{vb} [{sb},{eb}] share r{}", map.int[&va].0),
+                    format!("t{va} [{sa},{ea}] and t{vb} [{sb},{eb}] share r{}", reg(va).0),
                     block,
                     block,
                 );
@@ -763,11 +764,12 @@ pub fn check_allocation(
     }
     for (i, &(va, (sa, ea))) in fp_ivs.iter().enumerate() {
         for &(vb, (sb, eb)) in &fp_ivs[i + 1..] {
-            if map.fp[&va] == map.fp[&vb] && sa <= eb && sb <= ea {
+            let reg = |v: u32| map.fp.get(v as usize).expect("presence checked above");
+            if reg(va) == reg(vb) && sa <= eb && sb <= ea {
                 return fail(
                     pass,
                     "assignment is a bijection over live ranges",
-                    format!("ft{va} [{sa},{ea}] and ft{vb} [{sb},{eb}] share f{}", map.fp[&va].0),
+                    format!("ft{va} [{sa},{ea}] and ft{vb} [{sb},{eb}] share f{}", reg(va).0),
                     block,
                     block,
                 );

@@ -70,6 +70,12 @@ cargo test -q --release --test event_stream --test properties
 echo "== cargo test -q --release -p darco-timing"
 cargo test -q --release -p darco-timing
 
+# So must the translator's index-and-shift dataflow (bitsets, dense
+# register arrays): its reference-model test and its unit tests run
+# here without the debug build's checks to lean on.
+echo "== cargo test -q --release -p darco-tol"
+cargo test -q --release -p darco-tol
+
 echo "== cargo test -q --release --manifest-path benchmark/Cargo.toml"
 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
