@@ -1,14 +1,18 @@
 //! Functional-emulation throughput: guest MIPS through the guest-layer
 //! fast path (DESIGN.md §16) versus the decode-per-step byte oracle.
 //!
-//! Two workloads, each run to `Halt` both ways:
+//! Two workloads, each run to `Halt` three ways — `oracle` (decode per
+//! step), `fast` (`ExecCtx::step` per instruction, what the repository
+//! benchmark reports as `guest.exec_mips`) and `run` (one
+//! `ExecCtx::run` call: the block-granular loop the state checker and
+//! the interpreter sit on, without a `StepInfo` per instruction):
 //!
-//! * `guest_exec/{fast,oracle}_mixed_loop` — a hand-built counted loop
+//! * `guest_exec/{fast,run,oracle}_mixed_loop` — a hand-built counted loop
 //!   mixing ALU, narrow/wide memory, flag-producing and branching
 //!   instructions, hot enough that the micro-op cache and lazy-flag
 //!   elision dominate. This isolates exactly the code the fast path
 //!   replaced: `decode` + `exec_decoded` per step.
-//! * `guest_exec/{fast,oracle}_quicktest` — the generated quicktest
+//! * `guest_exec/{fast,run,oracle}_quicktest` — the generated quicktest
 //!   workload (what `bench_report` measures), with realistic mode and
 //!   instruction mixes.
 //!
@@ -94,6 +98,17 @@ fn run_fast(mem: &GuestMem, cpu: &CpuState) -> (CpuState, u64) {
     (cpu, n)
 }
 
+/// Runs to `Halt` in one block-granular `ExecCtx::run` call.
+fn run_blocks(mem: &GuestMem, cpu: &CpuState) -> (CpuState, u64) {
+    let mut mem = mem.clone();
+    let mut cpu = cpu.clone();
+    let mut ctx = ExecCtx::new();
+    let mut n = 0u64;
+    ctx.run(&mut cpu, &mut mem, u64::MAX, &mut n).expect("fast decode");
+    ctx.force_flags(&mut cpu);
+    (cpu, n)
+}
+
 /// The whole TOL engine, promotion disabled (interpreter only).
 fn tol_interp_run(mem: &GuestMem, cpu: &CpuState, fast: bool) -> u64 {
     let mut mem = mem.clone();
@@ -109,21 +124,26 @@ fn bench(c: &mut Criterion) {
     let (mem, cpu) = mixed_loop();
     let (oracle_cpu, insts) = run_oracle(&mem, &cpu);
     let (fast_cpu, fast_insts) = run_fast(&mem, &cpu);
+    let (run_cpu, run_insts) = run_blocks(&mem, &cpu);
     assert!(oracle_cpu.arch_eq(&fast_cpu), "paths must halt in the same state");
-    assert_eq!(insts, fast_insts, "paths must retire identically");
+    assert!(oracle_cpu.arch_eq(&run_cpu), "paths must halt in the same state");
+    assert_eq!((insts, insts), (fast_insts, run_insts), "paths must retire identically");
 
     let mut g = c.benchmark_group("guest_exec");
     g.throughput(Throughput::Elements(insts));
     g.bench_function("fast_mixed_loop", |b| b.iter(|| black_box(run_fast(&mem, &cpu))));
+    g.bench_function("run_mixed_loop", |b| b.iter(|| black_box(run_blocks(&mem, &cpu))));
     g.bench_function("oracle_mixed_loop", |b| b.iter(|| black_box(run_oracle(&mem, &cpu))));
 
     let w = generate(&suites::quicktest_profile(), SCALE);
     let (q_oracle, q_insts) = run_oracle(&w.mem, &w.initial);
     let (q_fast, q_fast_insts) = run_fast(&w.mem, &w.initial);
-    assert!(q_oracle.arch_eq(&q_fast), "quicktest paths must agree");
-    assert_eq!(q_insts, q_fast_insts);
+    let (q_run, q_run_insts) = run_blocks(&w.mem, &w.initial);
+    assert!(q_oracle.arch_eq(&q_fast) && q_oracle.arch_eq(&q_run), "quicktest paths must agree");
+    assert_eq!((q_insts, q_insts), (q_fast_insts, q_run_insts));
     g.throughput(Throughput::Elements(q_insts));
     g.bench_function("fast_quicktest", |b| b.iter(|| black_box(run_fast(&w.mem, &w.initial))));
+    g.bench_function("run_quicktest", |b| b.iter(|| black_box(run_blocks(&w.mem, &w.initial))));
     g.bench_function("oracle_quicktest", |b| b.iter(|| black_box(run_oracle(&w.mem, &w.initial))));
     g.finish();
 

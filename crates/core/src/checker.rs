@@ -67,27 +67,28 @@ impl StateChecker {
         self.fast = on.then(ExecCtx::new);
     }
 
-    /// Advances the authoritative emulator by `n` guest instructions.
+    /// Advances the authoritative emulator by `n` guest instructions,
+    /// stopping early at `Halt`. [`StateChecker::retired`] counts the
+    /// instructions that actually executed, also when a fault ends the
+    /// advance half-way.
     ///
     /// # Errors
     ///
     /// Propagates decode faults (which the emulated side would hit too).
     pub fn advance(&mut self, n: u64) -> Result<(), DecodeError> {
-        for _ in 0..n {
-            if self.cpu.halted {
-                break;
-            }
-            match self.fast.as_mut() {
-                Some(ctx) => {
-                    ctx.step(&mut self.cpu, &mut self.mem)?;
-                }
-                None => {
+        match self.fast.as_mut() {
+            Some(ctx) => ctx.run(&mut self.cpu, &mut self.mem, n, &mut self.retired),
+            None => {
+                for _ in 0..n {
+                    if self.cpu.halted {
+                        break;
+                    }
                     exec::step(&mut self.cpu, &mut self.mem)?;
+                    self.retired += 1;
                 }
+                Ok(())
             }
-            self.retired += 1;
         }
-        Ok(())
     }
 
     /// Compares the emulated state against the authoritative one,
@@ -212,6 +213,23 @@ mod tests {
         fast.check(oracle.state()).unwrap();
         assert_eq!(fast.retired(), oracle.retired());
         fast.check_memory(&mem_of(&oracle)).unwrap();
+    }
+
+    #[test]
+    fn a_fault_half_way_through_an_advance_leaves_retired_exact() {
+        for fast in [false, true] {
+            let (mut mem, initial) = program();
+            // Make the Halt (third instruction) undecodable.
+            let mut probe = StateChecker::new(initial.clone(), mem.clone());
+            probe.advance(2).unwrap();
+            mem.write_u8(probe.state().eip, 0xFF);
+
+            let mut chk = StateChecker::new(initial, mem);
+            chk.set_fast_path(fast);
+            assert_eq!(chk.advance(10), Err(DecodeError::BadOpcode(0xFF)), "fast={fast}");
+            assert_eq!(chk.retired(), 2, "fast={fast}: two instructions ran before the fault");
+            assert_eq!(chk.state().eip, probe.state().eip, "fast={fast}: stopped at the fault");
+        }
     }
 
     fn mem_of(c: &StateChecker) -> GuestMem {

@@ -224,10 +224,22 @@ impl HostEventSink for CheckerSink {
     fn consume(&mut self, batch: &[HostEvent]) {
         for e in batch {
             if let HostEvent::StepBoundary { guest_insts, emulated } = e {
-                let delta = guest_insts - self.advanced;
-                self.checker
-                    .advance(delta)
-                    .unwrap_or_else(|e| panic!("{}: authoritative fault: {e}", self.name));
+                let delta = guest_insts.checked_sub(self.advanced).unwrap_or_else(|| {
+                    panic!(
+                        "{}: StepBoundary went backwards to {guest_insts} guest instructions \
+                         after {} were checked",
+                        self.name,
+                        self.checker.retired()
+                    )
+                });
+                if let Err(e) = self.checker.advance(delta) {
+                    panic!(
+                        "{}: authoritative fault after {} guest instructions, at pc {:#x}: {e}",
+                        self.name,
+                        self.checker.retired(),
+                        self.checker.state().eip
+                    );
+                }
                 self.checker
                     .check(emulated)
                     .unwrap_or_else(|e| panic!("{}: co-simulation failed: {e}", self.name));
@@ -602,5 +614,45 @@ mod tests {
         wrong.set_gpr(Gpr::Eax, 999);
         let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, mem));
         sink.consume(&[HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(wrong) }]);
+    }
+
+    /// Two `MovRI`s followed by an undecodable byte.
+    fn two_movs_then_garbage() -> (darco_guest::GuestMem, CpuState) {
+        use darco_guest::asm::Asm;
+        use darco_guest::{Gpr, GuestMem, Inst};
+        let mut a = Asm::new(0x100);
+        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 7 });
+        a.push(Inst::MovRI { dst: Gpr::Ebx, imm: 8 });
+        let p = a.assemble();
+        let mut mem = GuestMem::new();
+        mem.write_bytes(p.base, &p.bytes);
+        mem.write_u8(p.base + p.bytes.len() as u32, 0xFF);
+        (mem, CpuState::at(p.base))
+    }
+
+    #[test]
+    #[should_panic(expected = "t: authoritative fault after 2 guest instructions, at pc 0x")]
+    fn checker_sink_names_where_the_authoritative_side_faulted() {
+        let (mem, initial) = two_movs_then_garbage();
+        let mut chk = StateChecker::new(initial.clone(), mem);
+        chk.set_fast_path(true);
+        let mut sink = CheckerSink::new("t".into(), chk);
+        sink.consume(&[HostEvent::StepBoundary { guest_insts: 5, emulated: Box::new(initial) }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "t: StepBoundary went backwards to 1 guest instructions after 2")]
+    fn checker_sink_names_a_boundary_that_goes_backwards() {
+        let (mem, initial) = two_movs_then_garbage();
+        let mut emu = initial.clone();
+        let mut emu_mem = mem.clone();
+        darco_guest::exec::step(&mut emu, &mut emu_mem).unwrap();
+        darco_guest::exec::step(&mut emu, &mut emu_mem).unwrap();
+        let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, mem));
+        sink.consume(&[HostEvent::StepBoundary {
+            guest_insts: 2,
+            emulated: Box::new(emu.clone()),
+        }]);
+        sink.consume(&[HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(emu) }]);
     }
 }

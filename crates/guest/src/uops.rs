@@ -9,7 +9,7 @@
 //! * **Micro-op buffers.** Straight-line runs of instructions are decoded
 //!   once into per-block [`ExecOp`] buffers: operand registers resolved to
 //!   raw indices, effective-address recipes precomputed, and a fn-pointer
-//!   handler selected per op, executed by a tight dispatch loop. Blocks
+//!   handler selected per op. Blocks
 //!   are cached direct-mapped by entry pc and invalidated by the
 //!   per-page write-generation stamps the code cache's SMC check uses
 //!   ([`GuestMem::page_gen`]): a block is valid while the stamps of its
@@ -24,15 +24,28 @@
 //!   flag definitions per translation region), so most materializations
 //!   are elided entirely.
 //!
+//! # One dispatch loop
+//!
+//! Handlers are invoked from exactly one place, [`ExecCtx`]'s private
+//! dispatch loop, which runs whole cached blocks: a block is located and
+//! validated once, its ops are executed by reference until one jumps or
+//! halts, the budget runs out or the caller's per-op visitor breaks, and
+//! the loop then moves on to the block at the new `eip`.
+//! [`ExecCtx::run`] is that loop with a visitor that does nothing (the
+//! state checker), [`ExecCtx::run_visiting`] hands each executed op to
+//! the caller (the interpreter's cost stream), and [`ExecCtx::step`] is
+//! the budget-of-one case whose visitor captures the [`StepInfo`].
+//!
 //! # Self-modifying code
 //!
 //! The oracle re-decodes from guest memory on every step, so a store that
 //! rewrites an instruction is visible at the very next step. The fast
-//! path preserves this: every step revalidates the current block against
-//! the global write-generation counter (one integer compare when nothing
-//! was written; two page-stamp lookups after any store anywhere), and a
-//! stale block is discarded and rebuilt from current bytes before the
-//! next op executes.
+//! path preserves this: before every op the current block is revalidated
+//! against the global write-generation counter (one integer compare when
+//! nothing was written; two page-stamp lookups after any store anywhere),
+//! and a stale block is discarded and rebuilt from current bytes before
+//! the next op executes — also when the store sits earlier in the very
+//! block that is running.
 
 use crate::decode::{decode, DecodeError};
 use crate::exec::{cond_holds, AccessList, Control, MemAccess, StepInfo, MAX_INST_LEN};
@@ -40,6 +53,7 @@ use crate::inst::{Gpr, Inst, MemRef};
 use crate::mem::GuestMem;
 use crate::state::{CpuState, Flags};
 use crate::GuestClass;
+use std::ops::ControlFlow;
 
 /// Entries in the direct-mapped micro-op block cache.
 pub const UOP_CACHE_ENTRIES: usize = 512;
@@ -189,8 +203,8 @@ pub struct ExecOp {
     pub wf: bool,
     /// `inst.reads_flags()`.
     pub rf: bool,
-    /// Ends a basic block.
-    block_end: bool,
+    /// `inst.is_block_end()`.
+    pub block_end: bool,
     /// Primary register index (destination, or source for stores).
     a: u8,
     /// Secondary register index.
@@ -203,6 +217,15 @@ pub struct ExecOp {
     /// Direct branch target.
     target: u32,
     addr: AddrRecipe,
+}
+
+impl ExecOp {
+    /// The [`StepInfo`] the oracle reports for this instruction, given
+    /// how it came out.
+    #[inline]
+    pub fn step_info(&self, control: Control, accesses: &AccessList) -> StepInfo {
+        StepInfo { inst: self.inst, len: self.len as usize, control, accesses: *accesses }
+    }
 }
 
 /// A cached run of pre-decoded ops starting at `entry`.
@@ -312,8 +335,53 @@ impl ExecCtx {
         self.cur = None;
     }
 
-    /// Executes the instruction at `cpu.eip`. Semantically identical to
-    /// [`crate::exec::step`] modulo lazy flags (see type docs).
+    /// Executes up to `n` instructions from `cpu.eip`, whole cached
+    /// blocks at a time, and adds the number executed to `retired` —
+    /// also when a fault ends the chunk. Stops early at `Halt` (which
+    /// counts as executed) and does nothing on a halted CPU, so `n`
+    /// calls of [`ExecCtx::step`] and one `run(.., n, ..)` leave the
+    /// same state, memory and [`FastStats`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DecodeError`] when execution reaches bytes that do
+    /// not decode; every instruction before them has executed and is
+    /// counted in `retired`, and `cpu.eip` is the faulting address.
+    pub fn run(
+        &mut self,
+        cpu: &mut CpuState,
+        mem: &mut GuestMem,
+        n: u64,
+        retired: &mut u64,
+    ) -> Result<(), DecodeError> {
+        self.run_visiting(cpu, mem, n, retired, |_, _, _, _| ControlFlow::Continue(()))
+    }
+
+    /// [`ExecCtx::run`] calling `visit(pc, op, control, accesses)` after
+    /// each instruction has executed (so `cpu` and `mem` already show
+    /// its effects); a `Break` ends the chunk after that instruction.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExecCtx::run`]; the faulting instruction is never visited.
+    pub fn run_visiting(
+        &mut self,
+        cpu: &mut CpuState,
+        mem: &mut GuestMem,
+        n: u64,
+        retired: &mut u64,
+        visit: impl FnMut(u32, &ExecOp, Control, &AccessList) -> ControlFlow<()>,
+    ) -> Result<(), DecodeError> {
+        if n == 0 || cpu.halted {
+            return Ok(());
+        }
+        self.dispatch(cpu, mem, n, retired, visit)
+    }
+
+    /// Executes the instruction at `cpu.eip`: the `n = 1` case of
+    /// [`ExecCtx::run`] that also hands back the [`StepInfo`].
+    /// Semantically identical to [`crate::exec::step`] modulo lazy flags
+    /// (see type docs).
     ///
     /// # Errors
     ///
@@ -326,92 +394,123 @@ impl ExecCtx {
         cpu: &mut CpuState,
         mem: &mut GuestMem,
     ) -> Result<StepInfo, DecodeError> {
-        self.step_shaped(cpu, mem).map(|(info, _)| info)
+        debug_assert!(!cpu.halted, "step() after halt");
+        let mut info = None;
+        self.dispatch(cpu, mem, 1, &mut 0, |_, op, control, accesses| {
+            info = Some(op.step_info(control, accesses));
+            ControlFlow::Break(())
+        })?;
+        Ok(info.expect("dispatch executes one op or faults"))
     }
 
-    /// [`ExecCtx::step`] returning the op's precomputed emission shape
-    /// alongside, for the software-layer interpreter.
-    pub fn step_shaped(
+    /// The micro-op dispatch loop — the only place a handler is invoked.
+    /// Executes ops from `cpu.eip` until `budget` (≥ 1) of them have
+    /// run, one halts, or `visit` breaks, crossing from block to block
+    /// at jumps and block ends.
+    ///
+    /// A block is located and validated once on entry; inside it the
+    /// only re-check is one integer compare per op against the global
+    /// write generation, and the page stamps are consulted again only
+    /// after something was written — so a store that rewrites a later
+    /// instruction of the running block takes effect at the very next
+    /// op, exactly as it does when stepping. The continuation cursor is
+    /// left where a following call has to resume.
+    fn dispatch(
         &mut self,
         cpu: &mut CpuState,
         mem: &mut GuestMem,
-    ) -> Result<(StepInfo, u16), DecodeError> {
-        debug_assert!(!cpu.halted, "step() after halt");
-        let pc = cpu.eip;
-
-        // Intra-block continuation: the common case in straight-line
-        // code. One pc compare plus the write-generation check.
-        if let Some((slot, idx)) = self.cur {
-            if let Some(b) = self.blocks[slot].as_mut() {
-                if idx < b.ops.len() && b.entry.wrapping_add(b.ops[idx].off as u32) == pc {
-                    if b.valid(mem) {
-                        self.stats.uop_hits += 1;
-                        return Ok(self.run_at(slot, idx, cpu, mem));
-                    }
-                    self.stats.invalidations += 1;
-                    self.blocks[slot] = None;
+        budget: u64,
+        retired: &mut u64,
+        mut visit: impl FnMut(u32, &ExecOp, Control, &AccessList) -> ControlFlow<()>,
+    ) -> Result<(), DecodeError> {
+        let mut left = budget;
+        // Counted in locals: the handler call could alias `self.stats`
+        // as far as the optimizer can tell.
+        let (mut flag_defs, mut flag_forces) = (0u64, 0u64);
+        let result = loop {
+            let (slot, mut at, built) = match self.locate(cpu.eip, mem) {
+                Ok(found) => found,
+                Err(e) => break Err(e),
+            };
+            let block = self.blocks[slot].as_mut().expect("locate fills the slot it returns");
+            let n_ops = block.ops.len();
+            let first = at;
+            let mut in_block;
+            let done = loop {
+                let op = &block.ops[at];
+                flag_defs += u64::from(op.wf);
+                // The handler will force; count it here where the
+                // counters live (only conditional branches read flags).
+                flag_forces += u64::from(op.rf && self.lazy.is_pending());
+                let pc = cpu.eip;
+                let next = pc.wrapping_add(op.len as u32);
+                let mut accesses = AccessList::default();
+                let control = (op.handler)(op, cpu, mem, &mut self.lazy, next, &mut accesses);
+                cpu.eip = match control {
+                    Control::Next => next,
+                    Control::Jump { target, .. } => target,
+                    Control::Halt => pc,
+                };
+                let flow = visit(pc, op, control, &accesses);
+                at += 1;
+                left -= 1;
+                in_block = control == Control::Next && at < n_ops;
+                if control == Control::Halt || left == 0 || flow.is_break() {
+                    break true;
                 }
-            }
-        }
-
-        // Block-entry lookup.
-        let slot = pc as usize & (UOP_CACHE_ENTRIES - 1);
-        let hit = match self.blocks[slot].as_mut() {
-            Some(b) if b.entry == pc => {
-                if b.valid(mem) {
-                    true
-                } else {
-                    self.stats.invalidations += 1;
-                    self.blocks[slot] = None;
-                    false
+                // Off the end of the block, through a jump, or onto an
+                // op a store has just rewritten: `locate` finds what
+                // runs next (and drops the stale block).
+                if !in_block || !block.valid(mem) {
+                    break false;
                 }
+            };
+            self.cur = in_block.then_some((slot, at));
+            // The first op of a block built just now is not a hit.
+            self.stats.uop_hits += (at - first) as u64 - u64::from(built);
+            if done {
+                break Ok(());
             }
-            _ => false,
         };
-        if hit {
-            self.stats.uop_hits += 1;
-            return Ok(self.run_at(slot, 0, cpu, mem));
-        }
+        self.stats.flag_defs += flag_defs;
+        self.stats.flag_forces += flag_forces;
+        *retired += budget - left;
+        result
+    }
 
+    /// Finds the validated block that holds the op at `pc`: the
+    /// continuation cursor if it points there, else the block entered at
+    /// `pc`, else a block built from the current bytes. Returns
+    /// `(slot, op index, built just now)`.
+    fn locate(&mut self, pc: u32, mem: &GuestMem) -> Result<(usize, usize, bool), DecodeError> {
+        if let Some((slot, idx)) = self.cur {
+            let resumes_here = self.blocks[slot].as_ref().is_some_and(|b| {
+                idx < b.ops.len() && b.entry.wrapping_add(b.ops[idx].off as u32) == pc
+            });
+            if resumes_here && self.still_valid(slot, mem) {
+                return Ok((slot, idx, false));
+            }
+        }
+        let slot = pc as usize & (UOP_CACHE_ENTRIES - 1);
+        let entered_here = self.blocks[slot].as_ref().is_some_and(|b| b.entry == pc);
+        if entered_here && self.still_valid(slot, mem) {
+            return Ok((slot, 0, false));
+        }
         let block = build_block(pc, mem)?;
         self.stats.blocks_built += 1;
         self.blocks[slot] = Some(block);
-        Ok(self.run_at(slot, 0, cpu, mem))
+        Ok((slot, 0, true))
     }
 
-    /// Executes op `idx` of the (validated) block in `slot`.
-    fn run_at(
-        &mut self,
-        slot: usize,
-        idx: usize,
-        cpu: &mut CpuState,
-        mem: &mut GuestMem,
-    ) -> (StepInfo, u16) {
-        let (op, n_ops) = {
-            let b = self.blocks[slot].as_ref().expect("validated block");
-            (b.ops[idx], b.ops.len())
-        };
-        if op.wf {
-            self.stats.flag_defs += 1;
+    /// Whether the block in `slot` still matches guest memory; a stale
+    /// one is dropped and counted as an invalidation.
+    fn still_valid(&mut self, slot: usize, mem: &GuestMem) -> bool {
+        let valid = self.blocks[slot].as_mut().is_some_and(|b| b.valid(mem));
+        if !valid {
+            self.stats.invalidations += 1;
+            self.blocks[slot] = None;
         }
-        if op.rf {
-            // The handler will force; count it here where the counters
-            // live (only conditional branches read flags).
-            if self.lazy.is_pending() {
-                self.stats.flag_forces += 1;
-            }
-        }
-        let next = cpu.eip.wrapping_add(op.len as u32);
-        let mut accesses = AccessList::default();
-        let control = (op.handler)(&op, cpu, mem, &mut self.lazy, next, &mut accesses);
-        cpu.eip = match control {
-            Control::Next => next,
-            Control::Jump { target, .. } => target,
-            Control::Halt => cpu.eip,
-        };
-        self.cur =
-            if control == Control::Next && idx + 1 < n_ops { Some((slot, idx + 1)) } else { None };
-        (StepInfo { inst: op.inst, len: op.len as usize, control, accesses }, op.shape)
+        valid
     }
 }
 
@@ -1325,7 +1424,7 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
     use crate::exec;
-    use crate::inst::{AluOp, Cond, FpOp, FpReg, MemRef, Scale, ShiftOp};
+    use crate::inst::{AluOp, Cond, FpOp, FpReg, MemRef, MemWidth, Scale, ShiftOp};
 
     /// Runs a program to halt under both paths, forcing flags at every
     /// step, and asserts identical StepInfo streams, architectural
@@ -1548,5 +1647,208 @@ mod tests {
         ctx.force_flags(&mut cpu);
         assert!(cpu.flags.zf, "zero shift must not clobber the pending compare");
         assert_eq!(cpu.gpr(Gpr::Eax), 5);
+    }
+
+    // ---- `run`: one test per way a chunk can end -------------------
+
+    fn load(base: u32, bytes: &[u8]) -> (GuestMem, CpuState) {
+        let mut mem = GuestMem::new();
+        mem.write_bytes(base, bytes);
+        (mem, CpuState::at(base))
+    }
+
+    /// Encoded length of `insts`, i.e. the offset of what follows them.
+    fn len_of(insts: &[Inst]) -> u32 {
+        let mut tmp = Vec::new();
+        insts.iter().map(|i| crate::encode::encode(i, &mut tmp) as u32).sum()
+    }
+
+    fn adds(n: usize) -> Vec<Inst> {
+        (0..n).map(|i| Inst::AluRI { op: AluOp::Add, dst: Gpr::Eax, imm: i as i32 + 1 }).collect()
+    }
+
+    #[test]
+    fn budget_ends_a_chunk_mid_block_and_the_next_resumes_there() {
+        let base = 0x7000;
+        let body = adds(6);
+        let (mut mem, mut cpu) = load(base, &assemble(base, &body));
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        ctx.run(&mut cpu, &mut mem, 4, &mut n).unwrap();
+        assert_eq!(n, 4);
+        assert_eq!(cpu.eip, base + len_of(&body[..4]));
+        assert_eq!(cpu.gpr(Gpr::Eax), 1 + 2 + 3 + 4);
+        // The op after a build is not a hit; the other three are.
+        assert_eq!((ctx.stats.blocks_built, ctx.stats.uop_hits), (1, 3));
+        ctx.run(&mut cpu, &mut mem, 2, &mut n).unwrap();
+        assert_eq!(n, 6);
+        assert_eq!(cpu.gpr(Gpr::Eax), 21);
+        // Resumed through the cursor: a lookup by pc would have built a
+        // second block starting in the middle of the first.
+        assert_eq!((ctx.stats.blocks_built, ctx.stats.uop_hits), (1, 5));
+        assert_eq!(ctx.stats.flag_defs, 6);
+    }
+
+    #[test]
+    fn halt_ends_a_chunk_is_counted_and_stays_halted() {
+        let base = 0x7100;
+        let (mut mem, mut cpu) = load(base, &assemble(base, &adds(2)));
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        ctx.run(&mut cpu, &mut mem, 100, &mut n).unwrap();
+        assert!(cpu.halted);
+        assert_eq!(n, 3, "two adds and the Halt itself");
+        assert_eq!(cpu.eip, base + len_of(&adds(2)), "eip stays on the Halt");
+        ctx.run(&mut cpu, &mut mem, 100, &mut n).unwrap();
+        assert_eq!(n, 3, "a halted CPU executes nothing");
+        ctx.run(&mut CpuState::at(base), &mut mem, 0, &mut n).unwrap();
+        assert_eq!(n, 3, "neither does a budget of zero");
+    }
+
+    #[test]
+    fn a_chunk_crosses_jumps_and_block_ends() {
+        let base = 0x7200;
+        let mut a = Asm::new(base);
+        let top = a.fresh_label();
+        a.push(Inst::MovRI { dst: Gpr::Ecx, imm: 10 });
+        a.bind(top);
+        a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Eax, imm: 2 });
+        a.push(Inst::AluRI { op: AluOp::Sub, dst: Gpr::Ecx, imm: 1 });
+        a.push_jcc(Cond::Ne, top);
+        let end = a.fresh_label();
+        a.push_jcc(Cond::E, end);
+        a.bind(end);
+        a.push(Inst::Halt);
+        let (mut mem, mut cpu) = load(base, &a.assemble().bytes);
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        ctx.run(&mut cpu, &mut mem, u64::MAX, &mut n).unwrap();
+        assert!(cpu.halted);
+        assert_eq!(n, 1 + 3 * 10 + 2);
+        assert_eq!(cpu.gpr(Gpr::Eax), 20);
+        // Entry block, loop body, the second Jcc, the Halt.
+        assert_eq!(ctx.stats.blocks_built, 4);
+        assert_eq!(
+            ctx.stats.flag_forces, 10,
+            "one per loop Jcc; the second Jcc finds the flags already current"
+        );
+    }
+
+    #[test]
+    fn the_visitor_runs_after_each_op_and_its_break_ends_the_chunk() {
+        let base = 0x7300;
+        let body = [
+            Inst::MovRI { dst: Gpr::Esi, imm: 0x4000 },
+            Inst::StoreI { addr: MemRef::base(Gpr::Esi, 0), imm: 9 },
+            Inst::Load { dst: Gpr::Edx, addr: MemRef::base(Gpr::Esi, 0) },
+            Inst::Nop,
+        ];
+        let (mut mem, mut cpu) = load(base, &assemble(base, &body));
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        let mut seen = Vec::new();
+        ctx.run_visiting(&mut cpu, &mut mem, u64::MAX, &mut n, |pc, op, control, accesses| {
+            seen.push((pc, op.inst, control, accesses.iter().copied().collect::<Vec<_>>()));
+            if matches!(op.inst, Inst::Load { .. }) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap();
+        assert_eq!(n, 3, "the op the visitor broke on has executed and is counted");
+        assert_eq!(cpu.gpr(Gpr::Edx), 9);
+        assert_eq!(cpu.eip, base + len_of(&body[..3]));
+        let pcs: Vec<u32> = seen.iter().map(|s| s.0).collect();
+        assert_eq!(pcs, [base, base + len_of(&body[..1]), base + len_of(&body[..2])]);
+        assert_eq!(seen[1].3, [MemAccess { addr: 0x4000, size: 4, is_store: true }]);
+        assert_eq!(seen[2].3, [MemAccess { addr: 0x4000, size: 4, is_store: false }]);
+        assert!(seen.iter().all(|s| s.2 == Control::Next));
+        // The chunk after a break resumes inside the block.
+        ctx.run(&mut cpu, &mut mem, u64::MAX, &mut n).unwrap();
+        assert_eq!((n, ctx.stats.blocks_built), (5, 1));
+    }
+
+    #[test]
+    fn a_fault_on_the_first_op_executes_nothing() {
+        let base = 0x7400;
+        let (mut mem, mut cpu) = load(base, &[0xFF]);
+        cpu.set_gpr(Gpr::Eax, 5);
+        let before = cpu.clone();
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        let err = ctx.run(&mut cpu, &mut mem, 10, &mut n).unwrap_err();
+        assert_eq!(err, exec::step(&mut before.clone(), &mut mem).unwrap_err());
+        assert_eq!(n, 0);
+        assert!(cpu.arch_eq(&before) && cpu.eip == base);
+        assert_eq!(ctx.stats.blocks_built, 0);
+    }
+
+    #[test]
+    fn a_fault_later_in_a_chunk_reports_what_ran_before_it() {
+        let base = 0x7500;
+        let body = adds(3);
+        let mut bytes = assemble(base, &body);
+        let fault_at = len_of(&body) as usize;
+        bytes[fault_at] = 0xFF; // overwrite the Halt
+        let (mut mem, mut cpu) = load(base, &bytes);
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        let mut visited = 0;
+        let err = ctx
+            .run_visiting(&mut cpu, &mut mem, 10, &mut n, |_, _, _, _| {
+                visited += 1;
+                ControlFlow::Continue(())
+            })
+            .unwrap_err();
+        assert_eq!(err, DecodeError::BadOpcode(0xFF));
+        assert_eq!((n, visited), (3, 3), "the three adds ran, the fault was not visited");
+        assert_eq!(cpu.eip, base + fault_at as u32);
+        assert_eq!(cpu.gpr(Gpr::Eax), 6);
+        // Asking again faults again, without progress.
+        assert!(ctx.run(&mut cpu, &mut mem, 10, &mut n).is_err());
+        assert_eq!(n, 3);
+    }
+
+    /// The case the per-op write-generation check exists for: a store
+    /// rewrites a *later* instruction of the block it is running in.
+    #[test]
+    fn a_store_into_the_running_block_is_seen_by_the_next_op() {
+        let base = 0x7600;
+        let head = [
+            Inst::MovRI { dst: Gpr::Ecx, imm: 0x22 },
+            // Patched below once the target address is known.
+            Inst::StoreN { addr: MemRef::base(Gpr::Esi, 0), src: Gpr::Ecx, width: MemWidth::B1 },
+            Inst::Nop,
+        ];
+        let target = Inst::MovRI { dst: Gpr::Ebx, imm: 0x11 };
+        let mut body = head.to_vec();
+        body.push(target);
+        let (mut mem, mut cpu) = load(base, &assemble(base, &body));
+        // Short MovRI is opcode + reg byte + imm8.
+        cpu.set_gpr(Gpr::Esi, base + len_of(&head) + 2);
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        ctx.run(&mut cpu, &mut mem, u64::MAX, &mut n).unwrap();
+        assert_eq!(cpu.gpr(Gpr::Ebx), 0x22, "stale micro-op ran after the store");
+        assert_eq!(n, 5);
+        assert_eq!((ctx.stats.invalidations, ctx.stats.blocks_built), (1, 2));
+        // Not hits: the first op of each of the two builds.
+        assert_eq!(ctx.stats.uop_hits, 3);
+    }
+
+    #[test]
+    fn straight_line_code_longer_than_the_cap_continues_in_a_new_block() {
+        let base = 0x7700;
+        let body = adds(UOP_BLOCK_CAP + 5);
+        let (mut mem, mut cpu) = load(base, &assemble(base, &body));
+        let mut ctx = ExecCtx::new();
+        let mut n = 0;
+        ctx.run(&mut cpu, &mut mem, u64::MAX, &mut n).unwrap();
+        assert!(cpu.halted);
+        assert_eq!(n, UOP_BLOCK_CAP as u64 + 6);
+        assert_eq!(ctx.stats.blocks_built, 2);
+        let sum: usize = (1..=UOP_BLOCK_CAP + 5).sum();
+        assert_eq!(cpu.gpr(Gpr::Eax), sum as u32);
     }
 }

@@ -34,6 +34,7 @@ use darco_host::{
     exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HInst, HostState, Outcome, RetireDyn,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::ControlFlow;
 
 /// Execution mode (re-export of the profiler's mode classification).
 pub type Mode = StaticMode;
@@ -387,30 +388,51 @@ impl Tol {
             "pending lazy flags across interpret_bb entries"
         );
         let mut n = 0u64;
-        let fast = self.cfg.guest_fast_path;
-        loop {
-            let gpc = cpu.eip;
-            self.prof.mark_static([gpc], StaticMode::Im);
-            let r = if fast {
-                interp::step_fast(&mut cpu, mem, &mut self.em, &mut self.fastctx, ev)
-            } else {
-                interp::step(&mut cpu, mem, &mut self.em, ev)
-            };
-            let info = match r {
-                Ok(info) => info,
-                Err(e) => {
-                    // The local `cpu` (which any pending lazy definition
-                    // refers to) is discarded with the error.
-                    self.fastctx.discard_pending();
-                    return Err(e);
-                }
-            };
-            n += 1;
-            if info.inst.is_indirect() {
-                self.counters.indirect_branches += 1;
+        if self.cfg.guest_fast_path {
+            // One call runs the whole basic block from the guest layer's
+            // micro-op buffers; the visitor charges each instruction's IM
+            // cost stream as it retires and ends the chunk at the
+            // block-ending instruction.
+            let Tol { prof, em, counters, fastctx, .. } = self;
+            let ran = fastctx.run_visiting(
+                &mut cpu,
+                mem,
+                u64::MAX,
+                &mut n,
+                |pc, op, control, accesses| {
+                    prof.mark_static([pc], StaticMode::Im);
+                    em.interp_step_shaped(ev, pc, &op.step_info(control, accesses), op.shape);
+                    if op.inst.is_indirect() {
+                        counters.indirect_branches += 1;
+                    }
+                    if op.block_end {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            if let Err(e) = ran {
+                // The byte interpreter marks a pc before it decodes it;
+                // keep the profile identical on the fault path too. The
+                // local `cpu` (which any pending lazy definition refers
+                // to) is discarded with the error.
+                self.prof.mark_static([cpu.eip], StaticMode::Im);
+                self.fastctx.discard_pending();
+                return Err(e);
             }
-            if cpu.halted || info.inst.is_block_end() {
-                break;
+        } else {
+            loop {
+                let gpc = cpu.eip;
+                self.prof.mark_static([gpc], StaticMode::Im);
+                let info = interp::step(&mut cpu, mem, &mut self.em, ev)?;
+                n += 1;
+                if info.inst.is_indirect() {
+                    self.counters.indirect_branches += 1;
+                }
+                if cpu.halted || info.inst.is_block_end() {
+                    break;
+                }
             }
         }
         // Materialize any pending flag definition before the state

@@ -7,15 +7,16 @@
 //! progress because of the high per-instruction emulation cost
 //! (Sec. III-B) — the emitted stream reflects that cost.
 //!
-//! Hot not-yet-translated loops would re-decode the same guest bytes
-//! every iteration; [`step_fast`] executes them from the guest layer's
-//! pre-decoded micro-op buffers instead, with [`step`] as the
-//! decode-per-step reference. The executed semantics and the emitted
-//! cost stream are identical.
+//! [`step`] is the decode-per-step reference (`guest_fast_path = false`).
+//! The default path does not come through here: `Tol::interpret_bb` runs
+//! a whole basic block from the guest layer's pre-decoded micro-op
+//! buffers in one [`ExecCtx::run_visiting`](darco_guest::uops::ExecCtx::run_visiting)
+//! call and charges the same cost stream from its per-op visitor
+//! (DESIGN.md §16). The executed semantics and the emitted stream are
+//! identical; the engine-level test below compares them event by event.
 
 use crate::emission::Emitter;
 use darco_guest::exec::{self, StepInfo};
-use darco_guest::uops::ExecCtx;
 use darco_guest::{CpuState, DecodeError, GuestMem};
 use darco_host::events::EventBuffer;
 
@@ -34,32 +35,6 @@ pub fn step(
     let pc = cpu.eip;
     let info = exec::step(cpu, mem)?;
     em.interp_step(ev, pc, &info);
-    Ok(info)
-}
-
-/// [`step`] through the guest layer's pre-decoded micro-op buffers with
-/// lazy flag materialization (`--guest-fast-path`, DESIGN.md §16).
-/// Functionally and stream-identical to [`step`] — the op carries its
-/// precomputed emission shape, so the cost stream is emitted through
-/// [`Emitter::interp_step_shaped`] without re-deriving the shape key.
-///
-/// `cpu.flags` may be stale after this returns (a lazy definition
-/// pending in `ctx`); the engine forces materialization before any
-/// consumer reads architectural flags (`store_cpu` at block end).
-///
-/// # Errors
-///
-/// Propagates decode failures from the guest instruction stream.
-pub fn step_fast(
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    em: &mut Emitter,
-    ctx: &mut ExecCtx,
-    ev: &mut EventBuffer<'_>,
-) -> Result<StepInfo, DecodeError> {
-    let pc = cpu.eip;
-    let (info, shape) = ctx.step_shaped(cpu, mem)?;
-    em.interp_step_shaped(ev, pc, &info, shape);
     Ok(info)
 }
 
@@ -112,47 +87,65 @@ mod tests {
     }
 
     #[test]
-    fn fast_interpretation_matches_uncached() {
-        // A counted loop (the same pcs interpreted many times) driven
-        // through the micro-op fast path. State and cost stream must be
-        // identical to the reference; the debug_assert inside
-        // interp_step_shaped additionally pins the static emission shape
-        // against the dynamic key on every step.
+    fn interpretation_through_the_visitor_emits_the_reference_stream() {
+        // A counted loop with a memory access and a taken/not-taken
+        // branch, interpreted only (no promotion), once per executor.
+        // Every event must be equal — cost stream, boundaries and all;
+        // the debug_assert inside interp_step_shaped additionally pins
+        // the static emission shape against the dynamic key on every op.
+        use crate::{Tol, TolConfig};
+        use darco_guest::MemRef;
+        use darco_host::events::{HostEvent, HostEventSink};
+
+        struct Record(Vec<HostEvent>);
+        impl HostEventSink for Record {
+            fn consume(&mut self, batch: &[HostEvent]) {
+                self.0.extend_from_slice(batch);
+            }
+        }
+
         let mut a = Asm::new(0x1000);
         a.push(Inst::MovRI { dst: Gpr::Ecx, imm: 50 });
+        a.push(Inst::MovRI { dst: Gpr::Esi, imm: 0x4000 });
         let top = a.here();
         a.push(Inst::AluRI { op: darco_guest::AluOp::Add, dst: Gpr::Eax, imm: 3 });
+        a.push(Inst::AluMR {
+            op: darco_guest::AluOp::Add,
+            addr: MemRef::base(Gpr::Esi, 0),
+            src: Gpr::Eax,
+        });
         a.push(Inst::AluRI { op: darco_guest::AluOp::Sub, dst: Gpr::Ecx, imm: 1 });
         a.push(Inst::Jcc { cond: darco_guest::Cond::Ne, target: top });
         a.push(Inst::Halt);
         let p = a.assemble();
 
-        let run = |fast: bool| -> (CpuState, u64, u64) {
+        let run = |fast: bool| {
             let mut mem = GuestMem::new();
             mem.set_fast_path(fast);
             mem.write_bytes(p.base, &p.bytes);
-            let mut cpu = CpuState::at(p.base);
-            let mut em = Emitter::new();
-            let mut n = 0u64;
-            let mut sink = darco_host::events::RetireSink(|_: &darco_host::DynInst| n += 1);
-            let mut ev = EventBuffer::new(64, &mut sink);
-            let mut ctx = ExecCtx::new();
-            while !cpu.halted {
-                if fast {
-                    step_fast(&mut cpu, &mut mem, &mut em, &mut ctx, &mut ev).unwrap();
-                } else {
-                    step(&mut cpu, &mut mem, &mut em, &mut ev).unwrap();
-                }
-            }
-            ev.flush();
-            ctx.force_flags(&mut cpu);
-            (cpu, n, ctx.stats.uop_hits)
+            let cfg = TolConfig {
+                im_bb_threshold: u32::MAX,
+                guest_fast_path: fast,
+                ..TolConfig::default()
+            };
+            let mut tol = Tol::new(cfg, p.base);
+            let mut rec = Record(Vec::new());
+            let n = tol.run(&mut mem, &mut rec, u64::MAX).unwrap();
+            (tol.emulated_state(), n, rec.0, tol.fast_stats().uop_hits, tol.summary())
         };
 
-        let (cpu_u, n_u, _) = run(false);
-        let (cpu_f, n_f, hits) = run(true);
+        let (cpu_u, n_u, ev_u, _, sum_u) = run(false);
+        let (cpu_f, n_f, ev_f, hits, sum_f) = run(true);
         assert!(cpu_u.arch_eq(&cpu_f));
-        assert_eq!(n_u, n_f, "cost stream must be identical");
+        assert_eq!(n_u, n_f);
+        assert_eq!(ev_u.len(), ev_f.len(), "event count");
+        // `HostEvent` has no `PartialEq`; its `Debug` form prints every field.
+        let differs = |(u, f): (&HostEvent, &HostEvent)| format!("{u:?}") != format!("{f:?}");
+        if let Some(i) = ev_u.iter().zip(&ev_f).position(differs) {
+            panic!("event {i} differs\nreference: {:?}\nvisitor:   {:?}", ev_u[i], ev_f[i]);
+        }
+        assert_eq!(sum_u.static_dist, sum_f.static_dist);
+        assert_eq!(sum_u.counters.indirect_branches, sum_f.counters.indirect_branches);
         assert!(hits > 100, "loop body must hit the micro-op cache, got {hits}");
     }
 }

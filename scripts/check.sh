@@ -65,6 +65,12 @@ cargo bench --workspace --no-run
 echo "== cargo test -q --release --test event_stream --test properties"
 cargo test -q --release --test event_stream --test properties
 
+# The guest layer's block dispatch loop (bounds, budget and cursor
+# arithmetic) must hold as optimised, not only with overflow checks and
+# debug_assert! on; its chunking property test is in `properties` above.
+echo "== cargo test -q --release -p darco-guest"
+cargo test -q --release -p darco-guest
+
 # The timing hot path must compute the same thing with overflow checks
 # and debug_assert! compiled out (its differential test runs here too).
 echo "== cargo test -q --release -p darco-timing"

@@ -329,6 +329,186 @@ fn guest_fast_path_matches_oracle_per_step() {
     }
 }
 
+/// `ExecCtx::run` in any chunking against the same context stepped one
+/// instruction at a time. After every chunk: the count it reports, how
+/// it ended (fault or not), the architectural state (flags forced on a
+/// probe clone), and every [`FastStats`] field — the cursor a chunk
+/// leaves behind shows up there, as a block built twice. Memory is
+/// compared at the end.
+///
+/// [`FastStats`]: darco::guest::uops::FastStats
+fn assert_run_matches_steps(label: &str, mem: &GuestMem, cpu: &CpuState, chunks: &[u64]) {
+    use darco::guest::ExecCtx;
+    let (mut step_mem, mut step_cpu, mut step_ctx) = (mem.clone(), cpu.clone(), ExecCtx::new());
+    let (mut run_mem, mut run_cpu, mut run_ctx) = (mem.clone(), cpu.clone(), ExecCtx::new());
+    let (mut step_total, mut run_total) = (0u64, 0u64);
+    for (i, &chunk) in chunks.iter().enumerate() {
+        let at = format!("{label}, chunk {i} (of {chunk})");
+        let mut stepped = Ok(());
+        for _ in 0..chunk {
+            if step_cpu.halted {
+                break;
+            }
+            match step_ctx.step(&mut step_cpu, &mut step_mem) {
+                Ok(_) => step_total += 1,
+                Err(e) => {
+                    stepped = Err(e);
+                    break;
+                }
+            }
+        }
+        let ran = run_ctx.run(&mut run_cpu, &mut run_mem, chunk, &mut run_total);
+        assert_eq!(ran, stepped, "{at}: how the chunk ended");
+        assert_eq!(run_total, step_total, "{at}: instructions executed");
+
+        let mut probe_cpu = run_cpu.clone();
+        run_ctx.clone().force_flags(&mut probe_cpu);
+        let mut want_cpu = step_cpu.clone();
+        step_ctx.clone().force_flags(&mut want_cpu);
+        assert!(
+            want_cpu.arch_eq(&probe_cpu) && want_cpu.halted == probe_cpu.halted,
+            "{at}: state mismatch\nstep: {want_cpu}\nrun:  {probe_cpu}"
+        );
+
+        let (r, w) = (run_ctx.stats, step_ctx.stats);
+        assert_eq!(r.uop_hits, w.uop_hits, "{at}: uop_hits");
+        assert_eq!(r.blocks_built, w.blocks_built, "{at}: blocks_built");
+        assert_eq!(r.invalidations, w.invalidations, "{at}: invalidations");
+        assert_eq!(r.flag_defs, w.flag_defs, "{at}: flag_defs");
+        assert_eq!(r.flag_forces, w.flag_forces, "{at}: flag_forces");
+
+        if stepped.is_err() || step_cpu.halted {
+            break;
+        }
+    }
+    assert_eq!(step_mem.first_difference(&run_mem), None, "{label}: guest memory diverged");
+}
+
+/// Random chunk sizes around the interesting boundaries (one op, the
+/// block cap and one past it, many blocks), always ending "to halt".
+fn chunk_plan(rng: &mut SmallRng) -> Vec<u64> {
+    const SIZES: [u64; 6] = [1, 2, 7, 48, 49, 1_000];
+    let mut plan: Vec<u64> =
+        (0..rng.gen_range(4usize..40)).map(|_| SIZES[rng.gen_range(0..SIZES.len())]).collect();
+    plan.push(u64::MAX);
+    plan
+}
+
+/// Block-granular execution is n × `step`: see
+/// [`assert_run_matches_steps`] for what is compared. Covers chunks
+/// that end inside a block and resume there, straight-line code longer
+/// than `UOP_BLOCK_CAP`, `Halt` inside a chunk, a decode fault as the
+/// first and as a later instruction of a chunk, and a store that
+/// rewrites a later instruction of the block it runs in.
+#[test]
+fn block_run_matches_per_step_execution_in_any_chunking() {
+    for case in 0u64..16 {
+        let mut rng = SmallRng::seed_from_u64(0xDA_0012 + case);
+
+        // Branchy bodies (short blocks) and, every other case, one
+        // straight-line body that overflows the block cap.
+        let (mem, cpu) = if case % 2 == 0 {
+            let body: Vec<Inst> =
+                (0..rng.gen_range(4usize..40)).map(|_| any_inst(&mut rng)).collect();
+            build_program(&body, rng.gen_range(3i32..20))
+        } else {
+            let body: Vec<Inst> =
+                (0..rng.gen_range(60usize..130)).map(|_| straightline_inst(&mut rng)).collect();
+            build_program(&body, rng.gen_range(2i32..6))
+        };
+        for plan in 0..3 {
+            assert_run_matches_steps(
+                &format!("case {case} plan {plan}"),
+                &mem,
+                &cpu,
+                &chunk_plan(&mut rng),
+            );
+        }
+
+        // The same program with its `Halt` made undecodable: the fault
+        // arrives after `before` instructions, once as the first
+        // instruction of a chunk and once further into one.
+        let (halt_cpu, halt_n) = run_reference(&mem, &cpu);
+        let before = halt_n - 1;
+        let mut faulty = mem.clone();
+        faulty.write_u8(halt_cpu.eip, 0xFF);
+        assert_run_matches_steps(&format!("case {case} fault first"), &faulty, &cpu, &[before, 7]);
+        let split = rng.gen_range(0..before);
+        assert_run_matches_steps(
+            &format!("case {case} fault later"),
+            &faulty,
+            &cpu,
+            &[split, before - split + 7],
+        );
+        assert_run_matches_steps(
+            &format!("case {case} fault random"),
+            &faulty,
+            &cpu,
+            &chunk_plan(&mut rng),
+        );
+    }
+
+    // A loop whose store bumps the imm8 of a `MovRI` *further down the
+    // same block* every iteration: the running block goes stale under
+    // the loop's feet, in every chunking.
+    for case in 0u64..8 {
+        let mut rng = SmallRng::seed_from_u64(0xDA_0013 + case);
+        let iters = rng.gen_range(4i32..30);
+        let seed_imm = rng.gen_range(1i32..80); // seed + iters < 128: stays a positive imm8
+        let pad = rng.gen_range(0usize..4);
+        let base = 0x1000u32;
+        let build = |patch_at: u32| {
+            let patch = MemRef {
+                base: None,
+                index: None,
+                scale: Scale::from_bits(0),
+                disp: patch_at as i32,
+            };
+            let mut a = Asm::new(base);
+            let top = a.fresh_label();
+            a.push(Inst::MovRI { dst: Gpr::Ebp, imm: iters });
+            a.bind(top);
+            a.push(Inst::LoadZx { dst: Gpr::Ecx, addr: patch, width: MemWidth::B1 });
+            a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Ecx, imm: 1 });
+            a.push(Inst::StoreN { addr: patch, src: Gpr::Ecx, width: MemWidth::B1 });
+            for _ in 0..pad {
+                a.push(Inst::Nop);
+            }
+            let target = a.here();
+            a.push(Inst::MovRI { dst: Gpr::Edx, imm: seed_imm });
+            a.push(Inst::AluRR { op: AluOp::Add, dst: Gpr::Eax, src: Gpr::Edx });
+            a.push(Inst::AluRI { op: AluOp::Sub, dst: Gpr::Ebp, imm: 1 });
+            a.push_jcc(Cond::Ne, top);
+            a.push(Inst::Halt);
+            (a.assemble(), target)
+        };
+        // The absolute `patch` operand has the same encoded length
+        // wherever it points, so one trial build fixes the layout.
+        let (_, target) = build(base);
+        let (p, _) = build(target + 2); // short MovRI: opcode, reg, imm8
+        let mut mem = GuestMem::new();
+        mem.write_bytes(p.base, &p.bytes);
+        let cpu = CpuState::at(p.base);
+
+        let (ref_cpu, _) = run_reference(&mem, &cpu);
+        let expect: i64 = (1..=iters as i64).map(|i| seed_imm as i64 + i).sum();
+        assert_eq!(ref_cpu.gpr(Gpr::Eax) as i64, expect, "smc case {case}: oracle sees each patch");
+        for plan in 0..4 {
+            assert_run_matches_steps(
+                &format!("smc case {case} plan {plan}"),
+                &mem,
+                &cpu,
+                &chunk_plan(&mut rng),
+            );
+        }
+        let mut n = 0;
+        let (mut m, mut c, mut ctx) = (mem.clone(), cpu.clone(), darco::guest::ExecCtx::new());
+        ctx.run(&mut c, &mut m, u64::MAX, &mut n).expect("decodes");
+        assert_eq!(c.gpr(Gpr::Eax) as i64, expect, "smc case {case}: a stale micro-op ran");
+        assert!(ctx.stats.invalidations >= iters as u64, "smc case {case}: one per iteration");
+    }
+}
+
 /// Self-modifying code invalidates the generation-stamped pre-decoded
 /// micro-op buffers: a program that patches an immediate byte inside
 /// its own loop body every iteration must converge to the reference
