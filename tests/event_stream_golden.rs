@@ -1,0 +1,155 @@
+//! The host-event stream, pinned by digest.
+//!
+//! Every `HostEvent` `Tol::run` delivers is a pure function of
+//! `(workload, TolConfig)`, and neither the batch size nor the
+//! retirement-template switch may move one field of one event. The
+//! report-bytes tests of `event_stream.rs` notice a moved event only
+//! through the timing model; this test looks at the stream itself —
+//! every event, in order, through its `Debug` text — in about a second,
+//! in debug and release.
+//!
+//! The constants were taken before the event bus was rebuilt around
+//! in-place appends and must only ever change together with an
+//! explanation of which event moved and why.
+
+use darco::core::SystemConfig;
+use darco::host::{HostEvent, HostEventSink, TraceStatsSink};
+use darco::tol::{Tol, TolConfig};
+use darco::workloads::{generate, suites, BenchProfile, Suite, Workload};
+use std::fmt::Write;
+
+/// FNV-1a, 64 bit: stable across Rust releases, unlike `DefaultHasher`.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Collects the stream and remembers the longest batch it was handed.
+#[derive(Default)]
+struct Collect {
+    events: Vec<HostEvent>,
+    max_batch: usize,
+}
+
+impl HostEventSink for Collect {
+    fn consume(&mut self, batch: &[HostEvent]) {
+        self.max_batch = self.max_batch.max(batch.len());
+        self.events.consume(batch);
+    }
+}
+
+/// The benchmark's `startup_churn` shape, small: kernels that each leave
+/// BBM for SBM shortly before they finish, so interpreter streams,
+/// translated blocks and every module marker are all in the stream.
+fn churn_profile() -> BenchProfile {
+    BenchProfile {
+        name: "startup_churn_tiny".into(),
+        suite: Suite::SpecInt,
+        static_insts: 800,
+        dyn_base: 12_000,
+        fp_fraction: 0.02,
+        indirect_freq: 0.005,
+        hot_fraction: 0.45,
+        warm_fraction: 0.10,
+        mem_footprint: 1 << 22,
+        stream_fraction: 0.40,
+        branch_entropy: 0.50,
+        seed: 1,
+    }
+}
+
+/// Every event of one `Tol::run`, in delivery order.
+fn stream(w: &Workload, cfg: TolConfig) -> Vec<HostEvent> {
+    let batch = cfg.event_batch;
+    let mut mem = w.mem.clone();
+    let mut tol = Tol::new(cfg, w.entry);
+    tol.set_state(&w.initial);
+    let mut sink = Collect::default();
+    tol.run(&mut mem, &mut sink, u64::MAX).expect("generated workloads decode");
+    assert!(tol.is_done(), "{}: guest must halt", w.name);
+    assert!(sink.max_batch <= batch, "batch of {} exceeds event_batch {batch}", sink.max_batch);
+    sink.events
+}
+
+/// FNV-1a over one `Debug` line per event.
+fn digest(events: &[HostEvent]) -> u64 {
+    let mut h = Fnv::new();
+    for e in events {
+        writeln!(h, "{e:?}").expect("hashing cannot fail");
+    }
+    h.0
+}
+
+/// `HostEvent` has no `PartialEq` (a `StepBoundary` owns a boxed
+/// `CpuState`); retirements compare by value, the rare rest by text.
+fn same(a: &HostEvent, b: &HostEvent) -> bool {
+    match (a, b) {
+        (HostEvent::Retire(x), HostEvent::Retire(y)) => x == y,
+        _ => format!("{a:?}") == format!("{b:?}"),
+    }
+}
+
+/// The default configuration must deliver the pinned stream, and every
+/// other `(event_batch, retire_templates)` pair the very same events.
+fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
+    let base = SystemConfig::default().tol;
+    assert!(base.retire_templates && base.event_batch == 4096, "the pinned stream is the default");
+    let w = generate(profile, scale);
+    let pinned = stream(&w, base.clone());
+    assert_eq!(
+        (digest(&pinned), pinned.len()),
+        expected,
+        "{}: event stream moved under the default configuration",
+        profile.name
+    );
+    let mut stats = TraceStatsSink::default();
+    stats.consume(&pinned);
+    let s = stats.stats;
+    assert!(
+        s.mode_enters.iter().all(|&n| n > 0) && s.bb_translations > 0 && s.sb_translations > 0,
+        "{}: the pinned stream must cover all three modes and both translators: {s:?}",
+        profile.name
+    );
+    for event_batch in [4096, 64, 1] {
+        for retire_templates in [true, false] {
+            let cfg = TolConfig { event_batch, retire_templates, ..base.clone() };
+            if cfg == base {
+                continue;
+            }
+            let got = stream(&w, cfg);
+            let at = pinned.iter().zip(&got).position(|(a, b)| !same(a, b));
+            assert_eq!(
+                (at, got.len()),
+                (None, pinned.len()),
+                "{}: event_batch {event_batch}, retire_templates {retire_templates}: first \
+                 differing event {:?} vs pinned {:?}",
+                profile.name,
+                at.map(|i| &got[i]),
+                at.map(|i| &pinned[i])
+            );
+        }
+    }
+}
+
+#[test]
+fn quicktest_event_stream_is_pinned() {
+    check(&suites::quicktest_profile(), 0.5, (15490906724512681362, 344647));
+}
+
+#[test]
+fn startup_churn_event_stream_is_pinned() {
+    check(&churn_profile(), 1.0, (8567016748376426998, 159950));
+}
