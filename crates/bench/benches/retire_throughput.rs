@@ -28,6 +28,14 @@
 //!   vectors per translation (the old behavior). The emitted IR is pinned
 //!   identical; only allocator traffic differs.
 //!
+//! Plus the event bus by itself:
+//!
+//! * `event_bus/{retire_by_value,in_place_single,in_place_stream}` — the
+//!   three ways of appending to an [`EventBuffer`], over the same
+//!   16-event template into a `NullSink`: a stack copy patched and
+//!   pushed, a slot written and then patched, a block copy with five
+//!   patches. No execution, no timing: the layer number of the bus.
+//!
 //! Throughput is host events retired per iteration; results land in
 //! EXPERIMENTS.md.
 //!
@@ -41,8 +49,8 @@ use darco_host::events::EventBuffer;
 use darco_host::layout::guest_to_host;
 use darco_host::stream::{fp_reg, int_reg, NO_REG};
 use darco_host::{
-    compile_block, BranchKind, Component, DynInst, Exit, HAluOp, HCond, HFreg, HInst, HReg,
-    RetireDyn, Width,
+    compile_block, BranchKind, Component, DynInst, ExecClass, Exit, HAluOp, HCond, HFreg, HInst,
+    HReg, RetireDyn, Width,
 };
 use darco_tol::{Tol, TolConfig};
 use darco_workloads::{generate, suites};
@@ -112,13 +120,13 @@ const BLOCK_BASE: u64 = 0x2_0000_0000;
 const BLOCK_REPLAYS: usize = 1_000;
 
 /// The translated-block schedule, template path: copy the prebuilt
-/// record and patch only the dynamic fields — what `exec_block` does
-/// per retire, minus the functional execution.
+/// record into the buffer and patch only the dynamic fields there —
+/// what `exec_block` does per retire, minus the functional execution.
 fn replay_templates(insts: &[HInst], regs: &[u32; 64], replays: usize, ev: &mut EventBuffer<'_>) {
     let templates = compile_block(insts, BLOCK_BASE);
     for _ in 0..replays {
         for tpl in &templates {
-            let mut d = tpl.inst;
+            let d = ev.retire_in_place(&tpl.inst);
             if let RetireDyn::Mem { base, off } = tpl.dyn_kind {
                 let addr = guest_to_host(regs[base.0 as usize].wrapping_add(off as u32));
                 if let Some(m) = d.mem.as_mut() {
@@ -132,15 +140,11 @@ fn replay_templates(insts: &[HInst], regs: &[u32; 64], replays: usize, ev: &mut 
                     }
                 }
                 RetireDyn::DirectExit => {
-                    d = d.with_branch(
-                        BranchKind::UncondDirect,
-                        darco_host::layout::TOL_CODE_BASE,
-                        true,
-                    );
+                    d.branch =
+                        Some((BranchKind::UncondDirect, darco_host::layout::TOL_CODE_BASE, true));
                 }
                 RetireDyn::Fixed | RetireDyn::Mem { .. } => {}
             }
-            ev.retire(d);
         }
     }
 }
@@ -270,6 +274,74 @@ fn collect_replay(
     v
 }
 
+/// Replays of the 16-event template per iteration of the bus group.
+const BUS_REPLAYS: usize = 50_000;
+
+/// Where the per-replay address goes in [`bus_template`].
+const BUS_PATCHES: [usize; 5] = [0, 3, 6, 9, 12];
+
+/// An interpreter-like stream: loads at the five patch points, ALU work
+/// between them.
+fn bus_template() -> Vec<DynInst> {
+    (0..16usize)
+        .map(|i| {
+            let d = DynInst::plain(0x1_0000 + 4 * i as u64, ExecClass::SimpleInt, Component::TolIm);
+            if BUS_PATCHES.contains(&i) {
+                d.with_mem(0x4_0000, 8, false)
+            } else {
+                d.with_dst(int_reg(8 + i as u8))
+            }
+        })
+        .collect()
+}
+
+fn set_addr(d: &mut DynInst, addr: u64) {
+    d.mem.as_mut().expect("patch points are loads").addr = addr;
+}
+
+/// Runs one way of appending [`bus_template`] `BUS_REPLAYS` times, with
+/// the five patch points given a per-replay address.
+fn bus_run(append: impl Fn(&mut EventBuffer<'_>, &[DynInst], u64)) -> u64 {
+    let tpl = bus_template();
+    let mut sink = darco_host::NullSink;
+    let mut ev = EventBuffer::new(darco_host::events::EVENT_BATCH, &mut sink);
+    for r in 0..BUS_REPLAYS as u64 {
+        append(&mut ev, black_box(&tpl), 0x4_0000 + 8 * r);
+    }
+    ev.flush();
+    (tpl.len() * BUS_REPLAYS) as u64
+}
+
+/// The pre-rewrite producer: copy to the stack, patch, push by value.
+fn bus_by_value(ev: &mut EventBuffer<'_>, tpl: &[DynInst], addr: u64) {
+    for (i, t) in tpl.iter().enumerate() {
+        let mut d = *t;
+        if BUS_PATCHES.contains(&i) {
+            set_addr(&mut d, addr);
+        }
+        ev.retire(d);
+    }
+}
+
+/// What `exec_block_templates` does: write the slot, patch the slot.
+fn bus_in_place_single(ev: &mut EventBuffer<'_>, tpl: &[DynInst], addr: u64) {
+    for (i, t) in tpl.iter().enumerate() {
+        let d = ev.retire_in_place(t);
+        if BUS_PATCHES.contains(&i) {
+            set_addr(d, addr);
+        }
+    }
+}
+
+/// What `interp_step_keyed` does: one block copy, five patches.
+fn bus_in_place_stream(ev: &mut EventBuffer<'_>, tpl: &[DynInst], addr: u64) {
+    ev.retire_stream(tpl, |evs| {
+        for i in BUS_PATCHES {
+            set_addr(evs[i].as_retire_mut().expect("retire_stream stages retirements"), addr);
+        }
+    });
+}
+
 /// Translations per iteration of the scratch-arena ablation.
 const TRANSLATE_REPLAYS: usize = 2_000;
 
@@ -339,6 +411,14 @@ fn bench(c: &mut Criterion) {
     g.bench_function("fanout_batched", |b| {
         b.iter(|| black_box(run_once(darco_host::events::EVENT_BATCH, TimingBackendKind::Fanout)))
     });
+    g.finish();
+
+    // The bus alone: three ways of appending the same template.
+    let mut g = c.benchmark_group("event_bus");
+    g.throughput(Throughput::Elements(bus_run(bus_in_place_stream)));
+    g.bench_function("retire_by_value", |b| b.iter(|| black_box(bus_run(bus_by_value))));
+    g.bench_function("in_place_single", |b| b.iter(|| black_box(bus_run(bus_in_place_single))));
+    g.bench_function("in_place_stream", |b| b.iter(|| black_box(bus_run(bus_in_place_stream))));
     g.finish();
 
     // The translated-block schedule: retire-path cost in isolation.

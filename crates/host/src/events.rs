@@ -126,6 +126,18 @@ pub enum HostEvent {
     },
 }
 
+impl HostEvent {
+    /// The retired instruction, if this is a [`HostEvent::Retire`] — for
+    /// patching events an [`EventBuffer`] has staged in place.
+    #[inline]
+    pub fn as_retire_mut(&mut self) -> Option<&mut DynInst> {
+        match self {
+            HostEvent::Retire(d) => Some(d),
+            _ => None,
+        }
+    }
+}
+
 /// A consumer of the host-event stream.
 ///
 /// Sinks receive events in batches; within and across batches the order
@@ -188,14 +200,40 @@ impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
     }
 }
 
+/// What a staging slot holds before its first event (no heap state).
+const FILLER: HostEvent = HostEvent::ModeEnter(ExecMode::Im);
+
+/// Slots an [`EventBuffer`] adds at a time while its vector grows.
+const GROW: usize = 64;
+
 /// Fixed-capacity staging buffer between an event producer and a sink.
 ///
-/// `push` appends; when the buffer reaches capacity it flushes the whole
-/// batch to the sink. Producers flush explicitly at natural boundaries
-/// (budget expiry, control returning to the dispatcher), so a batch
-/// never crosses a point where the controller needs the stream drained.
+/// Three invariants hold for every way of appending:
+///
+/// 1. **Order is retire order**, within and across batches.
+/// 2. **A batch never exceeds the capacity**: an append that finds the
+///    buffer full delivers the staged batch *first*, then writes slot 0.
+/// 3. **Nothing handed out in place is delivered before its patch**:
+///    [`retire_in_place`](Self::retire_in_place) and
+///    [`retire_stream`](Self::retire_stream) lend out freshly written
+///    slots, and no append calls the sink once a slot is out.
+///
+/// Producers flush explicitly at natural boundaries (budget expiry,
+/// control returning to the dispatcher), so a batch never crosses a
+/// point where the controller needs the stream drained.
+///
+/// Slots are written by index. The vector behind them grows — 64
+/// fillers at a time, inside the one allocation made up front — only
+/// while slots are used for the first time: a slice-drained buffer has
+/// all of them after its first full batch, and from then on an append
+/// is a compare and a 48-byte store. A shared drain gives the vector
+/// away with every batch (which makes the hand-over a `memcpy`), so
+/// there the growing starts over each time.
 pub struct EventBuffer<'a> {
+    /// `buf[..len]` is the staged batch; anything behind it has been
+    /// delivered already.
     buf: Vec<HostEvent>,
+    len: usize,
     capacity: usize,
     shared: bool,
     sink: &'a mut dyn HostEventSink,
@@ -204,57 +242,117 @@ pub struct EventBuffer<'a> {
 impl<'a> EventBuffer<'a> {
     /// Creates a buffer delivering batches of at most `capacity` events.
     pub fn new(capacity: usize, sink: &'a mut dyn HostEventSink) -> EventBuffer<'a> {
-        EventBuffer::from_storage(Vec::with_capacity(capacity.max(1)), capacity, sink)
+        EventBuffer::from_storage(Vec::new(), capacity, sink)
     }
 
     /// Creates a buffer reusing an existing allocation (producers keep
     /// the storage across steps to avoid re-allocating per dispatch).
+    /// Nothing left in `storage` is ever delivered.
     pub fn from_storage(
-        storage: Vec<HostEvent>,
+        mut storage: Vec<HostEvent>,
         capacity: usize,
         sink: &'a mut dyn HostEventSink,
     ) -> EventBuffer<'a> {
+        let capacity = capacity.max(1);
+        storage.truncate(capacity);
+        storage.reserve_exact(capacity - storage.len());
         let shared = sink.wants_shared();
-        EventBuffer { buf: storage, capacity: capacity.max(1), shared, sink }
+        EventBuffer { buf: storage, len: 0, capacity, shared, sink }
     }
 
-    /// Appends one event, flushing if the batch is full.
-    #[inline]
-    pub fn push(&mut self, e: HostEvent) {
-        self.buf.push(e);
-        if self.buf.len() >= self.capacity {
+    /// Makes slots `len..len + n` exist (`n` ≤ capacity), delivering the
+    /// staged batch first if they do not fit behind it. A slice-drained
+    /// buffer comes here once per batch, a shared one every [`GROW`]
+    /// events.
+    #[cold]
+    fn make_room(&mut self, n: usize) {
+        if n > self.capacity - self.len {
             self.flush();
         }
+        let want = (self.len + n.max(GROW)).min(self.capacity);
+        let missing = want.saturating_sub(self.buf.len());
+        self.buf.extend((0..missing).map(|_| FILLER));
     }
 
-    /// Appends a retired host instruction (the hot path).
+    /// The next free slot.
+    #[inline]
+    fn slot(&mut self) -> &mut HostEvent {
+        if self.len == self.buf.len() {
+            self.make_room(1);
+        }
+        self.len += 1;
+        &mut self.buf[self.len - 1]
+    }
+
+    /// Appends one event.
+    #[inline]
+    pub fn push(&mut self, e: HostEvent) {
+        *self.slot() = e;
+    }
+
+    /// Appends a retired host instruction built by the caller.
     #[inline]
     pub fn retire(&mut self, d: DynInst) {
         self.push(HostEvent::Retire(d));
     }
 
+    /// Appends a copy of `template` and lends it out for patching in
+    /// the slot. (Pushing a patched stack copy re-reads bytes the patch
+    /// has only just stored: a store-forwarding stall per event.)
+    #[inline]
+    pub fn retire_in_place(&mut self, template: &DynInst) -> &mut DynInst {
+        let slot = self.slot();
+        *slot = HostEvent::Retire(*template);
+        slot.as_retire_mut().expect("the slot was just written as a retirement")
+    }
+
+    /// Appends a whole retirement stream by block copy, then hands the
+    /// appended events to `patch`. A stream that does not fit the room
+    /// left starts a new batch; one longer than a whole batch is patched
+    /// in a side buffer and appended event by event.
+    #[inline]
+    pub fn retire_stream(&mut self, stream: &[DynInst], patch: impl FnOnce(&mut [HostEvent])) {
+        if self.len + stream.len() > self.buf.len() {
+            if stream.len() > self.capacity {
+                let mut side: Vec<HostEvent> =
+                    stream.iter().map(|d| HostEvent::Retire(*d)).collect();
+                patch(&mut side);
+                side.into_iter().for_each(|e| self.push(e));
+                return;
+            }
+            self.make_room(stream.len());
+        }
+        let slots = &mut self.buf[self.len..self.len + stream.len()];
+        for (slot, d) in slots.iter_mut().zip(stream) {
+            *slot = HostEvent::Retire(*d);
+        }
+        patch(slots);
+        self.len += stream.len();
+    }
+
     /// Delivers all buffered events to the sink, preserving order.
     ///
     /// For a sink that [`wants_shared`](HostEventSink::wants_shared)
-    /// batches, the staging buffer is *moved* into one refcounted
+    /// batches, the staged events are *moved* into one refcounted
     /// allocation (the arc-batch drain path) so a broadcasting sink can
     /// hand it to any number of consumers without per-consumer clones;
-    /// otherwise the buffer is lent as a slice and its storage reused.
+    /// otherwise they are lent as a slice and the storage is reused.
     pub fn flush(&mut self) {
-        if self.buf.is_empty() {
+        let n = std::mem::take(&mut self.len);
+        if n == 0 {
             return;
         }
         if self.shared {
-            let batch: Arc<[HostEvent]> = std::mem::take(&mut self.buf).into();
-            self.sink.consume_shared(batch);
+            let mut batch = std::mem::take(&mut self.buf);
+            batch.truncate(n);
+            self.sink.consume_shared(batch.into());
             self.buf = Vec::with_capacity(self.capacity);
         } else {
-            self.sink.consume(&self.buf);
-            self.buf.clear();
+            self.sink.consume(&self.buf[..n]);
         }
     }
 
-    /// Flushes and returns the (empty) storage for reuse.
+    /// Flushes and returns the storage for reuse.
     pub fn into_storage(mut self) -> Vec<HostEvent> {
         self.flush();
         self.buf
@@ -262,14 +360,14 @@ impl<'a> EventBuffer<'a> {
 
     /// Events currently staged.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.len
     }
 }
 
 impl std::fmt::Debug for EventBuffer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBuffer")
-            .field("pending", &self.buf.len())
+            .field("pending", &self.len)
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -389,45 +487,59 @@ pub struct TraceStatsSink {
     pub stats: TraceStats,
 }
 
+impl TraceStatsSink {
+    /// Accounts for one delivered batch of `len` events.
+    #[inline]
+    pub fn batch(&mut self, len: usize) {
+        self.stats.batches += 1;
+        self.stats.max_batch = self.stats.max_batch.max(len as u64);
+    }
+
+    /// Tallies one event.
+    #[inline(always)]
+    pub fn event(&mut self, e: &HostEvent) {
+        let s = &mut self.stats;
+        match e {
+            HostEvent::Retire(d) => {
+                s.retired += 1;
+                s.component_insts[d.component.index()] += 1;
+            }
+            HostEvent::ModeEnter(m) => s.mode_enters[m.index()] += 1,
+            HostEvent::Translated { kind, host_len, .. } => {
+                match kind {
+                    TranslationKind::Bb => s.bb_translations += 1,
+                    TranslationKind::Sb => s.sb_translations += 1,
+                }
+                s.translated_host_insts += u64::from(*host_len);
+            }
+            HostEvent::Chained { .. } => s.chains += 1,
+            HostEvent::CacheInsert { flushed, .. } => {
+                s.cache_inserts += 1;
+                s.cache_flushes += u64::from(*flushed);
+            }
+            HostEvent::Evict { smc, .. } => {
+                s.evictions += 1;
+                s.smc_evictions += u64::from(*smc);
+            }
+            HostEvent::Unchain { .. } => s.unchains += 1,
+            HostEvent::IbtcResolve { hit, .. } => {
+                if *hit {
+                    s.ibtc_hits += 1;
+                } else {
+                    s.ibtc_misses += 1;
+                }
+            }
+            HostEvent::StepBoundary { .. } => s.step_boundaries += 1,
+            HostEvent::WindowMark { .. } => s.window_marks += 1,
+        }
+    }
+}
+
 impl HostEventSink for TraceStatsSink {
     fn consume(&mut self, batch: &[HostEvent]) {
-        let s = &mut self.stats;
-        s.batches += 1;
-        s.max_batch = s.max_batch.max(batch.len() as u64);
+        self.batch(batch.len());
         for e in batch {
-            match e {
-                HostEvent::Retire(d) => {
-                    s.retired += 1;
-                    s.component_insts[d.component.index()] += 1;
-                }
-                HostEvent::ModeEnter(m) => s.mode_enters[m.index()] += 1,
-                HostEvent::Translated { kind, host_len, .. } => {
-                    match kind {
-                        TranslationKind::Bb => s.bb_translations += 1,
-                        TranslationKind::Sb => s.sb_translations += 1,
-                    }
-                    s.translated_host_insts += u64::from(*host_len);
-                }
-                HostEvent::Chained { .. } => s.chains += 1,
-                HostEvent::CacheInsert { flushed, .. } => {
-                    s.cache_inserts += 1;
-                    s.cache_flushes += u64::from(*flushed);
-                }
-                HostEvent::Evict { smc, .. } => {
-                    s.evictions += 1;
-                    s.smc_evictions += u64::from(*smc);
-                }
-                HostEvent::Unchain { .. } => s.unchains += 1,
-                HostEvent::IbtcResolve { hit, .. } => {
-                    if *hit {
-                        s.ibtc_hits += 1;
-                    } else {
-                        s.ibtc_misses += 1;
-                    }
-                }
-                HostEvent::StepBoundary { .. } => s.step_boundaries += 1,
-                HostEvent::WindowMark { .. } => s.window_marks += 1,
-            }
+            self.event(e);
         }
     }
 }
@@ -487,13 +599,28 @@ mod tests {
 
     #[test]
     fn storage_round_trip_reuses_allocation() {
-        let mut sink = NullSink;
-        let storage = Vec::with_capacity(1024);
-        let mut buf = EventBuffer::from_storage(storage, 1024, &mut sink);
+        // The storage comes back with its slots still written (it is
+        // index-addressed, not cleared); what must hold is that the next
+        // buffer built on it neither reallocates nor delivers any of
+        // them again.
+        let mut out: Vec<HostEvent> = Vec::new();
+        let mut buf = EventBuffer::new(1024, &mut out);
         buf.push(retire_at(0));
-        let back = buf.into_storage();
-        assert!(back.is_empty());
-        assert!(back.capacity() >= 1024, "allocation survives the round trip");
+        let storage = buf.into_storage();
+        let allocation = (storage.as_ptr(), storage.capacity());
+        let mut buf = EventBuffer::from_storage(storage, 1024, &mut out);
+        assert_eq!(buf.pending(), 0, "a delivered event is not staged again");
+        buf.push(retire_at(4));
+        let storage = buf.into_storage();
+        assert_eq!((storage.as_ptr(), storage.capacity()), allocation, "allocation survives");
+        let pcs: Vec<u64> = out
+            .iter()
+            .map(|e| match e {
+                HostEvent::Retire(d) => d.pc,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(pcs, [0, 4], "each event exactly once");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::profile::StaticMode;
 use crate::translate::RegionInst;
 use darco_guest::exec::{Control, StepInfo};
 use darco_guest::{GuestClass, Inst};
-use darco_host::events::EventBuffer;
+use darco_host::events::{EventBuffer, HostEvent};
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE, TOL_DATA_BASE};
 use darco_host::stream::int_reg;
 use darco_host::{BranchKind, Component, DynInst, ExecClass};
@@ -99,7 +99,10 @@ pub struct Emitter {
 }
 
 /// A recorded interpreter stream for one step shape, plus the indices of
-/// the instructions whose fields vary per step.
+/// the instructions whose fields vary per step. Immutable once recorded:
+/// it is the stream at the patch values of the step that recorded it,
+/// and every replay overwrites each marked field in the event buffer,
+/// never here.
 #[derive(Debug)]
 struct InterpTemplate {
     insts: Vec<DynInst>,
@@ -234,8 +237,10 @@ fn emit_interp<T: RetireTarget>(
     c.br(BranchKind::UncondDirect, TOL_CODE_BASE + code::INTERP, true);
 }
 
-fn comp_idx(c: Component) -> usize {
-    Component::ALL.iter().position(|x| *x == c).expect("component in ALL")
+/// The retirement staged in a slot that [`EventBuffer::retire_stream`]
+/// has just filled.
+fn retired(e: &mut HostEvent) -> &mut DynInst {
+    e.as_retire_mut().expect("retire_stream stages retirements only")
 }
 
 /// Where a stream-building cursor retires to: the live event buffer, or
@@ -376,7 +381,7 @@ impl Emitter {
     }
 
     fn track<T: RetireTarget>(&mut self, comp: Component, cur: Cur<'_, T>) {
-        self.emitted[comp_idx(comp)] += cur.count;
+        self.emitted[comp.index()] += cur.count;
     }
 
     /// One interpreted guest instruction (IM): dispatch, decode, handler
@@ -434,24 +439,25 @@ impl Emitter {
             emit_interp(&mut c, guest_pc, info, Some(&mut marks));
             self.interp_tpl[key] = Some(InterpTemplate { insts, marks });
         }
-        let tpl = self.interp_tpl[key].as_mut().expect("template just ensured");
+        let tpl = self.interp_tpl[key].as_ref().expect("template just ensured");
         let m = tpl.marks;
-        tpl.insts[m.fetch0].mem.as_mut().expect("fetch is a load").addr = guest_to_host(guest_pc);
-        tpl.insts[m.fetch1].mem.as_mut().expect("fetch is a load").addr =
-            guest_to_host(guest_pc.wrapping_add(4));
-        tpl.insts[m.dispatch].pc =
-            TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
-        for (i, a) in info.accesses.iter().enumerate() {
-            tpl.insts[m.acc[i]].mem.as_mut().expect("access has a mem event").addr =
-                guest_to_host(a.addr);
-        }
-        if let Control::Jump { taken, .. } = info.control {
-            tpl.insts[m.jump].branch.as_mut().expect("jump has a branch").2 = taken;
-        }
-        for d in &tpl.insts {
-            ev.retire(*d);
-        }
-        self.emitted[comp_idx(comp)] += tpl.insts.len() as u64;
+        ev.retire_stream(&tpl.insts, |evs| {
+            let mem_at = |evs: &mut [HostEvent], i: usize, addr: u64| {
+                retired(&mut evs[i]).mem.as_mut().expect("marked slot is a memory access").addr =
+                    addr;
+            };
+            mem_at(evs, m.fetch0, guest_to_host(guest_pc));
+            mem_at(evs, m.fetch1, guest_to_host(guest_pc.wrapping_add(4)));
+            retired(&mut evs[m.dispatch]).pc =
+                TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
+            for (i, a) in info.accesses.iter().enumerate() {
+                mem_at(evs, m.acc[i], guest_to_host(a.addr));
+            }
+            if let Control::Jump { taken, .. } = info.control {
+                retired(&mut evs[m.jump]).branch.as_mut().expect("jump has a branch").2 = taken;
+            }
+        });
+        self.emitted[comp.index()] += tpl.insts.len() as u64;
     }
 
     /// Basic-block translation (BBM): decode each guest instruction and
@@ -836,7 +842,7 @@ mod tests {
         e.transition(&mut ev);
         e.dispatch(&mut ev, StaticMode::Bbm);
         ev.flush();
-        let others = e.emitted[comp_idx(Component::TolOthers)];
+        let others = e.emitted[Component::TolOthers.index()];
         assert_eq!(others, n);
         assert!(others > 10);
     }

@@ -847,9 +847,10 @@ impl Tol {
         }
     }
 
-    /// Template fast path: execute, copy the prebuilt record, patch only
-    /// the dynamic fields, retire. No per-retire metadata derivation and
-    /// no match over [`HInst`].
+    /// Template fast path: copy the prebuilt record into the event
+    /// buffer, execute, and patch only the dynamic fields of the staged
+    /// event. No per-retire metadata derivation, no match over
+    /// [`HInst`], no copy on the stack.
     fn exec_block_templates(
         &mut self,
         bid: BlockId,
@@ -862,7 +863,7 @@ impl Tol {
         loop {
             let inst = &block.insts[idx];
             let tpl = &block.templates[idx];
-            let mut d = tpl.inst;
+            let d = ev.retire_in_place(&tpl.inst);
 
             // The effective address must be read before execution: the
             // instruction may overwrite its own base register.
@@ -892,13 +893,12 @@ impl Tol {
                         let target = link
                             .and_then(|to| self.cc.get(to))
                             .map_or(TOL_CODE_BASE, |b| b.host_base);
-                        d = d.with_branch(BranchKind::UncondDirect, target, true);
+                        d.branch = Some((BranchKind::UncondDirect, target, true));
                     }
                 }
                 RetireDyn::Fixed | RetireDyn::Mem { .. } => {}
             }
             app_insts += 1;
-            ev.retire(d);
 
             match outcome {
                 Outcome::Next => idx += 1,

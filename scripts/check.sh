@@ -24,6 +24,9 @@ if [ "${1:-}" = "--tsan" ]; then
         exit 0
     fi
     host=$(rustc +nightly -vV | sed -n 's/^host: //p')
+    # Every fan-out run drains the event buffer through its shared
+    # (`Arc`) path: the staging vector is given to the workers and
+    # staging restarts in a fresh one while they still read the old.
     echo "== tsan: event_stream fanout tests on $host"
     RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$host" \
@@ -62,8 +65,14 @@ cargo test -q --workspace
 echo "== cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-echo "== cargo test -q --release --test event_stream --test properties"
-cargo test -q --release --test event_stream --test properties
+echo "== cargo test -q --release --test event_stream --test event_stream_golden --test properties"
+cargo test -q --release --test event_stream --test event_stream_golden --test properties
+
+# The event bus writes its staging slots by index and sends oversize
+# streams through a side buffer; that arithmetic, the single pass of
+# `SinkSet` and the shared (`Arc`) drain must hold as optimised too.
+echo "== cargo test -q --release -p darco-host -p darco-core"
+cargo test -q --release -p darco-host -p darco-core
 
 # The guest layer's block dispatch loop (bounds, budget and cursor
 # arithmetic) must hold as optimised, not only with overflow checks and
