@@ -1,28 +1,27 @@
-//! Functional-emulation throughput: guest MIPS through the guest-layer
-//! fast path (DESIGN.md §16) versus the decode-per-step byte oracle.
+//! Functional-emulation throughput: guest MIPS through the micro-op
+//! executor (DESIGN.md §16) versus the independent decode-per-step
+//! executor, `exec::step`.
 //!
-//! Two workloads, each run to `Halt` three ways — `oracle` (decode per
-//! step), `fast` (`ExecCtx::step` per instruction, what the repository
-//! benchmark reports as `guest.exec_mips`) and `run` (one
+//! Two workloads, each run to `Halt` three ways — `oracle`
+//! (`exec::step`), `fast` (`ExecCtx::step` per instruction, what the
+//! repository benchmark reports as `guest.exec_mips`) and `run` (one
 //! `ExecCtx::run` call: the block-granular loop the state checker and
 //! the interpreter sit on, without a `StepInfo` per instruction):
 //!
 //! * `guest_exec/{fast,run,oracle}_mixed_loop` — a hand-built counted loop
 //!   mixing ALU, narrow/wide memory, flag-producing and branching
 //!   instructions, hot enough that the micro-op cache and lazy-flag
-//!   elision dominate. This isolates exactly the code the fast path
-//!   replaced: `decode` + `exec_decoded` per step.
+//!   elision dominate. The `oracle` row is `decode` + `exec_decoded`
+//!   per step.
 //! * `guest_exec/{fast,run,oracle}_quicktest` — the generated quicktest
-//!   workload (what `bench_report` measures), with realistic mode and
-//!   instruction mixes.
+//!   workload, with realistic mode and instruction mixes.
 //!
 //! Plus the interpreter inside the full TOL engine:
 //!
-//! * `guest_interp/{fast,oracle}_engine` — the whole TOL (null sink,
-//!   promotion disabled so every instruction goes through the
-//!   interpreter) with `guest_fast_path` on vs off.
+//! * `guest_interp/tol_im` — the whole TOL (null sink, promotion
+//!   disabled so every instruction goes through the interpreter).
 //!
-//! Architectural equality of the two paths is asserted before timing;
+//! Architectural equality of the executors is asserted before timing;
 //! throughput is guest instructions per iteration. Results land in
 //! EXPERIMENTS.md.
 
@@ -70,10 +69,9 @@ fn mixed_loop() -> (GuestMem, CpuState) {
     (mem, cpu)
 }
 
-/// Runs to `Halt` through the decode-per-step byte oracle.
+/// Runs to `Halt` through the decode-per-step executor.
 fn run_oracle(mem: &GuestMem, cpu: &CpuState) -> (CpuState, u64) {
     let mut mem = mem.clone();
-    mem.set_fast_path(false);
     let mut cpu = cpu.clone();
     let mut n = 0u64;
     while !cpu.halted {
@@ -83,7 +81,7 @@ fn run_oracle(mem: &GuestMem, cpu: &CpuState) -> (CpuState, u64) {
     (cpu, n)
 }
 
-/// Runs to `Halt` through the micro-op fast path, forcing lazy flags at
+/// Runs to `Halt` one `ExecCtx::step` at a time, forcing lazy flags at
 /// the end so the final state is comparable.
 fn run_fast(mem: &GuestMem, cpu: &CpuState) -> (CpuState, u64) {
     let mut mem = mem.clone();
@@ -110,10 +108,9 @@ fn run_blocks(mem: &GuestMem, cpu: &CpuState) -> (CpuState, u64) {
 }
 
 /// The whole TOL engine, promotion disabled (interpreter only).
-fn tol_interp_run(mem: &GuestMem, cpu: &CpuState, fast: bool) -> u64 {
+fn tol_interp_run(mem: &GuestMem, cpu: &CpuState) -> u64 {
     let mut mem = mem.clone();
-    let cfg =
-        TolConfig { im_bb_threshold: u32::MAX, guest_fast_path: fast, ..TolConfig::default() };
+    let cfg = TolConfig { im_bb_threshold: u32::MAX, ..TolConfig::default() };
     let mut tol = Tol::new(cfg, cpu.eip);
     tol.set_state(cpu);
     let mut sink = darco_host::NullSink;
@@ -147,12 +144,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("oracle_quicktest", |b| b.iter(|| black_box(run_oracle(&w.mem, &w.initial))));
     g.finish();
 
-    let engine_insts = tol_interp_run(&mem, &cpu, true);
-    assert_eq!(engine_insts, tol_interp_run(&mem, &cpu, false), "engine paths must agree");
+    let engine_insts = tol_interp_run(&mem, &cpu);
+    assert_eq!(engine_insts, insts, "the interpreter retires what the executors do");
     let mut g = c.benchmark_group("guest_interp");
     g.throughput(Throughput::Elements(engine_insts));
-    g.bench_function("fast_engine", |b| b.iter(|| black_box(tol_interp_run(&mem, &cpu, true))));
-    g.bench_function("oracle_engine", |b| b.iter(|| black_box(tol_interp_run(&mem, &cpu, false))));
+    g.bench_function("tol_im", |b| b.iter(|| black_box(tol_interp_run(&mem, &cpu))));
     g.finish();
 }
 

@@ -41,11 +41,17 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--scale needs a number")),
-                );
+                let s: f64 = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--scale needs a number"));
+                // The generator turns the scale into loop trip counts:
+                // `inf` never halts; `nan`, 0 and negatives silently run
+                // some other length.
+                if !(s.is_finite() && s > 0.0) {
+                    die("--scale must be finite and greater than 0");
+                }
+                scale = Some(s);
             }
             "--quick" => quick = true,
             "--jobs" => {

@@ -6,30 +6,10 @@
 //!   paper's evaluation (Figs. 5–11) plus the ablation studies listed in
 //!   DESIGN.md §8 — run `figures all`, or `figures fig6 --quick` for a
 //!   fast pass;
-//! * the **Criterion benches** (`cargo bench`) measure the throughput of
-//!   the infrastructure itself and exercise each figure's pipeline at a
-//!   small scale.
+//! * the **Criterion benches** (`cargo bench`) answer layer questions
+//!   the repository benchmark cannot: the event bus and the translation
+//!   scratch arena by themselves (`retire_throughput`), the timing layer
+//!   on a replayed stream (`timing_throughput`), the guest executors
+//!   (`guest_exec`) and the TOL components (`tol_components`).
 
 pub mod replay;
-
-use darco_core::{run_bench, BenchRun, RunConfig};
-use darco_workloads::suites;
-
-/// Runs the first `n` benchmarks of the roster at a small scale —
-/// shared across the Criterion benches.
-pub fn quick_runs(n: usize) -> Vec<BenchRun> {
-    let cfg = RunConfig::quick();
-    suites::all_profiles().into_iter().take(n).map(|p| run_bench(&p, &cfg)).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_runs_produce_reports() {
-        let runs = quick_runs(1);
-        assert_eq!(runs.len(), 1);
-        assert!(runs[0].report.timing.total_cycles > 0);
-    }
-}

@@ -19,26 +19,14 @@
 //!
 //! options: --profile FILE       load a custom profile (JSON) as the next
 //!                               benchmark
-//!          --scale S            dynamic-length scale (default 0.5)
+//!          --scale S            dynamic-length scale, finite and > 0
+//!                               (default 0.5)
 //!          --cache-policy P     code-cache overflow policy: flush
 //!                               (default, whole-cache flush) or fifo
 //!                               (partial eviction with space reuse and
 //!                               selective unchaining)
 //!          --cosim              enable co-simulation checking (run,
 //!                               run-set, analyze)
-//!          --timing-backend B   schedule the timing simulator: auto
-//!                               (default: fanout, one worker per
-//!                               pipeline, on a multi-CPU host; inline on
-//!                               a single-CPU host and for run-set jobs
-//!                               running side by side), inline or fanout;
-//!                               results are bit-identical
-//!          --guest-fast-path on|off
-//!                               guest-layer fast path: pre-decoded
-//!                               micro-op buffers with lazy flag
-//!                               materialization plus width-native
-//!                               memory access (default on); off runs
-//!                               the decode-per-step byte oracle —
-//!                               reports are byte-identical either way
 //!          --jobs N             worker threads for run-set (default:
 //!                               all available cores)
 //!          --n N                rows/instructions to print (trace,
@@ -47,7 +35,7 @@
 //!                               verify, analyze)
 //! ```
 
-use darco_core::{Report, System, SystemConfig, TimingBackendKind};
+use darco_core::{Report, System, SystemConfig};
 use darco_host::{Component, HInst, Owner};
 use darco_tol::codecache::{BlockKind, CachePolicy};
 use darco_tol::{Tol, TolConfig};
@@ -82,8 +70,8 @@ fn main() {
 fn usage() {
     eprintln!(
         "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
-         [--profile FILE] [--scale S] [--cache-policy flush|fifo] [--cosim] \
-         [--timing-backend auto|inline|fanout] [--guest-fast-path on|off] [--jobs N] [--n N] [--json]"
+         [--profile FILE] [--scale S] [--cache-policy flush|fifo] [--cosim] [--jobs N] [--n N] \
+         [--json]"
     );
 }
 
@@ -96,10 +84,7 @@ struct Opts {
     profiles: Vec<BenchProfile>,
     scale: f64,
     cosim: bool,
-    timing_backend: TimingBackendKind,
     cache_policy: CachePolicy,
-    /// `None` keeps [`TolConfig`]'s default (on).
-    guest_fast_path: Option<bool>,
     /// `None` means all available cores.
     jobs: Option<usize>,
     n: usize,
@@ -113,29 +98,9 @@ impl Opts {
         self.profiles.last().cloned().unwrap_or_else(suites::quicktest_profile)
     }
 
-    /// Applies the optional flags onto a TOL config.
+    /// Applies the flags that configure the software layer.
     fn apply_tol(&self, tol: &mut TolConfig) {
         tol.cache_policy = self.cache_policy;
-        if let Some(on) = self.guest_fast_path {
-            tol.guest_fast_path = on;
-        }
-    }
-}
-
-fn parse_backend(v: &str) -> TimingBackendKind {
-    match v {
-        "auto" => TimingBackendKind::Auto,
-        "inline" => TimingBackendKind::Inline,
-        "fanout" => TimingBackendKind::Fanout,
-        other => bail(&format!("unknown timing backend {other} (auto|inline|fanout)")),
-    }
-}
-
-fn parse_on_off(flag: &str, v: &str) -> bool {
-    match v {
-        "on" => true,
-        "off" => false,
-        other => bail(&format!("{flag} needs on|off, got {other}")),
     }
 }
 
@@ -155,9 +120,7 @@ fn parse(rest: &[String]) -> Opts {
         profiles: Vec::new(),
         scale: 0.5,
         cosim: false,
-        timing_backend: TimingBackendKind::Auto,
         cache_policy: CachePolicy::Flush,
-        guest_fast_path: None,
         jobs: None,
         n: 20,
         json: false,
@@ -179,13 +142,17 @@ fn parse(rest: &[String]) -> Opts {
             "--scale" => {
                 o.scale =
                     value("a number").parse().unwrap_or_else(|_| bail("--scale needs a number"));
+                // The generator turns the scale into loop trip counts:
+                // `inf` never halts; `nan`, 0 and negatives silently run
+                // some other length.
+                if !(o.scale.is_finite() && o.scale > 0.0) {
+                    bail("--scale must be finite and greater than 0");
+                }
             }
             "--cosim" => o.cosim = true,
-            "--timing-backend" => o.timing_backend = parse_backend(value("a mode")),
             "--cache-policy" => {
                 o.cache_policy = value("flush|fifo").parse().unwrap_or_else(|e: String| bail(&e));
             }
-            "--guest-fast-path" => o.guest_fast_path = Some(parse_on_off(a, value("on|off"))),
             "--jobs" => {
                 let n: usize = value("a thread count")
                     .parse()
@@ -236,11 +203,7 @@ fn run(rest: &[String]) {
     let o = parse(rest);
     let profile = o.profile();
     eprintln!("running {} at scale {} ...", profile.name, o.scale);
-    let mut cfg = SystemConfig {
-        cosim: o.cosim,
-        timing_backend: o.timing_backend,
-        ..SystemConfig::default()
-    };
+    let mut cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
     o.apply_tol(&mut cfg.tol);
     let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
@@ -261,12 +224,7 @@ fn run_set(rest: &[String]) {
     let o = parse(rest);
     let jobs =
         o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let mut cfg = darco_core::RunConfig {
-        scale: o.scale,
-        cosim: o.cosim,
-        timing_backend: o.timing_backend,
-        ..Default::default()
-    };
+    let mut cfg = darco_core::RunConfig { scale: o.scale, cosim: o.cosim, ..Default::default() };
     o.apply_tol(&mut cfg.tol);
     let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles };
     eprintln!(
@@ -350,11 +308,7 @@ fn analyze(rest: &[String]) {
     // and for the functional rerun below.
     let analysis_mem = w.mem.clone();
     let (entry, initial) = (w.entry, w.initial.clone());
-    let mut cfg = SystemConfig {
-        cosim: o.cosim,
-        timing_backend: o.timing_backend,
-        ..SystemConfig::default()
-    };
+    let mut cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
     o.apply_tol(&mut cfg.tol);
     let tol_cfg = cfg.tol.clone();
     let mut sys = System::new(w, cfg);

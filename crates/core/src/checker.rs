@@ -43,28 +43,41 @@ pub struct StateChecker {
     mem: GuestMem,
     retired: u64,
     checks: u64,
-    /// Micro-op fast path for the authoritative side
-    /// (`--guest-fast-path`); `None` runs the byte-equality oracle.
-    /// Lazy flags are forced before every comparison, so the observable
-    /// states are bit-identical either way.
+    /// `Some`: the authoritative side runs the micro-op executor (the
+    /// one the software layer's interpreter runs too); `None`: the
+    /// independent `exec::step`. Lazy flags are forced before every
+    /// comparison, so the observable states are bit-identical either
+    /// way.
     fast: Option<ExecCtx>,
 }
 
 impl StateChecker {
     /// Creates the authoritative side from the initial program state and
-    /// a *private copy* of guest memory (oracle execution path; see
-    /// [`StateChecker::set_fast_path`]).
+    /// a *private copy* of guest memory, executing with the independent
+    /// `exec::step` (see [`StateChecker::set_fast_path`]).
     pub fn new(initial: CpuState, mem: GuestMem) -> StateChecker {
         StateChecker { cpu: initial, mem, retired: 0, checks: 0, fast: None }
     }
 
-    /// Switches the authoritative emulator between the guest layer's
-    /// micro-op fast path and the decode-per-step oracle. Also gates
-    /// the private memory copy's width-native access path, keeping the
-    /// whole authoritative side on one setting.
+    /// Chooses which executor is the *authority*: `true` is the guest
+    /// layer's micro-op executor ([`ExecCtx`]), `false` the hand-written
+    /// decode-per-step `exec::step`. This is not a speed switch with an
+    /// equivalent twin. `ExecCtx` is also what the software layer's
+    /// interpreter runs, so with it IM-mode co-simulation compares an
+    /// executor with itself (translated code is still checked against
+    /// an implementation it shares nothing with); `exec::step` shares
+    /// nothing with any mode and costs about a third of a co-simulated
+    /// run more. `System::new` picks `exec::step` when the run is paying
+    /// for exactness anyway (`TolConfig::verify`) and `ExecCtx`
+    /// otherwise (DESIGN.md §16).
     pub fn set_fast_path(&mut self, on: bool) {
-        self.mem.set_fast_path(on);
         self.fast = on.then(ExecCtx::new);
+    }
+
+    /// Whether the authority is the independent `exec::step`.
+    #[cfg(test)]
+    pub(crate) fn steps_independently(&self) -> bool {
+        self.fast.is_none()
     }
 
     /// Advances the authoritative emulator by `n` guest instructions,
@@ -129,8 +142,8 @@ impl StateChecker {
     }
 
     /// Authoritative architectural state. Flags are guaranteed current
-    /// after a [`StateChecker::check`]; between advances on the fast
-    /// path a lazy definition may still be pending.
+    /// after a [`StateChecker::check`]; between advances of the micro-op
+    /// executor a lazy definition may still be pending.
     pub fn state(&self) -> &CpuState {
         &self.cpu
     }

@@ -11,7 +11,6 @@
 //! Each `figN` function reduces [`BenchRun`]s to the rows/series the
 //! corresponding figure plots.
 
-use crate::sinks::TimingBackendKind;
 use crate::system::{scaled_tol_config, Report, System, SystemConfig};
 use darco_host::{Component, Owner};
 use darco_timing::{BubbleCause, Stats, TimingConfig};
@@ -30,10 +29,6 @@ pub struct RunConfig {
     pub tol: TolConfig,
     /// Host parameters.
     pub timing: TimingConfig,
-    /// How the timing pipelines are scheduled (see
-    /// [`SystemConfig::timing_backend`]); results are bit-identical
-    /// across backends.
-    pub timing_backend: TimingBackendKind,
 }
 
 impl Default for RunConfig {
@@ -43,7 +38,6 @@ impl Default for RunConfig {
             cosim: false,
             tol: scaled_tol_config(),
             timing: TimingConfig::default(),
-            timing_backend: TimingBackendKind::Inline,
         }
     }
 }
@@ -77,7 +71,6 @@ pub fn run_bench(profile: &BenchProfile, cfg: &RunConfig) -> BenchRun {
         cosim: cfg.cosim,
         app_only_pipeline: true,
         tol_only_pipeline: true,
-        timing_backend: cfg.timing_backend,
         ..SystemConfig::default()
     };
     let mut sys = System::new(w, sys_cfg);
@@ -99,10 +92,6 @@ pub fn run_set(profiles: &[BenchProfile], cfg: &RunConfig) -> Vec<BenchRun> {
 /// benchmark is an independent system, so this is embarrassingly
 /// parallel). Results keep `profiles` order. `run_set` is the
 /// single-threaded special case.
-///
-/// With more than one worker the jobs supply the parallelism, so an
-/// [`Auto`](TimingBackendKind::Auto) timing backend runs inline:
-/// fan-out workers per job on top would only oversubscribe the host.
 pub fn run_set_parallel(
     profiles: &[BenchProfile],
     cfg: &RunConfig,
@@ -110,8 +99,6 @@ pub fn run_set_parallel(
 ) -> Vec<BenchRun> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
-    let cfg =
-        &RunConfig { timing_backend: job_backend(cfg.timing_backend, threads), ..cfg.clone() };
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<BenchRun>>> = profiles.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
@@ -128,15 +115,6 @@ pub fn run_set_parallel(
         .into_iter()
         .map(|m| m.into_inner().expect("poisoned").expect("worker filled every slot"))
         .collect()
-}
-
-/// The timing backend each job of a `threads`-wide run uses.
-fn job_backend(kind: TimingBackendKind, threads: usize) -> TimingBackendKind {
-    if threads > 1 && kind == TimingBackendKind::Auto {
-        TimingBackendKind::Inline
-    } else {
-        kind
-    }
 }
 
 // --------------------------------------------------------------------
@@ -610,20 +588,13 @@ mod tests {
         b.seed = 77;
         let profiles = vec![a, b];
         let seq = run_set(&profiles, &RunConfig::quick());
-        for timing_backend in [TimingBackendKind::Inline, TimingBackendKind::Auto] {
-            let cfg = RunConfig { timing_backend, ..RunConfig::quick() };
-            let par = run_set_parallel(&profiles, &cfg, 3);
-            assert_eq!(seq.len(), par.len());
-            for (s, p) in seq.iter().zip(par.iter()) {
-                assert_eq!(s.name, p.name, "order preserved");
-                assert_eq!(s.report.guest_insts, p.report.guest_insts);
-                assert_eq!(s.report.timing.total_cycles, p.report.timing.total_cycles);
-            }
+        let par = run_set_parallel(&profiles, &RunConfig::quick(), 3);
+        assert_eq!(seq.len(), par.len());
+        for (s, p) in seq.iter().zip(par.iter()) {
+            assert_eq!(s.name, p.name, "order preserved");
+            assert_eq!(s.report.guest_insts, p.report.guest_insts);
+            assert_eq!(s.report.timing.total_cycles, p.report.timing.total_cycles);
         }
-        // Parallel jobs supply the parallelism themselves.
-        assert_eq!(job_backend(TimingBackendKind::Auto, 3), TimingBackendKind::Inline);
-        assert_eq!(job_backend(TimingBackendKind::Auto, 1), TimingBackendKind::Auto);
-        assert_eq!(job_backend(TimingBackendKind::Fanout, 3), TimingBackendKind::Fanout);
     }
 
     #[test]

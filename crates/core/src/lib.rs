@@ -38,5 +38,5 @@ pub mod system;
 
 pub use checker::{Divergence, StateChecker};
 pub use experiments::{run_bench, BenchRun, RunConfig};
-pub use sinks::{CheckerSink, FanoutTiming, SinkSet, TimingBackend, TimingBackendKind, TimingSink};
+pub use sinks::{CheckerSink, SinkSet, TimingSink};
 pub use system::{scaled_tol_config, Report, System, SystemConfig, Window};

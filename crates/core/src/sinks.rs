@@ -3,30 +3,18 @@
 //! The software layer emits typed [`HostEvent`]s in retire-order batches
 //! (see `darco_host::events`). The controller composes its observers —
 //! timing pipelines, the co-simulation checker, trace statistics — as
-//! [`HostEventSink`]s in a [`SinkSet`], so each consumer sees the exact
-//! same ordered stream regardless of how it is scheduled. That property
-//! is what lets the timing simulator run *fanned out*, one worker per
-//! pipeline overlapped with emulation ([`TimingBackend::Fanout`]), with
-//! results bit-identical to the inline mode: the batches crossing the
-//! channels are the very batches the inline sink would have consumed, in
-//! the same order.
-//!
-//! Batches cross threads as `Arc<[HostEvent]>`: the emulation thread
-//! hands its staging buffer over once (see `EventBuffer`'s shared drain
-//! path), and fanning out to N workers is N reference-count bumps, not
-//! N copies.
+//! [`HostEventSink`]s in a [`SinkSet`], which walks every batch once on
+//! the emulation thread and hands each event to all of them, so each
+//! consumer has seen the exact same ordered stream prefix whenever one
+//! of them acts.
 
 use crate::checker::StateChecker;
 use crate::system::{SystemConfig, Window};
 use darco_guest::CpuState;
 use darco_host::{HostEvent, HostEventSink, Owner, TraceStatsSink};
 use darco_timing::{Pipeline, Stats};
-use serde::{Deserialize, Serialize};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 
-/// Pipeline snapshot at the last timeline-window boundary; deltas
+/// Shared-pipeline snapshot at the last timeline-window boundary; deltas
 /// against it form the next [`Window`].
 #[derive(Debug, Clone, Copy, Default)]
 struct WindowMark {
@@ -36,56 +24,51 @@ struct WindowMark {
     tol_insts: u64,
 }
 
-/// Which slice of the retire stream a [`PipelineSink`] models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PipelineRole {
-    /// Every instruction; also owns the timeline sampling.
-    Shared,
-    /// Application instructions only (Fig. 8's app-alone counterfactual).
-    AppOnly,
-    /// Software-layer instructions only.
-    TolOnly,
-}
-
-impl PipelineRole {
-    fn thread_name(self) -> &'static str {
-        match self {
-            PipelineRole::Shared => "darco-timing-shared",
-            PipelineRole::AppOnly => "darco-timing-app",
-            PipelineRole::TolOnly => "darco-timing-tol",
-        }
-    }
-}
-
-/// One timing pipeline plus everything it needs to consume the event
-/// stream on its own: the role filter and (for the shared pipeline) the
-/// timeline sampling state. Being a self-contained [`HostEventSink`] is
-/// what lets each pipeline migrate to its own worker under
-/// [`TimingBackend::Fanout`].
+/// Feeds retired instructions to the timing pipelines and samples
+/// timeline windows at [`HostEvent::WindowMark`] boundaries.
+///
+/// Owns the shared pipeline (every instruction; the one the timeline is
+/// sampled from) plus the optional application-only and TOL-only
+/// pipelines — the multi-pipeline methodology of Figs. 8–11.
 #[derive(Debug)]
-struct PipelineSink {
-    role: PipelineRole,
-    pipeline: Pipeline,
+pub struct TimingSink {
+    shared: Pipeline,
+    app_only: Option<Pipeline>,
+    tol_only: Option<Pipeline>,
     timeline: Vec<Window>,
     last_mark: WindowMark,
 }
 
-impl PipelineSink {
-    fn new(role: PipelineRole, cfg: &SystemConfig) -> PipelineSink {
-        PipelineSink {
-            role,
-            pipeline: Pipeline::new(cfg.timing.clone()),
+impl TimingSink {
+    /// Builds the pipeline set the configuration asks for.
+    pub fn new(cfg: &SystemConfig) -> TimingSink {
+        let pipeline = || Pipeline::new(cfg.timing.clone());
+        TimingSink {
+            shared: pipeline(),
+            app_only: cfg.app_only_pipeline.then(pipeline),
+            tol_only: cfg.tol_only_pipeline.then(pipeline),
             timeline: Vec::new(),
             last_mark: WindowMark::default(),
         }
     }
 
+    /// Dissolves the sink into report material: shared stats, optional
+    /// filtered stats, and the sampled timeline.
+    pub fn into_parts(self) -> (Stats, Option<Stats>, Option<Stats>, Vec<Window>) {
+        (
+            self.shared.snapshot(),
+            self.app_only.as_ref().map(Pipeline::snapshot),
+            self.tol_only.as_ref().map(Pipeline::snapshot),
+            self.timeline,
+        )
+    }
+
     /// Closes the current timeline window at `total_guest` retired guest
-    /// instructions, from the pipeline's incremental counters — no
-    /// statistics clone per window.
+    /// instructions, from the shared pipeline's incremental counters —
+    /// no statistics clone per window.
     fn sample_window(&mut self, total_guest: u64) {
-        let cycles = self.pipeline.cycles_so_far();
-        let s = self.pipeline.stats();
+        let cycles = self.shared.cycles_so_far();
+        let s = self.shared.stats();
         let app = s.owner_insts(Owner::App);
         let tol = s.owner_insts(Owner::Tol);
         let m = self.last_mark;
@@ -98,94 +81,24 @@ impl PipelineSink {
         self.last_mark =
             WindowMark { guest_insts: total_guest, cycles, app_insts: app, tol_insts: tol };
     }
-}
 
-impl HostEventSink for PipelineSink {
-    fn consume(&mut self, batch: &[HostEvent]) {
-        for e in batch {
-            match e {
-                HostEvent::Retire(d) => {
-                    let mine = match self.role {
-                        PipelineRole::Shared => true,
-                        PipelineRole::AppOnly => d.owner() == Owner::App,
-                        PipelineRole::TolOnly => d.owner() == Owner::Tol,
-                    };
-                    if mine {
-                        self.pipeline.retire(d);
-                    }
-                }
-                HostEvent::WindowMark { guest_insts }
-                    if self.role == PipelineRole::Shared
-                        && *guest_insts > self.last_mark.guest_insts =>
-                {
-                    self.sample_window(*guest_insts);
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Feeds retired instructions to the timing pipelines and samples
-/// timeline windows at [`HostEvent::WindowMark`] boundaries.
-///
-/// Owns the shared pipeline plus the optional application-only and
-/// TOL-only pipelines (the multi-pipeline methodology of Figs. 8–11) as
-/// independently schedulable `PipelineSink` units: consumed here they
-/// run in one pass, handed to [`FanoutTiming`] they each get a worker.
-#[derive(Debug)]
-pub struct TimingSink {
-    shared: PipelineSink,
-    app_only: Option<PipelineSink>,
-    tol_only: Option<PipelineSink>,
-}
-
-impl TimingSink {
-    /// Builds the pipeline set the configuration asks for.
-    pub fn new(cfg: &SystemConfig) -> TimingSink {
-        TimingSink {
-            shared: PipelineSink::new(PipelineRole::Shared, cfg),
-            app_only: cfg.app_only_pipeline.then(|| PipelineSink::new(PipelineRole::AppOnly, cfg)),
-            tol_only: cfg.tol_only_pipeline.then(|| PipelineSink::new(PipelineRole::TolOnly, cfg)),
-        }
-    }
-
-    /// Dissolves the sink into report material: shared stats, optional
-    /// filtered stats, and the sampled timeline.
-    pub fn into_parts(self) -> (Stats, Option<Stats>, Option<Stats>, Vec<Window>) {
-        (
-            self.shared.pipeline.snapshot(),
-            self.app_only.as_ref().map(|u| u.pipeline.snapshot()),
-            self.tol_only.as_ref().map(|u| u.pipeline.snapshot()),
-            self.shared.timeline,
-        )
-    }
-
-    /// Routes one event: a retirement to every pipeline that wants it
-    /// (cheaper inline than one filtered pass per unit), a fresh window
-    /// mark to the timeline sampler.
+    /// Routes one event: a retirement to every pipeline that wants it, a
+    /// fresh window mark to the timeline sampler.
     #[inline(always)]
     pub fn event(&mut self, e: &HostEvent) {
         match e {
             HostEvent::Retire(d) => {
-                self.shared.pipeline.retire(d);
-                match d.owner() {
-                    Owner::App => {
-                        if let Some(u) = &mut self.app_only {
-                            u.pipeline.retire(d);
-                        }
-                    }
-                    Owner::Tol => {
-                        if let Some(u) = &mut self.tol_only {
-                            u.pipeline.retire(d);
-                        }
-                    }
+                self.shared.retire(d);
+                let filtered = match d.owner() {
+                    Owner::App => &mut self.app_only,
+                    Owner::Tol => &mut self.tol_only,
+                };
+                if let Some(p) = filtered {
+                    p.retire(d);
                 }
             }
-            HostEvent::WindowMark { guest_insts }
-                if *guest_insts > self.shared.last_mark.guest_insts =>
-            {
-                self.shared.sample_window(*guest_insts);
+            HostEvent::WindowMark { guest_insts } if *guest_insts > self.last_mark.guest_insts => {
+                self.sample_window(*guest_insts);
             }
             _ => {}
         }
@@ -271,246 +184,34 @@ impl HostEventSink for CheckerSink {
     }
 }
 
-/// How the timing pipelines are scheduled relative to functional
-/// emulation. Every schedule produces byte-identical reports; they
-/// differ only in wall-clock overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TimingBackendKind {
-    /// Resolve against the host at construction: [`Inline`] on a
-    /// single-hardware-thread host (worker threads would only add
-    /// channel overhead), [`Fanout`] otherwise.
-    ///
-    /// [`Inline`]: TimingBackendKind::Inline
-    /// [`Fanout`]: TimingBackendKind::Fanout
-    #[default]
-    Auto,
-    /// Timing consumes each batch on the emulation thread, as it flushes.
-    Inline,
-    /// One worker thread per pipeline, each fed the same shared batches.
-    Fanout,
-}
-
-impl TimingBackendKind {
-    /// Resolves [`TimingBackendKind::Auto`] against the host's
-    /// available parallelism; concrete kinds pass through unchanged.
-    pub fn resolve(self) -> TimingBackendKind {
-        match self {
-            TimingBackendKind::Auto => {
-                if std::thread::available_parallelism().map_or(1, |n| n.get()) <= 1 {
-                    TimingBackendKind::Inline
-                } else {
-                    TimingBackendKind::Fanout
-                }
-            }
-            k => k,
-        }
-    }
-}
-
-/// How the [`TimingSink`] is scheduled relative to functional emulation.
-#[derive(Debug)]
-pub enum TimingBackend {
-    /// Timing consumes each batch on the emulation thread, as it flushes.
-    /// Boxed: the sink holds three full pipelines and would otherwise
-    /// dwarf the fan-out handles.
-    Inline(Box<TimingSink>),
-    /// Each pipeline on its own worker thread behind a bounded channel,
-    /// fed zero-copy by broadcasting the same `Arc<[HostEvent]>` batch
-    /// to every worker; the emulation thread only pays for the channel
-    /// sends. Identical batches in identical order make the results
-    /// bit-identical to [`TimingBackend::Inline`].
-    Fanout(FanoutTiming),
-}
-
-impl TimingBackend {
-    /// Builds the backend the configuration asks for.
-    pub fn new(cfg: &SystemConfig) -> TimingBackend {
-        let sink = TimingSink::new(cfg);
-        match cfg.timing_backend.resolve() {
-            TimingBackendKind::Auto => unreachable!("resolve() returns a concrete kind"),
-            TimingBackendKind::Inline => TimingBackend::Inline(Box::new(sink)),
-            TimingBackendKind::Fanout => TimingBackend::Fanout(FanoutTiming::spawn(sink)),
-        }
-    }
-
-    /// Drains any in-flight work and returns the timing sink.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from a timing worker thread.
-    pub fn finish(self) -> TimingSink {
-        match self {
-            TimingBackend::Inline(sink) => *sink,
-            TimingBackend::Fanout(f) => f.join(),
-        }
-    }
-}
-
-impl HostEventSink for TimingBackend {
-    fn consume(&mut self, batch: &[HostEvent]) {
-        match self {
-            TimingBackend::Inline(sink) => sink.consume(batch),
-            TimingBackend::Fanout(f) => f.send(Arc::from(batch)),
-        }
-    }
-
-    fn wants_shared(&self) -> bool {
-        !matches!(self, TimingBackend::Inline(_))
-    }
-
-    fn consume_shared(&mut self, batch: Arc<[HostEvent]>) {
-        match self {
-            TimingBackend::Inline(sink) => sink.consume(&batch),
-            TimingBackend::Fanout(f) => f.send(batch),
-        }
-    }
-}
-
-/// Depth of the batch channel to each timing worker: enough to absorb
-/// bursts, small enough to bound memory and keep back-pressure.
-const TIMING_CHANNEL_DEPTH: usize = 8;
-
-/// The fan-out backend: one worker thread per pipeline, each behind its
-/// own bounded channel, all fed the same `Arc` batch (a send is one
-/// refcount bump per worker). The slowest pipeline no longer rate-limits
-/// the others, and back-pressure still bounds memory per channel.
-#[derive(Debug)]
-pub struct FanoutTiming {
-    txs: Vec<mpsc::SyncSender<Arc<[HostEvent]>>>,
-    handles: Vec<JoinHandle<PipelineSink>>,
-}
-
-impl FanoutTiming {
-    /// Splits `sink` into its pipeline units and gives each a worker.
-    pub fn spawn(sink: TimingSink) -> FanoutTiming {
-        let TimingSink { shared, app_only, tol_only } = sink;
-        let units = std::iter::once(shared).chain(app_only).chain(tol_only).collect::<Vec<_>>();
-        let mut txs = Vec::with_capacity(units.len());
-        let mut handles = Vec::with_capacity(units.len());
-        for mut unit in units {
-            let (tx, rx) = mpsc::sync_channel::<Arc<[HostEvent]>>(TIMING_CHANNEL_DEPTH);
-            let handle = std::thread::Builder::new()
-                .name(unit.role.thread_name().into())
-                .spawn(move || {
-                    while let Ok(batch) = rx.recv() {
-                        unit.consume(&batch);
-                    }
-                    unit
-                })
-                .expect("spawn timing worker");
-            txs.push(tx);
-            handles.push(handle);
-        }
-        FanoutTiming { txs, handles }
-    }
-
-    fn send(&mut self, batch: Arc<[HostEvent]>) {
-        let mut dead = false;
-        for tx in &self.txs {
-            dead |= tx.send(batch.clone()).is_err();
-        }
-        if dead {
-            // A closed channel means that worker panicked; close the
-            // rest, drain them, and surface the panic.
-            self.txs.clear();
-            for h in self.handles.drain(..) {
-                if let Err(p) = h.join() {
-                    std::panic::resume_unwind(p);
-                }
-            }
-            unreachable!("timing worker exited while its channel was open");
-        }
-    }
-
-    fn join(mut self) -> TimingSink {
-        self.txs.clear(); // close every channel: workers drain and return
-        let units = self
-            .handles
-            .drain(..)
-            .map(|h| match h.join() {
-                Ok(unit) => unit,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect::<Vec<_>>();
-        let mut shared = None;
-        let mut app_only = None;
-        let mut tol_only = None;
-        for u in units {
-            match u.role {
-                PipelineRole::Shared => shared = Some(u),
-                PipelineRole::AppOnly => app_only = Some(u),
-                PipelineRole::TolOnly => tol_only = Some(u),
-            }
-        }
-        TimingSink { shared: shared.expect("fan-out always has a shared unit"), app_only, tol_only }
-    }
-}
-
 /// The controller's full observer set. A batch is walked once, each
 /// event going to trace statistics, the optional co-simulation checker
-/// and the inline timing pipelines — in that fixed order, so every
-/// consumer has observed the same stream prefix whenever one of them
-/// acts. A fanned-out backend gets the batch only after that pass. The
-/// checker stays inline by design: a co-simulation divergence must
-/// fault at the boundary that caused it, not batches later from a
-/// worker thread.
+/// and the timing pipelines — in that fixed order. The checker runs in
+/// the same pass by design: a co-simulation divergence must fault at
+/// the boundary that caused it.
 #[derive(Debug)]
 pub struct SinkSet {
     /// Trace-level statistics (always on).
     pub trace: TraceStatsSink,
     /// Co-simulation, when enabled.
     pub checker: Option<CheckerSink>,
-    /// The timing pipelines, inline or overlapped.
-    pub timing: TimingBackend,
+    /// The timing pipelines.
+    pub timing: TimingSink,
 }
 
-impl SinkSet {
-    /// The single pass over `batch`. Returns the fan-out backend when
-    /// the batch still has to be sent to its workers. The per-event
-    /// methods are `#[inline(always)]`: left as calls, which is what the
-    /// compiler chooses, the pass costs 1.5–2 ns per event more.
-    fn observe(&mut self, batch: &[HostEvent]) -> Option<&mut FanoutTiming> {
+impl HostEventSink for SinkSet {
+    /// The single pass over `batch`. The per-event methods are
+    /// `#[inline(always)]`: left as calls, which is what the compiler
+    /// chooses, the pass costs 1.5–2 ns per event more.
+    fn consume(&mut self, batch: &[HostEvent]) {
         let SinkSet { trace, checker, timing } = self;
         trace.batch(batch.len());
-        let mut trace_then_check = |e: &HostEvent| {
+        for e in batch {
             trace.event(e);
             if let Some(chk) = checker {
                 chk.event(e);
             }
-        };
-        match timing {
-            TimingBackend::Inline(timing) => {
-                for e in batch {
-                    trace_then_check(e);
-                    timing.event(e);
-                }
-                None
-            }
-            TimingBackend::Fanout(f) => {
-                batch.iter().for_each(trace_then_check);
-                Some(f)
-            }
-        }
-    }
-}
-
-impl HostEventSink for SinkSet {
-    fn consume(&mut self, batch: &[HostEvent]) {
-        if let Some(f) = self.observe(batch) {
-            f.send(Arc::from(batch));
-        }
-    }
-
-    fn wants_shared(&self) -> bool {
-        // Shared (Arc) delivery pays off exactly when the timing backend
-        // ships batches across threads; trace and checker borrow the
-        // batch either way.
-        self.timing.wants_shared()
-    }
-
-    fn consume_shared(&mut self, batch: Arc<[HostEvent]>) {
-        if let Some(f) = self.observe(&batch) {
-            f.send(batch);
+            timing.event(e);
         }
     }
 }
@@ -554,62 +255,6 @@ mod tests {
         assert_eq!(timeline[0].app_insts, 2);
         assert_eq!(timeline[0].tol_insts, 1);
         assert_eq!(timeline[1].tol_insts, 1);
-    }
-
-    fn mixed_batch() -> Vec<HostEvent> {
-        (0..1000u64)
-            .flat_map(|i| {
-                let mut v = vec![retire(
-                    i * 4,
-                    if i % 3 == 0 { Component::TolOthers } else { Component::AppCode },
-                )];
-                if i % 100 == 99 {
-                    v.push(HostEvent::WindowMark { guest_insts: i });
-                }
-                v
-            })
-            .collect()
-    }
-
-    fn backend_parts(
-        kind: TimingBackendKind,
-        chunk: usize,
-    ) -> (Stats, Option<Stats>, Option<Stats>, Vec<Window>) {
-        let cfg = SystemConfig { timing_backend: kind, ..test_cfg() };
-        let mut backend = TimingBackend::new(&cfg);
-        for c in mixed_batch().chunks(chunk) {
-            backend.consume(c);
-        }
-        backend.finish().into_parts()
-    }
-
-    #[test]
-    fn fanout_backend_matches_inline_at_any_chunking() {
-        let (a, app_a, tol_a, wa) = backend_parts(TimingBackendKind::Inline, 64);
-        for chunk in [1, 7, 64, 4096] {
-            let (b, app_b, tol_b, wb) = backend_parts(TimingBackendKind::Fanout, chunk);
-            assert_eq!(a.total_insts(), b.total_insts(), "chunk {chunk}");
-            assert_eq!(a.total_cycles, b.total_cycles, "chunk {chunk}");
-            assert_eq!(app_a.as_ref().map(|s| s.total_cycles), app_b.map(|s| s.total_cycles));
-            assert_eq!(tol_a.as_ref().map(|s| s.total_cycles), tol_b.map(|s| s.total_cycles));
-            assert_eq!(wa, wb, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn shared_and_borrowed_delivery_agree() {
-        let cfg = SystemConfig { timing_backend: TimingBackendKind::Fanout, ..test_cfg() };
-        let mut borrowed = TimingBackend::new(&cfg);
-        let mut shared = TimingBackend::new(&cfg);
-        assert!(shared.wants_shared());
-        for c in mixed_batch().chunks(128) {
-            borrowed.consume(c);
-            shared.consume_shared(Arc::from(c));
-        }
-        let (a, ..) = borrowed.finish().into_parts();
-        let (b, ..) = shared.finish().into_parts();
-        assert_eq!(a.total_cycles, b.total_cycles);
-        assert_eq!(a.total_insts(), b.total_insts());
     }
 
     #[test]
@@ -767,35 +412,27 @@ mod tests {
                 let (shared, app, tol, timeline) = timing.into_parts();
                 assert!(timeline.len() > 1 && trace.stats.window_marks > timeline.len() as u64);
 
-                for kind in [TimingBackendKind::Inline, TimingBackendKind::Fanout] {
-                    let ctx = format!("seed {seed}, chunk {chunk}, {kind:?}");
-                    let cfg = SystemConfig { timing_backend: kind, ..test_cfg() };
-                    let mut set = SinkSet {
-                        trace: TraceStatsSink::default(),
-                        checker: Some(CheckerSink::new(
-                            "set".into(),
-                            StateChecker::new(initial.clone(), mem.clone()),
-                        )),
-                        timing: TimingBackend::new(&cfg),
-                    };
-                    for (i, c) in stream.chunks(chunk).enumerate() {
-                        // Both delivery forms must take the single pass.
-                        if set.wants_shared() && i % 2 == 0 {
-                            set.consume_shared(Arc::from(c));
-                        } else {
-                            set.consume(c);
-                        }
-                    }
-                    let SinkSet { trace: t, checker: c, timing: backend } = set;
-                    assert_eq!(t.stats, trace.stats, "{ctx}: trace stats (with batch accounting)");
-                    let c = c.expect("built with a checker").into_inner();
-                    assert_eq!((c.checks(), c.retired()), (checker.checks(), checker.retired()));
-                    let (s, a, o, w) = backend.finish().into_parts();
-                    assert_eq!(text(&s), text(&shared), "{ctx}: shared pipeline");
-                    assert_eq!(a.as_ref().map(text), app.as_ref().map(text), "{ctx}: app-only");
-                    assert_eq!(o.as_ref().map(text), tol.as_ref().map(text), "{ctx}: TOL-only");
-                    assert_eq!(w, timeline, "{ctx}: timeline");
+                let ctx = format!("seed {seed}, chunk {chunk}");
+                let mut set = SinkSet {
+                    trace: TraceStatsSink::default(),
+                    checker: Some(CheckerSink::new(
+                        "set".into(),
+                        StateChecker::new(initial.clone(), mem.clone()),
+                    )),
+                    timing: TimingSink::new(&test_cfg()),
+                };
+                for c in stream.chunks(chunk) {
+                    set.consume(c);
                 }
+                let SinkSet { trace: t, checker: c, timing } = set;
+                assert_eq!(t.stats, trace.stats, "{ctx}: trace stats (with batch accounting)");
+                let c = c.expect("built with a checker").into_inner();
+                assert_eq!((c.checks(), c.retired()), (checker.checks(), checker.retired()));
+                let (s, a, o, w) = timing.into_parts();
+                assert_eq!(text(&s), text(&shared), "{ctx}: shared pipeline");
+                assert_eq!(a.as_ref().map(text), app.as_ref().map(text), "{ctx}: app-only");
+                assert_eq!(o.as_ref().map(text), tol.as_ref().map(text), "{ctx}: TOL-only");
+                assert_eq!(w, timeline, "{ctx}: timeline");
             }
         }
     }
@@ -806,10 +443,7 @@ mod tests {
         SinkSet {
             trace: TraceStatsSink::default(),
             checker: Some(CheckerSink::new("t".into(), chk)),
-            timing: TimingBackend::new(&SystemConfig {
-                timing_backend: TimingBackendKind::Inline,
-                ..test_cfg()
-            }),
+            timing: TimingSink::new(&test_cfg()),
         }
     }
 

@@ -2,7 +2,7 @@
 //! timing pipelines, run in lockstep.
 
 use crate::checker::StateChecker;
-use crate::sinks::{CheckerSink, SinkSet, TimingBackend, TimingBackendKind};
+use crate::sinks::{CheckerSink, SinkSet, TimingSink};
 use darco_host::{HostEvent, HostEventSink, TraceStats, TraceStatsSink};
 use darco_timing::{Stats, TimingConfig};
 use darco_tol::{RunSummary, Tol, TolConfig};
@@ -44,12 +44,6 @@ pub struct SystemConfig {
     /// (0 disables). Windows expose the start-up vs steady-state
     /// transition the paper insists on capturing (Sec. II-B).
     pub window_guest_insts: u64,
-    /// How the timing pipelines are scheduled: inline on the emulation
-    /// thread, fanned out one worker per pipeline behind bounded batch
-    /// channels, or resolved automatically against the host's
-    /// parallelism. Results are bit-identical across backends (same
-    /// batches, same order); only the scheduling changes.
-    pub timing_backend: TimingBackendKind,
 }
 
 impl Default for SystemConfig {
@@ -63,7 +57,6 @@ impl Default for SystemConfig {
             step_budget: 20_000,
             max_guest_insts: 0,
             window_guest_insts: 0,
-            timing_backend: TimingBackendKind::Auto,
         }
     }
 }
@@ -135,17 +128,17 @@ impl System {
     pub fn new(w: Workload, cfg: SystemConfig) -> System {
         let mut tol = Tol::new(cfg.tol.clone(), w.entry);
         tol.set_state(&w.initial);
-        // One switch gates the whole guest layer: the interpreter's
-        // micro-op path (inside Tol), the emulated memory's width-native
-        // access path, and the checker's authoritative side.
-        let mut emu_mem = w.mem;
-        emu_mem.set_fast_path(cfg.tol.guest_fast_path);
         let checker = cfg.cosim.then(|| {
-            let mut chk = StateChecker::new(w.initial.clone(), emu_mem.clone());
-            chk.set_fast_path(cfg.tol.guest_fast_path);
+            let mut chk = StateChecker::new(w.initial.clone(), w.mem.clone());
+            // The authority: a run that already pays for exactness
+            // (`darco verify`) checks against the independent executor;
+            // any other run keeps the micro-op executor, which the
+            // interpreter shares — the checker is a third of a
+            // co-simulated run (DESIGN.md §16).
+            chk.set_fast_path(!cfg.tol.verify);
             chk
         });
-        System { name: w.name, tol, emu_mem, checker, static_insts: w.static_insts, cfg }
+        System { name: w.name, tol, emu_mem: w.mem, checker, static_insts: w.static_insts, cfg }
     }
 
     /// Convenience: generates the profile's workload at scale 1.0 and
@@ -168,7 +161,7 @@ impl System {
     /// The controller only drives the engine and emits boundary events;
     /// every observer — timing pipelines, co-simulation checker, trace
     /// statistics — consumes the host-event stream through the
-    /// [`SinkSet`], scheduled per [`SystemConfig::timing_backend`].
+    /// [`SinkSet`], on this thread.
     ///
     /// # Panics
     ///
@@ -179,7 +172,7 @@ impl System {
         let mut sinks = SinkSet {
             trace: TraceStatsSink::default(),
             checker: self.checker.take().map(|chk| CheckerSink::new(self.name.clone(), chk)),
-            timing: TimingBackend::new(&self.cfg),
+            timing: TimingSink::new(&self.cfg),
         };
         let mut total = 0u64;
         let mut last_window = 0u64;
@@ -206,7 +199,6 @@ impl System {
             sinks.consume(&[HostEvent::WindowMark { guest_insts: total }]);
         }
         let SinkSet { trace, checker, timing } = sinks;
-        let timing = timing.finish();
         self.checker = checker.map(CheckerSink::into_inner);
         if let Some(chk) = &self.checker {
             // End-of-run memory co-verification: every store the
@@ -258,6 +250,18 @@ mod tests {
         // TOL overhead exists but the application dominates.
         let overhead = r.timing.tol_overhead_share();
         assert!((0.01..0.95).contains(&overhead), "overhead {overhead}");
+    }
+
+    #[test]
+    fn verification_puts_the_independent_executor_on_the_checking_side() {
+        let authority = |cfg: SystemConfig| {
+            let chk = quick_system(cfg).checker.expect("co-simulated");
+            chk.steps_independently()
+        };
+        assert!(!authority(SystemConfig::default()), "the default run checks with ExecCtx");
+        let mut verify = SystemConfig { cosim: true, ..SystemConfig::default() };
+        verify.tol.verify = true;
+        assert!(authority(verify), "`darco verify` checks with exec::step");
     }
 
     #[test]

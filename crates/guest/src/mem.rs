@@ -11,25 +11,23 @@
 //! its data regions. It interacts with the generation stamps as follows:
 //! an unmapped page reads as all-zero *and* reports [`GuestMem::page_gen`]
 //! of 0; the first write to it allocates the page and stamps it with a
-//! non-zero generation. Any cache layered on top (the interpreter's decode
-//! cache, the micro-op buffers, or the internal L0 page-pointer cache
-//! here) therefore must never memoize "page absent" — a later first-touch
-//! write would not be observable through a cached negative. The L0 cache
+//! non-zero generation. Any cache layered on top (the micro-op buffers, or
+//! the internal L0 page-pointer cache here) therefore must never memoize
+//! "page absent" — a later first-touch write would not be observable
+//! through a cached negative. The L0 cache
 //! below only ever holds *present* pages, so a first-touch write is always
 //! seen (the page was a miss before it, and its slot is found through the
 //! authoritative index after it).
 //!
-//! # Fast path vs. byte oracle
+//! # Width-native accesses
 //!
-//! Historically every multi-byte access was composed from per-byte
-//! `HashMap` page lookups. That byte-wise code is retained as the
-//! always-available oracle (`fast_path(false)`), while the default fast
-//! path serves aligned-enough in-page accesses with a single page lookup
-//! through a small most-recently-used page-pointer cache. Both paths
-//! produce bit-identical memory contents *and* bit-identical generation
-//! stamps: a width-`N` fast write advances the global write-generation
-//! counter by `N` and stamps the page with the final value, exactly as
-//! `N` byte writes would.
+//! A multi-byte access that stays inside one page is served by a single
+//! page lookup through a small most-recently-used page-pointer cache;
+//! one that straddles a page boundary is composed from byte accesses.
+//! Either way the result is what `N` byte accesses would produce, in
+//! contents *and* in generation stamps: a width-`N` write advances the
+//! global write-generation counter by `N` and stamps the page with the
+//! final value (a unit test holds the wide accessors to exactly that).
 
 use std::cell::Cell;
 
@@ -55,9 +53,8 @@ const L0_EMPTY: L0Entry = L0Entry { pn: u32::MAX, slot: 0 };
 ///
 /// Every write bumps a global write-generation counter and stamps the
 /// touched page with it, so consumers that cache derived views of memory
-/// (e.g. the interpreter's decoded-instruction cache and the micro-op
-/// buffers) can detect self-modifying code with one
-/// [`GuestMem::page_gen`] comparison.
+/// (the micro-op buffers, the code cache's SMC stamps) can detect
+/// self-modifying code with one [`GuestMem::page_gen`] comparison.
 ///
 /// Page storage is a slot table (`slots`) addressed through an index map;
 /// pages are never deallocated, so slot indices are stable for the life
@@ -71,9 +68,6 @@ pub struct GuestMem {
     /// Write generation per touched page (absent pages are generation 0).
     gens: std::collections::HashMap<u32, u64>,
     write_gen: u64,
-    /// Gates the width-native access paths and the L0 cache. Off = the
-    /// original per-byte oracle path.
-    fast: bool,
     /// L0 page-pointer cache, MRU-ordered. Interior-mutable so reads can
     /// refresh it; this costs `Sync` (the type stays `Send`), which is
     /// fine — the address space is never shared across threads.
@@ -87,30 +81,15 @@ impl Default for GuestMem {
             index: std::collections::HashMap::new(),
             gens: std::collections::HashMap::new(),
             write_gen: 0,
-            fast: true,
             l0: Cell::new([L0_EMPTY; L0_WAYS]),
         }
     }
 }
 
 impl GuestMem {
-    /// Creates an empty address space (all bytes read as zero) with the
-    /// fast path enabled.
+    /// Creates an empty address space (all bytes read as zero).
     pub fn new() -> GuestMem {
         GuestMem::default()
-    }
-
-    /// Enables or disables the width-native fast path and L0 cache.
-    /// Either setting produces bit-identical contents and generation
-    /// stamps; off is the per-byte oracle.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast = on;
-        self.l0.set([L0_EMPTY; L0_WAYS]);
-    }
-
-    /// Whether the width-native fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast
     }
 
     /// Number of pages that have been touched by a write.
@@ -119,31 +98,27 @@ impl GuestMem {
     }
 
     /// Looks up the slot of a *present* page, consulting and refreshing
-    /// the L0 cache when the fast path is on. Never caches absence (see
-    /// the module docs on zero-fill semantics).
+    /// the L0 cache. Never caches absence (see the module docs on
+    /// zero-fill semantics).
     #[inline]
     fn slot_of(&self, pn: u32) -> Option<u32> {
-        if self.fast {
-            let mut l0 = self.l0.get();
-            for i in 0..L0_WAYS {
-                if l0[i].pn == pn {
-                    if i != 0 {
-                        l0.swap(0, i);
-                        self.l0.set(l0);
-                    }
-                    return Some(l0[0].slot);
+        let mut l0 = self.l0.get();
+        for i in 0..L0_WAYS {
+            if l0[i].pn == pn {
+                if i != 0 {
+                    l0.swap(0, i);
+                    self.l0.set(l0);
                 }
+                return Some(l0[0].slot);
             }
-            let slot = *self.index.get(&pn)?;
-            for i in (1..L0_WAYS).rev() {
-                l0[i] = l0[i - 1];
-            }
-            l0[0] = L0Entry { pn, slot };
-            self.l0.set(l0);
-            Some(slot)
-        } else {
-            self.index.get(&pn).copied()
         }
+        let slot = *self.index.get(&pn)?;
+        for i in (1..L0_WAYS).rev() {
+            l0[i] = l0[i - 1];
+        }
+        l0[0] = L0Entry { pn, slot };
+        self.l0.set(l0);
+        Some(slot)
     }
 
     /// Returns the page frame for `pn`, allocating it (zero-filled) on
@@ -195,11 +170,11 @@ impl GuestMem {
 
     /// Reads `W` little-endian bytes in one page lookup when the access
     /// stays within a page; returns `None` (caller falls back to the
-    /// byte path) on page-crossing or when the fast path is off.
+    /// byte path) on page-crossing.
     #[inline]
     fn read_in_page<const W: usize>(&self, addr: u32) -> Option<[u8; W]> {
         let off = (addr & PAGE_MASK) as usize;
-        if !self.fast || off > PAGE_SIZE - W {
+        if off > PAGE_SIZE - W {
             return None;
         }
         Some(match self.slot_of(addr >> PAGE_SHIFT) {
@@ -214,11 +189,11 @@ impl GuestMem {
     /// Writes `W` little-endian bytes in one page lookup when in-page;
     /// generation arithmetic is identical to `W` byte writes (counter
     /// advances by `W`, page stamped with the final value). Returns
-    /// `false` (caller falls back) on page-crossing or fast-path-off.
+    /// `false` (caller falls back) on page-crossing.
     #[inline]
     fn write_in_page<const W: usize>(&mut self, addr: u32, bytes: [u8; W]) -> bool {
         let off = (addr & PAGE_MASK) as usize;
-        if !self.fast || off > PAGE_SIZE - W {
+        if off > PAGE_SIZE - W {
             return false;
         }
         let pn = addr >> PAGE_SHIFT;
@@ -303,17 +278,11 @@ impl GuestMem {
         self.write_u64(addr, val.to_bits());
     }
 
-    /// Copies a byte slice into memory starting at `addr`. Under the
-    /// fast path this goes page-chunk at a time with the same generation
-    /// arithmetic as the byte loop (each touched page is stamped with
-    /// the counter value after its last byte, in ascending order).
+    /// Copies a byte slice into memory starting at `addr`, a page chunk
+    /// at a time, with the generation arithmetic of a byte loop (each
+    /// touched page is stamped with the counter value after its last
+    /// byte, in ascending order).
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        if !self.fast {
-            for (i, b) in bytes.iter().enumerate() {
-                self.write_u8(addr.wrapping_add(i as u32), *b);
-            }
-            return;
-        }
         let mut a = addr;
         let mut rest = bytes;
         while !rest.is_empty() {
@@ -331,12 +300,6 @@ impl GuestMem {
     /// Copies `buf.len()` bytes out of memory starting at `addr`
     /// (untouched ranges read as zero).
     pub fn read_bytes(&self, addr: u32, buf: &mut [u8]) {
-        if !self.fast {
-            for (i, b) in buf.iter_mut().enumerate() {
-                *b = self.read_u8(addr.wrapping_add(i as u32));
-            }
-            return;
-        }
         let mut a = addr;
         let mut rest = &mut buf[..];
         while !rest.is_empty() {
@@ -396,19 +359,16 @@ mod tests {
     /// cache must never have memoized the page's absence.
     #[test]
     fn zero_fill_first_touch_is_visible() {
-        for fast in [false, true] {
-            let mut m = GuestMem::new();
-            m.set_fast_path(fast);
-            // Read the page while unmapped (would prime any negative cache).
-            assert_eq!(m.read_u32(0x9000), 0);
-            assert_eq!(m.read_u8(0x9002), 0);
-            assert_eq!(m.page_gen(0x9000), 0);
-            // First-touch write must be observed by both access widths.
-            m.write_u8(0x9002, 0xAB);
-            assert_eq!(m.read_u8(0x9002), 0xAB);
-            assert_eq!(m.read_u32(0x9000), 0x00AB_0000);
-            assert!(m.page_gen(0x9000) > 0, "fast={fast}");
-        }
+        let mut m = GuestMem::new();
+        // Read the page while unmapped (would prime any negative cache).
+        assert_eq!(m.read_u32(0x9000), 0);
+        assert_eq!(m.read_u8(0x9002), 0);
+        assert_eq!(m.page_gen(0x9000), 0);
+        // First-touch write must be observed by both access widths.
+        m.write_u8(0x9002, 0xAB);
+        assert_eq!(m.read_u8(0x9002), 0xAB);
+        assert_eq!(m.read_u32(0x9000), 0x00AB_0000);
+        assert!(m.page_gen(0x9000) > 0);
     }
 
     #[test]
@@ -478,45 +438,55 @@ mod tests {
         assert_eq!(m.read_u8(1), 0x11);
     }
 
-    /// Fast and oracle paths must agree on contents *and* generation
-    /// stamps for every width, including page-straddling accesses.
+    /// Writes `bytes` one [`GuestMem::write_u8`] at a time: the byte
+    /// composition every wide accessor must be indistinguishable from.
+    fn write_bytewise(m: &mut GuestMem, addr: u32, bytes: &[u8]) {
+        for (i, b) in bytes.iter().enumerate() {
+            m.write_u8(addr.wrapping_add(i as u32), *b);
+        }
+    }
+
+    /// Reads `N` bytes one [`GuestMem::read_u8`] at a time.
+    fn read_bytewise<const N: usize>(m: &GuestMem, addr: u32) -> [u8; N] {
+        std::array::from_fn(|i| m.read_u8(addr.wrapping_add(i as u32)))
+    }
+
+    /// The wide accessors must agree with byte composition on contents
+    /// *and* generation stamps for every width, including
+    /// page-straddling accesses.
     #[test]
-    fn fast_path_matches_byte_oracle() {
+    fn wide_accesses_match_byte_composition() {
         let addrs =
             [0x1000, 0x1001, 0x0FFE, 0x0FFF, 0x1FFC, 0x1FFD, 0x2FFA, u32::MAX - 3, u32::MAX];
-        let mut fast = GuestMem::new();
-        let mut oracle = GuestMem::new();
-        oracle.set_fast_path(false);
+        let mut wide = GuestMem::new();
+        let mut bytes = GuestMem::new();
         let mut x = 0x1234_5678_9ABC_DEFFu64;
         for &a in &addrs {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            fast.write_u8(a, x as u8);
-            oracle.write_u8(a, x as u8);
-            fast.write_u16(a.wrapping_add(2), x as u16);
-            oracle.write_u16(a.wrapping_add(2), x as u16);
-            fast.write_u32(a.wrapping_add(4), x as u32);
-            oracle.write_u32(a.wrapping_add(4), x as u32);
-            fast.write_u64(a.wrapping_add(8), x);
-            oracle.write_u64(a.wrapping_add(8), x);
-            fast.write_bytes(a.wrapping_add(16), &x.to_le_bytes());
-            oracle.write_bytes(a.wrapping_add(16), &x.to_le_bytes());
+            wide.write_u8(a, x as u8);
+            write_bytewise(&mut bytes, a, &[x as u8]);
+            wide.write_u16(a.wrapping_add(2), x as u16);
+            write_bytewise(&mut bytes, a.wrapping_add(2), &(x as u16).to_le_bytes());
+            wide.write_u32(a.wrapping_add(4), x as u32);
+            write_bytewise(&mut bytes, a.wrapping_add(4), &(x as u32).to_le_bytes());
+            wide.write_u64(a.wrapping_add(8), x);
+            write_bytewise(&mut bytes, a.wrapping_add(8), &x.to_le_bytes());
+            wide.write_bytes(a.wrapping_add(16), &x.to_le_bytes());
+            write_bytewise(&mut bytes, a.wrapping_add(16), &x.to_le_bytes());
         }
-        assert_eq!(fast.write_gen(), oracle.write_gen());
-        assert_eq!(fast.first_difference(&oracle), None);
+        assert_eq!(wide.write_gen(), bytes.write_gen());
+        assert_eq!(wide.first_difference(&bytes), None);
         for &a in &addrs {
-            assert_eq!(fast.page_gen(a), oracle.page_gen(a), "page_gen at {a:#x}");
+            assert_eq!(wide.page_gen(a), bytes.page_gen(a), "page_gen at {a:#x}");
             for off in 0..24u32 {
                 let p = a.wrapping_add(off);
-                assert_eq!(fast.read_u8(p), oracle.read_u8(p));
-                assert_eq!(fast.read_u16(p), oracle.read_u16(p));
-                assert_eq!(fast.read_u32(p), oracle.read_u32(p));
-                assert_eq!(fast.read_u64(p), oracle.read_u64(p));
+                assert_eq!(wide.read_u16(p).to_le_bytes(), read_bytewise::<2>(&bytes, p));
+                assert_eq!(wide.read_u32(p).to_le_bytes(), read_bytewise::<4>(&bytes, p));
+                assert_eq!(wide.read_u64(p).to_le_bytes(), read_bytewise::<8>(&bytes, p));
             }
-            let mut bf = [0u8; 40];
-            let mut bo = [0u8; 40];
-            fast.read_bytes(a, &mut bf);
-            oracle.read_bytes(a, &mut bo);
-            assert_eq!(bf, bo);
+            let mut chunked = [0u8; 40];
+            wide.read_bytes(a, &mut chunked);
+            assert_eq!(chunked, read_bytewise::<40>(&bytes, a));
         }
     }
 }

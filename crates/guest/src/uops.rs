@@ -1,10 +1,12 @@
 //! Pre-decoded execution micro-ops and lazy flag materialization.
 //!
-//! This is the gated fast path through the functional guest layer.
-//! [`crate::exec::step`] — decode-then-`match` on [`Inst`] every step —
-//! remains the always-available byte-equality oracle; [`ExecCtx::step`]
-//! produces bit-identical architectural state, memory contents and
-//! [`StepInfo`] streams while doing strictly less work per step:
+//! This is the executor the software layer's interpreter and the default
+//! state checker run. [`crate::exec::step`] — decode-then-`match` on
+//! [`Inst`] every step — is the independent, hand-written executor the
+//! differential tests and `darco verify`'s checker hold it to;
+//! [`ExecCtx::step`] produces bit-identical architectural state, memory
+//! contents and [`StepInfo`] streams while doing strictly less work per
+//! step:
 //!
 //! * **Micro-op buffers.** Straight-line runs of instructions are decoded
 //!   once into per-block [`ExecOp`] buffers: operand registers resolved to
@@ -1431,7 +1433,6 @@ mod tests {
     /// state and memory.
     fn assert_paths_agree(base: u32, bytes: &[u8], extra_mem: &[(u32, u32)], max_steps: usize) {
         let mut mem_o = GuestMem::new();
-        mem_o.set_fast_path(false);
         mem_o.write_bytes(base, bytes);
         let mut mem_f = GuestMem::new();
         mem_f.write_bytes(base, bytes);

@@ -9,17 +9,16 @@
 //! overlap — the layer pushes typed [`HostEvent`]s into an
 //! [`EventBuffer`] and delivers them to a [`HostEventSink`] in batches.
 //! Consumers (timing pipelines, the co-simulation checker, trace
-//! statistics) implement the sink trait and receive whole batches, which
-//! is what makes an overlapped (worker-thread) timing simulator possible
-//! while keeping results bit-identical: the *order* of events inside and
-//! across batches is exactly retire order.
+//! statistics) implement the sink trait and receive whole batches; the
+//! *order* of events inside and across batches is exactly retire order,
+//! so where a batch ends is invisible to every consumer.
 
 use crate::stream::DynInst;
 use darco_guest::CpuState;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
-/// Default [`EventBuffer`] capacity (events per delivered batch).
+/// The [`EventBuffer`] capacity the software layer stages with (events
+/// per delivered batch).
 pub const EVENT_BATCH: usize = 4096;
 
 /// Execution mode of the software layer (paper Fig. 3).
@@ -146,28 +145,6 @@ impl HostEvent {
 pub trait HostEventSink {
     /// Consumes one ordered batch of events.
     fn consume(&mut self, batch: &[HostEvent]);
-
-    /// Whether this sink prefers whole batches handed over as shared
-    /// `Arc<[HostEvent]>` allocations ([`HostEventSink::consume_shared`]).
-    ///
-    /// A broadcasting sink (one that fans the same batch out to several
-    /// workers) answers `true`: the producer then *moves* its staging
-    /// buffer into a refcounted allocation once, instead of the sink
-    /// cloning the batch per consumer. Plain sinks keep the default and
-    /// never see an `Arc`.
-    fn wants_shared(&self) -> bool {
-        false
-    }
-
-    /// Consumes one ordered batch delivered as a shared allocation.
-    ///
-    /// The default forwards to [`HostEventSink::consume`]; sinks that
-    /// broadcast batches override this to clone the `Arc` (pointer copy)
-    /// per consumer. The stream contract is unchanged: the batches and
-    /// their order are exactly those `consume` would have seen.
-    fn consume_shared(&mut self, batch: Arc<[HostEvent]>) {
-        self.consume(&batch);
-    }
 }
 
 /// Collects every event (useful in tests).
@@ -224,18 +201,15 @@ const GROW: usize = 64;
 ///
 /// Slots are written by index. The vector behind them grows — 64
 /// fillers at a time, inside the one allocation made up front — only
-/// while slots are used for the first time: a slice-drained buffer has
-/// all of them after its first full batch, and from then on an append
-/// is a compare and a 48-byte store. A shared drain gives the vector
-/// away with every batch (which makes the hand-over a `memcpy`), so
-/// there the growing starts over each time.
+/// while slots are used for the first time: the buffer has all of them
+/// after its first full batch, and from then on an append is a compare
+/// and a 48-byte store.
 pub struct EventBuffer<'a> {
     /// `buf[..len]` is the staged batch; anything behind it has been
     /// delivered already.
     buf: Vec<HostEvent>,
     len: usize,
     capacity: usize,
-    shared: bool,
     sink: &'a mut dyn HostEventSink,
 }
 
@@ -256,14 +230,12 @@ impl<'a> EventBuffer<'a> {
         let capacity = capacity.max(1);
         storage.truncate(capacity);
         storage.reserve_exact(capacity - storage.len());
-        let shared = sink.wants_shared();
-        EventBuffer { buf: storage, len: 0, capacity, shared, sink }
+        EventBuffer { buf: storage, len: 0, capacity, sink }
     }
 
     /// Makes slots `len..len + n` exist (`n` ≤ capacity), delivering the
-    /// staged batch first if they do not fit behind it. A slice-drained
-    /// buffer comes here once per batch, a shared one every [`GROW`]
-    /// events.
+    /// staged batch first if they do not fit behind it. Once every slot
+    /// has been used, this runs once per batch.
     #[cold]
     fn make_room(&mut self, n: usize) {
         if n > self.capacity - self.len {
@@ -330,24 +302,11 @@ impl<'a> EventBuffer<'a> {
         self.len += stream.len();
     }
 
-    /// Delivers all buffered events to the sink, preserving order.
-    ///
-    /// For a sink that [`wants_shared`](HostEventSink::wants_shared)
-    /// batches, the staged events are *moved* into one refcounted
-    /// allocation (the arc-batch drain path) so a broadcasting sink can
-    /// hand it to any number of consumers without per-consumer clones;
-    /// otherwise they are lent as a slice and the storage is reused.
+    /// Delivers all buffered events to the sink, preserving order; the
+    /// storage is reused for the next batch.
     pub fn flush(&mut self) {
         let n = std::mem::take(&mut self.len);
-        if n == 0 {
-            return;
-        }
-        if self.shared {
-            let mut batch = std::mem::take(&mut self.buf);
-            batch.truncate(n);
-            self.sink.consume_shared(batch.into());
-            self.buf = Vec::with_capacity(self.capacity);
-        } else {
+        if n > 0 {
             self.sink.consume(&self.buf[..n]);
         }
     }
@@ -378,10 +337,10 @@ impl std::fmt::Debug for EventBuffer<'_> {
 /// trace-level view of a run.
 ///
 /// `Serialize`/`Deserialize` are implemented by hand (not derived)
-/// because the batch-accounting fields (`batches`, `max_batch`) must
-/// stay *out* of the serialized form: batch boundaries legitimately
-/// differ across event-batch sizes, while serialized reports are
-/// required to be byte-identical across that purely-mechanical choice.
+/// because the batch-accounting fields (`batches`, `max_batch`) stay
+/// *out* of the serialized form: they are delivery accounting, not
+/// simulation — where a batch ends depends on [`EVENT_BATCH`] and on
+/// where the producer flushes, and no simulated quantity does.
 /// Deserialized stats carry zeros there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceStats {
@@ -652,44 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_drain_delivers_identical_batches() {
-        // A sink that asks for shared batches receives the exact same
-        // event sequence, with the same batch boundaries, as the slice
-        // path — only the ownership transfer differs.
-        struct ArcSink {
-            batches: Vec<Arc<[HostEvent]>>,
-        }
-        impl HostEventSink for ArcSink {
-            fn consume(&mut self, batch: &[HostEvent]) {
-                self.batches.push(batch.to_vec().into());
-            }
-            fn wants_shared(&self) -> bool {
-                true
-            }
-            fn consume_shared(&mut self, batch: Arc<[HostEvent]>) {
-                self.batches.push(batch);
-            }
-        }
-        let mut arc_sink = ArcSink { batches: Vec::new() };
-        {
-            let mut buf = EventBuffer::new(16, &mut arc_sink);
-            for pc in 0..40u64 {
-                buf.push(retire_at(pc * 4));
-            }
-            buf.flush();
-        }
-        let lens: Vec<usize> = arc_sink.batches.iter().map(|b| b.len()).collect();
-        assert_eq!(lens, [16, 16, 8], "same batch boundaries as the slice path");
-        let flat: Vec<&HostEvent> = arc_sink.batches.iter().flat_map(|b| b.iter()).collect();
-        for (i, e) in flat.iter().enumerate() {
-            match e {
-                HostEvent::Retire(d) => assert_eq!(d.pc, i as u64 * 4),
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn retire_sink_filters_non_retires() {
         let mut n = 0u64;
         let mut sink = RetireSink(|_d: &DynInst| n += 1);
@@ -699,8 +620,8 @@ mod tests {
 
     #[test]
     fn trace_stats_serialization_omits_batch_accounting() {
-        // Batch boundaries are a mechanical choice (the batch size);
-        // serialized reports must not expose them.
+        // Batch boundaries are delivery accounting; serialized reports
+        // must not expose them.
         let mut sink = TraceStatsSink::default();
         {
             let mut buf = EventBuffer::new(4, &mut sink);

@@ -3,51 +3,30 @@
 //! Whatever mix of by-value pushes, in-place single appends, in-place
 //! streams, explicit flushes and storage round trips a producer makes,
 //! the sink must see exactly the appended events, patched, in order, in
-//! batches no longer than the capacity — through the slice drain and
-//! through the shared (`Arc`) drain alike.
+//! batches no longer than the capacity.
 
 use darco_guest::CpuState;
 use darco_host::events::{EventBuffer, ExecMode};
 use darco_host::{Component, DynInst, ExecClass, HostEvent, HostEventSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
-/// Records every batch it is handed, by whichever drain it asked for.
+/// Records every batch it is handed.
 #[derive(Default)]
 struct Recorder {
-    shared: bool,
     batches: Vec<Vec<HostEvent>>,
-    /// Batches that arrived as an `Arc`.
-    arcs: usize,
     /// Address of the state inside every `StepBoundary`, as delivered.
     boundary_states: Vec<*const CpuState>,
 }
 
-impl Recorder {
-    fn record(&mut self, batch: &[HostEvent]) {
+impl HostEventSink for Recorder {
+    fn consume(&mut self, batch: &[HostEvent]) {
         for e in batch {
             if let HostEvent::StepBoundary { emulated, .. } = e {
                 self.boundary_states.push(&**emulated);
             }
         }
         self.batches.push(batch.to_vec());
-    }
-}
-
-impl HostEventSink for Recorder {
-    fn consume(&mut self, batch: &[HostEvent]) {
-        self.record(batch);
-    }
-
-    fn wants_shared(&self) -> bool {
-        self.shared
-    }
-
-    fn consume_shared(&mut self, batch: Arc<[HostEvent]>) {
-        assert_eq!(Arc::strong_count(&batch), 1, "the batch is handed over, not shared back");
-        self.arcs += 1;
-        self.record(&batch);
     }
 }
 
@@ -78,9 +57,9 @@ struct Outcome {
 
 /// Drives one random script of appends against `capacity`, mirroring
 /// every appended (and patched) event into a plain `Vec`.
-fn run_script(capacity: usize, seed: u64, shared: bool, ops: usize) -> Outcome {
+fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sink = Recorder { shared, ..Recorder::default() };
+    let mut sink = Recorder::default();
     let mut model: Vec<HostEvent> = Vec::new();
     let mut pushed_states = Vec::new();
     let mut next = 0u64; // a value no earlier event carries
@@ -164,34 +143,26 @@ fn run_script(capacity: usize, seed: u64, shared: bool, ops: usize) -> Outcome {
             assert!(ev.pending() <= capacity, "staged events exceed the capacity");
         }
         storage = ev.into_storage();
-        // The shared drain gives its allocation away with every batch;
-        // the slice drain must keep the one it started with.
+        // The buffer keeps the allocation it started with.
         let now = (storage.as_ptr(), storage.capacity());
-        assert!(shared || *allocation.get_or_insert(now) == now, "the slice drain reallocated");
+        assert_eq!(*allocation.get_or_insert(now), now, "the buffer reallocated");
     }
     Outcome { model, sink, pushed_states }
 }
 
 fn check(capacity: usize, seed: u64, ops: usize) {
-    let slice = run_script(capacity, seed, false, ops);
-    let shared = run_script(capacity, seed, true, ops);
-    for (label, out) in [("slice", &slice), ("shared", &shared)] {
-        let ctx = format!("capacity {capacity}, seed {seed}, {label} drain");
-        let lens: Vec<usize> = out.sink.batches.iter().map(Vec::len).collect();
-        assert!(lens.iter().all(|&n| (1..=capacity).contains(&n)), "{ctx}: batch lengths {lens:?}");
-        let delivered: Vec<&HostEvent> = out.sink.batches.iter().flatten().collect();
-        assert_eq!(delivered.len(), out.model.len(), "{ctx}: event count");
-        for (i, (got, want)) in delivered.iter().zip(&out.model).enumerate() {
-            assert!(same(got, want), "{ctx}: event {i} is {got:?}, the model says {want:?}");
-        }
-        // A boundary's boxed state is moved into the buffer and lent or
-        // moved on to the sink — one owner throughout, so one drop.
-        assert_eq!(out.sink.boundary_states, out.pushed_states, "{ctx}: boxed states were copied");
-        let expect_arcs = if out.sink.shared { out.sink.batches.len() } else { 0 };
-        assert_eq!(out.sink.arcs, expect_arcs, "{ctx}: wrong drain");
+    let out = run_script(capacity, seed, ops);
+    let ctx = format!("capacity {capacity}, seed {seed}");
+    let lens: Vec<usize> = out.sink.batches.iter().map(Vec::len).collect();
+    assert!(lens.iter().all(|&n| (1..=capacity).contains(&n)), "{ctx}: batch lengths {lens:?}");
+    let delivered: Vec<&HostEvent> = out.sink.batches.iter().flatten().collect();
+    assert_eq!(delivered.len(), out.model.len(), "{ctx}: event count");
+    for (i, (got, want)) in delivered.iter().zip(&out.model).enumerate() {
+        assert!(same(got, want), "{ctx}: event {i} is {got:?}, the model says {want:?}");
     }
-    let lens = |o: &Outcome| o.sink.batches.iter().map(Vec::len).collect::<Vec<_>>();
-    assert_eq!(lens(&slice), lens(&shared), "capacity {capacity}, seed {seed}: batch boundaries");
+    // A boundary's boxed state is moved into the buffer and lent on to
+    // the sink — one owner throughout, so one drop.
+    assert_eq!(out.sink.boundary_states, out.pushed_states, "{ctx}: boxed states were copied");
 }
 
 #[test]

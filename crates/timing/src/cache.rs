@@ -3,25 +3,19 @@
 //! One structure serves the L1-I, L1-D and unified L2 of Table I; the
 //! TLBs reuse it at page granularity via [`crate::tlb`].
 //!
-//! Two tag layouts are supported, selected at construction and
-//! bit-exact to each other (same hits, same victims, same counters):
-//!
-//! * **Flat** (shipping, [`Cache::new`]): one contiguous set-major
-//!   entry array for the whole cache, each entry `(tag << 1) | 1` with
-//!   `0` meaning invalid — a probe touches a single short run of one
-//!   allocation, and the common 2/4/8-way shapes get a monomorphized,
-//!   branch-free scan (`probe_set::<W>`: a hit mask and a free mask over
-//!   all `W` entries, `trailing_zeros` of each) feeding the table-driven
-//!   PLRU of [`crate::plru`].
-//! * **Legacy** ([`Cache::legacy`]): the original per-set `Vec<u64>`
-//!   tags + `Vec<bool>` valid layout (two heap allocations and three
-//!   pointer hops per probe), kept reachable as the equivalence oracle
-//!   behind `TimingConfig::flat_mem = false`.
+//! Tags live in one contiguous set-major entry array for the whole
+//! cache, each entry `(tag << 1) | 1` with `0` meaning invalid — a probe
+//! touches a single short run of one allocation, and the common 2/4/8-way
+//! shapes get a monomorphized, branch-free scan (`probe_set::<W>`: a hit
+//! mask and a free mask over all `W` entries, `trailing_zeros` of each)
+//! feeding the table-driven PLRU of [`crate::plru`].
 //!
 //! Presence checks (`contains`) and the run-time-associativity demand
 //! probe (`probe_set_any`) share the early-exit way scan `find_way`; the
-//! mask scan picks the same ways (lowest matching index first) and is
-//! held to the legacy layout by `flat_and_legacy_layouts_are_bit_exact`.
+//! mask scan picks the same ways (lowest matching index first). The
+//! per-set layout this one replaced lives on as a model in the test-only
+//! `reference` module, and `flat_and_legacy_layouts_are_bit_exact` holds
+//! every lookup, presence answer and counter to it.
 
 use crate::config::CacheParams;
 use crate::plru::PlruSet;
@@ -35,29 +29,15 @@ pub enum Lookup {
     Miss,
 }
 
-/// One set of the legacy (array-of-structs) layout.
-#[derive(Debug, Clone)]
-struct Set {
-    tags: Vec<u64>,
-    valid: Vec<bool>,
-    plru: PlruSet,
-}
-
-/// Tag storage, in either layout.
-#[derive(Debug, Clone)]
-enum Store {
-    /// Set-major interleaved entries (`sets * ways` of them) with the
-    /// validity bit folded into bit 0; per-set PLRU state alongside.
-    Flat { entries: Box<[u64]>, plru: Box<[PlruSet]> },
-    /// The original per-set layout, kept as a bit-exact oracle.
-    Legacy { sets: Vec<Set> },
-}
-
 /// A set-associative, write-allocate cache model (tags only — data lives
 /// in the functional memory).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    store: Store,
+    /// Set-major interleaved entries (`sets * ways` of them) with the
+    /// validity bit folded into bit 0.
+    entries: Box<[u64]>,
+    /// Replacement state per set.
+    plru: Box<[PlruSet]>,
     set_mask: u64,
     block_shift: u32,
     tag_shift: u32,
@@ -102,8 +82,7 @@ fn probe_set_any(set: &mut [u64], plru: &mut PlruSet, key: u64, ways: u32) -> Lo
         plru.touch(w as u32, ways);
         return Lookup::Hit;
     }
-    // Prefer an invalid way (entry 0), else the PLRU victim — the same
-    // policy, in the same order, as the legacy layout.
+    // Prefer an invalid way (entry 0), else the PLRU victim.
     let victim = find_way(set, 0).unwrap_or_else(|| plru.victim(ways) as usize);
     set[victim] = key;
     plru.touch(victim as u32, ways);
@@ -111,48 +90,22 @@ fn probe_set_any(set: &mut [u64], plru: &mut PlruSet, key: u64, ways: u32) -> Lo
 }
 
 impl Cache {
-    /// Builds a cache from its parameters, in the flat layout.
+    /// Builds a cache from its parameters.
     ///
     /// # Panics
     ///
     /// Panics if block size, way count or set count is not a power of
-    /// two, or the block is smaller than 2 bytes (the flat encoding
-    /// needs one spare tag bit).
+    /// two, or the block is smaller than 2 bytes (the tag encoding
+    /// needs one spare bit).
     pub fn new(p: CacheParams) -> Cache {
-        Cache::with_layout(p, true)
-    }
-
-    /// Builds a cache in the legacy per-set layout (the oracle).
-    pub fn legacy(p: CacheParams) -> Cache {
-        Cache::with_layout(p, false)
-    }
-
-    /// Builds a cache in the requested layout (`flat = true` for the
-    /// shipping flat layout).
-    pub fn with_layout(p: CacheParams, flat: bool) -> Cache {
         let sets = p.sets();
         assert!(p.block.is_power_of_two(), "block size must be a power of two");
-        assert!(p.block >= 2, "flat tag encoding needs block >= 2 bytes");
+        assert!(p.block >= 2, "tag encoding needs block >= 2 bytes");
         assert!(p.ways.is_power_of_two(), "ways must be a power of two");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        let store = if flat {
-            Store::Flat {
-                entries: vec![0u64; (sets * p.ways) as usize].into_boxed_slice(),
-                plru: vec![PlruSet::default(); sets as usize].into_boxed_slice(),
-            }
-        } else {
-            Store::Legacy {
-                sets: (0..sets)
-                    .map(|_| Set {
-                        tags: vec![0; p.ways as usize],
-                        valid: vec![false; p.ways as usize],
-                        plru: PlruSet::default(),
-                    })
-                    .collect(),
-            }
-        };
         Cache {
-            store,
+            entries: vec![0u64; (sets * p.ways) as usize].into_boxed_slice(),
+            plru: vec![PlruSet::default(); sets as usize].into_boxed_slice(),
             set_mask: (sets - 1) as u64,
             block_shift: p.block.trailing_zeros(),
             tag_shift: (sets - 1).count_ones(),
@@ -188,16 +141,8 @@ impl Cache {
     /// Checks for presence without filling or counting.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        match &self.store {
-            Store::Flat { entries, .. } => {
-                let ways = self.ways as usize;
-                find_way(&entries[set_idx * ways..(set_idx + 1) * ways], (tag << 1) | 1).is_some()
-            }
-            Store::Legacy { sets } => {
-                let set = &sets[set_idx];
-                (0..self.ways as usize).any(|w| set.valid[w] && set.tags[w] == tag)
-            }
-        }
+        let ways = self.ways as usize;
+        find_way(&self.entries[set_idx * ways..(set_idx + 1) * ways], (tag << 1) | 1).is_some()
     }
 
     /// Records a demand access known to hit, without probing (the
@@ -212,36 +157,15 @@ impl Cache {
     fn probe_fill(&mut self, addr: u64) -> Lookup {
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways;
-        match &mut self.store {
-            Store::Flat { entries, plru } => {
-                let base = set_idx * ways as usize;
-                let set = &mut entries[base..base + ways as usize];
-                let plru = &mut plru[set_idx];
-                let key = (tag << 1) | 1;
-                match ways {
-                    2 => probe_set::<2>(set, plru, key),
-                    4 => probe_set::<4>(set, plru, key),
-                    8 => probe_set::<8>(set, plru, key),
-                    _ => probe_set_any(set, plru, key, ways),
-                }
-            }
-            Store::Legacy { sets } => {
-                let set = &mut sets[set_idx];
-                for w in 0..ways as usize {
-                    if set.valid[w] && set.tags[w] == tag {
-                        set.plru.touch(w as u32, ways);
-                        return Lookup::Hit;
-                    }
-                }
-                // Prefer an invalid way, else the PLRU victim.
-                let victim = (0..ways as usize)
-                    .find(|&w| !set.valid[w])
-                    .unwrap_or_else(|| set.plru.victim(ways) as usize);
-                set.tags[victim] = tag;
-                set.valid[victim] = true;
-                set.plru.touch(victim as u32, ways);
-                Lookup::Miss
-            }
+        let base = set_idx * ways as usize;
+        let set = &mut self.entries[base..base + ways as usize];
+        let plru = &mut self.plru[set_idx];
+        let key = (tag << 1) | 1;
+        match ways {
+            2 => probe_set::<2>(set, plru, key),
+            4 => probe_set::<4>(set, plru, key),
+            8 => probe_set::<8>(set, plru, key),
+            _ => probe_set_any(set, plru, key, ways),
         }
     }
 
@@ -273,6 +197,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::LegacyCache;
 
     fn small() -> Cache {
         // 4 sets x 2 ways x 16B blocks = 128 B.
@@ -326,7 +251,6 @@ mod tests {
         let _ = Cache::new(cfg.l1i);
         let _ = Cache::new(cfg.l1d);
         let _ = Cache::new(cfg.l2);
-        let _ = Cache::legacy(cfg.l2);
     }
 
     #[test]
@@ -345,7 +269,7 @@ mod tests {
     fn flat_and_legacy_layouts_are_bit_exact() {
         // Random-ish address streams over several shapes, including the
         // odd 1-way case: every lookup outcome, presence answer and
-        // counter must match between the two layouts.
+        // counter must match the reference model.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         // The last shape is the L1 TLB's (64 pages, 8-way): 8 sets of
         // 4 KiB "blocks" put the 8-way mask probe on the tag bits a TLB
@@ -359,7 +283,7 @@ mod tests {
         ] {
             let p = CacheParams { size, block, ways, hit_latency: 1 };
             let mut flat = Cache::new(p);
-            let mut legacy = Cache::legacy(p);
+            let mut legacy = LegacyCache::new(p);
             for i in 0..4000u64 {
                 x ^= x << 13;
                 x ^= x >> 7;

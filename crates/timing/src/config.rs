@@ -90,20 +90,6 @@ pub struct TimingConfig {
     pub lat_complex_fp: u32,
     /// Resource sharing between TOL and the application.
     pub interaction: Interaction,
-    /// Use the flattened (struct-of-arrays) cache/TLB tag layout: one
-    /// contiguous entry array per structure with the validity bit folded
-    /// into the tag word, plus monomorphized probe loops for the common
-    /// associativities. `false` keeps the original per-set
-    /// `Vec<u64>`+`Vec<bool>` layout as a bit-exact oracle (same PLRU,
-    /// same victims, same counters) — simulator-speed only.
-    pub flat_mem: bool,
-    /// Enable the last-line/last-page hit shortcuts in
-    /// [`MemSystem`](crate::MemSystem) and [`Tlb`](crate::Tlb): a demand
-    /// access to the same L1-D line (or TLB page) as the immediately
-    /// preceding one skips the tag probes, exploiting PLRU touch
-    /// idempotence. `false` keeps the full-probe oracle. Bit-exact
-    /// either way — simulator-speed only.
-    pub mem_shortcuts: bool,
 }
 
 impl Default for TimingConfig {
@@ -127,8 +113,6 @@ impl Default for TimingConfig {
             lat_simple_fp: 2,
             lat_complex_fp: 5,
             interaction: Interaction::Shared,
-            flat_mem: true,
-            mem_shortcuts: true,
         }
     }
 }
@@ -254,12 +238,5 @@ mod tests {
         let c = TimingConfig::isolated();
         assert_eq!(c.interaction, Interaction::Isolated);
         assert_eq!(c.l1d, TimingConfig::default().l1d);
-    }
-
-    #[test]
-    fn fast_paths_default_on() {
-        let c = TimingConfig::default();
-        assert!(c.flat_mem, "flat layout is the shipping default");
-        assert!(c.mem_shortcuts, "hit shortcuts are the shipping default");
     }
 }

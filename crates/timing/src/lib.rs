@@ -51,6 +51,8 @@ pub mod pipeline;
 pub mod plru;
 pub mod predictor;
 pub mod prefetch;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod tlb;
 

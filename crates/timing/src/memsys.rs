@@ -96,7 +96,6 @@ pub struct MemSystem {
     /// (a fill may disturb replacement state in the same set).
     last_d_line: Vec<u64>,
     d_line_shift: u32,
-    shortcuts: bool,
 }
 
 fn owner_idx(owner: Owner) -> usize {
@@ -113,22 +112,12 @@ impl MemSystem {
             Interaction::Shared => 1,
             Interaction::Isolated => 2,
         };
-        let mk = |f: &dyn Fn() -> Cache| (0..copies).map(|_| f()).collect::<Vec<_>>();
+        let mk = |p| (0..copies).map(|_| Cache::new(p)).collect::<Vec<_>>();
         MemSystem {
-            l1i: mk(&|| Cache::with_layout(cfg.l1i, cfg.flat_mem)),
-            l1d: mk(&|| Cache::with_layout(cfg.l1d, cfg.flat_mem)),
-            l2: mk(&|| Cache::with_layout(cfg.l2, cfg.flat_mem)),
-            tlb: (0..copies)
-                .map(|_| {
-                    Tlb::configured(
-                        cfg.tlb1,
-                        cfg.tlb2,
-                        cfg.tlb_walk_latency,
-                        cfg.flat_mem,
-                        cfg.mem_shortcuts,
-                    )
-                })
-                .collect(),
+            l1i: mk(cfg.l1i),
+            l1d: mk(cfg.l1d),
+            l2: mk(cfg.l2),
+            tlb: (0..copies).map(|_| Tlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency)).collect(),
             prefetch: (0..copies).map(|_| StridePrefetcher::new(cfg.prefetcher_entries)).collect(),
             stats: [OwnerMemStats::default(); 2],
             l1_hit: cfg.l1d.hit_latency,
@@ -137,7 +126,6 @@ impl MemSystem {
             shared: copies == 1,
             last_d_line: vec![NO_LINE; copies],
             d_line_shift: cfg.l1d.block.trailing_zeros(),
-            shortcuts: cfg.mem_shortcuts,
         }
     }
 
@@ -160,7 +148,7 @@ impl MemSystem {
         self.stats[owner_idx(owner)].d_accesses += 1;
 
         let line = addr >> self.d_line_shift;
-        let fast_hit = self.shortcuts && line == self.last_d_line[c];
+        let fast_hit = line == self.last_d_line[c];
 
         let mut latency = 0;
         if is_guest_addr(addr) {
@@ -192,9 +180,7 @@ impl MemSystem {
                 latency += self.l1_hit;
             }
         }
-        if self.shortcuts {
-            self.last_d_line[c] = line;
-        }
+        self.last_d_line[c] = line;
 
         // Stride prefetching on demand accesses. This runs on the
         // shortcut path too: the prefetcher's stride state is observable
@@ -335,49 +321,54 @@ mod tests {
 
     #[test]
     fn fast_paths_match_full_probe_oracle() {
-        // Flat layout + shortcuts vs legacy layout + full probes on a
-        // mixed stream (repeats, strides, sw prefetches, both owners):
-        // every access result and all counters must be identical.
-        let fast = TimingConfig::default();
-        let slow = TimingConfig { flat_mem: false, mem_shortcuts: false, ..fast.clone() };
-        let mut f = MemSystem::new(&fast);
-        let mut s = MemSystem::new(&slow);
-        let mut x = 0x853C_49E6_748F_EA9Bu64;
-        for i in 0..30_000u64 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let owner = if x & 8 == 0 { Owner::App } else { Owner::Tol };
-            let base = if owner == Owner::App { 0 } else { TOL_DATA_BASE };
-            let addr = match i % 4 {
-                0 => base + (x % 0x40_0000),        // random
-                3 => base + (i % 512) * 8,          // sw-prefetch target pool
-                _ => base + (i / 7) * 8 % 0x1_0000, // strided with repeats
+        // Flat layout + shortcuts vs the per-set, full-probe reference
+        // model on a mixed stream (repeats, strides, one hammered set, sw
+        // prefetches, both owners), shared and isolated: every access
+        // result and all counters must be identical.
+        for cfg in [TimingConfig::default(), TimingConfig::isolated()] {
+            let mut f = MemSystem::new(&cfg);
+            let mut s = crate::reference::FullProbeMemSystem::new(&cfg);
+            let mut x = 0x853C_49E6_748F_EA9Bu64;
+            for i in 0..30_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let owner = if x & 8 == 0 { Owner::App } else { Owner::Tol };
+                let base = if owner == Owner::App { 0 } else { TOL_DATA_BASE };
+                let addr = if x & 0x60 == 0 {
+                    // Six lines of one L1-D set (4-way): fills and repeat
+                    // hits in the set the last-line shortcut vouches for.
+                    base + 0x20_0000 + (x >> 20) % 6 * 8192 + (x >> 30) % 2 * 8
+                } else {
+                    match i % 4 {
+                        0 => base + (x % 0x40_0000),        // random
+                        3 => base + (i % 512) * 8,          // sw-prefetch target pool
+                        _ => base + (i / 7) * 8 % 0x1_0000, // strided with repeats
+                    }
+                };
+                let pc = 0x100 + (x % 64) * 4;
+                if i % 11 == 0 {
+                    f.prefetch_fill(owner, addr);
+                    s.prefetch_fill(owner, addr);
+                } else {
+                    assert_eq!(
+                        f.access_data(owner, pc, addr, x & 16 == 0),
+                        s.access_data(owner, pc, addr),
+                        "access {i}"
+                    );
+                }
+                if i % 5 == 0 {
+                    assert_eq!(f.access_inst(owner, pc), s.access_inst(owner, pc));
+                }
+            }
+            let counts = |s: OwnerMemStats| {
+                [s.d_accesses, s.d_misses, s.i_accesses, s.i_misses, s.tlb_walks, s.sw_prefetches]
             };
-            let pc = 0x100 + (x % 64) * 4;
-            if i % 11 == 0 {
-                f.prefetch_fill(owner, addr);
-                s.prefetch_fill(owner, addr);
-            } else {
-                assert_eq!(
-                    f.access_data(owner, pc, addr, x & 16 == 0),
-                    s.access_data(owner, pc, addr, x & 16 == 0),
-                    "access {i}"
-                );
+            for o in [Owner::App, Owner::Tol] {
+                assert_eq!(counts(f.owner_stats(o)), counts(s.owner_stats(o)), "{o:?}");
             }
-            if i % 5 == 0 {
-                assert_eq!(f.access_inst(owner, pc), s.access_inst(owner, pc));
-            }
+            assert_eq!(f.prefetches(), s.prefetches());
         }
-        for o in [Owner::App, Owner::Tol] {
-            let (a, b) = (f.owner_stats(o), s.owner_stats(o));
-            assert_eq!(a.d_accesses, b.d_accesses);
-            assert_eq!(a.d_misses, b.d_misses);
-            assert_eq!(a.i_misses, b.i_misses);
-            assert_eq!(a.tlb_walks, b.tlb_walks);
-            assert_eq!(a.sw_prefetches, b.sw_prefetches);
-        }
-        assert_eq!(f.prefetches(), s.prefetches());
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! access the page is resident and most-recently-used in L1 — a repeat
 //! access must hit, and re-touching the MRU way of a tree PLRU is a
 //! no-op. The last-page shortcut exploits this to skip the tag probe
-//! entirely while keeping counters identical to the probed path; it is
-//! gated by `TimingConfig::mem_shortcuts` so the full-probe path stays
-//! available as an oracle.
+//! entirely while keeping counters identical to the probed path (a unit
+//! test holds it to a TLB that probes every time).
 
 use crate::cache::{Cache, Lookup};
 use crate::config::{CacheParams, TlbParams};
@@ -43,40 +42,21 @@ pub struct Tlb {
     l1_latency: u32,
     l2_latency: u32,
     walk_latency: u32,
-    /// Page number of the previous access ([`NO_PAGE`] if none), or
-    /// [`NO_PAGE`] permanently when shortcuts are disabled.
+    /// Page number of the previous access ([`NO_PAGE`] if none).
     last_page: u64,
-    shortcuts: bool,
 }
 
 impl Tlb {
-    /// Builds the TLB from the two level parameters and walk latency,
-    /// with the shipping fast paths (flat layout, last-page shortcut).
+    /// Builds the TLB from the two level parameters and walk latency.
     pub fn new(l1: TlbParams, l2: TlbParams, walk_latency: u32) -> Tlb {
-        Tlb::configured(l1, l2, walk_latency, true, true)
-    }
-
-    /// Builds the TLB with explicit fast-path switches (`flat` selects
-    /// the cache tag layout, `shortcuts` the last-page hit shortcut).
-    /// All combinations are bit-exact.
-    pub fn configured(
-        l1: TlbParams,
-        l2: TlbParams,
-        walk_latency: u32,
-        flat: bool,
-        shortcuts: bool,
-    ) -> Tlb {
         // Reuse the cache structure at page granularity: "block" = page.
         let mk = |p: TlbParams| {
-            Cache::with_layout(
-                CacheParams {
-                    size: p.entries * (1 << PAGE_SHIFT), // entries * page size
-                    block: 1 << PAGE_SHIFT,
-                    ways: p.ways,
-                    hit_latency: p.hit_latency,
-                },
-                flat,
-            )
+            Cache::new(CacheParams {
+                size: p.entries * (1 << PAGE_SHIFT), // entries * page size
+                block: 1 << PAGE_SHIFT,
+                ways: p.ways,
+                hit_latency: p.hit_latency,
+            })
         };
         Tlb {
             l1: mk(l1),
@@ -85,7 +65,6 @@ impl Tlb {
             l2_latency: l2.hit_latency,
             walk_latency,
             last_page: NO_PAGE,
-            shortcuts,
         }
     }
 
@@ -93,15 +72,13 @@ impl Tlb {
     #[inline]
     pub fn access(&mut self, addr: u64) -> (TlbOutcome, u32) {
         let page = addr >> PAGE_SHIFT;
-        if self.shortcuts && page == self.last_page {
+        if page == self.last_page {
             // The previous access left this page resident and MRU in L1:
             // a probe would hit and its PLRU touch would be a no-op.
             self.l1.count_hit();
             return (TlbOutcome::L1Hit, self.l1_latency);
         }
-        if self.shortcuts {
-            self.last_page = page;
-        }
+        self.last_page = page;
         if self.l1.access(addr) == Lookup::Hit {
             return (TlbOutcome::L1Hit, self.l1_latency);
         }
@@ -163,7 +140,7 @@ mod tests {
     fn shortcut_matches_full_probe() {
         let c = TimingConfig::default();
         let mut fast = Tlb::new(c.tlb1, c.tlb2, c.tlb_walk_latency);
-        let mut slow = Tlb::configured(c.tlb1, c.tlb2, c.tlb_walk_latency, false, false);
+        let mut slow = crate::reference::FullProbeTlb::new(c.tlb1, c.tlb2, c.tlb_walk_latency);
         // A stream with heavy same-page repetition plus set-conflicting
         // strides: outcomes, latencies and counters must match.
         let mut x = 0x2545_F491_4F6C_DD1Du64;

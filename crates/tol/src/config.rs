@@ -71,44 +71,11 @@ pub struct TolConfig {
     /// Verify every optimization pass (structural invariants plus
     /// translation validation) and discard miscompiled blocks. Always on
     /// in debug builds regardless of this switch; this opts release
-    /// builds in (`darco verify` sets it).
+    /// builds in (`darco verify` sets it). A co-simulated system built
+    /// with it also checks against the independent executor
+    /// (`darco_guest::exec::step`) instead of the one the interpreter
+    /// itself runs — see `System::new` in `darco-core`.
     pub verify: bool,
-    /// Capacity of the retirement [`EventBuffer`]: how many
-    /// [`HostEvent`]s are staged before a batch is delivered to the
-    /// sink. `1` degenerates to per-instruction delivery (the old
-    /// closure-sink behavior, kept reachable for benchmarking).
-    ///
-    /// [`EventBuffer`]: darco_host::events::EventBuffer
-    /// [`HostEvent`]: darco_host::events::HostEvent
-    pub event_batch: usize,
-    /// Retire translated code and interpreter cost streams through
-    /// precompiled templates ([`RetireTemplate`] per block instruction,
-    /// per-shape interpreter emission templates) instead of re-deriving
-    /// every record on the hot path. `false` keeps the straight
-    /// re-derivation paths reachable as an oracle for equivalence tests
-    /// and benchmarks; the emitted streams are bit-identical either way.
-    ///
-    /// [`RetireTemplate`]: darco_host::template::RetireTemplate
-    pub retire_templates: bool,
-    /// Guest-layer fast path: pre-decoded micro-op buffers with lazy
-    /// flag materialization in the interpreter ([`ExecCtx`]), plus the
-    /// width-native [`GuestMem`] access path with its L0 page-pointer
-    /// cache. The byte-wise decode-per-step path stays reachable as the
-    /// always-available oracle (`false`); architectural state, memory
-    /// and every serialized report are byte-identical either way.
-    /// Purely a simulator-speed switch (DESIGN.md §16).
-    ///
-    /// [`ExecCtx`]: darco_guest::uops::ExecCtx
-    /// [`GuestMem`]: darco_guest::GuestMem
-    #[serde(default = "default_guest_fast_path")]
-    pub guest_fast_path: bool,
-}
-
-/// Serde default for [`TolConfig::guest_fast_path`] (profiles written
-/// before the fast path existed deserialize with it enabled).
-#[allow(dead_code)] // consumed via the serde attribute with real serde
-fn default_guest_fast_path() -> bool {
-    true
 }
 
 impl Default for TolConfig {
@@ -135,9 +102,6 @@ impl Default for TolConfig {
             speculate_indirect: false,
             codecache_scattered: false,
             verify: false,
-            event_batch: darco_host::events::EVENT_BATCH,
-            retire_templates: true,
-            guest_fast_path: true,
         }
     }
 }

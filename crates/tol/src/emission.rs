@@ -87,12 +87,6 @@ pub struct Emitter {
     /// Per-component dynamic instruction counters (for reports that do
     /// not involve the timing simulator).
     pub emitted: [u64; 7],
-    /// Build [`Emitter::interp_step`] streams from per-shape templates
-    /// (patching only the per-step fields) instead of re-emitting the
-    /// whole sequence each step. Output is bit-identical either way —
-    /// both paths run the same emission code, once at template-build
-    /// time versus every step.
-    pub interp_templates: bool,
     /// Per-shape interpreter stream templates, indexed by
     /// [`shape_key`]. Filled lazily on first encounter of a shape.
     interp_tpl: Vec<Option<InterpTemplate>>,
@@ -148,26 +142,21 @@ fn shape_key(info: &StepInfo) -> usize {
 }
 
 /// The single implementation of the interpreter's per-step host-cost
-/// stream, generic over the retire target so the live path and the
-/// template recorder run identical code. When `marks` is given, the
-/// indices of the per-step-variable instructions are recorded into it.
-fn emit_interp<T: RetireTarget>(
-    c: &mut Cur<'_, T>,
+/// stream, recorded once per shape into a template. The indices of the
+/// per-step-variable instructions are recorded into `marks`.
+fn emit_interp(
+    c: &mut Cur<'_, Vec<DynInst>>,
     guest_pc: u32,
     info: &StepInfo,
-    mut marks: Option<&mut InterpMarks>,
+    marks: &mut InterpMarks,
 ) {
     let comp = c.comp;
     let opcode = opcode_of(&info.inst);
     // Fetch guest code bytes as data (variable length: two probes).
-    if let Some(m) = marks.as_deref_mut() {
-        m.fetch0 = c.count as usize;
-    }
+    marks.fetch0 = c.count as usize;
     c.ld(guest_to_host(guest_pc));
     c.use_load();
-    if let Some(m) = marks.as_deref_mut() {
-        m.fetch1 = c.count as usize;
-    }
+    marks.fetch1 = c.count as usize;
     c.ld(guest_to_host(guest_pc.wrapping_add(4)));
     c.alu(2);
     // Decode-table lookup (small, hot table).
@@ -180,9 +169,7 @@ fn emit_interp<T: RetireTarget>(
     // guest instruction mix and footprint (the Sec. III-C effect).
     let handler = TOL_CODE_BASE + code::HANDLERS + opcode * 0x80;
     c.pc = TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
-    if let Some(m) = marks.as_deref_mut() {
-        m.dispatch = c.count as usize;
-    }
+    marks.dispatch = c.count as usize;
     c.br(BranchKind::Indirect, handler, true);
     // Handler body.
     c.pc = handler;
@@ -210,9 +197,7 @@ fn emit_interp<T: RetireTarget>(
     // The emulated guest data accesses, at their real addresses.
     for (i, a) in info.accesses.iter().enumerate() {
         let addr = guest_to_host(a.addr);
-        if let Some(m) = marks.as_deref_mut() {
-            m.acc[i] = c.count as usize;
-        }
+        marks.acc[i] = c.count as usize;
         if a.is_store {
             c.st(addr);
         } else {
@@ -228,9 +213,7 @@ fn emit_interp<T: RetireTarget>(
     // whose outcome follows the guest's — one shared static branch
     // for all guest branches, hence poorly predictable guests hurt.
     if let Control::Jump { taken, .. } = info.control {
-        if let Some(m) = marks {
-            m.jump = c.count as usize;
-        }
+        marks.jump = c.count as usize;
         c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::INTERP + 0x200, taken);
     }
     // Loop back to the interpreter top.
@@ -244,9 +227,7 @@ fn retired(e: &mut HostEvent) -> &mut DynInst {
 }
 
 /// Where a stream-building cursor retires to: the live event buffer, or
-/// a plain vector when recording a template. Using one generic emission
-/// function for both guarantees a template can never diverge from the
-/// stream it stands in for.
+/// a plain vector when recording an interpreter template.
 trait RetireTarget {
     fn retire(&mut self, d: DynInst);
 }
@@ -375,7 +356,6 @@ impl Emitter {
         Emitter {
             emit_cursor: darco_host::layout::CODE_CACHE_BASE,
             emitted: [0; 7],
-            interp_templates: true,
             interp_tpl: std::iter::repeat_with(|| None).take(INTERP_SHAPES).collect(),
         }
     }
@@ -387,10 +367,8 @@ impl Emitter {
     /// One interpreted guest instruction (IM): dispatch, decode, handler
     /// body, guest data accesses, loop back.
     ///
-    /// With [`Emitter::interp_templates`] on, the stream for this step's
-    /// shape is recorded once (through the same `emit_interp` code the
-    /// direct path runs) and replayed with only the per-step fields
-    /// patched; otherwise the sequence is rebuilt from scratch.
+    /// The stream for this step's shape is recorded once, through
+    /// `emit_interp`, and replayed with only the per-step fields patched.
     pub fn interp_step(&mut self, ev: &mut EventBuffer<'_>, guest_pc: u32, info: &StepInfo) {
         self.interp_step_keyed(ev, guest_pc, info, None);
     }
@@ -425,18 +403,12 @@ impl Emitter {
         key: Option<usize>,
     ) {
         let comp = Component::TolIm;
-        if !self.interp_templates {
-            let mut c = Cur::new(TOL_CODE_BASE + code::INTERP, comp, ev);
-            emit_interp(&mut c, guest_pc, info, None);
-            self.track(comp, c);
-            return;
-        }
         let key = key.unwrap_or_else(|| shape_key(info));
         if self.interp_tpl[key].is_none() {
             let mut insts = Vec::new();
             let mut marks = InterpMarks::default();
             let mut c = Cur::new(TOL_CODE_BASE + code::INTERP, comp, &mut insts);
-            emit_interp(&mut c, guest_pc, info, Some(&mut marks));
+            emit_interp(&mut c, guest_pc, info, &mut marks);
             self.interp_tpl[key] = Some(InterpTemplate { insts, marks });
         }
         let tpl = self.interp_tpl[key].as_ref().expect("template just ensured");

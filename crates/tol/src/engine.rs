@@ -21,17 +21,17 @@ use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
 use crate::config::TolConfig;
 use crate::emission::Emitter;
 use crate::ibtc::Ibtc;
-use crate::interp;
 use crate::ir::{self, EXIT_TARGET_REG, FLAGS_REG};
 use crate::profile::{Profiler, StaticMode};
 use crate::superblock::form_region_into;
 use crate::translate::{decode_bb_into, RegionInst, TranslateScratch};
 use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
-use darco_host::events::{EventBuffer, ExecMode, HostEvent, HostEventSink, TranslationKind};
+use darco_host::events::{
+    EventBuffer, ExecMode, HostEvent, HostEventSink, TranslationKind, EVENT_BATCH,
+};
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE};
-use darco_host::stream::{fp_reg, int_reg, NO_REG};
 use darco_host::{
-    exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HInst, HostState, Outcome, RetireDyn,
+    exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome, RetireDyn,
 };
 use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
@@ -139,8 +139,7 @@ pub struct Tol {
     /// Reused allocation for the retirement event buffer.
     ev_storage: Vec<HostEvent>,
     /// The guest layer's micro-op execution context (pre-decoded block
-    /// buffers + lazy flags), used by the interpreter when
-    /// [`TolConfig::guest_fast_path`] is on.
+    /// buffers + lazy flags): the interpreter's executor.
     fastctx: darco_guest::uops::ExecCtx,
     /// Accumulated per-pass deltas across every optimized block.
     pass_deltas: Vec<crate::verify::PassDelta>,
@@ -160,13 +159,11 @@ impl Tol {
             CodeCache::new(cfg.code_cache_capacity)
         };
         cc.set_policy(cfg.cache_policy);
-        let mut em = Emitter::new();
-        em.interp_templates = cfg.retire_templates;
         let mut tol = Tol {
             cc,
             ibtc: Ibtc::new(cfg.ibtc_entries),
             prof: Profiler::new(),
-            em,
+            em: Emitter::new(),
             host: HostState::new(),
             guest_pc: entry,
             halted: false,
@@ -273,8 +270,8 @@ impl Tol {
     /// Advances the emulated guest by one dispatch unit, or up to
     /// `budget` guest instructions of chained translated execution.
     /// Events are delivered to `sink` in retire-order batches of at most
-    /// [`TolConfig::event_batch`]; the buffer is always drained before
-    /// this returns (a budget boundary is a flush boundary).
+    /// [`EVENT_BATCH`]; the buffer is always drained before this returns
+    /// (a budget boundary is a flush boundary).
     ///
     /// # Errors
     ///
@@ -287,8 +284,7 @@ impl Tol {
         budget: u64,
     ) -> Result<StepOutcome, DecodeError> {
         let storage = std::mem::take(&mut self.ev_storage);
-        let capacity = self.cfg.event_batch;
-        let mut ev = EventBuffer::from_storage(storage, capacity, sink);
+        let mut ev = EventBuffer::from_storage(storage, EVENT_BATCH, sink);
         let out = self.step_buffered(mem, &mut ev, budget);
         self.ev_storage = ev.into_storage();
         out
@@ -357,8 +353,7 @@ impl Tol {
         max_guest_insts: u64,
     ) -> Result<u64, DecodeError> {
         let storage = std::mem::take(&mut self.ev_storage);
-        let capacity = self.cfg.event_batch;
-        let mut ev = EventBuffer::from_storage(storage, capacity, sink);
+        let mut ev = EventBuffer::from_storage(storage, EVENT_BATCH, sink);
         let mut total = 0;
         let mut fault = None;
         while !self.halted && total < max_guest_insts {
@@ -377,6 +372,13 @@ impl Tol {
         }
     }
 
+    /// Interprets one basic block (IM): cold guest code runs against the
+    /// *emulated* guest state from the guest layer's pre-decoded micro-op
+    /// buffers, with each instruction's host cost charged through
+    /// [`Emitter::interp_step_shaped`]. The paper counts interpretation
+    /// as overhead despite its forward progress because of the high
+    /// per-instruction emulation cost (Sec. III-B) — the emitted stream
+    /// reflects that cost.
     fn interpret_bb(
         &mut self,
         mem: &mut GuestMem,
@@ -388,52 +390,31 @@ impl Tol {
             "pending lazy flags across interpret_bb entries"
         );
         let mut n = 0u64;
-        if self.cfg.guest_fast_path {
-            // One call runs the whole basic block from the guest layer's
-            // micro-op buffers; the visitor charges each instruction's IM
-            // cost stream as it retires and ends the chunk at the
-            // block-ending instruction.
-            let Tol { prof, em, counters, fastctx, .. } = self;
-            let ran = fastctx.run_visiting(
-                &mut cpu,
-                mem,
-                u64::MAX,
-                &mut n,
-                |pc, op, control, accesses| {
-                    prof.mark_static([pc], StaticMode::Im);
-                    em.interp_step_shaped(ev, pc, &op.step_info(control, accesses), op.shape);
-                    if op.inst.is_indirect() {
-                        counters.indirect_branches += 1;
-                    }
-                    if op.block_end {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                },
-            );
-            if let Err(e) = ran {
-                // The byte interpreter marks a pc before it decodes it;
-                // keep the profile identical on the fault path too. The
-                // local `cpu` (which any pending lazy definition refers
-                // to) is discarded with the error.
-                self.prof.mark_static([cpu.eip], StaticMode::Im);
-                self.fastctx.discard_pending();
-                return Err(e);
-            }
-        } else {
-            loop {
-                let gpc = cpu.eip;
-                self.prof.mark_static([gpc], StaticMode::Im);
-                let info = interp::step(&mut cpu, mem, &mut self.em, ev)?;
-                n += 1;
-                if info.inst.is_indirect() {
-                    self.counters.indirect_branches += 1;
+        // One call runs the whole basic block; the visitor charges each
+        // instruction's IM cost stream as it retires and ends the chunk
+        // at the block-ending instruction.
+        let Tol { prof, em, counters, fastctx, .. } = self;
+        let ran =
+            fastctx.run_visiting(&mut cpu, mem, u64::MAX, &mut n, |pc, op, control, accesses| {
+                prof.mark_static([pc], StaticMode::Im);
+                em.interp_step_shaped(ev, pc, &op.step_info(control, accesses), op.shape);
+                if op.inst.is_indirect() {
+                    counters.indirect_branches += 1;
                 }
-                if cpu.halted || info.inst.is_block_end() {
-                    break;
+                if op.block_end {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
                 }
-            }
+            });
+        if let Err(e) = ran {
+            // A pc the interpreter reaches counts as interpreted even
+            // when it then fails to decode. The local `cpu` (which any
+            // pending lazy definition refers to) is discarded with the
+            // error.
+            self.prof.mark_static([cpu.eip], StaticMode::Im);
+            self.fastctx.discard_pending();
+            return Err(e);
         }
         // Materialize any pending flag definition before the state
         // becomes visible to `StepBoundary` consumers via `store_cpu`.
@@ -446,9 +427,8 @@ impl Tol {
         Ok(n)
     }
 
-    /// Engagement counters of the guest-layer fast path (micro-op
-    /// cache hits, lazy-flag elisions); zeros when
-    /// [`TolConfig::guest_fast_path`] is off.
+    /// Engagement counters of the interpreter's executor (micro-op
+    /// cache hits, lazy-flag elisions).
     pub fn fast_stats(&self) -> darco_guest::uops::FastStats {
         self.fastctx.stats
     }
@@ -641,7 +621,7 @@ impl Tol {
                 return Ok(executed);
             }
 
-            let (exit, exit_idx, guest_n, cond_taken) = self.exec_block(bid, mem, ev);
+            let (exit, exit_idx, guest_n, cond_taken) = self.exec_block_templates(bid, mem, ev);
             executed += guest_n;
             self.counters.guest_insts += guest_n;
 
@@ -830,27 +810,11 @@ impl Tol {
     /// instruction, guest instructions retired, and — when the block ends
     /// in a conditional branch — whether it was taken.
     ///
-    /// Dispatches to the template fast path or to the straight
-    /// re-derivation oracle per [`TolConfig::retire_templates`]; both
-    /// produce bit-identical retirement streams (asserted by the
-    /// template-equivalence tests).
-    fn exec_block(
-        &mut self,
-        bid: BlockId,
-        mem: &mut GuestMem,
-        ev: &mut EventBuffer<'_>,
-    ) -> (Exit, usize, u64, Option<bool>) {
-        if self.cfg.retire_templates {
-            self.exec_block_templates(bid, mem, ev)
-        } else {
-            self.exec_block_rederive(bid, mem, ev)
-        }
-    }
-
-    /// Template fast path: copy the prebuilt record into the event
-    /// buffer, execute, and patch only the dynamic fields of the staged
-    /// event. No per-retire metadata derivation, no match over
-    /// [`HInst`], no copy on the stack.
+    /// Retirement is by template: copy the prebuilt record into the
+    /// event buffer, execute, and patch only the dynamic fields of the
+    /// staged event. No per-retire metadata derivation, no match over
+    /// `HInst`, no copy on the stack. (The unit tests re-derive every
+    /// record from the instruction's own metadata and compare.)
     fn exec_block_templates(
         &mut self,
         bid: BlockId,
@@ -911,115 +875,6 @@ impl Tol {
             }
         }
     }
-
-    /// The re-derivation oracle: builds every retirement record from the
-    /// instruction's own metadata, exactly as before templates existed.
-    /// Kept reachable (`retire_templates: false`) so tests and benches
-    /// can prove the fast path emits the same stream.
-    fn exec_block_rederive(
-        &mut self,
-        bid: BlockId,
-        mem: &mut GuestMem,
-        ev: &mut EventBuffer<'_>,
-    ) -> (Exit, usize, u64, Option<bool>) {
-        let block = self.cc.block(bid).expect("guarded live at dispatch");
-        let host_base = block.host_base;
-        let mut idx = 0usize;
-        let mut app_insts = 0u64;
-        loop {
-            let inst = &block.insts[idx];
-            let pc = host_base + 4 * idx as u64;
-
-            // Pre-compute the memory event (operand registers may change).
-            let mem_event = match *inst {
-                HInst::Prefetch { base, off } => {
-                    Some((guest_to_host(self.host.reg(base).wrapping_add(off as u32)), 64, false))
-                }
-                HInst::Ld { base, off, width, .. } => Some((
-                    guest_to_host(self.host.reg(base).wrapping_add(off as u32)),
-                    width.bytes(),
-                    false,
-                )),
-                HInst::St { base, off, width, .. } => Some((
-                    guest_to_host(self.host.reg(base).wrapping_add(off as u32)),
-                    width.bytes(),
-                    true,
-                )),
-                HInst::FLd { base, off, .. } => {
-                    Some((guest_to_host(self.host.reg(base).wrapping_add(off as u32)), 8, false))
-                }
-                HInst::FSt { base, off, .. } => {
-                    Some((guest_to_host(self.host.reg(base).wrapping_add(off as u32)), 8, true))
-                }
-                _ => None,
-            };
-
-            let outcome = exec_inst(&mut self.host, inst, mem);
-
-            // Build the DynInst record.
-            let mut d = DynInst::plain(pc, inst.class(), darco_host::Component::AppCode);
-            if let Some((addr, size, is_store)) = mem_event {
-                if matches!(inst, HInst::Prefetch { .. }) {
-                    d = d.with_prefetch(addr);
-                } else {
-                    d = d.with_mem(addr, size, is_store);
-                }
-            }
-            if let Some(r) = inst.dst() {
-                d.dst = int_reg(r.0);
-            } else if let Some(f) = inst.fdst() {
-                d.dst = fp_reg(f.0);
-            }
-            let mut srcs = [NO_REG; 2];
-            let mut si = 0;
-            for s in inst.srcs().into_iter().flatten() {
-                if si < 2 {
-                    srcs[si] = int_reg(s.0);
-                    si += 1;
-                }
-            }
-            for s in inst.fsrcs().into_iter().flatten() {
-                if si < 2 {
-                    srcs[si] = fp_reg(s.0);
-                    si += 1;
-                }
-            }
-            d.srcs = srcs;
-            match (*inst, outcome) {
-                (HInst::Br { target, .. }, out) | (HInst::BrFlags { target, .. }, out) => {
-                    let taken = matches!(out, Outcome::Taken(_));
-                    d = d.with_branch(BranchKind::CondDirect, host_base + 4 * target as u64, taken);
-                }
-                (HInst::Jump { target }, _) => {
-                    d = d.with_branch(
-                        BranchKind::UncondDirect,
-                        host_base + 4 * target as u64,
-                        true,
-                    );
-                }
-                (HInst::Exit(Exit::Direct { link, .. }), _) => {
-                    // Chained exits jump block-to-block; unchained ones
-                    // (and stale links) jump into the dispatcher.
-                    let t =
-                        link.and_then(|to| self.cc.get(to)).map_or(TOL_CODE_BASE, |b| b.host_base);
-                    d = d.with_branch(BranchKind::UncondDirect, t, true);
-                }
-                _ => {}
-            }
-            app_insts += 1;
-            ev.retire(d);
-
-            match outcome {
-                Outcome::Next => idx += 1,
-                Outcome::Taken(t) => idx = t as usize,
-                Outcome::Exited(e) => {
-                    let (guest_n, cond_taken) = exit_info(block, idx);
-                    self.em.emitted[0] += app_insts; // AppCode counter
-                    return (e, idx, guest_n, cond_taken);
-                }
-            }
-        }
-    }
 }
 
 /// Guest instructions retired and — for a BBM block whose last guest
@@ -1046,7 +901,7 @@ mod tests {
     use super::*;
     use crate::codecache::CachePolicy;
     use darco_guest::asm::Asm;
-    use darco_guest::{AluOp, Cond, Inst};
+    use darco_guest::{exec, AluOp, Cond, Inst};
 
     /// A counting loop plus a function call per iteration.
     fn loop_program(iters: i32) -> (GuestMem, u32) {
@@ -1352,5 +1207,255 @@ mod tests {
         let overhead = tol_side as f64 / total_host as f64;
         // A hot loop amortizes overhead to a small share.
         assert!(overhead < 0.30, "overhead share {overhead}");
+    }
+
+    /// An interpreter-only layer (promotion unreachable) over `p`.
+    fn interpreter_only(p: &darco_guest::asm::Program) -> (Tol, GuestMem) {
+        let mut mem = GuestMem::new();
+        mem.write_bytes(p.base, &p.bytes);
+        let cfg = TolConfig { im_bb_threshold: u32::MAX, ..TolConfig::default() };
+        (Tol::new(cfg, p.base), mem)
+    }
+
+    #[test]
+    fn interpretation_matches_direct_execution() {
+        let mut a = Asm::new(0x1000);
+        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 5 });
+        a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Eax, imm: 37 });
+        a.push(Inst::Halt);
+        let p = a.assemble();
+        let (mut tol, mut mem) = interpreter_only(&p);
+        let mut direct = CpuState::at(p.base);
+        let mut direct_mem = mem.clone();
+        while !direct.halted {
+            exec::step(&mut direct, &mut direct_mem).unwrap();
+        }
+        let mut n = 0u64;
+        let mut sink = darco_host::events::RetireSink(|_: &DynInst| n += 1);
+        tol.run(&mut mem, &mut sink, u64::MAX).unwrap();
+        assert!(direct.arch_eq(&tol.emulated_state()));
+        assert!(n > 20, "interpretation must cost host instructions, got {n}");
+    }
+
+    #[test]
+    fn decode_errors_propagate() {
+        let mut mem = GuestMem::new();
+        mem.write_u8(0x100, 0xFF); // invalid opcode
+        let mut tol = Tol::new(TolConfig::default(), 0x100);
+        assert!(tol.run(&mut mem, &mut darco_host::NullSink, u64::MAX).is_err());
+    }
+
+    #[test]
+    fn interpretation_through_the_visitor_emits_the_reference_stream() {
+        // A counted loop with a memory access and a taken/not-taken
+        // branch, interpreted only (no promotion). The reference is the
+        // readable loop the visitor replaced: decode and execute one
+        // instruction with the independent executor, then charge its
+        // cost stream from the `StepInfo` that reports. Every IM-cost
+        // retirement must be equal, in order; the debug_assert inside
+        // interp_step_shaped additionally pins the static emission shape
+        // against the dynamic key on every op.
+        use darco_guest::MemRef;
+        use darco_host::Component;
+
+        let mut a = Asm::new(0x1000);
+        a.push(Inst::MovRI { dst: Gpr::Ecx, imm: 50 });
+        a.push(Inst::MovRI { dst: Gpr::Esi, imm: 0x4000 });
+        let top = a.here();
+        a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Eax, imm: 3 });
+        a.push(Inst::AluMR { op: AluOp::Add, addr: MemRef::base(Gpr::Esi, 0), src: Gpr::Eax });
+        a.push(Inst::AluRI { op: AluOp::Sub, dst: Gpr::Ecx, imm: 1 });
+        a.push(Inst::Jcc { cond: Cond::Ne, target: top });
+        a.push(Inst::Halt);
+        let p = a.assemble();
+        let (mut tol, mut mem) = interpreter_only(&p);
+
+        let mut reference: Vec<DynInst> = Vec::new();
+        let mut ref_cpu = CpuState::at(p.base);
+        let mut ref_n = 0u64;
+        {
+            let mut ref_mem = mem.clone();
+            let mut em = Emitter::new();
+            let mut sink = darco_host::events::RetireSink(|d: &DynInst| reference.push(*d));
+            let mut ev = EventBuffer::new(EVENT_BATCH, &mut sink);
+            while !ref_cpu.halted {
+                let pc = ref_cpu.eip;
+                let info = exec::step(&mut ref_cpu, &mut ref_mem).unwrap();
+                em.interp_step(&mut ev, pc, &info);
+                ref_n += 1;
+            }
+            ev.flush();
+        }
+
+        let mut visited: Vec<DynInst> = Vec::new();
+        let mut sink = darco_host::events::RetireSink(|d: &DynInst| {
+            if d.component == Component::TolIm {
+                visited.push(*d);
+            }
+        });
+        let n = tol.run(&mut mem, &mut sink, u64::MAX).unwrap();
+
+        assert!(ref_cpu.arch_eq(&tol.emulated_state()));
+        assert_eq!(n, ref_n);
+        assert_eq!(visited.len(), reference.len(), "IM cost stream length");
+        if let Some(i) = visited.iter().zip(&reference).position(|(v, r)| v != r) {
+            panic!(
+                "IM retirement {i} differs\nreference: {:?}\nvisitor:   {:?}",
+                reference[i], visited[i]
+            );
+        }
+        let hits = tol.fast_stats().uop_hits;
+        assert!(hits > 100, "loop body must hit the micro-op cache, got {hits}");
+    }
+
+    /// The re-derivation reference: executes block `bid` from `host` and
+    /// `mem`, building every retirement record from the instruction's
+    /// own metadata (`class`/`dst`/`srcs`/`fsrcs` and a match over
+    /// [`HInst`]) — what the engine did per retirement before templates
+    /// hoisted it to install time. Returns the records and the exit.
+    fn rederive_block(
+        cc: &CodeCache,
+        bid: BlockId,
+        host: &mut HostState,
+        mem: &mut GuestMem,
+    ) -> (Vec<DynInst>, Exit, usize) {
+        use darco_host::stream::{fp_reg, int_reg, NO_REG};
+        use darco_host::HInst;
+        let block = cc.block(bid).expect("live block");
+        let host_base = block.host_base;
+        let mut records = Vec::new();
+        let mut idx = 0usize;
+        loop {
+            let inst = &block.insts[idx];
+            let pc = host_base + 4 * idx as u64;
+
+            // Pre-compute the memory event (operand registers may change).
+            let ea = |base, off: i32| guest_to_host(host.reg(base).wrapping_add(off as u32));
+            let mem_event = match *inst {
+                HInst::Prefetch { base, off } => Some((ea(base, off), 64, false)),
+                HInst::Ld { base, off, width, .. } => Some((ea(base, off), width.bytes(), false)),
+                HInst::St { base, off, width, .. } => Some((ea(base, off), width.bytes(), true)),
+                HInst::FLd { base, off, .. } => Some((ea(base, off), 8, false)),
+                HInst::FSt { base, off, .. } => Some((ea(base, off), 8, true)),
+                _ => None,
+            };
+
+            let outcome = exec_inst(host, inst, mem);
+
+            let mut d = DynInst::plain(pc, inst.class(), darco_host::Component::AppCode);
+            if let Some((addr, size, is_store)) = mem_event {
+                if matches!(inst, HInst::Prefetch { .. }) {
+                    d = d.with_prefetch(addr);
+                } else {
+                    d = d.with_mem(addr, size, is_store);
+                }
+            }
+            if let Some(r) = inst.dst() {
+                d.dst = int_reg(r.0);
+            } else if let Some(f) = inst.fdst() {
+                d.dst = fp_reg(f.0);
+            }
+            let mut srcs = [NO_REG; 2];
+            let mut si = 0;
+            for s in inst.srcs().into_iter().flatten() {
+                if si < 2 {
+                    srcs[si] = int_reg(s.0);
+                    si += 1;
+                }
+            }
+            for s in inst.fsrcs().into_iter().flatten() {
+                if si < 2 {
+                    srcs[si] = fp_reg(s.0);
+                    si += 1;
+                }
+            }
+            d.srcs = srcs;
+            match (*inst, outcome) {
+                (HInst::Br { target, .. }, out) | (HInst::BrFlags { target, .. }, out) => {
+                    let taken = matches!(out, Outcome::Taken(_));
+                    d = d.with_branch(BranchKind::CondDirect, host_base + 4 * target as u64, taken);
+                }
+                (HInst::Jump { target }, _) => {
+                    d = d.with_branch(
+                        BranchKind::UncondDirect,
+                        host_base + 4 * target as u64,
+                        true,
+                    );
+                }
+                (HInst::Exit(Exit::Direct { link, .. }), _) => {
+                    // Chained exits jump block-to-block; unchained ones
+                    // (and stale links) jump into the dispatcher.
+                    let t = link.and_then(|to| cc.get(to)).map_or(TOL_CODE_BASE, |b| b.host_base);
+                    d = d.with_branch(BranchKind::UncondDirect, t, true);
+                }
+                _ => {}
+            }
+            records.push(d);
+
+            match outcome {
+                Outcome::Next => idx += 1,
+                Outcome::Taken(t) => idx = t as usize,
+                Outcome::Exited(e) => return (records, e, idx),
+            }
+        }
+    }
+
+    /// Retirement by template must emit the *exact* records a straight
+    /// re-derivation builds. There is one engine, so the comparison is
+    /// block by block: whenever the next dispatch unit starts in a
+    /// translated block, that block runs twice from copies of the
+    /// engine's host state and guest memory — once through
+    /// `exec_block_templates`, once through [`rederive_block`] — and
+    /// records, exit, registers and memory must agree; then the engine
+    /// itself executes it (budget 1 ends the unit after one block).
+    #[test]
+    fn retirement_templates_match_rederivation_oracle() {
+        use crate::guest_programs::{any_inst, build_program};
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut compared = 0u64;
+        for case in 0u64..12 {
+            let mut rng = SmallRng::seed_from_u64(0xDA_0007 + case);
+            let len = rng.gen_range(4usize..40);
+            let body: Vec<Inst> = (0..len).map(|_| any_inst(&mut rng)).collect();
+            let iters = rng.gen_range(3i32..40);
+            let (mut mem, cpu) = build_program(&body, iters);
+            let cfg = TolConfig { im_bb_threshold: 1, bb_sb_threshold: 2, ..TolConfig::default() };
+            let mut tol = Tol::new(cfg, cpu.eip);
+            tol.set_state(&cpu);
+
+            while !tol.is_done() {
+                let next = tol.cc.lookup(tol.guest_pc);
+                if let Some(bid) = next.filter(|&b| !tol.cc.smc_stale(b, &mem)) {
+                    let (mut ref_host, mut ref_mem) = (tol.host.clone(), mem.clone());
+                    let (want, want_exit, want_idx) =
+                        rederive_block(&tol.cc, bid, &mut ref_host, &mut ref_mem);
+
+                    let (saved_host, saved_emitted) = (tol.host.clone(), tol.em.emitted);
+                    let mut tpl_mem = mem.clone();
+                    let mut got: Vec<DynInst> = Vec::new();
+                    let mut sink = darco_host::events::RetireSink(|d: &DynInst| got.push(*d));
+                    let mut ev = EventBuffer::new(EVENT_BATCH, &mut sink);
+                    let (exit, idx, ..) = tol.exec_block_templates(bid, &mut tpl_mem, &mut ev);
+                    ev.flush();
+                    let tpl_host = std::mem::replace(&mut tol.host, saved_host);
+                    tol.em.emitted = saved_emitted;
+
+                    let ctx = format!("case {case}, block at guest {:#x}", tol.guest_pc);
+                    assert_eq!((exit, idx), (want_exit, want_idx), "{ctx}: exit");
+                    assert_eq!(got.len(), want.len(), "{ctx}: stream length");
+                    if let Some(i) = got.iter().zip(&want).position(|(a, b)| a != b) {
+                        panic!(
+                            "{ctx}: DynInst {i} differs\ntemplate: {:?}\noracle:   {:?}",
+                            got[i], want[i]
+                        );
+                    }
+                    assert!(tpl_host == ref_host, "{ctx}: host state");
+                    assert_eq!(tpl_mem.first_difference(&ref_mem), None, "{ctx}: guest memory");
+                    compared += 1;
+                }
+                tol.step(&mut mem, &mut darco_host::NullSink, 1).expect("tol step");
+            }
+        }
+        assert!(compared > 200, "only {compared} block executions were compared");
     }
 }

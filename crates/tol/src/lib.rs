@@ -4,7 +4,8 @@
 //! processor. It dynamically translates guest (g86) code to the host RISC
 //! ISA through three execution modes (paper Fig. 3):
 //!
-//! * **IM** — interpretation, for cold code ([`interp`]),
+//! * **IM** — interpretation, for cold code (the guest layer's micro-op
+//!   executor driven by [`engine::Tol`], costed by [`emission`]),
 //! * **BBM** — basic-block translation with light peephole optimization
 //!   and edge profiling, once a branch target executes more than
 //!   `IM/BBth` times ([`translate`]),
@@ -56,8 +57,13 @@ mod compile;
 pub mod config;
 pub mod emission;
 pub mod engine;
+/// The workspace's random guest programs (shared with the root
+/// package's property tests), for the engine's unit tests.
+#[cfg(test)]
+#[allow(dead_code)] // the property tests use more of the generator
+#[path = "../../../tests/common/guest_programs.rs"]
+mod guest_programs;
 pub mod ibtc;
-pub mod interp;
 pub mod ir;
 pub mod opt;
 pub mod profile;

@@ -1,45 +1,28 @@
 #!/usr/bin/env sh
 # Full local gate: formatting, lints as errors, and the whole test
 # suite. CI and pre-commit both run exactly this.
-#
-#   scripts/check.sh           # the full gate
-#   scripts/check.sh --tsan    # ThreadSanitizer pass over the fan-out
-#                              # event-stream tests (needs nightly +
-#                              # rust-src; skips gracefully)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-if [ "${1:-}" = "--tsan" ]; then
-    # ThreadSanitizer needs an instrumented std (-Zbuild-std), hence
-    # nightly with the rust-src component. Skip — not fail — when the
-    # toolchain isn't available, so the mode is safe to wire anywhere.
-    if ! rustup toolchain list 2>/dev/null | grep -q '^nightly'; then
-        echo "tsan: nightly toolchain not installed; skipping"
-        exit 0
-    fi
-    if ! rustup component list --toolchain nightly --installed 2>/dev/null \
-            | grep -q '^rust-src'; then
-        echo "tsan: rust-src not installed for nightly; skipping"
-        exit 0
-    fi
-    host=$(rustc +nightly -vV | sed -n 's/^host: //p')
-    # Every fan-out run drains the event buffer through its shared
-    # (`Arc`) path: the staging vector is given to the workers and
-    # staging restarts in a fresh one while they still read the old.
-    echo "== tsan: event_stream fanout tests on $host"
-    RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Zbuild-std --target "$host" \
-        --test event_stream -- fanout
-    # The guest crate carries the interior-mutable L0 page cache
-    # (Cell-based, Send-not-Sync by design); run its unit tests under
-    # the sanitizer too so a future Sync impl can't slip a race in.
-    echo "== tsan: darco-guest unit tests on $host"
-    RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -Zbuild-std --target "$host" \
-        -p darco-guest
-    echo "tsan checks passed"
-    exit 0
+# Mechanisms the switch audits deleted (DESIGN.md §15) stay deleted: a
+# revert must not bring a switch back without anyone noticing. The
+# names may only appear in DESIGN.md's "Removed mechanisms" section, in
+# the history files (CHANGELOG.md, CHANGES.md, EXPERIMENTS.md, ROADMAP.md),
+# in the CLI test that pins the two flags as unknown, and in the one
+# property test whose name predates the audit.
+echo "== removed switches stay removed"
+removed='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
+kept_test='guest_fast_path_matches_oracle_per_step'
+if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
+        | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then
+    echo "error: a removed switch is back (see DESIGN.md §15)" >&2
+    exit 1
+fi
+if sed '/^## 15\. Removed mechanisms/,/^## 16\. /d' DESIGN.md \
+        | grep -nE "$removed" | grep -v "$kept_test"; then
+    echo "error: DESIGN.md names a removed switch outside §15" >&2
+    exit 1
 fi
 
 echo "== cargo fmt --check"
@@ -65,12 +48,14 @@ cargo test -q --workspace
 echo "== cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-echo "== cargo test -q --release --test event_stream --test event_stream_golden --test properties"
-cargo test -q --release --test event_stream --test event_stream_golden --test properties
+# The digests of the event stream and of the serialized reports, and
+# the property tests, must hold as optimised too.
+echo "== cargo test -q --release --test event_stream_golden --test report_golden --test properties"
+cargo test -q --release --test event_stream_golden --test report_golden --test properties
 
 # The event bus writes its staging slots by index and sends oversize
-# streams through a side buffer; that arithmetic, the single pass of
-# `SinkSet` and the shared (`Arc`) drain must hold as optimised too.
+# streams through a side buffer; that arithmetic and the single pass of
+# `SinkSet` must hold as optimised too.
 echo "== cargo test -q --release -p darco-host -p darco-core"
 cargo test -q --release -p darco-host -p darco-core
 
@@ -81,13 +66,14 @@ echo "== cargo test -q --release -p darco-guest"
 cargo test -q --release -p darco-guest
 
 # The timing hot path must compute the same thing with overflow checks
-# and debug_assert! compiled out (its differential test runs here too).
+# and debug_assert! compiled out (its differential tests run here too).
 echo "== cargo test -q --release -p darco-timing"
 cargo test -q --release -p darco-timing
 
 # So must the translator's index-and-shift dataflow (bitsets, dense
-# register arrays): its reference-model test and its unit tests run
-# here without the debug build's checks to lean on.
+# register arrays) and retirement by template: the reference-model
+# tests and the unit tests run here without the debug build's checks
+# to lean on.
 echo "== cargo test -q --release -p darco-tol"
 cargo test -q --release -p darco-tol
 

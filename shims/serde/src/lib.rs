@@ -11,6 +11,34 @@
 //! `Deserialize` maps a [`Value`] tree back. Representations follow
 //! serde's external tagging so the JSON output looks the same as real
 //! serde's for the types in this workspace.
+//!
+//! # No `#[serde(...)]` attributes
+//!
+//! The derive implements none of serde's attributes. Ignoring one would
+//! be worse than rejecting it — a `#[serde(skip)]` that does nothing
+//! puts a wall-clock field into a report that is compared byte for
+//! byte — so a field (or type, or variant) that carries one does not
+//! compile, and the error names it:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Report {
+//!     cycles: u64,
+//!     #[serde(skip)]
+//!     wall_clock_ns: u64,
+//! }
+//! ```
+//!
+//! The same type without the attribute derives as usual:
+//!
+//! ```
+//! #[derive(serde::Serialize)]
+//! struct Report {
+//!     cycles: u64,
+//!     /// Doc comments and other attributes are fine.
+//!     wall_clock_ns: u64,
+//! }
+//! ```
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -7,6 +7,13 @@
 //! code targets the vendored `serde` shim's `to_value`/`from_value`
 //! traits and follows serde's externally-tagged enum representation
 //! and transparent newtype structs.
+//!
+//! No `#[serde(...)]` attribute is implemented, and none is ignored: a
+//! type, variant or field that carries one fails to compile with a
+//! message naming it (real serde would change the output for `skip`,
+//! `default`, `rename`, ... — silently not doing so is how a wall-clock
+//! field ends up in a byte-compared report). The `serde` shim's crate
+//! docs hold the `compile_fail` test.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -29,15 +36,34 @@ struct Input {
 
 type Toks = std::iter::Peekable<proc_macro::token_stream::IntoIter>;
 
-fn skip_attrs(toks: &mut Toks) {
+/// Skips the attributes in front of an item (doc comments, `#[default]`,
+/// ...) and reports whether one of them was `#[serde(...)]`, which the
+/// caller hands to [`reject_serde_attr`] once it knows the item's name.
+#[must_use]
+fn skip_attrs(toks: &mut Toks) -> bool {
+    let mut serde_attr = false;
     while let Some(TokenTree::Punct(p)) = toks.peek() {
         if p.as_char() != '#' {
             break;
         }
         toks.next();
         // The bracketed attribute body.
-        toks.next();
+        if let Some(TokenTree::Group(g)) = toks.next() {
+            let head = g.stream().into_iter().next();
+            serde_attr |= matches!(head, Some(TokenTree::Ident(id)) if id.to_string() == "serde");
+        }
     }
+    serde_attr
+}
+
+/// Fails the derive — a compile error — when `what` carried a
+/// `#[serde(...)]` attribute.
+fn reject_serde_attr(seen: bool, what: &str) {
+    assert!(
+        !seen,
+        "serde shim derive: `#[serde(...)]` on {what} is not supported — this stand-in \
+         implements no serde attributes and will not ignore one silently"
+    );
 }
 
 fn skip_vis(toks: &mut Toks) {
@@ -79,10 +105,11 @@ fn parse_named_fields(body: TokenStream) -> Vec<String> {
     let mut toks: Toks = body.into_iter().peekable();
     let mut fields = Vec::new();
     loop {
-        skip_attrs(&mut toks);
+        let serde_attr = skip_attrs(&mut toks);
         skip_vis(&mut toks);
         match toks.next() {
             Some(TokenTree::Ident(id)) => {
+                reject_serde_attr(serde_attr, &format!("field `{id}`"));
                 fields.push(id.to_string());
                 // Consume ':' then the type up to the next field.
                 let colon = toks.next();
@@ -104,7 +131,7 @@ fn parse_tuple_arity(body: TokenStream) -> usize {
     let mut toks: Toks = body.into_iter().peekable();
     let mut arity = 0;
     loop {
-        skip_attrs(&mut toks);
+        reject_serde_attr(skip_attrs(&mut toks), &format!("tuple field {arity}"));
         skip_vis(&mut toks);
         if toks.peek().is_none() {
             break;
@@ -140,7 +167,7 @@ fn parse_shape_after_name(toks: &mut Toks) -> Shape {
 
 fn parse_input(input: TokenStream) -> Input {
     let mut toks: Toks = input.into_iter().peekable();
-    skip_attrs(&mut toks);
+    let serde_attr = skip_attrs(&mut toks);
     skip_vis(&mut toks);
     let kw = match toks.next() {
         Some(TokenTree::Ident(id)) => id.to_string(),
@@ -150,6 +177,7 @@ fn parse_input(input: TokenStream) -> Input {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => panic!("serde shim derive: expected type name, got {other:?}"),
     };
+    reject_serde_attr(serde_attr, &format!("type `{name}`"));
     if let Some(TokenTree::Punct(p)) = toks.peek() {
         assert!(p.as_char() != '<', "serde shim derive: generic type `{name}` not supported");
     }
@@ -163,10 +191,11 @@ fn parse_input(input: TokenStream) -> Input {
             let mut vt: Toks = body.into_iter().peekable();
             let mut variants = Vec::new();
             loop {
-                skip_attrs(&mut vt);
+                let serde_attr = skip_attrs(&mut vt);
                 match vt.next() {
                     Some(TokenTree::Ident(id)) => {
                         let vname = id.to_string();
+                        reject_serde_attr(serde_attr, &format!("variant `{vname}`"));
                         let shape = parse_shape_after_name(&mut vt);
                         variants.push((vname, shape));
                         // Consume trailing `,` (and any `= disc`).

@@ -41,6 +41,30 @@ fn tol_execution_is_architecturally_exact_across_modes() {
     assert!(report.tol.dyn_dist.iter().all(|&d| d > 0), "IM, BBM and SBM all executed");
 }
 
+/// `darco verify`'s configuration — every optimization pass verified,
+/// and the independent `exec::step` rather than the interpreter's own
+/// executor on the checking side — must observe, not perturb: its report
+/// is the default configuration's, byte for byte, apart from the
+/// verifier's two counters. (A divergence between the two executors
+/// would panic inside the run.)
+#[test]
+fn verify_configuration_reports_what_the_default_does() {
+    let report = |verify: bool| {
+        let mut cfg = quick_cfg();
+        cfg.tol.verify = verify;
+        let mut sys = System::new(generate(&suites::quicktest_profile(), 0.1), cfg);
+        let mut r = sys.run_to_completion();
+        assert!(r.cosim_checks > 0, "checker ran");
+        // Debug builds verify whatever the switch says; release builds
+        // count verified blocks only under it.
+        assert!(!verify || r.tol.counters.verified_blocks > 0, "verifier ran");
+        r.tol.counters.verified_blocks = 0;
+        r.tol.counters.tv_differential = 0;
+        serde_json::to_string(&r).expect("serialize")
+    };
+    assert_eq!(report(true), report(false));
+}
+
 /// Co-simulation must also hold under unusual configurations: ablated
 /// optimizations, tiny code cache (frequent flushes), tiny IBTC.
 #[test]

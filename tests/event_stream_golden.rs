@@ -1,18 +1,17 @@
 //! The host-event stream, pinned by digest.
 //!
 //! Every `HostEvent` `Tol::run` delivers is a pure function of
-//! `(workload, TolConfig)`, and neither the batch size nor the
-//! retirement-template switch may move one field of one event. The
-//! report-bytes tests of `event_stream.rs` notice a moved event only
-//! through the timing model; this test looks at the stream itself —
-//! every event, in order, through its `Debug` text — in about a second,
-//! in debug and release.
+//! `(workload, TolConfig)`. The report digests of `report_golden.rs`
+//! notice a moved event only through the timing model; this test looks
+//! at the stream itself — every event, in order, through its `Debug`
+//! text — in about a second, in debug and release.
 //!
 //! The constants were taken before the event bus was rebuilt around
 //! in-place appends and must only ever change together with an
 //! explanation of which event moved and why.
 
 use darco::core::SystemConfig;
+use darco::host::events::EVENT_BATCH;
 use darco::host::{HostEvent, HostEventSink, TraceStatsSink};
 use darco::tol::{Tol, TolConfig};
 use darco::workloads::{generate, suites, BenchProfile, Suite, Workload};
@@ -73,14 +72,13 @@ fn churn_profile() -> BenchProfile {
 
 /// Every event of one `Tol::run`, in delivery order.
 fn stream(w: &Workload, cfg: TolConfig) -> Vec<HostEvent> {
-    let batch = cfg.event_batch;
     let mut mem = w.mem.clone();
     let mut tol = Tol::new(cfg, w.entry);
     tol.set_state(&w.initial);
     let mut sink = Collect::default();
     tol.run(&mut mem, &mut sink, u64::MAX).expect("generated workloads decode");
     assert!(tol.is_done(), "{}: guest must halt", w.name);
-    assert!(sink.max_batch <= batch, "batch of {} exceeds event_batch {batch}", sink.max_batch);
+    assert!(sink.max_batch <= EVENT_BATCH, "batch of {} exceeds EVENT_BATCH", sink.max_batch);
     sink.events
 }
 
@@ -93,22 +91,10 @@ fn digest(events: &[HostEvent]) -> u64 {
     h.0
 }
 
-/// `HostEvent` has no `PartialEq` (a `StepBoundary` owns a boxed
-/// `CpuState`); retirements compare by value, the rare rest by text.
-fn same(a: &HostEvent, b: &HostEvent) -> bool {
-    match (a, b) {
-        (HostEvent::Retire(x), HostEvent::Retire(y)) => x == y,
-        _ => format!("{a:?}") == format!("{b:?}"),
-    }
-}
-
-/// The default configuration must deliver the pinned stream, and every
-/// other `(event_batch, retire_templates)` pair the very same events.
+/// The default configuration must deliver the pinned stream.
 fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
-    let base = SystemConfig::default().tol;
-    assert!(base.retire_templates && base.event_batch == 4096, "the pinned stream is the default");
     let w = generate(profile, scale);
-    let pinned = stream(&w, base.clone());
+    let pinned = stream(&w, SystemConfig::default().tol);
     assert_eq!(
         (digest(&pinned), pinned.len()),
         expected,
@@ -123,25 +109,6 @@ fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
         "{}: the pinned stream must cover all three modes and both translators: {s:?}",
         profile.name
     );
-    for event_batch in [4096, 64, 1] {
-        for retire_templates in [true, false] {
-            let cfg = TolConfig { event_batch, retire_templates, ..base.clone() };
-            if cfg == base {
-                continue;
-            }
-            let got = stream(&w, cfg);
-            let at = pinned.iter().zip(&got).position(|(a, b)| !same(a, b));
-            assert_eq!(
-                (at, got.len()),
-                (None, pinned.len()),
-                "{}: event_batch {event_batch}, retire_templates {retire_templates}: first \
-                 differing event {:?} vs pinned {:?}",
-                profile.name,
-                at.map(|i| &got[i]),
-                at.map(|i| &pinned[i])
-            );
-        }
-    }
 }
 
 #[test]
