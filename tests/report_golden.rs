@@ -20,8 +20,8 @@ use darco::workloads::{generate, suites, BenchProfile};
 
 const SCALE: f64 = 0.05;
 
-/// Small enough that every workload here evicts under FIFO.
-const FIFO_CAPACITY: u32 = 600;
+/// Small enough that every workload here overflows the code cache.
+const SMALL_CAPACITY: u32 = 600;
 
 /// FNV-1a, 64 bit: stable across Rust releases, unlike `DefaultHasher`.
 fn fnv(text: &str) -> u64 {
@@ -51,18 +51,27 @@ fn digest(mut r: Report) -> u64 {
     fnv(&serde_json::to_string(&r).expect("serialize"))
 }
 
+fn small(c: &mut SystemConfig) {
+    c.tol.code_cache_capacity = SMALL_CAPACITY;
+}
+
 fn fifo(c: &mut SystemConfig) {
     c.tol.cache_policy = CachePolicy::Fifo;
-    c.tol.code_cache_capacity = FIFO_CAPACITY;
+    small(c);
 }
 
 /// A named adjustment of the base configuration.
 type Case = (&'static str, fn(&mut SystemConfig));
 
 /// The configurations every workload is pinned under.
-const CASES: [Case; 4] = [
+const CASES: [Case; 6] = [
     ("flush", |_| {}),
     ("flush + cosim", |c| c.cosim = true),
+    ("flush, capacity 600", small),
+    ("flush, capacity 600 + cosim", |c| {
+        small(c);
+        c.cosim = true;
+    }),
     ("fifo", fifo),
     ("fifo + cosim", |c| {
         fifo(c);
@@ -70,9 +79,9 @@ const CASES: [Case; 4] = [
     }),
 ];
 
-fn check(profile: &BenchProfile, expected: [u64; 4]) {
+fn check(profile: &BenchProfile, expected: [u64; 6]) {
     let reports = CASES.map(|(_, set)| report(profile, set));
-    let [flush, _, fifo, _] = &reports;
+    let [flush, _, small, _, fifo, _] = &reports;
     assert!(
         flush.tol.dyn_dist.iter().all(|&n| n > 0)
             && flush.app_only.is_some()
@@ -80,6 +89,13 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
         "{}: the pinned run must cover all three modes and pipelines: {:?}",
         profile.name,
         flush.tol.dyn_dist
+    );
+    assert!(
+        small.tol.flushes > 0 && small.tol.cache.retranslations > 0,
+        "{}: the small cache must flush ({}) and retranslate: {:?}",
+        profile.name,
+        small.tol.flushes,
+        small.tol.cache
     );
     assert!(fifo.tol.cache.evictions > 0, "{}: fifo must evict", profile.name);
     for ((case, _), r) in CASES.iter().zip(&reports) {
@@ -98,7 +114,14 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
 fn reports_are_pinned_on_quicktest() {
     check(
         &suites::quicktest_profile(),
-        [14616705520837596232, 2904960229666022204, 6066489547262142418, 3723775410834023480],
+        [
+            14616705520837596232,
+            2904960229666022204,
+            11743912246800552291,
+            8582409508220209199,
+            6066489547262142418,
+            3723775410834023480,
+        ],
     );
 }
 
@@ -106,7 +129,14 @@ fn reports_are_pinned_on_quicktest() {
 fn reports_are_pinned_on_perlbench() {
     check(
         &suites::all_profiles()[0],
-        [5745746681081316861, 10038273098040521257, 5311168094360441364, 5247879392756852060],
+        [
+            5745746681081316861,
+            10038273098040521257,
+            2803315729175220911,
+            2068651352307959127,
+            5311168094360441364,
+            5247879392756852060,
+        ],
     );
 }
 
@@ -114,7 +144,14 @@ fn reports_are_pinned_on_perlbench() {
 fn reports_are_pinned_on_bzip2() {
     check(
         &suites::all_profiles()[1],
-        [13509794238309198752, 3556272081580281162, 12969402876718016657, 16355283914845883039],
+        [
+            13509794238309198752,
+            3556272081580281162,
+            9937573549420661269,
+            5760823799676489331,
+            12969402876718016657,
+            16355283914845883039,
+        ],
     );
 }
 
