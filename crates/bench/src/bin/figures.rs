@@ -455,18 +455,14 @@ fn ablate_passes(base: &RunConfig) {
         ("all passes", base.tol.clone()),
         ("no scheduling", TolConfig { opt_schedule: false, ..base.tol.clone() }),
         ("no CSE", TolConfig { opt_cse: false, ..base.tol.clone() }),
-        (
-            "no const prop/fold",
-            TolConfig { opt_const_prop: false, opt_const_fold: false, ..base.tol.clone() },
-        ),
+        ("no const prop/fold", TolConfig { opt_constprop: false, ..base.tol.clone() }),
         ("no DCE", TolConfig { opt_dce: false, ..base.tol.clone() }),
         (
             "none (translate only)",
             TolConfig {
                 opt_schedule: false,
                 opt_cse: false,
-                opt_const_prop: false,
-                opt_const_fold: false,
+                opt_constprop: false,
                 opt_dce: false,
                 bbm_peephole: false,
                 ..base.tol.clone()

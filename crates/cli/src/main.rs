@@ -21,10 +21,6 @@
 //!                               benchmark
 //!          --scale S            dynamic-length scale, finite and > 0
 //!                               (default 0.5)
-//!          --cache-policy P     code-cache overflow policy: flush
-//!                               (default, whole-cache flush) or fifo
-//!                               (partial eviction with space reuse and
-//!                               selective unchaining)
 //!          --cosim              enable co-simulation checking (run,
 //!                               run-set, analyze)
 //!          --jobs N             worker threads for run-set (default:
@@ -37,7 +33,7 @@
 
 use darco_core::{Report, System, SystemConfig};
 use darco_host::{Component, HInst, Owner};
-use darco_tol::codecache::{BlockKind, CachePolicy};
+use darco_tol::codecache::BlockKind;
 use darco_tol::{Tol, TolConfig};
 use darco_workloads::{generate, suites, BenchProfile};
 
@@ -70,8 +66,7 @@ fn main() {
 fn usage() {
     eprintln!(
         "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
-         [--profile FILE] [--scale S] [--cache-policy flush|fifo] [--cosim] [--jobs N] [--n N] \
-         [--json]"
+         [--profile FILE] [--scale S] [--cosim] [--jobs N] [--n N] [--json]"
     );
 }
 
@@ -84,7 +79,6 @@ struct Opts {
     profiles: Vec<BenchProfile>,
     scale: f64,
     cosim: bool,
-    cache_policy: CachePolicy,
     /// `None` means all available cores.
     jobs: Option<usize>,
     n: usize,
@@ -96,11 +90,6 @@ impl Opts {
     /// given, `quicktest` when none was.
     fn profile(&self) -> BenchProfile {
         self.profiles.last().cloned().unwrap_or_else(suites::quicktest_profile)
-    }
-
-    /// Applies the flags that configure the software layer.
-    fn apply_tol(&self, tol: &mut TolConfig) {
-        tol.cache_policy = self.cache_policy;
     }
 }
 
@@ -116,15 +105,8 @@ fn named_profile(name: &str) -> BenchProfile {
 }
 
 fn parse(rest: &[String]) -> Opts {
-    let mut o = Opts {
-        profiles: Vec::new(),
-        scale: 0.5,
-        cosim: false,
-        cache_policy: CachePolicy::Flush,
-        jobs: None,
-        n: 20,
-        json: false,
-    };
+    let mut o =
+        Opts { profiles: Vec::new(), scale: 0.5, cosim: false, jobs: None, n: 20, json: false };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let mut value =
@@ -150,9 +132,6 @@ fn parse(rest: &[String]) -> Opts {
                 }
             }
             "--cosim" => o.cosim = true,
-            "--cache-policy" => {
-                o.cache_policy = value("flush|fifo").parse().unwrap_or_else(|e: String| bail(&e));
-            }
             "--jobs" => {
                 let n: usize = value("a thread count")
                     .parse()
@@ -203,8 +182,7 @@ fn run(rest: &[String]) {
     let o = parse(rest);
     let profile = o.profile();
     eprintln!("running {} at scale {} ...", profile.name, o.scale);
-    let mut cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
-    o.apply_tol(&mut cfg.tol);
+    let cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
     let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
     if o.json {
@@ -224,8 +202,7 @@ fn run_set(rest: &[String]) {
     let o = parse(rest);
     let jobs =
         o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let mut cfg = darco_core::RunConfig { scale: o.scale, cosim: o.cosim, ..Default::default() };
-    o.apply_tol(&mut cfg.tol);
+    let cfg = darco_core::RunConfig { scale: o.scale, cosim: o.cosim, ..Default::default() };
     let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles };
     eprintln!(
         "running {} benchmark(s) at scale {} on {jobs} thread(s) ...",
@@ -267,7 +244,6 @@ fn verify(rest: &[String]) {
     let profile = o.profile();
     eprintln!("verifying {} at scale {} ...", profile.name, o.scale);
     let mut cfg = SystemConfig { cosim: true, ..SystemConfig::default() };
-    o.apply_tol(&mut cfg.tol);
     cfg.tol.verify = true;
     let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
@@ -308,8 +284,7 @@ fn analyze(rest: &[String]) {
     // and for the functional rerun below.
     let analysis_mem = w.mem.clone();
     let (entry, initial) = (w.entry, w.initial.clone());
-    let mut cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
-    o.apply_tol(&mut cfg.tol);
+    let cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
     let tol_cfg = cfg.tol.clone();
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
@@ -487,8 +462,7 @@ fn disasm(rest: &[String]) {
     let o = parse(rest);
     let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
-    let mut tol_cfg = TolConfig { bb_sb_threshold: 50, ..TolConfig::default() };
-    o.apply_tol(&mut tol_cfg);
+    let tol_cfg = TolConfig { bb_sb_threshold: 50, ..TolConfig::default() };
     let mut tol = Tol::new(tol_cfg, w.entry);
     tol.set_state(&w.initial);
     let mut sink = darco_host::NullSink;
@@ -534,9 +508,7 @@ fn disasm(rest: &[String]) {
 
 fn timeline(rest: &[String]) {
     let o = parse(rest);
-    let mut cfg =
-        SystemConfig { cosim: false, window_guest_insts: 50_000, ..SystemConfig::default() };
-    o.apply_tol(&mut cfg.tol);
+    let cfg = SystemConfig { cosim: false, window_guest_insts: 50_000, ..SystemConfig::default() };
     let mut sys = System::new(generate(&o.profile(), o.scale), cfg);
     let r = sys.run_to_completion();
     println!(

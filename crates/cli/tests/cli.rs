@@ -31,4 +31,19 @@ fn scale_must_be_finite_and_positive() {
 fn removed_switches_are_unknown_flags() {
     rejected(&["run", "quicktest", "--timing-backend", "inline"], "unknown flag --timing-backend");
     rejected(&["run", "quicktest", "--guest-fast-path", "off"], "unknown flag --guest-fast-path");
+    rejected(&["run", "quicktest", "--cache-policy", "fifo"], "unknown flag --cache-policy");
+}
+
+#[test]
+fn out_of_range_profile_integer_is_rejected_with_its_type() {
+    // 2^32 + 1200 used to be narrowed to 1200 and run as quicktest.
+    let path = std::env::temp_dir().join(format!("darco-cli-test-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    assert!(darco(&["export-profile", "quicktest", path]).status.success());
+    let text = std::fs::read_to_string(path).expect("exported profile");
+    assert!(text.contains("\"static_insts\": 1200"), "{text}");
+    std::fs::write(path, text.replace("\"static_insts\": 1200", "\"static_insts\": 4294968496"))
+        .expect("rewrite profile");
+    rejected(&["run", "--profile", path, "--scale", "0.05"], "4294968496 out of range for u32");
+    std::fs::remove_file(path).expect("clean up");
 }

@@ -36,19 +36,6 @@ pub struct TlbParams {
     pub hit_latency: u32,
 }
 
-/// Whether the software layer and the application share
-/// microarchitectural state (caches, TLB, predictor, prefetcher).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Interaction {
-    /// One set of structures, contended by both entities — the machine's
-    /// real behavior and the paper's "w/" configuration.
-    #[default]
-    Shared,
-    /// Private structures per entity — the counterfactual "w/o"
-    /// configuration of Fig. 10 used to quantify interaction.
-    Isolated,
-}
-
 /// Full host configuration; [`TimingConfig::default`] reproduces Table I.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimingConfig {
@@ -88,8 +75,6 @@ pub struct TimingConfig {
     pub lat_simple_fp: u32,
     /// Complex FP (mul/div) latency.
     pub lat_complex_fp: u32,
-    /// Resource sharing between TOL and the application.
-    pub interaction: Interaction,
 }
 
 impl Default for TimingConfig {
@@ -112,7 +97,6 @@ impl Default for TimingConfig {
             lat_complex_int: 2,
             lat_simple_fp: 2,
             lat_complex_fp: 5,
-            interaction: Interaction::Shared,
         }
     }
 }
@@ -147,11 +131,6 @@ fn power_of_two(v: u32, field: &'static str) -> Result<(), TimingConfigError> {
 }
 
 impl TimingConfig {
-    /// Table I configuration with isolated (non-interacting) resources.
-    pub fn isolated() -> TimingConfig {
-        TimingConfig { interaction: Interaction::Isolated, ..TimingConfig::default() }
-    }
-
     /// Rejects shapes the model would mis-simulate (a zero issue width
     /// makes every partial-cycle bubble `0/0`) or cannot build (tree
     /// PLRU and the index masks need powers of two): everything
@@ -197,14 +176,12 @@ mod tests {
         assert_eq!(c.l2.sets(), 512); // 512K / (128 * 8)
         assert_eq!(c.mem_latency, 128);
         assert_eq!(c.tlb1.entries, 64);
-        assert_eq!(c.interaction, Interaction::Shared);
     }
 
     #[test]
     fn degenerate_shapes_are_rejected() {
         let d = TimingConfig::default();
         assert_eq!(d.validate(), Ok(()));
-        assert_eq!(TimingConfig::isolated().validate(), Ok(()));
         let field = |c: TimingConfig| c.validate().expect_err("must be rejected").field;
         assert_eq!(field(TimingConfig { issue_width: 0, ..d.clone() }), "issue_width");
         assert_eq!(field(TimingConfig { iq_size: 0, ..d.clone() }), "iq_size");
@@ -231,12 +208,5 @@ mod tests {
         c.tlb1.entries = 48;
         let e = c.validate().expect_err("6 sets");
         assert_eq!(e.to_string(), "tlb1 sets must be a power of two");
-    }
-
-    #[test]
-    fn isolated_flips_only_interaction() {
-        let c = TimingConfig::isolated();
-        assert_eq!(c.interaction, Interaction::Isolated);
-        assert_eq!(c.l1d, TimingConfig::default().l1d);
     }
 }

@@ -15,12 +15,12 @@
 //! *and* to the component that caused it — the attribution that produces
 //! Figs. 6, 7, 8, 9 and 11.
 //!
-//! Resource sharing between the software layer and the application is
-//! switchable ([`Interaction`]): `Shared` models both entities competing
-//! for caches/predictor/prefetcher state (the paper's "w/" runs),
-//! `Isolated` gives each entity private copies (the "w/o" runs of
-//! Fig. 10), and the pipeline can also be asked to *ignore* one entity
-//! entirely (the TOL-in-isolation IPC study of Fig. 8).
+//! The software layer and the application compete for one set of
+//! caches, TLB, predictor and prefetcher state (the paper's "w/" runs).
+//! "Without interaction" (Figs. 8, 10 and 11) means exactly one thing: a
+//! second [`Pipeline`] that is fed one owner's instructions only, which
+//! is what `darco-core`'s `TimingSink` does with its `app_only` and
+//! `tol_only` pipelines.
 //!
 //! ```
 //! use darco_host::stream::{int_reg, DynInst};
@@ -57,7 +57,7 @@ pub mod stats;
 pub mod tlb;
 
 pub use cache::{Cache, Lookup};
-pub use config::{CacheParams, Interaction, TimingConfig, TimingConfigError, TlbParams};
+pub use config::{CacheParams, TimingConfig, TimingConfigError, TlbParams};
 pub use memsys::MemSystem;
 pub use pipeline::Pipeline;
 pub use stats::{BubbleCause, Stats};

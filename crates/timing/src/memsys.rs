@@ -1,17 +1,16 @@
 //! The memory system: split L1s, unified L2, data TLB and stride
-//! prefetcher, with switchable sharing between the software layer and
-//! the application.
+//! prefetcher.
 //!
-//! Under [`Interaction::Shared`] both entities contend for one set of
+//! The software layer and the application contend for one set of
 //! structures — TOL's data-intensive code-cache lookups evict application
-//! lines and vice versa (the "ping-pong" effect of Sec. III-D). Under
-//! [`Interaction::Isolated`] each entity gets private copies, which is
-//! the counterfactual used by Figs. 10 and 11. Demand statistics are
-//! always kept per owner so miss rates can be reported per entity either
-//! way.
+//! lines and vice versa (the "ping-pong" effect of Sec. III-D). The
+//! "without interaction" numbers of Figs. 10 and 11 come from a pipeline
+//! that is fed one owner's instructions only, not from a second set of
+//! structures here. Demand statistics are kept per owner so miss rates
+//! can be reported per entity.
 
 use crate::cache::{Cache, Lookup};
-use crate::config::{Interaction, TimingConfig};
+use crate::config::TimingConfig;
 use crate::prefetch::StridePrefetcher;
 use crate::tlb::Tlb;
 use darco_host::layout::is_guest_addr;
@@ -81,20 +80,19 @@ const NO_LINE: u64 = u64::MAX;
 /// The modeled cache/TLB/prefetch hierarchy.
 #[derive(Debug)]
 pub struct MemSystem {
-    l1i: Vec<Cache>,
-    l1d: Vec<Cache>,
-    l2: Vec<Cache>,
-    tlb: Vec<Tlb>,
-    prefetch: Vec<StridePrefetcher>,
+    l1i: Cache,
+    l1d: Cache,
+    l2: Cache,
+    tlb: Tlb,
+    prefetch: StridePrefetcher,
     stats: [OwnerMemStats; 2],
     l1_hit: u32,
     l2_hit: u32,
     mem_lat: u32,
-    shared: bool,
-    /// Per-copy line number of the previous demand data access, used by
-    /// the last-line hit shortcut; [`NO_LINE`] after any L1-D fill
-    /// (a fill may disturb replacement state in the same set).
-    last_d_line: Vec<u64>,
+    /// Line number of the previous demand data access, used by the
+    /// last-line hit shortcut; [`NO_LINE`] after any L1-D fill (a fill
+    /// may disturb replacement state in the same set).
+    last_d_line: u64,
     d_line_shift: u32,
 }
 
@@ -108,33 +106,18 @@ fn owner_idx(owner: Owner) -> usize {
 impl MemSystem {
     /// Builds the hierarchy from the configuration.
     pub fn new(cfg: &TimingConfig) -> MemSystem {
-        let copies = match cfg.interaction {
-            Interaction::Shared => 1,
-            Interaction::Isolated => 2,
-        };
-        let mk = |p| (0..copies).map(|_| Cache::new(p)).collect::<Vec<_>>();
         MemSystem {
-            l1i: mk(cfg.l1i),
-            l1d: mk(cfg.l1d),
-            l2: mk(cfg.l2),
-            tlb: (0..copies).map(|_| Tlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency)).collect(),
-            prefetch: (0..copies).map(|_| StridePrefetcher::new(cfg.prefetcher_entries)).collect(),
+            l1i: Cache::new(cfg.l1i),
+            l1d: Cache::new(cfg.l1d),
+            l2: Cache::new(cfg.l2),
+            tlb: Tlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
+            prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
             stats: [OwnerMemStats::default(); 2],
             l1_hit: cfg.l1d.hit_latency,
             l2_hit: cfg.l2.hit_latency,
             mem_lat: cfg.mem_latency,
-            shared: copies == 1,
-            last_d_line: vec![NO_LINE; copies],
+            last_d_line: NO_LINE,
             d_line_shift: cfg.l1d.block.trailing_zeros(),
-        }
-    }
-
-    #[inline]
-    fn copy(&self, owner: Owner) -> usize {
-        if self.shared {
-            0
-        } else {
-            owner_idx(owner)
         }
     }
 
@@ -144,15 +127,14 @@ impl MemSystem {
     /// The data TLB is consulted only for guest-space addresses: the
     /// software layer works with physical addresses (Sec. II-A-2).
     pub fn access_data(&mut self, owner: Owner, pc: u64, addr: u64, _is_store: bool) -> DataAccess {
-        let c = self.copy(owner);
         self.stats[owner_idx(owner)].d_accesses += 1;
 
         let line = addr >> self.d_line_shift;
-        let fast_hit = line == self.last_d_line[c];
+        let fast_hit = line == self.last_d_line;
 
         let mut latency = 0;
         if is_guest_addr(addr) {
-            let (outcome, tlb_lat) = self.tlb[c].access(addr);
+            let (outcome, tlb_lat) = self.tlb.access(addr);
             if outcome == crate::tlb::TlbOutcome::Walk {
                 self.stats[owner_idx(owner)].tlb_walks += 1;
             }
@@ -168,30 +150,30 @@ impl MemSystem {
             // in between (fills clear `last_d_line`): the probe would hit
             // and its MRU re-touch would be a PLRU no-op, so only the
             // access counter needs to move.
-            self.l1d[c].count_hit();
+            self.l1d.count_hit();
             latency += self.l1_hit;
         } else {
-            l1_miss = self.l1d[c].access(addr) == Lookup::Miss;
+            l1_miss = self.l1d.access(addr) == Lookup::Miss;
             if l1_miss {
                 self.stats[owner_idx(owner)].d_misses += 1;
-                l2_miss = self.l2[c].access(addr) == Lookup::Miss;
+                l2_miss = self.l2.access(addr) == Lookup::Miss;
                 latency += if l2_miss { self.mem_lat } else { self.l2_hit };
             } else {
                 latency += self.l1_hit;
             }
         }
-        self.last_d_line[c] = line;
+        self.last_d_line = line;
 
         // Stride prefetching on demand accesses. This runs on the
         // shortcut path too: the prefetcher's stride state is observable
         // through future fills.
-        if let Some(pf_addr) = self.prefetch[c].observe(pc, addr) {
-            if !self.l1d[c].contains(pf_addr) {
-                self.l1d[c].fill(pf_addr);
-                self.l2[c].fill(pf_addr);
+        if let Some(pf_addr) = self.prefetch.observe(pc, addr) {
+            if !self.l1d.contains(pf_addr) {
+                self.l1d.fill(pf_addr);
+                self.l2.fill(pf_addr);
                 // The fill may have evicted or re-ordered lines in the
                 // set the shortcut would vouch for.
-                self.last_d_line[c] = NO_LINE;
+                self.last_d_line = NO_LINE;
             }
         }
 
@@ -202,25 +184,23 @@ impl MemSystem {
     /// and L2 (and translates the page) without charging demand-miss
     /// statistics or latency.
     pub fn prefetch_fill(&mut self, owner: Owner, addr: u64) {
-        let c = self.copy(owner);
         if is_guest_addr(addr) {
-            let _ = self.tlb[c].access(addr);
+            let _ = self.tlb.access(addr);
         }
         self.stats[owner_idx(owner)].sw_prefetches += 1;
-        self.l1d[c].fill(addr);
-        self.l2[c].fill(addr);
-        self.last_d_line[c] = NO_LINE;
+        self.l1d.fill(addr);
+        self.l2.fill(addr);
+        self.last_d_line = NO_LINE;
     }
 
     /// Performs an instruction-fetch access for the line containing `pc`.
     pub fn access_inst(&mut self, owner: Owner, pc: u64) -> InstAccess {
-        let c = self.copy(owner);
         let s = &mut self.stats[owner_idx(owner)];
         s.i_accesses += 1;
-        let l1_miss = self.l1i[c].access(pc) == Lookup::Miss;
+        let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = if l1_miss {
             s.i_misses += 1;
-            if self.l2[c].access(pc) == Lookup::Miss {
+            if self.l2.access(pc) == Lookup::Miss {
                 self.mem_lat
             } else {
                 self.l2_hit
@@ -238,12 +218,12 @@ impl MemSystem {
 
     /// Total prefetches issued.
     pub fn prefetches(&self) -> u64 {
-        self.prefetch.iter().map(|p| p.issued()).sum()
+        self.prefetch.issued()
     }
 
     /// L1-I line size in bytes (for the pipeline's fetch grouping).
     pub fn i_line_bytes(&self) -> u64 {
-        self.l1i[0].block_bytes()
+        self.l1i.block_bytes()
     }
 }
 
@@ -252,13 +232,13 @@ mod tests {
     use super::*;
     use darco_host::layout::TOL_DATA_BASE;
 
-    fn shared() -> MemSystem {
+    fn table_i() -> MemSystem {
         MemSystem::new(&TimingConfig::default())
     }
 
     #[test]
     fn data_hit_miss_latencies() {
-        let mut m = shared();
+        let mut m = table_i();
         // Cold: TLB walk (128 - 1 overlapped) + memory (128).
         let a = m.access_data(Owner::App, 0x10, 0x8000, false);
         assert!(a.l1_miss && a.l2_miss);
@@ -271,7 +251,7 @@ mod tests {
 
     #[test]
     fn tol_addresses_skip_tlb() {
-        let mut m = shared();
+        let mut m = table_i();
         let a = m.access_data(Owner::Tol, 0x10, TOL_DATA_BASE + 0x100, false);
         assert!(a.l1_miss && a.l2_miss);
         assert_eq!(a.latency, 128, "no TLB serialization for physical TOL data");
@@ -279,27 +259,21 @@ mod tests {
     }
 
     #[test]
-    fn sharing_pollutes_isolation_does_not() {
-        // App touches a line; TOL then floods the same set under Shared,
-        // evicting it. Under Isolated the app line survives.
-        let run = |interaction: Interaction| {
-            let cfg = TimingConfig { interaction, ..TimingConfig::default() };
-            let mut m = MemSystem::new(&cfg);
-            m.access_data(Owner::App, 0x10, 0x4000, false);
-            // 4-way L1D, 128 sets, 64B lines: stride 8192 stays in one set.
-            for i in 0..8u64 {
-                m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE + 0x4000 + i * 8192, false);
-            }
-            let again = m.access_data(Owner::App, 0x10, 0x4000, false);
-            again.l1_miss
-        };
-        assert!(run(Interaction::Shared), "shared: TOL evicted the app line");
-        assert!(!run(Interaction::Isolated), "isolated: app line survives");
+    fn tol_accesses_evict_application_lines() {
+        // App touches a line; TOL then floods the same set, evicting it.
+        let mut m = table_i();
+        m.access_data(Owner::App, 0x10, 0x4000, false);
+        // 4-way L1D, 128 sets, 64B lines: stride 8192 stays in one set.
+        for i in 0..8u64 {
+            m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE + 0x4000 + i * 8192, false);
+        }
+        let again = m.access_data(Owner::App, 0x10, 0x4000, false);
+        assert!(again.l1_miss, "TOL evicted the app line");
     }
 
     #[test]
     fn per_owner_stats_tracked_even_when_shared() {
-        let mut m = shared();
+        let mut m = table_i();
         m.access_data(Owner::App, 0x10, 0x1000, false);
         m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE, true);
         assert_eq!(m.owner_stats(Owner::App).d_accesses, 1);
@@ -309,7 +283,7 @@ mod tests {
 
     #[test]
     fn inst_fetch_path() {
-        let mut m = shared();
+        let mut m = table_i();
         let a = m.access_inst(Owner::App, 0x100);
         assert!(a.l1_miss);
         assert_eq!(a.latency, 128);
@@ -323,57 +297,56 @@ mod tests {
     fn fast_paths_match_full_probe_oracle() {
         // Flat layout + shortcuts vs the per-set, full-probe reference
         // model on a mixed stream (repeats, strides, one hammered set, sw
-        // prefetches, both owners), shared and isolated: every access
-        // result and all counters must be identical.
-        for cfg in [TimingConfig::default(), TimingConfig::isolated()] {
-            let mut f = MemSystem::new(&cfg);
-            let mut s = crate::reference::FullProbeMemSystem::new(&cfg);
-            let mut x = 0x853C_49E6_748F_EA9Bu64;
-            for i in 0..30_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let owner = if x & 8 == 0 { Owner::App } else { Owner::Tol };
-                let base = if owner == Owner::App { 0 } else { TOL_DATA_BASE };
-                let addr = if x & 0x60 == 0 {
-                    // Six lines of one L1-D set (4-way): fills and repeat
-                    // hits in the set the last-line shortcut vouches for.
-                    base + 0x20_0000 + (x >> 20) % 6 * 8192 + (x >> 30) % 2 * 8
-                } else {
-                    match i % 4 {
-                        0 => base + (x % 0x40_0000),        // random
-                        3 => base + (i % 512) * 8,          // sw-prefetch target pool
-                        _ => base + (i / 7) * 8 % 0x1_0000, // strided with repeats
-                    }
-                };
-                let pc = 0x100 + (x % 64) * 4;
-                if i % 11 == 0 {
-                    f.prefetch_fill(owner, addr);
-                    s.prefetch_fill(owner, addr);
-                } else {
-                    assert_eq!(
-                        f.access_data(owner, pc, addr, x & 16 == 0),
-                        s.access_data(owner, pc, addr),
-                        "access {i}"
-                    );
+        // prefetches, both owners): every access result and all counters
+        // must be identical.
+        let cfg = TimingConfig::default();
+        let mut f = MemSystem::new(&cfg);
+        let mut s = crate::reference::FullProbeMemSystem::new(&cfg);
+        let mut x = 0x853C_49E6_748F_EA9Bu64;
+        for i in 0..30_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let owner = if x & 8 == 0 { Owner::App } else { Owner::Tol };
+            let base = if owner == Owner::App { 0 } else { TOL_DATA_BASE };
+            let addr = if x & 0x60 == 0 {
+                // Six lines of one L1-D set (4-way): fills and repeat
+                // hits in the set the last-line shortcut vouches for.
+                base + 0x20_0000 + (x >> 20) % 6 * 8192 + (x >> 30) % 2 * 8
+            } else {
+                match i % 4 {
+                    0 => base + (x % 0x40_0000),        // random
+                    3 => base + (i % 512) * 8,          // sw-prefetch target pool
+                    _ => base + (i / 7) * 8 % 0x1_0000, // strided with repeats
                 }
-                if i % 5 == 0 {
-                    assert_eq!(f.access_inst(owner, pc), s.access_inst(owner, pc));
-                }
-            }
-            let counts = |s: OwnerMemStats| {
-                [s.d_accesses, s.d_misses, s.i_accesses, s.i_misses, s.tlb_walks, s.sw_prefetches]
             };
-            for o in [Owner::App, Owner::Tol] {
-                assert_eq!(counts(f.owner_stats(o)), counts(s.owner_stats(o)), "{o:?}");
+            let pc = 0x100 + (x % 64) * 4;
+            if i % 11 == 0 {
+                f.prefetch_fill(owner, addr);
+                s.prefetch_fill(owner, addr);
+            } else {
+                assert_eq!(
+                    f.access_data(owner, pc, addr, x & 16 == 0),
+                    s.access_data(owner, pc, addr),
+                    "access {i}"
+                );
             }
-            assert_eq!(f.prefetches(), s.prefetches());
+            if i % 5 == 0 {
+                assert_eq!(f.access_inst(owner, pc), s.access_inst(owner, pc));
+            }
         }
+        let counts = |s: OwnerMemStats| {
+            [s.d_accesses, s.d_misses, s.i_accesses, s.i_misses, s.tlb_walks, s.sw_prefetches]
+        };
+        for o in [Owner::App, Owner::Tol] {
+            assert_eq!(counts(f.owner_stats(o)), counts(s.owner_stats(o)), "{o:?}");
+        }
+        assert_eq!(f.prefetches(), s.prefetches());
     }
 
     #[test]
     fn prefetcher_hides_stream_misses() {
-        let mut m = shared();
+        let mut m = table_i();
         let pc = 0x500;
         let mut misses = 0;
         for i in 0..64u64 {

@@ -17,7 +17,7 @@
 //! The effective branch misprediction penalty emerges from the modeled
 //! depth (fetch→EXE ≈ 6 cycles, per Table I).
 
-use crate::config::{Interaction, TimingConfig};
+use crate::config::TimingConfig;
 use crate::memsys::MemSystem;
 use crate::predictor::Predictor;
 use crate::stats::{BubbleCause, Stats};
@@ -49,7 +49,7 @@ const SCHEDULING: usize = BubbleCause::Scheduling.index();
 pub struct Pipeline {
     cfg: TimingConfig,
     mem: MemSystem,
-    pred: Vec<Predictor>,
+    pred: Predictor,
     stats: Stats,
 
     /// Cycle each register's value is on the bypass network.
@@ -85,14 +85,6 @@ pub struct Pipeline {
     max_completion: u64,
 }
 
-fn pred_idx(interaction: Interaction, owner: Owner) -> usize {
-    match (interaction, owner) {
-        (Interaction::Shared, _) => 0,
-        (Interaction::Isolated, Owner::App) => 0,
-        (Interaction::Isolated, Owner::Tol) => 1,
-    }
-}
-
 impl Pipeline {
     /// Builds a pipeline from the configuration.
     ///
@@ -103,10 +95,6 @@ impl Pipeline {
     /// message names the field.
     pub fn new(cfg: TimingConfig) -> Pipeline {
         cfg.validate().expect("TimingConfig cannot be simulated");
-        let copies = match cfg.interaction {
-            Interaction::Shared => 1,
-            Interaction::Isolated => 2,
-        };
         let mem = MemSystem::new(&cfg);
         // Line size is a power of two; cache the shift so the hot retire
         // path never divides.
@@ -114,9 +102,7 @@ impl Pipeline {
         let width = cfg.issue_width;
         Pipeline {
             mem,
-            pred: (0..copies)
-                .map(|_| Predictor::new(cfg.bp_history_bits, cfg.btb_entries))
-                .collect(),
+            pred: Predictor::new(cfg.bp_history_bits, cfg.btb_entries),
             stats: Stats { issue_width: width, ..Stats::default() },
             reg_ready: [0; SLOTS],
             reg_tag: [0; SLOTS],
@@ -287,8 +273,7 @@ impl Pipeline {
 
         // ---- Control flow -------------------------------------------
         if let Some((kind, target, taken)) = d.branch {
-            let p = &mut self.pred[pred_idx(self.cfg.interaction, owner)];
-            let mispredict = p.predict_and_update(d.pc, kind, taken, target);
+            let mispredict = self.pred.predict_and_update(d.pc, kind, taken, target);
             self.stats.record_branch(owner, mispredict);
             if mispredict {
                 // Resolved in EXE; resteer the cycle after.
@@ -509,48 +494,6 @@ mod tests {
         let s = run_loop(&insts, 5_000);
         // Two 5-cycle unpipelined units sustain at most 2/5 inst/cycle.
         assert!(s.ipc() < 0.45, "ipc = {}", s.ipc());
-    }
-
-    #[test]
-    fn isolated_resources_remove_cross_owner_pollution() {
-        // A mixed stream where TOL probes conflict with app lines: the
-        // Interaction::Isolated configuration (private structures per
-        // owner) must finish no slower-per-owner than the shared one.
-        let feed = |p: &mut Pipeline| {
-            for i in 0..40_000u64 {
-                p.retire(
-                    &DynInst::plain(0x100, ExecClass::Load, Component::AppCode)
-                        .with_dst(int_reg(2))
-                        .with_mem(0x4000 + (i % 4) * 8192, 4, false),
-                );
-                p.retire(
-                    &DynInst::plain(
-                        darco_host::layout::TOL_CODE_BASE,
-                        ExecClass::Load,
-                        Component::TolLookup,
-                    )
-                    .with_dst(int_reg(40))
-                    .with_mem(
-                        darco_host::layout::TOL_DATA_BASE + 0x4000 + (i % 8) * 8192,
-                        8,
-                        false,
-                    ),
-                );
-            }
-        };
-        let mut shared = Pipeline::new(TimingConfig::default());
-        feed(&mut shared);
-        let s = shared.finish();
-        let mut isolated = Pipeline::new(TimingConfig::isolated());
-        feed(&mut isolated);
-        let i = isolated.finish();
-        assert!(
-            i.d_miss_rate(Owner::App) <= s.d_miss_rate(Owner::App),
-            "isolation cannot increase the app's miss rate: {} vs {}",
-            i.d_miss_rate(Owner::App),
-            s.d_miss_rate(Owner::App)
-        );
-        assert!(i.total_cycles <= s.total_cycles);
     }
 
     #[test]

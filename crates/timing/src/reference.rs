@@ -11,7 +11,7 @@
 //! ([`StridePrefetcher`]) are shared: they are policy, not layout.
 
 use crate::cache::Lookup;
-use crate::config::{CacheParams, Interaction, TimingConfig, TlbParams};
+use crate::config::{CacheParams, TimingConfig, TlbParams};
 use crate::memsys::{DataAccess, InstAccess, OwnerMemStats};
 use crate::plru::PlruSet;
 use crate::prefetch::StridePrefetcher;
@@ -149,71 +149,50 @@ impl FullProbeTlb {
     }
 }
 
-/// One private or shared copy of the hierarchy.
-struct Hierarchy {
+/// The memory system probing L1-D (and, on a miss, L2) and the TLB on
+/// every access.
+pub(crate) struct FullProbeMemSystem {
     l1i: LegacyCache,
     l1d: LegacyCache,
     l2: LegacyCache,
     tlb: FullProbeTlb,
     prefetch: StridePrefetcher,
-}
-
-/// The memory system probing L1-D (and, on a miss, L2) and the TLB on
-/// every access.
-pub(crate) struct FullProbeMemSystem {
-    copies: Vec<Hierarchy>,
     stats: [OwnerMemStats; 2],
     cfg: TimingConfig,
 }
 
 impl FullProbeMemSystem {
     pub(crate) fn new(cfg: &TimingConfig) -> FullProbeMemSystem {
-        let copies = match cfg.interaction {
-            Interaction::Shared => 1,
-            Interaction::Isolated => 2,
-        };
         FullProbeMemSystem {
-            copies: (0..copies)
-                .map(|_| Hierarchy {
-                    l1i: LegacyCache::new(cfg.l1i),
-                    l1d: LegacyCache::new(cfg.l1d),
-                    l2: LegacyCache::new(cfg.l2),
-                    tlb: FullProbeTlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
-                    prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
-                })
-                .collect(),
+            l1i: LegacyCache::new(cfg.l1i),
+            l1d: LegacyCache::new(cfg.l1d),
+            l2: LegacyCache::new(cfg.l2),
+            tlb: FullProbeTlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
+            prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
             stats: [OwnerMemStats::default(); 2],
             cfg: cfg.clone(),
         }
     }
 
-    fn copy(&mut self, owner: Owner) -> &mut Hierarchy {
-        let i = if self.copies.len() == 1 { 0 } else { owner as usize };
-        &mut self.copies[i]
-    }
-
     pub(crate) fn access_data(&mut self, owner: Owner, pc: u64, addr: u64) -> DataAccess {
-        let (l1_hit, l2_hit, mem_lat) =
-            (self.cfg.l1d.hit_latency, self.cfg.l2.hit_latency, self.cfg.mem_latency);
-        let c = self.copy(owner);
         let mut latency = 0;
         let mut walked = false;
         if is_guest_addr(addr) {
-            let (outcome, tlb_lat) = c.tlb.access(addr);
+            let (outcome, tlb_lat) = self.tlb.access(addr);
             walked = outcome == TlbOutcome::Walk;
             latency += tlb_lat.saturating_sub(1);
         }
-        let l1_miss = c.l1d.access(addr) == Lookup::Miss;
-        let l2_miss = l1_miss && c.l2.access(addr) == Lookup::Miss;
+        let l1_miss = self.l1d.access(addr) == Lookup::Miss;
+        let l2_miss = l1_miss && self.l2.access(addr) == Lookup::Miss;
         latency += match (l1_miss, l2_miss) {
-            (false, _) => l1_hit,
-            (true, false) => l2_hit,
-            (true, true) => mem_lat,
+            (false, _) => self.cfg.l1d.hit_latency,
+            (true, false) => self.cfg.l2.hit_latency,
+            (true, true) => self.cfg.mem_latency,
         };
-        if let Some(pf_addr) = c.prefetch.observe(pc, addr) {
-            if !c.l1d.contains(pf_addr) {
-                c.l1d.fill(pf_addr);
-                c.l2.fill(pf_addr);
+        if let Some(pf_addr) = self.prefetch.observe(pc, addr) {
+            if !self.l1d.contains(pf_addr) {
+                self.l1d.fill(pf_addr);
+                self.l2.fill(pf_addr);
             }
         }
         let n = &mut self.stats[owner as usize];
@@ -224,23 +203,20 @@ impl FullProbeMemSystem {
     }
 
     pub(crate) fn prefetch_fill(&mut self, owner: Owner, addr: u64) {
-        let c = self.copy(owner);
         if is_guest_addr(addr) {
-            let _ = c.tlb.access(addr);
+            let _ = self.tlb.access(addr);
         }
-        c.l1d.fill(addr);
-        c.l2.fill(addr);
+        self.l1d.fill(addr);
+        self.l2.fill(addr);
         self.stats[owner as usize].sw_prefetches += 1;
     }
 
     pub(crate) fn access_inst(&mut self, owner: Owner, pc: u64) -> InstAccess {
-        let (l2_hit, mem_lat) = (self.cfg.l2.hit_latency, self.cfg.mem_latency);
-        let c = self.copy(owner);
-        let l1_miss = c.l1i.access(pc) == Lookup::Miss;
+        let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = match l1_miss {
             false => 1,
-            true if c.l2.access(pc) == Lookup::Miss => mem_lat,
-            true => l2_hit,
+            true if self.l2.access(pc) == Lookup::Miss => self.cfg.mem_latency,
+            true => self.cfg.l2.hit_latency,
         };
         let n = &mut self.stats[owner as usize];
         n.i_accesses += 1;
@@ -253,6 +229,6 @@ impl FullProbeMemSystem {
     }
 
     pub(crate) fn prefetches(&self) -> u64 {
-        self.copies.iter().map(|c| c.prefetch.issued()).sum()
+        self.prefetch.issued()
     }
 }

@@ -16,7 +16,7 @@ use darco_host::layout::{CODE_CACHE_BASE, TOL_CODE_BASE, TOL_DATA_BASE};
 use darco_host::stream::NO_REG;
 use darco_host::{BranchKind, Component, DynInst, ExecClass, Owner};
 use darco_timing::predictor::Predictor;
-use darco_timing::{BubbleCause, Interaction, MemSystem, Pipeline, Stats, TimingConfig};
+use darco_timing::{BubbleCause, MemSystem, Pipeline, Stats, TimingConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -52,7 +52,7 @@ impl Record for Stats {
 struct Reference {
     cfg: TimingConfig,
     mem: MemSystem,
-    pred: Vec<Predictor>,
+    pred: Predictor,
     stats: Stats,
 
     reg_ready: [u64; REGS],
@@ -77,27 +77,13 @@ struct Reference {
     max_completion: u64,
 }
 
-fn pred_idx(interaction: Interaction, owner: Owner) -> usize {
-    match (interaction, owner) {
-        (Interaction::Shared, _) => 0,
-        (Interaction::Isolated, Owner::App) => 0,
-        (Interaction::Isolated, Owner::Tol) => 1,
-    }
-}
-
 impl Reference {
     fn new(cfg: TimingConfig) -> Reference {
-        let copies = match cfg.interaction {
-            Interaction::Shared => 1,
-            Interaction::Isolated => 2,
-        };
         let mem = MemSystem::new(&cfg);
         let i_line_shift = mem.i_line_bytes().trailing_zeros();
         Reference {
             mem,
-            pred: (0..copies)
-                .map(|_| Predictor::new(cfg.bp_history_bits, cfg.btb_entries))
-                .collect(),
+            pred: Predictor::new(cfg.bp_history_bits, cfg.btb_entries),
             stats: Stats { issue_width: cfg.issue_width, ..Stats::default() },
             reg_ready: [0; REGS],
             reg_load_miss: [false; REGS],
@@ -282,8 +268,7 @@ impl Reference {
 
         // ---- Control flow -------------------------------------------
         if let Some((kind, target, taken)) = d.branch {
-            let p = &mut self.pred[pred_idx(self.cfg.interaction, owner)];
-            let mispredict = p.predict_and_update(d.pc, kind, taken, target);
+            let mispredict = self.pred.predict_and_update(d.pc, kind, taken, target);
             self.stats.record_branch(owner, mispredict);
             if mispredict {
                 // Resolved in EXE; resteer the cycle after.
@@ -483,46 +468,39 @@ fn assert_stats_identical(a: &Stats, b: &Stats, at: &str) {
 }
 
 /// The production pipeline and the reference agree after every retired
-/// instruction, for every issue width, IQ size and sharing mode.
+/// instruction, for every issue width and IQ size.
 #[test]
 fn production_retire_matches_reference_model() {
     const RETIRES: usize = 20_000;
     let mut seed = 0x15_0001u64;
     for issue_width in [1u32, 2, 3, 4] {
         for iq_size in [1u32, 2, 16] {
-            for interaction in [Interaction::Shared, Interaction::Isolated] {
-                let cfg =
-                    TimingConfig { issue_width, iq_size, interaction, ..TimingConfig::default() };
-                let shape = format!("width {issue_width}, iq {iq_size}, {interaction:?}");
-                let mut fast = Pipeline::new(cfg.clone());
-                let mut slow = Reference::new(cfg);
-                seed += 1;
-                let mut stream = Stream {
-                    rng: SmallRng::seed_from_u64(seed),
-                    pc: 0,
-                    stride: 0,
-                    queued: Vec::new(),
-                };
-                let mut seen = Coverage::default();
-                for i in 1..=RETIRES {
-                    let d = stream.next();
-                    seen.note(&d);
-                    fast.retire(&d);
-                    slow.retire(&d);
-                    assert_eq!(
-                        fast.cycles_so_far(),
-                        slow.cycles_so_far(),
-                        "cycles after retire {i} ({shape}): {d:?}"
-                    );
-                    if i % 1000 == 0 {
-                        let at = format!("after retire {i} ({shape})");
-                        assert_stats_identical(&fast.snapshot(), &slow.snapshot(), &at);
-                    }
+            let cfg = TimingConfig { issue_width, iq_size, ..TimingConfig::default() };
+            let shape = format!("width {issue_width}, iq {iq_size}");
+            let mut fast = Pipeline::new(cfg.clone());
+            let mut slow = Reference::new(cfg);
+            seed += 1;
+            let mut stream =
+                Stream { rng: SmallRng::seed_from_u64(seed), pc: 0, stride: 0, queued: Vec::new() };
+            let mut seen = Coverage::default();
+            for i in 1..=RETIRES {
+                let d = stream.next();
+                seen.note(&d);
+                fast.retire(&d);
+                slow.retire(&d);
+                assert_eq!(
+                    fast.cycles_so_far(),
+                    slow.cycles_so_far(),
+                    "cycles after retire {i} ({shape}): {d:?}"
+                );
+                if i % 1000 == 0 {
+                    let at = format!("after retire {i} ({shape})");
+                    assert_stats_identical(&fast.snapshot(), &slow.snapshot(), &at);
                 }
-                let s = fast.finish();
-                assert_stats_identical(&s, &slow.snapshot(), &format!("at finish ({shape})"));
-                seen.assert_complete(&s, &shape);
             }
+            let s = fast.finish();
+            assert_stats_identical(&s, &slow.snapshot(), &format!("at finish ({shape})"));
+            seen.assert_complete(&s, &shape);
         }
     }
 }

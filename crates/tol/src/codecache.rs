@@ -1,33 +1,26 @@
 //! The code cache: storage for translations, the translation map,
-//! chaining, and the translation lifecycle (eviction, unlinking,
-//! SMC invalidation).
+//! chaining, and the translation lifecycle (flush, SMC invalidation,
+//! unlinking).
 //!
-//! Translations are bounded by a host-instruction capacity. Two overflow
-//! policies exist, selected by [`CachePolicy`]:
+//! Translations are bounded by a host-instruction capacity. On overflow
+//! the whole cache is flushed (Hazelwood & Smith, cited as \[33\] in the
+//! paper — what the paper's DARCO does): every handle goes stale at
+//! once, and dead space from replaced blocks (a BBM block behind its
+//! superblock) accumulates until then.
 //!
-//! * [`CachePolicy::Flush`] — the classic whole-cache flush (Hazelwood &
-//!   Smith, cited as \[33\] in the paper). Dead space from replaced blocks
-//!   accumulates until the next flush; every handle goes stale at once.
-//!   This is the byte-equality oracle: its event stream is identical to
-//!   the pre-lifecycle implementation.
-//! * [`CachePolicy::Fifo`] — partial eviction: on overflow the oldest
-//!   translations are evicted one at a time until the new one fits, a
-//!   same-entry replacement (SBM promotion) evicts the replaced block
-//!   immediately, and reclaimed address ranges go onto a free list for
-//!   reuse. Only the chains *into* an evicted block are unpatched (each
-//!   block tracks its incoming chain sites) and only the IBTC entries
-//!   naming it are invalidated — the rest of the cache keeps running.
+//! Block handles are generation-tagged ([`BlockId`]): a flush or an
+//! eviction bumps the slot generation, so a stale handle is detectable
+//! through [`CodeCache::get`] instead of silently resolving to an
+//! unrelated translation.
 //!
-//! Block handles are generation-tagged ([`BlockId`]): every eviction
-//! bumps the slot generation, so a stale handle is detectable through
-//! [`CodeCache::get`] instead of silently resolving to an unrelated
-//! translation.
-//!
-//! Translations are additionally stamped against self-modifying code:
-//! at install each block records the covered guest pages and the maximum
-//! [`GuestMem`] page write-generation over them; [`CodeCache::smc_stale`]
-//! compares the stamp on entry/dispatch so a guest that overwrites
-//! translated code re-translates instead of executing stale host code.
+//! Translations are stamped against self-modifying code: at install each
+//! block records the covered guest pages and the maximum [`GuestMem`]
+//! page write-generation over them; [`CodeCache::smc_stale`] compares
+//! the stamp on entry/dispatch so a guest that overwrites translated
+//! code re-translates instead of executing stale host code. That is the
+//! one single-block eviction ([`CodeCache::evict_block`]): only the
+//! chains *into* the evicted block are unpatched (each block tracks its
+//! incoming chain sites) — the rest of the cache keeps running.
 //!
 //! Chaining patches a block's direct exit to name its successor block,
 //! so steady-state execution hops from translation to translation
@@ -37,7 +30,7 @@ use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
 use darco_host::{compile_block, BlockId, Exit, HInst, RetireTemplate};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 /// Which mode produced a translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,30 +39,6 @@ pub enum BlockKind {
     Bb,
     /// Optimized superblock (SBM).
     Sb,
-}
-
-/// Code-cache overflow policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CachePolicy {
-    /// Whole-cache flush on overflow (the classic bounded-cache policy;
-    /// Hazelwood & Smith). The byte-equality oracle.
-    #[default]
-    Flush,
-    /// Partial eviction: evict the oldest translations until the new one
-    /// fits, reclaim their space via a free list, unlink only the chains
-    /// into them, and invalidate only the IBTC entries naming them.
-    Fifo,
-}
-
-impl std::str::FromStr for CachePolicy {
-    type Err = String;
-    fn from_str(s: &str) -> Result<CachePolicy, String> {
-        match s {
-            "flush" => Ok(CachePolicy::Flush),
-            "fifo" => Ok(CachePolicy::Fifo),
-            other => Err(format!("unknown cache policy {other} (flush|fifo)")),
-        }
-    }
 }
 
 /// Typed errors at the cache's public API boundary.
@@ -111,27 +80,15 @@ impl std::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
-/// Why a block was evicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictCause {
-    /// Capacity pressure under [`CachePolicy::Fifo`].
-    Capacity,
-    /// A same-entry install replaced it (SBM promotion under fifo).
-    Replaced,
-    /// A guest write invalidated its SMC stamp.
-    Smc,
-}
-
-/// One evicted translation, as reported to the engine so it can emit
-/// lifecycle events and invalidate its own side tables.
+/// One translation evicted because the guest wrote to its code pages,
+/// as reported to the engine so it can emit lifecycle events and
+/// invalidate its own side tables.
 #[derive(Debug, Clone)]
 pub struct Evicted {
     /// The now-stale handle (IBTC entries naming it must go).
     pub id: BlockId,
     /// Guest entry address of the evicted translation.
     pub entry: u32,
-    /// Whether a self-modifying-code stamp mismatch forced the eviction.
-    pub smc: bool,
     /// Host PCs of chain sites that were unpatched because they linked
     /// into the evicted block.
     pub unchained: Vec<u64>,
@@ -142,11 +99,8 @@ pub struct Evicted {
 pub struct Installed {
     /// Handle of the new translation.
     pub id: BlockId,
-    /// Whether installing forced a whole-cache flush
-    /// ([`CachePolicy::Flush`] only).
+    /// Whether installing forced a whole-cache flush.
     pub flushed: bool,
-    /// Blocks evicted to make room ([`CachePolicy::Fifo`] only).
-    pub evicted: Vec<Evicted>,
 }
 
 /// One installed translation.
@@ -203,16 +157,16 @@ pub struct CodeCacheStats {
     pub flushes: u64,
     /// Chain links patched.
     pub chains: u64,
-    /// Per-block evictions (capacity, replacement, and SMC; whole-cache
-    /// flushes are counted in `flushes`, not here).
+    /// Per-block evictions (whole-cache flushes are counted in
+    /// `flushes`, not here).
     pub evictions: u64,
     /// Evictions forced by a self-modifying-code stamp mismatch.
     pub smc_evictions: u64,
     /// Chain links unpatched because their target was evicted.
     pub unchains: u64,
     /// Installs at a guest entry whose previous translation had been
-    /// flushed or evicted — the re-translation work the lifecycle
-    /// policies trade against cache space.
+    /// flushed or evicted — the re-translation work a bounded cache
+    /// trades against space.
     pub retranslations: u64,
 }
 
@@ -244,8 +198,8 @@ impl CacheHealth {
         self.used as f64 / self.capacity.max(1) as f64
     }
 
-    /// Fraction of allocated space held by dead (unreachable) blocks —
-    /// the leak the partial-eviction policy reclaims.
+    /// Fraction of allocated space held by dead (unreachable) blocks,
+    /// which only the next flush reclaims.
     pub fn dead_space_ratio(&self) -> f64 {
         (self.used - self.live_used) as f64 / self.used.max(1) as f64
     }
@@ -266,18 +220,11 @@ pub struct CodeCache {
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     map: HashMap<u32, BlockId>,
-    /// Install order of (possibly since-evicted) blocks, for fifo
-    /// victim selection; cleaned lazily.
-    order: VecDeque<BlockId>,
-    /// Reclaimed host-address extents `(base, bytes)`, sorted by base
-    /// and coalesced; first-fit allocation under fifo.
-    free_space: Vec<(u64, u64)>,
     capacity: u32,
     used: u32,
     live_used: u32,
     next_host_base: u64,
     scattered: bool,
-    policy: CachePolicy,
     /// Guest entries whose translation was flushed or evicted, for
     /// re-translation counting (cleared per entry on re-install).
     evicted_entries: HashSet<u32>,
@@ -286,50 +233,29 @@ pub struct CodeCache {
 
 impl CodeCache {
     /// Creates a cache bounded to `capacity` host instructions, packing
-    /// translations sequentially in emission order, with the classic
-    /// flush-on-overflow policy.
+    /// translations sequentially in emission order.
     pub fn new(capacity: u32) -> CodeCache {
         CodeCache {
             slots: Vec::new(),
             free_slots: Vec::new(),
             map: HashMap::new(),
-            order: VecDeque::new(),
-            free_space: Vec::new(),
             capacity,
             used: 0,
             live_used: 0,
             next_host_base: CODE_CACHE_BASE,
             scattered: false,
-            policy: CachePolicy::Flush,
             evicted_entries: HashSet::new(),
             stats: CodeCacheStats::default(),
         }
-    }
-
-    /// Creates a cache with the given overflow policy.
-    pub fn with_policy(capacity: u32, policy: CachePolicy) -> CodeCache {
-        CodeCache { policy, ..CodeCache::new(capacity) }
     }
 
     /// Creates a cache with page-aligned ("scattered") placement: every
     /// translation starts on a 4 KiB boundary, so block heads pile onto
     /// the same I-cache sets and lines are underused — the bad placement
     /// policy the paper's code-placement recommendation (Sec. III-E)
-    /// implicitly argues against. Under fifo, scattered placement skips
-    /// address reuse (alignment padding breaks the extent bookkeeping);
-    /// the instruction-count bound still holds.
+    /// implicitly argues against.
     pub fn new_scattered(capacity: u32) -> CodeCache {
         CodeCache { scattered: true, ..CodeCache::new(capacity) }
-    }
-
-    /// The configured overflow policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Sets the overflow policy (engine configuration time only).
-    pub fn set_policy(&mut self, policy: CachePolicy) {
-        self.policy = policy;
     }
 
     /// Looks up the translation covering guest address `pc` (entry match).
@@ -339,14 +265,10 @@ impl CodeCache {
 
     /// Installs a translation.
     ///
-    /// Under [`CachePolicy::Flush`], overflow flushes the whole cache
-    /// first; a same-entry translation (e.g. an SBM block replacing a
-    /// BBM block) takes over the map entry and the old block stays
-    /// allocated as dead space until the next flush, as in a real
-    /// flush-policy code cache. Under [`CachePolicy::Fifo`], the oldest
-    /// translations are evicted until the new one fits, a same-entry
-    /// install evicts the replaced block immediately, and reclaimed
-    /// space is reused.
+    /// Overflow flushes the whole cache first; a same-entry translation
+    /// (e.g. an SBM block replacing a BBM block) takes over the map entry
+    /// and the old block stays allocated as dead space until the next
+    /// flush, as in a real flush-policy code cache.
     ///
     /// The block is stamped against self-modifying code from `mem`'s
     /// current page write-generations over `guest_pcs`.
@@ -371,40 +293,17 @@ impl CodeCache {
         if n > self.capacity {
             return Err(CacheError::TooLarge { insts: insts.len(), capacity: self.capacity });
         }
-        let mut flushed = false;
-        let mut evicted = Vec::new();
-        match self.policy {
-            CachePolicy::Flush => {
-                if self.used + n > self.capacity {
-                    self.flush();
-                    flushed = true;
-                }
-                // A replaced block leaks as dead space until the flush.
-                if let Some(&old) = self.map.get(&guest_entry) {
-                    if let Some(b) = self.get(old) {
-                        self.live_used -= b.insts.len() as u32;
-                    }
-                }
-            }
-            CachePolicy::Fifo => {
-                if let Some(&old) = self.map.get(&guest_entry) {
-                    if let Some(e) = self.evict(old, EvictCause::Replaced) {
-                        evicted.push(e);
-                    }
-                }
-                while self.used + n > self.capacity {
-                    match self.pop_oldest() {
-                        Some(victim) => {
-                            if let Some(e) = self.evict(victim, EvictCause::Capacity) {
-                                evicted.push(e);
-                            }
-                        }
-                        None => break, // empty: n <= capacity fits
-                    }
-                }
+        let flushed = self.used + n > self.capacity;
+        if flushed {
+            self.flush();
+        }
+        // A replaced block leaks as dead space until the flush.
+        if let Some(&old) = self.map.get(&guest_entry) {
+            if let Some(b) = self.get(old) {
+                self.live_used -= b.insts.len() as u32;
             }
         }
-        let host_base = self.alloc(n, &mut evicted);
+        let host_base = self.alloc(n);
         let (code_pages, smc_gen) = smc_stamp(mem, guest_pcs.iter().copied());
         let templates = compile_block(&insts, host_base);
         let block = TranslatedBlock {
@@ -426,14 +325,13 @@ impl CodeCache {
         };
         let id = self.alloc_slot(block);
         self.map.insert(guest_entry, id);
-        self.order.push_back(id);
         self.used += n;
         self.live_used += n;
         self.stats.installed += 1;
         if self.evicted_entries.remove(&guest_entry) {
             self.stats.retranslations += 1;
         }
-        Ok(Installed { id, flushed, evicted })
+        Ok(Installed { id, flushed })
     }
 
     /// Places a block into a free slot (bumped-generation reuse) or a
@@ -454,103 +352,21 @@ impl CodeCache {
         }
     }
 
-    /// Allocates a host-address range for `n` instructions. Under fifo
-    /// (non-scattered) the free list is tried first; exhaustion of the
-    /// address window evicts further victims until an extent fits.
-    fn alloc(&mut self, n: u32, evicted: &mut Vec<Evicted>) -> u64 {
-        let bytes = n as u64 * 4;
+    /// Allocates a host-address range for `n` instructions.
+    fn alloc(&mut self, n: u32) -> u64 {
         if self.scattered {
             self.next_host_base = (self.next_host_base + 0xFFF) & !0xFFF;
-            let base = self.next_host_base;
-            self.next_host_base += bytes;
-            return base;
         }
-        if self.policy == CachePolicy::Flush {
-            let base = self.next_host_base;
-            self.next_host_base += bytes;
-            return base;
-        }
-        let window_end = CODE_CACHE_BASE + self.capacity as u64 * 4;
-        loop {
-            if let Some(base) = self.take_extent(bytes) {
-                return base;
-            }
-            if self.next_host_base + bytes <= window_end {
-                let base = self.next_host_base;
-                self.next_host_base += bytes;
-                return base;
-            }
-            // Fragmentation: no contiguous extent fits even though the
-            // instruction budget does. Evict more until one opens up; an
-            // empty cache resets the whole window.
-            match self.pop_oldest() {
-                Some(victim) => {
-                    if let Some(e) = self.evict(victim, EvictCause::Capacity) {
-                        evicted.push(e);
-                    }
-                }
-                None => {
-                    self.free_space.clear();
-                    self.next_host_base = CODE_CACHE_BASE;
-                }
-            }
-        }
+        let base = self.next_host_base;
+        self.next_host_base += n as u64 * 4;
+        base
     }
 
-    /// First-fit over the free extents; splits the chosen one.
-    fn take_extent(&mut self, bytes: u64) -> Option<u64> {
-        let i = self.free_space.iter().position(|&(_, sz)| sz >= bytes)?;
-        let (base, sz) = self.free_space[i];
-        if sz == bytes {
-            self.free_space.remove(i);
-        } else {
-            self.free_space[i] = (base + bytes, sz - bytes);
-        }
-        Some(base)
-    }
-
-    /// Returns an extent to the free list, coalescing with neighbors.
-    fn free_extent(&mut self, base: u64, bytes: u64) {
-        let i = self.free_space.partition_point(|&(b, _)| b < base);
-        // Merge with the predecessor if adjacent.
-        if i > 0 && self.free_space[i - 1].0 + self.free_space[i - 1].1 == base {
-            self.free_space[i - 1].1 += bytes;
-            // And with the successor, if now adjacent too.
-            if i < self.free_space.len()
-                && self.free_space[i - 1].0 + self.free_space[i - 1].1 == self.free_space[i].0
-            {
-                self.free_space[i - 1].1 += self.free_space[i].1;
-                self.free_space.remove(i);
-            }
-            return;
-        }
-        if i < self.free_space.len() && base + bytes == self.free_space[i].0 {
-            self.free_space[i] = (base, bytes + self.free_space[i].1);
-            return;
-        }
-        self.free_space.insert(i, (base, bytes));
-    }
-
-    /// Oldest still-live block in install order (lazily skipping handles
-    /// already invalidated by replacement or SMC eviction).
-    fn pop_oldest(&mut self) -> Option<BlockId> {
-        while let Some(id) = self.order.pop_front() {
-            if self.get(id).is_some() {
-                return Some(id);
-            }
-        }
-        None
-    }
-
-    /// Evicts one block: bumps its slot generation (staling every
-    /// outstanding handle), frees its space, removes its map entry, and
-    /// unpatches every live chain site linking into it. Returns what was
-    /// evicted (`None` if the handle was already stale).
-    pub fn evict_block(&mut self, id: BlockId, cause: EvictCause) -> Option<Evicted> {
-        self.evict(id, cause)
-    }
-
-    fn evict(&mut self, id: BlockId, cause: EvictCause) -> Option<Evicted> {
+    /// Evicts one block whose SMC stamp went stale: bumps its slot
+    /// generation (staling every outstanding handle), removes its map
+    /// entry, and unpatches every live chain site linking into it.
+    /// Returns what was evicted (`None` if the handle was already stale).
+    pub fn evict_block(&mut self, id: BlockId) -> Option<Evicted> {
         let slot = self.slots.get_mut(id.idx as usize)?;
         if slot.gen != id.gen {
             return None;
@@ -564,20 +380,9 @@ impl CodeCache {
             self.map.remove(&b.guest_entry);
             self.live_used -= n;
         }
-        if !self.scattered && self.policy == CachePolicy::Fifo {
-            self.free_extent(b.host_base, n as u64 * 4);
-        }
-        // Replacement means a new translation for the same entry is
-        // being installed right now (promotion); counting that install
-        // as a "retranslation" would misread deliberate new work as
-        // lifecycle churn.
-        if cause != EvictCause::Replaced {
-            self.evicted_entries.insert(b.guest_entry);
-        }
+        self.evicted_entries.insert(b.guest_entry);
         self.stats.evictions += 1;
-        if cause == EvictCause::Smc {
-            self.stats.smc_evictions += 1;
-        }
+        self.stats.smc_evictions += 1;
         let mut unchained = Vec::new();
         for &(from, exit_idx) in &b.incoming {
             let Some(fb) = self.get_mut(from) else { continue };
@@ -591,7 +396,7 @@ impl CodeCache {
             }
         }
         self.stats.unchains += unchained.len() as u64;
-        Some(Evicted { id, entry: b.guest_entry, smc: cause == EvictCause::Smc, unchained })
+        Some(Evicted { id, entry: b.guest_entry, unchained })
     }
 
     /// Drops every translation (bounded-cache overflow policy), bumping
@@ -606,8 +411,6 @@ impl CodeCache {
             }
         }
         self.map.clear();
-        self.order.clear();
-        self.free_space.clear();
         self.used = 0;
         self.live_used = 0;
         self.next_host_base = CODE_CACHE_BASE;
@@ -789,7 +592,7 @@ mod tests {
         let sb = put(&mut cc, 0x100, BlockKind::Sb).id;
         assert_ne!(bb, sb);
         assert_eq!(cc.lookup(0x100), Some(sb));
-        // Under flush, the replaced block stays allocated as dead space.
+        // The replaced block stays allocated as dead space.
         assert!(cc.get(bb).is_some());
         assert_eq!(cc.health().dead_space_ratio(), 0.5);
     }
@@ -823,21 +626,19 @@ mod tests {
 
     #[test]
     fn oversized_translation_is_rejected() {
-        for policy in [CachePolicy::Flush, CachePolicy::Fifo] {
-            let mut cc = CodeCache::with_policy(4, policy);
-            put(&mut cc, 0x100, BlockKind::Bb);
-            let mem = GuestMem::new();
-            let big: Vec<HInst> = (0..6).map(|_| HInst::Nop).collect();
-            let err =
-                cc.install(0x200, big, BlockKind::Bb, 5, vec![], 1, vec![0x200], &mem).unwrap_err();
-            assert_eq!(err, CacheError::TooLarge { insts: 6, capacity: 4 });
-            // The reject is clean: nothing was flushed or evicted, and
-            // the resident block still runs.
-            assert_eq!(cc.stats().flushes, 0);
-            assert_eq!(cc.stats().evictions, 0);
-            assert!(cc.lookup(0x100).is_some());
-            assert!(cc.used() <= 4, "bound never exceeded");
-        }
+        let mut cc = CodeCache::new(4);
+        put(&mut cc, 0x100, BlockKind::Bb);
+        let mem = GuestMem::new();
+        let big: Vec<HInst> = (0..6).map(|_| HInst::Nop).collect();
+        let err =
+            cc.install(0x200, big, BlockKind::Bb, 5, vec![], 1, vec![0x200], &mem).unwrap_err();
+        assert_eq!(err, CacheError::TooLarge { insts: 6, capacity: 4 });
+        // The reject is clean: nothing was flushed or evicted, and the
+        // resident block still runs.
+        assert_eq!(cc.stats().flushes, 0);
+        assert_eq!(cc.stats().evictions, 0);
+        assert!(cc.lookup(0x100).is_some());
+        assert!(cc.used() <= 4, "bound never exceeded");
     }
 
     #[test]
@@ -866,10 +667,10 @@ mod tests {
 
     #[test]
     fn chaining_stale_endpoints_error() {
-        let mut cc = CodeCache::with_policy(100, CachePolicy::Fifo);
+        let mut cc = CodeCache::new(100);
         let a = put(&mut cc, 0x100, BlockKind::Bb).id;
         let b = put(&mut cc, 0x200, BlockKind::Bb).id;
-        cc.evict_block(b, EvictCause::Capacity);
+        cc.evict_block(b);
         assert_eq!(cc.chain(a, 1, b), Err(CacheError::Stale(b)));
         assert_eq!(cc.chain(b, 1, a), Err(CacheError::Stale(b)));
     }
@@ -885,83 +686,47 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_oldest_and_unlinks_incoming_chains() {
-        // Capacity 6 holds three 2-inst blocks.
-        let mut cc = CodeCache::with_policy(6, CachePolicy::Fifo);
+    fn eviction_unlinks_incoming_chains() {
+        let mut cc = CodeCache::new(100);
         let a = put(&mut cc, 0x100, BlockKind::Bb).id;
         let b = put(&mut cc, 0x200, BlockKind::Bb).id;
         let c = put(&mut cc, 0x300, BlockKind::Bb).id;
         cc.chain(b, 1, a).unwrap(); // b's exit jumps into a
-        let ins = put(&mut cc, 0x400, BlockKind::Bb); // overflow: evict a
-        assert_eq!(ins.evicted.len(), 1);
-        assert_eq!(ins.evicted[0].entry, 0x100);
-        assert_eq!(ins.evicted[0].id, a);
-        assert!(cc.get(a).is_none(), "oldest evicted");
-        assert!(cc.get(b).is_some() && cc.get(c).is_some(), "younger blocks survive");
-        assert_eq!(cc.stats().flushes, 0, "fifo never flushes");
+        let e = cc.evict_block(a).expect("live");
+        assert_eq!((e.id, e.entry), (a, 0x100));
+        assert!(cc.get(a).is_none() && cc.lookup(0x100).is_none());
+        assert!(cc.get(b).is_some() && cc.get(c).is_some(), "the other blocks survive");
         // The chain into the victim was unpatched, at the right site.
         let bb = cc.block(b).unwrap();
         match bb.insts[1] {
             HInst::Exit(Exit::Direct { link, .. }) => assert_eq!(link, None, "unlinked"),
             ref o => panic!("unexpected {o:?}"),
         }
-        assert_eq!(ins.evicted[0].unchained, vec![bb.host_base + 4]);
+        assert_eq!(e.unchained, vec![bb.host_base + 4]);
         assert_eq!(cc.stats().unchains, 1);
-        assert!(cc.used() <= 6);
-    }
-
-    #[test]
-    fn fifo_replacement_reclaims_space_and_addresses() {
-        let mut cc = CodeCache::with_policy(8, CachePolicy::Fifo);
-        let bb = put(&mut cc, 0x100, BlockKind::Bb);
-        let old_base = cc.block(bb.id).unwrap().host_base;
-        let sb = put(&mut cc, 0x100, BlockKind::Sb);
-        assert_eq!(sb.evicted.len(), 1, "replaced block evicted eagerly");
-        assert!(cc.get(bb.id).is_none());
-        assert_eq!(cc.block(sb.id).unwrap().host_base, old_base, "address reused");
-        assert_eq!(cc.used(), 2, "no dead space under fifo");
-        assert_eq!(cc.health().dead_space_ratio(), 0.0);
-    }
-
-    #[test]
-    fn fifo_free_extents_coalesce() {
-        let mut cc = CodeCache::with_policy(6, CachePolicy::Fifo);
-        let a = put(&mut cc, 0x100, BlockKind::Bb).id;
-        let b = put(&mut cc, 0x200, BlockKind::Bb).id;
-        put(&mut cc, 0x300, BlockKind::Bb);
-        // Evict the two adjacent oldest blocks; their extents coalesce
-        // into one 16-byte range that can hold a 4-inst block.
-        cc.evict_block(a, EvictCause::Capacity);
-        cc.evict_block(b, EvictCause::Capacity);
-        let mem = GuestMem::new();
-        let four: Vec<HInst> = (0..4).map(|_| HInst::Nop).collect();
-        let ins = cc.install(0x400, four, BlockKind::Bb, 3, vec![], 1, vec![0x400], &mem).unwrap();
-        assert_eq!(cc.block(ins.id).unwrap().host_base, CODE_CACHE_BASE, "coalesced head reused");
+        assert!(cc.evict_block(a).is_none(), "a stale handle evicts nothing");
     }
 
     #[test]
     fn retranslation_counting() {
-        let mut cc = CodeCache::with_policy(4, CachePolicy::Fifo);
+        let mut cc = CodeCache::new(4);
         put(&mut cc, 0x100, BlockKind::Bb);
         put(&mut cc, 0x200, BlockKind::Bb); // fills the cache
-        put(&mut cc, 0x300, BlockKind::Bb); // capacity-evicts 0x100
+        put(&mut cc, 0x300, BlockKind::Bb); // flush
         assert_eq!(cc.stats().retranslations, 0);
-        put(&mut cc, 0x100, BlockKind::Bb); // re-translation of 0x100
+        put(&mut cc, 0x100, BlockKind::Bb); // re-translation after the flush
         assert_eq!(cc.stats().retranslations, 1);
-        // Flush-policy flushes count re-installs too.
-        let mut fc = CodeCache::new(4);
-        put(&mut fc, 0x100, BlockKind::Bb);
-        put(&mut fc, 0x200, BlockKind::Bb); // flush
-        put(&mut fc, 0x100, BlockKind::Bb); // re-translation after flush
-        assert_eq!(fc.stats().retranslations, 1);
+        // So does a re-install after an SMC eviction.
+        let id = cc.lookup(0x100).unwrap();
+        cc.evict_block(id);
+        put(&mut cc, 0x100, BlockKind::Bb);
+        assert_eq!(cc.stats().retranslations, 2);
         // A same-entry replacement (promotion) is deliberate new work,
-        // not lifecycle churn: the eager fifo eviction it triggers must
-        // not make the install count as a retranslation.
-        let mut pc = CodeCache::with_policy(8, CachePolicy::Fifo);
+        // not lifecycle churn.
+        let mut pc = CodeCache::new(8);
         put(&mut pc, 0x100, BlockKind::Bb);
         put(&mut pc, 0x100, BlockKind::Sb); // replaces in place
-        assert_eq!(pc.stats().evictions, 1, "replacement evicts eagerly");
-        assert_eq!(pc.stats().retranslations, 0, "but is not a retranslation");
+        assert_eq!(pc.stats().retranslations, 0);
     }
 
     #[test]
@@ -978,8 +743,7 @@ mod tests {
         assert!(!cc.smc_stale(id, &mem), "writes elsewhere don't invalidate");
         mem.write_u8(0x1002, 7); // inside the covered page
         assert!(cc.smc_stale(id, &mem), "covered-page write invalidates");
-        let e = cc.evict_block(id, EvictCause::Smc).unwrap();
-        assert!(e.smc);
+        assert!(cc.evict_block(id).is_some());
         assert_eq!(cc.stats().smc_evictions, 1);
         assert!(cc.smc_stale(id, &mem), "stale handle reports stale");
     }
@@ -1001,80 +765,77 @@ mod tests {
             rng ^= rng >> 27;
             rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        for policy in [CachePolicy::Flush, CachePolicy::Fifo] {
-            let mut cc = CodeCache::with_policy(16, policy);
-            let mem = GuestMem::new();
-            // Every handle ever issued, with the entry it was issued for.
-            let mut issued: Vec<(BlockId, u32)> = Vec::new();
-            for _ in 0..2_000 {
-                match next() % 10 {
-                    0..=4 => {
-                        let entry = 0x100 * (1 + (next() % 12) as u32);
-                        let n = 1 + (next() % 4) as usize;
-                        let mut insts: Vec<HInst> = vec![HInst::Nop; n];
-                        insts.push(HInst::Exit(Exit::Direct { guest_target: 0x100, link: None }));
-                        if let Ok(ins) = cc.install(
-                            entry,
-                            insts,
-                            BlockKind::Bb,
-                            n as u32,
-                            vec![],
-                            1,
-                            vec![entry],
-                            &mem,
-                        ) {
-                            issued.push((ins.id, entry));
-                        }
-                    }
-                    5..=6 => {
-                        if !issued.is_empty() {
-                            let (id, _) = issued[(next() % issued.len() as u64) as usize];
-                            cc.evict_block(id, EvictCause::Capacity);
-                        }
-                    }
-                    7..=8 => {
-                        if issued.len() >= 2 {
-                            let (from, _) = issued[(next() % issued.len() as u64) as usize];
-                            let (to, _) = issued[(next() % issued.len() as u64) as usize];
-                            let exit_idx =
-                                cc.get(from).map_or(0, |b| b.insts.len().saturating_sub(1));
-                            let _ = cc.chain(from, exit_idx, to);
-                        }
-                    }
-                    _ => {
-                        if next() % 8 == 0 {
-                            cc.flush();
-                        }
+        let mut cc = CodeCache::new(16);
+        let mem = GuestMem::new();
+        // Every handle ever issued, with the entry it was issued for.
+        let mut issued: Vec<(BlockId, u32)> = Vec::new();
+        for _ in 0..2_000 {
+            match next() % 10 {
+                0..=4 => {
+                    let entry = 0x100 * (1 + (next() % 12) as u32);
+                    let n = 1 + (next() % 4) as usize;
+                    let mut insts: Vec<HInst> = vec![HInst::Nop; n];
+                    insts.push(HInst::Exit(Exit::Direct { guest_target: 0x100, link: None }));
+                    if let Ok(ins) = cc.install(
+                        entry,
+                        insts,
+                        BlockKind::Bb,
+                        n as u32,
+                        vec![],
+                        1,
+                        vec![entry],
+                        &mem,
+                    ) {
+                        issued.push((ins.id, entry));
                     }
                 }
-                // Invariants after every operation.
-                for &(id, entry) in &issued {
-                    if let Some(b) = cc.get(id) {
-                        assert_eq!(b.guest_entry, entry, "handle resolved to wrong entry");
+                5..=6 => {
+                    if !issued.is_empty() {
+                        let (id, _) = issued[(next() % issued.len() as u64) as usize];
+                        cc.evict_block(id);
                     }
                 }
-                let live: Vec<BlockId> = cc.blocks().map(|(id, _)| id).collect();
-                for &id in &live {
-                    let b = cc.get(id).unwrap();
-                    for inst in &b.insts {
-                        if let HInst::Exit(Exit::Direct { link: Some(to), .. }) = inst {
-                            assert!(
-                                cc.get(*to).is_some(),
-                                "live block holds a chain link into evicted code"
-                            );
-                        }
-                    }
-                    if let Some(r) = b.redirect {
-                        // Redirects may go stale; they must at least be
-                        // *detectably* stale (never resolve to a
-                        // different entry).
-                        if let Some(rb) = cc.get(r) {
-                            assert_eq!(rb.guest_entry, b.guest_entry);
-                        }
+                7..=8 => {
+                    if issued.len() >= 2 {
+                        let (from, _) = issued[(next() % issued.len() as u64) as usize];
+                        let (to, _) = issued[(next() % issued.len() as u64) as usize];
+                        let exit_idx = cc.get(from).map_or(0, |b| b.insts.len().saturating_sub(1));
+                        let _ = cc.chain(from, exit_idx, to);
                     }
                 }
-                assert!(cc.used() <= 16, "instruction bound violated");
+                _ => {
+                    if next() % 8 == 0 {
+                        cc.flush();
+                    }
+                }
             }
+            // Invariants after every operation.
+            for &(id, entry) in &issued {
+                if let Some(b) = cc.get(id) {
+                    assert_eq!(b.guest_entry, entry, "handle resolved to wrong entry");
+                }
+            }
+            let live: Vec<BlockId> = cc.blocks().map(|(id, _)| id).collect();
+            for &id in &live {
+                let b = cc.get(id).unwrap();
+                for inst in &b.insts {
+                    if let HInst::Exit(Exit::Direct { link: Some(to), .. }) = inst {
+                        assert!(
+                            cc.get(*to).is_some(),
+                            "live block holds a chain link into evicted code"
+                        );
+                    }
+                }
+                if let Some(r) = b.redirect {
+                    // Redirects may go stale; they must at least be
+                    // *detectably* stale (never resolve to a
+                    // different entry).
+                    if let Some(rb) = cc.get(r) {
+                        assert_eq!(rb.guest_entry, b.guest_entry);
+                    }
+                }
+            }
+            assert!(cc.used() <= 16, "instruction bound violated");
         }
     }
 }

@@ -148,7 +148,7 @@ pub(crate) fn compile_bb(
         }
     });
     if cfg.bbm_peephole {
-        timed(nanos, "bbm-constprop", || opt::constprop::run(&mut block, true, opt));
+        timed(nanos, "bbm-constprop", || opt::constprop::run(&mut block, opt));
         timed(nanos, "bbm-dce", || opt::dce::run(&mut block, opt));
     }
     timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));

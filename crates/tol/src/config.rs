@@ -22,13 +22,9 @@ pub struct TolConfig {
     /// Minimum profiled edge bias (`taken / total`) required to keep
     /// growing a superblock along an edge.
     pub sb_edge_bias: f64,
-    /// Code cache capacity in host instructions; what happens on
-    /// overflow is decided by [`TolConfig::cache_policy`].
+    /// Code cache capacity in host instructions; on overflow the whole
+    /// cache is flushed (cf. Hazelwood & Smith).
     pub code_cache_capacity: u32,
-    /// Code-cache overflow policy: whole-cache flush (the default, cf.
-    /// Hazelwood & Smith) or partial FIFO eviction with space reuse and
-    /// selective unchaining (`--cache-policy fifo`).
-    pub cache_policy: crate::codecache::CachePolicy,
     /// IBTC entries (direct-mapped, power of two).
     pub ibtc_entries: u32,
     /// Enable chaining (linking) of translations.
@@ -36,10 +32,9 @@ pub struct TolConfig {
     /// Apply the BBM peephole pass (dead-flag elision is always on; this
     /// controls constant propagation inside the basic block).
     pub bbm_peephole: bool,
-    /// SBM pass switches, for ablations.
-    pub opt_const_prop: bool,
-    /// Constant folding.
-    pub opt_const_fold: bool,
+    /// SBM pass switches, for ablations. Constant propagation and
+    /// folding (both runs of the `constprop` pass).
+    pub opt_constprop: bool,
     /// Common-subexpression elimination.
     pub opt_cse: bool,
     /// Dead-code elimination.
@@ -87,12 +82,10 @@ impl Default for TolConfig {
             sb_max_insts: 128,
             sb_edge_bias: 0.6,
             code_cache_capacity: 1 << 20,
-            cache_policy: crate::codecache::CachePolicy::Flush,
             ibtc_entries: 512,
             chaining: true,
             bbm_peephole: true,
-            opt_const_prop: true,
-            opt_const_fold: true,
+            opt_constprop: true,
             opt_cse: true,
             opt_dce: true,
             opt_schedule: true,
@@ -111,8 +104,7 @@ impl TolConfig {
     /// only), for ablations.
     pub fn no_optimization() -> TolConfig {
         TolConfig {
-            opt_const_prop: false,
-            opt_const_fold: false,
+            opt_constprop: false,
             opt_cse: false,
             opt_dce: false,
             opt_schedule: false,

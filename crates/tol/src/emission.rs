@@ -61,8 +61,7 @@ mod data {
     pub const DESCRIPTORS: u64 = 0x60_0000;
     /// Edge-profile records updated by BBM instrumentation.
     pub const EDGES: u64 = 0x70_0000;
-    /// Free-space list of the partial-eviction policy (extent records
-    /// pushed on evict, popped on install).
+    /// Dead-space list (the extent record an SMC eviction pushes).
     pub const FREELIST: u64 = 0x80_0000;
 }
 
@@ -542,10 +541,9 @@ impl Emitter {
         self.track(comp, c);
     }
 
-    /// Per-block eviction bookkeeping (partial-eviction policy): remove
-    /// the victim from the translation map and push its storage extent
-    /// onto the free list. Per-site unchaining and IBTC invalidation are
-    /// charged separately via [`Emitter::unchain`].
+    /// Bookkeeping of an SMC eviction: remove the victim from the
+    /// translation map and record its storage extent as dead. Per-site
+    /// unchaining is charged separately via [`Emitter::unchain`].
     pub fn evict(&mut self, ev: &mut EventBuffer<'_>, guest_entry: u32) {
         let comp = Component::TolOthers;
         let mut c = Cur::new(TOL_CODE_BASE + code::EVICTOR, comp, ev);
@@ -556,7 +554,7 @@ impl Emitter {
         c.st(bucket); // clear the map entry
         c.ld(TOL_DATA_BASE + data::FREELIST);
         c.use_load();
-        c.st(TOL_DATA_BASE + data::FREELIST); // free-list push
+        c.st(TOL_DATA_BASE + data::FREELIST); // dead-extent push
         c.alu(2);
         self.track(comp, c);
     }

@@ -16,7 +16,7 @@
 //! simulator and co-simulates against the authoritative functional
 //! emulator between steps.
 
-use crate::codecache::{BlockKind, CacheHealth, CodeCache, EvictCause, Evicted, TranslatedBlock};
+use crate::codecache::{BlockKind, CacheHealth, CodeCache, Evicted, TranslatedBlock};
 use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
 use crate::config::TolConfig;
 use crate::emission::Emitter;
@@ -153,12 +153,11 @@ pub struct Tol {
 impl Tol {
     /// Creates the layer with the emulated guest starting at `entry`.
     pub fn new(cfg: TolConfig, entry: u32) -> Tol {
-        let mut cc = if cfg.codecache_scattered {
+        let cc = if cfg.codecache_scattered {
             CodeCache::new_scattered(cfg.code_cache_capacity)
         } else {
             CodeCache::new(cfg.code_cache_capacity)
         };
-        cc.set_policy(cfg.cache_policy);
         let mut tol = Tol {
             cc,
             ibtc: Ibtc::new(cfg.ibtc_entries),
@@ -433,22 +432,20 @@ impl Tol {
         self.fastctx.stats
     }
 
-    /// Lifecycle fallout of an install or SMC check: emits the
-    /// `Unchain`/`Evict` events and their software-layer costs, and
-    /// eagerly drops every engine-side reference (IBTC entries,
-    /// speculation targets) naming the evicted blocks, so no stale
-    /// handle can ever be dispatched through them.
-    fn note_evictions(&mut self, evicted: &[Evicted], ev: &mut EventBuffer<'_>) {
-        for e in evicted {
-            for &site in &e.unchained {
-                self.em.unchain(ev, site);
-                ev.push(HostEvent::Unchain { site });
-            }
-            self.em.evict(ev, e.entry);
-            ev.push(HostEvent::Evict { entry: e.entry, smc: e.smc });
-            self.ibtc.invalidate(e.id);
-            self.spec_targets.retain(|&(b, _), &mut (_, to)| b != e.id && to != e.id);
+    /// Lifecycle fallout of an SMC eviction: emits the `Unchain`/`Evict`
+    /// events and their software-layer costs, and eagerly drops every
+    /// engine-side reference (IBTC entries, speculation targets) naming
+    /// the evicted block, so no stale handle can ever be dispatched
+    /// through them.
+    fn note_smc_eviction(&mut self, e: &Evicted, ev: &mut EventBuffer<'_>) {
+        for &site in &e.unchained {
+            self.em.unchain(ev, site);
+            ev.push(HostEvent::Unchain { site });
         }
+        self.em.evict(ev, e.entry);
+        ev.push(HostEvent::Evict { entry: e.entry, smc: true });
+        self.ibtc.invalidate(e.id);
+        self.spec_targets.retain(|&(b, _), &mut (_, to)| b != e.id && to != e.id);
     }
 
     /// Translates and installs the basic block at `entry` (BBM).
@@ -487,7 +484,6 @@ impl Tol {
             self.ibtc.clear();
             self.spec_targets.clear();
         }
-        self.note_evictions(&ins.evicted, ev);
         ev.push(HostEvent::Translated { entry, kind: TranslationKind::Bb, host_len });
         ev.push(HostEvent::CacheInsert { entry, flushed: ins.flushed });
         Some(ins.id)
@@ -556,7 +552,6 @@ impl Tol {
             self.ibtc.clear();
             self.spec_targets.clear();
         }
-        self.note_evictions(&ins.evicted, ev);
         ev.push(HostEvent::Translated { entry, kind: TranslationKind::Sb, host_len });
         ev.push(HostEvent::CacheInsert { entry, flushed: ins.flushed });
         Ok(Some((ins.id, ins.flushed)))
@@ -613,8 +608,8 @@ impl Tol {
                 return Ok(executed);
             }
             if self.cc.smc_stale(bid, mem) {
-                if let Some(e) = self.cc.evict_block(bid, EvictCause::Smc) {
-                    self.note_evictions(&[e], ev);
+                if let Some(e) = self.cc.evict_block(bid) {
+                    self.note_smc_eviction(&e, ev);
                 }
                 self.counters.tol_entries += 1;
                 self.em.transition(ev);
@@ -778,10 +773,8 @@ impl Tol {
                         }
                     }
                     Some((sb, false)) => {
-                        // Under fifo the same-entry install evicted the
-                        // BBM block already (bid is stale and `next` may
-                        // be too — the dispatch guard re-routes); under
-                        // flush it stays as dead code behind a redirect.
+                        // The BBM block stays as dead code behind a
+                        // redirect until the next flush.
                         if let Some(b) = self.cc.get_mut(bid) {
                             b.redirect = Some(sb);
                         }
@@ -899,7 +892,6 @@ fn exit_info(block: &TranslatedBlock, idx: usize) -> (u64, Option<bool>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codecache::CachePolicy;
     use darco_guest::asm::Asm;
     use darco_guest::{exec, AluOp, Cond, Inst};
 
@@ -1110,50 +1102,19 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_is_architecturally_exact_under_pressure() {
-        let (mem0, entry) = loop_program(30_000);
-        let mut mem_ref = mem0.clone();
-        let (ref_cpu, ref_n) = run_reference(&mut mem_ref, entry);
-
-        // A cache smaller than the combined working set (the program
-        // translates to ~25 host instructions across three blocks), so
-        // resident translations keep capacity-evicting each other and
-        // the hot ones are re-translated over and over.
-        let cfg = TolConfig {
-            code_cache_capacity: 20,
-            cache_policy: CachePolicy::Fifo,
-            bb_sb_threshold: 50,
-            ..TolConfig::default()
-        };
-        let mut mem = mem0.clone();
-        let (tol, _) = run_tol(&mut mem, entry, cfg);
-        let emu = tol.emulated_state();
-        assert!(ref_cpu.arch_eq(&emu), "state diverged:\nref: {ref_cpu}\nemu: {emu}");
-        assert_eq!(tol.counters().guest_insts, ref_n);
-        let s = tol.summary();
-        assert_eq!(s.flushes, 0, "fifo never whole-flushes");
-        assert!(s.cache.evictions > 0, "pressure must evict");
-        assert!(s.cache.retranslations > 0, "evicted hot code re-translates");
-        assert!(s.cache.used <= 20, "capacity bound holds");
-    }
-
-    #[test]
     fn oversized_translations_degrade_to_interpretation() {
         // A capacity smaller than any translated block: every install is
         // rejected and the whole program interprets — correctly.
         let (mem0, entry) = loop_program(500);
         let mut mem_ref = mem0.clone();
         let (ref_cpu, _) = run_reference(&mut mem_ref, entry);
-        for policy in [CachePolicy::Flush, CachePolicy::Fifo] {
-            let cfg =
-                TolConfig { code_cache_capacity: 2, cache_policy: policy, ..TolConfig::default() };
-            let mut mem = mem0.clone();
-            let (tol, _) = run_tol(&mut mem, entry, cfg);
-            assert!(ref_cpu.arch_eq(&tol.emulated_state()));
-            let s = tol.summary();
-            assert_eq!(s.installed, 0, "nothing fits a 2-inst cache");
-            assert_eq!(s.dyn_dist[1] + s.dyn_dist[2], 0, "interpreter-only");
-        }
+        let cfg = TolConfig { code_cache_capacity: 2, ..TolConfig::default() };
+        let mut mem = mem0.clone();
+        let (tol, _) = run_tol(&mut mem, entry, cfg);
+        assert!(ref_cpu.arch_eq(&tol.emulated_state()));
+        let s = tol.summary();
+        assert_eq!(s.installed, 0, "nothing fits a 2-inst cache");
+        assert_eq!(s.dyn_dist[1] + s.dyn_dist[2], 0, "interpreter-only");
     }
 
     #[test]
@@ -1166,8 +1127,7 @@ mod tests {
         // Here we drive the engine directly instead: run until the loop
         // is translated, patch guest memory, keep running.
         let (mut mem, entry) = loop_program(5_000);
-        let cfg = TolConfig { cache_policy: CachePolicy::Fifo, ..TolConfig::default() };
-        let mut tol = Tol::new(cfg, entry);
+        let mut tol = Tol::new(TolConfig::default(), entry);
         let mut cpu = CpuState::at(entry);
         cpu.set_gpr(Gpr::Esp, 0x10_0000);
         tol.set_state(&cpu);

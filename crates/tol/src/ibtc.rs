@@ -10,9 +10,9 @@
 //!
 //! Entries hold generation-tagged [`BlockId`] handles. The engine keeps
 //! them live eagerly: a whole-cache flush [`clear`](Ibtc::clear)s the
-//! table, and a partial eviction [`invalidate`](Ibtc::invalidate)s only
-//! the entries naming the evicted block — so a probe can never hand out
-//! a handle to freed code.
+//! table, and an SMC eviction [`invalidate`](Ibtc::invalidate)s only the
+//! entries naming the evicted block — so a probe can never hand out a
+//! handle to freed code.
 
 use darco_host::BlockId;
 
@@ -65,7 +65,7 @@ impl Ibtc {
         self.entries[s] = Some((guest_target, block));
     }
 
-    /// Drops every entry naming `block` (after a partial eviction; a
+    /// Drops every entry naming `block` (after an SMC eviction; a
     /// whole-cache flush uses [`Ibtc::clear`]).
     pub fn invalidate(&mut self, block: BlockId) {
         for e in self.entries.iter_mut() {

@@ -86,22 +86,19 @@ fn as_copy(inst: &IrInst) -> Option<(IrReg, IrReg)> {
     }
 }
 
-/// Runs the pass in place. `fold` additionally evaluates fully-constant
-/// operations.
-pub fn run(block: &mut IrBlock, fold: bool, scratch: &mut OptScratch) {
+/// Runs the pass in place.
+pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
     let facts = &mut scratch.constprop;
     facts.clear();
     for op in &mut block.ops {
         // 1. Rewrite sources: copies to their origin, constants into
         //    immediate forms where the shape allows it.
-        rewrite_sources(&mut op.inst, facts, fold);
+        rewrite_sources(&mut op.inst, facts);
 
         // 2. Fold fully-constant computations.
-        if fold {
-            if let Some(c) = fold_inst(&op.inst, facts) {
-                if let Some(rd) = op.inst.dst() {
-                    op.inst = IrInst::Li { rd, imm: c as i32 as i64 };
-                }
+        if let Some(c) = fold_inst(&op.inst, facts) {
+            if let Some(rd) = op.inst.dst() {
+                op.inst = IrInst::Li { rd, imm: c as i32 as i64 };
             }
         }
 
@@ -128,7 +125,7 @@ pub fn run(block: &mut IrBlock, fold: bool, scratch: &mut OptScratch) {
     }
 }
 
-fn rewrite_sources(inst: &mut IrInst, facts: &Facts, fold: bool) {
+fn rewrite_sources(inst: &mut IrInst, facts: &Facts) {
     use IrInst::*;
     let res = |r: IrReg| facts.resolve(r);
     match inst {
@@ -136,10 +133,8 @@ fn rewrite_sources(inst: &mut IrInst, facts: &Facts, fold: bool) {
             *ra = res(*ra);
             *rb = res(*rb);
             // reg->imm strength reduction when rb is constant.
-            if fold {
-                if let Some(c) = facts.constant(*rb) {
-                    *inst = AluI { op: *op, rd: *rd, ra: *ra, imm: c as i32 };
-                }
+            if let Some(c) = facts.constant(*rb) {
+                *inst = AluI { op: *op, rd: *rd, ra: *ra, imm: c as i32 };
             }
         }
         AluI { ra, .. } => *ra = res(*ra),
@@ -198,8 +193,8 @@ mod tests {
         IrReg::Phys(HReg(i))
     }
 
-    fn run(block: &mut IrBlock, fold: bool) {
-        super::run(block, fold, &mut OptScratch::default());
+    fn run(block: &mut IrBlock) {
+        super::run(block, &mut OptScratch::default());
     }
 
     fn block(ops: Vec<IrInst>) -> IrBlock {
@@ -221,7 +216,7 @@ mod tests {
             IrInst::Mul { rd: IrReg::Virt(2), ra: IrReg::Virt(0), rb: IrReg::Virt(1) },
             IrInst::Alu { op: HAluOp::Add, rd: phys(1), ra: IrReg::Virt(2), rb: IrReg::Virt(2) },
         ]);
-        run(&mut b, true);
+        run(&mut b);
         assert_eq!(b.ops[2].inst, IrInst::Li { rd: IrReg::Virt(2), imm: 42 });
         assert_eq!(b.ops[3].inst, IrInst::Li { rd: phys(1), imm: 84 });
     }
@@ -233,7 +228,7 @@ mod tests {
             IrInst::AluI { op: HAluOp::Or, rd: IrReg::Virt(0), ra: phys(2), imm: 0 },
             IrInst::St { rs: IrReg::Virt(0), base: phys(3), off: 0, width: Width::W4 },
         ]);
-        run(&mut b, true);
+        run(&mut b);
         match b.ops[1].inst {
             IrInst::St { rs, .. } => assert_eq!(rs, phys(2)),
             ref o => panic!("unexpected {o:?}"),
@@ -248,7 +243,7 @@ mod tests {
             IrInst::AluI { op: HAluOp::Add, rd: phys(2), ra: phys(2), imm: 1 },
             IrInst::St { rs: IrReg::Virt(0), base: phys(3), off: 0, width: Width::W4 },
         ]);
-        run(&mut b, true);
+        run(&mut b);
         match b.ops[2].inst {
             IrInst::St { rs, .. } => assert_eq!(rs, IrReg::Virt(0), "stale copy not propagated"),
             ref o => panic!("unexpected {o:?}"),
@@ -261,7 +256,7 @@ mod tests {
             IrInst::Li { rd: IrReg::Virt(0), imm: 0x4000 },
             IrInst::Ld { rd: phys(1), base: IrReg::Virt(0), off: 8, width: Width::W4 },
         ]);
-        run(&mut b, true);
+        run(&mut b);
         match b.ops[1].inst {
             IrInst::Ld { base, off, .. } => {
                 assert_eq!(base, IrReg::ZERO);
@@ -296,7 +291,7 @@ mod tests {
             IrInst::Li { rd: IrReg::Virt(0), imm: 3 },
             IrInst::Alu { op: HAluOp::Shl, rd: phys(1), ra: phys(1), rb: IrReg::Virt(0) },
         ]);
-        run(&mut b, true);
+        run(&mut b);
         assert_eq!(
             b.ops[1].inst,
             IrInst::AluI { op: HAluOp::Shl, rd: phys(1), ra: phys(1), imm: 3 }

@@ -126,23 +126,19 @@ static PIPELINE: [(Enabled, Pass); 8] = [
         },
     ),
     (
-        |c| c.opt_const_prop || c.opt_const_fold,
-        Pass {
-            name: "constprop",
-            kind: PassKind::Rewrite,
-            run: |b, c, s, _| constprop::run(b, c.opt_const_fold, s),
-        },
+        |c| c.opt_constprop,
+        Pass { name: "constprop", kind: PassKind::Rewrite, run: |b, _, s, _| constprop::run(b, s) },
     ),
     (
         |c| c.opt_cse,
         Pass { name: "cse", kind: PassKind::Rewrite, run: |b, _, s, _| cse::run(b, s) },
     ),
     (
-        |c| c.opt_cse,
+        |c| c.opt_cse && c.opt_constprop,
         Pass {
             name: "constprop-cleanup",
             kind: PassKind::Rewrite,
-            run: |b, c, s, _| constprop::run(b, c.opt_const_fold, s),
+            run: |b, _, s, _| constprop::run(b, s),
         },
     ),
     (

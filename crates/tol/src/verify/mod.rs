@@ -233,16 +233,6 @@ pub fn check_result(
     Ok(())
 }
 
-/// Standalone well-formedness check of a translated block (used by the
-/// `darco verify` subcommand before any pass runs).
-///
-/// # Errors
-///
-/// A [`VerifyFailure`] attributed to the translator.
-pub fn check_translation(block: &IrBlock) -> Result<(), Box<VerifyFailure>> {
-    structural::check_wellformed("translate", block)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

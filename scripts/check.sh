@@ -9,10 +9,12 @@ cd "$(dirname "$0")/.."
 # revert must not bring a switch back without anyone noticing. The
 # names may only appear in DESIGN.md's "Removed mechanisms" section, in
 # the history files (CHANGELOG.md, CHANGES.md, EXPERIMENTS.md, ROADMAP.md),
-# in the CLI test that pins the two flags as unknown, and in the one
+# in the CLI test that pins the removed flags as unknown, and in the one
 # property test whose name predates the audit.
 echo "== removed switches stay removed"
-removed='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
+round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
+round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
+removed="$round2|$round3"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then
@@ -48,10 +50,11 @@ cargo test -q --workspace
 echo "== cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-# The digests of the event stream and of the serialized reports, and
-# the property tests, must hold as optimised too.
-echo "== cargo test -q --release --test event_stream_golden --test report_golden --test properties"
-cargo test -q --release --test event_stream_golden --test report_golden --test properties
+# The digests of the event stream and of the serialized reports, the
+# no-dead-knob test (every TolConfig switch moves the cycle count) and
+# the property tests must hold as optimised too.
+echo "== cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties"
+cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties
 
 # The event bus writes its staging slots by index and sends oversize
 # streams through a side buffer; that arithmetic and the single pass of

@@ -112,48 +112,38 @@ pub fn field<'a>(v: &'a Value, name: &str) -> Result<&'a Value, DeError> {
     v.get(name).ok_or_else(|| DeError(format!("missing field `{name}`")))
 }
 
-macro_rules! ser_int {
-    ($($t:ty),*) => {$(
+/// Integers deserialize from any JSON number that is integral *and*
+/// fits the target type; a value outside its range is an error, never a
+/// silent narrowing (`4294968496` is not the `u32` 1200).
+macro_rules! ser_integer {
+    ($variant:ident($wide:ty): $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(*self as i64) }
+            fn to_value(&self) -> Value { Value::$variant(*self as $wide) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
-                match *v {
-                    Value::Int(n) => Ok(n as $t),
-                    Value::UInt(n) => Ok(n as $t),
-                    Value::Float(n) if n.fract() == 0.0 => Ok(n as $t),
-                    ref other => Err(DeError(format!(
+                let (fits, text) = match *v {
+                    Value::Int(n) => (<$t>::try_from(n).ok(), n.to_string()),
+                    Value::UInt(n) => (<$t>::try_from(n).ok(), n.to_string()),
+                    // `as i128` saturates, and every integer type here is
+                    // narrower than that.
+                    Value::Float(n) if n.fract() == 0.0 => {
+                        (<$t>::try_from(n as i128).ok(), n.to_string())
+                    }
+                    ref other => return Err(DeError(format!(
                         concat!("expected ", stringify!($t), ", got {:?}"), other
                     ))),
-                }
+                };
+                fits.ok_or_else(|| DeError(format!(
+                    concat!("{} out of range for ", stringify!($t)), text
+                )))
             }
         }
     )*};
 }
 
-macro_rules! ser_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::UInt(*self as u64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match *v {
-                    Value::UInt(n) => Ok(n as $t),
-                    Value::Int(n) if n >= 0 => Ok(n as $t),
-                    Value::Float(n) if n.fract() == 0.0 && n >= 0.0 => Ok(n as $t),
-                    ref other => Err(DeError(format!(
-                        concat!("expected ", stringify!($t), ", got {:?}"), other
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-
-ser_int!(i8, i16, i32, i64, isize);
-ser_uint!(u8, u16, u32, u64, usize);
+ser_integer!(Int(i64): i8, i16, i32, i64, isize);
+ser_integer!(UInt(u64): u8, u16, u32, u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -378,6 +368,29 @@ mod tests {
         assert_eq!(Vec::<u32>::from_value(&xs.to_value()).unwrap(), xs);
         let arr = [[1.5f64; 2]; 3];
         assert_eq!(<[[f64; 2]; 3]>::from_value(&arr.to_value()).unwrap(), arr);
+    }
+
+    #[test]
+    fn out_of_range_unsigned_is_rejected_not_narrowed() {
+        let err = |v: Value| u32::from_value(&v).unwrap_err().0;
+        assert_eq!(err(Value::UInt((1 << 32) + 1200)), "4294968496 out of range for u32");
+        assert_eq!(err(Value::Int(-1)), "-1 out of range for u32");
+        assert_eq!(err(Value::Float(1e10)), "10000000000 out of range for u32");
+        assert!(u64::from_value(&Value::Float(1.8446744073709552e19)).is_err(), "2^64");
+        assert_eq!(u32::from_value(&Value::UInt(u32::MAX.into())).unwrap(), u32::MAX);
+        assert_eq!(u8::from_value(&Value::Float(255.0)).unwrap(), 255);
+        assert!(u8::from_value(&Value::Float(0.5)).unwrap_err().0.starts_with("expected u8"));
+    }
+
+    #[test]
+    fn out_of_range_signed_is_rejected_not_narrowed() {
+        let err = |v: Value| i32::from_value(&v).unwrap_err().0;
+        assert_eq!(err(Value::Int(i64::from(i32::MIN) - 1)), "-2147483649 out of range for i32");
+        assert_eq!(err(Value::UInt(1 << 31)), "2147483648 out of range for i32");
+        assert!(i64::from_value(&Value::UInt(u64::MAX)).is_err());
+        assert!(i8::from_value(&Value::Float(-129.0)).is_err());
+        assert_eq!(i8::from_value(&Value::Int(-128)).unwrap(), -128);
+        assert_eq!(i64::from_value(&Value::UInt(7)).unwrap(), 7);
     }
 
     #[test]
