@@ -44,6 +44,9 @@ fn out_of_range_profile_integer_is_rejected_with_its_type() {
     assert!(text.contains("\"static_insts\": 1200"), "{text}");
     std::fs::write(path, text.replace("\"static_insts\": 1200", "\"static_insts\": 4294968496"))
         .expect("rewrite profile");
-    rejected(&["run", "--profile", path, "--scale", "0.05"], "4294968496 out of range for u32");
+    rejected(
+        &["run", "--profile", path, "--scale", "0.05"],
+        "UInt(4294968496) out of range for u32",
+    );
     std::fs::remove_file(path).expect("clean up");
 }

@@ -122,20 +122,18 @@ macro_rules! ser_integer {
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
-                let (fits, text) = match *v {
-                    Value::Int(n) => (<$t>::try_from(n).ok(), n.to_string()),
-                    Value::UInt(n) => (<$t>::try_from(n).ok(), n.to_string()),
+                let fits = match *v {
+                    Value::Int(n) => <$t>::try_from(n).ok(),
+                    Value::UInt(n) => <$t>::try_from(n).ok(),
                     // `as i128` saturates, and every integer type here is
                     // narrower than that.
-                    Value::Float(n) if n.fract() == 0.0 => {
-                        (<$t>::try_from(n as i128).ok(), n.to_string())
-                    }
+                    Value::Float(n) if n.fract() == 0.0 => <$t>::try_from(n as i128).ok(),
                     ref other => return Err(DeError(format!(
                         concat!("expected ", stringify!($t), ", got {:?}"), other
                     ))),
                 };
                 fits.ok_or_else(|| DeError(format!(
-                    concat!("{} out of range for ", stringify!($t)), text
+                    concat!("{:?} out of range for ", stringify!($t)), v
                 )))
             }
         }
@@ -373,9 +371,9 @@ mod tests {
     #[test]
     fn out_of_range_unsigned_is_rejected_not_narrowed() {
         let err = |v: Value| u32::from_value(&v).unwrap_err().0;
-        assert_eq!(err(Value::UInt((1 << 32) + 1200)), "4294968496 out of range for u32");
-        assert_eq!(err(Value::Int(-1)), "-1 out of range for u32");
-        assert_eq!(err(Value::Float(1e10)), "10000000000 out of range for u32");
+        assert_eq!(err(Value::UInt((1 << 32) + 1200)), "UInt(4294968496) out of range for u32");
+        assert_eq!(err(Value::Int(-1)), "Int(-1) out of range for u32");
+        assert_eq!(err(Value::Float(1e10)), "Float(10000000000.0) out of range for u32");
         assert!(u64::from_value(&Value::Float(1.8446744073709552e19)).is_err(), "2^64");
         assert_eq!(u32::from_value(&Value::UInt(u32::MAX.into())).unwrap(), u32::MAX);
         assert_eq!(u8::from_value(&Value::Float(255.0)).unwrap(), 255);
@@ -385,8 +383,11 @@ mod tests {
     #[test]
     fn out_of_range_signed_is_rejected_not_narrowed() {
         let err = |v: Value| i32::from_value(&v).unwrap_err().0;
-        assert_eq!(err(Value::Int(i64::from(i32::MIN) - 1)), "-2147483649 out of range for i32");
-        assert_eq!(err(Value::UInt(1 << 31)), "2147483648 out of range for i32");
+        assert_eq!(
+            err(Value::Int(i64::from(i32::MIN) - 1)),
+            "Int(-2147483649) out of range for i32"
+        );
+        assert_eq!(err(Value::UInt(1 << 31)), "UInt(2147483648) out of range for i32");
         assert!(i64::from_value(&Value::UInt(u64::MAX)).is_err());
         assert!(i8::from_value(&Value::Float(-129.0)).is_err());
         assert_eq!(i8::from_value(&Value::Int(-128)).unwrap(), -128);
