@@ -8,9 +8,10 @@
 //!
 //! Each case runs [`Tol`] alone (no timing, no co-simulation) over a
 //! generated workload and hashes, in guest-entry order, every resident
-//! translation's `insts`, `body_len` and `stub_guest_counts`, followed
-//! by `RunSummary::pass_deltas`. The constants were taken before the
-//! dense-dataflow rewrite of the compile path and must only ever change
+//! translation's `insts`, `body_len` and `stub_guest_counts` into `code`,
+//! and `RunSummary::pass_deltas` into `deltas`. The two are separate so
+//! that a change to the pass accounting (a pass or a column added or
+//! removed) cannot hide a moved instruction: `code` must only ever change
 //! together with an explanation of which instruction moved and why.
 
 use darco::core::SystemConfig;
@@ -39,7 +40,8 @@ impl Fnv {
 /// case exercises both translators.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Golden {
-    digest: u64,
+    code: u64,
+    deltas: u64,
     bbs: usize,
     sbs: usize,
     host_insts: usize,
@@ -75,7 +77,7 @@ fn golden(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Golden {
     let mut blocks: Vec<_> = tol.cc.blocks().map(|(id, b)| (b.guest_entry, id.idx, b)).collect();
     blocks.sort_by_key(|&(entry, idx, b)| (entry, b.kind == BlockKind::Sb, idx));
     let mut h = Fnv::new();
-    let mut out = Golden { digest: 0, bbs: 0, sbs: 0, host_insts: 0 };
+    let mut out = Golden { code: 0, deltas: 0, bbs: 0, sbs: 0, host_insts: 0 };
     for (entry, _, b) in blocks {
         match b.kind {
             BlockKind::Bb => out.bbs += 1,
@@ -90,8 +92,10 @@ fn golden(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Golden {
             .as_bytes(),
         );
     }
+    out.code = h.0;
+    let mut h = Fnv::new();
     h.write(format!("{:?}", tol.summary().pass_deltas).as_bytes());
-    out.digest = h.0;
+    out.deltas = h.0;
     out
 }
 
@@ -122,9 +126,27 @@ fn quicktest_translations_are_pinned() {
         &suites::quicktest_profile(),
         0.5,
         [
-            Golden { digest: 292352270592643097, bbs: 115, sbs: 12, host_insts: 2030 },
-            Golden { digest: 7304767712857173981, bbs: 115, sbs: 12, host_insts: 2052 },
-            Golden { digest: 2991303008962772554, bbs: 115, sbs: 12, host_insts: 2030 },
+            Golden {
+                code: 13421110261261487721,
+                deltas: 7500725166534939125,
+                bbs: 115,
+                sbs: 12,
+                host_insts: 2030,
+            },
+            Golden {
+                code: 17882089451716962164,
+                deltas: 18245911230633986192,
+                bbs: 115,
+                sbs: 12,
+                host_insts: 2052,
+            },
+            Golden {
+                code: 1453149490194086202,
+                deltas: 675868731199239589,
+                bbs: 115,
+                sbs: 12,
+                host_insts: 2030,
+            },
         ],
     );
 }
@@ -135,9 +157,27 @@ fn startup_churn_translations_are_pinned() {
         &churn_profile(),
         1.0,
         [
-            Golden { digest: 3305312141082401381, bbs: 217, sbs: 57, host_insts: 6136 },
-            Golden { digest: 12255685267216480197, bbs: 217, sbs: 57, host_insts: 6239 },
-            Golden { digest: 5147349807587652766, bbs: 217, sbs: 57, host_insts: 6156 },
+            Golden {
+                code: 67855125530329446,
+                deltas: 8546650741505957480,
+                bbs: 217,
+                sbs: 57,
+                host_insts: 6136,
+            },
+            Golden {
+                code: 5109670393850649914,
+                deltas: 17433586184733732644,
+                bbs: 217,
+                sbs: 57,
+                host_insts: 6239,
+            },
+            Golden {
+                code: 4590340615413950902,
+                deltas: 675868731199239589,
+                bbs: 217,
+                sbs: 57,
+                host_insts: 6156,
+            },
         ],
     );
 }
