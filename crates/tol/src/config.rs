@@ -89,8 +89,8 @@ impl Default for TolConfig {
             opt_cse: true,
             opt_dce: true,
             opt_schedule: true,
-            opt_deadflags: true,
-            opt_rangesimp: true,
+            opt_deadflags: false,
+            opt_rangesimp: false,
             opt_sw_prefetch: false,
             speculate_indirect: false,
             codecache_scattered: false,

@@ -128,14 +128,14 @@ fn quicktest_translations_are_pinned() {
         [
             Golden {
                 code: 13421110261261487721,
-                deltas: 7500725166534939125,
+                deltas: 9542398231815227109,
                 bbs: 115,
                 sbs: 12,
                 host_insts: 2030,
             },
             Golden {
                 code: 17882089451716962164,
-                deltas: 18245911230633986192,
+                deltas: 14680172232153477632,
                 bbs: 115,
                 sbs: 12,
                 host_insts: 2052,
@@ -159,14 +159,14 @@ fn startup_churn_translations_are_pinned() {
         [
             Golden {
                 code: 67855125530329446,
-                deltas: 8546650741505957480,
+                deltas: 16539596091543075042,
                 bbs: 217,
                 sbs: 57,
                 host_insts: 6136,
             },
             Golden {
                 code: 5109670393850649914,
-                deltas: 17433586184733732644,
+                deltas: 13773630765658602950,
                 bbs: 217,
                 sbs: 57,
                 host_insts: 6239,
