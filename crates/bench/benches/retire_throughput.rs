@@ -136,7 +136,7 @@ fn translate_scratch_reuse(region: &[darco_tol::translate::RegionInst]) -> usize
     let mut scratch = IrScratch::default();
     let mut ops = 0usize;
     for _ in 0..TRANSLATE_REPLAYS {
-        let block = translate_region_scratch(black_box(region), true, &mut scratch);
+        let block = translate_region_scratch(black_box(region), &mut scratch);
         ops += block.ops.len();
         scratch.recycle(block);
     }
@@ -146,10 +146,10 @@ fn translate_scratch_reuse(region: &[darco_tol::translate::RegionInst]) -> usize
 /// The fresh-allocation oracle: every translation starts from
 /// `Vec::new()`, like the engine before the arena existed.
 fn translate_fresh_alloc(region: &[darco_tol::translate::RegionInst]) -> usize {
-    use darco_tol::translate::translate_region_with;
+    use darco_tol::translate::translate_region;
     let mut ops = 0usize;
     for _ in 0..TRANSLATE_REPLAYS {
-        ops += translate_region_with(black_box(region), true).ops.len();
+        ops += translate_region(black_box(region)).ops.len();
     }
     ops
 }
@@ -188,10 +188,10 @@ fn bench(c: &mut Criterion) {
     // The scratch-arena ablation: identical IR, different allocations.
     let region = darco_tol::translate::decode_bb(&mem, entry).expect("decode hot-loop entry block");
     {
-        use darco_tol::translate::{translate_region_scratch, translate_region_with, IrScratch};
+        use darco_tol::translate::{translate_region, translate_region_scratch, IrScratch};
         let mut scratch = IrScratch::default();
-        let reused = translate_region_scratch(&region, true, &mut scratch);
-        let fresh = translate_region_with(&region, true);
+        let reused = translate_region_scratch(&region, &mut scratch);
+        let fresh = translate_region(&region);
         assert_eq!(
             format!("{reused:?}"),
             format!("{fresh:?}"),

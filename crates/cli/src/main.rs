@@ -9,7 +9,7 @@
 //! darco run-set [benchmark ...]     # batch of runs across worker
 //!                                    # threads (default: whole roster)
 //! darco verify <benchmark> [opts]   # run with the IR verifier forced on
-//! darco analyze <benchmark> [opts]  # dataflow facts + analysis-pass report
+//! darco analyze <benchmark> [opts]  # hot-region IR + compile-path report
 //! darco trace <benchmark> [opts]    # guest instruction trace
 //! darco disasm <benchmark> [opts]   # hottest translations, disassembled
 //! darco timeline <benchmark> [opts] # start-up/steady-state windows
@@ -34,6 +34,7 @@
 use darco_core::{Report, System, SystemConfig};
 use darco_host::{Component, HInst, Owner};
 use darco_tol::codecache::BlockKind;
+use darco_tol::translate::{decode_bb, translate_region};
 use darco_tol::{Tol, TolConfig};
 use darco_workloads::{generate, suites, BenchProfile};
 
@@ -269,11 +270,11 @@ fn verify(rest: &[String]) {
 
 // -------------------------------------------------------------- analyze
 
-/// `darco analyze`: a full run followed by the static-analysis report —
-/// per-region known-bits/liveness facts for the hottest translations
-/// (what `deadflags`/`rangesimp` saw), the per-pass instruction deltas,
-/// and the aggregate analysis counters. `--n` bounds how many regions
-/// are dumped.
+/// `darco analyze`: a full run followed by the compile-path report —
+/// the IR the translator emitted for the hottest translated regions
+/// (dead flag definitions already elided), the per-pass instruction
+/// deltas, the compile path stage by stage and the host-per-guest
+/// split. `--n` bounds how many regions are dumped.
 fn analyze(rest: &[String]) {
     let o = parse(rest);
     let profile = o.profile();
@@ -307,9 +308,15 @@ fn analyze(rest: &[String]) {
         if !seen.insert(entry) {
             continue;
         }
-        match darco_tol::analyze_region_text(&analysis_mem, entry) {
-            Ok(text) => {
-                println!("{text}");
+        match decode_bb(&analysis_mem, entry) {
+            Ok(region) => {
+                let block = translate_region(&region);
+                println!(
+                    "region @ {entry:#x}: {} guest insts, {} IR ops\n{}",
+                    region.len(),
+                    block.ops.len(),
+                    darco_tol::ir::pretty(&block)
+                );
                 dumped += 1;
             }
             Err(e) => eprintln!("region {entry:#x}: decode fault: {e}"),
@@ -327,21 +334,10 @@ fn analyze(rest: &[String]) {
     let run_ns = started.elapsed().as_nanos() as f64;
     let nanos = rerun.pass_nanos();
 
-    println!(
-        "{:18} {:>7} {:>14} {:>13} {:>16} {:>10}",
-        "pass", "runs", "insts removed", "flags killed", "branches folded", "time"
-    );
+    println!("{:18} {:>7} {:>14} {:>10}", "pass", "runs", "insts removed", "time");
     for d in &report.tol.pass_deltas {
         let ns = nanos.iter().find(|(p, _)| *p == d.pass).map_or(0, |(_, n)| *n);
-        println!(
-            "{:18} {:>7} {:>14} {:>13} {:>16} {:>9.2}ms",
-            d.pass,
-            d.runs,
-            d.insts_removed,
-            d.flags_killed,
-            d.branches_folded,
-            ns as f64 / 1e6,
-        );
+        println!("{:18} {:>7} {:>14} {:>9.2}ms", d.pass, d.runs, d.insts_removed, ns as f64 / 1e6);
     }
     // The whole compile path, not just the passes that report deltas.
     println!("\n{:18} {:>10} {:>22}", "compile stage", "time", "share of Tol::run wall");
@@ -355,15 +351,8 @@ fn analyze(rest: &[String]) {
     stage_row("total", nanos.iter().map(|&(_, ns)| ns).sum());
     println!("(Tol::run alone, events discarded: {:.2}ms)", run_ns / 1e6);
 
-    let c = &report.tol.counters;
     println!(
-        "\nanalysis: {} dead FlagsArith killed, {} branches folded, {:.2}ms in analysis passes",
-        c.flags_killed,
-        c.branches_folded,
-        rerun.analysis_ns() as f64 / 1e6,
-    );
-    println!(
-        "host insts {} over {} guest insts ({:.3} host/guest)",
+        "\nhost insts {} over {} guest insts ({:.3} host/guest)",
         report.timing.total_insts(),
         report.guest_insts,
         report.timing.total_insts() as f64 / report.guest_insts.max(1) as f64,

@@ -50,3 +50,15 @@ fn out_of_range_profile_integer_is_rejected_with_its_type() {
     );
     std::fs::remove_file(path).expect("clean up");
 }
+
+#[test]
+fn deeply_nested_profile_is_rejected_not_a_stack_overflow() {
+    // One parser frame per `[`: 50 000 of them used to abort the process.
+    let path = std::env::temp_dir().join(format!("darco-cli-deep-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(50_000)).expect("write profile");
+    rejected(
+        &["run", "--profile", path.to_str().expect("utf-8 temp path")],
+        "recursion limit exceeded at byte 128",
+    );
+    std::fs::remove_file(path).expect("clean up");
+}

@@ -148,9 +148,8 @@ impl System {
     }
 
     /// The software layer, for inspection after a run — e.g. the
-    /// wall-clock pass timings ([`Tol::analysis_ns`],
-    /// [`Tol::pass_nanos`]) that are deliberately kept out of the
-    /// serialized [`Report`].
+    /// wall-clock pass timings ([`Tol::pass_nanos`]) that are
+    /// deliberately kept out of the serialized [`Report`].
     pub fn tol(&self) -> &Tol {
         &self.tol
     }

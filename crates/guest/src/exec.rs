@@ -37,7 +37,8 @@ pub enum Control {
 pub struct MemAccess {
     /// Guest virtual address.
     pub addr: u32,
-    /// Access size in bytes (4 or 8).
+    /// Access size in bytes: 1 or 2 for the sub-word loads and stores,
+    /// 4 for integer words, 8 for FP.
     pub size: u8,
     /// `true` for stores.
     pub is_store: bool,
@@ -52,7 +53,8 @@ pub struct StepInfo {
     pub len: usize,
     /// Control-flow outcome.
     pub control: Control,
-    /// Data accesses performed (at most three: RMW + stack never combine).
+    /// Data accesses performed (at most two: a read-modify-write is the
+    /// largest, and never combines with a stack access).
     pub accesses: AccessList,
 }
 

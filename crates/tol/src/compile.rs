@@ -1,17 +1,17 @@
 //! The BBM and SBM compile pipelines as pure functions of
-//! `(region, config)`: translate → analysis → optimization passes →
-//! verification → register allocation → lowering. The translation
-//! validator's differential fallback is seeded from block content, so
-//! the same region always compiles to the same host code; only
-//! wall-clock observables (pass nanoseconds) differ between calls, and
-//! those are excluded from every serialized report.
+//! `(region, config)`: translate → optimization passes → verification →
+//! register allocation → lowering. The translation validator's
+//! differential fallback is seeded from block content, so the same
+//! region always compiles to the same host code; only wall-clock
+//! observables (pass nanoseconds) differ between calls, and those are
+//! excluded from every serialized report.
 
 use crate::config::TolConfig;
 use crate::ir::{lower, IrBlock, IrFreg, IrReg, RegMap};
 use crate::ir::{FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
 use crate::opt::{self, OptScratch};
-use crate::translate::{translate_region, translate_region_scratch, IrScratch, RegionInst};
-use crate::verify::{PassSample, VerifyStats};
+use crate::translate::{translate_region_scratch, IrScratch, RegionInst};
+use crate::verify::VerifyStats;
 use darco_host::{HFreg, HInst, HReg};
 
 /// Wall-clock nanoseconds per stage of the compile path, in encounter
@@ -39,8 +39,6 @@ pub(crate) struct BbCompiled {
     pub stub_guest_counts: Vec<u32>,
     pub guest_len: u32,
     pub body_len: u32,
-    /// What the `deadflags` kill did, when it ran.
-    pub deadflags: Option<PassSample>,
 }
 
 /// How a superblock's optimization pipeline ended.
@@ -61,7 +59,7 @@ pub(crate) struct SbCompiled {
     pub stub_guest_counts: Vec<u32>,
     pub guest_len: u32,
     pub body_len: u32,
-    /// Unoptimized (eager-flags) IR length, for the cost model.
+    /// Unoptimized IR length, for the cost model.
     pub ir_len: usize,
     pub outcome: SbOutcome,
 }
@@ -123,9 +121,8 @@ fn finish(
 }
 
 /// The BBM compile pipeline as a pure function of `(region, cfg)`:
-/// translate, optionally run the analysis-driven `deadflags` kill and
-/// the peephole passes, allocate, lower. Wall-clock per stage goes to
-/// `nanos`.
+/// translate, optionally run the peephole passes, allocate, lower.
+/// Wall-clock per stage goes to `nanos`.
 pub(crate) fn compile_bb(
     region: &[RegionInst],
     cfg: &TolConfig,
@@ -133,33 +130,20 @@ pub(crate) fn compile_bb(
     opt: &mut OptScratch,
     nanos: &mut StageNanos,
 ) -> BbCompiled {
-    let mut block =
-        timed(nanos, "translate", || translate_region_scratch(region, cfg.opt_deadflags, ir));
-    let deadflags = cfg.opt_deadflags.then(|| {
-        // Eager flag materialization + liveness-driven kill converges
-        // to the same host code the intrinsic elision produces.
-        let live_before = opt::count_live(&block);
-        let killed = timed(nanos, "deadflags", || opt::deadflags::run(&mut block, opt));
-        PassSample {
-            pass: "deadflags",
-            insts_removed: live_before as i64 - opt::count_live(&block) as i64,
-            flags_killed: u64::from(killed),
-            branches_folded: 0,
-        }
-    });
+    let mut block = timed(nanos, "translate", || translate_region_scratch(region, ir));
     if cfg.bbm_peephole {
         timed(nanos, "bbm-constprop", || opt::constprop::run(&mut block, opt));
         timed(nanos, "bbm-dce", || opt::dce::run(&mut block, opt));
     }
     timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
     let (insts, body_len, stub_guest_counts, guest_len) = finish(block, ir, opt, nanos);
-    BbCompiled { insts, stub_guest_counts, guest_len, body_len, deadflags }
+    BbCompiled { insts, stub_guest_counts, guest_len, body_len }
 }
 
 /// The SBM compile pipeline as a pure function of `(region, cfg)`:
-/// translate eagerly, run the full optimization pipeline (falling back
-/// to the unoptimized lowering on allocation failure or a verifier
-/// rejection), lower. Wall-clock per stage goes to `nanos`.
+/// translate, run the full optimization pipeline (falling back to the
+/// unoptimized lowering on allocation failure or a verifier rejection),
+/// lower. Wall-clock per stage goes to `nanos`.
 pub(crate) fn compile_sb(
     region: &[RegionInst],
     cfg: &TolConfig,
@@ -167,17 +151,15 @@ pub(crate) fn compile_sb(
     opt: &mut OptScratch,
     nanos: &mut StageNanos,
 ) -> SbCompiled {
-    let block =
-        timed(nanos, "translate", || translate_region_scratch(region, cfg.opt_deadflags, ir));
+    let block = timed(nanos, "translate", || translate_region_scratch(region, ir));
     let ir_len = block.ops.len();
     let (block, outcome) = match opt::run_pipeline(block, cfg, opt::pipeline(cfg), opt, nanos) {
         Ok((opt_block, stats)) => (opt_block, SbOutcome::Optimized(stats)),
         Err(e) => {
             // Out of registers, or the verifier rejected a pass's output
-            // (never install unverified code): fall back to the
-            // intrinsically elided translation, so the unoptimized
-            // lowering matches the non-eager path exactly.
-            let block = timed(nanos, "translate", || translate_region(region));
+            // (never install unverified code): the pipeline consumed the
+            // block, so translate again and lower that unoptimized.
+            let block = timed(nanos, "translate", || translate_region_scratch(region, ir));
             timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
             let outcome = match e {
                 opt::OptError::OutOfRegisters => SbOutcome::OutOfRegisters,

@@ -41,17 +41,6 @@ pub struct TolConfig {
     pub opt_dce: bool,
     /// List scheduling for the 2-issue in-order back-end.
     pub opt_schedule: bool,
-    /// Analysis-driven dead-flag elimination (DESIGN.md §13). When on,
-    /// the translator materializes a `FlagsArith` for every flag-writing
-    /// guest instruction and the liveness-driven `deadflags` pass
-    /// deletes the dead ones — converging to byte-identical host code;
-    /// when off, the translator's intrinsic elision is used unchanged
-    /// (the oracle configuration).
-    pub opt_deadflags: bool,
-    /// Known-bits/range simplification (`rangesimp`): fold statically
-    /// decided `BrFlags`, rewrite constant-valued ALU ops to `li`, and
-    /// reduce redundant masks to copies.
-    pub opt_rangesimp: bool,
     /// Insert next-line software prefetches into superblocks (the first
     /// Sec. III-E recommendation; off by default as in the paper).
     pub opt_sw_prefetch: bool,
@@ -89,8 +78,6 @@ impl Default for TolConfig {
             opt_cse: true,
             opt_dce: true,
             opt_schedule: true,
-            opt_deadflags: false,
-            opt_rangesimp: false,
             opt_sw_prefetch: false,
             speculate_indirect: false,
             codecache_scattered: false,
@@ -108,8 +95,6 @@ impl TolConfig {
             opt_cse: false,
             opt_dce: false,
             opt_schedule: false,
-            opt_deadflags: false,
-            opt_rangesimp: false,
             bbm_peephole: false,
             ..TolConfig::default()
         }

@@ -66,11 +66,6 @@ pub struct TolCounters {
     /// Verifier-detected miscompiles: the optimized block was discarded
     /// and the unoptimized lowering installed instead.
     pub verify_failures: u64,
-    /// Dead `FlagsArith` definitions deleted by the `deadflags` pass
-    /// (BBM and SBM combined).
-    pub flags_killed: u64,
-    /// `BrFlags` statically folded by the `rangesimp` pass.
-    pub branches_folded: u64,
 }
 
 /// What one [`Tol::step`] did.
@@ -218,22 +213,15 @@ impl Tol {
         self.counters
     }
 
-    /// Wall-clock nanoseconds spent in the analysis-driven passes
-    /// (`deadflags` + `rangesimp`) so far. Deliberately not part of
-    /// [`TolCounters`] or [`RunSummary`]: serialized reports must stay
-    /// bit-identical across reruns.
-    pub fn analysis_ns(&self) -> u64 {
-        let of = |stage| self.pass_nanos.iter().find(|(s, _)| *s == stage).map_or(0, |e| e.1);
-        of("deadflags") + of("rangesimp")
-    }
-
     /// Wall-clock nanoseconds per stage of the compile path, BBM and
     /// SBM combined, in encounter order: the passes keyed like
     /// [`RunSummary::pass_deltas`] (BBM's peephole pair as
     /// `bbm-constprop` / `bbm-dce`), and around them `region` (decode /
     /// superblock formation), `translate` (guest → IR), `regalloc`,
     /// `lower` (IR → host) and `install` (retirement templates + code
-    /// cache). Same determinism caveat as [`Tol::analysis_ns`].
+    /// cache). Deliberately not part of [`TolCounters`] or
+    /// [`RunSummary`]: serialized reports must stay bit-identical across
+    /// reruns.
     pub fn pass_nanos(&self) -> &[(&'static str, u64)] {
         &self.pass_nanos
     }
@@ -460,10 +448,6 @@ impl Tol {
     ) -> Option<BlockId> {
         let TranslateScratch { ir, opt, .. } = &mut self.scratch;
         let compiled = compile_bb(region, &self.cfg, ir, opt, &mut self.pass_nanos);
-        if let Some(d) = &compiled.deadflags {
-            self.counters.flags_killed += d.flags_killed;
-            crate::verify::merge_delta(&mut self.pass_deltas, d);
-        }
         let host_len = compiled.insts.len() as u32;
         self.em.bb_translate(ev, entry, region, compiled.insts.len());
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
@@ -520,8 +504,6 @@ impl Tol {
                 self.counters.verified_blocks += stats.blocks_verified;
                 self.counters.tv_differential += stats.tv_differential;
                 for d in &stats.passes {
-                    self.counters.flags_killed += d.flags_killed;
-                    self.counters.branches_folded += d.branches_folded;
                     crate::verify::merge_delta(&mut self.pass_deltas, d);
                 }
             }

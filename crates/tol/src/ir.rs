@@ -14,7 +14,7 @@
 //! registers** for temporaries, assigned to host scratch registers by
 //! register allocation at lowering time.
 
-use crate::analysis::regset::RegVec;
+use crate::regset::RegVec;
 use darco_guest::{Cond, FpOp};
 use darco_host::{Exit, FlagsKind, HAluOp, HFreg, HInst, HReg, Width};
 

@@ -51,7 +51,6 @@
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod codecache;
 mod compile;
 pub mod config;
@@ -67,11 +66,11 @@ pub mod ibtc;
 pub mod ir;
 pub mod opt;
 pub mod profile;
+pub mod regset;
 pub mod superblock;
 pub mod translate;
 pub mod verify;
 
-pub use analysis::analyze_region_text;
 pub use config::TolConfig;
 pub use engine::{Mode, RunSummary, StepOutcome, Tol, TolCounters};
 pub use verify::{PassDelta, VerifyFailure, VerifyStats};

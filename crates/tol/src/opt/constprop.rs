@@ -9,8 +9,8 @@
 //! dominates the use in linear code.
 
 use super::OptScratch;
-use crate::analysis::regset::{RegSet, RegVec};
 use crate::ir::{IrBlock, IrInst, IrReg};
+use crate::regset::{RegSet, RegVec};
 use darco_host::{eval_alu, HAluOp};
 
 #[derive(Debug, Clone, Copy, PartialEq)]

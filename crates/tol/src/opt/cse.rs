@@ -13,8 +13,8 @@
 //! by construction.
 
 use super::OptScratch;
-use crate::analysis::regset::{RegSet, RegVec};
 use crate::ir::{IrBlock, IrInst, IrReg};
+use crate::regset::{RegSet, RegVec};
 use darco_host::HAluOp;
 use std::collections::HashMap;
 

@@ -3,7 +3,8 @@
 //! Pinned physical registers hold emulated guest state, observable at
 //! the end of the body and at every side exit; this pass treats them as
 //! live everywhere and never removes a definition of one (a pinned
-//! definition overwritten before any exit is `deadflags`' business).
+//! flags definition overwritten before any exit was never emitted: the
+//! translator decides that while it still has the guest instruction).
 //! Virtual temporaries are only live between definition and last use
 //! and are never observable at exits. Dead definitions are replaced
 //! with `Nop` tombstones, which lowering drops.

@@ -22,18 +22,14 @@
 pub mod constprop;
 pub mod cse;
 pub mod dce;
-pub mod deadflags;
-pub mod rangesimp;
 pub mod regalloc;
 pub mod schedule;
 pub mod swprefetch;
 
-use crate::analysis::knownbits::ValMap;
-use crate::analysis::liveness::LiveSet;
-use crate::analysis::regset::{RegSet, RegVec};
 use crate::compile::{timed, StageNanos};
 use crate::config::TolConfig;
-use crate::ir::{self, IrBlock, IrInst, RegMap};
+use crate::ir::{IrBlock, IrInst, RegMap};
+use crate::regset::RegSet;
 use crate::verify::{self, PassKind, PassSample, VerifyFailure, VerifyStats};
 
 /// Why optimization could not complete.
@@ -68,34 +64,17 @@ impl std::error::Error for OptError {}
 /// nothing.
 #[derive(Debug, Default)]
 pub struct OptScratch {
-    /// `deadflags`: the running liveness fact and the dead definitions.
-    pub(crate) live: LiveSet,
-    pub(crate) dead: Vec<usize>,
-    /// `deadflags`: reader count per integer register.
-    pub(crate) uses: RegVec<u32>,
-    /// `deadflags`, `dce`: registers some later op still reads.
+    /// `dce`: registers some later op still reads.
     pub(crate) used_int: RegSet,
     pub(crate) used_fp: RegSet,
-    /// `rangesimp`: the running known-bits fact.
-    pub(crate) vals: ValMap,
     pub(crate) constprop: constprop::Facts,
     pub(crate) cse: cse::Numbering,
     pub(crate) sched: schedule::Scratch,
     pub(crate) regalloc: regalloc::Scratch,
     /// The register assignment of the block compiled last, written by
     /// [`regalloc::run`] (SBM) or the BBM allocator and read by
-    /// [`ir::lower`].
+    /// [`crate::ir::lower`].
     pub map: RegMap,
-}
-
-/// Analysis-level effects a pass reports back to the pipeline driver
-/// for the per-pass accounting (`RunSummary::pass_deltas`).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PassEffect {
-    /// Dead `FlagsArith` definitions deleted.
-    pub flags_killed: u32,
-    /// `BrFlags` statically folded.
-    pub branches_folded: u32,
 }
 
 /// One pipeline pass: a name for verifier reports, the transformation
@@ -103,66 +82,43 @@ pub(crate) struct PassEffect {
 pub(crate) struct Pass {
     pub name: &'static str,
     pub kind: PassKind,
-    pub run: fn(&mut IrBlock, &TolConfig, &mut OptScratch, &mut PassEffect),
+    pub run: fn(&mut IrBlock, &TolConfig, &mut OptScratch),
 }
 
 /// The `TolConfig` switch that turns a pass on.
 type Enabled = fn(&TolConfig) -> bool;
 
 /// The canonical pass order (Sec. II-A-1), each pass with the switch
-/// that enables it, extended with the analysis-driven passes
-/// (DESIGN.md §13): `deadflags` first — it restores the intrinsically
-/// elided flag shapes the later passes expect — and `rangesimp` after
-/// the propagation passes have seeded constants, before DCE sweeps what
-/// folding freed. The second `constprop` cleans up the copies CSE
+/// that enables it. The second `constprop` cleans up the copies CSE
 /// introduces.
-static PIPELINE: [(Enabled, Pass); 8] = [
-    (
-        |c| c.opt_deadflags,
-        Pass {
-            name: "deadflags",
-            kind: PassKind::DeadFlags,
-            run: |b, _, s, e| e.flags_killed = deadflags::run(b, s),
-        },
-    ),
+static PIPELINE: [(Enabled, Pass); 6] = [
     (
         |c| c.opt_constprop,
-        Pass { name: "constprop", kind: PassKind::Rewrite, run: |b, _, s, _| constprop::run(b, s) },
+        Pass { name: "constprop", kind: PassKind::Rewrite, run: |b, _, s| constprop::run(b, s) },
     ),
-    (
-        |c| c.opt_cse,
-        Pass { name: "cse", kind: PassKind::Rewrite, run: |b, _, s, _| cse::run(b, s) },
-    ),
+    (|c| c.opt_cse, Pass { name: "cse", kind: PassKind::Rewrite, run: |b, _, s| cse::run(b, s) }),
     (
         |c| c.opt_cse && c.opt_constprop,
         Pass {
             name: "constprop-cleanup",
             kind: PassKind::Rewrite,
-            run: |b, _, s, _| constprop::run(b, s),
+            run: |b, _, s| constprop::run(b, s),
         },
     ),
-    (
-        |c| c.opt_rangesimp,
-        Pass {
-            name: "rangesimp",
-            kind: PassKind::BranchFold,
-            run: |b, _, s, e| e.branches_folded = rangesimp::run(b, s).branches_folded,
-        },
-    ),
-    (|c| c.opt_dce, Pass { name: "dce", kind: PassKind::Dce, run: |b, _, s, _| dce::run(b, s) }),
+    (|c| c.opt_dce, Pass { name: "dce", kind: PassKind::Dce, run: |b, _, s| dce::run(b, s) }),
     (
         |c| c.opt_sw_prefetch,
         Pass {
             name: "swprefetch",
             kind: PassKind::Insert,
-            run: |b, _, _, _| {
+            run: |b, _, _| {
                 swprefetch::run(b);
             },
         },
     ),
     (
         |c| c.opt_schedule,
-        Pass { name: "schedule", kind: PassKind::Schedule, run: |b, _, s, _| schedule::run(b, s) },
+        Pass { name: "schedule", kind: PassKind::Schedule, run: |b, _, s| schedule::run(b, s) },
     ),
 ];
 
@@ -170,10 +126,6 @@ static PIPELINE: [(Enabled, Pass); 8] = [
 pub(crate) fn pipeline(cfg: &TolConfig) -> impl Iterator<Item = &'static Pass> + '_ {
     PIPELINE.iter().filter(move |(enabled, _)| enabled(cfg)).map(|(_, pass)| pass)
 }
-
-/// Concrete replay trials the soundness oracle runs per optimized
-/// block when checking is enabled.
-const ORACLE_TRIALS: u64 = 2;
 
 /// Non-`Nop` instruction count (the measure the per-pass deltas use).
 pub(crate) fn count_live(block: &IrBlock) -> usize {
@@ -228,34 +180,17 @@ pub(crate) fn run_pipeline<'p>(
     let mut live = count_live(&block);
     for pass in passes {
         let pre = checking.then(|| block.clone());
-        let mut effect = PassEffect::default();
-        timed(nanos, pass.name, || (pass.run)(&mut block, cfg, scratch, &mut effect));
+        timed(nanos, pass.name, || (pass.run)(&mut block, cfg, scratch));
         let live_after = count_live(&block);
-        stats.passes.push(PassSample {
-            pass: pass.name,
-            insts_removed: live as i64 - live_after as i64,
-            flags_killed: u64::from(effect.flags_killed),
-            branches_folded: u64::from(effect.branches_folded),
-        });
+        stats
+            .passes
+            .push(PassSample { pass: pass.name, insts_removed: live as i64 - live_after as i64 });
         live = live_after;
         if let Some(pre) = &pre {
             if *pre != block {
                 verify::check_pass(pass.name, pass.kind, pre, &block, &mut stats)
                     .map_err(OptError::Miscompile)?;
             }
-        }
-    }
-    if checking {
-        // Soundness oracle: replay the optimized block concretely and
-        // assert every abstract fact the analyses claim about it.
-        if let Err(detail) = crate::analysis::oracle::check_block(&block, ORACLE_TRIALS) {
-            return Err(OptError::Miscompile(Box::new(VerifyFailure {
-                pass: "analysis",
-                invariant: "abstract facts sound on concrete execution",
-                detail,
-                pre_ir: ir::pretty(&block),
-                post_ir: ir::pretty(&block),
-            })));
         }
     }
     timed(nanos, "regalloc", || regalloc::run(&block, scratch))?;
@@ -363,7 +298,7 @@ mod tests {
         let broken = Pass {
             name: "dce",
             kind: PassKind::Dce,
-            run: |b, _, _, _| {
+            run: |b, _, _| {
                 if let Some(op) = b.ops.iter_mut().find(|o| o.inst.is_store()) {
                     op.inst = IrInst::Nop;
                 }
@@ -401,7 +336,7 @@ mod tests {
         let broken = Pass {
             name: "constprop",
             kind: PassKind::Rewrite,
-            run: |b, _, _, _| {
+            run: |b, _, _| {
                 for op in &mut b.ops {
                     if let IrInst::Li { rd, imm } = op.inst {
                         op.inst = IrInst::Li { rd, imm: imm + 1 };
@@ -424,7 +359,7 @@ mod tests {
         let broken = Pass {
             name: "schedule",
             kind: PassKind::Schedule,
-            run: |b, _, _, _| {
+            run: |b, _, _| {
                 b.ops.reverse();
             },
         };

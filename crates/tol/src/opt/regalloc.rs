@@ -9,9 +9,9 @@
 //! falls back to unoptimized lowering.
 
 use super::OptScratch;
-use crate::analysis::regset::RegVec;
 use crate::ir::{IrBlock, IrFreg, IrReg, FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
 use crate::opt::OptError;
+use crate::regset::RegVec;
 use darco_host::{HFreg, HReg};
 
 /// One virtual's live interval, `[first mention, last mention]`.

@@ -12,8 +12,8 @@
 //!   disambiguation — listed in Sec. III-E as an opportunity).
 
 use super::OptScratch;
-use crate::analysis::regset::RegVec;
 use crate::ir::{IrBlock, IrInst, IrOp};
+use crate::regset::RegVec;
 
 /// Approximate result latency used for priority (matches Table I).
 fn latency(inst: &IrInst) -> u32 {

@@ -1,5 +1,5 @@
-//! The dense register-indexed containers every analysis and pass on the
-//! compile path shares.
+//! The dense register-indexed containers every pass on the compile path
+//! shares.
 //!
 //! IR registers map onto one index space per register file: a pinned
 //! physical register `Phys(r)` is index `r` (the host has 64 integer and
@@ -50,12 +50,6 @@ pub struct RegSet {
 }
 
 impl RegSet {
-    /// The set holding exactly the physical registers in `mask` (bit
-    /// `r` is register `r`).
-    pub const fn of_phys(mask: u64) -> RegSet {
-        RegSet { phys: mask, virt: Vec::new() }
-    }
-
     /// Adds index `i`.
     pub fn insert(&mut self, i: usize) {
         if i < VIRT_BASE {
@@ -84,22 +78,6 @@ impl RegSet {
             return self.phys >> i & 1 != 0;
         }
         self.virt.get((i - VIRT_BASE) / 64).is_some_and(|w| w >> ((i - VIRT_BASE) % 64) & 1 != 0)
-    }
-
-    /// Adds every physical register in `mask`.
-    pub fn insert_phys(&mut self, mask: u64) {
-        self.phys |= mask;
-    }
-
-    /// Adds every member of `other` (set union).
-    pub fn union_with(&mut self, other: &RegSet) {
-        self.phys |= other.phys;
-        if other.virt.len() > self.virt.len() {
-            self.virt.resize(other.virt.len(), 0);
-        }
-        for (w, o) in self.virt.iter_mut().zip(&other.virt) {
-            *w |= o;
-        }
     }
 
     /// Empties the set, keeping its allocation.
@@ -176,17 +154,6 @@ impl<T: Copy> RegVec<T> {
         self.slots.iter().enumerate().filter_map(|(i, s)| s.map(|v| (i, v)))
     }
 
-    /// Keeps only the entries present in both maps, combining each
-    /// surviving value with its counterpart through `f`.
-    pub fn intersect_with(&mut self, other: &RegVec<T>, mut f: impl FnMut(&mut T, T)) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            match (slot.as_mut(), other.get(i)) {
-                (Some(v), Some(o)) => f(v, o),
-                _ => *slot = None,
-            }
-        }
-    }
-
     /// Drops every entry whose value fails `keep`.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
         for s in &mut self.slots {
@@ -238,21 +205,12 @@ mod tests {
         assert_eq!(a.len(), 2);
         a.remove(VIRT_BASE + 1_000);
         a.remove(VIRT_BASE + 70_000); // beyond the words: nothing to do
-        assert_eq!(a, RegSet::of_phys(1 << 3), "trailing zero words are not a difference");
+        let mut small = RegSet::default();
+        small.insert(3);
+        assert_eq!(a, small, "trailing zero words are not a difference");
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn union_covers_the_longer_operand() {
-        let mut a = RegSet::of_phys(0b110);
-        let mut b = RegSet::default();
-        b.insert(VIRT_BASE + 200);
-        a.union_with(&b);
-        assert!(a.contains(1) && a.contains(2) && a.contains(VIRT_BASE + 200));
-        b.union_with(&a);
-        assert_eq!(a, b);
-        b.clear();
-        assert!(b.is_empty());
+        a.clear();
+        assert!(a.is_empty());
     }
 
     #[test]

@@ -275,37 +275,17 @@ const FLAGS: IrReg = IrReg::Phys(FLAGS_REG);
 /// Panics if an internal instruction is a call, return or indirect jump
 /// (superblock formation must stop at those).
 pub fn translate_region(region: &[RegionInst]) -> IrBlock {
-    translate_region_with(region, false)
+    translate_region_scratch(region, &mut IrScratch::default())
 }
 
-/// [`translate_region`] with a choice of flag-materialization policy.
-///
-/// With `eager_flags` the translator emits a `FlagsArith` for **every**
-/// flag-writing guest instruction and leaves the elision decision to
-/// the IR-level `deadflags` pass (DESIGN.md §13), which the analysis
-/// framework drives; without it the intrinsic guest-level elision of
-/// `flags_live_after` applies. Both policies converge to the same
-/// final host code when the pass pipeline runs.
+/// [`translate_region`] building the block out of `scratch`'s recycled
+/// buffers instead of fresh allocations. The emitted block is identical;
+/// only the allocation behavior differs.
 ///
 /// # Panics
 ///
 /// Same as [`translate_region`].
-pub fn translate_region_with(region: &[RegionInst], eager_flags: bool) -> IrBlock {
-    translate_region_scratch(region, eager_flags, &mut IrScratch::default())
-}
-
-/// [`translate_region_with`] building the block out of `scratch`'s
-/// recycled buffers instead of fresh allocations. The emitted block is
-/// identical; only the allocation behavior differs.
-///
-/// # Panics
-///
-/// Same as [`translate_region`].
-pub fn translate_region_scratch(
-    region: &[RegionInst],
-    eager_flags: bool,
-    scratch: &mut IrScratch,
-) -> IrBlock {
+pub fn translate_region_scratch(region: &[RegionInst], scratch: &mut IrScratch) -> IrBlock {
     assert!(!region.is_empty(), "empty translation region");
     let (ops, stubs, stub_guest_counts) = scratch.take();
     let mut cx = Ctx { ops, stubs, stub_guest_counts, next_virt: 0, gi: 0 };
@@ -313,7 +293,7 @@ pub fn translate_region_scratch(
     for (i, r) in region.iter().enumerate() {
         cx.gi = i as u32;
         let last = i == region.len() - 1;
-        let flags_live = r.inst.writes_flags() && (eager_flags || flags_live_after(region, i));
+        let flags_live = r.inst.writes_flags() && flags_live_after(region, i);
         match r.inst {
             inst if !inst.is_block_end() => emit_straightline(&mut cx, &inst, flags_live),
             Inst::Jcc { cond, target } => {

@@ -43,13 +43,6 @@ pub enum PassKind {
     Insert,
     /// Permuting instructions within dependence order (scheduling).
     Schedule,
-    /// Deleting `FlagsArith` ops whose flags word is dead, plus the
-    /// immediate-refold and virtual cleanup that shape implies
-    /// (deadflags).
-    DeadFlags,
-    /// Folding statically decided branches and strength-reducing
-    /// masked ALU ops (rangesimp).
-    BranchFold,
 }
 
 /// A verification failure: which pass broke which invariant, with the
@@ -135,10 +128,6 @@ pub struct PassDelta {
     pub runs: u64,
     /// Net non-`Nop` instructions removed (negative if it grew).
     pub insts_removed: i64,
-    /// `FlagsArith` definitions deleted.
-    pub flags_killed: u64,
-    /// `BrFlags` statically folded.
-    pub branches_folded: u64,
 }
 
 /// What one pass application did to one block, as the pass manager
@@ -151,10 +140,6 @@ pub struct PassSample {
     pub pass: &'static str,
     /// Net non-`Nop` instructions removed (negative if it grew).
     pub insts_removed: i64,
-    /// `FlagsArith` definitions deleted.
-    pub flags_killed: u64,
-    /// `BrFlags` statically folded.
-    pub branches_folded: u64,
 }
 
 /// Counters describing how blocks were verified, reported by the engine.
@@ -183,8 +168,6 @@ pub fn merge_delta(deltas: &mut Vec<PassDelta>, s: &PassSample) {
     let e = &mut deltas[at];
     e.runs += 1;
     e.insts_removed += s.insts_removed;
-    e.flags_killed += s.flags_killed;
-    e.branches_folded += s.branches_folded;
 }
 
 fn count_proof(stats: &mut VerifyStats, proof: tv::Proof) {

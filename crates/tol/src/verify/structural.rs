@@ -9,7 +9,6 @@
 
 use super::dataflow::Dataflow;
 use super::{fail, PassKind, VerifyFailure};
-use crate::analysis::{knownbits, liveness};
 use crate::ir::{
     IrBlock, IrFreg, IrInst, IrReg, RegMap, FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END,
 };
@@ -138,183 +137,7 @@ pub fn check_transform(
         PassKind::Dce => check_dce(pass, pre, post),
         PassKind::Insert => check_insert(pass, pre, post),
         PassKind::Schedule => check_schedule(pass, pre, post),
-        PassKind::DeadFlags => check_deadflags(pass, pre, post),
-        PassKind::BranchFold => check_branchfold(pass, pre, post),
     }
-}
-
-/// How many non-`Nop` ops in `block` read integer register `r`.
-fn int_uses(block: &IrBlock, r: IrReg) -> usize {
-    block
-        .ops
-        .iter()
-        .filter(|o| o.inst != IrInst::Nop)
-        .flat_map(|o| o.inst.srcs().into_iter().flatten())
-        .filter(|&s| s == r)
-        .count()
-}
-
-/// Shared prefix for the analysis-driven passes: same length and
-/// per-index guest provenance (they only replace `.inst` in place).
-fn check_same_shape(
-    pass: &'static str,
-    pre: &IrBlock,
-    post: &IrBlock,
-) -> Result<(), Box<VerifyFailure>> {
-    if pre.ops.len() != post.ops.len() {
-        return fail(
-            pass,
-            "pass keeps instruction count",
-            format!("{} ops became {}", pre.ops.len(), post.ops.len()),
-            pre,
-            post,
-        );
-    }
-    for (i, (a, b)) in pre.ops.iter().zip(&post.ops).enumerate() {
-        if a.guest_idx != b.guest_idx {
-            return fail(
-                pass,
-                "guest provenance preserved",
-                format!("op {i} guest_idx {} became {}", a.guest_idx, b.guest_idx),
-                pre,
-                post,
-            );
-        }
-    }
-    Ok(())
-}
-
-/// Dead-flag elimination may (a) tombstone a `FlagsArith` whose flags
-/// word is dead — the checker recomputes the backward liveness on the
-/// *pre* block independently of the pass — (b) tombstone a pure op
-/// defining a virtual no surviving op reads, and (c) refold a staged
-/// immediate (`li t, imm` + `alu rd, ra, t`) into the matching `AluI`.
-fn check_deadflags(
-    pass: &'static str,
-    pre: &IrBlock,
-    post: &IrBlock,
-) -> Result<(), Box<VerifyFailure>> {
-    check_same_shape(pass, pre, post)?;
-    let live = liveness::facts(pre);
-    for (i, (a, b)) in pre.ops.iter().zip(&post.ops).enumerate() {
-        if a == b {
-            continue;
-        }
-        match (a.inst, b.inst) {
-            (IrInst::FlagsArith { rd, .. }, IrInst::Nop)
-                if !live[i + 1].contains_int(rd) || no_virt_reader(post, rd) => {}
-            (inst, IrInst::Nop)
-                if !inst.has_side_effect()
-                    && inst.fdst().is_none()
-                    && matches!(inst.dst(), Some(IrReg::Virt(_)))
-                    && int_uses(post, inst.dst().unwrap()) == 0 => {}
-            (
-                IrInst::Alu { op: oa, rd: ra_d, ra, rb: rb @ IrReg::Virt(_) },
-                IrInst::AluI { op: ob, rd: rb_d, ra: ra2, imm },
-            ) if oa == ob && ra_d == rb_d && ra == ra2 && int_uses(post, rb) == 0 => {
-                // The immediate must be the one the (now deleted) `li`
-                // staged into the virtual.
-                let li_imm = pre.ops.iter().find_map(|o| match o.inst {
-                    IrInst::Li { rd, imm } if rd == rb => Some(imm),
-                    _ => None,
-                });
-                if li_imm.map(|v| v as u32 as i32) != Some(imm) {
-                    return fail(
-                        pass,
-                        "refolded immediate matches the staged li",
-                        format!("op {i}: `{}` became `{}` (staged {li_imm:?})", a.inst, b.inst),
-                        pre,
-                        post,
-                    );
-                }
-            }
-            _ => {
-                return fail(
-                    pass,
-                    "deadflags only deletes dead flag defs and their feeders",
-                    format!("op {i}: `{}` became `{}`", a.inst, b.inst),
-                    pre,
-                    post,
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Whether killed flag destination `rd` is a virtual with no reader
-/// left in `post` (a dead virtual flags def needs no liveness proof).
-fn no_virt_reader(post: &IrBlock, rd: IrReg) -> bool {
-    matches!(rd, IrReg::Virt(_)) && int_uses(post, rd) == 0
-}
-
-/// Branch folding may delete a branch the known-bits analysis — here
-/// recomputed independently on the *pre* block — decides never taken,
-/// tombstone everything after a branch decided always taken, rewrite an
-/// ALU op whose result fact is a single constant into `li`, and reduce
-/// a mask of known-clear bits to a copy.
-fn check_branchfold(
-    pass: &'static str,
-    pre: &IrBlock,
-    post: &IrBlock,
-) -> Result<(), Box<VerifyFailure>> {
-    check_same_shape(pass, pre, post)?;
-    let facts = knownbits::facts(pre);
-    let decide_at = |i: usize| match pre.ops[i].inst {
-        IrInst::BrFlags { cond, flags, .. } => {
-            let f = facts[i].get(flags).unwrap_or_else(knownbits::AbsVal::top);
-            knownbits::decide(cond, &f)
-        }
-        _ => None,
-    };
-    let mut always_cut: Option<usize> = None;
-    for (i, (a, b)) in pre.ops.iter().zip(&post.ops).enumerate() {
-        if a == b {
-            if always_cut.is_none() && decide_at(i) == Some(true) {
-                always_cut = Some(i);
-            }
-            continue;
-        }
-        if always_cut.is_some_and(|c| c < i) {
-            if b.inst == IrInst::Nop {
-                continue;
-            }
-            return fail(
-                pass,
-                "unreachable tail only tombstoned",
-                format!("op {i}: `{}` became `{}` after the terminal branch", a.inst, b.inst),
-                pre,
-                post,
-            );
-        }
-        match (a.inst, b.inst) {
-            (IrInst::BrFlags { .. }, IrInst::Nop) if decide_at(i) == Some(false) => {}
-            (IrInst::Alu { rd, .. }, IrInst::Li { rd: rd2, imm })
-            | (IrInst::AluI { rd, .. }, IrInst::Li { rd: rd2, imm })
-                if rd == rd2
-                    && facts[i + 1].get(rd).and_then(|v| v.as_const()) == Some(imm as u32)
-                    && u32::try_from(imm).is_ok() => {}
-            (
-                IrInst::AluI { op: op_a, rd, ra, imm: m },
-                IrInst::AluI { op: op_b, rd: rd2, ra: ra2, imm: 0 },
-            ) if op_a == darco_host::HAluOp::And
-                && op_b == darco_host::HAluOp::Or
-                && rd == rd2
-                && ra == ra2
-                && !facts[i].get(ra).unwrap_or_else(knownbits::AbsVal::top).zeros & !(m as u32)
-                    == 0 => {}
-            _ => {
-                return fail(
-                    pass,
-                    "branch folds are justified by recomputed facts",
-                    format!("op {i}: `{}` became `{}`", a.inst, b.inst),
-                    pre,
-                    post,
-                );
-            }
-        }
-    }
-    Ok(())
 }
 
 /// A rewriting pass (constant propagation, CSE) may change how a value is

@@ -294,7 +294,7 @@ fn sym_eval(block: &IrBlock, tt: &mut Interner) -> SymObs {
 
 /// Where a concrete execution of the block left to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConcreteExit {
+enum ConcreteExit {
     Stub(u32),
     Fallthrough,
 }
@@ -312,21 +312,19 @@ const FSTAGE_D: HFreg = HFreg(ir::FSCRATCH_BASE + 2);
 
 /// Concrete IR interpreter: virtuals live in side tables, pinned
 /// registers in a [`HostState`], and every instruction is delegated to
-/// the host's [`exec_inst`] via the staging registers. Shared with the
-/// analysis soundness oracle, which replays blocks through it while
-/// asserting abstract facts.
-pub(crate) struct ExecEnv {
-    pub(crate) st: HostState,
+/// the host's [`exec_inst`] via the staging registers.
+struct ExecEnv {
+    st: HostState,
     virt: HashMap<u32, u32>,
     fvirt: HashMap<u32, f64>,
 }
 
 impl ExecEnv {
-    pub(crate) fn new(st: HostState) -> ExecEnv {
+    fn new(st: HostState) -> ExecEnv {
         ExecEnv { st, virt: HashMap::new(), fvirt: HashMap::new() }
     }
 
-    pub(crate) fn read(&self, r: IrReg) -> u32 {
+    fn read(&self, r: IrReg) -> u32 {
         match r {
             IrReg::Phys(p) => self.st.reg(p),
             IrReg::Virt(v) => self.virt.get(&v).copied().unwrap_or(0),
@@ -368,21 +366,7 @@ impl ExecEnv {
     }
 
     fn run(&mut self, block: &IrBlock, mem: &mut GuestMem) -> ConcreteExit {
-        self.run_with(block, mem, |_, _, _| {})
-    }
-
-    /// Runs the block, invoking `observe(idx, env, taken)` after every
-    /// executed op — `taken` is `Some(t)` for a `BrFlags` (and the run
-    /// stops when `t` is true), `None` otherwise. This is the hook the
-    /// soundness oracle uses to compare abstract facts against the
-    /// concrete state at each program point.
-    pub(crate) fn run_with(
-        &mut self,
-        block: &IrBlock,
-        mem: &mut GuestMem,
-        mut observe: impl FnMut(usize, &ExecEnv, Option<bool>),
-    ) -> ConcreteExit {
-        for (i, op) in block.ops.iter().enumerate() {
+        for op in &block.ops {
             match op.inst {
                 IrInst::Nop | IrInst::Prefetch { .. } => {}
                 IrInst::Alu { op: o, rd, ra, rb } => {
@@ -489,15 +473,11 @@ impl ExecEnv {
                         &HInst::BrFlags { cond, flags: STAGE_A, target: 1 },
                         mem,
                     );
-                    let taken = out == Outcome::Taken(1);
-                    observe(i, self, Some(taken));
-                    if taken {
+                    if out == Outcome::Taken(1) {
                         return ConcreteExit::Stub(stub);
                     }
-                    continue;
                 }
             }
-            observe(i, self, None);
         }
         ConcreteExit::Fallthrough
     }
@@ -505,10 +485,10 @@ impl ExecEnv {
 
 /// Minimal deterministic PRNG (SplitMix64) so the validator needs no
 /// external randomness source and stays reproducible.
-pub(crate) struct SplitMix64(pub(crate) u64);
+struct SplitMix64(u64);
 
 impl SplitMix64 {
-    pub(crate) fn next(&mut self) -> u64 {
+    fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -516,14 +496,14 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    pub(crate) fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         (self.next() >> 32) as u32
     }
 }
 
 /// Deterministic seed derived from the block's instruction sequence, so
 /// every validation of the same block replays the same trials.
-pub(crate) fn block_seed(block: &IrBlock) -> u64 {
+fn block_seed(block: &IrBlock) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     for op in &block.ops {
         op.inst.hash(&mut h);
@@ -532,10 +512,8 @@ pub(crate) fn block_seed(block: &IrBlock) -> u64 {
     h.finish()
 }
 
-/// Draws one random pinned state and seeded guest memory — the input
-/// distribution shared by the differential fallback and the analysis
-/// soundness oracle.
-pub(crate) fn random_init(rng: &mut SplitMix64) -> (HostState, GuestMem) {
+/// Draws one random pinned state and seeded guest memory.
+fn random_init(rng: &mut SplitMix64) -> (HostState, GuestMem) {
     let mut init = HostState::new();
     for r in 1..=10u8 {
         // Bias half the registers toward low addresses so loads hit the

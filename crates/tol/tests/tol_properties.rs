@@ -7,11 +7,10 @@
 use darco_guest::asm::Asm;
 use darco_guest::{AluOp, CpuState, Gpr, GuestMem, Inst, MemRef, MemWidth, ShiftOp};
 use darco_host::{exec_inst, HostState, Outcome};
-use darco_tol::analysis::oracle;
 use darco_tol::config::TolConfig;
 use darco_tol::ir::{self, lower};
 use darco_tol::opt;
-use darco_tol::translate::{decode_bb, translate_region, translate_region_with};
+use darco_tol::translate::{decode_bb, translate_region};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -226,53 +225,6 @@ fn random_ir_blocks_pass_the_verifier() {
         }
     }
     assert!(verified >= 48, "too many pressure bailouts: {verified}/64 verified");
-}
-
-/// Every fact the abstract domains claim holds on concrete executions:
-/// the soundness oracle replays random IR blocks — and eagerly
-/// translated random guest blocks — through the reference host
-/// semantics from randomized initial states and checks every known-bits
-/// fact and every statically decided branch against what actually
-/// happened.
-#[test]
-fn abstract_domain_is_sound_on_random_ir() {
-    for case in 0u64..64 {
-        let mut rng = SmallRng::seed_from_u64(0x70_4001 + case);
-        let block = random_ir_block(&mut rng);
-        oracle::check_block(&block, 3).unwrap_or_else(|e| panic!("IR case {case}: {e}"));
-    }
-    for case in 0u64..32 {
-        let mut rng = SmallRng::seed_from_u64(0x70_5001 + case);
-        let len = rng.gen_range(1usize..25);
-        let body: Vec<Inst> = (0..len).map(|_| straightline(&mut rng)).collect();
-        let (_, _, bb) = make_bb(&body);
-        let block = translate_region_with(&bb, true);
-        oracle::check_block(&block, 3).unwrap_or_else(|e| panic!("guest case {case}: {e}"));
-    }
-}
-
-/// Eager flag materialization plus the liveness-driven `deadflags` pass
-/// converges to the same host code as the translator's intrinsic
-/// dead-flag elision, byte for byte — the invariant that makes the old
-/// translation path a drop-in oracle for the new one.
-#[test]
-fn eager_flags_plus_deadflags_converges_to_elided_translation() {
-    for case in 0u64..64 {
-        let mut rng = SmallRng::seed_from_u64(0x70_6001 + case);
-        let len = rng.gen_range(1usize..25);
-        let body: Vec<Inst> = (0..len).map(|_| straightline(&mut rng)).collect();
-        let (_, _, bb) = make_bb(&body);
-
-        let elided = translate_region(&bb);
-        let mut eager = translate_region_with(&bb, true);
-        let mut scratch = opt::OptScratch::default();
-        opt::deadflags::run(&mut eager, &mut scratch);
-
-        opt::regalloc::run(&elided, &mut scratch).expect("alloc elided");
-        let host_a = lower(&elided, &scratch.map);
-        opt::regalloc::run(&eager, &mut scratch).expect("alloc eager");
-        assert_eq!(host_a, lower(&eager, &scratch.map), "case {case}: host code diverged");
-    }
 }
 
 /// The optimized lowering of a random IR block takes the same exit and

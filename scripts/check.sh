@@ -14,7 +14,8 @@ cd "$(dirname "$0")/.."
 echo "== removed switches stay removed"
 round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
-removed="$round2|$round3"
+round4='opt_deadflags|opt_rangesimp|deadflags::|rangesimp|knownbits|liveness::|analyze_region_text|translate_region_with|eager_flags|flags_killed|branches_folded|DeadFlags|BranchFold|analysis_ns'
+removed="$round2|$round3|$round4"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then
@@ -73,10 +74,11 @@ cargo test -q --release -p darco-guest
 echo "== cargo test -q --release -p darco-timing"
 cargo test -q --release -p darco-timing
 
-# So must the translator's index-and-shift dataflow (bitsets, dense
-# register arrays) and retirement by template: the reference-model
-# tests and the unit tests run here without the debug build's checks
-# to lean on.
+# So must the passes' index-and-shift containers (the `RegSet` bitset,
+# the `RegVec` array map) and retirement by template:
+# `tests/regset_reference.rs` — the only reference-model tests left in
+# this crate — and the unit tests run here without the debug build's
+# checks to lean on.
 echo "== cargo test -q --release -p darco-tol"
 cargo test -q --release -p darco-tol
 

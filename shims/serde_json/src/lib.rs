@@ -135,9 +135,16 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
+/// Deepest nesting of arrays and objects the parser follows (the real
+/// crate's limit): it recurses once per level, so unbounded input depth
+/// is unbounded stack.
+const MAX_DEPTH: u32 = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -257,6 +264,67 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses the array or object starting at `pos` with `body`, one
+    /// level deeper.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_array(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut xs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(xs));
+        }
+        loop {
+            xs.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(xs));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Value, Error> {
+        self.pos += 1;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            let val = self.parse_value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(pairs));
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
+        }
+    }
+
     fn parse_value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
@@ -273,53 +341,8 @@ impl<'a> Parser<'a> {
                 Ok(Value::Bool(false))
             }
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => {
-                self.pos += 1;
-                let mut xs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(xs));
-                }
-                loop {
-                    xs.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(xs));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    let val = self.parse_value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
-            }
+            b'[' => self.nested(Parser::parse_array),
+            b'{' => self.nested(Parser::parse_object),
             b'-' | b'0'..=b'9' => self.parse_number(),
             other => Err(self.err(&format!("unexpected `{}`", other as char))),
         }
@@ -332,7 +355,7 @@ impl<'a> Parser<'a> {
 ///
 /// Returns [`Error`] on malformed JSON or trailing garbage.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -375,6 +398,19 @@ mod tests {
     #[test]
     fn integral_floats_keep_a_decimal_point() {
         assert_eq!(to_string(&3.0f64).unwrap(), "3.0");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(parse_value(&arrays(128)).is_ok());
+        assert!(parse_value(&objects(128)).is_ok());
+        let err = |text: &str| parse_value(text).unwrap_err().to_string();
+        assert_eq!(err(&arrays(129)), "recursion limit exceeded at byte 128");
+        assert_eq!(err(&objects(129)), "recursion limit exceeded at byte 640");
+        // Unclosed and far deeper: the limit answers, not the stack.
+        assert_eq!(err(&"[".repeat(50_000)), "recursion limit exceeded at byte 128");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!
 //! The constants must only ever change together with an explanation of
 //! which event moved and why. They moved once since the bus was rebuilt
-//! around in-place appends: the fourth switch audit turned
-//! `opt_deadflags` and `opt_rangesimp` off, which shortened the
-//! simulated TOL cost streams (the SBM optimize stream was sized by the
-//! eager IR length) and nothing else — the resident code digests of
-//! `translation_golden.rs` did not move in that commit.
+//! around in-place appends: the fourth switch audit (DESIGN.md §15) made
+//! the translator's own flag elision the only one, which shortened the
+//! simulated TOL cost streams — the SBM optimize stream had been sized
+//! by the IR length before the dead flag definitions were removed — and
+//! nothing else: the resident code digests of `translation_golden.rs`
+//! did not move.
 
 use darco::core::SystemConfig;
 use darco::host::events::EVENT_BATCH;
