@@ -1,6 +1,6 @@
-//! Functional-emulation throughput: guest MIPS through the micro-op
-//! executor (DESIGN.md §16) versus the independent decode-per-step
-//! executor, `exec::step`.
+//! Functional-emulation throughput: guest MIPS through the block
+//! executor, `ExecCtx` (DESIGN.md §16), versus the independent
+//! decode-per-step executor, `exec::step`.
 //!
 //! Two workloads, each run to `Halt` three ways — `oracle`
 //! (`exec::step`), `fast` (`ExecCtx::step` per instruction, what the
@@ -10,7 +10,7 @@
 //!
 //! * `guest_exec/{fast,run,oracle}_mixed_loop` — a hand-built counted loop
 //!   mixing ALU, narrow/wide memory, flag-producing and branching
-//!   instructions, hot enough that the micro-op cache and lazy-flag
+//!   instructions, hot enough that the block cache and lazy-flag
 //!   elision dominate. The `oracle` row is `decode` + `exec_decoded`
 //!   per step.
 //! * `guest_exec/{fast,run,oracle}_quicktest` — the generated quicktest

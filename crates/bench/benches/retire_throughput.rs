@@ -118,7 +118,7 @@ fn bus_in_place_single(ev: &mut EventBuffer<'_>, tpl: &[DynInst], addr: u64) {
     }
 }
 
-/// What `interp_step_keyed` does: one block copy, five patches.
+/// What `Emitter::interp_step` does: one block copy, five patches.
 fn bus_in_place_stream(ev: &mut EventBuffer<'_>, tpl: &[DynInst], addr: u64) {
     ev.retire_stream(tpl, |evs| {
         for i in BUS_PATCHES {

@@ -34,21 +34,50 @@ fn removed_switches_are_unknown_flags() {
     rejected(&["run", "quicktest", "--cache-policy", "fifo"], "unknown flag --cache-policy");
 }
 
-#[test]
-fn out_of_range_profile_integer_is_rejected_with_its_type() {
-    // 2^32 + 1200 used to be narrowed to 1200 and run as quicktest.
-    let path = std::env::temp_dir().join(format!("darco-cli-test-{}.json", std::process::id()));
+/// `darco run --profile` on the exported quicktest profile with `from`
+/// replaced by `to` must be rejected with `needle`.
+fn edited_profile_rejected(tag: &str, from: &str, to: &str, needle: &str) {
+    let path = std::env::temp_dir().join(format!("darco-cli-{tag}-{}.json", std::process::id()));
     let path = path.to_str().expect("utf-8 temp path");
     assert!(darco(&["export-profile", "quicktest", path]).status.success());
     let text = std::fs::read_to_string(path).expect("exported profile");
-    assert!(text.contains("\"static_insts\": 1200"), "{text}");
-    std::fs::write(path, text.replace("\"static_insts\": 1200", "\"static_insts\": 4294968496"))
-        .expect("rewrite profile");
-    rejected(
-        &["run", "--profile", path, "--scale", "0.05"],
+    assert!(text.contains(from), "{text}");
+    std::fs::write(path, text.replace(from, to)).expect("rewrite profile");
+    rejected(&["run", "--profile", path, "--scale", "0.05"], needle);
+    std::fs::remove_file(path).expect("clean up");
+}
+
+#[test]
+fn out_of_range_profile_integer_is_rejected_with_its_type() {
+    // 2^32 + 1200 used to be narrowed to 1200 and run as quicktest.
+    edited_profile_rejected(
+        "test",
+        "\"static_insts\": 1200",
+        "\"static_insts\": 4294968496",
         "UInt(4294968496) out of range for u32",
     );
-    std::fs::remove_file(path).expect("clean up");
+}
+
+#[test]
+fn footprint_smaller_than_a_word_is_rejected_not_an_empty_range_panic() {
+    // A power of two, so it validated; the generator then drew from 0..0.
+    edited_profile_rejected(
+        "footprint",
+        "\"mem_footprint\": 262144",
+        "\"mem_footprint\": 1",
+        "invalid profile: mem_footprint below the 4-byte word",
+    );
+}
+
+#[test]
+fn code_that_would_reach_the_jump_tables_is_rejected_not_a_decode_panic() {
+    // The loader wrote the jump tables over the tail of the code.
+    edited_profile_rejected(
+        "static",
+        "\"static_insts\": 1200",
+        "\"static_insts\": 2500000",
+        "invalid profile: static_insts above 698709",
+    );
 }
 
 #[test]

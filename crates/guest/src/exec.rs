@@ -1,9 +1,15 @@
-//! Functional execution of guest instructions.
+//! Functional execution of guest instructions: the independent
+//! authority on g86 semantics.
 //!
-//! [`step`] is the single source of truth for g86 semantics. The
-//! authoritative emulator (DARCO's *x86 Component*) calls it directly;
-//! the software layer's interpreter wraps it and charges emulation costs;
-//! and the state checker uses it to validate translated code.
+//! [`step`] decodes the bytes at `eip` and executes them, eagerly and
+//! with nothing cached. Nothing on a default run calls it: the software
+//! layer's interpreter and the default state checker execute through
+//! [`crate::uops::ExecCtx`], which states the same semantics a second
+//! time (lazy flags, pre-decoded blocks) and shares no code with this
+//! file. That is what makes this the witness the other is held to — by
+//! the differential tests (`guest_fast_path_matches_oracle_per_step`,
+//! `tests/opcode_boundary.rs`) and by `darco verify`, which puts `step`
+//! on the checking side of co-simulation.
 
 use crate::decode::{decode, DecodeError};
 use crate::inst::{AluOp, Cond, FpOp, Gpr, Inst, MemRef, MemWidth, ShiftOp};

@@ -54,29 +54,31 @@ pub use state::{CpuState, Flags};
 pub use uops::{ExecCtx, FastStats, LazyFlags};
 
 /// Broad class of a guest instruction, used for instruction-mix statistics
-/// and by the TOL cost models.
+/// and by the TOL cost models (the discriminant is the interpreter's
+/// handler and decode-table index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[repr(u8)]
 pub enum GuestClass {
     /// Integer ALU work (moves, arithmetic, logic, shifts).
-    Int,
+    Int = 0,
     /// Integer multiply/divide (complex integer).
-    IntComplex,
+    IntComplex = 1,
     /// Floating-point add/sub/convert (simple FP).
-    Fp,
+    Fp = 2,
     /// Floating-point multiply/divide (complex FP).
-    FpComplex,
+    FpComplex = 3,
     /// Explicit loads, plus the load half of CISC read-modify-write ops.
-    Load,
+    Load = 4,
     /// Explicit stores.
-    Store,
+    Store = 5,
     /// Direct conditional or unconditional branches.
-    Branch,
+    Branch = 6,
     /// Direct calls.
-    Call,
+    Call = 7,
     /// Returns (indirect by nature).
-    Ret,
+    Ret = 8,
     /// Register- or memory-indirect jumps and calls.
-    IndirectBranch,
+    IndirectBranch = 9,
     /// Everything else (`Nop`, `Syscall`, `Halt`).
-    Other,
+    Other = 10,
 }

@@ -1,4 +1,4 @@
-//! Pre-decoded execution micro-ops and lazy flag materialization.
+//! Pre-decoded block execution and lazy flag materialization.
 //!
 //! This is the executor the software layer's interpreter and the default
 //! state checker run. [`crate::exec::step`] — decode-then-`match` on
@@ -8,10 +8,9 @@
 //! contents and [`StepInfo`] streams while doing strictly less work per
 //! step:
 //!
-//! * **Micro-op buffers.** Straight-line runs of instructions are decoded
-//!   once into per-block [`ExecOp`] buffers: operand registers resolved to
-//!   raw indices, effective-address recipes precomputed, and a fn-pointer
-//!   handler selected per op. Blocks
+//! * **Decoded blocks.** Straight-line runs of instructions are decoded
+//!   once into per-block [`ExecOp`] buffers: the [`Inst`], its length and
+//!   the three predicates the loop asks of it on every execution. Blocks
 //!   are cached direct-mapped by entry pc and invalidated by the
 //!   per-page write-generation stamps the code cache's SMC check uses
 //!   ([`GuestMem::page_gen`]): a block is valid while the stamps of its
@@ -22,17 +21,20 @@
 //!   flag bits; they are materialized into `cpu.flags` only when a
 //!   consumer demands them — a conditional branch, a checker snapshot, or
 //!   a `StepBoundary` state capture. Most definitions are overwritten
-//!   before any consumer looks (the analysis layer measures ~5.6 dead
-//!   flag definitions per translation region), so most materializations
-//!   are elided entirely.
+//!   before any consumer looks ([`FastStats::flag_defs`] against
+//!   [`FastStats::flag_forces`]), so most materializations are elided
+//!   entirely.
 //!
-//! # One dispatch loop
+//! # One dispatch loop, one `match`
 //!
-//! Handlers are invoked from exactly one place, [`ExecCtx`]'s private
-//! dispatch loop, which runs whole cached blocks: a block is located and
-//! validated once, its ops are executed by reference until one jumps or
-//! halts, the budget runs out or the caller's per-op visitor breaks, and
-//! the loop then moves on to the block at the new `eip`.
+//! The semantics of every instruction are the arms of one private
+//! function, `exec_op`, written to be read side by side with
+//! [`crate::exec::exec_decoded`]. It is called from exactly one place,
+//! [`ExecCtx`]'s private dispatch loop, which runs whole cached blocks:
+//! a block is located and validated once, its ops are executed by
+//! reference until one jumps or halts, the budget runs out or the
+//! caller's per-op visitor breaks, and the loop then moves on to the
+//! block at the new `eip`.
 //! [`ExecCtx::run`] is that loop with a visitor that does nothing (the
 //! state checker), [`ExecCtx::run_visiting`] hands each executed op to
 //! the caller (the interpreter's cost stream), and [`ExecCtx::step`] is
@@ -51,13 +53,12 @@
 
 use crate::decode::{decode, DecodeError};
 use crate::exec::{cond_holds, AccessList, Control, MemAccess, StepInfo, MAX_INST_LEN};
-use crate::inst::{Gpr, Inst, MemRef};
+use crate::inst::{AluOp, FpOp, Gpr, Inst, MemRef, MemWidth, ShiftOp};
 use crate::mem::GuestMem;
 use crate::state::{CpuState, Flags};
-use crate::GuestClass;
 use std::ops::ControlFlow;
 
-/// Entries in the direct-mapped micro-op block cache.
+/// Entries in the direct-mapped block cache.
 pub const UOP_CACHE_ENTRIES: usize = 512;
 
 /// Maximum ops per block. Bounds the span to `48 * MAX_INST_LEN = 576`
@@ -145,83 +146,36 @@ impl LazyFlags {
     }
 }
 
-/// No-register sentinel in an [`AddrRecipe`].
-const NO_REG: u8 = 0xFF;
-
-/// Precomputed effective-address recipe: `disp + base + (index << shift)`
-/// with wrapping arithmetic, registers resolved to raw indices
-/// (`NO_REG` = absent).
-#[derive(Debug, Clone, Copy)]
-struct AddrRecipe {
-    base: u8,
-    index: u8,
-    shift: u8,
-    disp: u32,
-}
-
-impl AddrRecipe {
-    fn from_ref(m: &MemRef) -> AddrRecipe {
-        AddrRecipe {
-            base: m.base.map_or(NO_REG, |r| r.index() as u8),
-            index: m.index.map_or(NO_REG, |r| r.index() as u8),
-            shift: m.scale as u8,
-            disp: m.disp as u32,
-        }
-    }
-
-    #[inline]
-    fn ea(&self, cpu: &CpuState) -> u32 {
-        let mut a = self.disp;
-        if self.base != NO_REG {
-            a = a.wrapping_add(cpu.gprs[self.base as usize]);
-        }
-        if self.index != NO_REG {
-            a = a.wrapping_add(cpu.gprs[self.index as usize].wrapping_shl(self.shift as u32));
-        }
-        a
-    }
-}
-
-type Handler =
-    fn(&ExecOp, &mut CpuState, &mut GuestMem, &mut LazyFlags, u32, &mut AccessList) -> Control;
-
-/// One pre-decoded instruction: resolved operands, address recipe,
-/// dispatch handler, and the static metadata every per-step consumer
-/// needs (length, emission shape, block-end/indirect/flag bits).
+/// One pre-decoded instruction and the static facts the dispatch loop
+/// and its visitors read on every execution.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOp {
-    handler: Handler,
-    /// The decoded instruction (carried for [`StepInfo`]).
+    /// The decoded instruction.
     pub inst: Inst,
     /// Encoded length in bytes.
     pub len: u8,
     /// Byte offset of this op from its block's entry pc.
     off: u16,
-    /// Precomputed interpreter emission shape (see
-    /// [`emission_shape`]); consumed by the software layer so the hot
-    /// loop never re-derives it.
-    pub shape: u16,
     /// `inst.writes_flags()`.
     pub wf: bool,
     /// `inst.reads_flags()`.
     pub rf: bool,
     /// `inst.is_block_end()`.
     pub block_end: bool,
-    /// Primary register index (destination, or source for stores).
-    a: u8,
-    /// Secondary register index.
-    b: u8,
-    /// Small discriminant: `AluOp` / `ShiftOp` / `FpOp` / `Cond` as u8,
-    /// or a [`MemWidth`] byte count.
-    sub: u8,
-    /// Immediate (shift amount for `Shift`).
-    imm: u32,
-    /// Direct branch target.
-    target: u32,
-    addr: AddrRecipe,
 }
 
 impl ExecOp {
+    fn new(inst: Inst, len: usize, off: u16) -> ExecOp {
+        ExecOp {
+            inst,
+            len: len as u8,
+            off,
+            wf: inst.writes_flags(),
+            rf: inst.reads_flags(),
+            block_end: inst.is_block_end(),
+        }
+    }
+
     /// The [`StepInfo`] the oracle reports for this instruction, given
     /// how it came out.
     #[inline]
@@ -268,7 +222,7 @@ impl UopBlock {
 pub struct FastStats {
     /// Ops executed from a cached block (entry hits + continuations).
     pub uop_hits: u64,
-    /// Blocks decoded and compiled into micro-ops.
+    /// Blocks decoded into [`ExecOp`] buffers.
     pub blocks_built: u64,
     /// Cached blocks discarded after a generation-stamp mismatch
     /// (self-modifying code).
@@ -280,7 +234,7 @@ pub struct FastStats {
     pub flag_forces: u64,
 }
 
-/// Execution context for the fast path: the micro-op block cache, an
+/// Execution context for the fast path: the decoded-block cache, an
 /// intra-block cursor, the lazy-flags slot, and counters.
 ///
 /// Drop-in alternative to [`crate::exec::step`]: [`ExecCtx::step`]
@@ -405,10 +359,10 @@ impl ExecCtx {
         Ok(info.expect("dispatch executes one op or faults"))
     }
 
-    /// The micro-op dispatch loop — the only place a handler is invoked.
-    /// Executes ops from `cpu.eip` until `budget` (≥ 1) of them have
-    /// run, one halts, or `visit` breaks, crossing from block to block
-    /// at jumps and block ends.
+    /// The dispatch loop — the only caller of `exec_op`. Executes ops
+    /// from `cpu.eip` until `budget` (≥ 1) of them have run, one halts,
+    /// or `visit` breaks, crossing from block to block at jumps and
+    /// block ends.
     ///
     /// A block is located and validated once on entry; inside it the
     /// only re-check is one integer compare per op against the global
@@ -426,7 +380,7 @@ impl ExecCtx {
         mut visit: impl FnMut(u32, &ExecOp, Control, &AccessList) -> ControlFlow<()>,
     ) -> Result<(), DecodeError> {
         let mut left = budget;
-        // Counted in locals: the handler call could alias `self.stats`
+        // Counted in locals: the `exec_op` call could alias `self.stats`
         // as far as the optimizer can tell.
         let (mut flag_defs, mut flag_forces) = (0u64, 0u64);
         let result = loop {
@@ -441,13 +395,13 @@ impl ExecCtx {
             let done = loop {
                 let op = &block.ops[at];
                 flag_defs += u64::from(op.wf);
-                // The handler will force; count it here where the
-                // counters live (only conditional branches read flags).
+                // `Jcc` will force; count it here where the counters
+                // live (only conditional branches read flags).
                 flag_forces += u64::from(op.rf && self.lazy.is_pending());
                 let pc = cpu.eip;
                 let next = pc.wrapping_add(op.len as u32);
                 let mut accesses = AccessList::default();
-                let control = (op.handler)(op, cpu, mem, &mut self.lazy, next, &mut accesses);
+                let control = exec_op(&op.inst, cpu, mem, &mut self.lazy, next, &mut accesses);
                 cpu.eip = match control {
                     Control::Next => next,
                     Control::Jump { target, .. } => target,
@@ -516,8 +470,8 @@ impl ExecCtx {
     }
 }
 
-/// Decodes a run of instructions starting at `pc` into a micro-op
-/// block. The block ends at the first block-ending instruction, at
+/// Decodes a run of instructions starting at `pc` into a block. The
+/// block ends at the first block-ending instruction, at
 /// [`UOP_BLOCK_CAP`] ops, or just before a pc that fails to decode (the
 /// error then surfaces when execution actually reaches it, exactly as
 /// the per-step oracle would report it).
@@ -537,7 +491,7 @@ fn build_block(pc: u32, mem: &GuestMem) -> Result<UopBlock, DecodeError> {
             Err(e) if ops.is_empty() => return Err(e),
             Err(_) => break,
         };
-        let op = compile_op(inst, len, p.wrapping_sub(pc) as u16);
+        let op = ExecOp::new(inst, len, p.wrapping_sub(pc) as u16);
         let end = op.block_end;
         ops.push(op);
         p = p.wrapping_add(len as u32);
@@ -549,875 +503,261 @@ fn build_block(pc: u32, mem: &GuestMem) -> Result<UopBlock, DecodeError> {
     Ok(UopBlock { entry: pc, span, gen: span_gen(mem, pc, span), wg: mem.write_gen(), ops })
 }
 
-/// Mirrors `darco-tol`'s interpreter emission shape key, computed from
-/// the instruction statically (access pattern and jump presence are
-/// fully determined by the variant). The software layer debug-asserts
-/// the two formulas agree on every step.
-pub fn emission_shape(inst: &Inst) -> u16 {
-    let opcode = match inst.class() {
-        GuestClass::Int => 0u32,
-        GuestClass::IntComplex => 1,
-        GuestClass::Fp => 2,
-        GuestClass::FpComplex => 3,
-        GuestClass::Load => 4,
-        GuestClass::Store => 5,
-        GuestClass::Branch => 6,
-        GuestClass::Call => 7,
-        GuestClass::Ret => 8,
-        GuestClass::IndirectBranch => 9,
-        GuestClass::Other => 10,
-    };
-    let wf = u32::from(inst.writes_flags());
-    // Access pattern in base 3, slot-ordered: none=0, load=1, store=2.
-    use Inst::*;
-    let acc: u32 = match inst {
-        Load { .. }
-        | LoadZx { .. }
-        | LoadSx { .. }
-        | AluRM { .. }
-        | Pop { .. }
-        | JmpMem { .. }
-        | Ret
-        | FLoad { .. } => 1,
-        Store { .. }
-        | StoreI { .. }
-        | StoreN { .. }
-        | Push { .. }
-        | Call { .. }
-        | CallInd { .. }
-        | FStore { .. } => 2,
-        AluMR { .. } => 1 + 2 * 3,
-        _ => 0,
-    };
-    let jump = u32::from(matches!(
-        inst,
-        Jcc { .. }
-            | Jmp { .. }
-            | JmpInd { .. }
-            | JmpMem { .. }
-            | Call { .. }
-            | CallInd { .. }
-            | Ret
-    ));
-    (((opcode * 2 + wf) * 9 + acc) * 2 + jump) as u16
-}
-
-/// Resolves one decoded instruction into an [`ExecOp`].
-fn compile_op(inst: Inst, len: usize, off: u16) -> ExecOp {
-    let mut op = ExecOp {
-        handler: h_nop,
-        inst,
-        len: len as u8,
-        off,
-        shape: emission_shape(&inst),
-        wf: inst.writes_flags(),
-        rf: inst.reads_flags(),
-        block_end: inst.is_block_end(),
-        a: 0,
-        b: 0,
-        sub: 0,
-        imm: 0,
-        target: 0,
-        addr: AddrRecipe { base: NO_REG, index: NO_REG, shift: 0, disp: 0 },
-    };
-    use Inst::*;
-    match inst {
-        Nop | Syscall => op.handler = h_nop,
-        Halt => op.handler = h_halt,
-        MovRR { dst, src } => {
-            op.handler = h_mov_rr;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        MovRI { dst, imm } => {
-            op.handler = h_mov_ri;
-            op.a = dst.index() as u8;
-            op.imm = imm as u32;
-        }
-        Load { dst, addr } => {
-            op.handler = h_load;
-            op.a = dst.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        Store { addr, src } => {
-            op.handler = h_store;
-            op.a = src.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        StoreI { addr, imm } => {
-            op.handler = h_store_i;
-            op.imm = imm as u32;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        LoadZx { dst, addr, width } => {
-            op.handler = h_load_zx;
-            op.a = dst.index() as u8;
-            op.sub = width.bytes();
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        LoadSx { dst, addr, width } => {
-            op.handler = h_load_sx;
-            op.a = dst.index() as u8;
-            op.sub = width.bytes();
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        StoreN { addr, src, width } => {
-            op.handler = h_store_n;
-            op.a = src.index() as u8;
-            op.sub = width.bytes();
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        Lea { dst, addr } => {
-            op.handler = h_lea;
-            op.a = dst.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        AluRR { op: o, dst, src } => {
-            op.handler = h_alu_rr;
-            op.sub = o as u8;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        AluRI { op: o, dst, imm } => {
-            op.handler = h_alu_ri;
-            op.sub = o as u8;
-            op.a = dst.index() as u8;
-            op.imm = imm as u32;
-        }
-        AluRM { op: o, dst, addr } => {
-            op.handler = h_alu_rm;
-            op.sub = o as u8;
-            op.a = dst.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        AluMR { op: o, addr, src } => {
-            op.handler = h_alu_mr;
-            op.sub = o as u8;
-            op.a = src.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        CmpRR { a, b } => {
-            op.handler = h_cmp_rr;
-            op.a = a.index() as u8;
-            op.b = b.index() as u8;
-        }
-        CmpRI { a, imm } => {
-            op.handler = h_cmp_ri;
-            op.a = a.index() as u8;
-            op.imm = imm as u32;
-        }
-        TestRR { a, b } => {
-            op.handler = h_test_rr;
-            op.a = a.index() as u8;
-            op.b = b.index() as u8;
-        }
-        Shift { op: o, dst, amount } => {
-            op.handler = h_shift;
-            op.sub = o as u8;
-            op.a = dst.index() as u8;
-            op.imm = amount as u32;
-        }
-        ShiftCl { op: o, dst } => {
-            op.handler = h_shift_cl;
-            op.sub = o as u8;
-            op.a = dst.index() as u8;
-        }
-        Imul { dst, src } => {
-            op.handler = h_imul;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        Idiv { dst, src } => {
-            op.handler = h_idiv;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        Neg { dst } => {
-            op.handler = h_neg;
-            op.a = dst.index() as u8;
-        }
-        Not { dst } => {
-            op.handler = h_not;
-            op.a = dst.index() as u8;
-        }
-        Push { src } => {
-            op.handler = h_push;
-            op.a = src.index() as u8;
-        }
-        Pop { dst } => {
-            op.handler = h_pop;
-            op.a = dst.index() as u8;
-        }
-        Jcc { cond, target } => {
-            op.handler = h_jcc;
-            op.sub = cond as u8;
-            op.target = target;
-        }
-        Jmp { target } => {
-            op.handler = h_jmp;
-            op.target = target;
-        }
-        JmpInd { reg } => {
-            op.handler = h_jmp_ind;
-            op.a = reg.index() as u8;
-        }
-        JmpMem { addr } => {
-            op.handler = h_jmp_mem;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        Call { target } => {
-            op.handler = h_call;
-            op.target = target;
-        }
-        CallInd { reg } => {
-            op.handler = h_call_ind;
-            op.a = reg.index() as u8;
-        }
-        Ret => op.handler = h_ret,
-        FMovRR { dst, src } => {
-            op.handler = h_fmov_rr;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        FLoad { dst, addr } => {
-            op.handler = h_fload;
-            op.a = dst.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        FStore { addr, src } => {
-            op.handler = h_fstore;
-            op.a = src.index() as u8;
-            op.addr = AddrRecipe::from_ref(&addr);
-        }
-        FArith { op: o, dst, src } => {
-            op.handler = h_farith;
-            op.sub = o as u8;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        CvtIF { dst, src } => {
-            op.handler = h_cvt_if;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-        CvtFI { dst, src } => {
-            op.handler = h_cvt_fi;
-            op.a = dst.index() as u8;
-            op.b = src.index() as u8;
-        }
-    }
-    op
-}
-
-// ---------------------------------------------------------------------
-// Handlers. Each mirrors the corresponding arm of
-// `crate::exec::exec_decoded` exactly, with eager flag computation
-// replaced by a `LazyFlags` record.
-// ---------------------------------------------------------------------
-
-/// ALU with lazy flags; `sub` is the `AluOp` discriminant.
+/// Effective address of a memory operand: `disp + base + (index <<
+/// scale)`, wrapping.
 #[inline]
-fn alu_lazy(sub: u8, a: u32, b: u32, lazy: &mut LazyFlags) -> u32 {
-    match sub {
-        0 => {
-            *lazy = LazyFlags::Add(a, b);
-            a.wrapping_add(b)
-        }
-        1 => {
-            *lazy = LazyFlags::Sub(a, b);
-            a.wrapping_sub(b)
-        }
-        2 => {
-            let r = a & b;
-            *lazy = LazyFlags::Logic(r);
-            r
-        }
-        3 => {
-            let r = a | b;
-            *lazy = LazyFlags::Logic(r);
-            r
-        }
-        _ => {
-            let r = a ^ b;
-            *lazy = LazyFlags::Logic(r);
-            r
-        }
+fn ea(m: &MemRef, cpu: &CpuState) -> u32 {
+    let mut a = m.disp as u32;
+    if let Some(b) = m.base {
+        a = a.wrapping_add(cpu.gpr(b));
     }
+    if let Some(i) = m.index {
+        a = a.wrapping_add(cpu.gpr(i) << m.scale as u32);
+    }
+    a
 }
 
-/// Non-zero-amount shift with lazy flags; `sub` is the `ShiftOp`
-/// discriminant.
+/// ALU result, with the flag definition recorded instead of computed.
 #[inline]
-fn shift_lazy(sub: u8, v: u32, amt: u32, lazy: &mut LazyFlags) -> u32 {
+fn alu_lazy(op: AluOp, a: u32, b: u32, lazy: &mut LazyFlags) -> u32 {
+    let (r, def) = match op {
+        AluOp::Add => (a.wrapping_add(b), LazyFlags::Add(a, b)),
+        AluOp::Sub => (a.wrapping_sub(b), LazyFlags::Sub(a, b)),
+        AluOp::And => (a & b, LazyFlags::Logic(a & b)),
+        AluOp::Or => (a | b, LazyFlags::Logic(a | b)),
+        AluOp::Xor => (a ^ b, LazyFlags::Logic(a ^ b)),
+    };
+    *lazy = def;
+    r
+}
+
+/// Shift by a non-zero amount (already masked to `1..32`), with the flag
+/// definition recorded instead of computed.
+#[inline]
+fn shift_lazy(op: ShiftOp, v: u32, amt: u32, lazy: &mut LazyFlags) -> u32 {
     debug_assert!(amt != 0 && amt < 32);
-    let (r, cf) = match sub {
-        0 => (v << amt, (v >> (32 - amt)) & 1 != 0),
-        1 => (v >> amt, (v >> (amt - 1)) & 1 != 0),
-        _ => (((v as i32) >> amt) as u32, ((v as i32) >> (amt - 1)) & 1 != 0),
+    let (r, cf) = match op {
+        ShiftOp::Shl => (v << amt, (v >> (32 - amt)) & 1 != 0),
+        ShiftOp::Shr => (v >> amt, (v >> (amt - 1)) & 1 != 0),
+        ShiftOp::Sar => (((v as i32) >> amt) as u32, ((v as i32) >> (amt - 1)) & 1 != 0),
     };
     *lazy = LazyFlags::ShiftCf { result: r, cf };
     r
 }
 
-const ESP: usize = Gpr::Esp as usize;
-const ECX: usize = Gpr::Ecx as usize;
-
-fn h_nop(
-    _op: &ExecOp,
-    _cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    Control::Next
-}
-
-fn h_halt(
-    _op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.halted = true;
-    Control::Halt
-}
-
-fn h_mov_rr(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.gprs[op.a as usize] = cpu.gprs[op.b as usize];
-    Control::Next
-}
-
-fn h_mov_ri(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.gprs[op.a as usize] = op.imm;
-    Control::Next
-}
-
-fn h_load(
-    op: &ExecOp,
+/// Executes one decoded instruction whose successor is at `next`. Laid
+/// out arm for arm like [`crate::exec::exec_decoded`], which it must
+/// equal in state, memory, accesses and control; the one difference is
+/// that a flag writer records a [`LazyFlags`] definition instead of
+/// writing `cpu.flags`, and `Jcc` forces the pending one. The caller
+/// moves `eip`.
+// Measured, not assumed (EXPERIMENTS.md "One `match` for the guest fast
+// executor"): plain `#[inline]` or none costs `ExecCtx::run` ~12 %.
+#[inline(always)]
+fn exec_op(
+    inst: &Inst,
     cpu: &mut CpuState,
     mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 4, is_store: false });
-    cpu.gprs[op.a as usize] = mem.read_u32(a);
-    Control::Next
-}
-
-fn h_store(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 4, is_store: true });
-    mem.write_u32(a, cpu.gprs[op.a as usize]);
-    Control::Next
-}
-
-fn h_store_i(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 4, is_store: true });
-    mem.write_u32(a, op.imm);
-    Control::Next
-}
-
-fn h_load_zx(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: op.sub, is_store: false });
-    cpu.gprs[op.a as usize] =
-        if op.sub == 1 { mem.read_u8(a) as u32 } else { mem.read_u16(a) as u32 };
-    Control::Next
-}
-
-fn h_load_sx(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: op.sub, is_store: false });
-    cpu.gprs[op.a as usize] = if op.sub == 1 {
-        mem.read_u8(a) as i8 as i32 as u32
-    } else {
-        mem.read_u16(a) as i16 as i32 as u32
-    };
-    Control::Next
-}
-
-fn h_store_n(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: op.sub, is_store: true });
-    let v = cpu.gprs[op.a as usize];
-    if op.sub == 1 {
-        mem.write_u8(a, v as u8);
-    } else {
-        mem.write_u16(a, v as u16);
-    }
-    Control::Next
-}
-
-fn h_lea(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.gprs[op.a as usize] = op.addr.ea(cpu);
-    Control::Next
-}
-
-fn h_alu_rr(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.gprs[op.a as usize] =
-        alu_lazy(op.sub, cpu.gprs[op.a as usize], cpu.gprs[op.b as usize], lz);
-    Control::Next
-}
-
-fn h_alu_ri(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.gprs[op.a as usize] = alu_lazy(op.sub, cpu.gprs[op.a as usize], op.imm, lz);
-    Control::Next
-}
-
-fn h_alu_rm(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 4, is_store: false });
-    cpu.gprs[op.a as usize] = alu_lazy(op.sub, cpu.gprs[op.a as usize], mem.read_u32(a), lz);
-    Control::Next
-}
-
-fn h_alu_mr(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 4, is_store: false });
-    acc.push(MemAccess { addr: a, size: 4, is_store: true });
-    let r = alu_lazy(op.sub, mem.read_u32(a), cpu.gprs[op.a as usize], lz);
-    mem.write_u32(a, r);
-    Control::Next
-}
-
-fn h_cmp_rr(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    *lz = LazyFlags::Sub(cpu.gprs[op.a as usize], cpu.gprs[op.b as usize]);
-    Control::Next
-}
-
-fn h_cmp_ri(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    *lz = LazyFlags::Sub(cpu.gprs[op.a as usize], op.imm);
-    Control::Next
-}
-
-fn h_test_rr(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    *lz = LazyFlags::Logic(cpu.gprs[op.a as usize] & cpu.gprs[op.b as usize]);
-    Control::Next
-}
-
-fn h_shift(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    // Zero shift amount leaves the value *and* the pending flag
-    // definition untouched (the oracle preserves flags here).
-    let amt = op.imm & 31;
-    if amt != 0 {
-        cpu.gprs[op.a as usize] = shift_lazy(op.sub, cpu.gprs[op.a as usize], amt, lz);
-    }
-    Control::Next
-}
-
-fn h_shift_cl(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    let amt = cpu.gprs[ECX] & 31;
-    if amt != 0 {
-        cpu.gprs[op.a as usize] = shift_lazy(op.sub, cpu.gprs[op.a as usize], amt, lz);
-    } else {
-        // CL form always (re)defines flags, even at amount zero.
-        *lz = LazyFlags::Logic(cpu.gprs[op.a as usize]);
-    }
-    Control::Next
-}
-
-fn h_imul(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    let a = cpu.gprs[op.a as usize] as i32 as i64;
-    let b = cpu.gprs[op.b as usize] as i32 as i64;
-    let wide = a * b;
-    let r = wide as i32;
-    let ov = wide != r as i64;
-    cpu.gprs[op.a as usize] = r as u32;
-    *lz = LazyFlags::MulOv { result: r as u32, ov };
-    Control::Next
-}
-
-fn h_idiv(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    let a = cpu.gprs[op.a as usize] as i32;
-    let b = cpu.gprs[op.b as usize] as i32;
-    let r = if b == 0 { 0 } else { a.wrapping_div(b) };
-    cpu.gprs[op.a as usize] = r as u32;
-    *lz = LazyFlags::Result(r as u32);
-    Control::Next
-}
-
-fn h_neg(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    // `Flags::sub(0, v)` has borrow-out exactly when `v != 0`, which is
-    // the oracle's explicit `cf = v != 0` fixup — `Sub(0, v)` encodes
-    // the whole thing.
-    let v = cpu.gprs[op.a as usize];
-    cpu.gprs[op.a as usize] = 0u32.wrapping_sub(v);
-    *lz = LazyFlags::Sub(0, v);
-    Control::Next
-}
-
-fn h_not(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.gprs[op.a as usize] = !cpu.gprs[op.a as usize];
-    Control::Next
-}
-
-fn h_push(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let sp = cpu.gprs[ESP].wrapping_sub(4);
-    cpu.gprs[ESP] = sp;
-    acc.push(MemAccess { addr: sp, size: 4, is_store: true });
-    mem.write_u32(sp, cpu.gprs[op.a as usize]);
-    Control::Next
-}
-
-fn h_pop(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let sp = cpu.gprs[ESP];
-    acc.push(MemAccess { addr: sp, size: 4, is_store: false });
-    let v = mem.read_u32(sp);
-    cpu.gprs[ESP] = sp.wrapping_add(4);
-    cpu.gprs[op.a as usize] = v;
-    Control::Next
-}
-
-fn h_jcc(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    lz: &mut LazyFlags,
+    lazy: &mut LazyFlags,
     next: u32,
-    _acc: &mut AccessList,
+    accesses: &mut AccessList,
 ) -> Control {
-    lz.force(cpu);
-    let cond = match op.inst {
-        Inst::Jcc { cond, .. } => cond,
-        _ => unreachable!("h_jcc compiled from a non-Jcc instruction"),
-    };
-    if cond_holds(cond, cpu.flags) {
-        Control::Jump { target: op.target, taken: true }
-    } else {
-        Control::Jump { target: next, taken: false }
+    use Inst::*;
+    match *inst {
+        Nop | Syscall => {}
+        Halt => {
+            cpu.halted = true;
+            return Control::Halt;
+        }
+        MovRR { dst, src } => cpu.set_gpr(dst, cpu.gpr(src)),
+        MovRI { dst, imm } => cpu.set_gpr(dst, imm as u32),
+        Load { dst, addr } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 4, is_store: false });
+            cpu.set_gpr(dst, mem.read_u32(a));
+        }
+        Store { addr, src } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 4, is_store: true });
+            mem.write_u32(a, cpu.gpr(src));
+        }
+        StoreI { addr, imm } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 4, is_store: true });
+            mem.write_u32(a, imm as u32);
+        }
+        LoadZx { dst, addr, width } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: width.bytes(), is_store: false });
+            let v = match width {
+                MemWidth::B1 => mem.read_u8(a) as u32,
+                MemWidth::B2 => mem.read_u16(a) as u32,
+            };
+            cpu.set_gpr(dst, v);
+        }
+        LoadSx { dst, addr, width } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: width.bytes(), is_store: false });
+            let v = match width {
+                MemWidth::B1 => mem.read_u8(a) as i8 as i32 as u32,
+                MemWidth::B2 => mem.read_u16(a) as i16 as i32 as u32,
+            };
+            cpu.set_gpr(dst, v);
+        }
+        StoreN { addr, src, width } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: width.bytes(), is_store: true });
+            match width {
+                MemWidth::B1 => mem.write_u8(a, cpu.gpr(src) as u8),
+                MemWidth::B2 => mem.write_u16(a, cpu.gpr(src) as u16),
+            }
+        }
+        Lea { dst, addr } => cpu.set_gpr(dst, ea(&addr, cpu)),
+        AluRR { op, dst, src } => {
+            let r = alu_lazy(op, cpu.gpr(dst), cpu.gpr(src), lazy);
+            cpu.set_gpr(dst, r);
+        }
+        AluRI { op, dst, imm } => {
+            let r = alu_lazy(op, cpu.gpr(dst), imm as u32, lazy);
+            cpu.set_gpr(dst, r);
+        }
+        AluRM { op, dst, addr } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 4, is_store: false });
+            let r = alu_lazy(op, cpu.gpr(dst), mem.read_u32(a), lazy);
+            cpu.set_gpr(dst, r);
+        }
+        AluMR { op, addr, src } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 4, is_store: false });
+            accesses.push(MemAccess { addr: a, size: 4, is_store: true });
+            let r = alu_lazy(op, mem.read_u32(a), cpu.gpr(src), lazy);
+            mem.write_u32(a, r);
+        }
+        CmpRR { a, b } => *lazy = LazyFlags::Sub(cpu.gpr(a), cpu.gpr(b)),
+        CmpRI { a, imm } => *lazy = LazyFlags::Sub(cpu.gpr(a), imm as u32),
+        TestRR { a, b } => *lazy = LazyFlags::Logic(cpu.gpr(a) & cpu.gpr(b)),
+        Shift { op, dst, amount } => {
+            // A zero amount leaves the value *and* the pending flag
+            // definition untouched (the oracle preserves flags here).
+            let amt = amount as u32 & 31;
+            if amt != 0 {
+                let r = shift_lazy(op, cpu.gpr(dst), amt, lazy);
+                cpu.set_gpr(dst, r);
+            }
+        }
+        ShiftCl { op, dst } => {
+            // The CL form always (re)defines flags, even at amount zero.
+            let amt = cpu.gpr(Gpr::Ecx) & 31;
+            if amt != 0 {
+                let r = shift_lazy(op, cpu.gpr(dst), amt, lazy);
+                cpu.set_gpr(dst, r);
+            } else {
+                *lazy = LazyFlags::Logic(cpu.gpr(dst));
+            }
+        }
+        Imul { dst, src } => {
+            let a = cpu.gpr(dst) as i32 as i64;
+            let b = cpu.gpr(src) as i32 as i64;
+            let wide = a * b;
+            let r = wide as i32;
+            cpu.set_gpr(dst, r as u32);
+            *lazy = LazyFlags::MulOv { result: r as u32, ov: wide != r as i64 };
+        }
+        Idiv { dst, src } => {
+            let a = cpu.gpr(dst) as i32;
+            let b = cpu.gpr(src) as i32;
+            let r = if b == 0 { 0 } else { a.wrapping_div(b) };
+            cpu.set_gpr(dst, r as u32);
+            *lazy = LazyFlags::Result(r as u32);
+        }
+        Neg { dst } => {
+            // `Flags::sub(0, v)` borrows exactly when `v != 0`, which is
+            // the oracle's explicit `cf = v != 0` fixup.
+            let v = cpu.gpr(dst);
+            cpu.set_gpr(dst, 0u32.wrapping_sub(v));
+            *lazy = LazyFlags::Sub(0, v);
+        }
+        Not { dst } => cpu.set_gpr(dst, !cpu.gpr(dst)),
+        Push { src } => {
+            let sp = cpu.gpr(Gpr::Esp).wrapping_sub(4);
+            cpu.set_gpr(Gpr::Esp, sp);
+            accesses.push(MemAccess { addr: sp, size: 4, is_store: true });
+            mem.write_u32(sp, cpu.gpr(src));
+        }
+        Pop { dst } => {
+            let sp = cpu.gpr(Gpr::Esp);
+            accesses.push(MemAccess { addr: sp, size: 4, is_store: false });
+            let v = mem.read_u32(sp);
+            cpu.set_gpr(Gpr::Esp, sp.wrapping_add(4));
+            cpu.set_gpr(dst, v);
+        }
+        Jcc { cond, target } => {
+            lazy.force(cpu);
+            return if cond_holds(cond, cpu.flags) {
+                Control::Jump { target, taken: true }
+            } else {
+                Control::Jump { target: next, taken: false }
+            };
+        }
+        Jmp { target } => return Control::Jump { target, taken: true },
+        JmpInd { reg } => return Control::Jump { target: cpu.gpr(reg), taken: true },
+        JmpMem { addr } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 4, is_store: false });
+            return Control::Jump { target: mem.read_u32(a), taken: true };
+        }
+        Call { target } => {
+            let sp = cpu.gpr(Gpr::Esp).wrapping_sub(4);
+            cpu.set_gpr(Gpr::Esp, sp);
+            accesses.push(MemAccess { addr: sp, size: 4, is_store: true });
+            mem.write_u32(sp, next);
+            return Control::Jump { target, taken: true };
+        }
+        CallInd { reg } => {
+            let target = cpu.gpr(reg);
+            let sp = cpu.gpr(Gpr::Esp).wrapping_sub(4);
+            cpu.set_gpr(Gpr::Esp, sp);
+            accesses.push(MemAccess { addr: sp, size: 4, is_store: true });
+            mem.write_u32(sp, next);
+            return Control::Jump { target, taken: true };
+        }
+        Ret => {
+            let sp = cpu.gpr(Gpr::Esp);
+            accesses.push(MemAccess { addr: sp, size: 4, is_store: false });
+            let target = mem.read_u32(sp);
+            cpu.set_gpr(Gpr::Esp, sp.wrapping_add(4));
+            return Control::Jump { target, taken: true };
+        }
+        FMovRR { dst, src } => cpu.set_fpr(dst, cpu.fpr(src)),
+        FLoad { dst, addr } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 8, is_store: false });
+            cpu.set_fpr(dst, mem.read_f64(a));
+        }
+        FStore { addr, src } => {
+            let a = ea(&addr, cpu);
+            accesses.push(MemAccess { addr: a, size: 8, is_store: true });
+            mem.write_f64(a, cpu.fpr(src));
+        }
+        FArith { op, dst, src } => {
+            let a = cpu.fpr(dst);
+            let b = cpu.fpr(src);
+            let r = match op {
+                FpOp::Add => a + b,
+                FpOp::Sub => a - b,
+                FpOp::Mul => a * b,
+                FpOp::Div => a / b,
+            };
+            cpu.set_fpr(dst, r);
+        }
+        CvtIF { dst, src } => cpu.set_fpr(dst, cpu.gpr(src) as i32 as f64),
+        CvtFI { dst, src } => {
+            let v = cpu.fpr(src);
+            let r = if v.is_nan() { 0 } else { v.clamp(i32::MIN as f64, i32::MAX as f64) as i32 };
+            cpu.set_gpr(dst, r as u32);
+        }
     }
-}
-
-fn h_jmp(
-    op: &ExecOp,
-    _cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    Control::Jump { target: op.target, taken: true }
-}
-
-fn h_jmp_ind(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    Control::Jump { target: cpu.gprs[op.a as usize], taken: true }
-}
-
-fn h_jmp_mem(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 4, is_store: false });
-    Control::Jump { target: mem.read_u32(a), taken: true }
-}
-
-fn h_call(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let sp = cpu.gprs[ESP].wrapping_sub(4);
-    cpu.gprs[ESP] = sp;
-    acc.push(MemAccess { addr: sp, size: 4, is_store: true });
-    mem.write_u32(sp, next);
-    Control::Jump { target: op.target, taken: true }
-}
-
-fn h_call_ind(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let target = cpu.gprs[op.a as usize];
-    let sp = cpu.gprs[ESP].wrapping_sub(4);
-    cpu.gprs[ESP] = sp;
-    acc.push(MemAccess { addr: sp, size: 4, is_store: true });
-    mem.write_u32(sp, next);
-    Control::Jump { target, taken: true }
-}
-
-fn h_ret(
-    _op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let sp = cpu.gprs[ESP];
-    acc.push(MemAccess { addr: sp, size: 4, is_store: false });
-    let target = mem.read_u32(sp);
-    cpu.gprs[ESP] = sp.wrapping_add(4);
-    Control::Jump { target, taken: true }
-}
-
-fn h_fmov_rr(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.fprs[op.a as usize] = cpu.fprs[op.b as usize];
-    Control::Next
-}
-
-fn h_fload(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 8, is_store: false });
-    cpu.fprs[op.a as usize] = mem.read_f64(a);
-    Control::Next
-}
-
-fn h_fstore(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    acc: &mut AccessList,
-) -> Control {
-    let a = op.addr.ea(cpu);
-    acc.push(MemAccess { addr: a, size: 8, is_store: true });
-    mem.write_f64(a, cpu.fprs[op.a as usize]);
-    Control::Next
-}
-
-fn h_farith(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    let a = cpu.fprs[op.a as usize];
-    let b = cpu.fprs[op.b as usize];
-    cpu.fprs[op.a as usize] = match op.sub {
-        0 => a + b,
-        1 => a - b,
-        2 => a * b,
-        _ => a / b,
-    };
-    Control::Next
-}
-
-fn h_cvt_if(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    cpu.fprs[op.a as usize] = cpu.gprs[op.b as usize] as i32 as f64;
-    Control::Next
-}
-
-fn h_cvt_fi(
-    op: &ExecOp,
-    cpu: &mut CpuState,
-    _mem: &mut GuestMem,
-    _lz: &mut LazyFlags,
-    _next: u32,
-    _acc: &mut AccessList,
-) -> Control {
-    let v = cpu.fprs[op.b as usize];
-    let r = if v.is_nan() { 0 } else { v.clamp(i32::MIN as f64, i32::MAX as f64) as i32 };
-    cpu.gprs[op.a as usize] = r as u32;
     Control::Next
 }
 

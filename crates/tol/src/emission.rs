@@ -26,7 +26,7 @@
 use crate::profile::StaticMode;
 use crate::translate::RegionInst;
 use darco_guest::exec::{Control, StepInfo};
-use darco_guest::{GuestClass, Inst};
+use darco_guest::GuestClass;
 use darco_host::events::{EventBuffer, HostEvent};
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE, TOL_DATA_BASE};
 use darco_host::stream::int_reg;
@@ -129,7 +129,7 @@ const INTERP_SHAPES: usize = 11 * 2 * 9 * 2;
 /// opcode), and every pc and scratch register in the sequence is reset
 /// per call.
 fn shape_key(info: &StepInfo) -> usize {
-    let opcode = opcode_of(&info.inst) as usize;
+    let opcode = info.inst.class() as usize;
     let wf = usize::from(info.inst.writes_flags());
     let mut acc = 0usize;
     for (i, a) in info.accesses.iter().enumerate() {
@@ -150,7 +150,7 @@ fn emit_interp(
     marks: &mut InterpMarks,
 ) {
     let comp = c.comp;
-    let opcode = opcode_of(&info.inst);
+    let opcode = info.inst.class() as u64;
     // Fetch guest code bytes as data (variable length: two probes).
     marks.fetch0 = c.count as usize;
     c.ld(guest_to_host(guest_pc));
@@ -320,24 +320,6 @@ impl<'a, T: RetireTarget> Cur<'a, T> {
     }
 }
 
-fn opcode_of(inst: &Inst) -> u64 {
-    // A stable per-variant discriminator for handler targets and decode
-    // table indexing.
-    match inst.class() {
-        GuestClass::Int => 0,
-        GuestClass::IntComplex => 1,
-        GuestClass::Fp => 2,
-        GuestClass::FpComplex => 3,
-        GuestClass::Load => 4,
-        GuestClass::Store => 5,
-        GuestClass::Branch => 6,
-        GuestClass::Call => 7,
-        GuestClass::Ret => 8,
-        GuestClass::IndirectBranch => 9,
-        GuestClass::Other => 10,
-    }
-}
-
 /// Hash used for map buckets and profile slots.
 fn bucket_of(pc: u32) -> u64 {
     (pc.wrapping_mul(0x9E37_79B9) as u64 >> 13) % costs::MAP_BUCKETS
@@ -369,40 +351,8 @@ impl Emitter {
     /// The stream for this step's shape is recorded once, through
     /// `emit_interp`, and replayed with only the per-step fields patched.
     pub fn interp_step(&mut self, ev: &mut EventBuffer<'_>, guest_pc: u32, info: &StepInfo) {
-        self.interp_step_keyed(ev, guest_pc, info, None);
-    }
-
-    /// [`Emitter::interp_step`] with the emission shape precomputed by
-    /// the caller — the guest layer's micro-op buffers carry
-    /// [`darco_guest::uops::emission_shape`] per op, so the fast
-    /// interpreter loop skips re-deriving `shape_key` every step. The
-    /// emitted stream is identical; debug builds assert the static key
-    /// matches the dynamic one.
-    pub fn interp_step_shaped(
-        &mut self,
-        ev: &mut EventBuffer<'_>,
-        guest_pc: u32,
-        info: &StepInfo,
-        shape: u16,
-    ) {
-        debug_assert_eq!(
-            shape as usize,
-            shape_key(info),
-            "static emission shape diverged from the dynamic key for {:?}",
-            info.inst
-        );
-        self.interp_step_keyed(ev, guest_pc, info, Some(shape as usize));
-    }
-
-    fn interp_step_keyed(
-        &mut self,
-        ev: &mut EventBuffer<'_>,
-        guest_pc: u32,
-        info: &StepInfo,
-        key: Option<usize>,
-    ) {
         let comp = Component::TolIm;
-        let key = key.unwrap_or_else(|| shape_key(info));
+        let key = shape_key(info);
         if self.interp_tpl[key].is_none() {
             let mut insts = Vec::new();
             let mut marks = InterpMarks::default();
@@ -443,7 +393,7 @@ impl Emitter {
         let comp = Component::TolBbm;
         let mut c = Cur::new(TOL_CODE_BASE + code::TRANSLATOR, comp, ev);
         for r in insts {
-            let opcode = opcode_of(&r.inst);
+            let opcode = r.inst.class() as u64;
             c.ld(guest_to_host(r.pc)); // read guest code
             c.use_load();
             c.ld(TOL_DATA_BASE + data::DECODE_TABLE + opcode * 64);
@@ -455,7 +405,8 @@ impl Emitter {
             c.br(
                 BranchKind::CondDirect,
                 TOL_CODE_BASE + code::TRANSLATOR + 0x100,
-                opcode != 9, // "needs indirect-branch handling?" — rare
+                // "needs indirect-branch handling?" — rare
+                r.inst.class() != GuestClass::IndirectBranch,
             );
             c.alu(costs::TRANSLATE_PER_INST_ALU);
             // Flag-writing guests need the EFLAGS emulation path too.
@@ -694,7 +645,7 @@ impl Emitter {
 mod tests {
     use super::*;
     use darco_guest::exec::{AccessList, Control};
-    use darco_guest::Gpr;
+    use darco_guest::{Gpr, Inst};
     use darco_host::events::RetireSink;
     use darco_host::Owner;
 

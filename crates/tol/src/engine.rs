@@ -360,9 +360,9 @@ impl Tol {
     }
 
     /// Interprets one basic block (IM): cold guest code runs against the
-    /// *emulated* guest state from the guest layer's pre-decoded micro-op
-    /// buffers, with each instruction's host cost charged through
-    /// [`Emitter::interp_step_shaped`]. The paper counts interpretation
+    /// *emulated* guest state from the guest layer's pre-decoded blocks,
+    /// with each instruction's host cost charged through
+    /// [`Emitter::interp_step`]. The paper counts interpretation
     /// as overhead despite its forward progress because of the high
     /// per-instruction emulation cost (Sec. III-B) — the emitted stream
     /// reflects that cost.
@@ -384,7 +384,7 @@ impl Tol {
         let ran =
             fastctx.run_visiting(&mut cpu, mem, u64::MAX, &mut n, |pc, op, control, accesses| {
                 prof.mark_static([pc], StaticMode::Im);
-                em.interp_step_shaped(ev, pc, &op.step_info(control, accesses), op.shape);
+                em.interp_step(ev, pc, &op.step_info(control, accesses));
                 if op.inst.is_indirect() {
                     counters.indirect_branches += 1;
                 }
@@ -1194,9 +1194,7 @@ mod tests {
         // readable loop the visitor replaced: decode and execute one
         // instruction with the independent executor, then charge its
         // cost stream from the `StepInfo` that reports. Every IM-cost
-        // retirement must be equal, in order; the debug_assert inside
-        // interp_step_shaped additionally pins the static emission shape
-        // against the dynamic key on every op.
+        // retirement must be equal, in order.
         use darco_guest::MemRef;
         use darco_host::Component;
 

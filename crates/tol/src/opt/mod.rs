@@ -82,7 +82,7 @@ pub struct OptScratch {
 pub(crate) struct Pass {
     pub name: &'static str,
     pub kind: PassKind,
-    pub run: fn(&mut IrBlock, &TolConfig, &mut OptScratch),
+    pub run: fn(&mut IrBlock, &mut OptScratch),
 }
 
 /// The `TolConfig` switch that turns a pass on.
@@ -94,31 +94,31 @@ type Enabled = fn(&TolConfig) -> bool;
 static PIPELINE: [(Enabled, Pass); 6] = [
     (
         |c| c.opt_constprop,
-        Pass { name: "constprop", kind: PassKind::Rewrite, run: |b, _, s| constprop::run(b, s) },
+        Pass { name: "constprop", kind: PassKind::Rewrite, run: |b, s| constprop::run(b, s) },
     ),
-    (|c| c.opt_cse, Pass { name: "cse", kind: PassKind::Rewrite, run: |b, _, s| cse::run(b, s) }),
+    (|c| c.opt_cse, Pass { name: "cse", kind: PassKind::Rewrite, run: |b, s| cse::run(b, s) }),
     (
         |c| c.opt_cse && c.opt_constprop,
         Pass {
             name: "constprop-cleanup",
             kind: PassKind::Rewrite,
-            run: |b, _, s| constprop::run(b, s),
+            run: |b, s| constprop::run(b, s),
         },
     ),
-    (|c| c.opt_dce, Pass { name: "dce", kind: PassKind::Dce, run: |b, _, s| dce::run(b, s) }),
+    (|c| c.opt_dce, Pass { name: "dce", kind: PassKind::Dce, run: |b, s| dce::run(b, s) }),
     (
         |c| c.opt_sw_prefetch,
         Pass {
             name: "swprefetch",
             kind: PassKind::Insert,
-            run: |b, _, _| {
+            run: |b, _| {
                 swprefetch::run(b);
             },
         },
     ),
     (
         |c| c.opt_schedule,
-        Pass { name: "schedule", kind: PassKind::Schedule, run: |b, _, s| schedule::run(b, s) },
+        Pass { name: "schedule", kind: PassKind::Schedule, run: |b, s| schedule::run(b, s) },
     ),
 ];
 
@@ -180,7 +180,7 @@ pub(crate) fn run_pipeline<'p>(
     let mut live = count_live(&block);
     for pass in passes {
         let pre = checking.then(|| block.clone());
-        timed(nanos, pass.name, || (pass.run)(&mut block, cfg, scratch));
+        timed(nanos, pass.name, || (pass.run)(&mut block, scratch));
         let live_after = count_live(&block);
         stats
             .passes
@@ -298,7 +298,7 @@ mod tests {
         let broken = Pass {
             name: "dce",
             kind: PassKind::Dce,
-            run: |b, _, _| {
+            run: |b, _| {
                 if let Some(op) = b.ops.iter_mut().find(|o| o.inst.is_store()) {
                     op.inst = IrInst::Nop;
                 }
@@ -336,7 +336,7 @@ mod tests {
         let broken = Pass {
             name: "constprop",
             kind: PassKind::Rewrite,
-            run: |b, _, _| {
+            run: |b, _| {
                 for op in &mut b.ops {
                     if let IrInst::Li { rd, imm } = op.inst {
                         op.inst = IrInst::Li { rd, imm: imm + 1 };
@@ -359,7 +359,7 @@ mod tests {
         let broken = Pass {
             name: "schedule",
             kind: PassKind::Schedule,
-            run: |b, _, _| {
+            run: |b, _| {
                 b.ops.reverse();
             },
         };

@@ -40,6 +40,16 @@ pub const FUNC_TABLE: u32 = 0x0090_0000;
 /// Initial stack pointer.
 pub const STACK_TOP: u32 = 0x00F0_0000;
 
+/// Smallest `mem_footprint` the generator can use: cold functions store
+/// to a word picked from `0..mem_footprint / 4`, which must not be empty.
+pub(crate) const MIN_MEM_FOOTPRINT: u32 = 4;
+/// Largest `static_insts` whose code fits between [`CODE_BASE`] and the
+/// jump tables the loader writes at [`TABLE_BASE`], every instruction
+/// taken at the longest encoding (the generator's are a third of that,
+/// which covers its overshoot of the target).
+pub(crate) const MAX_STATIC_INSTS: u32 =
+    (TABLE_BASE - CODE_BASE) / darco_guest::exec::MAX_INST_LEN as u32;
+
 /// A ready-to-run generated workload.
 #[derive(Debug)]
 pub struct Workload {
@@ -458,6 +468,11 @@ pub fn generate(profile: &BenchProfile, scale: f64) -> Workload {
     let static_insts = g.asm_len() as u32;
     let tables = std::mem::take(&mut g.tables);
     let program: Program = g.a.assemble();
+    debug_assert!(
+        program.bytes.len() <= (TABLE_BASE - CODE_BASE) as usize,
+        "{} bytes of code from {CODE_BASE:#x} reach the jump tables at {TABLE_BASE:#x}",
+        program.bytes.len()
+    );
 
     // --- Load into guest memory. ---
     let mut mem = GuestMem::new();

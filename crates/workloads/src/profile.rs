@@ -1,5 +1,6 @@
 //! Benchmark profile parameters.
 
+use crate::gen::{MAX_STATIC_INSTS, MIN_MEM_FOOTPRINT};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -104,8 +105,21 @@ impl BenchProfile {
         if !self.mem_footprint.is_power_of_two() {
             return Err(format!("mem_footprint not a power of two: {}", self.mem_footprint));
         }
+        if self.mem_footprint < MIN_MEM_FOOTPRINT {
+            return Err(format!(
+                "mem_footprint below the {MIN_MEM_FOOTPRINT}-byte word the generator stores: {}",
+                self.mem_footprint
+            ));
+        }
         if self.static_insts < 50 {
             return Err("static_insts too small".into());
+        }
+        if self.static_insts > MAX_STATIC_INSTS {
+            return Err(format!(
+                "static_insts above {MAX_STATIC_INSTS}, the most whose code is sure to end below \
+                 the jump tables: {}",
+                self.static_insts
+            ));
         }
         if self.indirect_freq >= 0.2 {
             return Err(format!("indirect_freq implausible: {}", self.indirect_freq));
@@ -156,6 +170,25 @@ mod tests {
         let mut p = base();
         p.mem_footprint = 1000;
         assert!(p.validate().is_err());
+    }
+
+    /// Both passed `validate` and then killed the process: the generator
+    /// drew from the empty range `0..mem_footprint / 4`, and code past
+    /// `TABLE_BASE` was overwritten by the loader's jump tables.
+    #[test]
+    fn validation_rejects_what_the_generator_cannot_lay_out() {
+        for footprint in [1, 2] {
+            let p = BenchProfile { mem_footprint: footprint, ..base() };
+            let e = p.validate().unwrap_err();
+            assert!(e.contains("mem_footprint") && e.ends_with(&footprint.to_string()), "{e}");
+        }
+        assert!(BenchProfile { mem_footprint: MIN_MEM_FOOTPRINT, ..base() }.validate().is_ok());
+
+        let p = BenchProfile { static_insts: 2_500_000, ..base() };
+        let e = p.validate().unwrap_err();
+        assert!(e.contains("static_insts") && e.ends_with("2500000"), "{e}");
+        assert!(BenchProfile { static_insts: MAX_STATIC_INSTS, ..base() }.validate().is_ok());
+        assert!(BenchProfile { static_insts: MAX_STATIC_INSTS + 1, ..base() }.validate().is_err());
     }
 
     #[test]

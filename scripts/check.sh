@@ -15,7 +15,8 @@ echo "== removed switches stay removed"
 round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
 round4='opt_deadflags|opt_rangesimp|deadflags::|rangesimp|knownbits|liveness::|analyze_region_text|translate_region_with|eager_flags|flags_killed|branches_folded|DeadFlags|BranchFold|analysis_ns'
-removed="$round2|$round3|$round4"
+round5='emission_shape|interp_step_shaped|interp_step_keyed|AddrRecipe|fn h_[a-z_]+\('
+removed="$round2|$round3|$round4|$round5"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then
@@ -52,10 +53,11 @@ echo "== cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
 # The digests of the event stream and of the serialized reports, the
-# no-dead-knob test (every TolConfig switch moves the cycle count) and
-# the property tests must hold as optimised too.
-echo "== cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties"
-cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties
+# no-dead-knob test (every TolConfig switch moves the cycle count), the
+# property tests and the per-opcode boundary cases must hold as
+# optimised too.
+echo "== cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary"
+cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary
 
 # The event bus writes its staging slots by index and sends oversize
 # streams through a side buffer; that arithmetic and the single pass of
