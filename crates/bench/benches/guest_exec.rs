@@ -21,6 +21,17 @@
 //! * `guest_interp/tol_im` — the whole TOL (null sink, promotion
 //!   disabled so every instruction goes through the interpreter).
 //!
+//! And the layer under all of them, [`GuestMem`], on its own — every
+//! row is 10^6 accesses to pages already written, so ns/iter ÷ 10^6 is
+//! ns per access:
+//!
+//! * `guest_mem/store_stream` — `write_u32` at ascending addresses over
+//!   4 MiB (a page-table walk, a generation stamp and the store).
+//! * `guest_mem/load_same_page` — `read_u32` within one page.
+//! * `guest_mem/load_random_16mib` — `read_u32` at random addresses
+//!   over 16 MiB (4 096 pages, four leaves).
+//! * `guest_mem/page_gen` — the SMC stamp read, cycling over 1 024 pages.
+//!
 //! Architectural equality of the executors is asserted before timing;
 //! throughput is guest instructions per iteration. Results land in
 //! EXPERIMENTS.md.
@@ -117,6 +128,46 @@ fn tol_interp_run(mem: &GuestMem, cpu: &CpuState) -> u64 {
     tol.run(&mut mem, &mut sink, u64::MAX).expect("tol run")
 }
 
+/// Accesses per iteration of every `guest_mem` row.
+const MEM_ACCESSES: u32 = 1_000_000;
+
+fn bench_mem(c: &mut Criterion) {
+    const BASE: u32 = 0x1000_0000;
+    let mut mem = GuestMem::new();
+    mem.write_bytes(BASE, &vec![0x5A; 16 << 20]);
+    let mut x = 0x2545_F491u32;
+    let random: Vec<u32> = (0..MEM_ACCESSES)
+        .map(|_| {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            BASE + ((x >> 8) & 0x00FF_FFFC)
+        })
+        .collect();
+
+    let mut g = c.benchmark_group("guest_mem");
+    g.throughput(Throughput::Elements(u64::from(MEM_ACCESSES)));
+    g.bench_function("store_stream", |b| {
+        b.iter(|| {
+            for i in 0..MEM_ACCESSES {
+                mem.write_u32(black_box(BASE + 4 * i), i);
+            }
+        })
+    });
+    g.bench_function("load_same_page", |b| {
+        b.iter(|| {
+            (0..MEM_ACCESSES).fold(0, |s, i| s ^ mem.read_u32(black_box(BASE + ((4 * i) & 0xFFC))))
+        })
+    });
+    g.bench_function("load_random_16mib", |b| {
+        b.iter(|| random.iter().fold(0, |s, &a| s ^ mem.read_u32(black_box(a))))
+    });
+    g.bench_function("page_gen", |b| {
+        b.iter(|| {
+            (0..MEM_ACCESSES).fold(0, |s, i| s ^ mem.page_gen(black_box(BASE + ((i % 1024) << 12))))
+        })
+    });
+    g.finish();
+}
+
 fn bench(c: &mut Criterion) {
     let (mem, cpu) = mixed_loop();
     let (oracle_cpu, insts) = run_oracle(&mem, &cpu);
@@ -155,6 +206,6 @@ fn bench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench
+    targets = bench, bench_mem
 }
 criterion_main!(benches);

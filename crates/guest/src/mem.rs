@@ -4,6 +4,18 @@
 //! lazily on first touch, so programs with large but sparsely-used
 //! footprints stay cheap to model.
 //!
+//! # The page table
+//!
+//! A page number is 20 bits: the top ten index a 1024-entry directory,
+//! the low ten a 1024-entry leaf, allocated on the first write into its
+//! 4 MiB of guest space (16 KiB each). A leaf entry holds the page's
+//! frame (an index into `slots` plus one, zero meaning "absent") and its
+//! write generation. A load is two dependent indexed reads and then the
+//! frame; a store is one walk that stamps the generation and gets the
+//! frame back; [`GuestMem::page_gen`] reads the same entry. Nothing is
+//! hashed and no cache sits in front: the walk is as short as a cache
+//! probe would be (DESIGN.md §16).
+//!
 //! # Zero-fill semantics
 //!
 //! Reads of memory never touched by a write return zero — this is a
@@ -11,43 +23,41 @@
 //! its data regions. It interacts with the generation stamps as follows:
 //! an unmapped page reads as all-zero *and* reports [`GuestMem::page_gen`]
 //! of 0; the first write to it allocates the page and stamps it with a
-//! non-zero generation. Any cache layered on top (the micro-op buffers, or
-//! the internal L0 page-pointer cache here) therefore must never memoize
-//! "page absent" — a later first-touch write would not be observable
-//! through a cached negative. The L0 cache
-//! below only ever holds *present* pages, so a first-touch write is always
-//! seen (the page was a miss before it, and its slot is found through the
-//! authoritative index after it).
+//! non-zero generation. Reads never allocate, neither a frame nor a leaf.
 //!
 //! # Width-native accesses
 //!
 //! A multi-byte access that stays inside one page is served by a single
-//! page lookup through a small most-recently-used page-pointer cache;
-//! one that straddles a page boundary is composed from byte accesses.
-//! Either way the result is what `N` byte accesses would produce, in
-//! contents *and* in generation stamps: a width-`N` write advances the
-//! global write-generation counter by `N` and stamps the page with the
-//! final value (a unit test holds the wide accessors to exactly that).
-
-use std::cell::Cell;
+//! page-table walk; one that straddles a page boundary is composed from
+//! byte accesses. Either way the result is what `N` byte accesses would
+//! produce, in contents *and* in generation stamps: a width-`N` write
+//! advances the global write-generation counter by `N` and stamps the
+//! page with the final value (a unit test holds the wide accessors to
+//! exactly that, `tests/mem_reference.rs` the whole type to a
+//! `BTreeMap` model).
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
 
-/// Ways in the L0 page-pointer cache (most-recently-used order).
-const L0_WAYS: usize = 4;
+/// Page-number bits resolved by a leaf (the directory takes the rest).
+const LEAF_BITS: u32 = 10;
+const LEAF_LEN: usize = 1 << LEAF_BITS;
+const DIR_LEN: usize = 1 << (32 - PAGE_SHIFT - LEAF_BITS);
 
-/// One L0 entry: page number -> slot index. `pn == u32::MAX` marks an
-/// empty way (u32::MAX is a legal *address* but not a legal page number,
-/// since page numbers are `addr >> 12`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct L0Entry {
-    pn: u32,
-    slot: u32,
+type Frame = [u8; PAGE_SIZE];
+
+/// One page-table entry. The default is an absent page: no frame,
+/// generation 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pte {
+    /// Index into `slots` plus one; 0 = never written.
+    slot1: u32,
+    /// [`GuestMem::write_gen`] after the last write to the page.
+    gen: u64,
 }
 
-const L0_EMPTY: L0Entry = L0Entry { pn: u32::MAX, slot: 0 };
+type Leaf = [Pte; LEAF_LEN];
 
 /// Sparse 32-bit guest address space with 4 KiB pages.
 ///
@@ -55,34 +65,26 @@ const L0_EMPTY: L0Entry = L0Entry { pn: u32::MAX, slot: 0 };
 /// touched page with it, so consumers that cache derived views of memory
 /// (the micro-op buffers, the code cache's SMC stamps) can detect
 /// self-modifying code with one [`GuestMem::page_gen`] comparison.
-///
-/// Page storage is a slot table (`slots`) addressed through an index map;
-/// pages are never deallocated, so slot indices are stable for the life
-/// of the address space and can be cached in the L0 page-pointer cache.
 #[derive(Debug, Clone)]
 pub struct GuestMem {
-    /// Page frames. Stable: pages are only ever appended.
-    slots: Vec<Box<[u8; PAGE_SIZE]>>,
-    /// Page number -> index into `slots`.
-    index: std::collections::HashMap<u32, u32>,
-    /// Write generation per touched page (absent pages are generation 0).
-    gens: std::collections::HashMap<u32, u64>,
+    /// Page frames, only ever appended: one per resident page.
+    slots: Vec<Box<Frame>>,
+    /// Directory of lazily allocated leaves, indexed by the top bits of
+    /// the page number.
+    dir: Box<[Option<Box<Leaf>>; DIR_LEN]>,
     write_gen: u64,
-    /// L0 page-pointer cache, MRU-ordered. Interior-mutable so reads can
-    /// refresh it; this costs `Sync` (the type stays `Send`), which is
-    /// fine — the address space is never shared across threads.
-    l0: Cell<[L0Entry; L0_WAYS]>,
 }
+
+// Nothing here is interior-mutable, so `&GuestMem` may cross threads;
+// this keeps it so.
+const _: fn() = || {
+    fn sync<T: Sync>() {}
+    sync::<GuestMem>();
+};
 
 impl Default for GuestMem {
     fn default() -> GuestMem {
-        GuestMem {
-            slots: Vec::new(),
-            index: std::collections::HashMap::new(),
-            gens: std::collections::HashMap::new(),
-            write_gen: 0,
-            l0: Cell::new([L0_EMPTY; L0_WAYS]),
-        }
+        GuestMem { slots: Vec::new(), dir: Box::new(std::array::from_fn(|_| None)), write_gen: 0 }
     }
 }
 
@@ -94,54 +96,47 @@ impl GuestMem {
 
     /// Number of pages that have been touched by a write.
     pub fn resident_pages(&self) -> usize {
-        self.index.len()
+        self.slots.len()
     }
 
-    /// Looks up the slot of a *present* page, consulting and refreshing
-    /// the L0 cache. Never caches absence (see the module docs on
-    /// zero-fill semantics).
+    /// The page-table entry of page `pn` (the absent entry if its leaf
+    /// was never allocated).
     #[inline]
-    fn slot_of(&self, pn: u32) -> Option<u32> {
-        let mut l0 = self.l0.get();
-        for i in 0..L0_WAYS {
-            if l0[i].pn == pn {
-                if i != 0 {
-                    l0.swap(0, i);
-                    self.l0.set(l0);
-                }
-                return Some(l0[0].slot);
-            }
+    fn pte(&self, pn: u32) -> Pte {
+        match &self.dir[(pn >> LEAF_BITS) as usize] {
+            Some(leaf) => leaf[pn as usize % LEAF_LEN],
+            None => Pte::default(),
         }
-        let slot = *self.index.get(&pn)?;
-        for i in (1..L0_WAYS).rev() {
-            l0[i] = l0[i - 1];
-        }
-        l0[0] = L0Entry { pn, slot };
-        self.l0.set(l0);
-        Some(slot)
     }
 
-    /// Returns the page frame for `pn`, allocating it (zero-filled) on
-    /// first touch.
+    /// The frame of page `pn`, `None` if it was never written.
     #[inline]
-    fn slot_mut(&mut self, pn: u32) -> &mut [u8; PAGE_SIZE] {
-        let slot = match self.index.get(&pn) {
-            Some(&s) => s,
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Box::new([0u8; PAGE_SIZE]));
-                self.index.insert(pn, s);
-                s
-            }
-        };
-        &mut self.slots[slot as usize]
+    fn frame(&self, pn: u32) -> Option<&Frame> {
+        // `slot1 == 0` wraps to an index no `Vec` has, so the one bounds
+        // check is also the presence check.
+        self.slots.get((self.pte(pn).slot1 as usize).wrapping_sub(1)).map(|f| &**f)
+    }
+
+    /// Stamps page `pn` with `gen` and returns its frame, allocating leaf
+    /// and frame (zero-filled) on first touch.
+    #[inline]
+    fn slot_mut(&mut self, pn: u32, gen: u64) -> &mut Frame {
+        let leaf = self.dir[(pn >> LEAF_BITS) as usize]
+            .get_or_insert_with(|| Box::new([Pte::default(); LEAF_LEN]));
+        let pte = &mut leaf[pn as usize % LEAF_LEN];
+        pte.gen = gen;
+        if pte.slot1 == 0 {
+            self.slots.push(Box::new([0u8; PAGE_SIZE]));
+            pte.slot1 = self.slots.len() as u32;
+        }
+        &mut self.slots[pte.slot1 as usize - 1]
     }
 
     /// Reads one byte. Untouched memory reads as zero.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        match self.slot_of(addr >> PAGE_SHIFT) {
-            Some(s) => self.slots[s as usize][(addr & PAGE_MASK) as usize],
+        match self.frame(addr >> PAGE_SHIFT) {
+            Some(f) => f[(addr & PAGE_MASK) as usize],
             None => 0,
         }
     }
@@ -149,10 +144,8 @@ impl GuestMem {
     /// Writes one byte, allocating the page if needed.
     #[inline]
     pub fn write_u8(&mut self, addr: u32, val: u8) {
-        let pn = addr >> PAGE_SHIFT;
         self.write_gen += 1;
-        self.gens.insert(pn, self.write_gen);
-        self.slot_mut(pn)[(addr & PAGE_MASK) as usize] = val;
+        self.slot_mut(addr >> PAGE_SHIFT, self.write_gen)[(addr & PAGE_MASK) as usize] = val;
     }
 
     /// Write generation of the page containing `addr`: strictly
@@ -160,7 +153,7 @@ impl GuestMem {
     /// written is generation 0 (and reads as zero — see the module docs).
     #[inline]
     pub fn page_gen(&self, addr: u32) -> u64 {
-        self.gens.get(&(addr >> PAGE_SHIFT)).copied().unwrap_or(0)
+        self.pte(addr >> PAGE_SHIFT).gen
     }
 
     /// The global write-generation counter (total bytes written).
@@ -168,38 +161,33 @@ impl GuestMem {
         self.write_gen
     }
 
-    /// Reads `W` little-endian bytes in one page lookup when the access
-    /// stays within a page; returns `None` (caller falls back to the
-    /// byte path) on page-crossing.
+    /// Reads `W` little-endian bytes in one page-table walk when the
+    /// access stays within a page; returns `None` (caller falls back to
+    /// the byte path) on page-crossing.
     #[inline]
     fn read_in_page<const W: usize>(&self, addr: u32) -> Option<[u8; W]> {
         let off = (addr & PAGE_MASK) as usize;
         if off > PAGE_SIZE - W {
             return None;
         }
-        Some(match self.slot_of(addr >> PAGE_SHIFT) {
-            Some(s) => {
-                let p = &self.slots[s as usize];
-                p[off..off + W].try_into().expect("in-page slice of width W")
-            }
+        Some(match self.frame(addr >> PAGE_SHIFT) {
+            Some(f) => f[off..off + W].try_into().expect("in-page slice of width W"),
             None => [0u8; W],
         })
     }
 
-    /// Writes `W` little-endian bytes in one page lookup when in-page;
-    /// generation arithmetic is identical to `W` byte writes (counter
-    /// advances by `W`, page stamped with the final value). Returns
-    /// `false` (caller falls back) on page-crossing.
+    /// Writes `W` little-endian bytes in one page-table walk when
+    /// in-page; generation arithmetic is identical to `W` byte writes
+    /// (counter advances by `W`, page stamped with the final value).
+    /// Returns `false` (caller falls back) on page-crossing.
     #[inline]
     fn write_in_page<const W: usize>(&mut self, addr: u32, bytes: [u8; W]) -> bool {
         let off = (addr & PAGE_MASK) as usize;
         if off > PAGE_SIZE - W {
             return false;
         }
-        let pn = addr >> PAGE_SHIFT;
         self.write_gen += W as u64;
-        self.gens.insert(pn, self.write_gen);
-        self.slot_mut(pn)[off..off + W].copy_from_slice(&bytes);
+        self.slot_mut(addr >> PAGE_SHIFT, self.write_gen)[off..off + W].copy_from_slice(&bytes);
         true
     }
 
@@ -269,11 +257,13 @@ impl GuestMem {
     }
 
     /// Reads an `f64` stored with [`GuestMem::write_f64`].
+    #[inline]
     pub fn read_f64(&self, addr: u32) -> f64 {
         f64::from_bits(self.read_u64(addr))
     }
 
     /// Writes an `f64` as its IEEE-754 bit pattern.
+    #[inline]
     pub fn write_f64(&mut self, addr: u32, val: f64) {
         self.write_u64(addr, val.to_bits());
     }
@@ -288,10 +278,9 @@ impl GuestMem {
         while !rest.is_empty() {
             let off = (a & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            let pn = a >> PAGE_SHIFT;
             self.write_gen += n as u64;
-            self.gens.insert(pn, self.write_gen);
-            self.slot_mut(pn)[off..off + n].copy_from_slice(&rest[..n]);
+            self.slot_mut(a >> PAGE_SHIFT, self.write_gen)[off..off + n]
+                .copy_from_slice(&rest[..n]);
             a = a.wrapping_add(n as u32);
             rest = &rest[n..];
         }
@@ -305,8 +294,8 @@ impl GuestMem {
         while !rest.is_empty() {
             let off = (a & PAGE_MASK) as usize;
             let n = rest.len().min(PAGE_SIZE - off);
-            match self.slot_of(a >> PAGE_SHIFT) {
-                Some(s) => rest[..n].copy_from_slice(&self.slots[s as usize][off..off + n]),
+            match self.frame(a >> PAGE_SHIFT) {
+                Some(f) => rest[..n].copy_from_slice(&f[off..off + n]),
                 None => rest[..n].fill(0),
             }
             a = a.wrapping_add(n as u32);
@@ -322,19 +311,26 @@ impl GuestMem {
         buf
     }
 
-    /// Compares two address spaces byte-for-byte and returns the address
-    /// of the first difference, treating absent pages as zero-filled.
+    /// Compares two address spaces byte-for-byte and returns the lowest
+    /// differing address, treating absent pages as zero-filled. Walks
+    /// both page tables in address order; a 4 MiB range with no leaf on
+    /// either side is skipped whole.
     pub fn first_difference(&self, other: &GuestMem) -> Option<u32> {
-        let mut pages: Vec<u32> = self.index.keys().chain(other.index.keys()).copied().collect();
-        pages.sort_unstable();
-        pages.dedup();
-        const ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
-        for p in pages {
-            let a = self.index.get(&p).map_or(&ZERO, |&s| &*self.slots[s as usize]);
-            let b = other.index.get(&p).map_or(&ZERO, |&s| &*other.slots[s as usize]);
-            if a != b {
-                let off = a.iter().zip(b.iter()).position(|(x, y)| x != y).unwrap_or(0);
-                return Some((p << PAGE_SHIFT) + off as u32);
+        const ZERO: Frame = [0; PAGE_SIZE];
+        for (d, (la, lb)) in self.dir.iter().zip(other.dir.iter()).enumerate() {
+            if la.is_none() && lb.is_none() {
+                continue;
+            }
+            for pn in (d << LEAF_BITS) as u32..((d + 1) << LEAF_BITS) as u32 {
+                let (a, b) = (self.frame(pn), other.frame(pn));
+                if a.is_none() && b.is_none() {
+                    continue;
+                }
+                let (a, b) = (a.unwrap_or(&ZERO), b.unwrap_or(&ZERO));
+                if a != b {
+                    let off = a.iter().zip(b).position(|(x, y)| x != y).expect("pages differ");
+                    return Some((pn << PAGE_SHIFT) + off as u32);
+                }
             }
         }
         None
@@ -355,15 +351,16 @@ mod tests {
 
     /// Pins the contract documented at the top of this module: an
     /// unmapped page reads as zero with generation 0, and the first
-    /// write is visible immediately through every access path — the L0
-    /// cache must never have memoized the page's absence.
+    /// write is visible immediately through every access path, with or
+    /// without a leaf already there.
     #[test]
     fn zero_fill_first_touch_is_visible() {
         let mut m = GuestMem::new();
-        // Read the page while unmapped (would prime any negative cache).
+        // Read the page while unmapped: reads allocate nothing.
         assert_eq!(m.read_u32(0x9000), 0);
         assert_eq!(m.read_u8(0x9002), 0);
         assert_eq!(m.page_gen(0x9000), 0);
+        assert_eq!(m.resident_pages(), 0);
         // First-touch write must be observed by both access widths.
         m.write_u8(0x9002, 0xAB);
         assert_eq!(m.read_u8(0x9002), 0xAB);

@@ -26,11 +26,12 @@
 //! so steady-state execution hops from translation to translation
 //! without entering the software layer (Sec. III-B).
 
+use crate::pcmap::PcMap;
 use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
 use darco_host::{compile_block, BlockId, Exit, HInst, RetireTemplate};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Which mode produced a translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,7 +220,7 @@ struct Slot {
 pub struct CodeCache {
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
-    map: HashMap<u32, BlockId>,
+    map: PcMap<BlockId>,
     capacity: u32,
     used: u32,
     live_used: u32,
@@ -238,7 +239,7 @@ impl CodeCache {
         CodeCache {
             slots: Vec::new(),
             free_slots: Vec::new(),
-            map: HashMap::new(),
+            map: PcMap::default(),
             capacity,
             used: 0,
             live_used: 0,

@@ -622,6 +622,10 @@ impl Tol {
             // software layer), before any promotion can invalidate ids.
             let mut next: Option<BlockId> = match exit {
                 Exit::Halt => {
+                    // A region ends at its `Halt`; the pc stays on it, as
+                    // the interpreter and `exec::step` leave it.
+                    let b = self.cc.get(bid).expect("guarded live at dispatch");
+                    self.guest_pc = *b.guest_pcs.last().expect("a region is never empty");
                     self.halted = true;
                     self.em.transition(ev);
                     return Ok(executed);
@@ -936,6 +940,26 @@ mod tests {
         let emu = tol.emulated_state();
         assert!(ref_cpu.arch_eq(&emu), "state diverged:\nref: {ref_cpu}\nemu: {emu}");
         assert_eq!(tol.counters().guest_insts, ref_n);
+    }
+
+    /// A `Halt` reached in translated code leaves the pc on the `Halt`,
+    /// not on the entry of the translation it ended.
+    #[test]
+    fn translated_halt_leaves_eip_on_the_halt() {
+        let mut a = Asm::new(0x1000);
+        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 7 });
+        a.push(Inst::Halt);
+        let p = a.assemble();
+        let mut mem0 = GuestMem::new();
+        mem0.write_bytes(p.base, &p.bytes);
+        let (ref_cpu, _) = run_reference(&mut mem0.clone(), p.base);
+        assert_ne!(ref_cpu.eip, p.base);
+
+        let cfg = TolConfig { im_bb_threshold: 0, ..TolConfig::default() };
+        let (tol, _) = run_tol(&mut mem0.clone(), p.base, cfg);
+        assert_eq!(tol.summary().dyn_dist, [0, 2, 0], "the one block ran translated");
+        let emu = tol.emulated_state();
+        assert!(ref_cpu.arch_eq(&emu), "state diverged:\nref: {ref_cpu}\nemu: {emu}");
     }
 
     #[test]

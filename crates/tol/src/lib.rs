@@ -65,6 +65,7 @@ mod guest_programs;
 pub mod ibtc;
 pub mod ir;
 pub mod opt;
+mod pcmap;
 pub mod profile;
 pub mod regset;
 pub mod superblock;

@@ -1,8 +1,8 @@
 //! Runtime profiling: promotion counters, edge profiles and the
 //! static/dynamic mode accounting behind the paper's Fig. 5.
 
+use crate::pcmap::PcMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Highest execution mode a static guest instruction has reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -51,9 +51,9 @@ impl EdgeProfile {
 /// per-static-instruction mode tracking.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    target_counts: HashMap<u32, u32>,
-    edges: HashMap<u32, EdgeProfile>, // keyed by BB guest entry
-    static_modes: HashMap<u32, StaticMode>,
+    target_counts: PcMap<u32>,
+    edges: PcMap<EdgeProfile>, // keyed by BB guest entry
+    static_modes: PcMap<StaticMode>,
     /// Dynamic guest instructions executed per mode `[IM, BBM, SBM]`.
     pub dyn_insts: [u64; 3],
 }

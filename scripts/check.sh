@@ -16,7 +16,8 @@ round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shar
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
 round4='opt_deadflags|opt_rangesimp|deadflags::|rangesimp|knownbits|liveness::|analyze_region_text|translate_region_with|eager_flags|flags_killed|branches_folded|DeadFlags|BranchFold|analysis_ns'
 round5='emission_shape|interp_step_shaped|interp_step_keyed|AddrRecipe|fn h_[a-z_]+\('
-removed="$round2|$round3|$round4|$round5"
+round6='L0_WAYS|L0Entry|L0_EMPTY'
+removed="$round2|$round3|$round4|$round5|$round6"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then
@@ -26,6 +27,13 @@ fi
 if sed '/^## 15\. Removed mechanisms/,/^## 16\. /d' DESIGN.md \
         | grep -nE "$removed" | grep -v "$kept_test"; then
     echo "error: DESIGN.md names a removed switch outside §15" >&2
+    exit 1
+fi
+
+# Guest memory is a page table (DESIGN.md §16): no hash map in front of,
+# behind or beside it.
+if grep -n 'HashMap' crates/guest/src/mem.rs; then
+    echo "error: crates/guest/src/mem.rs names HashMap (see DESIGN.md §16)" >&2
     exit 1
 fi
 
@@ -59,17 +67,19 @@ cargo bench --workspace --no-run
 echo "== cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary"
 cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary
 
+# The guest layer's block dispatch loop (bounds, budget and cursor
+# arithmetic) must hold as optimised, not only with overflow checks and
+# debug_assert! on; its chunking property test is in `properties` above.
+# So must the page table: `--test mem_reference`, one of this package's
+# targets, holds `GuestMem` to a `BTreeMap` model after every operation.
+echo "== cargo test -q --release -p darco-guest (unit tests + mem_reference)"
+cargo test -q --release -p darco-guest
+
 # The event bus writes its staging slots by index and sends oversize
 # streams through a side buffer; that arithmetic and the single pass of
 # `SinkSet` must hold as optimised too.
 echo "== cargo test -q --release -p darco-host -p darco-core"
 cargo test -q --release -p darco-host -p darco-core
-
-# The guest layer's block dispatch loop (bounds, budget and cursor
-# arithmetic) must hold as optimised, not only with overflow checks and
-# debug_assert! on; its chunking property test is in `properties` above.
-echo "== cargo test -q --release -p darco-guest"
-cargo test -q --release -p darco-guest
 
 # The timing hot path must compute the same thing with overflow checks
 # and debug_assert! compiled out (its differential tests run here too).
