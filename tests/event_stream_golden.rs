@@ -17,8 +17,8 @@
 
 use darco::core::SystemConfig;
 use darco::host::events::EVENT_BATCH;
-use darco::host::{HostEvent, HostEventSink, TraceStatsSink};
-use darco::tol::{Tol, TolConfig};
+use darco::host::{HostEvent, HostEventSink};
+use darco::tol::{RunSummary, Tol, TolConfig};
 use darco::workloads::{generate, suites, BenchProfile, Suite, Workload};
 use std::fmt::Write;
 
@@ -75,8 +75,9 @@ fn churn_profile() -> BenchProfile {
     }
 }
 
-/// Every event of one `Tol::run`, in delivery order.
-fn stream(w: &Workload, cfg: TolConfig) -> Vec<HostEvent> {
+/// Every event of one `Tol::run`, in delivery order, and the run's
+/// summary.
+fn stream(w: &Workload, cfg: TolConfig) -> (Vec<HostEvent>, RunSummary) {
     let mut mem = w.mem.clone();
     let mut tol = Tol::new(cfg, w.entry);
     tol.set_state(&w.initial);
@@ -84,7 +85,7 @@ fn stream(w: &Workload, cfg: TolConfig) -> Vec<HostEvent> {
     tol.run(&mut mem, &mut sink, u64::MAX).expect("generated workloads decode");
     assert!(tol.is_done(), "{}: guest must halt", w.name);
     assert!(sink.max_batch <= EVENT_BATCH, "batch of {} exceeds EVENT_BATCH", sink.max_batch);
-    sink.events
+    (sink.events, tol.summary())
 }
 
 /// FNV-1a over one `Debug` line per event.
@@ -96,32 +97,49 @@ fn digest(events: &[HostEvent]) -> u64 {
     h.0
 }
 
-/// The default configuration must deliver the pinned stream.
-fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
+/// The default configuration must deliver the pinned stream, and its
+/// retirements alone the pinned retirement stream.
+fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize), retires: (u64, usize)) {
     let w = generate(profile, scale);
-    let pinned = stream(&w, SystemConfig::default().tol);
+    let (pinned, s) = stream(&w, SystemConfig::default().tol);
     assert_eq!(
         (digest(&pinned), pinned.len()),
         expected,
         "{}: event stream moved under the default configuration",
         profile.name
     );
-    let mut stats = TraceStatsSink::default();
-    stats.consume(&pinned);
-    let s = stats.stats;
-    assert!(
-        s.mode_enters.iter().all(|&n| n > 0) && s.bb_translations > 0 && s.sb_translations > 0,
-        "{}: the pinned stream must cover all three modes and both translators: {s:?}",
+    let retired: Vec<HostEvent> =
+        pinned.iter().filter(|e| matches!(e, HostEvent::Retire(_))).cloned().collect();
+    assert_eq!(
+        (digest(&retired), retired.len()),
+        retires,
+        "{}: retirement stream moved under the default configuration",
         profile.name
+    );
+    assert!(
+        s.dyn_dist.iter().all(|&n| n > 0)
+            && s.installed > s.counters.sbm_invocations
+            && s.counters.sbm_invocations > 0,
+        "{}: the pinned stream must cover all three modes and both translators: {:?}, \
+         {} installed, {} superblocks",
+        profile.name,
+        s.dyn_dist,
+        s.installed,
+        s.counters.sbm_invocations
     );
 }
 
 #[test]
 fn quicktest_event_stream_is_pinned() {
-    check(&suites::quicktest_profile(), 0.5, (927536242066376137, 333969));
+    check(
+        &suites::quicktest_profile(),
+        0.5,
+        (927536242066376137, 333969),
+        (14793490206031887413, 332095),
+    );
 }
 
 #[test]
 fn startup_churn_event_stream_is_pinned() {
-    check(&churn_profile(), 1.0, (16901688721861092224, 152782));
+    check(&churn_profile(), 1.0, (16901688721861092224, 152782), (1088690868817475787, 151924));
 }

@@ -21,6 +21,7 @@
 //! and the same two columns of every `pass_deltas` row left the schema.
 
 use darco::core::{Report, System, SystemConfig};
+use darco::host::Component;
 use darco::workloads::{generate, suites, BenchProfile};
 
 const SCALE: f64 = 0.05;
@@ -54,6 +55,41 @@ fn digest(mut r: Report) -> u64 {
     r.tol.counters.verified_blocks = 0;
     r.tol.counters.tv_differential = 0;
     fnv(&serde_json::to_string(&r).expect("serialize"))
+}
+
+/// Every quantity the report counts more than once agrees with its
+/// twins.
+fn assert_twins(r: &Report, ctx: &str) {
+    let (t, s) = (&r.trace, &r.tol);
+    assert_eq!(
+        [t.cache_inserts, t.bb_translations + t.sb_translations],
+        [s.installed; 2],
+        "{ctx}: installs"
+    );
+    assert_eq!(
+        [t.cache_flushes, t.chains, t.ibtc_hits, t.ibtc_misses, t.unchains],
+        [s.flushes, s.chains, s.ibtc_hits, s.ibtc_misses, s.cache.unchains],
+        "{ctx}: flushes, chains, IBTC hits and misses, unchains"
+    );
+    assert_eq!(
+        [t.evictions, t.smc_evictions, s.cache.evictions],
+        [s.cache.smc_evictions; 3],
+        "{ctx}: evictions"
+    );
+    assert_eq!(t.retired, r.timing.total_insts(), "{ctx}: retirements");
+    assert_eq!(t.step_boundaries, r.cosim_checks, "{ctx}: step boundaries");
+    for c in Component::ALL {
+        assert_eq!(
+            [t.component_insts[c.index()], s.emitted[c.index()]],
+            [r.timing.component_insts(c); 2],
+            "{ctx}: {c} instructions"
+        );
+    }
+    assert_eq!(
+        [s.counters.guest_insts, s.dyn_dist.iter().sum()],
+        [r.guest_insts; 2],
+        "{ctx}: guest instructions"
+    );
 }
 
 fn small(c: &mut SystemConfig) {
@@ -94,6 +130,7 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
     );
     for ((case, _), r) in CASES.iter().zip(&reports) {
         assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
+        assert_twins(r, &format!("{}: {case}", profile.name));
     }
     assert_eq!(
         reports.map(digest),
@@ -132,5 +169,6 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
+    assert_twins(&r, "quicktest with timeline windows");
     assert_eq!(digest(r), 2809019259254624932, "quicktest: report moved with timeline windows on");
 }
