@@ -2,8 +2,8 @@
 //! from the functional emulation loop into the timing pipelines.
 //!
 //! * `retire_throughput/inline_batched` — the whole system on
-//!   quicktest with all three timing pipelines: events retired per
-//!   second end to end.
+//!   quicktest with all three timing pipelines: host events delivered
+//!   per second end to end.
 //!
 //! Plus the event bus by itself:
 //!
@@ -163,7 +163,7 @@ fn run_once() -> u64 {
     };
     let w = generate(&suites::quicktest_profile(), SCALE);
     let mut sys = System::new(w, cfg);
-    sys.run_to_completion().trace.retired
+    sys.run_to_completion().trace.events
 }
 
 fn bench(c: &mut Criterion) {

@@ -379,7 +379,7 @@ fn print_report(r: &Report) {
     }
     println!(
         "event stream       : {} events in {} batches (largest {})",
-        r.trace.retired, r.trace.batches, r.trace.max_batch
+        r.trace.events, r.trace.batches, r.trace.max_batch
     );
     println!("\ntime by component:");
     for c in Component::ALL {
@@ -394,10 +394,9 @@ fn print_report(r: &Report) {
         s.installed, s.counters.sbm_invocations, s.chains, s.flushes
     );
     println!(
-        "  cache: {:.1}% occupied ({:.1}% dead) / {} evictions ({} smc) / {} unchains / {} retranslations",
+        "  cache: {:.1}% occupied ({:.1}% dead) / {} smc evictions / {} unchains / {} retranslations",
         s.cache.occupancy() * 100.0,
         s.cache.dead_space_ratio() * 100.0,
-        s.cache.evictions,
         s.cache.smc_evictions,
         s.cache.unchains,
         s.cache.retranslations

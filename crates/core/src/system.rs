@@ -107,8 +107,7 @@ pub struct Report {
     pub static_insts: u32,
     /// Timeline windows (empty unless `window_guest_insts` was set).
     pub timeline: Vec<Window>,
-    /// Trace-level statistics of the host-event stream (timing-model
-    /// independent).
+    /// Delivery accounting of the host-event stream: events and batches.
     pub trace: TraceStats,
 }
 
@@ -158,8 +157,8 @@ impl System {
     /// returns the report.
     ///
     /// The controller only drives the engine and emits boundary events;
-    /// every observer — timing pipelines, co-simulation checker, trace
-    /// statistics — consumes the host-event stream through the
+    /// every observer — timing pipelines, co-simulation checker, delivery
+    /// accounting — consumes the host-event stream through the
     /// [`SinkSet`], on this thread.
     ///
     /// # Panics
@@ -310,6 +309,20 @@ mod tests {
         assert!(
             first > 2.0 * steady,
             "start-up ({first:.3}) must dwarf steady state ({steady:.3})"
+        );
+    }
+
+    /// Every delivered event is one a consumer saw: a retirement timed by
+    /// the shared pipeline, a boundary the checker compared at, or a
+    /// window mark the timeline sampled.
+    #[test]
+    fn every_delivered_event_reaches_a_consumer() {
+        let cfg = SystemConfig { window_guest_insts: 10_000, ..SystemConfig::default() };
+        let r = quick_system(cfg).run_to_completion();
+        assert!(r.cosim_checks > 0 && r.timeline.len() > 1, "both marks are on the bus");
+        assert_eq!(
+            r.trace.events,
+            r.timing.total_insts() + r.cosim_checks + r.timeline.len() as u64
         );
     }
 

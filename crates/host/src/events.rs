@@ -1,17 +1,18 @@
 //! The typed host-event stream that decouples functional emulation from
 //! its observers.
 //!
-//! The software layer retires host instructions and performs
-//! module-level activities (translation, chaining, code-cache
-//! management, IBTC resolution) millions of times per run. Rather than
-//! calling an observer closure once per retired instruction — which
-//! couples the emulation loop to every consumer and forbids batching or
-//! overlap — the layer pushes typed [`HostEvent`]s into an
-//! [`EventBuffer`] and delivers them to a [`HostEventSink`] in batches.
-//! Consumers (timing pipelines, the co-simulation checker, trace
-//! statistics) implement the sink trait and receive whole batches; the
-//! *order* of events inside and across batches is exactly retire order,
-//! so where a batch ends is invisible to every consumer.
+//! The software layer retires host instructions millions of times per
+//! run, each tagged with the component — a TOL module or the
+//! application — that executed it. Rather than calling an observer
+//! closure once per retired instruction — which couples the emulation
+//! loop to every consumer and forbids batching — the layer stages
+//! [`HostEvent::Retire`]s in an [`EventBuffer`] and delivers them to a
+//! [`HostEventSink`] in batches; the controller adds its own two marks
+//! between engine steps. Consumers (timing pipelines, the co-simulation
+//! checker, delivery accounting) implement the sink trait and receive
+//! whole batches; the *order* of events inside and across batches is
+//! exactly retire order, so where a batch ends is invisible to every
+//! consumer that acts on an event.
 
 use crate::stream::DynInst;
 use darco_guest::CpuState;
@@ -21,93 +22,16 @@ use serde::{Deserialize, Serialize};
 /// per delivered batch).
 pub const EVENT_BATCH: usize = 4096;
 
-/// Execution mode of the software layer (paper Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ExecMode {
-    /// Interpretation.
-    Im,
-    /// Basic-block translation mode.
-    Bbm,
-    /// Superblock mode.
-    Sbm,
-}
-
-impl ExecMode {
-    /// Index into `[IM, BBM, SBM]` arrays.
-    pub fn index(self) -> usize {
-        match self {
-            ExecMode::Im => 0,
-            ExecMode::Bbm => 1,
-            ExecMode::Sbm => 2,
-        }
-    }
-}
-
-/// What kind of translation a code-cache block holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TranslationKind {
-    /// A basic block (BBM).
-    Bb,
-    /// An optimized superblock (SBM).
-    Sb,
-}
-
 /// One event on the host retirement stream.
 ///
-/// `Retire` dominates the stream by orders of magnitude; the remaining
-/// variants are module-level markers that let sinks reconstruct the
-/// layer's control flow without touching the engine.
+/// The software layer puts only retirements on the bus; what a TOL
+/// module did is told by the component tag of the instructions it
+/// retired. The other two variants are injected by the controller
+/// between engine steps, for the observers that act on them.
 #[derive(Debug, Clone)]
 pub enum HostEvent {
     /// A host instruction retired.
     Retire(DynInst),
-    /// The dispatcher entered an execution mode for the next unit.
-    ModeEnter(ExecMode),
-    /// A region was translated (BBM) or formed + optimized (SBM).
-    Translated {
-        /// Guest entry address of the region.
-        entry: u32,
-        /// Block kind produced.
-        kind: TranslationKind,
-        /// Host instructions emitted into the code cache.
-        host_len: u32,
-    },
-    /// A direct exit was patched to jump straight to its successor.
-    Chained {
-        /// Host PC of the patched exit instruction.
-        site: u64,
-    },
-    /// A translation was installed into the code cache.
-    CacheInsert {
-        /// Guest entry address.
-        entry: u32,
-        /// Whether installing forced a full cache flush (eviction).
-        flushed: bool,
-    },
-    /// A translation was evicted from the code cache — capacity
-    /// pressure or a same-entry replacement under a partial-eviction
-    /// policy, or a self-modifying-code invalidation under any policy.
-    /// Whole-cache flushes are reported via
-    /// [`HostEvent::CacheInsert`]`::flushed`, not per-block evictions.
-    Evict {
-        /// Guest entry address of the evicted translation.
-        entry: u32,
-        /// Whether a guest write to translated code forced the eviction.
-        smc: bool,
-    },
-    /// A chain link into an evicted translation was unpatched, so the
-    /// chaining site exits to the software layer again.
-    Unchain {
-        /// Host PC of the unpatched exit instruction.
-        site: u64,
-    },
-    /// An indirect-branch target was looked up in the IBTC.
-    IbtcResolve {
-        /// Guest target address.
-        target: u32,
-        /// Whether the IBTC held the translation.
-        hit: bool,
-    },
     /// A dispatch-unit boundary: the controller finished one engine step.
     /// Carries the layer's emulated architectural state so a
     /// co-simulation sink can compare it against the authoritative
@@ -178,7 +102,7 @@ impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
 }
 
 /// What a staging slot holds before its first event (no heap state).
-const FILLER: HostEvent = HostEvent::ModeEnter(ExecMode::Im);
+const FILLER: HostEvent = HostEvent::WindowMark { guest_insts: 0 };
 
 /// Slots an [`EventBuffer`] adds at a time while its vector grows.
 const GROW: usize = 64;
@@ -332,114 +256,22 @@ impl std::fmt::Debug for EventBuffer<'_> {
     }
 }
 
-/// Aggregate statistics over the event stream, independent of any
-/// timing model — what the controller's report exposes as the
-/// trace-level view of a run.
-///
-/// `Serialize`/`Deserialize` are implemented by hand (not derived)
-/// because the batch-accounting fields (`batches`, `max_batch`) stay
-/// *out* of the serialized form: they are delivery accounting, not
-/// simulation — where a batch ends depends on [`EVENT_BATCH`] and on
-/// where the producer flushes, and no simulated quantity does.
-/// Deserialized stats carry zeros there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Delivery accounting of the event stream: how many events the bus
+/// carried, in how many batches. Where a batch ends depends only on
+/// [`EVENT_BATCH`] and on where the producer and the controller flush,
+/// so the accounting is as deterministic as the stream and is part of
+/// the serialized report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceStats {
-    /// Host instructions retired.
-    pub retired: u64,
-    /// Retired host instructions per [`Component`], in
-    /// [`Component::ALL`] order.
-    ///
-    /// [`Component`]: crate::stream::Component
-    /// [`Component::ALL`]: crate::stream::Component::ALL
-    pub component_insts: [u64; 7],
-    /// Dispatch-unit entries per mode `[IM, BBM, SBM]`.
-    pub mode_enters: [u64; 3],
-    /// Basic-block translations performed.
-    pub bb_translations: u64,
-    /// Superblocks formed and optimized.
-    pub sb_translations: u64,
-    /// Host instructions emitted into the code cache by translations.
-    pub translated_host_insts: u64,
-    /// Exit-chaining patches.
-    pub chains: u64,
-    /// Code-cache installs.
-    pub cache_inserts: u64,
-    /// Code-cache flushes triggered by installs.
-    pub cache_flushes: u64,
-    /// Per-block code-cache evictions (partial eviction + SMC).
-    pub evictions: u64,
-    /// Evictions forced by guest writes to translated code.
-    pub smc_evictions: u64,
-    /// Chain links unpatched because their target was evicted.
-    pub unchains: u64,
-    /// IBTC lookups that hit.
-    pub ibtc_hits: u64,
-    /// IBTC lookups that missed.
-    pub ibtc_misses: u64,
-    /// Dispatch-unit boundaries observed.
-    pub step_boundaries: u64,
-    /// Timeline-window marks observed.
-    pub window_marks: u64,
-    /// Batches delivered. Not serialized (see the type docs).
+    /// Events delivered.
+    pub events: u64,
+    /// Batches delivered.
     pub batches: u64,
-    /// Largest single batch. Not serialized (see the type docs).
+    /// Largest single batch.
     pub max_batch: u64,
 }
 
-/// `(name, get, set)` triples for the *serialized* subset of
-/// [`TraceStats`] — everything except the batch accounting.
-macro_rules! trace_stats_serialized_fields {
-    ($m:ident) => {
-        $m!(
-            retired,
-            component_insts,
-            mode_enters,
-            bb_translations,
-            sb_translations,
-            translated_host_insts,
-            chains,
-            cache_inserts,
-            cache_flushes,
-            evictions,
-            smc_evictions,
-            unchains,
-            ibtc_hits,
-            ibtc_misses,
-            step_boundaries,
-            window_marks
-        )
-    };
-}
-
-impl Serialize for TraceStats {
-    fn to_value(&self) -> serde::Value {
-        macro_rules! obj {
-            ($($f:ident),*) => {
-                serde::Value::Obj(vec![
-                    $((stringify!($f).to_string(), Serialize::to_value(&self.$f)),)*
-                ])
-            };
-        }
-        trace_stats_serialized_fields!(obj)
-    }
-}
-
-impl Deserialize for TraceStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        macro_rules! de {
-            ($($f:ident),*) => {
-                Ok(TraceStats {
-                    $($f: Deserialize::from_value(serde::field(v, stringify!($f))?)?,)*
-                    batches: 0,
-                    max_batch: 0,
-                })
-            };
-        }
-        trace_stats_serialized_fields!(de)
-    }
-}
-
-/// A sink that reduces the stream to [`TraceStats`].
+/// A sink that reduces the stream to [`TraceStats`], once per batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceStatsSink {
     /// The running totals.
@@ -450,56 +282,16 @@ impl TraceStatsSink {
     /// Accounts for one delivered batch of `len` events.
     #[inline]
     pub fn batch(&mut self, len: usize) {
-        self.stats.batches += 1;
-        self.stats.max_batch = self.stats.max_batch.max(len as u64);
-    }
-
-    /// Tallies one event.
-    #[inline(always)]
-    pub fn event(&mut self, e: &HostEvent) {
         let s = &mut self.stats;
-        match e {
-            HostEvent::Retire(d) => {
-                s.retired += 1;
-                s.component_insts[d.component.index()] += 1;
-            }
-            HostEvent::ModeEnter(m) => s.mode_enters[m.index()] += 1,
-            HostEvent::Translated { kind, host_len, .. } => {
-                match kind {
-                    TranslationKind::Bb => s.bb_translations += 1,
-                    TranslationKind::Sb => s.sb_translations += 1,
-                }
-                s.translated_host_insts += u64::from(*host_len);
-            }
-            HostEvent::Chained { .. } => s.chains += 1,
-            HostEvent::CacheInsert { flushed, .. } => {
-                s.cache_inserts += 1;
-                s.cache_flushes += u64::from(*flushed);
-            }
-            HostEvent::Evict { smc, .. } => {
-                s.evictions += 1;
-                s.smc_evictions += u64::from(*smc);
-            }
-            HostEvent::Unchain { .. } => s.unchains += 1,
-            HostEvent::IbtcResolve { hit, .. } => {
-                if *hit {
-                    s.ibtc_hits += 1;
-                } else {
-                    s.ibtc_misses += 1;
-                }
-            }
-            HostEvent::StepBoundary { .. } => s.step_boundaries += 1,
-            HostEvent::WindowMark { .. } => s.window_marks += 1,
-        }
+        s.events += len as u64;
+        s.batches += 1;
+        s.max_batch = s.max_batch.max(len as u64);
     }
 }
 
 impl HostEventSink for TraceStatsSink {
     fn consume(&mut self, batch: &[HostEvent]) {
         self.batch(batch.len());
-        for e in batch {
-            self.event(e);
-        }
     }
 }
 
@@ -551,7 +343,7 @@ mod tests {
             }
             buf.flush();
         }
-        assert_eq!(sink.stats.retired, 40);
+        assert_eq!(sink.stats.events, 40);
         assert_eq!(sink.stats.batches, 3, "16 + 16 + 8");
         assert_eq!(sink.stats.max_batch, 16);
     }
@@ -583,45 +375,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_stats_classify_events() {
+    fn trace_stats_count_every_variant_once_per_batch() {
         let mut sink = TraceStatsSink::default();
         sink.consume(&[
             retire_at(0),
-            HostEvent::ModeEnter(ExecMode::Bbm),
-            HostEvent::Translated { entry: 0x1000, kind: TranslationKind::Sb, host_len: 12 },
-            HostEvent::Chained { site: 0x2_0000_0000 },
-            HostEvent::CacheInsert { entry: 0x1000, flushed: true },
-            HostEvent::Evict { entry: 0x1040, smc: false },
-            HostEvent::Evict { entry: 0x1080, smc: true },
-            HostEvent::Unchain { site: 0x2_0000_0010 },
-            HostEvent::IbtcResolve { target: 0x1010, hit: true },
-            HostEvent::IbtcResolve { target: 0x1014, hit: false },
+            HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(CpuState::at(0)) },
             HostEvent::WindowMark { guest_insts: 10 },
         ]);
-        let s = sink.stats;
-        assert_eq!(s.retired, 1);
-        assert_eq!(s.mode_enters, [0, 1, 0]);
-        assert_eq!(s.sb_translations, 1);
-        assert_eq!(s.translated_host_insts, 12);
-        assert_eq!(s.chains, 1);
-        assert_eq!((s.cache_inserts, s.cache_flushes), (1, 1));
-        assert_eq!((s.evictions, s.smc_evictions, s.unchains), (2, 1, 1));
-        assert_eq!((s.ibtc_hits, s.ibtc_misses), (1, 1));
-        assert_eq!(s.window_marks, 1);
+        sink.consume(&[retire_at(4)]);
+        assert_eq!(sink.stats, TraceStats { events: 4, batches: 2, max_batch: 3 });
     }
 
     #[test]
     fn retire_sink_filters_non_retires() {
         let mut n = 0u64;
         let mut sink = RetireSink(|_d: &DynInst| n += 1);
-        sink.consume(&[retire_at(0), HostEvent::ModeEnter(ExecMode::Im), retire_at(4)]);
+        sink.consume(&[retire_at(0), HostEvent::WindowMark { guest_insts: 1 }, retire_at(4)]);
         assert_eq!(n, 2);
     }
 
     #[test]
-    fn trace_stats_serialization_omits_batch_accounting() {
-        // Batch boundaries are delivery accounting; serialized reports
-        // must not expose them.
+    fn trace_stats_round_trip_through_serde() {
         let mut sink = TraceStatsSink::default();
         {
             let mut buf = EventBuffer::new(4, &mut sink);
@@ -631,9 +405,7 @@ mod tests {
             buf.flush();
         }
         let stats = sink.stats;
-        assert!(stats.batches > 0 && stats.max_batch > 0);
-        let back = TraceStats::from_value(&stats.to_value()).expect("round trip");
-        assert_eq!((back.batches, back.max_batch), (0, 0), "not serialized");
-        assert_eq!(TraceStats { batches: 0, max_batch: 0, ..stats }, back, "everything else is");
+        assert_eq!(stats, TraceStats { events: 10, batches: 3, max_batch: 4 });
+        assert_eq!(TraceStats::from_value(&stats.to_value()).expect("round trip"), stats);
     }
 }

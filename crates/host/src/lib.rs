@@ -22,7 +22,7 @@
 //! * [`events`] — the typed [`events::HostEvent`] retirement stream and
 //!   the batched [`events::HostEventSink`] trait that decouple the
 //!   functional emulation loop from its consumers (timing, checking,
-//!   statistics),
+//!   delivery accounting),
 //! * [`layout`] — the host physical address map (guest RAM window, TOL
 //!   data, code cache, TOL code).
 //!
@@ -48,8 +48,7 @@ pub mod stream;
 pub mod template;
 
 pub use events::{
-    EventBuffer, ExecMode, HostEvent, HostEventSink, NullSink, RetireSink, TraceStats,
-    TraceStatsSink, TranslationKind,
+    EventBuffer, HostEvent, HostEventSink, NullSink, RetireSink, TraceStats, TraceStatsSink,
 };
 pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Width};
 pub use state::{eval_alu, eval_flags, exec_inst, HostState, Outcome};

@@ -6,7 +6,7 @@
 //! batches no longer than the capacity.
 
 use darco_guest::CpuState;
-use darco_host::events::{EventBuffer, ExecMode};
+use darco_host::events::EventBuffer;
 use darco_host::{Component, DynInst, ExecClass, HostEvent, HostEventSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -79,17 +79,8 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
         for _ in 0..rng.gen_range(1..12usize).min(ops_left) {
             ops_left -= 1;
             match rng.gen_range(0..10u32) {
-                0 => {
-                    let e = HostEvent::Translated {
-                        entry: fresh() as u32,
-                        kind: darco_host::events::TranslationKind::Bb,
-                        host_len: 3,
-                    };
-                    model.push(e.clone());
-                    ev.push(e);
-                }
-                1 => {
-                    let e = HostEvent::ModeEnter(ExecMode::Sbm);
+                0 | 1 => {
+                    let e = HostEvent::WindowMark { guest_insts: fresh() };
                     model.push(e.clone());
                     ev.push(e);
                 }

@@ -158,10 +158,8 @@ pub struct CodeCacheStats {
     pub flushes: u64,
     /// Chain links patched.
     pub chains: u64,
-    /// Per-block evictions (whole-cache flushes are counted in
-    /// `flushes`, not here).
-    pub evictions: u64,
-    /// Evictions forced by a self-modifying-code stamp mismatch.
+    /// Per-block evictions, each forced by a self-modifying-code stamp
+    /// mismatch (whole-cache flushes are counted in `flushes`).
     pub smc_evictions: u64,
     /// Chain links unpatched because their target was evicted.
     pub unchains: u64,
@@ -183,8 +181,6 @@ pub struct CacheHealth {
     pub live_used: u32,
     /// Currently resident (live) translations.
     pub resident: u32,
-    /// Per-block evictions over the run.
-    pub evictions: u64,
     /// SMC-forced evictions over the run.
     pub smc_evictions: u64,
     /// Chain links unpatched over the run.
@@ -382,7 +378,6 @@ impl CodeCache {
             self.live_used -= n;
         }
         self.evicted_entries.insert(b.guest_entry);
-        self.stats.evictions += 1;
         self.stats.smc_evictions += 1;
         let mut unchained = Vec::new();
         for &(from, exit_idx) in &b.incoming {
@@ -513,7 +508,6 @@ impl CodeCache {
             used: self.used,
             live_used: self.live_used,
             resident: self.map.len() as u32,
-            evictions: self.stats.evictions,
             smc_evictions: self.stats.smc_evictions,
             unchains: self.stats.unchains,
             retranslations: self.stats.retranslations,
@@ -637,7 +631,7 @@ mod tests {
         // The reject is clean: nothing was flushed or evicted, and the
         // resident block still runs.
         assert_eq!(cc.stats().flushes, 0);
-        assert_eq!(cc.stats().evictions, 0);
+        assert_eq!(cc.stats().smc_evictions, 0);
         assert!(cc.lookup(0x100).is_some());
         assert!(cc.used() <= 4, "bound never exceeded");
     }

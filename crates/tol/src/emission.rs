@@ -83,9 +83,6 @@ mod code {
 pub struct Emitter {
     /// Cursor for code-cache writes performed by the translator.
     emit_cursor: u64,
-    /// Per-component dynamic instruction counters (for reports that do
-    /// not involve the timing simulator).
-    pub emitted: [u64; 7],
     /// Per-shape interpreter stream templates, indexed by
     /// [`shape_key`]. Filled lazily on first encounter of a shape.
     interp_tpl: Vec<Option<InterpTemplate>>,
@@ -336,13 +333,8 @@ impl Emitter {
     pub fn new() -> Emitter {
         Emitter {
             emit_cursor: darco_host::layout::CODE_CACHE_BASE,
-            emitted: [0; 7],
             interp_tpl: std::iter::repeat_with(|| None).take(INTERP_SHAPES).collect(),
         }
-    }
-
-    fn track<T: RetireTarget>(&mut self, comp: Component, cur: Cur<'_, T>) {
-        self.emitted[comp.index()] += cur.count;
     }
 
     /// One interpreted guest instruction (IM): dispatch, decode, handler
@@ -378,7 +370,6 @@ impl Emitter {
                 retired(&mut evs[m.jump]).branch.as_mut().expect("jump has a branch").2 = taken;
             }
         });
-        self.emitted[comp.index()] += tpl.insts.len() as u64;
     }
 
     /// Basic-block translation (BBM): decode each guest instruction and
@@ -427,7 +418,6 @@ impl Emitter {
         c.use_load();
         c.st(bucket);
         c.st(bucket + 8);
-        self.track(comp, c);
     }
 
     /// Superblock formation and optimization (SBM).
@@ -464,7 +454,6 @@ impl Emitter {
             self.emit_cursor += 4;
         }
         c.alu(6);
-        self.track(comp, c);
     }
 
     /// Chaining: patch a direct exit to its successor translation.
@@ -476,7 +465,6 @@ impl Emitter {
         c.use_load();
         c.st(exit_host_pc); // patch it
         c.alu(2);
-        self.track(comp, c);
     }
 
     /// Unchaining: restore a direct exit whose target is being evicted
@@ -489,7 +477,6 @@ impl Emitter {
         c.ld(exit_host_pc); // read the patched exit
         c.use_load();
         c.st(exit_host_pc); // restore it
-        self.track(comp, c);
     }
 
     /// Bookkeeping of an SMC eviction: remove the victim from the
@@ -507,7 +494,6 @@ impl Emitter {
         c.use_load();
         c.st(TOL_DATA_BASE + data::FREELIST); // dead-extent push
         c.alu(2);
-        self.track(comp, c);
     }
 
     /// Full translation-map lookup (the data-intensive probe of
@@ -537,7 +523,6 @@ impl Emitter {
             c.br(BranchKind::CondDirect, c.pc + 48, true); // chain walk ends
         }
         c.alu(3);
-        self.track(comp, c);
     }
 
     /// IBTC entry update after a miss (two stores into the table).
@@ -547,7 +532,6 @@ impl Emitter {
         let e = TOL_DATA_BASE + data::IBTC + slot as u64 * 16;
         c.st(e);
         c.st(e + 8);
-        self.track(comp, c);
     }
 
     /// Transition between translated code and the software layer
@@ -563,7 +547,6 @@ impl Emitter {
         }
         c.alu(4);
         c.br(BranchKind::UncondDirect, TOL_CODE_BASE + code::DISPATCH, true);
-        self.track(comp, c);
     }
 
     /// The dispatcher's decision work per TOL entry.
@@ -575,12 +558,10 @@ impl Emitter {
         c.use_load();
         // Mode decision branch: its direction tracks the execution phase.
         c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::DISPATCH + 0x80, mode != StaticMode::Im);
-        self.track(comp, c);
     }
 
     /// The inline IBTC probe executed *by translated code* (application
     /// side) at an indirect-branch exit.
-    #[allow(clippy::too_many_arguments)]
     pub fn ibtc_probe_inline(
         &mut self,
         ev: &mut EventBuffer<'_>,
@@ -599,7 +580,6 @@ impl Emitter {
             // Jump straight to the cached translation.
             c.br(BranchKind::Indirect, target_host, true);
         }
-        self.track(comp, c);
     }
 
     /// Inline speculative indirect-branch check (optional feature,
@@ -621,7 +601,6 @@ impl Emitter {
         if hit {
             c.br(BranchKind::UncondDirect, target_host, true);
         }
-        self.track(comp, c);
     }
 
     /// BBM edge-profiling instrumentation executed per block run
@@ -637,7 +616,6 @@ impl Emitter {
         let edge = TOL_DATA_BASE + data::EDGES + (bucket_of(bb_entry ^ 0x9e37) % 2048) * 64;
         c.ld(edge);
         c.st(edge);
-        self.track(comp, c);
     }
 }
 
@@ -752,20 +730,6 @@ mod tests {
         ));
         let miss = collect(|e, s| e.spec_check(s, 0x2_0000_0000, false, 0));
         assert_eq!(miss.len(), 2, "compare + fall-through branch only");
-    }
-
-    #[test]
-    fn emitted_counters_accumulate() {
-        let mut e = Emitter::new();
-        let mut n = 0u64;
-        let mut sink = RetireSink(|_: &DynInst| n += 1);
-        let mut ev = EventBuffer::new(64, &mut sink);
-        e.transition(&mut ev);
-        e.dispatch(&mut ev, StaticMode::Bbm);
-        ev.flush();
-        let others = e.emitted[Component::TolOthers.index()];
-        assert_eq!(others, n);
-        assert!(others > 10);
     }
 
     #[test]

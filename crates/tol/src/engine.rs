@@ -6,10 +6,9 @@
 //!
 //! [`Tol::step`] advances the emulated guest by (at least) one dispatch
 //! unit — one interpreted basic block or one run of chained translations
-//! bounded by a budget — emitting every retired host instruction (and
-//! module-level markers: mode entries, translations, chaining,
-//! code-cache installs, IBTC resolutions) as typed
-//! [`HostEvent`]s. Events are staged in a fixed-capacity
+//! bounded by a budget — emitting every retired host instruction, tagged
+//! with the TOL module or application code that retired it, as a
+//! [`HostEvent::Retire`]. Events are staged in a fixed-capacity
 //! [`EventBuffer`] and delivered to the caller's [`HostEventSink`] in
 //! retire-order batches, flushed at budget boundaries. The caller
 //! (DARCO's controller) dispatches those batches to the timing
@@ -26,9 +25,7 @@ use crate::profile::{Profiler, StaticMode};
 use crate::superblock::form_region_into;
 use crate::translate::{decode_bb_into, RegionInst, TranslateScratch};
 use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
-use darco_host::events::{
-    EventBuffer, ExecMode, HostEvent, HostEventSink, TranslationKind, EVENT_BATCH,
-};
+use darco_host::events::{EventBuffer, HostEvent, HostEventSink, EVENT_BATCH};
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE};
 use darco_host::{
     exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome, RetireDyn,
@@ -42,8 +39,6 @@ pub type Mode = StaticMode;
 /// Counters the engine maintains across a run.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct TolCounters {
-    /// Guest instructions emulated (all modes).
-    pub guest_insts: u64,
     /// Superblocks formed (the paper's "SBM invocations", Fig. 6).
     pub sbm_invocations: u64,
     /// Dynamic guest indirect branches (incl. returns), Fig. 7 overlay.
@@ -88,7 +83,8 @@ pub struct RunSummary {
     pub static_dist: [u64; 3],
     /// Dynamic guest instructions per mode `[IM, BBM, SBM]`.
     pub dyn_dist: [u64; 3],
-    /// Translations installed / flushes / chains.
+    /// Translations installed into the code cache (BBM and SBM,
+    /// re-translations included).
     pub installed: u64,
     /// Code cache flushes.
     pub flushes: u64,
@@ -98,10 +94,8 @@ pub struct RunSummary {
     pub ibtc_hits: u64,
     /// IBTC misses.
     pub ibtc_misses: u64,
-    /// Host instructions emitted per component (engine-side counts).
-    pub emitted: [u64; 7],
     /// End-of-run code-cache health: occupancy, dead space, and the
-    /// lifecycle counters (evictions, unchains, retranslations).
+    /// lifecycle counters (SMC evictions, unchains, retranslations).
     pub cache: CacheHealth,
     /// Per-pass instruction deltas across every optimized block, in
     /// pipeline order (`darco verify` / `darco analyze` report these).
@@ -248,7 +242,6 @@ impl Tol {
             chains: s.chains,
             ibtc_hits: self.ibtc.hits(),
             ibtc_misses: self.ibtc.misses(),
-            emitted: self.em.emitted,
             cache: self.cc.health(),
             pass_deltas: self.pass_deltas.clone(),
         }
@@ -288,7 +281,6 @@ impl Tol {
         }
         let pc = self.guest_pc;
         if self.cc.lookup(pc).is_some() {
-            ev.push(HostEvent::ModeEnter(ExecMode::Sbm));
             let n = self.run_translated(mem, ev, budget)?;
             return Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Sbm });
         }
@@ -297,7 +289,6 @@ impl Tol {
         // translation (Fig. 3, left vs. middle path).
         let count = self.prof.bump_target(pc);
         let promote = count > self.cfg.im_bb_threshold;
-        ev.push(HostEvent::ModeEnter(if promote { ExecMode::Bbm } else { ExecMode::Im }));
         self.em.dispatch(ev, if promote { Mode::Bbm } else { Mode::Im });
         self.em.map_lookup(ev, pc, false);
 
@@ -407,7 +398,6 @@ impl Tol {
         // becomes visible to `StepBoundary` consumers via `store_cpu`.
         self.fastctx.force_flags(&mut cpu);
         self.prof.count_dynamic(StaticMode::Im, n);
-        self.counters.guest_insts += n;
         self.guest_pc = cpu.eip;
         self.halted = cpu.halted;
         self.store_cpu(&cpu);
@@ -420,18 +410,15 @@ impl Tol {
         self.fastctx.stats
     }
 
-    /// Lifecycle fallout of an SMC eviction: emits the `Unchain`/`Evict`
-    /// events and their software-layer costs, and eagerly drops every
-    /// engine-side reference (IBTC entries, speculation targets) naming
-    /// the evicted block, so no stale handle can ever be dispatched
-    /// through them.
+    /// Lifecycle fallout of an SMC eviction: emits the unchaining and
+    /// eviction cost streams, and eagerly drops every engine-side
+    /// reference (IBTC entries, speculation targets) naming the evicted
+    /// block, so no stale handle can ever be dispatched through them.
     fn note_smc_eviction(&mut self, e: &Evicted, ev: &mut EventBuffer<'_>) {
         for &site in &e.unchained {
             self.em.unchain(ev, site);
-            ev.push(HostEvent::Unchain { site });
         }
         self.em.evict(ev, e.entry);
-        ev.push(HostEvent::Evict { entry: e.entry, smc: true });
         self.ibtc.invalidate(e.id);
         self.spec_targets.retain(|&(b, _), &mut (_, to)| b != e.id && to != e.id);
     }
@@ -448,7 +435,6 @@ impl Tol {
     ) -> Option<BlockId> {
         let TranslateScratch { ir, opt, .. } = &mut self.scratch;
         let compiled = compile_bb(region, &self.cfg, ir, opt, &mut self.pass_nanos);
-        let host_len = compiled.insts.len() as u32;
         self.em.bb_translate(ev, entry, region, compiled.insts.len());
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
         let ins = timed(&mut self.pass_nanos, "install", || {
@@ -468,8 +454,6 @@ impl Tol {
             self.ibtc.clear();
             self.spec_targets.clear();
         }
-        ev.push(HostEvent::Translated { entry, kind: TranslationKind::Bb, host_len });
-        ev.push(HostEvent::CacheInsert { entry, flushed: ins.flushed });
         Some(ins.id)
     }
 
@@ -510,7 +494,6 @@ impl Tol {
             SbOutcome::OutOfRegisters => self.counters.opt_bailouts += 1,
             SbOutcome::Miscompile => self.counters.verify_failures += 1,
         }
-        let host_len = compiled.insts.len() as u32;
         self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.insts.len());
         self.counters.sbm_invocations += 1;
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Sbm);
@@ -534,8 +517,6 @@ impl Tol {
             self.ibtc.clear();
             self.spec_targets.clear();
         }
-        ev.push(HostEvent::Translated { entry, kind: TranslationKind::Sb, host_len });
-        ev.push(HostEvent::CacheInsert { entry, flushed: ins.flushed });
         Ok(Some((ins.id, ins.flushed)))
     }
 
@@ -556,7 +537,6 @@ impl Tol {
                 DynInst::plain(pc, darco_host::ExecClass::Jump, darco_host::Component::AppCode)
                     .with_branch(BranchKind::UncondDirect, target, true),
             );
-            self.em.emitted[0] += 1;
             bid = r;
         }
         bid
@@ -600,7 +580,6 @@ impl Tol {
 
             let (exit, exit_idx, guest_n, cond_taken) = self.exec_block_templates(bid, mem, ev);
             executed += guest_n;
-            self.counters.guest_insts += guest_n;
 
             // Per-execution bookkeeping of BBM blocks: instrumentation
             // cost, execution counting, edge profiling.
@@ -644,7 +623,6 @@ impl Tol {
                         if self.cfg.chaining && self.cc.chain(bid, exit_idx, to).is_ok() {
                             let site = host_base + 4 * exit_idx as u64;
                             self.em.chain(ev, site);
-                            ev.push(HostEvent::Chained { site });
                         } else {
                             self.em.dispatch(ev, mode);
                             self.em.map_lookup(ev, guest_target, true);
@@ -695,12 +673,10 @@ impl Tol {
                                 // live; defensive fallback as above.
                                 let to_base =
                                     self.cc.get(to).map_or(TOL_CODE_BASE, |b| b.host_base);
-                                ev.push(HostEvent::IbtcResolve { target, hit: true });
                                 self.em.ibtc_probe_inline(ev, site_pc, slot, true, to_base);
                                 Some(to)
                             }
                             None => {
-                                ev.push(HostEvent::IbtcResolve { target, hit: false });
                                 self.em.ibtc_probe_inline(ev, site_pc, slot, false, 0);
                                 self.counters.tol_entries += 1;
                                 self.em.transition(ev);
@@ -748,11 +724,10 @@ impl Tol {
                 self.counters.tol_entries += 1;
                 self.em.transition(ev);
                 match self.install_sb(entry, mem, ev)? {
-                    Some((sb, true)) => {
+                    Some((_, true)) => {
                         // Every id (including `next` and chain links) is
                         // stale; re-enter through the dispatcher.
                         self.em.transition(ev);
-                        let _ = sb;
                         next = self.cc.lookup(self.guest_pc);
                         if next.is_none() {
                             return Ok(executed);
@@ -802,7 +777,6 @@ impl Tol {
     ) -> (Exit, usize, u64, Option<bool>) {
         let block = self.cc.block(bid).expect("guarded live at dispatch");
         let mut idx = 0usize;
-        let mut app_insts = 0u64;
         loop {
             let inst = &block.insts[idx];
             let tpl = &block.templates[idx];
@@ -841,14 +815,12 @@ impl Tol {
                 }
                 RetireDyn::Fixed | RetireDyn::Mem { .. } => {}
             }
-            app_insts += 1;
 
             match outcome {
                 Outcome::Next => idx += 1,
                 Outcome::Taken(t) => idx = t as usize,
                 Outcome::Exited(e) => {
                     let (guest_n, cond_taken) = exit_info(block, idx);
-                    self.em.emitted[0] += app_insts; // AppCode counter
                     return (e, idx, guest_n, cond_taken);
                 }
             }
@@ -939,7 +911,7 @@ mod tests {
         let (tol, _) = run_tol(&mut mem, entry, TolConfig::default());
         let emu = tol.emulated_state();
         assert!(ref_cpu.arch_eq(&emu), "state diverged:\nref: {ref_cpu}\nemu: {emu}");
-        assert_eq!(tol.counters().guest_insts, ref_n);
+        assert_eq!(tol.summary().dyn_dist.iter().sum::<u64>(), ref_n);
     }
 
     /// A `Halt` reached in translated code leaves the pc on the `Halt`,
@@ -1159,18 +1131,23 @@ mod tests {
         let (mut mem_ref, _) = loop_program(5_000);
         let (ref_cpu, ref_n) = run_reference(&mut mem_ref, entry);
         assert!(ref_cpu.arch_eq(&tol.emulated_state()));
-        assert_eq!(tol.counters().guest_insts, ref_n);
+        assert_eq!(tol.summary().dyn_dist.iter().sum::<u64>(), ref_n);
     }
 
     #[test]
     fn overhead_share_is_plausible() {
         let (mut mem, entry) = loop_program(100_000);
-        let (tol, total_host) = run_tol(&mut mem, entry, TolConfig::default());
-        let s = tol.summary();
-        let app = s.emitted[0];
-        let tol_side: u64 = s.emitted[1..].iter().sum();
-        assert_eq!(app + tol_side, total_host);
-        let overhead = tol_side as f64 / total_host as f64;
+        let mut tol = Tol::new(TolConfig::default(), entry);
+        let mut cpu = CpuState::at(entry);
+        cpu.set_gpr(Gpr::Esp, 0x10_0000);
+        tol.set_state(&cpu);
+        let (mut app, mut tol_side) = (0u64, 0u64);
+        let mut sink = darco_host::RetireSink(|d: &DynInst| match d.owner() {
+            darco_host::Owner::App => app += 1,
+            darco_host::Owner::Tol => tol_side += 1,
+        });
+        tol.run(&mut mem, &mut sink, u64::MAX).unwrap();
+        let overhead = tol_side as f64 / (app + tol_side) as f64;
         // A hot loop amortizes overhead to a small share.
         assert!(overhead < 0.30, "overhead share {overhead}");
     }
@@ -1394,7 +1371,7 @@ mod tests {
                     let (want, want_exit, want_idx) =
                         rederive_block(&tol.cc, bid, &mut ref_host, &mut ref_mem);
 
-                    let (saved_host, saved_emitted) = (tol.host.clone(), tol.em.emitted);
+                    let saved_host = tol.host.clone();
                     let mut tpl_mem = mem.clone();
                     let mut got: Vec<DynInst> = Vec::new();
                     let mut sink = darco_host::events::RetireSink(|d: &DynInst| got.push(*d));
@@ -1402,7 +1379,6 @@ mod tests {
                     let (exit, idx, ..) = tol.exec_block_templates(bid, &mut tpl_mem, &mut ev);
                     ev.flush();
                     let tpl_host = std::mem::replace(&mut tol.host, saved_host);
-                    tol.em.emitted = saved_emitted;
 
                     let ctx = format!("case {case}, block at guest {:#x}", tol.guest_pc);
                     assert_eq!((exit, idx), (want_exit, want_idx), "{ctx}: exit");

@@ -17,7 +17,8 @@ round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_p
 round4='opt_deadflags|opt_rangesimp|deadflags::|rangesimp|knownbits|liveness::|analyze_region_text|translate_region_with|eager_flags|flags_killed|branches_folded|DeadFlags|BranchFold|analysis_ns'
 round5='emission_shape|interp_step_shaped|interp_step_keyed|AddrRecipe|fn h_[a-z_]+\('
 round6='L0_WAYS|L0Entry|L0_EMPTY'
-removed="$round2|$round3|$round4|$round5|$round6"
+round7='ModeEnter|IbtcResolve|CacheInsert|TranslationKind|ExecMode|HostEvent::(Translated|Chained|Evict|Unchain)|trace_stats_serialized_fields|mode_enters|\.emitted\b'
+removed="$round2|$round3|$round4|$round5|$round6|$round7"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then

@@ -1,19 +1,23 @@
 //! The host-event stream, pinned by digest.
 //!
 //! Every `HostEvent` `Tol::run` delivers is a pure function of
-//! `(workload, TolConfig)`. The report digests of `report_golden.rs`
-//! notice a moved event only through the timing model; this test looks
-//! at the stream itself — every event, in order, through its `Debug`
-//! text — in about a second, in debug and release.
+//! `(workload, TolConfig)`, and every one is a retirement. The report
+//! digests of `report_golden.rs` notice a moved event only through the
+//! timing model; this test looks at the stream itself — every event, in
+//! order, through its `Debug` text — in about a second, in debug and
+//! release.
 //!
 //! The constants must only ever change together with an explanation of
-//! which event moved and why. They moved once since the bus was rebuilt
+//! which event moved and why. They moved twice since the bus was rebuilt
 //! around in-place appends: the fourth switch audit (DESIGN.md §15) made
 //! the translator's own flag elision the only one, which shortened the
 //! simulated TOL cost streams — the SBM optimize stream had been sized
 //! by the IR length before the dead flag definitions were removed — and
 //! nothing else: the resident code digests of `translation_golden.rs`
-//! did not move.
+//! did not move. The seventh took the module markers off the bus; the
+//! constants became the digest and length of the parent's `Retire`
+//! events alone, pinned on the parent first, so every retirement, in
+//! order, is unchanged.
 
 use darco::core::SystemConfig;
 use darco::host::events::EVENT_BATCH;
@@ -56,8 +60,9 @@ impl HostEventSink for Collect {
 }
 
 /// The benchmark's `startup_churn` shape, small: kernels that each leave
-/// BBM for SBM shortly before they finish, so interpreter streams,
-/// translated blocks and every module marker are all in the stream.
+/// BBM for SBM shortly before they finish, so interpreter streams, both
+/// translators, translated blocks and every TOL module's cost stream are
+/// all in the stream.
 fn churn_profile() -> BenchProfile {
     BenchProfile {
         name: "startup_churn_tiny".into(),
@@ -97,9 +102,9 @@ fn digest(events: &[HostEvent]) -> u64 {
     h.0
 }
 
-/// The default configuration must deliver the pinned stream, and its
-/// retirements alone the pinned retirement stream.
-fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize), retires: (u64, usize)) {
+/// The default configuration must deliver the pinned stream, all of it
+/// retirements.
+fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
     let w = generate(profile, scale);
     let (pinned, s) = stream(&w, SystemConfig::default().tol);
     assert_eq!(
@@ -108,12 +113,9 @@ fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize), retires: (u
         "{}: event stream moved under the default configuration",
         profile.name
     );
-    let retired: Vec<HostEvent> =
-        pinned.iter().filter(|e| matches!(e, HostEvent::Retire(_))).cloned().collect();
-    assert_eq!(
-        (digest(&retired), retired.len()),
-        retires,
-        "{}: retirement stream moved under the default configuration",
+    assert!(
+        pinned.iter().all(|e| matches!(e, HostEvent::Retire(_))),
+        "{}: the software layer puts only retirements on the bus",
         profile.name
     );
     assert!(
@@ -131,15 +133,10 @@ fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize), retires: (u
 
 #[test]
 fn quicktest_event_stream_is_pinned() {
-    check(
-        &suites::quicktest_profile(),
-        0.5,
-        (927536242066376137, 333969),
-        (14793490206031887413, 332095),
-    );
+    check(&suites::quicktest_profile(), 0.5, (14793490206031887413, 332095));
 }
 
 #[test]
 fn startup_churn_event_stream_is_pinned() {
-    check(&churn_profile(), 1.0, (16901688721861092224, 152782), (1088690868817475787, 151924));
+    check(&churn_profile(), 1.0, (1088690868817475787, 151924));
 }

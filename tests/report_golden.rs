@@ -3,7 +3,7 @@
 //! `event_stream_golden.rs` pins what `Tol::run` puts on the bus; this
 //! file pins what comes out at the far end: the `serde_json` text of the
 //! whole [`Report`] — the statistics of all three timing pipelines, the
-//! TOL summary, the trace statistics and, in one run, the timeline
+//! TOL summary, the event-delivery accounting and, in one run, the timeline
 //! windows — with and without co-simulation, with the default code
 //! cache and with one small enough to flush and retranslate, on three
 //! workloads. A change that moves one counter of one pipeline moves a
@@ -19,9 +19,14 @@
 //! the two passes' rows in `pass_deltas` and their two counters — and
 //! once more, with no measured value moving, when those two counters
 //! and the same two columns of every `pass_deltas` row left the schema.
+//! They moved once with the seventh, again only because fields left the
+//! schema: every second count (`TraceStats`' sixteen event tallies,
+//! `RunSummary::emitted`, `TolCounters::guest_insts`,
+//! `CacheHealth::evictions`) went, and `trace` became `events` /
+//! `batches` / `max_batch`. Before they went, a first commit asserted on
+//! all thirteen runs here that each removed count equalled its twin.
 
 use darco::core::{Report, System, SystemConfig};
-use darco::host::Component;
 use darco::workloads::{generate, suites, BenchProfile};
 
 const SCALE: f64 = 0.05;
@@ -55,41 +60,6 @@ fn digest(mut r: Report) -> u64 {
     r.tol.counters.verified_blocks = 0;
     r.tol.counters.tv_differential = 0;
     fnv(&serde_json::to_string(&r).expect("serialize"))
-}
-
-/// Every quantity the report counts more than once agrees with its
-/// twins.
-fn assert_twins(r: &Report, ctx: &str) {
-    let (t, s) = (&r.trace, &r.tol);
-    assert_eq!(
-        [t.cache_inserts, t.bb_translations + t.sb_translations],
-        [s.installed; 2],
-        "{ctx}: installs"
-    );
-    assert_eq!(
-        [t.cache_flushes, t.chains, t.ibtc_hits, t.ibtc_misses, t.unchains],
-        [s.flushes, s.chains, s.ibtc_hits, s.ibtc_misses, s.cache.unchains],
-        "{ctx}: flushes, chains, IBTC hits and misses, unchains"
-    );
-    assert_eq!(
-        [t.evictions, t.smc_evictions, s.cache.evictions],
-        [s.cache.smc_evictions; 3],
-        "{ctx}: evictions"
-    );
-    assert_eq!(t.retired, r.timing.total_insts(), "{ctx}: retirements");
-    assert_eq!(t.step_boundaries, r.cosim_checks, "{ctx}: step boundaries");
-    for c in Component::ALL {
-        assert_eq!(
-            [t.component_insts[c.index()], s.emitted[c.index()]],
-            [r.timing.component_insts(c); 2],
-            "{ctx}: {c} instructions"
-        );
-    }
-    assert_eq!(
-        [s.counters.guest_insts, s.dyn_dist.iter().sum()],
-        [r.guest_insts; 2],
-        "{ctx}: guest instructions"
-    );
 }
 
 fn small(c: &mut SystemConfig) {
@@ -130,7 +100,6 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
     );
     for ((case, _), r) in CASES.iter().zip(&reports) {
         assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
-        assert_twins(r, &format!("{}: {case}", profile.name));
     }
     assert_eq!(
         reports.map(digest),
@@ -145,7 +114,7 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
 fn reports_are_pinned_on_quicktest() {
     check(
         &suites::quicktest_profile(),
-        [269876647418093258, 10266062189112927830, 12825119221372453348, 13090931762434820144],
+        [5767233704927479294, 6440190066483402013, 17398557602526059755, 16499873888032758138],
     );
 }
 
@@ -153,7 +122,7 @@ fn reports_are_pinned_on_quicktest() {
 fn reports_are_pinned_on_perlbench() {
     check(
         &suites::all_profiles()[0],
-        [3011218359952951628, 5708420919831365516, 11915113578123443819, 6373085333351495779],
+        [2120138817750580598, 4637865085452551760, 14112626047042388653, 5563977646679261293],
     );
 }
 
@@ -161,7 +130,7 @@ fn reports_are_pinned_on_perlbench() {
 fn reports_are_pinned_on_bzip2() {
     check(
         &suites::all_profiles()[1],
-        [2628624827568564815, 9508392611373963799, 12519851749784143889, 1615652463180804817],
+        [4163267401421023093, 7033523319336417058, 12926452683852487913, 14483571403189198205],
     );
 }
 
@@ -169,6 +138,5 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
-    assert_twins(&r, "quicktest with timeline windows");
-    assert_eq!(digest(r), 2809019259254624932, "quicktest: report moved with timeline windows on");
+    assert_eq!(digest(r), 18122551066782153535, "quicktest: report moved with timeline windows on");
 }
