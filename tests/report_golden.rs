@@ -100,6 +100,11 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
     );
     for ((case, _), r) in CASES.iter().zip(&reports) {
         assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
+        assert_eq!(
+            r.tol.counters.verify_failures, 0,
+            "{}: {case}: a superblock fell back to its BBM translation",
+            profile.name
+        );
     }
     assert_eq!(
         reports.map(digest),
@@ -138,5 +143,6 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
+    assert_eq!(r.tol.counters.verify_failures, 0, "quicktest: a superblock fell back to BBM");
     assert_eq!(digest(r), 18122551066782153535, "quicktest: report moved with timeline windows on");
 }
