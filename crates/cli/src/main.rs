@@ -8,7 +8,8 @@
 //! darco run <benchmark> [opts]      # full system run + report
 //! darco run-set [benchmark ...]     # batch of runs across worker
 //!                                    # threads (default: whole roster)
-//! darco verify <benchmark> [opts]   # run with the IR verifier forced on
+//! darco verify <benchmark> [opts]   # co-simulate against the independent
+//!                                    # exec::step
 //! darco analyze <benchmark> [opts]  # hot-region IR + compile-path report
 //! darco trace <benchmark> [opts]    # guest instruction trace
 //! darco disasm <benchmark> [opts]   # hottest translations, disassembled
@@ -67,7 +68,8 @@ fn main() {
 fn usage() {
     eprintln!(
         "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
-         [--profile FILE] [--scale S] [--cosim] [--jobs N] [--n N] [--json]"
+         [--profile FILE] [--scale S] [--cosim] [--jobs N] [--n N] [--json]\n  \
+         verify: run with co-simulation against the independent exec::step"
     );
 }
 
@@ -236,16 +238,16 @@ fn run_set(rest: &[String]) {
 
 // --------------------------------------------------------------- verify
 
-/// `darco verify`: a full run with co-simulation on and the IR verifier
-/// forced on (structural invariants plus translation validation after
-/// every optimization pass), even in release builds. Exits nonzero if
-/// any superblock failed verification.
+/// `darco verify`: a full run co-simulated against the independent
+/// decode-per-step `exec::step` rather than the micro-op executor the
+/// interpreter shares (DESIGN.md §16). A divergence panics inside the
+/// run, so reaching the end is the pass; the report is the one
+/// `darco run --cosim` prints.
 fn verify(rest: &[String]) {
     let o = parse(rest);
     let profile = o.profile();
     eprintln!("verifying {} at scale {} ...", profile.name, o.scale);
-    let mut cfg = SystemConfig { cosim: true, ..SystemConfig::default() };
-    cfg.tol.verify = true;
+    let cfg = SystemConfig { cosim: true, independent_checker: true, ..SystemConfig::default() };
     let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
     if o.json {
@@ -253,18 +255,9 @@ fn verify(rest: &[String]) {
     } else {
         print_report(&report);
     }
-    let c = &report.tol.counters;
-    if c.verify_failures > 0 {
-        eprintln!(
-            "verify: FAIL — {} superblock(s) rejected by the verifier \
-             (miscompiling pass reported above)",
-            c.verify_failures
-        );
-        std::process::exit(1);
-    }
     eprintln!(
-        "verify: OK — {} superblock(s) verified, {} co-sim checks passed",
-        c.verified_blocks, report.cosim_checks
+        "verify: OK — {} co-sim checks against the independent exec::step passed",
+        report.cosim_checks
     );
 }
 
@@ -405,12 +398,6 @@ fn print_report(r: &Report) {
         "  indirect branches {} / IBTC {} hits {} misses",
         s.counters.indirect_branches, s.ibtc_hits, s.ibtc_misses
     );
-    if s.counters.verified_blocks > 0 || s.counters.verify_failures > 0 {
-        println!(
-            "  verifier: {} blocks verified / {} differential fallbacks / {} failures",
-            s.counters.verified_blocks, s.counters.tv_differential, s.counters.verify_failures
-        );
-    }
     println!(
         "\ncaches: APP D$ miss {:.2}%  APP I$ miss {:.2}%  TOL D$ miss {:.2}%  BP miss {:.2}%",
         r.timing.d_miss_rate(Owner::App) * 100.0,

@@ -91,3 +91,23 @@ fn deeply_nested_profile_is_rejected_not_a_stack_overflow() {
     );
     std::fs::remove_file(path).expect("clean up");
 }
+
+#[test]
+fn verify_co_simulates_against_the_independent_executor() {
+    let out = darco(&["verify", "quicktest", "--scale", "0.05"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "darco verify failed: {stderr}");
+    assert!(
+        stderr.contains("verify: OK — ") && stderr.contains("against the independent exec::step"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn verify_reports_what_run_with_cosim_does() {
+    let verify = darco(&["verify", "quicktest", "--scale", "0.05", "--json"]);
+    let run = darco(&["run", "quicktest", "--scale", "0.05", "--cosim", "--json"]);
+    assert!(verify.status.success() && run.status.success());
+    assert!(!verify.stdout.is_empty());
+    assert_eq!(verify.stdout, run.stdout, "the checker's authority changes no reported number");
+}

@@ -27,8 +27,8 @@ impl fmt::Display for Divergence {
         write!(
             f,
             "state divergence after {} guest instructions:\n  authoritative: {}\n  emulated:      {}\n  \
-             hint: run `darco verify <benchmark>` to check every optimization pass\n  \
-             (structural invariants + translation validation) and localize a miscompile",
+             hint: `darco verify <benchmark>` rechecks the run against the independent executor;\n  \
+             `darco disasm` / `darco analyze` show the translations and their IR",
             self.at_guest_inst, self.authoritative, self.emulated
         )
     }
@@ -67,9 +67,9 @@ impl StateChecker {
     /// executor with itself (translated code is still checked against
     /// an implementation it shares nothing with); `exec::step` shares
     /// nothing with any mode and costs about a third of a co-simulated
-    /// run more. `System::new` picks `exec::step` when the run is paying
-    /// for exactness anyway (`TolConfig::verify`) and `ExecCtx`
-    /// otherwise (DESIGN.md §16).
+    /// run more. `System::new` picks `exec::step` when
+    /// `SystemConfig::independent_checker` is set (`darco verify`) and
+    /// `ExecCtx` otherwise (DESIGN.md §16).
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast = on.then(ExecCtx::new);
     }

@@ -44,6 +44,12 @@ pub struct SystemConfig {
     /// (0 disables). Windows expose the start-up vs steady-state
     /// transition the paper insists on capturing (Sec. II-B).
     pub window_guest_insts: u64,
+    /// Co-simulate against the independent decode-per-step
+    /// `darco_guest::exec::step` instead of the micro-op executor the
+    /// interpreter also runs (`darco verify` sets it; DESIGN.md §16
+    /// "Who is the authority"). Changes no reported number; the
+    /// checker costs about a third of a co-simulated run more.
+    pub independent_checker: bool,
 }
 
 impl Default for SystemConfig {
@@ -57,6 +63,7 @@ impl Default for SystemConfig {
             step_budget: 20_000,
             max_guest_insts: 0,
             window_guest_insts: 0,
+            independent_checker: false,
         }
     }
 }
@@ -129,12 +136,7 @@ impl System {
         tol.set_state(&w.initial);
         let checker = cfg.cosim.then(|| {
             let mut chk = StateChecker::new(w.initial.clone(), w.mem.clone());
-            // The authority: a run that already pays for exactness
-            // (`darco verify`) checks against the independent executor;
-            // any other run keeps the micro-op executor, which the
-            // interpreter shares — the checker is a third of a
-            // co-simulated run (DESIGN.md §16).
-            chk.set_fast_path(!cfg.tol.verify);
+            chk.set_fast_path(!cfg.independent_checker);
             chk
         });
         System { name: w.name, tol, emu_mem: w.mem, checker, static_insts: w.static_insts, cfg }
@@ -205,7 +207,9 @@ impl System {
             if let Err(addr) = chk.check_memory(&self.emu_mem) {
                 panic!(
                     "{}: memory divergence at guest address {addr:#x}\n  \
-                     hint: run `darco verify {}` to localize a miscompiling pass",
+                     hint: `darco verify {}` rechecks the run against the independent \
+                     executor; `darco disasm` / `darco analyze` show the translations \
+                     and their IR",
                     self.name, self.name
                 );
             }
@@ -251,15 +255,14 @@ mod tests {
     }
 
     #[test]
-    fn verification_puts_the_independent_executor_on_the_checking_side() {
+    fn independent_checker_puts_exec_step_on_the_checking_side() {
         let authority = |cfg: SystemConfig| {
             let chk = quick_system(cfg).checker.expect("co-simulated");
             chk.steps_independently()
         };
         assert!(!authority(SystemConfig::default()), "the default run checks with ExecCtx");
-        let mut verify = SystemConfig { cosim: true, ..SystemConfig::default() };
-        verify.tol.verify = true;
-        assert!(authority(verify), "`darco verify` checks with exec::step");
+        let independent = SystemConfig { independent_checker: true, ..SystemConfig::default() };
+        assert!(authority(independent), "`darco verify` checks with exec::step");
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! The BBM and SBM compile pipelines as pure functions of
-//! `(region, config)`: translate → optimization passes → verification →
-//! register allocation → lowering. The translation validator's
-//! differential fallback is seeded from block content, so the same
-//! region always compiles to the same host code; only wall-clock
-//! observables (pass nanoseconds) differ between calls, and those are
-//! excluded from every serialized report.
+//! `(region, config)`: translate → optimization passes → register
+//! allocation → lowering. The same region always compiles to the same
+//! host code; only wall-clock observables (pass nanoseconds) differ
+//! between calls, and those are excluded from every serialized report.
 
 use crate::config::TolConfig;
 use crate::ir::{lower, IrBlock, IrFreg, IrReg, RegMap};
 use crate::ir::{FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
-use crate::opt::{self, OptScratch};
+use crate::opt::{self, OptScratch, PassSample};
 use crate::translate::{translate_region_scratch, IrScratch, RegionInst};
-use crate::verify::VerifyStats;
 use darco_host::{HFreg, HInst, HReg};
 
 /// Wall-clock nanoseconds per stage of the compile path, in encounter
-/// order: the passes under their [`PassDelta`](crate::verify::PassDelta)
+/// order: the passes under their [`PassDelta`](crate::opt::PassDelta)
 /// names, the stages around them under their own. Lives outside every
 /// serialized struct: reports must be bit-identical across reruns.
 pub(crate) type StageNanos = Vec<(&'static str, u64)>;
@@ -44,12 +41,10 @@ pub(crate) struct BbCompiled {
 /// How a superblock's optimization pipeline ended.
 #[derive(Debug)]
 pub(crate) enum SbOutcome {
-    /// Pipeline ran (and, where enabled, verified) successfully.
-    Optimized(VerifyStats),
+    /// Pipeline ran successfully: one sample per pass application.
+    Optimized(Vec<PassSample>),
     /// Register allocation failed; the unoptimized lowering was used.
     OutOfRegisters,
-    /// The verifier rejected a pass; the unoptimized lowering was used.
-    Miscompile,
 }
 
 /// A compiled SBM superblock, ready to stamp and install.
@@ -142,8 +137,8 @@ pub(crate) fn compile_bb(
 
 /// The SBM compile pipeline as a pure function of `(region, cfg)`:
 /// translate, run the full optimization pipeline (falling back to the
-/// unoptimized lowering on allocation failure or a verifier rejection),
-/// lower. Wall-clock per stage goes to `nanos`.
+/// unoptimized lowering on allocation failure), lower. Wall-clock per
+/// stage goes to `nanos`.
 pub(crate) fn compile_sb(
     region: &[RegionInst],
     cfg: &TolConfig,
@@ -153,19 +148,14 @@ pub(crate) fn compile_sb(
 ) -> SbCompiled {
     let block = timed(nanos, "translate", || translate_region_scratch(region, ir));
     let ir_len = block.ops.len();
-    let (block, outcome) = match opt::run_pipeline(block, cfg, opt::pipeline(cfg), opt, nanos) {
-        Ok((opt_block, stats)) => (opt_block, SbOutcome::Optimized(stats)),
-        Err(e) => {
-            // Out of registers, or the verifier rejected a pass's output
-            // (never install unverified code): the pipeline consumed the
-            // block, so translate again and lower that unoptimized.
+    let (block, outcome) = match opt::run_pipeline(block, cfg, opt, nanos) {
+        Ok((opt_block, samples)) => (opt_block, SbOutcome::Optimized(samples)),
+        Err(opt::OptError::OutOfRegisters) => {
+            // The pipeline consumed the block: translate again and lower
+            // that unoptimized.
             let block = timed(nanos, "translate", || translate_region_scratch(region, ir));
             timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
-            let outcome = match e {
-                opt::OptError::OutOfRegisters => SbOutcome::OutOfRegisters,
-                opt::OptError::Miscompile(_) => SbOutcome::Miscompile,
-            };
-            (block, outcome)
+            (block, SbOutcome::OutOfRegisters)
         }
     };
     let (insts, body_len, stub_guest_counts, guest_len) = finish(block, ir, opt, nanos);

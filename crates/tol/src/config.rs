@@ -52,14 +52,6 @@ pub struct TolConfig {
     /// them sequentially — the *bad* placement policy, used to quantify
     /// the paper's code-placement recommendation (Sec. III-E).
     pub codecache_scattered: bool,
-    /// Verify every optimization pass (structural invariants plus
-    /// translation validation) and discard miscompiled blocks. Always on
-    /// in debug builds regardless of this switch; this opts release
-    /// builds in (`darco verify` sets it). A co-simulated system built
-    /// with it also checks against the independent executor
-    /// (`darco_guest::exec::step`) instead of the one the interpreter
-    /// itself runs — see `System::new` in `darco-core`.
-    pub verify: bool,
 }
 
 impl Default for TolConfig {
@@ -81,7 +73,6 @@ impl Default for TolConfig {
             opt_sw_prefetch: false,
             speculate_indirect: false,
             codecache_scattered: false,
-            verify: false,
         }
     }
 }

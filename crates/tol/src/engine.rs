@@ -52,15 +52,6 @@ pub struct TolCounters {
     pub spec_hits: u64,
     /// Speculative resolutions that missed (compensation taken).
     pub spec_misses: u64,
-    /// Superblocks whose optimization was fully verified (always-on in
-    /// debug builds, opt-in via [`TolConfig::verify`] in release).
-    pub verified_blocks: u64,
-    /// Translation validations that fell back to randomized differential
-    /// execution (the symbolic engine could not prove the rewrite).
-    pub tv_differential: u64,
-    /// Verifier-detected miscompiles: the optimized block was discarded
-    /// and the unoptimized lowering installed instead.
-    pub verify_failures: u64,
 }
 
 /// What one [`Tol::step`] did.
@@ -98,8 +89,8 @@ pub struct RunSummary {
     /// lifecycle counters (SMC evictions, unchains, retranslations).
     pub cache: CacheHealth,
     /// Per-pass instruction deltas across every optimized block, in
-    /// pipeline order (`darco verify` / `darco analyze` report these).
-    pub pass_deltas: Vec<crate::verify::PassDelta>,
+    /// pipeline order (`darco analyze` reports these).
+    pub pass_deltas: Vec<crate::opt::PassDelta>,
 }
 
 /// The Translation Optimization Layer engine.
@@ -131,7 +122,7 @@ pub struct Tol {
     /// buffers + lazy flags): the interpreter's executor.
     fastctx: darco_guest::uops::ExecCtx,
     /// Accumulated per-pass deltas across every optimized block.
-    pass_deltas: Vec<crate::verify::PassDelta>,
+    pass_deltas: Vec<crate::opt::PassDelta>,
     /// Wall-clock nanoseconds per compile-path stage. Kept outside
     /// [`TolCounters`] so serialized reports stay deterministic.
     pass_nanos: StageNanos,
@@ -484,15 +475,12 @@ impl Tol {
         let TranslateScratch { ir, opt, .. } = &mut self.scratch;
         let compiled = compile_sb(&region, &self.cfg, ir, opt, &mut self.pass_nanos);
         match &compiled.outcome {
-            SbOutcome::Optimized(stats) => {
-                self.counters.verified_blocks += stats.blocks_verified;
-                self.counters.tv_differential += stats.tv_differential;
-                for d in &stats.passes {
-                    crate::verify::merge_delta(&mut self.pass_deltas, d);
+            SbOutcome::Optimized(samples) => {
+                for s in samples {
+                    crate::opt::merge_delta(&mut self.pass_deltas, s);
                 }
             }
             SbOutcome::OutOfRegisters => self.counters.opt_bailouts += 1,
-            SbOutcome::Miscompile => self.counters.verify_failures += 1,
         }
         self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.insts.len());
         self.counters.sbm_invocations += 1;

@@ -345,8 +345,8 @@ impl std::fmt::Display for IrInst {
     }
 }
 
-/// Renders a block as one line per operation, for verifier reports and
-/// debugging.
+/// Renders a block as one line per operation, for `darco analyze`, test
+/// failure reports and debugging.
 pub fn pretty(block: &IrBlock) -> String {
     let mut out = String::new();
     for (i, op) in block.ops.iter().enumerate() {

@@ -70,8 +70,7 @@ pub mod profile;
 pub mod regset;
 pub mod superblock;
 pub mod translate;
-pub mod verify;
 
 pub use config::TolConfig;
 pub use engine::{Mode, RunSummary, StepOutcome, Tol, TolCounters};
-pub use verify::{PassDelta, VerifyFailure, VerifyStats};
+pub use opt::PassDelta;

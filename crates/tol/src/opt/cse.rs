@@ -231,6 +231,18 @@ mod tests {
     }
 
     #[test]
+    fn non_commutative_operands_never_swapped() {
+        for op in [HAluOp::Sub, HAluOp::Shl] {
+            let mut b = block(vec![
+                IrInst::Alu { op, rd: IrReg::Virt(0), ra: phys(1), rb: phys(2) },
+                IrInst::Alu { op, rd: IrReg::Virt(1), ra: phys(2), rb: phys(1) },
+            ]);
+            run(&mut b);
+            assert!(matches!(b.ops[1].inst, IrInst::Alu { .. }), "{op:?}: r2 op r1 recomputed");
+        }
+    }
+
+    #[test]
     fn loads_of_different_widths_are_distinct_values() {
         // A byte load and a word load from the same address are not the
         // same value: the width is part of the value number.

@@ -69,7 +69,10 @@ pub fn run(block: &mut IrBlock) -> usize {
             },
         ));
     }
-    // Insert back-to-front so earlier indices stay valid.
+    // Insert back-to-front so earlier indices stay valid. The clamp can
+    // put a prefetch below a later load's, so order by position first
+    // (stably: prefetches sharing a slot keep their loads' order).
+    insertions.sort_by_key(|&(at, _)| at);
     let n = insertions.len();
     for (at, op) in insertions.into_iter().rev() {
         block.ops.insert(at, op);
@@ -156,6 +159,22 @@ mod tests {
         let def = b.ops.iter().position(|o| o.inst.dst() == Some(IrReg::Virt(7))).unwrap();
         let pf = b.ops.iter().position(|o| matches!(o.inst, IrInst::Prefetch { .. })).unwrap();
         assert!(def < pf, "prefetch reads the base after its definition");
+    }
+
+    #[test]
+    fn a_later_loads_prefetch_does_not_push_a_clamped_one_above_its_base() {
+        // The first load's prefetch is clamped below the definition of
+        // t7; the second load's lands four ops up, above that point.
+        let mut ops = vec![filler(); 8];
+        ops.push(IrInst::AluI { op: HAluOp::Add, rd: IrReg::Virt(7), ra: phys(2), imm: 8 });
+        ops.push(IrInst::Ld { rd: phys(3), base: IrReg::Virt(7), off: 0, width: Width::W4 });
+        ops.push(load(4, 0));
+        let mut b = block(ops);
+        assert_eq!(run(&mut b), 2);
+        let def = b.ops.iter().position(|o| o.inst.dst() == Some(IrReg::Virt(7))).unwrap();
+        let pf =
+            b.ops.iter().position(|o| o.inst == IrInst::Prefetch { base: IrReg::Virt(7), off: 64 });
+        assert!(def < pf.unwrap(), "prefetch reads the base after its definition");
     }
 
     #[test]

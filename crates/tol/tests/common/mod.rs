@@ -1,12 +1,70 @@
-//! The random-IR generator the integration tests share: well-formed
-//! [`IrBlock`]s built directly at the IR level (not through the guest
-//! decoder), in the shapes the translator emits.
+//! The random blocks the integration tests share: straight-line guest
+//! basic blocks for the translator, and well-formed [`IrBlock`]s built
+//! directly at the IR level (not through the guest decoder), in the
+//! shapes the translator emits.
 
-use darco_guest::{Cond, FpOp};
+use darco_guest::asm::Asm;
+use darco_guest::{AluOp, Cond, FpOp, Gpr, GuestMem, Inst, MemRef, MemWidth, ShiftOp};
 use darco_host::{Exit, FlagsKind, HAluOp, HFreg, Width};
 use darco_tol::ir::{self, IrBlock, IrFreg, IrInst, IrOp, IrReg};
+use darco_tol::translate::{decode_bb, RegionInst};
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+const GPRS: [Gpr; 6] = [Gpr::Eax, Gpr::Ecx, Gpr::Edx, Gpr::Ebx, Gpr::Esi, Gpr::Edi];
+
+fn gpr(rng: &mut SmallRng) -> Gpr {
+    GPRS[rng.gen_range(0..GPRS.len())]
+}
+
+fn data_ref(rng: &mut SmallRng) -> MemRef {
+    MemRef {
+        base: None,
+        index: None,
+        scale: darco_guest::Scale::S1,
+        disp: 0x4_0000 + rng.gen_range(0i32..0x1000),
+    }
+}
+
+fn narrow_width(rng: &mut SmallRng) -> MemWidth {
+    if rng.gen_bool(0.5) {
+        MemWidth::B2
+    } else {
+        MemWidth::B1
+    }
+}
+
+/// One random straight-line guest instruction.
+pub fn straightline(rng: &mut SmallRng) -> Inst {
+    match rng.gen_range(0..11) {
+        0 => Inst::MovRR { dst: gpr(rng), src: gpr(rng) },
+        1 => Inst::MovRI { dst: gpr(rng), imm: rng.gen_range(-0x8000i32..0x8000) },
+        2 => Inst::AluRR { op: AluOp::Add, dst: gpr(rng), src: gpr(rng) },
+        3 => Inst::AluRI { op: AluOp::Xor, dst: gpr(rng), imm: rng.gen_range(-100i32..100) },
+        4 => Inst::Shift { op: ShiftOp::Shr, dst: gpr(rng), amount: rng.gen_range(0u8..31) },
+        5 => Inst::Load { dst: gpr(rng), addr: data_ref(rng) },
+        6 => Inst::Store { addr: data_ref(rng), src: gpr(rng) },
+        7 => Inst::Imul { dst: gpr(rng), src: gpr(rng) },
+        8 => Inst::LoadSx { dst: gpr(rng), addr: data_ref(rng), width: narrow_width(rng) },
+        9 => Inst::StoreN { addr: data_ref(rng), src: gpr(rng), width: narrow_width(rng) },
+        _ => Inst::Neg { dst: gpr(rng) },
+    }
+}
+
+/// Assembles `body` + `halt` into guest memory and returns the decoded
+/// basic block region.
+pub fn make_bb(body: &[Inst]) -> (GuestMem, Vec<RegionInst>) {
+    let mut a = Asm::new(0x1000);
+    for i in body {
+        a.push(*i);
+    }
+    a.push(Inst::Halt);
+    let p = a.assemble();
+    let mut mem = GuestMem::new();
+    mem.write_bytes(p.base, &p.bytes);
+    let bb = decode_bb(&mem, p.base).expect("decode");
+    (mem, bb)
+}
 
 const ALUS: [HAluOp; 7] =
     [HAluOp::Add, HAluOp::Sub, HAluOp::And, HAluOp::Or, HAluOp::Xor, HAluOp::Shl, HAluOp::Shr];

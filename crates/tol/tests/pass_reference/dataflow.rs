@@ -2,12 +2,11 @@
 //!
 //! Because translated blocks are straight-line code whose branches only
 //! exit forward into stubs, every classical dataflow problem degenerates
-//! to a single sweep: reaching definitions forward, liveness backward.
-//! This module computes the facts the structural verifier consumes:
-//! definition/use sites per register, use-def chains, and live intervals
+//! to a single sweep. This module computes the facts the structural
+//! checks consume: definition/use sites per register and live intervals
 //! for virtual temporaries.
 
-use crate::ir::{IrBlock, IrFreg, IrInst, IrReg};
+use darco_tol::ir::{IrBlock, IrFreg, IrInst, IrReg};
 use std::collections::HashMap;
 
 /// Definition and use sites of one register within a block.
@@ -36,11 +35,6 @@ pub struct Dataflow {
     pub int: HashMap<IrReg, DefUse>,
     /// Facts per FP register (virtual and pinned).
     pub fp: HashMap<IrFreg, DefUse>,
-    /// Use-def chains: for op `i`, the reaching definition index of each
-    /// integer source (`None` means live-in, i.e. pinned initial state).
-    pub reaching_int: Vec<Vec<(IrReg, Option<usize>)>>,
-    /// Same for FP sources.
-    pub reaching_fp: Vec<Vec<(IrFreg, Option<usize>)>>,
 }
 
 impl Dataflow {
@@ -48,34 +42,22 @@ impl Dataflow {
     /// they neither define nor use anything).
     pub fn analyze(block: &IrBlock) -> Dataflow {
         let mut df = Dataflow::default();
-        let mut last_int: HashMap<IrReg, usize> = HashMap::new();
-        let mut last_fp: HashMap<IrFreg, usize> = HashMap::new();
         for (i, op) in block.ops.iter().enumerate() {
-            let mut chain_int = Vec::new();
-            let mut chain_fp = Vec::new();
             if op.inst == IrInst::Nop {
-                df.reaching_int.push(chain_int);
-                df.reaching_fp.push(chain_fp);
                 continue;
             }
             for s in op.inst.srcs().into_iter().flatten() {
                 df.int.entry(s).or_default().uses.push(i);
-                chain_int.push((s, last_int.get(&s).copied()));
             }
             for s in op.inst.fsrcs().into_iter().flatten() {
                 df.fp.entry(s).or_default().uses.push(i);
-                chain_fp.push((s, last_fp.get(&s).copied()));
             }
             if let Some(d) = op.inst.dst() {
                 df.int.entry(d).or_default().defs.push(i);
-                last_int.insert(d, i);
             }
             if let Some(d) = op.inst.fdst() {
                 df.fp.entry(d).or_default().defs.push(i);
-                last_fp.insert(d, i);
             }
-            df.reaching_int.push(chain_int);
-            df.reaching_fp.push(chain_fp);
         }
         df
     }
@@ -95,39 +77,8 @@ impl Dataflow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::IrOp;
-    use darco_host::{Exit, HAluOp, HReg};
-
-    fn block(ops: Vec<IrInst>) -> IrBlock {
-        IrBlock {
-            ops: ops.into_iter().map(|inst| IrOp { inst, guest_idx: 0 }).collect(),
-            stubs: vec![],
-            stub_guest_counts: vec![],
-            fallthrough: Exit::Halt,
-            guest_len: 1,
-        }
-    }
-
-    #[test]
-    fn use_def_chains_point_at_reaching_defs() {
-        let b = block(vec![
-            IrInst::Li { rd: IrReg::Virt(0), imm: 1 },
-            IrInst::AluI { op: HAluOp::Add, rd: IrReg::Virt(1), ra: IrReg::Virt(0), imm: 2 },
-            IrInst::Alu {
-                op: HAluOp::Add,
-                rd: IrReg::Phys(HReg(1)),
-                ra: IrReg::Virt(1),
-                rb: IrReg::Phys(HReg(2)),
-            },
-        ]);
-        let df = Dataflow::analyze(&b);
-        assert_eq!(df.reaching_int[1], vec![(IrReg::Virt(0), Some(0))]);
-        assert_eq!(
-            df.reaching_int[2],
-            vec![(IrReg::Virt(1), Some(1)), (IrReg::Phys(HReg(2)), None)],
-            "pinned r2 is live-in"
-        );
-    }
+    use crate::block;
+    use darco_host::{HAluOp, HReg};
 
     #[test]
     fn intervals_span_def_to_last_use() {

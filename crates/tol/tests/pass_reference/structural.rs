@@ -1,4 +1,4 @@
-//! Structural invariant checks run after every optimization pass.
+//! Structural invariants of one pass application.
 //!
 //! Each pass has a characteristic *shape* of legal transformation
 //! (rewriting operands in place, tombstoning dead code, inserting
@@ -9,7 +9,7 @@
 
 use super::dataflow::Dataflow;
 use super::{fail, PassKind, VerifyFailure};
-use crate::ir::{
+use darco_tol::ir::{
     IrBlock, IrFreg, IrInst, IrReg, RegMap, FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END,
 };
 use std::collections::{HashMap, HashSet};

@@ -20,11 +20,11 @@
 //! miscompile when a concrete input actually diverges.
 
 use super::{fail, VerifyFailure};
-use crate::ir::{self, IrBlock, IrFreg, IrInst, IrReg};
 use darco_guest::{Cond, FpOp, GuestMem};
 use darco_host::{
     eval_alu, exec_inst, FlagsKind, HAluOp, HFreg, HInst, HReg, HostState, Outcome, Width,
 };
+use darco_tol::ir::{self, IrBlock, IrFreg, IrInst, IrReg};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -606,22 +606,7 @@ pub fn validate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::IrOp;
-    use darco_host::Exit as HExit;
-
-    fn block(ops: Vec<IrInst>) -> IrBlock {
-        IrBlock {
-            ops: ops.into_iter().map(|inst| IrOp { inst, guest_idx: 0 }).collect(),
-            stubs: vec![HExit::Halt],
-            stub_guest_counts: vec![1],
-            fallthrough: HExit::Halt,
-            guest_len: 1,
-        }
-    }
-
-    fn phys(i: u8) -> IrReg {
-        IrReg::Phys(HReg(i))
-    }
+    use crate::{block, phys};
 
     #[test]
     fn copy_propagated_block_proved_symbolically() {
@@ -679,7 +664,6 @@ mod tests {
 
     #[test]
     fn store_hoisted_across_branch_fails_symbolically_and_differentially() {
-        use darco_guest::Cond;
         // pre: br ; st    post: st ; br  — diverges when the branch is taken.
         let st = IrInst::St { rs: phys(1), base: phys(2), off: 0, width: Width::W4 };
         let br = IrInst::BrFlags { cond: Cond::E, flags: phys(9), stub: 0 };

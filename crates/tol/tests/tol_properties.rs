@@ -4,69 +4,17 @@
 //! deterministic generator (no crates.io access, so `proptest` is
 //! replaced by case loops over a `SmallRng`).
 
-use darco_guest::asm::Asm;
-use darco_guest::{AluOp, CpuState, Gpr, GuestMem, Inst, MemRef, MemWidth, ShiftOp};
-use darco_host::{exec_inst, HostState, Outcome};
+mod common;
+
+use common::{make_bb, random_ir_block, straightline};
+use darco_guest::{CpuState, Gpr, GuestMem, Inst};
+use darco_host::{exec_inst, Exit, HFreg, HInst, HostState, Outcome};
 use darco_tol::config::TolConfig;
 use darco_tol::ir::{self, lower};
 use darco_tol::opt;
-use darco_tol::translate::{decode_bb, translate_region};
+use darco_tol::translate::translate_region;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-const GPRS: [Gpr; 6] = [Gpr::Eax, Gpr::Ecx, Gpr::Edx, Gpr::Ebx, Gpr::Esi, Gpr::Edi];
-
-fn gpr(rng: &mut SmallRng) -> Gpr {
-    GPRS[rng.gen_range(0..GPRS.len())]
-}
-
-fn data_ref(rng: &mut SmallRng) -> MemRef {
-    MemRef {
-        base: None,
-        index: None,
-        scale: darco_guest::Scale::S1,
-        disp: 0x4_0000 + rng.gen_range(0i32..0x1000),
-    }
-}
-
-fn narrow_width(rng: &mut SmallRng) -> MemWidth {
-    if rng.gen_bool(0.5) {
-        MemWidth::B2
-    } else {
-        MemWidth::B1
-    }
-}
-
-fn straightline(rng: &mut SmallRng) -> Inst {
-    match rng.gen_range(0..11) {
-        0 => Inst::MovRR { dst: gpr(rng), src: gpr(rng) },
-        1 => Inst::MovRI { dst: gpr(rng), imm: rng.gen_range(-0x8000i32..0x8000) },
-        2 => Inst::AluRR { op: AluOp::Add, dst: gpr(rng), src: gpr(rng) },
-        3 => Inst::AluRI { op: AluOp::Xor, dst: gpr(rng), imm: rng.gen_range(-100i32..100) },
-        4 => Inst::Shift { op: ShiftOp::Shr, dst: gpr(rng), amount: rng.gen_range(0u8..31) },
-        5 => Inst::Load { dst: gpr(rng), addr: data_ref(rng) },
-        6 => Inst::Store { addr: data_ref(rng), src: gpr(rng) },
-        7 => Inst::Imul { dst: gpr(rng), src: gpr(rng) },
-        8 => Inst::LoadSx { dst: gpr(rng), addr: data_ref(rng), width: narrow_width(rng) },
-        9 => Inst::StoreN { addr: data_ref(rng), src: gpr(rng), width: narrow_width(rng) },
-        _ => Inst::Neg { dst: gpr(rng) },
-    }
-}
-
-/// Assembles `body` + `halt` into guest memory and returns the decoded
-/// basic block region.
-fn make_bb(body: &[Inst]) -> (GuestMem, u32, Vec<darco_tol::translate::RegionInst>) {
-    let mut a = Asm::new(0x1000);
-    for i in body {
-        a.push(*i);
-    }
-    a.push(Inst::Halt);
-    let p = a.assemble();
-    let mut mem = GuestMem::new();
-    mem.write_bytes(p.base, &p.bytes);
-    let bb = decode_bb(&mem, p.base).expect("decode");
-    (mem, p.base, bb)
-}
 
 /// Runs lowered host code for a one-exit block, returning the final
 /// host state.
@@ -97,7 +45,7 @@ fn optimizer_preserves_block_semantics() {
         let body: Vec<Inst> = (0..len).map(|_| straightline(&mut rng)).collect();
         let seed: u32 = rng.gen();
 
-        let (mem0, _, bb) = make_bb(&body);
+        let (mem0, bb) = make_bb(&body);
         let ir_block = translate_region(&bb);
 
         // Baseline: no passes, trivial allocation via the optimizer with
@@ -147,7 +95,7 @@ fn regalloc_stays_in_scratch_range() {
         let len = rng.gen_range(1usize..25);
         let body: Vec<Inst> = (0..len).map(|_| straightline(&mut rng)).collect();
 
-        let (_, _, bb) = make_bb(&body);
+        let (_, bb) = make_bb(&body);
         let block = translate_region(&bb);
         let (block, map) = opt::optimize(block, &TolConfig::default()).expect("alloc");
         for (_, r) in map.int.iter() {
@@ -165,16 +113,10 @@ fn regalloc_stays_in_scratch_range() {
 
 // --------------------------------------------------------------------
 // Random IR blocks, generated directly at the IR level (not through the
-// guest decoder), exercising the verifier layer: the full pipeline with
-// verification forced on must never reject a legal block (no false
-// positives), and the optimized result must match a reference execution
-// of the unoptimized block instruction-for-instruction in observable
-// state.
-
-mod common;
-
-use common::random_ir_block;
-use darco_host::{Exit, HFreg, HInst};
+// guest decoder): the optimized result must match a reference execution
+// of the unoptimized block in observable state. Each pass is also held
+// to the structural and translation-validation reference pass by pass in
+// `tests/pass_reference/`.
 
 /// Deterministic pinned host state for a differential run.
 fn seeded_state(seed: u32) -> HostState {
@@ -204,29 +146,6 @@ fn run_host(host: &[HInst], mem: &mut GuestMem, mut st: HostState) -> (HostState
     }
 }
 
-/// The verifier never rejects a legal block: the full pipeline with
-/// verification forced on succeeds on random well-formed IR (zero false
-/// positives) and reports one verified block each time.
-#[test]
-fn random_ir_blocks_pass_the_verifier() {
-    let cfg = TolConfig { verify: true, opt_sw_prefetch: true, ..TolConfig::default() };
-    let mut verified = 0u32;
-    for case in 0u64..64 {
-        let mut rng = SmallRng::seed_from_u64(0x70_2001 + case);
-        let block = random_ir_block(&mut rng);
-        match opt::optimize_stats(block, &cfg) {
-            Ok((_, _, stats)) => {
-                assert_eq!(stats.blocks_verified, 1, "case {case}");
-                verified += 1;
-            }
-            // Register-pressure bailouts are legal, just rare.
-            Err(opt::OptError::OutOfRegisters) => {}
-            Err(opt::OptError::Miscompile(f)) => panic!("case {case}: false positive:\n{f}"),
-        }
-    }
-    assert!(verified >= 48, "too many pressure bailouts: {verified}/64 verified");
-}
-
 /// The optimized lowering of a random IR block takes the same exit and
 /// leaves identical pinned registers and memory as a reference
 /// interpretation of the unoptimized block.
@@ -241,11 +160,9 @@ fn optimized_random_ir_matches_reference_execution() {
         let Ok((plain_block, plain_map)) = opt::optimize(block.clone(), &off) else {
             continue;
         };
-        let cfg = TolConfig { verify: true, opt_sw_prefetch: true, ..TolConfig::default() };
-        let (opt_block, opt_map) = match opt::optimize(block, &cfg) {
-            Ok(v) => v,
-            Err(opt::OptError::OutOfRegisters) => continue,
-            Err(opt::OptError::Miscompile(f)) => panic!("case {case}:\n{f}"),
+        let cfg = TolConfig { opt_sw_prefetch: true, ..TolConfig::default() };
+        let Ok((opt_block, opt_map)) = opt::optimize(block, &cfg) else {
+            continue;
         };
         let plain = lower(&plain_block, &plain_map);
         let optimized = lower(&opt_block, &opt_map);

@@ -9,8 +9,9 @@ cd "$(dirname "$0")/.."
 # revert must not bring a switch back without anyone noticing. The
 # names may only appear in DESIGN.md's "Removed mechanisms" section, in
 # the history files (CHANGELOG.md, CHANGES.md, EXPERIMENTS.md, ROADMAP.md),
-# in the CLI test that pins the removed flags as unknown, and in the one
-# property test whose name predates the audit.
+# in the CLI test that pins the removed flags as unknown, in the pass
+# reference that round 8 moved out of production, and in the one property
+# test whose name predates the audit.
 echo "== removed switches stay removed"
 round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
@@ -18,10 +19,12 @@ round4='opt_deadflags|opt_rangesimp|deadflags::|rangesimp|knownbits|liveness::|a
 round5='emission_shape|interp_step_shaped|interp_step_keyed|AddrRecipe|fn h_[a-z_]+\('
 round6='L0_WAYS|L0Entry|L0_EMPTY'
 round7='ModeEnter|IbtcResolve|CacheInsert|TranslationKind|ExecMode|HostEvent::(Translated|Chained|Evict|Unchain)|trace_stats_serialized_fields|mode_enters|\.emitted\b'
-removed="$round2|$round3|$round4|$round5|$round6|$round7"
+round8='verify_failures|verified_blocks|tv_differential|tv_symbolic|passes_checked|VerifyStats|SbOutcome::Miscompile|OptError::Miscompile|optimize_stats|darco_tol::verify|tol\.verify\b'
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
-        | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' -e "$kept_test"; then
+        | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
+            -e '^crates/tol/tests/pass_reference/' -e "$kept_test"; then
     echo "error: a removed switch is back (see DESIGN.md §15)" >&2
     exit 1
 fi
@@ -37,6 +40,12 @@ if grep -n 'HashMap' crates/guest/src/mem.rs; then
     echo "error: crates/guest/src/mem.rs names HashMap (see DESIGN.md §16)" >&2
     exit 1
 fi
+
+# A miscompile can make a guest loop spin forever in a run without
+# co-simulation. Every test command therefore runs under `timeout`, at
+# about ten times its wall on a 2-vCPU host, build included (the debug
+# suite ~1.5 min, each release command under 1 min), so such a bug fails
+# the gate instead of hanging it.
 
 echo "== cargo fmt --check"
 cargo fmt --check
@@ -56,7 +65,7 @@ echo "== figures all | cmp - figures_output.txt"
 target/release/figures all | cmp - figures_output.txt
 
 echo "== cargo test -q --workspace"
-cargo test -q --workspace
+timeout 900 cargo test -q --workspace
 
 echo "== cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
@@ -66,7 +75,7 @@ cargo bench --workspace --no-run
 # property tests and the per-opcode boundary cases must hold as
 # optimised too.
 echo "== cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary"
-cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary
+timeout 600 cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary
 
 # The guest layer's block dispatch loop (bounds, budget and cursor
 # arithmetic) must hold as optimised, not only with overflow checks and
@@ -74,29 +83,29 @@ cargo test -q --release --test event_stream_golden --test report_golden --test e
 # So must the page table: `--test mem_reference`, one of this package's
 # targets, holds `GuestMem` to a `BTreeMap` model after every operation.
 echo "== cargo test -q --release -p darco-guest (unit tests + mem_reference)"
-cargo test -q --release -p darco-guest
+timeout 600 cargo test -q --release -p darco-guest
 
 # The event bus writes its staging slots by index and sends oversize
 # streams through a side buffer; that arithmetic and the single pass of
 # `SinkSet` must hold as optimised too.
 echo "== cargo test -q --release -p darco-host -p darco-core"
-cargo test -q --release -p darco-host -p darco-core
+timeout 600 cargo test -q --release -p darco-host -p darco-core
 
 # The timing hot path must compute the same thing with overflow checks
 # and debug_assert! compiled out (its differential tests run here too).
 echo "== cargo test -q --release -p darco-timing"
-cargo test -q --release -p darco-timing
+timeout 600 cargo test -q --release -p darco-timing
 
 # So must the passes' index-and-shift containers (the `RegSet` bitset,
-# the `RegVec` array map) and retirement by template:
-# `tests/regset_reference.rs` — the only reference-model tests left in
-# this crate — and the unit tests run here without the debug build's
-# checks to lean on.
+# the `RegVec` array map), retirement by template and the optimization
+# passes: `tests/regset_reference.rs`, `tests/pass_reference/` (each
+# pass held to structural invariants and translation validation) and
+# the unit tests run here without the debug build's checks to lean on.
 echo "== cargo test -q --release -p darco-tol"
-cargo test -q --release -p darco-tol
+timeout 600 cargo test -q --release -p darco-tol
 
 echo "== cargo test -q --release --manifest-path benchmark/Cargo.toml"
-cargo test -q --release --manifest-path benchmark/Cargo.toml
+timeout 600 cargo test -q --release --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark/run.sh --smoke"
 bash benchmark/run.sh --smoke

@@ -106,7 +106,6 @@ fn every_tol_switch_moves_the_cycle_count() {
         opt_sw_prefetch: _,
         speculate_indirect: _,
         codecache_scattered: _,
-        verify: _,
     } = base_tol();
     type Flip = fn(&mut TolConfig);
     const SWITCHES: [(&str, Flip); 9] = [
@@ -119,7 +118,6 @@ fn every_tol_switch_moves_the_cycle_count() {
         ("opt_sw_prefetch", |c| c.opt_sw_prefetch ^= true),
         ("speculate_indirect", |c| c.speculate_indirect ^= true),
         ("codecache_scattered", |c| c.codecache_scattered ^= true),
-        // `verify` is not a modelling switch: it checks, it does not steer.
     ];
     let profile = &suites::all_profiles()[0];
     assert_eq!(profile.name, "400.perlbench");

@@ -25,6 +25,11 @@
 //! `CacheHealth::evictions`) went, and `trace` became `events` /
 //! `batches` / `max_batch`. Before they went, a first commit asserted on
 //! all thirteen runs here that each removed count equalled its twin.
+//! They moved once with the eighth, for the same reason only: the three
+//! counters of the in-production pass checker left `TolCounters`, after
+//! a first commit asserted on all thirteen runs that no superblock had
+//! fallen back to its BBM translation. Each new constant is the parent's
+//! report with those three keys cut from its text.
 
 use darco::core::{Report, System, SystemConfig};
 use darco::workloads::{generate, suites, BenchProfile};
@@ -52,13 +57,9 @@ fn report(profile: &BenchProfile, set: impl Fn(&mut SystemConfig)) -> Report {
     System::new(generate(profile, SCALE), cfg).run_to_completion()
 }
 
-/// Digest of the serialized report. Debug builds verify every
-/// optimization pass whatever `TolConfig::verify` says, so the two
-/// counters of that work are the one thing a report may not be hashed
-/// with; `verify_failures` stays in.
-fn digest(mut r: Report) -> u64 {
-    r.tol.counters.verified_blocks = 0;
-    r.tol.counters.tv_differential = 0;
+/// Digest of the serialized report, every field of it: debug and release
+/// builds run the same software layer.
+fn digest(r: Report) -> u64 {
     fnv(&serde_json::to_string(&r).expect("serialize"))
 }
 
@@ -100,11 +101,6 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
     );
     for ((case, _), r) in CASES.iter().zip(&reports) {
         assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
-        assert_eq!(
-            r.tol.counters.verify_failures, 0,
-            "{}: {case}: a superblock fell back to its BBM translation",
-            profile.name
-        );
     }
     assert_eq!(
         reports.map(digest),
@@ -119,7 +115,7 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
 fn reports_are_pinned_on_quicktest() {
     check(
         &suites::quicktest_profile(),
-        [5767233704927479294, 6440190066483402013, 17398557602526059755, 16499873888032758138],
+        [7853353365267074748, 3380652051931352287, 3307531109893009973, 13624113446892701076],
     );
 }
 
@@ -127,7 +123,7 @@ fn reports_are_pinned_on_quicktest() {
 fn reports_are_pinned_on_perlbench() {
     check(
         &suites::all_profiles()[0],
-        [2120138817750580598, 4637865085452551760, 14112626047042388653, 5563977646679261293],
+        [6080967097750906536, 3150290633607131514, 2703631911638529991, 2076340331580287131],
     );
 }
 
@@ -135,7 +131,7 @@ fn reports_are_pinned_on_perlbench() {
 fn reports_are_pinned_on_bzip2() {
     check(
         &suites::all_profiles()[1],
-        [4163267401421023093, 7033523319336417058, 12926452683852487913, 14483571403189198205],
+        [17853026828682687919, 9738934883737431780, 13258200069087560679, 2071105204240132631],
     );
 }
 
@@ -143,6 +139,5 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
-    assert_eq!(r.tol.counters.verify_failures, 0, "quicktest: a superblock fell back to BBM");
-    assert_eq!(digest(r), 18122551066782153535, "quicktest: report moved with timeline windows on");
+    assert_eq!(digest(r), 11096434888082402669, "quicktest: report moved with timeline windows on");
 }
