@@ -33,10 +33,10 @@
 //! ```
 
 use darco_core::{Report, System, SystemConfig};
-use darco_host::{Component, HInst, Owner};
+use darco_host::{Component, Owner};
 use darco_tol::codecache::BlockKind;
 use darco_tol::translate::{decode_bb, translate_region};
-use darco_tol::{Tol, TolConfig};
+use darco_tol::Tol;
 use darco_workloads::{generate, suites, BenchProfile};
 
 fn main() {
@@ -437,8 +437,7 @@ fn disasm(rest: &[String]) {
     let o = parse(rest);
     let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
-    let tol_cfg = TolConfig { bb_sb_threshold: 50, ..TolConfig::default() };
-    let mut tol = Tol::new(tol_cfg, w.entry);
+    let mut tol = Tol::new(SystemConfig::default().tol, w.entry);
     tol.set_state(&w.initial);
     let mut sink = darco_host::NullSink;
     tol.run(&mut mem, &mut sink, u64::MAX).expect("run");
@@ -472,9 +471,6 @@ fn disasm(rest: &[String]) {
             let marker = if i as u32 == blk.body_len { "  --- exits ---\n" } else { "" };
             print!("{marker}");
             println!("  {:#010x}  {}", blk.host_base + 4 * i as u64, inst);
-            if matches!(inst, HInst::Exit(_)) && i as u32 > blk.body_len + blk.stubs_len() {
-                break;
-            }
         }
     }
 }
@@ -493,17 +489,6 @@ fn timeline(rest: &[String]) {
     println!("{:>12} {:>12} {:>10}", "guest insts", "cycles", "TOL share");
     for w in r.timeline.iter().take(o.n) {
         println!("{:>12} {:>12} {:>9.1}%", w.guest_insts, w.cycles, w.overhead_share() * 100.0);
-    }
-}
-
-// A tiny extension trait so disasm can know where stubs end.
-trait StubsLen {
-    fn stubs_len(&self) -> u32;
-}
-
-impl StubsLen for darco_tol::codecache::TranslatedBlock {
-    fn stubs_len(&self) -> u32 {
-        self.stub_guest_counts.len() as u32
     }
 }
 

@@ -104,6 +104,14 @@ fn verify_co_simulates_against_the_independent_executor() {
 }
 
 #[test]
+fn disasm_prints_the_hottest_translations() {
+    let out = darco(&["disasm", "quicktest", "--scale", "0.05", "--n", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "darco disasm failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("hottest 2 of ") && stdout.contains("--- exits ---"), "{stdout}");
+}
+
+#[test]
 fn verify_reports_what_run_with_cosim_does() {
     let verify = darco(&["verify", "quicktest", "--scale", "0.05", "--json"]);
     let run = darco(&["run", "quicktest", "--scale", "0.05", "--cosim", "--json"]);

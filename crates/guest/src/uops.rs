@@ -551,8 +551,8 @@ fn shift_lazy(op: ShiftOp, v: u32, amt: u32, lazy: &mut LazyFlags) -> u32 {
 /// that a flag writer records a [`LazyFlags`] definition instead of
 /// writing `cpu.flags`, and `Jcc` forces the pending one. The caller
 /// moves `eip`.
-// Measured, not assumed (EXPERIMENTS.md "One `match` for the guest fast
-// executor"): plain `#[inline]` or none costs `ExecCtx::run` ~12 %.
+// Measured, not assumed (EXPERIMENTS.md rulings, "`#[inline(always)]` on
+// `exec_op`"): plain `#[inline]` or none costs `ExecCtx::run` ~12 %.
 #[inline(always)]
 fn exec_op(
     inst: &Inst,

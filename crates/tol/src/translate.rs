@@ -87,7 +87,7 @@ pub(crate) fn decode_bb_into(
 /// next translation on the same engine starts with capacity instead of
 /// `Vec::new()`.
 #[derive(Debug, Default)]
-pub struct IrScratch {
+pub(crate) struct IrScratch {
     ops: Vec<IrOp>,
     stubs: Vec<Exit>,
     counts: Vec<u32>,
@@ -104,7 +104,7 @@ impl IrScratch {
 
     /// Reclaims a finished block's buffers, keeping whichever allocation
     /// (current or reclaimed) has more capacity.
-    pub fn recycle(&mut self, block: IrBlock) {
+    pub(crate) fn recycle(&mut self, block: IrBlock) {
         let IrBlock { mut ops, mut stubs, mut stub_guest_counts, .. } = block;
         ops.clear();
         stubs.clear();
@@ -285,7 +285,7 @@ pub fn translate_region(region: &[RegionInst]) -> IrBlock {
 /// # Panics
 ///
 /// Same as [`translate_region`].
-pub fn translate_region_scratch(region: &[RegionInst], scratch: &mut IrScratch) -> IrBlock {
+pub(crate) fn translate_region_scratch(region: &[RegionInst], scratch: &mut IrScratch) -> IrBlock {
     assert!(!region.is_empty(), "empty translation region");
     let (ops, stubs, stub_guest_counts) = scratch.take();
     let mut cx = Ctx { ops, stubs, stub_guest_counts, next_virt: 0, gi: 0 };
@@ -801,5 +801,36 @@ mod tests {
         let ir_a = translate_region(&decode_bb(&mem_a, base_a).unwrap());
         let ir_b = translate_region(&decode_bb(&mem_b, base_b).unwrap());
         assert!(ir_b.ops.len() > ir_a.ops.len());
+    }
+
+    #[test]
+    fn recycled_scratch_translates_like_fresh_buffers() {
+        // A long block leaves ops, a stub and its guest count in the arena.
+        let mut long = vec![Inst::MovRI { dst: Gpr::Esi, imm: 0 }];
+        for i in 0..20 {
+            long.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Eax, imm: i });
+            long.push(Inst::Load { dst: Gpr::Edx, addr: MemRef::base(Gpr::Esi, 4 * i) });
+        }
+        long.extend([
+            Inst::CmpRI { a: Gpr::Eax, imm: 0 },
+            Inst::Jcc { cond: Cond::Ne, target: 0x1000 },
+        ]);
+        let (mem, base) = decode_prog(&long);
+        let mut scratch = IrScratch::default();
+        let first = translate_region_scratch(&decode_bb(&mem, base).unwrap(), &mut scratch);
+        let first_len = first.ops.len();
+        scratch.recycle(first);
+
+        // A shorter, different block built in those buffers is the block
+        // fresh vectors give.
+        let (mem, base) = decode_prog(&[
+            Inst::CmpRI { a: Gpr::Ebx, imm: 7 },
+            Inst::Jcc { cond: Cond::E, target: 0x3000 },
+        ]);
+        let short = decode_bb(&mem, base).unwrap();
+        let fresh = translate_region(&short);
+        assert!(first_len > 2 * fresh.ops.len(), "the first block must be the longer one");
+        let reused = translate_region_scratch(&short, &mut scratch);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
     }
 }

@@ -11,7 +11,9 @@ cd "$(dirname "$0")/.."
 # the history files (CHANGELOG.md, CHANGES.md, EXPERIMENTS.md, ROADMAP.md),
 # in the CLI test that pins the removed flags as unknown, in the pass
 # reference that round 8 moved out of production, and in the one property
-# test whose name predates the audit.
+# test whose name predates the audit. Round 9 names identifiers of the
+# criterion layer, not the word: "criterion" is ordinary English in the
+# manuals.
 echo "== removed switches stay removed"
 round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
@@ -20,7 +22,8 @@ round5='emission_shape|interp_step_shaped|interp_step_keyed|AddrRecipe|fn h_[a-z
 round6='L0_WAYS|L0Entry|L0_EMPTY'
 round7='ModeEnter|IbtcResolve|CacheInsert|TranslationKind|ExecMode|HostEvent::(Translated|Chained|Evict|Unchain)|trace_stats_serialized_fields|mode_enters|\.emitted\b'
 round8='verify_failures|verified_blocks|tv_differential|tv_symbolic|passes_checked|VerifyStats|SbOutcome::Miscompile|OptError::Miscompile|optimize_stats|darco_tol::verify|tol\.verify\b'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8"
+round9='criterion_group|criterion_main|darco_bench::|record_stream|replay_sink|cargo bench'
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
@@ -66,9 +69,6 @@ target/release/figures all | cmp - figures_output.txt
 
 echo "== cargo test -q --workspace"
 timeout 900 cargo test -q --workspace
-
-echo "== cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
 
 # The digests of the event stream and of the serialized reports, the
 # no-dead-knob test (every TolConfig switch moves the cycle count), the
