@@ -101,6 +101,12 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
     );
     for ((case, _), r) in CASES.iter().zip(&reports) {
         assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
+        assert_eq!(
+            (r.tol.cache.smc_evictions, r.tol.cache.unchains),
+            (0, 0),
+            "{}: {case}: a translation was evicted for self-modifying code",
+            profile.name
+        );
     }
     assert_eq!(
         reports.map(digest),
@@ -139,5 +145,6 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
+    assert_eq!((r.tol.cache.smc_evictions, r.tol.cache.unchains), (0, 0), "quicktest: evicted");
     assert_eq!(digest(r), 11096434888082402669, "quicktest: report moved with timeline windows on");
 }
