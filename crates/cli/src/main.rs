@@ -387,11 +387,10 @@ fn print_report(r: &Report) {
         s.installed, s.counters.sbm_invocations, s.chains, s.flushes
     );
     println!(
-        "  cache: {:.1}% occupied ({:.1}% dead) / {} smc evictions / {} unchains / {} retranslations",
+        "  cache: {:.1}% occupied ({:.1}% dead) / {} smc flushes / {} retranslations",
         s.cache.occupancy() * 100.0,
         s.cache.dead_space_ratio() * 100.0,
-        s.cache.smc_evictions,
-        s.cache.unchains,
+        s.counters.smc_flushes,
         s.cache.retranslations
     );
     println!(
@@ -445,7 +444,7 @@ fn disasm(rest: &[String]) {
     // Rank resident translations by execution count.
     let mut blocks: Vec<darco_host::BlockId> = tol.cc.blocks().map(|(id, _)| id).collect();
     blocks.sort_by_key(|&b| {
-        let blk = tol.cc.block(b).expect("resident block");
+        let blk = tol.cc.get(b).expect("resident block");
         (std::cmp::Reverse(blk.exec_count), blk.guest_entry)
     });
     println!(
@@ -455,7 +454,7 @@ fn disasm(rest: &[String]) {
         w.name
     );
     for &b in blocks.iter().take(o.n) {
-        let blk = tol.cc.block(b).expect("resident block");
+        let blk = tol.cc.get(b).expect("resident block");
         let kind = match blk.kind {
             BlockKind::Bb => "BBM",
             BlockKind::Sb => "SBM",

@@ -148,21 +148,19 @@ impl Width {
     }
 }
 
-/// Generation-tagged handle to a code-cache translation.
+/// Epoch-tagged handle to a code-cache translation.
 ///
-/// `idx` names a storage slot in the cache; `gen` is the slot's
-/// generation when the handle was issued. Every eviction (and every
-/// whole-cache flush) bumps the slot generation, so a handle that
-/// outlives its translation is *detectably* stale instead of silently
-/// naming whatever got installed into the slot next. Consumers that hold
-/// potentially-old handles — chain links, IBTC entries, promotion
-/// redirects — validate them against the cache and fall back to the
-/// software-layer dispatcher when the target is gone.
+/// `idx` indexes the translations installed since the cache's last
+/// flush; `gen` is the cache's flush epoch when the handle was issued.
+/// A whole-cache flush is the only way a translation dies, and it bumps
+/// the epoch, so a handle that outlives its translation is *detectably*
+/// stale instead of silently naming whatever got installed at its index
+/// next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BlockId {
-    /// Storage slot index.
+    /// Install index within the flush epoch.
     pub idx: u32,
-    /// Slot generation at handle-issue time.
+    /// Flush epoch at handle-issue time.
     pub gen: u32,
 }
 
@@ -177,10 +175,9 @@ impl fmt::Display for BlockId {
 pub enum Exit {
     /// To a known guest address. `link` is filled in by chaining: when
     /// set, execution continues directly at that code-cache block without
-    /// a transition to the software layer. The handle may go stale if the
-    /// linked block is evicted; the cache unpatches such links eagerly,
-    /// and executors treat a stale link as unchained (software-layer
-    /// exit) as defense in depth.
+    /// a transition to the software layer. A link only ever names a block
+    /// of its own block's epoch, so the flush that drops the target drops
+    /// the link with it.
     Direct {
         /// Guest address execution should continue at.
         guest_target: u32,

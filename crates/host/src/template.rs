@@ -12,13 +12,10 @@
 //! [`RetireDyn`] says are dynamic.
 //!
 //! The one field that can change *after* install is a direct exit's
-//! chain link (chaining mutates `Exit::Direct { link }` in place, and
-//! eviction unpatches it again), which is why
-//! [`RetireDyn::DirectExit`] leaves the branch to be resolved at
-//! execution time instead of baking a target. The link is a
-//! generation-tagged [`BlockId`](crate::isa::BlockId): resolvers
-//! validate it against the live cache and fall back to the
-//! software-layer exit when the target has been evicted.
+//! chain link (chaining mutates `Exit::Direct { link }` in place), which
+//! is why [`RetireDyn::DirectExit`] leaves the branch to be resolved at
+//! execution time instead of baking a target: the linked block's base
+//! when chained, the software-layer exit when not.
 
 use crate::isa::{Exit, HInst, HReg};
 use crate::stream::{fp_reg, int_reg, BranchKind, Component, DynInst, NO_REG};
@@ -43,9 +40,8 @@ pub enum RetireDyn {
     /// target is static and prebaked).
     CondBranch,
     /// Direct exit: the branch target depends on the exit's *current*
-    /// chain link (which may have been patched, unpatched, or gone stale
-    /// since install), so the whole branch record is attached at
-    /// execution time.
+    /// chain link (which chaining may have patched since install), so the
+    /// whole branch record is attached at execution time.
     DirectExit,
 }
 

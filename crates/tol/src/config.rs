@@ -15,13 +15,6 @@ pub struct TolConfig {
     /// BBM-to-SBM promotion threshold: a translated basic block is
     /// promoted to a superblock once it has executed this many times.
     pub bb_sb_threshold: u32,
-    /// Maximum number of basic blocks merged into one superblock.
-    pub sb_max_bbs: u32,
-    /// Maximum guest instructions in one superblock.
-    pub sb_max_insts: u32,
-    /// Minimum profiled edge bias (`taken / total`) required to keep
-    /// growing a superblock along an edge.
-    pub sb_edge_bias: f64,
     /// Code cache capacity in host instructions; on overflow the whole
     /// cache is flushed (cf. Hazelwood & Smith).
     pub code_cache_capacity: u32,
@@ -59,9 +52,6 @@ impl Default for TolConfig {
         TolConfig {
             im_bb_threshold: 5,
             bb_sb_threshold: 10_000,
-            sb_max_bbs: 8,
-            sb_max_insts: 128,
-            sb_edge_bias: 0.6,
             code_cache_capacity: 1 << 20,
             ibtc_entries: 512,
             chaining: true,

@@ -61,8 +61,6 @@ mod data {
     pub const DESCRIPTORS: u64 = 0x60_0000;
     /// Edge-profile records updated by BBM instrumentation.
     pub const EDGES: u64 = 0x70_0000;
-    /// Dead-space list (the extent record an SMC eviction pushes).
-    pub const FREELIST: u64 = 0x80_0000;
 }
 
 /// TOL code-region layout (offsets from [`TOL_CODE_BASE`]).
@@ -75,7 +73,6 @@ mod code {
     pub const CHAINER: u64 = 0x1_0000;
     pub const LOOKUP: u64 = 0x1_4000;
     pub const TRANSITION: u64 = 0x1_8000;
-    pub const EVICTOR: u64 = 0x1_C000;
 }
 
 /// Emits the host-instruction streams of TOL services into a sink.
@@ -464,35 +461,6 @@ impl Emitter {
         c.ld(exit_host_pc); // read the exit instruction
         c.use_load();
         c.st(exit_host_pc); // patch it
-        c.alu(2);
-    }
-
-    /// Unchaining: restore a direct exit whose target is being evicted
-    /// to its dispatcher-bound form (read-modify-write of the patched
-    /// site, like [`Emitter::chain`] in reverse).
-    pub fn unchain(&mut self, ev: &mut EventBuffer<'_>, exit_host_pc: u64) {
-        let comp = Component::TolChaining;
-        let mut c = Cur::new(TOL_CODE_BASE + code::CHAINER + 0x400, comp, ev);
-        c.alu(3);
-        c.ld(exit_host_pc); // read the patched exit
-        c.use_load();
-        c.st(exit_host_pc); // restore it
-    }
-
-    /// Bookkeeping of an SMC eviction: remove the victim from the
-    /// translation map and record its storage extent as dead. Per-site
-    /// unchaining is charged separately via [`Emitter::unchain`].
-    pub fn evict(&mut self, ev: &mut EventBuffer<'_>, guest_entry: u32) {
-        let comp = Component::TolOthers;
-        let mut c = Cur::new(TOL_CODE_BASE + code::EVICTOR, comp, ev);
-        c.alu(5);
-        let bucket = TOL_DATA_BASE + data::MAP + bucket_of(guest_entry) * costs::MAP_BUCKET_BYTES;
-        c.ld(bucket);
-        c.use_load();
-        c.st(bucket); // clear the map entry
-        c.ld(TOL_DATA_BASE + data::FREELIST);
-        c.use_load();
-        c.st(TOL_DATA_BASE + data::FREELIST); // dead-extent push
         c.alu(2);
     }
 

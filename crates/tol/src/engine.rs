@@ -15,7 +15,7 @@
 //! simulator and co-simulates against the authoritative functional
 //! emulator between steps.
 
-use crate::codecache::{BlockKind, CacheHealth, CodeCache, Evicted, TranslatedBlock};
+use crate::codecache::{BlockKind, CacheHealth, CodeCache, TranslatedBlock};
 use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
 use crate::config::TolConfig;
 use crate::emission::Emitter;
@@ -52,6 +52,9 @@ pub struct TolCounters {
     pub spec_hits: u64,
     /// Speculative resolutions that missed (compensation taken).
     pub spec_misses: u64,
+    /// Code-cache flushes forced by a guest write to translated code (a
+    /// subset of [`RunSummary::flushes`]).
+    pub smc_flushes: u64,
 }
 
 /// What one [`Tol::step`] did.
@@ -77,7 +80,8 @@ pub struct RunSummary {
     /// Translations installed into the code cache (BBM and SBM,
     /// re-translations included).
     pub installed: u64,
-    /// Code cache flushes.
+    /// Code cache flushes, on overflow or after a guest write to
+    /// translated code ([`TolCounters::smc_flushes`]).
     pub flushes: u64,
     /// Chain links created.
     pub chains: u64,
@@ -85,8 +89,8 @@ pub struct RunSummary {
     pub ibtc_hits: u64,
     /// IBTC misses.
     pub ibtc_misses: u64,
-    /// End-of-run code-cache health: occupancy, dead space, and the
-    /// lifecycle counters (SMC evictions, unchains, retranslations).
+    /// End-of-run code-cache health: occupancy, dead space, and
+    /// retranslations.
     pub cache: CacheHealth,
     /// Per-pass instruction deltas across every optimized block, in
     /// pipeline order (`darco analyze` reports these).
@@ -114,7 +118,7 @@ pub struct Tol {
     resume_translated: bool,
     /// Last observed target per indirect exit site, for the optional
     /// speculative-resolution feature: `(block, exit) -> (guest, block)`.
-    /// Entries naming an evicted block are purged eagerly.
+    /// Cleared with every flush, like the IBTC.
     spec_targets: std::collections::HashMap<(BlockId, u32), (u32, BlockId)>,
     /// Reused allocation for the retirement event buffer.
     ev_storage: Vec<HostEvent>,
@@ -401,17 +405,12 @@ impl Tol {
         self.fastctx.stats
     }
 
-    /// Lifecycle fallout of an SMC eviction: emits the unchaining and
-    /// eviction cost streams, and eagerly drops every engine-side
-    /// reference (IBTC entries, speculation targets) naming the evicted
-    /// block, so no stale handle can ever be dispatched through them.
-    fn note_smc_eviction(&mut self, e: &Evicted, ev: &mut EventBuffer<'_>) {
-        for &site in &e.unchained {
-            self.em.unchain(ev, site);
-        }
-        self.em.evict(ev, e.entry);
-        self.ibtc.invalidate(e.id);
-        self.spec_targets.retain(|&(b, _), &mut (_, to)| b != e.id && to != e.id);
+    /// Drops the engine's own handles after a code-cache flush, whatever
+    /// its cause: every IBTC entry and speculation hint names the epoch
+    /// that just ended.
+    fn forget_flushed(&mut self) {
+        self.ibtc.clear();
+        self.spec_targets.clear();
     }
 
     /// Translates and installs the basic block at `entry` (BBM).
@@ -442,8 +441,7 @@ impl Tol {
         })
         .ok()?;
         if ins.flushed {
-            self.ibtc.clear();
-            self.spec_targets.clear();
+            self.forget_flushed();
         }
         Some(ins.id)
     }
@@ -462,7 +460,7 @@ impl Tol {
         region.clear();
         visited.clear();
         let formed = timed(&mut self.pass_nanos, "region", || {
-            form_region_into(mem, entry, &self.prof, &self.cfg, &mut region, &mut visited)
+            form_region_into(mem, entry, &self.prof, &mut region, &mut visited)
         });
         self.scratch.visited = visited;
         let bbs = match formed {
@@ -502,25 +500,18 @@ impl Tol {
             return Ok(None);
         };
         if ins.flushed {
-            self.ibtc.clear();
-            self.spec_targets.clear();
+            self.forget_flushed();
         }
         Ok(Some((ins.id, ins.flushed)))
     }
 
     /// Follows promotion redirects (the patched entry jump of a promoted
-    /// BBM block), charging one application-side jump per hop. A stale
-    /// redirect target (the replacing superblock was itself evicted) is
-    /// cleared and the original block keeps running.
+    /// BBM block), charging one application-side jump per hop. A redirect
+    /// and its superblock are of one epoch, so they die together.
     fn resolve_redirects(&mut self, mut bid: BlockId, ev: &mut EventBuffer<'_>) -> BlockId {
-        while let Some(r) = self.cc.get(bid).and_then(|b| b.redirect) {
-            let Some(target) = self.cc.get(r).map(|b| b.host_base) else {
-                if let Some(b) = self.cc.get_mut(bid) {
-                    b.redirect = None;
-                }
-                break;
-            };
-            let pc = self.cc.get(bid).expect("redirect read from live block").host_base;
+        while let Some(b) = self.cc.get(bid) {
+            let (pc, Some(r)) = (b.host_base, b.redirect) else { break };
+            let target = self.cc.get(r).expect("a redirect dies with its superblock").host_base;
             ev.retire(
                 DynInst::plain(pc, darco_host::ExecClass::Jump, darco_host::Component::AppCode)
                     .with_branch(BranchKind::UncondDirect, target, true),
@@ -549,18 +540,19 @@ impl Tol {
         loop {
             // Dispatch guard: every hop (entry, chain link, IBTC hit,
             // speculation, redirect) lands here before executing, so a
-            // handle gone stale since it was issued — or a translation
-            // invalidated by a guest write to its code pages — returns
-            // control to the dispatcher instead of running dead code.
+            // handle from an earlier epoch returns control to the
+            // dispatcher instead of running dead code.
             if self.cc.get(bid).is_none() {
                 self.counters.tol_entries += 1;
                 self.em.transition(ev);
                 return Ok(executed);
             }
+            // The guest wrote to this translation's code: flush, as an
+            // overflow does, and re-translate from the current bytes.
             if self.cc.smc_stale(bid, mem) {
-                if let Some(e) = self.cc.evict_block(bid) {
-                    self.note_smc_eviction(&e, ev);
-                }
+                self.cc.flush();
+                self.forget_flushed();
+                self.counters.smc_flushes += 1;
                 self.counters.tol_entries += 1;
                 self.em.transition(ev);
                 return Ok(executed);
@@ -572,7 +564,7 @@ impl Tol {
             // Per-execution bookkeeping of BBM blocks: instrumentation
             // cost, execution counting, edge profiling.
             let (kind, entry, host_base, exec_count, promoted) = {
-                let b = self.cc.block_mut(bid).expect("guarded live at dispatch");
+                let b = self.cc.get_mut(bid).expect("guarded live at dispatch");
                 b.exec_count += 1;
                 (b.kind, b.guest_entry, b.host_base, b.exec_count, b.promoted)
             };
@@ -599,9 +591,7 @@ impl Tol {
                 }
                 Exit::Direct { guest_target, link } => {
                     self.guest_pc = guest_target;
-                    // Eager unchaining keeps links live; the filter is a
-                    // defensive backstop (a stale link re-dispatches).
-                    if let Some(to) = link.filter(|&to| self.cc.get(to).is_some()) {
+                    if let Some(to) = link {
                         Some(to)
                     } else if let Some(to) = self.cc.lookup(guest_target) {
                         // One trip into the layer either way: to patch
@@ -639,9 +629,7 @@ impl Tol {
                     if self.cfg.speculate_indirect {
                         if let Some(&(t, to)) = self.spec_targets.get(&spec_key) {
                             let hit = t == target;
-                            // Entries are purged on eviction, so `to` is
-                            // live; the fallback is defensive only.
-                            let to_base = self.cc.get(to).map_or(TOL_CODE_BASE, |b| b.host_base);
+                            let to_base = self.cc.get(to).expect("flushes clear hints").host_base;
                             self.em.spec_check(ev, site_pc, hit, to_base);
                             if hit {
                                 self.counters.spec_hits += 1;
@@ -657,10 +645,8 @@ impl Tol {
                         let slot = self.ibtc.slot(target);
                         let resolved = match self.ibtc.lookup(target) {
                             Some(to) => {
-                                // Eager invalidation keeps IBTC entries
-                                // live; defensive fallback as above.
                                 let to_base =
-                                    self.cc.get(to).map_or(TOL_CODE_BASE, |b| b.host_base);
+                                    self.cc.get(to).expect("flushes clear the IBTC").host_base;
                                 self.em.ibtc_probe_inline(ev, site_pc, slot, true, to_base);
                                 Some(to)
                             }
@@ -708,7 +694,7 @@ impl Tol {
                 && (self.prof.static_mode(entry) != Some(StaticMode::Sbm)
                     || exec_count >= 4 * self.cfg.bb_sb_threshold as u64)
             {
-                self.cc.block_mut(bid).expect("guarded live at dispatch").promoted = true;
+                self.cc.get_mut(bid).expect("guarded live at dispatch").promoted = true;
                 self.counters.tol_entries += 1;
                 self.em.transition(ev);
                 match self.install_sb(entry, mem, ev)? {
@@ -763,7 +749,7 @@ impl Tol {
         mem: &mut GuestMem,
         ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
-        let block = self.cc.block(bid).expect("guarded live at dispatch");
+        let block = self.cc.get(bid).expect("guarded live at dispatch");
         let mut idx = 0usize;
         loop {
             let inst = &block.insts[idx];
@@ -791,10 +777,8 @@ impl Tol {
                     if let Outcome::Exited(Exit::Direct { link, .. }) = outcome {
                         // Chained exits jump block-to-block; unchained
                         // ones jump into the dispatcher. The link is
-                        // patched after install (chaining) and unpatched
-                        // on eviction, so it must be resolved here, not
-                        // baked into the template — and a stale handle
-                        // falls back to the software-layer exit.
+                        // patched after install (chaining), so it must be
+                        // resolved here, not baked into the template.
                         let target = link
                             .and_then(|to| self.cc.get(to))
                             .map_or(TOL_CODE_BASE, |b| b.host_base);
@@ -1083,43 +1067,60 @@ mod tests {
         assert_eq!(s.dyn_dist[1] + s.dyn_dist[2], 0, "interpreter-only");
     }
 
-    #[test]
-    fn smc_write_forces_eviction_and_retranslation() {
-        // Overwrite the `add eax, 1` immediate (to 2) in the hot loop
-        // after it has been translated, via a store the program itself
-        // executes. Layout (short-form AluRI is 3 bytes):
-        //   0x1000: mov ecx, imm(site+2)   ; patch address
-        //   ...    store byte 2 at [ecx]   ; rewrites the immediate
-        // Here we drive the engine directly instead: run until the loop
-        // is translated, patch guest memory, keep running.
-        let (mut mem, entry) = loop_program(5_000);
+    /// A layer over `loop_program(iters)`, stepped until `until` holds.
+    fn run_until(iters: i32, until: impl Fn(&Tol) -> bool) -> (Tol, GuestMem, u32) {
+        let (mut mem, entry) = loop_program(iters);
         let mut tol = Tol::new(TolConfig::default(), entry);
         let mut cpu = CpuState::at(entry);
         cpu.set_gpr(Gpr::Esp, 0x10_0000);
         tol.set_state(&cpu);
-        let mut sink = darco_host::NullSink;
-        // Run enough steps that the loop body is translated.
-        let mut guest = 0u64;
-        while guest < 2_000 && !tol.is_done() {
-            guest += tol.step(&mut mem, &mut sink, 256).unwrap().guest_insts;
+        while !until(&tol) {
+            assert!(!tol.is_done(), "the program ended first");
+            tol.step(&mut mem, &mut darco_host::NullSink, 256).unwrap();
         }
-        assert!(tol.cc.resident() > 0, "loop must be translated by now");
-        // A write to a translated code page (same byte value — even an
-        // idempotent write must invalidate, as the stamp is a page
-        // write-generation, not a content hash).
-        let byte = mem.read_u8(entry);
-        mem.write_u8(entry, byte);
+        (tol, mem, entry)
+    }
+
+    /// Runs `tol` to completion and requires the reference state and
+    /// instruction count of `loop_program(iters)`.
+    fn finish_exactly(tol: &mut Tol, mem: &mut GuestMem, entry: u32, iters: i32) {
         while !tol.is_done() {
-            tol.step(&mut mem, &mut sink, 4096).unwrap();
+            tol.step(mem, &mut darco_host::NullSink, 4096).unwrap();
         }
-        let s = tol.summary();
-        assert!(s.cache.smc_evictions > 0, "code-page write must evict");
-        assert!(s.cache.retranslations > 0, "hot code must come back");
-        // The run still retires exactly the reference instruction count.
-        let (mut mem_ref, _) = loop_program(5_000);
+        let (mut mem_ref, _) = loop_program(iters);
         let (ref_cpu, ref_n) = run_reference(&mut mem_ref, entry);
         assert!(ref_cpu.arch_eq(&tol.emulated_state()));
         assert_eq!(tol.summary().dyn_dist.iter().sum::<u64>(), ref_n);
+    }
+
+    #[test]
+    fn smc_write_flushes_and_retranslates() {
+        // Run until the loop is translated, then write to its code page
+        // (the same byte value: even an idempotent write must invalidate,
+        // as the stamp is a page write-generation, not a content hash).
+        let (mut tol, mut mem, entry) = run_until(5_000, |t| t.cc.resident() > 0);
+        let byte = mem.read_u8(entry);
+        mem.write_u8(entry, byte);
+        finish_exactly(&mut tol, &mut mem, entry, 5_000);
+        let s = tol.summary();
+        assert_eq!(s.counters.smc_flushes, 1, "one write, one flush");
+        assert_eq!(s.flushes, 1, "an SMC flush is a flush");
+        assert!(s.cache.retranslations > 0, "hot code must come back");
+    }
+
+    /// An SMC flush drops the IBTC with the code cache. If it did not, the
+    /// return's next probe would hit a handle of the old epoch, which the
+    /// dispatch guard turns into a trip to the dispatcher: still exact,
+    /// but the probe must miss.
+    #[test]
+    fn smc_flush_clears_the_ibtc() {
+        let (mut tol, mut mem, entry) = run_until(5_000, |t| t.ibtc.hits() > 0);
+        let misses = tol.ibtc.misses();
+        let byte = mem.read_u8(entry);
+        mem.write_u8(entry, byte);
+        finish_exactly(&mut tol, &mut mem, entry, 5_000);
+        assert_eq!(tol.counters().smc_flushes, 1);
+        assert!(tol.ibtc.misses() > misses, "the return must miss after the flush");
     }
 
     #[test]
@@ -1250,7 +1251,7 @@ mod tests {
     ) -> (Vec<DynInst>, Exit, usize) {
         use darco_host::stream::{fp_reg, int_reg, NO_REG};
         use darco_host::HInst;
-        let block = cc.block(bid).expect("live block");
+        let block = cc.get(bid).expect("live block");
         let host_base = block.host_base;
         let mut records = Vec::new();
         let mut idx = 0usize;
@@ -1313,7 +1314,7 @@ mod tests {
                 }
                 (HInst::Exit(Exit::Direct { link, .. }), _) => {
                     // Chained exits jump block-to-block; unchained ones
-                    // (and stale links) jump into the dispatcher.
+                    // jump into the dispatcher.
                     let t = link.and_then(|to| cc.get(to)).map_or(TOL_CODE_BASE, |b| b.host_base);
                     d = d.with_branch(BranchKind::UncondDirect, t, true);
                 }

@@ -8,11 +8,10 @@
 //! software layer for a full code-cache lookup, after which the entry is
 //! updated (Sec. III-B).
 //!
-//! Entries hold generation-tagged [`BlockId`] handles. The engine keeps
-//! them live eagerly: a whole-cache flush [`clear`](Ibtc::clear)s the
-//! table, and an SMC eviction [`invalidate`](Ibtc::invalidate)s only the
-//! entries naming the evicted block — so a probe can never hand out a
-//! handle to freed code.
+//! Entries hold epoch-tagged [`BlockId`] handles. Translations die only
+//! in a whole-cache flush, and the engine [`clear`](Ibtc::clear)s the
+//! table with every flush, so a probe can never hand out a handle to
+//! freed code.
 
 use darco_host::BlockId;
 
@@ -65,16 +64,6 @@ impl Ibtc {
         self.entries[s] = Some((guest_target, block));
     }
 
-    /// Drops every entry naming `block` (after an SMC eviction; a
-    /// whole-cache flush uses [`Ibtc::clear`]).
-    pub fn invalidate(&mut self, block: BlockId) {
-        for e in self.entries.iter_mut() {
-            if matches!(e, Some((_, b)) if *b == block) {
-                *e = None;
-            }
-        }
-    }
-
     /// Clears all entries (after a code-cache flush, every block handle
     /// is stale).
     pub fn clear(&mut self) {
@@ -125,20 +114,6 @@ mod tests {
         i.update(0x100, bid(1));
         i.clear();
         assert_eq!(i.lookup(0x100), None);
-    }
-
-    #[test]
-    fn invalidate_is_selective() {
-        let mut i = Ibtc::new(64);
-        i.update(0x100, bid(1));
-        i.update(0x200, bid(2));
-        i.invalidate(bid(1));
-        assert_eq!(i.lookup(0x100), None, "entries naming the block go");
-        assert_eq!(i.lookup(0x200), Some(bid(2)), "others survive");
-        // A different generation of the same slot is a different block.
-        i.update(0x300, BlockId { idx: 2, gen: 1 });
-        i.invalidate(bid(2));
-        assert_eq!(i.lookup(0x300), Some(BlockId { idx: 2, gen: 1 }));
     }
 
     #[test]

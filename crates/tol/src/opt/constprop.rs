@@ -24,7 +24,7 @@ enum Value {
 pub(crate) struct Facts {
     map: RegVec<Value>,
     /// Registers some `CopyOf` fact may name (a superset: bits are only
-    /// cleared when the register is invalidated). Lets a definition
+    /// cleared when the register is killed). Lets a definition
     /// skip the search for copies of the register it overwrites.
     copied: RegSet,
 }
@@ -40,7 +40,7 @@ impl Facts {
         self.copied.insert(of.index());
     }
 
-    fn invalidate(&mut self, r: IrReg) {
+    fn kill(&mut self, r: IrReg) {
         self.map.remove(r.index());
         if self.copied.contains(r.index()) {
             self.copied.remove(r.index());
@@ -105,7 +105,7 @@ pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
         // 3. Update facts from this definition.
         let copy = as_copy(&op.inst);
         if let Some(rd) = op.inst.dst() {
-            facts.invalidate(rd);
+            facts.kill(rd);
             match op.inst {
                 IrInst::Li { imm, .. } => {
                     facts.map.insert(rd.index(), Value::Const(imm as u32));

@@ -8,11 +8,18 @@
 //! the superblock (a loop back-edge), a weakly-biased branch, or the size
 //! caps (paper Sec. II-A-1).
 
-use crate::config::TolConfig;
 use crate::profile::Profiler;
 use crate::translate::{decode_bb_into, RegionInst};
 use darco_guest::{DecodeError, GuestMem, Inst};
 use std::collections::HashSet;
+
+/// Maximum number of basic blocks merged into one superblock.
+pub(crate) const SB_MAX_BBS: u32 = 8;
+/// Maximum guest instructions in one superblock.
+pub(crate) const SB_MAX_INSTS: u32 = 128;
+/// Minimum profiled edge bias (`taken / total`) required to keep growing
+/// a superblock along an edge.
+pub(crate) const SB_EDGE_BIAS: f64 = 0.6;
 
 /// Forms the superblock region rooted at `entry` into caller-provided
 /// buffers (the engine's scratch arena reuses the allocations across
@@ -30,7 +37,6 @@ pub(crate) fn form_region_into(
     mem: &GuestMem,
     entry: u32,
     prof: &Profiler,
-    cfg: &TolConfig,
     region: &mut Vec<RegionInst>,
     visited: &mut HashSet<u32>,
 ) -> Result<u32, DecodeError> {
@@ -46,7 +52,7 @@ pub(crate) fn form_region_into(
         let bb_len = region.len() - start;
         bbs += 1;
 
-        if bbs >= cfg.sb_max_bbs || region.len() as u32 >= cfg.sb_max_insts {
+        if bbs >= SB_MAX_BBS || region.len() as u32 >= SB_MAX_INSTS {
             break;
         }
 
@@ -64,7 +70,7 @@ pub(crate) fn form_region_into(
             }
             Inst::Jcc { target, .. } => {
                 let Some(edge) = prof.edge(pc) else { break };
-                if edge.total() == 0 || edge.bias() < cfg.sb_edge_bias {
+                if edge.total() == 0 || edge.bias() < SB_EDGE_BIAS {
                     break;
                 }
                 let taken = edge.majority_taken();
@@ -87,10 +93,9 @@ mod tests {
         mem: &GuestMem,
         entry: u32,
         prof: &Profiler,
-        cfg: &TolConfig,
     ) -> Result<(Vec<RegionInst>, u32), DecodeError> {
         let mut region = Vec::new();
-        let bbs = form_region_into(mem, entry, prof, cfg, &mut region, &mut HashSet::new())?;
+        let bbs = form_region_into(mem, entry, prof, &mut region, &mut HashSet::new())?;
         Ok((region, bbs))
     }
 
@@ -126,7 +131,7 @@ mod tests {
         for _ in 0..5 {
             prof.record_edge(entry, false);
         }
-        let (region, bbs) = form_region(&mem, entry, &prof, &TolConfig::default()).unwrap();
+        let (region, bbs) = form_region(&mem, entry, &prof).unwrap();
         assert!(bbs >= 3, "A, C and D inlined, got {bbs}");
         assert!(region.iter().any(|r| r.pc == c_pc), "taken path inlined");
         assert!(region[1].follow_taken);
@@ -141,7 +146,7 @@ mod tests {
             prof.record_edge(entry, true);
             prof.record_edge(entry, false);
         }
-        let (region, bbs) = form_region(&mem, entry, &prof, &TolConfig::default()).unwrap();
+        let (region, bbs) = form_region(&mem, entry, &prof).unwrap();
         assert_eq!(bbs, 1, "50/50 edge must not be followed");
         assert!(matches!(region.last().unwrap().inst, Inst::Jcc { .. }));
     }
@@ -150,7 +155,7 @@ mod tests {
     fn unprofiled_branch_stops_growth() {
         let (mem, entry, _, _) = diamond();
         let prof = Profiler::new();
-        let (_, bbs) = form_region(&mem, entry, &prof, &TolConfig::default()).unwrap();
+        let (_, bbs) = form_region(&mem, entry, &prof).unwrap();
         assert_eq!(bbs, 1);
     }
 
@@ -171,7 +176,7 @@ mod tests {
         for _ in 0..100 {
             prof.record_edge(0x2000, true);
         }
-        let (region, bbs) = form_region(&mem, 0x2000, &prof, &TolConfig::default()).unwrap();
+        let (region, bbs) = form_region(&mem, 0x2000, &prof).unwrap();
         assert_eq!(bbs, 1, "back-edge to self terminates formation");
         // The Jcc is followed-marked but last, so it is still the
         // region terminal.
@@ -180,7 +185,7 @@ mod tests {
 
     #[test]
     fn caps_respected() {
-        // A long chain of single-jump blocks.
+        // A chain of single-jump blocks longer than the cap.
         let mut a = Asm::new(0x3000);
         let mut labels = Vec::new();
         for _ in 0..20 {
@@ -198,8 +203,7 @@ mod tests {
         let p = a.assemble();
         let mut mem = GuestMem::new();
         mem.write_bytes(p.base, &p.bytes);
-        let cfg = TolConfig { sb_max_bbs: 4, ..TolConfig::default() };
-        let (_, bbs) = form_region(&mem, 0x3000, &Profiler::new(), &cfg).unwrap();
-        assert_eq!(bbs, 4);
+        let (_, bbs) = form_region(&mem, 0x3000, &Profiler::new()).unwrap();
+        assert_eq!(bbs, SB_MAX_BBS);
     }
 }

@@ -23,7 +23,8 @@ round6='L0_WAYS|L0Entry|L0_EMPTY'
 round7='ModeEnter|IbtcResolve|CacheInsert|TranslationKind|ExecMode|HostEvent::(Translated|Chained|Evict|Unchain)|trace_stats_serialized_fields|mode_enters|\.emitted\b'
 round8='verify_failures|verified_blocks|tv_differential|tv_symbolic|passes_checked|VerifyStats|SbOutcome::Miscompile|OptError::Miscompile|optimize_stats|darco_tol::verify|tol\.verify\b'
 round9='criterion_group|criterion_main|darco_bench::|record_stream|replay_sink|cargo bench'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9"
+round10='evict_block|note_smc_eviction|Evicted\b|smc_evictions|\bunchains\b|free_slots|alloc_slot|fn invalidate|fn unchain|fn evict\b|sb_max_bbs|sb_max_insts|sb_edge_bias'
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \

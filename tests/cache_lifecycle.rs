@@ -6,7 +6,7 @@
 //! (the immediate of an `add` flips from 1 to 5). The architecturally
 //! exact outcome is pinned against the reference functional emulator,
 //! co-simulation checks every dispatch boundary, and the report must
-//! show the translation being evicted for SMC and re-translated.
+//! show the code cache flushed for SMC and the code re-translated.
 
 use darco::core::{System, SystemConfig};
 use darco::guest::asm::Asm;
@@ -113,7 +113,7 @@ fn smc_reference_execution_sees_the_patch() {
 /// a BB/SB threshold of 50), so the store hits a page backing live
 /// translations. The run must stay architecturally exact (co-simulation
 /// checks every dispatch; the final instruction count is pinned against
-/// the reference emulator) and the report must show the SMC eviction
+/// the reference emulator) and the report must show the one SMC flush
 /// plus the re-translation of the patched entry.
 #[test]
 fn smc_invalidates_translated_code_exactly() {
@@ -133,6 +133,6 @@ fn smc_invalidates_translated_code_exactly() {
     assert_eq!(r.guest_insts, ref_n, "instruction counts must match");
     assert!(r.cosim_checks > 0, "checker ran");
     assert!(r.tol.dyn_dist[2] > 0, "the hot loop reached SBM");
-    assert!(r.tol.cache.smc_evictions >= 1, "the code write must evict stale translations");
+    assert_eq!(r.tol.counters.smc_flushes, 1, "the one code write must flush the cache once");
     assert!(r.tol.cache.retranslations >= 1, "the patched entry must be re-translated");
 }

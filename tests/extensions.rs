@@ -92,9 +92,6 @@ fn every_tol_switch_moves_the_cycle_count() {
     let TolConfig {
         im_bb_threshold: _,
         bb_sb_threshold: _,
-        sb_max_bbs: _,
-        sb_max_insts: _,
-        sb_edge_bias: _,
         code_cache_capacity: _,
         ibtc_entries: _,
         chaining: _,

@@ -29,7 +29,13 @@
 //! counters of the in-production pass checker left `TolCounters`, after
 //! a first commit asserted on all thirteen runs that no superblock had
 //! fallen back to its BBM translation. Each new constant is the parent's
-//! report with those three keys cut from its text.
+//! report with those three keys cut from its text. They moved once with
+//! the tenth, for the same reason: single-block eviction went, and with
+//! it the two `CacheHealth` counts of SMC evictions and unpatched chain
+//! links, after a first commit asserted on all thirteen runs that both
+//! were 0; `TolCounters` gained `smc_flushes`. Each new constant is the
+//! parent's report text with those two keys cut and `"smc_flushes":0`
+//! added to `counters`.
 
 use darco::core::{Report, System, SystemConfig};
 use darco::workloads::{generate, suites, BenchProfile};
@@ -101,12 +107,6 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
     );
     for ((case, _), r) in CASES.iter().zip(&reports) {
         assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
-        assert_eq!(
-            (r.tol.cache.smc_evictions, r.tol.cache.unchains),
-            (0, 0),
-            "{}: {case}: a translation was evicted for self-modifying code",
-            profile.name
-        );
     }
     assert_eq!(
         reports.map(digest),
@@ -121,7 +121,7 @@ fn check(profile: &BenchProfile, expected: [u64; 4]) {
 fn reports_are_pinned_on_quicktest() {
     check(
         &suites::quicktest_profile(),
-        [7853353365267074748, 3380652051931352287, 3307531109893009973, 13624113446892701076],
+        [7442753854940310649, 15591860106016839876, 14291934272967248386, 17121632632857884569],
     );
 }
 
@@ -129,7 +129,7 @@ fn reports_are_pinned_on_quicktest() {
 fn reports_are_pinned_on_perlbench() {
     check(
         &suites::all_profiles()[0],
-        [6080967097750906536, 3150290633607131514, 2703631911638529991, 2076340331580287131],
+        [8640156744918608855, 9628334000282401189, 8998622227413653340, 15639304421149010120],
     );
 }
 
@@ -137,7 +137,7 @@ fn reports_are_pinned_on_perlbench() {
 fn reports_are_pinned_on_bzip2() {
     check(
         &suites::all_profiles()[1],
-        [17853026828682687919, 9738934883737431780, 13258200069087560679, 2071105204240132631],
+        [11948632165042648620, 2747476750581445087, 12511397152450409864, 14509781045095154372],
     );
 }
 
@@ -145,6 +145,5 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
-    assert_eq!((r.tol.cache.smc_evictions, r.tol.cache.unchains), (0, 0), "quicktest: evicted");
-    assert_eq!(digest(r), 11096434888082402669, "quicktest: report moved with timeline windows on");
+    assert_eq!(digest(r), 2796516828026770264, "quicktest: report moved with timeline windows on");
 }
