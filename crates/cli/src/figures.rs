@@ -1,10 +1,11 @@
-//! Regenerates every figure of the paper's evaluation section.
+//! `darco figures`: regenerates every figure and table of the paper's
+//! evaluation section.
 //!
 //! ```text
-//! figures <command> [--scale S] [--quick] [--jobs N] [--json FILE]
+//! darco figures [command] [--scale S] [--jobs N]
 //!
 //! commands:
-//!   all        every figure below
+//!   all        every figure below (the default)
 //!   table1     the host processor configuration (the paper's only table)
 //!   fig5a      static guest-code distribution across IM/BBM/SBM
 //!   fig5b      dynamic guest-code distribution across IM/BBM/SBM
@@ -18,129 +19,91 @@
 //!   ablate-thresholds   IM/BBth and BB/SBth sweep (paper assumes 5/10K)
 //!   ablate-ibtc         IBTC size sweep (Sec. III-E, indirect branches)
 //!   ablate-passes       SBM optimization-pass ablation
-//!   ablate-codecache    code-cache capacity / flush-policy sweep
+//!   ablate-codecache    code-cache capacity sweep (flushes on overflow)
 //!   ablate-future       the paper's Sec. III-E proposals, implemented:
 //!                       software prefetching, speculative indirect
 //!                       resolution, code placement
 //! ```
 
-use darco_core::experiments::{self, BenchRun, RunConfig};
+use crate::{bail, parse, run_batch, usage};
+use darco_core::experiments::{self, BenchRun};
 use darco_core::report::{pct, render_table};
+use darco_core::{System, SystemConfig};
+use darco_timing::TimingConfig;
 use darco_tol::TolConfig;
-use darco_workloads::suites;
+use darco_workloads::{generate, suites, BenchProfile};
 use std::collections::BTreeMap;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = String::from("all");
-    let mut scale: Option<f64> = None;
-    let mut quick = false;
-    let mut jobs: Option<usize> = None;
-    let mut json_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                let s: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
-                // The generator turns the scale into loop trip counts:
-                // `inf` never halts; `nan`, 0 and negatives silently run
-                // some other length.
-                if !(s.is_finite() && s > 0.0) {
-                    die("--scale must be finite and greater than 0");
-                }
-                scale = Some(s);
+/// The default `--scale` of `darco figures`: the run length the scaled
+/// `BB/SBth` threshold is sized for (DESIGN.md §12).
+const SCALE: f64 = 2.0;
+
+/// Prints one figure from the runs of the whole roster.
+type Printer = fn(&[BenchRun]);
+
+/// The figures drawn from one run of the whole roster, in `all` order.
+const ROSTER_FIGURES: [(&str, Printer); 8] = [
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+];
+
+/// `darco figures`: the command comes first and defaults to `all`; only
+/// `--scale` and `--jobs` follow it, checked before anything runs. The
+/// figures always run without co-simulation.
+pub fn figures(rest: &[String]) {
+    let (command, flags) = match rest.split_first() {
+        Some((c, flags)) if !c.starts_with('-') => (c.as_str(), flags),
+        _ => ("all", rest),
+    };
+    let mut words = flags.iter();
+    while let Some(w) = words.next() {
+        match w.as_str() {
+            "--scale" | "--jobs" => {
+                words.next();
             }
-            "--quick" => quick = true,
-            "--jobs" => {
-                let n: usize = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a thread count"));
-                if n == 0 {
-                    die("--jobs must be at least 1");
-                }
-                jobs = Some(n);
+            "--help" | "-h" => return usage(),
+            "--json" => bail("--json: use `darco run-set --scale 2 --json`"),
+            "--quick" => bail("--quick: use --scale 0.05"),
+            "--cosim" => bail("--cosim: figures run without co-simulation"),
+            flag if flag.starts_with('-') => {
+                bail(&format!("{flag}: figures takes only --scale S and --jobs N"))
             }
-            "--json" => {
-                json_path = Some(it.next().unwrap_or_else(|| die("--json needs a path")).clone());
-            }
-            "--help" | "-h" => {
-                println!("{}", HELP);
-                return;
-            }
-            c if !c.starts_with('-') => command = c.to_string(),
-            other => die(&format!("unknown flag {other}")),
+            name => bail(&format!(
+                "{name}: name one figure, first: `darco figures <command> [--scale S] [--jobs N]`"
+            )),
         }
     }
-
-    let mut cfg = if quick { RunConfig::quick() } else { RunConfig::default() };
-    if let Some(s) = scale {
-        cfg.scale = s;
-    }
-
-    match command.as_str() {
-        "ablate-thresholds" => return ablate_thresholds(&cfg),
-        "ablate-ibtc" => return ablate_ibtc(&cfg),
-        "ablate-passes" => return ablate_passes(&cfg),
-        "ablate-codecache" => return ablate_codecache(&cfg),
-        "ablate-future" => return ablate_future(&cfg),
-        "startup" => return startup(&cfg),
-        "table1" => return table1(&cfg),
-        _ => {}
-    }
-
-    eprintln!("running {} benchmarks at scale {} ...", suites::all_profiles().len(), cfg.scale);
-    let runs = run_all(&cfg, jobs);
-    if let Some(path) = &json_path {
-        let json = serde_json::to_string_pretty(&runs).expect("serialize runs");
-        std::fs::write(path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote raw results to {path}");
-    }
-
-    match command.as_str() {
-        "all" => {
-            fig5a(&runs);
-            fig5b(&runs);
-            fig6(&runs);
-            fig7(&runs);
-            fig8(&runs);
-            fig9(&runs);
-            fig10(&runs);
-            fig11(&runs);
+    let o = parse(flags, SCALE);
+    let (scale, cfg) = (o.scale, SystemConfig { cosim: false, ..SystemConfig::default() });
+    match command {
+        "table1" => table1(&cfg.timing),
+        "startup" => startup(scale, &cfg),
+        "ablate-thresholds" => ablate_thresholds(scale, &cfg),
+        "ablate-ibtc" => ablate_ibtc(scale, &cfg),
+        "ablate-passes" => ablate_passes(scale, &cfg),
+        "ablate-codecache" => ablate_codecache(scale, &cfg),
+        "ablate-future" => ablate_future(scale, &cfg),
+        _ => {
+            let selected: Vec<Printer> = ROSTER_FIGURES
+                .iter()
+                .filter(|(name, _)| command == "all" || *name == command)
+                .map(|&(_, print)| print)
+                .collect();
+            if selected.is_empty() {
+                bail(&format!("unknown figure {command}; try `darco --help`"));
+            }
+            let runs = run_batch(&suites::all_profiles(), &o, &cfg);
+            for print in selected {
+                print(&runs);
+            }
         }
-        "fig5a" => fig5a(&runs),
-        "fig5b" => fig5b(&runs),
-        "fig6" => fig6(&runs),
-        "fig7" => fig7(&runs),
-        "fig8" => fig8(&runs),
-        "fig9" => fig9(&runs),
-        "fig10" => fig10(&runs),
-        "fig11" => fig11(&runs),
-        other => die(&format!("unknown command {other}")),
     }
-}
-
-const HELP: &str = "figures <all|table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|fig11|startup|\
-ablate-thresholds|ablate-ibtc|ablate-passes|ablate-codecache|ablate-future> \
-[--scale S] [--quick] [--jobs N] [--json FILE]";
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{HELP}");
-    std::process::exit(2)
-}
-
-fn run_all(cfg: &RunConfig, jobs: Option<usize>) -> Vec<BenchRun> {
-    let profiles = suites::all_profiles();
-    let threads =
-        jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    eprintln!("  using {threads} worker threads");
-    let t0 = std::time::Instant::now();
-    let runs = experiments::run_set_parallel(&profiles, cfg, threads);
-    eprintln!("  {} runs in {:.2?} with --jobs {threads}", runs.len(), t0.elapsed());
-    runs
 }
 
 fn heading(title: &str) {
@@ -159,9 +122,9 @@ fn fig5a(runs: &[BenchRun]) {
         })
         .collect();
     println!("{}", render_table(&["benchmark", "IM", "BBM", "SBM"], &table));
-    let avg: Vec<Vec<String>> = experiments::fig5_suite_averages(&rows)
+    let avg: Vec<Vec<String>> = experiments::suite_means(&rows, |r| r.suite, |r| r.static_pct)
         .into_iter()
-        .map(|(label, st, _)| vec![label, pct(st[0]), pct(st[1]), pct(st[2])])
+        .map(|(s, st)| vec![s.label().to_owned(), pct(st[0]), pct(st[1]), pct(st[2])])
         .collect();
     println!("{}", render_table(&["suite average", "IM", "BBM", "SBM"], &avg));
     println!("paper anchors: on average ~36% of static code stays in IM, ~50% in BBM, ~14% in SBM");
@@ -175,9 +138,9 @@ fn fig5b(runs: &[BenchRun]) {
         .map(|r| vec![r.name.clone(), pct(r.dyn_pct[0]), pct(r.dyn_pct[1]), pct(r.dyn_pct[2])])
         .collect();
     println!("{}", render_table(&["benchmark", "IM", "BBM", "SBM"], &table));
-    let avg: Vec<Vec<String>> = experiments::fig5_suite_averages(&rows)
+    let avg: Vec<Vec<String>> = experiments::suite_means(&rows, |r| r.suite, |r| r.dyn_pct)
         .into_iter()
-        .map(|(label, _, dy)| vec![label, pct(dy[0]), pct(dy[1]), pct(dy[2])])
+        .map(|(s, dy)| vec![s.label().to_owned(), pct(dy[0]), pct(dy[1]), pct(dy[2])])
         .collect();
     println!("{}", render_table(&["suite average", "IM", "BBM", "SBM"], &avg));
     println!("paper anchor: ~97% of the dynamic stream comes from SBM code (14% of static)");
@@ -207,9 +170,9 @@ fn fig6(runs: &[BenchRun]) {
             &table
         )
     );
-    let avg: Vec<Vec<String>> = experiments::fig6_suite_averages(&rows)
+    let avg: Vec<Vec<String>> = experiments::suite_means(&rows, |r| r.suite, |r| [r.overhead])
         .into_iter()
-        .map(|(s, o)| vec![s.label().to_owned(), pct(o)])
+        .map(|(s, [o])| vec![s.label().to_owned(), pct(o)])
         .collect();
     println!("{}", render_table(&["suite average", "overhead"], &avg));
     println!("paper anchors: Mediabench 28%, Physicsbench 22%, SPEC INT 22%, SPEC FP 12%");
@@ -386,53 +349,50 @@ fn fig11(runs: &[BenchRun]) {
 // --------------------------------------------------------------- ablations
 
 /// A small representative subset for the sweeps.
-fn ablation_profiles() -> Vec<darco_workloads::BenchProfile> {
+fn ablation_profiles() -> Vec<BenchProfile> {
     ["400.perlbench", "401.bzip2", "433.milc", "007.jpg2000enc"]
         .iter()
         .map(|n| suites::by_name(n).expect("profile"))
         .collect()
 }
 
-fn overhead_of(
-    cfg: &RunConfig,
-    profiles: &[darco_workloads::BenchProfile],
-) -> BTreeMap<String, f64> {
+fn overhead_of(scale: f64, cfg: &SystemConfig, profiles: &[BenchProfile]) -> BTreeMap<String, f64> {
     profiles
         .iter()
         .map(|p| {
-            let r = experiments::run_bench(p, cfg);
+            let r = experiments::run_bench(p, scale, cfg);
             (p.name.clone(), r.report.timing.tol_overhead_share())
         })
         .collect()
 }
 
-fn ablate_thresholds(base: &RunConfig) {
+fn ablate_thresholds(scale: f64, base: &SystemConfig) {
     heading(
         "Ablation: promotion thresholds (the paper assumes IM/BBth=5, BB/SBth=10K scaled to 50)",
     );
     let mut table = Vec::new();
     for (im, sb) in [(2u32, 50u32), (5, 50), (20, 50), (5, 10), (5, 200), (5, 1000)] {
-        let cfg = RunConfig {
+        let cfg = SystemConfig {
             tol: TolConfig { im_bb_threshold: im, bb_sb_threshold: sb, ..base.tol.clone() },
             ..base.clone()
         };
-        for (name, ov) in overhead_of(&cfg, &ablation_profiles()) {
+        for (name, ov) in overhead_of(scale, &cfg, &ablation_profiles()) {
             table.push(vec![format!("{im}/{sb}"), name, pct(ov)]);
         }
     }
     println!("{}", render_table(&["IM/BBth / BB/SBth", "benchmark", "overhead"], &table));
 }
 
-fn ablate_ibtc(base: &RunConfig) {
+fn ablate_ibtc(scale: f64, base: &SystemConfig) {
     heading("Ablation: IBTC size (indirect-branch handling, Sec. III-E)");
     let mut table = Vec::new();
     for entries in [16u32, 64, 512, 4096] {
-        let cfg = RunConfig {
+        let cfg = SystemConfig {
             tol: TolConfig { ibtc_entries: entries, ..base.tol.clone() },
             ..base.clone()
         };
         for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, &cfg);
+            let r = experiments::run_bench(&p, scale, &cfg);
             let hits = r.report.tol.ibtc_hits;
             let total = hits + r.report.tol.ibtc_misses;
             table.push(vec![
@@ -449,7 +409,7 @@ fn ablate_ibtc(base: &RunConfig) {
     );
 }
 
-fn ablate_passes(base: &RunConfig) {
+fn ablate_passes(scale: f64, base: &SystemConfig) {
     heading("Ablation: SBM optimization passes");
     let variants: Vec<(&str, TolConfig)> = vec![
         ("all passes", base.tol.clone()),
@@ -471,9 +431,9 @@ fn ablate_passes(base: &RunConfig) {
     ];
     let mut table = Vec::new();
     for (label, tol) in variants {
-        let cfg = RunConfig { tol, ..base.clone() };
+        let cfg = SystemConfig { tol, ..base.clone() };
         for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, &cfg);
+            let r = experiments::run_bench(&p, scale, &cfg);
             table.push(vec![
                 label.to_string(),
                 p.name.clone(),
@@ -485,16 +445,16 @@ fn ablate_passes(base: &RunConfig) {
     println!("{}", render_table(&["passes", "benchmark", "cycles", "IPC"], &table));
 }
 
-fn ablate_codecache(base: &RunConfig) {
+fn ablate_codecache(scale: f64, base: &SystemConfig) {
     heading("Ablation: code cache capacity (bounded cache with flush, cf. [33])");
     let mut table = Vec::new();
     for cap in [1u32 << 14, 1 << 16, 1 << 18, 1 << 20] {
-        let cfg = RunConfig {
+        let cfg = SystemConfig {
             tol: TolConfig { code_cache_capacity: cap, ..base.tol.clone() },
             ..base.clone()
         };
         for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, &cfg);
+            let r = experiments::run_bench(&p, scale, &cfg);
             table.push(vec![
                 format!("{}Ki insts", cap >> 10),
                 p.name.clone(),
@@ -506,20 +466,12 @@ fn ablate_codecache(base: &RunConfig) {
     println!("{}", render_table(&["capacity", "benchmark", "overhead", "flushes"], &table));
 }
 
-fn startup(base: &RunConfig) {
+fn startup(scale: f64, base: &SystemConfig) {
     heading("Start-up vs steady state (Sec. II-B transitional effects)");
-    use darco_core::{System, SystemConfig};
-    use darco_workloads::generate;
     for name in ["462.libquantum", "400.perlbench", "000.cjpeg"] {
         let p = suites::by_name(name).expect("profile");
-        let cfg = SystemConfig {
-            tol: base.tol.clone(),
-            timing: base.timing.clone(),
-            cosim: false,
-            window_guest_insts: 100_000,
-            ..SystemConfig::default()
-        };
-        let mut sys = System::new(generate(&p, base.scale), cfg);
+        let cfg = SystemConfig { window_guest_insts: 100_000, ..base.clone() };
+        let mut sys = System::new(generate(&p, scale), cfg);
         let r = sys.run_to_completion();
         println!("{name}: TOL share of host instructions per 100K-guest-instruction window");
         let mut line = String::from("  ");
@@ -535,7 +487,7 @@ fn startup(base: &RunConfig) {
     );
 }
 
-fn ablate_future(base: &RunConfig) {
+fn ablate_future(scale: f64, base: &SystemConfig) {
     heading("Ablation: the paper's Sec. III-E proposals, implemented");
     let variants: Vec<(&str, TolConfig)> = vec![
         ("baseline", base.tol.clone()),
@@ -545,9 +497,9 @@ fn ablate_future(base: &RunConfig) {
     ];
     let mut table = Vec::new();
     for (label, tol) in variants {
-        let cfg = RunConfig { tol, ..base.clone() };
+        let cfg = SystemConfig { tol, ..base.clone() };
         for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, &cfg);
+            let r = experiments::run_bench(&p, scale, &cfg);
             let t = &r.report.timing;
             table.push(vec![
                 label.to_string(),
@@ -584,9 +536,8 @@ fn ablate_future(base: &RunConfig) {
     );
 }
 
-fn table1(cfg: &RunConfig) {
+fn table1(t: &TimingConfig) {
     heading("Table I: host processor microarchitectural parameters");
-    let t = &cfg.timing;
     let rows: Vec<Vec<String>> = vec![
         vec!["General".into(), "Issue width".into(), t.issue_width.to_string()],
         vec!["Instruction queue".into(), "Size".into(), t.iq_size.to_string()],

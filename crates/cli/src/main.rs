@@ -8,6 +8,8 @@
 //! darco run <benchmark> [opts]      # full system run + report
 //! darco run-set [benchmark ...]     # batch of runs across worker
 //!                                    # threads (default: whole roster)
+//! darco figures [command]           # the paper's tables and figures
+//!                                    # (see `figures.rs`; default: all)
 //! darco verify <benchmark> [opts]   # co-simulate against the independent
 //!                                    # exec::step
 //! darco analyze <benchmark> [opts]  # hot-region IR + compile-path report
@@ -21,17 +23,20 @@
 //! options: --profile FILE       load a custom profile (JSON) as the next
 //!                               benchmark
 //!          --scale S            dynamic-length scale, finite and > 0
-//!                               (default 0.5)
+//!                               (default 0.5; 2.0 for figures)
 //!          --cosim              enable co-simulation checking (run,
 //!                               run-set, analyze)
-//!          --jobs N             worker threads for run-set (default:
-//!                               all available cores)
+//!          --jobs N             worker threads for run-set and figures
+//!                               (default: all available cores)
 //!          --n N                rows/instructions to print (trace,
 //!                               disasm, analyze, timeline)
 //!          --json               machine-readable output (run, run-set,
 //!                               verify, analyze)
 //! ```
 
+mod figures;
+
+use darco_core::experiments::{self, BenchRun};
 use darco_core::{Report, System, SystemConfig};
 use darco_host::{Component, Owner};
 use darco_tol::codecache::BlockKind;
@@ -50,6 +55,7 @@ fn main() {
         "list" => list(),
         "run" => run(rest),
         "run-set" => run_set(rest),
+        "figures" => figures::figures(rest),
         "verify" => verify(rest),
         "analyze" => analyze(rest),
         "trace" => trace(rest),
@@ -69,13 +75,18 @@ fn usage() {
     eprintln!(
         "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
          [--profile FILE] [--scale S] [--cosim] [--jobs N] [--n N] [--json]\n  \
-         verify: run with co-simulation against the independent exec::step"
+         verify: run with co-simulation against the independent exec::step\n\
+         darco figures [all|table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|fig11|startup|\
+         ablate-thresholds|ablate-ibtc|ablate-passes|ablate-codecache|ablate-future] \
+         [--scale S] [--jobs N]"
     );
 }
 
 /// The flags every subcommand shares, parsed by one loop. A subcommand
 /// reads the ones that apply to it: `run-set` runs all of `profiles`
-/// across `jobs` threads, the others run [`Opts::profile`].
+/// across `jobs` threads, `figures` its own benchmark sets (it refuses
+/// every flag but `--scale` and `--jobs`), the others run
+/// [`Opts::profile`].
 struct Opts {
     /// Benchmarks named on the command line or loaded with `--profile`,
     /// in order.
@@ -94,7 +105,15 @@ impl Opts {
     fn profile(&self) -> BenchProfile {
         self.profiles.last().cloned().unwrap_or_else(suites::quicktest_profile)
     }
+
+    /// The one run configuration, co-simulated only on `--cosim`.
+    fn config(&self) -> SystemConfig {
+        SystemConfig { cosim: self.cosim, ..SystemConfig::default() }
+    }
 }
+
+/// `--scale` when none is given, for every subcommand but `figures`.
+const SCALE: f64 = 0.5;
 
 /// A roster benchmark (or `quicktest`) by name.
 fn named_profile(name: &str) -> BenchProfile {
@@ -107,9 +126,10 @@ fn named_profile(name: &str) -> BenchProfile {
     })
 }
 
-fn parse(rest: &[String]) -> Opts {
-    let mut o =
-        Opts { profiles: Vec::new(), scale: 0.5, cosim: false, jobs: None, n: 20, json: false };
+/// Parses the flags and benchmark names of a subcommand whose `--scale`
+/// defaults to `scale`.
+fn parse(rest: &[String], scale: f64) -> Opts {
+    let mut o = Opts { profiles: Vec::new(), scale, cosim: false, jobs: None, n: 20, json: false };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let mut value =
@@ -182,11 +202,10 @@ fn list() {
 // ------------------------------------------------------------------ run
 
 fn run(rest: &[String]) {
-    let o = parse(rest);
+    let o = parse(rest, SCALE);
     let profile = o.profile();
     eprintln!("running {} at scale {} ...", profile.name, o.scale);
-    let cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
-    let mut sys = System::new(generate(&profile, o.scale), cfg);
+    let mut sys = System::new(generate(&profile, o.scale), o.config());
     let report = sys.run_to_completion();
     if o.json {
         println!("{}", serde_json::to_string_pretty(&report).expect("serialize"));
@@ -202,19 +221,9 @@ fn run(rest: &[String]) {
 /// independent system, so results are identical at any thread count;
 /// only the wall-clock changes.
 fn run_set(rest: &[String]) {
-    let o = parse(rest);
-    let jobs =
-        o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let cfg = darco_core::RunConfig { scale: o.scale, cosim: o.cosim, ..Default::default() };
-    let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles };
-    eprintln!(
-        "running {} benchmark(s) at scale {} on {jobs} thread(s) ...",
-        profiles.len(),
-        o.scale
-    );
-    let t0 = std::time::Instant::now();
-    let runs = darco_core::experiments::run_set_parallel(&profiles, &cfg, jobs);
-    let elapsed = t0.elapsed();
+    let o = parse(rest, SCALE);
+    let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles.clone() };
+    let runs = run_batch(&profiles, &o, &o.config());
     if o.json {
         println!("{}", serde_json::to_string_pretty(&runs).expect("serialize"));
     } else {
@@ -233,7 +242,22 @@ fn run_set(rest: &[String]) {
             );
         }
     }
-    eprintln!("run-set: {} benchmark(s) in {:.2?} with --jobs {jobs}", runs.len(), elapsed);
+}
+
+/// Runs `profiles` under `cfg` at `--scale` across `--jobs` threads, the
+/// batch driver of `run-set` and `figures`, timing it on stderr.
+fn run_batch(profiles: &[BenchProfile], o: &Opts, cfg: &SystemConfig) -> Vec<BenchRun> {
+    let jobs =
+        o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    eprintln!(
+        "running {} benchmark(s) at scale {} on {jobs} thread(s) ...",
+        profiles.len(),
+        o.scale
+    );
+    let t0 = std::time::Instant::now();
+    let runs = experiments::run_set(profiles, o.scale, cfg, jobs);
+    eprintln!("{} benchmark(s) in {:.2?} with --jobs {jobs}", runs.len(), t0.elapsed());
+    runs
 }
 
 // --------------------------------------------------------------- verify
@@ -244,7 +268,7 @@ fn run_set(rest: &[String]) {
 /// run, so reaching the end is the pass; the report is the one
 /// `darco run --cosim` prints.
 fn verify(rest: &[String]) {
-    let o = parse(rest);
+    let o = parse(rest, SCALE);
     let profile = o.profile();
     eprintln!("verifying {} at scale {} ...", profile.name, o.scale);
     let cfg = SystemConfig { cosim: true, independent_checker: true, ..SystemConfig::default() };
@@ -269,7 +293,7 @@ fn verify(rest: &[String]) {
 /// deltas, the compile path stage by stage and the host-per-guest
 /// split. `--n` bounds how many regions are dumped.
 fn analyze(rest: &[String]) {
-    let o = parse(rest);
+    let o = parse(rest, SCALE);
     let profile = o.profile();
     eprintln!("analyzing {} at scale {} ...", profile.name, o.scale);
     let w = generate(&profile, o.scale);
@@ -278,7 +302,7 @@ fn analyze(rest: &[String]) {
     // and for the functional rerun below.
     let analysis_mem = w.mem.clone();
     let (entry, initial) = (w.entry, w.initial.clone());
-    let cfg = SystemConfig { cosim: o.cosim, ..SystemConfig::default() };
+    let cfg = o.config();
     let tol_cfg = cfg.tol.clone();
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
@@ -409,7 +433,7 @@ fn print_report(r: &Report) {
 // ---------------------------------------------------------------- trace
 
 fn trace(rest: &[String]) {
-    let o = parse(rest);
+    let o = parse(rest, SCALE);
     let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
     let mut cpu = w.initial.clone();
@@ -433,7 +457,7 @@ fn trace(rest: &[String]) {
 // --------------------------------------------------------------- disasm
 
 fn disasm(rest: &[String]) {
-    let o = parse(rest);
+    let o = parse(rest, SCALE);
     let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
     let mut tol = Tol::new(SystemConfig::default().tol, w.entry);
@@ -477,7 +501,7 @@ fn disasm(rest: &[String]) {
 // ------------------------------------------------------------- timeline
 
 fn timeline(rest: &[String]) {
-    let o = parse(rest);
+    let o = parse(rest, SCALE);
     let cfg = SystemConfig { cosim: false, window_guest_insts: 50_000, ..SystemConfig::default() };
     let mut sys = System::new(generate(&o.profile(), o.scale), cfg);
     let r = sys.run_to_completion();

@@ -18,13 +18,47 @@ fn rejected(args: &[&str], needle: &str) {
 fn scale_must_be_finite_and_positive() {
     // `inf` used to run forever; `nan`, `-1` and `0` ran some other length.
     for bad in ["inf", "nan", "-1", "0"] {
-        rejected(
-            &["run", "quicktest", "--scale", bad],
-            "--scale must be finite and greater than 0",
-        );
+        for command in [["run", "quicktest"], ["figures", "table1"]] {
+            rejected(
+                &[&command[..], &["--scale", bad]].concat(),
+                "--scale must be finite and greater than 0",
+            );
+        }
     }
     let ok = darco(&["run", "quicktest", "--scale", "0.05"]);
     assert!(ok.status.success(), "a valid scale runs: {}", String::from_utf8_lossy(&ok.stderr));
+}
+
+#[test]
+fn figures_prints_table_one() {
+    let out = darco(&["figures", "table1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "darco figures failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        stdout.contains("=== Table I: host processor microarchitectural parameters ===")
+            && stdout.contains("Issue width"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn figures_rejects_an_unknown_figure_and_the_removed_quick_flag() {
+    // All are refused before any benchmark runs, with the form that works.
+    rejected(&["figures", "bogus"], "unknown figure bogus");
+    rejected(&["figures", "all", "--quick"], "--quick: use --scale 0.05");
+    rejected(&["figures", "all", "--json", "out.json"], "`darco run-set --scale 2 --json`");
+    rejected(&["figures", "--scale", "0.2", "table1"], "table1: name one figure, first");
+    rejected(&["figures", "table1", "--cosim"], "figures run without co-simulation");
+    for flag in ["--json", "--n", "--profile"] {
+        rejected(&["figures", "table1", flag], flag);
+    }
+}
+
+#[test]
+fn figures_help_exits_zero() {
+    let out = darco(&["figures", "--help"]);
+    assert!(out.status.success(), "figures --help must exit 0");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("darco figures [all|table1"));
 }
 
 #[test]

@@ -11,46 +11,14 @@
 //! Each `figN` function reduces [`BenchRun`]s to the rows/series the
 //! corresponding figure plots.
 
-use crate::system::{scaled_tol_config, Report, System, SystemConfig};
+use crate::system::{Report, System, SystemConfig};
 use darco_host::{Component, Owner};
-use darco_timing::{BubbleCause, Stats, TimingConfig};
-use darco_tol::TolConfig;
+use darco_timing::{BubbleCause, Stats};
 use darco_workloads::{generate, BenchProfile, Suite};
-use serde::{Deserialize, Serialize};
-
-/// Configuration of one experiment pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunConfig {
-    /// Dynamic-length scale relative to each profile's `dyn_base`.
-    pub scale: f64,
-    /// Run the authoritative emulator and state checker alongside.
-    pub cosim: bool,
-    /// Software-layer parameters.
-    pub tol: TolConfig,
-    /// Host parameters.
-    pub timing: TimingConfig,
-}
-
-impl Default for RunConfig {
-    fn default() -> RunConfig {
-        RunConfig {
-            scale: 2.0,
-            cosim: false,
-            tol: scaled_tol_config(),
-            timing: TimingConfig::default(),
-        }
-    }
-}
-
-impl RunConfig {
-    /// A fast configuration for tests and smoke runs.
-    pub fn quick() -> RunConfig {
-        RunConfig { scale: 0.05, ..RunConfig::default() }
-    }
-}
+use serde::Serialize;
 
 /// One benchmark's complete measurement set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BenchRun {
     /// Benchmark name.
     pub name: String,
@@ -62,18 +30,13 @@ pub struct BenchRun {
     pub dyn_static_ratio: f64,
 }
 
-/// Runs one benchmark under the configuration.
-pub fn run_bench(profile: &BenchProfile, cfg: &RunConfig) -> BenchRun {
-    let w = generate(profile, cfg.scale);
-    let sys_cfg = SystemConfig {
-        tol: cfg.tol.clone(),
-        timing: cfg.timing.clone(),
-        cosim: cfg.cosim,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        ..SystemConfig::default()
-    };
-    let mut sys = System::new(w, sys_cfg);
+/// Runs one benchmark at `scale` (relative to its `dyn_base`) under
+/// `cfg`, with the application-only and TOL-only pipelines attached
+/// whatever `cfg` says: Figs. 8, 10 and 11 read them.
+pub fn run_bench(profile: &BenchProfile, scale: f64, cfg: &SystemConfig) -> BenchRun {
+    let w = generate(profile, scale);
+    let cfg = SystemConfig { app_only_pipeline: true, tol_only_pipeline: true, ..cfg.clone() };
+    let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
     BenchRun {
         name: profile.name.clone(),
@@ -83,18 +46,14 @@ pub fn run_bench(profile: &BenchProfile, cfg: &RunConfig) -> BenchRun {
     }
 }
 
-/// Runs a set of benchmarks sequentially (one worker thread).
-pub fn run_set(profiles: &[BenchProfile], cfg: &RunConfig) -> Vec<BenchRun> {
-    run_set_parallel(profiles, cfg, 1)
-}
-
-/// Runs a set of benchmarks across `threads` worker threads (each
-/// benchmark is an independent system, so this is embarrassingly
-/// parallel). Results keep `profiles` order. `run_set` is the
-/// single-threaded special case.
-pub fn run_set_parallel(
+/// Runs [`run_bench`] on each profile across `threads` worker threads
+/// (each benchmark is an independent system, so this is embarrassingly
+/// parallel). Results keep `profiles` order and do not depend on
+/// `threads`.
+pub fn run_set(
     profiles: &[BenchProfile],
-    cfg: &RunConfig,
+    scale: f64,
+    cfg: &SystemConfig,
     threads: usize,
 ) -> Vec<BenchRun> {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,7 +65,7 @@ pub fn run_set_parallel(
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(p) = profiles.get(i) else { break };
-                let run = run_bench(p, cfg);
+                let run = run_bench(p, scale, cfg);
                 *results[i].lock().expect("poisoned result slot") = Some(run);
             });
         }
@@ -117,12 +76,36 @@ pub fn run_set_parallel(
         .collect()
 }
 
+/// The mean of `value` over each suite's items, in [`Suite::ALL`] order;
+/// a suite with no items is left out. Each element is summed in item
+/// order, then divided by the item count.
+pub fn suite_means<T, const N: usize>(
+    items: &[T],
+    suite: impl Fn(&T) -> Suite,
+    value: impl Fn(&T) -> [f64; N],
+) -> Vec<(Suite, [f64; N])> {
+    Suite::ALL
+        .into_iter()
+        .filter_map(|s| {
+            let mut sum = [0.0; N];
+            let mut n = 0usize;
+            for item in items.iter().filter(|i| suite(i) == s) {
+                for (a, v) in sum.iter_mut().zip(value(item)) {
+                    *a += v;
+                }
+                n += 1;
+            }
+            (n > 0).then(|| (s, sum.map(|a| a / n as f64)))
+        })
+        .collect()
+}
+
 // --------------------------------------------------------------------
 // Figure 5: static and dynamic guest-code distribution across modes.
 // --------------------------------------------------------------------
 
 /// One bar of Fig. 5a/5b.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Benchmark name.
     pub name: String,
@@ -154,37 +137,12 @@ pub fn fig5(runs: &[BenchRun]) -> Vec<Fig5Row> {
         .collect()
 }
 
-/// Averages Fig. 5 rows per suite (plus the overall mean), in the
-/// paper's order.
-pub fn fig5_suite_averages(rows: &[Fig5Row]) -> Vec<(String, [f64; 3], [f64; 3])> {
-    let mut out = Vec::new();
-    for suite in Suite::ALL {
-        let sel: Vec<&Fig5Row> = rows.iter().filter(|r| r.suite == suite).collect();
-        if sel.is_empty() {
-            continue;
-        }
-        let avg = |f: &dyn Fn(&Fig5Row) -> [f64; 3]| {
-            let mut a = [0.0; 3];
-            for r in &sel {
-                let v = f(r);
-                for i in 0..3 {
-                    a[i] += v[i];
-                }
-            }
-            a.iter_mut().for_each(|x| *x /= sel.len() as f64);
-            a
-        };
-        out.push((suite.label().to_owned(), avg(&|r| r.static_pct), avg(&|r| r.dyn_pct)));
-    }
-    out
-}
-
 // --------------------------------------------------------------------
 // Figure 6: execution time split into TOL and application.
 // --------------------------------------------------------------------
 
 /// One bar of Fig. 6 with its overlays.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Row {
     /// Benchmark name.
     pub name: String,
@@ -218,18 +176,6 @@ pub fn fig6(runs: &[BenchRun]) -> Vec<Fig6Row> {
         .collect()
 }
 
-/// Average TOL overhead per suite, Fig. 6's headline numbers
-/// (paper: Media 28%, Physics 22%, INT 22%, FP 12%).
-pub fn fig6_suite_averages(rows: &[Fig6Row]) -> Vec<(Suite, f64)> {
-    Suite::ALL
-        .iter()
-        .filter_map(|s| {
-            let sel: Vec<f64> = rows.iter().filter(|r| r.suite == *s).map(|r| r.overhead).collect();
-            (!sel.is_empty()).then(|| (*s, sel.iter().sum::<f64>() / sel.len() as f64))
-        })
-        .collect()
-}
-
 // --------------------------------------------------------------------
 // Figure 7: TOL time split into its modules.
 // --------------------------------------------------------------------
@@ -245,7 +191,7 @@ pub const FIG7_COMPONENTS: [Component; 6] = [
 ];
 
 /// One bar of Fig. 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     /// Benchmark name.
     pub name: String,
@@ -281,7 +227,7 @@ pub fn fig7(runs: &[BenchRun]) -> Vec<Fig7Row> {
 // --------------------------------------------------------------------
 
 /// One point set of Fig. 8 (from the TOL-only pipeline).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     /// Benchmark name.
     pub name: String,
@@ -325,7 +271,7 @@ pub fn fig8(runs: &[BenchRun]) -> Vec<Fig8Row> {
 
 /// One stacked bar of Fig. 9: ten categories as fractions of execution
 /// time, bottom-to-top in the paper's legend order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Row {
     /// Bar label (benchmark or suite average).
     pub label: String,
@@ -362,26 +308,9 @@ pub fn fig9(runs: &[BenchRun]) -> Vec<Fig9Row> {
 
 /// Suite-average Fig. 9 bars.
 pub fn fig9_suite_averages(runs: &[BenchRun]) -> Vec<Fig9Row> {
-    Suite::ALL
-        .iter()
-        .filter_map(|suite| {
-            let sel: Vec<[f64; 10]> = runs
-                .iter()
-                .filter(|r| r.suite == *suite)
-                .map(|r| fig9_categories(&r.report.timing))
-                .collect();
-            if sel.is_empty() {
-                return None;
-            }
-            let mut avg = [0.0; 10];
-            for c in &sel {
-                for i in 0..10 {
-                    avg[i] += c[i];
-                }
-            }
-            avg.iter_mut().for_each(|x| *x /= sel.len() as f64);
-            Some(Fig9Row { label: suite.label().to_owned(), categories: avg })
-        })
+    suite_means(runs, |r| r.suite, |r| fig9_categories(&r.report.timing))
+        .into_iter()
+        .map(|(s, categories)| Fig9Row { label: s.label().to_owned(), categories })
         .collect()
 }
 
@@ -390,7 +319,7 @@ pub fn fig9_suite_averages(runs: &[BenchRun]) -> Vec<Fig9Row> {
 // --------------------------------------------------------------------
 
 /// One bar pair of Fig. 10.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// Bar label.
     pub label: String,
@@ -424,24 +353,13 @@ pub fn fig10(runs: &[BenchRun]) -> Vec<Fig10Row> {
 
 /// Suite-average Fig. 10 rows.
 pub fn fig10_suite_averages(runs: &[BenchRun]) -> Vec<Fig10Row> {
-    Suite::ALL
-        .iter()
-        .filter_map(|suite| {
-            let sel: Vec<Fig10Row> = runs
-                .iter()
-                .filter(|r| r.suite == *suite)
-                .map(|r| fig10_row(r.name.clone(), &r.report))
-                .collect();
-            if sel.is_empty() {
-                return None;
-            }
-            let n = sel.len() as f64;
-            Some(Fig10Row {
-                label: suite.label().to_owned(),
-                app_rel: sel.iter().map(|r| r.app_rel).sum::<f64>() / n,
-                tol_rel: sel.iter().map(|r| r.tol_rel).sum::<f64>() / n,
-            })
-        })
+    let rel = |r: &BenchRun| {
+        let row = fig10_row(String::new(), &r.report);
+        [row.app_rel, row.tol_rel]
+    };
+    suite_means(runs, |r| r.suite, rel)
+        .into_iter()
+        .map(|(s, [app_rel, tol_rel])| Fig10Row { label: s.label().to_owned(), app_rel, tol_rel })
         .collect()
 }
 
@@ -450,7 +368,7 @@ pub fn fig10_suite_averages(runs: &[BenchRun]) -> Vec<Fig10Row> {
 // --------------------------------------------------------------------
 
 /// One bar group of Fig. 11 (for one owner).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Row {
     /// Bar label.
     pub label: String,
@@ -517,7 +435,11 @@ mod tests {
         p2.suite = Suite::SpecFp;
         p2.fp_fraction = 0.4;
         p2.seed = 11;
-        run_set(&[p1, p2], &RunConfig::quick())
+        run_set(&[p1, p2], 0.05, &quick(), 1)
+    }
+
+    fn quick() -> SystemConfig {
+        SystemConfig { cosim: false, ..SystemConfig::default() }
     }
 
     #[test]
@@ -532,15 +454,13 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-9, "static shares sum to 1");
             assert!((d - 1.0).abs() < 1e-9, "dynamic shares sum to 1");
         }
-        assert!(!fig5_suite_averages(&f5).is_empty());
 
         let f6 = fig6(&runs);
         for row in &f6 {
             assert!((row.overhead + row.application - 1.0).abs() < 1e-9);
             assert!(row.overhead > 0.0 && row.overhead < 1.0);
         }
-        let avgs = fig6_suite_averages(&f6);
-        assert_eq!(avgs.len(), 2);
+        assert_eq!(suite_means(&f6, |r| r.suite, |r| [r.overhead]).len(), 2);
 
         let f7 = fig7(&runs);
         for (r7, r6) in f7.iter().zip(f6.iter()) {
@@ -587,14 +507,34 @@ mod tests {
         b.name = "p2".into();
         b.seed = 77;
         let profiles = vec![a, b];
-        let seq = run_set(&profiles, &RunConfig::quick());
-        let par = run_set_parallel(&profiles, &RunConfig::quick(), 3);
+        let seq = run_set(&profiles, 0.05, &quick(), 1);
+        let par = run_set(&profiles, 0.05, &quick(), 3);
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(par.iter()) {
             assert_eq!(s.name, p.name, "order preserved");
             assert_eq!(s.report.guest_insts, p.report.guest_insts);
             assert_eq!(s.report.timing.total_cycles, p.report.timing.total_cycles);
         }
+    }
+
+    #[test]
+    fn suite_means_sum_in_item_order_per_suite() {
+        let items = [
+            (Suite::SpecFp, [0.1, 1.0]),
+            (Suite::SpecInt, [4.0, 2.0]),
+            (Suite::SpecFp, [0.2, 3.0]),
+            (Suite::SpecFp, [0.3, 5.0]),
+        ];
+        let means = suite_means(&items, |i| i.0, |i| i.1);
+        let order: Vec<Suite> = means.iter().map(|m| m.0).collect();
+        let expected: Vec<Suite> = Suite::ALL
+            .into_iter()
+            .filter(|s| matches!(s, Suite::SpecInt | Suite::SpecFp))
+            .collect();
+        assert_eq!(order, expected, "Suite::ALL order, empty suites left out");
+        let fp = means.iter().find(|m| m.0 == Suite::SpecFp).expect("SPEC FP present").1;
+        assert_eq!(fp, [(0.1 + 0.2 + 0.3) / 3.0, 3.0], "summed in item order, bit for bit");
+        assert_eq!(means.iter().find(|m| m.0 == Suite::SpecInt).expect("INT").1, [4.0, 2.0]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   of guest instructions, and co-simulates (compares architectural
 //!   state) at every dispatch boundary.
 //!
-//! [`experiments`] builds the per-figure datasets on top; the `figures`
-//! binary in `crates/bench` renders them.
+//! [`experiments`] builds the per-figure datasets on top; `darco figures`
+//! (`crates/cli`) renders them.
 //!
 //! ```
 //! use darco_core::{System, SystemConfig};
@@ -37,6 +37,6 @@ pub mod sinks;
 pub mod system;
 
 pub use checker::{Divergence, StateChecker};
-pub use experiments::{run_bench, BenchRun, RunConfig};
+pub use experiments::{run_bench, BenchRun};
 pub use sinks::{CheckerSink, SinkSet, TimingSink};
 pub use system::{scaled_tol_config, Report, System, SystemConfig, Window};

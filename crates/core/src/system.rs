@@ -7,7 +7,7 @@ use darco_host::{HostEvent, HostEventSink, TraceStats, TraceStatsSink};
 use darco_timing::{Stats, TimingConfig};
 use darco_tol::{RunSummary, Tol, TolConfig};
 use darco_workloads::{generate, BenchProfile, Workload};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's TOL configuration with the `BB/SBth` promotion threshold
 /// scaled from 10 000 to 50, matching the ~2000× scaling of dynamic
@@ -19,7 +19,7 @@ pub fn scaled_tol_config() -> TolConfig {
 }
 
 /// System configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Software-layer parameters.
     pub tol: TolConfig,
@@ -38,8 +38,6 @@ pub struct SystemConfig {
     /// Guest-instruction budget per engine step (dispatch granularity of
     /// co-simulation checks).
     pub step_budget: u64,
-    /// Hard cap on emulated guest instructions (0 = run to completion).
-    pub max_guest_insts: u64,
     /// Sample a timeline window every this many guest instructions
     /// (0 disables). Windows expose the start-up vs steady-state
     /// transition the paper insists on capturing (Sec. II-B).
@@ -61,7 +59,6 @@ impl Default for SystemConfig {
             app_only_pipeline: false,
             tol_only_pipeline: false,
             step_budget: 20_000,
-            max_guest_insts: 0,
             window_guest_insts: 0,
             independent_checker: false,
         }
@@ -69,7 +66,7 @@ impl Default for SystemConfig {
 }
 
 /// One timeline window: deltas over a fixed span of guest instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Window {
     /// Guest instructions retired by the end of this window.
     pub guest_insts: u64,
@@ -94,7 +91,7 @@ impl Window {
 }
 
 /// Results of one system run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Report {
     /// Workload name.
     pub name: String,
@@ -155,8 +152,7 @@ impl System {
         &self.tol
     }
 
-    /// Runs the workload to completion (or the configured cap) and
-    /// returns the report.
+    /// Runs the workload to completion and returns the report.
     ///
     /// The controller only drives the engine and emits boundary events;
     /// every observer — timing pipelines, co-simulation checker, delivery
@@ -168,7 +164,6 @@ impl System {
     /// Panics on guest decode faults or co-simulation divergence — both
     /// indicate an infrastructure bug, exactly as they would in DARCO.
     pub fn run_to_completion(&mut self) -> Report {
-        let cap = if self.cfg.max_guest_insts == 0 { u64::MAX } else { self.cfg.max_guest_insts };
         let mut sinks = SinkSet {
             trace: TraceStatsSink::default(),
             checker: self.checker.take().map(|chk| CheckerSink::new(self.name.clone(), chk)),
@@ -176,11 +171,10 @@ impl System {
         };
         let mut total = 0u64;
         let mut last_window = 0u64;
-        while !self.tol.is_done() && total < cap {
-            let budget = self.cfg.step_budget.min(cap - total);
+        while !self.tol.is_done() {
             let out = self
                 .tol
-                .step(&mut self.emu_mem, &mut sinks, budget)
+                .step(&mut self.emu_mem, &mut sinks, self.cfg.step_budget)
                 .unwrap_or_else(|e| panic!("{}: guest decode fault: {e}", self.name));
             total += out.guest_insts;
             if sinks.checker.is_some() {
@@ -327,15 +321,6 @@ mod tests {
             r.trace.events,
             r.timing.total_insts() + r.cosim_checks + r.timeline.len() as u64
         );
-    }
-
-    #[test]
-    fn max_guest_insts_caps_the_run() {
-        let cfg = SystemConfig { max_guest_insts: 5_000, cosim: true, ..SystemConfig::default() };
-        let mut sys = quick_system(cfg);
-        let r = sys.run_to_completion();
-        assert!(r.guest_insts >= 5_000, "runs until the cap");
-        assert!(r.guest_insts < 60_000, "stops near the cap, got {}", r.guest_insts);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! forms, and both direct and indirect control flow.
 
 use crate::GuestClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A general-purpose guest register (32-bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Gpr {
     /// Accumulator.
@@ -70,7 +69,7 @@ impl fmt::Display for Gpr {
 }
 
 /// A floating-point guest register (holds an `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FpReg(pub u8);
 
 impl FpReg {
@@ -97,7 +96,7 @@ impl fmt::Display for FpReg {
 }
 
 /// Scale factor of the index register in a [`MemRef`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Scale {
     /// ×1
@@ -130,7 +129,7 @@ impl Scale {
 }
 
 /// An x86-style memory operand: `[base + index*scale + disp]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemRef {
     /// Optional base register.
     pub base: Option<Gpr>,
@@ -190,7 +189,7 @@ impl fmt::Display for MemRef {
 }
 
 /// Binary integer ALU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum AluOp {
     /// Addition; writes CF/OF/ZF/SF/PF.
@@ -216,7 +215,7 @@ impl AluOp {
 }
 
 /// Shift operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum ShiftOp {
     /// Logical left shift.
@@ -238,7 +237,7 @@ impl ShiftOp {
 }
 
 /// Floating-point binary operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum FpOp {
     /// Addition (simple FP in the host pipeline).
@@ -262,7 +261,7 @@ impl FpOp {
 }
 
 /// Width of a sub-word memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MemWidth {
     /// One byte.
@@ -291,7 +290,7 @@ impl MemWidth {
 }
 
 /// Branch condition, evaluated against [`crate::Flags`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Cond {
     /// Equal (ZF).
@@ -366,7 +365,7 @@ impl Cond {
 ///
 /// Targets of direct control flow are absolute guest addresses; indirect
 /// control flow reads its target from a register or memory at run time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Inst {
     /// No operation.
     Nop,

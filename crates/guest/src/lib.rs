@@ -56,7 +56,7 @@ pub use uops::{ExecCtx, FastStats, LazyFlags};
 /// Broad class of a guest instruction, used for instruction-mix statistics
 /// and by the TOL cost models (the discriminant is the interpreter's
 /// handler and decode-table index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum GuestClass {
     /// Integer ALU work (moves, arithmetic, logic, shifts).

@@ -1,11 +1,10 @@
 //! Architectural guest state: registers, flags, instruction pointer.
 
 use crate::inst::{FpReg, Gpr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Guest condition flags (a subset of x86 EFLAGS that the ISA uses).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Flags {
     /// Carry flag.
     pub cf: bool,
@@ -86,7 +85,7 @@ impl fmt::Display for Flags {
 /// Fig. 2): the *authoritative* state owned by the functional emulator,
 /// and the *emulated* state maintained by the software layer; the state
 /// checker compares them at basic-block boundaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuState {
     /// General-purpose registers, indexed by [`Gpr::index`].
     pub gprs: [u32; 8],

@@ -8,7 +8,6 @@
 //! explicit [`Exit`] marker the dispatcher or chained successor handles.
 
 use darco_guest::{Cond, FpOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A host integer register, `r0`–`r63`.
@@ -16,7 +15,7 @@ use std::fmt;
 /// `r0` is hardwired to zero. The file is logically split: the
 /// application's translated code uses `r0`–`r31`, the software layer
 /// uses `r32`–`r63` (paper Sec. II-A-2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HReg(pub u8);
 
 impl HReg {
@@ -43,7 +42,7 @@ impl fmt::Display for HReg {
 ///
 /// Split like the integer file: `f0`–`f15` application, `f16`–`f31`
 /// software layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HFreg(pub u8);
 
 impl HFreg {
@@ -58,7 +57,7 @@ impl fmt::Display for HFreg {
 }
 
 /// Simple integer ALU operation (1-cycle execution units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HAluOp {
     /// Addition.
     Add,
@@ -83,7 +82,7 @@ pub enum HAluOp {
 }
 
 /// Host branch condition (register–register compare).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HCond {
     /// Equal.
     Eq,
@@ -105,7 +104,7 @@ pub enum HCond {
 /// Sec. III-C: "generating code for a `mov` is cheaper than an `add`
 /// since the latter also modifies the x86 EFLAGS"). This helper models a
 /// flag-materialization sequence as one complex-integer host instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlagsKind {
     /// Flags of `a + b`.
     Add,
@@ -124,7 +123,7 @@ pub enum FlagsKind {
 }
 
 /// Access width of a host memory operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Width {
     /// One byte (zero-extended on load).
     W1,
@@ -156,7 +155,7 @@ impl Width {
 /// the epoch, so a handle that outlives its translation is *detectably*
 /// stale instead of silently naming whatever got installed at its index
 /// next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockId {
     /// Install index within the flush epoch.
     pub idx: u32,
@@ -171,7 +170,7 @@ impl fmt::Display for BlockId {
 }
 
 /// Where control goes when it leaves a translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exit {
     /// To a known guest address. `link` is filled in by chaining: when
     /// set, execution continues directly at that code-cache block without
@@ -200,7 +199,7 @@ pub enum Exit {
 /// Branch/jump targets inside a translation (`target`) are *instruction
 /// indices local to the translation block*; the timing simulator sees
 /// real host PCs via the block's base address.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HInst {
     /// No operation.
     Nop,

@@ -11,11 +11,10 @@
 //! versus the application — the capability the paper highlights as what
 //! makes DARCO's timing simulator suited to this study (Sec. II-A).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Execution class of a host instruction: selects the unit and latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecClass {
     /// 1-cycle integer (ALU, moves, immediates).
     SimpleInt,
@@ -37,7 +36,7 @@ pub enum ExecClass {
 
 /// What kind of control transfer a branch-class instruction performs,
 /// for branch-predictor modeling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Conditional direct branch (Gshare-predicted direction).
     CondDirect,
@@ -50,7 +49,7 @@ pub enum BranchKind {
 }
 
 /// The entity a host instruction belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Owner {
     /// Translated/interpreted *application* work that makes forward
     /// progress.
@@ -61,7 +60,7 @@ pub enum Owner {
 
 /// Fine-grained producer of a host instruction: the paper's execution
 /// time categories (Figs. 6 and 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// Translated application code executing from the code cache.
     AppCode,
@@ -137,7 +136,7 @@ impl fmt::Display for Component {
 }
 
 /// A data-memory access performed by an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemEvent {
     /// Host physical address.
     pub addr: u64,
@@ -156,7 +155,7 @@ pub const NO_REG: u8 = u8::MAX;
 /// One retired host instruction, as seen by the timing simulator.
 ///
 /// Integer registers are numbered `0..64`, FP registers `64..96`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DynInst {
     /// Host PC of the instruction (drives I-cache and predictor).
     pub pc: u64,

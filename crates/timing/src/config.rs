@@ -1,10 +1,9 @@
 //! Host processor configuration (the paper's Table I).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of one set-associative cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
     /// Total capacity in bytes.
     pub size: u32,
@@ -26,7 +25,7 @@ impl CacheParams {
 }
 
 /// Parameters of one TLB level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbParams {
     /// Number of entries.
     pub entries: u32,
@@ -37,7 +36,7 @@ pub struct TlbParams {
 }
 
 /// Full host configuration; [`TimingConfig::default`] reproduces Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingConfig {
     /// Issue width (2 symmetric pipes in the paper).
     pub issue_width: u32,

@@ -6,10 +6,10 @@
 //! classes, and per-owner miss/misprediction rates feed Fig. 8.
 
 use darco_host::{Component, Owner};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Why an issue slot went unused (the paper's bubble sources, Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BubbleCause {
     /// Waiting on data from a load that missed in the L1 D-cache.
     DCacheMiss,
@@ -48,7 +48,7 @@ impl BubbleCause {
 }
 
 /// Aggregated timing results for one simulation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Stats {
     /// Total execution cycles (completion time of the last instruction).
     pub total_cycles: u64,

@@ -29,7 +29,7 @@ use crate::pcmap::PcMap;
 use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
 use darco_host::{compile_block, BlockId, Exit, HInst, RetireTemplate};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashSet;
 
 /// Which mode produced a translation.
@@ -146,7 +146,7 @@ pub struct CodeCacheStats {
 
 /// A serializable snapshot of cache health for end-of-run reports:
 /// occupancy, dead space, and the re-translation count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheHealth {
     /// Capacity in host instructions.
     pub capacity: u32,

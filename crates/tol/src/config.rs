@@ -1,13 +1,11 @@
 //! Software-layer configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable parameters of the Translation Optimization Layer.
 ///
 /// Defaults are the paper's (Sec. III-A): promotion thresholds
 /// `IM/BBth = 5` and `BB/SBth = 10_000`. The optimization-pass switches
 /// exist for the ablation study in DESIGN.md §8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TolConfig {
     /// Interpreter-to-BBM promotion threshold: a branch target is
     /// translated once it has been reached this many times.

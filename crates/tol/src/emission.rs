@@ -596,11 +596,17 @@ mod tests {
     use darco_host::Owner;
 
     fn collect(f: impl FnOnce(&mut Emitter, &mut EventBuffer<'_>)) -> Vec<DynInst> {
+        collect_with(&mut Emitter::new(), f)
+    }
+
+    fn collect_with(
+        e: &mut Emitter,
+        f: impl FnOnce(&mut Emitter, &mut EventBuffer<'_>),
+    ) -> Vec<DynInst> {
         let mut v = Vec::new();
-        let mut e = Emitter::new();
         let mut sink = RetireSink(|d: &DynInst| v.push(*d));
         let mut ev = EventBuffer::new(64, &mut sink);
-        f(&mut e, &mut ev);
+        f(e, &mut ev);
         ev.flush();
         v
     }
@@ -625,6 +631,54 @@ mod tests {
         assert!(v.iter().any(|d| d.mem.is_some_and(|m| m.addr == 0x1000)));
         // Dispatch is an indirect branch.
         assert!(v.iter().any(|d| matches!(d.branch, Some((BranchKind::Indirect, _, _)))));
+    }
+
+    /// Replaying a template must retire exactly what recording the step
+    /// afresh does, so `shape_key` has to separate every input
+    /// `emit_interp` reads. Random steps — every guest class, flag
+    /// writers and not, each access pattern, no jump and a jump taken or
+    /// not — run through one emitter, which records each shape once and
+    /// replays it after, and through a fresh emitter per step, which
+    /// always records.
+    #[test]
+    fn template_replay_matches_fresh_recording() {
+        use darco_guest::exec::MemAccess;
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = SmallRng::seed_from_u64(0xE317);
+        let mut shared = Emitter::new();
+        let (mut classes, mut patterns, mut jumps) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        let mut steps = 0;
+        while steps < 4_000 {
+            let bytes: Vec<u8> = (0..16).map(|_| rng.gen_range(0u8..255)).collect();
+            let Ok((inst, len)) = darco_guest::decode(&bytes) else { continue };
+            let mut accesses = AccessList::default();
+            for _ in 0..rng.gen_range(0..3) {
+                accesses.push(MemAccess { addr: rng.gen(), size: 4, is_store: rng.gen() });
+            }
+            let control = match rng.gen_range(0..3) {
+                0 => Control::Next,
+                1 => Control::Jump { target: rng.gen(), taken: rng.gen() },
+                _ => Control::Halt,
+            };
+            let info = StepInfo { inst, len, control, accesses };
+            let pc: u32 = rng.gen();
+            let replayed = collect_with(&mut shared, |e, s| e.interp_step(s, pc, &info));
+            let recorded = collect(|e, s| e.interp_step(s, pc, &info));
+            assert_eq!(replayed, recorded, "step {steps}: {info:?} at {pc:#x}");
+            classes.insert((inst.class() as usize, inst.writes_flags()));
+            patterns.insert(info.accesses.iter().map(|a| a.is_store).collect::<Vec<_>>());
+            jumps.insert(match control {
+                Control::Jump { taken, .. } => Some(taken),
+                _ => None,
+            });
+            steps += 1;
+        }
+        assert_eq!(classes.iter().map(|c| c.0).collect::<BTreeSet<_>>().len(), 11, "every class");
+        assert_eq!(classes.len(), 14, "Int, Load and Store with and without flag writes");
+        assert_eq!(patterns.len(), 7, "no access, one load or store, and the four pairs");
+        assert_eq!(jumps.len(), 3, "no jump, not taken, taken");
     }
 
     #[test]

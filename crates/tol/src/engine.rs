@@ -30,14 +30,14 @@ use darco_host::layout::{guest_to_host, TOL_CODE_BASE};
 use darco_host::{
     exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome, RetireDyn,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::ControlFlow;
 
 /// Execution mode (re-export of the profiler's mode classification).
 pub type Mode = StaticMode;
 
 /// Counters the engine maintains across a run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct TolCounters {
     /// Superblocks formed (the paper's "SBM invocations", Fig. 6).
     pub sbm_invocations: u64,
@@ -69,7 +69,7 @@ pub struct StepOutcome {
 }
 
 /// End-of-run summary used by the experiment drivers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunSummary {
     /// Engine counters.
     pub counters: TolCounters,
@@ -312,9 +312,10 @@ impl Tol {
         }
     }
 
-    /// Runs the program to completion (or `max_guest_insts`), returning
-    /// total guest instructions executed. One event buffer spans the
-    /// whole run, so batches stay full across dispatch units.
+    /// Runs the program to completion (or for `budget` guest
+    /// instructions), returning total guest instructions executed. One
+    /// event buffer spans the whole run, so batches stay full across
+    /// dispatch units.
     ///
     /// # Errors
     ///
@@ -323,14 +324,14 @@ impl Tol {
         &mut self,
         mem: &mut GuestMem,
         sink: &mut dyn HostEventSink,
-        max_guest_insts: u64,
+        budget: u64,
     ) -> Result<u64, DecodeError> {
         let storage = std::mem::take(&mut self.ev_storage);
         let mut ev = EventBuffer::from_storage(storage, EVENT_BATCH, sink);
         let mut total = 0;
         let mut fault = None;
-        while !self.halted && total < max_guest_insts {
-            match self.step_buffered(mem, &mut ev, max_guest_insts - total) {
+        while !self.halted && total < budget {
+            match self.step_buffered(mem, &mut ev, budget - total) {
                 Ok(out) => total += out.guest_insts,
                 Err(e) => {
                     fault = Some(e);

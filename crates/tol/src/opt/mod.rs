@@ -51,7 +51,7 @@ impl std::error::Error for OptError {}
 /// through [`Tol::pass_nanos`](crate::Tol::pass_nanos).
 ///
 /// [`Report`]: ../../darco_core/struct.Report.html
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize)]
 pub struct PassDelta {
     /// Pass name (matches the pipeline's pass registry).
     pub pass: String,

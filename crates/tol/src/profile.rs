@@ -2,10 +2,9 @@
 //! static/dynamic mode accounting behind the paper's Fig. 5.
 
 use crate::pcmap::PcMap;
-use serde::{Deserialize, Serialize};
 
 /// Highest execution mode a static guest instruction has reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StaticMode {
     /// Only ever interpreted.
     Im,
@@ -16,7 +15,7 @@ pub enum StaticMode {
 }
 
 /// Direction counts of a basic block's terminal conditional branch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EdgeProfile {
     /// Times the branch was taken.
     pub taken: u64,
@@ -118,16 +117,6 @@ impl Profiler {
         }
         out
     }
-
-    /// Total distinct static guest instructions observed.
-    pub fn static_total(&self) -> u64 {
-        self.static_modes.len() as u64
-    }
-
-    /// Total dynamic guest instructions.
-    pub fn dynamic_total(&self) -> u64 {
-        self.dyn_insts.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +153,6 @@ mod tests {
         p.mark_static([0x104], StaticMode::Sbm);
         p.mark_static([0x104], StaticMode::Im); // must not demote
         assert_eq!(p.static_distribution(), [1, 0, 1]);
-        assert_eq!(p.static_total(), 2);
     }
 
     #[test]
@@ -173,6 +161,5 @@ mod tests {
         p.count_dynamic(StaticMode::Im, 10);
         p.count_dynamic(StaticMode::Sbm, 90);
         assert_eq!(p.dyn_insts, [10, 0, 90]);
-        assert_eq!(p.dynamic_total(), 100);
     }
 }

@@ -11,7 +11,8 @@
 //! cargo run --release --example characterize_tol
 //! ```
 
-use darco::core::experiments::{run_bench, RunConfig};
+use darco::core::experiments::run_bench;
+use darco::core::SystemConfig;
 use darco::host::{Component, Owner};
 use darco::workloads::suites;
 
@@ -19,14 +20,14 @@ const PICKS: [&str; 5] =
     ["462.libquantum", "470.lbm", "400.perlbench", "000.cjpeg", "107.novis_ragdoll"];
 
 fn main() {
-    let cfg = RunConfig { scale: 0.5, ..RunConfig::default() };
+    let cfg = SystemConfig { cosim: false, ..SystemConfig::default() };
     println!(
         "{:18} {:>9} {:>7} {:>7} {:>7} {:>7} {:>8} {:>8} {:>9}",
         "benchmark", "dyn/stat", "ovhd%", "IM%", "SBM%", "look%", "TOL IPC", "TOL D$%", "TOL bp%"
     );
     for name in PICKS {
         let profile = suites::by_name(name).expect("known benchmark");
-        let run = run_bench(&profile, &cfg);
+        let run = run_bench(&profile, 0.5, &cfg);
         let t = &run.report.timing;
         let tol = run.report.tol_only.as_ref().expect("TOL pipeline");
         println!(

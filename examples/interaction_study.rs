@@ -9,7 +9,8 @@
 //! cargo run --release --example interaction_study [benchmark-name]
 //! ```
 
-use darco::core::experiments::{fig10, fig11_app, fig11_tol, run_bench, RunConfig};
+use darco::core::experiments::{fig10, fig11_app, fig11_tol, run_bench};
+use darco::core::SystemConfig;
 use darco::timing::BubbleCause;
 use darco::workloads::suites;
 
@@ -21,8 +22,8 @@ fn main() {
     });
 
     println!("running {name} with shared and isolated timing pipelines ...");
-    let cfg = RunConfig { scale: 1.0, ..RunConfig::default() };
-    let runs = vec![run_bench(&profile, &cfg)];
+    let cfg = SystemConfig { cosim: false, ..SystemConfig::default() };
+    let runs = vec![run_bench(&profile, 1.0, &cfg)];
 
     let f10 = fig10(&runs);
     let row = &f10[0];

@@ -24,7 +24,8 @@ round7='ModeEnter|IbtcResolve|CacheInsert|TranslationKind|ExecMode|HostEvent::(T
 round8='verify_failures|verified_blocks|tv_differential|tv_symbolic|passes_checked|VerifyStats|SbOutcome::Miscompile|OptError::Miscompile|optimize_stats|darco_tol::verify|tol\.verify\b'
 round9='criterion_group|criterion_main|darco_bench::|record_stream|replay_sink|cargo bench'
 round10='evict_block|note_smc_eviction|Evicted\b|smc_evictions|\bunchains\b|free_slots|alloc_slot|fn invalidate|fn unchain|fn evict\b|sb_max_bbs|sb_max_insts|sb_edge_bias'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10"
+round11='RunConfig|darco-bench\b|run_set_parallel|max_guest_insts|static_total|dynamic_total|CARGO_BIN_EXE_figures'
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
@@ -35,6 +36,14 @@ fi
 if sed '/^## 15\. Removed mechanisms/,/^## 16\. /d' DESIGN.md \
         | grep -nE "$removed" | grep -v "$kept_test"; then
     echo "error: DESIGN.md names a removed switch outside §15" >&2
+    exit 1
+fi
+
+# JSON enters the program in one place, `darco run --profile`: only the
+# profile types in crates/workloads/src/profile.rs derive `Deserialize`.
+if grep -rnE 'derive\([^)]*Deserialize' crates src tests examples \
+        | grep -v '^crates/workloads/src/profile.rs:'; then
+    echo "error: Deserialize derived outside crates/workloads/src/profile.rs" >&2
     exit 1
 fi
 
@@ -65,8 +74,8 @@ cargo build --release --workspace
 
 # The paper-facing output is pinned byte for byte: a change that moves
 # a figure must regenerate the file and say why.
-echo "== figures all | cmp - figures_output.txt"
-target/release/figures all | cmp - figures_output.txt
+echo "== darco figures all | cmp - figures_output.txt"
+target/release/darco figures all | cmp - figures_output.txt
 
 echo "== cargo test -q --workspace"
 timeout 900 cargo test -q --workspace

@@ -3,12 +3,15 @@
 //! the cost models change. These run at a reduced scale, so they check
 //! ordering, not magnitude (magnitudes are EXPERIMENTS.md's job).
 
-use darco::core::experiments::{fig6, run_bench, run_set_parallel, RunConfig};
+use darco::core::experiments::{fig6, run_bench, run_set};
+use darco::core::SystemConfig;
 use darco::host::{Component, Owner};
 use darco::workloads::suites;
 
-fn cfg() -> RunConfig {
-    RunConfig { scale: 0.35, ..RunConfig::default() }
+const SCALE: f64 = 0.35;
+
+fn cfg() -> SystemConfig {
+    SystemConfig { cosim: false, ..SystemConfig::default() }
 }
 
 fn named(names: &[&str]) -> Vec<darco::workloads::BenchProfile> {
@@ -20,7 +23,7 @@ fn repetition_gradient_drives_overhead() {
     // Paper Sec. III-B: 462.libquantum (385K dyn/static) amortizes the
     // layer; 000.cjpeg (low repetition) does not. 433.milc shares
     // cjpeg's footprint but not its dynamic length.
-    let runs = run_set_parallel(&named(&["462.libquantum", "433.milc", "000.cjpeg"]), &cfg(), 3);
+    let runs = run_set(&named(&["462.libquantum", "433.milc", "000.cjpeg"]), SCALE, &cfg(), 3);
     let f6 = fig6(&runs);
     let by = |n: &str| f6.iter().find(|r| r.name == n).unwrap().overhead;
     assert!(
@@ -46,7 +49,7 @@ fn indirect_branches_drive_lookup_time() {
     // Paper Sec. III-B: 400.perlbench (22.7M indirect branches) vs
     // 401.bzip2 (1933): code-cache lookups and transitions must differ
     // accordingly.
-    let runs = run_set_parallel(&named(&["400.perlbench", "401.bzip2"]), &cfg(), 2);
+    let runs = run_set(&named(&["400.perlbench", "401.bzip2"]), SCALE, &cfg(), 2);
     let perl = &runs[0];
     let bzip = &runs[1];
 
@@ -84,7 +87,7 @@ fn indirect_branches_drive_lookup_time() {
 fn fp_suite_character() {
     // SPEC FP profiles produce FP-heavy, streaming, low-overhead runs
     // relative to a branchy INT profile.
-    let runs = run_set_parallel(&named(&["436.cactusADM", "445.gobmk"]), &cfg(), 2);
+    let runs = run_set(&named(&["436.cactusADM", "445.gobmk"]), SCALE, &cfg(), 2);
     let fp = &runs[0].report;
     let int = &runs[1].report;
     assert!(
@@ -107,7 +110,7 @@ fn concentrated_vs_spread_superblocks() {
     // Paper Sec. III-B: 006.jpg2000dec concentrates execution in few
     // blocks; 007.jpg2000enc spreads it near the promotion threshold,
     // creating far more superblocks (96 vs 450 in the paper).
-    let runs = run_set_parallel(&named(&["006.jpg2000dec", "007.jpg2000enc"]), &cfg(), 2);
+    let runs = run_set(&named(&["006.jpg2000dec", "007.jpg2000enc"]), SCALE, &cfg(), 2);
     let dec = runs[0].report.tol.counters.sbm_invocations;
     let enc = runs[1].report.tol.counters.sbm_invocations;
     assert!(enc > 2 * dec, "spread execution must create more superblocks: {enc} vs {dec}");
@@ -118,7 +121,7 @@ fn interaction_worst_case_is_perlbench_class() {
     // Paper Sec. III-D / Fig. 10: frequent TOL transitions (perlbench)
     // produce a clearly larger interaction penalty than the amortized
     // case (lbm).
-    let runs = run_set_parallel(&named(&["400.perlbench", "470.lbm"]), &cfg(), 2);
+    let runs = run_set(&named(&["400.perlbench", "470.lbm"]), SCALE, &cfg(), 2);
     let f10 = darco::core::experiments::fig10(&runs);
     let penalty = |i: usize| 1.0 - (f10[i].app_rel + f10[i].tol_rel) / 2.0;
     assert!(
@@ -135,8 +138,7 @@ fn quicktest_overhead_stable_band() {
     // quicktest profile's overhead at a fixed scale stays within a wide
     // band. If this fails after an intentional recalibration, update the
     // band and EXPERIMENTS.md together.
-    let run =
-        run_bench(&suites::quicktest_profile(), &RunConfig { scale: 1.0, ..RunConfig::default() });
+    let run = run_bench(&suites::quicktest_profile(), 1.0, &cfg());
     let ov = run.report.timing.tol_overhead_share();
     assert!((0.05..0.45).contains(&ov), "quicktest overhead drifted: {ov}");
 }

@@ -2,7 +2,7 @@
 //! software layer → timing → experiment reduction, with co-simulation
 //! (the authoritative emulator) checking architectural state throughout.
 
-use darco::core::experiments::{self, RunConfig};
+use darco::core::experiments;
 use darco::core::{scaled_tol_config, System, SystemConfig};
 use darco::guest::{exec, CpuState};
 use darco::host::{Component, Owner};
@@ -11,6 +11,12 @@ use darco::workloads::{generate, suites};
 
 fn quick_cfg() -> SystemConfig {
     SystemConfig { cosim: true, ..SystemConfig::default() }
+}
+
+/// The figures' configuration: co-simulation off, as the tests above
+/// have already held the layer to the reference.
+fn unchecked() -> SystemConfig {
+    SystemConfig { cosim: false, ..SystemConfig::default() }
 }
 
 /// The central correctness claim: the software layer emulates the guest
@@ -108,7 +114,7 @@ fn experiment_pipeline_end_to_end() {
     b.indirect_freq = 0.004;
     profiles.push(b);
 
-    let runs = experiments::run_set(&profiles, &RunConfig::quick());
+    let runs = experiments::run_set(&profiles, 0.05, &unchecked(), 1);
 
     let f5 = experiments::fig5(&runs);
     let f6 = experiments::fig6(&runs);
@@ -147,7 +153,7 @@ fn experiment_pipeline_end_to_end() {
 #[test]
 fn interaction_analysis_is_consistent() {
     let profile = suites::quicktest_profile();
-    let runs = experiments::run_set(&[profile], &RunConfig::quick());
+    let runs = experiments::run_set(&[profile], 0.05, &unchecked(), 1);
     let r = &runs[0].report;
 
     let app = r.app_only.as_ref().unwrap();
@@ -223,8 +229,7 @@ fn overhead_tracks_repetition() {
     cold.dyn_base = 400_000;
     cold.seed = 5;
 
-    let cfg = RunConfig { scale: 1.0, ..RunConfig::default() };
-    let runs = experiments::run_set(&[hot, cold], &cfg);
+    let runs = experiments::run_set(&[hot, cold], 1.0, &unchecked(), 1);
     let f6 = experiments::fig6(&runs);
     assert!(
         f6[1].overhead > 1.5 * f6[0].overhead,

@@ -3,7 +3,7 @@
 //! the microarchitectural needle in the direction the paper predicts.
 //! And no switch of the software layer may be a dead knob.
 
-use darco::core::experiments::{run_bench, RunConfig};
+use darco::core::experiments::run_bench;
 use darco::core::{System, SystemConfig};
 use darco::host::Owner;
 use darco::tol::TolConfig;
@@ -12,8 +12,8 @@ use darco::workloads::{generate, suites};
 fn run_with(tol: TolConfig, scale: f64) -> darco::core::BenchRun {
     let profile = suites::quicktest_profile();
     // Co-simulation on: any functional deviation panics.
-    let cfg = RunConfig { scale, cosim: true, tol, ..RunConfig::default() };
-    run_bench(&profile, &cfg)
+    let cfg = SystemConfig { tol, cosim: true, ..SystemConfig::default() };
+    run_bench(&profile, scale, &cfg)
 }
 
 fn base_tol() -> TolConfig {
@@ -118,14 +118,13 @@ fn every_tol_switch_moves_the_cycle_count() {
     ];
     let profile = &suites::all_profiles()[0];
     assert_eq!(profile.name, "400.perlbench");
-    let run = RunConfig::quick();
     let cycles = |tol: TolConfig| {
         let cfg = SystemConfig { tol, cosim: false, ..SystemConfig::default() };
-        System::new(generate(profile, run.scale), cfg).run_to_completion().timing.total_cycles
+        System::new(generate(profile, 0.05), cfg).run_to_completion().timing.total_cycles
     };
-    let base = cycles(run.tol.clone());
+    let base = cycles(base_tol());
     for (name, flip) in SWITCHES {
-        let mut tol = run.tol.clone();
+        let mut tol = base_tol();
         flip(&mut tol);
         assert_ne!(cycles(tol), base, "{name} flipped alone is a dead knob ({base} cycles)");
     }
