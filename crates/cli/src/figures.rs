@@ -414,19 +414,9 @@ fn ablate_passes(scale: f64, base: &SystemConfig) {
     let variants: Vec<(&str, TolConfig)> = vec![
         ("all passes", base.tol.clone()),
         ("no scheduling", TolConfig { opt_schedule: false, ..base.tol.clone() }),
-        ("no CSE", TolConfig { opt_cse: false, ..base.tol.clone() }),
-        ("no const prop/fold", TolConfig { opt_constprop: false, ..base.tol.clone() }),
-        ("no DCE", TolConfig { opt_dce: false, ..base.tol.clone() }),
         (
             "none (translate only)",
-            TolConfig {
-                opt_schedule: false,
-                opt_cse: false,
-                opt_constprop: false,
-                opt_dce: false,
-                bbm_peephole: false,
-                ..base.tol.clone()
-            },
+            TolConfig { optimize: false, opt_schedule: false, ..base.tol.clone() },
         ),
     ];
     let mut table = Vec::new();

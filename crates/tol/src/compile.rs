@@ -116,8 +116,8 @@ fn finish(
 }
 
 /// The BBM compile pipeline as a pure function of `(region, cfg)`:
-/// translate, optionally run the peephole passes, allocate, lower.
-/// Wall-clock per stage goes to `nanos`.
+/// translate, run the peephole passes if `cfg.optimize`, allocate,
+/// lower. Wall-clock per stage goes to `nanos`.
 pub(crate) fn compile_bb(
     region: &[RegionInst],
     cfg: &TolConfig,
@@ -126,7 +126,7 @@ pub(crate) fn compile_bb(
     nanos: &mut StageNanos,
 ) -> BbCompiled {
     let mut block = timed(nanos, "translate", || translate_region_scratch(region, ir));
-    if cfg.bbm_peephole {
+    if cfg.optimize {
         timed(nanos, "bbm-constprop", || opt::constprop::run(&mut block, opt));
         timed(nanos, "bbm-dce", || opt::dce::run(&mut block, opt));
     }

@@ -3,7 +3,7 @@
 /// Tunable parameters of the Translation Optimization Layer.
 ///
 /// Defaults are the paper's (Sec. III-A): promotion thresholds
-/// `IM/BBth = 5` and `BB/SBth = 10_000`. The optimization-pass switches
+/// `IM/BBth = 5` and `BB/SBth = 10_000`. The optimization switches
 /// exist for the ablation study in DESIGN.md §8.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TolConfig {
@@ -20,16 +20,10 @@ pub struct TolConfig {
     pub ibtc_entries: u32,
     /// Enable chaining (linking) of translations.
     pub chaining: bool,
-    /// Apply the BBM peephole pass (dead-flag elision is always on; this
-    /// controls constant propagation inside the basic block).
-    pub bbm_peephole: bool,
-    /// SBM pass switches, for ablations. Constant propagation and
-    /// folding (both runs of the `constprop` pass).
-    pub opt_constprop: bool,
-    /// Common-subexpression elimination.
-    pub opt_cse: bool,
-    /// Dead-code elimination.
-    pub opt_dce: bool,
+    /// The optimizer as one switch (Sec. II-A-1): SBM constant propagation
+    /// and folding, CSE and DCE, and the BBM peephole. Off, with
+    /// `opt_schedule` off too, is the translate-only reference.
+    pub optimize: bool,
     /// List scheduling for the 2-issue in-order back-end.
     pub opt_schedule: bool,
     /// Insert next-line software prefetches into superblocks (the first
@@ -53,10 +47,7 @@ impl Default for TolConfig {
             code_cache_capacity: 1 << 20,
             ibtc_entries: 512,
             chaining: true,
-            bbm_peephole: true,
-            opt_constprop: true,
-            opt_cse: true,
-            opt_dce: true,
+            optimize: true,
             opt_schedule: true,
             opt_sw_prefetch: false,
             speculate_indirect: false,
@@ -66,17 +57,10 @@ impl Default for TolConfig {
 }
 
 impl TolConfig {
-    /// Paper defaults with all SBM optimizations disabled (translation
-    /// only), for ablations.
+    /// Paper defaults with every optimization disabled (translation
+    /// only), for ablations and as the differential tests' reference.
     pub fn no_optimization() -> TolConfig {
-        TolConfig {
-            opt_constprop: false,
-            opt_cse: false,
-            opt_dce: false,
-            opt_schedule: false,
-            bbm_peephole: false,
-            ..TolConfig::default()
-        }
+        TolConfig { optimize: false, opt_schedule: false, ..TolConfig::default() }
     }
 }
 
@@ -95,7 +79,7 @@ mod tests {
     #[test]
     fn ablation_config() {
         let c = TolConfig::no_optimization();
-        assert!(!c.opt_cse && !c.opt_schedule && !c.bbm_peephole);
-        assert_eq!(c.im_bb_threshold, 5, "thresholds unchanged");
+        assert!(!c.optimize && !c.opt_schedule);
+        assert_eq!((c.im_bb_threshold, c.bb_sb_threshold), (5, 10_000), "thresholds unchanged");
     }
 }

@@ -7,11 +7,12 @@
 //! operates on the linear [`IrBlock`] form — no join
 //! points, side exits observe the pinned guest state.
 //!
-//! [`optimize`] runs the pipeline in the canonical order; individual
-//! passes can be switched off through [`TolConfig`]
-//! for the ablation experiments. If register allocation runs out of
-//! scratch registers the pipeline fails with [`OptError::OutOfRegisters`]
-//! and the engine lowers the unoptimized IR instead.
+//! [`optimize`] runs the pipeline in the canonical order. The passes are
+//! switched as one, by [`TolConfig::optimize`] (scheduling and software
+//! prefetching have switches of their own); each still reports its own
+//! [`PassDelta`] row. If register allocation runs out of scratch
+//! registers the pipeline fails with [`OptError::OutOfRegisters`] and the
+//! engine lowers the unoptimized IR instead.
 
 pub mod constprop;
 pub mod cse;
@@ -121,13 +122,10 @@ type Enabled = fn(&TolConfig) -> bool;
 /// that enables it. The second `constprop` cleans up the copies CSE
 /// introduces.
 static PIPELINE: [(Enabled, Pass); 6] = [
-    (|c| c.opt_constprop, Pass { name: "constprop", run: |b, s| constprop::run(b, s) }),
-    (|c| c.opt_cse, Pass { name: "cse", run: |b, s| cse::run(b, s) }),
-    (
-        |c| c.opt_cse && c.opt_constprop,
-        Pass { name: "constprop-cleanup", run: |b, s| constprop::run(b, s) },
-    ),
-    (|c| c.opt_dce, Pass { name: "dce", run: |b, s| dce::run(b, s) }),
+    (|c| c.optimize, Pass { name: "constprop", run: |b, s| constprop::run(b, s) }),
+    (|c| c.optimize, Pass { name: "cse", run: |b, s| cse::run(b, s) }),
+    (|c| c.optimize, Pass { name: "constprop-cleanup", run: |b, s| constprop::run(b, s) }),
+    (|c| c.optimize, Pass { name: "dce", run: |b, s| dce::run(b, s) }),
     (
         |c| c.opt_sw_prefetch,
         Pass {
@@ -186,7 +184,10 @@ pub(crate) fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::compile_bb;
     use crate::ir::{IrInst, IrOp, IrReg};
+    use crate::translate::RegionInst;
+    use darco_guest::Inst;
     use darco_host::{Exit, HAluOp, HReg};
 
     fn block(ops: Vec<IrInst>) -> IrBlock {
@@ -244,5 +245,33 @@ mod tests {
         let (opt, map) = optimize(b.clone(), &cfg).unwrap();
         assert_eq!(opt.ops.len(), b.ops.len());
         assert_eq!(map.int.iter().count(), 1);
+    }
+
+    /// The passes `run_pipeline` applies under `cfg`, in order.
+    fn passes_run(cfg: &TolConfig) -> Vec<&'static str> {
+        let b = block(vec![IrInst::Li { rd: IrReg::Virt(0), imm: 5 }]);
+        let (_, samples) = run_pipeline(b, cfg, &mut OptScratch::default(), &mut vec![]).unwrap();
+        samples.iter().map(|s| s.pass).collect()
+    }
+
+    #[test]
+    fn optimize_switches_the_sbm_passes_and_the_peephole_as_one() {
+        let on = TolConfig::default();
+        let off = TolConfig { optimize: false, ..on.clone() };
+        let prefetch = TolConfig { opt_sw_prefetch: true, ..on.clone() };
+        let passes = ["constprop", "cse", "constprop-cleanup", "dce"];
+        assert_eq!(passes_run(&on), [&passes[..], &["schedule"]].concat());
+        assert_eq!(passes_run(&prefetch), [&passes[..], &["swprefetch", "schedule"]].concat());
+        assert_eq!(passes_run(&off), ["schedule"]);
+        assert!(passes_run(&TolConfig::no_optimization()).is_empty());
+
+        // The BBM peephole's stages are timed exactly when it runs.
+        let region = [RegionInst { pc: 0x1000, inst: Inst::Halt, len: 1, follow_taken: false }];
+        for cfg in [on, off] {
+            let (mut ir, mut opt, mut nanos) = Default::default();
+            compile_bb(&region, &cfg, &mut ir, &mut opt, &mut nanos);
+            let ran = |stage| nanos.iter().any(|&(s, _)| s == stage);
+            assert_eq!([ran("bbm-constprop"), ran("bbm-dce")], [cfg.optimize; 2], "{nanos:?}");
+        }
     }
 }

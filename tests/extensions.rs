@@ -82,9 +82,8 @@ fn all_extensions_together_remain_exact() {
 
 /// Every `bool` of [`TolConfig`], flipped alone, moves the simulated
 /// cycle count of 400.perlbench at quick scale — a switch that moves
-/// nothing is a dead knob (as one of the two constant-propagation
-/// switches was before they were merged: the pipeline ran `constprop`
-/// whenever *either* was on).
+/// nothing is a dead knob. The optimizer's passes share one switch,
+/// `optimize`; what each pass removes is its `PassDelta` row.
 #[test]
 fn every_tol_switch_moves_the_cycle_count() {
     // Exhaustive on purpose: a new field does not compile until it is
@@ -95,22 +94,16 @@ fn every_tol_switch_moves_the_cycle_count() {
         code_cache_capacity: _,
         ibtc_entries: _,
         chaining: _,
-        bbm_peephole: _,
-        opt_constprop: _,
-        opt_cse: _,
-        opt_dce: _,
+        optimize: _,
         opt_schedule: _,
         opt_sw_prefetch: _,
         speculate_indirect: _,
         codecache_scattered: _,
     } = base_tol();
     type Flip = fn(&mut TolConfig);
-    const SWITCHES: [(&str, Flip); 9] = [
+    const SWITCHES: [(&str, Flip); 6] = [
         ("chaining", |c| c.chaining ^= true),
-        ("bbm_peephole", |c| c.bbm_peephole ^= true),
-        ("opt_constprop", |c| c.opt_constprop ^= true),
-        ("opt_cse", |c| c.opt_cse ^= true),
-        ("opt_dce", |c| c.opt_dce ^= true),
+        ("optimize", |c| c.optimize ^= true),
         ("opt_schedule", |c| c.opt_schedule ^= true),
         ("opt_sw_prefetch", |c| c.opt_sw_prefetch ^= true),
         ("speculate_indirect", |c| c.speculate_indirect ^= true),
