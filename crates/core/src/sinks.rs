@@ -360,16 +360,16 @@ mod tests {
                 1 => HostEvent::WindowMark { guest_insts: guest }, // stale
                 n => {
                     let component = Component::ALL[rng.gen_range(0..Component::ALL.len())];
-                    let d = DynInst::plain(pc, ExecClass::SimpleInt, component);
+                    let d = |class| DynInst::plain(pc, class, component);
                     HostEvent::Retire(match n % 4 {
-                        0 => DynInst { class: ExecClass::Load, ..d }.with_mem(addr, 8, false),
-                        1 => DynInst { class: ExecClass::Store, ..d }.with_mem(addr, 4, true),
-                        2 => DynInst { class: ExecClass::Branch, ..d }.with_branch(
+                        0 => d(ExecClass::Load).with_mem(addr, 8, false),
+                        1 => d(ExecClass::Store).with_mem(addr, 4, true),
+                        2 => d(ExecClass::Branch).with_branch(
                             BranchKind::CondDirect,
                             pc + 64,
                             rng.gen_bool(0.5),
                         ),
-                        _ => d.with_dst(rng.gen_range(8..40u8)),
+                        _ => d(ExecClass::SimpleInt).with_dst(rng.gen_range(8..40u8)),
                     })
                 }
             });

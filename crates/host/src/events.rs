@@ -127,7 +127,7 @@ const GROW: usize = 64;
 /// fillers at a time, inside the one allocation made up front — only
 /// while slots are used for the first time: the buffer has all of them
 /// after its first full batch, and from then on an append is a compare
-/// and a 48-byte store.
+/// and a 32-byte store.
 pub struct EventBuffer<'a> {
     /// `buf[..len]` is the staged batch; anything behind it has been
     /// delivered already.
@@ -305,9 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn host_event_stays_48_bytes() {
-        // The benchmark reports `host.event_bytes` as an exact metric.
-        assert_eq!(std::mem::size_of::<HostEvent>(), 48);
+    fn host_event_is_one_retirement_record() {
+        // The benchmark reports `host.event_bytes` as an exact metric;
+        // the other variants live in the record's spare class values.
+        assert_eq!(std::mem::size_of::<HostEvent>(), std::mem::size_of::<DynInst>());
+        assert_eq!(std::mem::size_of::<HostEvent>(), 32);
     }
 
     #[test]

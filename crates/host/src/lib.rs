@@ -53,4 +53,4 @@ pub use events::{
 pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Width};
 pub use state::{eval_alu, eval_flags, exec_inst, HostState, Outcome};
 pub use stream::{BranchKind, Component, DynInst, ExecClass, MemEvent, Owner};
-pub use template::{compile_block, RetireDyn, RetireTemplate};
+pub use template::{compile_block, mem_operand};

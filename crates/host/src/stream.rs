@@ -152,25 +152,45 @@ pub struct MemEvent {
 /// Sentinel meaning "no register" in [`DynInst`] operand slots.
 pub const NO_REG: u8 = u8::MAX;
 
-/// One retired host instruction, as seen by the timing simulator.
+/// Bits of `DynInst::flags`.
+mod flag {
+    /// A data access is attached: `addr`, `size`, [`STORE`], [`PREFETCH`].
+    pub const MEM: u8 = 1 << 0;
+    pub const STORE: u8 = 1 << 1;
+    pub const PREFETCH: u8 = 1 << 2;
+    /// A control transfer is attached: `target`, [`TAKEN`], the kind.
+    pub const BRANCH: u8 = 1 << 3;
+    pub const TAKEN: u8 = 1 << 4;
+    /// The [`super::BranchKind`] discriminant sits in bits 5–6.
+    pub const KIND_SHIFT: u32 = 5;
+    pub const KIND: u8 = 3 << KIND_SHIFT;
+}
+
+/// One retired host instruction, as seen by the timing simulator: a
+/// 32-byte `Copy` record (a [`HostEvent`](crate::HostEvent) is no larger).
 ///
-/// Integer registers are numbered `0..64`, FP registers `64..96`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Integer registers are numbered `0..64`, FP registers `64..96`. The
+/// optional data access and branch outcome are three words and a flag
+/// byte, not two `Option`s (which made the record 48 bytes);
+/// [`DynInst::mem`] and [`DynInst::branch`] unpack them. Parts that are
+/// absent hold zeros, so two records are equal exactly when what they
+/// describe is.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Host PC of the instruction (drives I-cache and predictor).
     pub pc: u64,
+    addr: u64,
+    target: u64,
     /// Execution class.
     pub class: ExecClass,
     /// Producing component (owner derives from it).
     pub component: Component,
-    /// Data access, if any.
-    pub mem: Option<MemEvent>,
-    /// Control transfer, if any: `(kind, target_pc, taken)`.
-    pub branch: Option<(BranchKind, u64, bool)>,
     /// Destination register id, or [`NO_REG`].
     pub dst: u8,
     /// Source register ids, [`NO_REG`]-padded.
     pub srcs: [u8; 2],
+    size: u8,
+    flags: u8,
 }
 
 impl DynInst {
@@ -178,13 +198,54 @@ impl DynInst {
     pub fn plain(pc: u64, class: ExecClass, component: Component) -> DynInst {
         DynInst {
             pc,
+            addr: 0,
+            target: 0,
             class,
             component,
-            mem: None,
-            branch: None,
             dst: NO_REG,
             srcs: [NO_REG, NO_REG],
+            size: 0,
+            flags: 0,
         }
+    }
+
+    /// The data access, if any.
+    #[inline]
+    pub fn mem(&self) -> Option<MemEvent> {
+        (self.flags & flag::MEM != 0).then_some(MemEvent {
+            addr: self.addr,
+            size: self.size,
+            is_store: self.flags & flag::STORE != 0,
+            is_prefetch: self.flags & flag::PREFETCH != 0,
+        })
+    }
+
+    /// The control transfer, if any: `(kind, target_pc, taken)`.
+    #[inline]
+    pub fn branch(&self) -> Option<(BranchKind, u64, bool)> {
+        (self.flags & flag::BRANCH != 0).then(|| {
+            let kind = match (self.flags & flag::KIND) >> flag::KIND_SHIFT {
+                0 => BranchKind::CondDirect,
+                1 => BranchKind::UncondDirect,
+                2 => BranchKind::Indirect,
+                _ => BranchKind::Return,
+            };
+            (kind, self.target, self.flags & flag::TAKEN != 0)
+        })
+    }
+
+    /// The address of the attached data access, for patching a staged
+    /// record in place; `None` without one.
+    #[inline]
+    pub fn mem_addr_mut(&mut self) -> Option<&mut u64> {
+        (self.flags & flag::MEM != 0).then_some(&mut self.addr)
+    }
+
+    /// Sets the taken bit of the attached branch.
+    #[inline]
+    pub fn set_taken(&mut self, taken: bool) {
+        debug_assert!(self.flags & flag::BRANCH != 0, "no branch to patch: {self:?}");
+        self.flags = self.flags & !flag::TAKEN | if taken { flag::TAKEN } else { 0 };
     }
 
     /// Sets the destination register (builder-style).
@@ -201,25 +262,47 @@ impl DynInst {
 
     /// Attaches a memory event (builder-style).
     pub fn with_mem(mut self, addr: u64, size: u8, is_store: bool) -> DynInst {
-        self.mem = Some(MemEvent { addr, size, is_store, is_prefetch: false });
+        (self.addr, self.size) = (addr, size);
+        let store = if is_store { flag::STORE } else { 0 };
+        self.flags = self.flags & !(flag::STORE | flag::PREFETCH) | flag::MEM | store;
         self
     }
 
     /// Attaches a software-prefetch memory event (builder-style).
     pub fn with_prefetch(mut self, addr: u64) -> DynInst {
-        self.mem = Some(MemEvent { addr, size: 64, is_store: false, is_prefetch: true });
+        (self.addr, self.size) = (addr, 64);
+        self.flags = self.flags & !flag::STORE | flag::MEM | flag::PREFETCH;
         self
     }
 
     /// Attaches a branch outcome (builder-style).
     pub fn with_branch(mut self, kind: BranchKind, target: u64, taken: bool) -> DynInst {
-        self.branch = Some((kind, target, taken));
+        self.target = target;
+        let outcome = (kind as u8) << flag::KIND_SHIFT | if taken { flag::TAKEN } else { 0 };
+        self.flags = self.flags & !(flag::KIND | flag::TAKEN) | flag::BRANCH | outcome;
         self
     }
 
     /// The owning entity (shorthand for `component.owner()`).
     pub fn owner(&self) -> Owner {
         self.component.owner()
+    }
+}
+
+/// The text of the two-`Option` record this one packs, field for field:
+/// `tests/event_stream_golden.rs` pins every retirement by its `Debug`
+/// line.
+impl fmt::Debug for DynInst {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DynInst")
+            .field("pc", &self.pc)
+            .field("class", &self.class)
+            .field("component", &self.component)
+            .field("mem", &self.mem())
+            .field("branch", &self.branch())
+            .field("dst", &self.dst)
+            .field("srcs", &self.srcs)
+            .finish()
     }
 }
 
@@ -259,8 +342,36 @@ mod tests {
             .with_mem(0x1_0000_0100, 8, false);
         assert_eq!(d.owner(), Owner::Tol);
         assert_eq!(d.dst, 40);
-        assert_eq!(d.mem.unwrap().size, 8);
-        assert!(d.branch.is_none());
+        assert_eq!(d.mem().unwrap().size, 8);
+        assert!(d.branch().is_none());
+    }
+
+    #[test]
+    fn packed_parts_round_trip() {
+        assert_eq!(std::mem::size_of::<DynInst>(), 32);
+        let d = DynInst::plain(0x100, ExecClass::Jump, Component::AppCode);
+        for kind in [
+            BranchKind::CondDirect,
+            BranchKind::UncondDirect,
+            BranchKind::Indirect,
+            BranchKind::Return,
+        ] {
+            for taken in [false, true] {
+                let b = d.with_branch(BranchKind::Return, 1, true).with_branch(kind, 0x240, taken);
+                assert_eq!(b.branch(), Some((kind, 0x240, taken)));
+                assert_eq!(b.mem(), None);
+                let mut m = b.with_prefetch(0x80).with_mem(0x88, 4, true);
+                assert_eq!(m.branch(), Some((kind, 0x240, taken)), "a memory event keeps it");
+                *m.mem_addr_mut().unwrap() = 0x90;
+                m.set_taken(!taken);
+                let want = MemEvent { addr: 0x90, size: 4, is_store: true, is_prefetch: false };
+                assert_eq!((m.mem(), m.branch()), (Some(want), Some((kind, 0x240, !taken))));
+            }
+        }
+        let p = d.with_mem(0x88, 4, true).with_prefetch(0x80);
+        let want = MemEvent { addr: 0x80, size: 64, is_store: false, is_prefetch: true };
+        assert_eq!(p.mem(), Some(want));
+        assert_eq!(d.clone().mem_addr_mut(), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Precomputed retirement templates for translated code.
+//! Retirement templates for translated code.
 //!
 //! Every executed host instruction of a translation retires as a
 //! [`DynInst`], and almost everything in that record — pc, execution
@@ -6,90 +6,61 @@
 //! direction, branch kind and static target — is knowable the moment the
 //! block is installed in the code cache. Re-deriving it per retirement
 //! (`class()`/`dst()`/`srcs()`/`fsrcs()` plus a match over [`HInst`])
-//! puts five enum walks on the hottest loop in the system. A
-//! [`RetireTemplate`] hoists all of that to install time: the execution
-//! loop copies the prebuilt record and patches only the fields
-//! [`RetireDyn`] says are dynamic.
+//! puts five enum walks on the hottest loop in the system.
+//! [`compile_block`] hoists all of that to install time, and what it
+//! builds is the retirement record itself: the execution loop copies it
+//! into the event buffer and patches, in the staged copy, the three
+//! things only execution knows.
 //!
-//! The one field that can change *after* install is a direct exit's
-//! chain link (chaining mutates `Exit::Direct { link }` in place), which
-//! is why [`RetireDyn::DirectExit`] leaves the branch to be resolved at
-//! execution time instead of baking a target: the linked block's base
-//! when chained, the software-layer exit when not.
+//! * **A memory access's address.** The template's address word holds
+//!   the operand — base register and offset, unpacked by
+//!   [`mem_operand`] — and is replaced by the effective address before
+//!   the instruction runs, since it may overwrite its own base register.
+//! * **A conditional branch's taken bit**, set when the instruction's
+//!   outcome is a taken branch; the target is static and prebaked.
+//! * **A direct exit's branch**, which the template leaves off. Its
+//!   target is the exit's *current* chain link — the linked block's base
+//!   when chained, the software-layer exit when not — and chaining
+//!   mutates `Exit::Direct { link }` in place after install.
 
-use crate::isa::{Exit, HInst, HReg};
+use crate::isa::{HInst, HReg};
 use crate::stream::{fp_reg, int_reg, BranchKind, Component, DynInst, NO_REG};
 
-/// The dynamic residue of one host instruction's retirement record:
-/// what the execution loop still has to fill in per retirement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RetireDyn {
-    /// Nothing — the prebuilt [`DynInst`] is retired verbatim.
-    Fixed,
-    /// Memory operand: the effective address (`reg(base) + off`,
-    /// translated to host space) is patched into the prebuilt
-    /// [`MemEvent`](crate::stream::MemEvent) before execution, since the
-    /// instruction itself may overwrite `base`.
-    Mem {
-        /// Base register of the effective address.
-        base: HReg,
-        /// Byte offset added to the base.
-        off: i32,
-    },
-    /// Conditional direct branch: only the taken bit is patched (the
-    /// target is static and prebaked).
-    CondBranch,
-    /// Direct exit: the branch target depends on the exit's *current*
-    /// chain link (which chaining may have patched since install), so the
-    /// whole branch record is attached at execution time.
-    DirectExit,
+/// The address word of a memory template: the base register above bit
+/// 32, the offset below.
+fn pack_operand(base: HReg, off: i32) -> u64 {
+    u64::from(base.0) << 32 | u64::from(off as u32)
 }
 
-/// A prebuilt retirement record plus its dynamic residue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetireTemplate {
-    /// The [`DynInst`] as far as it is statically known; dynamic fields
-    /// hold placeholders until patched per [`RetireDyn`].
-    pub inst: DynInst,
-    /// Which fields the execution loop must patch.
-    pub dyn_kind: RetireDyn,
+/// The `(base, offset)` operand a memory template's address word holds:
+/// the effective guest address is `reg(base).wrapping_add(offset)`.
+#[inline]
+pub fn mem_operand(word: u64) -> (HReg, u32) {
+    (HReg((word >> 32) as u8), word as u32)
 }
 
 /// Compiles a translated block's host instructions into retirement
 /// templates, given the block's base host address. Index `i` of the
 /// result corresponds to host pc `host_base + 4 * i`.
-pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<RetireTemplate> {
+pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<DynInst> {
     insts
         .iter()
         .enumerate()
         .map(|(idx, inst)| {
             let pc = host_base + 4 * idx as u64;
             let mut d = DynInst::plain(pc, inst.class(), Component::AppCode);
-            let mut dyn_kind = RetireDyn::Fixed;
             match *inst {
-                HInst::Prefetch { base, off } => {
-                    d = d.with_prefetch(0);
-                    dyn_kind = RetireDyn::Mem { base, off };
-                }
+                HInst::Prefetch { base, off } => d = d.with_prefetch(pack_operand(base, off)),
                 HInst::Ld { base, off, width, .. } => {
-                    d = d.with_mem(0, width.bytes(), false);
-                    dyn_kind = RetireDyn::Mem { base, off };
+                    d = d.with_mem(pack_operand(base, off), width.bytes(), false);
                 }
                 HInst::St { base, off, width, .. } => {
-                    d = d.with_mem(0, width.bytes(), true);
-                    dyn_kind = RetireDyn::Mem { base, off };
+                    d = d.with_mem(pack_operand(base, off), width.bytes(), true);
                 }
-                HInst::FLd { base, off, .. } => {
-                    d = d.with_mem(0, 8, false);
-                    dyn_kind = RetireDyn::Mem { base, off };
-                }
-                HInst::FSt { base, off, .. } => {
-                    d = d.with_mem(0, 8, true);
-                    dyn_kind = RetireDyn::Mem { base, off };
-                }
+                HInst::FLd { base, off, .. } => d = d.with_mem(pack_operand(base, off), 8, false),
+                HInst::FSt { base, off, .. } => d = d.with_mem(pack_operand(base, off), 8, true),
                 HInst::Br { target, .. } | HInst::BrFlags { target, .. } => {
                     d = d.with_branch(BranchKind::CondDirect, host_base + 4 * target as u64, false);
-                    dyn_kind = RetireDyn::CondBranch;
                 }
                 HInst::Jump { target } => {
                     d = d.with_branch(
@@ -98,7 +69,6 @@ pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<RetireTemplate> {
                         true,
                     );
                 }
-                HInst::Exit(Exit::Direct { .. }) => dyn_kind = RetireDyn::DirectExit,
                 _ => {}
             }
             if let Some(r) = inst.dst() {
@@ -121,7 +91,7 @@ pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<RetireTemplate> {
                 }
             }
             d.srcs = srcs;
-            RetireTemplate { inst: d, dyn_kind }
+            d
         })
         .collect()
 }
@@ -129,38 +99,38 @@ pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<RetireTemplate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{HAluOp, HFreg, Width};
+    use crate::isa::{Exit, HAluOp, HFreg, Width};
     use crate::stream::ExecClass;
 
     #[test]
     fn static_fields_are_prebaked() {
         let insts = vec![
             HInst::Alu { op: HAluOp::Add, rd: HReg(3), ra: HReg(1), rb: HReg(2) },
-            HInst::Ld { rd: HReg(4), base: HReg(5), off: 8, width: Width::W4 },
+            HInst::Ld { rd: HReg(4), base: HReg(5), off: -8, width: Width::W4 },
             HInst::FArith { op: darco_guest::FpOp::Mul, fd: HFreg(1), fa: HFreg(2), fb: HFreg(3) },
             HInst::Exit(Exit::Direct { guest_target: 0x200, link: None }),
         ];
         let t = compile_block(&insts, 0x1000);
         assert_eq!(t.len(), 4);
 
-        assert_eq!(t[0].inst.pc, 0x1000);
-        assert_eq!(t[0].inst.class, ExecClass::SimpleInt);
-        assert_eq!(t[0].inst.dst, int_reg(3));
-        assert_eq!(t[0].inst.srcs, [int_reg(1), int_reg(2)]);
-        assert_eq!(t[0].dyn_kind, RetireDyn::Fixed);
+        assert_eq!(t[0].pc, 0x1000);
+        assert_eq!(t[0].class, ExecClass::SimpleInt);
+        assert_eq!(t[0].dst, int_reg(3));
+        assert_eq!(t[0].srcs, [int_reg(1), int_reg(2)]);
+        assert_eq!((t[0].mem(), t[0].branch()), (None, None));
 
-        assert_eq!(t[1].inst.pc, 0x1004);
-        assert_eq!(t[1].inst.dst, int_reg(4));
-        let m = t[1].inst.mem.expect("load carries a mem event");
+        assert_eq!(t[1].pc, 0x1004);
+        assert_eq!(t[1].dst, int_reg(4));
+        let m = t[1].mem().expect("load carries a mem event");
         assert_eq!((m.size, m.is_store), (4, false));
-        assert_eq!(t[1].dyn_kind, RetireDyn::Mem { base: HReg(5), off: 8 });
+        assert_eq!(mem_operand(m.addr), (HReg(5), -8i32 as u32), "the operand, not an address");
 
-        assert_eq!(t[2].inst.class, ExecClass::ComplexFp);
-        assert_eq!(t[2].inst.dst, fp_reg(1));
-        assert_eq!(t[2].inst.srcs, [fp_reg(2), fp_reg(3)]);
+        assert_eq!(t[2].class, ExecClass::ComplexFp);
+        assert_eq!(t[2].dst, fp_reg(1));
+        assert_eq!(t[2].srcs, [fp_reg(2), fp_reg(3)]);
 
-        assert_eq!(t[3].dyn_kind, RetireDyn::DirectExit);
-        assert!(t[3].inst.branch.is_none(), "exit target resolved at exec time");
+        assert_eq!(t[3].class, ExecClass::Jump);
+        assert!(t[3].branch().is_none(), "exit target resolved at exec time");
     }
 
     #[test]
@@ -170,9 +140,7 @@ mod tests {
             HInst::Jump { target: 0 },
         ];
         let t = compile_block(&insts, 0x4000);
-        assert_eq!(t[0].inst.branch, Some((BranchKind::CondDirect, 0x4000 + 12, false)));
-        assert_eq!(t[0].dyn_kind, RetireDyn::CondBranch);
-        assert_eq!(t[1].inst.branch, Some((BranchKind::UncondDirect, 0x4000, true)));
-        assert_eq!(t[1].dyn_kind, RetireDyn::Fixed);
+        assert_eq!(t[0].branch(), Some((BranchKind::CondDirect, 0x4000 + 12, false)));
+        assert_eq!(t[1].branch(), Some((BranchKind::UncondDirect, 0x4000, true)));
     }
 }

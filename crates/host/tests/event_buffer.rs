@@ -94,9 +94,9 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
                     let addr = fresh();
                     let d = ev.retire_in_place(&tpl);
                     assert_eq!(*d, tpl, "the slot holds the template until patched");
-                    d.mem.as_mut().expect("a load").addr = addr;
+                    *d.mem_addr_mut().expect("a load") = addr;
                     let mut want = tpl;
-                    want.mem.as_mut().expect("a load").addr = addr;
+                    *want.mem_addr_mut().expect("a load") = addr;
                     model.push(HostEvent::Retire(want));
                 }
                 6 | 7 => {
@@ -109,12 +109,12 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
                     ev.retire_stream(&tpl, |evs| {
                         assert_eq!(evs.len(), len, "the whole stream is handed out at once");
                         for m in marks {
-                            retired(&mut evs[m]).mem.as_mut().expect("a load").addr = addr;
+                            *retired(&mut evs[m]).mem_addr_mut().expect("a load") = addr;
                         }
                     });
                     let mut want = tpl;
                     for m in marks {
-                        want[m].mem.as_mut().expect("a load").addr = addr;
+                        *want[m].mem_addr_mut().expect("a load") = addr;
                     }
                     model.extend(want.into_iter().map(HostEvent::Retire));
                 }

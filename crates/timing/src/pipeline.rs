@@ -235,7 +235,7 @@ impl Pipeline {
             ExecClass::SimpleFp => self.cfg.lat_simple_fp as u64,
             ExecClass::ComplexFp => self.cfg.lat_complex_fp as u64,
             ExecClass::Load | ExecClass::Store => {
-                if let Some(m) = d.mem {
+                if let Some(m) = d.mem() {
                     if m.is_prefetch {
                         // Software prefetch: fire-and-forget line fill —
                         // occupies an issue slot but never stalls.
@@ -272,7 +272,7 @@ impl Pipeline {
         self.reg_tag[dst] = comp as u8 | if load_missed { TAG_LOAD_MISS } else { 0 };
 
         // ---- Control flow -------------------------------------------
-        if let Some((kind, target, taken)) = d.branch {
+        if let Some((kind, target, taken)) = d.branch() {
             let mispredict = self.pred.predict_and_update(d.pc, kind, taken, target);
             self.stats.record_branch(owner, mispredict);
             if mispredict {

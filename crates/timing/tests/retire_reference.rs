@@ -227,7 +227,7 @@ impl Reference {
             ExecClass::SimpleFp => self.cfg.lat_simple_fp as u64,
             ExecClass::ComplexFp => self.cfg.lat_complex_fp as u64,
             ExecClass::Load | ExecClass::Store => {
-                if let Some(m) = d.mem {
+                if let Some(m) = d.mem() {
                     if m.is_prefetch {
                         // Software prefetch: fire-and-forget line fill —
                         // occupies an issue slot but never stalls.
@@ -267,7 +267,7 @@ impl Reference {
         }
 
         // ---- Control flow -------------------------------------------
-        if let Some((kind, target, taken)) = d.branch {
+        if let Some((kind, target, taken)) = d.branch() {
             let mispredict = self.pred.predict_and_update(d.pc, kind, taken, target);
             self.stats.record_branch(owner, mispredict);
             if mispredict {
@@ -526,11 +526,11 @@ impl Coverage {
         self.operand_shapes[present(d.srcs[0]) | present(d.srcs[1]) << 1 | present(d.dst) << 2] =
             true;
         self.src_is_dst |= d.dst != NO_REG && d.srcs.contains(&d.dst);
-        if let Some((kind, _, taken)) = d.branch {
+        if let Some((kind, _, taken)) = d.branch() {
             let k = KINDS.iter().position(|x| *x == kind).expect("known kind");
             self.branch_arms[2 * k + taken as usize] = true;
         }
-        if let Some(m) = d.mem {
+        if let Some(m) = d.mem() {
             self.prefetch |= m.is_prefetch;
             self.mem_on_non_mem_class |= !matches!(d.class, ExecClass::Load | ExecClass::Store);
         }

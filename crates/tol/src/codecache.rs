@@ -28,7 +28,7 @@
 use crate::pcmap::PcMap;
 use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
-use darco_host::{compile_block, BlockId, Exit, HInst, RetireTemplate};
+use darco_host::{compile_block, BlockId, DynInst, Exit, HInst};
 use serde::Serialize;
 use std::collections::HashSet;
 
@@ -98,10 +98,10 @@ pub struct TranslatedBlock {
     /// The translated host code: body, then fall-through exit, then
     /// side-exit stubs.
     pub insts: Vec<HInst>,
-    /// Per-instruction retirement templates (parallel to `insts`),
+    /// Per-instruction retirement records (parallel to `insts`),
     /// compiled once at install time so the execution loop never
-    /// re-derives static retirement metadata.
-    pub templates: Vec<RetireTemplate>,
+    /// re-derives static retirement metadata (`darco_host::template`).
+    pub templates: Vec<DynInst>,
     /// Producing mode.
     pub kind: BlockKind,
     /// Host-instruction index of the fall-through exit (= body length).
@@ -456,8 +456,8 @@ mod tests {
         let id = put(&mut cc, 0x100, BlockKind::Bb).id;
         let b = cc.get(id).unwrap();
         assert_eq!(b.templates.len(), b.insts.len());
-        assert_eq!(b.templates[0].inst.pc, b.host_base);
-        assert_eq!(b.templates[1].inst.pc, b.host_base + 4);
+        assert_eq!(b.templates[0].pc, b.host_base);
+        assert_eq!(b.templates[1].pc, b.host_base + 4);
     }
 
     #[test]

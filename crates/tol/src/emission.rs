@@ -353,7 +353,7 @@ impl Emitter {
         let m = tpl.marks;
         ev.retire_stream(&tpl.insts, |evs| {
             let mem_at = |evs: &mut [HostEvent], i: usize, addr: u64| {
-                retired(&mut evs[i]).mem.as_mut().expect("marked slot is a memory access").addr =
+                *retired(&mut evs[i]).mem_addr_mut().expect("marked slot is a memory access") =
                     addr;
             };
             mem_at(evs, m.fetch0, guest_to_host(guest_pc));
@@ -364,7 +364,7 @@ impl Emitter {
                 mem_at(evs, m.acc[i], guest_to_host(a.addr));
             }
             if let Control::Jump { taken, .. } = info.control {
-                retired(&mut evs[m.jump]).branch.as_mut().expect("jump has a branch").2 = taken;
+                retired(&mut evs[m.jump]).set_taken(taken);
             }
         });
     }
@@ -628,9 +628,9 @@ mod tests {
         assert!(v.iter().all(|d| d.owner() == Owner::Tol));
         assert!(v.iter().any(|d| d.component == Component::TolIm));
         // The interpreter reads guest code as data.
-        assert!(v.iter().any(|d| d.mem.is_some_and(|m| m.addr == 0x1000)));
+        assert!(v.iter().any(|d| d.mem().is_some_and(|m| m.addr == 0x1000)));
         // Dispatch is an indirect branch.
-        assert!(v.iter().any(|d| matches!(d.branch, Some((BranchKind::Indirect, _, _)))));
+        assert!(v.iter().any(|d| matches!(d.branch(), Some((BranchKind::Indirect, _, _)))));
     }
 
     /// Replaying a template must retire exactly what recording the step
@@ -724,11 +724,11 @@ mod tests {
     #[test]
     fn map_lookup_is_data_intensive() {
         let v = collect(|e, s| e.map_lookup(s, 0x1234, true));
-        let loads = v.iter().filter(|d| d.mem.is_some_and(|m| !m.is_store)).count();
+        let loads = v.iter().filter(|d| d.mem().is_some_and(|m| !m.is_store)).count();
         assert!(loads >= 3);
         assert!(v.iter().all(|d| d.component == Component::TolLookup));
         // Probes land in the TOL data region.
-        assert!(v.iter().filter_map(|d| d.mem).all(|m| m.addr >= TOL_DATA_BASE));
+        assert!(v.iter().filter_map(DynInst::mem).all(|m| m.addr >= TOL_DATA_BASE));
     }
 
     #[test]
@@ -736,7 +736,7 @@ mod tests {
         let v = collect(|e, s| e.ibtc_probe_inline(s, 0x2_0000_1000, 17, true, 0x2_0000_4000));
         assert!(v.iter().all(|d| d.owner() == Owner::App));
         assert!(v.iter().any(
-            |d| matches!(d.branch, Some((BranchKind::Indirect, t, true)) if t == 0x2_0000_4000)
+            |d| matches!(d.branch(), Some((BranchKind::Indirect, t, true)) if t == 0x2_0000_4000)
         ));
         let miss = collect(|e, s| e.ibtc_probe_inline(s, 0x2_0000_1000, 17, false, 0));
         assert!(miss.len() < v.len());
@@ -748,7 +748,7 @@ mod tests {
         assert_eq!(hit.len(), 3, "compare + branch + direct jump");
         assert!(hit.iter().all(|d| d.owner() == Owner::App));
         assert!(hit.iter().any(
-            |d| matches!(d.branch, Some((BranchKind::UncondDirect, t, true)) if t == 0x2_0000_4000)
+            |d| matches!(d.branch(), Some((BranchKind::UncondDirect, t, true)) if t == 0x2_0000_4000)
         ));
         let miss = collect(|e, s| e.spec_check(s, 0x2_0000_0000, false, 0));
         assert_eq!(miss.len(), 2, "compare + fall-through branch only");

@@ -28,7 +28,7 @@ use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
 use darco_host::events::{EventBuffer, HostEvent, HostEventSink, EVENT_BATCH};
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE};
 use darco_host::{
-    exec_inst, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome, RetireDyn,
+    exec_inst, mem_operand, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome,
 };
 use serde::Serialize;
 use std::ops::ControlFlow;
@@ -739,11 +739,12 @@ impl Tol {
     /// instruction, guest instructions retired, and — when the block ends
     /// in a conditional branch — whether it was taken.
     ///
-    /// Retirement is by template: copy the prebuilt record into the
-    /// event buffer, execute, and patch only the dynamic fields of the
-    /// staged event. No per-retire metadata derivation, no match over
-    /// `HInst`, no copy on the stack. (The unit tests re-derive every
-    /// record from the instruction's own metadata and compare.)
+    /// Retirement is by template: copy the block's prebuilt record into
+    /// the event buffer, execute, and patch what only execution knows in
+    /// the staged event (`darco_host::template`). No per-retire metadata
+    /// derivation, no match over `HInst`, no copy on the stack. (The unit
+    /// tests re-derive every record from the instruction's own metadata
+    /// and compare.)
     fn exec_block_templates(
         &mut self,
         bid: BlockId,
@@ -753,29 +754,24 @@ impl Tol {
         let block = self.cc.get(bid).expect("guarded live at dispatch");
         let mut idx = 0usize;
         loop {
-            let inst = &block.insts[idx];
-            let tpl = &block.templates[idx];
-            let d = ev.retire_in_place(&tpl.inst);
+            let d = ev.retire_in_place(&block.templates[idx]);
 
-            // The effective address must be read before execution: the
-            // instruction may overwrite its own base register.
-            if let RetireDyn::Mem { base, off } = tpl.dyn_kind {
-                let addr = guest_to_host(self.host.reg(base).wrapping_add(off as u32));
-                if let Some(m) = d.mem.as_mut() {
-                    m.addr = addr;
-                }
+            // The template holds the operand; the effective address must
+            // be read before execution, since the instruction may
+            // overwrite its own base register.
+            if let Some(addr) = d.mem_addr_mut() {
+                let (base, off) = mem_operand(*addr);
+                *addr = guest_to_host(self.host.reg(base).wrapping_add(off));
             }
 
-            let outcome = exec_inst(&mut self.host, inst, mem);
-
-            match tpl.dyn_kind {
-                RetireDyn::CondBranch => {
-                    if let Some(b) = d.branch.as_mut() {
-                        b.2 = matches!(outcome, Outcome::Taken(_));
-                    }
+            match exec_inst(&mut self.host, &block.insts[idx], mem) {
+                Outcome::Next => idx += 1,
+                Outcome::Taken(t) => {
+                    d.set_taken(true);
+                    idx = t as usize;
                 }
-                RetireDyn::DirectExit => {
-                    if let Outcome::Exited(Exit::Direct { link, .. }) = outcome {
+                Outcome::Exited(e) => {
+                    if let Exit::Direct { link, .. } = e {
                         // Chained exits jump block-to-block; unchained
                         // ones jump into the dispatcher. The link is
                         // patched after install (chaining), so it must be
@@ -783,16 +779,8 @@ impl Tol {
                         let target = link
                             .and_then(|to| self.cc.get(to))
                             .map_or(TOL_CODE_BASE, |b| b.host_base);
-                        d.branch = Some((BranchKind::UncondDirect, target, true));
+                        *d = d.with_branch(BranchKind::UncondDirect, target, true);
                     }
-                }
-                RetireDyn::Fixed | RetireDyn::Mem { .. } => {}
-            }
-
-            match outcome {
-                Outcome::Next => idx += 1,
-                Outcome::Taken(t) => idx = t as usize,
-                Outcome::Exited(e) => {
                     let (guest_n, cond_taken) = exit_info(block, idx);
                     return (e, idx, guest_n, cond_taken);
                 }
@@ -1031,7 +1019,7 @@ mod tests {
         tol.set_state(&cpu);
         let mut prefetches = 0u64;
         let mut sink = darco_host::RetireSink(|d: &DynInst| {
-            if d.mem.is_some_and(|m| m.is_prefetch) {
+            if d.mem().is_some_and(|m| m.is_prefetch) {
                 prefetches += 1;
             }
         });
