@@ -33,8 +33,9 @@ struct WindowMark {
 #[derive(Debug)]
 pub struct TimingSink {
     shared: Pipeline,
-    app_only: Option<Pipeline>,
-    tol_only: Option<Pipeline>,
+    /// The application-only and TOL-only pipelines, indexed by
+    /// [`Owner`].
+    filtered: [Option<Pipeline>; 2],
     timeline: Vec<Window>,
     last_mark: WindowMark,
 }
@@ -45,8 +46,7 @@ impl TimingSink {
         let pipeline = || Pipeline::new(cfg.timing.clone());
         TimingSink {
             shared: pipeline(),
-            app_only: cfg.app_only_pipeline.then(pipeline),
-            tol_only: cfg.tol_only_pipeline.then(pipeline),
+            filtered: [cfg.app_only_pipeline.then(pipeline), cfg.tol_only_pipeline.then(pipeline)],
             timeline: Vec::new(),
             last_mark: WindowMark::default(),
         }
@@ -55,12 +55,9 @@ impl TimingSink {
     /// Dissolves the sink into report material: shared stats, optional
     /// filtered stats, and the sampled timeline.
     pub fn into_parts(self) -> (Stats, Option<Stats>, Option<Stats>, Vec<Window>) {
-        (
-            self.shared.snapshot(),
-            self.app_only.as_ref().map(Pipeline::snapshot),
-            self.tol_only.as_ref().map(Pipeline::snapshot),
-            self.timeline,
-        )
+        let [app_only, tol_only] =
+            self.filtered.each_ref().map(|p| p.as_ref().map(Pipeline::snapshot));
+        (self.shared.snapshot(), app_only, tol_only, self.timeline)
     }
 
     /// Closes the current timeline window at `total_guest` retired guest
@@ -82,21 +79,15 @@ impl TimingSink {
             WindowMark { guest_insts: total_guest, cycles, app_insts: app, tol_insts: tol };
     }
 
-    /// Routes one event: a retirement to every pipeline that wants it, a
-    /// fresh window mark to the timeline sampler.
+    /// Routes one event: a retirement to every pipeline that wants it, in
+    /// one call, a fresh window mark to the timeline sampler.
     #[inline(always)]
     pub fn event(&mut self, e: &HostEvent) {
         match e {
-            HostEvent::Retire(d) => {
-                self.shared.retire(d);
-                let filtered = match d.owner() {
-                    Owner::App => &mut self.app_only,
-                    Owner::Tol => &mut self.tol_only,
-                };
-                if let Some(p) = filtered {
-                    p.retire(d);
-                }
-            }
+            HostEvent::Retire(d) => match &mut self.filtered[d.owner() as usize] {
+                Some(filtered) => self.shared.retire_pair(filtered, d),
+                None => self.shared.retire(d),
+            },
             HostEvent::WindowMark { guest_insts } if *guest_insts > self.last_mark.guest_insts => {
                 self.sample_window(*guest_insts);
             }
@@ -377,18 +368,41 @@ mod tests {
         out
     }
 
+    /// One pipeline fed by [`Pipeline::retire`] with the retirements of
+    /// `stream` that `keep` admits, as text: every field, floats exactly.
+    fn retire_alone(stream: &[HostEvent], keep: impl Fn(Owner) -> bool) -> String {
+        let mut p = Pipeline::new(test_cfg().timing);
+        for e in stream {
+            match e {
+                HostEvent::Retire(d) if keep(d.owner()) => p.retire(d),
+                _ => {}
+            }
+        }
+        format!("{:?}", p.finish())
+    }
+
     #[test]
     fn one_pass_equals_three_passes() {
         let (mem, initial, after) = two_movs_program();
-        let text = |s: &Stats| format!("{s:?}"); // every field, floats exactly
-        for seed in 0..12 {
+        let text = |s: &Stats| format!("{s:?}");
+        // Both filtered pipelines, then each alone: without its partner,
+        // the other owner's retirements take the unpaired call.
+        let configs = [(true, true), (true, false), (false, true)].map(|(app, tol)| SystemConfig {
+            app_only_pipeline: app,
+            tol_only_pipeline: tol,
+            ..test_cfg()
+        });
+        for (seed, cfg) in (0..12).flat_map(|seed| configs.iter().map(move |cfg| (seed, cfg))) {
             let stream = random_stream(seed, &after);
+            let all = retire_alone(&stream, |_| true);
+            let app_alone = retire_alone(&stream, |o| o == Owner::App);
+            let tol_alone = retire_alone(&stream, |o| o == Owner::Tol);
             for chunk in [1, 7, 64, 4096] {
                 // The reference: each sink walks each batch on its own.
                 let mut trace = TraceStatsSink::default();
                 let mut checker =
                     CheckerSink::new("ref".into(), StateChecker::new(initial.clone(), mem.clone()));
-                let mut timing = TimingSink::new(&test_cfg());
+                let mut timing = TimingSink::new(cfg);
                 for c in stream.chunks(chunk) {
                     trace.consume(c);
                     checker.consume(c);
@@ -396,18 +410,19 @@ mod tests {
                 }
                 let checker = checker.into_inner();
                 assert_eq!(checker.checks(), 2, "both boundaries were co-simulated");
-                let (shared, app, tol, timeline) = timing.into_parts();
+                let (_, _, _, timeline) = timing.into_parts();
                 let marks = stream.iter().filter(|e| matches!(e, HostEvent::WindowMark { .. }));
                 assert!(timeline.len() > 1 && marks.count() > timeline.len(), "stale marks too");
 
-                let ctx = format!("seed {seed}, chunk {chunk}");
+                let (app, tol) = (cfg.app_only_pipeline, cfg.tol_only_pipeline);
+                let ctx = format!("seed {seed}, chunk {chunk}, app-only {app}, TOL-only {tol}");
                 let mut set = SinkSet {
                     trace: TraceStatsSink::default(),
                     checker: Some(CheckerSink::new(
                         "set".into(),
                         StateChecker::new(initial.clone(), mem.clone()),
                     )),
-                    timing: TimingSink::new(&test_cfg()),
+                    timing: TimingSink::new(cfg),
                 };
                 for c in stream.chunks(chunk) {
                     set.consume(c);
@@ -417,9 +432,9 @@ mod tests {
                 let c = c.expect("built with a checker").into_inner();
                 assert_eq!((c.checks(), c.retired()), (checker.checks(), checker.retired()));
                 let (s, a, o, w) = timing.into_parts();
-                assert_eq!(text(&s), text(&shared), "{ctx}: shared pipeline");
-                assert_eq!(a.as_ref().map(text), app.as_ref().map(text), "{ctx}: app-only");
-                assert_eq!(o.as_ref().map(text), tol.as_ref().map(text), "{ctx}: TOL-only");
+                assert_eq!(text(&s), all, "{ctx}: shared pipeline");
+                assert_eq!(a.as_ref().map(text), app.then(|| app_alone.clone()), "{ctx}: app-only");
+                assert_eq!(o.as_ref().map(text), tol.then(|| tol_alone.clone()), "{ctx}: TOL-only");
                 assert_eq!(w, timeline, "{ctx}: timeline");
             }
         }

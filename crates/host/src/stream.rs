@@ -59,11 +59,14 @@ pub enum Owner {
 }
 
 /// Fine-grained producer of a host instruction: the paper's execution
-/// time categories (Figs. 6 and 7).
+/// time categories (Figs. 6 and 7), declared in [`Component::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// Translated application code executing from the code cache.
     AppCode,
+    /// Everything else in the software layer: dispatch loop,
+    /// entry/exit transitions, initialization (the paper's "TOL others").
+    TolOthers,
     /// Interpreter emulating guest instructions (IM). The paper counts
     /// interpretation as overhead despite its forward progress, because
     /// of the high per-instruction cost (Sec. III-B).
@@ -76,9 +79,6 @@ pub enum Component {
     TolChaining,
     /// Code-cache lookups (translation map probes, IBTC misses).
     TolLookup,
-    /// Everything else in the software layer: dispatch loop,
-    /// entry/exit transitions, initialization (the paper's "TOL others").
-    TolOthers,
 }
 
 impl Component {
@@ -96,15 +96,7 @@ impl Component {
     /// Position of this component in [`Component::ALL`] (stable index
     /// for per-component counter arrays).
     pub fn index(self) -> usize {
-        match self {
-            Component::AppCode => 0,
-            Component::TolOthers => 1,
-            Component::TolIm => 2,
-            Component::TolBbm => 3,
-            Component::TolSbm => 4,
-            Component::TolChaining => 5,
-            Component::TolLookup => 6,
-        }
+        self as usize
     }
 
     /// The owning entity.

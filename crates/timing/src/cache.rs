@@ -15,7 +15,8 @@
 //! mask scan picks the same ways (lowest matching index first). The
 //! per-set layout this one replaced lives on as a model in the test-only
 //! `reference` module, and `flat_and_legacy_layouts_are_bit_exact` holds
-//! every lookup, presence answer and counter to it.
+//! every lookup and presence answer to it. The cache keeps no counters:
+//! its callers count what their reports read from [`Lookup`].
 
 use crate::config::CacheParams;
 use crate::plru::PlruSet;
@@ -42,8 +43,6 @@ pub struct Cache {
     block_shift: u32,
     tag_shift: u32,
     ways: u32,
-    accesses: u64,
-    misses: u64,
 }
 
 /// Position of `key` in a set's entry run, if present (an invalid way
@@ -110,8 +109,6 @@ impl Cache {
             block_shift: p.block.trailing_zeros(),
             tag_shift: (sets - 1).count_ones(),
             ways: p.ways,
-            accesses: 0,
-            misses: 0,
         }
     }
 
@@ -121,40 +118,21 @@ impl Cache {
         ((line & self.set_mask) as usize, line >> self.tag_shift)
     }
 
-    /// Accesses `addr`, filling the line on a miss. Counted in the
-    /// hit/miss statistics.
-    pub fn access(&mut self, addr: u64) -> Lookup {
-        self.accesses += 1;
-        let r = self.probe_fill(addr);
-        if r == Lookup::Miss {
-            self.misses += 1;
-        }
-        r
-    }
-
-    /// Fills `addr` without counting statistics (used by the prefetcher,
-    /// whose fills are not demand accesses).
+    /// Fills `addr` when absent, discarding the outcome (used by the
+    /// prefetchers, whose fills are not demand accesses).
     pub fn fill(&mut self, addr: u64) {
-        let _ = self.probe_fill(addr);
+        let _ = self.access(addr);
     }
 
-    /// Checks for presence without filling or counting.
+    /// Checks for presence without filling.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways as usize;
         find_way(&self.entries[set_idx * ways..(set_idx + 1) * ways], (tag << 1) | 1).is_some()
     }
 
-    /// Records a demand access known to hit, without probing (the
-    /// last-line shortcuts prove the hit from the access history; the
-    /// PLRU touch is elided because re-touching the MRU way is a
-    /// no-op). Keeps the counters identical to a probed hit.
-    #[inline]
-    pub(crate) fn count_hit(&mut self) {
-        self.accesses += 1;
-    }
-
-    fn probe_fill(&mut self, addr: u64) -> Lookup {
+    /// Accesses `addr`, filling the line on a miss.
+    pub fn access(&mut self, addr: u64) -> Lookup {
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways;
         let base = set_idx * ways as usize;
@@ -166,25 +144,6 @@ impl Cache {
             4 => probe_set::<4>(set, plru, key),
             8 => probe_set::<8>(set, plru, key),
             _ => probe_set_any(set, plru, key, ways),
-        }
-    }
-
-    /// Demand accesses so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Demand misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss rate over demand accesses (0 if never accessed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
         }
     }
 
@@ -211,9 +170,6 @@ mod tests {
         assert_eq!(c.access(0x40), Lookup::Hit);
         assert_eq!(c.access(0x4F), Lookup::Hit, "same 16B line");
         assert_eq!(c.access(0x50), Lookup::Miss, "next line");
-        assert_eq!(c.accesses(), 4);
-        assert_eq!(c.misses(), 2);
-        assert!((c.miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -229,10 +185,9 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_fill_not_counted() {
+    fn fill_makes_the_line_present() {
         let mut c = small();
         c.fill(0x100);
-        assert_eq!(c.accesses(), 0);
         assert_eq!(c.access(0x100), Lookup::Hit);
     }
 
@@ -254,22 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn count_hit_matches_probed_hit_counters() {
-        let mut probed = small();
-        let mut shortcut = small();
-        probed.access(0x40);
-        shortcut.access(0x40);
-        probed.access(0x40); // probed repeat hit
-        shortcut.count_hit(); // shortcut repeat hit
-        assert_eq!(probed.accesses(), shortcut.accesses());
-        assert_eq!(probed.misses(), shortcut.misses());
-    }
-
-    #[test]
     fn flat_and_legacy_layouts_are_bit_exact() {
         // Random-ish address streams over several shapes, including the
-        // odd 1-way case: every lookup outcome, presence answer and
-        // counter must match the reference model.
+        // odd 1-way case: every lookup outcome and presence answer must
+        // match the reference model.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         // The last shape is the L1 TLB's (64 pages, 8-way): 8 sets of
         // 4 KiB "blocks" put the 8-way mask probe on the tag bits a TLB
@@ -302,8 +245,6 @@ mod tests {
                     legacy.contains(addr ^ (size as u64))
                 );
             }
-            assert_eq!(flat.accesses(), legacy.accesses());
-            assert_eq!(flat.misses(), legacy.misses());
         }
     }
 }

@@ -47,10 +47,6 @@ pub struct OwnerMemStats {
     pub i_accesses: u64,
     /// L1-I misses.
     pub i_misses: u64,
-    /// Data TLB walks.
-    pub tlb_walks: u64,
-    /// Software prefetches issued (the layer's optional pass).
-    pub sw_prefetches: u64,
 }
 
 impl OwnerMemStats {
@@ -126,7 +122,7 @@ impl MemSystem {
     ///
     /// The data TLB is consulted only for guest-space addresses: the
     /// software layer works with physical addresses (Sec. II-A-2).
-    pub fn access_data(&mut self, owner: Owner, pc: u64, addr: u64, _is_store: bool) -> DataAccess {
+    pub fn access_data(&mut self, owner: Owner, pc: u64, addr: u64) -> DataAccess {
         self.stats[owner_idx(owner)].d_accesses += 1;
 
         let line = addr >> self.d_line_shift;
@@ -134,10 +130,7 @@ impl MemSystem {
 
         let mut latency = 0;
         if is_guest_addr(addr) {
-            let (outcome, tlb_lat) = self.tlb.access(addr);
-            if outcome == crate::tlb::TlbOutcome::Walk {
-                self.stats[owner_idx(owner)].tlb_walks += 1;
-            }
+            let (_, tlb_lat) = self.tlb.access(addr);
             // An L1-TLB hit overlaps the cache access; only the excess
             // latency of lower levels is serialized.
             latency += tlb_lat.saturating_sub(1);
@@ -148,9 +141,7 @@ impl MemSystem {
         if fast_hit {
             // Same L1-D line as the previous demand access, with no fill
             // in between (fills clear `last_d_line`): the probe would hit
-            // and its MRU re-touch would be a PLRU no-op, so only the
-            // access counter needs to move.
-            self.l1d.count_hit();
+            // and its MRU re-touch would be a PLRU no-op.
             latency += self.l1_hit;
         } else {
             l1_miss = self.l1d.access(addr) == Lookup::Miss;
@@ -183,11 +174,10 @@ impl MemSystem {
     /// Brings a line toward the core for a software prefetch: fills L1D
     /// and L2 (and translates the page) without charging demand-miss
     /// statistics or latency.
-    pub fn prefetch_fill(&mut self, owner: Owner, addr: u64) {
+    pub fn prefetch_fill(&mut self, addr: u64) {
         if is_guest_addr(addr) {
             let _ = self.tlb.access(addr);
         }
-        self.stats[owner_idx(owner)].sw_prefetches += 1;
         self.l1d.fill(addr);
         self.l2.fill(addr);
         self.last_d_line = NO_LINE;
@@ -240,11 +230,11 @@ mod tests {
     fn data_hit_miss_latencies() {
         let mut m = table_i();
         // Cold: TLB walk (128 - 1 overlapped) + memory (128).
-        let a = m.access_data(Owner::App, 0x10, 0x8000, false);
+        let a = m.access_data(Owner::App, 0x10, 0x8000);
         assert!(a.l1_miss && a.l2_miss);
         assert_eq!(a.latency, 127 + 128);
         // Warm: TLB L1 hit (overlapped) + L1D hit.
-        let b = m.access_data(Owner::App, 0x10, 0x8000, false);
+        let b = m.access_data(Owner::App, 0x10, 0x8000);
         assert!(!b.l1_miss);
         assert_eq!(b.latency, 1);
     }
@@ -252,30 +242,29 @@ mod tests {
     #[test]
     fn tol_addresses_skip_tlb() {
         let mut m = table_i();
-        let a = m.access_data(Owner::Tol, 0x10, TOL_DATA_BASE + 0x100, false);
+        let a = m.access_data(Owner::Tol, 0x10, TOL_DATA_BASE + 0x100);
         assert!(a.l1_miss && a.l2_miss);
         assert_eq!(a.latency, 128, "no TLB serialization for physical TOL data");
-        assert_eq!(m.owner_stats(Owner::Tol).tlb_walks, 0);
     }
 
     #[test]
     fn tol_accesses_evict_application_lines() {
         // App touches a line; TOL then floods the same set, evicting it.
         let mut m = table_i();
-        m.access_data(Owner::App, 0x10, 0x4000, false);
+        m.access_data(Owner::App, 0x10, 0x4000);
         // 4-way L1D, 128 sets, 64B lines: stride 8192 stays in one set.
         for i in 0..8u64 {
-            m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE + 0x4000 + i * 8192, false);
+            m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE + 0x4000 + i * 8192);
         }
-        let again = m.access_data(Owner::App, 0x10, 0x4000, false);
+        let again = m.access_data(Owner::App, 0x10, 0x4000);
         assert!(again.l1_miss, "TOL evicted the app line");
     }
 
     #[test]
     fn per_owner_stats_tracked_even_when_shared() {
         let mut m = table_i();
-        m.access_data(Owner::App, 0x10, 0x1000, false);
-        m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE, true);
+        m.access_data(Owner::App, 0x10, 0x1000);
+        m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE);
         assert_eq!(m.owner_stats(Owner::App).d_accesses, 1);
         assert_eq!(m.owner_stats(Owner::Tol).d_accesses, 1);
         assert_eq!(m.owner_stats(Owner::App).d_misses, 1);
@@ -322,11 +311,11 @@ mod tests {
             };
             let pc = 0x100 + (x % 64) * 4;
             if i % 11 == 0 {
-                f.prefetch_fill(owner, addr);
-                s.prefetch_fill(owner, addr);
+                f.prefetch_fill(addr);
+                s.prefetch_fill(addr);
             } else {
                 assert_eq!(
-                    f.access_data(owner, pc, addr, x & 16 == 0),
+                    f.access_data(owner, pc, addr),
                     s.access_data(owner, pc, addr),
                     "access {i}"
                 );
@@ -335,9 +324,7 @@ mod tests {
                 assert_eq!(f.access_inst(owner, pc), s.access_inst(owner, pc));
             }
         }
-        let counts = |s: OwnerMemStats| {
-            [s.d_accesses, s.d_misses, s.i_accesses, s.i_misses, s.tlb_walks, s.sw_prefetches]
-        };
+        let counts = |s: OwnerMemStats| [s.d_accesses, s.d_misses, s.i_accesses, s.i_misses];
         for o in [Owner::App, Owner::Tol] {
             assert_eq!(counts(f.owner_stats(o)), counts(s.owner_stats(o)), "{o:?}");
         }
@@ -350,7 +337,7 @@ mod tests {
         let pc = 0x500;
         let mut misses = 0;
         for i in 0..64u64 {
-            let a = m.access_data(Owner::App, pc, 0x10000 + i * 64, false);
+            let a = m.access_data(Owner::App, pc, 0x10000 + i * 64);
             if a.l1_miss {
                 misses += 1;
             }

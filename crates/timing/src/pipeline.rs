@@ -12,8 +12,10 @@
 //!
 //! Accounting convention (documented in DESIGN.md): a fully idle issue
 //! cycle is one bubble cycle attributed to the binding constraint of the
-//! next instruction to issue; a half-used issue cycle contributes
-//! `1/width` bubble cycles; instruction (retire) time is `insts/width`.
+//! next instruction to issue; each slot an issue cycle leaves unused
+//! contributes `1/width` bubble cycles; instruction (retire) time is
+//! `insts/width`. The walk counts bubble time in whole `1/width`-cycle
+//! units and divides only when it reports, so the sums are exact.
 //! The effective branch misprediction penalty emerges from the modeled
 //! depth (fetch→EXE ≈ 6 cycles, per Table I).
 
@@ -51,6 +53,9 @@ pub struct Pipeline {
     mem: MemSystem,
     pred: Predictor,
     stats: Stats,
+    /// Bubble time per component and cause ([`Stats::bubbles`] layout),
+    /// in `1/width`-cycle units.
+    bubble_units: [[u64; 4]; 7],
 
     /// Cycle each register's value is on the bypass network.
     reg_ready: [u64; SLOTS],
@@ -64,10 +69,6 @@ pub struct Pipeline {
     /// the 0 a queue that is not full yet imposes.
     iq_ring: Box<[u64]>,
     iq_head: usize,
-    /// `partial_cycle[n]`: the bubble share of an issue cycle that used
-    /// `n` of its slots, `(width - n) / width`; 0 for `n = 0`, a cycle
-    /// that is not left behind.
-    partial_cycle: Box<[f64]>,
 
     fetch_pos: u64,
     fetch_in_cycle: u32,
@@ -99,20 +100,17 @@ impl Pipeline {
         // Line size is a power of two; cache the shift so the hot retire
         // path never divides.
         let i_line_shift = mem.i_line_bytes().trailing_zeros();
-        let width = cfg.issue_width;
         Pipeline {
             mem,
             pred: Predictor::new(cfg.bp_history_bits, cfg.btb_entries),
-            stats: Stats { issue_width: width, ..Stats::default() },
+            stats: Stats { issue_width: cfg.issue_width, ..Stats::default() },
+            bubble_units: [[0; 4]; 7],
             reg_ready: [0; SLOTS],
             reg_tag: [0; SLOTS],
             last_issue: 0,
             issued_in_cycle: 0,
             iq_ring: vec![u64::MAX; cfg.iq_size as usize].into_boxed_slice(),
             iq_head: 0,
-            partial_cycle: (0..=width)
-                .map(|n| if n == 0 { 0.0 } else { (width - n) as f64 / width as f64 })
-                .collect(),
             fetch_pos: 0,
             fetch_in_cycle: 0,
             last_fetch_line: u64::MAX,
@@ -127,13 +125,28 @@ impl Pipeline {
     }
 
     /// Processes one retired instruction.
+    pub fn retire(&mut self, d: &DynInst) {
+        self.walk(d);
+    }
+
+    /// Processes one retired instruction in `self` and then in `also`:
+    /// the shared pipeline and the owner-filtered one that wants `d`,
+    /// in one call with both walks inlined into it.
+    #[inline(never)]
+    pub fn retire_pair(&mut self, also: &mut Pipeline, d: &DynInst) {
+        self.walk(d);
+        also.walk(d);
+    }
+
+    /// The body of [`Pipeline::retire`].
     ///
     /// Two thirds of the stream is plain integer work with nothing to
     /// look up, so the constraint arithmetic is straight-line (selects,
     /// fixed-slot reads) and only the rare events — redirect, I-line
     /// change, memory access, branch — are branches. Held bit-identical
     /// to the readable model in `tests/retire_reference.rs`.
-    pub fn retire(&mut self, d: &DynInst) {
+    #[inline(always)]
+    fn walk(&mut self, d: &DynInst) {
         debug_assert!(
             [d.srcs[0], d.srcs[1], d.dst].iter().all(|&r| r < REGS || r == NO_REG),
             "register id out of range: {d:?}"
@@ -187,15 +200,14 @@ impl Pipeline {
         // own EXE stage (issue + 2), so the issue-time constraint is the
         // bypass time minus the pipeline offset. The destination takes
         // part for WAW ordering. The first strict maximum in slot order
-        // names the producer.
+        // names the producer; both are selects, not branches on data.
         let mut t_src_exec = 0u64;
         let mut src_tag = comp as u8;
         for s in [d.srcs[0], d.srcs[1], d.dst] {
-            let r = self.reg_ready[s as usize];
-            if r > t_src_exec {
-                t_src_exec = r;
-                src_tag = self.reg_tag[s as usize];
-            }
+            let (r, tag) = (self.reg_ready[s as usize], self.reg_tag[s as usize]);
+            let later = r > t_src_exec;
+            t_src_exec = if later { r } else { t_src_exec };
+            src_tag = if later { tag } else { src_tag };
         }
         let t_src = t_src_exec.saturating_sub(2);
 
@@ -204,10 +216,15 @@ impl Pipeline {
         let issue = t_front.max(t_inorder).max(t_src).max(t_unit);
 
         // ---- Bubble attribution -------------------------------------
+        // In `1/width`-cycle units: the idle cycles between the two
+        // issues, plus the slots the previous issue cycle left unused
+        // once it is left behind (none before the first issue).
+        // `issued_in_cycle <= width`: a full cycle moves `t_inorder` on.
         let new_cycle = issue > self.last_issue;
-        let gap = issue.saturating_sub(self.last_issue + 1) as f64;
-        let left_behind = if new_cycle { self.issued_in_cycle.min(width) } else { 0 };
-        let bubble = gap + self.partial_cycle[left_behind as usize];
+        let gap = issue.saturating_sub(self.last_issue + 1);
+        let left_behind =
+            if new_cycle && self.issued_in_cycle != 0 { width - self.issued_in_cycle } else { 0 };
+        let units = gap * u64::from(width) + u64::from(left_behind);
         let (cause, by) = if issue == t_src && src_tag & TAG_LOAD_MISS != 0 {
             (D_CACHE_MISS, (src_tag & !TAG_LOAD_MISS) as usize)
         } else if issue == t_front {
@@ -216,10 +233,7 @@ impl Pipeline {
             // Dependence, busy unit, front-end rate or in-order width.
             (SCHEDULING, comp)
         };
-        // Not under `if bubble > 0.0`: the sums start at +0.0 and only
-        // ever receive non-negative terms, so they are never -0.0 and
-        // `x + 0.0` leaves every bit of them alone.
-        self.stats.bubbles[by][cause] += bubble;
+        self.bubble_units[by][cause] += units;
 
         self.issued_in_cycle = if new_cycle { 1 } else { self.issued_in_cycle + 1 };
         self.last_issue = issue; // `issue >= t_inorder >= last_issue`
@@ -239,10 +253,10 @@ impl Pipeline {
                     if m.is_prefetch {
                         // Software prefetch: fire-and-forget line fill —
                         // occupies an issue slot but never stalls.
-                        self.mem.prefetch_fill(owner, m.addr);
+                        self.mem.prefetch_fill(m.addr);
                         1
                     } else {
-                        let acc = self.mem.access_data(owner, d.pc, m.addr, m.is_store);
+                        let acc = self.mem.access_data(owner, d.pc, m.addr);
                         if d.class == ExecClass::Load {
                             // Any latency beyond the L1 hit (cache miss
                             // or TLB serialization) is a memory-system
@@ -305,21 +319,13 @@ impl Pipeline {
     }
 
     /// Completes the run and returns the statistics.
-    pub fn finish(mut self) -> Stats {
-        self.stats.total_cycles = self.max_completion;
-        for (i, owner) in [Owner::App, Owner::Tol].into_iter().enumerate() {
-            let m = self.mem.owner_stats(owner);
-            self.stats.d_accesses[i] = m.d_accesses;
-            self.stats.d_misses[i] = m.d_misses;
-            self.stats.i_accesses[i] = m.i_accesses;
-            self.stats.i_misses[i] = m.i_misses;
-        }
-        self.stats.prefetches = self.mem.prefetches();
-        self.stats
+    pub fn finish(self) -> Stats {
+        self.snapshot()
     }
 
-    /// Read-only view of the running statistics (cycle and memory-system
-    /// totals are only filled by [`Pipeline::finish`]/[`Pipeline::snapshot`]).
+    /// Read-only view of the running instruction and branch counts
+    /// (cycle, bubble and memory-system totals are only filled by
+    /// [`Pipeline::finish`]/[`Pipeline::snapshot`]).
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -336,6 +342,12 @@ impl Pipeline {
     pub fn snapshot(&self) -> Stats {
         let mut s = self.stats.clone();
         s.total_cycles = self.max_completion;
+        let width = f64::from(self.cfg.issue_width);
+        for (cycles, units) in s.bubbles.iter_mut().zip(&self.bubble_units) {
+            for (c, &u) in cycles.iter_mut().zip(units) {
+                *c = u as f64 / width;
+            }
+        }
         for (i, owner) in [Owner::App, Owner::Tol].into_iter().enumerate() {
             let m = self.mem.owner_stats(owner);
             s.d_accesses[i] = m.d_accesses;
@@ -482,6 +494,32 @@ mod tests {
         let total = s.total_cycles as f64;
         let err = (attributed - total).abs() / total;
         assert!(err < 0.15, "attribution error {err} (attributed {attributed}, total {total})");
+    }
+
+    #[test]
+    fn bubbles_are_whole_thirds_at_width_three() {
+        // Partial cycles of one and two unused slots, idle cycles and
+        // every cause: a running sum of thirds would drift off them.
+        let cfg = TimingConfig { issue_width: 3, ..TimingConfig::default() };
+        let mut p = Pipeline::new(cfg);
+        for i in 0..30_000u64 {
+            let dep = if i % 3 == 0 { int_reg(1) } else { NO_REG };
+            p.retire(&simple((i % 40) * 4).with_srcs(dep, NO_REG).with_dst(int_reg(1)));
+            if i % 7 == 0 {
+                p.retire(
+                    &DynInst::plain(0x400, ExecClass::Load, Component::TolLookup)
+                        .with_dst(int_reg(1))
+                        .with_mem(0x4000 + (i * 4099 * 64) % (1 << 24), 8, false),
+                );
+            }
+        }
+        let s = p.finish();
+        assert!(s.bubbles.iter().flatten().filter(|&&b| b > 0.0).count() >= 3);
+        for (c, row) in s.bubbles.iter().enumerate() {
+            for (k, &b) in row.iter().enumerate() {
+                assert_eq!((b * 3.0).fract(), 0.0, "bubbles[{c}][{k}] = {b}");
+            }
+        }
     }
 
     #[test]

@@ -9,17 +9,16 @@
 
 use darco_host::BranchKind;
 
-/// Gshare + BTB predictor with statistics.
+/// Gshare + BTB predictor. It keeps no counters: the caller counts
+/// what [`Predictor::predict_and_update`] returns.
 #[derive(Debug, Clone)]
 pub struct Predictor {
     history: u32,
     history_mask: u32,
     pht: Vec<u8>,
-    btb_tags: Vec<u64>,
-    btb_targets: Vec<u64>,
+    /// `(tag, target)` per BTB entry; the tag is the branch's full PC.
+    btb: Vec<(u64, u64)>,
     btb_mask: u64,
-    branches: u64,
-    mispredicts: u64,
 }
 
 impl Predictor {
@@ -37,11 +36,8 @@ impl Predictor {
             history: 0,
             history_mask: (1 << history_bits) - 1,
             pht: vec![1; 1 << history_bits], // weakly not-taken
-            btb_tags: vec![u64::MAX; btb_entries as usize],
-            btb_targets: vec![0; btb_entries as usize],
+            btb: vec![(u64::MAX, 0); btb_entries as usize],
             btb_mask: (btb_entries - 1) as u64,
-            branches: 0,
-            mispredicts: 0,
         }
     }
 
@@ -58,8 +54,7 @@ impl Predictor {
         taken: bool,
         target: u64,
     ) -> bool {
-        self.branches += 1;
-        let mispredict = match kind {
+        match kind {
             BranchKind::CondDirect => {
                 let idx = ((pc >> 2) as u32 ^ self.history) & self.history_mask;
                 let ctr = &mut self.pht[idx as usize];
@@ -78,40 +73,16 @@ impl Predictor {
             BranchKind::UncondDirect | BranchKind::Indirect | BranchKind::Return => {
                 self.btb_lookup_update(pc, target)
             }
-        };
-        if mispredict {
-            self.mispredicts += 1;
         }
-        mispredict
     }
 
     /// Returns `true` if the BTB did not hold the correct target
     /// (and installs/updates the entry).
     fn btb_lookup_update(&mut self, pc: u64, target: u64) -> bool {
-        let idx = ((pc >> 2) & self.btb_mask) as usize;
-        let wrong = self.btb_tags[idx] != pc || self.btb_targets[idx] != target;
-        self.btb_tags[idx] = pc;
-        self.btb_targets[idx] = target;
+        let entry = &mut self.btb[((pc >> 2) & self.btb_mask) as usize];
+        let wrong = *entry != (pc, target);
+        *entry = (pc, target);
         wrong
-    }
-
-    /// Control transfers observed.
-    pub fn branches(&self) -> u64 {
-        self.branches
-    }
-
-    /// Mispredictions observed.
-    pub fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-
-    /// Misprediction rate (0 if no branches).
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.branches as f64
-        }
     }
 }
 
@@ -131,11 +102,10 @@ mod tests {
         for _ in 0..50 {
             pred.predict_and_update(0x100, BranchKind::CondDirect, true, 0x200);
         }
-        let before = pred.mispredicts();
-        for _ in 0..100 {
-            pred.predict_and_update(0x100, BranchKind::CondDirect, true, 0x200);
-        }
-        assert_eq!(pred.mispredicts(), before, "steady-state biased branch");
+        let wrong = (0..100)
+            .filter(|_| pred.predict_and_update(0x100, BranchKind::CondDirect, true, 0x200))
+            .count();
+        assert_eq!(wrong, 0, "steady-state biased branch");
     }
 
     #[test]
@@ -145,11 +115,10 @@ mod tests {
         for i in 0..200 {
             pred.predict_and_update(0x300, BranchKind::CondDirect, i % 2 == 0, 0x400);
         }
-        let before = pred.mispredicts();
-        for i in 0..100 {
-            pred.predict_and_update(0x300, BranchKind::CondDirect, i % 2 == 0, 0x400);
-        }
-        assert_eq!(pred.mispredicts(), before);
+        let wrong = (0..100)
+            .filter(|i| pred.predict_and_update(0x300, BranchKind::CondDirect, i % 2 == 0, 0x400))
+            .count();
+        assert_eq!(wrong, 0);
     }
 
     #[test]
@@ -169,7 +138,6 @@ mod tests {
             }
         }
         assert_eq!(miss, 50, "a new target every time defeats the BTB");
-        assert!((pred.mispredict_rate() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Stride prefetcher.
 //!
 //! The back-end is equipped with a 256-entry stride prefetcher (Table I):
-//! a table indexed by load PC tracking the last address and stride; after
-//! two consecutive accesses with the same stride, the next line is
-//! prefetched into the L1 data cache.
+//! a table indexed by load PC tracking the last address and stride. The
+//! first access of a PC claims the entry and the second sets the stride;
+//! from the fourth access on, once the same non-zero stride has repeated
+//! three times in a row, every access in the run prefetches
+//! `addr + stride`, which the memory system fills into L1-D and L2
+//! unless L1-D already holds the line.
 
 /// One prefetch-table entry.
 #[derive(Debug, Clone, Copy, Default)]

@@ -7,8 +7,9 @@
 //! They are what the flat layout and the shortcuts replaced, kept
 //! readable rather than fast; the tests in `cache`, `tlb` and `memsys`
 //! run the same access streams through both and compare every outcome
-//! and counter. Replacement ([`PlruSet`]) and prefetching
-//! ([`StridePrefetcher`]) are shared: they are policy, not layout.
+//! and the memory system's per-owner counters. Replacement
+//! ([`PlruSet`]) and prefetching ([`StridePrefetcher`]) are shared:
+//! they are policy, not layout.
 
 use crate::cache::Lookup;
 use crate::config::{CacheParams, TimingConfig, TlbParams};
@@ -30,8 +31,6 @@ pub(crate) struct LegacyCache {
     sets: Vec<Set>,
     block_shift: u32,
     ways: u32,
-    accesses: u64,
-    misses: u64,
 }
 
 impl LegacyCache {
@@ -47,8 +46,6 @@ impl LegacyCache {
                 .collect(),
             block_shift: p.block.trailing_zeros(),
             ways: p.ways,
-            accesses: 0,
-            misses: 0,
         }
     }
 
@@ -58,17 +55,8 @@ impl LegacyCache {
         ((line % sets) as usize, line / sets)
     }
 
-    pub(crate) fn access(&mut self, addr: u64) -> Lookup {
-        self.accesses += 1;
-        let r = self.probe_fill(addr);
-        if r == Lookup::Miss {
-            self.misses += 1;
-        }
-        r
-    }
-
     pub(crate) fn fill(&mut self, addr: u64) {
-        let _ = self.probe_fill(addr);
+        let _ = self.access(addr);
     }
 
     pub(crate) fn contains(&self, addr: u64) -> bool {
@@ -77,7 +65,7 @@ impl LegacyCache {
         (0..self.ways as usize).any(|w| set.valid[w] && set.tags[w] == tag)
     }
 
-    fn probe_fill(&mut self, addr: u64) -> Lookup {
+    pub(crate) fn access(&mut self, addr: u64) -> Lookup {
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways;
         let set = &mut self.sets[set_idx];
@@ -95,14 +83,6 @@ impl LegacyCache {
         set.valid[victim] = true;
         set.plru.touch(victim as u32, ways);
         Lookup::Miss
-    }
-
-    pub(crate) fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    pub(crate) fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -139,14 +119,6 @@ impl FullProbeTlb {
             (TlbOutcome::Walk, self.latencies[2])
         }
     }
-
-    pub(crate) fn walks(&self) -> u64 {
-        self.l2.misses()
-    }
-
-    pub(crate) fn l1_miss_rate(&self) -> f64 {
-        self.l1.misses() as f64 / self.l1.accesses().max(1) as f64
-    }
 }
 
 /// The memory system probing L1-D (and, on a miss, L2) and the TLB on
@@ -176,10 +148,8 @@ impl FullProbeMemSystem {
 
     pub(crate) fn access_data(&mut self, owner: Owner, pc: u64, addr: u64) -> DataAccess {
         let mut latency = 0;
-        let mut walked = false;
         if is_guest_addr(addr) {
-            let (outcome, tlb_lat) = self.tlb.access(addr);
-            walked = outcome == TlbOutcome::Walk;
+            let (_, tlb_lat) = self.tlb.access(addr);
             latency += tlb_lat.saturating_sub(1);
         }
         let l1_miss = self.l1d.access(addr) == Lookup::Miss;
@@ -198,17 +168,15 @@ impl FullProbeMemSystem {
         let n = &mut self.stats[owner as usize];
         n.d_accesses += 1;
         n.d_misses += u64::from(l1_miss);
-        n.tlb_walks += u64::from(walked);
         DataAccess { latency, l1_miss, l2_miss }
     }
 
-    pub(crate) fn prefetch_fill(&mut self, owner: Owner, addr: u64) {
+    pub(crate) fn prefetch_fill(&mut self, addr: u64) {
         if is_guest_addr(addr) {
             let _ = self.tlb.access(addr);
         }
         self.l1d.fill(addr);
         self.l2.fill(addr);
-        self.stats[owner as usize].sw_prefetches += 1;
     }
 
     pub(crate) fn access_inst(&mut self, owner: Owner, pc: u64) -> InstAccess {

@@ -6,9 +6,10 @@
 //! arrays consulted under explicit `!= NO_REG` tests, a bubble recorded
 //! only when there is one. The production `retire` is the same
 //! arithmetic laid out as straight-line code (sentinel scoreboard slots,
-//! a fixed ring, selects, a partial-cycle table); it must agree with
-//! this model on every cycle count and on every bit of every bubble
-//! cell, for any pipeline shape. The model is built from the public
+//! a fixed ring, selects); it must agree with this model on every cycle
+//! count and on every bit of every bubble cell, for any pipeline shape.
+//! Both add bubble time up in whole `1/width`-cycle units and divide
+//! once, when they report. The model is built from the public
 //! `MemSystem`/`Predictor`/`Stats` API only, so it is compiled into no
 //! library.
 
@@ -26,18 +27,12 @@ const REGS: usize = 96; // 64 int + 32 fp
 /// The `pub(crate)` recording helpers of `Stats`, over its public fields.
 trait Record {
     fn count_inst(&mut self, c: Component);
-    fn add_bubble(&mut self, c: Component, cause: BubbleCause, cycles: f64);
     fn record_branch(&mut self, o: Owner, mispredicted: bool);
 }
 
 impl Record for Stats {
     fn count_inst(&mut self, c: Component) {
         self.insts[c.index()] += 1;
-    }
-
-    fn add_bubble(&mut self, c: Component, cause: BubbleCause, cycles: f64) {
-        let col = BubbleCause::ALL.iter().position(|b| *b == cause).expect("cause is in ALL");
-        self.bubbles[c.index()][col] += cycles;
     }
 
     fn record_branch(&mut self, o: Owner, mispredicted: bool) {
@@ -54,6 +49,8 @@ struct Reference {
     mem: MemSystem,
     pred: Predictor,
     stats: Stats,
+    /// Bubble time per component and cause, in `1/width`-cycle units.
+    bubble_units: [[u64; 4]; 7],
 
     reg_ready: [u64; REGS],
     reg_load_miss: [bool; REGS],
@@ -85,6 +82,7 @@ impl Reference {
             mem,
             pred: Predictor::new(cfg.bp_history_bits, cfg.btb_entries),
             stats: Stats { issue_width: cfg.issue_width, ..Stats::default() },
+            bubble_units: [[0; 4]; 7],
             reg_ready: [0; REGS],
             reg_load_miss: [false; REGS],
             reg_producer: [Component::AppCode; REGS],
@@ -184,16 +182,16 @@ impl Reference {
 
         let issue = t_front.max(t_inorder).max(t_src).max(t_unit);
 
-        // ---- Bubble attribution -------------------------------------
-        let gap = issue.saturating_sub(self.last_issue + 1) as f64;
+        // ---- Bubble attribution (in 1/width-cycle units) -------------
+        let width = self.cfg.issue_width as u64;
+        let gap = issue.saturating_sub(self.last_issue + 1) * width;
         let partial = if issue > self.last_issue && self.issued_in_cycle > 0 {
-            (self.cfg.issue_width - self.issued_in_cycle.min(self.cfg.issue_width)) as f64
-                / self.cfg.issue_width as f64
+            width - self.issued_in_cycle.min(self.cfg.issue_width) as u64
         } else {
-            0.0
+            0
         };
         let bubble = gap + partial;
-        if bubble > 0.0 {
+        if bubble > 0 {
             let (cause, comp) = if issue == t_src && src_load_miss {
                 (BubbleCause::DCacheMiss, src_producer)
             } else if issue == t_front && frontend_cause.is_some() {
@@ -204,7 +202,8 @@ impl Reference {
                 // Front-end rate or in-order width limitation.
                 (BubbleCause::Scheduling, d.component)
             };
-            self.stats.add_bubble(comp, cause, bubble);
+            let col = BubbleCause::ALL.iter().position(|b| *b == cause).expect("cause is in ALL");
+            self.bubble_units[comp.index()][col] += bubble;
         }
 
         if issue > self.last_issue {
@@ -231,10 +230,10 @@ impl Reference {
                     if m.is_prefetch {
                         // Software prefetch: fire-and-forget line fill —
                         // occupies an issue slot but never stalls.
-                        self.mem.prefetch_fill(owner, m.addr);
+                        self.mem.prefetch_fill(m.addr);
                         1
                     } else {
-                        let acc = self.mem.access_data(owner, d.pc, m.addr, m.is_store);
+                        let acc = self.mem.access_data(owner, d.pc, m.addr);
                         if d.class == ExecClass::Load {
                             // Any latency beyond the L1 hit (cache miss
                             // or TLB serialization) is a memory-system
@@ -306,6 +305,11 @@ impl Reference {
     fn snapshot(&self) -> Stats {
         let mut s = self.stats.clone();
         s.total_cycles = self.max_completion;
+        for (c, units) in self.bubble_units.iter().enumerate() {
+            for (k, &u) in units.iter().enumerate() {
+                s.bubbles[c][k] = u as f64 / self.cfg.issue_width as f64;
+            }
+        }
         for (i, owner) in [Owner::App, Owner::Tol].into_iter().enumerate() {
             let m = self.mem.owner_stats(owner);
             s.d_accesses[i] = m.d_accesses;

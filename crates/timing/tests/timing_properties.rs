@@ -33,21 +33,22 @@ fn hit_after_access_any_shape() {
     }
 }
 
-/// Miss count never exceeds access count, and the rate is in [0, 1].
+/// Every first touch of a line misses, and there are never more misses
+/// than accesses.
 #[test]
-fn cache_counters_consistent() {
+fn cache_misses_cover_first_touches() {
     let mut rng = SmallRng::seed_from_u64(0x71_0002);
     for _ in 0..32 {
         let mut c = Cache::new(TimingConfig::default().l1d);
         let n = rng.gen_range(1usize..300);
+        let mut lines = std::collections::BTreeSet::new();
+        let mut misses = 0;
         for _ in 0..n {
             let a: u32 = rng.gen();
-            c.access(a as u64);
+            misses += usize::from(c.access(a as u64) == Lookup::Miss);
+            lines.insert(a >> 6);
         }
-        assert!(c.misses() <= c.accesses());
-        assert_eq!(c.accesses(), n as u64);
-        let r = c.miss_rate();
-        assert!((0.0..=1.0).contains(&r));
+        assert!(lines.len() <= misses && misses <= n);
     }
 }
 
@@ -70,11 +71,10 @@ fn plru_victim_in_range() {
     }
 }
 
-/// The predictor's misprediction count never exceeds its branch
-/// count, and a perfectly stable direct branch converges to zero
-/// further mispredictions.
+/// A perfectly stable direct branch converges to zero further
+/// mispredictions.
 #[test]
-fn predictor_counters_and_convergence() {
+fn predictor_converges_on_stable_targets() {
     let mut rng = SmallRng::seed_from_u64(0x71_0004);
     for _ in 0..32 {
         let mut p = Predictor::new(12, 1024);
@@ -85,13 +85,12 @@ fn predictor_counters_and_convergence() {
                 p.predict_and_update(pc * 4, BranchKind::UncondDirect, true, pc * 8 + 4);
             }
         }
-        assert!(p.mispredicts() <= p.branches());
         // Re-visit every site: all targets cached now (BTB is 1024
         // entries and pcs < 1024*4 map to distinct slots).
-        let before = p.mispredicts();
-        for &pc in &pcs {
-            p.predict_and_update(pc * 4, BranchKind::UncondDirect, true, pc * 8 + 4);
-        }
-        assert_eq!(p.mispredicts(), before, "stable targets must not mispredict");
+        let wrong = pcs
+            .iter()
+            .filter(|&&pc| p.predict_and_update(pc * 4, BranchKind::UncondDirect, true, pc * 8 + 4))
+            .count();
+        assert_eq!(wrong, 0, "stable targets must not mispredict");
     }
 }
