@@ -25,7 +25,7 @@
 //!                       resolution, code placement
 //! ```
 
-use crate::{bail, parse, run_batch, usage};
+use crate::{bail, parse, run_batch};
 use darco_core::experiments::{self, BenchRun};
 use darco_core::report::{pct, render_table};
 use darco_core::{System, SystemConfig};
@@ -67,7 +67,6 @@ pub fn figures(rest: &[String]) {
             "--scale" | "--jobs" => {
                 words.next();
             }
-            "--help" | "-h" => return usage(),
             "--json" => bail("--json: use `darco run-set --scale 2 --json`"),
             "--quick" => bail("--quick: use --scale 0.05"),
             "--cosim" => bail("--cosim: figures run without co-simulation"),
@@ -79,7 +78,7 @@ pub fn figures(rest: &[String]) {
             )),
         }
     }
-    let o = parse(flags, SCALE);
+    let o = parse("figures", flags, &["--scale", "--jobs"], SCALE);
     let (scale, cfg) = (o.scale, SystemConfig { cosim: false, ..SystemConfig::default() });
     match command {
         "table1" => table1(&cfg.timing),

@@ -3,46 +3,34 @@
 //! over the execution of the application, as well as debugging
 //! utilities").
 //!
-//! ```text
-//! darco list                         # the 48-benchmark roster
-//! darco run <benchmark> [opts]      # full system run + report
-//! darco run-set [benchmark ...]     # batch of runs across worker
-//!                                    # threads (default: whole roster)
-//! darco figures [command]           # the paper's tables and figures
-//!                                    # (see `figures.rs`; default: all)
-//! darco verify <benchmark> [opts]   # co-simulate against the independent
-//!                                    # exec::step
-//! darco analyze <benchmark> [opts]  # hot-region IR + compile-path report
-//! darco trace <benchmark> [opts]    # guest instruction trace
-//! darco disasm <benchmark> [opts]   # hottest translations, disassembled
-//! darco timeline <benchmark> [opts] # start-up/steady-state windows
-//! darco export-profile <benchmark> <file.json>
-//!                                    # dump a profile for editing
-//! darco run --profile <file.json>   # run a custom edited profile
-//!
-//! options: --profile FILE       load a custom profile (JSON) as the next
-//!                               benchmark
-//!          --scale S            dynamic-length scale, finite and > 0
-//!                               (default 0.5; 2.0 for figures)
-//!          --cosim              enable co-simulation checking (run,
-//!                               run-set, analyze)
-//!          --jobs N             worker threads for run-set and figures
-//!                               (default: all available cores)
-//!          --n N                rows/instructions to print (trace,
-//!                               disasm, analyze, timeline)
-//!          --json               machine-readable output (run, run-set,
-//!                               verify, analyze)
-//! ```
+//! `darco --help` prints every command and the flags each one takes
+//! (`USAGE` below); `figures.rs` lists the figures. A flag a command
+//! does not read exits 2 instead of being ignored.
 
 mod figures;
 
 use darco_core::experiments::{self, BenchRun};
 use darco_core::{Report, System, SystemConfig};
-use darco_host::{Component, Owner};
-use darco_tol::codecache::BlockKind;
+use darco_host::{BlockId, Component, Owner};
+use darco_tol::codecache::{BlockKind, TranslatedBlock};
 use darco_tol::translate::{decode_bb, translate_region};
 use darco_tol::Tol;
 use darco_workloads::{generate, suites, BenchProfile};
+
+/// Runs one command on the arguments after its name.
+type Command = fn(&[String]);
+
+/// Every command, in `darco --help` order.
+const COMMANDS: [(&str, Command); 8] = [
+    ("list", list),
+    ("run", run),
+    ("run-set", run_set),
+    ("figures", figures::figures),
+    ("verify", verify),
+    ("analyze", analyze),
+    ("disasm", disasm),
+    ("export-profile", export_profile),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,43 +38,61 @@ fn main() {
         usage();
         return;
     };
-    let rest = &args[1..];
-    match command.as_str() {
-        "list" => list(),
-        "run" => run(rest),
-        "run-set" => run_set(rest),
-        "figures" => figures::figures(rest),
-        "verify" => verify(rest),
-        "analyze" => analyze(rest),
-        "trace" => trace(rest),
-        "disasm" => disasm(rest),
-        "timeline" => timeline(rest),
-        "export-profile" => export_profile(rest),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
-            std::process::exit(2);
-        }
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        return usage();
     }
+    let Some(&(_, handler)) = COMMANDS.iter().find(|(name, _)| name == command) else {
+        eprintln!("unknown command: {command}");
+        usage();
+        std::process::exit(2);
+    };
+    let rest = &args[1..];
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        return usage();
+    }
+    handler(rest);
 }
 
+/// What `darco --help` prints. Each flag names the commands that read it,
+/// exactly the ones that pass it to [`parse`] (the CLI tests hold the
+/// two together).
+const USAGE: &str = "\
+darco <command> [benchmark ...] [flags]
+
+commands:
+  list                      the 48-benchmark roster
+  run [benchmark]           full system run + report (default: quicktest)
+  run-set [benchmark ...]   runs across worker threads (default: the roster)
+  figures [figure]          the paper's tables and figures (default: all)
+  verify [benchmark]        run co-simulated against the independent exec::step
+  analyze [benchmark]       hot-region IR + compile-path report
+  disasm [benchmark]        hottest translations, disassembled
+  export-profile <benchmark> <file.json>
+                            dump a profile to edit and run with --profile
+
+flags:
+  --profile FILE   run, run-set, verify, analyze, disasm: load a custom
+                   profile (JSON) as the next benchmark
+  --scale S        run, run-set, figures, verify, analyze, disasm: dynamic-length
+                   scale, finite and > 0 (default 0.5; 2.0 for figures)
+  --cosim          run, run-set, analyze: co-simulation checking
+  --jobs N         run-set, figures: worker threads (default: all cores)
+  --n N            analyze, disasm: regions/translations to print (default 20)
+  --json           run, run-set, verify: the full report(s) on stdout
+  --help, -h       this text
+
+darco figures [all|table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|fig11|startup|\
+ablate-thresholds|ablate-ibtc|ablate-passes|ablate-codecache|ablate-future] \
+[--scale S] [--jobs N]";
+
 fn usage() {
-    eprintln!(
-        "darco <list|run|run-set|verify|analyze|trace|disasm|timeline|export-profile> [benchmark ...] \
-         [--profile FILE] [--scale S] [--cosim] [--jobs N] [--n N] [--json]\n  \
-         verify: run with co-simulation against the independent exec::step\n\
-         darco figures [all|table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|fig11|startup|\
-         ablate-thresholds|ablate-ibtc|ablate-passes|ablate-codecache|ablate-future] \
-         [--scale S] [--jobs N]"
-    );
+    eprintln!("{USAGE}");
 }
 
 /// The flags every subcommand shares, parsed by one loop. A subcommand
-/// reads the ones that apply to it: `run-set` runs all of `profiles`
-/// across `jobs` threads, `figures` its own benchmark sets (it refuses
-/// every flag but `--scale` and `--jobs`), the others run
-/// [`Opts::profile`].
+/// reads the ones it passes to [`parse`]: `run-set` runs all of
+/// `profiles` across `jobs` threads, `figures` its own benchmark sets,
+/// the others run [`Opts::profile`].
 struct Opts {
     /// Benchmarks named on the command line or loaded with `--profile`,
     /// in order.
@@ -115,6 +121,9 @@ impl Opts {
 /// `--scale` when none is given, for every subcommand but `figures`.
 const SCALE: f64 = 0.5;
 
+/// Every flag [`parse`] knows.
+const FLAGS: [&str; 6] = ["--profile", "--scale", "--cosim", "--jobs", "--n", "--json"];
+
 /// A roster benchmark (or `quicktest`) by name.
 fn named_profile(name: &str) -> BenchProfile {
     suites::by_name(name).unwrap_or_else(|| {
@@ -126,15 +135,23 @@ fn named_profile(name: &str) -> BenchProfile {
     })
 }
 
-/// Parses the flags and benchmark names of a subcommand whose `--scale`
-/// defaults to `scale`.
-fn parse(rest: &[String], scale: f64) -> Opts {
+/// Parses the arguments of `darco <command>`, which reads the flags in
+/// `takes` (and benchmark names if it takes `--profile`) and whose
+/// `--scale` defaults to `scale`. Any other flag or name exits 2.
+fn parse(command: &str, rest: &[String], takes: &[&str], scale: f64) -> Opts {
     let mut o = Opts { profiles: Vec::new(), scale, cosim: false, jobs: None, n: 20, json: false };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
+        let word = a.as_str();
+        if FLAGS.contains(&word) && !takes.contains(&word) {
+            bail(&format!("{word}: `darco {command}` does not take it; see `darco --help`"));
+        }
+        if !word.starts_with('-') && !takes.contains(&"--profile") {
+            bail(&format!("{word}: `darco {command}` takes no benchmark"));
+        }
         let mut value =
             |what: &str| it.next().unwrap_or_else(|| bail(&format!("{a} needs {what}")));
-        match a.as_str() {
+        match word {
             "--profile" => {
                 let path = value("a path");
                 let text = std::fs::read_to_string(path)
@@ -180,7 +197,8 @@ fn bail(msg: &str) -> ! {
 
 // ----------------------------------------------------------------- list
 
-fn list() {
+fn list(rest: &[String]) {
+    parse("list", rest, &[], SCALE);
     println!(
         "{:22} {:18} {:>8} {:>12} {:>6} {:>9}",
         "benchmark", "suite", "static", "dyn (base)", "fp%", "indirect"
@@ -202,16 +220,11 @@ fn list() {
 // ------------------------------------------------------------------ run
 
 fn run(rest: &[String]) {
-    let o = parse(rest, SCALE);
+    let o = parse("run", rest, &["--profile", "--scale", "--cosim", "--json"], SCALE);
     let profile = o.profile();
     eprintln!("running {} at scale {} ...", profile.name, o.scale);
     let mut sys = System::new(generate(&profile, o.scale), o.config());
-    let report = sys.run_to_completion();
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&report).expect("serialize"));
-        return;
-    }
-    print_report(&report);
+    print_report(&sys.run_to_completion(), o.json);
 }
 
 // -------------------------------------------------------------- run-set
@@ -221,7 +234,7 @@ fn run(rest: &[String]) {
 /// independent system, so results are identical at any thread count;
 /// only the wall-clock changes.
 fn run_set(rest: &[String]) {
-    let o = parse(rest, SCALE);
+    let o = parse("run-set", rest, &["--profile", "--scale", "--cosim", "--jobs", "--json"], SCALE);
     let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles.clone() };
     let runs = run_batch(&profiles, &o, &o.config());
     if o.json {
@@ -268,17 +281,13 @@ fn run_batch(profiles: &[BenchProfile], o: &Opts, cfg: &SystemConfig) -> Vec<Ben
 /// run, so reaching the end is the pass; the report is the one
 /// `darco run --cosim` prints.
 fn verify(rest: &[String]) {
-    let o = parse(rest, SCALE);
+    let o = parse("verify", rest, &["--profile", "--scale", "--json"], SCALE);
     let profile = o.profile();
     eprintln!("verifying {} at scale {} ...", profile.name, o.scale);
     let cfg = SystemConfig { cosim: true, independent_checker: true, ..SystemConfig::default() };
     let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&report).expect("serialize"));
-    } else {
-        print_report(&report);
-    }
+    print_report(&report, o.json);
     eprintln!(
         "verify: OK — {} co-sim checks against the independent exec::step passed",
         report.cosim_checks
@@ -293,7 +302,10 @@ fn verify(rest: &[String]) {
 /// deltas, the compile path stage by stage and the host-per-guest
 /// split. `--n` bounds how many regions are dumped.
 fn analyze(rest: &[String]) {
-    let o = parse(rest, SCALE);
+    if rest.iter().any(|a| a == "--json") {
+        bail("--json: use `darco run --json`, which prints the same report");
+    }
+    let o = parse("analyze", rest, &["--profile", "--scale", "--cosim", "--n"], SCALE);
     let profile = o.profile();
     eprintln!("analyzing {} at scale {} ...", profile.name, o.scale);
     let w = generate(&profile, o.scale);
@@ -306,25 +318,12 @@ fn analyze(rest: &[String]) {
     let tol_cfg = cfg.tol.clone();
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();
-    if o.json {
-        println!("{}", serde_json::to_string_pretty(&report).expect("serialize"));
-        return;
-    }
     let tol = sys.tol();
 
     // Hottest translated regions, deduplicated by guest entry.
-    let mut blocks: Vec<(u32, u64)> =
-        tol.cc.blocks().map(|(_, b)| (b.guest_entry, b.exec_count)).collect();
-    blocks.sort_by_key(|&(entry, execs)| (std::cmp::Reverse(execs), entry));
     let mut seen = std::collections::HashSet::new();
-    let mut dumped = 0usize;
-    for &(entry, _) in &blocks {
-        if dumped >= o.n {
-            break;
-        }
-        if !seen.insert(entry) {
-            continue;
-        }
+    let entries = hottest(tol).into_iter().map(|(_, b)| b.guest_entry).filter(|&e| seen.insert(e));
+    for entry in entries.take(o.n) {
         match decode_bb(&analysis_mem, entry) {
             Ok(region) => {
                 let block = translate_region(&region);
@@ -334,7 +333,6 @@ fn analyze(rest: &[String]) {
                     block.ops.len(),
                     darco_tol::ir::pretty(&block)
                 );
-                dumped += 1;
             }
             Err(e) => eprintln!("region {entry:#x}: decode fault: {e}"),
         }
@@ -384,7 +382,13 @@ fn analyze(rest: &[String]) {
     );
 }
 
-fn print_report(r: &Report) {
+/// Prints `r` as `darco run` does: the serialized report on `--json`,
+/// its headline numbers otherwise.
+fn print_report(r: &Report, json: bool) {
+    if json {
+        println!("{}", serde_json::to_string_pretty(r).expect("serialize"));
+        return;
+    }
     println!("benchmark          : {}", r.name);
     println!("guest instructions : {}", r.guest_insts);
     println!("host instructions  : {}", r.timing.total_insts());
@@ -430,34 +434,10 @@ fn print_report(r: &Report) {
     );
 }
 
-// ---------------------------------------------------------------- trace
-
-fn trace(rest: &[String]) {
-    let o = parse(rest, SCALE);
-    let w = generate(&o.profile(), o.scale);
-    let mut mem = w.mem.clone();
-    let mut cpu = w.initial.clone();
-    println!("first {} guest instructions of {}:", o.n, w.name);
-    for i in 0..o.n {
-        if cpu.halted {
-            println!("[halted]");
-            break;
-        }
-        let pc = cpu.eip;
-        match darco_guest::exec::step(&mut cpu, &mut mem) {
-            Ok(info) => println!("{i:6}  {pc:#010x}  {}", info.inst),
-            Err(e) => {
-                println!("{i:6}  {pc:#010x}  <decode fault: {e}>");
-                break;
-            }
-        }
-    }
-}
-
 // --------------------------------------------------------------- disasm
 
 fn disasm(rest: &[String]) {
-    let o = parse(rest, SCALE);
+    let o = parse("disasm", rest, &["--profile", "--scale", "--n"], SCALE);
     let w = generate(&o.profile(), o.scale);
     let mut mem = w.mem.clone();
     let mut tol = Tol::new(SystemConfig::default().tol, w.entry);
@@ -465,20 +445,14 @@ fn disasm(rest: &[String]) {
     let mut sink = darco_host::NullSink;
     tol.run(&mut mem, &mut sink, u64::MAX).expect("run");
 
-    // Rank resident translations by execution count.
-    let mut blocks: Vec<darco_host::BlockId> = tol.cc.blocks().map(|(id, _)| id).collect();
-    blocks.sort_by_key(|&b| {
-        let blk = tol.cc.get(b).expect("resident block");
-        (std::cmp::Reverse(blk.exec_count), blk.guest_entry)
-    });
+    let blocks = hottest(&tol);
     println!(
         "hottest {} of {} resident translations in {}:",
         o.n.min(blocks.len()),
         tol.cc.resident(),
         w.name
     );
-    for &b in blocks.iter().take(o.n) {
-        let blk = tol.cc.get(b).expect("resident block");
+    for &(b, blk) in blocks.iter().take(o.n) {
         let kind = match blk.kind {
             BlockKind::Bb => "BBM",
             BlockKind::Sb => "SBM",
@@ -498,29 +472,17 @@ fn disasm(rest: &[String]) {
     }
 }
 
-// ------------------------------------------------------------- timeline
-
-fn timeline(rest: &[String]) {
-    let o = parse(rest, SCALE);
-    let cfg = SystemConfig { cosim: false, window_guest_insts: 50_000, ..SystemConfig::default() };
-    let mut sys = System::new(generate(&o.profile(), o.scale), cfg);
-    let r = sys.run_to_completion();
-    println!(
-        "{}: per-window (50K guest insts) cycles and TOL share — the start-up transient:",
-        r.name
-    );
-    println!("{:>12} {:>12} {:>10}", "guest insts", "cycles", "TOL share");
-    for w in r.timeline.iter().take(o.n) {
-        println!("{:>12} {:>12} {:>9.1}%", w.guest_insts, w.cycles, w.overhead_share() * 100.0);
-    }
+/// The resident translations, most executed first (ties by guest entry).
+fn hottest(tol: &Tol) -> Vec<(BlockId, &TranslatedBlock)> {
+    let mut blocks: Vec<_> = tol.cc.blocks().collect();
+    blocks.sort_by_key(|(_, b)| (std::cmp::Reverse(b.exec_count), b.guest_entry));
+    blocks
 }
 
 // -------------------------------------------------------- export-profile
 
 fn export_profile(rest: &[String]) {
-    let (Some(name), Some(path)) = (rest.first(), rest.get(1)) else {
-        bail("usage: darco export-profile <benchmark> <file.json>")
-    };
+    let [name, path] = rest else { bail("usage: darco export-profile <benchmark> <file.json>") };
     let json = serde_json::to_string_pretty(&named_profile(name)).expect("serialize profile");
     std::fs::write(path, json).unwrap_or_else(|e| bail(&format!("write {path}: {e}")));
     eprintln!("wrote {path}; edit it and run `darco run --profile {path}`");

@@ -6,6 +6,20 @@ fn darco(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_darco")).args(args).output().expect("spawn darco")
 }
 
+/// Runs `darco args`, which must succeed, and returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = darco(args);
+    assert!(out.status.success(), "{args:?} failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// What `darco --help` prints, with exit 0, on stderr.
+fn usage() -> String {
+    let out = darco(&["--help"]);
+    assert!(out.status.success(), "darco --help must exit 0");
+    String::from_utf8(out.stderr).expect("utf-8 usage")
+}
+
 /// Exit status 2 and a message on stderr containing `needle`.
 fn rejected(args: &[&str], needle: &str) {
     let out = darco(args);
@@ -31,9 +45,7 @@ fn scale_must_be_finite_and_positive() {
 
 #[test]
 fn figures_prints_table_one() {
-    let out = darco(&["figures", "table1"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "darco figures failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = stdout_of(&["figures", "table1"]);
     assert!(
         stdout.contains("=== Table I: host processor microarchitectural parameters ===")
             && stdout.contains("Issue width"),
@@ -55,17 +67,12 @@ fn figures_rejects_an_unknown_figure_and_the_removed_quick_flag() {
 }
 
 #[test]
-fn figures_help_exits_zero() {
-    let out = darco(&["figures", "--help"]);
-    assert!(out.status.success(), "figures --help must exit 0");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("darco figures [all|table1"));
-}
-
-#[test]
-fn removed_switches_are_unknown_flags() {
+fn removed_switches_and_commands_are_unknown() {
     rejected(&["run", "quicktest", "--timing-backend", "inline"], "unknown flag --timing-backend");
     rejected(&["run", "quicktest", "--guest-fast-path", "off"], "unknown flag --guest-fast-path");
     rejected(&["run", "quicktest", "--cache-policy", "fifo"], "unknown flag --cache-policy");
+    rejected(&["trace", "quicktest"], "unknown command: trace");
+    rejected(&["timeline", "quicktest"], "unknown command: timeline");
 }
 
 /// `darco run --profile` on the exported quicktest profile with `from`
@@ -127,29 +134,127 @@ fn deeply_nested_profile_is_rejected_not_a_stack_overflow() {
 }
 
 #[test]
-fn verify_co_simulates_against_the_independent_executor() {
-    let out = darco(&["verify", "quicktest", "--scale", "0.05"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "darco verify failed: {stderr}");
-    assert!(
-        stderr.contains("verify: OK — ") && stderr.contains("against the independent exec::step"),
-        "{stderr}"
-    );
-}
-
-#[test]
 fn disasm_prints_the_hottest_translations() {
-    let out = darco(&["disasm", "quicktest", "--scale", "0.05", "--n", "2"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "darco disasm failed: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = stdout_of(&["disasm", "quicktest", "--scale", "0.05", "--n", "2"]);
     assert!(stdout.contains("hottest 2 of ") && stdout.contains("--- exits ---"), "{stdout}");
 }
 
 #[test]
-fn verify_reports_what_run_with_cosim_does() {
+fn verify_co_simulates_and_reports_what_run_with_cosim_does() {
     let verify = darco(&["verify", "quicktest", "--scale", "0.05", "--json"]);
-    let run = darco(&["run", "quicktest", "--scale", "0.05", "--cosim", "--json"]);
-    assert!(verify.status.success() && run.status.success());
-    assert!(!verify.stdout.is_empty());
-    assert_eq!(verify.stdout, run.stdout, "the checker's authority changes no reported number");
+    let stderr = String::from_utf8_lossy(&verify.stderr);
+    assert!(verify.status.success(), "darco verify failed: {stderr}");
+    assert!(stderr.contains("verify: OK — ") && stderr.contains("the independent exec::step"));
+    let run = stdout_of(&["run", "quicktest", "--scale", "0.05", "--cosim", "--json"]);
+    assert!(!run.is_empty());
+    assert_eq!(verify.stdout, run.as_bytes(), "the checker's authority changes no reported number");
+}
+
+/// The commands `darco --help` lists, each run by a test of this file.
+const COMMANDS: [&str; 8] =
+    ["list", "run", "run-set", "figures", "verify", "analyze", "disasm", "export-profile"];
+
+#[test]
+fn help_lists_every_command_and_works_after_each() {
+    let usage = usage();
+    let listed: Vec<&str> = usage
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .map(|l| l.split_whitespace().next().expect("command name"))
+        .collect();
+    assert_eq!(listed, COMMANDS, "{usage}");
+    for command in COMMANDS {
+        for help in ["--help", "-h"] {
+            let out = darco(&[command, "quicktest", help]);
+            assert!(out.status.success(), "{command} {help} must exit 0");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), usage, "{command} {help}");
+        }
+    }
+}
+
+#[test]
+fn a_command_refuses_each_flag_the_usage_does_not_list_for_it() {
+    // `darco disasm quicktest --cosim --json --jobs 3` and
+    // `darco run --jobs 9 --n 3` used to exit 0, the flags ignored.
+    let usage = usage();
+    let flags = usage.lines().skip_while(|l| *l != "flags:").filter(|l| l.starts_with("  --"));
+    let mut refused = 0;
+    for (head, _meaning) in flags.filter_map(|l| l.split_once(':')) {
+        let (flag, takers) = head.trim().split_once(' ').expect("flag, then its commands");
+        let takers: Vec<&str> = takers.split([' ', ',']).filter(|w| !w.is_empty()).collect();
+        // `figures` refuses with its own messages (pinned above),
+        // `export-profile` takes no flag, and `analyze --json` below.
+        for command in ["list", "run", "run-set", "verify", "analyze", "disasm"] {
+            if !takers.contains(&command) && (command, flag) != ("analyze", "--json") {
+                rejected(&[command, flag], &format!("{flag}: `darco {command}` does not take it"));
+                refused += 1;
+            }
+        }
+    }
+    assert_eq!(refused, 16, "{usage}");
+}
+
+#[test]
+fn a_command_refuses_words_it_does_not_read() {
+    for (args, needle) in [
+        (&["analyze", "quicktest", "--json"][..], "--json: use `darco run --json`"),
+        (&["list", "quicktest"], "quicktest: `darco list` takes no benchmark"),
+        (&["export-profile", "quicktest", "f.json", "junk"], "usage: darco export-profile"),
+        (&["export-profile", "quicktest"], "usage: darco export-profile"),
+        (&["bogus", "--help"], "unknown command: bogus"),
+    ] {
+        rejected(args, needle);
+    }
+}
+
+#[test]
+fn list_prints_the_roster() {
+    let stdout = stdout_of(&["list"]);
+    assert!(stdout.starts_with("benchmark "), "{stdout}");
+    assert!(stdout.contains("\n400.perlbench ") && stdout.contains("plus `quicktest`"), "{stdout}");
+    // A header, the 48 benchmarks, a blank line and the quicktest note.
+    assert_eq!(stdout.lines().count(), 1 + 48 + 2, "{stdout}");
+}
+
+#[test]
+fn run_set_output_does_not_depend_on_the_job_count() {
+    let set = ["run-set", "quicktest", "000.cjpeg", "--scale", "0.05", "--json"];
+    let one = stdout_of(&[&set[..], &["--jobs", "1"]].concat());
+    let two = stdout_of(&[&set[..], &["--jobs", "2"]].concat());
+    assert!(one.contains("\"name\": \"000.cjpeg\""), "{one}");
+    assert_eq!(one, two, "a run is independent of the threads beside it");
+    let table = stdout_of(&["run-set", "quicktest", "--scale", "0.05"]);
+    assert!(table.starts_with("benchmark ") && table.contains("\nquicktest "), "{table}");
+}
+
+#[test]
+fn analyze_prints_the_ir_and_the_compile_path() {
+    let stdout = stdout_of(&["analyze", "quicktest", "--scale", "0.05", "--n", "1"]);
+    assert_eq!(stdout.matches("region @ ").count(), 1, "{stdout}");
+    for row in ["compile stage", "\nregalloc ", "\ntotal ", "share of Tol::run wall", "app-owned"] {
+        assert!(stdout.contains(row), "analyze lacks `{row}`: {stdout}");
+    }
+}
+
+#[test]
+fn figures_startup_prints_one_transient_per_benchmark() {
+    let stdout = stdout_of(&["figures", "startup", "--scale", "0.05"]);
+    assert!(stdout.contains("=== Start-up vs steady state"), "{stdout}");
+    for name in ["462.libquantum", "400.perlbench", "000.cjpeg"] {
+        assert!(stdout.contains(&format!("{name}: TOL share of host instructions")), "{stdout}");
+    }
+}
+
+#[test]
+fn an_exported_profile_runs_like_the_benchmark_it_came_from() {
+    let path = std::env::temp_dir().join(format!("darco-cli-export-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    stdout_of(&["export-profile", "quicktest", path]);
+    let exported = stdout_of(&["run", "--profile", path, "--scale", "0.05", "--json"]);
+    let named = stdout_of(&["run", "quicktest", "--scale", "0.05", "--json"]);
+    assert_eq!(exported, named);
+    std::fs::remove_file(path).expect("clean up");
 }

@@ -31,16 +31,6 @@ impl BubbleCause {
         BubbleCause::Scheduling,
     ];
 
-    /// Report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            BubbleCause::DCacheMiss => "D$ miss bubbles",
-            BubbleCause::ICacheMiss => "I$ miss bubbles",
-            BubbleCause::Branch => "Branch bubbles",
-            BubbleCause::Scheduling => "Instruction scheduling",
-        }
-    }
-
     /// Column of [`Stats::bubbles`] (the position in [`BubbleCause::ALL`]).
     pub(crate) const fn index(self) -> usize {
         self as usize
@@ -241,8 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn labels() {
-        assert_eq!(BubbleCause::DCacheMiss.label(), "D$ miss bubbles");
+    fn all_is_in_index_order() {
         assert_eq!(BubbleCause::ALL.len(), 4);
         for (i, b) in BubbleCause::ALL.iter().enumerate() {
             assert_eq!(b.index(), i, "{b:?} index out of sync with ALL");

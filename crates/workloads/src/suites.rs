@@ -335,11 +335,6 @@ pub fn all_profiles() -> Vec<BenchProfile> {
     ]
 }
 
-/// Profiles of one suite, in figure order.
-pub fn suite_profiles(suite: Suite) -> Vec<BenchProfile> {
-    all_profiles().into_iter().filter(|p| p.suite == suite).collect()
-}
-
 /// Looks up a profile by its figure name (e.g. `"400.perlbench"`).
 pub fn by_name(name: &str) -> Option<BenchProfile> {
     all_profiles().into_iter().find(|p| p.name == name)
@@ -366,10 +361,11 @@ mod tests {
     fn exactly_48_benchmarks() {
         let all = all_profiles();
         assert_eq!(all.len(), 48);
-        assert_eq!(suite_profiles(Suite::SpecInt).len(), 12);
-        assert_eq!(suite_profiles(Suite::SpecFp).len(), 16);
-        assert_eq!(suite_profiles(Suite::Physics).len(), 8);
-        assert_eq!(suite_profiles(Suite::Media).len(), 12);
+        let count = |s: Suite| all.iter().filter(|p| p.suite == s).count();
+        assert_eq!(count(Suite::SpecInt), 12);
+        assert_eq!(count(Suite::SpecFp), 16);
+        assert_eq!(count(Suite::Physics), 8);
+        assert_eq!(count(Suite::Media), 12);
     }
 
     #[test]
@@ -411,7 +407,7 @@ mod tests {
 
         // FP suite is more FP-heavy than INT on average.
         let avg = |s: Suite| {
-            let v = suite_profiles(s);
+            let v: Vec<_> = all_profiles().into_iter().filter(|p| p.suite == s).collect();
             v.iter().map(|p| p.fp_fraction).sum::<f64>() / v.len() as f64
         };
         assert!(avg(Suite::SpecFp) > 3.0 * avg(Suite::SpecInt));

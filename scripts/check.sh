@@ -9,12 +9,13 @@ cd "$(dirname "$0")/.."
 # revert must not bring a switch back without anyone noticing. The
 # names may only appear in DESIGN.md's "Removed mechanisms" section, in
 # the history files (CHANGELOG.md, CHANGES.md, EXPERIMENTS.md, ROADMAP.md),
-# in the CLI test that pins the removed flags as unknown, in the pass
-# reference that round 8 moved out of production (one of its tests is
-# named after the BBM peephole, whose switch round 12 merged), and in the
-# one property test whose name predates the audit. Round 9 names
-# identifiers of the criterion layer, not the word: "criterion" is
-# ordinary English in the manuals.
+# in the CLI test that pins the removed flags and commands as unknown, in
+# the pass reference that round 8 moved out of production (one of its
+# tests is named after the BBM peephole, whose switch round 12 merged),
+# and in the one property test whose name predates the audit. Round 9
+# names identifiers of the criterion layer, not the word: "criterion" is
+# ordinary English in the manuals. Round 15 names the removed commands
+# and examples as they were invoked.
 echo "== removed switches stay removed"
 round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
@@ -28,7 +29,8 @@ round10='evict_block|note_smc_eviction|Evicted\b|smc_evictions|\bunchains\b|free
 round11='RunConfig|darco-bench\b|run_set_parallel|max_guest_insts|static_total|dynamic_total|CARGO_BIN_EXE_figures'
 round12='opt_constprop|opt_cse\b|opt_dce|bbm_peephole'
 round13='partial_cycle|count_hit|btb_tags|btb_targets|tlb_walks|sw_prefetches|l1_miss_rate'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13"
+round15='darco trace|darco timeline|characterize_tol|interaction_study|example quickstart'
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
