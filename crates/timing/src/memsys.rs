@@ -6,15 +6,15 @@
 //! lines and vice versa (the "ping-pong" effect of Sec. III-D). The
 //! "without interaction" numbers of Figs. 10 and 11 come from a pipeline
 //! that is fed one owner's instructions only, not from a second set of
-//! structures here. Demand statistics are kept per owner so miss rates
-//! can be reported per entity.
+//! structures here. The structures keep no counts of who used them: each
+//! access returns its outcome, and the pipeline counts it against the
+//! component of the instruction that made it.
 
 use crate::cache::{Cache, Lookup};
 use crate::config::TimingConfig;
 use crate::prefetch::StridePrefetcher;
 use crate::tlb::Tlb;
 use darco_host::layout::is_guest_addr;
-use darco_host::Owner;
 
 /// Outcome of a data access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,8 +23,6 @@ pub struct DataAccess {
     pub latency: u32,
     /// Missed in the L1 data cache.
     pub l1_miss: bool,
-    /// Missed in the L2 as well.
-    pub l2_miss: bool,
 }
 
 /// Outcome of an instruction fetch access.
@@ -34,39 +32,6 @@ pub struct InstAccess {
     pub latency: u32,
     /// Missed in the L1 instruction cache.
     pub l1_miss: bool,
-}
-
-/// Per-owner demand counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OwnerMemStats {
-    /// Demand data accesses.
-    pub d_accesses: u64,
-    /// L1-D demand misses.
-    pub d_misses: u64,
-    /// Instruction-fetch line accesses.
-    pub i_accesses: u64,
-    /// L1-I misses.
-    pub i_misses: u64,
-}
-
-impl OwnerMemStats {
-    /// L1-D miss rate (0 when idle).
-    pub fn d_miss_rate(&self) -> f64 {
-        if self.d_accesses == 0 {
-            0.0
-        } else {
-            self.d_misses as f64 / self.d_accesses as f64
-        }
-    }
-
-    /// L1-I miss rate (0 when idle).
-    pub fn i_miss_rate(&self) -> f64 {
-        if self.i_accesses == 0 {
-            0.0
-        } else {
-            self.i_misses as f64 / self.i_accesses as f64
-        }
-    }
 }
 
 /// Sentinel for "no previous L1-D line": real line numbers fit in 58
@@ -81,7 +46,6 @@ pub struct MemSystem {
     l2: Cache,
     tlb: Tlb,
     prefetch: StridePrefetcher,
-    stats: [OwnerMemStats; 2],
     l1_hit: u32,
     l2_hit: u32,
     mem_lat: u32,
@@ -90,13 +54,6 @@ pub struct MemSystem {
     /// may disturb replacement state in the same set).
     last_d_line: u64,
     d_line_shift: u32,
-}
-
-fn owner_idx(owner: Owner) -> usize {
-    match owner {
-        Owner::App => 0,
-        Owner::Tol => 1,
-    }
 }
 
 impl MemSystem {
@@ -108,7 +65,6 @@ impl MemSystem {
             l2: Cache::new(cfg.l2),
             tlb: Tlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
             prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
-            stats: [OwnerMemStats::default(); 2],
             l1_hit: cfg.l1d.hit_latency,
             l2_hit: cfg.l2.hit_latency,
             mem_lat: cfg.mem_latency,
@@ -117,14 +73,12 @@ impl MemSystem {
         }
     }
 
-    /// Performs a demand data access (load or store) for `owner` at
-    /// `addr`, issued by the instruction at `pc`.
+    /// Performs a demand data access (load or store) at `addr`, issued
+    /// by the instruction at `pc`.
     ///
     /// The data TLB is consulted only for guest-space addresses: the
     /// software layer works with physical addresses (Sec. II-A-2).
-    pub fn access_data(&mut self, owner: Owner, pc: u64, addr: u64) -> DataAccess {
-        self.stats[owner_idx(owner)].d_accesses += 1;
-
+    pub fn access_data(&mut self, pc: u64, addr: u64) -> DataAccess {
         let line = addr >> self.d_line_shift;
         let fast_hit = line == self.last_d_line;
 
@@ -137,7 +91,6 @@ impl MemSystem {
         }
 
         let mut l1_miss = false;
-        let mut l2_miss = false;
         if fast_hit {
             // Same L1-D line as the previous demand access, with no fill
             // in between (fills clear `last_d_line`): the probe would hit
@@ -146,9 +99,8 @@ impl MemSystem {
         } else {
             l1_miss = self.l1d.access(addr) == Lookup::Miss;
             if l1_miss {
-                self.stats[owner_idx(owner)].d_misses += 1;
-                l2_miss = self.l2.access(addr) == Lookup::Miss;
-                latency += if l2_miss { self.mem_lat } else { self.l2_hit };
+                latency +=
+                    if self.l2.access(addr) == Lookup::Miss { self.mem_lat } else { self.l2_hit };
             } else {
                 latency += self.l1_hit;
             }
@@ -168,7 +120,7 @@ impl MemSystem {
             }
         }
 
-        DataAccess { latency, l1_miss, l2_miss }
+        DataAccess { latency, l1_miss }
     }
 
     /// Brings a line toward the core for a software prefetch: fills L1D
@@ -184,12 +136,9 @@ impl MemSystem {
     }
 
     /// Performs an instruction-fetch access for the line containing `pc`.
-    pub fn access_inst(&mut self, owner: Owner, pc: u64) -> InstAccess {
-        let s = &mut self.stats[owner_idx(owner)];
-        s.i_accesses += 1;
+    pub fn access_inst(&mut self, pc: u64) -> InstAccess {
         let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = if l1_miss {
-            s.i_misses += 1;
             if self.l2.access(pc) == Lookup::Miss {
                 self.mem_lat
             } else {
@@ -199,11 +148,6 @@ impl MemSystem {
             1
         };
         InstAccess { latency, l1_miss }
-    }
-
-    /// Per-owner demand statistics.
-    pub fn owner_stats(&self, owner: Owner) -> OwnerMemStats {
-        self.stats[owner_idx(owner)]
     }
 
     /// Total prefetches issued.
@@ -230,11 +174,11 @@ mod tests {
     fn data_hit_miss_latencies() {
         let mut m = table_i();
         // Cold: TLB walk (128 - 1 overlapped) + memory (128).
-        let a = m.access_data(Owner::App, 0x10, 0x8000);
-        assert!(a.l1_miss && a.l2_miss);
+        let a = m.access_data(0x10, 0x8000);
+        assert!(a.l1_miss);
         assert_eq!(a.latency, 127 + 128);
         // Warm: TLB L1 hit (overlapped) + L1D hit.
-        let b = m.access_data(Owner::App, 0x10, 0x8000);
+        let b = m.access_data(0x10, 0x8000);
         assert!(!b.l1_miss);
         assert_eq!(b.latency, 1);
     }
@@ -242,8 +186,8 @@ mod tests {
     #[test]
     fn tol_addresses_skip_tlb() {
         let mut m = table_i();
-        let a = m.access_data(Owner::Tol, 0x10, TOL_DATA_BASE + 0x100);
-        assert!(a.l1_miss && a.l2_miss);
+        let a = m.access_data(0x10, TOL_DATA_BASE + 0x100);
+        assert!(a.l1_miss);
         assert_eq!(a.latency, 128, "no TLB serialization for physical TOL data");
     }
 
@@ -251,43 +195,32 @@ mod tests {
     fn tol_accesses_evict_application_lines() {
         // App touches a line; TOL then floods the same set, evicting it.
         let mut m = table_i();
-        m.access_data(Owner::App, 0x10, 0x4000);
+        m.access_data(0x10, 0x4000);
         // 4-way L1D, 128 sets, 64B lines: stride 8192 stays in one set.
         for i in 0..8u64 {
-            m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE + 0x4000 + i * 8192);
+            m.access_data(0x20, TOL_DATA_BASE + 0x4000 + i * 8192);
         }
-        let again = m.access_data(Owner::App, 0x10, 0x4000);
+        let again = m.access_data(0x10, 0x4000);
         assert!(again.l1_miss, "TOL evicted the app line");
-    }
-
-    #[test]
-    fn per_owner_stats_tracked_even_when_shared() {
-        let mut m = table_i();
-        m.access_data(Owner::App, 0x10, 0x1000);
-        m.access_data(Owner::Tol, 0x20, TOL_DATA_BASE);
-        assert_eq!(m.owner_stats(Owner::App).d_accesses, 1);
-        assert_eq!(m.owner_stats(Owner::Tol).d_accesses, 1);
-        assert_eq!(m.owner_stats(Owner::App).d_misses, 1);
     }
 
     #[test]
     fn inst_fetch_path() {
         let mut m = table_i();
-        let a = m.access_inst(Owner::App, 0x100);
+        let a = m.access_inst(0x100);
         assert!(a.l1_miss);
         assert_eq!(a.latency, 128);
-        let b = m.access_inst(Owner::App, 0x104);
+        let b = m.access_inst(0x104);
         assert!(!b.l1_miss);
         assert_eq!(b.latency, 1);
-        assert!(m.owner_stats(Owner::App).i_miss_rate() < 1.0);
     }
 
     #[test]
     fn fast_paths_match_full_probe_oracle() {
         // Flat layout + shortcuts vs the per-set, full-probe reference
         // model on a mixed stream (repeats, strides, one hammered set, sw
-        // prefetches, both owners): every access result and all counters
-        // must be identical.
+        // prefetches, guest and TOL space): every access result and the
+        // prefetch count must be identical.
         let cfg = TimingConfig::default();
         let mut f = MemSystem::new(&cfg);
         let mut s = crate::reference::FullProbeMemSystem::new(&cfg);
@@ -296,8 +229,7 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let owner = if x & 8 == 0 { Owner::App } else { Owner::Tol };
-            let base = if owner == Owner::App { 0 } else { TOL_DATA_BASE };
+            let base = if x & 8 == 0 { 0 } else { TOL_DATA_BASE };
             let addr = if x & 0x60 == 0 {
                 // Six lines of one L1-D set (4-way): fills and repeat
                 // hits in the set the last-line shortcut vouches for.
@@ -314,19 +246,11 @@ mod tests {
                 f.prefetch_fill(addr);
                 s.prefetch_fill(addr);
             } else {
-                assert_eq!(
-                    f.access_data(owner, pc, addr),
-                    s.access_data(owner, pc, addr),
-                    "access {i}"
-                );
+                assert_eq!(f.access_data(pc, addr), s.access_data(pc, addr), "access {i}");
             }
             if i % 5 == 0 {
-                assert_eq!(f.access_inst(owner, pc), s.access_inst(owner, pc));
+                assert_eq!(f.access_inst(pc), s.access_inst(pc));
             }
-        }
-        let counts = |s: OwnerMemStats| [s.d_accesses, s.d_misses, s.i_accesses, s.i_misses];
-        for o in [Owner::App, Owner::Tol] {
-            assert_eq!(counts(f.owner_stats(o)), counts(s.owner_stats(o)), "{o:?}");
         }
         assert_eq!(f.prefetches(), s.prefetches());
     }
@@ -337,7 +261,7 @@ mod tests {
         let pc = 0x500;
         let mut misses = 0;
         for i in 0..64u64 {
-            let a = m.access_data(Owner::App, pc, 0x10000 + i * 64);
+            let a = m.access_data(pc, 0x10000 + i * 64);
             if a.l1_miss {
                 misses += 1;
             }

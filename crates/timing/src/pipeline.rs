@@ -24,7 +24,7 @@ use crate::memsys::MemSystem;
 use crate::predictor::Predictor;
 use crate::stats::{BubbleCause, Stats};
 use darco_host::stream::NO_REG;
-use darco_host::{DynInst, ExecClass, Owner};
+use darco_host::{DynInst, ExecClass};
 
 /// Register ids in use: 64 int + 32 fp.
 const REGS: u8 = 96;
@@ -151,7 +151,6 @@ impl Pipeline {
             [d.srcs[0], d.srcs[1], d.dst].iter().all(|&r| r < REGS || r == NO_REG),
             "register id out of range: {d:?}"
         );
-        let owner = d.owner();
         let comp = d.component.index();
         let width = self.cfg.issue_width;
         self.stats.insts[comp] += 1;
@@ -173,7 +172,9 @@ impl Pipeline {
         let line = d.pc >> self.i_line_shift;
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
-            let acc = self.mem.access_inst(owner, d.pc);
+            let acc = self.mem.access_inst(d.pc);
+            self.stats.i_accesses[comp] += 1;
+            self.stats.i_misses[comp] += u64::from(acc.l1_miss);
             if acc.latency > 1 {
                 let icache_delay = (acc.latency - 1) as u64;
                 // The larger of redirect vs I$ delay dominates attribution.
@@ -256,7 +257,9 @@ impl Pipeline {
                         self.mem.prefetch_fill(m.addr);
                         1
                     } else {
-                        let acc = self.mem.access_data(owner, d.pc, m.addr);
+                        let acc = self.mem.access_data(d.pc, m.addr);
+                        self.stats.d_accesses[comp] += 1;
+                        self.stats.d_misses[comp] += u64::from(acc.l1_miss);
                         if d.class == ExecClass::Load {
                             // Any latency beyond the L1 hit (cache miss
                             // or TLB serialization) is a memory-system
@@ -288,7 +291,8 @@ impl Pipeline {
         // ---- Control flow -------------------------------------------
         if let Some((kind, target, taken)) = d.branch() {
             let mispredict = self.pred.predict_and_update(d.pc, kind, taken, target);
-            self.stats.record_branch(owner, mispredict);
+            self.stats.branches[comp] += 1;
+            self.stats.mispredicts[comp] += u64::from(mispredict);
             if mispredict {
                 // Resolved in EXE; resteer the cycle after.
                 self.redirect_at = Some((exec + 1, comp));
@@ -323,8 +327,9 @@ impl Pipeline {
         self.snapshot()
     }
 
-    /// Read-only view of the running instruction and branch counts
-    /// (cycle, bubble and memory-system totals are only filled by
+    /// Read-only view of the running counts: instructions, cache
+    /// accesses and misses, branches and mispredictions (cycle, bubble
+    /// and prefetch totals are only filled by
     /// [`Pipeline::finish`]/[`Pipeline::snapshot`]).
     pub fn stats(&self) -> &Stats {
         &self.stats
@@ -348,13 +353,6 @@ impl Pipeline {
                 *c = u as f64 / width;
             }
         }
-        for (i, owner) in [Owner::App, Owner::Tol].into_iter().enumerate() {
-            let m = self.mem.owner_stats(owner);
-            s.d_accesses[i] = m.d_accesses;
-            s.d_misses[i] = m.d_misses;
-            s.i_accesses[i] = m.i_accesses;
-            s.i_misses[i] = m.i_misses;
-        }
         s.prefetches = self.mem.prefetches();
         s
     }
@@ -364,7 +362,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use darco_host::stream::int_reg;
-    use darco_host::{BranchKind, Component};
+    use darco_host::{BranchKind, Component, Owner};
 
     fn simple(pc: u64) -> DynInst {
         DynInst::plain(pc, ExecClass::SimpleInt, Component::AppCode)
@@ -551,6 +549,55 @@ mod tests {
         let s = p.finish();
         assert_eq!(s.d_misses[0], 0, "prefetched line must hit");
         assert_eq!(s.prefetches, 0, "software prefetches are not HW-prefetcher issues");
+    }
+
+    #[test]
+    fn every_count_lands_at_its_component() {
+        // Component `i` retires, on a line of its own: one instruction
+        // that misses the L1-I, one load that misses the L1-D and `i`
+        // that hit its line, `i` correctly predicted branches and one
+        // mispredicted jump. Each count moves at index `i` only.
+        let mut p = Pipeline::new(TimingConfig::default());
+        let counts = |s: &Stats| {
+            [s.i_accesses, s.i_misses, s.d_accesses, s.d_misses, s.branches, s.mispredicts]
+        };
+        for c in Component::ALL {
+            let i = c.index() as u64;
+            let pc = 0x10_0000 + i * 0x1000;
+            let data = 0x20_0000 + i * 0x1000;
+            let before = counts(p.stats());
+            p.retire(&DynInst::plain(pc, ExecClass::SimpleInt, c));
+            for k in 0..=i {
+                let ld = DynInst::plain(pc + 4 + k * 4, ExecClass::Load, c);
+                p.retire(&ld.with_dst(int_reg(2)).with_mem(data, 8, false));
+            }
+            for k in 0..i {
+                let br = DynInst::plain(pc + 32 + k * 4, ExecClass::Branch, c);
+                p.retire(&br.with_branch(BranchKind::CondDirect, pc, false));
+            }
+            let jump = DynInst::plain(pc + 60, ExecClass::Jump, c);
+            p.retire(&jump.with_branch(BranchKind::Indirect, 0x30_0000 + i * 64, true));
+            let after = counts(p.stats());
+            let expected = [1, 1, 1 + i, 1, 1 + i, 1];
+            for (k, (a, b)) in after.iter().zip(&before).enumerate() {
+                for j in 0..7 {
+                    let moved = a[j] - b[j];
+                    let want = if j == c.index() { expected[k] } else { 0 };
+                    assert_eq!(moved, want, "counter {k}, index {j}, retired by {c:?}");
+                }
+            }
+        }
+        let s = p.finish();
+        // Owner rates are ratios of sums: 6 misses over 6 + 21 accesses
+        // for the software layer, not a mean of its per-component rates.
+        assert_eq!(s.d_miss_rate(Owner::App), 1.0);
+        assert_eq!(s.d_miss_rate(Owner::Tol), 6.0 / 27.0);
+        assert_eq!(s.mispredict_rate(Owner::Tol), 6.0 / 27.0);
+        assert_eq!(s.i_miss_rate(Owner::Tol), 1.0);
+        let tol = |a: [u64; 7]| a[1..].iter().sum::<u64>() as f64;
+        assert_eq!(s.d_miss_rate(Owner::Tol), tol(s.d_misses) / tol(s.d_accesses));
+        assert_eq!(s.mispredict_rate(Owner::Tol), tol(s.mispredicts) / tol(s.branches));
+        assert_eq!(s.i_miss_rate(Owner::Tol), tol(s.i_misses) / tol(s.i_accesses));
     }
 
     #[test]

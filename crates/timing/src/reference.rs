@@ -7,18 +7,17 @@
 //! They are what the flat layout and the shortcuts replaced, kept
 //! readable rather than fast; the tests in `cache`, `tlb` and `memsys`
 //! run the same access streams through both and compare every outcome
-//! and the memory system's per-owner counters. Replacement
+//! and the prefetch count. Replacement
 //! ([`PlruSet`]) and prefetching ([`StridePrefetcher`]) are shared:
 //! they are policy, not layout.
 
 use crate::cache::Lookup;
 use crate::config::{CacheParams, TimingConfig, TlbParams};
-use crate::memsys::{DataAccess, InstAccess, OwnerMemStats};
+use crate::memsys::{DataAccess, InstAccess};
 use crate::plru::PlruSet;
 use crate::prefetch::StridePrefetcher;
 use crate::tlb::TlbOutcome;
 use darco_host::layout::is_guest_addr;
-use darco_host::Owner;
 
 struct Set {
     tags: Vec<u64>,
@@ -129,7 +128,6 @@ pub(crate) struct FullProbeMemSystem {
     l2: LegacyCache,
     tlb: FullProbeTlb,
     prefetch: StridePrefetcher,
-    stats: [OwnerMemStats; 2],
     cfg: TimingConfig,
 }
 
@@ -141,23 +139,21 @@ impl FullProbeMemSystem {
             l2: LegacyCache::new(cfg.l2),
             tlb: FullProbeTlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
             prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
-            stats: [OwnerMemStats::default(); 2],
             cfg: cfg.clone(),
         }
     }
 
-    pub(crate) fn access_data(&mut self, owner: Owner, pc: u64, addr: u64) -> DataAccess {
+    pub(crate) fn access_data(&mut self, pc: u64, addr: u64) -> DataAccess {
         let mut latency = 0;
         if is_guest_addr(addr) {
             let (_, tlb_lat) = self.tlb.access(addr);
             latency += tlb_lat.saturating_sub(1);
         }
         let l1_miss = self.l1d.access(addr) == Lookup::Miss;
-        let l2_miss = l1_miss && self.l2.access(addr) == Lookup::Miss;
-        latency += match (l1_miss, l2_miss) {
-            (false, _) => self.cfg.l1d.hit_latency,
-            (true, false) => self.cfg.l2.hit_latency,
-            (true, true) => self.cfg.mem_latency,
+        latency += match l1_miss {
+            false => self.cfg.l1d.hit_latency,
+            true if self.l2.access(addr) == Lookup::Miss => self.cfg.mem_latency,
+            true => self.cfg.l2.hit_latency,
         };
         if let Some(pf_addr) = self.prefetch.observe(pc, addr) {
             if !self.l1d.contains(pf_addr) {
@@ -165,10 +161,7 @@ impl FullProbeMemSystem {
                 self.l2.fill(pf_addr);
             }
         }
-        let n = &mut self.stats[owner as usize];
-        n.d_accesses += 1;
-        n.d_misses += u64::from(l1_miss);
-        DataAccess { latency, l1_miss, l2_miss }
+        DataAccess { latency, l1_miss }
     }
 
     pub(crate) fn prefetch_fill(&mut self, addr: u64) {
@@ -179,21 +172,14 @@ impl FullProbeMemSystem {
         self.l2.fill(addr);
     }
 
-    pub(crate) fn access_inst(&mut self, owner: Owner, pc: u64) -> InstAccess {
+    pub(crate) fn access_inst(&mut self, pc: u64) -> InstAccess {
         let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = match l1_miss {
             false => 1,
             true if self.l2.access(pc) == Lookup::Miss => self.cfg.mem_latency,
             true => self.cfg.l2.hit_latency,
         };
-        let n = &mut self.stats[owner as usize];
-        n.i_accesses += 1;
-        n.i_misses += u64::from(l1_miss);
         InstAccess { latency, l1_miss }
-    }
-
-    pub(crate) fn owner_stats(&self, owner: Owner) -> OwnerMemStats {
-        self.stats[owner as usize]
     }
 
     pub(crate) fn prefetches(&self) -> u64 {

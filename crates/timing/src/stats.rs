@@ -1,9 +1,10 @@
-//! Execution statistics: cycles, per-component instruction counts and
-//! bubble attribution.
+//! Execution statistics: cycles, bubble attribution and every event
+//! count, per component.
 //!
 //! The categories mirror the paper's figures: components are the Fig. 6/7
 //! execution-time breakdown, bubble causes are the Fig. 9/11 stall
-//! classes, and per-owner miss/misprediction rates feed Fig. 8.
+//! classes, and the per-owner miss/misprediction rates that feed Fig. 8
+//! are sums over each owner's components.
 
 use darco_host::{Component, Owner};
 use serde::Serialize;
@@ -46,28 +47,36 @@ pub struct Stats {
     pub insts: [u64; 7],
     /// Bubble cycles per component per cause ([`BubbleCause::ALL`] order).
     pub bubbles: [[f64; 4]; 7],
-    /// Demand L1-D accesses/misses per owner `[app, tol]`.
-    pub d_accesses: [u64; 2],
-    /// Demand L1-D misses per owner.
-    pub d_misses: [u64; 2],
-    /// L1-I line accesses per owner.
-    pub i_accesses: [u64; 2],
-    /// L1-I misses per owner.
-    pub i_misses: [u64; 2],
-    /// Control transfers per owner.
-    pub branches: [u64; 2],
-    /// Mispredictions per owner.
-    pub mispredicts: [u64; 2],
+    /// Demand L1-D accesses per component (software prefetches are not
+    /// demand accesses).
+    pub d_accesses: [u64; 7],
+    /// Demand L1-D misses per component.
+    pub d_misses: [u64; 7],
+    /// L1-I line accesses per component (one per fetched line change).
+    pub i_accesses: [u64; 7],
+    /// L1-I misses per component.
+    pub i_misses: [u64; 7],
+    /// Control transfers per component.
+    pub branches: [u64; 7],
+    /// Mispredicted control transfers per component.
+    pub mispredicts: [u64; 7],
     /// Prefetches issued.
     pub prefetches: u64,
     /// Issue width the run was configured with (for time accounting).
     pub issue_width: u32,
 }
 
-fn owner_idx(o: Owner) -> usize {
-    match o {
-        Owner::App => 0,
-        Owner::Tol => 1,
+/// Sum of a per-component count over an owner's components.
+fn owner_sum(counts: &[u64; 7], o: Owner) -> u64 {
+    Component::ALL.iter().filter(|c| c.owner() == o).map(|c| counts[c.index()]).sum()
+}
+
+/// `num / den`, or 0 when nothing was counted.
+fn rate(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -84,16 +93,12 @@ impl Stats {
 
     /// Instructions retired by an owner.
     pub fn owner_insts(&self, o: Owner) -> u64 {
-        Component::ALL.iter().filter(|c| c.owner() == o).map(|c| self.component_insts(*c)).sum()
+        owner_sum(&self.insts, o)
     }
 
     /// Instructions per cycle over the whole run.
     pub fn ipc(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
-        } else {
-            self.total_insts() as f64 / self.total_cycles as f64
-        }
+        rate(self.total_insts(), self.total_cycles)
     }
 
     /// Bubble cycles of one cause for a component.
@@ -152,40 +157,17 @@ impl Stats {
 
     /// L1-D miss rate per owner.
     pub fn d_miss_rate(&self, o: Owner) -> f64 {
-        let i = owner_idx(o);
-        if self.d_accesses[i] == 0 {
-            0.0
-        } else {
-            self.d_misses[i] as f64 / self.d_accesses[i] as f64
-        }
+        rate(owner_sum(&self.d_misses, o), owner_sum(&self.d_accesses, o))
     }
 
     /// L1-I miss rate per owner.
     pub fn i_miss_rate(&self, o: Owner) -> f64 {
-        let i = owner_idx(o);
-        if self.i_accesses[i] == 0 {
-            0.0
-        } else {
-            self.i_misses[i] as f64 / self.i_accesses[i] as f64
-        }
+        rate(owner_sum(&self.i_misses, o), owner_sum(&self.i_accesses, o))
     }
 
     /// Branch misprediction rate per owner.
     pub fn mispredict_rate(&self, o: Owner) -> f64 {
-        let i = owner_idx(o);
-        if self.branches[i] == 0 {
-            0.0
-        } else {
-            self.mispredicts[i] as f64 / self.branches[i] as f64
-        }
-    }
-
-    pub(crate) fn record_branch(&mut self, o: Owner, mispredicted: bool) {
-        let i = owner_idx(o);
-        self.branches[i] += 1;
-        if mispredicted {
-            self.mispredicts[i] += 1;
-        }
+        rate(owner_sum(&self.mispredicts, o), owner_sum(&self.branches, o))
     }
 }
 
@@ -222,12 +204,17 @@ mod tests {
 
     #[test]
     fn branch_recording() {
+        // An owner's rate is the ratio of its components' sums, not a
+        // mean of their rates.
         let mut s = Stats::default();
-        s.record_branch(Owner::App, true);
-        s.record_branch(Owner::App, false);
-        assert_eq!(s.branches[0], 2);
-        assert_eq!(s.mispredicts[0], 1);
+        s.branches[Component::AppCode.index()] = 2;
+        s.mispredicts[Component::AppCode.index()] = 1;
+        s.branches[Component::TolIm.index()] = 9;
+        s.mispredicts[Component::TolIm.index()] = 3;
+        s.branches[Component::TolLookup.index()] = 1;
+        s.mispredicts[Component::TolLookup.index()] = 1;
         assert!((s.mispredict_rate(Owner::App) - 0.5).abs() < 1e-12);
+        assert!((s.mispredict_rate(Owner::Tol) - 0.4).abs() < 1e-12);
     }
 
     #[test]

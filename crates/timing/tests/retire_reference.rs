@@ -9,9 +9,10 @@
 //! a fixed ring, selects); it must agree with this model on every cycle
 //! count and on every bit of every bubble cell, for any pipeline shape.
 //! Both add bubble time up in whole `1/width`-cycle units and divide
-//! once, when they report. The model is built from the public
-//! `MemSystem`/`Predictor`/`Stats` API only, so it is compiled into no
-//! library.
+//! once, when they report, and both count every event against the
+//! component of the instruction that caused it. The model is built from
+//! the public `MemSystem`/`Predictor`/`Stats` API only, so it is
+//! compiled into no library.
 
 use darco_host::layout::{CODE_CACHE_BASE, TOL_CODE_BASE, TOL_DATA_BASE};
 use darco_host::stream::NO_REG;
@@ -23,26 +24,6 @@ use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 const REGS: usize = 96; // 64 int + 32 fp
-
-/// The `pub(crate)` recording helpers of `Stats`, over its public fields.
-trait Record {
-    fn count_inst(&mut self, c: Component);
-    fn record_branch(&mut self, o: Owner, mispredicted: bool);
-}
-
-impl Record for Stats {
-    fn count_inst(&mut self, c: Component) {
-        self.insts[c.index()] += 1;
-    }
-
-    fn record_branch(&mut self, o: Owner, mispredicted: bool) {
-        let i = (o == Owner::Tol) as usize;
-        self.branches[i] += 1;
-        if mispredicted {
-            self.mispredicts[i] += 1;
-        }
-    }
-}
 
 struct Reference {
     cfg: TimingConfig,
@@ -103,8 +84,8 @@ impl Reference {
     }
 
     fn retire(&mut self, d: &DynInst) {
-        let owner = d.owner();
-        self.stats.count_inst(d.component);
+        let c = d.component.index();
+        self.stats.insts[c] += 1;
 
         // ---- Front end ----------------------------------------------
         let mut frontend_cause: Option<(BubbleCause, Component)> = None;
@@ -124,7 +105,11 @@ impl Reference {
         let line = d.pc >> self.i_line_shift;
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
-            let acc = self.mem.access_inst(owner, d.pc);
+            let acc = self.mem.access_inst(d.pc);
+            self.stats.i_accesses[c] += 1;
+            if acc.l1_miss {
+                self.stats.i_misses[c] += 1;
+            }
             if acc.latency > 1 {
                 let icache_delay = (acc.latency - 1) as u64;
                 // The larger of redirect vs I$ delay dominates attribution.
@@ -233,7 +218,11 @@ impl Reference {
                         self.mem.prefetch_fill(m.addr);
                         1
                     } else {
-                        let acc = self.mem.access_data(owner, d.pc, m.addr);
+                        let acc = self.mem.access_data(d.pc, m.addr);
+                        self.stats.d_accesses[c] += 1;
+                        if acc.l1_miss {
+                            self.stats.d_misses[c] += 1;
+                        }
                         if d.class == ExecClass::Load {
                             // Any latency beyond the L1 hit (cache miss
                             // or TLB serialization) is a memory-system
@@ -268,8 +257,9 @@ impl Reference {
         // ---- Control flow -------------------------------------------
         if let Some((kind, target, taken)) = d.branch() {
             let mispredict = self.pred.predict_and_update(d.pc, kind, taken, target);
-            self.stats.record_branch(owner, mispredict);
+            self.stats.branches[c] += 1;
             if mispredict {
+                self.stats.mispredicts[c] += 1;
                 // Resolved in EXE; resteer the cycle after.
                 self.redirect_at = Some((exec + 1, d.component));
             }
@@ -309,13 +299,6 @@ impl Reference {
             for (k, &u) in units.iter().enumerate() {
                 s.bubbles[c][k] = u as f64 / self.cfg.issue_width as f64;
             }
-        }
-        for (i, owner) in [Owner::App, Owner::Tol].into_iter().enumerate() {
-            let m = self.mem.owner_stats(owner);
-            s.d_accesses[i] = m.d_accesses;
-            s.d_misses[i] = m.d_misses;
-            s.i_accesses[i] = m.i_accesses;
-            s.i_misses[i] = m.i_misses;
         }
         s.prefetches = self.mem.prefetches();
         s
@@ -552,7 +535,12 @@ impl Coverage {
                 assert!(s.owner_bubbles(owner, cause) > 0.0, "no {cause:?}/{owner:?} {shape}");
             }
         }
-        assert!(s.i_misses[0] > 0 && s.d_misses[1] > 0 && s.mispredicts[0] > 0, "{shape}");
+        // Every component missed both caches and mispredicted.
+        for (name, counts) in
+            [("i_misses", s.i_misses), ("d_misses", s.d_misses), ("mispredicts", s.mispredicts)]
+        {
+            assert!(counts.iter().all(|&n| n > 0), "{name} {counts:?} {shape}");
+        }
     }
 }
 
