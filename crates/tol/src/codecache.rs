@@ -111,8 +111,9 @@ pub struct TranslatedBlock {
     pub stub_guest_counts: Vec<u32>,
     /// Guest instructions retired on the fall-through exit.
     pub guest_len: u32,
-    /// Guest addresses covered (for static-mode accounting).
-    pub guest_pcs: Vec<u32>,
+    /// Guest address of the last instruction covered (where a `Halt`
+    /// exit leaves the pc).
+    pub last_pc: u32,
     /// Executions observed (drives SBM promotion of BBM blocks).
     pub exec_count: u64,
     /// Set once this BBM block has been promoted to a superblock.
@@ -233,7 +234,8 @@ impl CodeCache {
     /// flush, as in a real flush-policy code cache.
     ///
     /// The block is stamped against self-modifying code from `mem`'s
-    /// current page write-generations over `guest_pcs`.
+    /// current page write-generations over `pcs`, the addresses of
+    /// the guest instructions it covers, in order.
     ///
     /// # Errors
     ///
@@ -248,7 +250,7 @@ impl CodeCache {
         body_len: u32,
         stub_guest_counts: Vec<u32>,
         guest_len: u32,
-        guest_pcs: Vec<u32>,
+        pcs: impl IntoIterator<Item = u32>,
         mem: &GuestMem,
     ) -> Result<Installed, CacheError> {
         let n = insts.len() as u32;
@@ -266,7 +268,8 @@ impl CodeCache {
             }
         }
         let host_base = self.alloc(n);
-        let (code_pages, smc_gen) = smc_stamp(mem, guest_pcs.iter().copied());
+        let mut last_pc = guest_entry;
+        let (code_pages, smc_gen) = smc_stamp(mem, pcs.into_iter().inspect(|&pc| last_pc = pc));
         let templates = compile_block(&insts, host_base);
         let id = BlockId { idx: self.blocks.len() as u32, gen: self.epoch };
         self.blocks.push(TranslatedBlock {
@@ -278,7 +281,7 @@ impl CodeCache {
             body_len,
             stub_guest_counts,
             guest_len,
-            guest_pcs,
+            last_pc,
             exec_count: 0,
             promoted: false,
             redirect: None,
@@ -401,17 +404,17 @@ impl CodeCache {
 }
 
 /// Guest page size shift shared with [`GuestMem`] (4 KiB pages).
-const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 
 /// Collects the guest pages a translation's code spans and the maximum
 /// page write-generation over them. Each instruction is
 /// over-approximated to [`darco_guest::exec::MAX_INST_LEN`] bytes; a
 /// spurious page inclusion only makes invalidation more conservative,
 /// never less safe.
-fn smc_stamp(mem: &GuestMem, guest_pcs: impl IntoIterator<Item = u32>) -> (Vec<u32>, u64) {
+fn smc_stamp(mem: &GuestMem, pcs: impl IntoIterator<Item = u32>) -> (Vec<u32>, u64) {
     let span = darco_guest::exec::MAX_INST_LEN as u32 - 1;
     let mut pages: Vec<u32> = Vec::new();
-    for pc in guest_pcs {
+    for pc in pcs {
         for p in [pc >> PAGE_SHIFT, pc.saturating_add(span) >> PAGE_SHIFT] {
             if !pages.contains(&p) {
                 pages.push(p);
@@ -433,16 +436,15 @@ mod tests {
     /// `install` with the boilerplate arguments filled in.
     fn put(cc: &mut CodeCache, entry: u32, kind: BlockKind) -> Installed {
         let mem = GuestMem::new();
-        cc.install(entry, tiny_block(), kind, 1, vec![], 1, vec![entry], &mem).expect("fits")
+        cc.install(entry, tiny_block(), kind, 1, vec![], 1, [entry], &mem).expect("fits")
     }
 
     #[test]
     fn install_and_lookup() {
         let mut cc = CodeCache::new(100);
         let mem = GuestMem::new();
-        let ins = cc
-            .install(0x100, tiny_block(), BlockKind::Bb, 1, vec![], 3, vec![0x100], &mem)
-            .unwrap();
+        let ins =
+            cc.install(0x100, tiny_block(), BlockKind::Bb, 1, vec![], 3, [0x100], &mem).unwrap();
         assert!(!ins.flushed);
         assert_eq!(cc.lookup(0x100), Some(ins.id));
         assert_eq!(cc.lookup(0x104), None);
@@ -506,8 +508,7 @@ mod tests {
         put(&mut cc, 0x100, BlockKind::Bb);
         let mem = GuestMem::new();
         let big: Vec<HInst> = (0..6).map(|_| HInst::Nop).collect();
-        let err =
-            cc.install(0x200, big, BlockKind::Bb, 5, vec![], 1, vec![0x200], &mem).unwrap_err();
+        let err = cc.install(0x200, big, BlockKind::Bb, 5, vec![], 1, [0x200], &mem).unwrap_err();
         assert_eq!(err, CacheError::TooLarge { insts: 6, capacity: 4 });
         // The reject is clean: nothing was flushed, and the resident
         // block still runs.
@@ -587,7 +588,7 @@ mod tests {
         mem.write_u32(0x1000, 0xDEAD_BEEF);
         let mut cc = CodeCache::new(100);
         let id = cc
-            .install(0x1000, tiny_block(), BlockKind::Bb, 1, vec![], 1, vec![0x1000], &mem)
+            .install(0x1000, tiny_block(), BlockKind::Bb, 1, vec![], 1, [0x1000], &mem)
             .unwrap()
             .id;
         assert!(!cc.smc_stale(id, &mem), "fresh stamp");
@@ -627,16 +628,9 @@ mod tests {
                     let n = 1 + (next() % 4) as usize;
                     let mut insts: Vec<HInst> = vec![HInst::Nop; n];
                     insts.push(HInst::Exit(Exit::Direct { guest_target: 0x100, link: None }));
-                    if let Ok(ins) = cc.install(
-                        entry,
-                        insts,
-                        BlockKind::Bb,
-                        n as u32,
-                        vec![],
-                        1,
-                        vec![entry],
-                        &mem,
-                    ) {
+                    if let Ok(ins) =
+                        cc.install(entry, insts, BlockKind::Bb, n as u32, vec![], 1, [entry], &mem)
+                    {
                         issued.push((ins.id, entry));
                     }
                 }

@@ -436,7 +436,7 @@ impl Tol {
                 compiled.body_len,
                 compiled.stub_guest_counts,
                 compiled.guest_len,
-                region.iter().map(|r| r.pc).collect(),
+                region.iter().map(|r| r.pc),
                 mem,
             )
         })
@@ -492,7 +492,7 @@ impl Tol {
                 compiled.body_len,
                 compiled.stub_guest_counts,
                 compiled.guest_len,
-                region.iter().map(|r| r.pc).collect(),
+                region.iter().map(|r| r.pc),
                 mem,
             )
         });
@@ -585,7 +585,7 @@ impl Tol {
                     // A region ends at its `Halt`; the pc stays on it, as
                     // the interpreter and `exec::step` leave it.
                     let b = self.cc.get(bid).expect("guarded live at dispatch");
-                    self.guest_pc = *b.guest_pcs.last().expect("a region is never empty");
+                    self.guest_pc = b.last_pc;
                     self.halted = true;
                     self.em.transition(ev);
                     return Ok(executed);

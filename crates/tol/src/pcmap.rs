@@ -1,5 +1,6 @@
-//! The hash map TOL keys by guest pc: the profiler's three tables and
-//! the code cache's translation map.
+//! The hash map TOL keys by guest pc: the profiler's two tables keyed by
+//! basic-block entry and its static-mode page directory (keyed by page
+//! number), and the code cache's translation map.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,6 +1,7 @@
 //! Runtime profiling: promotion counters, edge profiles and the
 //! static/dynamic mode accounting behind the paper's Fig. 5.
 
+use crate::codecache::PAGE_SHIFT;
 use crate::pcmap::PcMap;
 
 /// Highest execution mode a static guest instruction has reached.
@@ -29,9 +30,8 @@ impl EdgeProfile {
         self.taken + self.not_taken
     }
 
-    /// Bias toward the majority direction, in `0.5..=1.0` (1.0 when
-    /// empty, so formation treats unprofiled edges as unfollowable only
-    /// via the count check).
+    /// Bias toward the majority direction, in `0.5..=1.0`, and 0.0 when
+    /// empty (formation checks the count before it reads the bias).
     pub fn bias(&self) -> f64 {
         let t = self.total();
         if t == 0 {
@@ -46,13 +46,20 @@ impl EdgeProfile {
     }
 }
 
+/// Bytes, and so static-mode slots, per guest code page.
+const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+/// A static-mode byte decoded: 0 is unseen, `mode as u8 + 1` is `mode`.
+const MODES: [StaticMode; 3] = [StaticMode::Im, StaticMode::Bbm, StaticMode::Sbm];
+
 /// The profiler: IM promotion counters, BBM edge profiles, and
 /// per-static-instruction mode tracking.
 #[derive(Debug, Default)]
 pub struct Profiler {
     target_counts: PcMap<u32>,
     edges: PcMap<EdgeProfile>, // keyed by BB guest entry
-    static_modes: PcMap<StaticMode>,
+    /// One static-mode byte per guest pc, in a table per code page
+    /// keyed by page number (`pc >> PAGE_SHIFT`).
+    static_pages: PcMap<Box<[u8; PAGE_BYTES]>>,
     /// Dynamic guest instructions executed per mode `[IM, BBM, SBM]`.
     pub dyn_insts: [u64; 3],
 }
@@ -88,19 +95,32 @@ impl Profiler {
     }
 
     /// Marks static instructions as having reached `mode` (monotonic:
-    /// a pc never moves back down).
+    /// a pc never moves back down). A run of same-page pcs looks its
+    /// page up once.
     pub fn mark_static(&mut self, pcs: impl IntoIterator<Item = u32>, mode: StaticMode) {
-        for pc in pcs {
-            let e = self.static_modes.entry(pc).or_insert(mode);
-            if *e < mode {
-                *e = mode;
+        let m = mode as u8 + 1;
+        let mut pcs = pcs.into_iter().peekable();
+        while let Some(mut pc) = pcs.next() {
+            let page = pc >> PAGE_SHIFT;
+            let table = self.static_pages.entry(page).or_insert_with(|| Box::new([0; PAGE_BYTES]));
+            loop {
+                let b = &mut table[pc as usize & (PAGE_BYTES - 1)];
+                *b = (*b).max(m);
+                match pcs.next_if(|&next| next >> PAGE_SHIFT == page) {
+                    Some(next) => pc = next,
+                    None => break,
+                }
             }
         }
     }
 
     /// Highest mode a static instruction has reached, if seen.
     pub fn static_mode(&self, pc: u32) -> Option<StaticMode> {
-        self.static_modes.get(&pc).copied()
+        let table = self.static_pages.get(&(pc >> PAGE_SHIFT))?;
+        match table[pc as usize & (PAGE_BYTES - 1)] {
+            0 => None,
+            m => Some(MODES[m as usize - 1]),
+        }
     }
 
     /// Counts `n` dynamic guest instructions executed in `mode`.
@@ -112,8 +132,10 @@ impl Profiler {
     /// (the paper's Fig. 5a).
     pub fn static_distribution(&self) -> [u64; 3] {
         let mut out = [0; 3];
-        for m in self.static_modes.values() {
-            out[*m as usize] += 1;
+        for &m in self.static_pages.values().flat_map(|t| t.iter()) {
+            if m != 0 {
+                out[m as usize - 1] += 1;
+            }
         }
         out
     }
@@ -153,6 +175,67 @@ mod tests {
         p.mark_static([0x104], StaticMode::Sbm);
         p.mark_static([0x104], StaticMode::Im); // must not demote
         assert_eq!(p.static_distribution(), [1, 0, 1]);
+    }
+
+    #[test]
+    fn empty_edge_has_zero_bias() {
+        assert_eq!(EdgeProfile::default().bias(), 0.0);
+    }
+
+    /// The per-page static-mode tables against a `BTreeMap` model, after
+    /// every `mark_static`: seeded random runs of pcs (some crossing a
+    /// page boundary), the run `0x0FFE..0x1002`, the top page, regions
+    /// that interleave two pages, and modes that try to demote a pc.
+    #[test]
+    fn static_pages_match_a_btreemap_model() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        let mut rng = SmallRng::seed_from_u64(0x0057_471C);
+        let mut p = Profiler::new();
+        let mut model: BTreeMap<u32, StaticMode> = BTreeMap::new();
+        let check = |p: &Profiler, model: &BTreeMap<u32, StaticMode>, pcs: &[u32]| {
+            // Each pc, its neighbour and its half-page alias.
+            for &pc in pcs {
+                for q in [pc, pc ^ 1, pc ^ 0x800] {
+                    assert_eq!(p.static_mode(q), model.get(&q).copied(), "pc {q:#x}");
+                }
+            }
+            let mut dist = [0; 3];
+            for m in model.values() {
+                dist[*m as usize] += 1;
+            }
+            assert_eq!(p.static_distribution(), dist);
+        };
+        for _ in 0..600 {
+            let pcs: Vec<u32> = match rng.gen_range(0..4) {
+                0 => {
+                    let start = rng.gen_range(0u32..0x4000);
+                    let step = rng.gen_range(1u32..5);
+                    (0..rng.gen_range(1u32..24)).map(|i| start + i * step).collect()
+                }
+                1 => (0x0FFE..0x1002).collect(),
+                2 => {
+                    let start = rng.gen_range(0xFFFF_F000u32..0xFFFF_FFFF);
+                    (start..=0xFFFF_FFFF).step_by(rng.gen_range(1usize..300)).collect()
+                }
+                _ => {
+                    let (a, b) = (rng.gen_range(0u32..4) << 12, rng.gen_range(4u32..8) << 12);
+                    (0..rng.gen_range(1u32..12))
+                        .flat_map(|i| [a + rng.gen_range(0u32..0x1000), b + 4 * i])
+                        .collect()
+                }
+            };
+            let mode = MODES[rng.gen_range(0..3)];
+            p.mark_static(pcs.iter().copied(), mode);
+            for &pc in &pcs {
+                let e = model.entry(pc).or_insert(mode);
+                *e = (*e).max(mode);
+            }
+            check(&p, &model, &pcs);
+        }
+        let all: Vec<u32> = model.keys().copied().collect();
+        check(&p, &model, &all);
+        assert!(model.values().any(|&m| m == StaticMode::Im), "some pc stays interpreted");
     }
 
     #[test]

@@ -62,6 +62,13 @@ if grep -n 'HashMap' crates/guest/src/mem.rs; then
     exit 1
 fi
 
+# Static modes live in per-page byte tables (DESIGN.md §4 "Profiler"),
+# not in a hash map entry per static instruction.
+if grep -n 'PcMap<StaticMode>' crates/tol/src/profile.rs; then
+    echo "error: crates/tol/src/profile.rs keys static modes by pc (see DESIGN.md §4)" >&2
+    exit 1
+fi
+
 # A miscompile can make a guest loop spin forever in a run without
 # co-simulation. Every test command therefore runs under `timeout`, at
 # about ten times its wall on a 2-vCPU host, build included (the debug
