@@ -301,7 +301,8 @@ pub fn disassemble(mem: &crate::GuestMem, addr: u32, max: usize) -> Vec<(u32, In
     let mut out = Vec::new();
     let mut pc = addr;
     for _ in 0..max {
-        let window = mem.window(pc, crate::exec::MAX_INST_LEN);
+        let mut window = [0u8; crate::exec::MAX_INST_LEN];
+        mem.read_bytes(pc, &mut window);
         let Ok((inst, len)) = decode(&window) else { break };
         out.push((pc, inst));
         pc = pc.wrapping_add(len as u32);

@@ -1,20 +1,23 @@
 //! Sparse paged guest memory.
 //!
-//! The guest sees a flat 32-bit address space. Pages (4 KiB) are allocated
-//! lazily on first touch, so programs with large but sparsely-used
-//! footprints stay cheap to model.
+//! The guest sees a flat 32-bit address space, mapped in 4 KiB pages and
+//! stored in 1 KiB frames. A page's four frames are allocated lazily,
+//! each on the first write into its quarter, so programs with large but
+//! sparsely-used footprints stay cheap to model: a page the guest wrote
+//! one word of costs one frame, not four.
 //!
 //! # The page table
 //!
 //! A page number is 20 bits: the top ten index a 1024-entry directory,
 //! the low ten a 1024-entry leaf, allocated on the first write into its
 //! 4 MiB of guest space (16 KiB each). A leaf entry holds the page's
-//! frame (an index into `slots` plus one, zero meaning "absent") and its
-//! write generation. A load is two dependent indexed reads and then the
-//! frame; a store is one walk that stamps the generation and gets the
-//! frame back; [`GuestMem::page_gen`] reads the same entry. Nothing is
-//! hashed and no cache sits in front: the walk is as short as a cache
-//! probe would be (DESIGN.md §16).
+//! slot (an index into `slots` plus one, zero meaning "never written")
+//! and its write generation; the slot holds the page's four frames. A
+//! load is two dependent indexed reads, then the frame's pointer in the
+//! slot and the frame; a store is one walk that stamps the generation
+//! and gets the frame back; [`GuestMem::page_gen`] reads the same entry.
+//! Nothing is hashed and no cache sits in front: the walk is as short as
+//! a cache probe would be (DESIGN.md §16).
 //!
 //! # Zero-fill semantics
 //!
@@ -22,13 +25,14 @@
 //! contract, not an accident, and the workload generator relies on it for
 //! its data regions. It interacts with the generation stamps as follows:
 //! an unmapped page reads as all-zero *and* reports [`GuestMem::page_gen`]
-//! of 0; the first write to it allocates the page and stamps it with a
-//! non-zero generation. Reads never allocate, neither a frame nor a leaf.
+//! of 0; the first write to it makes the page resident, allocates the
+//! frame written and stamps the page with a non-zero generation. Reads
+//! never allocate, neither a frame, a slot nor a leaf.
 //!
 //! # Width-native accesses
 //!
-//! A multi-byte access that stays inside one page is served by a single
-//! page-table walk; one that straddles a page boundary is composed from
+//! A multi-byte access that stays inside one frame is served by a single
+//! page-table walk; one that straddles a frame boundary is composed from
 //! byte accesses. Either way the result is what `N` byte accesses would
 //! produce, in contents *and* in generation stamps: a width-`N` write
 //! advances the global write-generation counter by `N` and stamps the
@@ -38,16 +42,32 @@
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const PAGE_MASK: u32 = (PAGE_SIZE as u32) - 1;
+
+/// Frame-number bits below the page number: a frame is a quarter page,
+/// the unit of allocation (DESIGN.md §16 says why 1 KiB).
+const FRAME_SHIFT: u32 = 10;
+const FRAME_SIZE: usize = 1 << FRAME_SHIFT;
+const FRAME_MASK: u32 = (FRAME_SIZE as u32) - 1;
+const FRAMES_PER_PAGE: usize = PAGE_SIZE / FRAME_SIZE;
 
 /// Page-number bits resolved by a leaf (the directory takes the rest).
 const LEAF_BITS: u32 = 10;
 const LEAF_LEN: usize = 1 << LEAF_BITS;
 const DIR_LEN: usize = 1 << (32 - PAGE_SHIFT - LEAF_BITS);
 
-type Frame = [u8; PAGE_SIZE];
+type Frame = [u8; FRAME_SIZE];
 
-/// One page-table entry. The default is an absent page: no frame,
+/// A resident page: its frames in address order, each `None` until the
+/// first write into its quarter.
+type Slot = [Option<Box<Frame>>; FRAMES_PER_PAGE];
+
+/// Index of the frame holding `addr` within its page's [`Slot`].
+#[inline]
+fn quarter(addr: u32) -> usize {
+    (addr >> FRAME_SHIFT) as usize % FRAMES_PER_PAGE
+}
+
+/// One page-table entry. The default is an absent page: no slot,
 /// generation 0.
 #[derive(Debug, Clone, Copy, Default)]
 struct Pte {
@@ -59,7 +79,35 @@ struct Pte {
 
 type Leaf = [Pte; LEAF_LEN];
 
-/// Sparse 32-bit guest address space with 4 KiB pages.
+// First-touch allocation, out of line and cold so that the rest of
+// `GuestMem::frame_mut` inlines into every store. Inlined, the frame's
+// allocation alone made each store into an allocated frame more than
+// twice as slow, and the leaf's gave every store call a 16 KiB stack
+// frame to probe.
+
+/// A leaf of absent entries.
+#[cold]
+#[inline(never)]
+fn new_leaf() -> Box<Leaf> {
+    Box::new([Pte::default(); LEAF_LEN])
+}
+
+/// Appends an empty slot and returns its index plus one.
+#[cold]
+#[inline(never)]
+fn new_slot(slots: &mut Vec<Slot>) -> u32 {
+    slots.push(Slot::default());
+    slots.len() as u32
+}
+
+/// A zero-filled frame.
+#[cold]
+#[inline(never)]
+fn new_frame() -> Box<Frame> {
+    Box::new([0; FRAME_SIZE])
+}
+
+/// Sparse 32-bit guest address space: 4 KiB pages in 1 KiB frames.
 ///
 /// Every write bumps a global write-generation counter and stamps the
 /// touched page with it, so consumers that cache derived views of memory
@@ -67,8 +115,8 @@ type Leaf = [Pte; LEAF_LEN];
 /// self-modifying code with one [`GuestMem::page_gen`] comparison.
 #[derive(Debug, Clone)]
 pub struct GuestMem {
-    /// Page frames, only ever appended: one per resident page.
-    slots: Vec<Box<Frame>>,
+    /// Page slots, only ever appended: one per resident page.
+    slots: Vec<Slot>,
     /// Directory of lazily allocated leaves, indexed by the top bits of
     /// the page number.
     dir: Box<[Option<Box<Leaf>>; DIR_LEN]>,
@@ -109,43 +157,49 @@ impl GuestMem {
         }
     }
 
-    /// The frame of page `pn`, `None` if it was never written.
+    /// The slot of page `pn`, `None` if it was never written.
     #[inline]
-    fn frame(&self, pn: u32) -> Option<&Frame> {
+    fn slot(&self, pn: u32) -> Option<&Slot> {
         // `slot1 == 0` wraps to an index no `Vec` has, so the one bounds
         // check is also the presence check.
-        self.slots.get((self.pte(pn).slot1 as usize).wrapping_sub(1)).map(|f| &**f)
+        self.slots.get((self.pte(pn).slot1 as usize).wrapping_sub(1))
     }
 
-    /// Stamps page `pn` with `gen` and returns its frame, allocating leaf
-    /// and frame (zero-filled) on first touch.
+    /// The frame holding `addr`, `None` if nothing was written into it.
     #[inline]
-    fn slot_mut(&mut self, pn: u32, gen: u64) -> &mut Frame {
-        let leaf = self.dir[(pn >> LEAF_BITS) as usize]
-            .get_or_insert_with(|| Box::new([Pte::default(); LEAF_LEN]));
+    fn frame(&self, addr: u32) -> Option<&Frame> {
+        self.slot(addr >> PAGE_SHIFT)?[quarter(addr)].as_deref()
+    }
+
+    /// Stamps the page of `addr` with `gen` and returns the frame holding
+    /// `addr`, allocating leaf, slot and frame (zero-filled) on first
+    /// touch.
+    #[inline]
+    fn frame_mut(&mut self, addr: u32, gen: u64) -> &mut Frame {
+        let pn = addr >> PAGE_SHIFT;
+        let leaf = self.dir[(pn >> LEAF_BITS) as usize].get_or_insert_with(new_leaf);
         let pte = &mut leaf[pn as usize % LEAF_LEN];
         pte.gen = gen;
         if pte.slot1 == 0 {
-            self.slots.push(Box::new([0u8; PAGE_SIZE]));
-            pte.slot1 = self.slots.len() as u32;
+            pte.slot1 = new_slot(&mut self.slots);
         }
-        &mut self.slots[pte.slot1 as usize - 1]
+        self.slots[pte.slot1 as usize - 1][quarter(addr)].get_or_insert_with(new_frame)
     }
 
     /// Reads one byte. Untouched memory reads as zero.
     #[inline]
     pub fn read_u8(&self, addr: u32) -> u8 {
-        match self.frame(addr >> PAGE_SHIFT) {
-            Some(f) => f[(addr & PAGE_MASK) as usize],
+        match self.frame(addr) {
+            Some(f) => f[(addr & FRAME_MASK) as usize],
             None => 0,
         }
     }
 
-    /// Writes one byte, allocating the page if needed.
+    /// Writes one byte, allocating its frame if needed.
     #[inline]
     pub fn write_u8(&mut self, addr: u32, val: u8) {
         self.write_gen += 1;
-        self.slot_mut(addr >> PAGE_SHIFT, self.write_gen)[(addr & PAGE_MASK) as usize] = val;
+        self.frame_mut(addr, self.write_gen)[(addr & FRAME_MASK) as usize] = val;
     }
 
     /// Write generation of the page containing `addr`: strictly
@@ -162,39 +216,39 @@ impl GuestMem {
     }
 
     /// Reads `W` little-endian bytes in one page-table walk when the
-    /// access stays within a page; returns `None` (caller falls back to
-    /// the byte path) on page-crossing.
+    /// access stays within a frame; returns `None` (caller falls back to
+    /// the byte path) when it crosses into the next one.
     #[inline]
-    fn read_in_page<const W: usize>(&self, addr: u32) -> Option<[u8; W]> {
-        let off = (addr & PAGE_MASK) as usize;
-        if off > PAGE_SIZE - W {
+    fn read_in_frame<const W: usize>(&self, addr: u32) -> Option<[u8; W]> {
+        let off = (addr & FRAME_MASK) as usize;
+        if off > FRAME_SIZE - W {
             return None;
         }
-        Some(match self.frame(addr >> PAGE_SHIFT) {
-            Some(f) => f[off..off + W].try_into().expect("in-page slice of width W"),
+        Some(match self.frame(addr) {
+            Some(f) => f[off..off + W].try_into().expect("in-frame slice of width W"),
             None => [0u8; W],
         })
     }
 
     /// Writes `W` little-endian bytes in one page-table walk when
-    /// in-page; generation arithmetic is identical to `W` byte writes
+    /// in-frame; generation arithmetic is identical to `W` byte writes
     /// (counter advances by `W`, page stamped with the final value).
-    /// Returns `false` (caller falls back) on page-crossing.
+    /// Returns `false` (caller falls back) on frame-crossing.
     #[inline]
-    fn write_in_page<const W: usize>(&mut self, addr: u32, bytes: [u8; W]) -> bool {
-        let off = (addr & PAGE_MASK) as usize;
-        if off > PAGE_SIZE - W {
+    fn write_in_frame<const W: usize>(&mut self, addr: u32, bytes: [u8; W]) -> bool {
+        let off = (addr & FRAME_MASK) as usize;
+        if off > FRAME_SIZE - W {
             return false;
         }
         self.write_gen += W as u64;
-        self.slot_mut(addr >> PAGE_SHIFT, self.write_gen)[off..off + W].copy_from_slice(&bytes);
+        self.frame_mut(addr, self.write_gen)[off..off + W].copy_from_slice(&bytes);
         true
     }
 
     /// Reads a little-endian 16-bit halfword.
     #[inline]
     pub fn read_u16(&self, addr: u32) -> u16 {
-        if let Some(b) = self.read_in_page::<2>(addr) {
+        if let Some(b) = self.read_in_frame::<2>(addr) {
             return u16::from_le_bytes(b);
         }
         self.read_u8(addr) as u16 | (self.read_u8(addr.wrapping_add(1)) as u16) << 8
@@ -203,7 +257,7 @@ impl GuestMem {
     /// Writes a little-endian 16-bit halfword.
     #[inline]
     pub fn write_u16(&mut self, addr: u32, val: u16) {
-        if self.write_in_page(addr, val.to_le_bytes()) {
+        if self.write_in_frame(addr, val.to_le_bytes()) {
             return;
         }
         self.write_u8(addr, val as u8);
@@ -214,7 +268,7 @@ impl GuestMem {
     /// the top of the address space).
     #[inline]
     pub fn read_u32(&self, addr: u32) -> u32 {
-        if let Some(b) = self.read_in_page::<4>(addr) {
+        if let Some(b) = self.read_in_frame::<4>(addr) {
             return u32::from_le_bytes(b);
         }
         let mut v = 0u32;
@@ -227,7 +281,7 @@ impl GuestMem {
     /// Writes a little-endian 32-bit word.
     #[inline]
     pub fn write_u32(&mut self, addr: u32, val: u32) {
-        if self.write_in_page(addr, val.to_le_bytes()) {
+        if self.write_in_frame(addr, val.to_le_bytes()) {
             return;
         }
         for (i, b) in val.to_le_bytes().iter().enumerate() {
@@ -238,7 +292,7 @@ impl GuestMem {
     /// Reads a little-endian 64-bit word.
     #[inline]
     pub fn read_u64(&self, addr: u32) -> u64 {
-        if let Some(b) = self.read_in_page::<8>(addr) {
+        if let Some(b) = self.read_in_frame::<8>(addr) {
             return u64::from_le_bytes(b);
         }
         let lo = self.read_u32(addr) as u64;
@@ -249,7 +303,7 @@ impl GuestMem {
     /// Writes a little-endian 64-bit word.
     #[inline]
     pub fn write_u64(&mut self, addr: u32, val: u64) {
-        if self.write_in_page(addr, val.to_le_bytes()) {
+        if self.write_in_frame(addr, val.to_le_bytes()) {
             return;
         }
         self.write_u32(addr, val as u32);
@@ -268,19 +322,18 @@ impl GuestMem {
         self.write_u64(addr, val.to_bits());
     }
 
-    /// Copies a byte slice into memory starting at `addr`, a page chunk
-    /// at a time, with the generation arithmetic of a byte loop (each
-    /// touched page is stamped with the counter value after its last
-    /// byte, in ascending order).
+    /// Copies a byte slice into memory starting at `addr`, a frame
+    /// chunk at a time, with the generation arithmetic of a byte loop
+    /// (each touched page is stamped with the counter value after its
+    /// last byte, in ascending order).
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
         let mut a = addr;
         let mut rest = bytes;
         while !rest.is_empty() {
-            let off = (a & PAGE_MASK) as usize;
-            let n = rest.len().min(PAGE_SIZE - off);
+            let off = (a & FRAME_MASK) as usize;
+            let n = rest.len().min(FRAME_SIZE - off);
             self.write_gen += n as u64;
-            self.slot_mut(a >> PAGE_SHIFT, self.write_gen)[off..off + n]
-                .copy_from_slice(&rest[..n]);
+            self.frame_mut(a, self.write_gen)[off..off + n].copy_from_slice(&rest[..n]);
             a = a.wrapping_add(n as u32);
             rest = &rest[n..];
         }
@@ -292,9 +345,9 @@ impl GuestMem {
         let mut a = addr;
         let mut rest = &mut buf[..];
         while !rest.is_empty() {
-            let off = (a & PAGE_MASK) as usize;
-            let n = rest.len().min(PAGE_SIZE - off);
-            match self.frame(a >> PAGE_SHIFT) {
+            let off = (a & FRAME_MASK) as usize;
+            let n = rest.len().min(FRAME_SIZE - off);
+            match self.frame(a) {
                 Some(f) => rest[..n].copy_from_slice(&f[off..off + n]),
                 None => rest[..n].fill(0),
             }
@@ -303,33 +356,28 @@ impl GuestMem {
         }
     }
 
-    /// Returns up to `max` bytes starting at `addr`, for use by the
-    /// instruction decoder.
-    pub fn window(&self, addr: u32, max: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; max];
-        self.read_bytes(addr, &mut buf);
-        buf
-    }
-
     /// Compares two address spaces byte-for-byte and returns the lowest
-    /// differing address, treating absent pages as zero-filled. Walks
+    /// differing address, treating absent frames as zero-filled. Walks
     /// both page tables in address order; a 4 MiB range with no leaf on
-    /// either side is skipped whole.
+    /// either side is skipped whole, and so is a page with no slot.
     pub fn first_difference(&self, other: &GuestMem) -> Option<u32> {
-        const ZERO: Frame = [0; PAGE_SIZE];
+        const ZERO: Frame = [0; FRAME_SIZE];
         for (d, (la, lb)) in self.dir.iter().zip(other.dir.iter()).enumerate() {
             if la.is_none() && lb.is_none() {
                 continue;
             }
             for pn in (d << LEAF_BITS) as u32..((d + 1) << LEAF_BITS) as u32 {
-                let (a, b) = (self.frame(pn), other.frame(pn));
-                if a.is_none() && b.is_none() {
+                let (sa, sb) = (self.slot(pn), other.slot(pn));
+                if sa.is_none() && sb.is_none() {
                     continue;
                 }
-                let (a, b) = (a.unwrap_or(&ZERO), b.unwrap_or(&ZERO));
-                if a != b {
-                    let off = a.iter().zip(b).position(|(x, y)| x != y).expect("pages differ");
-                    return Some((pn << PAGE_SHIFT) + off as u32);
+                for q in 0..FRAMES_PER_PAGE {
+                    let a = sa.and_then(|s| s[q].as_deref()).unwrap_or(&ZERO);
+                    let b = sb.and_then(|s| s[q].as_deref()).unwrap_or(&ZERO);
+                    if a != b {
+                        let off = a.iter().zip(b).position(|(x, y)| x != y).expect("frames differ");
+                        return Some((pn << PAGE_SHIFT) + (q << FRAME_SHIFT) as u32 + off as u32);
+                    }
                 }
             }
         }
@@ -393,10 +441,39 @@ mod tests {
     #[test]
     fn u16_roundtrip() {
         let mut m = GuestMem::new();
-        m.write_u16(0x7FF, 0xBEEF); // straddles nothing special
+        m.write_u16(0x7FF, 0xBEEF); // straddles two frames of one page
         assert_eq!(m.read_u16(0x7FF), 0xBEEF);
         assert_eq!(m.read_u8(0x7FF), 0xEF);
         assert_eq!(m.read_u8(0x800), 0xBE);
+    }
+
+    /// Heap bytes held by frames: what the guest's writes cost.
+    fn frame_bytes(m: &GuestMem) -> usize {
+        m.slots.iter().flatten().flatten().map(|f| std::mem::size_of_val(&**f)).sum()
+    }
+
+    /// One word written in the third quarter of each of 64 pages costs
+    /// 64 frames of 1 KiB, not 64 whole pages (256 frames' worth); the
+    /// other quarters read as zero and reading them allocates nothing.
+    #[test]
+    fn a_sparse_page_costs_one_frame() {
+        let mut m = GuestMem::new();
+        for p in 0..64u32 {
+            m.write_u32((p << PAGE_SHIFT) + 0x800, 0xA5A5_0000 | p);
+        }
+        assert_eq!(frame_bytes(&m), 64 * 1024);
+        for p in 0..64u32 {
+            let base = p << PAGE_SHIFT;
+            assert_eq!(m.read_u32(base + 0x800), 0xA5A5_0000 | p);
+            for quarter in [0x000, 0x400, 0xC00] {
+                let mut got = [0xFFu8; 1024];
+                m.read_bytes(base + quarter, &mut got);
+                assert!(got.iter().all(|&b| b == 0), "page {p}, quarter {quarter:#x}");
+                assert_eq!(m.read_u64(base + quarter + 0x3F8), 0, "page {p}, {quarter:#x} + 0x3F8");
+            }
+        }
+        assert_eq!(frame_bytes(&m), 64 * 1024, "a read allocated");
+        assert_eq!(m.resident_pages(), 64);
     }
 
     #[test]
@@ -449,12 +526,24 @@ mod tests {
     }
 
     /// The wide accessors must agree with byte composition on contents
-    /// *and* generation stamps for every width, including
+    /// *and* generation stamps for every width, including frame- and
     /// page-straddling accesses.
     #[test]
     fn wide_accesses_match_byte_composition() {
-        let addrs =
-            [0x1000, 0x1001, 0x0FFE, 0x0FFF, 0x1FFC, 0x1FFD, 0x2FFA, u32::MAX - 3, u32::MAX];
+        let addrs = [
+            0x1000,
+            0x1001,
+            0x0FFE,
+            0x0FFF,
+            0x13FD,
+            0x17FE,
+            0x1BF9,
+            0x1FFC,
+            0x1FFD,
+            0x2FFA,
+            u32::MAX - 3,
+            u32::MAX,
+        ];
         let mut wide = GuestMem::new();
         let mut bytes = GuestMem::new();
         let mut x = 0x1234_5678_9ABC_DEFFu64;

@@ -9,6 +9,7 @@
 //! `first_difference` must equal the model's; every few operations every
 //! page either side knows is swept in full.
 
+use darco_guest::exec::MAX_INST_LEN;
 use darco_guest::GuestMem;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -126,9 +127,14 @@ fn address(rng: &mut SmallRng) -> u32 {
         90..=97 => base ^= rng.gen_range(0..1024u32) << 12,
         _ => base = rng.gen(),
     }
-    // Half the accesses sit within eight bytes of the end of the page,
-    // so that every width straddles (and at the last page, wraps).
-    let off = if rng.gen_bool(0.5) { rng.gen_range(4088..4096) } else { rng.gen_range(0..4096) };
+    // Half the accesses sit within eight bytes below a 1 KiB boundary,
+    // the end of the page or one inside it, so that every width
+    // straddles two frames (and at the last page, wraps).
+    let off = if rng.gen_bool(0.5) {
+        rng.gen_range(1..5u32) * 1024 - rng.gen_range(1..9u32)
+    } else {
+        rng.gen_range(0..4096)
+    };
     (base & !0xFFF) + off
 }
 
@@ -200,7 +206,12 @@ fn run_script(seed: u64, ops: usize) {
                 let mut got = vec![0xAAu8; len];
                 mem.read_bytes(addr, &mut got);
                 assert!(got == want, "{ctx}: read_bytes({addr:#x}, {len})");
-                assert!(mem.window(addr, len) == want, "{ctx}: window({addr:#x}, {len})");
+                // The decoders' form: one instruction's bytes into a
+                // fixed buffer on the stack.
+                let mut inst = [0x55u8; MAX_INST_LEN];
+                mem.read_bytes(addr, &mut inst);
+                let want = model.read_n(addr, MAX_INST_LEN);
+                assert!(inst[..] == want, "{ctx}: read_bytes({addr:#x}) into a stack buffer");
             }
             8 => {
                 // Read a page nothing has written (a read must allocate
@@ -275,6 +286,41 @@ fn first_difference_names_the_lowest_address() {
             a.write_u8(low, 2);
             b.write_u8(high, 1);
             assert_eq!(a.first_difference(&b), None, "{low:#x} / {high:#x}, made equal");
+        }
+    }
+}
+
+/// Inside a page both sides hold, a frame only one side has compares as
+/// zeros on the other: equal while it holds zeros, and the lowest
+/// non-zero byte in it is the answer once it does not, below a
+/// difference in a later frame and above one in an earlier frame.
+#[test]
+fn first_difference_sees_a_frame_one_side_lacks() {
+    const PAGE: u32 = 0x5000;
+    for quarter in 1..4u32 {
+        for off in [0, 1, 0x1FF, 0x3FF] {
+            let at = PAGE + quarter * 0x400 + off;
+            let ctx = format!("quarter {quarter}, offset {off:#x}");
+            let (mut a, mut b) = (GuestMem::new(), GuestMem::new());
+            // Both hold the page through its first frame.
+            a.write_u8(PAGE, 7);
+            b.write_u8(PAGE, 7);
+            a.write_u8(at, 0);
+            assert_eq!(a.first_difference(&b), None, "{ctx}: zero frame on one side");
+            assert_eq!(b.first_difference(&a), None, "{ctx}: zero frame, reversed");
+            a.write_u8(at, 9);
+            assert_eq!(a.first_difference(&b), Some(at), "{ctx}");
+            assert_eq!(b.first_difference(&a), Some(at), "{ctx}, reversed");
+            // A difference in the page's last byte, on the other side,
+            // does not hide the lower one.
+            if at != PAGE + 0xFFF {
+                b.write_u8(PAGE + 0xFFF, 3);
+                assert_eq!(a.first_difference(&b), Some(at), "{ctx}, later frame differs");
+            }
+            // One in the first frame does.
+            b.write_u8(PAGE + 1, 5);
+            assert_eq!(a.first_difference(&b), Some(PAGE + 1), "{ctx}, earlier frame differs");
+            assert_eq!(b.first_difference(&a), Some(PAGE + 1), "{ctx}, earlier, reversed");
         }
     }
 }

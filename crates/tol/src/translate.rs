@@ -69,7 +69,8 @@ pub(crate) fn decode_bb_into(
 ) -> Result<(), DecodeError> {
     let mut pc = entry;
     for _ in 0..MAX_BB_INSTS {
-        let window = mem.window(pc, darco_guest::exec::MAX_INST_LEN);
+        let mut window = [0u8; darco_guest::exec::MAX_INST_LEN];
+        mem.read_bytes(pc, &mut window);
         let (inst, len) = decode(&window)?;
         out.push(RegionInst { pc, inst, len: len as u32, follow_taken: false });
         pc = pc.wrapping_add(len as u32);

@@ -62,6 +62,13 @@ if grep -n 'HashMap' crates/guest/src/mem.rs; then
     exit 1
 fi
 
+# Guest memory is allocated in 1 KiB frames (DESIGN.md §16): a page the
+# guest barely wrote must not cost a whole 4 KiB frame again.
+if grep -nE '\[(u8|0u8|0); *(PAGE_SIZE|4096)\]' crates/guest/src/mem.rs; then
+    echo "error: crates/guest/src/mem.rs allocates a whole page as one frame (see DESIGN.md §16)" >&2
+    exit 1
+fi
+
 # Static modes live in per-page byte tables (DESIGN.md §4 "Profiler"),
 # not in a hash map entry per static instruction.
 if grep -n 'PcMap<StaticMode>' crates/tol/src/profile.rs; then
