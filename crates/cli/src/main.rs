@@ -472,9 +472,10 @@ fn disasm(rest: &[String]) {
     }
 }
 
-/// The resident translations, most executed first (ties by guest entry).
+/// The resident translations, most executed first (ties by guest entry):
+/// a block replaced by its superblock never runs again and is left out.
 fn hottest(tol: &Tol) -> Vec<(BlockId, &TranslatedBlock)> {
-    let mut blocks: Vec<_> = tol.cc.blocks().collect();
+    let mut blocks: Vec<_> = tol.cc.blocks().filter(|(_, b)| b.redirect.is_none()).collect();
     blocks.sort_by_key(|(_, b)| (std::cmp::Reverse(b.exec_count), b.guest_entry));
     blocks
 }

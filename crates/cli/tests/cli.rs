@@ -139,6 +139,17 @@ fn disasm_prints_the_hottest_translations() {
     assert!(stdout.contains("hottest 2 of ") && stdout.contains("--- exits ---"), "{stdout}");
 }
 
+/// `disasm` lists exactly the translations its header counts as
+/// resident: a BBM block replaced by its superblock is not among them.
+#[test]
+fn disasm_lists_only_resident_translations() {
+    let stdout = stdout_of(&["disasm", "quicktest", "--n", "1000"]);
+    let header = stdout.lines().next().expect("a header line");
+    let counts: Vec<usize> = header.split_whitespace().filter_map(|w| w.parse().ok()).collect();
+    let listed = stdout.lines().filter(|l| l.starts_with("block ")).count();
+    assert_eq!(counts, [listed, listed], "{header}");
+}
+
 #[test]
 fn verify_co_simulates_and_reports_what_run_with_cosim_does() {
     let verify = darco(&["verify", "quicktest", "--scale", "0.05", "--json"]);

@@ -229,8 +229,9 @@ pub enum HInst {
     Li {
         /// Destination.
         rd: HReg,
-        /// Immediate value (sign-extended to 64 bits).
-        imm: i64,
+        /// Immediate value: the register takes its 32 bits, as every
+        /// host register is 32 bits wide.
+        imm: i32,
     },
     /// 32-bit multiply (complex integer unit): `rd <- ra * rb`.
     Mul {

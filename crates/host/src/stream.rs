@@ -338,6 +338,13 @@ mod tests {
         assert!(d.branch().is_none());
     }
 
+    /// A translation stores each host instruction twice: once to execute
+    /// (`HInst`) and once to retire (`DynInst`), 48 bytes in all.
+    #[test]
+    fn host_inst_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<crate::HInst>(), 16);
+    }
+
     #[test]
     fn packed_parts_round_trip() {
         assert_eq!(std::mem::size_of::<DynInst>(), 32);

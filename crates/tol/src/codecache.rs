@@ -88,6 +88,20 @@ pub struct Installed {
     pub flushed: bool,
 }
 
+/// A translation as the compile pipeline hands it to
+/// [`CodeCache::install`].
+#[derive(Debug)]
+pub struct CompiledBlock {
+    /// The host code: body, then fall-through exit, then side-exit stubs.
+    pub insts: Vec<HInst>,
+    /// Guest instructions retired when leaving via stub `i`.
+    pub stub_guest_counts: Vec<u32>,
+    /// Guest instructions retired on the fall-through exit.
+    pub guest_len: u32,
+    /// Host-instruction index of the fall-through exit (= body length).
+    pub body_len: u32,
+}
+
 /// One installed translation.
 #[derive(Debug, Clone)]
 pub struct TranslatedBlock {
@@ -97,18 +111,19 @@ pub struct TranslatedBlock {
     pub host_base: u64,
     /// The translated host code: body, then fall-through exit, then
     /// side-exit stubs.
-    pub insts: Vec<HInst>,
+    pub insts: Box<[HInst]>,
     /// Per-instruction retirement records (parallel to `insts`),
     /// compiled once at install time so the execution loop never
     /// re-derives static retirement metadata (`darco_host::template`).
-    pub templates: Vec<DynInst>,
+    /// Empty once the block is redirected: it never executes again.
+    pub templates: Box<[DynInst]>,
     /// Producing mode.
     pub kind: BlockKind,
     /// Host-instruction index of the fall-through exit (= body length).
     pub body_len: u32,
     /// Guest instructions retired when leaving via stub `i` (the exit at
     /// host index `body_len + 1 + i`).
-    pub stub_guest_counts: Vec<u32>,
+    pub stub_guest_counts: Box<[u32]>,
     /// Guest instructions retired on the fall-through exit.
     pub guest_len: u32,
     /// Guest address of the last instruction covered (where a `Halt`
@@ -120,10 +135,11 @@ pub struct TranslatedBlock {
     pub promoted: bool,
     /// When promoted, the block's entry is patched with a jump to the
     /// replacing superblock, so stale chain links reach the new code.
+    /// Set only by [`CodeCache::redirect`].
     pub redirect: Option<BlockId>,
     /// Guest page numbers (`addr >> 12`) the translated code was decoded
     /// from (over-approximated to instruction-length granularity).
-    pub code_pages: Vec<u32>,
+    pub code_pages: Box<[u32]>,
     /// Maximum [`GuestMem`] page write-generation over `code_pages` at
     /// install time: the block's self-modifying-code stamp.
     pub smc_gen: u64,
@@ -241,18 +257,15 @@ impl CodeCache {
     ///
     /// [`CacheError::TooLarge`] if the translation alone exceeds the
     /// cache capacity (it is rejected, never partially installed).
-    #[allow(clippy::too_many_arguments)]
     pub fn install(
         &mut self,
         guest_entry: u32,
-        insts: Vec<HInst>,
+        code: CompiledBlock,
         kind: BlockKind,
-        body_len: u32,
-        stub_guest_counts: Vec<u32>,
-        guest_len: u32,
         pcs: impl IntoIterator<Item = u32>,
         mem: &GuestMem,
     ) -> Result<Installed, CacheError> {
+        let CompiledBlock { insts, stub_guest_counts, guest_len, body_len } = code;
         let n = insts.len() as u32;
         if n > self.capacity {
             return Err(CacheError::TooLarge { insts: insts.len(), capacity: self.capacity });
@@ -270,16 +283,16 @@ impl CodeCache {
         let host_base = self.alloc(n);
         let mut last_pc = guest_entry;
         let (code_pages, smc_gen) = smc_stamp(mem, pcs.into_iter().inspect(|&pc| last_pc = pc));
-        let templates = compile_block(&insts, host_base);
+        let templates = compile_block(&insts, host_base).into_boxed_slice();
         let id = BlockId { idx: self.blocks.len() as u32, gen: self.epoch };
         self.blocks.push(TranslatedBlock {
             guest_entry,
             host_base,
-            insts,
+            insts: insts.into_boxed_slice(),
             templates,
             kind,
             body_len,
-            stub_guest_counts,
+            stub_guest_counts: stub_guest_counts.into_boxed_slice(),
             guest_len,
             last_pc,
             exec_count: 0,
@@ -306,6 +319,18 @@ impl CodeCache {
         let base = self.next_host_base;
         self.next_host_base += n as u64 * 4;
         base
+    }
+
+    /// Patches the entry of the replaced block `from` with a jump to
+    /// `to`, its superblock. Every way into `from` then goes through the
+    /// redirect, so its retirement templates are dropped here; its code
+    /// stays, as dead space, until the next flush. A stale `from` is
+    /// ignored: the flush already dropped it.
+    pub fn redirect(&mut self, from: BlockId, to: BlockId) {
+        if let Some(b) = self.get_mut(from) {
+            b.redirect = Some(to);
+            b.templates = Box::default();
+        }
     }
 
     /// Drops every translation and starts a new epoch, so every
@@ -411,7 +436,7 @@ pub(crate) const PAGE_SHIFT: u32 = 12;
 /// over-approximated to [`darco_guest::exec::MAX_INST_LEN`] bytes; a
 /// spurious page inclusion only makes invalidation more conservative,
 /// never less safe.
-fn smc_stamp(mem: &GuestMem, pcs: impl IntoIterator<Item = u32>) -> (Vec<u32>, u64) {
+fn smc_stamp(mem: &GuestMem, pcs: impl IntoIterator<Item = u32>) -> (Box<[u32]>, u64) {
     let span = darco_guest::exec::MAX_INST_LEN as u32 - 1;
     let mut pages: Vec<u32> = Vec::new();
     for pc in pcs {
@@ -422,29 +447,36 @@ fn smc_stamp(mem: &GuestMem, pcs: impl IntoIterator<Item = u32>) -> (Vec<u32>, u
         }
     }
     let gen = pages.iter().map(|&p| mem.page_gen(p << PAGE_SHIFT)).max().unwrap_or(0);
-    (pages, gen)
+    (pages.into_boxed_slice(), gen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_block() -> Vec<HInst> {
-        vec![HInst::Nop, HInst::Exit(Exit::Direct { guest_target: 0x200, link: None })]
+    /// `insts` as a stubless block whose body is all but the last
+    /// instruction.
+    fn code(insts: Vec<HInst>, guest_len: u32) -> CompiledBlock {
+        let body_len = insts.len() as u32 - 1;
+        CompiledBlock { insts, stub_guest_counts: vec![], guest_len, body_len }
+    }
+
+    fn tiny_block() -> CompiledBlock {
+        code(vec![HInst::Nop, HInst::Exit(Exit::Direct { guest_target: 0x200, link: None })], 1)
     }
 
     /// `install` with the boilerplate arguments filled in.
     fn put(cc: &mut CodeCache, entry: u32, kind: BlockKind) -> Installed {
         let mem = GuestMem::new();
-        cc.install(entry, tiny_block(), kind, 1, vec![], 1, [entry], &mem).expect("fits")
+        cc.install(entry, tiny_block(), kind, [entry], &mem).expect("fits")
     }
 
     #[test]
     fn install_and_lookup() {
         let mut cc = CodeCache::new(100);
         let mem = GuestMem::new();
-        let ins =
-            cc.install(0x100, tiny_block(), BlockKind::Bb, 1, vec![], 3, [0x100], &mem).unwrap();
+        let three = CompiledBlock { guest_len: 3, ..tiny_block() };
+        let ins = cc.install(0x100, three, BlockKind::Bb, [0x100], &mem).unwrap();
         assert!(!ins.flushed);
         assert_eq!(cc.lookup(0x100), Some(ins.id));
         assert_eq!(cc.lookup(0x104), None);
@@ -472,6 +504,19 @@ mod tests {
         // The replaced block stays allocated as dead space.
         assert!(cc.get(bb).is_some());
         assert_eq!(cc.health().dead_space_ratio(), 0.5);
+        // Redirected, it keeps its code but drops its templates; the
+        // occupancy the report shows is the same.
+        let health = cc.health();
+        cc.redirect(bb, sb);
+        let b = cc.get(bb).unwrap();
+        assert_eq!((b.redirect, b.insts.len(), b.templates.len()), (Some(sb), 2, 0));
+        assert_eq!(cc.get(sb).unwrap().templates.len(), 2);
+        assert_eq!(cc.health(), health);
+    }
+
+    #[test]
+    fn block_record_is_at_most_120_bytes() {
+        assert!(std::mem::size_of::<TranslatedBlock>() <= 120);
     }
 
     #[test]
@@ -507,8 +552,8 @@ mod tests {
         let mut cc = CodeCache::new(4);
         put(&mut cc, 0x100, BlockKind::Bb);
         let mem = GuestMem::new();
-        let big: Vec<HInst> = (0..6).map(|_| HInst::Nop).collect();
-        let err = cc.install(0x200, big, BlockKind::Bb, 5, vec![], 1, [0x200], &mem).unwrap_err();
+        let big = code(vec![HInst::Nop; 6], 1);
+        let err = cc.install(0x200, big, BlockKind::Bb, [0x200], &mem).unwrap_err();
         assert_eq!(err, CacheError::TooLarge { insts: 6, capacity: 4 });
         // The reject is clean: nothing was flushed, and the resident
         // block still runs.
@@ -587,10 +632,7 @@ mod tests {
         let mut mem = GuestMem::new();
         mem.write_u32(0x1000, 0xDEAD_BEEF);
         let mut cc = CodeCache::new(100);
-        let id = cc
-            .install(0x1000, tiny_block(), BlockKind::Bb, 1, vec![], 1, [0x1000], &mem)
-            .unwrap()
-            .id;
+        let id = cc.install(0x1000, tiny_block(), BlockKind::Bb, [0x1000], &mem).unwrap().id;
         assert!(!cc.smc_stale(id, &mem), "fresh stamp");
         mem.write_u8(0x0200_0000, 7); // unrelated page
         assert!(!cc.smc_stale(id, &mem), "writes elsewhere don't invalidate");
@@ -628,8 +670,7 @@ mod tests {
                     let n = 1 + (next() % 4) as usize;
                     let mut insts: Vec<HInst> = vec![HInst::Nop; n];
                     insts.push(HInst::Exit(Exit::Direct { guest_target: 0x100, link: None }));
-                    if let Ok(ins) =
-                        cc.install(entry, insts, BlockKind::Bb, n as u32, vec![], 1, [entry], &mem)
+                    if let Ok(ins) = cc.install(entry, code(insts, 1), BlockKind::Bb, [entry], &mem)
                     {
                         issued.push((ins.id, entry));
                     }

@@ -4,12 +4,13 @@
 //! host code; only wall-clock observables (pass nanoseconds) differ
 //! between calls, and those are excluded from every serialized report.
 
+use crate::codecache::CompiledBlock;
 use crate::config::TolConfig;
 use crate::ir::{lower, IrBlock, IrFreg, IrReg, RegMap};
 use crate::ir::{FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
 use crate::opt::{self, OptScratch, PassSample};
 use crate::translate::{translate_region_scratch, IrScratch, RegionInst};
-use darco_host::{HFreg, HInst, HReg};
+use darco_host::{HFreg, HReg};
 
 /// Wall-clock nanoseconds per stage of the compile path, in encounter
 /// order: the passes under their [`PassDelta`](crate::opt::PassDelta)
@@ -29,15 +30,6 @@ pub(crate) fn timed<T>(nanos: &mut StageNanos, stage: &'static str, f: impl FnOn
     out
 }
 
-/// A compiled BBM basic block, ready to stamp and install.
-#[derive(Debug)]
-pub(crate) struct BbCompiled {
-    pub insts: Vec<HInst>,
-    pub stub_guest_counts: Vec<u32>,
-    pub guest_len: u32,
-    pub body_len: u32,
-}
-
 /// How a superblock's optimization pipeline ended.
 #[derive(Debug)]
 pub(crate) enum SbOutcome {
@@ -50,10 +42,7 @@ pub(crate) enum SbOutcome {
 /// A compiled SBM superblock, ready to stamp and install.
 #[derive(Debug)]
 pub(crate) struct SbCompiled {
-    pub insts: Vec<HInst>,
-    pub stub_guest_counts: Vec<u32>,
-    pub guest_len: u32,
-    pub body_len: u32,
+    pub code: CompiledBlock,
     /// Unoptimized IR length, for the cost model.
     pub ir_len: usize,
     pub outcome: SbOutcome,
@@ -98,21 +87,20 @@ pub(crate) fn bbm_allocate(block: &IrBlock, map: &mut RegMap) {
     }
 }
 
-/// Lowers `block` with the assignment in `opt.map` and takes the block
-/// apart: `(insts, body_len, stub_guest_counts, guest_len)`, the block's
-/// buffers going back to `ir`.
+/// Lowers `block` with the assignment in `opt.map` into the block to
+/// install, the IR block's buffers going back to `ir`.
 fn finish(
     mut block: IrBlock,
     ir: &mut IrScratch,
     opt: &OptScratch,
     nanos: &mut StageNanos,
-) -> (Vec<HInst>, u32, Vec<u32>, u32) {
+) -> CompiledBlock {
     let insts = timed(nanos, "lower", || lower(&block, &opt.map));
     let body_len = insts.len() as u32 - 1 - block.stubs.len() as u32;
     let stub_guest_counts = std::mem::take(&mut block.stub_guest_counts);
     let guest_len = block.guest_len;
     ir.recycle(block);
-    (insts, body_len, stub_guest_counts, guest_len)
+    CompiledBlock { insts, stub_guest_counts, guest_len, body_len }
 }
 
 /// The BBM compile pipeline as a pure function of `(region, cfg)`:
@@ -124,15 +112,14 @@ pub(crate) fn compile_bb(
     ir: &mut IrScratch,
     opt: &mut OptScratch,
     nanos: &mut StageNanos,
-) -> BbCompiled {
+) -> CompiledBlock {
     let mut block = timed(nanos, "translate", || translate_region_scratch(region, ir));
     if cfg.optimize {
         timed(nanos, "bbm-constprop", || opt::constprop::run(&mut block, opt));
         timed(nanos, "bbm-dce", || opt::dce::run(&mut block, opt));
     }
     timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
-    let (insts, body_len, stub_guest_counts, guest_len) = finish(block, ir, opt, nanos);
-    BbCompiled { insts, stub_guest_counts, guest_len, body_len }
+    finish(block, ir, opt, nanos)
 }
 
 /// The SBM compile pipeline as a pure function of `(region, cfg)`:
@@ -158,6 +145,5 @@ pub(crate) fn compile_sb(
             (block, SbOutcome::OutOfRegisters)
         }
     };
-    let (insts, body_len, stub_guest_counts, guest_len) = finish(block, ir, opt, nanos);
-    SbCompiled { insts, stub_guest_counts, guest_len, body_len, ir_len, outcome }
+    SbCompiled { code: finish(block, ir, opt, nanos), ir_len, outcome }
 }

@@ -429,16 +429,7 @@ impl Tol {
         self.em.bb_translate(ev, entry, region, compiled.insts.len());
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
         let ins = timed(&mut self.pass_nanos, "install", || {
-            self.cc.install(
-                entry,
-                compiled.insts,
-                BlockKind::Bb,
-                compiled.body_len,
-                compiled.stub_guest_counts,
-                compiled.guest_len,
-                region.iter().map(|r| r.pc),
-                mem,
-            )
+            self.cc.install(entry, compiled, BlockKind::Bb, region.iter().map(|r| r.pc), mem)
         })
         .ok()?;
         if ins.flushed {
@@ -481,20 +472,11 @@ impl Tol {
             }
             SbOutcome::OutOfRegisters => self.counters.opt_bailouts += 1,
         }
-        self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.insts.len());
+        self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.code.insts.len());
         self.counters.sbm_invocations += 1;
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Sbm);
         let res = timed(&mut self.pass_nanos, "install", || {
-            self.cc.install(
-                entry,
-                compiled.insts,
-                BlockKind::Sb,
-                compiled.body_len,
-                compiled.stub_guest_counts,
-                compiled.guest_len,
-                region.iter().map(|r| r.pc),
-                mem,
-            )
+            self.cc.install(entry, compiled.code, BlockKind::Sb, region.iter().map(|r| r.pc), mem)
         });
         self.scratch.region = region;
         let Ok(ins) = res else {
@@ -711,9 +693,7 @@ impl Tol {
                     Some((sb, false)) => {
                         // The BBM block stays as dead code behind a
                         // redirect until the next flush.
-                        if let Some(b) = self.cc.get_mut(bid) {
-                            b.redirect = Some(sb);
-                        }
+                        self.cc.redirect(bid, sb);
                         self.em.transition(ev);
                     }
                     None => {
@@ -752,6 +732,7 @@ impl Tol {
         ev: &mut EventBuffer<'_>,
     ) -> (Exit, usize, u64, Option<bool>) {
         let block = self.cc.get(bid).expect("guarded live at dispatch");
+        debug_assert!(block.redirect.is_none(), "{bid} runs behind its redirect");
         let mut idx = 0usize;
         loop {
             let d = ev.retire_in_place(&block.templates[idx]);

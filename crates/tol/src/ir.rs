@@ -449,7 +449,7 @@ pub fn lower(block: &IrBlock, map: &RegMap) -> Vec<HInst> {
             IrInst::AluI { op, rd, ra, imm } => {
                 HInst::AluI { op, rd: map.r(rd), ra: map.r(ra), imm }
             }
-            IrInst::Li { rd, imm } => HInst::Li { rd: map.r(rd), imm },
+            IrInst::Li { rd, imm } => HInst::Li { rd: map.r(rd), imm: imm as i32 },
             IrInst::Mul { rd, ra, rb } => {
                 HInst::Mul { rd: map.r(rd), ra: map.r(ra), rb: map.r(rb) }
             }
@@ -530,6 +530,28 @@ mod tests {
         }
         assert_eq!(host[2], HInst::Exit(Exit::Direct { guest_target: 0x200, link: None }));
         assert_eq!(host[3], HInst::Exit(Exit::Direct { guest_target: 0x100, link: None }));
+    }
+
+    /// `HInst::Li` holds 32 bits, as a host register does: lowering
+    /// keeps the low 32 bits of the IR's immediate, so a negative
+    /// constant and a pc above 2^31 both land in the register unchanged.
+    #[test]
+    fn lowered_immediates_keep_their_32_bits() {
+        let mut map = RegMap::default();
+        map.int.insert(0, HReg(10));
+        for imm in [-5, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF] {
+            let block = IrBlock {
+                ops: vec![IrOp { inst: IrInst::Li { rd: IrReg::Virt(0), imm }, guest_idx: 0 }],
+                stubs: vec![],
+                stub_guest_counts: vec![],
+                fallthrough: Exit::Halt,
+                guest_len: 1,
+            };
+            let host = lower(&block, &map);
+            let mut st = darco_host::HostState::new();
+            darco_host::exec_inst(&mut st, &host[0], &mut darco_guest::GuestMem::new());
+            assert_eq!(st.reg(HReg(10)), imm as u32, "li {imm:#x}");
+        }
     }
 
     #[test]

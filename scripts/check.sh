@@ -102,12 +102,12 @@ target/release/darco figures all | cmp - figures_output.txt
 echo "== cargo test -q --workspace"
 timeout 900 cargo test -q --workspace
 
-# The digests of the event stream and of the serialized reports, the
-# no-dead-knob test (every TolConfig switch moves the cycle count), the
-# property tests and the per-opcode boundary cases must hold as
-# optimised too.
-echo "== cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary"
-timeout 600 cargo test -q --release --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary
+# The digests of the translator's output, of the event stream and of
+# the serialized reports, the no-dead-knob test (every TolConfig switch
+# moves the cycle count), the property tests and the per-opcode boundary
+# cases must hold as optimised too.
+echo "== cargo test -q --release --test translation_golden --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary"
+timeout 600 cargo test -q --release --test translation_golden --test event_stream_golden --test report_golden --test extensions --test properties --test opcode_boundary
 
 # The guest layer's block dispatch loop (bounds, budget and cursor
 # arithmetic) must hold as optimised, not only with overflow checks and

@@ -70,14 +70,19 @@ fn churn_profile() -> BenchProfile {
     }
 }
 
-fn golden(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Golden {
+/// The layer after running `profile` at `scale` to its halt.
+fn translated(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Tol {
     let w = generate(profile, scale);
     let mut mem = w.mem.clone();
     let mut tol = Tol::new(cfg, w.entry);
     tol.set_state(&w.initial);
     tol.run(&mut mem, &mut NullSink, u64::MAX).expect("generated workloads decode");
     assert!(tol.is_done(), "{}: guest must halt", profile.name);
+    tol
+}
 
+fn golden(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Golden {
+    let tol = translated(profile, scale, cfg);
     let mut blocks: Vec<_> = tol.cc.blocks().map(|(id, b)| (b.guest_entry, id.idx, b)).collect();
     blocks.sort_by_key(|&(entry, idx, b)| (entry, b.kind == BlockKind::Sb, idx));
     let mut h = Fnv::new();
@@ -184,4 +189,31 @@ fn startup_churn_translations_are_pinned() {
             },
         ],
     );
+}
+
+/// A block replaced by its superblock keeps its code (digested above)
+/// but drops its retirement templates when it is redirected, since
+/// every way into it then leads to the superblock; every other block
+/// keeps the templates it runs by.
+#[test]
+fn only_redirected_blocks_drop_their_templates() {
+    for (profile, scale) in [(suites::quicktest_profile(), 0.5), (churn_profile(), 1.0)] {
+        for (name, cfg) in configs() {
+            let tol = translated(&profile, scale, cfg);
+            let mut redirected = 0;
+            for (id, b) in tol.cc.blocks() {
+                assert!(!b.insts.is_empty(), "{}/{name}: {id} has no code", profile.name);
+                assert_eq!(
+                    b.templates.is_empty(),
+                    b.redirect.is_some(),
+                    "{}/{name}: {id} ({} templates, redirect {:?})",
+                    profile.name,
+                    b.templates.len(),
+                    b.redirect
+                );
+                redirected += usize::from(b.redirect.is_some());
+            }
+            assert!(redirected > 0, "{}/{name}: no block was replaced", profile.name);
+        }
+    }
 }
