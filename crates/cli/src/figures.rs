@@ -29,7 +29,6 @@ use crate::{bail, parse, run_batch};
 use darco_core::experiments::{self, BenchRun};
 use darco_core::report::{pct, render_table};
 use darco_core::{System, SystemConfig};
-use darco_timing::TimingConfig;
 use darco_tol::TolConfig;
 use darco_workloads::{generate, suites, BenchProfile};
 use std::collections::BTreeMap;
@@ -81,7 +80,7 @@ pub fn figures(rest: &[String]) {
     let o = parse("figures", flags, &["--scale", "--jobs"], SCALE);
     let (scale, cfg) = (o.scale, SystemConfig { cosim: false, ..SystemConfig::default() });
     match command {
-        "table1" => table1(&cfg.timing),
+        "table1" => table1(),
         "startup" => startup(scale, &cfg),
         "ablate-thresholds" => ablate_thresholds(scale, &cfg),
         "ablate-ibtc" => ablate_ibtc(scale, &cfg),
@@ -525,43 +524,38 @@ fn ablate_future(scale: f64, base: &SystemConfig) {
     );
 }
 
-fn table1(t: &TimingConfig) {
+fn table1() {
+    use darco_timing::config::{
+        BP_HISTORY_BITS, IQ_SIZE, ISSUE_WIDTH, L1I, L2, MEM_LATENCY, PREFETCHER_ENTRIES, TLB1, TLB2,
+    };
     heading("Table I: host processor microarchitectural parameters");
     let rows: Vec<Vec<String>> = vec![
-        vec!["General".into(), "Issue width".into(), t.issue_width.to_string()],
-        vec!["Instruction queue".into(), "Size".into(), t.iq_size.to_string()],
+        vec!["General".into(), "Issue width".into(), ISSUE_WIDTH.to_string()],
+        vec!["Instruction queue".into(), "Size".into(), IQ_SIZE.to_string()],
         vec![
             "Branch predictor".into(),
             "Size of history register".into(),
-            t.bp_history_bits.to_string(),
+            BP_HISTORY_BITS.to_string(),
         ],
-        vec!["L1 I-Cache / D-Cache".into(), "Size".into(), format!("{}KB", t.l1i.size / 1024)],
-        vec![
-            "".into(),
-            "Block size/Associativity".into(),
-            format!("{}B/{}", t.l1i.block, t.l1i.ways),
-        ],
+        vec!["L1 I-Cache / D-Cache".into(), "Size".into(), format!("{}KB", L1I.size / 1024)],
+        vec!["".into(), "Block size/Associativity".into(), format!("{}B/{}", L1I.block, L1I.ways)],
         vec!["".into(), "Replacement policy".into(), "PLRU".into()],
-        vec!["".into(), "Hit latency".into(), t.l1i.hit_latency.to_string()],
+        vec!["".into(), "Hit latency".into(), L1I.hit_latency.to_string()],
         vec![
             "Stride prefetcher".into(),
             "Number of entries".into(),
-            t.prefetcher_entries.to_string(),
+            PREFETCHER_ENTRIES.to_string(),
         ],
-        vec!["L2 U-Cache".into(), "Size".into(), format!("{}KB", t.l2.size / 1024)],
-        vec![
-            "".into(),
-            "Block size/Associativity".into(),
-            format!("{}B/{}", t.l2.block, t.l2.ways),
-        ],
+        vec!["L2 U-Cache".into(), "Size".into(), format!("{}KB", L2.size / 1024)],
+        vec!["".into(), "Block size/Associativity".into(), format!("{}B/{}", L2.block, L2.ways)],
         vec!["".into(), "Replacement policy".into(), "PLRU".into()],
-        vec!["".into(), "Hit latency".into(), t.l2.hit_latency.to_string()],
-        vec!["Main memory".into(), "Hit latency".into(), t.mem_latency.to_string()],
-        vec!["L1 TLB".into(), "Entries".into(), format!("{}/{} way", t.tlb1.entries, t.tlb1.ways)],
-        vec!["".into(), "Hit latency".into(), t.tlb1.hit_latency.to_string()],
-        vec!["L2 TLB".into(), "Entries".into(), format!("{}/{} way", t.tlb2.entries, t.tlb2.ways)],
-        vec!["".into(), "Hit latency".into(), t.tlb2.hit_latency.to_string()],
+        vec!["".into(), "Hit latency".into(), L2.hit_latency.to_string()],
+        vec!["Main memory".into(), "Hit latency".into(), MEM_LATENCY.to_string()],
+        vec!["L1 TLB".into(), "Entries".into(), format!("{}/{} way", TLB1.entries, TLB1.ways)],
+        vec!["".into(), "Hit latency".into(), TLB1.hit_latency.to_string()],
+        vec!["L2 TLB".into(), "Entries".into(), format!("{}/{} way", TLB2.entries, TLB2.ways)],
+        vec!["".into(), "Hit latency".into(), TLB2.hit_latency.to_string()],
     ];
     println!("{}", render_table(&["Component", "Parameter", "Value"], &rows));
-    println!("matches the paper's Table I exactly (TimingConfig::default()).");
+    println!("matches the paper's Table I exactly (the constants of darco_timing::config).");
 }

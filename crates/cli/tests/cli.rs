@@ -45,12 +45,49 @@ fn scale_must_be_finite_and_positive() {
 
 #[test]
 fn figures_prints_table_one() {
+    use darco_timing::config::{
+        BP_HISTORY_BITS, IQ_SIZE, ISSUE_WIDTH, L1D, L1I, L2, MEM_LATENCY, PREFETCHER_ENTRIES, TLB1,
+        TLB2,
+    };
     let stdout = stdout_of(&["figures", "table1"]);
     assert!(
-        stdout.contains("=== Table I: host processor microarchitectural parameters ===")
-            && stdout.contains("Issue width"),
+        stdout.contains("=== Table I: host processor microarchitectural parameters ==="),
         "{stdout}"
     );
+    // One row per parameter, in order: its name, then the constant it
+    // prints. The L1 row stands for both L1s.
+    assert_eq!(L1I, L1D);
+    let expected = [
+        ("Issue width", ISSUE_WIDTH.to_string()),
+        ("Size", IQ_SIZE.to_string()),
+        ("Size of history register", BP_HISTORY_BITS.to_string()),
+        ("Size", format!("{}KB", L1I.size / 1024)),
+        ("Block size/Associativity", format!("{}B/{}", L1I.block, L1I.ways)),
+        ("Replacement policy", "PLRU".into()),
+        ("Hit latency", L1I.hit_latency.to_string()),
+        ("Number of entries", PREFETCHER_ENTRIES.to_string()),
+        ("Size", format!("{}KB", L2.size / 1024)),
+        ("Block size/Associativity", format!("{}B/{}", L2.block, L2.ways)),
+        ("Replacement policy", "PLRU".into()),
+        ("Hit latency", L2.hit_latency.to_string()),
+        ("Hit latency", MEM_LATENCY.to_string()),
+        ("Entries", format!("{}/{} way", TLB1.entries, TLB1.ways)),
+        ("Hit latency", TLB1.hit_latency.to_string()),
+        ("Entries", format!("{}/{} way", TLB2.entries, TLB2.ways)),
+        ("Hit latency", TLB2.hit_latency.to_string()),
+    ];
+    let rows: Vec<(&str, &str)> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| {
+            let cells: Vec<&str> = l.split("  ").map(str::trim).filter(|c| !c.is_empty()).collect();
+            (cells[cells.len() - 2], cells[cells.len() - 1])
+        })
+        .collect();
+    let expected: Vec<(&str, &str)> = expected.iter().map(|(p, v)| (*p, v.as_str())).collect();
+    assert_eq!(rows, expected, "{stdout}");
 }
 
 #[test]

@@ -43,10 +43,12 @@ pub struct TimingSink {
 impl TimingSink {
     /// Builds the pipeline set the configuration asks for.
     pub fn new(cfg: &SystemConfig) -> TimingSink {
-        let pipeline = || Pipeline::new(cfg.timing.clone());
         TimingSink {
-            shared: pipeline(),
-            filtered: [cfg.app_only_pipeline.then(pipeline), cfg.tol_only_pipeline.then(pipeline)],
+            shared: Pipeline::new(),
+            filtered: [
+                cfg.app_only_pipeline.then(Pipeline::new),
+                cfg.tol_only_pipeline.then(Pipeline::new),
+            ],
             timeline: Vec::new(),
             last_mark: WindowMark::default(),
         }
@@ -371,7 +373,7 @@ mod tests {
     /// One pipeline fed by [`Pipeline::retire`] with the retirements of
     /// `stream` that `keep` admits, as text: every field, floats exactly.
     fn retire_alone(stream: &[HostEvent], keep: impl Fn(Owner) -> bool) -> String {
-        let mut p = Pipeline::new(test_cfg().timing);
+        let mut p = Pipeline::new();
         for e in stream {
             match e {
                 HostEvent::Retire(d) if keep(d.owner()) => p.retire(d),

@@ -4,7 +4,7 @@
 use crate::checker::StateChecker;
 use crate::sinks::{CheckerSink, SinkSet, TimingSink};
 use darco_host::{HostEvent, HostEventSink, TraceStats, TraceStatsSink};
-use darco_timing::{Stats, TimingConfig};
+use darco_timing::Stats;
 use darco_tol::{RunSummary, Tol, TolConfig};
 use darco_workloads::{generate, BenchProfile, Workload};
 use serde::Serialize;
@@ -23,8 +23,6 @@ pub fn scaled_tol_config() -> TolConfig {
 pub struct SystemConfig {
     /// Software-layer parameters.
     pub tol: TolConfig,
-    /// Host timing parameters (shared pipeline).
-    pub timing: TimingConfig,
     /// Run co-simulation (authoritative emulator + state checks). Exact
     /// but roughly doubles functional work; figure sweeps disable it
     /// after the test suite has established equivalence.
@@ -54,7 +52,6 @@ impl Default for SystemConfig {
     fn default() -> SystemConfig {
         SystemConfig {
             tol: scaled_tol_config(),
-            timing: TimingConfig::default(),
             cosim: true,
             app_only_pipeline: false,
             tol_only_pipeline: false,

@@ -146,11 +146,6 @@ impl Cache {
             _ => probe_set_any(set, plru, key, ways),
         }
     }
-
-    /// Line (block) size in bytes.
-    pub fn block_bytes(&self) -> u64 {
-        1 << self.block_shift
-    }
 }
 
 #[cfg(test)]
@@ -201,11 +196,10 @@ mod tests {
 
     #[test]
     fn table_i_shapes_construct() {
-        use crate::config::TimingConfig;
-        let cfg = TimingConfig::default();
-        let _ = Cache::new(cfg.l1i);
-        let _ = Cache::new(cfg.l1d);
-        let _ = Cache::new(cfg.l2);
+        use crate::config::{L1D, L1I, L2};
+        let _ = Cache::new(L1I);
+        let _ = Cache::new(L1D);
+        let _ = Cache::new(L2);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! 2-issue **in-order** pipeline with a decoupled front-end and back-end,
 //! a 16-entry instruction queue, a Gshare branch predictor with a BTB,
 //! split 32 KB L1 caches, a unified 512 KB L2, a two-level data TLB and a
-//! 256-entry stride prefetcher.
+//! 256-entry stride prefetcher. Those parameters are constants in
+//! [`config`]: the model simulates that one machine.
 //!
 //! The simulator is trace-driven: it consumes the retired host
 //! instruction stream ([`darco_host::DynInst`]) produced by the software
@@ -25,9 +26,9 @@
 //! ```
 //! use darco_host::stream::{int_reg, DynInst};
 //! use darco_host::{Component, ExecClass};
-//! use darco_timing::{Pipeline, TimingConfig};
+//! use darco_timing::Pipeline;
 //!
-//! let mut p = Pipeline::new(TimingConfig::default());
+//! let mut p = Pipeline::new();
 //! // A load followed by a dependent add.
 //! p.retire(
 //!     &DynInst::plain(0x100, ExecClass::Load, Component::AppCode)
@@ -57,7 +58,7 @@ pub mod stats;
 pub mod tlb;
 
 pub use cache::{Cache, Lookup};
-pub use config::{CacheParams, TimingConfig, TimingConfigError, TlbParams};
+pub use config::{CacheParams, TlbParams};
 pub use memsys::MemSystem;
 pub use pipeline::Pipeline;
 pub use stats::{BubbleCause, Stats};

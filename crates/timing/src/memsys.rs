@@ -11,7 +11,7 @@
 //! component of the instruction that made it.
 
 use crate::cache::{Cache, Lookup};
-use crate::config::TimingConfig;
+use crate::config::{L1D, L1I, L2, MEM_LATENCY};
 use crate::prefetch::StridePrefetcher;
 use crate::tlb::Tlb;
 use darco_host::layout::is_guest_addr;
@@ -38,6 +38,8 @@ pub struct InstAccess {
 /// bits (lines are at least 2 bytes).
 const NO_LINE: u64 = u64::MAX;
 
+const D_LINE_SHIFT: u32 = L1D.block.trailing_zeros();
+
 /// The modeled cache/TLB/prefetch hierarchy.
 #[derive(Debug)]
 pub struct MemSystem {
@@ -46,30 +48,22 @@ pub struct MemSystem {
     l2: Cache,
     tlb: Tlb,
     prefetch: StridePrefetcher,
-    l1_hit: u32,
-    l2_hit: u32,
-    mem_lat: u32,
     /// Line number of the previous demand data access, used by the
     /// last-line hit shortcut; [`NO_LINE`] after any L1-D fill (a fill
     /// may disturb replacement state in the same set).
     last_d_line: u64,
-    d_line_shift: u32,
 }
 
 impl MemSystem {
-    /// Builds the hierarchy from the configuration.
-    pub fn new(cfg: &TimingConfig) -> MemSystem {
+    /// Builds Table I's hierarchy.
+    pub fn new() -> MemSystem {
         MemSystem {
-            l1i: Cache::new(cfg.l1i),
-            l1d: Cache::new(cfg.l1d),
-            l2: Cache::new(cfg.l2),
-            tlb: Tlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
-            prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
-            l1_hit: cfg.l1d.hit_latency,
-            l2_hit: cfg.l2.hit_latency,
-            mem_lat: cfg.mem_latency,
+            l1i: Cache::new(L1I),
+            l1d: Cache::new(L1D),
+            l2: Cache::new(L2),
+            tlb: Tlb::new(),
+            prefetch: StridePrefetcher::new(),
             last_d_line: NO_LINE,
-            d_line_shift: cfg.l1d.block.trailing_zeros(),
         }
     }
 
@@ -79,7 +73,7 @@ impl MemSystem {
     /// The data TLB is consulted only for guest-space addresses: the
     /// software layer works with physical addresses (Sec. II-A-2).
     pub fn access_data(&mut self, pc: u64, addr: u64) -> DataAccess {
-        let line = addr >> self.d_line_shift;
+        let line = addr >> D_LINE_SHIFT;
         let fast_hit = line == self.last_d_line;
 
         let mut latency = 0;
@@ -95,14 +89,14 @@ impl MemSystem {
             // Same L1-D line as the previous demand access, with no fill
             // in between (fills clear `last_d_line`): the probe would hit
             // and its MRU re-touch would be a PLRU no-op.
-            latency += self.l1_hit;
+            latency += L1D.hit_latency;
         } else {
             l1_miss = self.l1d.access(addr) == Lookup::Miss;
             if l1_miss {
                 latency +=
-                    if self.l2.access(addr) == Lookup::Miss { self.mem_lat } else { self.l2_hit };
+                    if self.l2.access(addr) == Lookup::Miss { MEM_LATENCY } else { L2.hit_latency };
             } else {
-                latency += self.l1_hit;
+                latency += L1D.hit_latency;
             }
         }
         self.last_d_line = line;
@@ -140,9 +134,9 @@ impl MemSystem {
         let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = if l1_miss {
             if self.l2.access(pc) == Lookup::Miss {
-                self.mem_lat
+                MEM_LATENCY
             } else {
-                self.l2_hit
+                L2.hit_latency
             }
         } else {
             1
@@ -154,10 +148,11 @@ impl MemSystem {
     pub fn prefetches(&self) -> u64 {
         self.prefetch.issued()
     }
+}
 
-    /// L1-I line size in bytes (for the pipeline's fetch grouping).
-    pub fn i_line_bytes(&self) -> u64 {
-        self.l1i.block_bytes()
+impl Default for MemSystem {
+    fn default() -> MemSystem {
+        MemSystem::new()
     }
 }
 
@@ -166,13 +161,9 @@ mod tests {
     use super::*;
     use darco_host::layout::TOL_DATA_BASE;
 
-    fn table_i() -> MemSystem {
-        MemSystem::new(&TimingConfig::default())
-    }
-
     #[test]
     fn data_hit_miss_latencies() {
-        let mut m = table_i();
+        let mut m = MemSystem::new();
         // Cold: TLB walk (128 - 1 overlapped) + memory (128).
         let a = m.access_data(0x10, 0x8000);
         assert!(a.l1_miss);
@@ -185,7 +176,7 @@ mod tests {
 
     #[test]
     fn tol_addresses_skip_tlb() {
-        let mut m = table_i();
+        let mut m = MemSystem::new();
         let a = m.access_data(0x10, TOL_DATA_BASE + 0x100);
         assert!(a.l1_miss);
         assert_eq!(a.latency, 128, "no TLB serialization for physical TOL data");
@@ -194,7 +185,7 @@ mod tests {
     #[test]
     fn tol_accesses_evict_application_lines() {
         // App touches a line; TOL then floods the same set, evicting it.
-        let mut m = table_i();
+        let mut m = MemSystem::new();
         m.access_data(0x10, 0x4000);
         // 4-way L1D, 128 sets, 64B lines: stride 8192 stays in one set.
         for i in 0..8u64 {
@@ -206,7 +197,7 @@ mod tests {
 
     #[test]
     fn inst_fetch_path() {
-        let mut m = table_i();
+        let mut m = MemSystem::new();
         let a = m.access_inst(0x100);
         assert!(a.l1_miss);
         assert_eq!(a.latency, 128);
@@ -221,9 +212,8 @@ mod tests {
         // model on a mixed stream (repeats, strides, one hammered set, sw
         // prefetches, guest and TOL space): every access result and the
         // prefetch count must be identical.
-        let cfg = TimingConfig::default();
-        let mut f = MemSystem::new(&cfg);
-        let mut s = crate::reference::FullProbeMemSystem::new(&cfg);
+        let mut f = MemSystem::new();
+        let mut s = crate::reference::FullProbeMemSystem::new();
         let mut x = 0x853C_49E6_748F_EA9Bu64;
         for i in 0..30_000u64 {
             x ^= x << 13;
@@ -257,7 +247,7 @@ mod tests {
 
     #[test]
     fn prefetcher_hides_stream_misses() {
-        let mut m = table_i();
+        let mut m = MemSystem::new();
         let pc = 0x500;
         let mut misses = 0;
         for i in 0..64u64 {

@@ -19,7 +19,10 @@
 //! The effective branch misprediction penalty emerges from the modeled
 //! depth (fetch→EXE ≈ 6 cycles, per Table I).
 
-use crate::config::TimingConfig;
+use crate::config::{
+    FRONTEND_DEPTH, IQ_SIZE, ISSUE_WIDTH, L1D, L1I, LAT_COMPLEX_FP, LAT_COMPLEX_INT, LAT_SIMPLE_FP,
+    LAT_SIMPLE_INT,
+};
 use crate::memsys::MemSystem;
 use crate::predictor::Predictor;
 use crate::stats::{BubbleCause, Stats};
@@ -45,11 +48,13 @@ const I_CACHE_MISS: usize = BubbleCause::ICacheMiss.index();
 const BRANCH: usize = BubbleCause::Branch.index();
 const SCHEDULING: usize = BubbleCause::Scheduling.index();
 
+/// Fetch groups by L1-I line: a pc's line number is `pc >> I_LINE_SHIFT`.
+const I_LINE_SHIFT: u32 = L1I.block.trailing_zeros();
+
 /// Trace-driven pipeline simulator; feed with [`Pipeline::retire`] and
 /// collect results with [`Pipeline::finish`].
 #[derive(Debug)]
 pub struct Pipeline {
-    cfg: TimingConfig,
     mem: MemSystem,
     pred: Predictor,
     stats: Stats,
@@ -64,16 +69,15 @@ pub struct Pipeline {
 
     last_issue: u64,
     issued_in_cycle: u32,
-    /// Issue times of the last `iq_size` instructions, the oldest at
+    /// Issue times of the last [`IQ_SIZE`] instructions, the oldest at
     /// `iq_head`. Starts as `u64::MAX`, so that "oldest + 1" wraps to
     /// the 0 a queue that is not full yet imposes.
-    iq_ring: Box<[u64]>,
+    iq_ring: [u64; IQ_SIZE],
     iq_head: usize,
 
     fetch_pos: u64,
     fetch_in_cycle: u32,
     last_fetch_line: u64,
-    i_line_shift: u32,
     /// Pending resteer: the cycle fetch resumes and the component index
     /// of the mispredicted branch.
     redirect_at: Option<(u64, usize)>,
@@ -87,40 +91,27 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds a pipeline from the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`TimingConfig::validate`] rejects the configuration
-    /// (zero issue width or IQ size, non-power-of-two geometry, ...); the
-    /// message names the field.
-    pub fn new(cfg: TimingConfig) -> Pipeline {
-        cfg.validate().expect("TimingConfig cannot be simulated");
-        let mem = MemSystem::new(&cfg);
-        // Line size is a power of two; cache the shift so the hot retire
-        // path never divides.
-        let i_line_shift = mem.i_line_bytes().trailing_zeros();
+    /// Builds Table I's pipeline ([`crate::config`]), idle and cold.
+    pub fn new() -> Pipeline {
         Pipeline {
-            mem,
-            pred: Predictor::new(cfg.bp_history_bits, cfg.btb_entries),
-            stats: Stats { issue_width: cfg.issue_width, ..Stats::default() },
+            mem: MemSystem::new(),
+            pred: Predictor::new(),
+            stats: Stats { issue_width: ISSUE_WIDTH, ..Stats::default() },
             bubble_units: [[0; 4]; 7],
             reg_ready: [0; SLOTS],
             reg_tag: [0; SLOTS],
             last_issue: 0,
             issued_in_cycle: 0,
-            iq_ring: vec![u64::MAX; cfg.iq_size as usize].into_boxed_slice(),
+            iq_ring: [u64::MAX; IQ_SIZE],
             iq_head: 0,
             fetch_pos: 0,
             fetch_in_cycle: 0,
             last_fetch_line: u64::MAX,
-            i_line_shift,
             redirect_at: None,
             unit_free_cint: [0; 2],
             unit_free_sfp: [0; 2],
             unit_free_cfp: [0; 2],
             max_completion: 0,
-            cfg,
         }
     }
 
@@ -152,7 +143,6 @@ impl Pipeline {
             "register id out of range: {d:?}"
         );
         let comp = d.component.index();
-        let width = self.cfg.issue_width;
         self.stats.insts[comp] += 1;
 
         // ---- Front end ----------------------------------------------
@@ -160,7 +150,7 @@ impl Pipeline {
         // instruction" doubles as "none": it is what a stall nobody else
         // claims is charged to.
         let (mut fe_cause, mut fe_comp) = (SCHEDULING, comp);
-        let natural = self.fetch_pos + u64::from(self.fetch_in_cycle >= width);
+        let natural = self.fetch_pos + u64::from(self.fetch_in_cycle >= ISSUE_WIDTH);
         let mut fetch = natural;
         if let Some((at, by)) = self.redirect_at.take() {
             if at > fetch {
@@ -169,7 +159,7 @@ impl Pipeline {
             }
             self.last_fetch_line = u64::MAX; // refetch the target line
         }
-        let line = d.pc >> self.i_line_shift;
+        let line = d.pc >> I_LINE_SHIFT;
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
             let acc = self.mem.access_inst(d.pc);
@@ -189,12 +179,12 @@ impl Pipeline {
         self.fetch_in_cycle = if fetch > self.fetch_pos { 1 } else { self.fetch_in_cycle + 1 };
         self.fetch_pos = fetch;
 
-        let decode_ready = fetch + self.cfg.frontend_depth as u64;
+        let decode_ready = fetch + FRONTEND_DEPTH;
         let iq_ready = self.iq_ring[self.iq_head].wrapping_add(1);
         let t_front = decode_ready.max(iq_ready) + 1;
 
         // ---- Issue constraints --------------------------------------
-        let t_inorder = self.last_issue + u64::from(self.issued_in_cycle >= width);
+        let t_inorder = self.last_issue + u64::from(self.issued_in_cycle >= ISSUE_WIDTH);
 
         // `reg_ready` holds the cycle the producer's result is on the
         // bypass network (its EXE completion). The consumer reads in its
@@ -223,9 +213,12 @@ impl Pipeline {
         // `issued_in_cycle <= width`: a full cycle moves `t_inorder` on.
         let new_cycle = issue > self.last_issue;
         let gap = issue.saturating_sub(self.last_issue + 1);
-        let left_behind =
-            if new_cycle && self.issued_in_cycle != 0 { width - self.issued_in_cycle } else { 0 };
-        let units = gap * u64::from(width) + u64::from(left_behind);
+        let left_behind = if new_cycle && self.issued_in_cycle != 0 {
+            ISSUE_WIDTH - self.issued_in_cycle
+        } else {
+            0
+        };
+        let units = gap * u64::from(ISSUE_WIDTH) + u64::from(left_behind);
         let (cause, by) = if issue == t_src && src_tag & TAG_LOAD_MISS != 0 {
             (D_CACHE_MISS, (src_tag & !TAG_LOAD_MISS) as usize)
         } else if issue == t_front {
@@ -239,16 +232,16 @@ impl Pipeline {
         self.issued_in_cycle = if new_cycle { 1 } else { self.issued_in_cycle + 1 };
         self.last_issue = issue; // `issue >= t_inorder >= last_issue`
         self.iq_ring[self.iq_head] = issue;
-        self.iq_head = if self.iq_head + 1 == self.iq_ring.len() { 0 } else { self.iq_head + 1 };
+        self.iq_head = if self.iq_head + 1 == IQ_SIZE { 0 } else { self.iq_head + 1 };
 
         // ---- Execute ------------------------------------------------
         let exec = issue + 2; // ISSUE -> RR -> EXE
         let mut load_missed = false;
         let latency = match d.class {
-            ExecClass::SimpleInt => self.cfg.lat_simple_int as u64,
-            ExecClass::ComplexInt => self.cfg.lat_complex_int as u64,
-            ExecClass::SimpleFp => self.cfg.lat_simple_fp as u64,
-            ExecClass::ComplexFp => self.cfg.lat_complex_fp as u64,
+            ExecClass::SimpleInt => LAT_SIMPLE_INT,
+            ExecClass::ComplexInt => LAT_COMPLEX_INT,
+            ExecClass::SimpleFp => LAT_SIMPLE_FP,
+            ExecClass::ComplexFp => LAT_COMPLEX_FP,
             ExecClass::Load | ExecClass::Store => {
                 if let Some(m) = d.mem() {
                     if m.is_prefetch {
@@ -264,7 +257,7 @@ impl Pipeline {
                             // Any latency beyond the L1 hit (cache miss
                             // or TLB serialization) is a memory-system
                             // stall for attribution purposes.
-                            load_missed = acc.latency > self.cfg.l1d.hit_latency;
+                            load_missed = acc.latency > L1D.hit_latency;
                             acc.latency as u64
                         } else {
                             1 // stores retire via the store buffer
@@ -347,14 +340,19 @@ impl Pipeline {
     pub fn snapshot(&self) -> Stats {
         let mut s = self.stats.clone();
         s.total_cycles = self.max_completion;
-        let width = f64::from(self.cfg.issue_width);
         for (cycles, units) in s.bubbles.iter_mut().zip(&self.bubble_units) {
             for (c, &u) in cycles.iter_mut().zip(units) {
-                *c = u as f64 / width;
+                *c = u as f64 / f64::from(ISSUE_WIDTH);
             }
         }
         s.prefetches = self.mem.prefetches();
         s
+    }
+}
+
+impl Default for Pipeline {
+    fn default() -> Pipeline {
+        Pipeline::new()
     }
 }
 
@@ -371,7 +369,7 @@ mod tests {
     /// Warm up the I-cache over a tiny loop footprint so fetch effects
     /// vanish, then measure.
     fn run_loop(insts: &[DynInst], iters: usize) -> Stats {
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         for _ in 0..iters {
             for d in insts {
                 p.retire(d);
@@ -407,7 +405,7 @@ mod tests {
     fn load_misses_become_dcache_bubbles() {
         // A pointer-chase over a footprint far beyond L2, consumer
         // immediately dependent.
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         let mut x = 0x12345678u64;
         for _ in 0..50_000u64 {
             // xorshift scramble: no stable stride for the prefetcher.
@@ -436,7 +434,7 @@ mod tests {
     fn mispredicted_branches_cost_about_six_cycles() {
         // A data-dependent (unpredictable-target) indirect jump per
         // iteration: every one mispredicts.
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         let n = 10_000u64;
         for i in 0..n {
             p.retire(&simple(0x0));
@@ -459,7 +457,7 @@ mod tests {
     #[test]
     fn giant_code_footprint_creates_icache_bubbles() {
         // Walk 4 MB of code once per iteration: everything misses L1I.
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         for rep in 0..4u64 {
             for i in 0..20_000u64 {
                 // One instruction per 64B line, strided to defeat reuse.
@@ -495,32 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn bubbles_are_whole_thirds_at_width_three() {
-        // Partial cycles of one and two unused slots, idle cycles and
-        // every cause: a running sum of thirds would drift off them.
-        let cfg = TimingConfig { issue_width: 3, ..TimingConfig::default() };
-        let mut p = Pipeline::new(cfg);
-        for i in 0..30_000u64 {
-            let dep = if i % 3 == 0 { int_reg(1) } else { NO_REG };
-            p.retire(&simple((i % 40) * 4).with_srcs(dep, NO_REG).with_dst(int_reg(1)));
-            if i % 7 == 0 {
-                p.retire(
-                    &DynInst::plain(0x400, ExecClass::Load, Component::TolLookup)
-                        .with_dst(int_reg(1))
-                        .with_mem(0x4000 + (i * 4099 * 64) % (1 << 24), 8, false),
-                );
-            }
-        }
-        let s = p.finish();
-        assert!(s.bubbles.iter().flatten().filter(|&&b| b > 0.0).count() >= 3);
-        for (c, row) in s.bubbles.iter().enumerate() {
-            for (k, &b) in row.iter().enumerate() {
-                assert_eq!((b * 3.0).fract(), 0.0, "bubbles[{c}][{k}] = {b}");
-            }
-        }
-    }
-
-    #[test]
     fn complex_units_serialize() {
         // Four independent FP divides per "cycle group" contend for the
         // two unpipelined complex FP units.
@@ -534,7 +506,7 @@ mod tests {
 
     #[test]
     fn software_prefetch_fills_without_stalling() {
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         // Prefetch a line, then load from it: the load must hit.
         p.retire(&DynInst::plain(0x100, ExecClass::Load, Component::AppCode).with_prefetch(0x9000));
         // Spacer work so the (modelled-as-instant) fill precedes the load.
@@ -557,7 +529,7 @@ mod tests {
         // that misses the L1-I, one load that misses the L1-D and `i`
         // that hit its line, `i` correctly predicted branches and one
         // mispredicted jump. Each count moves at index `i` only.
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         let counts = |s: &Stats| {
             [s.i_accesses, s.i_misses, s.d_accesses, s.d_misses, s.branches, s.mispredicts]
         };
@@ -602,7 +574,7 @@ mod tests {
 
     #[test]
     fn tol_and_app_attribution_separate() {
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         for i in 0..20_000u64 {
             p.retire(&simple(i % 64));
             let tol = DynInst::plain(

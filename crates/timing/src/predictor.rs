@@ -7,37 +7,30 @@
 //! stack, so returns and indirect jumps are predicted by the BTB alone —
 //! which is why indirect-branch-heavy guests hurt (Sec. III-B).
 
+use crate::config::{BP_HISTORY_BITS, BTB_ENTRIES};
 use darco_host::BranchKind;
+
+const HISTORY_MASK: u32 = (1 << BP_HISTORY_BITS) - 1;
+const BTB_MASK: u64 = BTB_ENTRIES as u64 - 1;
 
 /// Gshare + BTB predictor. It keeps no counters: the caller counts
 /// what [`Predictor::predict_and_update`] returns.
 #[derive(Debug, Clone)]
 pub struct Predictor {
     history: u32,
-    history_mask: u32,
     pht: Vec<u8>,
     /// `(tag, target)` per BTB entry; the tag is the branch's full PC.
     btb: Vec<(u64, u64)>,
-    btb_mask: u64,
 }
 
 impl Predictor {
-    /// Builds a predictor with `history_bits` of global history and a
-    /// direct-mapped BTB of `btb_entries` entries (power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `btb_entries` is not a power of two or `history_bits`
-    /// exceeds 20.
-    pub fn new(history_bits: u32, btb_entries: u32) -> Predictor {
-        assert!(btb_entries.is_power_of_two(), "BTB entries must be a power of two");
-        assert!(history_bits <= 20, "history register too large");
+    /// Builds Table I's predictor: [`BP_HISTORY_BITS`] of global
+    /// history and a direct-mapped BTB of [`BTB_ENTRIES`] entries.
+    pub fn new() -> Predictor {
         Predictor {
             history: 0,
-            history_mask: (1 << history_bits) - 1,
-            pht: vec![1; 1 << history_bits], // weakly not-taken
-            btb: vec![(u64::MAX, 0); btb_entries as usize],
-            btb_mask: (btb_entries - 1) as u64,
+            pht: vec![1; 1 << BP_HISTORY_BITS], // weakly not-taken
+            btb: vec![(u64::MAX, 0); BTB_ENTRIES as usize],
         }
     }
 
@@ -56,7 +49,7 @@ impl Predictor {
     ) -> bool {
         match kind {
             BranchKind::CondDirect => {
-                let idx = ((pc >> 2) as u32 ^ self.history) & self.history_mask;
+                let idx = ((pc >> 2) as u32 ^ self.history) & HISTORY_MASK;
                 let ctr = &mut self.pht[idx as usize];
                 let pred_taken = *ctr >= 2;
                 // Update the 2-bit counter.
@@ -65,7 +58,7 @@ impl Predictor {
                 } else {
                     *ctr = ctr.saturating_sub(1);
                 }
-                self.history = ((self.history << 1) | taken as u32) & self.history_mask;
+                self.history = ((self.history << 1) | taken as u32) & HISTORY_MASK;
                 let dir_wrong = pred_taken != taken;
                 let target_wrong = taken && self.btb_lookup_update(pc, target);
                 dir_wrong || target_wrong
@@ -79,10 +72,16 @@ impl Predictor {
     /// Returns `true` if the BTB did not hold the correct target
     /// (and installs/updates the entry).
     fn btb_lookup_update(&mut self, pc: u64, target: u64) -> bool {
-        let entry = &mut self.btb[((pc >> 2) & self.btb_mask) as usize];
+        let entry = &mut self.btb[((pc >> 2) & BTB_MASK) as usize];
         let wrong = *entry != (pc, target);
         *entry = (pc, target);
         wrong
+    }
+}
+
+impl Default for Predictor {
+    fn default() -> Predictor {
+        Predictor::new()
     }
 }
 
@@ -91,7 +90,7 @@ mod tests {
     use super::*;
 
     fn p() -> Predictor {
-        Predictor::new(12, 1024)
+        Predictor::new()
     }
 
     #[test]

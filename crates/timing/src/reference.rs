@@ -12,11 +12,11 @@
 //! they are policy, not layout.
 
 use crate::cache::Lookup;
-use crate::config::{CacheParams, TimingConfig, TlbParams};
+use crate::config::{CacheParams, L1D, L1I, L2, MEM_LATENCY, TLB1, TLB2, TLB_WALK_LATENCY};
 use crate::memsys::{DataAccess, InstAccess};
 use crate::plru::PlruSet;
 use crate::prefetch::StridePrefetcher;
-use crate::tlb::TlbOutcome;
+use crate::tlb::{pages, TlbOutcome};
 use darco_host::layout::is_guest_addr;
 
 struct Set {
@@ -89,33 +89,20 @@ impl LegacyCache {
 pub(crate) struct FullProbeTlb {
     l1: LegacyCache,
     l2: LegacyCache,
-    latencies: [u32; 3],
 }
 
 impl FullProbeTlb {
-    pub(crate) fn new(l1: TlbParams, l2: TlbParams, walk_latency: u32) -> FullProbeTlb {
-        let pages = |p: TlbParams| {
-            LegacyCache::new(CacheParams {
-                size: p.entries * 4096,
-                block: 4096,
-                ways: p.ways,
-                hit_latency: p.hit_latency,
-            })
-        };
-        FullProbeTlb {
-            l1: pages(l1),
-            l2: pages(l2),
-            latencies: [l1.hit_latency, l2.hit_latency, walk_latency],
-        }
+    pub(crate) fn new() -> FullProbeTlb {
+        FullProbeTlb { l1: LegacyCache::new(pages(TLB1)), l2: LegacyCache::new(pages(TLB2)) }
     }
 
     pub(crate) fn access(&mut self, addr: u64) -> (TlbOutcome, u32) {
         if self.l1.access(addr) == Lookup::Hit {
-            (TlbOutcome::L1Hit, self.latencies[0])
+            (TlbOutcome::L1Hit, TLB1.hit_latency)
         } else if self.l2.access(addr) == Lookup::Hit {
-            (TlbOutcome::L2Hit, self.latencies[1])
+            (TlbOutcome::L2Hit, TLB2.hit_latency)
         } else {
-            (TlbOutcome::Walk, self.latencies[2])
+            (TlbOutcome::Walk, TLB_WALK_LATENCY)
         }
     }
 }
@@ -128,18 +115,16 @@ pub(crate) struct FullProbeMemSystem {
     l2: LegacyCache,
     tlb: FullProbeTlb,
     prefetch: StridePrefetcher,
-    cfg: TimingConfig,
 }
 
 impl FullProbeMemSystem {
-    pub(crate) fn new(cfg: &TimingConfig) -> FullProbeMemSystem {
+    pub(crate) fn new() -> FullProbeMemSystem {
         FullProbeMemSystem {
-            l1i: LegacyCache::new(cfg.l1i),
-            l1d: LegacyCache::new(cfg.l1d),
-            l2: LegacyCache::new(cfg.l2),
-            tlb: FullProbeTlb::new(cfg.tlb1, cfg.tlb2, cfg.tlb_walk_latency),
-            prefetch: StridePrefetcher::new(cfg.prefetcher_entries),
-            cfg: cfg.clone(),
+            l1i: LegacyCache::new(L1I),
+            l1d: LegacyCache::new(L1D),
+            l2: LegacyCache::new(L2),
+            tlb: FullProbeTlb::new(),
+            prefetch: StridePrefetcher::new(),
         }
     }
 
@@ -151,9 +136,9 @@ impl FullProbeMemSystem {
         }
         let l1_miss = self.l1d.access(addr) == Lookup::Miss;
         latency += match l1_miss {
-            false => self.cfg.l1d.hit_latency,
-            true if self.l2.access(addr) == Lookup::Miss => self.cfg.mem_latency,
-            true => self.cfg.l2.hit_latency,
+            false => L1D.hit_latency,
+            true if self.l2.access(addr) == Lookup::Miss => MEM_LATENCY,
+            true => L2.hit_latency,
         };
         if let Some(pf_addr) = self.prefetch.observe(pc, addr) {
             if !self.l1d.contains(pf_addr) {
@@ -176,8 +161,8 @@ impl FullProbeMemSystem {
         let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = match l1_miss {
             false => 1,
-            true if self.l2.access(pc) == Lookup::Miss => self.cfg.mem_latency,
-            true => self.cfg.l2.hit_latency,
+            true if self.l2.access(pc) == Lookup::Miss => MEM_LATENCY,
+            true => L2.hit_latency,
         };
         InstAccess { latency, l1_miss }
     }

@@ -13,7 +13,7 @@
 //! entirely (a unit test holds it to a TLB that probes every time).
 
 use crate::cache::{Cache, Lookup};
-use crate::config::{CacheParams, TlbParams};
+use crate::config::{CacheParams, TlbParams, TLB1, TLB2, TLB_WALK_LATENCY};
 
 const PAGE_SHIFT: u32 = 12;
 
@@ -38,33 +38,15 @@ pub enum TlbOutcome {
 pub struct Tlb {
     l1: Cache,
     l2: Cache,
-    l1_latency: u32,
-    l2_latency: u32,
-    walk_latency: u32,
     /// Page number of the previous access ([`NO_PAGE`] if none).
     last_page: u64,
 }
 
 impl Tlb {
-    /// Builds the TLB from the two level parameters and walk latency.
-    pub fn new(l1: TlbParams, l2: TlbParams, walk_latency: u32) -> Tlb {
-        // Reuse the cache structure at page granularity: "block" = page.
-        let mk = |p: TlbParams| {
-            Cache::new(CacheParams {
-                size: p.entries * (1 << PAGE_SHIFT), // entries * page size
-                block: 1 << PAGE_SHIFT,
-                ways: p.ways,
-                hit_latency: p.hit_latency,
-            })
-        };
-        Tlb {
-            l1: mk(l1),
-            l2: mk(l2),
-            l1_latency: l1.hit_latency,
-            l2_latency: l2.hit_latency,
-            walk_latency,
-            last_page: NO_PAGE,
-        }
+    /// Builds Table I's TLB: levels [`TLB1`] and [`TLB2`], and a walk
+    /// of [`TLB_WALK_LATENCY`] cycles.
+    pub fn new() -> Tlb {
+        Tlb { l1: Cache::new(pages(TLB1)), l2: Cache::new(pages(TLB2)), last_page: NO_PAGE }
     }
 
     /// Translates the page of `addr`, updating both levels.
@@ -74,32 +56,42 @@ impl Tlb {
         if page == self.last_page {
             // The previous access left this page resident and MRU in L1:
             // a probe would hit and its PLRU touch would be a no-op.
-            return (TlbOutcome::L1Hit, self.l1_latency);
+            return (TlbOutcome::L1Hit, TLB1.hit_latency);
         }
         self.last_page = page;
         if self.l1.access(addr) == Lookup::Hit {
-            return (TlbOutcome::L1Hit, self.l1_latency);
+            return (TlbOutcome::L1Hit, TLB1.hit_latency);
         }
         if self.l2.access(addr) == Lookup::Hit {
-            return (TlbOutcome::L2Hit, self.l2_latency);
+            return (TlbOutcome::L2Hit, TLB2.hit_latency);
         }
-        (TlbOutcome::Walk, self.walk_latency)
+        (TlbOutcome::Walk, TLB_WALK_LATENCY)
+    }
+}
+
+impl Default for Tlb {
+    fn default() -> Tlb {
+        Tlb::new()
+    }
+}
+
+/// A TLB level as a cache of page-sized blocks.
+pub(crate) fn pages(t: TlbParams) -> CacheParams {
+    CacheParams {
+        size: t.entries << PAGE_SHIFT,
+        block: 1 << PAGE_SHIFT,
+        ways: t.ways,
+        hit_latency: t.hit_latency,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TimingConfig;
-
-    fn tlb() -> Tlb {
-        let c = TimingConfig::default();
-        Tlb::new(c.tlb1, c.tlb2, c.tlb_walk_latency)
-    }
 
     #[test]
     fn first_touch_walks_then_hits() {
-        let mut t = tlb();
+        let mut t = Tlb::new();
         let (o, lat) = t.access(0x1234);
         assert_eq!(o, TlbOutcome::Walk);
         assert_eq!(lat, 128);
@@ -112,7 +104,7 @@ mod tests {
 
     #[test]
     fn l2_catches_l1_evictions() {
-        let mut t = tlb();
+        let mut t = Tlb::new();
         // Touch 65 distinct pages mapping across the 8 sets of L1
         // (64 entries); then re-touch the first. It may have been evicted
         // from L1 but must hit L2 (256 entries).
@@ -124,9 +116,8 @@ mod tests {
 
     #[test]
     fn shortcut_matches_full_probe() {
-        let c = TimingConfig::default();
-        let mut fast = Tlb::new(c.tlb1, c.tlb2, c.tlb_walk_latency);
-        let mut slow = crate::reference::FullProbeTlb::new(c.tlb1, c.tlb2, c.tlb_walk_latency);
+        let mut fast = Tlb::new();
+        let mut slow = crate::reference::FullProbeTlb::new();
         // A stream with heavy same-page repetition plus set-conflicting
         // strides: outcomes and latencies must match.
         let mut x = 0x2545_F491_4F6C_DD1Du64;

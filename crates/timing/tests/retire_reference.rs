@@ -7,8 +7,8 @@
 //! only when there is one. The production `retire` is the same
 //! arithmetic laid out as straight-line code (sentinel scoreboard slots,
 //! a fixed ring, selects); it must agree with this model on every cycle
-//! count and on every bit of every bubble cell, for any pipeline shape.
-//! Both add bubble time up in whole `1/width`-cycle units and divide
+//! count and on every bit of every bubble cell. Both read Table I from
+//! `darco_timing::config`, add bubble time up in whole `1/width`-cycle units and divide
 //! once, when they report, and both count every event against the
 //! component of the instruction that caused it. The model is built from
 //! the public `MemSystem`/`Predictor`/`Stats` API only, so it is
@@ -17,8 +17,12 @@
 use darco_host::layout::{CODE_CACHE_BASE, TOL_CODE_BASE, TOL_DATA_BASE};
 use darco_host::stream::NO_REG;
 use darco_host::{BranchKind, Component, DynInst, ExecClass, Owner};
+use darco_timing::config::{
+    FRONTEND_DEPTH, IQ_SIZE, ISSUE_WIDTH, L1D, L1I, LAT_COMPLEX_FP, LAT_COMPLEX_INT, LAT_SIMPLE_FP,
+    LAT_SIMPLE_INT,
+};
 use darco_timing::predictor::Predictor;
-use darco_timing::{BubbleCause, MemSystem, Pipeline, Stats, TimingConfig};
+use darco_timing::{BubbleCause, MemSystem, Pipeline, Stats};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -26,7 +30,6 @@ use std::collections::VecDeque;
 const REGS: usize = 96; // 64 int + 32 fp
 
 struct Reference {
-    cfg: TimingConfig,
     mem: MemSystem,
     pred: Predictor,
     stats: Stats,
@@ -44,7 +47,6 @@ struct Reference {
     fetch_pos: u64,
     fetch_in_cycle: u32,
     last_fetch_line: u64,
-    i_line_shift: u32,
     redirect_at: Option<(u64, Component)>,
 
     // Two units per complex class (one per pipe), unpipelined.
@@ -56,30 +58,26 @@ struct Reference {
 }
 
 impl Reference {
-    fn new(cfg: TimingConfig) -> Reference {
-        let mem = MemSystem::new(&cfg);
-        let i_line_shift = mem.i_line_bytes().trailing_zeros();
+    fn new() -> Reference {
         Reference {
-            mem,
-            pred: Predictor::new(cfg.bp_history_bits, cfg.btb_entries),
-            stats: Stats { issue_width: cfg.issue_width, ..Stats::default() },
+            mem: MemSystem::new(),
+            pred: Predictor::new(),
+            stats: Stats { issue_width: ISSUE_WIDTH, ..Stats::default() },
             bubble_units: [[0; 4]; 7],
             reg_ready: [0; REGS],
             reg_load_miss: [false; REGS],
             reg_producer: [Component::AppCode; REGS],
             last_issue: 0,
             issued_in_cycle: 0,
-            iq_ring: VecDeque::with_capacity(cfg.iq_size as usize + 1),
+            iq_ring: VecDeque::with_capacity(IQ_SIZE + 1),
             fetch_pos: 0,
             fetch_in_cycle: 0,
             last_fetch_line: u64::MAX,
-            i_line_shift,
             redirect_at: None,
             unit_free_cint: [0; 2],
             unit_free_sfp: [0; 2],
             unit_free_cfp: [0; 2],
             max_completion: 0,
-            cfg,
         }
     }
 
@@ -89,11 +87,8 @@ impl Reference {
 
         // ---- Front end ----------------------------------------------
         let mut frontend_cause: Option<(BubbleCause, Component)> = None;
-        let natural = if self.fetch_in_cycle < self.cfg.issue_width {
-            self.fetch_pos
-        } else {
-            self.fetch_pos + 1
-        };
+        let natural =
+            if self.fetch_in_cycle < ISSUE_WIDTH { self.fetch_pos } else { self.fetch_pos + 1 };
         let mut fetch = natural;
         if let Some((at, comp)) = self.redirect_at.take() {
             if at > fetch {
@@ -102,7 +97,7 @@ impl Reference {
             }
             self.last_fetch_line = u64::MAX; // refetch the target line
         }
-        let line = d.pc >> self.i_line_shift;
+        let line = d.pc / u64::from(L1I.block);
         if line != self.last_fetch_line {
             self.last_fetch_line = line;
             let acc = self.mem.access_inst(d.pc);
@@ -127,8 +122,8 @@ impl Reference {
             self.fetch_in_cycle += 1;
         }
 
-        let decode_ready = fetch + self.cfg.frontend_depth as u64;
-        let iq_ready = if self.iq_ring.len() == self.cfg.iq_size as usize {
+        let decode_ready = fetch + FRONTEND_DEPTH;
+        let iq_ready = if self.iq_ring.len() == IQ_SIZE {
             self.iq_ring.front().copied().unwrap_or(0) + 1
         } else {
             0
@@ -136,11 +131,8 @@ impl Reference {
         let t_front = decode_ready.max(iq_ready) + 1;
 
         // ---- Issue constraints --------------------------------------
-        let t_inorder = if self.issued_in_cycle < self.cfg.issue_width {
-            self.last_issue
-        } else {
-            self.last_issue + 1
-        };
+        let t_inorder =
+            if self.issued_in_cycle < ISSUE_WIDTH { self.last_issue } else { self.last_issue + 1 };
 
         // `reg_ready` holds the cycle the producer's result is on the
         // bypass network (its EXE completion). The consumer reads in its
@@ -168,10 +160,10 @@ impl Reference {
         let issue = t_front.max(t_inorder).max(t_src).max(t_unit);
 
         // ---- Bubble attribution (in 1/width-cycle units) -------------
-        let width = self.cfg.issue_width as u64;
+        let width = ISSUE_WIDTH as u64;
         let gap = issue.saturating_sub(self.last_issue + 1) * width;
         let partial = if issue > self.last_issue && self.issued_in_cycle > 0 {
-            width - self.issued_in_cycle.min(self.cfg.issue_width) as u64
+            width - self.issued_in_cycle.min(ISSUE_WIDTH) as u64
         } else {
             0
         };
@@ -198,7 +190,7 @@ impl Reference {
             self.issued_in_cycle += 1;
         }
         self.iq_ring.push_back(issue);
-        if self.iq_ring.len() > self.cfg.iq_size as usize {
+        if self.iq_ring.len() > IQ_SIZE {
             self.iq_ring.pop_front();
         }
 
@@ -206,10 +198,10 @@ impl Reference {
         let exec = issue + 2; // ISSUE -> RR -> EXE
         let mut load_missed = false;
         let latency = match d.class {
-            ExecClass::SimpleInt => self.cfg.lat_simple_int as u64,
-            ExecClass::ComplexInt => self.cfg.lat_complex_int as u64,
-            ExecClass::SimpleFp => self.cfg.lat_simple_fp as u64,
-            ExecClass::ComplexFp => self.cfg.lat_complex_fp as u64,
+            ExecClass::SimpleInt => LAT_SIMPLE_INT,
+            ExecClass::ComplexInt => LAT_COMPLEX_INT,
+            ExecClass::SimpleFp => LAT_SIMPLE_FP,
+            ExecClass::ComplexFp => LAT_COMPLEX_FP,
             ExecClass::Load | ExecClass::Store => {
                 if let Some(m) = d.mem() {
                     if m.is_prefetch {
@@ -227,7 +219,7 @@ impl Reference {
                             // Any latency beyond the L1 hit (cache miss
                             // or TLB serialization) is a memory-system
                             // stall for attribution purposes.
-                            load_missed = acc.latency > self.cfg.l1d.hit_latency;
+                            load_missed = acc.latency > L1D.hit_latency;
                             acc.latency as u64
                         } else {
                             1 // stores retire via the store buffer
@@ -297,7 +289,7 @@ impl Reference {
         s.total_cycles = self.max_completion;
         for (c, units) in self.bubble_units.iter().enumerate() {
             for (k, &u) in units.iter().enumerate() {
-                s.bubbles[c][k] = u as f64 / self.cfg.issue_width as f64;
+                s.bubbles[c][k] = u as f64 / ISSUE_WIDTH as f64;
             }
         }
         s.prefetches = self.mem.prefetches();
@@ -455,40 +447,35 @@ fn assert_stats_identical(a: &Stats, b: &Stats, at: &str) {
 }
 
 /// The production pipeline and the reference agree after every retired
-/// instruction, for every issue width and IQ size.
+/// instruction, on twelve seeded streams.
 #[test]
 fn production_retire_matches_reference_model() {
     const RETIRES: usize = 20_000;
-    let mut seed = 0x15_0001u64;
-    for issue_width in [1u32, 2, 3, 4] {
-        for iq_size in [1u32, 2, 16] {
-            let cfg = TimingConfig { issue_width, iq_size, ..TimingConfig::default() };
-            let shape = format!("width {issue_width}, iq {iq_size}");
-            let mut fast = Pipeline::new(cfg.clone());
-            let mut slow = Reference::new(cfg);
-            seed += 1;
-            let mut stream =
-                Stream { rng: SmallRng::seed_from_u64(seed), pc: 0, stride: 0, queued: Vec::new() };
-            let mut seen = Coverage::default();
-            for i in 1..=RETIRES {
-                let d = stream.next();
-                seen.note(&d);
-                fast.retire(&d);
-                slow.retire(&d);
-                assert_eq!(
-                    fast.cycles_so_far(),
-                    slow.cycles_so_far(),
-                    "cycles after retire {i} ({shape}): {d:?}"
-                );
-                if i % 1000 == 0 {
-                    let at = format!("after retire {i} ({shape})");
-                    assert_stats_identical(&fast.snapshot(), &slow.snapshot(), &at);
-                }
+    for seed in 0x15_0002u64..0x15_0002 + 12 {
+        let stream_id = format!("seed {seed:#x}");
+        let mut fast = Pipeline::new();
+        let mut slow = Reference::new();
+        let mut stream =
+            Stream { rng: SmallRng::seed_from_u64(seed), pc: 0, stride: 0, queued: Vec::new() };
+        let mut seen = Coverage::default();
+        for i in 1..=RETIRES {
+            let d = stream.next();
+            seen.note(&d);
+            fast.retire(&d);
+            slow.retire(&d);
+            assert_eq!(
+                fast.cycles_so_far(),
+                slow.cycles_so_far(),
+                "cycles after retire {i} ({stream_id}): {d:?}"
+            );
+            if i % 1000 == 0 {
+                let at = format!("after retire {i} ({stream_id})");
+                assert_stats_identical(&fast.snapshot(), &slow.snapshot(), &at);
             }
-            let s = fast.finish();
-            assert_stats_identical(&s, &slow.snapshot(), &format!("at finish ({shape})"));
-            seen.assert_complete(&s, &shape);
         }
+        let s = fast.finish();
+        assert_stats_identical(&s, &slow.snapshot(), &format!("at finish ({stream_id})"));
+        seen.assert_complete(&s, &stream_id);
     }
 }
 
@@ -523,35 +510,23 @@ impl Coverage {
         }
     }
 
-    fn assert_complete(&self, s: &Stats, shape: &str) {
-        assert!(self.classes.iter().all(|&b| b), "classes {shape}");
-        assert!(self.components.iter().all(|&b| b), "components {shape}");
-        assert!(self.operand_shapes.iter().all(|&b| b), "NO_REG slot combinations {shape}");
-        assert!(self.branch_arms.iter().all(|&b| b), "branch kinds x taken {shape}");
-        assert!(self.src_is_dst && self.prefetch && self.mem_on_non_mem_class, "{shape}");
+    fn assert_complete(&self, s: &Stats, stream: &str) {
+        assert!(self.classes.iter().all(|&b| b), "classes {stream}");
+        assert!(self.components.iter().all(|&b| b), "components {stream}");
+        assert!(self.operand_shapes.iter().all(|&b| b), "NO_REG slot combinations {stream}");
+        assert!(self.branch_arms.iter().all(|&b| b), "branch kinds x taken {stream}");
+        assert!(self.src_is_dst && self.prefetch && self.mem_on_non_mem_class, "{stream}");
         // Every bubble cause was charged, to both owners where it can be.
         for cause in BubbleCause::ALL {
             for owner in [Owner::App, Owner::Tol] {
-                assert!(s.owner_bubbles(owner, cause) > 0.0, "no {cause:?}/{owner:?} {shape}");
+                assert!(s.owner_bubbles(owner, cause) > 0.0, "no {cause:?}/{owner:?} {stream}");
             }
         }
         // Every component missed both caches and mispredicted.
         for (name, counts) in
             [("i_misses", s.i_misses), ("d_misses", s.d_misses), ("mispredicts", s.mispredicts)]
         {
-            assert!(counts.iter().all(|&n| n > 0), "{name} {counts:?} {shape}");
+            assert!(counts.iter().all(|&n| n > 0), "{name} {counts:?} {stream}");
         }
     }
-}
-
-#[test]
-#[should_panic(expected = "issue_width")]
-fn zero_issue_width_is_rejected() {
-    let _ = Pipeline::new(TimingConfig { issue_width: 0, ..TimingConfig::default() });
-}
-
-#[test]
-#[should_panic(expected = "iq_size")]
-fn zero_iq_size_is_rejected() {
-    let _ = Pipeline::new(TimingConfig { iq_size: 0, ..TimingConfig::default() });
 }

@@ -5,10 +5,9 @@
 
 use darco_host::BranchKind;
 use darco_timing::cache::{Cache, Lookup};
-use darco_timing::config::CacheParams;
+use darco_timing::config::{CacheParams, L1D};
 use darco_timing::plru::PlruSet;
 use darco_timing::predictor::Predictor;
-use darco_timing::TimingConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,7 +38,7 @@ fn hit_after_access_any_shape() {
 fn cache_misses_cover_first_touches() {
     let mut rng = SmallRng::seed_from_u64(0x71_0002);
     for _ in 0..32 {
-        let mut c = Cache::new(TimingConfig::default().l1d);
+        let mut c = Cache::new(L1D);
         let n = rng.gen_range(1usize..300);
         let mut lines = std::collections::BTreeSet::new();
         let mut misses = 0;
@@ -77,7 +76,7 @@ fn plru_victim_in_range() {
 fn predictor_converges_on_stable_targets() {
     let mut rng = SmallRng::seed_from_u64(0x71_0004);
     for _ in 0..32 {
-        let mut p = Predictor::new(12, 1024);
+        let mut p = Predictor::new();
         let n = rng.gen_range(1usize..50);
         let pcs: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..1024)).collect();
         for &pc in &pcs {

@@ -19,7 +19,7 @@
 use darco::guest::asm::Asm;
 use darco::guest::{exec, AluOp, Cond, CpuState, Gpr, GuestMem, Inst, MemRef};
 use darco::host::{DynInst, RetireSink};
-use darco::timing::{Pipeline, Stats, TimingConfig};
+use darco::timing::{Pipeline, Stats};
 use darco::tol::{Tol, TolConfig};
 
 fn build_program() -> (GuestMem, CpuState) {
@@ -90,7 +90,7 @@ fn run() -> (Tol, Stats, u64) {
 
     let mut tol = Tol::new(TolConfig { bb_sb_threshold: 100, ..TolConfig::default() }, initial.eip);
     tol.set_state(&initial);
-    let mut pipeline = Pipeline::new(TimingConfig::default());
+    let mut pipeline = Pipeline::new();
     let mut emu_mem = mem;
     let mut sink = RetireSink(|d: &DynInst| pipeline.retire(d));
     let guest_insts = tol.run(&mut emu_mem, &mut sink, u64::MAX).expect("tol run");

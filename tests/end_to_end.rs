@@ -190,30 +190,6 @@ fn full_system_is_deterministic() {
     }
 }
 
-/// The final guest state of the emulated run matches a fresh functional
-/// run even when the timing configuration changes (timing never affects
-/// functional behavior).
-#[test]
-fn timing_configuration_never_affects_function() {
-    let profile = suites::quicktest_profile();
-    let small_caches = darco::timing::TimingConfig {
-        l1d: darco::timing::config::CacheParams { size: 1024, block: 64, ways: 2, hit_latency: 1 },
-        ..darco::timing::TimingConfig::default()
-    };
-    let mut a = System::new(
-        generate(&profile, 0.15),
-        SystemConfig { cosim: true, ..SystemConfig::default() },
-    );
-    let mut b = System::new(
-        generate(&profile, 0.15),
-        SystemConfig { cosim: true, timing: small_caches, ..SystemConfig::default() },
-    );
-    let ra = a.run_to_completion();
-    let rb = b.run_to_completion();
-    assert_eq!(ra.guest_insts, rb.guest_insts);
-    assert!(rb.timing.total_cycles > ra.timing.total_cycles, "tiny caches must cost cycles");
-}
-
 /// Paper sanity: a high-repetition profile amortizes TOL overhead far
 /// better than a low-repetition one (the Fig. 6 gradient).
 #[test]

@@ -453,7 +453,7 @@ fn cache_hit_after_fill() {
     use darco::timing::cache::{Cache, Lookup};
     let mut rng = SmallRng::seed_from_u64(0xDA_0005);
     for _ in 0..32 {
-        let mut c = Cache::new(darco::timing::TimingConfig::default().l1d);
+        let mut c = Cache::new(darco::timing::config::L1D);
         let n = rng.gen_range(1usize..200);
         for _ in 0..n {
             let a = rng.gen_range(0u64..(1 << 22));
@@ -622,12 +622,12 @@ fn flat_cache_matches_reference_plru_model() {
 fn pipeline_monotone() {
     use darco::host::stream::{int_reg, DynInst};
     use darco::host::{Component, ExecClass};
-    use darco::timing::{Pipeline, TimingConfig};
+    use darco::timing::Pipeline;
     let mut rng = SmallRng::seed_from_u64(0xDA_0006);
     for _ in 0..16 {
         let n = rng.gen_range(1usize..400);
         let seed: u64 = rng.gen();
-        let mut p = Pipeline::new(TimingConfig::default());
+        let mut p = Pipeline::new();
         let mut x = seed | 1;
         let mut prev = 0;
         for i in 0..n {
