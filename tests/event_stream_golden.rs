@@ -1,49 +1,27 @@
-//! The host-event stream, pinned by digest.
+//! The host-event stream, pinned as golden text (`tests/common/golden.rs`).
 //!
 //! Every `HostEvent` `Tol::run` delivers is a pure function of
 //! `(workload, TolConfig)`, and every one is a retirement. The report
-//! digests of `report_golden.rs` notice a moved event only through the
-//! timing model; this test looks at the stream itself — every event, in
-//! order, through its `Debug` text — in about a second, in debug and
-//! release.
-//!
-//! The constants must only ever change together with an explanation of
-//! which event moved and why. They moved twice since the bus was rebuilt
-//! around in-place appends: the fourth switch audit (DESIGN.md §15) made
-//! the translator's own flag elision the only one, which shortened the
-//! simulated TOL cost streams — the SBM optimize stream had been sized
-//! by the IR length before the dead flag definitions were removed — and
-//! nothing else: the resident code digests of `translation_golden.rs`
-//! did not move. The seventh took the module markers off the bus; the
-//! constants became the digest and length of the parent's `Retire`
-//! events alone, pinned on the parent first, so every retirement, in
-//! order, is unchanged.
+//! pins of `report_golden.rs` notice a moved event only through the
+//! timing model; this test looks at the stream itself, in about a second
+//! in debug and release: the digest of every event's `Debug` text, in
+//! order (the stream is too long to commit), its length, and the
+//! retirements per `Component` and `ExecClass`, so that a moved stream
+//! says which module moved. A pin moves only with an explanation of
+//! which event moved and why.
+
+#[path = "common/fnv.rs"]
+mod fnv;
+#[path = "common/golden.rs"]
+mod golden;
 
 use darco::core::SystemConfig;
 use darco::host::events::EVENT_BATCH;
 use darco::host::{HostEvent, HostEventSink};
 use darco::tol::{RunSummary, Tol, TolConfig};
 use darco::workloads::{generate, suites, BenchProfile, Suite, Workload};
+use std::collections::HashMap;
 use std::fmt::Write;
-
-/// FNV-1a, 64 bit: stable across Rust releases, unlike `DefaultHasher`.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
 
 /// Collects the stream and remembers the longest batch it was handed.
 #[derive(Default)]
@@ -93,31 +71,11 @@ fn stream(w: &Workload, cfg: TolConfig) -> (Vec<HostEvent>, RunSummary) {
     (sink.events, tol.summary())
 }
 
-/// FNV-1a over one `Debug` line per event.
-fn digest(events: &[HostEvent]) -> u64 {
-    let mut h = Fnv::new();
-    for e in events {
-        writeln!(h, "{e:?}").expect("hashing cannot fail");
-    }
-    h.0
-}
-
 /// The default configuration must deliver the pinned stream, all of it
 /// retirements.
 fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
     let w = generate(profile, scale);
-    let (pinned, s) = stream(&w, SystemConfig::default().tol);
-    assert_eq!(
-        (digest(&pinned), pinned.len()),
-        expected,
-        "{}: event stream moved under the default configuration",
-        profile.name
-    );
-    assert!(
-        pinned.iter().all(|e| matches!(e, HostEvent::Retire(_))),
-        "{}: the software layer puts only retirements on the bus",
-        profile.name
-    );
+    let (events, s) = stream(&w, SystemConfig::default().tol);
     assert!(
         s.dyn_dist.iter().all(|&n| n > 0)
             && s.installed > s.counters.sbm_invocations
@@ -129,6 +87,26 @@ fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
         s.installed,
         s.counters.sbm_invocations
     );
+    let mut digest = fnv::Fnv::default();
+    let mut retired = HashMap::new();
+    for e in &events {
+        writeln!(digest, "{e:?}").expect("hashing cannot fail");
+        let HostEvent::Retire(d) = e else {
+            panic!("{}: the software layer puts only retirements on the bus: {e:?}", profile.name);
+        };
+        *retired.entry((d.component, d.class)).or_insert(0u64) += 1;
+    }
+    assert_eq!((digest.0, events.len()), expected, "{}: parent digest", profile.name);
+    let mut rows: Vec<_> =
+        retired.into_iter().map(|((c, k), n)| (c, format!("{k:?}"), n)).collect();
+    rows.sort();
+    let mut text =
+        format!("digest of every event's Debug line: {}\nevents: {}\n", digest.0, events.len());
+    text += "retired per component and class:\n";
+    for (component, class, n) in rows {
+        writeln!(text, "  {component:?} {class}: {n}").expect("writing to a String cannot fail");
+    }
+    golden::assert_golden(&format!("event_stream/{}.txt", profile.name), &text);
 }
 
 #[test]

@@ -1,64 +1,28 @@
-//! Serialized reports, pinned by digest.
+//! Serialized reports, pinned as golden text (`tests/common/golden.rs`).
 //!
 //! `event_stream_golden.rs` pins what `Tol::run` puts on the bus; this
-//! file pins what comes out at the far end: the `serde_json` text of the
-//! whole [`Report`] — the statistics of all three timing pipelines, the
-//! TOL summary, the event-delivery accounting and, in one run, the timeline
-//! windows — with and without co-simulation, with the default code
-//! cache and with one small enough to flush and retranslate, on three
-//! workloads. A change that moves one counter of one pipeline moves a
-//! digest.
-//!
-//! The constants must only ever change together with an explanation of
-//! which field of the report moved and why. They were taken on the
-//! parent of the audit that touched the path they cover (the default
-//! cases before the second switch audit, the small-cache cases before
-//! the third deleted the FIFO policy) and moved twice with the fourth
-//! (DESIGN.md §15): once when the two IR-analysis passes were turned
-//! off — every timing field downstream of the shorter TOL cost streams,
-//! the two passes' rows in `pass_deltas` and their two counters — and
-//! once more, with no measured value moving, when those two counters
-//! and the same two columns of every `pass_deltas` row left the schema.
-//! They moved once with the seventh, again only because fields left the
-//! schema: every second count (`TraceStats`' sixteen event tallies,
-//! `RunSummary::emitted`, `TolCounters::guest_insts`,
-//! `CacheHealth::evictions`) went, and `trace` became `events` /
-//! `batches` / `max_batch`. Before they went, a first commit asserted on
-//! all thirteen runs here that each removed count equalled its twin.
-//! They moved once with the eighth, for the same reason only: the three
-//! counters of the in-production pass checker left `TolCounters`, after
-//! a first commit asserted on all thirteen runs that no superblock had
-//! fallen back to its BBM translation. Each new constant is the parent's
-//! report with those three keys cut from its text. They moved once with
-//! the tenth, for the same reason: single-block eviction went, and with
-//! it the two `CacheHealth` counts of SMC evictions and unpatched chain
-//! links, after a first commit asserted on all thirteen runs that both
-//! were 0; `TolCounters` gained `smc_flushes`. Each new constant is the
-//! parent's report text with those two keys cut and `"smc_flushes":0`
-//! added to `counters`.
-//!
-//! They moved once more when the timing model was left with one counter
-//! key, the component: `d_accesses`, `d_misses`, `i_accesses`,
-//! `i_misses`, `branches` and `mispredicts` of every pipeline went from
-//! one slot per owner to one per component, counted by the pipeline
-//! instead of the memory system and the `Stats` helper. No event moved:
-//! on all thirteen runs, each new report with those six arrays folded
-//! to `[AppCode, sum of the six TOL components]` is the parent's report
-//! text byte for byte.
+//! file pins what comes out at the far end: the pretty-printed
+//! `serde_json` text of the whole [`Report`] (all three timing
+//! pipelines, the TOL summary, the event-delivery accounting and, in one
+//! run, the timeline windows) of a co-simulated run on three workloads,
+//! with the default code cache and with one small enough to flush and
+//! retranslate. Each run's unchecked twin must be the same report less
+//! the checker's own work. A pin moves only with an explanation of which
+//! field moved and why; DESIGN.md §15 and git hold the moves so far.
+
+#[path = "common/fnv.rs"]
+mod fnv;
+#[path = "common/golden.rs"]
+mod golden;
 
 use darco::core::{Report, System, SystemConfig};
 use darco::workloads::{generate, suites, BenchProfile};
+use std::fmt::Write;
 
 const SCALE: f64 = 0.05;
 
 /// Small enough that every workload here overflows the code cache.
 const SMALL_CAPACITY: u32 = 600;
-
-/// FNV-1a, 64 bit: stable across Rust releases, unlike `DefaultHasher`.
-fn fnv(text: &str) -> u64 {
-    text.bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
-}
 
 /// One run with all three pipelines, adjusted by `set`.
 fn report(profile: &BenchProfile, set: impl Fn(&mut SystemConfig)) -> Report {
@@ -72,63 +36,66 @@ fn report(profile: &BenchProfile, set: impl Fn(&mut SystemConfig)) -> Report {
     System::new(generate(profile, SCALE), cfg).run_to_completion()
 }
 
-/// Digest of the serialized report, every field of it: debug and release
-/// builds run the same software layer.
-fn digest(r: Report) -> u64 {
-    fnv(&serde_json::to_string(&r).expect("serialize"))
+fn pretty(r: &Report) -> String {
+    serde_json::to_string_pretty(r).expect("serialize") + "\n"
 }
 
-fn small(c: &mut SystemConfig) {
-    c.tol.code_cache_capacity = SMALL_CAPACITY;
+fn digest(r: &Report) -> u64 {
+    let mut h = fnv::Fnv::default();
+    write!(h, "{}", serde_json::to_string(r).expect("serialize")).expect("hashing cannot fail");
+    h.0
 }
 
-/// A named adjustment of the base configuration.
-type Case = (&'static str, fn(&mut SystemConfig));
-
-/// The configurations every workload is pinned under.
-const CASES: [Case; 4] = [
-    ("flush", |_| {}),
-    ("flush + cosim", |c| c.cosim = true),
-    ("flush, capacity 600", small),
-    ("flush, capacity 600 + cosim", |c| {
-        small(c);
+/// Pins the co-simulated run of `profile` under `set` as `case`, and
+/// checks that the unchecked run differs from it only by the checker's
+/// work: its comparisons, and the one `StepBoundary` event, delivered in
+/// a batch of its own, that each comparison takes.
+fn check(
+    case: &str,
+    profile: &BenchProfile,
+    set: fn(&mut SystemConfig),
+    digests: [u64; 2],
+) -> Report {
+    let checked = report(profile, |c| {
+        set(c);
         c.cosim = true;
-    }),
-];
+    });
+    let unchecked = report(profile, set);
+    assert!(checked.cosim_checks > 0, "{case}: the checker must run");
+    assert_eq!([digest(&unchecked), digest(&checked)], digests, "{case}: parent digests");
+    let mut twin = checked.clone();
+    twin.cosim_checks = 0;
+    twin.trace.events -= checked.cosim_checks;
+    twin.trace.batches -= checked.cosim_checks;
+    if let Some(difference) = golden::first_difference(&pretty(&twin), &pretty(&unchecked)) {
+        panic!("{case}: the unchecked run moved beyond the checker's work: {difference}");
+    }
+    golden::assert_golden(&format!("report/{case}.json"), &pretty(&checked));
+    checked
+}
 
-fn check(profile: &BenchProfile, expected: [u64; 4]) {
-    let reports = CASES.map(|(_, set)| report(profile, set));
-    let [flush, _, small, _] = &reports;
+fn check_workload(profile: &BenchProfile, digests: [u64; 4]) {
+    let r = check(&profile.name, profile, |_| {}, [digests[0], digests[1]]);
     assert!(
-        flush.tol.dyn_dist.iter().all(|&n| n > 0)
-            && flush.app_only.is_some()
-            && flush.tol_only.is_some(),
+        r.tol.dyn_dist.iter().all(|&n| n > 0) && r.app_only.is_some() && r.tol_only.is_some(),
         "{}: the pinned run must cover all three modes and pipelines: {:?}",
         profile.name,
-        flush.tol.dyn_dist
+        r.tol.dyn_dist
     );
+    let small = |c: &mut SystemConfig| c.tol.code_cache_capacity = SMALL_CAPACITY;
+    let r = check(&format!("{}-cache600", profile.name), profile, small, [digests[2], digests[3]]);
     assert!(
-        small.tol.flushes > 0 && small.tol.cache.retranslations > 0,
+        r.tol.flushes > 0 && r.tol.cache.retranslations > 0,
         "{}: the small cache must flush ({}) and retranslate: {:?}",
         profile.name,
-        small.tol.flushes,
-        small.tol.cache
-    );
-    for ((case, _), r) in CASES.iter().zip(&reports) {
-        assert_eq!(r.cosim_checks > 0, case.ends_with("cosim"), "{}: {case}", profile.name);
-    }
-    assert_eq!(
-        reports.map(digest),
-        expected,
-        "{}: a report moved (cases: {:?})",
-        profile.name,
-        CASES.map(|c| c.0)
+        r.tol.flushes,
+        r.tol.cache
     );
 }
 
 #[test]
 fn reports_are_pinned_on_quicktest() {
-    check(
+    check_workload(
         &suites::quicktest_profile(),
         [12259397438006258516, 18322078487208606903, 12975725151856398394, 16698260550720694833],
     );
@@ -136,7 +103,7 @@ fn reports_are_pinned_on_quicktest() {
 
 #[test]
 fn reports_are_pinned_on_perlbench() {
-    check(
+    check_workload(
         &suites::all_profiles()[0],
         [5916921462687057489, 6039991785709580087, 1137830461418934706, 8063280688381398314],
     );
@@ -144,7 +111,7 @@ fn reports_are_pinned_on_perlbench() {
 
 #[test]
 fn reports_are_pinned_on_bzip2() {
-    check(
+    check_workload(
         &suites::all_profiles()[1],
         [13638664083955059736, 5918961748188287187, 10808107937008599965, 3402317576497896945],
     );
@@ -154,5 +121,33 @@ fn reports_are_pinned_on_bzip2() {
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
-    assert_eq!(digest(r), 17133599265380555333, "quicktest: report moved with timeline windows on");
+    assert_eq!(digest(&r), 17133599265380555333, "parent digest");
+    golden::assert_golden("report/quicktest-timeline.json", &pretty(&r));
+}
+
+#[test]
+fn a_moved_counter_is_named_by_its_key_path() {
+    let text = |n: u64| {
+        format!(
+            "{{\n  \"name\": \"quicktest\",\n  \"tol_only\": {{\n    \"cycles\": 9,\n    \
+             \"mispredicts\": [\n      0,\n      1,\n      2,\n      3,\n      {n},\n      5\n    \
+             ]\n  }},\n  \"timeline\": []\n}}"
+        )
+    };
+    let parsed = serde_json::parse_value(&text(4)).expect("valid JSON");
+    assert_eq!(
+        serde_json::to_string_pretty(&parsed).expect("serialize"),
+        text(4),
+        "the printer's layout"
+    );
+    assert_eq!(golden::first_difference(&text(4), &text(4)), None);
+    assert_eq!(
+        golden::first_difference(&text(4), &text(5)).as_deref(),
+        Some("tol_only.mispredicts[4] (line 10): expected `4`, found `5`")
+    );
+    let moved = text(4).replace("\"cycles\": 9", "\"cycles\": 10");
+    assert_eq!(
+        golden::first_difference(&text(4), &moved).as_deref(),
+        Some("tol_only.cycles (line 4): expected `9`, found `10`")
+    );
 }

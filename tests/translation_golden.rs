@@ -1,55 +1,29 @@
-//! The translator's output, pinned by digest.
+//! The translator's output, pinned as golden text (`tests/common/golden.rs`).
 //!
-//! Compiled host code is a pure function of `(guest region, TolConfig)`,
-//! and a change to the translator, the passes or the allocators must not
-//! move a single instruction unless it says so. `figures all | cmp`
-//! notices a moved instruction too, but only through a 12 s release run
-//! of every figure; this test notices in seconds, in debug and release.
-//!
+//! Compiled host code is a pure function of `(guest region, TolConfig)`.
 //! Each case runs [`Tol`] alone (no timing, no co-simulation) over a
-//! generated workload and hashes, in guest-entry order, every resident
-//! translation's `insts`, `body_len` and `stub_guest_counts` into `code`,
-//! and `RunSummary::pass_deltas` into `deltas`. The two are separate so
-//! that a change to the pass accounting (a pass or a column added or
-//! removed) cannot hide a moved instruction: `code` must only ever change
-//! together with an explanation of which instruction moved and why
-//! (it has not since the constants were taken, before the dense-dataflow
-//! rewrite of the compile path). `deltas` moved twice in the fourth
-//! switch audit (DESIGN.md §15): the two IR-analysis passes' rows left
-//! with the passes, then two columns of every row left the schema.
+//! generated workload under three configurations and pins, per
+//! configuration, a digest of every resident translation's `insts`,
+//! `body_len` and `stub_guest_counts` in guest-entry order (about 6 k
+//! host instructions, too many to commit), the BBM and SBM block counts,
+//! the host-instruction total and every `RunSummary::pass_deltas` row.
+//! `figures all | cmp` notices a moved instruction too, but only through
+//! a 12 s release run; this test notices in seconds, in debug and
+//! release. The `code` digest moves only with an explanation of which
+//! instruction moved and why; a change to the pass accounting alone
+//! moves only the rows.
+
+#[path = "common/fnv.rs"]
+mod fnv;
+#[path = "common/golden.rs"]
+mod golden;
 
 use darco::core::SystemConfig;
 use darco::host::NullSink;
 use darco::tol::codecache::BlockKind;
 use darco::tol::{Tol, TolConfig};
 use darco::workloads::{generate, suites, BenchProfile, Suite};
-
-/// FNV-1a, 64 bit: stable across Rust releases, unlike `DefaultHasher`.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-/// What one run translated: the digest plus enough shape to show the
-/// case exercises both translators.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Golden {
-    code: u64,
-    deltas: u64,
-    bbs: usize,
-    sbs: usize,
-    host_insts: usize,
-}
+use std::fmt::Write;
 
 /// The benchmark's `startup_churn` profile at a tenth of its size:
 /// many kernels that each leave BBM for SBM shortly before they finish.
@@ -81,31 +55,48 @@ fn translated(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Tol {
     tol
 }
 
-fn golden(profile: &BenchProfile, scale: f64, cfg: TolConfig) -> Golden {
+/// What one configuration translated, as one header line and one line
+/// per pass; returns the `code` and parent `deltas` digests.
+fn golden(
+    name: &str,
+    profile: &BenchProfile,
+    scale: f64,
+    cfg: TolConfig,
+    text: &mut String,
+) -> [u64; 2] {
     let tol = translated(profile, scale, cfg);
     let mut blocks: Vec<_> = tol.cc.blocks().map(|(id, b)| (b.guest_entry, id.idx, b)).collect();
     blocks.sort_by_key(|&(entry, idx, b)| (entry, b.kind == BlockKind::Sb, idx));
-    let mut h = Fnv::new();
-    let mut out = Golden { code: 0, deltas: 0, bbs: 0, sbs: 0, host_insts: 0 };
+    let mut code = fnv::Fnv::default();
+    let (mut bbs, mut sbs, mut host_insts) = (0, 0, 0);
     for (entry, _, b) in blocks {
         match b.kind {
-            BlockKind::Bb => out.bbs += 1,
-            BlockKind::Sb => out.sbs += 1,
+            BlockKind::Bb => bbs += 1,
+            BlockKind::Sb => sbs += 1,
         }
-        out.host_insts += b.insts.len();
-        h.write(
-            format!(
-                "{entry:#x} {:?} body {} stubs {:?}\n{:?}\n",
-                b.kind, b.body_len, b.stub_guest_counts, b.insts
-            )
-            .as_bytes(),
-        );
+        host_insts += b.insts.len();
+        write!(
+            code,
+            "{entry:#x} {:?} body {} stubs {:?}\n{:?}\n",
+            b.kind, b.body_len, b.stub_guest_counts, b.insts
+        )
+        .expect("hashing cannot fail");
     }
-    out.code = h.0;
-    let mut h = Fnv::new();
-    h.write(format!("{:?}", tol.summary().pass_deltas).as_bytes());
-    out.deltas = h.0;
-    out
+    let (code, mut out) = (code.0, String::new());
+    writeln!(
+        out,
+        "{name}: code {code}, {bbs} BBM blocks, {sbs} SBM blocks, {host_insts} host instructions"
+    )
+    .expect("writing to a String cannot fail");
+    let deltas = tol.summary().pass_deltas;
+    for d in &deltas {
+        writeln!(out, "  {}: runs {}, insts_removed {}", d.pass, d.runs, d.insts_removed)
+            .expect("writing to a String cannot fail");
+    }
+    text.push_str(&out);
+    let mut h = fnv::Fnv::default();
+    write!(h, "{deltas:?}").expect("hashing cannot fail");
+    [code, h.0]
 }
 
 /// The three configurations whose compile paths differ: the default
@@ -123,10 +114,11 @@ fn configs() -> [(&'static str, TolConfig); 3] {
     ]
 }
 
-fn check(profile: &BenchProfile, scale: f64, expected: [Golden; 3]) {
-    let got = configs().map(|(name, cfg)| (name, golden(profile, scale, cfg)));
-    let want = configs().map(|(name, _)| name).into_iter().zip(expected).collect::<Vec<_>>();
-    assert_eq!(got.to_vec(), want, "{}: translator output moved", profile.name);
+fn check(profile: &BenchProfile, scale: f64, expected: [[u64; 2]; 3]) {
+    let mut text = String::new();
+    let got = configs().map(|(name, cfg)| golden(name, profile, scale, cfg, &mut text));
+    assert_eq!(got, expected, "{}: parent digests", profile.name);
+    golden::assert_golden(&format!("translation/{}.txt", profile.name), &text);
 }
 
 #[test]
@@ -135,27 +127,9 @@ fn quicktest_translations_are_pinned() {
         &suites::quicktest_profile(),
         0.5,
         [
-            Golden {
-                code: 13421110261261487721,
-                deltas: 4395392654766738463,
-                bbs: 115,
-                sbs: 12,
-                host_insts: 2030,
-            },
-            Golden {
-                code: 17882089451716962164,
-                deltas: 4153740308883041482,
-                bbs: 115,
-                sbs: 12,
-                host_insts: 2052,
-            },
-            Golden {
-                code: 1453149490194086202,
-                deltas: 675868731199239589,
-                bbs: 115,
-                sbs: 12,
-                host_insts: 2030,
-            },
+            [13421110261261487721, 4395392654766738463],
+            [17882089451716962164, 4153740308883041482],
+            [1453149490194086202, 675868731199239589],
         ],
     );
 }
@@ -166,27 +140,9 @@ fn startup_churn_translations_are_pinned() {
         &churn_profile(),
         1.0,
         [
-            Golden {
-                code: 67855125530329446,
-                deltas: 11024610637021771310,
-                bbs: 217,
-                sbs: 57,
-                host_insts: 6136,
-            },
-            Golden {
-                code: 5109670393850649914,
-                deltas: 14096770186853071314,
-                bbs: 217,
-                sbs: 57,
-                host_insts: 6239,
-            },
-            Golden {
-                code: 4590340615413950902,
-                deltas: 675868731199239589,
-                bbs: 217,
-                sbs: 57,
-                host_insts: 6156,
-            },
+            [67855125530329446, 11024610637021771310],
+            [5109670393850649914, 14096770186853071314],
+            [4590340615413950902, 675868731199239589],
         ],
     );
 }
