@@ -92,8 +92,13 @@ for seed in $(seq 1 "$n"); do
 done
 
 cpu_model=$(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//' || echo unknown)
+# Any change to the checkout but OUT itself, untracked files included
+# (`git diff HEAD` would miss a new file the change's build reads).
+out_rel=$(realpath --relative-to="$root" -m "$out")
 dirty=false
-git diff --quiet HEAD -- || dirty=true
+if git status --porcelain --untracked-files=all | cut -c4- | grep -vxF "$out_rel" >/dev/null; then
+    dirty=true
+fi
 PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty N=$n \
 CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) RUSTC=$(rustc --version) \
     python3 - "$work/runs.txt" "$out" <<'EOF'

@@ -20,7 +20,7 @@ use darco::host::events::EVENT_BATCH;
 use darco::host::{HostEvent, HostEventSink};
 use darco::tol::{RunSummary, Tol, TolConfig};
 use darco::workloads::{generate, suites, BenchProfile, Suite, Workload};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Collects the stream and remembers the longest batch it was handed.
@@ -73,7 +73,7 @@ fn stream(w: &Workload, cfg: TolConfig) -> (Vec<HostEvent>, RunSummary) {
 
 /// The default configuration must deliver the pinned stream, all of it
 /// retirements.
-fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
+fn check(profile: &BenchProfile, scale: f64) {
     let w = generate(profile, scale);
     let (events, s) = stream(&w, SystemConfig::default().tol);
     assert!(
@@ -88,22 +88,18 @@ fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
         s.counters.sbm_invocations
     );
     let mut digest = fnv::Fnv::default();
-    let mut retired = HashMap::new();
+    let mut retired = BTreeMap::new();
     for e in &events {
         writeln!(digest, "{e:?}").expect("hashing cannot fail");
         let HostEvent::Retire(d) = e else {
             panic!("{}: the software layer puts only retirements on the bus: {e:?}", profile.name);
         };
-        *retired.entry((d.component, d.class)).or_insert(0u64) += 1;
+        *retired.entry((d.component, format!("{:?}", d.class))).or_insert(0u64) += 1;
     }
-    assert_eq!((digest.0, events.len()), expected, "{}: parent digest", profile.name);
-    let mut rows: Vec<_> =
-        retired.into_iter().map(|((c, k), n)| (c, format!("{k:?}"), n)).collect();
-    rows.sort();
     let mut text =
         format!("digest of every event's Debug line: {}\nevents: {}\n", digest.0, events.len());
     text += "retired per component and class:\n";
-    for (component, class, n) in rows {
+    for ((component, class), n) in retired {
         writeln!(text, "  {component:?} {class}: {n}").expect("writing to a String cannot fail");
     }
     golden::assert_golden(&format!("event_stream/{}.txt", profile.name), &text);
@@ -111,10 +107,10 @@ fn check(profile: &BenchProfile, scale: f64, expected: (u64, usize)) {
 
 #[test]
 fn quicktest_event_stream_is_pinned() {
-    check(&suites::quicktest_profile(), 0.5, (14793490206031887413, 332095));
+    check(&suites::quicktest_profile(), 0.5);
 }
 
 #[test]
 fn startup_churn_event_stream_is_pinned() {
-    check(&churn_profile(), 1.0, (1088690868817475787, 151924));
+    check(&churn_profile(), 1.0);
 }

@@ -10,14 +10,11 @@
 //! the checker's own work. A pin moves only with an explanation of which
 //! field moved and why; DESIGN.md §15 and git hold the moves so far.
 
-#[path = "common/fnv.rs"]
-mod fnv;
 #[path = "common/golden.rs"]
 mod golden;
 
 use darco::core::{Report, System, SystemConfig};
 use darco::workloads::{generate, suites, BenchProfile};
-use std::fmt::Write;
 
 const SCALE: f64 = 0.05;
 
@@ -40,29 +37,17 @@ fn pretty(r: &Report) -> String {
     serde_json::to_string_pretty(r).expect("serialize") + "\n"
 }
 
-fn digest(r: &Report) -> u64 {
-    let mut h = fnv::Fnv::default();
-    write!(h, "{}", serde_json::to_string(r).expect("serialize")).expect("hashing cannot fail");
-    h.0
-}
-
 /// Pins the co-simulated run of `profile` under `set` as `case`, and
 /// checks that the unchecked run differs from it only by the checker's
 /// work: its comparisons, and the one `StepBoundary` event, delivered in
 /// a batch of its own, that each comparison takes.
-fn check(
-    case: &str,
-    profile: &BenchProfile,
-    set: fn(&mut SystemConfig),
-    digests: [u64; 2],
-) -> Report {
+fn check(case: &str, profile: &BenchProfile, set: fn(&mut SystemConfig)) -> Report {
     let checked = report(profile, |c| {
         set(c);
         c.cosim = true;
     });
     let unchecked = report(profile, set);
     assert!(checked.cosim_checks > 0, "{case}: the checker must run");
-    assert_eq!([digest(&unchecked), digest(&checked)], digests, "{case}: parent digests");
     let mut twin = checked.clone();
     twin.cosim_checks = 0;
     twin.trace.events -= checked.cosim_checks;
@@ -74,8 +59,8 @@ fn check(
     checked
 }
 
-fn check_workload(profile: &BenchProfile, digests: [u64; 4]) {
-    let r = check(&profile.name, profile, |_| {}, [digests[0], digests[1]]);
+fn check_workload(profile: &BenchProfile) {
+    let r = check(&profile.name, profile, |_| {});
     assert!(
         r.tol.dyn_dist.iter().all(|&n| n > 0) && r.app_only.is_some() && r.tol_only.is_some(),
         "{}: the pinned run must cover all three modes and pipelines: {:?}",
@@ -83,7 +68,7 @@ fn check_workload(profile: &BenchProfile, digests: [u64; 4]) {
         r.tol.dyn_dist
     );
     let small = |c: &mut SystemConfig| c.tol.code_cache_capacity = SMALL_CAPACITY;
-    let r = check(&format!("{}-cache600", profile.name), profile, small, [digests[2], digests[3]]);
+    let r = check(&format!("{}-cache600", profile.name), profile, small);
     assert!(
         r.tol.flushes > 0 && r.tol.cache.retranslations > 0,
         "{}: the small cache must flush ({}) and retranslate: {:?}",
@@ -95,33 +80,23 @@ fn check_workload(profile: &BenchProfile, digests: [u64; 4]) {
 
 #[test]
 fn reports_are_pinned_on_quicktest() {
-    check_workload(
-        &suites::quicktest_profile(),
-        [12259397438006258516, 18322078487208606903, 12975725151856398394, 16698260550720694833],
-    );
+    check_workload(&suites::quicktest_profile());
 }
 
 #[test]
 fn reports_are_pinned_on_perlbench() {
-    check_workload(
-        &suites::all_profiles()[0],
-        [5916921462687057489, 6039991785709580087, 1137830461418934706, 8063280688381398314],
-    );
+    check_workload(&suites::all_profiles()[0]);
 }
 
 #[test]
 fn reports_are_pinned_on_bzip2() {
-    check_workload(
-        &suites::all_profiles()[1],
-        [13638664083955059736, 5918961748188287187, 10808107937008599965, 3402317576497896945],
-    );
+    check_workload(&suites::all_profiles()[1]);
 }
 
 #[test]
 fn reports_are_pinned_with_timeline_windows() {
     let r = report(&suites::quicktest_profile(), |c| c.window_guest_insts = 5_000);
     assert!(r.timeline.len() > 3, "windows sampled: {}", r.timeline.len());
-    assert_eq!(digest(&r), 17133599265380555333, "parent digest");
     golden::assert_golden("report/quicktest-timeline.json", &pretty(&r));
 }
 
