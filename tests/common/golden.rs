@@ -35,32 +35,24 @@ pub fn assert_golden(case: &str, actual: &str) {
 /// are equal: the line number, both values and, when `expected` is
 /// pretty-printed JSON (it starts with `{`), the line's key path.
 pub fn first_difference(expected: &str, actual: &str) -> Option<String> {
-    let json = expected.starts_with('{');
     let (mut want, mut got) = (expected.split('\n'), actual.split('\n'));
     let mut n = 0;
-    loop {
+    let (w, g) = loop {
         match (want.next(), got.next()) {
             (None, None) => return None,
-            (Some(w), Some(g)) if w == g => n += 1,
-            (w, g) => {
-                let show = |line: Option<&str>| match line {
-                    None => "the end of the text".to_string(),
-                    Some(l) if json => format!("`{}`", value_of(l)),
-                    Some(l) => format!("`{}`", l.trim()),
-                };
-                let at = if json {
-                    format!("{} (line {})", key_path(expected, n), n + 1)
-                } else {
-                    format!("line {}", n + 1)
-                };
-                return Some(format!("{at}: expected {}, found {}", show(w), show(g)));
-            }
+            (w, g) if w != g => break (w, g),
+            _ => n += 1,
         }
-    }
+    };
+    let show = |line: Option<&str>| {
+        line.map_or("the end of the text".into(), |l| format!("`{}`", value_of(l)))
+    };
+    let path = if expected.starts_with('{') { key_path(expected, n) + " " } else { String::new() };
+    Some(format!("{path}(line {}): expected {}, found {}", n + 1, show(w), show(g)))
 }
 
-/// One line of pretty-printed JSON without its indent, trailing comma
-/// and key: `"cycles": 12,` is `12`.
+/// A line without its indent, trailing comma and JSON key:
+/// `"cycles": 12,` is `12`.
 fn value_of(line: &str) -> &str {
     let line = line.trim().trim_end_matches(',');
     split_key(line).map_or(line, |(_, value)| value)
