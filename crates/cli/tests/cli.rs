@@ -282,7 +282,14 @@ fn run_set_output_does_not_depend_on_the_job_count() {
 fn analyze_prints_the_ir_and_the_compile_path() {
     let stdout = stdout_of(&["analyze", "quicktest", "--scale", "0.05", "--n", "1"]);
     assert_eq!(stdout.matches("region @ ").count(), 1, "{stdout}");
-    for row in ["compile stage", "\nregalloc ", "\ntotal ", "share of Tol::run wall", "app-owned"] {
+    for row in [
+        "compile stage",
+        "\nregalloc ",
+        "\ntotal ",
+        "share of Tol::run wall",
+        "app-owned",
+        "exit -> 0x",
+    ] {
         assert!(stdout.contains(row), "analyze lacks `{row}`: {stdout}");
     }
 }

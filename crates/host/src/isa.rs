@@ -170,7 +170,7 @@ impl fmt::Display for BlockId {
 }
 
 /// Where control goes when it leaves a translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Exit {
     /// To a known guest address. `link` is filled in by chaining: when
     /// set, execution continues directly at that code-cache block without
@@ -194,13 +194,18 @@ pub enum Exit {
     Halt,
 }
 
-/// One host instruction.
+/// One instruction of the host ISA, over integer registers `R` and FP
+/// registers `F`.
+///
+/// The ISA is stated once: [`HInst`] names host registers, and the
+/// software layer's IR is the same type over virtual registers, so every
+/// operand view, the printer and the renaming below serve both.
 ///
 /// Branch/jump targets inside a translation (`target`) are *instruction
 /// indices local to the translation block*; the timing simulator sees
 /// real host PCs via the block's base address.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HInst {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Inst<R, F> {
     /// No operation.
     Nop,
     /// Register-register ALU: `rd <- ra op rb`.
@@ -208,27 +213,27 @@ pub enum HInst {
         /// Operation.
         op: HAluOp,
         /// Destination.
-        rd: HReg,
+        rd: R,
         /// Left operand.
-        ra: HReg,
+        ra: R,
         /// Right operand.
-        rb: HReg,
+        rb: R,
     },
     /// Register-immediate ALU: `rd <- ra op imm`.
     AluI {
         /// Operation.
         op: HAluOp,
         /// Destination.
-        rd: HReg,
+        rd: R,
         /// Left operand.
-        ra: HReg,
+        ra: R,
         /// Immediate right operand.
         imm: i32,
     },
     /// Load immediate: `rd <- imm`.
     Li {
         /// Destination.
-        rd: HReg,
+        rd: R,
         /// Immediate value: the register takes its 32 bits, as every
         /// host register is 32 bits wide.
         imm: i32,
@@ -236,47 +241,47 @@ pub enum HInst {
     /// 32-bit multiply (complex integer unit): `rd <- ra * rb`.
     Mul {
         /// Destination.
-        rd: HReg,
+        rd: R,
         /// Left operand.
-        ra: HReg,
+        ra: R,
         /// Right operand.
-        rb: HReg,
+        rb: R,
     },
     /// 32-bit signed total divide (complex integer unit).
     Div {
         /// Destination.
-        rd: HReg,
+        rd: R,
         /// Dividend.
-        ra: HReg,
+        ra: R,
         /// Divisor.
-        rb: HReg,
+        rb: R,
     },
     /// Computes a guest flags word into `rd` (complex integer unit).
     FlagsArith {
         /// Which flags computation.
         kind: FlagsKind,
         /// Destination (flags word).
-        rd: HReg,
+        rd: R,
         /// First operand (see [`FlagsKind`]).
-        ra: HReg,
+        ra: R,
         /// Second operand.
-        rb: HReg,
+        rb: R,
     },
     /// Software prefetch: brings `mem[base + off]`'s line toward the
     /// core without producing a value or stalling (inserted by the
     /// layer's optional prefetching pass, paper Sec. III-E).
     Prefetch {
         /// Base register.
-        base: HReg,
+        base: R,
         /// Byte offset.
         off: i32,
     },
     /// Load: `rd <- mem[ra + off]`.
     Ld {
         /// Destination.
-        rd: HReg,
+        rd: R,
         /// Base register.
-        base: HReg,
+        base: R,
         /// Byte offset.
         off: i32,
         /// Access width.
@@ -285,9 +290,9 @@ pub enum HInst {
     /// Store: `mem[base + off] <- rs`.
     St {
         /// Source.
-        rs: HReg,
+        rs: R,
         /// Base register.
-        base: HReg,
+        base: R,
         /// Byte offset.
         off: i32,
         /// Access width.
@@ -296,61 +301,61 @@ pub enum HInst {
     /// FP load (8 bytes): `fd <- mem[base + off]`.
     FLd {
         /// Destination FP register.
-        fd: HFreg,
+        fd: F,
         /// Base register.
-        base: HReg,
+        base: R,
         /// Byte offset.
         off: i32,
     },
     /// FP store (8 bytes): `mem[base + off] <- fs`.
     FSt {
         /// Source FP register.
-        fs: HFreg,
+        fs: F,
         /// Base register.
-        base: HReg,
+        base: R,
         /// Byte offset.
         off: i32,
     },
     /// FP register move.
     FMov {
         /// Destination FP register.
-        fd: HFreg,
+        fd: F,
         /// Source FP register.
-        fa: HFreg,
+        fa: F,
     },
     /// FP arithmetic: `fd <- fa op fb`.
     FArith {
         /// Operation (add/sub simple FP; mul/div complex FP).
         op: FpOp,
         /// Destination.
-        fd: HFreg,
+        fd: F,
         /// Left operand.
-        fa: HFreg,
+        fa: F,
         /// Right operand.
-        fb: HFreg,
+        fb: F,
     },
     /// Integer-to-FP convert: `fd <- f64(ra as i32)`.
     CvtIF {
         /// Destination FP register.
-        fd: HFreg,
+        fd: F,
         /// Source integer register.
-        ra: HReg,
+        ra: R,
     },
     /// FP-to-integer convert (truncating, saturating).
     CvtFI {
         /// Destination integer register.
-        rd: HReg,
+        rd: R,
         /// Source FP register.
-        fa: HFreg,
+        fa: F,
     },
     /// Conditional branch to a local instruction index.
     Br {
         /// Condition.
         cond: HCond,
         /// Left compare operand.
-        ra: HReg,
+        ra: R,
         /// Right compare operand.
-        rb: HReg,
+        rb: R,
         /// Local target (instruction index within the block).
         target: u32,
     },
@@ -359,7 +364,7 @@ pub enum HInst {
         /// Guest condition to evaluate.
         cond: Cond,
         /// Register holding the guest flags word.
-        flags: HReg,
+        flags: R,
         /// Local target (instruction index within the block).
         target: u32,
     },
@@ -372,11 +377,14 @@ pub enum HInst {
     Exit(Exit),
 }
 
-impl HInst {
+/// One host instruction.
+pub type HInst = Inst<HReg, HFreg>;
+
+impl<R: Copy + From<HReg>, F: Copy> Inst<R, F> {
     /// Destination integer register, if any (register 0 writes are
     /// discarded but still reported).
-    pub fn dst(&self) -> Option<HReg> {
-        use HInst::*;
+    pub fn dst(&self) -> Option<R> {
+        use Inst::*;
         match *self {
             Alu { rd, .. }
             | AluI { rd, .. }
@@ -391,8 +399,8 @@ impl HInst {
     }
 
     /// Integer source registers (up to two).
-    pub fn srcs(&self) -> [Option<HReg>; 2] {
-        use HInst::*;
+    pub fn srcs(&self) -> [Option<R>; 2] {
+        use Inst::*;
         match *self {
             Alu { ra, rb, .. }
             | Mul { ra, rb, .. }
@@ -404,14 +412,14 @@ impl HInst {
             St { rs, base, .. } => [Some(rs), Some(base)],
             FSt { base, .. } => [Some(base), None],
             BrFlags { flags, .. } => [Some(flags), None],
-            Exit(self::Exit::Indirect { reg }) => [Some(reg), None],
+            Exit(self::Exit::Indirect { reg }) => [Some(reg.into()), None],
             _ => [None, None],
         }
     }
 
     /// Destination FP register, if any.
-    pub fn fdst(&self) -> Option<HFreg> {
-        use HInst::*;
+    pub fn fdst(&self) -> Option<F> {
+        use Inst::*;
         match *self {
             FLd { fd, .. } | FMov { fd, .. } | FArith { fd, .. } | CvtIF { fd, .. } => Some(fd),
             _ => None,
@@ -419,8 +427,8 @@ impl HInst {
     }
 
     /// FP source registers (up to two).
-    pub fn fsrcs(&self) -> [Option<HFreg>; 2] {
-        use HInst::*;
+    pub fn fsrcs(&self) -> [Option<F>; 2] {
+        use Inst::*;
         match *self {
             FArith { fa, fb, .. } => [Some(fa), Some(fb)],
             FMov { fa, .. } | CvtFI { fa, .. } => [Some(fa), None],
@@ -429,10 +437,32 @@ impl HInst {
         }
     }
 
+    /// Whether this is a memory read.
+    pub fn is_load(&self) -> bool {
+        matches!(self, Inst::Ld { .. } | Inst::FLd { .. })
+    }
+
+    /// Whether this is a memory write.
+    pub fn is_store(&self) -> bool {
+        matches!(self, Inst::St { .. } | Inst::FSt { .. })
+    }
+
+    /// Whether this transfers control (a branch, a jump or an exit).
+    pub fn is_branch(&self) -> bool {
+        matches!(self, Inst::Br { .. } | Inst::BrFlags { .. } | Inst::Jump { .. } | Inst::Exit(_))
+    }
+
+    /// Whether the instruction has an effect beyond its register
+    /// destination (memory write, prefetch or control flow) and
+    /// therefore must never be removed as dead.
+    pub fn has_side_effect(&self) -> bool {
+        self.is_store() || self.is_branch() || matches!(self, Inst::Prefetch { .. })
+    }
+
     /// Execution class used by the timing model.
     pub fn class(&self) -> crate::stream::ExecClass {
         use crate::stream::ExecClass as C;
-        use HInst::*;
+        use Inst::*;
         match self {
             Nop | Alu { .. } | AluI { .. } | Li { .. } => C::SimpleInt,
             Mul { .. } | Div { .. } | FlagsArith { .. } => C::ComplexInt,
@@ -445,6 +475,41 @@ impl HInst {
             },
             Br { .. } | BrFlags { .. } => C::Branch,
             Jump { .. } | Exit(_) => C::Jump,
+        }
+    }
+}
+
+impl<R, F> Inst<R, F> {
+    /// The same instruction with every integer operand renamed by `r`
+    /// and every FP operand by `f`. An [`Exit`] names a host register
+    /// in every view and keeps it.
+    pub fn map_regs<R2, F2>(
+        self,
+        mut r: impl FnMut(R) -> R2,
+        mut f: impl FnMut(F) -> F2,
+    ) -> Inst<R2, F2> {
+        use Inst::*;
+        match self {
+            Nop => Nop,
+            Alu { op, rd, ra, rb } => Alu { op, rd: r(rd), ra: r(ra), rb: r(rb) },
+            AluI { op, rd, ra, imm } => AluI { op, rd: r(rd), ra: r(ra), imm },
+            Li { rd, imm } => Li { rd: r(rd), imm },
+            Mul { rd, ra, rb } => Mul { rd: r(rd), ra: r(ra), rb: r(rb) },
+            Div { rd, ra, rb } => Div { rd: r(rd), ra: r(ra), rb: r(rb) },
+            FlagsArith { kind, rd, ra, rb } => FlagsArith { kind, rd: r(rd), ra: r(ra), rb: r(rb) },
+            Prefetch { base, off } => Prefetch { base: r(base), off },
+            Ld { rd, base, off, width } => Ld { rd: r(rd), base: r(base), off, width },
+            St { rs, base, off, width } => St { rs: r(rs), base: r(base), off, width },
+            FLd { fd, base, off } => FLd { fd: f(fd), base: r(base), off },
+            FSt { fs, base, off } => FSt { fs: f(fs), base: r(base), off },
+            FMov { fd, fa } => FMov { fd: f(fd), fa: f(fa) },
+            FArith { op, fd, fa, fb } => FArith { op, fd: f(fd), fa: f(fa), fb: f(fb) },
+            CvtIF { fd, ra } => CvtIF { fd: f(fd), ra: r(ra) },
+            CvtFI { rd, fa } => CvtFI { rd: r(rd), fa: f(fa) },
+            Br { cond, ra, rb, target } => Br { cond, ra: r(ra), rb: r(rb), target },
+            BrFlags { cond, flags, target } => BrFlags { cond, flags: r(flags), target },
+            Jump { target } => Jump { target },
+            Exit(e) => Exit(e),
         }
     }
 }
@@ -462,9 +527,9 @@ impl fmt::Display for Exit {
     }
 }
 
-impl fmt::Display for HInst {
+impl<R: fmt::Display, F: fmt::Display> fmt::Display for Inst<R, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use HInst::*;
+        use Inst::*;
         match self {
             Nop => write!(f, "nop"),
             Alu { op, rd, ra, rb } => write!(f, "{} {rd}, {ra}, {rb}", alu_mnemonic(*op)),
@@ -589,6 +654,59 @@ mod tests {
             ExecClass::SimpleFp
         );
         assert_eq!(HInst::Exit(Exit::Halt).class(), ExecClass::Jump);
+    }
+
+    /// One instance of every variant, each paired with its pattern; the
+    /// patterns form one `match` without a wildcard, so a new variant
+    /// does not compile until it has a case here.
+    macro_rules! every_variant {
+        ($($pat:pat => $inst:expr),* $(,)?) => {{
+            let cases: Vec<HInst> = vec![$($inst),*];
+            for c in &cases {
+                match c {
+                    $($pat)|* => {}
+                }
+            }
+            cases
+        }};
+    }
+
+    #[test]
+    fn map_regs_renames_every_operand() {
+        use Inst::*;
+        let (r, f) = (HReg, HFreg);
+        let cases = every_variant![
+            Nop => Nop,
+            Alu { .. } => Alu { op: HAluOp::Sub, rd: r(1), ra: r(2), rb: r(3) },
+            AluI { .. } => AluI { op: HAluOp::Add, rd: r(4), ra: r(5), imm: -1 },
+            Li { .. } => Li { rd: r(6), imm: 7 },
+            Mul { .. } => Mul { rd: r(7), ra: r(8), rb: r(9) },
+            Div { .. } => Div { rd: r(10), ra: r(11), rb: r(12) },
+            FlagsArith { .. } => FlagsArith { kind: FlagsKind::Add, rd: r(9), ra: r(13), rb: r(14) },
+            Prefetch { .. } => Prefetch { base: r(15), off: 64 },
+            Ld { .. } => Ld { rd: r(16), base: r(17), off: 4, width: Width::W2 },
+            St { .. } => St { rs: r(18), base: r(19), off: -4, width: Width::W4 },
+            FLd { .. } => FLd { fd: f(1), base: r(20), off: 8 },
+            FSt { .. } => FSt { fs: f(2), base: r(21), off: 16 },
+            FMov { .. } => FMov { fd: f(3), fa: f(4) },
+            FArith { .. } => FArith { op: FpOp::Mul, fd: f(5), fa: f(6), fb: f(7) },
+            CvtIF { .. } => CvtIF { fd: f(8), ra: r(22) },
+            CvtFI { .. } => CvtFI { rd: r(23), fa: f(9) },
+            Br { .. } => Br { cond: HCond::LtU, ra: r(24), rb: r(25), target: 3 },
+            BrFlags { .. } => BrFlags { cond: darco_guest::Cond::Ne, flags: r(9), target: 2 },
+            Jump { .. } => Jump { target: 1 },
+            Exit(_) => Exit(self::Exit::Indirect { reg: r(10) }),
+        ];
+        for i in cases {
+            let m = i.map_regs(|x| HReg(x.0 + 1), |x| HFreg(x.0 + 1));
+            // An exit names a host register in every view, so it keeps it.
+            let k = u8::from(!matches!(i, Exit(_)));
+            let (ri, fi) = (|x: HReg| HReg(x.0 + k), |x: HFreg| HFreg(x.0 + k));
+            assert_eq!(m.dst(), i.dst().map(ri), "{i}");
+            assert_eq!(m.srcs(), i.srcs().map(|s| s.map(ri)), "{i}");
+            assert_eq!(m.fdst(), i.fdst().map(fi), "{i}");
+            assert_eq!(m.fsrcs(), i.fsrcs().map(|s| s.map(fi)), "{i}");
+        }
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! software layer (which generates host code) and the timing simulator
 //! (which consumes the dynamic host instruction stream):
 //!
-//! * [`HInst`] — fixed-width RISC instructions: ALU, multiply/divide,
+//! * [`Inst`] — fixed-width RISC instructions: ALU, multiply/divide,
 //!   loads/stores, FP, branches, plus a `FlagsArith` helper that computes
 //!   a guest flags word (the cost CISC flag semantics impose on
 //!   translation, Sec. III-C) and [`Exit`] markers where control leaves a
-//!   translation,
+//!   translation. The ISA is declared once, over its register types:
+//!   [`HInst`] is it over host registers, the software layer's IR over
+//!   virtual ones,
 //! * a register file of 64 integer registers **logically split between
 //!   the application (r0–r31) and the software layer (r32–r63)** to
 //!   reduce transition overheads, exactly as in the paper's host
@@ -50,7 +52,7 @@ pub mod template;
 pub use events::{
     EventBuffer, HostEvent, HostEventSink, NullSink, RetireSink, TraceStats, TraceStatsSink,
 };
-pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Width};
+pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Inst, Width};
 pub use state::{eval_alu, eval_flags, exec_inst, HostState, Outcome};
 pub use stream::{BranchKind, Component, DynInst, ExecClass, MemEvent, Owner};
 pub use template::{compile_block, mem_operand};

@@ -146,7 +146,7 @@ fn cond_eval(cond: HCond, a: u32, b: u32) -> bool {
 /// 32-bit space directly (the identity mapping of
 /// [`crate::layout::GUEST_BASE`]).
 pub fn exec_inst(st: &mut HostState, inst: &HInst, mem: &mut GuestMem) -> Outcome {
-    use HInst::*;
+    use crate::isa::Inst::*;
     match *inst {
         Nop => {}
         Alu { op, rd, ra, rb } => st.set_reg(rd, alu(op, st.reg(ra), st.reg(rb))),

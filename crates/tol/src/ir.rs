@@ -15,8 +15,7 @@
 //! register allocation at lowering time.
 
 use crate::regset::RegVec;
-use darco_guest::{Cond, FpOp};
-use darco_host::{Exit, FlagsKind, HAluOp, HFreg, HInst, HReg, Width};
+use darco_host::{Exit, HFreg, HInst, HReg, Inst};
 
 /// Dedicated physical register an indirect exit's guest target is moved
 /// into before the block's [`Exit::Indirect`].
@@ -69,238 +68,17 @@ pub enum IrFreg {
     Virt(u32),
 }
 
-/// One IR instruction. Mirrors [`HInst`] with IR registers; conditional
-/// branches target exit-stub indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IrInst {
-    /// No operation (used as a tombstone by passes).
-    Nop,
-    /// `rd <- ra op rb`.
-    Alu {
-        /// Operation.
-        op: HAluOp,
-        /// Destination.
-        rd: IrReg,
-        /// Left operand.
-        ra: IrReg,
-        /// Right operand.
-        rb: IrReg,
-    },
-    /// `rd <- ra op imm`.
-    AluI {
-        /// Operation.
-        op: HAluOp,
-        /// Destination.
-        rd: IrReg,
-        /// Left operand.
-        ra: IrReg,
-        /// Immediate.
-        imm: i32,
-    },
-    /// `rd <- imm`.
-    Li {
-        /// Destination.
-        rd: IrReg,
-        /// Immediate.
-        imm: i64,
-    },
-    /// 32-bit multiply.
-    Mul {
-        /// Destination.
-        rd: IrReg,
-        /// Left operand.
-        ra: IrReg,
-        /// Right operand.
-        rb: IrReg,
-    },
-    /// 32-bit total signed divide.
-    Div {
-        /// Destination.
-        rd: IrReg,
-        /// Dividend.
-        ra: IrReg,
-        /// Divisor.
-        rb: IrReg,
-    },
-    /// Guest flags materialization.
-    FlagsArith {
-        /// Flags computation kind.
-        kind: FlagsKind,
-        /// Destination (flags word).
-        rd: IrReg,
-        /// First operand.
-        ra: IrReg,
-        /// Second operand.
-        rb: IrReg,
-    },
-    /// Software prefetch of a guest line (inserted by the optional
-    /// prefetching pass; never faults, never stalls).
-    Prefetch {
-        /// Base address register.
-        base: IrReg,
-        /// Byte offset.
-        off: i32,
-    },
-    /// Load from guest memory.
-    Ld {
-        /// Destination.
-        rd: IrReg,
-        /// Base address register.
-        base: IrReg,
-        /// Byte offset.
-        off: i32,
-        /// Width.
-        width: Width,
-    },
-    /// Store to guest memory.
-    St {
-        /// Source.
-        rs: IrReg,
-        /// Base address register.
-        base: IrReg,
-        /// Byte offset.
-        off: i32,
-        /// Width.
-        width: Width,
-    },
-    /// FP load.
-    FLd {
-        /// Destination.
-        fd: IrFreg,
-        /// Base address register.
-        base: IrReg,
-        /// Byte offset.
-        off: i32,
-    },
-    /// FP store.
-    FSt {
-        /// Source.
-        fs: IrFreg,
-        /// Base address register.
-        base: IrReg,
-        /// Byte offset.
-        off: i32,
-    },
-    /// FP move.
-    FMov {
-        /// Destination.
-        fd: IrFreg,
-        /// Source.
-        fa: IrFreg,
-    },
-    /// FP arithmetic.
-    FArith {
-        /// Operation.
-        op: FpOp,
-        /// Destination.
-        fd: IrFreg,
-        /// Left operand.
-        fa: IrFreg,
-        /// Right operand.
-        fb: IrFreg,
-    },
-    /// Integer-to-FP convert.
-    CvtIF {
-        /// Destination.
-        fd: IrFreg,
-        /// Source.
-        ra: IrReg,
-    },
-    /// FP-to-integer convert.
-    CvtFI {
-        /// Destination.
-        rd: IrReg,
-        /// Source.
-        fa: IrFreg,
-    },
-    /// Branch to exit stub `stub` if `cond` holds on the flags in
-    /// `flags`.
-    BrFlags {
-        /// Guest condition.
-        cond: Cond,
-        /// Flags word register.
-        flags: IrReg,
-        /// Target exit-stub index.
-        stub: u32,
-    },
-}
-
-impl IrInst {
-    /// Integer destination, if any.
-    pub fn dst(&self) -> Option<IrReg> {
-        use IrInst::*;
-        match *self {
-            Alu { rd, .. }
-            | AluI { rd, .. }
-            | Li { rd, .. }
-            | Mul { rd, .. }
-            | Div { rd, .. }
-            | FlagsArith { rd, .. }
-            | Ld { rd, .. }
-            | CvtFI { rd, .. } => Some(rd),
-            _ => None,
-        }
-    }
-
-    /// Integer sources (up to two).
-    pub fn srcs(&self) -> [Option<IrReg>; 2] {
-        use IrInst::*;
-        match *self {
-            Alu { ra, rb, .. }
-            | Mul { ra, rb, .. }
-            | Div { ra, rb, .. }
-            | FlagsArith { ra, rb, .. } => [Some(ra), Some(rb)],
-            AluI { ra, .. } | CvtIF { ra, .. } => [Some(ra), None],
-            Ld { base, .. } | FLd { base, .. } | Prefetch { base, .. } => [Some(base), None],
-            St { rs, base, .. } => [Some(rs), Some(base)],
-            FSt { base, .. } => [Some(base), None],
-            BrFlags { flags, .. } => [Some(flags), None],
-            _ => [None, None],
-        }
-    }
-
-    /// FP destination, if any.
-    pub fn fdst(&self) -> Option<IrFreg> {
-        use IrInst::*;
-        match *self {
-            FLd { fd, .. } | FMov { fd, .. } | FArith { fd, .. } | CvtIF { fd, .. } => Some(fd),
-            _ => None,
-        }
-    }
-
-    /// FP sources (up to two).
-    pub fn fsrcs(&self) -> [Option<IrFreg>; 2] {
-        use IrInst::*;
-        match *self {
-            FArith { fa, fb, .. } => [Some(fa), Some(fb)],
-            FMov { fa, .. } | CvtFI { fa, .. } => [Some(fa), None],
-            FSt { fs, .. } => [Some(fs), None],
-            _ => [None, None],
-        }
-    }
-
-    /// Whether this is a memory read.
-    pub fn is_load(&self) -> bool {
-        matches!(self, IrInst::Ld { .. } | IrInst::FLd { .. })
-    }
-
-    /// Whether this is a memory write.
-    pub fn is_store(&self) -> bool {
-        matches!(self, IrInst::St { .. } | IrInst::FSt { .. })
-    }
-
-    /// Whether this is a control-flow instruction (side exit).
-    pub fn is_branch(&self) -> bool {
-        matches!(self, IrInst::BrFlags { .. })
-    }
-
-    /// Whether the instruction has a side effect beyond its register
-    /// destination (memory write or control flow) and therefore must
-    /// never be removed by DCE.
-    pub fn has_side_effect(&self) -> bool {
-        self.is_store() || self.is_branch() || matches!(self, IrInst::Prefetch { .. })
+impl From<HReg> for IrReg {
+    fn from(r: HReg) -> IrReg {
+        IrReg::Phys(r)
     }
 }
+
+/// One IR instruction: a host instruction over IR registers. The
+/// translator emits no `Br`, `Jump` or `Exit`; a `BrFlags`' `target` is
+/// an exit-stub index, which [`lower`] turns into a host instruction
+/// index.
+pub type IrInst = Inst<IrReg, IrFreg>;
 
 impl std::fmt::Display for IrReg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -320,31 +98,6 @@ impl std::fmt::Display for IrFreg {
     }
 }
 
-impl std::fmt::Display for IrInst {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        use IrInst::*;
-        match *self {
-            Nop => write!(f, "nop"),
-            Alu { op, rd, ra, rb } => write!(f, "{rd} <- {op:?}({ra}, {rb})"),
-            AluI { op, rd, ra, imm } => write!(f, "{rd} <- {op:?}({ra}, #{imm})"),
-            Li { rd, imm } => write!(f, "{rd} <- #{imm}"),
-            Mul { rd, ra, rb } => write!(f, "{rd} <- mul({ra}, {rb})"),
-            Div { rd, ra, rb } => write!(f, "{rd} <- div({ra}, {rb})"),
-            FlagsArith { kind, rd, ra, rb } => write!(f, "{rd} <- flags.{kind:?}({ra}, {rb})"),
-            Prefetch { base, off } => write!(f, "prefetch [{base}{off:+}]"),
-            Ld { rd, base, off, width } => write!(f, "{rd} <- ld.{width:?} [{base}{off:+}]"),
-            St { rs, base, off, width } => write!(f, "st.{width:?} [{base}{off:+}] <- {rs}"),
-            FLd { fd, base, off } => write!(f, "{fd} <- fld [{base}{off:+}]"),
-            FSt { fs, base, off } => write!(f, "fst [{base}{off:+}] <- {fs}"),
-            FMov { fd, fa } => write!(f, "{fd} <- {fa}"),
-            FArith { op, fd, fa, fb } => write!(f, "{fd} <- f{op:?}({fa}, {fb})"),
-            CvtIF { fd, ra } => write!(f, "{fd} <- cvt.if({ra})"),
-            CvtFI { rd, fa } => write!(f, "{rd} <- cvt.fi({fa})"),
-            BrFlags { cond, flags, stub } => write!(f, "br.{cond:?}({flags}) -> stub{stub}"),
-        }
-    }
-}
-
 /// Renders a block as one line per operation, for `darco analyze`, test
 /// failure reports and debugging.
 pub fn pretty(block: &IrBlock) -> String {
@@ -354,11 +107,11 @@ pub fn pretty(block: &IrBlock) -> String {
     }
     for (i, stub) in block.stubs.iter().enumerate() {
         out.push_str(&format!(
-            "stub{i}: {stub:?} (retires {})\n",
+            "stub{i}: {stub} (retires {})\n",
             block.stub_guest_counts.get(i).copied().unwrap_or(0)
         ));
     }
-    out.push_str(&format!("fall: {:?} (guest_len {})\n", block.fallthrough, block.guest_len));
+    out.push_str(&format!("fall: {} (guest_len {})\n", block.fallthrough, block.guest_len));
     out
 }
 
@@ -378,7 +131,7 @@ pub struct IrOp {
 pub struct IrBlock {
     /// Straight-line body.
     pub ops: Vec<IrOp>,
-    /// Exit stubs; [`IrInst::BrFlags`] targets index into this list.
+    /// Exit stubs; a `BrFlags` target indexes into this list.
     pub stubs: Vec<Exit>,
     /// Guest instructions retired when leaving via each stub (parallel to
     /// `stubs`). Needed by co-simulation: a side exit retires fewer guest
@@ -435,49 +188,13 @@ impl RegMap {
 pub fn lower(block: &IrBlock, map: &RegMap) -> Vec<HInst> {
     let body = || block.ops.iter().filter(|op| op.inst != IrInst::Nop);
     let body_len = body().count() as u32;
-    let stub_pos = |stub: u32| -> u32 {
-        assert!((stub as usize) < block.stubs.len(), "branch to missing stub");
-        body_len + 1 + stub
-    };
     let mut out = Vec::with_capacity(body_len as usize + 1 + block.stubs.len());
     for op in body() {
-        let h = match op.inst {
-            IrInst::Nop => unreachable!("tombstones filtered"),
-            IrInst::Alu { op, rd, ra, rb } => {
-                HInst::Alu { op, rd: map.r(rd), ra: map.r(ra), rb: map.r(rb) }
-            }
-            IrInst::AluI { op, rd, ra, imm } => {
-                HInst::AluI { op, rd: map.r(rd), ra: map.r(ra), imm }
-            }
-            IrInst::Li { rd, imm } => HInst::Li { rd: map.r(rd), imm: imm as i32 },
-            IrInst::Mul { rd, ra, rb } => {
-                HInst::Mul { rd: map.r(rd), ra: map.r(ra), rb: map.r(rb) }
-            }
-            IrInst::Div { rd, ra, rb } => {
-                HInst::Div { rd: map.r(rd), ra: map.r(ra), rb: map.r(rb) }
-            }
-            IrInst::FlagsArith { kind, rd, ra, rb } => {
-                HInst::FlagsArith { kind, rd: map.r(rd), ra: map.r(ra), rb: map.r(rb) }
-            }
-            IrInst::Prefetch { base, off } => HInst::Prefetch { base: map.r(base), off },
-            IrInst::Ld { rd, base, off, width } => {
-                HInst::Ld { rd: map.r(rd), base: map.r(base), off, width }
-            }
-            IrInst::St { rs, base, off, width } => {
-                HInst::St { rs: map.r(rs), base: map.r(base), off, width }
-            }
-            IrInst::FLd { fd, base, off } => HInst::FLd { fd: map.f(fd), base: map.r(base), off },
-            IrInst::FSt { fs, base, off } => HInst::FSt { fs: map.f(fs), base: map.r(base), off },
-            IrInst::FMov { fd, fa } => HInst::FMov { fd: map.f(fd), fa: map.f(fa) },
-            IrInst::FArith { op, fd, fa, fb } => {
-                HInst::FArith { op, fd: map.f(fd), fa: map.f(fa), fb: map.f(fb) }
-            }
-            IrInst::CvtIF { fd, ra } => HInst::CvtIF { fd: map.f(fd), ra: map.r(ra) },
-            IrInst::CvtFI { rd, fa } => HInst::CvtFI { rd: map.r(rd), fa: map.f(fa) },
-            IrInst::BrFlags { cond, flags, stub } => {
-                HInst::BrFlags { cond, flags: map.r(flags), target: stub_pos(stub) }
-            }
-        };
+        let mut h = op.inst.map_regs(|r| map.r(r), |f| map.f(f));
+        if let HInst::BrFlags { target, .. } = &mut h {
+            assert!((*target as usize) < block.stubs.len(), "branch to missing stub");
+            *target += body_len + 1;
+        }
         out.push(h);
     }
     out.push(HInst::Exit(block.fallthrough));
@@ -490,6 +207,8 @@ pub fn lower(block: &IrBlock, map: &RegMap) -> Vec<HInst> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darco_guest::Cond;
+    use darco_host::Width;
 
     #[test]
     fn pinned_register_mapping() {
@@ -510,7 +229,11 @@ mod tests {
                 IrOp { inst: IrInst::Li { rd: IrReg::Virt(0), imm: 1 }, guest_idx: 0 },
                 IrOp { inst: IrInst::Nop, guest_idx: 0 },
                 IrOp {
-                    inst: IrInst::BrFlags { cond: Cond::E, flags: IrReg::Phys(FLAGS_REG), stub: 0 },
+                    inst: IrInst::BrFlags {
+                        cond: Cond::E,
+                        flags: IrReg::Phys(FLAGS_REG),
+                        target: 0,
+                    },
                     guest_idx: 1,
                 },
             ],
@@ -532,14 +255,14 @@ mod tests {
         assert_eq!(host[3], HInst::Exit(Exit::Direct { guest_target: 0x100, link: None }));
     }
 
-    /// `HInst::Li` holds 32 bits, as a host register does: lowering
-    /// keeps the low 32 bits of the IR's immediate, so a negative
-    /// constant and a pc above 2^31 both land in the register unchanged.
+    /// `Li` holds 32 bits in IR and host code alike, as a host register
+    /// does: a negative constant and a pc above 2^31 both land in the
+    /// register unchanged.
     #[test]
     fn lowered_immediates_keep_their_32_bits() {
         let mut map = RegMap::default();
         map.int.insert(0, HReg(10));
-        for imm in [-5, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF] {
+        for imm in [-5, 0x7FFF_FFFF, i32::MIN, -1] {
             let block = IrBlock {
                 ops: vec![IrOp { inst: IrInst::Li { rd: IrReg::Virt(0), imm }, guest_idx: 0 }],
                 stubs: vec![],
@@ -563,7 +286,7 @@ mod tests {
         let st =
             IrInst::St { rs: IrReg::Virt(1), base: IrReg::Phys(HReg(2)), off: 0, width: Width::W4 };
         assert!(st.has_side_effect());
-        let br = IrInst::BrFlags { cond: Cond::Ne, flags: IrReg::Phys(FLAGS_REG), stub: 0 };
+        let br = IrInst::BrFlags { cond: Cond::Ne, flags: IrReg::Phys(FLAGS_REG), target: 0 };
         assert!(br.is_branch() && br.has_side_effect());
     }
 

@@ -98,7 +98,7 @@ pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
         // 2. Fold fully-constant computations.
         if let Some(c) = fold_inst(&op.inst, facts) {
             if let Some(rd) = op.inst.dst() {
-                op.inst = IrInst::Li { rd, imm: c as i32 as i64 };
+                op.inst = IrInst::Li { rd, imm: c as i32 };
             }
         }
 
@@ -126,7 +126,7 @@ pub fn run(block: &mut IrBlock, scratch: &mut OptScratch) {
 }
 
 fn rewrite_sources(inst: &mut IrInst, facts: &Facts) {
-    use IrInst::*;
+    use darco_host::Inst::*;
     let res = |r: IrReg| facts.resolve(r);
     match inst {
         Alu { ra, rb, op, rd } => {
@@ -138,7 +138,7 @@ fn rewrite_sources(inst: &mut IrInst, facts: &Facts) {
             }
         }
         AluI { ra, .. } => *ra = res(*ra),
-        Mul { ra, rb, .. } | Div { ra, rb, .. } | FlagsArith { ra, rb, .. } => {
+        Mul { ra, rb, .. } | Div { ra, rb, .. } | FlagsArith { ra, rb, .. } | Br { ra, rb, .. } => {
             *ra = res(*ra);
             *rb = res(*rb);
         }
@@ -166,7 +166,7 @@ fn rewrite_sources(inst: &mut IrInst, facts: &Facts) {
         }
         CvtIF { ra, .. } => *ra = res(*ra),
         BrFlags { flags, .. } => *flags = res(*flags),
-        Nop | Li { .. } | FMov { .. } | FArith { .. } | CvtFI { .. } => {}
+        Nop | Li { .. } | FMov { .. } | FArith { .. } | CvtFI { .. } | Jump { .. } | Exit(_) => {}
     }
 }
 

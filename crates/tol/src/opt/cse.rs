@@ -25,7 +25,7 @@ enum Expr {
     Alu(HAluOp, Vn, Vn),
     AluI(HAluOp, Vn, i32),
     Mul(Vn, Vn),
-    Const(i64),
+    Const(i32),
     Load(Vn, i32, u8, u64), // base vn, offset, width bytes, memory version
 }
 

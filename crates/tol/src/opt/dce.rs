@@ -105,7 +105,7 @@ mod tests {
     fn stores_and_branches_never_die() {
         let mut b = block(vec![
             IrInst::St { rs: phys(1), base: phys(2), off: 0, width: Width::W4 },
-            IrInst::BrFlags { cond: Cond::E, flags: phys(9), stub: 0 },
+            IrInst::BrFlags { cond: Cond::E, flags: phys(9), target: 0 },
         ]);
         run(&mut b, &mut OptScratch::default());
         assert!(b.ops.iter().all(|o| o.inst != IrInst::Nop));
@@ -122,7 +122,7 @@ mod tests {
                 ra: phys(1),
                 rb: phys(2),
             },
-            IrInst::BrFlags { cond: Cond::E, flags: IrReg::Virt(0), stub: 0 },
+            IrInst::BrFlags { cond: Cond::E, flags: IrReg::Virt(0), target: 0 },
         ]);
         run(&mut b, &mut OptScratch::default());
         assert!(matches!(b.ops[0].inst, IrInst::FlagsArith { .. }));

@@ -181,7 +181,7 @@ mod tests {
         // 22 simultaneously-live virtuals exceed the 21-register pool.
         let n = (SCRATCH_END - SCRATCH_BASE) as u32 + 1;
         let mut ops: Vec<IrInst> =
-            (0..n).map(|v| IrInst::Li { rd: IrReg::Virt(v), imm: v as i64 }).collect();
+            (0..n).map(|v| IrInst::Li { rd: IrReg::Virt(v), imm: v as i32 }).collect();
         // One instruction using them all pairwise keeps them live to the end.
         for v in 0..n {
             ops.push(IrInst::Alu {

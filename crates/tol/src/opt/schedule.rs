@@ -17,7 +17,7 @@ use crate::regset::RegVec;
 
 /// Approximate result latency used for priority (matches Table I).
 fn latency(inst: &IrInst) -> u32 {
-    use IrInst::*;
+    use darco_host::Inst::*;
     match inst {
         Ld { .. } | FLd { .. } => 3, // optimistic L1 hit + use delay
         Mul { .. } | Div { .. } | FlagsArith { .. } => 2,
@@ -271,7 +271,7 @@ mod tests {
     fn branches_are_barriers() {
         use darco_guest::Cond;
         let before = IrInst::AluI { op: HAluOp::Add, rd: phys(1), ra: phys(1), imm: 1 };
-        let br = IrInst::BrFlags { cond: Cond::E, flags: phys(9), stub: 0 };
+        let br = IrInst::BrFlags { cond: Cond::E, flags: phys(9), target: 0 };
         let after = IrInst::AluI { op: HAluOp::Add, rd: phys(2), ra: phys(2), imm: 1 };
         let mut blk = block(vec![before, br, after]);
         run(&mut blk);

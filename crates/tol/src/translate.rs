@@ -300,16 +300,16 @@ pub(crate) fn translate_region_scratch(region: &[RegionInst], scratch: &mut IrSc
             Inst::Jcc { cond, target } => {
                 if last {
                     let stub = cx.stub(Exit::Direct { guest_target: target, link: None });
-                    cx.emit(IrInst::BrFlags { cond, flags: FLAGS, stub });
+                    cx.emit(IrInst::BrFlags { cond, flags: FLAGS, target: stub });
                     fallthrough = Some(Exit::Direct { guest_target: r.next_pc(), link: None });
                 } else if r.follow_taken {
                     // Inline the taken path: exit on the negated condition.
                     let stub = cx.stub(Exit::Direct { guest_target: r.next_pc(), link: None });
-                    cx.emit(IrInst::BrFlags { cond: cond.negated(), flags: FLAGS, stub });
+                    cx.emit(IrInst::BrFlags { cond: cond.negated(), flags: FLAGS, target: stub });
                 } else {
                     // Inline the fall-through: exit when taken.
                     let stub = cx.stub(Exit::Direct { guest_target: target, link: None });
-                    cx.emit(IrInst::BrFlags { cond, flags: FLAGS, stub });
+                    cx.emit(IrInst::BrFlags { cond, flags: FLAGS, target: stub });
                 }
             }
             Inst::Jmp { target } => {
@@ -321,7 +321,7 @@ pub(crate) fn translate_region_scratch(region: &[RegionInst], scratch: &mut IrSc
             Inst::Call { target } => {
                 assert!(last, "call inside a superblock body");
                 let t = cx.virt();
-                cx.emit(IrInst::Li { rd: t, imm: r.next_pc() as i64 });
+                cx.emit(IrInst::Li { rd: t, imm: r.next_pc() as i32 });
                 cx.push_guest(t);
                 fallthrough = Some(Exit::Direct { guest_target: target, link: None });
             }
@@ -329,7 +329,7 @@ pub(crate) fn translate_region_scratch(region: &[RegionInst], scratch: &mut IrSc
                 assert!(last, "indirect call inside a superblock body");
                 cx.move_to_exit_reg(IrReg::Phys(guest_gpr_reg(reg.index())));
                 let t = cx.virt();
-                cx.emit(IrInst::Li { rd: t, imm: r.next_pc() as i64 });
+                cx.emit(IrInst::Li { rd: t, imm: r.next_pc() as i32 });
                 cx.push_guest(t);
                 fallthrough = Some(Exit::Indirect { reg: EXIT_TARGET_REG });
             }
@@ -389,7 +389,7 @@ fn emit_straightline(cx: &mut Ctx, inst: &Inst, flags_live: bool) {
         Inst::MovRR { dst, src } => {
             cx.emit(IrInst::AluI { op: HAluOp::Or, rd: g(dst), ra: g(src), imm: 0 });
         }
-        Inst::MovRI { dst, imm } => cx.emit(IrInst::Li { rd: g(dst), imm: imm as i64 }),
+        Inst::MovRI { dst, imm } => cx.emit(IrInst::Li { rd: g(dst), imm }),
         Inst::Load { dst, addr } => {
             let (base, off) = cx.ea(&addr);
             cx.emit(IrInst::Ld { rd: g(dst), base, off, width: Width::W4 });
@@ -419,7 +419,7 @@ fn emit_straightline(cx: &mut Ctx, inst: &Inst, flags_live: bool) {
         }
         Inst::StoreI { addr, imm } => {
             let t = cx.virt();
-            cx.emit(IrInst::Li { rd: t, imm: imm as i64 });
+            cx.emit(IrInst::Li { rd: t, imm });
             let (base, off) = cx.ea(&addr);
             cx.emit(IrInst::St { rs: t, base, off, width: Width::W4 });
         }
@@ -454,7 +454,7 @@ fn emit_straightline(cx: &mut Ctx, inst: &Inst, flags_live: bool) {
         Inst::CmpRI { a, imm } => {
             if flags_live {
                 let t = cx.virt();
-                cx.emit(IrInst::Li { rd: t, imm: imm as i64 });
+                cx.emit(IrInst::Li { rd: t, imm });
                 cx.emit(IrInst::FlagsArith { kind: FlagsKind::Sub, rd: FLAGS, ra: g(a), rb: t });
             }
         }
@@ -478,7 +478,7 @@ fn emit_straightline(cx: &mut Ctx, inst: &Inst, flags_live: bool) {
             let (alu, kind) = shift_alu(op);
             if flags_live {
                 let t = cx.virt();
-                cx.emit(IrInst::Li { rd: t, imm: amt as i64 });
+                cx.emit(IrInst::Li { rd: t, imm: amt });
                 cx.emit(IrInst::FlagsArith { kind, rd: FLAGS, ra: g(dst), rb: t });
             }
             cx.emit(IrInst::AluI { op: alu, rd: g(dst), ra: g(dst), imm: amt });
@@ -605,7 +605,7 @@ fn emit_alu(cx: &mut Ctx, op: AluOp, dst: IrReg, src: AluSrc, flags_live: bool) 
                     AluSrc::Reg(r) => r,
                     AluSrc::Imm(imm) => {
                         let t = cx.virt();
-                        cx.emit(IrInst::Li { rd: t, imm: imm as i64 });
+                        cx.emit(IrInst::Li { rd: t, imm });
                         t
                     }
                 };
@@ -729,7 +729,7 @@ mod tests {
             .ops
             .iter()
             .find_map(|o| match o.inst {
-                IrInst::BrFlags { cond, stub, .. } => Some((cond, stub)),
+                IrInst::BrFlags { cond, target, .. } => Some((cond, target)),
                 _ => None,
             })
             .expect("side exit branch");

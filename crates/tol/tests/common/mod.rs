@@ -142,7 +142,7 @@ pub fn random_ir_block(rng: &mut SmallRng) -> IrBlock {
         };
         let inst = match rng.gen_range(0..14) {
             0 | 1 => {
-                IrInst::Li { rd: idst(rng, &mut ipool), imm: rng.gen_range(-0x8000i64..0x8000) }
+                IrInst::Li { rd: idst(rng, &mut ipool), imm: rng.gen_range(-0x8000i32..0x8000) }
             }
             2 | 3 => {
                 // Pick sources before the destination: `idst` may mint a
@@ -192,7 +192,7 @@ pub fn random_ir_block(rng: &mut SmallRng) -> IrBlock {
             9 if n_stubs > 0 => IrInst::BrFlags {
                 cond: Cond::ALL[rng.gen_range(0..Cond::ALL.len())],
                 flags: isrc(rng, &ipool),
-                stub: rng.gen_range(0..n_stubs),
+                target: rng.gen_range(0..n_stubs),
             },
             10 => IrInst::CvtIF {
                 fd: {

@@ -14,8 +14,9 @@ use darco_tol::ir::{
 };
 use std::collections::{HashMap, HashSet};
 
-/// Checks block well-formedness: branches target existing stubs, stub
-/// metadata is parallel, virtual registers are single-assignment, and no
+/// Checks block well-formedness: the body holds no `Br`, `Jump` or
+/// `Exit` (the IR leaves only through its stubs), branches target
+/// existing stubs, stub metadata is parallel, virtual registers are single-assignment, and no
 /// virtual is read before (or without) its definition.
 pub fn check_wellformed(pass: &'static str, block: &IrBlock) -> Result<(), Box<VerifyFailure>> {
     if block.stub_guest_counts.len() != block.stubs.len() {
@@ -37,7 +38,16 @@ pub fn check_wellformed(pass: &'static str, block: &IrBlock) -> Result<(), Box<V
         if op.inst == IrInst::Nop {
             continue;
         }
-        if let IrInst::BrFlags { stub, .. } = op.inst {
+        if matches!(op.inst, IrInst::Br { .. } | IrInst::Jump { .. } | IrInst::Exit(_)) {
+            return fail(
+                pass,
+                "no host-only control flow",
+                format!("op {i} `{}` is a host branch, jump or exit", op.inst),
+                block,
+                block,
+            );
+        }
+        if let IrInst::BrFlags { target: stub, .. } = op.inst {
             if stub as usize >= block.stubs.len() {
                 return fail(
                     pass,
@@ -208,8 +218,8 @@ fn check_rewrite(
                 );
             }
             (
-                IrInst::BrFlags { cond: ca, stub: sa, .. },
-                IrInst::BrFlags { cond: cb, stub: sb, .. },
+                IrInst::BrFlags { cond: ca, target: sa, .. },
+                IrInst::BrFlags { cond: cb, target: sb, .. },
             ) if ca == cb && sa == sb => {}
             (IrInst::BrFlags { .. }, _) => {
                 return fail(

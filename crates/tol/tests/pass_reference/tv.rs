@@ -21,9 +21,7 @@
 
 use super::{fail, VerifyFailure};
 use darco_guest::{Cond, FpOp, GuestMem};
-use darco_host::{
-    eval_alu, exec_inst, FlagsKind, HAluOp, HFreg, HInst, HReg, HostState, Outcome, Width,
-};
+use darco_host::{eval_alu, exec_inst, FlagsKind, HAluOp, HFreg, HReg, HostState, Outcome, Width};
 use darco_tol::ir::{self, IrBlock, IrFreg, IrInst, IrReg};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -277,10 +275,13 @@ fn sym_eval(block: &IrBlock, tt: &mut Interner) -> SymObs {
                 let t = tt.intern(Node::CvtFI(a));
                 int.insert(rd, t);
             }
-            IrInst::BrFlags { cond, flags, stub } => {
+            IrInst::BrFlags { cond, flags, target: stub } => {
                 let f = read!(flags);
                 let snap = snapshot(&int, &fp, tt);
                 obs.branches.push((stub, cond, f, snap, obs.stores.len()));
+            }
+            IrInst::Br { .. } | IrInst::Jump { .. } | IrInst::Exit(_) => {
+                unreachable!("check_wellformed rejects host-only control flow")
             }
         }
     }
@@ -299,20 +300,13 @@ enum ConcreteExit {
     Fallthrough,
 }
 
-/// Staging physical registers used to funnel IR operand values through
-/// [`exec_inst`], so tricky semantics (flag materialization, converts,
-/// division, FP rounding) come from the one reference implementation.
-/// They sit in the scratch window, which pre-allocation IR never names.
-const STAGE_A: HReg = HReg(ir::SCRATCH_BASE);
-const STAGE_B: HReg = HReg(ir::SCRATCH_BASE + 1);
-const STAGE_D: HReg = HReg(ir::SCRATCH_BASE + 2);
-const FSTAGE_A: HFreg = HFreg(ir::FSCRATCH_BASE);
-const FSTAGE_B: HFreg = HFreg(ir::FSCRATCH_BASE + 1);
-const FSTAGE_D: HFreg = HFreg(ir::FSCRATCH_BASE + 2);
-
 /// Concrete IR interpreter: virtuals live in side tables, pinned
 /// registers in a [`HostState`], and every instruction is delegated to
-/// the host's [`exec_inst`] via the staging registers.
+/// the host's [`exec_inst`] with its operands renamed to staging
+/// registers, so tricky semantics (flag materialization, converts,
+/// division, FP rounding) come from the one reference implementation.
+/// The staging registers sit in the scratch window, which
+/// pre-allocation IR never names.
 struct ExecEnv {
     st: HostState,
     virt: HashMap<u32, u32>,
@@ -356,127 +350,37 @@ impl ExecEnv {
         }
     }
 
-    /// Stages operands, runs `make(staged)` through the reference
-    /// executor, and returns the staged destination value.
-    fn via_host(&mut self, a: u32, b: u32, mem: &mut GuestMem, h: HInst) -> u32 {
-        self.st.set_reg(STAGE_A, a);
-        self.st.set_reg(STAGE_B, b);
-        exec_inst(&mut self.st, &h, mem);
-        self.st.reg(STAGE_D)
-    }
-
     fn run(&mut self, block: &IrBlock, mem: &mut GuestMem) -> ConcreteExit {
         for op in &block.ops {
-            match op.inst {
-                IrInst::Nop | IrInst::Prefetch { .. } => {}
-                IrInst::Alu { op: o, rd, ra, rb } => {
-                    let v = eval_alu(o, self.read(ra), self.read(rb));
-                    self.write(rd, v);
+            let (mut n, mut fn_) = (ir::SCRATCH_BASE, ir::FSCRATCH_BASE);
+            let staged = op.inst.map_regs(
+                |_| {
+                    n += 1;
+                    HReg(n - 1)
+                },
+                |_| {
+                    fn_ += 1;
+                    HFreg(fn_ - 1)
+                },
+            );
+            for (s, r) in staged.srcs().into_iter().zip(op.inst.srcs()) {
+                if let (Some(s), Some(r)) = (s, r) {
+                    self.st.set_reg(s, self.read(r));
                 }
-                IrInst::AluI { op: o, rd, ra, imm } => {
-                    let v = eval_alu(o, self.read(ra), imm as u32);
-                    self.write(rd, v);
+            }
+            for (s, r) in staged.fsrcs().into_iter().zip(op.inst.fsrcs()) {
+                if let (Some(s), Some(r)) = (s, r) {
+                    self.st.set_freg(s, self.fref(r));
                 }
-                IrInst::Li { rd, imm } => self.write(rd, imm as u32),
-                IrInst::Mul { rd, ra, rb } => {
-                    let (a, b) = (self.read(ra), self.read(rb));
-                    let v = self.via_host(
-                        a,
-                        b,
-                        mem,
-                        HInst::Mul { rd: STAGE_D, ra: STAGE_A, rb: STAGE_B },
-                    );
-                    self.write(rd, v);
-                }
-                IrInst::Div { rd, ra, rb } => {
-                    let (a, b) = (self.read(ra), self.read(rb));
-                    let v = self.via_host(
-                        a,
-                        b,
-                        mem,
-                        HInst::Div { rd: STAGE_D, ra: STAGE_A, rb: STAGE_B },
-                    );
-                    self.write(rd, v);
-                }
-                IrInst::FlagsArith { kind, rd, ra, rb } => {
-                    let (a, b) = (self.read(ra), self.read(rb));
-                    let v = self.via_host(
-                        a,
-                        b,
-                        mem,
-                        HInst::FlagsArith { kind, rd: STAGE_D, ra: STAGE_A, rb: STAGE_B },
-                    );
-                    self.write(rd, v);
-                }
-                IrInst::Ld { rd, base, off, width } => {
-                    let b = self.read(base);
-                    let v = self.via_host(
-                        b,
-                        0,
-                        mem,
-                        HInst::Ld { rd: STAGE_D, base: STAGE_A, off, width },
-                    );
-                    self.write(rd, v);
-                }
-                IrInst::St { rs, base, off, width } => {
-                    let (v, b) = (self.read(rs), self.read(base));
-                    self.via_host(b, v, mem, HInst::St { rs: STAGE_B, base: STAGE_A, off, width });
-                }
-                IrInst::FLd { fd, base, off } => {
-                    let b = self.read(base);
-                    self.st.set_reg(STAGE_A, b);
-                    exec_inst(&mut self.st, &HInst::FLd { fd: FSTAGE_D, base: STAGE_A, off }, mem);
-                    let v = self.st.freg(FSTAGE_D);
-                    self.fwrite(fd, v);
-                }
-                IrInst::FSt { fs, base, off } => {
-                    let (v, b) = (self.fref(fs), self.read(base));
-                    self.st.set_reg(STAGE_A, b);
-                    self.st.set_freg(FSTAGE_A, v);
-                    exec_inst(&mut self.st, &HInst::FSt { fs: FSTAGE_A, base: STAGE_A, off }, mem);
-                }
-                IrInst::FMov { fd, fa } => {
-                    let v = self.fref(fa);
-                    self.fwrite(fd, v);
-                }
-                IrInst::FArith { op: o, fd, fa, fb } => {
-                    let (a, b) = (self.fref(fa), self.fref(fb));
-                    self.st.set_freg(FSTAGE_A, a);
-                    self.st.set_freg(FSTAGE_B, b);
-                    exec_inst(
-                        &mut self.st,
-                        &HInst::FArith { op: o, fd: FSTAGE_D, fa: FSTAGE_A, fb: FSTAGE_B },
-                        mem,
-                    );
-                    let v = self.st.freg(FSTAGE_D);
-                    self.fwrite(fd, v);
-                }
-                IrInst::CvtIF { fd, ra } => {
-                    let a = self.read(ra);
-                    self.st.set_reg(STAGE_A, a);
-                    exec_inst(&mut self.st, &HInst::CvtIF { fd: FSTAGE_D, ra: STAGE_A }, mem);
-                    let v = self.st.freg(FSTAGE_D);
-                    self.fwrite(fd, v);
-                }
-                IrInst::CvtFI { rd, fa } => {
-                    let a = self.fref(fa);
-                    self.st.set_freg(FSTAGE_A, a);
-                    exec_inst(&mut self.st, &HInst::CvtFI { rd: STAGE_D, fa: FSTAGE_A }, mem);
-                    let v = self.st.reg(STAGE_D);
-                    self.write(rd, v);
-                }
-                IrInst::BrFlags { cond, flags, stub } => {
-                    let f = self.read(flags);
-                    self.st.set_reg(STAGE_A, f);
-                    let out = exec_inst(
-                        &mut self.st,
-                        &HInst::BrFlags { cond, flags: STAGE_A, target: 1 },
-                        mem,
-                    );
-                    if out == Outcome::Taken(1) {
-                        return ConcreteExit::Stub(stub);
-                    }
-                }
+            }
+            if let Outcome::Taken(stub) = exec_inst(&mut self.st, &staged, mem) {
+                return ConcreteExit::Stub(stub);
+            }
+            if let (Some(d), Some(r)) = (staged.dst(), op.inst.dst()) {
+                self.write(r, self.st.reg(d));
+            }
+            if let (Some(d), Some(r)) = (staged.fdst(), op.inst.fdst()) {
+                self.fwrite(r, self.st.freg(d));
             }
         }
         ConcreteExit::Fallthrough
@@ -666,7 +570,7 @@ mod tests {
     fn store_hoisted_across_branch_fails_symbolically_and_differentially() {
         // pre: br ; st    post: st ; br  — diverges when the branch is taken.
         let st = IrInst::St { rs: phys(1), base: phys(2), off: 0, width: Width::W4 };
-        let br = IrInst::BrFlags { cond: Cond::E, flags: phys(9), stub: 0 };
+        let br = IrInst::BrFlags { cond: Cond::E, flags: phys(9), target: 0 };
         let pre = block(vec![br, st]);
         let post = block(vec![st, br]);
         // Either a trial takes the branch (memory diverges) or all trials

@@ -89,6 +89,13 @@ if grep -rnE 'cbf2_?9ce4_?8422_?2325|0100_?0000_?01b3|100000001b3|struct Fnv|fn 
     exit 1
 fi
 
+# The host ISA is declared once (DESIGN.md §4): the IR is
+# `darco_host::Inst` over virtual registers, not an enum that mirrors it.
+if grep -rn 'enum IrInst' crates src tests examples; then
+    echo "error: an IR instruction enum is back (the IR is darco_host::Inst, DESIGN.md §4)" >&2
+    exit 1
+fi
+
 # A miscompile can make a guest loop spin forever in a run without
 # co-simulation. Every test command therefore runs under `timeout`, at
 # about ten times its wall on a 2-vCPU host, build included (the debug

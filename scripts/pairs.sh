@@ -14,8 +14,9 @@
 #
 # with the same seed i on both sides, the parent first in odd pairs and
 # the change first in even ones. OUT defaults to BENCH_PR<NN>.json at
-# the repository root, NN one more than the newest "PR NN" in PARENT's
-# subject line. Per workload and end-to-end metric the file holds both
+# the repository root, NN one more than the newest "PR NN" entry of
+# PARENT's CHANGES.md (a PR may land as several commits, so no subject
+# line need name it). Per workload and end-to-end metric the file holds both
 # medians, the parent's interquartile range, the change's wins and
 # losses, every pair, and a verdict:
 #
@@ -40,7 +41,7 @@ parent_sha=$(git rev-parse --verify "$parent^{commit}")
 if [ -n "${3:-}" ]; then
     out=$3
 else
-    last=$(git log -1 --format=%s "$parent_sha" | grep -oE 'PR [0-9]+' | tail -1 | cut -d' ' -f2)
+    last=$(git show "$parent_sha:CHANGES.md" | { grep -oE '^PR [0-9]+' || true; } | tail -1 | cut -d' ' -f2)
     out="BENCH_PR$(( ${last:-0} + 1 )).json"
 fi
 
