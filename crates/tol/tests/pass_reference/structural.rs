@@ -16,8 +16,9 @@ use std::collections::{HashMap, HashSet};
 
 /// Checks block well-formedness: the body holds no `Br`, `Jump` or
 /// `Exit` (the IR leaves only through its stubs), branches target
-/// existing stubs, stub metadata is parallel, virtual registers are single-assignment, and no
-/// virtual is read before (or without) its definition.
+/// existing stubs, stub metadata is parallel, virtual registers are
+/// single-assignment, and no virtual is read before (or without) its
+/// definition.
 pub fn check_wellformed(pass: &'static str, block: &IrBlock) -> Result<(), Box<VerifyFailure>> {
     if block.stub_guest_counts.len() != block.stubs.len() {
         return fail(
