@@ -79,6 +79,8 @@ flags:
   --jobs N         run-set, figures: worker threads (default: all cores)
   --n N            analyze, disasm: regions/translations to print (default 20)
   --json           run, run-set, verify: the full report(s) on stdout
+  --profile-host   run: live heap bytes per holder after the report
+                   (on stderr with --json)
   --help, -h       this text
 
 darco figures [all|table1|fig5a|fig5b|fig6|fig7|fig8|fig9|fig10|fig11|startup|\
@@ -103,6 +105,7 @@ struct Opts {
     jobs: Option<usize>,
     n: usize,
     json: bool,
+    profile_host: bool,
 }
 
 impl Opts {
@@ -122,7 +125,8 @@ impl Opts {
 const SCALE: f64 = 0.5;
 
 /// Every flag [`parse`] knows.
-const FLAGS: [&str; 6] = ["--profile", "--scale", "--cosim", "--jobs", "--n", "--json"];
+const FLAGS: [&str; 7] =
+    ["--profile", "--scale", "--cosim", "--jobs", "--n", "--json", "--profile-host"];
 
 /// A roster benchmark (or `quicktest`) by name.
 fn named_profile(name: &str) -> BenchProfile {
@@ -139,7 +143,15 @@ fn named_profile(name: &str) -> BenchProfile {
 /// `takes` (and benchmark names if it takes `--profile`) and whose
 /// `--scale` defaults to `scale`. Any other flag or name exits 2.
 fn parse(command: &str, rest: &[String], takes: &[&str], scale: f64) -> Opts {
-    let mut o = Opts { profiles: Vec::new(), scale, cosim: false, jobs: None, n: 20, json: false };
+    let mut o = Opts {
+        profiles: Vec::new(),
+        scale,
+        cosim: false,
+        jobs: None,
+        n: 20,
+        json: false,
+        profile_host: false,
+    };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let word = a.as_str();
@@ -183,6 +195,7 @@ fn parse(command: &str, rest: &[String], takes: &[&str], scale: f64) -> Opts {
             }
             "--n" => o.n = value("a count").parse().unwrap_or_else(|_| bail("--n needs a count")),
             "--json" => o.json = true,
+            "--profile-host" => o.profile_host = true,
             name if !name.starts_with('-') => o.profiles.push(named_profile(name)),
             other => bail(&format!("unknown flag {other}")),
         }
@@ -220,11 +233,33 @@ fn list(rest: &[String]) {
 // ------------------------------------------------------------------ run
 
 fn run(rest: &[String]) {
-    let o = parse("run", rest, &["--profile", "--scale", "--cosim", "--json"], SCALE);
+    let takes = ["--profile", "--scale", "--cosim", "--json", "--profile-host"];
+    let o = parse("run", rest, &takes, SCALE);
     let profile = o.profile();
     eprintln!("running {} at scale {} ...", profile.name, o.scale);
     let mut sys = System::new(generate(&profile, o.scale), o.config());
     print_report(&sys.run_to_completion(), o.json);
+    if o.profile_host {
+        let table = host_memory_table(&sys.live_bytes());
+        if o.json {
+            eprint!("{table}");
+        } else {
+            print!("\n{table}");
+        }
+    }
+}
+
+/// The `--profile-host` table: live heap bytes per holder at the end of
+/// the run, and their total.
+fn host_memory_table(holders: &[(&str, usize)]) -> String {
+    let kib = |b: usize| b as f64 / 1024.0;
+    let mut out = String::from("host memory (live heap bytes at the end of the run):\n");
+    for (name, bytes) in holders {
+        out += &format!("  {name:24} {bytes:>12} B {:>10.1} KiB\n", kib(*bytes));
+    }
+    let total: usize = holders.iter().map(|(_, b)| b).sum();
+    out += &format!("  {:24} {total:>12} B {:>10.1} KiB\n", "total", kib(total));
+    out
 }
 
 // -------------------------------------------------------------- run-set

@@ -242,7 +242,7 @@ fn a_command_refuses_each_flag_the_usage_does_not_list_for_it() {
             }
         }
     }
-    assert_eq!(refused, 16, "{usage}");
+    assert_eq!(refused, 21, "{usage}");
 }
 
 #[test]
@@ -276,6 +276,52 @@ fn run_set_output_does_not_depend_on_the_job_count() {
     assert_eq!(one, two, "a run is independent of the threads beside it");
     let table = stdout_of(&["run-set", "quicktest", "--scale", "0.05"]);
     assert!(table.starts_with("benchmark ") && table.contains("\nquicktest "), "{table}");
+}
+
+/// The `--profile-host` rows of `text`: holder name and bytes.
+fn host_memory_rows(text: &str) -> Vec<(String, u64)> {
+    text.lines()
+        .skip_while(|l| !l.starts_with("host memory "))
+        .skip(1)
+        .map_while(|l| {
+            let (name, rest) = l.trim().rsplit_once(" B ")?.0.rsplit_once(' ')?;
+            Some((name.trim().to_string(), rest.parse().ok()?))
+        })
+        .collect()
+}
+
+#[test]
+fn run_profile_host_prints_live_bytes_per_holder_outside_the_report() {
+    let holders = [
+        "code cache insts",
+        "code cache templates",
+        "code cache blocks",
+        "profiler pages",
+        "interpreter uop cache",
+        "event buffer",
+        "guest memory frames",
+    ];
+    let run = ["run", "quicktest", "--scale", "0.05"];
+    let plain = stdout_of(&run);
+    let profiled = stdout_of(&[&run[..], &["--profile-host"]].concat());
+    assert!(profiled.starts_with(&plain), "the report comes first, unchanged: {profiled}");
+    let rows = host_memory_rows(&profiled);
+    let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, [&holders[..], &["total"]].concat(), "{profiled}");
+    let (total, parts) = rows.split_last().expect("a total row");
+    assert_eq!(parts.iter().map(|(_, b)| b).sum::<u64>(), total.1, "{profiled}");
+    assert!(parts.iter().all(|(_, b)| *b > 0), "every holder holds something: {profiled}");
+
+    // Co-simulated, the checker's two holders follow; with `--json` the
+    // table goes to stderr and stdout is the report alone.
+    let json = [&run[..], &["--cosim", "--json"]].concat();
+    let out = darco(&[&json[..], &["--profile-host"]].concat());
+    assert!(out.status.success());
+    assert_eq!(out.stdout, stdout_of(&json).as_bytes(), "the table stays out of --json");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let names: Vec<String> = host_memory_rows(&stderr).into_iter().map(|(n, _)| n).collect();
+    let cosim = [&holders[..], &["checker memory frames", "checker uop cache", "total"]].concat();
+    assert_eq!(names, cosim, "{stderr}");
 }
 
 #[test]

@@ -157,6 +157,15 @@ impl StateChecker {
     pub fn checks(&self) -> u64 {
         self.checks
     }
+
+    /// Heap bytes the authoritative side holds: its private memory's
+    /// frames and its micro-op executor's block cache.
+    pub fn live_bytes(&self) -> [(&'static str, usize); 2] {
+        [
+            ("checker memory frames", self.mem.frame_bytes()),
+            ("checker uop cache", self.fast.as_ref().map_or(0, ExecCtx::cache_bytes)),
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -149,6 +149,19 @@ impl System {
         &self.tol
     }
 
+    /// Heap bytes held per holder — the software layer's, guest memory's
+    /// frames and, when co-simulated, the checker's — read from the
+    /// structures' own lengths (`darco run --profile-host`). Kept out of
+    /// the [`Report`], like [`Tol::pass_nanos`].
+    pub fn live_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut out = self.tol.live_bytes();
+        out.push(("guest memory frames", self.emu_mem.frame_bytes()));
+        if let Some(chk) = &self.checker {
+            out.extend(chk.live_bytes());
+        }
+        out
+    }
+
     /// Runs the workload to completion and returns the report.
     ///
     /// The controller only drives the engine and emits boundary events;

@@ -147,6 +147,11 @@ impl GuestMem {
         self.slots.len()
     }
 
+    /// Heap bytes held by frames: what the guest's writes cost.
+    pub fn frame_bytes(&self) -> usize {
+        self.slots.iter().flatten().flatten().map(|f| std::mem::size_of_val(&**f)).sum()
+    }
+
     /// The page-table entry of page `pn` (the absent entry if its leaf
     /// was never allocated).
     #[inline]
@@ -447,11 +452,6 @@ mod tests {
         assert_eq!(m.read_u8(0x800), 0xBE);
     }
 
-    /// Heap bytes held by frames: what the guest's writes cost.
-    fn frame_bytes(m: &GuestMem) -> usize {
-        m.slots.iter().flatten().flatten().map(|f| std::mem::size_of_val(&**f)).sum()
-    }
-
     /// One word written in the third quarter of each of 64 pages costs
     /// 64 frames of 1 KiB, not 64 whole pages (256 frames' worth); the
     /// other quarters read as zero and reading them allocates nothing.
@@ -461,7 +461,7 @@ mod tests {
         for p in 0..64u32 {
             m.write_u32((p << PAGE_SHIFT) + 0x800, 0xA5A5_0000 | p);
         }
-        assert_eq!(frame_bytes(&m), 64 * 1024);
+        assert_eq!(m.frame_bytes(), 64 * 1024);
         for p in 0..64u32 {
             let base = p << PAGE_SHIFT;
             assert_eq!(m.read_u32(base + 0x800), 0xA5A5_0000 | p);
@@ -472,7 +472,7 @@ mod tests {
                 assert_eq!(m.read_u64(base + quarter + 0x3F8), 0, "page {p}, {quarter:#x} + 0x3F8");
             }
         }
-        assert_eq!(frame_bytes(&m), 64 * 1024, "a read allocated");
+        assert_eq!(m.frame_bytes(), 64 * 1024, "a read allocated");
         assert_eq!(m.resident_pages(), 64);
     }
 

@@ -283,6 +283,13 @@ impl ExecCtx {
         }
     }
 
+    /// Heap bytes held by the decoded-block cache: its slots and the
+    /// ops of every cached block.
+    pub fn cache_bytes(&self) -> usize {
+        let ops: usize = self.blocks.iter().flatten().map(|b| b.ops.len()).sum();
+        std::mem::size_of_val(&*self.blocks) + ops * std::mem::size_of::<ExecOp>()
+    }
+
     /// Discards any pending flag definition *without* materializing it.
     /// For error paths that throw away the CPU state the definition
     /// refers to.

@@ -426,6 +426,25 @@ impl CodeCache {
     pub fn resident(&self) -> usize {
         self.map.len()
     }
+
+    /// Heap bytes held by the translations installed since the last
+    /// flush: their host code, their retirement templates, and the
+    /// block records with the stub counts and code pages they own.
+    pub fn live_bytes(&self) -> [(&'static str, usize); 3] {
+        use std::mem::size_of_val;
+        let (mut insts, mut templates) = (0, 0);
+        let mut records = size_of_val(&self.blocks[..]);
+        for b in &self.blocks {
+            insts += size_of_val(&b.insts[..]);
+            templates += size_of_val(&b.templates[..]);
+            records += size_of_val(&b.stub_guest_counts[..]) + size_of_val(&b.code_pages[..]);
+        }
+        [
+            ("code cache insts", insts),
+            ("code cache templates", templates),
+            ("code cache blocks", records),
+        ]
+    }
 }
 
 /// Guest page size shift shared with [`GuestMem`] (4 KiB pages).

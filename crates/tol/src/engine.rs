@@ -215,6 +215,17 @@ impl Tol {
         &self.pass_nanos
     }
 
+    /// Heap bytes the layer holds, per holder, read from the
+    /// structures' own lengths rather than from an allocator. Like
+    /// [`Tol::pass_nanos`], kept out of [`RunSummary`].
+    pub fn live_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut out = self.cc.live_bytes().to_vec();
+        out.push(("profiler pages", self.prof.page_bytes()));
+        out.push(("interpreter uop cache", self.fastctx.cache_bytes()));
+        out.push(("event buffer", std::mem::size_of_val(&self.ev_storage[..])));
+        out
+    }
+
     /// Whether the guest has halted.
     pub fn is_done(&self) -> bool {
         self.halted

@@ -139,6 +139,11 @@ impl Profiler {
         }
         out
     }
+
+    /// Heap bytes held by the static-mode page tables.
+    pub fn page_bytes(&self) -> usize {
+        self.static_pages.len() * PAGE_BYTES
+    }
 }
 
 #[cfg(test)]
