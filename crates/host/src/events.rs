@@ -14,7 +14,7 @@
 //! exactly retire order, so where a batch ends is invisible to every
 //! consumer that acts on an event.
 
-use crate::stream::DynInst;
+use crate::stream::{DynInst, DynOp};
 use darco_guest::CpuState;
 use serde::Serialize;
 
@@ -127,7 +127,7 @@ const GROW: usize = 64;
 /// fillers at a time, inside the one allocation made up front — only
 /// while slots are used for the first time: the buffer has all of them
 /// after its first full batch, and from then on an append is a compare
-/// and a 32-byte store.
+/// and a 24-byte store.
 pub struct EventBuffer<'a> {
     /// `buf[..len]` is the staged batch; anything behind it has been
     /// delivered already.
@@ -192,13 +192,14 @@ impl<'a> EventBuffer<'a> {
         self.push(HostEvent::Retire(d));
     }
 
-    /// Appends a copy of `template` and lends it out for patching in
-    /// the slot. (Pushing a patched stack copy re-reads bytes the patch
-    /// has only just stored: a store-forwarding stall per event.)
+    /// Appends `template` retiring at `pc` — an 8-byte store and a
+    /// 16-byte copy — and lends it out for patching in the slot.
+    /// (Pushing a patched stack copy re-reads bytes the patch has only
+    /// just stored: a store-forwarding stall per event.)
     #[inline]
-    pub fn retire_in_place(&mut self, template: &DynInst) -> &mut DynInst {
+    pub fn retire_in_place(&mut self, pc: u64, template: &DynOp) -> &mut DynInst {
         let slot = self.slot();
-        *slot = HostEvent::Retire(*template);
+        *slot = HostEvent::Retire(template.at(pc));
         slot.as_retire_mut().expect("the slot was just written as a retirement")
     }
 
@@ -309,7 +310,8 @@ mod tests {
         // The benchmark reports `host.event_bytes` as an exact metric;
         // the other variants live in the record's spare class values.
         assert_eq!(std::mem::size_of::<HostEvent>(), std::mem::size_of::<DynInst>());
-        assert_eq!(std::mem::size_of::<HostEvent>(), 32);
+        assert_eq!(std::mem::size_of::<HostEvent>(), 24);
+        assert_eq!(std::mem::size_of::<DynInst>(), 24);
     }
 
     #[test]

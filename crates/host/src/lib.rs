@@ -54,5 +54,5 @@ pub use events::{
 };
 pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Inst, Width};
 pub use state::{eval_alu, eval_flags, exec_inst, HostState, Outcome};
-pub use stream::{BranchKind, Component, DynInst, ExecClass, MemEvent, Owner};
+pub use stream::{BranchKind, Component, DynInst, DynOp, ExecClass, MemEvent, Owner};
 pub use template::{compile_block, mem_operand};

@@ -144,35 +144,63 @@ pub struct MemEvent {
 /// Sentinel meaning "no register" in [`DynInst`] operand slots.
 pub const NO_REG: u8 = u8::MAX;
 
-/// Bits of `DynInst::flags`.
+/// Bits of `DynOp::flags`. A record carries a data access ([`MEM`]) or
+/// a control transfer ([`BRANCH`]), never both: the payload word holds
+/// the one it carries.
 mod flag {
-    /// A data access is attached: `addr`, `size`, [`STORE`], [`PREFETCH`].
+    /// A data access is attached: the payload is its address, `size` its
+    /// width, [`STORE`] and [`PREFETCH`] its kind.
     pub const MEM: u8 = 1 << 0;
     pub const STORE: u8 = 1 << 1;
     pub const PREFETCH: u8 = 1 << 2;
-    /// A control transfer is attached: `target`, [`TAKEN`], the kind.
+    /// A control transfer is attached: the payload is its target,
+    /// [`TAKEN`] its outcome, bits 5–6 its kind.
     pub const BRANCH: u8 = 1 << 3;
     pub const TAKEN: u8 = 1 << 4;
     /// The [`super::BranchKind`] discriminant sits in bits 5–6.
     pub const KIND_SHIFT: u32 = 5;
     pub const KIND: u8 = 3 << KIND_SHIFT;
+    /// Every bit of an attached access.
+    pub const ACCESS: u8 = MEM | STORE | PREFETCH;
+    /// Every bit of an attached branch.
+    pub const TRANSFER: u8 = BRANCH | TAKEN | KIND;
 }
 
 /// One retired host instruction, as seen by the timing simulator: a
-/// 32-byte `Copy` record (a [`HostEvent`](crate::HostEvent) is no larger).
+/// 24-byte `Copy` record (a [`HostEvent`](crate::HostEvent) is no larger),
+/// the pc and then a [`DynOp`], everything the pc does not fix.
 ///
 /// Integer registers are numbered `0..64`, FP registers `64..96`. The
-/// optional data access and branch outcome are three words and a flag
-/// byte, not two `Option`s (which made the record 48 bytes);
-/// [`DynInst::mem`] and [`DynInst::branch`] unpack them. Parts that are
+/// optional data access and branch outcome are one payload word, a size
+/// byte and a flag byte, not two `Option`s (which made the record 48
+/// bytes); [`DynOp::mem`] and [`DynOp::branch`] unpack them. A record
+/// carries an access or a branch, never both: no host instruction does
+/// both, so [`with_mem`](Self::with_mem) and
+/// [`with_prefetch`](Self::with_prefetch) drop an attached branch and
+/// [`with_branch`](Self::with_branch) an attached access. Parts that are
 /// absent hold zeros, so two records are equal exactly when what they
 /// describe is.
+///
+/// A `DynInst` dereferences to its `DynOp`, so `d.class` and `d.mem()`
+/// read through. A translation stores only the `DynOp` of each of its
+/// instructions: the pc follows from the instruction's position
+/// ([`crate::template`]).
+#[repr(C)]
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct DynInst {
     /// Host PC of the instruction (drives I-cache and predictor).
     pub pc: u64,
-    addr: u64,
-    target: u64,
+    op: DynOp,
+}
+
+/// The 16 bytes of a [`DynInst`] that its pc does not fix: what retired,
+/// not where. [`DynOp::at`] places it.
+#[repr(C)]
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct DynOp {
+    /// The data access's address under [`flag::MEM`], the branch's target
+    /// under [`flag::BRANCH`], 0 with neither.
+    payload: u64,
     /// Execution class.
     pub class: ExecClass,
     /// Producing component (owner derives from it).
@@ -185,27 +213,87 @@ pub struct DynInst {
     flags: u8,
 }
 
+impl std::ops::Deref for DynInst {
+    type Target = DynOp;
+
+    #[inline]
+    fn deref(&self) -> &DynOp {
+        &self.op
+    }
+}
+
+impl std::ops::DerefMut for DynInst {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut DynOp {
+        &mut self.op
+    }
+}
+
 impl DynInst {
     /// A plain instruction with no memory access or branch.
     pub fn plain(pc: u64, class: ExecClass, component: Component) -> DynInst {
-        DynInst {
-            pc,
-            addr: 0,
-            target: 0,
+        let op = DynOp {
+            payload: 0,
             class,
             component,
             dst: NO_REG,
             srcs: [NO_REG, NO_REG],
             size: 0,
             flags: 0,
-        }
+        };
+        op.at(pc)
+    }
+
+    /// Sets the destination register (builder-style).
+    pub fn with_dst(mut self, dst: u8) -> DynInst {
+        self.dst = dst;
+        self
+    }
+
+    /// Sets the source registers (builder-style).
+    pub fn with_srcs(mut self, a: u8, b: u8) -> DynInst {
+        self.srcs = [a, b];
+        self
+    }
+
+    /// Attaches a memory event, dropping any branch (builder-style).
+    pub fn with_mem(mut self, addr: u64, size: u8, is_store: bool) -> DynInst {
+        (self.op.payload, self.op.size) = (addr, size);
+        let store = if is_store { flag::STORE } else { 0 };
+        self.op.flags = self.flags & !(flag::ACCESS | flag::TRANSFER) | flag::MEM | store;
+        self
+    }
+
+    /// Attaches a software-prefetch memory event, dropping any branch
+    /// (builder-style).
+    pub fn with_prefetch(mut self, addr: u64) -> DynInst {
+        (self.op.payload, self.op.size) = (addr, 64);
+        self.op.flags = self.flags & !(flag::ACCESS | flag::TRANSFER) | flag::MEM | flag::PREFETCH;
+        self
+    }
+
+    /// Attaches a branch outcome, dropping any memory event
+    /// (builder-style).
+    pub fn with_branch(mut self, kind: BranchKind, target: u64, taken: bool) -> DynInst {
+        (self.op.payload, self.op.size) = (target, 0);
+        let outcome = (kind as u8) << flag::KIND_SHIFT | if taken { flag::TAKEN } else { 0 };
+        self.op.flags = self.flags & !(flag::ACCESS | flag::TRANSFER) | flag::BRANCH | outcome;
+        self
+    }
+}
+
+impl DynOp {
+    /// The record of this instruction retiring at `pc`.
+    #[inline]
+    pub fn at(self, pc: u64) -> DynInst {
+        DynInst { pc, op: self }
     }
 
     /// The data access, if any.
     #[inline]
     pub fn mem(&self) -> Option<MemEvent> {
         (self.flags & flag::MEM != 0).then_some(MemEvent {
-            addr: self.addr,
+            addr: self.payload,
             size: self.size,
             is_store: self.flags & flag::STORE != 0,
             is_prefetch: self.flags & flag::PREFETCH != 0,
@@ -222,7 +310,7 @@ impl DynInst {
                 2 => BranchKind::Indirect,
                 _ => BranchKind::Return,
             };
-            (kind, self.target, self.flags & flag::TAKEN != 0)
+            (kind, self.payload, self.flags & flag::TAKEN != 0)
         })
     }
 
@@ -230,7 +318,7 @@ impl DynInst {
     /// record in place; `None` without one.
     #[inline]
     pub fn mem_addr_mut(&mut self) -> Option<&mut u64> {
-        (self.flags & flag::MEM != 0).then_some(&mut self.addr)
+        (self.flags & flag::MEM != 0).then_some(&mut self.payload)
     }
 
     /// Sets the taken bit of the attached branch.
@@ -240,44 +328,19 @@ impl DynInst {
         self.flags = self.flags & !flag::TAKEN | if taken { flag::TAKEN } else { 0 };
     }
 
-    /// Sets the destination register (builder-style).
-    pub fn with_dst(mut self, dst: u8) -> DynInst {
-        self.dst = dst;
-        self
-    }
-
-    /// Sets the source registers (builder-style).
-    pub fn with_srcs(mut self, a: u8, b: u8) -> DynInst {
-        self.srcs = [a, b];
-        self
-    }
-
-    /// Attaches a memory event (builder-style).
-    pub fn with_mem(mut self, addr: u64, size: u8, is_store: bool) -> DynInst {
-        (self.addr, self.size) = (addr, size);
-        let store = if is_store { flag::STORE } else { 0 };
-        self.flags = self.flags & !(flag::STORE | flag::PREFETCH) | flag::MEM | store;
-        self
-    }
-
-    /// Attaches a software-prefetch memory event (builder-style).
-    pub fn with_prefetch(mut self, addr: u64) -> DynInst {
-        (self.addr, self.size) = (addr, 64);
-        self.flags = self.flags & !flag::STORE | flag::MEM | flag::PREFETCH;
-        self
-    }
-
-    /// Attaches a branch outcome (builder-style).
-    pub fn with_branch(mut self, kind: BranchKind, target: u64, taken: bool) -> DynInst {
-        self.target = target;
-        let outcome = (kind as u8) << flag::KIND_SHIFT | if taken { flag::TAKEN } else { 0 };
-        self.flags = self.flags & !(flag::KIND | flag::TAKEN) | flag::BRANCH | outcome;
-        self
-    }
-
     /// The owning entity (shorthand for `component.owner()`).
     pub fn owner(&self) -> Owner {
         self.component.owner()
+    }
+
+    /// Everything but the pc, as the two-`Option` record printed it.
+    fn debug_fields(&self, s: &mut fmt::DebugStruct<'_, '_>) {
+        s.field("class", &self.class)
+            .field("component", &self.component)
+            .field("mem", &self.mem())
+            .field("branch", &self.branch())
+            .field("dst", &self.dst)
+            .field("srcs", &self.srcs);
     }
 }
 
@@ -286,15 +349,18 @@ impl DynInst {
 /// line.
 impl fmt::Debug for DynInst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DynInst")
-            .field("pc", &self.pc)
-            .field("class", &self.class)
-            .field("component", &self.component)
-            .field("mem", &self.mem())
-            .field("branch", &self.branch())
-            .field("dst", &self.dst)
-            .field("srcs", &self.srcs)
-            .finish()
+        let mut s = f.debug_struct("DynInst");
+        s.field("pc", &self.pc);
+        self.op.debug_fields(&mut s);
+        s.finish()
+    }
+}
+
+impl fmt::Debug for DynOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("DynOp");
+        self.debug_fields(&mut s);
+        s.finish()
     }
 }
 
@@ -339,16 +405,21 @@ mod tests {
     }
 
     /// A translation stores each host instruction twice: once to execute
-    /// (`HInst`) and once to retire (`DynInst`), 48 bytes in all.
+    /// (`HInst`) and once to retire (a 16-byte `DynOp`), 32 bytes in all.
     #[test]
     fn host_inst_is_16_bytes() {
         assert_eq!(std::mem::size_of::<crate::HInst>(), 16);
     }
 
+    /// One payload word serves the access or the branch, whichever was
+    /// attached last: each order drops the other, and the patches reach
+    /// the one that stays.
     #[test]
     fn packed_parts_round_trip() {
-        assert_eq!(std::mem::size_of::<DynInst>(), 32);
+        assert_eq!(std::mem::size_of::<DynInst>(), 24);
+        assert_eq!(std::mem::size_of::<DynOp>(), 16);
         let d = DynInst::plain(0x100, ExecClass::Jump, Component::AppCode);
+        let store = MemEvent { addr: 0x88, size: 4, is_store: true, is_prefetch: false };
         for kind in [
             BranchKind::CondDirect,
             BranchKind::UncondDirect,
@@ -356,21 +427,32 @@ mod tests {
             BranchKind::Return,
         ] {
             for taken in [false, true] {
-                let b = d.with_branch(BranchKind::Return, 1, true).with_branch(kind, 0x240, taken);
-                assert_eq!(b.branch(), Some((kind, 0x240, taken)));
-                assert_eq!(b.mem(), None);
-                let mut m = b.with_prefetch(0x80).with_mem(0x88, 4, true);
-                assert_eq!(m.branch(), Some((kind, 0x240, taken)), "a memory event keeps it");
+                // Access, then branch: the branch is all that is left.
+                let mut b = d
+                    .with_prefetch(0x80)
+                    .with_mem(0x88, 4, true)
+                    .with_branch(BranchKind::Return, 1, true)
+                    .with_branch(kind, 0x240, taken);
+                assert_eq!((b.mem(), b.branch()), (None, Some((kind, 0x240, taken))));
+                assert_eq!(b.mem_addr_mut(), None);
+                b.set_taken(!taken);
+                assert_eq!(b.branch(), Some((kind, 0x240, !taken)));
+                assert_eq!(b, d.with_branch(kind, 0x240, !taken), "no access bit survives");
+
+                // Branch, then access: the access is all that is left.
+                let mut m =
+                    d.with_branch(kind, 0x240, taken).with_prefetch(0x80).with_mem(0x88, 4, true);
+                assert_eq!((m.mem(), m.branch()), (Some(store), None));
                 *m.mem_addr_mut().unwrap() = 0x90;
-                m.set_taken(!taken);
-                let want = MemEvent { addr: 0x90, size: 4, is_store: true, is_prefetch: false };
-                assert_eq!((m.mem(), m.branch()), (Some(want), Some((kind, 0x240, !taken))));
+                assert_eq!(m.mem(), Some(MemEvent { addr: 0x90, ..store }));
+                assert_eq!(m, d.with_mem(0x90, 4, true), "no branch bit survives");
             }
         }
         let p = d.with_mem(0x88, 4, true).with_prefetch(0x80);
         let want = MemEvent { addr: 0x80, size: 64, is_store: false, is_prefetch: true };
         assert_eq!(p.mem(), Some(want));
         assert_eq!(d.clone().mem_addr_mut(), None);
+        assert_eq!(p.op.at(0x100), p, "a record is its pc and its op");
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Retirement templates for translated code.
 //!
 //! Every executed host instruction of a translation retires as a
-//! [`DynInst`], and almost everything in that record — pc, execution
-//! class, component, destination and source registers, memory width and
-//! direction, branch kind and static target — is knowable the moment the
-//! block is installed in the code cache. Re-deriving it per retirement
-//! (`class()`/`dst()`/`srcs()`/`fsrcs()` plus a match over [`HInst`])
-//! puts five enum walks on the hottest loop in the system.
-//! [`compile_block`] hoists all of that to install time, and what it
-//! builds is the retirement record itself: the execution loop copies it
-//! into the event buffer and patches, in the staged copy, the three
-//! things only execution knows.
+//! [`DynInst`](crate::DynInst), and almost everything in that record —
+//! pc, execution class, component, destination and source registers,
+//! memory width and direction, branch kind and static target — is
+//! knowable the moment the block is installed in the code cache.
+//! Re-deriving it per retirement (`class()`/`dst()`/`srcs()`/`fsrcs()`
+//! plus a match over [`HInst`]) puts five enum walks on the hottest loop
+//! in the system. [`compile_block`] hoists all of that to install time
+//! and keeps, per instruction, the record less its pc: a 16-byte
+//! [`DynOp`]. The pc of instruction `i` is `host_base + 4 * i`, so the
+//! execution loop writes it and copies the `DynOp` behind it into the
+//! event buffer ([`DynOp::at`]), then patches, in the staged copy, the
+//! three things only execution knows.
 //!
-//! * **A memory access's address.** The template's address word holds
+//! * **A memory access's address.** The template's payload word holds
 //!   the operand — base register and offset, unpacked by
 //!   [`mem_operand`] — and is replaced by the effective address before
 //!   the instruction runs, since it may overwrite its own base register.
@@ -24,15 +26,15 @@
 //!   mutates `Exit::Direct { link }` in place after install.
 
 use crate::isa::{HInst, HReg};
-use crate::stream::{fp_reg, int_reg, BranchKind, Component, DynInst, NO_REG};
+use crate::stream::{fp_reg, int_reg, BranchKind, Component, DynInst, DynOp, NO_REG};
 
-/// The address word of a memory template: the base register above bit
+/// The payload word of a memory template: the base register above bit
 /// 32, the offset below.
 fn pack_operand(base: HReg, off: i32) -> u64 {
     u64::from(base.0) << 32 | u64::from(off as u32)
 }
 
-/// The `(base, offset)` operand a memory template's address word holds:
+/// The `(base, offset)` operand a memory template's payload word holds:
 /// the effective guest address is `reg(base).wrapping_add(offset)`.
 #[inline]
 pub fn mem_operand(word: u64) -> (HReg, u32) {
@@ -40,15 +42,15 @@ pub fn mem_operand(word: u64) -> (HReg, u32) {
 }
 
 /// Compiles a translated block's host instructions into retirement
-/// templates, given the block's base host address. Index `i` of the
-/// result corresponds to host pc `host_base + 4 * i`.
-pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<DynInst> {
+/// templates, given the block's base host address (which fixes the
+/// branch targets). Index `i` of the result retires at host pc
+/// `host_base + 4 * i`.
+pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<DynOp> {
     insts
         .iter()
-        .enumerate()
-        .map(|(idx, inst)| {
-            let pc = host_base + 4 * idx as u64;
-            let mut d = DynInst::plain(pc, inst.class(), Component::AppCode);
+        .map(|inst| {
+            // Built at pc 0; only the part the pc does not fix is kept.
+            let mut d = DynInst::plain(0, inst.class(), Component::AppCode);
             match *inst {
                 HInst::Prefetch { base, off } => d = d.with_prefetch(pack_operand(base, off)),
                 HInst::Ld { base, off, width, .. } => {
@@ -91,7 +93,7 @@ pub fn compile_block(insts: &[HInst], host_base: u64) -> Vec<DynInst> {
                 }
             }
             d.srcs = srcs;
-            d
+            *d
         })
         .collect()
 }
@@ -113,13 +115,11 @@ mod tests {
         let t = compile_block(&insts, 0x1000);
         assert_eq!(t.len(), 4);
 
-        assert_eq!(t[0].pc, 0x1000);
         assert_eq!(t[0].class, ExecClass::SimpleInt);
         assert_eq!(t[0].dst, int_reg(3));
         assert_eq!(t[0].srcs, [int_reg(1), int_reg(2)]);
         assert_eq!((t[0].mem(), t[0].branch()), (None, None));
 
-        assert_eq!(t[1].pc, 0x1004);
         assert_eq!(t[1].dst, int_reg(4));
         let m = t[1].mem().expect("load carries a mem event");
         assert_eq!((m.size, m.is_store), (4, false));
@@ -131,6 +131,13 @@ mod tests {
 
         assert_eq!(t[3].class, ExecClass::Jump);
         assert!(t[3].branch().is_none(), "exit target resolved at exec time");
+    }
+
+    /// A translation stores each host instruction twice: once to execute
+    /// (16 bytes of `HInst`) and once to retire (these 16 bytes).
+    #[test]
+    fn a_stored_template_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<DynOp>(), 16);
     }
 
     #[test]

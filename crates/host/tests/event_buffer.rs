@@ -92,7 +92,7 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
                 4 | 5 => {
                     let tpl = load(fresh());
                     let addr = fresh();
-                    let d = ev.retire_in_place(&tpl);
+                    let d = ev.retire_in_place(tpl.pc, &tpl);
                     assert_eq!(*d, tpl, "the slot holds the template until patched");
                     *d.mem_addr_mut().expect("a load") = addr;
                     let mut want = tpl;

@@ -28,7 +28,7 @@
 use crate::pcmap::PcMap;
 use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
-use darco_host::{compile_block, BlockId, DynInst, Exit, HInst};
+use darco_host::{compile_block, BlockId, DynOp, Exit, HInst};
 use serde::Serialize;
 use std::collections::HashSet;
 
@@ -112,11 +112,12 @@ pub struct TranslatedBlock {
     /// The translated host code: body, then fall-through exit, then
     /// side-exit stubs.
     pub insts: Box<[HInst]>,
-    /// Per-instruction retirement records (parallel to `insts`),
-    /// compiled once at install time so the execution loop never
-    /// re-derives static retirement metadata (`darco_host::template`).
-    /// Empty once the block is redirected: it never executes again.
-    pub templates: Box<[DynInst]>,
+    /// Per-instruction retirement records less their pc (parallel to
+    /// `insts`; instruction `i` retires at `host_base + 4 * i`), compiled
+    /// once at install time so the execution loop never re-derives
+    /// static retirement metadata (`darco_host::template`). Empty once
+    /// the block is redirected: it never executes again.
+    pub templates: Box<[DynOp]>,
     /// Producing mode.
     pub kind: BlockKind,
     /// Host-instruction index of the fall-through exit (= body length).
@@ -472,6 +473,7 @@ fn smc_stamp(mem: &GuestMem, pcs: impl IntoIterator<Item = u32>) -> (Box<[u32]>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darco_host::{BranchKind, ExecClass};
 
     /// `insts` as a stubless block whose body is all but the last
     /// instruction.
@@ -506,11 +508,20 @@ mod tests {
     #[test]
     fn install_compiles_templates() {
         let mut cc = CodeCache::new(100);
-        let id = put(&mut cc, 0x100, BlockKind::Bb).id;
+        put(&mut cc, 0x100, BlockKind::Bb);
+        let exit = HInst::Exit(Exit::Direct { guest_target: 0x300, link: None });
+        let looping = code(vec![HInst::Nop, HInst::Jump { target: 0 }, exit], 1);
+        let id = cc.install(0x200, looping, BlockKind::Bb, [0x200], &GuestMem::new()).unwrap().id;
         let b = cc.get(id).unwrap();
+        assert_eq!(b.host_base, CODE_CACHE_BASE + 8, "behind the first block");
         assert_eq!(b.templates.len(), b.insts.len());
-        assert_eq!(b.templates[0].pc, b.host_base);
-        assert_eq!(b.templates[1].pc, b.host_base + 4);
+        // Expanded at its position, a template is its instruction's
+        // record before execution patches it; a branch target is the
+        // block's own host address.
+        let at = |i: usize| b.templates[i].at(b.host_base + 4 * i as u64);
+        assert_eq!((at(0).pc, at(0).class), (b.host_base, ExecClass::SimpleInt));
+        assert_eq!(at(1).branch(), Some((BranchKind::UncondDirect, b.host_base, true)));
+        assert_eq!((at(2).class, at(2).branch()), (ExecClass::Jump, None));
     }
 
     #[test]

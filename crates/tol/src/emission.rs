@@ -728,7 +728,7 @@ mod tests {
         assert!(loads >= 3);
         assert!(v.iter().all(|d| d.component == Component::TolLookup));
         // Probes land in the TOL data region.
-        assert!(v.iter().filter_map(DynInst::mem).all(|m| m.addr >= TOL_DATA_BASE));
+        assert!(v.iter().filter_map(|d| d.mem()).all(|m| m.addr >= TOL_DATA_BASE));
     }
 
     #[test]

@@ -730,9 +730,10 @@ impl Tol {
     /// instruction, guest instructions retired, and — when the block ends
     /// in a conditional branch — whether it was taken.
     ///
-    /// Retirement is by template: copy the block's prebuilt record into
-    /// the event buffer, execute, and patch what only execution knows in
-    /// the staged event (`darco_host::template`). No per-retire metadata
+    /// Retirement is by template: write the instruction's pc and copy
+    /// the block's prebuilt record behind it into the event buffer,
+    /// execute, and patch what only execution knows in the staged event
+    /// (`darco_host::template`). No per-retire metadata
     /// derivation, no match over `HInst`, no copy on the stack. (The unit
     /// tests re-derive every record from the instruction's own metadata
     /// and compare.)
@@ -746,7 +747,7 @@ impl Tol {
         debug_assert!(block.redirect.is_none(), "{bid} runs behind its redirect");
         let mut idx = 0usize;
         loop {
-            let d = ev.retire_in_place(&block.templates[idx]);
+            let d = ev.retire_in_place(block.host_base + 4 * idx as u64, &block.templates[idx]);
 
             // The template holds the operand; the effective address must
             // be read before execution, since the instruction may
