@@ -3,7 +3,7 @@
 # to a JSON file that is committed with the change, so that the speed
 # and memory of every PR stay comparable in git.
 #
-#   scripts/pairs.sh PARENT [N] [OUT]
+#   scripts/pairs.sh PARENT [N] [OUT] [FIRST]
 #
 # Builds PARENT (any commit-ish) in a temporary `git worktree` and the
 # current checkout in place, into two target directories of their own,
@@ -12,8 +12,14 @@
 #
 #   benchmark/run.sh --workload W --seed i --trace 0
 #
-# with the same seed i on both sides, the parent first in odd pairs and
-# the change first in even ones. OUT defaults to BENCH_PR<NN>.json at
+# with the same seed i on both sides, i = FIRST .. FIRST+N-1 (FIRST
+# defaults to 1), the parent first in odd pairs and the change first in
+# even ones. A claim is re-checked on seeds it was not measured on with
+# FIRST, e.g. the held-out seeds 41-45:
+#
+#   scripts/pairs.sh PARENT 5 heldout.json 41
+#
+# OUT defaults (also when given as "") to BENCH_PR<NN>.json at
 # the repository root, NN one more than the newest "PR NN" entry of
 # PARENT's CHANGES.md (a PR may land as several commits, so no subject
 # line need name it). Per workload and end-to-end metric the file holds both
@@ -35,8 +41,9 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
 
-parent=${1:?usage: scripts/pairs.sh PARENT [N] [OUT]}
+parent=${1:?usage: scripts/pairs.sh PARENT [N] [OUT] [FIRST]}
 n=${2:-10}
+first=${4:-1}
 parent_sha=$(git rev-parse --verify "$parent^{commit}")
 if [ -n "${3:-}" ]; then
     out=$3
@@ -79,10 +86,11 @@ build parent
 build change
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 : >"$work/runs.txt"
-for seed in $(seq 1 "$n"); do
+for pair in $(seq 1 "$n"); do
+    seed=$((first + pair - 1))
     for w in $workloads; do
-        echo "pair $seed/$n $w" >&2
-        if [ $((seed % 2)) -eq 1 ]; then
+        echo "pair $pair/$n (seed $seed) $w" >&2
+        if [ $((pair % 2)) -eq 1 ]; then
             run parent "$w" "$seed"
             run change "$w" "$seed"
         else
@@ -100,7 +108,7 @@ dirty=false
 if git status --porcelain --untracked-files=all | cut -c4- | grep -vxF "$out_rel" >/dev/null; then
     dirty=true
 fi
-PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty N=$n \
+PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty N=$n FIRST=$first \
 CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) RUSTC=$(rustc --version) \
     python3 - "$work/runs.txt" "$out" <<'EOF'
 import json, math, os, sys
@@ -124,18 +132,19 @@ for line in open(sys.argv[1]):
     runs[(side, workload, int(seed))] = json.loads(result)
 
 n = int(os.environ["N"])
+seeds = range(int(os.environ["FIRST"]), int(os.environ["FIRST"]) + n)
 workloads = {}
 for w in (w["name"] for w in bench["workloads"]):
     failed = {}
     for side in ("parent", "change"):
-        results = [runs.get((side, w, s)) for s in range(1, n + 1)]
+        results = [runs.get((side, w, s)) for s in seeds]
         # A run that died counts as one failed rep.
         failed[side] = sum(1 if r is None else r["failed"] for r in results)
     metrics = {}
     for m in bench["end_to_end"]:
         higher = m["better"] == "higher"
         pairs = []
-        for s in range(1, n + 1):
+        for s in seeds:
             p, c = runs.get(("parent", w, s)), runs.get(("change", w, s))
             if p is not None and c is not None:
                 pairs.append((s, p["metrics"][m["name"]]["value"], c["metrics"][m["name"]]["value"]))
@@ -179,6 +188,7 @@ doc = {
     "head": os.environ["HEAD_SHA"],
     "head_dirty": os.environ["DIRTY"] == "true",
     "pairs_per_workload": n,
+    "first_seed": seeds.start,
     "command": "benchmark/run.sh --workload W --seed i --trace 0",
     "order": "parent first in odd pairs, change first in even pairs",
     "host": {
