@@ -160,10 +160,6 @@ mod flag {
     /// The [`super::BranchKind`] discriminant sits in bits 5–6.
     pub const KIND_SHIFT: u32 = 5;
     pub const KIND: u8 = 3 << KIND_SHIFT;
-    /// Every bit of an attached access.
-    pub const ACCESS: u8 = MEM | STORE | PREFETCH;
-    /// Every bit of an attached branch.
-    pub const TRANSFER: u8 = BRANCH | TAKEN | KIND;
 }
 
 /// One retired host instruction, as seen by the timing simulator: a
@@ -257,27 +253,28 @@ impl DynInst {
     }
 
     /// Attaches a memory event, dropping any branch (builder-style).
-    pub fn with_mem(mut self, addr: u64, size: u8, is_store: bool) -> DynInst {
-        (self.op.payload, self.op.size) = (addr, size);
+    pub fn with_mem(self, addr: u64, size: u8, is_store: bool) -> DynInst {
         let store = if is_store { flag::STORE } else { 0 };
-        self.op.flags = self.flags & !(flag::ACCESS | flag::TRANSFER) | flag::MEM | store;
-        self
+        self.attach(addr, size, flag::MEM | store)
     }
 
     /// Attaches a software-prefetch memory event, dropping any branch
     /// (builder-style).
-    pub fn with_prefetch(mut self, addr: u64) -> DynInst {
-        (self.op.payload, self.op.size) = (addr, 64);
-        self.op.flags = self.flags & !(flag::ACCESS | flag::TRANSFER) | flag::MEM | flag::PREFETCH;
-        self
+    pub fn with_prefetch(self, addr: u64) -> DynInst {
+        self.attach(addr, 64, flag::MEM | flag::PREFETCH)
     }
 
     /// Attaches a branch outcome, dropping any memory event
     /// (builder-style).
-    pub fn with_branch(mut self, kind: BranchKind, target: u64, taken: bool) -> DynInst {
-        (self.op.payload, self.op.size) = (target, 0);
-        let outcome = (kind as u8) << flag::KIND_SHIFT | if taken { flag::TAKEN } else { 0 };
-        self.op.flags = self.flags & !(flag::ACCESS | flag::TRANSFER) | flag::BRANCH | outcome;
+    pub fn with_branch(self, kind: BranchKind, target: u64, taken: bool) -> DynInst {
+        let taken = if taken { flag::TAKEN } else { 0 };
+        self.attach(target, 0, flag::BRANCH | (kind as u8) << flag::KIND_SHIFT | taken)
+    }
+
+    /// Replaces whatever was attached: every flag bit belongs to the
+    /// access or to the branch.
+    fn attach(mut self, payload: u64, size: u8, flags: u8) -> DynInst {
+        (self.op.payload, self.op.size, self.op.flags) = (payload, size, flags);
         self
     }
 }

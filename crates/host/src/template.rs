@@ -1,18 +1,18 @@
 //! Retirement templates for translated code.
 //!
 //! Every executed host instruction of a translation retires as a
-//! [`DynInst`](crate::DynInst), and almost everything in that record —
-//! pc, execution class, component, destination and source registers,
-//! memory width and direction, branch kind and static target — is
-//! knowable the moment the block is installed in the code cache.
-//! Re-deriving it per retirement (`class()`/`dst()`/`srcs()`/`fsrcs()`
-//! plus a match over [`HInst`]) puts five enum walks on the hottest loop
-//! in the system. [`compile_block`] hoists all of that to install time
-//! and keeps, per instruction, the record less its pc: a 16-byte
-//! [`DynOp`]. The pc of instruction `i` is `host_base + 4 * i`, so the
-//! execution loop writes it and copies the `DynOp` behind it into the
-//! event buffer ([`DynOp::at`]), then patches, in the staged copy, the
-//! three things only execution knows.
+//! [`DynInst`], and almost everything in that record — pc, execution
+//! class, component, destination and source registers, memory width and
+//! direction, branch kind and static target — is knowable the moment the
+//! block is installed in the code cache. Re-deriving it per retirement
+//! (`class()`/`dst()`/`srcs()`/`fsrcs()` plus a match over [`HInst`])
+//! puts five enum walks on the hottest loop in the system.
+//! [`compile_block`] hoists all of that to install time and keeps, per
+//! instruction, the record less its pc: a 16-byte [`DynOp`]. The pc of
+//! instruction `i` is `host_base + 4 * i`, so the execution loop writes
+//! it and copies the `DynOp` behind it into the event buffer
+//! ([`DynOp::at`]), then patches, in the staged copy, the three things
+//! only execution knows.
 //!
 //! * **A memory access's address.** The template's payload word holds
 //!   the operand — base register and offset, unpacked by
