@@ -192,7 +192,7 @@ pub struct DynInst {
 /// The 16 bytes of a [`DynInst`] that its pc does not fix: what retired,
 /// not where. [`DynOp::at`] places it.
 #[repr(C)]
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DynOp {
     /// The data access's address under [`flag::MEM`], the branch's target
     /// under [`flag::BRANCH`], 0 with neither.
@@ -329,16 +329,6 @@ impl DynOp {
     pub fn owner(&self) -> Owner {
         self.component.owner()
     }
-
-    /// Everything but the pc, as the two-`Option` record printed it.
-    fn debug_fields(&self, s: &mut fmt::DebugStruct<'_, '_>) {
-        s.field("class", &self.class)
-            .field("component", &self.component)
-            .field("mem", &self.mem())
-            .field("branch", &self.branch())
-            .field("dst", &self.dst)
-            .field("srcs", &self.srcs);
-    }
 }
 
 /// The text of the two-`Option` record this one packs, field for field:
@@ -346,18 +336,15 @@ impl DynOp {
 /// line.
 impl fmt::Debug for DynInst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("DynInst");
-        s.field("pc", &self.pc);
-        self.op.debug_fields(&mut s);
-        s.finish()
-    }
-}
-
-impl fmt::Debug for DynOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = f.debug_struct("DynOp");
-        self.debug_fields(&mut s);
-        s.finish()
+        f.debug_struct("DynInst")
+            .field("pc", &self.pc)
+            .field("class", &self.class)
+            .field("component", &self.component)
+            .field("mem", &self.mem())
+            .field("branch", &self.branch())
+            .field("dst", &self.dst)
+            .field("srcs", &self.srcs)
+            .finish()
     }
 }
 
