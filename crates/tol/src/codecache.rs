@@ -506,12 +506,12 @@ mod tests {
     }
 
     #[test]
-    fn install_compiles_templates() {
+    fn install_compiles_templates() -> Result<(), CacheError> {
         let mut cc = CodeCache::new(100);
         put(&mut cc, 0x100, BlockKind::Bb);
         let exit = HInst::Exit(Exit::Direct { guest_target: 0x300, link: None });
         let looping = code(vec![HInst::Nop, HInst::Jump { target: 0 }, exit], 1);
-        let id = cc.install(0x200, looping, BlockKind::Bb, [0x200], &GuestMem::new()).unwrap().id;
+        let id = cc.install(0x200, looping, BlockKind::Bb, [0x200], &GuestMem::new())?.id;
         let b = cc.get(id).unwrap();
         assert_eq!(b.host_base, CODE_CACHE_BASE + 8, "behind the first block");
         assert_eq!(b.templates.len(), b.insts.len());
@@ -522,6 +522,7 @@ mod tests {
         assert_eq!((at(0).pc, at(0).class), (b.host_base, ExecClass::SimpleInt));
         assert_eq!(at(1).branch(), Some((BranchKind::UncondDirect, b.host_base, true)));
         assert_eq!((at(2).class, at(2).branch()), (ExecClass::Jump, None));
+        Ok(())
     }
 
     #[test]
