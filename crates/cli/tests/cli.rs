@@ -319,9 +319,17 @@ fn run_profile_host_prints_live_bytes_per_holder_outside_the_report() {
     assert!(out.status.success());
     assert_eq!(out.stdout, stdout_of(&json).as_bytes(), "the table stays out of --json");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    let names: Vec<String> = host_memory_rows(&stderr).into_iter().map(|(n, _)| n).collect();
+    let rows = host_memory_rows(&stderr);
+    let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
     let cosim = [&holders[..], &["checker memory frames", "checker uop cache", "total"]].concat();
     assert_eq!(names, cosim, "{stderr}");
+    // The checker counts only the frames it does not share with guest
+    // memory: after a passing run, next to none.
+    let bytes = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, b)| *b);
+    assert!(
+        bytes("checker memory frames") < bytes("guest memory frames"),
+        "the checker holds a second copy of guest memory: {stderr}"
+    );
 }
 
 #[test]

@@ -6,6 +6,15 @@
 //! authoritative side by the same number of guest instructions the layer
 //! just retired and compares architectural state — the co-simulation
 //! debugging technique the paper inherits from Transmeta (ref. \[15\]).
+//!
+//! The two executions share guest memory wherever it is proven equal.
+//! `System::new` hands the checker a [`GuestMem::share`] of the emulated
+//! side's memory; every store either side makes lands in a private copy
+//! of its frame, and at each step boundary [`StateChecker::settle`]
+//! compares the frames written since the last one, then drops the
+//! checker's copy of each equal frame for the emulated side's. So the
+//! checker only ever reads its own state, and holds a private copy of
+//! no more than one step's writes.
 
 use darco_guest::uops::ExecCtx;
 use darco_guest::{exec, CpuState, DecodeError, GuestMem};
@@ -36,6 +45,17 @@ impl fmt::Display for Divergence {
 
 impl std::error::Error for Divergence {}
 
+/// The panic message of a memory divergence found at `addr` once
+/// `guest_insts` guest instructions had retired, at a step boundary or
+/// at the end of the run of benchmark `name`.
+pub(crate) fn memory_divergence(name: &str, addr: u32, guest_insts: u64) -> String {
+    format!(
+        "{name}: memory divergence at guest address {addr:#x} after {guest_insts} guest \
+         instructions\n  hint: `darco verify {name}` rechecks the run against the independent \
+         executor; `darco disasm` / `darco analyze` show the translations and their IR"
+    )
+}
+
 /// The authoritative emulator plus comparison logic.
 #[derive(Debug, Clone)]
 pub struct StateChecker {
@@ -53,8 +73,10 @@ pub struct StateChecker {
 
 impl StateChecker {
     /// Creates the authoritative side from the initial program state and
-    /// a *private copy* of guest memory, executing with the independent
-    /// `exec::step` (see [`StateChecker::set_fast_path`]).
+    /// its own guest memory — a [`GuestMem::share`] of the emulated
+    /// side's, for [`StateChecker::settle`], or any copy of it —
+    /// executing with the independent `exec::step` (see
+    /// [`StateChecker::set_fast_path`]).
     pub fn new(initial: CpuState, mem: GuestMem) -> StateChecker {
         StateChecker { cpu: initial, mem, retired: 0, checks: 0, fast: None }
     }
@@ -126,10 +148,23 @@ impl StateChecker {
         }
     }
 
+    /// Compares the frames of guest memory either side wrote since the
+    /// last settle ([`GuestMem::settle`]) and, where they are equal,
+    /// drops the checker's copy for the emulated side's frame. Run at
+    /// every step boundary, after the register check: register checks
+    /// alone can miss diverging stores whose values are never reloaded.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest differing guest address.
+    pub fn settle(&mut self, emulated: &mut GuestMem) -> Result<(), u32> {
+        self.mem.settle(emulated)
+    }
+
     /// Compares the emulated guest *memory* against the authoritative
-    /// copy (register checks alone can miss diverging stores whose
-    /// values are never reloaded). Costs a full page sweep, so DARCO
-    /// runs it at end-of-run rather than every block.
+    /// side's in full. A page sweep, but frames the two sides share are
+    /// equal unread, so after a [`StateChecker::settle`] it reads
+    /// nothing; DARCO runs it at end-of-run.
     ///
     /// # Errors
     ///
@@ -158,11 +193,12 @@ impl StateChecker {
         self.checks
     }
 
-    /// Heap bytes the authoritative side holds: its private memory's
-    /// frames and its micro-op executor's block cache.
+    /// Heap bytes the authoritative side holds: the frames of its memory
+    /// it does not share with the emulated side, and its micro-op
+    /// executor's block cache.
     pub fn live_bytes(&self) -> [(&'static str, usize); 2] {
         [
-            ("checker memory frames", self.mem.frame_bytes()),
+            ("checker memory frames", self.mem.private_frame_bytes()),
             ("checker uop cache", self.fast.as_ref().map_or(0, ExecCtx::cache_bytes)),
         ]
     }
@@ -252,6 +288,41 @@ mod tests {
             assert_eq!(chk.retired(), 2, "fast={fast}: two instructions ran before the fault");
             assert_eq!(chk.state().eip, probe.state().eip, "fast={fast}: stopped at the fault");
         }
+    }
+
+    /// Two sides split by `share`: one stray byte on the emulated side
+    /// is found at its address, by this settle and, as it still
+    /// differs, by the next.
+    #[test]
+    fn settle_finds_a_stray_byte_on_the_emulated_side() {
+        let (mut emulated, initial) = program();
+        let mut chk = StateChecker::new(initial, emulated.share());
+        chk.mem.write_u32(0x2000, 5);
+        emulated.write_u32(0x2000, 5);
+        emulated.write_u8(0x2C03, 0x80);
+        assert_eq!(chk.settle(&mut emulated), Err(0x2C03));
+        assert_eq!(chk.settle(&mut emulated), Err(0x2C03), "an unequal frame stays logged");
+    }
+
+    /// Equal writes settle, leave the checker no private frame, and
+    /// stay apart: a later write on either side does not show on the
+    /// other.
+    #[test]
+    fn settled_sides_share_frames_but_not_writes() {
+        let (mut emulated, initial) = program();
+        let mut chk = StateChecker::new(initial, emulated.share());
+        for m in [&mut emulated, &mut chk.mem] {
+            m.write_u32(0x2000, 0xDEAD_BEEF);
+            m.write_u8(0x100, 0x90); // a code byte: a frame shared since `share`
+        }
+        assert_eq!(chk.settle(&mut emulated), Ok(()));
+        assert_eq!(chk.live_bytes()[0], ("checker memory frames", 0));
+        emulated.write_u32(0x2000, 1);
+        assert_eq!(chk.mem.read_u32(0x2000), 0xDEAD_BEEF, "an emulated write showed");
+        chk.mem.write_u8(0x100, 0x55);
+        assert_eq!(emulated.read_u8(0x100), 0x90, "a checker write showed");
+        assert_eq!(chk.check_memory(&emulated), Err(0x100));
+        assert_eq!(chk.settle(&mut emulated), Err(0x100));
     }
 
     fn mem_of(c: &StateChecker) -> GuestMem {

@@ -8,9 +8,9 @@
 //! event to the observers that act on events, so each has seen the
 //! exact same ordered stream prefix whenever one of them acts.
 
-use crate::checker::StateChecker;
+use crate::checker::{memory_divergence, StateChecker};
 use crate::system::{SystemConfig, Window};
-use darco_guest::CpuState;
+use darco_guest::{CpuState, GuestMem};
 use darco_host::{HostEvent, HostEventSink, Owner, TraceStatsSink};
 use darco_timing::{Pipeline, Stats};
 
@@ -129,6 +129,19 @@ impl CheckerSink {
     /// Returns the authoritative emulator for end-of-run memory checks.
     pub fn into_inner(self) -> StateChecker {
         self.checker
+    }
+
+    /// Settles guest memory after the last boundary's register check
+    /// ([`StateChecker::settle`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the boundary and the lowest differing address when
+    /// the two memories differ.
+    pub fn settle(&mut self, emulated: &mut GuestMem) {
+        if let Err(addr) = self.checker.settle(emulated) {
+            panic!("{}", memory_divergence(&self.name, addr, self.advanced));
+        }
     }
 
     /// Co-simulates at a [`HostEvent::StepBoundary`] and ignores every
@@ -300,6 +313,17 @@ mod tests {
         wrong.set_gpr(Gpr::Eax, 999);
         let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, mem));
         sink.consume(&[HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(wrong) }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "t: memory divergence at guest address 0x2004 after 1 guest \
+                               instructions\n  hint: `darco verify t` rechecks")]
+    fn checker_sink_names_the_boundary_of_a_memory_divergence() {
+        let (mut emu_mem, initial, [after_one, _]) = two_movs_program();
+        let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, emu_mem.share()));
+        emu_mem.write_u8(0x2004, 1);
+        sink.consume(&[HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(after_one) }]);
+        sink.settle(&mut emu_mem);
     }
 
     /// Two `MovRI`s and a `Halt`, plus the emulated state after each of

@@ -1,7 +1,7 @@
 //! The DARCO system driver: software layer + authoritative emulator +
 //! timing pipelines, run in lockstep.
 
-use crate::checker::StateChecker;
+use crate::checker::{memory_divergence, StateChecker};
 use crate::sinks::{CheckerSink, SinkSet, TimingSink};
 use darco_host::{HostEvent, HostEventSink, TraceStats, TraceStatsSink};
 use darco_timing::Stats;
@@ -128,12 +128,13 @@ impl System {
     pub fn new(w: Workload, cfg: SystemConfig) -> System {
         let mut tol = Tol::new(cfg.tol.clone(), w.entry);
         tol.set_state(&w.initial);
+        let mut emu_mem = w.mem;
         let checker = cfg.cosim.then(|| {
-            let mut chk = StateChecker::new(w.initial.clone(), w.mem.clone());
+            let mut chk = StateChecker::new(w.initial.clone(), emu_mem.share());
             chk.set_fast_path(!cfg.independent_checker);
             chk
         });
-        System { name: w.name, tol, emu_mem: w.mem, checker, static_insts: w.static_insts, cfg }
+        System { name: w.name, tol, emu_mem, checker, static_insts: w.static_insts, cfg }
     }
 
     /// Convenience: generates the profile's workload at scale 1.0 and
@@ -193,6 +194,9 @@ impl System {
                     emulated: Box::new(self.tol.emulated_state()),
                 }]);
             }
+            if let Some(chk) = &mut sinks.checker {
+                chk.settle(&mut self.emu_mem);
+            }
             let w = self.cfg.window_guest_insts;
             if w > 0 && total >= last_window + w {
                 sinks.consume(&[HostEvent::WindowMark { guest_insts: total }]);
@@ -207,15 +211,10 @@ impl System {
         if let Some(chk) = &self.checker {
             // End-of-run memory co-verification: every store the
             // translated code performed must match the authoritative
-            // execution byte-for-byte.
+            // execution byte-for-byte. The last boundary settled every
+            // frame, so this reads only what the two sides do not share.
             if let Err(addr) = chk.check_memory(&self.emu_mem) {
-                panic!(
-                    "{}: memory divergence at guest address {addr:#x}\n  \
-                     hint: `darco verify {}` rechecks the run against the independent \
-                     executor; `darco disasm` / `darco analyze` show the translations \
-                     and their IR",
-                    self.name, self.name
-                );
+                panic!("{}", memory_divergence(&self.name, addr, total));
             }
         }
         let (shared, app_only, tol_only, timeline) = timing.into_parts();

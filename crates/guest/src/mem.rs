@@ -39,6 +39,20 @@
 //! page with the final value (a unit test holds the wide accessors to
 //! exactly that, `tests/mem_reference.rs` the whole type to a
 //! `BTreeMap` model).
+//!
+//! # Shared frames
+//!
+//! A frame is reference-counted, so a copy of a `GuestMem` shares every
+//! frame with the original and costs only its page table. A store into
+//! a shared frame first takes a private copy (copy on write), so neither
+//! side ever sees the other's writes. Co-simulation splits memory with
+//! [`GuestMem::share`]: from then on each side logs the frames it
+//! allocates or unshares, and [`GuestMem::settle`] compares just those
+//! at every step boundary and shares each one found equal again, so the
+//! checker's side keeps a private copy only of what one step wrote
+//! (DESIGN.md §16).
+
+use std::rc::Rc;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
@@ -58,8 +72,9 @@ const DIR_LEN: usize = 1 << (32 - PAGE_SHIFT - LEAF_BITS);
 type Frame = [u8; FRAME_SIZE];
 
 /// A resident page: its frames in address order, each `None` until the
-/// first write into its quarter.
-type Slot = [Option<Box<Frame>>; FRAMES_PER_PAGE];
+/// first write into its quarter. A frame may be shared with copies of
+/// this address space; only a frame held once is written in place.
+type Slot = [Option<Rc<Frame>>; FRAMES_PER_PAGE];
 
 /// Index of the frame holding `addr` within its page's [`Slot`].
 #[inline]
@@ -79,11 +94,11 @@ struct Pte {
 
 type Leaf = [Pte; LEAF_LEN];
 
-// First-touch allocation, out of line and cold so that the rest of
-// `GuestMem::frame_mut` inlines into every store. Inlined, the frame's
-// allocation alone made each store into an allocated frame more than
-// twice as slow, and the leaf's gave every store call a 16 KiB stack
-// frame to probe.
+// First-touch allocation and unsharing, out of line and cold so that
+// the rest of `GuestMem::write_frame` inlines into every store. Inlined,
+// the frame's allocation alone made each store into an allocated frame
+// more than twice as slow, and the leaf's gave every store call a 16 KiB
+// stack frame to probe.
 
 /// A leaf of absent entries.
 #[cold]
@@ -103,8 +118,44 @@ fn new_slot(slots: &mut Vec<Slot>) -> u32 {
 /// A zero-filled frame.
 #[cold]
 #[inline(never)]
-fn new_frame() -> Box<Frame> {
-    Box::new([0; FRAME_SIZE])
+fn new_frame() -> Rc<Frame> {
+    Rc::new([0; FRAME_SIZE])
+}
+
+/// Makes the frame holding `addr` this side's own — zero-filled on first
+/// touch, a private copy if it is shared — and logs its number when the
+/// side keeps a write log.
+#[cold]
+#[inline(never)]
+fn own_frame<'a>(
+    frame: &'a mut Option<Rc<Frame>>,
+    written: &mut Option<Vec<u32>>,
+    addr: u32,
+) -> &'a mut Frame {
+    if let Some(log) = written {
+        log.push(addr >> FRAME_SHIFT);
+    }
+    let own = match frame {
+        Some(shared) => Rc::new(**shared),
+        None => new_frame(),
+    };
+    Rc::make_mut(frame.insert(own))
+}
+
+/// Offset of the first byte at which two frames differ, an absent frame
+/// reading as zeros. One frame shared by both sides is equal unread.
+fn frame_difference(a: Option<&Rc<Frame>>, b: Option<&Rc<Frame>>) -> Option<usize> {
+    const ZERO: Frame = [0; FRAME_SIZE];
+    if let (Some(x), Some(y)) = (a, b) {
+        if Rc::ptr_eq(x, y) {
+            return None;
+        }
+    }
+    let (x, y) = (a.map_or(&ZERO, |f| &**f), b.map_or(&ZERO, |f| &**f));
+    if x == y {
+        return None;
+    }
+    x.iter().zip(y).position(|(p, q)| p != q)
 }
 
 /// Sparse 32-bit guest address space: 4 KiB pages in 1 KiB frames.
@@ -113,6 +164,9 @@ fn new_frame() -> Box<Frame> {
 /// touched page with it, so consumers that cache derived views of memory
 /// (the micro-op buffers, the code cache's SMC stamps) can detect
 /// self-modifying code with one [`GuestMem::page_gen`] comparison.
+///
+/// `clone` shares every frame (see the module docs), which is why a
+/// `GuestMem` is neither `Send` nor `Sync`: each thread builds its own.
 #[derive(Debug, Clone)]
 pub struct GuestMem {
     /// Page slots, only ever appended: one per resident page.
@@ -121,18 +175,20 @@ pub struct GuestMem {
     /// the page number.
     dir: Box<[Option<Box<Leaf>>; DIR_LEN]>,
     write_gen: u64,
+    /// Numbers (`addr >> 10`) of the frames allocated or unshared since
+    /// the last [`GuestMem::settle`]; `None`, and never touched, unless
+    /// the space was split by [`GuestMem::share`].
+    written: Option<Vec<u32>>,
 }
-
-// Nothing here is interior-mutable, so `&GuestMem` may cross threads;
-// this keeps it so.
-const _: fn() = || {
-    fn sync<T: Sync>() {}
-    sync::<GuestMem>();
-};
 
 impl Default for GuestMem {
     fn default() -> GuestMem {
-        GuestMem { slots: Vec::new(), dir: Box::new(std::array::from_fn(|_| None)), write_gen: 0 }
+        GuestMem {
+            slots: Vec::new(),
+            dir: Box::new(std::array::from_fn(|_| None)),
+            write_gen: 0,
+            written: None,
+        }
     }
 }
 
@@ -150,6 +206,13 @@ impl GuestMem {
     /// Heap bytes held by frames: what the guest's writes cost.
     pub fn frame_bytes(&self) -> usize {
         self.slots.iter().flatten().flatten().map(|f| std::mem::size_of_val(&**f)).sum()
+    }
+
+    /// Heap bytes held by frames no copy of this space shares: what it
+    /// costs beyond the copies.
+    pub fn private_frame_bytes(&self) -> usize {
+        let private = self.slots.iter().flatten().flatten().filter(|f| Rc::strong_count(f) == 1);
+        private.map(|f| std::mem::size_of_val(&**f)).sum()
     }
 
     /// The page-table entry of page `pn` (the absent entry if its leaf
@@ -176,11 +239,13 @@ impl GuestMem {
         self.slot(addr >> PAGE_SHIFT)?[quarter(addr)].as_deref()
     }
 
-    /// Stamps the page of `addr` with `gen` and returns the frame holding
-    /// `addr`, allocating leaf, slot and frame (zero-filled) on first
-    /// touch.
+    /// Stamps the page of `addr` with `gen` and hands `write` the frame
+    /// holding `addr`, allocating leaf, slot and frame (zero-filled) on
+    /// first touch and unsharing a shared frame. (`write` rather than a
+    /// returned `&mut Frame`: returning the frame from the held-once
+    /// test's arm would keep the slot borrowed in the other arm.)
     #[inline]
-    fn frame_mut(&mut self, addr: u32, gen: u64) -> &mut Frame {
+    fn write_frame(&mut self, addr: u32, gen: u64, write: impl FnOnce(&mut Frame)) {
         let pn = addr >> PAGE_SHIFT;
         let leaf = self.dir[(pn >> LEAF_BITS) as usize].get_or_insert_with(new_leaf);
         let pte = &mut leaf[pn as usize % LEAF_LEN];
@@ -188,7 +253,11 @@ impl GuestMem {
         if pte.slot1 == 0 {
             pte.slot1 = new_slot(&mut self.slots);
         }
-        self.slots[pte.slot1 as usize - 1][quarter(addr)].get_or_insert_with(new_frame)
+        let frame = &mut self.slots[pte.slot1 as usize - 1][quarter(addr)];
+        match frame.as_mut().and_then(Rc::get_mut) {
+            Some(own) => write(own),
+            None => write(own_frame(frame, &mut self.written, addr)),
+        }
     }
 
     /// Reads one byte. Untouched memory reads as zero.
@@ -204,7 +273,7 @@ impl GuestMem {
     #[inline]
     pub fn write_u8(&mut self, addr: u32, val: u8) {
         self.write_gen += 1;
-        self.frame_mut(addr, self.write_gen)[(addr & FRAME_MASK) as usize] = val;
+        self.write_frame(addr, self.write_gen, |f| f[(addr & FRAME_MASK) as usize] = val);
     }
 
     /// Write generation of the page containing `addr`: strictly
@@ -246,7 +315,7 @@ impl GuestMem {
             return false;
         }
         self.write_gen += W as u64;
-        self.frame_mut(addr, self.write_gen)[off..off + W].copy_from_slice(&bytes);
+        self.write_frame(addr, self.write_gen, |f| f[off..off + W].copy_from_slice(&bytes));
         true
     }
 
@@ -338,7 +407,7 @@ impl GuestMem {
             let off = (a & FRAME_MASK) as usize;
             let n = rest.len().min(FRAME_SIZE - off);
             self.write_gen += n as u64;
-            self.frame_mut(a, self.write_gen)[off..off + n].copy_from_slice(&rest[..n]);
+            self.write_frame(a, self.write_gen, |f| f[off..off + n].copy_from_slice(&rest[..n]));
             a = a.wrapping_add(n as u32);
             rest = &rest[n..];
         }
@@ -361,12 +430,17 @@ impl GuestMem {
         }
     }
 
+    /// The frame of number `fno` (`addr >> 10`), `None` if absent.
+    fn frame_rc(&self, fno: u32) -> Option<&Rc<Frame>> {
+        self.slot(fno >> (PAGE_SHIFT - FRAME_SHIFT))?[fno as usize % FRAMES_PER_PAGE].as_ref()
+    }
+
     /// Compares two address spaces byte-for-byte and returns the lowest
     /// differing address, treating absent frames as zero-filled. Walks
     /// both page tables in address order; a 4 MiB range with no leaf on
-    /// either side is skipped whole, and so is a page with no slot.
+    /// either side is skipped whole, and so is a page with no slot and a
+    /// frame both sides share.
     pub fn first_difference(&self, other: &GuestMem) -> Option<u32> {
-        const ZERO: Frame = [0; FRAME_SIZE];
         for (d, (la, lb)) in self.dir.iter().zip(other.dir.iter()).enumerate() {
             if la.is_none() && lb.is_none() {
                 continue;
@@ -377,16 +451,62 @@ impl GuestMem {
                     continue;
                 }
                 for q in 0..FRAMES_PER_PAGE {
-                    let a = sa.and_then(|s| s[q].as_deref()).unwrap_or(&ZERO);
-                    let b = sb.and_then(|s| s[q].as_deref()).unwrap_or(&ZERO);
-                    if a != b {
-                        let off = a.iter().zip(b).position(|(x, y)| x != y).expect("frames differ");
+                    let (a, b) = (sa.and_then(|s| s[q].as_ref()), sb.and_then(|s| s[q].as_ref()));
+                    if let Some(off) = frame_difference(a, b) {
                         return Some((pn << PAGE_SHIFT) + (q << FRAME_SHIFT) as u32 + off as u32);
                     }
                 }
             }
         }
         None
+    }
+
+    /// Splits this space for co-simulation: returns a copy sharing every
+    /// frame, and from now on both sides log the frames they allocate or
+    /// unshare, for [`GuestMem::settle`].
+    pub fn share(&mut self) -> GuestMem {
+        self.written = Some(Vec::new());
+        self.clone()
+    }
+
+    /// Compares, byte for byte, every frame either side logged since
+    /// the last settle (the two descend from one [`GuestMem::share`]),
+    /// empties both logs and, where a frame is equal on both sides,
+    /// drops this side's copy and shares `other`'s. Afterwards the two
+    /// sides hold the same frames wherever their contents agree; page
+    /// generations and the write counter are untouched on both.
+    ///
+    /// # Errors
+    ///
+    /// Returns the lowest address at which the two sides differ. Frames
+    /// that differ stay in this side's log, so the next settle compares
+    /// them again.
+    pub fn settle(&mut self, other: &mut GuestMem) -> Result<(), u32> {
+        let mut frames = self.written.take().unwrap_or_default();
+        frames.extend(other.written.iter_mut().flat_map(|log| log.drain(..)));
+        frames.sort_unstable();
+        frames.dedup();
+        let mut first = None;
+        frames.retain(|&fno| {
+            let theirs = other.frame_rc(fno);
+            if let Some(off) = frame_difference(self.frame_rc(fno), theirs) {
+                first.get_or_insert((fno << FRAME_SHIFT) + off as u32);
+                return true;
+            }
+            let slot1 = self.pte(fno >> (PAGE_SHIFT - FRAME_SHIFT)).slot1;
+            match self.slots.get_mut((slot1 as usize).wrapping_sub(1)) {
+                Some(slot) => {
+                    slot[fno as usize % FRAMES_PER_PAGE] = theirs.cloned();
+                    false
+                }
+                // Zeros on `other` in a page this side never wrote: there
+                // is no copy to drop, and nothing to share them into
+                // without making the page resident here.
+                None => theirs.is_some(),
+            }
+        });
+        self.written = Some(frames);
+        first.map_or(Ok(()), Err)
     }
 }
 

@@ -2,12 +2,14 @@
 //! from page number to (page bytes, write generation) and a counter,
 //! written and read one byte at a time.
 //!
-//! Two address spaces run side by side (so that `clone()` and
-//! `first_difference` have something to work on), each with its model.
-//! After every operation the bytes around the access, the generation of
-//! the pages it touched, `write_gen`, `resident_pages` and
-//! `first_difference` must equal the model's; every few operations every
-//! page either side knows is swept in full.
+//! Two address spaces run side by side (so that `clone()`, `share()`,
+//! `settle` and `first_difference` have something to work on), each
+//! with its model. After every operation the bytes around the access,
+//! the generation of the pages it touched, `write_gen`, `resident_pages`
+//! and `first_difference` must equal the model's; every few operations
+//! every page either side knows is swept in full. Once the two have been
+//! split by `share()`, `settle` must succeed exactly when the models are
+//! equal, and otherwise name their lowest differing address.
 
 use darco_guest::exec::MAX_INST_LEN;
 use darco_guest::GuestMem;
@@ -151,10 +153,13 @@ fn run_script(seed: u64, ops: usize) {
     // every third page of a range `address` stays out of, which starts
     // in a leaf of the seed's own and runs on into the next ones.
     let mut untouched = (0x2000_0000u32 + (seed as u32 % 64) * 0x0100_0000..).step_by(0x3000);
+    // Whether the two sides descend from one `share()`, which `settle`
+    // requires.
+    let mut split = false;
 
     for op in 0..ops {
         let which = rng.gen_range(0..2usize);
-        let kind = rng.gen_range(0..12u32);
+        let kind = rng.gen_range(0..14u32);
         let ctx = format!("seed {seed}, op {op} (kind {kind}, side {which})");
         let addr = address(&mut rng);
         let mut len = 8;
@@ -231,6 +236,23 @@ fn run_script(seed: u64, ops: usize) {
                 // later operations write one side and check both.
                 sides[1 - which] = sides[which].clone();
                 assert_eq!(sides[0].mem.first_difference(&sides[1].mem), None, "{ctx}: clone");
+            }
+            12 | 13 if kind == 12 || !split => {
+                // Like `clone()`, and from now on both sides keep a
+                // write log.
+                let copy = sides[which].mem.share();
+                sides[1 - which] = Side { mem: copy, model: sides[which].model.clone() };
+                split = true;
+                assert_eq!(sides[0].mem.first_difference(&sides[1].mem), None, "{ctx}: share");
+            }
+            13 => {
+                let [a, b] = &mut sides;
+                let (me, them) = if which == 0 { (a, b) } else { (b, a) };
+                let want = me.model.first_difference(&them.model);
+                assert_eq!(me.mem.settle(&mut them.mem).err(), want, "{ctx}: settle");
+                if want.is_none() {
+                    assert_eq!(me.mem.private_frame_bytes(), 0, "{ctx}: a copy outlived settle");
+                }
             }
             _ => {
                 // Make the sides differ in exactly one byte and put it

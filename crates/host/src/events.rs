@@ -104,6 +104,15 @@ impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
 /// What a staging slot holds before its first event (no heap state).
 const FILLER: HostEvent = HostEvent::WindowMark { guest_insts: 0 };
 
+/// Writes `d` over a slot holding another kind of event (a filler, a
+/// boundary, a window mark), dropping that event.
+#[cold]
+#[inline(never)]
+fn retire_over(slot: &mut HostEvent, d: DynInst) -> &mut DynInst {
+    *slot = HostEvent::Retire(d);
+    slot.as_retire_mut().expect("the slot was just written as a retirement")
+}
+
 /// Slots an [`EventBuffer`] adds at a time while its vector grows.
 const GROW: usize = 64;
 
@@ -196,11 +205,18 @@ impl<'a> EventBuffer<'a> {
     /// 16-byte copy — and lends it out for patching in the slot.
     /// (Pushing a patched stack copy re-reads bytes the patch has only
     /// just stored: a store-forwarding stall per event.)
+    /// A slot that already holds a retirement, as nearly every slot does
+    /// after the first batch, is overwritten in place: one tag test,
+    /// nothing dropped.
     #[inline]
     pub fn retire_in_place(&mut self, pc: u64, template: &DynOp) -> &mut DynInst {
-        let slot = self.slot();
-        *slot = HostEvent::Retire(template.at(pc));
-        slot.as_retire_mut().expect("the slot was just written as a retirement")
+        match self.slot() {
+            HostEvent::Retire(d) => {
+                *d = template.at(pc);
+                d
+            }
+            other => retire_over(other, template.at(pc)),
+        }
     }
 
     /// Appends a whole retirement stream by block copy, then hands the
@@ -376,6 +392,42 @@ mod tests {
             })
             .collect();
         assert_eq!(pcs, [0, 4], "each event exactly once");
+    }
+
+    /// A retirement staged in a slot whose last event was a boundary
+    /// replaces it whole, and so does the next one, staged over that
+    /// retirement in place: both are delivered, patched, after the
+    /// boundary.
+    #[test]
+    fn retire_in_place_over_a_slot_that_held_a_boundary() {
+        let tpl = DynInst::plain(0, ExecClass::Load, Component::AppCode).with_mem(0x40, 4, false);
+        let mut out: Vec<HostEvent> = Vec::new();
+        {
+            let mut buf = EventBuffer::new(1, &mut out);
+            buf.push(HostEvent::StepBoundary {
+                guest_insts: 1,
+                emulated: Box::new(CpuState::at(0)),
+            });
+            // Each append finds the one slot full, delivers it and
+            // writes over what it held.
+            *buf.retire_in_place(8, &tpl).mem_addr_mut().expect("a load") = 0x80;
+            *buf.retire_in_place(12, &tpl).mem_addr_mut().expect("a load") = 0xC0;
+            buf.flush();
+        }
+        assert!(matches!(out[0], HostEvent::StepBoundary { guest_insts: 1, .. }), "{out:?}");
+        let retired: Vec<DynInst> = out[1..]
+            .iter()
+            .map(|e| match e {
+                HostEvent::Retire(d) => *d,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        let at = |pc, addr| {
+            let mut d = tpl.at(pc);
+            *d.mem_addr_mut().expect("a load") = addr;
+            d
+        };
+        assert_eq!(retired, [at(8, 0x80), at(12, 0xC0)]);
     }
 
     #[test]
