@@ -24,6 +24,11 @@
 //!                       software prefetching, speculative indirect
 //!                       resolution, code placement
 //! ```
+//!
+//! Every run behind a figure is co-simulated (`SystemConfig::default()`):
+//! the software layer's guest state is checked against the authoritative
+//! emulator at every step boundary, so no printed number comes from an
+//! unchecked run.
 
 use crate::{bail, parse, run_batch};
 use darco_core::experiments::{self, BenchRun};
@@ -53,8 +58,7 @@ const ROSTER_FIGURES: [(&str, Printer); 8] = [
 ];
 
 /// `darco figures`: the command comes first and defaults to `all`; only
-/// `--scale` and `--jobs` follow it, checked before anything runs. The
-/// figures always run without co-simulation.
+/// `--scale` and `--jobs` follow it, checked before anything runs.
 pub fn figures(rest: &[String]) {
     let (command, flags) = match rest.split_first() {
         Some((c, flags)) if !c.starts_with('-') => (c.as_str(), flags),
@@ -68,7 +72,6 @@ pub fn figures(rest: &[String]) {
             }
             "--json" => bail("--json: use `darco run-set --scale 2 --json`"),
             "--quick" => bail("--quick: use --scale 0.05"),
-            "--cosim" => bail("--cosim: figures run without co-simulation"),
             flag if flag.starts_with('-') => {
                 bail(&format!("{flag}: figures takes only --scale S and --jobs N"))
             }
@@ -78,7 +81,7 @@ pub fn figures(rest: &[String]) {
         }
     }
     let o = parse("figures", flags, &["--scale", "--jobs"], SCALE);
-    let (scale, cfg) = (o.scale, SystemConfig { cosim: false, ..SystemConfig::default() });
+    let (scale, cfg) = (o.scale, SystemConfig::default());
     match command {
         "table1" => table1(),
         "startup" => startup(scale, &cfg),

@@ -75,7 +75,6 @@ flags:
                    profile (JSON) as the next benchmark
   --scale S        run, run-set, figures, verify, analyze, disasm: dynamic-length
                    scale, finite and > 0 (default 0.5; 2.0 for figures)
-  --cosim          run, run-set, analyze: co-simulation checking
   --jobs N         run-set, figures: worker threads (default: all cores)
   --n N            analyze, disasm: regions/translations to print (default 20)
   --json           run, run-set, verify: the full report(s) on stdout
@@ -100,7 +99,6 @@ struct Opts {
     /// in order.
     profiles: Vec<BenchProfile>,
     scale: f64,
-    cosim: bool,
     /// `None` means all available cores.
     jobs: Option<usize>,
     n: usize,
@@ -114,19 +112,13 @@ impl Opts {
     fn profile(&self) -> BenchProfile {
         self.profiles.last().cloned().unwrap_or_else(suites::quicktest_profile)
     }
-
-    /// The one run configuration, co-simulated only on `--cosim`.
-    fn config(&self) -> SystemConfig {
-        SystemConfig { cosim: self.cosim, ..SystemConfig::default() }
-    }
 }
 
 /// `--scale` when none is given, for every subcommand but `figures`.
 const SCALE: f64 = 0.5;
 
 /// Every flag [`parse`] knows.
-const FLAGS: [&str; 7] =
-    ["--profile", "--scale", "--cosim", "--jobs", "--n", "--json", "--profile-host"];
+const FLAGS: [&str; 6] = ["--profile", "--scale", "--jobs", "--n", "--json", "--profile-host"];
 
 /// A roster benchmark (or `quicktest`) by name.
 fn named_profile(name: &str) -> BenchProfile {
@@ -143,15 +135,8 @@ fn named_profile(name: &str) -> BenchProfile {
 /// `takes` (and benchmark names if it takes `--profile`) and whose
 /// `--scale` defaults to `scale`. Any other flag or name exits 2.
 fn parse(command: &str, rest: &[String], takes: &[&str], scale: f64) -> Opts {
-    let mut o = Opts {
-        profiles: Vec::new(),
-        scale,
-        cosim: false,
-        jobs: None,
-        n: 20,
-        json: false,
-        profile_host: false,
-    };
+    let mut o =
+        Opts { profiles: Vec::new(), scale, jobs: None, n: 20, json: false, profile_host: false };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let word = a.as_str();
@@ -183,7 +168,6 @@ fn parse(command: &str, rest: &[String], takes: &[&str], scale: f64) -> Opts {
                     bail("--scale must be finite and greater than 0");
                 }
             }
-            "--cosim" => o.cosim = true,
             "--jobs" => {
                 let n: usize = value("a thread count")
                     .parse()
@@ -233,11 +217,11 @@ fn list(rest: &[String]) {
 // ------------------------------------------------------------------ run
 
 fn run(rest: &[String]) {
-    let takes = ["--profile", "--scale", "--cosim", "--json", "--profile-host"];
+    let takes = ["--profile", "--scale", "--json", "--profile-host"];
     let o = parse("run", rest, &takes, SCALE);
     let profile = o.profile();
     eprintln!("running {} at scale {} ...", profile.name, o.scale);
-    let mut sys = System::new(generate(&profile, o.scale), o.config());
+    let mut sys = System::new(generate(&profile, o.scale), SystemConfig::default());
     print_report(&sys.run_to_completion(), o.json);
     if o.profile_host {
         let table = host_memory_table(&sys.live_bytes());
@@ -269,9 +253,9 @@ fn host_memory_table(holders: &[(&str, usize)]) -> String {
 /// independent system, so results are identical at any thread count;
 /// only the wall-clock changes.
 fn run_set(rest: &[String]) {
-    let o = parse("run-set", rest, &["--profile", "--scale", "--cosim", "--jobs", "--json"], SCALE);
+    let o = parse("run-set", rest, &["--profile", "--scale", "--jobs", "--json"], SCALE);
     let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles.clone() };
-    let runs = run_batch(&profiles, &o, &o.config());
+    let runs = run_batch(&profiles, &o, &SystemConfig::default());
     if o.json {
         println!("{}", serde_json::to_string_pretty(&runs).expect("serialize"));
     } else {
@@ -314,12 +298,12 @@ fn run_batch(profiles: &[BenchProfile], o: &Opts, cfg: &SystemConfig) -> Vec<Ben
 /// decode-per-step `exec::step` rather than the micro-op executor the
 /// interpreter shares (DESIGN.md §16). A divergence panics inside the
 /// run, so reaching the end is the pass; the report is the one
-/// `darco run --cosim` prints.
+/// `darco run` prints.
 fn verify(rest: &[String]) {
     let o = parse("verify", rest, &["--profile", "--scale", "--json"], SCALE);
     let profile = o.profile();
     eprintln!("verifying {} at scale {} ...", profile.name, o.scale);
-    let cfg = SystemConfig { cosim: true, independent_checker: true, ..SystemConfig::default() };
+    let cfg = SystemConfig { independent_checker: true, ..SystemConfig::default() };
     let mut sys = System::new(generate(&profile, o.scale), cfg);
     let report = sys.run_to_completion();
     print_report(&report, o.json);
@@ -340,7 +324,7 @@ fn analyze(rest: &[String]) {
     if rest.iter().any(|a| a == "--json") {
         bail("--json: use `darco run --json`, which prints the same report");
     }
-    let o = parse("analyze", rest, &["--profile", "--scale", "--cosim", "--n"], SCALE);
+    let o = parse("analyze", rest, &["--profile", "--scale", "--n"], SCALE);
     let profile = o.profile();
     eprintln!("analyzing {} at scale {} ...", profile.name, o.scale);
     let w = generate(&profile, o.scale);
@@ -349,7 +333,7 @@ fn analyze(rest: &[String]) {
     // and for the functional rerun below.
     let analysis_mem = w.mem.clone();
     let (entry, initial) = (w.entry, w.initial.clone());
-    let cfg = o.config();
+    let cfg = SystemConfig::default();
     let tol_cfg = cfg.tol.clone();
     let mut sys = System::new(w, cfg);
     let report = sys.run_to_completion();

@@ -97,8 +97,7 @@ fn figures_rejects_an_unknown_figure_and_the_removed_quick_flag() {
     rejected(&["figures", "all", "--quick"], "--quick: use --scale 0.05");
     rejected(&["figures", "all", "--json", "out.json"], "`darco run-set --scale 2 --json`");
     rejected(&["figures", "--scale", "0.2", "table1"], "table1: name one figure, first");
-    rejected(&["figures", "table1", "--cosim"], "figures run without co-simulation");
-    for flag in ["--json", "--n", "--profile"] {
+    for flag in ["--json", "--n", "--profile", "--cosim"] {
         rejected(&["figures", "table1", flag], flag);
     }
 }
@@ -108,6 +107,10 @@ fn removed_switches_and_commands_are_unknown() {
     rejected(&["run", "quicktest", "--timing-backend", "inline"], "unknown flag --timing-backend");
     rejected(&["run", "quicktest", "--guest-fast-path", "off"], "unknown flag --guest-fast-path");
     rejected(&["run", "quicktest", "--cache-policy", "fifo"], "unknown flag --cache-policy");
+    // Every run is co-simulated: there is no switch to turn the checker on.
+    for command in ["run", "run-set", "analyze"] {
+        rejected(&[command, "quicktest", "--cosim"], "unknown flag --cosim");
+    }
     rejected(&["trace", "quicktest"], "unknown command: trace");
     rejected(&["timeline", "quicktest"], "unknown command: timeline");
 }
@@ -188,13 +191,13 @@ fn disasm_lists_only_resident_translations() {
 }
 
 #[test]
-fn verify_co_simulates_and_reports_what_run_with_cosim_does() {
+fn verify_co_simulates_and_reports_what_run_does() {
     let verify = darco(&["verify", "quicktest", "--scale", "0.05", "--json"]);
     let stderr = String::from_utf8_lossy(&verify.stderr);
     assert!(verify.status.success(), "darco verify failed: {stderr}");
     assert!(stderr.contains("verify: OK — ") && stderr.contains("the independent exec::step"));
-    let run = stdout_of(&["run", "quicktest", "--scale", "0.05", "--cosim", "--json"]);
-    assert!(!run.is_empty());
+    let run = stdout_of(&["run", "quicktest", "--scale", "0.05", "--json"]);
+    assert!(run.contains("\"cosim_checks\": ") && !run.contains("\"cosim_checks\": 0,"), "{run}");
     assert_eq!(verify.stdout, run.as_bytes(), "the checker's authority changes no reported number");
 }
 
@@ -242,7 +245,7 @@ fn a_command_refuses_each_flag_the_usage_does_not_list_for_it() {
             }
         }
     }
-    assert_eq!(refused, 21, "{usage}");
+    assert_eq!(refused, 18, "{usage}");
 }
 
 #[test]
@@ -300,6 +303,9 @@ fn run_profile_host_prints_live_bytes_per_holder_outside_the_report() {
         "interpreter uop cache",
         "event buffer",
         "guest memory frames",
+        "checker memory frames",
+        "checker uop cache",
+        "total",
     ];
     let run = ["run", "quicktest", "--scale", "0.05"];
     let plain = stdout_of(&run);
@@ -307,29 +313,26 @@ fn run_profile_host_prints_live_bytes_per_holder_outside_the_report() {
     assert!(profiled.starts_with(&plain), "the report comes first, unchanged: {profiled}");
     let rows = host_memory_rows(&profiled);
     let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
-    assert_eq!(names, [&holders[..], &["total"]].concat(), "{profiled}");
+    assert_eq!(names, holders, "{profiled}");
     let (total, parts) = rows.split_last().expect("a total row");
     assert_eq!(parts.iter().map(|(_, b)| b).sum::<u64>(), total.1, "{profiled}");
-    assert!(parts.iter().all(|(_, b)| *b > 0), "every holder holds something: {profiled}");
-
-    // Co-simulated, the checker's two holders follow; with `--json` the
-    // table goes to stderr and stdout is the report alone.
-    let json = [&run[..], &["--cosim", "--json"]].concat();
-    let out = darco(&[&json[..], &["--profile-host"]].concat());
-    assert!(out.status.success());
-    assert_eq!(out.stdout, stdout_of(&json).as_bytes(), "the table stays out of --json");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let rows = host_memory_rows(&stderr);
-    let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
-    let cosim = [&holders[..], &["checker memory frames", "checker uop cache", "total"]].concat();
-    assert_eq!(names, cosim, "{stderr}");
     // The checker counts only the frames it does not share with guest
     // memory: after a passing run, next to none.
     let bytes = |name: &str| rows.iter().find(|(n, _)| n == name).map(|(_, b)| *b);
     assert!(
         bytes("checker memory frames") < bytes("guest memory frames"),
-        "the checker holds a second copy of guest memory: {stderr}"
+        "the checker holds a second copy of guest memory: {profiled}"
     );
+    let mut others = parts.iter().filter(|(n, _)| n != "checker memory frames");
+    assert!(others.all(|(_, b)| *b > 0), "every other holder holds something: {profiled}");
+
+    // With `--json` the table goes to stderr and stdout is the report alone.
+    let json = [&run[..], &["--json"]].concat();
+    let out = darco(&[&json[..], &["--profile-host"]].concat());
+    assert!(out.status.success());
+    assert_eq!(out.stdout, stdout_of(&json).as_bytes(), "the table stays out of --json");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(host_memory_rows(&stderr), rows, "{stderr}");
 }
 
 #[test]

@@ -17,9 +17,10 @@ cd "$(dirname "$0")/.."
 # ordinary English in the manuals. Round 15 names the removed commands
 # and examples as they were invoked. Round 14 is reserved for the audit
 # of the test-only references; round 16 names the timing model's owner
-# keys, which the component key replaced. The host-configuration guard
-# names the configurable host and its validator, which Table I's
-# constants replaced.
+# keys, which the component key replaced; round 17 the CLI flag that
+# turned the co-simulation checker on, now that every run is checked.
+# The host-configuration guard names the configurable host and its
+# validator, which Table I's constants replaced.
 echo "== removed switches stay removed"
 round2='timing_backend|TimingBackendKind|TimingBackend\b|FanoutTiming|wants_shared|consume_shared|job_backend|retire_templates|interp_templates|exec_block_rederive|guest_fast_path|flat_mem|mem_shortcuts|Store::Legacy|event_batch|timing-backend|guest-fast-path|bench_report|bench\.sh'
 round3='Interaction::|TimingConfig::isolated|\.interaction\b|CachePolicy|cache_policy|cache-policy|EvictCause|with_policy|opt_const_prop|opt_const_fold|check_translation'
@@ -35,8 +36,9 @@ round12='opt_constprop|opt_cse\b|opt_dce|bbm_peephole'
 round13='partial_cycle|count_hit|btb_tags|btb_targets|tlb_walks|sw_prefetches|l1_miss_rate'
 round15='darco trace|darco timeline|characterize_tol|interaction_study|example quickstart'
 round16='OwnerMemStats|owner_stats|owner_idx|record_branch|l2_miss'
+round17='--cosim'
 host_config='TimingConfig|TimingConfigError'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$host_config"
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$host_config"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
