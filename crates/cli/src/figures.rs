@@ -30,13 +30,12 @@
 //! emulator at every step boundary, so no printed number comes from an
 //! unchecked run.
 
-use crate::{bail, parse, run_batch};
+use crate::{bail, parse, run_batch, Opts};
 use darco_core::experiments::{self, BenchRun};
 use darco_core::report::{pct, render_table};
-use darco_core::{System, SystemConfig};
+use darco_core::SystemConfig;
 use darco_tol::TolConfig;
-use darco_workloads::{generate, suites, BenchProfile};
-use std::collections::BTreeMap;
+use darco_workloads::{suites, BenchProfile};
 
 /// The default `--scale` of `darco figures`: the run length the scaled
 /// `BB/SBth` threshold is sized for (DESIGN.md §12).
@@ -81,15 +80,15 @@ pub fn figures(rest: &[String]) {
         }
     }
     let o = parse("figures", flags, &["--scale", "--jobs"], SCALE);
-    let (scale, cfg) = (o.scale, SystemConfig::default());
+    let cfg = SystemConfig::default();
     match command {
         "table1" => table1(),
-        "startup" => startup(scale, &cfg),
-        "ablate-thresholds" => ablate_thresholds(scale, &cfg),
-        "ablate-ibtc" => ablate_ibtc(scale, &cfg),
-        "ablate-passes" => ablate_passes(scale, &cfg),
-        "ablate-codecache" => ablate_codecache(scale, &cfg),
-        "ablate-future" => ablate_future(scale, &cfg),
+        "startup" => startup(&o, &cfg),
+        "ablate-thresholds" => ablate_thresholds(&o, &cfg),
+        "ablate-ibtc" => ablate_ibtc(&o, &cfg),
+        "ablate-passes" => ablate_passes(&o, &cfg),
+        "ablate-codecache" => ablate_codecache(&o, &cfg),
+        "ablate-future" => ablate_future(&o, &cfg),
         _ => {
             let selected: Vec<Printer> = ROSTER_FIGURES
                 .iter()
@@ -349,124 +348,104 @@ fn fig11(runs: &[BenchRun]) {
 
 // --------------------------------------------------------------- ablations
 
-/// A small representative subset for the sweeps.
-fn ablation_profiles() -> Vec<BenchProfile> {
-    ["400.perlbench", "401.bzip2", "433.milc", "007.jpg2000enc"]
-        .iter()
-        .map(|n| suites::by_name(n).expect("profile"))
-        .collect()
+/// The roster benchmarks named.
+fn roster(names: &[&str]) -> Vec<BenchProfile> {
+    names.iter().map(|n| suites::by_name(n).expect("profile")).collect()
 }
 
-fn overhead_of(scale: f64, cfg: &SystemConfig, profiles: &[BenchProfile]) -> BTreeMap<String, f64> {
-    profiles
-        .iter()
-        .map(|p| {
-            let r = experiments::run_bench(p, scale, cfg);
-            (p.name.clone(), r.report.timing.tol_overhead_share())
-        })
-        .collect()
+/// Runs the sweep subset under each labelled variant of `base`'s TOL
+/// configuration through [`run_batch`], so `--jobs` spreads the runs of
+/// every variant. Each row is the variant's label, the benchmark and then
+/// `cells` of its run, variants in order and benchmarks in roster order.
+fn sweep(
+    o: &Opts,
+    base: &SystemConfig,
+    variants: Vec<(String, TolConfig)>,
+    cells: impl Fn(&BenchRun) -> Vec<String>,
+) -> Vec<Vec<String>> {
+    let profiles = roster(&["400.perlbench", "401.bzip2", "433.milc", "007.jpg2000enc"]);
+    let mut table = Vec::new();
+    for (label, tol) in variants {
+        for r in run_batch(&profiles, o, &SystemConfig { tol, ..base.clone() }) {
+            table.push([vec![label.clone(), r.name.clone()], cells(&r)].concat());
+        }
+    }
+    table
 }
 
-fn ablate_thresholds(scale: f64, base: &SystemConfig) {
+fn ablate_thresholds(o: &Opts, base: &SystemConfig) {
     heading(
         "Ablation: promotion thresholds (the paper assumes IM/BBth=5, BB/SBth=10K scaled to 50)",
     );
-    let mut table = Vec::new();
-    for (im, sb) in [(2u32, 50u32), (5, 50), (20, 50), (5, 10), (5, 200), (5, 1000)] {
-        let cfg = SystemConfig {
-            tol: TolConfig { im_bb_threshold: im, bb_sb_threshold: sb, ..base.tol.clone() },
-            ..base.clone()
-        };
-        for (name, ov) in overhead_of(scale, &cfg, &ablation_profiles()) {
-            table.push(vec![format!("{im}/{sb}"), name, pct(ov)]);
-        }
-    }
+    let variants = [(2u32, 50u32), (5, 50), (20, 50), (5, 10), (5, 200), (5, 1000)]
+        .map(|(im, sb)| {
+            let tol = TolConfig { im_bb_threshold: im, bb_sb_threshold: sb, ..base.tol.clone() };
+            (format!("{im}/{sb}"), tol)
+        })
+        .to_vec();
+    let table = sweep(o, base, variants, |r| vec![pct(r.report.timing.tol_overhead_share())]);
     println!("{}", render_table(&["IM/BBth / BB/SBth", "benchmark", "overhead"], &table));
 }
 
-fn ablate_ibtc(scale: f64, base: &SystemConfig) {
+fn ablate_ibtc(o: &Opts, base: &SystemConfig) {
     heading("Ablation: IBTC size (indirect-branch handling, Sec. III-E)");
-    let mut table = Vec::new();
-    for entries in [16u32, 64, 512, 4096] {
-        let cfg = SystemConfig {
-            tol: TolConfig { ibtc_entries: entries, ..base.tol.clone() },
-            ..base.clone()
-        };
-        for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, scale, &cfg);
-            let hits = r.report.tol.ibtc_hits;
-            let total = hits + r.report.tol.ibtc_misses;
-            table.push(vec![
-                entries.to_string(),
-                p.name.clone(),
-                pct(r.report.timing.tol_overhead_share()),
-                if total > 0 { pct(hits as f64 / total as f64) } else { "-".into() },
-            ]);
-        }
-    }
+    let variants = [16u32, 64, 512, 4096]
+        .map(|entries| {
+            (entries.to_string(), TolConfig { ibtc_entries: entries, ..base.tol.clone() })
+        })
+        .to_vec();
+    let table = sweep(o, base, variants, |r| {
+        let hits = r.report.tol.ibtc_hits;
+        let total = hits + r.report.tol.ibtc_misses;
+        vec![
+            pct(r.report.timing.tol_overhead_share()),
+            if total > 0 { pct(hits as f64 / total as f64) } else { "-".into() },
+        ]
+    });
     println!(
         "{}",
         render_table(&["IBTC entries", "benchmark", "overhead", "IBTC hit rate"], &table)
     );
 }
 
-fn ablate_passes(scale: f64, base: &SystemConfig) {
+fn ablate_passes(o: &Opts, base: &SystemConfig) {
     heading("Ablation: SBM optimization passes");
-    let variants: Vec<(&str, TolConfig)> = vec![
-        ("all passes", base.tol.clone()),
-        ("no scheduling", TolConfig { opt_schedule: false, ..base.tol.clone() }),
+    let variants = vec![
+        ("all passes".into(), base.tol.clone()),
+        ("no scheduling".into(), TolConfig { opt_schedule: false, ..base.tol.clone() }),
         (
-            "none (translate only)",
+            "none (translate only)".into(),
             TolConfig { optimize: false, opt_schedule: false, ..base.tol.clone() },
         ),
     ];
-    let mut table = Vec::new();
-    for (label, tol) in variants {
-        let cfg = SystemConfig { tol, ..base.clone() };
-        for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, scale, &cfg);
-            table.push(vec![
-                label.to_string(),
-                p.name.clone(),
-                r.report.timing.total_cycles.to_string(),
-                format!("{:.3}", r.report.timing.ipc()),
-            ]);
-        }
-    }
+    let table = sweep(o, base, variants, |r| {
+        vec![r.report.timing.total_cycles.to_string(), format!("{:.3}", r.report.timing.ipc())]
+    });
     println!("{}", render_table(&["passes", "benchmark", "cycles", "IPC"], &table));
 }
 
-fn ablate_codecache(scale: f64, base: &SystemConfig) {
+fn ablate_codecache(o: &Opts, base: &SystemConfig) {
     heading("Ablation: code cache capacity (bounded cache with flush, cf. [33])");
-    let mut table = Vec::new();
-    for cap in [1u32 << 14, 1 << 16, 1 << 18, 1 << 20] {
-        let cfg = SystemConfig {
-            tol: TolConfig { code_cache_capacity: cap, ..base.tol.clone() },
-            ..base.clone()
-        };
-        for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, scale, &cfg);
-            table.push(vec![
-                format!("{}Ki insts", cap >> 10),
-                p.name.clone(),
-                pct(r.report.timing.tol_overhead_share()),
-                r.report.tol.flushes.to_string(),
-            ]);
-        }
-    }
+    let variants = [1u32 << 14, 1 << 16, 1 << 18, 1 << 20]
+        .map(|cap| {
+            let tol = TolConfig { code_cache_capacity: cap, ..base.tol.clone() };
+            (format!("{}Ki insts", cap >> 10), tol)
+        })
+        .to_vec();
+    let table = sweep(o, base, variants, |r| {
+        vec![pct(r.report.timing.tol_overhead_share()), r.report.tol.flushes.to_string()]
+    });
     println!("{}", render_table(&["capacity", "benchmark", "overhead", "flushes"], &table));
 }
 
-fn startup(scale: f64, base: &SystemConfig) {
+fn startup(o: &Opts, base: &SystemConfig) {
     heading("Start-up vs steady state (Sec. II-B transitional effects)");
-    for name in ["462.libquantum", "400.perlbench", "000.cjpeg"] {
-        let p = suites::by_name(name).expect("profile");
-        let cfg = SystemConfig { window_guest_insts: 100_000, ..base.clone() };
-        let mut sys = System::new(generate(&p, scale), cfg);
-        let r = sys.run_to_completion();
-        println!("{name}: TOL share of host instructions per 100K-guest-instruction window");
+    let profiles = roster(&["462.libquantum", "400.perlbench", "000.cjpeg"]);
+    let cfg = SystemConfig { window_guest_insts: 100_000, ..base.clone() };
+    for r in run_batch(&profiles, o, &cfg) {
+        println!("{}: TOL share of host instructions per 100K-guest-instruction window", r.name);
         let mut line = String::from("  ");
-        for w in r.timeline.iter().take(30) {
+        for w in r.report.timeline.iter().take(30) {
             line.push_str(&format!("{:4.0}% ", w.overhead_share() * 100.0));
         }
         println!("{line}");
@@ -478,34 +457,30 @@ fn startup(scale: f64, base: &SystemConfig) {
     );
 }
 
-fn ablate_future(scale: f64, base: &SystemConfig) {
+fn ablate_future(o: &Opts, base: &SystemConfig) {
     heading("Ablation: the paper's Sec. III-E proposals, implemented");
-    let variants: Vec<(&str, TolConfig)> = vec![
-        ("baseline", base.tol.clone()),
-        ("+ software prefetching", TolConfig { opt_sw_prefetch: true, ..base.tol.clone() }),
-        ("+ speculative indirect", TolConfig { speculate_indirect: true, ..base.tol.clone() }),
-        ("scattered code placement", TolConfig { codecache_scattered: true, ..base.tol.clone() }),
+    let variants = vec![
+        ("baseline".into(), base.tol.clone()),
+        ("+ software prefetching".into(), TolConfig { opt_sw_prefetch: true, ..base.tol.clone() }),
+        (
+            "+ speculative indirect".into(),
+            TolConfig { speculate_indirect: true, ..base.tol.clone() },
+        ),
+        (
+            "scattered code placement".into(),
+            TolConfig { codecache_scattered: true, ..base.tol.clone() },
+        ),
     ];
-    let mut table = Vec::new();
-    for (label, tol) in variants {
-        let cfg = SystemConfig { tol, ..base.clone() };
-        for p in ablation_profiles() {
-            let r = experiments::run_bench(&p, scale, &cfg);
-            let t = &r.report.timing;
-            table.push(vec![
-                label.to_string(),
-                p.name.clone(),
-                t.total_cycles.to_string(),
-                format!("{:.3}", t.ipc()),
-                pct(t.d_miss_rate(darco_host::Owner::App)),
-                pct(t.i_miss_rate(darco_host::Owner::App)),
-                format!(
-                    "{}/{}",
-                    r.report.tol.counters.spec_hits, r.report.tol.counters.spec_misses
-                ),
-            ]);
-        }
-    }
+    let table = sweep(o, base, variants, |r| {
+        let t = &r.report.timing;
+        vec![
+            t.total_cycles.to_string(),
+            format!("{:.3}", t.ipc()),
+            pct(t.d_miss_rate(darco_host::Owner::App)),
+            pct(t.i_miss_rate(darco_host::Owner::App)),
+            format!("{}/{}", r.report.tol.counters.spec_hits, r.report.tol.counters.spec_misses),
+        ]
+    });
     println!(
         "{}",
         render_table(

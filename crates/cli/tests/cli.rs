@@ -361,6 +361,18 @@ fn figures_startup_prints_one_transient_per_benchmark() {
 }
 
 #[test]
+fn figures_sweeps_do_not_depend_on_the_job_count() {
+    let sweep = ["figures", "ablate-passes", "--scale", "0.02"];
+    let one = stdout_of(&[&sweep[..], &["--jobs", "1"]].concat());
+    let two = stdout_of(&[&sweep[..], &["--jobs", "2"]].concat());
+    assert!(
+        one.contains("=== Ablation: SBM optimization passes") && one.contains("433.milc"),
+        "{one}"
+    );
+    assert_eq!(one, two, "the sweep's runs are independent of the threads beside them");
+}
+
+#[test]
 fn an_exported_profile_runs_like_the_benchmark_it_came_from() {
     let path = std::env::temp_dir().join(format!("darco-cli-export-{}.json", std::process::id()));
     let path = path.to_str().expect("utf-8 temp path");
