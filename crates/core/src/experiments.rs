@@ -13,6 +13,7 @@
 
 use crate::system::{Report, System, SystemConfig};
 use darco_host::{Component, Owner};
+use darco_timing::config::ISSUE_WIDTH;
 use darco_timing::{BubbleCause, Stats};
 use darco_workloads::{generate, BenchProfile, Suite};
 use serde::Serialize;
@@ -283,7 +284,7 @@ pub struct Fig9Row {
 fn fig9_categories(s: &Stats) -> [f64; 10] {
     let t = s.attributed_time().max(1e-9);
     let b = |o: Owner, c: BubbleCause| s.owner_bubbles(o, c) / t;
-    let insts = |o: Owner| s.owner_insts(o) as f64 / s.issue_width.max(1) as f64 / t;
+    let insts = |o: Owner| s.owner_insts(o) as f64 / ISSUE_WIDTH as f64 / t;
     [
         b(Owner::Tol, BubbleCause::DCacheMiss),
         b(Owner::App, BubbleCause::DCacheMiss),
@@ -331,7 +332,7 @@ pub struct Fig10Row {
 
 /// Execution time attributed to one owner in the shared run.
 fn owner_time(s: &Stats, o: Owner) -> f64 {
-    s.owner_insts(o) as f64 / s.issue_width.max(1) as f64 + s.owner_bubble_total(o)
+    s.owner_insts(o) as f64 / ISSUE_WIDTH as f64 + s.owner_bubble_total(o)
 }
 
 fn fig10_row(label: String, r: &Report) -> Fig10Row {

@@ -96,7 +96,7 @@ impl Pipeline {
         Pipeline {
             mem: MemSystem::new(),
             pred: Predictor::new(),
-            stats: Stats { issue_width: ISSUE_WIDTH, ..Stats::default() },
+            stats: Stats::default(),
             bubble_units: [[0; 4]; 7],
             reg_ready: [0; SLOTS],
             reg_tag: [0; SLOTS],

@@ -6,6 +6,7 @@
 //! classes, and the per-owner miss/misprediction rates that feed Fig. 8
 //! are sums over each owner's components.
 
+use crate::config::ISSUE_WIDTH;
 use darco_host::{Component, Owner};
 use serde::Serialize;
 
@@ -62,8 +63,6 @@ pub struct Stats {
     pub mispredicts: [u64; 7],
     /// Prefetches issued.
     pub prefetches: u64,
-    /// Issue width the run was configured with (for time accounting).
-    pub issue_width: u32,
 }
 
 /// Sum of a per-component count over an owner's components.
@@ -122,7 +121,7 @@ impl Stats {
 
     /// Cycles spent retiring a component's instructions (`insts / width`).
     pub fn component_inst_cycles(&self, c: Component) -> f64 {
-        self.component_insts(c) as f64 / self.issue_width.max(1) as f64
+        self.component_insts(c) as f64 / ISSUE_WIDTH as f64
     }
 
     /// Estimated execution time attributable to a component: its retire
@@ -177,7 +176,7 @@ mod tests {
 
     #[test]
     fn accounting_roundtrip() {
-        let mut s = Stats { issue_width: 2, ..Stats::default() };
+        let mut s = Stats::default();
         s.insts[Component::AppCode.index()] = 2;
         s.insts[Component::TolLookup.index()] = 1;
         s.bubbles[Component::TolLookup.index()][BubbleCause::DCacheMiss.index()] = 3.0;

@@ -62,7 +62,7 @@ impl Reference {
         Reference {
             mem: MemSystem::new(),
             pred: Predictor::new(),
-            stats: Stats { issue_width: ISSUE_WIDTH, ..Stats::default() },
+            stats: Stats::default(),
             bubble_units: [[0; 4]; 7],
             reg_ready: [0; REGS],
             reg_load_miss: [false; REGS],
@@ -443,7 +443,6 @@ fn assert_stats_identical(a: &Stats, b: &Stats, at: &str) {
     assert_eq!(a.branches, b.branches, "branches {at}");
     assert_eq!(a.mispredicts, b.mispredicts, "mispredicts {at}");
     assert_eq!(a.prefetches, b.prefetches, "prefetches {at}");
-    assert_eq!(a.issue_width, b.issue_width, "issue_width {at}");
 }
 
 /// The production pipeline and the reference agree after every retired

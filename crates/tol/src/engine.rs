@@ -62,8 +62,6 @@ pub struct TolCounters {
 pub struct StepOutcome {
     /// Guest instructions retired during this step.
     pub guest_insts: u64,
-    /// Whether the guest program has halted.
-    pub done: bool,
     /// Mode the step (mostly) executed in.
     pub mode: Mode,
 }
@@ -283,12 +281,12 @@ impl Tol {
         budget: u64,
     ) -> Result<StepOutcome, DecodeError> {
         if self.halted {
-            return Ok(StepOutcome { guest_insts: 0, done: true, mode: Mode::Im });
+            return Ok(StepOutcome { guest_insts: 0, mode: Mode::Im });
         }
         let pc = self.guest_pc;
         if self.cc.lookup(pc).is_some() {
             let n = self.run_translated(mem, ev, budget)?;
-            return Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Sbm });
+            return Ok(StepOutcome { guest_insts: n, mode: Mode::Sbm });
         }
 
         // Miss: the dispatcher decides between interpretation and
@@ -313,13 +311,13 @@ impl Tol {
                 // The translation alone exceeds the whole cache: it can
                 // never be installed, so this block stays interpreted.
                 let n = self.interpret_bb(mem, ev)?;
-                return Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Im });
+                return Ok(StepOutcome { guest_insts: n, mode: Mode::Im });
             }
             let n = self.run_translated(mem, ev, budget)?;
-            Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Bbm })
+            Ok(StepOutcome { guest_insts: n, mode: Mode::Bbm })
         } else {
             let n = self.interpret_bb(mem, ev)?;
-            Ok(StepOutcome { guest_insts: n, done: self.halted, mode: Mode::Im })
+            Ok(StepOutcome { guest_insts: n, mode: Mode::Im })
         }
     }
 
