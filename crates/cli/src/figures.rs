@@ -34,6 +34,7 @@ use crate::{bail, parse, run_batch, Opts};
 use darco_core::experiments::{self, BenchRun};
 use darco_core::report::{pct, render_table};
 use darco_core::SystemConfig;
+use darco_host::{Component, Owner};
 use darco_tol::TolConfig;
 use darco_workloads::{suites, BenchProfile};
 
@@ -234,6 +235,23 @@ fn fig8(runs: &[BenchRun]) {
     );
     let (lo, hi) = rows.iter().fold((f64::MAX, 0f64), |(lo, hi), r| (lo.min(r.ipc), hi.max(r.ipc)));
     println!("TOL IPC range: {lo:.2} .. {hi:.2} (paper: 0.85 for 445.gobmk .. 1.48 for 433.milc)");
+    // Where the mispredictions come from: each TOL module's branches.
+    let modules: Vec<Component> =
+        Component::ALL.into_iter().filter(|c| c.owner() == Owner::Tol).collect();
+    let headers: Vec<&str> =
+        std::iter::once("benchmark").chain(modules.iter().map(|c| c.label())).collect();
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            let cells = modules.iter().map(|c| {
+                let i = c.index();
+                format!("{}/{}", r.mispredicts[i], r.branches[i])
+            });
+            std::iter::once(r.name.clone()).chain(cells).collect()
+        })
+        .collect();
+    println!("\nTOL branches per module, mispredicted/executed:\n");
+    println!("{}", render_table(&headers, &table));
 }
 
 // ------------------------------------------------------------------ Fig 9
@@ -476,8 +494,8 @@ fn ablate_future(o: &Opts, base: &SystemConfig) {
         vec![
             t.total_cycles.to_string(),
             format!("{:.3}", t.ipc()),
-            pct(t.d_miss_rate(darco_host::Owner::App)),
-            pct(t.i_miss_rate(darco_host::Owner::App)),
+            pct(t.d_miss_rate(Owner::App)),
+            pct(t.i_miss_rate(Owner::App)),
             format!("{}/{}", r.report.tol.counters.spec_hits, r.report.tol.counters.spec_misses),
         ]
     });

@@ -421,9 +421,11 @@ fn print_report(r: &Report, json: bool) {
         "event stream       : {} events in {} batches (largest {})",
         r.trace.events, r.trace.batches, r.trace.max_batch
     );
-    println!("\ntime by component:");
+    println!("\ntime by component, then its branches (mispredicted / executed):");
     for c in Component::ALL {
-        println!("  {:14} {:6.2}%", c.label(), r.timing.component_share(c) * 100.0);
+        let (share, i) = (r.timing.component_share(c) * 100.0, c.index());
+        let (mispredicts, branches) = (r.timing.mispredicts[i], r.timing.branches[i]);
+        println!("  {:14} {share:6.2}%  {mispredicts:>10} / {branches:>10}", c.label());
     }
     println!("\nsoftware layer:");
     let s = &r.tol;

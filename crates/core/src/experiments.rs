@@ -242,6 +242,10 @@ pub struct Fig8Row {
     pub i_miss_rate: f64,
     /// TOL branch misprediction rate.
     pub mispredict_rate: f64,
+    /// Control transfers per component, in [`Component::ALL`] order.
+    pub branches: [u64; 7],
+    /// Mispredicted control transfers per component.
+    pub mispredicts: [u64; 7],
 }
 
 /// Builds Fig. 8 rows.
@@ -260,6 +264,8 @@ pub fn fig8(runs: &[BenchRun]) -> Vec<Fig8Row> {
                 d_miss_rate: s.d_miss_rate(Owner::Tol),
                 i_miss_rate: s.i_miss_rate(Owner::Tol),
                 mispredict_rate: s.mispredict_rate(Owner::Tol),
+                branches: s.branches,
+                mispredicts: s.mispredicts,
             }
         })
         .collect()

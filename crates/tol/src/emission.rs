@@ -240,7 +240,10 @@ impl RetireTarget for Vec<DynInst> {
 }
 
 /// Stream-building cursor: sequential PCs, cycling TOL scratch registers,
-/// one-deep load-use chaining.
+/// one-deep load-use chaining. A loop of the modeled routine takes
+/// `let top = c.pc;` before it and sets `c.pc = top;` at the top of each
+/// iteration: n iterations are one static code sequence run n times, as
+/// in compiled code, not n distinct branch sites walking through memory.
 struct Cur<'a, T: RetireTarget> {
     pc: u64,
     comp: Component,
@@ -380,7 +383,9 @@ impl Emitter {
     ) {
         let comp = Component::TolBbm;
         let mut c = Cur::new(TOL_CODE_BASE + code::TRANSLATOR, comp, ev);
+        let top = c.pc;
         for r in insts {
+            c.pc = top;
             let opcode = r.inst.class() as u64;
             c.ld(guest_to_host(r.pc)); // read guest code
             c.use_load();
@@ -404,7 +409,9 @@ impl Emitter {
             }
         }
         // Write the produced host code into the code cache.
+        let top = c.pc;
         for _ in 0..host_len {
+            c.pc = top;
             c.st(self.emit_cursor);
             self.emit_cursor += 4;
         }
@@ -428,14 +435,18 @@ impl Emitter {
         let comp = Component::TolSbm;
         let mut c = Cur::new(TOL_CODE_BASE + code::OPTIMIZER, comp, ev);
         // Formation: read edge profiles of the followed blocks.
+        let top = c.pc;
         for i in 0..bbs_followed.max(1) {
+            c.pc = top;
             c.ld(TOL_DATA_BASE + data::PROFILE + ((i as u64 * 37) % 512) * 16);
             c.use_load();
             c.alu(6);
             c.br(BranchKind::CondDirect, c.pc + 64, i % 2 == 0);
         }
         // Passes: per-IR-instruction work over workspace arrays.
+        let top = c.pc;
         for i in 0..ir_len {
+            c.pc = top;
             let slot = TOL_DATA_BASE + data::WORKSPACE + (i as u64 % 4096) * 16;
             c.ld(slot);
             c.use_load();
@@ -446,7 +457,9 @@ impl Emitter {
             }
         }
         // Code emission and map update.
+        let top = c.pc;
         for _ in 0..host_len {
+            c.pc = top;
             c.st(self.emit_cursor);
             self.emit_cursor += 4;
         }
@@ -594,6 +607,7 @@ mod tests {
     use darco_guest::{Gpr, Inst};
     use darco_host::events::RetireSink;
     use darco_host::Owner;
+    use std::collections::BTreeSet;
 
     fn collect(f: impl FnOnce(&mut Emitter, &mut EventBuffer<'_>)) -> Vec<DynInst> {
         collect_with(&mut Emitter::new(), f)
@@ -754,23 +768,87 @@ mod tests {
         assert_eq!(miss.len(), 2, "compare + fall-through branch only");
     }
 
+    /// A guest block of `n` instructions, flag writers and not.
+    fn block(n: usize) -> Vec<RegionInst> {
+        let add = Inst::AluRR { op: darco_guest::AluOp::Add, dst: Gpr::Eax, src: Gpr::Ebx };
+        let mov = Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx };
+        (0..n).map(|i| ri(2 * i as u32, if i % 2 == 0 { mov } else { add })).collect()
+    }
+
+    /// The guest instructions of the largest block and superblock the
+    /// limits allow, and an over-estimate of the IR ops and host
+    /// instructions one guest instruction translates to.
+    const BB_LIMIT: usize = crate::translate::MAX_BB_INSTS;
+    const SB_LIMIT: usize = crate::superblock::SB_MAX_INSTS as usize + BB_LIMIT;
+    const PER_GUEST_INST: usize = 16;
+
+    #[test]
+    fn translator_branch_sites_do_not_grow_with_block_length() {
+        // A translator's loop is one static code sequence: its branch
+        // sites must not multiply with the iterations, or Gshare and the
+        // BTB never see a site twice.
+        let sites = |v: Vec<DynInst>| -> BTreeSet<u64> {
+            v.iter().filter(|d| d.branch().is_some()).map(|d| d.pc).collect()
+        };
+        let bb = |n: usize| sites(collect(|e, s| e.bb_translate(s, 0, &block(n), 3 * n)));
+        assert_eq!(bb(2), bb(BB_LIMIT));
+        let sb_max_bbs = crate::superblock::SB_MAX_BBS as usize;
+        let sb = |bbs: usize, n: usize| {
+            sites(collect(|e, s| e.sb_optimize(s, bbs, n * PER_GUEST_INST, n * PER_GUEST_INST)))
+        };
+        assert_eq!(sb(2, 8), sb(sb_max_bbs, SB_LIMIT));
+    }
+
     #[test]
     fn tol_code_footprint_is_small() {
-        // All emitted TOL pcs must stay within a 128 KiB window, so the
-        // layer's code largely fits in the L1 I-cache (paper Sec. III-C).
-        let mut pcs = Vec::new();
-        let mut e = Emitter::new();
-        let mut sink = RetireSink(|d: &DynInst| pcs.push(d.pc));
-        let mut ev = EventBuffer::new(64, &mut sink);
-        e.interp_step(&mut ev, 0, &step_info(Inst::Ret));
-        e.map_lookup(&mut ev, 77, false);
-        e.transition(&mut ev);
-        e.dispatch(&mut ev, StaticMode::Im);
-        e.chain(&mut ev, darco_host::layout::CODE_CACHE_BASE);
-        ev.flush();
-        for pc in pcs {
-            if pc >= TOL_CODE_BASE {
-                assert!(pc < TOL_CODE_BASE + 0x2_0000, "pc {pc:#x} outside TOL code window");
+        // Every routine's pcs stay inside its module's code region, up to
+        // the largest block and superblock the limits allow, and so all
+        // of the layer's code inside a 128 KiB window that largely fits
+        // in the L1 I-cache (paper Sec. III-C).
+        let module = |start: u64, end: u64| TOL_CODE_BASE + start..TOL_CODE_BASE + end;
+        let (bb_host, sb_ir) = (BB_LIMIT * PER_GUEST_INST, SB_LIMIT * PER_GUEST_INST);
+        let sb_max_bbs = crate::superblock::SB_MAX_BBS as usize;
+        let routines = [
+            ("dispatch", collect(|e, s| e.dispatch(s, StaticMode::Im)), module(0, code::INTERP)),
+            (
+                "interp_step",
+                collect(|e, s| {
+                    for r in block(2) {
+                        e.interp_step(s, u32::MAX, &step_info(r.inst));
+                    }
+                    e.interp_step(s, u32::MAX, &step_info(Inst::Ret));
+                }),
+                module(code::INTERP, code::TRANSLATOR),
+            ),
+            (
+                "bb_translate",
+                collect(|e, s| e.bb_translate(s, 0, &block(BB_LIMIT), bb_host)),
+                module(code::TRANSLATOR, code::OPTIMIZER),
+            ),
+            (
+                "sb_optimize",
+                collect(|e, s| e.sb_optimize(s, sb_max_bbs, sb_ir, sb_ir)),
+                module(code::OPTIMIZER, code::CHAINER),
+            ),
+            (
+                "chain",
+                collect(|e, s| e.chain(s, darco_host::layout::CODE_CACHE_BASE)),
+                module(code::CHAINER, code::LOOKUP),
+            ),
+            (
+                "map_lookup",
+                collect(|e, s| {
+                    e.map_lookup(s, 77, false);
+                    e.map_lookup(s, 77, true);
+                    e.ibtc_update(s, 17);
+                }),
+                module(code::LOOKUP, code::TRANSITION),
+            ),
+            ("transition", collect(|e, s| e.transition(s)), module(code::TRANSITION, 0x2_0000)),
+        ];
+        for (name, stream, region) in routines {
+            for d in stream {
+                assert!(region.contains(&d.pc), "{name}: pc {:#x} outside {region:#x?}", d.pc);
             }
         }
     }
