@@ -775,11 +775,14 @@ mod tests {
         (0..n).map(|i| ri(2 * i as u32, if i % 2 == 0 { mov } else { add })).collect()
     }
 
-    /// The guest instructions of the largest block and superblock the
-    /// limits allow, and an over-estimate of the IR ops and host
-    /// instructions one guest instruction translates to.
+    /// The largest block and superblock the limits allow: guest
+    /// instructions (a superblock stops growing at `SB_MAX_INSTS` but
+    /// takes the whole block that crossed it) and blocks followed, and an
+    /// over-estimate of the IR ops and host instructions one guest
+    /// instruction translates to (a handful).
     const BB_LIMIT: usize = crate::translate::MAX_BB_INSTS;
     const SB_LIMIT: usize = crate::superblock::SB_MAX_INSTS as usize + BB_LIMIT;
+    const SB_BBS: usize = crate::superblock::SB_MAX_BBS as usize;
     const PER_GUEST_INST: usize = 16;
 
     #[test]
@@ -792,11 +795,10 @@ mod tests {
         };
         let bb = |n: usize| sites(collect(|e, s| e.bb_translate(s, 0, &block(n), 3 * n)));
         assert_eq!(bb(2), bb(BB_LIMIT));
-        let sb_max_bbs = crate::superblock::SB_MAX_BBS as usize;
         let sb = |bbs: usize, n: usize| {
             sites(collect(|e, s| e.sb_optimize(s, bbs, n * PER_GUEST_INST, n * PER_GUEST_INST)))
         };
-        assert_eq!(sb(2, 8), sb(sb_max_bbs, SB_LIMIT));
+        assert_eq!(sb(2, 8), sb(SB_BBS, SB_LIMIT));
     }
 
     #[test]
@@ -807,7 +809,6 @@ mod tests {
         // in the L1 I-cache (paper Sec. III-C).
         let module = |start: u64, end: u64| TOL_CODE_BASE + start..TOL_CODE_BASE + end;
         let (bb_host, sb_ir) = (BB_LIMIT * PER_GUEST_INST, SB_LIMIT * PER_GUEST_INST);
-        let sb_max_bbs = crate::superblock::SB_MAX_BBS as usize;
         let routines = [
             ("dispatch", collect(|e, s| e.dispatch(s, StaticMode::Im)), module(0, code::INTERP)),
             (
@@ -827,7 +828,7 @@ mod tests {
             ),
             (
                 "sb_optimize",
-                collect(|e, s| e.sb_optimize(s, sb_max_bbs, sb_ir, sb_ir)),
+                collect(|e, s| e.sb_optimize(s, SB_BBS, sb_ir, sb_ir)),
                 module(code::OPTIMIZER, code::CHAINER),
             ),
             (
