@@ -504,6 +504,9 @@ fn hottest(tol: &Tol) -> Vec<(BlockId, &TranslatedBlock)> {
 // -------------------------------------------------------- export-profile
 
 fn export_profile(rest: &[String]) {
+    if let Some(flag) = rest.iter().find(|a| a.starts_with('-')) {
+        bail(&format!("unknown flag {flag}"));
+    }
     let [name, path] = rest else { bail("usage: darco export-profile <benchmark> <file.json>") };
     let json = serde_json::to_string_pretty(&named_profile(name)).expect("serialize profile");
     std::fs::write(path, json).unwrap_or_else(|e| bail(&format!("write {path}: {e}")));

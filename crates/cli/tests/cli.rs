@@ -255,6 +255,7 @@ fn a_command_refuses_words_it_does_not_read() {
         (&["list", "quicktest"], "quicktest: `darco list` takes no benchmark"),
         (&["export-profile", "quicktest", "f.json", "junk"], "usage: darco export-profile"),
         (&["export-profile", "quicktest"], "usage: darco export-profile"),
+        (&["export-profile", "quicktest", "--cosim"], "unknown flag --cosim"),
         (&["bogus", "--help"], "unknown command: bogus"),
     ] {
         rejected(args, needle);
