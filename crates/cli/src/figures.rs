@@ -99,6 +99,8 @@ pub fn figures(rest: &[String]) {
             if selected.is_empty() {
                 bail(&format!("unknown figure {command}; try `darco --help`"));
             }
+            // Figs. 8, 10 and 11 read the filtered pipelines.
+            let cfg = SystemConfig { app_only_pipeline: true, tol_only_pipeline: true, ..cfg };
             let runs = run_batch(&suites::all_profiles(), &o, &cfg);
             for print in selected {
                 print(&runs);

@@ -255,7 +255,13 @@ fn host_memory_table(holders: &[(&str, usize)]) -> String {
 fn run_set(rest: &[String]) {
     let o = parse("run-set", rest, &["--profile", "--scale", "--jobs", "--json"], SCALE);
     let profiles = if o.profiles.is_empty() { suites::all_profiles() } else { o.profiles.clone() };
-    let runs = run_batch(&profiles, &o, &SystemConfig::default());
+    // `--json` prints the filtered pipelines' reports.
+    let cfg = SystemConfig {
+        app_only_pipeline: true,
+        tol_only_pipeline: true,
+        ..SystemConfig::default()
+    };
+    let runs = run_batch(&profiles, &o, &cfg);
     if o.json {
         println!("{}", serde_json::to_string_pretty(&runs).expect("serialize"));
     } else {
@@ -276,11 +282,14 @@ fn run_set(rest: &[String]) {
     }
 }
 
-/// Runs `profiles` under `cfg` at `--scale` across `--jobs` threads, the
-/// batch driver of `run-set` and `figures`, timing it on stderr.
+/// Runs `profiles` under `cfg` at `--scale` across `--jobs` threads (no
+/// more than there are profiles), the batch driver of `run-set` and
+/// `figures`, timing it on stderr.
 fn run_batch(profiles: &[BenchProfile], o: &Opts, cfg: &SystemConfig) -> Vec<BenchRun> {
-    let jobs =
-        o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let jobs = experiments::workers(
+        o.jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        profiles.len(),
+    );
     eprintln!(
         "running {} benchmark(s) at scale {} on {jobs} thread(s) ...",
         profiles.len(),
@@ -288,7 +297,7 @@ fn run_batch(profiles: &[BenchProfile], o: &Opts, cfg: &SystemConfig) -> Vec<Ben
     );
     let t0 = std::time::Instant::now();
     let runs = experiments::run_set(profiles, o.scale, cfg, jobs);
-    eprintln!("{} benchmark(s) in {:.2?} with --jobs {jobs}", runs.len(), t0.elapsed());
+    eprintln!("{} benchmark(s) in {:.2?} on {jobs} thread(s)", runs.len(), t0.elapsed());
     runs
 }
 

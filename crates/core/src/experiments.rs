@@ -32,12 +32,12 @@ pub struct BenchRun {
 }
 
 /// Runs one benchmark at `scale` (relative to its `dyn_base`) under
-/// `cfg`, with the application-only and TOL-only pipelines attached
-/// whatever `cfg` says: Figs. 8, 10 and 11 read them.
+/// `cfg`. The application-only and TOL-only pipelines are attached only
+/// when `cfg` asks for them: Figs. 8, 10 and 11 read them, and a caller
+/// that reads only the shared pipeline should not pay for them.
 pub fn run_bench(profile: &BenchProfile, scale: f64, cfg: &SystemConfig) -> BenchRun {
     let w = generate(profile, scale);
-    let cfg = SystemConfig { app_only_pipeline: true, tol_only_pipeline: true, ..cfg.clone() };
-    let mut sys = System::new(w, cfg);
+    let mut sys = System::new(w, cfg.clone());
     let report = sys.run_to_completion();
     BenchRun {
         name: profile.name.clone(),
@@ -47,10 +47,16 @@ pub fn run_bench(profile: &BenchProfile, scale: f64, cfg: &SystemConfig) -> Benc
     }
 }
 
-/// Runs [`run_bench`] on each profile across `threads` worker threads
-/// (each benchmark is an independent system, so this is embarrassingly
-/// parallel). Results keep `profiles` order and do not depend on
-/// `threads`.
+/// Worker threads [`run_set`] uses for `threads` requested and `n`
+/// benchmarks: at least one, and no more than there are benchmarks.
+pub fn workers(threads: usize, n: usize) -> usize {
+    threads.clamp(1, n.max(1))
+}
+
+/// Runs [`run_bench`] on each profile across [`workers`]`(threads,
+/// profiles.len())` worker threads (each benchmark is an independent
+/// system, so this is embarrassingly parallel). Results keep `profiles`
+/// order and do not depend on `threads`.
 pub fn run_set(
     profiles: &[BenchProfile],
     scale: f64,
@@ -62,7 +68,7 @@ pub fn run_set(
     let next = AtomicUsize::new(0);
     let results: Vec<Mutex<Option<BenchRun>>> = profiles.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
+        for _ in 0..workers(threads, profiles.len()) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(p) = profiles.get(i) else { break };
@@ -446,7 +452,32 @@ mod tests {
     }
 
     fn quick() -> SystemConfig {
-        SystemConfig { cosim: false, ..SystemConfig::default() }
+        SystemConfig {
+            cosim: false,
+            app_only_pipeline: true,
+            tol_only_pipeline: true,
+            ..SystemConfig::default()
+        }
+    }
+
+    #[test]
+    fn run_bench_attaches_the_pipelines_cfg_asks_for() {
+        for (app, tol) in [(false, false), (true, false), (false, true)] {
+            let cfg = SystemConfig { app_only_pipeline: app, tol_only_pipeline: tol, ..quick() };
+            let r = run_bench(&suites::quicktest_profile(), 0.05, &cfg).report;
+            assert_eq!((r.app_only.is_some(), r.tol_only.is_some()), (app, tol));
+        }
+    }
+
+    #[test]
+    fn workers_are_at_least_one_and_at_most_one_per_benchmark() {
+        assert_eq!(workers(0, 48), 1);
+        assert_eq!(workers(1, 48), 1);
+        assert_eq!(workers(2, 48), 2);
+        assert_eq!(workers(48, 48), 48);
+        assert_eq!(workers(100_000, 48), 48);
+        assert_eq!(workers(usize::MAX, 3), 3);
+        assert_eq!(workers(4, 0), 1);
     }
 
     #[test]

@@ -485,12 +485,7 @@ pub fn generate(profile: &BenchProfile, scale: f64) -> Workload {
     for (i, f) in vfuncs.iter().enumerate() {
         mem.write_u32(FUNC_TABLE + 4 * i as u32, program.label_addr(*f));
     }
-    // Pre-fill a slice of the data region so loads see varied values.
-    let mut seed = profile.seed | 1;
-    for w in (0..profile.mem_footprint.min(1 << 16)).step_by(4) {
-        seed = seed.wrapping_mul(0x9E37_79B9).wrapping_add(12345);
-        mem.write_u32(DATA_BASE + w, seed as u32);
-    }
+    prefill_data(&mut mem, profile.seed, profile.mem_footprint);
 
     let mut initial = CpuState::at(program.base);
     initial.set_gpr(Gpr::Esp, STACK_TOP);
@@ -502,6 +497,30 @@ pub fn generate(profile: &BenchProfile, scale: f64) -> Workload {
         initial,
         static_insts,
         dyn_estimate: outer * per_iter_est + warm_est + cold_est,
+    }
+}
+
+/// Bytes of the data region [`prefill_data`] writes per `write_bytes`
+/// call: one guest-memory frame, so each call is one page-table walk.
+const PREFILL_CHUNK: usize = 1024;
+
+/// Pre-fills a slice of the data region so loads see varied values: the
+/// first `min(footprint, 64 KiB)` bytes from [`DATA_BASE`], rounded up to
+/// a word, hold consecutive words of an LCG seeded by `seed`. The words
+/// go in one frame at a time; with `DATA_BASE` frame-aligned, the
+/// contents, page generations and write counter are those of one
+/// `write_u32` per word in address order.
+fn prefill_data(mem: &mut GuestMem, seed: u64, footprint: u32) {
+    let mut lcg = seed | 1;
+    let mut chunk = [0u8; PREFILL_CHUNK];
+    let len = footprint.min(1 << 16).next_multiple_of(4) as usize;
+    for start in (0..len).step_by(PREFILL_CHUNK) {
+        let bytes = &mut chunk[..(len - start).min(PREFILL_CHUNK)];
+        for word in bytes.chunks_exact_mut(4) {
+            lcg = lcg.wrapping_mul(0x9E37_79B9).wrapping_add(12345);
+            word.copy_from_slice(&(lcg as u32).to_le_bytes());
+        }
+        mem.write_bytes(DATA_BASE + start as u32, bytes);
     }
 }
 
@@ -521,6 +540,44 @@ mod tests {
             n += 1;
         }
         (cpu, n)
+    }
+
+    /// The reference for [`prefill_data`]: one `write_u32` per word, in
+    /// address order.
+    fn prefill_by_word(mem: &mut GuestMem, seed: u64, footprint: u32) {
+        let mut lcg = seed | 1;
+        for w in (0..footprint.min(1 << 16)).step_by(4) {
+            lcg = lcg.wrapping_mul(0x9E37_79B9).wrapping_add(12345);
+            mem.write_u32(DATA_BASE + w, lcg as u32);
+        }
+    }
+
+    #[test]
+    fn prefill_matches_one_store_per_word() {
+        let fresh = GuestMem::new();
+        let mut with_code = GuestMem::new();
+        let code: Vec<u8> = (0..5_000u32).map(|i| (i * 7) as u8).collect();
+        with_code.write_bytes(CODE_BASE, &code);
+        with_code.write_u32(TABLE_BASE, 0xDEAD_BEEF);
+        let last_page = (DATA_BASE + (1 << 16)) >> 12;
+        for base in [fresh, with_code] {
+            for footprint in [4, 6, 1 << 10, 1_030, 1 << 12, 1 << 16, 1 << 24] {
+                for seed in [0, 42, u64::MAX] {
+                    let (mut fast, mut slow) = (base.clone(), base.clone());
+                    prefill_data(&mut fast, seed, footprint);
+                    prefill_by_word(&mut slow, seed, footprint);
+                    let case = format!("footprint {footprint}, seed {seed}");
+                    assert_eq!(fast.first_difference(&slow), None, "contents, {case}");
+                    assert_eq!(fast.write_gen(), slow.write_gen(), "write_gen, {case}");
+                    assert_eq!(fast.frame_bytes(), slow.frame_bytes(), "frame_bytes, {case}");
+                    assert_eq!(fast.resident_pages(), slow.resident_pages(), "pages, {case}");
+                    for pn in 0..=last_page {
+                        let a = pn << 12;
+                        assert_eq!(fast.page_gen(a), slow.page_gen(a), "page_gen {a:#x}, {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,45 +1,61 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs on the repository benchmark, written
-# to a JSON file that is committed with the change, so that the speed
-# and memory of every PR stay comparable in git.
+# Parent/change pairs at rep granularity on the repository benchmark,
+# written to a JSON file that is committed with the change, so that the
+# speed and memory of every PR stay comparable in git.
 #
 #   scripts/pairs.sh PARENT [N] [OUT] [FIRST]
 #
-# Builds PARENT (any commit-ish) in a temporary `git worktree` and the
-# current checkout in place, into two target directories of their own,
-# then runs N pairs (default 10) per workload of BENCHMARK.json, each
-# side as
+# Builds PARENT (any commit-ish, unpacked with `git archive` into a
+# temporary directory) and the current checkout in place, each into a
+# target directory of its own, then runs REPEATS rounds over N seeds
+# (default 10), i = FIRST .. FIRST+N-1 (FIRST defaults to 1). A pair is
+# one short invocation per side of the binary `benchmark/run.sh` builds
+# and execs,
 #
-#   benchmark/run.sh --workload W --seed i --trace 0
+#   benchmark/run.sh --workload W --seed i --seconds 0 --trace 0
 #
-# with the same seed i on both sides, i = FIRST .. FIRST+N-1 (FIRST
-# defaults to 1), the parent first in odd pairs and the change first in
-# even ones. A claim is re-checked on seeds it was not measured on with
-# FIRST, e.g. the held-out seeds 41-45:
+# (three timed reps), for each workload of BENCHMARK.json in turn, both
+# sides pinned with `taskset` to the same CPU: the highest one the
+# script may run on (start it under `taskset -c K` to pick CPU K). The
+# order alternates from pair to pair within a round and flips each round,
+# so that every seed sees the parent first as often as the change. The
+# default, 10 seeds x 12 rounds, takes about 40 minutes on 2 vCPUs. A
+# claim is re-checked on seeds it was not measured on with FIRST, e.g.
+# the held-out seeds 41-45:
 #
 #   scripts/pairs.sh PARENT 5 heldout.json 41
 #
-# OUT defaults (also when given as "") to BENCH_PR<NN>.json at
-# the repository root, NN one more than the newest "PR NN" entry of
-# PARENT's CHANGES.md (a PR may land as several commits, so no subject
-# line need name it). Per workload and end-to-end metric the file holds both
-# medians, the parent's interquartile range, the change's wins and
-# losses, every pair, and a verdict:
+# OUT defaults (also when given as "") to BENCH_PR<NN>.json at the
+# repository root, NN one more than the newest "PR NN" entry of PARENT's
+# CHANGES.md (a PR may land as several commits, so no subject line need
+# name it).
 #
-#   resolved    the change is better in at least 9 of 10 pairs and its
-#               median beats the parent's by more than the parent's IQR
-#   worse       the change's median is worse than the parent's by more
-#               than the metric's bound, or the mirror image of resolved
+# The verdict is paired: per workload and end-to-end metric, the median
+# of the per-pair ratios change/parent, with a distribution-free
+# sign-test interval for that median. Its level is 95 % for the whole
+# file (Bonferroni over its workload x metric cells), so an A/A run
+# reads unresolved on every cell 95 % of the time.
+#
+#   resolved    the interval lies wholly on the better side of 1
+#   worse       the interval lies wholly on the worse side of 1, or the
+#               median ratio is worse than the metric's bound
 #   unresolved  anything else
 #
-# plus the failed reps of each side and a host fingerprint (CPU model,
-# core count, kernel, rustc). Nothing under benchmark/ changes. Each
-# run takes the benchmark's own run length (about 30 s), so the default
-# is about 40 minutes for four workloads.
+# `half_width` is half the interval's width as a fraction: an effect much
+# smaller than it cannot resolve at this pair count. Beside each verdict
+# the file keeps the statistic of the ten-pair files up to
+# BENCH_PR46.json, computed on the same pairs (`old_verdict`: at least
+# 90 % wins and a median gain beyond the parent's IQR), and the parent's
+# absolute medians, so that drift across PRs stays visible. It also holds
+# every pair, the failed reps of each side and a host fingerprint (CPU
+# model, core count, kernel, rustc). Nothing under benchmark/ changes.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
+
+# Rounds over the seeds; sized for about 40 minutes at the default N.
+REPEATS=12
 
 parent=${1:?usage: scripts/pairs.sh PARENT [N] [OUT] [FIRST]}
 n=${2:-10}
@@ -51,15 +67,12 @@ else
     last=$(git show "$parent_sha:CHANGES.md" | { grep -oE '^PR [0-9]+' || true; } | tail -1 | cut -d' ' -f2)
     out="BENCH_PR$(( ${last:-0} + 1 )).json"
 fi
+cpu=$(python3 -c 'import os; print(max(os.sched_getaffinity(0)))')
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
-cleanup() {
-    git -C "$root" worktree remove --force "$work/parent" 2>/dev/null || true
-    git -C "$root" worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$work/parent" "$parent_sha"
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/parent"
+git archive "$parent_sha" | tar -x -C "$work/parent"
 
 # The checkout each side builds and runs in.
 dir_of() { if [ "$1" = parent ]; then echo "$work/parent"; else echo "$root"; fi; }
@@ -68,35 +81,37 @@ build() {
         CARGO_TARGET_DIR="$work/target-$1" \
             cargo build --release --offline --manifest-path benchmark/Cargo.toml >&2)
 }
-# One run; appends `side workload seed <last stdout line>` to runs.txt
-# (`null` when the run died, which counts as a failed rep).
+# One invocation; appends `side workload seed round <last stdout line>`
+# to runs.txt (`null` when it died, which counts as a failed rep).
 run() {
-    local side=$1 workload=$2 seed=$3 line
+    local side=$1 workload=$2 seed=$3 round=$4 line
     if line=$(cd "$(dir_of "$side")" &&
-        CARGO_TARGET_DIR="$work/target-$side" \
-            bash benchmark/run.sh --workload "$workload" --seed "$seed" --trace 0 | tail -1); then
+        taskset -c "$cpu" "$work/target-$side/release/darco-benchmark" \
+            --workload "$workload" --seed "$seed" --seconds 0 --trace 0 2>/dev/null | tail -1); then
         :
     else
         line=null
     fi
-    printf '%s %s %s %s\n' "$side" "$workload" "$seed" "${line:-null}" >>"$work/runs.txt"
+    printf '%s %s %s %s %s\n' "$side" "$workload" "$seed" "$round" "${line:-null}" >>"$work/runs.txt"
 }
 
 build parent
 build change
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 : >"$work/runs.txt"
-for pair in $(seq 1 "$n"); do
-    seed=$((first + pair - 1))
-    for w in $workloads; do
-        echo "pair $pair/$n (seed $seed) $w" >&2
-        if [ $((pair % 2)) -eq 1 ]; then
-            run parent "$w" "$seed"
-            run change "$w" "$seed"
-        else
-            run change "$w" "$seed"
-            run parent "$w" "$seed"
-        fi
+for round in $(seq 1 "$REPEATS"); do
+    for s in $(seq 0 $((n - 1))); do
+        seed=$((first + s))
+        echo "round $round/$REPEATS seed $seed (CPU $cpu)" >&2
+        for w in $workloads; do
+            if [ $(((round + s) % 2)) -eq 1 ]; then
+                run parent "$w" "$seed" "$round"
+                run change "$w" "$seed" "$round"
+            else
+                run change "$w" "$seed" "$round"
+                run parent "$w" "$seed" "$round"
+            fi
+        done
     done
 done
 
@@ -109,9 +124,12 @@ if git status --porcelain --untracked-files=all | cut -c4- | grep -vxF "$out_rel
     dirty=true
 fi
 PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty N=$n FIRST=$first \
-CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) RUSTC=$(rustc --version) \
+REPEATS=$REPEATS CPU=$cpu CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) \
+RUSTC=$(rustc --version) \
     python3 - "$work/runs.txt" "$out" <<'EOF'
 import json, math, os, sys
+
+FAMILY_ALPHA = 0.05
 
 def quantiles(xs):
     """Median, q1 and q3 as benchmark/src/stats.rs computes them."""
@@ -125,61 +143,102 @@ def quantiles(xs):
         return (s[j - 1] * (4 - delta) + s[j] * delta) / 4
     return q(2), q(1), q(3)
 
+def sign_interval(xs, alpha):
+    """Distribution-free interval for the median of xs at level 1 - alpha:
+    order statistics k and n+1-k, k the largest with
+    P(Binomial(n, 1/2) <= k - 1) <= alpha / 2. None when n is too small."""
+    s = sorted(xs)
+    n = len(s)
+    k, cdf = 0, 0.0
+    while True:
+        cdf += math.comb(n, k) / 2 ** n
+        if cdf > alpha / 2:
+            break
+        k += 1
+    if k == 0:
+        return None
+    return s[k - 1], s[n - k]
+
 bench = json.load(open("BENCHMARK.json"))
 runs = {}
 for line in open(sys.argv[1]):
-    side, workload, seed, result = line.rstrip("\n").split(" ", 3)
-    runs[(side, workload, int(seed))] = json.loads(result)
+    side, workload, seed, rnd, result = line.rstrip("\n").split(" ", 4)
+    runs[(side, workload, int(seed), int(rnd))] = json.loads(result)
 
 n = int(os.environ["N"])
-seeds = range(int(os.environ["FIRST"]), int(os.environ["FIRST"]) + n)
+first = int(os.environ["FIRST"])
+keys = [(s, r) for r in range(1, int(os.environ["REPEATS"]) + 1) for s in range(first, first + n)]
+cells = len(bench["workloads"]) * len(bench["end_to_end"])
+alpha = FAMILY_ALPHA / cells
 workloads = {}
 for w in (w["name"] for w in bench["workloads"]):
     failed = {}
     for side in ("parent", "change"):
-        results = [runs.get((side, w, s)) for s in seeds]
+        results = [runs.get((side, w, s, r)) for s, r in keys]
         # A run that died counts as one failed rep.
-        failed[side] = sum(1 if r is None else r["failed"] for r in results)
+        failed[side] = sum(1 if x is None else x["failed"] for x in results)
     metrics = {}
     for m in bench["end_to_end"]:
         higher = m["better"] == "higher"
         pairs = []
-        for s in seeds:
-            p, c = runs.get(("parent", w, s)), runs.get(("change", w, s))
+        for s, r in keys:
+            p, c = runs.get(("parent", w, s, r)), runs.get(("change", w, s, r))
             if p is not None and c is not None:
-                pairs.append((s, p["metrics"][m["name"]]["value"], c["metrics"][m["name"]]["value"]))
+                pv, cv = p["metrics"][m["name"]]["value"], c["metrics"][m["name"]]["value"]
+                if pv > 0:
+                    pairs.append((s, r, pv, cv))
         if not pairs:
-            metrics[m["name"]] = {"verdict": "unresolved", "pairs": []}
+            metrics[m["name"]] = {"verdict": "unresolved", "old_verdict": "unresolved", "pairs": []}
             continue
-        better = lambda a, b: a > b if higher else a < b
-        wins = sum(better(c, p) for _, p, c in pairs)
-        losses = sum(better(p, c) for _, p, c in pairs)
-        pm, pq1, pq3 = quantiles([p for _, p, _ in pairs])
-        cm, _, _ = quantiles([c for _, _, c in pairs])
-        iqr = pq3 - pq1
-        # How much better the change's median is, in the metric's unit.
-        gain = cm - pm if higher else pm - cm
-        within_bound = -gain / pm <= m["bound"]
-        need = math.ceil(0.9 * len(pairs))
-        if not within_bound or (losses >= need and -gain > iqr):
+        ratios = [c / p for _, _, p, c in pairs]
+        ratio, _, _ = quantiles(ratios)
+        # Worse by more than the bound, as a ratio of the parent.
+        beyond_bound = ratio < 1 - m["bound"] if higher else ratio > 1 + m["bound"]
+        interval = sign_interval(ratios, alpha)
+        if interval is None:
+            lo, hi = -math.inf, math.inf
+        else:
+            lo, hi = interval
+        better_side = lo > 1 if higher else hi < 1
+        worse_side = hi < 1 if higher else lo > 1
+        if beyond_bound or worse_side:
             verdict = "worse"
-        elif wins >= need and gain > iqr:
+        elif better_side:
             verdict = "resolved"
         else:
             verdict = "unresolved"
+
+        # The statistic of the ten-pair files, on the same pairs.
+        better = lambda a, b: a > b if higher else a < b
+        wins = sum(better(c, p) for _, _, p, c in pairs)
+        losses = sum(better(p, c) for _, _, p, c in pairs)
+        pm, pq1, pq3 = quantiles([p for _, _, p, _ in pairs])
+        cm, _, _ = quantiles([c for _, _, _, c in pairs])
+        iqr = pq3 - pq1
+        gain = cm - pm if higher else pm - cm
+        need = math.ceil(0.9 * len(pairs))
+        if -gain / pm > m["bound"] or (losses >= need and -gain > iqr):
+            old_verdict = "worse"
+        elif wins >= need and gain > iqr:
+            old_verdict = "resolved"
+        else:
+            old_verdict = "unresolved"
+
         metrics[m["name"]] = {
             "unit": m["unit"],
             "better": m["better"],
             "bound": m["bound"],
+            "ratio": ratio,
+            "interval": [lo, hi] if interval else None,
+            "half_width": (hi - lo) / 2 if interval else None,
+            "verdict": verdict,
             "parent_median": pm,
             "change_median": cm,
-            "ratio": cm / pm,
             "parent_iqr": iqr,
             "wins": wins,
             "losses": losses,
-            "within_bound": within_bound,
-            "verdict": verdict,
-            "pairs": [{"seed": s, "parent": p, "change": c} for s, p, c in pairs],
+            "old_verdict": old_verdict,
+            "pairs": [{"seed": s, "round": r, "parent": p, "change": c} for s, r, p, c in pairs],
         }
     workloads[w] = {"failed_reps": failed, "metrics": metrics}
 
@@ -187,10 +246,15 @@ doc = {
     "parent": os.environ["PARENT_SHA"],
     "head": os.environ["HEAD_SHA"],
     "head_dirty": os.environ["DIRTY"] == "true",
-    "pairs_per_workload": n,
-    "first_seed": seeds.start,
-    "command": "benchmark/run.sh --workload W --seed i --trace 0",
-    "order": "parent first in odd pairs, change first in even pairs",
+    "seeds": n,
+    "first_seed": first,
+    "rounds": int(os.environ["REPEATS"]),
+    "pairs_per_workload": len(keys),
+    "command": "benchmark/run.sh --workload W --seed i --seconds 0 --trace 0",
+    "order": "alternating within a round, flipped each round; both sides on one CPU",
+    "cpu": int(os.environ["CPU"]),
+    "verdict": f"sign-test interval of the median change/parent ratio, "
+               f"level 1 - {FAMILY_ALPHA}/{cells} per cell",
     "host": {
         "cpu_model": os.environ["CPU_MODEL"],
         "cores": int(os.environ["CORES"]),
@@ -202,8 +266,17 @@ doc = {
 with open(sys.argv[2], "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
+print(f"{'workload':14} {'metric':12} {'ratio':>7} {'interval':>17} {'±':>6} "
+      f"{'verdict':10} {'old':10} {'parent median':>13}", file=sys.stderr)
 for w, v in workloads.items():
     for name, m in v["metrics"].items():
-        print(f"{w:14} {name:12} {m.get('ratio', float('nan')):7.4f} {m['verdict']}", file=sys.stderr)
+        iv = m.get("interval")
+        iv_text = f"{iv[0]:.4f}-{iv[1]:.4f}" if iv else "-"
+        hw = f"{m['half_width'] * 100:.2f}%" if iv else "-"
+        print(f"{w:14} {name:12} {m.get('ratio', float('nan')):7.4f} {iv_text:>17} {hw:>6} "
+              f"{m['verdict']:10} {m['old_verdict']:10} {m.get('parent_median', float('nan')):13.6g}",
+              file=sys.stderr)
+    print(f"{w:14} failed reps: parent {v['failed_reps']['parent']}, "
+          f"change {v['failed_reps']['change']}", file=sys.stderr)
 print(f"wrote {sys.argv[2]}", file=sys.stderr)
 EOF

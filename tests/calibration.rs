@@ -11,7 +11,12 @@ use darco::workloads::suites;
 const SCALE: f64 = 0.35;
 
 fn cfg() -> SystemConfig {
-    SystemConfig { cosim: false, ..SystemConfig::default() }
+    SystemConfig {
+        cosim: false,
+        app_only_pipeline: true,
+        tol_only_pipeline: true,
+        ..SystemConfig::default()
+    }
 }
 
 fn named(names: &[&str]) -> Vec<darco::workloads::BenchProfile> {

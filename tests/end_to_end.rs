@@ -16,7 +16,12 @@ fn quick_cfg() -> SystemConfig {
 /// The figures' configuration: co-simulation off, as the tests above
 /// have already held the layer to the reference.
 fn unchecked() -> SystemConfig {
-    SystemConfig { cosim: false, ..SystemConfig::default() }
+    SystemConfig {
+        cosim: false,
+        app_only_pipeline: true,
+        tol_only_pipeline: true,
+        ..SystemConfig::default()
+    }
 }
 
 /// The central correctness claim: the software layer emulates the guest
