@@ -19,7 +19,7 @@
 # script may run on (start it under `taskset -c K` to pick CPU K). The
 # order alternates from pair to pair within a round and flips each round,
 # so that every seed sees the parent first as often as the change. The
-# default, 10 seeds x 12 rounds, takes about 40 minutes on 2 vCPUs. A
+# default, 10 seeds x 12 rounds, takes 30-40 minutes on 2 vCPUs. A
 # claim is re-checked on seeds it was not measured on with FIRST, e.g.
 # the held-out seeds 41-45:
 #
@@ -54,7 +54,7 @@ set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
 
-# Rounds over the seeds; sized for about 40 minutes at the default N.
+# Rounds over the seeds; sized for 30-40 minutes at the default N.
 REPEATS=12
 
 parent=${1:?usage: scripts/pairs.sh PARENT [N] [OUT] [FIRST]}

@@ -11,12 +11,7 @@ use darco::workloads::suites;
 const SCALE: f64 = 0.35;
 
 fn cfg() -> SystemConfig {
-    SystemConfig {
-        cosim: false,
-        app_only_pipeline: true,
-        tol_only_pipeline: true,
-        ..SystemConfig::default()
-    }
+    SystemConfig { cosim: false, ..SystemConfig::default() }
 }
 
 fn named(names: &[&str]) -> Vec<darco::workloads::BenchProfile> {
@@ -126,7 +121,8 @@ fn interaction_worst_case_is_perlbench_class() {
     // Paper Sec. III-D / Fig. 10: frequent TOL transitions (perlbench)
     // produce a clearly larger interaction penalty than the amortized
     // case (lbm).
-    let runs = run_set(&named(&["400.perlbench", "470.lbm"]), SCALE, &cfg(), 2);
+    let cfg = SystemConfig { app_only_pipeline: true, tol_only_pipeline: true, ..cfg() };
+    let runs = run_set(&named(&["400.perlbench", "470.lbm"]), SCALE, &cfg, 2);
     let f10 = darco::core::experiments::fig10(&runs);
     let penalty = |i: usize| 1.0 - (f10[i].app_rel + f10[i].tol_rel) / 2.0;
     assert!(

@@ -14,7 +14,8 @@ fn quick_cfg() -> SystemConfig {
 }
 
 /// The figures' configuration: co-simulation off, as the tests above
-/// have already held the layer to the reference.
+/// have already held the layer to the reference, and the filtered
+/// pipelines Figs. 8, 10 and 11 read.
 fn unchecked() -> SystemConfig {
     SystemConfig {
         cosim: false,
