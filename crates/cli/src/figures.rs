@@ -373,20 +373,24 @@ fn roster(names: &[&str]) -> Vec<BenchProfile> {
     names.iter().map(|n| suites::by_name(n).expect("profile")).collect()
 }
 
-/// Runs the sweep subset under each labelled variant of `base`'s TOL
+/// The benchmarks every ablation sweeps.
+const SWEEP: [&str; 4] = ["400.perlbench", "401.bzip2", "433.milc", "007.jpg2000enc"];
+
+/// Runs `profiles` under each labelled variant of `base`'s TOL
 /// configuration through [`run_batch`], so `--jobs` spreads the runs of
 /// every variant. Each row is the variant's label, the benchmark and then
-/// `cells` of its run, variants in order and benchmarks in roster order.
+/// `cells` of its run, variants in order and benchmarks in `profiles`
+/// order.
 fn sweep(
     o: &Opts,
     base: &SystemConfig,
+    profiles: &[BenchProfile],
     variants: Vec<(String, TolConfig)>,
     cells: impl Fn(&BenchRun) -> Vec<String>,
 ) -> Vec<Vec<String>> {
-    let profiles = roster(&["400.perlbench", "401.bzip2", "433.milc", "007.jpg2000enc"]);
     let mut table = Vec::new();
     for (label, tol) in variants {
-        for r in run_batch(&profiles, o, &SystemConfig { tol, ..base.clone() }) {
+        for r in run_batch(profiles, o, &SystemConfig { tol, ..base.clone() }) {
             table.push([vec![label.clone(), r.name.clone()], cells(&r)].concat());
         }
     }
@@ -403,7 +407,9 @@ fn ablate_thresholds(o: &Opts, base: &SystemConfig) {
             (format!("{im}/{sb}"), tol)
         })
         .to_vec();
-    let table = sweep(o, base, variants, |r| vec![pct(r.report.timing.tol_overhead_share())]);
+    let table = sweep(o, base, &roster(&SWEEP), variants, |r| {
+        vec![pct(r.report.timing.tol_overhead_share())]
+    });
     println!("{}", render_table(&["IM/BBth / BB/SBth", "benchmark", "overhead"], &table));
 }
 
@@ -414,7 +420,7 @@ fn ablate_ibtc(o: &Opts, base: &SystemConfig) {
             (entries.to_string(), TolConfig { ibtc_entries: entries, ..base.tol.clone() })
         })
         .to_vec();
-    let table = sweep(o, base, variants, |r| {
+    let table = sweep(o, base, &roster(&SWEEP), variants, |r| {
         let hits = r.report.tol.ibtc_hits;
         let total = hits + r.report.tol.ibtc_misses;
         vec![
@@ -438,7 +444,7 @@ fn ablate_passes(o: &Opts, base: &SystemConfig) {
             TolConfig { optimize: false, opt_schedule: false, ..base.tol.clone() },
         ),
     ];
-    let table = sweep(o, base, variants, |r| {
+    let table = sweep(o, base, &roster(&SWEEP), variants, |r| {
         vec![r.report.timing.total_cycles.to_string(), format!("{:.3}", r.report.timing.ipc())]
     });
     println!("{}", render_table(&["passes", "benchmark", "cycles", "IPC"], &table));
@@ -452,7 +458,7 @@ fn ablate_codecache(o: &Opts, base: &SystemConfig) {
             (format!("{}Ki insts", cap >> 10), tol)
         })
         .to_vec();
-    let table = sweep(o, base, variants, |r| {
+    let table = sweep(o, base, &roster(&SWEEP), variants, |r| {
         vec![pct(r.report.timing.tol_overhead_share()), r.report.tol.flushes.to_string()]
     });
     println!("{}", render_table(&["capacity", "benchmark", "overhead", "flushes"], &table));
@@ -491,7 +497,7 @@ fn ablate_future(o: &Opts, base: &SystemConfig) {
             TolConfig { codecache_scattered: true, ..base.tol.clone() },
         ),
     ];
-    let table = sweep(o, base, variants, |r| {
+    let table = sweep(o, base, &roster(&SWEEP), variants, |r| {
         let t = &r.report.timing;
         vec![
             t.total_cycles.to_string(),
@@ -556,4 +562,29 @@ fn table1() {
     ];
     println!("{}", render_table(&["Component", "Parameter", "Value"], &rows));
     println!("matches the paper's Table I exactly (the constants of darco_timing::config).");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sweep's table does not depend on `--jobs`: each run is
+    /// independent of the threads beside it.
+    #[test]
+    fn sweeps_do_not_depend_on_the_job_count() {
+        let quick = suites::quicktest_profile();
+        let profiles = [quick.clone(), BenchProfile { seed: 2, ..quick }];
+        let base = SystemConfig::default();
+        let unscheduled = TolConfig { opt_schedule: false, ..base.tol.clone() };
+        let variants = vec![("all".into(), base.tol.clone()), ("unscheduled".into(), unscheduled)];
+        let table = |jobs| {
+            let o = Opts { scale: 0.02, jobs: Some(jobs), ..Opts::default() };
+            let cells = |r: &BenchRun| vec![r.report.timing.total_cycles.to_string()];
+            sweep(&o, &base, &profiles, variants.clone(), cells)
+        };
+        let one = table(1);
+        // Two variants x two programs, four different runs.
+        assert!(one.len() == 4 && one[0][2] != one[1][2] && one[0][2] != one[2][2], "{one:?}");
+        assert_eq!(one, table(2));
+    }
 }

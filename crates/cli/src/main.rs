@@ -94,6 +94,7 @@ fn usage() {
 /// reads the ones it passes to [`parse`]: `run-set` runs all of
 /// `profiles` across `jobs` threads, `figures` its own benchmark sets,
 /// the others run [`Opts::profile`].
+#[derive(Default)]
 struct Opts {
     /// Benchmarks named on the command line or loaded with `--profile`,
     /// in order.
@@ -338,14 +339,12 @@ fn analyze(rest: &[String]) {
     eprintln!("analyzing {} at scale {} ...", profile.name, o.scale);
     let w = generate(&profile, o.scale);
     // Pre-execution snapshot of guest memory, for re-decoding the
-    // regions the layer translated (workload code is not self-modifying)
-    // and for the functional rerun below.
+    // regions the layer translated (workload code is not self-modifying).
     let analysis_mem = w.mem.clone();
-    let (entry, initial) = (w.entry, w.initial.clone());
-    let cfg = SystemConfig::default();
-    let tol_cfg = cfg.tol.clone();
-    let mut sys = System::new(w, cfg);
+    let mut sys = System::new(w, SystemConfig::default());
+    let started = std::time::Instant::now();
     let report = sys.run_to_completion();
+    let run_ns = started.elapsed().as_nanos() as f64;
     let tol = sys.tol();
 
     // Hottest translated regions, deduplicated by guest entry.
@@ -367,15 +366,8 @@ fn analyze(rest: &[String]) {
     }
 
     // Wall-clock of the compile path, which the serialized report
-    // deliberately omits, from a rerun of the software layer alone with
-    // its events discarded: stage times and the `Tol::run` wall they are
-    // a share of then come from one and the same run.
-    let mut rerun = Tol::new(tol_cfg, entry);
-    rerun.set_state(&initial);
-    let started = std::time::Instant::now();
-    rerun.run(&mut analysis_mem.clone(), &mut darco_host::NullSink, u64::MAX).expect("ran above");
-    let run_ns = started.elapsed().as_nanos() as f64;
-    let nanos = rerun.pass_nanos();
+    // omits, as shares of the wall of the checked run that timed it.
+    let nanos = tol.pass_nanos();
 
     println!("{:18} {:>7} {:>14} {:>10}", "pass", "runs", "insts removed", "time");
     for d in &report.tol.pass_deltas {
@@ -383,7 +375,7 @@ fn analyze(rest: &[String]) {
         println!("{:18} {:>7} {:>14} {:>9.2}ms", d.pass, d.runs, d.insts_removed, ns as f64 / 1e6);
     }
     // The whole compile path, not just the passes that report deltas.
-    println!("\n{:18} {:>10} {:>22}", "compile stage", "time", "share of Tol::run wall");
+    println!("\n{:18} {:>10} {:>22}", "compile stage", "time", "share of run wall");
     let stage_row = |stage: &str, ns: u64| {
         let ns = ns as f64;
         println!("{stage:18} {:>8.2}ms {:>21.1}%", ns / 1e6, ns / run_ns * 100.0);
@@ -392,7 +384,7 @@ fn analyze(rest: &[String]) {
         stage_row(stage, ns);
     }
     stage_row("total", nanos.iter().map(|&(_, ns)| ns).sum());
-    println!("(Tol::run alone, events discarded: {:.2}ms)", run_ns / 1e6);
+    println!("(the checked run, timing and checker included: {:.2}ms)", run_ns / 1e6);
 
     println!(
         "\nhost insts {} over {} guest insts ({:.3} host/guest)",
@@ -468,19 +460,15 @@ fn print_report(r: &Report, json: bool) {
 
 fn disasm(rest: &[String]) {
     let o = parse("disasm", rest, &["--profile", "--scale", "--n"], SCALE);
-    let w = generate(&o.profile(), o.scale);
-    let mut mem = w.mem.clone();
-    let mut tol = Tol::new(SystemConfig::default().tol, w.entry);
-    tol.set_state(&w.initial);
-    let mut sink = darco_host::NullSink;
-    tol.run(&mut mem, &mut sink, u64::MAX).expect("run");
+    let mut sys = System::new(generate(&o.profile(), o.scale), SystemConfig::default());
+    let name = sys.run_to_completion().name;
+    let tol = sys.tol();
 
-    let blocks = hottest(&tol);
+    let blocks = hottest(tol);
     println!(
-        "hottest {} of {} resident translations in {}:",
+        "hottest {} of {} resident translations in {name}:",
         o.n.min(blocks.len()),
-        tol.cc.resident(),
-        w.name
+        tol.cc.resident()
     );
     for &(b, blk) in blocks.iter().take(o.n) {
         let kind = match blk.kind {

@@ -344,7 +344,8 @@ fn analyze_prints_the_ir_and_the_compile_path() {
         "compile stage",
         "\nregalloc ",
         "\ntotal ",
-        "share of Tol::run wall",
+        "share of run wall",
+        "(the checked run, timing and checker included: ",
         "app-owned",
         "exit -> 0x",
     ] {
@@ -361,16 +362,16 @@ fn figures_startup_prints_one_transient_per_benchmark() {
     }
 }
 
+/// The ablation sweeps are held to the job count in process
+/// (`figures::tests`); here `--jobs` reaches a figure through the binary,
+/// on the cheapest one that runs several benchmarks.
 #[test]
 fn figures_sweeps_do_not_depend_on_the_job_count() {
-    let sweep = ["figures", "ablate-passes", "--scale", "0.02"];
-    let one = stdout_of(&[&sweep[..], &["--jobs", "1"]].concat());
-    let two = stdout_of(&[&sweep[..], &["--jobs", "2"]].concat());
-    assert!(
-        one.contains("=== Ablation: SBM optimization passes") && one.contains("433.milc"),
-        "{one}"
-    );
-    assert_eq!(one, two, "the sweep's runs are independent of the threads beside them");
+    let figure = ["figures", "startup", "--scale", "0.05"];
+    let one = stdout_of(&[&figure[..], &["--jobs", "1"]].concat());
+    let two = stdout_of(&[&figure[..], &["--jobs", "2"]].concat());
+    assert!(one.contains("000.cjpeg: TOL share"), "{one}");
+    assert_eq!(one, two, "the figure's runs are independent of the threads beside them");
 }
 
 #[test]

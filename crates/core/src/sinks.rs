@@ -14,18 +14,18 @@ use darco_guest::{CpuState, GuestMem};
 use darco_host::{HostEvent, HostEventSink, Owner, TraceStatsSink};
 use darco_timing::{Pipeline, Stats};
 
-/// Shared-pipeline snapshot at the last timeline-window boundary; deltas
-/// against it form the next [`Window`].
+/// Shared-pipeline counters where the current timeline window began;
+/// deltas against them form the next [`Window`].
 #[derive(Debug, Clone, Copy, Default)]
-struct WindowMark {
+struct WindowStart {
     guest_insts: u64,
     cycles: u64,
     app_insts: u64,
     tol_insts: u64,
 }
 
-/// Feeds retired instructions to the timing pipelines and samples
-/// timeline windows at [`HostEvent::WindowMark`] boundaries.
+/// Feeds retired instructions to the timing pipelines and keeps the
+/// timeline ([`SystemConfig::window_guest_insts`]).
 ///
 /// Owns the shared pipeline (every instruction; the one the timeline is
 /// sampled from) plus the optional application-only and TOL-only
@@ -36,12 +36,16 @@ pub struct TimingSink {
     /// The application-only and TOL-only pipelines, indexed by
     /// [`Owner`].
     filtered: [Option<Pipeline>; 2],
+    /// Guest instructions per timeline window (0: no timeline).
+    window: u64,
+    /// Guest instructions retired at the last [`TimingSink::window_mark`].
+    guest_insts: u64,
     timeline: Vec<Window>,
-    last_mark: WindowMark,
+    start: WindowStart,
 }
 
 impl TimingSink {
-    /// Builds the pipeline set the configuration asks for.
+    /// Builds the pipelines and the window cadence the configuration asks for.
     pub fn new(cfg: &SystemConfig) -> TimingSink {
         TimingSink {
             shared: Pipeline::new(),
@@ -49,51 +53,60 @@ impl TimingSink {
                 cfg.app_only_pipeline.then(Pipeline::new),
                 cfg.tol_only_pipeline.then(Pipeline::new),
             ],
+            window: cfg.window_guest_insts,
+            guest_insts: 0,
             timeline: Vec::new(),
-            last_mark: WindowMark::default(),
+            start: WindowStart::default(),
         }
     }
 
     /// Dissolves the sink into report material: shared stats, optional
-    /// filtered stats, and the sampled timeline.
-    pub fn into_parts(self) -> (Stats, Option<Stats>, Option<Stats>, Vec<Window>) {
+    /// filtered stats, and the timeline, its last partial window closed.
+    pub fn into_parts(mut self) -> (Stats, Option<Stats>, Option<Stats>, Vec<Window>) {
+        if self.window > 0 && self.guest_insts > self.start.guest_insts {
+            self.sample_window();
+        }
         let [app_only, tol_only] =
             self.filtered.each_ref().map(|p| p.as_ref().map(Pipeline::snapshot));
         (self.shared.snapshot(), app_only, tol_only, self.timeline)
     }
 
-    /// Closes the current timeline window at `total_guest` retired guest
-    /// instructions, from the shared pipeline's incremental counters —
-    /// no statistics clone per window.
-    fn sample_window(&mut self, total_guest: u64) {
+    /// The controller's call after each step, `guest_insts` retired so
+    /// far: closes the current window once it spans the configured count.
+    pub fn window_mark(&mut self, guest_insts: u64) {
+        self.guest_insts = guest_insts;
+        if self.window > 0 && guest_insts >= self.start.guest_insts + self.window {
+            self.sample_window();
+        }
+    }
+
+    /// Closes the current timeline window at the last marked guest
+    /// instruction count, from the shared pipeline's incremental
+    /// counters — no statistics clone per window.
+    fn sample_window(&mut self) {
         let cycles = self.shared.cycles_so_far();
         let s = self.shared.stats();
         let app = s.owner_insts(Owner::App);
         let tol = s.owner_insts(Owner::Tol);
-        let m = self.last_mark;
+        let (m, guest_insts) = (self.start, self.guest_insts);
         self.timeline.push(Window {
-            guest_insts: total_guest,
+            guest_insts,
             cycles: cycles - m.cycles,
             app_insts: app - m.app_insts,
             tol_insts: tol - m.tol_insts,
         });
-        self.last_mark =
-            WindowMark { guest_insts: total_guest, cycles, app_insts: app, tol_insts: tol };
+        self.start = WindowStart { guest_insts, cycles, app_insts: app, tol_insts: tol };
     }
 
-    /// Routes one event: a retirement to every pipeline that wants it, in
-    /// one call, a fresh window mark to the timeline sampler.
+    /// Routes one retirement to every pipeline that wants it, in one
+    /// call; a step boundary is the checker's.
     #[inline(always)]
     pub fn event(&mut self, e: &HostEvent) {
-        match e {
-            HostEvent::Retire(d) => match &mut self.filtered[d.owner() as usize] {
+        if let HostEvent::Retire(d) = e {
+            match &mut self.filtered[d.owner() as usize] {
                 Some(filtered) => self.shared.retire_pair(filtered, d),
                 None => self.shared.retire(d),
-            },
-            HostEvent::WindowMark { guest_insts } if *guest_insts > self.last_mark.guest_insts => {
-                self.sample_window(*guest_insts);
             }
-            _ => {}
         }
     }
 }
@@ -117,13 +130,12 @@ impl HostEventSink for TimingSink {
 pub struct CheckerSink {
     name: String,
     checker: StateChecker,
-    advanced: u64,
 }
 
 impl CheckerSink {
     /// Wraps the authoritative emulator; `name` labels panic messages.
     pub fn new(name: String, checker: StateChecker) -> CheckerSink {
-        CheckerSink { name, checker, advanced: 0 }
+        CheckerSink { name, checker }
     }
 
     /// Returns the authoritative emulator for end-of-run memory checks.
@@ -140,7 +152,7 @@ impl CheckerSink {
     /// the two memories differ.
     pub fn settle(&mut self, emulated: &mut GuestMem) {
         if let Err(addr) = self.checker.settle(emulated) {
-            panic!("{}", memory_divergence(&self.name, addr, self.advanced));
+            panic!("{}", memory_divergence(&self.name, addr, self.checker.retired()));
         }
     }
 
@@ -159,12 +171,12 @@ impl CheckerSink {
     }
 
     fn boundary(&mut self, guest_insts: u64, emulated: &CpuState) {
-        let delta = guest_insts.checked_sub(self.advanced).unwrap_or_else(|| {
+        let checked = self.checker.retired();
+        let delta = guest_insts.checked_sub(checked).unwrap_or_else(|| {
             panic!(
                 "{}: StepBoundary went backwards to {guest_insts} guest instructions \
-                 after {} were checked",
-                self.name,
-                self.checker.retired()
+                 after {checked} were checked",
+                self.name
             )
         });
         if let Err(e) = self.checker.advance(delta) {
@@ -178,7 +190,6 @@ impl CheckerSink {
         self.checker
             .check(emulated)
             .unwrap_or_else(|e| panic!("{}: co-simulation failed: {e}", self.name));
-        self.advanced = guest_insts;
     }
 }
 
@@ -230,6 +241,10 @@ mod tests {
         HostEvent::Retire(DynInst::plain(pc, ExecClass::SimpleInt, component))
     }
 
+    fn boundary(guest_insts: u64, emulated: CpuState) -> HostEvent {
+        HostEvent::StepBoundary { guest_insts, emulated: Box::new(emulated) }
+    }
+
     fn test_cfg() -> SystemConfig {
         SystemConfig {
             app_only_pipeline: true,
@@ -241,78 +256,46 @@ mod tests {
 
     #[test]
     fn timing_sink_routes_by_owner_and_samples_windows() {
-        let mut sink = TimingSink::new(&test_cfg());
+        let mut sink = TimingSink::new(&SystemConfig { window_guest_insts: 10, ..test_cfg() });
         sink.consume(&[
             retire(0x100, Component::AppCode),
             retire(0x104, Component::TolIm),
             retire(0x108, Component::AppCode),
-            HostEvent::WindowMark { guest_insts: 10 },
-            retire(0x10c, Component::TolBbm),
-            HostEvent::WindowMark { guest_insts: 20 },
-            // A stale mark (same total) must not produce an empty window.
-            HostEvent::WindowMark { guest_insts: 20 },
         ]);
+        sink.window_mark(10);
+        sink.consume(&[retire(0x10c, Component::TolBbm)]);
+        sink.window_mark(20);
+        // A mark short of the next window closes none: no empty window.
+        sink.window_mark(20);
+        sink.consume(&[retire(0x110, Component::AppCode)]);
+        sink.window_mark(25);
         let (shared, app, tol, timeline) = sink.into_parts();
-        assert_eq!(shared.total_insts(), 4);
-        assert_eq!(app.unwrap().owner_insts(Owner::App), 2);
+        assert_eq!(shared.total_insts(), 5);
+        assert_eq!(app.unwrap().owner_insts(Owner::App), 3);
         assert_eq!(tol.unwrap().owner_insts(Owner::Tol), 2);
-        assert_eq!(timeline.len(), 2);
-        assert_eq!(timeline[0].app_insts, 2);
-        assert_eq!(timeline[0].tol_insts, 1);
-        assert_eq!(timeline[1].tol_insts, 1);
+        // The run ended inside the third window: `into_parts` closes it.
+        let spans = timeline.iter().map(|w| (w.guest_insts, w.app_insts, w.tol_insts));
+        assert_eq!(spans.collect::<Vec<_>>(), [(10, 2, 1), (20, 0, 1), (25, 1, 0)]);
     }
 
     #[test]
     fn checker_sink_advances_by_boundary_deltas() {
-        use darco_guest::asm::Asm;
-        use darco_guest::{exec, Gpr, GuestMem, Inst};
-        let mut a = Asm::new(0x100);
-        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 7 });
-        a.push(Inst::MovRI { dst: Gpr::Ebx, imm: 9 });
-        a.push(Inst::Halt);
-        let p = a.assemble();
-        let mut mem = GuestMem::new();
-        mem.write_bytes(p.base, &p.bytes);
-        let initial = CpuState::at(p.base);
-
-        // The "emulated" side: the same emulator stepped by hand.
-        let mut emu = initial.clone();
-        let mut emu_mem = mem.clone();
+        let (mem, initial, [_, after_two]) = two_movs_program();
         let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, mem));
-
-        exec::step(&mut emu, &mut emu_mem).unwrap();
-        sink.consume(&[HostEvent::StepBoundary {
-            guest_insts: 1,
-            emulated: Box::new(emu.clone()),
-        }]);
-        exec::step(&mut emu, &mut emu_mem).unwrap();
-        exec::step(&mut emu, &mut emu_mem).unwrap();
-        sink.consume(&[HostEvent::StepBoundary {
-            guest_insts: 3,
-            emulated: Box::new(emu.clone()),
-        }]);
-
+        // A delta of two instructions, then a boundary without progress.
+        sink.consume(&[boundary(2, after_two.clone())]);
+        sink.consume(&[boundary(2, after_two)]);
         let chk = sink.into_inner();
-        assert_eq!(chk.retired(), 3);
-        assert_eq!(chk.checks(), 2);
+        assert_eq!((chk.retired(), chk.checks()), (2, 2));
     }
 
     #[test]
     #[should_panic(expected = "co-simulation failed")]
     fn checker_sink_panics_on_divergence() {
-        use darco_guest::asm::Asm;
-        use darco_guest::{Gpr, GuestMem, Inst};
-        let mut a = Asm::new(0x100);
-        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 7 });
-        a.push(Inst::Halt);
-        let p = a.assemble();
-        let mut mem = GuestMem::new();
-        mem.write_bytes(p.base, &p.bytes);
-        let initial = CpuState::at(p.base);
-        let mut wrong = initial.clone();
-        wrong.set_gpr(Gpr::Eax, 999);
+        let (mem, initial, [mut wrong, _]) = two_movs_program();
+        wrong.set_gpr(darco_guest::Gpr::Eax, 999);
         let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, mem));
-        sink.consume(&[HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(wrong) }]);
+        sink.consume(&[boundary(1, wrong)]);
     }
 
     #[test]
@@ -322,7 +305,7 @@ mod tests {
         let (mut emu_mem, initial, [after_one, _]) = two_movs_program();
         let mut sink = CheckerSink::new("t".into(), StateChecker::new(initial, emu_mem.share()));
         emu_mem.write_u8(0x2004, 1);
-        sink.consume(&[HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(after_one) }]);
+        sink.consume(&[boundary(1, after_one)]);
         sink.settle(&mut emu_mem);
     }
 
@@ -348,57 +331,51 @@ mod tests {
         (mem, initial, after)
     }
 
-    /// A random stream of everything the bus carries: retirements of
-    /// every component (loads, stores, branches, plain), window marks
-    /// including stale ones, and the two step boundaries of
-    /// [`two_movs_program`] at random positions.
-    fn random_stream(seed: u64, after: &[CpuState; 2]) -> Vec<HostEvent> {
+    /// A random stream of everything the bus carries — retirements of
+    /// every component (loads, stores, branches, plain) and the two step
+    /// boundaries of [`two_movs_program`] at random positions — cut into
+    /// steps, each ending at a running guest-instruction total, some
+    /// short of the next timeline window.
+    fn random_stream(seed: u64, after: &[CpuState; 2]) -> Vec<(Vec<HostEvent>, u64)> {
         use darco_host::BranchKind;
         use rand::{rngs::SmallRng, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let len = rng.gen_range(200..1500usize);
         let boundary_at = [rng.gen_range(0..len / 2), rng.gen_range(len / 2..len)];
         let mut guest = 0u64;
-        let mut out = Vec::new();
+        let (mut steps, mut out) = (Vec::new(), Vec::new());
         for i in 0..len {
             if let Some(k) = boundary_at.iter().position(|&at| at == i) {
-                out.push(HostEvent::StepBoundary {
-                    guest_insts: k as u64 + 1,
-                    emulated: Box::new(after[k].clone()),
-                });
+                out.push(boundary(k as u64 + 1, after[k].clone()));
             }
             let pc = 0x1000 + 4 * rng.gen_range(0..512u64);
             let addr = 0x8_0000 + 8 * rng.gen_range(0..4096u64);
-            out.push(match rng.gen_range(0..16u32) {
-                0 => {
-                    guest += rng.gen_range(1..50u64);
-                    HostEvent::WindowMark { guest_insts: guest }
-                }
-                1 => HostEvent::WindowMark { guest_insts: guest }, // stale
-                n => {
-                    let component = Component::ALL[rng.gen_range(0..Component::ALL.len())];
-                    let d = |class| DynInst::plain(pc, class, component);
-                    HostEvent::Retire(match n % 4 {
-                        0 => d(ExecClass::Load).with_mem(addr, 8, false),
-                        1 => d(ExecClass::Store).with_mem(addr, 4, true),
-                        2 => d(ExecClass::Branch).with_branch(
-                            BranchKind::CondDirect,
-                            pc + 64,
-                            rng.gen_bool(0.5),
-                        ),
-                        _ => d(ExecClass::SimpleInt).with_dst(rng.gen_range(8..40u8)),
-                    })
-                }
-            });
+            let component = Component::ALL[rng.gen_range(0..Component::ALL.len())];
+            let d = |class| DynInst::plain(pc, class, component);
+            out.push(HostEvent::Retire(match rng.gen_range(0..4u32) {
+                0 => d(ExecClass::Load).with_mem(addr, 8, false),
+                1 => d(ExecClass::Store).with_mem(addr, 4, true),
+                2 => d(ExecClass::Branch).with_branch(
+                    BranchKind::CondDirect,
+                    pc + 64,
+                    rng.gen_bool(0.5),
+                ),
+                _ => d(ExecClass::SimpleInt).with_dst(rng.gen_range(8..40u8)),
+            }));
+            if rng.gen_range(0..8u32) == 0 {
+                guest += rng.gen_range(1..50u64);
+                steps.push((std::mem::take(&mut out), guest));
+            }
         }
-        out
+        steps.push((out, guest + 1));
+        steps
     }
 
     /// One pipeline fed by [`Pipeline::retire`] with the retirements of
     /// `stream` that `keep` admits, as text: every field, floats exactly.
-    fn retire_alone(stream: &[HostEvent], keep: impl Fn(Owner) -> bool) -> String {
+    fn retire_alone(stream: &[(Vec<HostEvent>, u64)], keep: impl Fn(Owner) -> bool) -> String {
         let mut p = Pipeline::new();
-        for e in stream {
+        for e in stream.iter().flat_map(|(step, _)| step) {
             match e {
                 HostEvent::Retire(d) if keep(d.owner()) => p.retire(d),
                 _ => {}
@@ -416,6 +393,7 @@ mod tests {
         let configs = [(true, true), (true, false), (false, true)].map(|(app, tol)| SystemConfig {
             app_only_pipeline: app,
             tol_only_pipeline: tol,
+            window_guest_insts: 40,
             ..test_cfg()
         });
         for (seed, cfg) in (0..12).flat_map(|seed| configs.iter().map(move |cfg| (seed, cfg))) {
@@ -429,16 +407,21 @@ mod tests {
                 let mut checker =
                     CheckerSink::new("ref".into(), StateChecker::new(initial.clone(), mem.clone()));
                 let mut timing = TimingSink::new(cfg);
-                for c in stream.chunks(chunk) {
-                    trace.consume(c);
-                    checker.consume(c);
-                    timing.consume(c);
+                for (step, guest_insts) in &stream {
+                    for c in step.chunks(chunk) {
+                        trace.consume(c);
+                        checker.consume(c);
+                        timing.consume(c);
+                    }
+                    timing.window_mark(*guest_insts);
                 }
                 let checker = checker.into_inner();
                 assert_eq!(checker.checks(), 2, "both boundaries were co-simulated");
                 let (_, _, _, timeline) = timing.into_parts();
-                let marks = stream.iter().filter(|e| matches!(e, HostEvent::WindowMark { .. }));
-                assert!(timeline.len() > 1 && marks.count() > timeline.len(), "stale marks too");
+                assert!(
+                    timeline.len() > 1 && stream.len() > timeline.len(),
+                    "marks short of a window too"
+                );
 
                 let (app, tol) = (cfg.app_only_pipeline, cfg.tol_only_pipeline);
                 let ctx = format!("seed {seed}, chunk {chunk}, app-only {app}, TOL-only {tol}");
@@ -450,8 +433,11 @@ mod tests {
                     )),
                     timing: TimingSink::new(cfg),
                 };
-                for c in stream.chunks(chunk) {
-                    set.consume(c);
+                for (step, guest_insts) in &stream {
+                    for c in step.chunks(chunk) {
+                        set.consume(c);
+                    }
+                    set.timing.window_mark(*guest_insts);
                 }
                 let SinkSet { trace: t, checker: c, timing } = set;
                 assert_eq!(t.stats, trace.stats, "{ctx}: trace stats (with batch accounting)");
@@ -476,46 +462,27 @@ mod tests {
         }
     }
 
-    /// Two `MovRI`s followed by an undecodable byte.
-    fn two_movs_then_garbage() -> (darco_guest::GuestMem, CpuState) {
-        use darco_guest::asm::Asm;
-        use darco_guest::{Gpr, GuestMem, Inst};
-        let mut a = Asm::new(0x100);
-        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 7 });
-        a.push(Inst::MovRI { dst: Gpr::Ebx, imm: 8 });
-        let p = a.assemble();
-        let mut mem = GuestMem::new();
-        mem.write_bytes(p.base, &p.bytes);
-        mem.write_u8(p.base + p.bytes.len() as u32, 0xFF);
-        (mem, CpuState::at(p.base))
-    }
-
     #[test]
     #[should_panic(expected = "t: authoritative fault after 2 guest instructions, at pc 0x")]
     fn checker_sink_names_where_the_authoritative_side_faulted() {
-        let (mem, initial) = two_movs_then_garbage();
+        // The two `MovRI`s, then an undecodable byte where the `Halt` was.
+        let (mut mem, initial, [_, after_two]) = two_movs_program();
+        mem.write_u8(after_two.eip, 0xFF);
         let mut chk = StateChecker::new(initial.clone(), mem);
         chk.set_fast_path(true);
         let mut sink = set_with_checker(chk);
-        sink.consume(&[
-            retire(0x100, Component::AppCode),
-            HostEvent::StepBoundary { guest_insts: 5, emulated: Box::new(initial) },
-        ]);
+        sink.consume(&[retire(0x100, Component::AppCode), boundary(5, initial)]);
     }
 
     #[test]
     #[should_panic(expected = "t: StepBoundary went backwards to 1 guest instructions after 2")]
     fn checker_sink_names_a_boundary_that_goes_backwards() {
-        let (mem, initial) = two_movs_then_garbage();
-        let mut emu = initial.clone();
-        let mut emu_mem = mem.clone();
-        darco_guest::exec::step(&mut emu, &mut emu_mem).unwrap();
-        darco_guest::exec::step(&mut emu, &mut emu_mem).unwrap();
+        let (mem, initial, [_, after_two]) = two_movs_program();
         let mut sink = set_with_checker(StateChecker::new(initial, mem));
         sink.consume(&[
-            HostEvent::StepBoundary { guest_insts: 2, emulated: Box::new(emu.clone()) },
+            boundary(2, after_two.clone()),
             retire(0x100, Component::TolIm),
-            HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(emu) },
+            boundary(1, after_two),
         ]);
     }
 }

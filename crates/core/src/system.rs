@@ -168,10 +168,11 @@ impl System {
 
     /// Runs the workload to completion and returns the report.
     ///
-    /// The controller only drives the engine and emits boundary events;
-    /// every observer — timing pipelines, co-simulation checker, delivery
-    /// accounting — consumes the host-event stream through the
-    /// [`SinkSet`], on this thread.
+    /// The controller only drives the engine, emits boundary events and
+    /// tells the timing sink how far the guest got after each step (its
+    /// timeline windows); every observer — timing pipelines,
+    /// co-simulation checker, delivery accounting — consumes the
+    /// host-event stream through the [`SinkSet`], on this thread.
     ///
     /// # Panics
     ///
@@ -184,7 +185,6 @@ impl System {
             timing: TimingSink::new(&self.cfg),
         };
         let mut total = 0u64;
-        let mut last_window = 0u64;
         while !self.tol.is_done() {
             let out = self
                 .tol
@@ -200,14 +200,7 @@ impl System {
             if let Some(chk) = &mut sinks.checker {
                 chk.settle(&mut self.emu_mem);
             }
-            let w = self.cfg.window_guest_insts;
-            if w > 0 && total >= last_window + w {
-                sinks.consume(&[HostEvent::WindowMark { guest_insts: total }]);
-                last_window = total;
-            }
-        }
-        if self.cfg.window_guest_insts > 0 && total > last_window {
-            sinks.consume(&[HostEvent::WindowMark { guest_insts: total }]);
+            sinks.timing.window_mark(total);
         }
         let SinkSet { trace, checker, timing } = sinks;
         self.checker = checker.map(CheckerSink::into_inner);
@@ -321,18 +314,17 @@ mod tests {
         );
     }
 
-    /// Every delivered event is one a consumer saw: a retirement timed by
-    /// the shared pipeline, a boundary the checker compared at, or a
-    /// window mark the timeline sampled.
+    /// Every delivered event is one a consumer saw — a retirement timed
+    /// by the shared pipeline or a boundary the checker compared at —
+    /// also with timeline windows on: the timing sink keeps their
+    /// cadence, off the bus (`report_golden` pins the windows).
     #[test]
     fn every_delivered_event_reaches_a_consumer() {
         let cfg = SystemConfig { window_guest_insts: 10_000, ..SystemConfig::default() };
         let r = quick_system(cfg).run_to_completion();
-        assert!(r.cosim_checks > 0 && r.timeline.len() > 1, "both marks are on the bus");
-        assert_eq!(
-            r.trace.events,
-            r.timing.total_insts() + r.cosim_checks + r.timeline.len() as u64
-        );
+        assert!(r.cosim_checks > 0 && r.timeline.len() > 1, "checked, with windows");
+        assert_eq!(r.trace.events, r.timing.total_insts() + r.cosim_checks);
+        assert_eq!(r.timeline.last().map(|w| w.guest_insts), Some(r.guest_insts));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! closure once per retired instruction — which couples the emulation
 //! loop to every consumer and forbids batching — the layer stages
 //! [`HostEvent::Retire`]s in an [`EventBuffer`] and delivers them to a
-//! [`HostEventSink`] in batches; the controller adds its own two marks
+//! [`HostEventSink`] in batches; the controller adds its step boundaries
 //! between engine steps. Consumers (timing pipelines, the co-simulation
 //! checker, delivery accounting) implement the sink trait and receive
 //! whole batches; the *order* of events inside and across batches is
@@ -26,8 +26,8 @@ pub const EVENT_BATCH: usize = 4096;
 ///
 /// The software layer puts only retirements on the bus; what a TOL
 /// module did is told by the component tag of the instructions it
-/// retired. The other two variants are injected by the controller
-/// between engine steps, for the observers that act on them.
+/// retired. The controller puts a step boundary between engine steps,
+/// for the co-simulation checker.
 #[derive(Debug, Clone)]
 pub enum HostEvent {
     /// A host instruction retired.
@@ -41,11 +41,6 @@ pub enum HostEvent {
         guest_insts: u64,
         /// The emulated guest state at the boundary.
         emulated: Box<CpuState>,
-    },
-    /// A timeline-window boundary requested by the controller.
-    WindowMark {
-        /// Total guest instructions retired so far.
-        guest_insts: u64,
     },
 }
 
@@ -102,10 +97,10 @@ impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
 }
 
 /// What a staging slot holds before its first event (no heap state).
-const FILLER: HostEvent = HostEvent::WindowMark { guest_insts: 0 };
+const FILLER: HostEvent =
+    HostEvent::Retire(DynInst::plain(0, crate::ExecClass::SimpleInt, crate::Component::AppCode));
 
-/// Writes `d` over a slot holding another kind of event (a filler, a
-/// boundary, a window mark), dropping that event.
+/// Writes `d` over a slot holding a boundary, dropping it.
 #[cold]
 #[inline(never)]
 fn retire_over(slot: &mut HostEvent, d: DynInst) -> &mut DynInst {
@@ -436,17 +431,20 @@ mod tests {
         sink.consume(&[
             retire_at(0),
             HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(CpuState::at(0)) },
-            HostEvent::WindowMark { guest_insts: 10 },
         ]);
         sink.consume(&[retire_at(4)]);
-        assert_eq!(sink.stats, TraceStats { events: 4, batches: 2, max_batch: 3 });
+        assert_eq!(sink.stats, TraceStats { events: 3, batches: 2, max_batch: 2 });
     }
 
     #[test]
     fn retire_sink_filters_non_retires() {
         let mut n = 0u64;
         let mut sink = RetireSink(|_d: &DynInst| n += 1);
-        sink.consume(&[retire_at(0), HostEvent::WindowMark { guest_insts: 1 }, retire_at(4)]);
+        sink.consume(&[
+            retire_at(0),
+            HostEvent::StepBoundary { guest_insts: 1, emulated: Box::new(CpuState::at(0)) },
+            retire_at(4),
+        ]);
         assert_eq!(n, 2);
     }
 }

@@ -227,7 +227,7 @@ impl std::ops::DerefMut for DynInst {
 
 impl DynInst {
     /// A plain instruction with no memory access or branch.
-    pub fn plain(pc: u64, class: ExecClass, component: Component) -> DynInst {
+    pub const fn plain(pc: u64, class: ExecClass, component: Component) -> DynInst {
         let op = DynOp {
             payload: 0,
             class,
@@ -282,7 +282,7 @@ impl DynInst {
 impl DynOp {
     /// The record of this instruction retiring at `pc`.
     #[inline]
-    pub fn at(self, pc: u64) -> DynInst {
+    pub const fn at(self, pc: u64) -> DynInst {
         DynInst { pc, op: self }
     }
 

@@ -79,12 +79,7 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
         for _ in 0..rng.gen_range(1..12usize).min(ops_left) {
             ops_left -= 1;
             match rng.gen_range(0..10u32) {
-                0 | 1 => {
-                    let e = HostEvent::WindowMark { guest_insts: fresh() };
-                    model.push(e.clone());
-                    ev.push(e);
-                }
-                2 | 3 => {
+                0..=3 => {
                     let d = load(fresh());
                     model.push(HostEvent::Retire(d));
                     ev.retire(d);

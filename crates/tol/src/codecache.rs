@@ -84,6 +84,8 @@ impl std::error::Error for CacheError {}
 pub struct Installed {
     /// Handle of the new translation.
     pub id: BlockId,
+    /// Where the translation was placed, and the translator writes it.
+    pub host_base: u64,
     /// Whether installing forced a whole-cache flush.
     pub flushed: bool,
 }
@@ -309,7 +311,7 @@ impl CodeCache {
         if self.flushed_entries.remove(&guest_entry) {
             self.stats.retranslations += 1;
         }
-        Ok(Installed { id, flushed })
+        Ok(Installed { id, host_base, flushed })
     }
 
     /// Allocates a host-address range for `n` instructions.

@@ -78,8 +78,6 @@ mod code {
 /// Emits the host-instruction streams of TOL services into a sink.
 #[derive(Debug)]
 pub struct Emitter {
-    /// Cursor for code-cache writes performed by the translator.
-    emit_cursor: u64,
     /// Per-shape interpreter stream templates, indexed by
     /// [`shape_key`]. Filled lazily on first encounter of a shape.
     interp_tpl: Vec<Option<InterpTemplate>>,
@@ -331,10 +329,7 @@ impl Default for Emitter {
 impl Emitter {
     /// Creates an emitter.
     pub fn new() -> Emitter {
-        Emitter {
-            emit_cursor: darco_host::layout::CODE_CACHE_BASE,
-            interp_tpl: std::iter::repeat_with(|| None).take(INTERP_SHAPES).collect(),
-        }
+        Emitter { interp_tpl: std::iter::repeat_with(|| None).take(INTERP_SHAPES).collect() }
     }
 
     /// One interpreted guest instruction (IM): dispatch, decode, handler
@@ -373,12 +368,15 @@ impl Emitter {
     }
 
     /// Basic-block translation (BBM): decode each guest instruction and
-    /// emit host code into the code cache, then insert into the map.
+    /// write its `host_len` host instructions into the code cache from
+    /// `host_base`, where the cache put the block, then insert into the
+    /// map.
     pub fn bb_translate(
         &mut self,
         ev: &mut EventBuffer<'_>,
         guest_entry: u32,
         insts: &[RegionInst],
+        host_base: u64,
         host_len: usize,
     ) {
         let comp = Component::TolBbm;
@@ -410,10 +408,9 @@ impl Emitter {
         }
         // Write the produced host code into the code cache.
         let top = c.pc;
-        for _ in 0..host_len {
+        for i in 0..host_len as u64 {
             c.pc = top;
-            c.st(self.emit_cursor);
-            self.emit_cursor += 4;
+            c.st(host_base + 4 * i);
         }
         // Map insertion: hash, bucket read-modify-write.
         c.alu(4);
@@ -424,12 +421,15 @@ impl Emitter {
         c.st(bucket + 8);
     }
 
-    /// Superblock formation and optimization (SBM).
+    /// Superblock formation and optimization (SBM); the `host_len` host
+    /// instructions are written from `host_base`, as in
+    /// [`Emitter::bb_translate`].
     pub fn sb_optimize(
         &mut self,
         ev: &mut EventBuffer<'_>,
         bbs_followed: usize,
         ir_len: usize,
+        host_base: u64,
         host_len: usize,
     ) {
         let comp = Component::TolSbm;
@@ -458,10 +458,9 @@ impl Emitter {
         }
         // Code emission and map update.
         let top = c.pc;
-        for _ in 0..host_len {
+        for i in 0..host_len as u64 {
             c.pc = top;
-            c.st(self.emit_cursor);
-            self.emit_cursor += 4;
+            c.st(host_base + 4 * i);
         }
         c.alu(6);
     }
@@ -606,6 +605,7 @@ mod tests {
     use darco_guest::exec::{AccessList, Control};
     use darco_guest::{Gpr, Inst};
     use darco_host::events::RetireSink;
+    use darco_host::layout::CODE_CACHE_BASE as BASE;
     use darco_host::Owner;
     use std::collections::BTreeSet;
 
@@ -714,13 +714,14 @@ mod tests {
         assert!(add.len() > mov.len());
 
         let t_mov = collect(|e, s| {
-            e.bb_translate(s, 0, &[ri(0, Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx })], 2)
+            e.bb_translate(s, 0, &[ri(0, Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx })], BASE, 2)
         });
         let t_add = collect(|e, s| {
             e.bb_translate(
                 s,
                 0,
                 &[ri(0, Inst::AluRR { op: darco_guest::AluOp::Add, dst: Gpr::Eax, src: Gpr::Ebx })],
+                BASE,
                 3,
             )
         });
@@ -729,8 +730,8 @@ mod tests {
 
     #[test]
     fn optimization_costs_dominate_translation() {
-        let t = collect(|e, s| e.bb_translate(s, 0, &[ri(0, Inst::Nop); 8], 16));
-        let o = collect(|e, s| e.sb_optimize(s, 4, 32, 40));
+        let t = collect(|e, s| e.bb_translate(s, 0, &[ri(0, Inst::Nop); 8], BASE, 16));
+        let o = collect(|e, s| e.sb_optimize(s, 4, 32, BASE, 40));
         assert!(o.len() > 3 * t.len(), "SBM {} vs BBM {}", o.len(), t.len());
         assert!(o.iter().all(|d| d.component == Component::TolSbm));
     }
@@ -793,10 +794,12 @@ mod tests {
         let sites = |v: Vec<DynInst>| -> BTreeSet<u64> {
             v.iter().filter(|d| d.branch().is_some()).map(|d| d.pc).collect()
         };
-        let bb = |n: usize| sites(collect(|e, s| e.bb_translate(s, 0, &block(n), 3 * n)));
+        let bb = |n: usize| sites(collect(|e, s| e.bb_translate(s, 0, &block(n), BASE, 3 * n)));
         assert_eq!(bb(2), bb(BB_LIMIT));
         let sb = |bbs: usize, n: usize| {
-            sites(collect(|e, s| e.sb_optimize(s, bbs, n * PER_GUEST_INST, n * PER_GUEST_INST)))
+            sites(collect(|e, s| {
+                e.sb_optimize(s, bbs, n * PER_GUEST_INST, BASE, n * PER_GUEST_INST)
+            }))
         };
         assert_eq!(sb(2, 8), sb(SB_BBS, SB_LIMIT));
     }
@@ -823,19 +826,15 @@ mod tests {
             ),
             (
                 "bb_translate",
-                collect(|e, s| e.bb_translate(s, 0, &block(BB_LIMIT), bb_host)),
+                collect(|e, s| e.bb_translate(s, 0, &block(BB_LIMIT), BASE, bb_host)),
                 module(code::TRANSLATOR, code::OPTIMIZER),
             ),
             (
                 "sb_optimize",
-                collect(|e, s| e.sb_optimize(s, SB_BBS, sb_ir, sb_ir)),
+                collect(|e, s| e.sb_optimize(s, SB_BBS, sb_ir, BASE, sb_ir)),
                 module(code::OPTIMIZER, code::CHAINER),
             ),
-            (
-                "chain",
-                collect(|e, s| e.chain(s, darco_host::layout::CODE_CACHE_BASE)),
-                module(code::CHAINER, code::LOOKUP),
-            ),
+            ("chain", collect(|e, s| e.chain(s, BASE)), module(code::CHAINER, code::LOOKUP)),
             (
                 "map_lookup",
                 collect(|e, s| {

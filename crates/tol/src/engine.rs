@@ -15,7 +15,7 @@
 //! simulator and co-simulates against the authoritative functional
 //! emulator between steps.
 
-use crate::codecache::{BlockKind, CacheHealth, CodeCache, TranslatedBlock};
+use crate::codecache::{BlockKind, CacheError, CacheHealth, CodeCache, Installed, TranslatedBlock};
 use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
 use crate::config::TolConfig;
 use crate::emission::Emitter;
@@ -26,7 +26,7 @@ use crate::superblock::form_region_into;
 use crate::translate::{decode_bb_into, RegionInst, TranslateScratch};
 use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
 use darco_host::events::{EventBuffer, HostEvent, HostEventSink, EVENT_BATCH};
-use darco_host::layout::{guest_to_host, TOL_CODE_BASE};
+use darco_host::layout::{guest_to_host, CODE_CACHE_BASE, TOL_CODE_BASE};
 use darco_host::{
     exec_inst, mem_operand, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome,
 };
@@ -435,12 +435,13 @@ impl Tol {
     ) -> Option<BlockId> {
         let TranslateScratch { ir, opt, .. } = &mut self.scratch;
         let compiled = compile_bb(region, &self.cfg, ir, opt, &mut self.pass_nanos);
-        self.em.bb_translate(ev, entry, region, compiled.insts.len());
+        let host_len = compiled.insts.len();
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
         let ins = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled, BlockKind::Bb, region.iter().map(|r| r.pc), mem)
-        })
-        .ok()?;
+        });
+        self.em.bb_translate(ev, entry, region, written_at(&ins), host_len);
+        let ins = ins.ok()?;
         if ins.flushed {
             self.forget_flushed();
         }
@@ -481,12 +482,13 @@ impl Tol {
             }
             SbOutcome::OutOfRegisters => self.counters.opt_bailouts += 1,
         }
-        self.em.sb_optimize(ev, bbs as usize, compiled.ir_len, compiled.code.insts.len());
+        let (ir_len, host_len) = (compiled.ir_len, compiled.code.insts.len());
         self.counters.sbm_invocations += 1;
         self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Sbm);
         let res = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled.code, BlockKind::Sb, region.iter().map(|r| r.pc), mem)
         });
+        self.em.sb_optimize(ev, bbs as usize, ir_len, written_at(&res), host_len);
         self.scratch.region = region;
         let Ok(ins) = res else {
             return Ok(None);
@@ -780,6 +782,12 @@ impl Tol {
     }
 }
 
+/// Where the translator writes a translation: where the cache placed it,
+/// or the cache's base for one rejected as larger than the whole cache.
+fn written_at(ins: &Result<Installed, CacheError>) -> u64 {
+    ins.as_ref().map_or(CODE_CACHE_BASE, |ins| ins.host_base)
+}
+
 /// Guest instructions retired and — for a BBM block whose last guest
 /// instruction is a conditional branch — the edge direction, given the
 /// host index of the exit taken: leaving via a stub means the branch was
@@ -1019,15 +1027,43 @@ mod tests {
         assert!(prefetches > 0, "superblocks with loads must carry prefetches");
     }
 
+    /// The translator writes each translation where the code cache put
+    /// it, also after flushes and under scattered placement: every store
+    /// into the code-cache region lands inside a block resident after
+    /// the step that made it. (A one-instruction budget installs at most
+    /// one block per step, so none a step wrote is flushed before the
+    /// check.)
     #[test]
-    fn scattered_placement_spreads_host_bases() {
-        let (mut mem, entry) = loop_program(2_000);
-        let cfg = TolConfig { codecache_scattered: true, ..TolConfig::default() };
-        let (tol, _) = run_tol(&mut mem, entry, cfg);
-        // Every resident block starts page-aligned.
-        assert!(tol.cc.resident() > 0);
-        for (_, b) in tol.cc.blocks() {
-            assert_eq!(b.host_base & 0xFFF, 0);
+    fn code_writes_land_in_the_installed_block() {
+        use crate::guest_programs::{any_inst, build_program};
+        use rand::{rngs::SmallRng, SeedableRng};
+        let eager = TolConfig { im_bb_threshold: 1, bb_sb_threshold: 2, ..TolConfig::default() };
+        let small = TolConfig { code_cache_capacity: 256, ..eager.clone() };
+        for cfg in [small, TolConfig { codecache_scattered: true, ..eager }] {
+            let mut rng = SmallRng::seed_from_u64(0xC0DE);
+            let body: Vec<Inst> = (0..80).map(|_| any_inst(&mut rng)).collect();
+            let (mut mem, cpu) = build_program(&body, 40);
+            let mut tol = Tol::new(cfg.clone(), cpu.eip);
+            tol.set_state(&cpu);
+            let (mut writes, code) = (0, CODE_CACHE_BASE..TOL_CODE_BASE);
+            while !tol.is_done() {
+                let mut stores = Vec::new();
+                let mut sink = darco_host::RetireSink(|d: &DynInst| {
+                    stores.extend(d.mem().filter(|m| m.is_store && code.contains(&m.addr)))
+                });
+                tol.step(&mut mem, &mut sink, 1).unwrap();
+                writes += stores.len();
+                for addr in stores.into_iter().map(|m| m.addr) {
+                    let holds = |b: &TranslatedBlock| b.host_base + 4 * b.insts.len() as u64 > addr;
+                    let home = tol.cc.blocks().any(|(_, b)| b.host_base <= addr && holds(b));
+                    assert!(home, "{cfg:?}: code write at {addr:#x} lands in no installed block");
+                }
+            }
+            let s = tol.summary();
+            assert!(s.installed > 10 && writes > 500, "{} installs, {writes} writes", s.installed);
+            assert!(cfg.codecache_scattered || s.flushes > 1, "the small cache must flush");
+            let aligned = tol.cc.blocks().all(|(_, b)| b.host_base & 0xFFF == 0);
+            assert!(!cfg.codecache_scattered || aligned, "scattered blocks start page-aligned");
         }
     }
 

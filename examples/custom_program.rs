@@ -2,8 +2,8 @@
 //!
 //! The roster in `darco_workloads` covers the paper's benchmarks, but the
 //! stack is a library: write guest assembly with [`darco::guest::asm::Asm`],
-//! hand it to the software layer, and watch it move through the three
-//! execution modes while the timing model meters every host instruction.
+//! run it as a [`System`] — software layer, timing model and state checker
+//! — and watch it move through the three execution modes.
 //!
 //! The program below fills a table once, then computes a checksum over
 //! it in a hot inner loop (promoted to an optimized superblock), with a
@@ -16,13 +16,13 @@
 //! cargo test --example custom_program   # checks what it prints
 //! ```
 
+use darco::core::{Report, System, SystemConfig};
 use darco::guest::asm::Asm;
-use darco::guest::{exec, AluOp, Cond, CpuState, Gpr, GuestMem, Inst, MemRef};
-use darco::host::{DynInst, RetireSink};
-use darco::timing::{Pipeline, Stats};
-use darco::tol::{Tol, TolConfig};
+use darco::guest::{AluOp, Cond, CpuState, Gpr, GuestMem, Inst, MemRef};
+use darco::tol::TolConfig;
+use darco::workloads::Workload;
 
-fn build_program() -> (GuestMem, CpuState) {
+fn build_program() -> Workload {
     let mut a = Asm::new(0x1000);
     let table = 0x10_0000u32;
 
@@ -71,41 +71,31 @@ fn build_program() -> (GuestMem, CpuState) {
     let p = a.assemble();
     let mut mem = GuestMem::new();
     mem.write_bytes(p.base, &p.bytes);
-    let mut cpu = CpuState::at(p.base);
-    cpu.set_gpr(Gpr::Esp, 0x20_0000);
-    (mem, cpu)
+    let mut initial = CpuState::at(p.base);
+    initial.set_gpr(Gpr::Esp, 0x20_0000);
+    let static_insts = p.inst_offsets.len() as u32;
+    Workload { name: "custom".into(), mem, entry: p.base, initial, static_insts, dyn_estimate: 0 }
 }
 
-/// Runs the program through the co-designed stack (TOL + timing
-/// pipeline), checked against the authoritative emulator.
-fn run() -> (Tol, Stats, u64) {
-    let (mem, initial) = build_program();
-
-    // Reference run on the authoritative emulator.
-    let mut ref_mem = mem.clone();
-    let mut ref_cpu = initial.clone();
-    while !ref_cpu.halted {
-        exec::step(&mut ref_cpu, &mut ref_mem).expect("reference");
-    }
-
-    let mut tol = Tol::new(TolConfig { bb_sb_threshold: 100, ..TolConfig::default() }, initial.eip);
-    tol.set_state(&initial);
-    let mut pipeline = Pipeline::new();
-    let mut emu_mem = mem;
-    let mut sink = RetireSink(|d: &DynInst| pipeline.retire(d));
-    let guest_insts = tol.run(&mut emu_mem, &mut sink, u64::MAX).expect("tol run");
-    assert!(ref_cpu.arch_eq(&tol.emulated_state()), "architectural mismatch!");
-    (tol, pipeline.finish(), guest_insts)
+/// Runs the program through the co-designed stack, co-simulated (a
+/// divergence panics); returns the report and the checksum in `ebx`.
+fn run() -> (Report, u32) {
+    let tol = TolConfig { bb_sb_threshold: 100, ..TolConfig::default() };
+    let mut sys = System::new(build_program(), SystemConfig { tol, ..SystemConfig::default() });
+    let report = sys.run_to_completion();
+    (report, sys.tol().emulated_state().gpr(Gpr::Ebx))
 }
 
 fn main() {
-    let (tol, stats, guest_insts) = run();
-    println!("checksum (ebx)      : {:#010x}", tol.emulated_state().gpr(Gpr::Ebx));
-    println!("guest instructions  : {guest_insts}");
+    let (r, checksum) = run();
+    let stats = &r.timing;
+    println!("checksum (ebx)      : {checksum:#010x}");
+    println!("guest instructions  : {}", r.guest_insts);
     println!("host cycles         : {}", stats.total_cycles);
     println!("IPC                 : {:.3}", stats.ipc());
     println!("TOL overhead        : {:.1}%", stats.tol_overhead_share() * 100.0);
-    let s = tol.summary();
+    println!("co-sim checks       : {} (all passed)", r.cosim_checks);
+    let s = &r.tol;
     println!(
         "modes (dyn insts)   : IM {} / BBM {} / SBM {}",
         s.dyn_dist[0], s.dyn_dist[1], s.dyn_dist[2]
@@ -120,8 +110,9 @@ fn main() {
 #[test]
 fn the_program_moves_through_the_stages_it_describes() {
     // `run` has checked the architectural state against the reference.
-    let (tol, _, guest_insts) = run();
-    let s = tol.summary();
+    let (r, _) = run();
+    assert!(r.cosim_checks > 0, "the run was co-simulated");
+    let (s, guest_insts) = (&r.tol, r.guest_insts);
     assert!(s.counters.sbm_invocations > 0, "no superblock formed");
     assert!(s.ibtc_hits > 0, "no return went through the IBTC");
     let [im, bbm, sbm] = s.dyn_dist;

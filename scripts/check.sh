@@ -18,7 +18,10 @@ cd "$(dirname "$0")/.."
 # and examples as they were invoked. Round 14 is reserved for the audit
 # of the test-only references; round 16 names the timing model's owner
 # keys, which the component key replaced; round 17 the CLI flag that
-# turned the co-simulation checker on, now that every run is checked.
+# turned the co-simulation checker on, now that every run is checked;
+# round 18 the translator's private code-cache cursor and the controller's
+# timeline marks on the bus, now that the code cache and the timing sink
+# hold those facts.
 # The host-configuration guard names the configurable host and its
 # validator, which Table I's constants replaced.
 echo "== removed switches stay removed"
@@ -37,8 +40,9 @@ round13='partial_cycle|count_hit|btb_tags|btb_targets|tlb_walks|sw_prefetches|l1
 round15='darco trace|darco timeline|characterize_tol|interaction_study|example quickstart'
 round16='OwnerMemStats|owner_stats|owner_idx|record_branch|l2_miss'
 round17='--cosim'
+round18='emit_cursor|WindowMark|last_window'
 host_config='TimingConfig|TimingConfigError'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$host_config"
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$host_config"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
