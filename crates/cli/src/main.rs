@@ -65,7 +65,7 @@ commands:
   run-set [benchmark ...]   runs across worker threads (default: the roster)
   figures [figure]          the paper's tables and figures (default: all)
   verify [benchmark]        run co-simulated against the independent exec::step
-  analyze [benchmark]       hot-region IR + compile-path report
+  analyze [benchmark]       hot translations' entry-block IR + compile-path report
   disasm [benchmark]        hottest translations, disassembled
   export-profile <benchmark> <file.json>
                             dump a profile to edit and run with --profile
@@ -76,7 +76,7 @@ flags:
   --scale S        run, run-set, figures, verify, analyze, disasm: dynamic-length
                    scale, finite and > 0 (default 0.5; 2.0 for figures)
   --jobs N         run-set, figures: worker threads (default: all cores)
-  --n N            analyze, disasm: regions/translations to print (default 20)
+  --n N            analyze, disasm: translations to print (default 20)
   --json           run, run-set, verify: the full report(s) on stdout
   --profile-host   run: live heap bytes per holder after the report
                    (on stderr with --json)
@@ -326,10 +326,12 @@ fn verify(rest: &[String]) {
 // -------------------------------------------------------------- analyze
 
 /// `darco analyze`: a full run followed by the compile-path report —
-/// the IR the translator emitted for the hottest translated regions
-/// (dead flag definitions already elided), the per-pass instruction
-/// deltas, the compile path stage by stage and the host-per-guest
-/// split. `--n` bounds how many regions are dumped.
+/// for each of the hottest translations (kind, guest and host
+/// instruction counts, as `darco disasm` prints them), the IR the
+/// translator emits for the basic block at its entry before any pass
+/// runs (dead flag definitions already elided), then the per-pass
+/// instruction deltas, the compile path stage by stage and the
+/// host-per-guest split. `--n` bounds how many translations are dumped.
 fn analyze(rest: &[String]) {
     if rest.iter().any(|a| a == "--json") {
         bail("--json: use `darco run --json`, which prints the same report");
@@ -347,15 +349,20 @@ fn analyze(rest: &[String]) {
     let run_ns = started.elapsed().as_nanos() as f64;
     let tol = sys.tol();
 
-    // Hottest translated regions, deduplicated by guest entry.
+    // Hottest translations, deduplicated by guest entry.
     let mut seen = std::collections::HashSet::new();
-    let entries = hottest(tol).into_iter().map(|(_, b)| b.guest_entry).filter(|&e| seen.insert(e));
-    for entry in entries.take(o.n) {
+    let blocks = hottest(tol).into_iter().filter(|(_, b)| seen.insert(b.guest_entry));
+    for (_, blk) in blocks.take(o.n) {
+        let entry = blk.guest_entry;
         match decode_bb(&analysis_mem, entry) {
             Ok(region) => {
                 let block = translate_region(&region);
                 println!(
-                    "region @ {entry:#x}: {} guest insts, {} IR ops\n{}",
+                    "[{}] translation @ {entry:#x}: {} guest insts, {} host insts; \
+                     IR of its entry block before the passes: {} guest insts, {} IR ops\n{}",
+                    kind_name(blk.kind),
+                    blk.guest_len,
+                    blk.insts.len(),
                     region.len(),
                     block.ops.len(),
                     darco_tol::ir::pretty(&block)
@@ -471,12 +478,9 @@ fn disasm(rest: &[String]) {
         tol.cc.resident()
     );
     for &(b, blk) in blocks.iter().take(o.n) {
-        let kind = match blk.kind {
-            BlockKind::Bb => "BBM",
-            BlockKind::Sb => "SBM",
-        };
         println!(
-            "\nblock {b} [{kind}] guest {:#x} ({} guest insts, {} host insts, {} executions)",
+            "\nblock {b} [{}] guest {:#x} ({} guest insts, {} host insts, {} executions)",
+            kind_name(blk.kind),
             blk.guest_entry,
             blk.guest_len,
             blk.insts.len(),
@@ -487,6 +491,14 @@ fn disasm(rest: &[String]) {
             print!("{marker}");
             println!("  {:#010x}  {}", blk.host_base + 4 * i as u64, inst);
         }
+    }
+}
+
+/// The mode a translation belongs to, as `disasm` and `analyze` print it.
+fn kind_name(kind: BlockKind) -> &'static str {
+    match kind {
+        BlockKind::Bb => "BBM",
+        BlockKind::Sb => "SBM",
     }
 }
 

@@ -336,10 +336,21 @@ fn run_profile_host_prints_live_bytes_per_holder_outside_the_report() {
     assert_eq!(host_memory_rows(&stderr), rows, "{stderr}");
 }
 
+/// `analyze` names each translation whose entry-block IR it prints as
+/// `disasm` does: the hottest one's kind, entry, guest and host
+/// instruction counts are the same in both.
 #[test]
 fn analyze_prints_the_ir_and_the_compile_path() {
     let stdout = stdout_of(&["analyze", "quicktest", "--scale", "0.05", "--n", "1"]);
-    assert_eq!(stdout.matches("region @ ").count(), 1, "{stdout}");
+    assert_eq!(stdout.matches("translation @ ").count(), 1, "{stdout}");
+    let disasm = stdout_of(&["disasm", "quicktest", "--scale", "0.05", "--n", "1"]);
+    let block = disasm.lines().find(|l| l.starts_with("block ")).expect("a block line");
+    // `block b96.0 [SBM] guest 0x127b (56 guest insts, 73 host insts, ...)`
+    let words: Vec<&str> = block.split_whitespace().collect();
+    let (kind, entry) = (words[2], words[4]);
+    let (guest, host) = (words[5].trim_start_matches('('), words[8]);
+    let header = format!("{kind} translation @ {entry}: {guest} guest insts, {host} host insts;");
+    assert!(stdout.starts_with(&header), "analyze does not start with `{header}`: {stdout}");
     for row in [
         "compile stage",
         "\nregalloc ",

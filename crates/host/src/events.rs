@@ -44,18 +44,6 @@ pub enum HostEvent {
     },
 }
 
-impl HostEvent {
-    /// The retired instruction, if this is a [`HostEvent::Retire`] — for
-    /// patching events an [`EventBuffer`] has staged in place.
-    #[inline]
-    pub fn as_retire_mut(&mut self) -> Option<&mut DynInst> {
-        match self {
-            HostEvent::Retire(d) => Some(d),
-            _ => None,
-        }
-    }
-}
-
 /// A consumer of the host-event stream.
 ///
 /// Sinks receive events in batches; within and across batches the order
@@ -100,18 +88,48 @@ impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
 const FILLER: HostEvent =
     HostEvent::Retire(DynInst::plain(0, crate::ExecClass::SimpleInt, crate::Component::AppCode));
 
-/// Writes `d` over a slot holding a boundary, dropping it.
-#[cold]
-#[inline(never)]
-fn retire_over(slot: &mut HostEvent, d: DynInst) -> &mut DynInst {
-    *slot = HostEvent::Retire(d);
-    slot.as_retire_mut().expect("the slot was just written as a retirement")
-}
-
 /// Slots an [`EventBuffer`] adds at a time while its vector grows.
 const GROW: usize = 64;
 
+/// The retirement in a slot: every slot an [`EventBuffer`] writes holds
+/// one, since it stages nothing else.
+#[inline]
+fn retirement(slot: &mut HostEvent) -> &mut DynInst {
+    match slot {
+        HostEvent::Retire(d) => d,
+        _ => unreachable!("an EventBuffer stages retirements only"),
+    }
+}
+
+/// An [`EventBuffer`]'s slots between two buffers, so that a producer
+/// keeps one allocation across steps. Only
+/// [`EventBuffer::into_storage`] fills one, with retirements.
+#[derive(Debug, Default)]
+pub struct EventStorage(Vec<HostEvent>);
+
+impl EventStorage {
+    /// Heap bytes of the slots written so far.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.0[..])
+    }
+}
+
+/// The events one [`EventBuffer::retire_stream`] call has just staged,
+/// lent out for patching.
+#[derive(Debug)]
+pub struct Staged<'s>(&'s mut [HostEvent]);
+
+impl Staged<'_> {
+    /// The `i`-th retirement of the stream.
+    #[inline]
+    pub fn retired(&mut self, i: usize) -> &mut DynInst {
+        retirement(&mut self.0[i])
+    }
+}
+
 /// Fixed-capacity staging buffer between an event producer and a sink.
+/// It stages retirements only: the controller hands its step boundaries
+/// to the sink itself.
 ///
 /// Three invariants hold for every way of appending:
 ///
@@ -144,14 +162,14 @@ pub struct EventBuffer<'a> {
 impl<'a> EventBuffer<'a> {
     /// Creates a buffer delivering batches of at most `capacity` events.
     pub fn new(capacity: usize, sink: &'a mut dyn HostEventSink) -> EventBuffer<'a> {
-        EventBuffer::from_storage(Vec::new(), capacity, sink)
+        EventBuffer::from_storage(EventStorage::default(), capacity, sink)
     }
 
     /// Creates a buffer reusing an existing allocation (producers keep
     /// the storage across steps to avoid re-allocating per dispatch).
     /// Nothing left in `storage` is ever delivered.
     pub fn from_storage(
-        mut storage: Vec<HostEvent>,
+        EventStorage(mut storage): EventStorage,
         capacity: usize,
         sink: &'a mut dyn HostEventSink,
     ) -> EventBuffer<'a> {
@@ -184,34 +202,23 @@ impl<'a> EventBuffer<'a> {
         &mut self.buf[self.len - 1]
     }
 
-    /// Appends one event.
-    #[inline]
-    pub fn push(&mut self, e: HostEvent) {
-        *self.slot() = e;
-    }
-
     /// Appends a retired host instruction built by the caller.
     #[inline]
     pub fn retire(&mut self, d: DynInst) {
-        self.push(HostEvent::Retire(d));
+        *self.slot() = HostEvent::Retire(d);
     }
 
     /// Appends `template` retiring at `pc` — an 8-byte store and a
     /// 16-byte copy — and lends it out for patching in the slot.
     /// (Pushing a patched stack copy re-reads bytes the patch has only
     /// just stored: a store-forwarding stall per event.)
-    /// A slot that already holds a retirement, as nearly every slot does
-    /// after the first batch, is overwritten in place: one tag test,
-    /// nothing dropped.
+    /// Every slot holds a retirement, so the slot is overwritten in
+    /// place: one tag test, nothing dropped.
     #[inline]
     pub fn retire_in_place(&mut self, pc: u64, template: &DynOp) -> &mut DynInst {
-        match self.slot() {
-            HostEvent::Retire(d) => {
-                *d = template.at(pc);
-                d
-            }
-            other => retire_over(other, template.at(pc)),
-        }
+        let d = retirement(self.slot());
+        *d = template.at(pc);
+        d
     }
 
     /// Appends a whole retirement stream by block copy, then hands the
@@ -219,13 +226,13 @@ impl<'a> EventBuffer<'a> {
     /// left starts a new batch; one longer than a whole batch is patched
     /// in a side buffer and appended event by event.
     #[inline]
-    pub fn retire_stream(&mut self, stream: &[DynInst], patch: impl FnOnce(&mut [HostEvent])) {
+    pub fn retire_stream(&mut self, stream: &[DynInst], patch: impl FnOnce(Staged<'_>)) {
         if self.len + stream.len() > self.buf.len() {
             if stream.len() > self.capacity {
                 let mut side: Vec<HostEvent> =
                     stream.iter().map(|d| HostEvent::Retire(*d)).collect();
-                patch(&mut side);
-                side.into_iter().for_each(|e| self.push(e));
+                patch(Staged(&mut side));
+                side.into_iter().for_each(|e| *self.slot() = e);
                 return;
             }
             self.make_room(stream.len());
@@ -234,7 +241,7 @@ impl<'a> EventBuffer<'a> {
         for (slot, d) in slots.iter_mut().zip(stream) {
             *slot = HostEvent::Retire(*d);
         }
-        patch(slots);
+        patch(Staged(slots));
         self.len += stream.len();
     }
 
@@ -248,9 +255,9 @@ impl<'a> EventBuffer<'a> {
     }
 
     /// Flushes and returns the storage for reuse.
-    pub fn into_storage(mut self) -> Vec<HostEvent> {
+    pub fn into_storage(mut self) -> EventStorage {
         self.flush();
-        self.buf
+        EventStorage(self.buf)
     }
 
     /// Events currently staged.
@@ -312,8 +319,12 @@ mod tests {
     use super::*;
     use crate::stream::{Component, ExecClass};
 
+    fn at(pc: u64) -> DynInst {
+        DynInst::plain(pc, ExecClass::SimpleInt, Component::AppCode)
+    }
+
     fn retire_at(pc: u64) -> HostEvent {
-        HostEvent::Retire(DynInst::plain(pc, ExecClass::SimpleInt, Component::AppCode))
+        HostEvent::Retire(at(pc))
     }
 
     #[test]
@@ -334,7 +345,7 @@ mod tests {
         {
             let mut buf = EventBuffer::new(8, &mut out);
             for pc in 0..100u64 {
-                buf.retire(DynInst::plain(pc * 4, ExecClass::SimpleInt, Component::AppCode));
+                buf.retire(at(pc * 4));
             }
             assert!(buf.pending() < 8, "capacity flushes keep the buffer bounded");
             buf.flush();
@@ -354,7 +365,7 @@ mod tests {
         {
             let mut buf = EventBuffer::new(16, &mut sink);
             for pc in 0..40u64 {
-                buf.push(retire_at(pc));
+                buf.retire(at(pc));
             }
             buf.flush();
         }
@@ -371,14 +382,14 @@ mod tests {
         // them again.
         let mut out: Vec<HostEvent> = Vec::new();
         let mut buf = EventBuffer::new(1024, &mut out);
-        buf.push(retire_at(0));
+        buf.retire(at(0));
         let storage = buf.into_storage();
-        let allocation = (storage.as_ptr(), storage.capacity());
+        let allocation = (storage.0.as_ptr(), storage.0.capacity());
         let mut buf = EventBuffer::from_storage(storage, 1024, &mut out);
         assert_eq!(buf.pending(), 0, "a delivered event is not staged again");
-        buf.push(retire_at(4));
+        buf.retire(at(4));
         let storage = buf.into_storage();
-        assert_eq!((storage.as_ptr(), storage.capacity()), allocation, "allocation survives");
+        assert_eq!((storage.0.as_ptr(), storage.0.capacity()), allocation, "allocation survives");
         let pcs: Vec<u64> = out
             .iter()
             .map(|e| match e {
@@ -387,42 +398,6 @@ mod tests {
             })
             .collect();
         assert_eq!(pcs, [0, 4], "each event exactly once");
-    }
-
-    /// A retirement staged in a slot whose last event was a boundary
-    /// replaces it whole, and so does the next one, staged over that
-    /// retirement in place: both are delivered, patched, after the
-    /// boundary.
-    #[test]
-    fn retire_in_place_over_a_slot_that_held_a_boundary() {
-        let tpl = DynInst::plain(0, ExecClass::Load, Component::AppCode).with_mem(0x40, 4, false);
-        let mut out: Vec<HostEvent> = Vec::new();
-        {
-            let mut buf = EventBuffer::new(1, &mut out);
-            buf.push(HostEvent::StepBoundary {
-                guest_insts: 1,
-                emulated: Box::new(CpuState::at(0)),
-            });
-            // Each append finds the one slot full, delivers it and
-            // writes over what it held.
-            *buf.retire_in_place(8, &tpl).mem_addr_mut().expect("a load") = 0x80;
-            *buf.retire_in_place(12, &tpl).mem_addr_mut().expect("a load") = 0xC0;
-            buf.flush();
-        }
-        assert!(matches!(out[0], HostEvent::StepBoundary { guest_insts: 1, .. }), "{out:?}");
-        let retired: Vec<DynInst> = out[1..]
-            .iter()
-            .map(|e| match e {
-                HostEvent::Retire(d) => *d,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        let at = |pc, addr| {
-            let mut d = tpl.at(pc);
-            *d.mem_addr_mut().expect("a load") = addr;
-            d
-        };
-        assert_eq!(retired, [at(8, 0x80), at(12, 0xC0)]);
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl fmt::Display for BlockId {
 /// Where control goes when it leaves a translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Exit {
-    /// To a known guest address. `link` is filled in by chaining: when
+    /// To a known guest address. `link` is filled in by chaining; once
     /// set, execution continues directly at that code-cache block without
     /// a transition to the software layer. A link only ever names a block
     /// of its own block's epoch, so the flush that drops the target drops

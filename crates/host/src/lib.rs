@@ -50,7 +50,8 @@ pub mod stream;
 pub mod template;
 
 pub use events::{
-    EventBuffer, HostEvent, HostEventSink, NullSink, RetireSink, TraceStats, TraceStatsSink,
+    EventBuffer, EventStorage, HostEvent, HostEventSink, NullSink, RetireSink, Staged, TraceStats,
+    TraceStatsSink,
 };
 pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Inst, Width};
 pub use state::{eval_alu, eval_flags, exec_inst, HostState, Outcome};

@@ -1,41 +1,28 @@
 //! The [`EventBuffer`] contract, against a plain `Vec` model.
 //!
-//! Whatever mix of by-value pushes, in-place single appends, in-place
-//! streams, explicit flushes and storage round trips a producer makes,
-//! the sink must see exactly the appended events, patched, in order, in
-//! batches no longer than the capacity.
+//! Whatever mix of by-value retirements, in-place single appends,
+//! in-place streams, explicit flushes and storage round trips a producer
+//! makes, the sink must see exactly the appended retirements, patched,
+//! in order, in batches no longer than the capacity.
 
-use darco_guest::CpuState;
-use darco_host::events::EventBuffer;
+use darco_host::events::{EventBuffer, EventStorage};
 use darco_host::{Component, DynInst, ExecClass, HostEvent, HostEventSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Records every batch it is handed.
+/// Records every batch it is handed, as the retirements it holds.
 #[derive(Default)]
 struct Recorder {
-    batches: Vec<Vec<HostEvent>>,
-    /// Address of the state inside every `StepBoundary`, as delivered.
-    boundary_states: Vec<*const CpuState>,
+    batches: Vec<Vec<DynInst>>,
 }
 
 impl HostEventSink for Recorder {
     fn consume(&mut self, batch: &[HostEvent]) {
-        for e in batch {
-            if let HostEvent::StepBoundary { emulated, .. } = e {
-                self.boundary_states.push(&**emulated);
-            }
-        }
-        self.batches.push(batch.to_vec());
-    }
-}
-
-/// `HostEvent` has no `PartialEq` (a `StepBoundary` owns a boxed
-/// `CpuState`); retirements compare by value, the rest by text.
-fn same(a: &HostEvent, b: &HostEvent) -> bool {
-    match (a, b) {
-        (HostEvent::Retire(x), HostEvent::Retire(y)) => x == y,
-        _ => format!("{a:?}") == format!("{b:?}"),
+        let retired = batch.iter().map(|e| match e {
+            HostEvent::Retire(d) => *d,
+            other => panic!("the buffer delivered a non-retirement: {other:?}"),
+        });
+        self.batches.push(retired.collect());
     }
 }
 
@@ -43,16 +30,10 @@ fn load(pc: u64) -> DynInst {
     DynInst::plain(pc, ExecClass::Load, Component::TolIm).with_mem(0, 8, false)
 }
 
-fn retired(e: &mut HostEvent) -> &mut DynInst {
-    e.as_retire_mut().expect("in-place slots are retirements")
-}
-
 /// What one scripted run delivered.
 struct Outcome {
-    model: Vec<HostEvent>,
+    model: Vec<DynInst>,
     sink: Recorder,
-    /// Address of the state inside every `StepBoundary`, as pushed.
-    pushed_states: Vec<*const CpuState>,
 }
 
 /// Drives one random script of appends against `capacity`, mirroring
@@ -60,8 +41,7 @@ struct Outcome {
 fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut sink = Recorder::default();
-    let mut model: Vec<HostEvent> = Vec::new();
-    let mut pushed_states = Vec::new();
+    let mut model: Vec<DynInst> = Vec::new();
     let mut next = 0u64; // a value no earlier event carries
     let mut fresh = || {
         next += 1;
@@ -69,8 +49,7 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
     };
     let stream_lens = [1, capacity.saturating_sub(1), capacity, capacity + 1, 40];
 
-    let mut storage: Vec<HostEvent> = Vec::new();
-    let mut allocation = None;
+    let mut storage = EventStorage::default();
     let mut ops_left = ops;
     while ops_left > 0 {
         let mut ev = EventBuffer::from_storage(std::mem::take(&mut storage), capacity, &mut sink);
@@ -78,10 +57,10 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
         // One "step": a handful of appends, then the storage goes back.
         for _ in 0..rng.gen_range(1..12usize).min(ops_left) {
             ops_left -= 1;
-            match rng.gen_range(0..10u32) {
+            match rng.gen_range(0..9u32) {
                 0..=3 => {
                     let d = load(fresh());
-                    model.push(HostEvent::Retire(d));
+                    model.push(d);
                     ev.retire(d);
                 }
                 4 | 5 => {
@@ -92,7 +71,7 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
                     *d.mem_addr_mut().expect("a load") = addr;
                     let mut want = tpl;
                     *want.mem_addr_mut().expect("a load") = addr;
-                    model.push(HostEvent::Retire(want));
+                    model.push(want);
                 }
                 6 | 7 => {
                     let len = stream_lens[rng.gen_range(0..stream_lens.len())].max(1);
@@ -101,24 +80,18 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
                     // Patch the first, the last and one in the middle.
                     let marks = [0, len / 2, len - 1];
                     let addr = fresh();
-                    ev.retire_stream(&tpl, |evs| {
-                        assert_eq!(evs.len(), len, "the whole stream is handed out at once");
+                    // The whole stream is handed out at once: its last
+                    // event is in reach.
+                    ev.retire_stream(&tpl, |mut evs| {
                         for m in marks {
-                            *retired(&mut evs[m]).mem_addr_mut().expect("a load") = addr;
+                            *evs.retired(m).mem_addr_mut().expect("a load") = addr;
                         }
                     });
                     let mut want = tpl;
                     for m in marks {
                         *want[m].mem_addr_mut().expect("a load") = addr;
                     }
-                    model.extend(want.into_iter().map(HostEvent::Retire));
-                }
-                8 => {
-                    let guest_insts = fresh();
-                    let state = Box::new(CpuState::at(guest_insts as u32));
-                    pushed_states.push(&*state as *const CpuState);
-                    model.push(HostEvent::StepBoundary { guest_insts, emulated: state.clone() });
-                    ev.push(HostEvent::StepBoundary { guest_insts, emulated: state });
+                    model.extend(want);
                 }
                 _ => {
                     ev.flush();
@@ -129,11 +102,11 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
             assert!(ev.pending() <= capacity, "staged events exceed the capacity");
         }
         storage = ev.into_storage();
-        // The buffer keeps the allocation it started with.
-        let now = (storage.as_ptr(), storage.capacity());
-        assert_eq!(*allocation.get_or_insert(now), now, "the buffer reallocated");
+        // The slots never outgrow the allocation made up front.
+        let most = capacity.max(1) * std::mem::size_of::<HostEvent>();
+        assert!(storage.bytes() <= most, "{} B of slots at capacity {capacity}", storage.bytes());
     }
-    Outcome { model, sink, pushed_states }
+    Outcome { model, sink }
 }
 
 fn check(capacity: usize, seed: u64, ops: usize) {
@@ -141,14 +114,11 @@ fn check(capacity: usize, seed: u64, ops: usize) {
     let ctx = format!("capacity {capacity}, seed {seed}");
     let lens: Vec<usize> = out.sink.batches.iter().map(Vec::len).collect();
     assert!(lens.iter().all(|&n| (1..=capacity).contains(&n)), "{ctx}: batch lengths {lens:?}");
-    let delivered: Vec<&HostEvent> = out.sink.batches.iter().flatten().collect();
+    let delivered: Vec<&DynInst> = out.sink.batches.iter().flatten().collect();
     assert_eq!(delivered.len(), out.model.len(), "{ctx}: event count");
     for (i, (got, want)) in delivered.iter().zip(&out.model).enumerate() {
-        assert!(same(got, want), "{ctx}: event {i} is {got:?}, the model says {want:?}");
+        assert_eq!(*got, want, "{ctx}: event {i}");
     }
-    // A boundary's boxed state is moved into the buffer and lent on to
-    // the sink — one owner throughout, so one drop.
-    assert_eq!(out.sink.boundary_states, out.pushed_states, "{ctx}: boxed states were copied");
 }
 
 #[test]

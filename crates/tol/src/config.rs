@@ -18,8 +18,6 @@ pub struct TolConfig {
     pub code_cache_capacity: u32,
     /// IBTC entries (direct-mapped, power of two).
     pub ibtc_entries: u32,
-    /// Enable chaining (linking) of translations.
-    pub chaining: bool,
     /// The optimizer as one switch (Sec. II-A-1): SBM constant propagation
     /// and folding, CSE and DCE, and the BBM peephole. Off, with
     /// `opt_schedule` off too, is the translate-only reference.
@@ -46,7 +44,6 @@ impl Default for TolConfig {
             bb_sb_threshold: 10_000,
             code_cache_capacity: 1 << 20,
             ibtc_entries: 512,
-            chaining: true,
             optimize: true,
             opt_schedule: true,
             opt_sw_prefetch: false,
@@ -73,7 +70,6 @@ mod tests {
         let c = TolConfig::default();
         assert_eq!(c.im_bb_threshold, 5);
         assert_eq!(c.bb_sb_threshold, 10_000);
-        assert!(c.chaining);
     }
 
     #[test]

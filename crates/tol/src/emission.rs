@@ -27,7 +27,7 @@ use crate::profile::StaticMode;
 use crate::translate::RegionInst;
 use darco_guest::exec::{Control, StepInfo};
 use darco_guest::GuestClass;
-use darco_host::events::{EventBuffer, HostEvent};
+use darco_host::events::EventBuffer;
 use darco_host::layout::{guest_to_host, TOL_CODE_BASE, TOL_DATA_BASE};
 use darco_host::stream::int_reg;
 use darco_host::{BranchKind, Component, DynInst, ExecClass};
@@ -75,7 +75,8 @@ mod code {
     pub const TRANSITION: u64 = 0x1_8000;
 }
 
-/// Emits the host-instruction streams of TOL services into a sink.
+/// The interpreter's stream templates. Every other service's stream is
+/// built afresh by a function of this module.
 #[derive(Debug)]
 pub struct Emitter {
     /// Per-shape interpreter stream templates, indexed by
@@ -211,12 +212,6 @@ fn emit_interp(
     c.br(BranchKind::UncondDirect, TOL_CODE_BASE + code::INTERP, true);
 }
 
-/// The retirement staged in a slot that [`EventBuffer::retire_stream`]
-/// has just filled.
-fn retired(e: &mut HostEvent) -> &mut DynInst {
-    e.as_retire_mut().expect("retire_stream stages retirements only")
-}
-
 /// Where a stream-building cursor retires to: the live event buffer, or
 /// a plain vector when recording an interpreter template.
 trait RetireTarget {
@@ -349,254 +344,244 @@ impl Emitter {
         }
         let tpl = self.interp_tpl[key].as_ref().expect("template just ensured");
         let m = tpl.marks;
-        ev.retire_stream(&tpl.insts, |evs| {
-            let mem_at = |evs: &mut [HostEvent], i: usize, addr: u64| {
-                *retired(&mut evs[i]).mem_addr_mut().expect("marked slot is a memory access") =
-                    addr;
+        ev.retire_stream(&tpl.insts, |mut evs| {
+            let mut mem_at = |i: usize, addr: u64| {
+                *evs.retired(i).mem_addr_mut().expect("marked slot is a memory access") = addr;
             };
-            mem_at(evs, m.fetch0, guest_to_host(guest_pc));
-            mem_at(evs, m.fetch1, guest_to_host(guest_pc.wrapping_add(4)));
-            retired(&mut evs[m.dispatch]).pc =
-                TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
+            mem_at(m.fetch0, guest_to_host(guest_pc));
+            mem_at(m.fetch1, guest_to_host(guest_pc.wrapping_add(4)));
             for (i, a) in info.accesses.iter().enumerate() {
-                mem_at(evs, m.acc[i], guest_to_host(a.addr));
+                mem_at(m.acc[i], guest_to_host(a.addr));
             }
+            evs.retired(m.dispatch).pc =
+                TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
             if let Control::Jump { taken, .. } = info.control {
-                retired(&mut evs[m.jump]).set_taken(taken);
+                evs.retired(m.jump).set_taken(taken);
             }
         });
     }
+}
 
-    /// Basic-block translation (BBM): decode each guest instruction and
-    /// write its `host_len` host instructions into the code cache from
-    /// `host_base`, where the cache put the block, then insert into the
-    /// map.
-    pub fn bb_translate(
-        &mut self,
-        ev: &mut EventBuffer<'_>,
-        guest_entry: u32,
-        insts: &[RegionInst],
-        host_base: u64,
-        host_len: usize,
-    ) {
-        let comp = Component::TolBbm;
-        let mut c = Cur::new(TOL_CODE_BASE + code::TRANSLATOR, comp, ev);
-        let top = c.pc;
-        for r in insts {
-            c.pc = top;
-            let opcode = r.inst.class() as u64;
-            c.ld(guest_to_host(r.pc)); // read guest code
-            c.use_load();
-            c.ld(TOL_DATA_BASE + data::DECODE_TABLE + opcode * 64);
-            c.use_load();
-            // Table-driven translation: one mostly-biased class check per
-            // instruction (Gshare learns the dominant class), not an
-            // indirect dispatch — translators are batchy, unlike the
-            // interpreter's per-instruction dispatch loop.
-            c.br(
-                BranchKind::CondDirect,
-                TOL_CODE_BASE + code::TRANSLATOR + 0x100,
-                // "needs indirect-branch handling?" — rare
-                r.inst.class() != GuestClass::IndirectBranch,
-            );
-            c.alu(costs::TRANSLATE_PER_INST_ALU);
-            // Flag-writing guests need the EFLAGS emulation path too.
-            if r.inst.writes_flags() {
-                c.alu(4);
-                c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::TRANSLATOR + 0x800, true);
-            }
-        }
-        // Write the produced host code into the code cache.
-        let top = c.pc;
-        for i in 0..host_len as u64 {
-            c.pc = top;
-            c.st(host_base + 4 * i);
-        }
-        // Map insertion: hash, bucket read-modify-write.
-        c.alu(4);
-        let bucket = TOL_DATA_BASE + data::MAP + bucket_of(guest_entry) * costs::MAP_BUCKET_BYTES;
-        c.ld(bucket);
+/// Basic-block translation (BBM): decode each guest instruction and
+/// write its `host_len` host instructions into the code cache from
+/// `host_base`, where the cache put the block, then insert into the
+/// map.
+pub fn bb_translate(
+    ev: &mut EventBuffer<'_>,
+    guest_entry: u32,
+    insts: &[RegionInst],
+    host_base: u64,
+    host_len: usize,
+) {
+    let comp = Component::TolBbm;
+    let mut c = Cur::new(TOL_CODE_BASE + code::TRANSLATOR, comp, ev);
+    let top = c.pc;
+    for r in insts {
+        c.pc = top;
+        let opcode = r.inst.class() as u64;
+        c.ld(guest_to_host(r.pc)); // read guest code
         c.use_load();
-        c.st(bucket);
-        c.st(bucket + 8);
+        c.ld(TOL_DATA_BASE + data::DECODE_TABLE + opcode * 64);
+        c.use_load();
+        // Table-driven translation: one mostly-biased class check per
+        // instruction (Gshare learns the dominant class), not an
+        // indirect dispatch — translators are batchy, unlike the
+        // interpreter's per-instruction dispatch loop.
+        c.br(
+            BranchKind::CondDirect,
+            TOL_CODE_BASE + code::TRANSLATOR + 0x100,
+            // "needs indirect-branch handling?" — rare
+            r.inst.class() != GuestClass::IndirectBranch,
+        );
+        c.alu(costs::TRANSLATE_PER_INST_ALU);
+        // Flag-writing guests need the EFLAGS emulation path too.
+        if r.inst.writes_flags() {
+            c.alu(4);
+            c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::TRANSLATOR + 0x800, true);
+        }
     }
+    // Write the produced host code into the code cache.
+    let top = c.pc;
+    for i in 0..host_len as u64 {
+        c.pc = top;
+        c.st(host_base + 4 * i);
+    }
+    // Map insertion: hash, bucket read-modify-write.
+    c.alu(4);
+    let bucket = TOL_DATA_BASE + data::MAP + bucket_of(guest_entry) * costs::MAP_BUCKET_BYTES;
+    c.ld(bucket);
+    c.use_load();
+    c.st(bucket);
+    c.st(bucket + 8);
+}
 
-    /// Superblock formation and optimization (SBM); the `host_len` host
-    /// instructions are written from `host_base`, as in
-    /// [`Emitter::bb_translate`].
-    pub fn sb_optimize(
-        &mut self,
-        ev: &mut EventBuffer<'_>,
-        bbs_followed: usize,
-        ir_len: usize,
-        host_base: u64,
-        host_len: usize,
-    ) {
-        let comp = Component::TolSbm;
-        let mut c = Cur::new(TOL_CODE_BASE + code::OPTIMIZER, comp, ev);
-        // Formation: read edge profiles of the followed blocks.
-        let top = c.pc;
-        for i in 0..bbs_followed.max(1) {
-            c.pc = top;
-            c.ld(TOL_DATA_BASE + data::PROFILE + ((i as u64 * 37) % 512) * 16);
-            c.use_load();
-            c.alu(6);
-            c.br(BranchKind::CondDirect, c.pc + 64, i % 2 == 0);
-        }
-        // Passes: per-IR-instruction work over workspace arrays.
-        let top = c.pc;
-        for i in 0..ir_len {
-            c.pc = top;
-            let slot = TOL_DATA_BASE + data::WORKSPACE + (i as u64 % 4096) * 16;
-            c.ld(slot);
-            c.use_load();
-            c.alu(costs::OPTIMIZE_PER_INST_ALU);
-            c.st(slot);
-            if i % 4 == 0 {
-                c.br(BranchKind::CondDirect, c.pc + 32, i % 8 == 0);
-            }
-        }
-        // Code emission and map update.
-        let top = c.pc;
-        for i in 0..host_len as u64 {
-            c.pc = top;
-            c.st(host_base + 4 * i);
-        }
+/// Superblock formation and optimization (SBM); the `host_len` host
+/// instructions are written from `host_base`, as in
+/// [`bb_translate`].
+pub fn sb_optimize(
+    ev: &mut EventBuffer<'_>,
+    bbs_followed: usize,
+    ir_len: usize,
+    host_base: u64,
+    host_len: usize,
+) {
+    let comp = Component::TolSbm;
+    let mut c = Cur::new(TOL_CODE_BASE + code::OPTIMIZER, comp, ev);
+    // Formation: read edge profiles of the followed blocks.
+    let top = c.pc;
+    for i in 0..bbs_followed.max(1) {
+        c.pc = top;
+        c.ld(TOL_DATA_BASE + data::PROFILE + ((i as u64 * 37) % 512) * 16);
+        c.use_load();
         c.alu(6);
+        c.br(BranchKind::CondDirect, c.pc + 64, i % 2 == 0);
     }
-
-    /// Chaining: patch a direct exit to its successor translation.
-    pub fn chain(&mut self, ev: &mut EventBuffer<'_>, exit_host_pc: u64) {
-        let comp = Component::TolChaining;
-        let mut c = Cur::new(TOL_CODE_BASE + code::CHAINER, comp, ev);
-        c.alu(4);
-        c.ld(exit_host_pc); // read the exit instruction
-        c.use_load();
-        c.st(exit_host_pc); // patch it
-        c.alu(2);
-    }
-
-    /// Full translation-map lookup (the data-intensive probe of
-    /// Sec. III-D).
-    pub fn map_lookup(&mut self, ev: &mut EventBuffer<'_>, guest_pc: u32, found: bool) {
-        let comp = Component::TolLookup;
-        let mut c = Cur::new(TOL_CODE_BASE + code::LOOKUP, comp, ev);
-        c.alu(4); // hash
-                  // Open-addressed probe sequence: two buckets on distinct lines.
-        let b0 = TOL_DATA_BASE + data::MAP + bucket_of(guest_pc) * costs::MAP_BUCKET_BYTES;
-        let b1 = TOL_DATA_BASE
-            + data::MAP
-            + bucket_of(guest_pc.rotate_left(13) ^ 0x5bd1_e995) * costs::MAP_BUCKET_BYTES;
-        c.ld(b0);
-        c.use_load();
-        c.br(BranchKind::CondDirect, c.pc + 32, found);
-        c.ld(b1);
-        c.use_load();
-        c.alu(2);
-        if found {
-            // Block descriptor (separate array) plus a lookup-stats bump.
-            let desc = TOL_DATA_BASE + data::DESCRIPTORS + (bucket_of(guest_pc) % 4096) * 64;
-            c.ld(desc);
-            c.use_load();
-            c.st(desc + 8);
-        } else {
-            c.br(BranchKind::CondDirect, c.pc + 48, true); // chain walk ends
-        }
-        c.alu(3);
-    }
-
-    /// IBTC entry update after a miss (two stores into the table).
-    pub fn ibtc_update(&mut self, ev: &mut EventBuffer<'_>, slot: u32) {
-        let comp = Component::TolLookup;
-        let mut c = Cur::new(TOL_CODE_BASE + code::LOOKUP + 0x400, comp, ev);
-        let e = TOL_DATA_BASE + data::IBTC + slot as u64 * 16;
-        c.st(e);
-        c.st(e + 8);
-    }
-
-    /// Transition between translated code and the software layer
-    /// (context save or restore): the cost reflected in "TOL others".
-    pub fn transition(&mut self, ev: &mut EventBuffer<'_>) {
-        let comp = Component::TolOthers;
-        let mut c = Cur::new(TOL_CODE_BASE + code::TRANSITION, comp, ev);
-        for i in 0..6u64 {
-            c.st(TOL_DATA_BASE + data::CONTEXT + i * 8);
-        }
-        for i in 0..6u64 {
-            c.ld(TOL_DATA_BASE + data::CONTEXT + 64 + i * 8);
-        }
-        c.alu(4);
-        c.br(BranchKind::UncondDirect, TOL_CODE_BASE + code::DISPATCH, true);
-    }
-
-    /// The dispatcher's decision work per TOL entry.
-    pub fn dispatch(&mut self, ev: &mut EventBuffer<'_>, mode: StaticMode) {
-        let comp = Component::TolOthers;
-        let mut c = Cur::new(TOL_CODE_BASE + code::DISPATCH, comp, ev);
-        c.alu(5);
-        c.ld(TOL_DATA_BASE + data::CONTEXT + 128);
-        c.use_load();
-        // Mode decision branch: its direction tracks the execution phase.
-        c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::DISPATCH + 0x80, mode != StaticMode::Im);
-    }
-
-    /// The inline IBTC probe executed *by translated code* (application
-    /// side) at an indirect-branch exit.
-    pub fn ibtc_probe_inline(
-        &mut self,
-        ev: &mut EventBuffer<'_>,
-        site_pc: u64,
-        slot: u32,
-        hit: bool,
-        target_host: u64,
-    ) {
-        let comp = Component::AppCode;
-        let mut c = Cur::new(site_pc, comp, ev);
-        c.alu(2); // hash of the guest target
-        c.ld(TOL_DATA_BASE + data::IBTC + slot as u64 * 16);
-        c.use_load(); // compare
-        c.br(BranchKind::CondDirect, site_pc + 24, hit);
-        if hit {
-            // Jump straight to the cached translation.
-            c.br(BranchKind::Indirect, target_host, true);
-        }
-    }
-
-    /// Inline speculative indirect-branch check (optional feature,
-    /// Sec. III-E): compare the computed guest target against the
-    /// hard-coded last target and jump straight to its translation on a
-    /// match. Application-side cost: one compare plus one well-biased
-    /// conditional branch, plus the direct jump on a hit.
-    pub fn spec_check(
-        &mut self,
-        ev: &mut EventBuffer<'_>,
-        site_pc: u64,
-        hit: bool,
-        target_host: u64,
-    ) {
-        let comp = Component::AppCode;
-        let mut c = Cur::new(site_pc, comp, ev);
-        c.alu(1); // compare against the inlined constant
-        c.br(BranchKind::CondDirect, site_pc + 16, hit);
-        if hit {
-            c.br(BranchKind::UncondDirect, target_host, true);
-        }
-    }
-
-    /// BBM edge-profiling instrumentation executed per block run
-    /// (application-side counter update).
-    pub fn bbm_instrumentation(&mut self, ev: &mut EventBuffer<'_>, host_pc: u64, bb_entry: u32) {
-        let comp = Component::AppCode;
-        let mut c = Cur::new(host_pc, comp, ev);
-        let slot = TOL_DATA_BASE + data::PROFILE + (bucket_of(bb_entry) % 4096) * 16;
+    // Passes: per-IR-instruction work over workspace arrays.
+    let top = c.pc;
+    for i in 0..ir_len {
+        c.pc = top;
+        let slot = TOL_DATA_BASE + data::WORKSPACE + (i as u64 % 4096) * 16;
         c.ld(slot);
         c.use_load();
+        c.alu(costs::OPTIMIZE_PER_INST_ALU);
         c.st(slot);
-        // Edge-profile record on its own line (read-modify-write).
-        let edge = TOL_DATA_BASE + data::EDGES + (bucket_of(bb_entry ^ 0x9e37) % 2048) * 64;
-        c.ld(edge);
-        c.st(edge);
+        if i % 4 == 0 {
+            c.br(BranchKind::CondDirect, c.pc + 32, i % 8 == 0);
+        }
     }
+    // Code emission and map update.
+    let top = c.pc;
+    for i in 0..host_len as u64 {
+        c.pc = top;
+        c.st(host_base + 4 * i);
+    }
+    c.alu(6);
+}
+
+/// Chaining: patch a direct exit to its successor translation.
+pub fn chain(ev: &mut EventBuffer<'_>, exit_host_pc: u64) {
+    let comp = Component::TolChaining;
+    let mut c = Cur::new(TOL_CODE_BASE + code::CHAINER, comp, ev);
+    c.alu(4);
+    c.ld(exit_host_pc); // read the exit instruction
+    c.use_load();
+    c.st(exit_host_pc); // patch it
+    c.alu(2);
+}
+
+/// Full translation-map lookup (the data-intensive probe of
+/// Sec. III-D).
+pub fn map_lookup(ev: &mut EventBuffer<'_>, guest_pc: u32, found: bool) {
+    let comp = Component::TolLookup;
+    let mut c = Cur::new(TOL_CODE_BASE + code::LOOKUP, comp, ev);
+    c.alu(4); // hash
+              // Open-addressed probe sequence: two buckets on distinct lines.
+    let b0 = TOL_DATA_BASE + data::MAP + bucket_of(guest_pc) * costs::MAP_BUCKET_BYTES;
+    let b1 = TOL_DATA_BASE
+        + data::MAP
+        + bucket_of(guest_pc.rotate_left(13) ^ 0x5bd1_e995) * costs::MAP_BUCKET_BYTES;
+    c.ld(b0);
+    c.use_load();
+    c.br(BranchKind::CondDirect, c.pc + 32, found);
+    c.ld(b1);
+    c.use_load();
+    c.alu(2);
+    if found {
+        // Block descriptor (separate array) plus a lookup-stats bump.
+        let desc = TOL_DATA_BASE + data::DESCRIPTORS + (bucket_of(guest_pc) % 4096) * 64;
+        c.ld(desc);
+        c.use_load();
+        c.st(desc + 8);
+    } else {
+        c.br(BranchKind::CondDirect, c.pc + 48, true); // chain walk ends
+    }
+    c.alu(3);
+}
+
+/// IBTC entry update after a miss (two stores into the table).
+pub fn ibtc_update(ev: &mut EventBuffer<'_>, slot: u32) {
+    let comp = Component::TolLookup;
+    let mut c = Cur::new(TOL_CODE_BASE + code::LOOKUP + 0x400, comp, ev);
+    let e = TOL_DATA_BASE + data::IBTC + slot as u64 * 16;
+    c.st(e);
+    c.st(e + 8);
+}
+
+/// Transition between translated code and the software layer
+/// (context save or restore): the cost reflected in "TOL others".
+pub fn transition(ev: &mut EventBuffer<'_>) {
+    let comp = Component::TolOthers;
+    let mut c = Cur::new(TOL_CODE_BASE + code::TRANSITION, comp, ev);
+    for i in 0..6u64 {
+        c.st(TOL_DATA_BASE + data::CONTEXT + i * 8);
+    }
+    for i in 0..6u64 {
+        c.ld(TOL_DATA_BASE + data::CONTEXT + 64 + i * 8);
+    }
+    c.alu(4);
+    c.br(BranchKind::UncondDirect, TOL_CODE_BASE + code::DISPATCH, true);
+}
+
+/// The dispatcher's decision work per TOL entry.
+pub fn dispatch(ev: &mut EventBuffer<'_>, mode: StaticMode) {
+    let comp = Component::TolOthers;
+    let mut c = Cur::new(TOL_CODE_BASE + code::DISPATCH, comp, ev);
+    c.alu(5);
+    c.ld(TOL_DATA_BASE + data::CONTEXT + 128);
+    c.use_load();
+    // Mode decision branch: its direction tracks the execution phase.
+    c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::DISPATCH + 0x80, mode != StaticMode::Im);
+}
+
+/// The inline IBTC probe executed *by translated code* (application
+/// side) at an indirect-branch exit.
+pub fn ibtc_probe_inline(
+    ev: &mut EventBuffer<'_>,
+    site_pc: u64,
+    slot: u32,
+    hit: bool,
+    target_host: u64,
+) {
+    let comp = Component::AppCode;
+    let mut c = Cur::new(site_pc, comp, ev);
+    c.alu(2); // hash of the guest target
+    c.ld(TOL_DATA_BASE + data::IBTC + slot as u64 * 16);
+    c.use_load(); // compare
+    c.br(BranchKind::CondDirect, site_pc + 24, hit);
+    if hit {
+        // Jump straight to the cached translation.
+        c.br(BranchKind::Indirect, target_host, true);
+    }
+}
+
+/// Inline speculative indirect-branch check (optional feature,
+/// Sec. III-E): compare the computed guest target against the
+/// hard-coded last target and jump straight to its translation on a
+/// match. Application-side cost: one compare plus one well-biased
+/// conditional branch, plus the direct jump on a hit.
+pub fn spec_check(ev: &mut EventBuffer<'_>, site_pc: u64, hit: bool, target_host: u64) {
+    let comp = Component::AppCode;
+    let mut c = Cur::new(site_pc, comp, ev);
+    c.alu(1); // compare against the inlined constant
+    c.br(BranchKind::CondDirect, site_pc + 16, hit);
+    if hit {
+        c.br(BranchKind::UncondDirect, target_host, true);
+    }
+}
+
+/// BBM edge-profiling instrumentation executed per block run
+/// (application-side counter update).
+pub fn bbm_instrumentation(ev: &mut EventBuffer<'_>, host_pc: u64, bb_entry: u32) {
+    let comp = Component::AppCode;
+    let mut c = Cur::new(host_pc, comp, ev);
+    let slot = TOL_DATA_BASE + data::PROFILE + (bucket_of(bb_entry) % 4096) * 16;
+    c.ld(slot);
+    c.use_load();
+    c.st(slot);
+    // Edge-profile record on its own line (read-modify-write).
+    let edge = TOL_DATA_BASE + data::EDGES + (bucket_of(bb_entry ^ 0x9e37) % 2048) * 64;
+    c.ld(edge);
+    c.st(edge);
 }
 
 #[cfg(test)]
@@ -609,18 +594,11 @@ mod tests {
     use darco_host::Owner;
     use std::collections::BTreeSet;
 
-    fn collect(f: impl FnOnce(&mut Emitter, &mut EventBuffer<'_>)) -> Vec<DynInst> {
-        collect_with(&mut Emitter::new(), f)
-    }
-
-    fn collect_with(
-        e: &mut Emitter,
-        f: impl FnOnce(&mut Emitter, &mut EventBuffer<'_>),
-    ) -> Vec<DynInst> {
+    fn collect(f: impl FnOnce(&mut EventBuffer<'_>)) -> Vec<DynInst> {
         let mut v = Vec::new();
         let mut sink = RetireSink(|d: &DynInst| v.push(*d));
         let mut ev = EventBuffer::new(64, &mut sink);
-        f(e, &mut ev);
+        f(&mut ev);
         ev.flush();
         v
     }
@@ -635,8 +613,12 @@ mod tests {
 
     #[test]
     fn interp_step_costs_tens_of_instructions() {
-        let v = collect(|e, s| {
-            e.interp_step(s, 0x1000, &step_info(Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx }))
+        let v = collect(|s| {
+            Emitter::new().interp_step(
+                s,
+                0x1000,
+                &step_info(Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx }),
+            )
         });
         assert!((8..40).contains(&v.len()), "got {}", v.len());
         assert!(v.iter().all(|d| d.owner() == Owner::Tol));
@@ -678,8 +660,8 @@ mod tests {
             };
             let info = StepInfo { inst, len, control, accesses };
             let pc: u32 = rng.gen();
-            let replayed = collect_with(&mut shared, |e, s| e.interp_step(s, pc, &info));
-            let recorded = collect(|e, s| e.interp_step(s, pc, &info));
+            let replayed = collect(|s| shared.interp_step(s, pc, &info));
+            let recorded = collect(|s| Emitter::new().interp_step(s, pc, &info));
             assert_eq!(replayed, recorded, "step {steps}: {info:?} at {pc:#x}");
             classes.insert((inst.class() as usize, inst.writes_flags()));
             patterns.insert(info.accesses.iter().map(|a| a.is_store).collect::<Vec<_>>());
@@ -697,11 +679,15 @@ mod tests {
 
     #[test]
     fn flag_writers_cost_more_to_interpret_and_translate() {
-        let mov = collect(|e, s| {
-            e.interp_step(s, 0, &step_info(Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx }))
+        let mov = collect(|s| {
+            Emitter::new().interp_step(
+                s,
+                0,
+                &step_info(Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx }),
+            )
         });
-        let add = collect(|e, s| {
-            e.interp_step(
+        let add = collect(|s| {
+            Emitter::new().interp_step(
                 s,
                 0,
                 &step_info(Inst::AluRR {
@@ -713,11 +699,11 @@ mod tests {
         });
         assert!(add.len() > mov.len());
 
-        let t_mov = collect(|e, s| {
-            e.bb_translate(s, 0, &[ri(0, Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx })], BASE, 2)
+        let t_mov = collect(|s| {
+            bb_translate(s, 0, &[ri(0, Inst::MovRR { dst: Gpr::Eax, src: Gpr::Ebx })], BASE, 2)
         });
-        let t_add = collect(|e, s| {
-            e.bb_translate(
+        let t_add = collect(|s| {
+            bb_translate(
                 s,
                 0,
                 &[ri(0, Inst::AluRR { op: darco_guest::AluOp::Add, dst: Gpr::Eax, src: Gpr::Ebx })],
@@ -730,15 +716,15 @@ mod tests {
 
     #[test]
     fn optimization_costs_dominate_translation() {
-        let t = collect(|e, s| e.bb_translate(s, 0, &[ri(0, Inst::Nop); 8], BASE, 16));
-        let o = collect(|e, s| e.sb_optimize(s, 4, 32, BASE, 40));
+        let t = collect(|s| bb_translate(s, 0, &[ri(0, Inst::Nop); 8], BASE, 16));
+        let o = collect(|s| sb_optimize(s, 4, 32, BASE, 40));
         assert!(o.len() > 3 * t.len(), "SBM {} vs BBM {}", o.len(), t.len());
         assert!(o.iter().all(|d| d.component == Component::TolSbm));
     }
 
     #[test]
     fn map_lookup_is_data_intensive() {
-        let v = collect(|e, s| e.map_lookup(s, 0x1234, true));
+        let v = collect(|s| map_lookup(s, 0x1234, true));
         let loads = v.iter().filter(|d| d.mem().is_some_and(|m| !m.is_store)).count();
         assert!(loads >= 3);
         assert!(v.iter().all(|d| d.component == Component::TolLookup));
@@ -748,24 +734,24 @@ mod tests {
 
     #[test]
     fn ibtc_inline_probe_is_application_side() {
-        let v = collect(|e, s| e.ibtc_probe_inline(s, 0x2_0000_1000, 17, true, 0x2_0000_4000));
+        let v = collect(|s| ibtc_probe_inline(s, 0x2_0000_1000, 17, true, 0x2_0000_4000));
         assert!(v.iter().all(|d| d.owner() == Owner::App));
         assert!(v.iter().any(
             |d| matches!(d.branch(), Some((BranchKind::Indirect, t, true)) if t == 0x2_0000_4000)
         ));
-        let miss = collect(|e, s| e.ibtc_probe_inline(s, 0x2_0000_1000, 17, false, 0));
+        let miss = collect(|s| ibtc_probe_inline(s, 0x2_0000_1000, 17, false, 0));
         assert!(miss.len() < v.len());
     }
 
     #[test]
     fn spec_check_costs_two_or_three_app_instructions() {
-        let hit = collect(|e, s| e.spec_check(s, 0x2_0000_0000, true, 0x2_0000_4000));
+        let hit = collect(|s| spec_check(s, 0x2_0000_0000, true, 0x2_0000_4000));
         assert_eq!(hit.len(), 3, "compare + branch + direct jump");
         assert!(hit.iter().all(|d| d.owner() == Owner::App));
         assert!(hit.iter().any(
             |d| matches!(d.branch(), Some((BranchKind::UncondDirect, t, true)) if t == 0x2_0000_4000)
         ));
-        let miss = collect(|e, s| e.spec_check(s, 0x2_0000_0000, false, 0));
+        let miss = collect(|s| spec_check(s, 0x2_0000_0000, false, 0));
         assert_eq!(miss.len(), 2, "compare + fall-through branch only");
     }
 
@@ -794,12 +780,10 @@ mod tests {
         let sites = |v: Vec<DynInst>| -> BTreeSet<u64> {
             v.iter().filter(|d| d.branch().is_some()).map(|d| d.pc).collect()
         };
-        let bb = |n: usize| sites(collect(|e, s| e.bb_translate(s, 0, &block(n), BASE, 3 * n)));
+        let bb = |n: usize| sites(collect(|s| bb_translate(s, 0, &block(n), BASE, 3 * n)));
         assert_eq!(bb(2), bb(BB_LIMIT));
         let sb = |bbs: usize, n: usize| {
-            sites(collect(|e, s| {
-                e.sb_optimize(s, bbs, n * PER_GUEST_INST, BASE, n * PER_GUEST_INST)
-            }))
+            sites(collect(|s| sb_optimize(s, bbs, n * PER_GUEST_INST, BASE, n * PER_GUEST_INST)))
         };
         assert_eq!(sb(2, 8), sb(SB_BBS, SB_LIMIT));
     }
@@ -813,10 +797,11 @@ mod tests {
         let module = |start: u64, end: u64| TOL_CODE_BASE + start..TOL_CODE_BASE + end;
         let (bb_host, sb_ir) = (BB_LIMIT * PER_GUEST_INST, SB_LIMIT * PER_GUEST_INST);
         let routines = [
-            ("dispatch", collect(|e, s| e.dispatch(s, StaticMode::Im)), module(0, code::INTERP)),
+            ("dispatch", collect(|s| dispatch(s, StaticMode::Im)), module(0, code::INTERP)),
             (
                 "interp_step",
-                collect(|e, s| {
+                collect(|s| {
+                    let mut e = Emitter::new();
                     for r in block(2) {
                         e.interp_step(s, u32::MAX, &step_info(r.inst));
                     }
@@ -826,25 +811,25 @@ mod tests {
             ),
             (
                 "bb_translate",
-                collect(|e, s| e.bb_translate(s, 0, &block(BB_LIMIT), BASE, bb_host)),
+                collect(|s| bb_translate(s, 0, &block(BB_LIMIT), BASE, bb_host)),
                 module(code::TRANSLATOR, code::OPTIMIZER),
             ),
             (
                 "sb_optimize",
-                collect(|e, s| e.sb_optimize(s, SB_BBS, sb_ir, BASE, sb_ir)),
+                collect(|s| sb_optimize(s, SB_BBS, sb_ir, BASE, sb_ir)),
                 module(code::OPTIMIZER, code::CHAINER),
             ),
-            ("chain", collect(|e, s| e.chain(s, BASE)), module(code::CHAINER, code::LOOKUP)),
+            ("chain", collect(|s| chain(s, BASE)), module(code::CHAINER, code::LOOKUP)),
             (
                 "map_lookup",
-                collect(|e, s| {
-                    e.map_lookup(s, 77, false);
-                    e.map_lookup(s, 77, true);
-                    e.ibtc_update(s, 17);
+                collect(|s| {
+                    map_lookup(s, 77, false);
+                    map_lookup(s, 77, true);
+                    ibtc_update(s, 17);
                 }),
                 module(code::LOOKUP, code::TRANSITION),
             ),
-            ("transition", collect(|e, s| e.transition(s)), module(code::TRANSITION, 0x2_0000)),
+            ("transition", collect(transition), module(code::TRANSITION, 0x2_0000)),
         ];
         for (name, stream, region) in routines {
             for d in stream {

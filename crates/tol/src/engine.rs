@@ -8,9 +8,10 @@
 //! unit — one interpreted basic block or one run of chained translations
 //! bounded by a budget — emitting every retired host instruction, tagged
 //! with the TOL module or application code that retired it, as a
-//! [`HostEvent::Retire`]. Events are staged in a fixed-capacity
-//! [`EventBuffer`] and delivered to the caller's [`HostEventSink`] in
-//! retire-order batches, flushed at budget boundaries. The caller
+//! [`HostEvent::Retire`](darco_host::events::HostEvent::Retire). Events
+//! are staged in a fixed-capacity [`EventBuffer`] and delivered to the
+//! caller's [`HostEventSink`] in retire-order batches, flushed at the
+//! end of every step. The caller
 //! (DARCO's controller) dispatches those batches to the timing
 //! simulator and co-simulates against the authoritative functional
 //! emulator between steps.
@@ -18,14 +19,14 @@
 use crate::codecache::{BlockKind, CacheError, CacheHealth, CodeCache, Installed, TranslatedBlock};
 use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
 use crate::config::TolConfig;
-use crate::emission::Emitter;
+use crate::emission::{self, Emitter};
 use crate::ibtc::Ibtc;
 use crate::ir::{self, EXIT_TARGET_REG, FLAGS_REG};
 use crate::profile::{Profiler, StaticMode};
 use crate::superblock::form_region_into;
 use crate::translate::{decode_bb_into, RegionInst, TranslateScratch};
 use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
-use darco_host::events::{EventBuffer, HostEvent, HostEventSink, EVENT_BATCH};
+use darco_host::events::{EventBuffer, EventStorage, HostEventSink, EVENT_BATCH};
 use darco_host::layout::{guest_to_host, CODE_CACHE_BASE, TOL_CODE_BASE};
 use darco_host::{
     exec_inst, mem_operand, BlockId, BranchKind, DynInst, Exit, HFreg, HostState, Outcome,
@@ -102,11 +103,11 @@ pub struct Tol {
     /// The code cache (public for inspection by experiments).
     pub cc: CodeCache,
     /// The indirect-branch translation cache.
-    pub ibtc: Ibtc,
+    ibtc: Ibtc,
     /// The profiler.
-    pub prof: Profiler,
-    /// The cost-model emitter.
-    pub em: Emitter,
+    prof: Profiler,
+    /// The interpreter's cost-stream templates.
+    em: Emitter,
     host: HostState,
     guest_pc: u32,
     halted: bool,
@@ -119,7 +120,7 @@ pub struct Tol {
     /// Cleared with every flush, like the IBTC.
     spec_targets: std::collections::HashMap<(BlockId, u32), (u32, BlockId)>,
     /// Reused allocation for the retirement event buffer.
-    ev_storage: Vec<HostEvent>,
+    ev_storage: EventStorage,
     /// The guest layer's micro-op execution context (pre-decoded block
     /// buffers + lazy flags): the interpreter's executor.
     fastctx: darco_guest::uops::ExecCtx,
@@ -151,7 +152,7 @@ impl Tol {
             counters: TolCounters::default(),
             resume_translated: false,
             spec_targets: std::collections::HashMap::new(),
-            ev_storage: Vec::new(),
+            ev_storage: EventStorage::default(),
             fastctx: darco_guest::uops::ExecCtx::new(),
             pass_deltas: Vec::new(),
             pass_nanos: Vec::new(),
@@ -220,7 +221,7 @@ impl Tol {
         let mut out = self.cc.live_bytes().to_vec();
         out.push(("profiler pages", self.prof.page_bytes()));
         out.push(("interpreter uop cache", self.fastctx.cache_bytes()));
-        out.push(("event buffer", std::mem::size_of_val(&self.ev_storage[..])));
+        out.push(("event buffer", self.ev_storage.bytes()));
         out
     }
 
@@ -293,8 +294,8 @@ impl Tol {
         // translation (Fig. 3, left vs. middle path).
         let count = self.prof.bump_target(pc);
         let promote = count > self.cfg.im_bb_threshold;
-        self.em.dispatch(ev, if promote { Mode::Bbm } else { Mode::Im });
-        self.em.map_lookup(ev, pc, false);
+        emission::dispatch(ev, if promote { Mode::Bbm } else { Mode::Im });
+        emission::map_lookup(ev, pc, false);
 
         if promote {
             let mut region = std::mem::take(&mut self.scratch.region);
@@ -322,9 +323,8 @@ impl Tol {
     }
 
     /// Runs the program to completion (or for `budget` guest
-    /// instructions), returning total guest instructions executed. One
-    /// event buffer spans the whole run, so batches stay full across
-    /// dispatch units.
+    /// instructions), returning total guest instructions executed:
+    /// [`Tol::step`] in a loop.
     ///
     /// # Errors
     ///
@@ -335,24 +335,11 @@ impl Tol {
         sink: &mut dyn HostEventSink,
         budget: u64,
     ) -> Result<u64, DecodeError> {
-        let storage = std::mem::take(&mut self.ev_storage);
-        let mut ev = EventBuffer::from_storage(storage, EVENT_BATCH, sink);
         let mut total = 0;
-        let mut fault = None;
         while !self.halted && total < budget {
-            match self.step_buffered(mem, &mut ev, budget - total) {
-                Ok(out) => total += out.guest_insts,
-                Err(e) => {
-                    fault = Some(e);
-                    break;
-                }
-            }
+            total += self.step(mem, sink, budget - total)?.guest_insts;
         }
-        self.ev_storage = ev.into_storage();
-        match fault {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        Ok(total)
     }
 
     /// Interprets one basic block (IM): cold guest code runs against the
@@ -440,7 +427,7 @@ impl Tol {
         let ins = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled, BlockKind::Bb, region.iter().map(|r| r.pc), mem)
         });
-        self.em.bb_translate(ev, entry, region, written_at(&ins), host_len);
+        emission::bb_translate(ev, entry, region, written_at(&ins), host_len);
         let ins = ins.ok()?;
         if ins.flushed {
             self.forget_flushed();
@@ -488,7 +475,7 @@ impl Tol {
         let res = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled.code, BlockKind::Sb, region.iter().map(|r| r.pc), mem)
         });
-        self.em.sb_optimize(ev, bbs as usize, ir_len, written_at(&res), host_len);
+        emission::sb_optimize(ev, bbs as usize, ir_len, written_at(&res), host_len);
         self.scratch.region = region;
         let Ok(ins) = res else {
             return Ok(None);
@@ -525,7 +512,7 @@ impl Tol {
         budget: u64,
     ) -> Result<u64, DecodeError> {
         if !self.resume_translated {
-            self.em.transition(ev); // context restore, TOL -> app
+            emission::transition(ev); // context restore, TOL -> app
         }
         self.resume_translated = false;
         let mut executed = 0u64;
@@ -538,7 +525,7 @@ impl Tol {
             // dispatcher instead of running dead code.
             if self.cc.get(bid).is_none() {
                 self.counters.tol_entries += 1;
-                self.em.transition(ev);
+                emission::transition(ev);
                 return Ok(executed);
             }
             // The guest wrote to this translation's code: flush, as an
@@ -548,7 +535,7 @@ impl Tol {
                 self.forget_flushed();
                 self.counters.smc_flushes += 1;
                 self.counters.tol_entries += 1;
-                self.em.transition(ev);
+                emission::transition(ev);
                 return Ok(executed);
             }
 
@@ -565,7 +552,7 @@ impl Tol {
             let mode = if kind == BlockKind::Bb { StaticMode::Bbm } else { StaticMode::Sbm };
             self.prof.count_dynamic(mode, guest_n);
             if kind == BlockKind::Bb {
-                self.em.bbm_instrumentation(ev, host_base + 4 * exit_idx as u64, entry);
+                emission::bbm_instrumentation(ev, host_base + 4 * exit_idx as u64, entry);
                 if let Some(taken) = cond_taken {
                     self.prof.record_edge(entry, taken);
                 }
@@ -580,7 +567,7 @@ impl Tol {
                     let b = self.cc.get(bid).expect("guarded live at dispatch");
                     self.guest_pc = b.last_pc;
                     self.halted = true;
-                    self.em.transition(ev);
+                    emission::transition(ev);
                     return Ok(executed);
                 }
                 Exit::Direct { guest_target, link } => {
@@ -588,23 +575,20 @@ impl Tol {
                     if let Some(to) = link {
                         Some(to)
                     } else if let Some(to) = self.cc.lookup(guest_target) {
-                        // One trip into the layer either way: to patch
-                        // the exit (chaining) or just to re-dispatch.
+                        // One trip into the layer to patch the exit: both
+                        // blocks are live and `exit_idx` is the direct
+                        // exit just taken.
                         self.counters.tol_entries += 1;
-                        self.em.transition(ev);
-                        if self.cfg.chaining && self.cc.chain(bid, exit_idx, to).is_ok() {
-                            let site = host_base + 4 * exit_idx as u64;
-                            self.em.chain(ev, site);
-                        } else {
-                            self.em.dispatch(ev, mode);
-                            self.em.map_lookup(ev, guest_target, true);
-                        }
-                        self.em.transition(ev);
+                        emission::transition(ev);
+                        let chained = self.cc.chain(bid, exit_idx, to);
+                        debug_assert!(chained.is_ok(), "{chained:?}");
+                        emission::chain(ev, host_base + 4 * exit_idx as u64);
+                        emission::transition(ev);
                         Some(to)
                     } else {
                         // Unknown target: back to the dispatcher.
                         self.counters.tol_entries += 1;
-                        self.em.transition(ev);
+                        emission::transition(ev);
                         return Ok(executed);
                     }
                 }
@@ -624,7 +608,7 @@ impl Tol {
                         if let Some(&(t, to)) = self.spec_targets.get(&spec_key) {
                             let hit = t == target;
                             let to_base = self.cc.get(to).expect("flushes clear hints").host_base;
-                            self.em.spec_check(ev, site_pc, hit, to_base);
+                            emission::spec_check(ev, site_pc, hit, to_base);
                             if hit {
                                 self.counters.spec_hits += 1;
                                 speculated = Some(to);
@@ -641,20 +625,20 @@ impl Tol {
                             Some(to) => {
                                 let to_base =
                                     self.cc.get(to).expect("flushes clear the IBTC").host_base;
-                                self.em.ibtc_probe_inline(ev, site_pc, slot, true, to_base);
+                                emission::ibtc_probe_inline(ev, site_pc, slot, true, to_base);
                                 Some(to)
                             }
                             None => {
-                                self.em.ibtc_probe_inline(ev, site_pc, slot, false, 0);
+                                emission::ibtc_probe_inline(ev, site_pc, slot, false, 0);
                                 self.counters.tol_entries += 1;
-                                self.em.transition(ev);
+                                emission::transition(ev);
                                 let found = self.cc.lookup(target);
-                                self.em.map_lookup(ev, target, found.is_some());
+                                emission::map_lookup(ev, target, found.is_some());
                                 match found {
                                     Some(to) => {
                                         self.ibtc.update(target, to);
-                                        self.em.ibtc_update(ev, slot);
-                                        self.em.transition(ev);
+                                        emission::ibtc_update(ev, slot);
+                                        emission::transition(ev);
                                         Some(to)
                                     }
                                     None => return Ok(executed),
@@ -690,12 +674,12 @@ impl Tol {
             {
                 self.cc.get_mut(bid).expect("guarded live at dispatch").promoted = true;
                 self.counters.tol_entries += 1;
-                self.em.transition(ev);
+                emission::transition(ev);
                 match self.install_sb(entry, mem, ev)? {
                     Some((_, true)) => {
                         // Every id (including `next` and chain links) is
                         // stale; re-enter through the dispatcher.
-                        self.em.transition(ev);
+                        emission::transition(ev);
                         next = self.cc.lookup(self.guest_pc);
                         if next.is_none() {
                             return Ok(executed);
@@ -705,12 +689,12 @@ impl Tol {
                         // The BBM block stays as dead code behind a
                         // redirect until the next flush.
                         self.cc.redirect(bid, sb);
-                        self.em.transition(ev);
+                        emission::transition(ev);
                     }
                     None => {
                         // Superblock larger than the cache: discarded.
                         // The (promoted) BBM block just keeps running.
-                        self.em.transition(ev);
+                        emission::transition(ev);
                     }
                 }
             }
@@ -927,19 +911,19 @@ mod tests {
         assert!(s.ibtc_hits > s.ibtc_misses, "stable return target must hit");
     }
 
+    /// Once a loop's direct exits are chained, its iterations stay in
+    /// translated code: ten times the iterations, no more entries into
+    /// the layer.
     #[test]
-    fn chaining_collapses_tol_entries() {
-        let (mut mem_a, entry) = loop_program(20_000);
-        let (with_chain, _) = run_tol(&mut mem_a, entry, TolConfig::default());
-        let (mut mem_b, _) = loop_program(20_000);
-        let cfg = TolConfig { chaining: false, ..TolConfig::default() };
-        let (without, _) = run_tol(&mut mem_b, entry, cfg);
-        assert!(
-            with_chain.counters().tol_entries * 10 < without.counters().tol_entries,
-            "chaining must collapse dispatcher entries: {} vs {}",
-            with_chain.counters().tol_entries,
-            without.counters().tol_entries
-        );
+    fn chained_loops_stop_entering_the_layer() {
+        let run = |iters| {
+            let (mut mem, entry) = loop_program(iters);
+            let (tol, _) = run_tol(&mut mem, entry, TolConfig::default());
+            (tol.summary().chains, tol.counters().tol_entries)
+        };
+        let ((short_chains, short), (long_chains, long)) = (run(2_000), run(20_000));
+        assert!(short_chains > 0 && long_chains > 0, "{short_chains} / {long_chains} chains");
+        assert!(long < short + 100, "layer entries grew with the iterations: {short} -> {long}");
     }
 
     #[test]

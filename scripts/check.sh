@@ -21,7 +21,9 @@ cd "$(dirname "$0")/.."
 # turned the co-simulation checker on, now that every run is checked;
 # round 18 the translator's private code-cache cursor and the controller's
 # timeline marks on the bus, now that the code cache and the timing sink
-# hold those facts.
+# hold those facts; round 19 the chaining switch, the event buffer's
+# by-value append and its write over a boundary slot, now that the layer
+# always chains and the buffer stages retirements only.
 # The host-configuration guard names the configurable host and its
 # validator, which Table I's constants replaced.
 echo "== removed switches stay removed"
@@ -41,8 +43,9 @@ round15='darco trace|darco timeline|characterize_tol|interaction_study|example q
 round16='OwnerMemStats|owner_stats|owner_idx|record_branch|l2_miss'
 round17='--cosim'
 round18='emit_cursor|WindowMark|last_window'
+round19='\.chaining\b|chaining:|retire_over|fn push\(&mut self, e: HostEvent'
 host_config='TimingConfig|TimingConfigError'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$host_config"
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$host_config"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \

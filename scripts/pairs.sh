@@ -26,9 +26,10 @@
 #   scripts/pairs.sh PARENT 5 heldout.json 41
 #
 # OUT defaults (also when given as "") to BENCH_PR<NN>.json at the
-# repository root, NN one more than the newest "PR NN" entry of PARENT's
-# CHANGES.md (a PR may land as several commits, so no subject line need
-# name it).
+# repository root, NN the number of the checkout's ISSUE.md heading
+# ("# ISSUE NN ..."); without one, one more than the newest "PR NN" entry
+# of PARENT's CHANGES.md (a PR may land as several commits, so no subject
+# line need name it).
 #
 # The verdict is paired: per workload and end-to-end metric, the median
 # of the per-pair ratios change/parent, with a distribution-free
@@ -43,12 +44,10 @@
 #
 # `half_width` is half the interval's width as a fraction: an effect much
 # smaller than it cannot resolve at this pair count. Beside each verdict
-# the file keeps the statistic of the ten-pair files up to
-# BENCH_PR46.json, computed on the same pairs (`old_verdict`: at least
-# 90 % wins and a median gain beyond the parent's IQR), and the parent's
-# absolute medians, so that drift across PRs stays visible. It also holds
-# every pair, the failed reps of each side and a host fingerprint (CPU
-# model, core count, kernel, rustc). Nothing under benchmark/ changes.
+# the file keeps both sides' absolute medians, so that drift across PRs
+# stays visible. It also holds every pair, the failed reps of each side
+# and a host fingerprint (CPU model, core count, kernel, rustc). Nothing
+# under benchmark/ changes.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -63,6 +62,8 @@ first=${4:-1}
 parent_sha=$(git rev-parse --verify "$parent^{commit}")
 if [ -n "${3:-}" ]; then
     out=$3
+elif issue=$(sed -nE '1s/^# ISSUE ([0-9]+)\b.*/\1/p' ISSUE.md 2>/dev/null) && [ -n "$issue" ]; then
+    out="BENCH_PR$issue.json"
 else
     last=$(git show "$parent_sha:CHANGES.md" | { grep -oE '^PR [0-9]+' || true; } | tail -1 | cut -d' ' -f2)
     out="BENCH_PR$(( ${last:-0} + 1 )).json"
@@ -131,17 +132,15 @@ import json, math, os, sys
 
 FAMILY_ALPHA = 0.05
 
-def quantiles(xs):
-    """Median, q1 and q3 as benchmark/src/stats.rs computes them."""
+def median(xs):
+    """The median as benchmark/src/stats.rs computes it."""
     s = sorted(xs)
     m = len(s)
-    def q(i):
-        if m == 1:
-            return s[0]
-        j = min(max(i * (m + 1) // 4, 1), m - 1)
-        delta = i * (m + 1) - j * 4
-        return (s[j - 1] * (4 - delta) + s[j] * delta) / 4
-    return q(2), q(1), q(3)
+    if m == 1:
+        return s[0]
+    j = min(max(2 * (m + 1) // 4, 1), m - 1)
+    delta = 2 * (m + 1) - j * 4
+    return (s[j - 1] * (4 - delta) + s[j] * delta) / 4
 
 def sign_interval(xs, alpha):
     """Distribution-free interval for the median of xs at level 1 - alpha:
@@ -188,10 +187,10 @@ for w in (w["name"] for w in bench["workloads"]):
                 if pv > 0:
                     pairs.append((s, r, pv, cv))
         if not pairs:
-            metrics[m["name"]] = {"verdict": "unresolved", "old_verdict": "unresolved", "pairs": []}
+            metrics[m["name"]] = {"verdict": "unresolved", "pairs": []}
             continue
         ratios = [c / p for _, _, p, c in pairs]
-        ratio, _, _ = quantiles(ratios)
+        ratio = median(ratios)
         # Worse by more than the bound, as a ratio of the parent.
         beyond_bound = ratio < 1 - m["bound"] if higher else ratio > 1 + m["bound"]
         interval = sign_interval(ratios, alpha)
@@ -208,22 +207,6 @@ for w in (w["name"] for w in bench["workloads"]):
         else:
             verdict = "unresolved"
 
-        # The statistic of the ten-pair files, on the same pairs.
-        better = lambda a, b: a > b if higher else a < b
-        wins = sum(better(c, p) for _, _, p, c in pairs)
-        losses = sum(better(p, c) for _, _, p, c in pairs)
-        pm, pq1, pq3 = quantiles([p for _, _, p, _ in pairs])
-        cm, _, _ = quantiles([c for _, _, _, c in pairs])
-        iqr = pq3 - pq1
-        gain = cm - pm if higher else pm - cm
-        need = math.ceil(0.9 * len(pairs))
-        if -gain / pm > m["bound"] or (losses >= need and -gain > iqr):
-            old_verdict = "worse"
-        elif wins >= need and gain > iqr:
-            old_verdict = "resolved"
-        else:
-            old_verdict = "unresolved"
-
         metrics[m["name"]] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -232,12 +215,8 @@ for w in (w["name"] for w in bench["workloads"]):
             "interval": [lo, hi] if interval else None,
             "half_width": (hi - lo) / 2 if interval else None,
             "verdict": verdict,
-            "parent_median": pm,
-            "change_median": cm,
-            "parent_iqr": iqr,
-            "wins": wins,
-            "losses": losses,
-            "old_verdict": old_verdict,
+            "parent_median": median([p for _, _, p, _ in pairs]),
+            "change_median": median([c for _, _, _, c in pairs]),
             "pairs": [{"seed": s, "round": r, "parent": p, "change": c} for s, r, p, c in pairs],
         }
     workloads[w] = {"failed_reps": failed, "metrics": metrics}
@@ -267,14 +246,14 @@ with open(sys.argv[2], "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 print(f"{'workload':14} {'metric':12} {'ratio':>7} {'interval':>17} {'±':>6} "
-      f"{'verdict':10} {'old':10} {'parent median':>13}", file=sys.stderr)
+      f"{'verdict':10} {'parent median':>13}", file=sys.stderr)
 for w, v in workloads.items():
     for name, m in v["metrics"].items():
         iv = m.get("interval")
         iv_text = f"{iv[0]:.4f}-{iv[1]:.4f}" if iv else "-"
         hw = f"{m['half_width'] * 100:.2f}%" if iv else "-"
         print(f"{w:14} {name:12} {m.get('ratio', float('nan')):7.4f} {iv_text:>17} {hw:>6} "
-              f"{m['verdict']:10} {m['old_verdict']:10} {m.get('parent_median', float('nan')):13.6g}",
+              f"{m['verdict']:10} {m.get('parent_median', float('nan')):13.6g}",
               file=sys.stderr)
     print(f"{w:14} failed reps: parent {v['failed_reps']['parent']}, "
           f"change {v['failed_reps']['change']}", file=sys.stderr)

@@ -78,7 +78,6 @@ fn cosimulation_holds_under_stress_configs() {
         ("no optimization", TolConfig::no_optimization()),
         ("tiny code cache", TolConfig { code_cache_capacity: 4_000, ..scaled_tol_config() }),
         ("tiny ibtc", TolConfig { ibtc_entries: 2, ..scaled_tol_config() }),
-        ("no chaining", TolConfig { chaining: false, ..scaled_tol_config() }),
         (
             "eager promotion",
             TolConfig { im_bb_threshold: 1, bb_sb_threshold: 2, ..scaled_tol_config() },

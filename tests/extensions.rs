@@ -93,7 +93,6 @@ fn every_tol_switch_moves_the_cycle_count() {
         bb_sb_threshold: _,
         code_cache_capacity: _,
         ibtc_entries: _,
-        chaining: _,
         optimize: _,
         opt_schedule: _,
         opt_sw_prefetch: _,
@@ -101,8 +100,7 @@ fn every_tol_switch_moves_the_cycle_count() {
         codecache_scattered: _,
     } = base_tol();
     type Flip = fn(&mut TolConfig);
-    const SWITCHES: [(&str, Flip); 6] = [
-        ("chaining", |c| c.chaining ^= true),
+    const SWITCHES: [(&str, Flip); 5] = [
         ("optimize", |c| c.optimize ^= true),
         ("opt_schedule", |c| c.opt_schedule ^= true),
         ("opt_sw_prefetch", |c| c.opt_sw_prefetch ^= true),
