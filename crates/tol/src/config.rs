@@ -3,7 +3,8 @@
 /// Tunable parameters of the Translation Optimization Layer.
 ///
 /// Defaults are the paper's (Sec. III-A): promotion thresholds
-/// `IM/BBth = 5` and `BB/SBth = 10_000`. The optimization switches
+/// `IM/BBth = 5` and `BB/SBth = 10_000`. Translations are always
+/// chained, as in the paper (Sec. III-B); the optimization switches
 /// exist for the ablation study in DESIGN.md §8.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TolConfig {
