@@ -112,6 +112,12 @@ impl EventStorage {
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(&self.0[..])
     }
+
+    /// Address and capacity of the slots' allocation, for tests.
+    #[doc(hidden)]
+    pub fn allocation(&self) -> (*const HostEvent, usize) {
+        (self.0.as_ptr(), self.0.capacity())
+    }
 }
 
 /// The events one [`EventBuffer::retire_stream`] call has just staged,
@@ -124,6 +130,16 @@ impl Staged<'_> {
     #[inline]
     pub fn retired(&mut self, i: usize) -> &mut DynInst {
         retirement(&mut self.0[i])
+    }
+
+    /// Retirements in the stream.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True for an empty stream.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
     }
 }
 
@@ -384,12 +400,12 @@ mod tests {
         let mut buf = EventBuffer::new(1024, &mut out);
         buf.retire(at(0));
         let storage = buf.into_storage();
-        let allocation = (storage.0.as_ptr(), storage.0.capacity());
+        let allocation = storage.allocation();
         let mut buf = EventBuffer::from_storage(storage, 1024, &mut out);
         assert_eq!(buf.pending(), 0, "a delivered event is not staged again");
         buf.retire(at(4));
         let storage = buf.into_storage();
-        assert_eq!((storage.0.as_ptr(), storage.0.capacity()), allocation, "allocation survives");
+        assert_eq!(storage.allocation(), allocation, "allocation survives");
         let pcs: Vec<u64> = out
             .iter()
             .map(|e| match e {

@@ -50,6 +50,7 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
     let stream_lens = [1, capacity.saturating_sub(1), capacity, capacity + 1, 40];
 
     let mut storage = EventStorage::default();
+    let mut allocation = None;
     let mut ops_left = ops;
     while ops_left > 0 {
         let mut ev = EventBuffer::from_storage(std::mem::take(&mut storage), capacity, &mut sink);
@@ -80,9 +81,8 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
                     // Patch the first, the last and one in the middle.
                     let marks = [0, len / 2, len - 1];
                     let addr = fresh();
-                    // The whole stream is handed out at once: its last
-                    // event is in reach.
                     ev.retire_stream(&tpl, |mut evs| {
+                        assert_eq!(evs.len(), len, "the whole stream is handed out at once");
                         for m in marks {
                             *evs.retired(m).mem_addr_mut().expect("a load") = addr;
                         }
@@ -102,9 +102,9 @@ fn run_script(capacity: usize, seed: u64, ops: usize) -> Outcome {
             assert!(ev.pending() <= capacity, "staged events exceed the capacity");
         }
         storage = ev.into_storage();
-        // The slots never outgrow the allocation made up front.
-        let most = capacity.max(1) * std::mem::size_of::<HostEvent>();
-        assert!(storage.bytes() <= most, "{} B of slots at capacity {capacity}", storage.bytes());
+        // The buffer keeps the allocation it started with.
+        let now = storage.allocation();
+        assert_eq!(*allocation.get_or_insert(now), now, "the buffer reallocated");
     }
     Outcome { model, sink }
 }

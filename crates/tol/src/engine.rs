@@ -302,13 +302,9 @@ impl Tol {
             region.clear();
             let decoded =
                 timed(&mut self.pass_nanos, "region", || decode_bb_into(mem, pc, &mut region));
-            if let Err(e) = decoded {
-                self.scratch.region = region;
-                return Err(e);
-            }
-            let installed = self.install_bb(pc, &region, mem, ev);
+            let installed = decoded.map(|()| self.install_bb(pc, &region, mem, ev));
             self.scratch.region = region;
-            if installed.is_none() {
+            if installed?.is_none() {
                 // The translation alone exceeds the whole cache: it can
                 // never be installed, so this block stays interpreted.
                 let n = self.interpret_bb(mem, ev)?;
@@ -575,13 +571,12 @@ impl Tol {
                     if let Some(to) = link {
                         Some(to)
                     } else if let Some(to) = self.cc.lookup(guest_target) {
-                        // One trip into the layer to patch the exit: both
-                        // blocks are live and `exit_idx` is the direct
-                        // exit just taken.
+                        // One trip into the layer to patch the exit (`chain`
+                        // cannot fail: both blocks are live and `exit_idx` is
+                        // the direct exit just taken).
                         self.counters.tol_entries += 1;
                         emission::transition(ev);
-                        let chained = self.cc.chain(bid, exit_idx, to);
-                        debug_assert!(chained.is_ok(), "{chained:?}");
+                        let _ = self.cc.chain(bid, exit_idx, to);
                         emission::chain(ev, host_base + 4 * exit_idx as u64);
                         emission::transition(ev);
                         Some(to)

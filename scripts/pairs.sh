@@ -26,10 +26,10 @@
 #   scripts/pairs.sh PARENT 5 heldout.json 41
 #
 # OUT defaults (also when given as "") to BENCH_PR<NN>.json at the
-# repository root, NN the value of the environment variable PR_NUMBER;
-# without it, one more than the newest "PR NN" entry of PARENT's
-# CHANGES.md (a PR may land as several commits, so no subject line need
-# name it).
+# repository root, NN the number of the checkout's ISSUE.md heading
+# ("# ISSUE NN ..."); without one, one more than the newest "PR NN" entry
+# of PARENT's CHANGES.md (a PR may land as several commits, so no subject
+# line need name it).
 #
 # The verdict is paired: per workload and end-to-end metric, the median
 # of the per-pair ratios change/parent, with a distribution-free
@@ -62,8 +62,8 @@ first=${4:-1}
 parent_sha=$(git rev-parse --verify "$parent^{commit}")
 if [ -n "${3:-}" ]; then
     out=$3
-elif [ -n "${PR_NUMBER:-}" ]; then
-    out="BENCH_PR$PR_NUMBER.json"
+elif issue=$(sed -nE '1s/^# ISSUE ([0-9]+)\b.*/\1/p' ISSUE.md 2>/dev/null) && [ -n "$issue" ]; then
+    out="BENCH_PR$issue.json"
 else
     last=$(git show "$parent_sha:CHANGES.md" | { grep -oE '^PR [0-9]+' || true; } | tail -1 | cut -d' ' -f2)
     out="BENCH_PR$(( ${last:-0} + 1 )).json"
