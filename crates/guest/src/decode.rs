@@ -294,25 +294,6 @@ pub fn decode(bytes: &[u8]) -> Result<(Inst, usize), DecodeError> {
     Ok((inst, c.pos))
 }
 
-/// Statically disassembles up to `max` instructions starting at `addr`,
-/// stopping at the first undecodable byte or a `Halt`. Used by the
-/// controller's debugging commands; decoding never perturbs memory.
-pub fn disassemble(mem: &crate::GuestMem, addr: u32, max: usize) -> Vec<(u32, Inst)> {
-    let mut out = Vec::new();
-    let mut pc = addr;
-    for _ in 0..max {
-        let mut window = [0u8; crate::exec::MAX_INST_LEN];
-        mem.read_bytes(pc, &mut window);
-        let Ok((inst, len)) = decode(&window) else { break };
-        out.push((pc, inst));
-        pc = pc.wrapping_add(len as u32);
-        if inst == Inst::Halt {
-            break;
-        }
-    }
-    out
-}
-
 fn reg_low(b: u8) -> Result<Gpr, DecodeError> {
     let idx = b & 0x07;
     // Bits 3..7 must be clear (bit 7 is the immediate size flag).
@@ -408,27 +389,6 @@ mod tests {
         assert_eq!(decode(&[0x10, 0x9F]), Err(DecodeError::BadOperand(0x9F)));
         // jcc with condition 15
         assert!(matches!(decode(&[0x60, 15, 0, 0, 0, 0]), Err(DecodeError::BadOperand(15))));
-    }
-
-    #[test]
-    fn disassemble_listing() {
-        use crate::asm::Asm;
-        let mut a = Asm::new(0x100);
-        a.push(Inst::MovRI { dst: Gpr::Eax, imm: 1 });
-        a.push(Inst::Nop);
-        a.push(Inst::Halt);
-        a.push(Inst::Nop); // beyond halt: not listed
-        let p = a.assemble();
-        let mut mem = crate::GuestMem::new();
-        mem.write_bytes(p.base, &p.bytes);
-        let listing = disassemble(&mem, p.base, 10);
-        assert_eq!(listing.len(), 3, "stops at halt");
-        assert_eq!(listing[0], (0x100, Inst::MovRI { dst: Gpr::Eax, imm: 1 }));
-        assert_eq!(listing[2].1, Inst::Halt);
-        // Garbage bytes stop the listing without panicking.
-        let mut junk = crate::GuestMem::new();
-        junk.write_u8(0x200, 0xFF);
-        assert!(disassemble(&junk, 0x200, 4).is_empty());
     }
 
     #[test]

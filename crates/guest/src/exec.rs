@@ -180,13 +180,6 @@ pub fn step(cpu: &mut CpuState, mem: &mut GuestMem) -> Result<StepInfo, DecodeEr
     let mut window = [0u8; MAX_INST_LEN];
     mem.read_bytes(cpu.eip, &mut window);
     let (inst, len) = decode(&window)?;
-    Ok(exec_decoded(cpu, mem, inst, len))
-}
-
-/// Executes an already-decoded instruction at `cpu.eip` (`len` is its
-/// encoded length). This is [`step`] minus the fetch/decode, for callers
-/// that cache decode results; execution itself cannot fail.
-pub fn exec_decoded(cpu: &mut CpuState, mem: &mut GuestMem, inst: Inst, len: usize) -> StepInfo {
     let next = cpu.eip.wrapping_add(len as u32);
     let mut accesses = AccessList::default();
     let mut control = Control::Next;
@@ -403,7 +396,7 @@ pub fn exec_decoded(cpu: &mut CpuState, mem: &mut GuestMem, inst: Inst, len: usi
         Control::Halt => cpu.eip,
     };
 
-    StepInfo { inst, len, control, accesses }
+    Ok(StepInfo { inst, len, control, accesses })
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ pub mod mem;
 pub mod state;
 pub mod uops;
 
-pub use decode::{decode, disassemble, DecodeError};
+pub use decode::{decode, DecodeError};
 pub use encode::encode;
 pub use inst::{AluOp, Cond, FpOp, FpReg, Gpr, Inst, MemRef, MemWidth, Scale, ShiftOp};
 pub use mem::GuestMem;

@@ -29,7 +29,7 @@
 //!
 //! The semantics of every instruction are the arms of one private
 //! function, `exec_op`, written to be read side by side with
-//! [`crate::exec::exec_decoded`]. It is called from exactly one place,
+//! [`crate::exec::step`]. It is called from exactly one place,
 //! [`ExecCtx`]'s private dispatch loop, which runs whole cached blocks:
 //! a block is located and validated once, its ops are executed by
 //! reference until one jumps or halts, the budget runs out or the
@@ -553,7 +553,7 @@ fn shift_lazy(op: ShiftOp, v: u32, amt: u32, lazy: &mut LazyFlags) -> u32 {
 }
 
 /// Executes one decoded instruction whose successor is at `next`. Laid
-/// out arm for arm like [`crate::exec::exec_decoded`], which it must
+/// out arm for arm like [`crate::exec::step`], which it must
 /// equal in state, memory, accesses and control; the one difference is
 /// that a flag writer records a [`LazyFlags`] definition instead of
 /// writing `cpu.flags`, and `Jcc` forces the pending one. The caller

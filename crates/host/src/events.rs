@@ -239,18 +239,16 @@ impl<'a> EventBuffer<'a> {
 
     /// Appends a whole retirement stream by block copy, then hands the
     /// appended events to `patch`. A stream that does not fit the room
-    /// left starts a new batch; one longer than a whole batch is patched
-    /// in a side buffer and appended event by event.
+    /// left starts a new batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is longer than the capacity: a stream must fit
+    /// one batch (the interpreter's templates, its one producer, are a
+    /// few dozen events against [`EVENT_BATCH`]).
     #[inline]
     pub fn retire_stream(&mut self, stream: &[DynInst], patch: impl FnOnce(Staged<'_>)) {
         if self.len + stream.len() > self.buf.len() {
-            if stream.len() > self.capacity {
-                let mut side: Vec<HostEvent> =
-                    stream.iter().map(|d| HostEvent::Retire(*d)).collect();
-                patch(Staged(&mut side));
-                side.into_iter().for_each(|e| *self.slot() = e);
-                return;
-            }
             self.make_room(stream.len());
         }
         let slots = &mut self.buf[self.len..self.len + stream.len()];

@@ -54,6 +54,6 @@ pub use events::{
     TraceStatsSink,
 };
 pub use isa::{BlockId, Exit, FlagsKind, HAluOp, HCond, HFreg, HInst, HReg, Inst, Width};
-pub use state::{eval_alu, eval_flags, exec_inst, HostState, Outcome};
+pub use state::{eval_alu, exec_inst, HostState, Outcome};
 pub use stream::{BranchKind, Component, DynInst, DynOp, ExecClass, MemEvent, Owner};
 pub use template::{compile_block, mem_operand};

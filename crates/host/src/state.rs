@@ -66,13 +66,10 @@ pub enum Outcome {
     Exited(Exit),
 }
 
-/// Evaluates a host ALU operation on 32-bit values (also used by the
-/// software layer's constant folder, which must agree with execution).
+/// Evaluates a host ALU operation on 32-bit values: what [`exec_inst`]
+/// executes, and what the software layer's constant folder folds with,
+/// so the two agree.
 pub fn eval_alu(op: HAluOp, a: u32, b: u32) -> u32 {
-    alu(op, a, b)
-}
-
-fn alu(op: HAluOp, a: u32, b: u32) -> u32 {
     match op {
         HAluOp::Add => a.wrapping_add(b),
         HAluOp::Sub => a.wrapping_sub(b),
@@ -87,14 +84,8 @@ fn alu(op: HAluOp, a: u32, b: u32) -> u32 {
     }
 }
 
-/// Evaluates the flags word a [`FlagsKind`] materialization produces
-/// for operands `a`, `b` — the same computation `exec_inst` performs
-/// for `HInst::FlagsArith`. Exposed so the software layer's abstract
-/// interpreter and constant folder agree with execution exactly.
-pub fn eval_flags(kind: FlagsKind, a: u32, b: u32) -> u32 {
-    flags_word(kind, a, b)
-}
-
+/// The flags word a [`FlagsKind`] materialization produces for
+/// operands `a`, `b` (`HInst::FlagsArith`).
 fn flags_word(kind: FlagsKind, a: u32, b: u32) -> u32 {
     let f = match kind {
         FlagsKind::Add => Flags::add(a, b),
@@ -149,8 +140,8 @@ pub fn exec_inst(st: &mut HostState, inst: &HInst, mem: &mut GuestMem) -> Outcom
     use crate::isa::Inst::*;
     match *inst {
         Nop => {}
-        Alu { op, rd, ra, rb } => st.set_reg(rd, alu(op, st.reg(ra), st.reg(rb))),
-        AluI { op, rd, ra, imm } => st.set_reg(rd, alu(op, st.reg(ra), imm as u32)),
+        Alu { op, rd, ra, rb } => st.set_reg(rd, eval_alu(op, st.reg(ra), st.reg(rb))),
+        AluI { op, rd, ra, imm } => st.set_reg(rd, eval_alu(op, st.reg(ra), imm as u32)),
         Li { rd, imm } => st.set_reg(rd, imm as u32),
         Mul { rd, ra, rb } => {
             st.set_reg(rd, (st.reg(ra) as i32).wrapping_mul(st.reg(rb) as i32) as u32)
@@ -239,11 +230,11 @@ mod tests {
 
     #[test]
     fn alu_semantics() {
-        assert_eq!(alu(HAluOp::Add, u32::MAX, 1), 0);
-        assert_eq!(alu(HAluOp::Sar, 0x8000_0000, 31), u32::MAX);
-        assert_eq!(alu(HAluOp::Shr, 0x8000_0000, 31), 1);
-        assert_eq!(alu(HAluOp::SltS, u32::MAX, 0), 1); // -1 < 0 signed
-        assert_eq!(alu(HAluOp::SltU, u32::MAX, 0), 0);
+        assert_eq!(eval_alu(HAluOp::Add, u32::MAX, 1), 0);
+        assert_eq!(eval_alu(HAluOp::Sar, 0x8000_0000, 31), u32::MAX);
+        assert_eq!(eval_alu(HAluOp::Shr, 0x8000_0000, 31), 1);
+        assert_eq!(eval_alu(HAluOp::SltS, u32::MAX, 0), 1); // -1 < 0 signed
+        assert_eq!(eval_alu(HAluOp::SltU, u32::MAX, 0), 0);
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //!
 //! Tags live in one contiguous set-major entry array for the whole
 //! cache, each entry `(tag << 1) | 1` with `0` meaning invalid — a probe
-//! touches a single short run of one allocation, and the common 2/4/8-way
-//! shapes get a monomorphized, branch-free scan (`probe_set::<W>`: a hit
-//! mask and a free mask over all `W` entries, `trailing_zeros` of each)
-//! feeding the table-driven PLRU of [`crate::plru`].
+//! touches a single short run of one allocation. Table I's levels are 4-
+//! and 8-way, and those are the only shapes the cache builds: each gets a
+//! monomorphized, branch-free scan (`probe_set::<W>`: a hit mask and a
+//! free mask over all `W` entries, `trailing_zeros` of each) feeding the
+//! table-driven PLRU of [`crate::plru`].
 //!
-//! Presence checks (`contains`) and the run-time-associativity demand
-//! probe (`probe_set_any`) share the early-exit way scan `find_way`; the
-//! mask scan picks the same ways (lowest matching index first). The
-//! per-set layout this one replaced lives on as a model in the test-only
-//! `reference` module, and `flat_and_legacy_layouts_are_bit_exact` holds
-//! every lookup and presence answer to it. The cache keeps no counters:
-//! its callers count what their reports read from [`Lookup`].
+//! The per-set layout this one replaced lives on as a model in the
+//! test-only `reference` module, and `flat_and_legacy_layouts_are_bit_exact`
+//! holds every lookup and presence answer of the five Table I levels to
+//! it. The cache keeps no counters: its callers count what their reports
+//! read from [`Lookup`].
 
 use crate::config::CacheParams;
 use crate::plru::PlruSet;
@@ -45,17 +44,10 @@ pub struct Cache {
     ways: u32,
 }
 
-/// Position of `key` in a set's entry run, if present (an invalid way
-/// is found the same way, with `key = 0`).
-#[inline(always)]
-fn find_way(set: &[u64], key: u64) -> Option<usize> {
-    set.iter().position(|&e| e == key)
-}
-
 /// Probe-and-fill over one flat set with compile-time associativity:
 /// the slice length is pinned to `W`, so the scan unrolls into straight
 /// compares. Bit `w` of `hit`/`free` is way `w`, so `trailing_zeros`
-/// picks the way the early-exit scans of [`probe_set_any`] would.
+/// picks the lowest matching way, as an early-exit scan would.
 #[inline(always)]
 fn probe_set<const W: usize>(set: &mut [u64], plru: &mut PlruSet, key: u64) -> Lookup {
     let set: &mut [u64; W] = set.try_into().expect("set run matches associativity");
@@ -74,33 +66,19 @@ fn probe_set<const W: usize>(set: &mut [u64], plru: &mut PlruSet, key: u64) -> L
     Lookup::Miss
 }
 
-/// Probe-and-fill over one flat set, associativity known at runtime.
-#[inline(always)]
-fn probe_set_any(set: &mut [u64], plru: &mut PlruSet, key: u64, ways: u32) -> Lookup {
-    if let Some(w) = find_way(set, key) {
-        plru.touch(w as u32, ways);
-        return Lookup::Hit;
-    }
-    // Prefer an invalid way (entry 0), else the PLRU victim.
-    let victim = find_way(set, 0).unwrap_or_else(|| plru.victim(ways) as usize);
-    set[victim] = key;
-    plru.touch(victim as u32, ways);
-    Lookup::Miss
-}
-
 impl Cache {
     /// Builds a cache from its parameters.
     ///
     /// # Panics
     ///
-    /// Panics if block size, way count or set count is not a power of
-    /// two, or the block is smaller than 2 bytes (the tag encoding
-    /// needs one spare bit).
+    /// Panics if the way count is not 4 or 8 (Table I's), block size or
+    /// set count is not a power of two, or the block is smaller than 2
+    /// bytes (the tag encoding needs one spare bit).
     pub fn new(p: CacheParams) -> Cache {
         let sets = p.sets();
         assert!(p.block.is_power_of_two(), "block size must be a power of two");
         assert!(p.block >= 2, "tag encoding needs block >= 2 bytes");
-        assert!(p.ways.is_power_of_two(), "ways must be a power of two");
+        assert!(p.ways == 4 || p.ways == 8, "ways must be 4 or 8");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             entries: vec![0u64; (sets * p.ways) as usize].into_boxed_slice(),
@@ -128,7 +106,7 @@ impl Cache {
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways as usize;
-        find_way(&self.entries[set_idx * ways..(set_idx + 1) * ways], (tag << 1) | 1).is_some()
+        self.entries[set_idx * ways..(set_idx + 1) * ways].contains(&((tag << 1) | 1))
     }
 
     /// Accesses `addr`, filling the line on a miss.
@@ -139,11 +117,11 @@ impl Cache {
         let set = &mut self.entries[base..base + ways as usize];
         let plru = &mut self.plru[set_idx];
         let key = (tag << 1) | 1;
-        match ways {
-            2 => probe_set::<2>(set, plru, key),
-            4 => probe_set::<4>(set, plru, key),
-            8 => probe_set::<8>(set, plru, key),
-            _ => probe_set_any(set, plru, key, ways),
+        // `new` admits 4 and 8 ways only.
+        if ways == 4 {
+            probe_set::<4>(set, plru, key)
+        } else {
+            probe_set::<8>(set, plru, key)
         }
     }
 }
@@ -151,52 +129,52 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{L1D, L1I, L2, TLB1, TLB2};
     use crate::reference::LegacyCache;
+    use crate::tlb::pages;
 
-    fn small() -> Cache {
-        // 4 sets x 2 ways x 16B blocks = 128 B.
-        Cache::new(CacheParams { size: 128, block: 16, ways: 2, hit_latency: 1 })
-    }
+    /// Set stride of L1D: 128 sets x 64 B blocks.
+    const STRIDE: u64 = 128 * 64;
 
     #[test]
     fn hit_after_fill() {
-        let mut c = small();
+        let mut c = Cache::new(L1D);
         assert_eq!(c.access(0x40), Lookup::Miss);
         assert_eq!(c.access(0x40), Lookup::Hit);
-        assert_eq!(c.access(0x4F), Lookup::Hit, "same 16B line");
-        assert_eq!(c.access(0x50), Lookup::Miss, "next line");
+        assert_eq!(c.access(0x7F), Lookup::Hit, "same 64B line");
+        assert_eq!(c.access(0x80), Lookup::Miss, "next line");
     }
 
     #[test]
     fn eviction_on_conflict() {
-        let mut c = small();
-        // Three lines mapping to set 0 (stride = sets*block = 64).
-        assert_eq!(c.access(0x000), Lookup::Miss);
-        assert_eq!(c.access(0x040), Lookup::Miss);
-        assert_eq!(c.access(0x080), Lookup::Miss); // evicts one of the two
-                                                   // The most recently used (0x040) must survive.
-        assert!(c.contains(0x040));
-        assert!(!c.contains(0x000));
+        let mut c = Cache::new(L1D);
+        // Five lines mapping to set 0 of a 4-way set: the fifth evicts
+        // one of the first four.
+        for i in 0..5 {
+            assert_eq!(c.access(i * STRIDE), Lookup::Miss);
+        }
+        // The most recently used of the four (line 3) must survive.
+        assert!(c.contains(3 * STRIDE));
+        assert!(!c.contains(0));
     }
 
     #[test]
     fn fill_makes_the_line_present() {
-        let mut c = small();
+        let mut c = Cache::new(L1D);
         c.fill(0x100);
         assert_eq!(c.access(0x100), Lookup::Hit);
     }
 
     #[test]
     fn distinct_tags_same_set() {
-        let mut c = small();
+        let mut c = Cache::new(L1D);
         c.access(0x000);
         assert!(c.contains(0x000));
-        assert!(!c.contains(0x040), "different tag, same set");
+        assert!(!c.contains(STRIDE), "different tag, same set");
     }
 
     #[test]
     fn table_i_shapes_construct() {
-        use crate::config::{L1D, L1I, L2};
         let _ = Cache::new(L1I);
         let _ = Cache::new(L1D);
         let _ = Cache::new(L2);
@@ -204,28 +182,22 @@ mod tests {
 
     #[test]
     fn flat_and_legacy_layouts_are_bit_exact() {
-        // Random-ish address streams over several shapes, including the
-        // odd 1-way case: every lookup outcome and presence answer must
-        // match the reference model.
+        // Random-ish address streams over Table I's five levels (the
+        // TLBs as caches of 4 KiB "blocks", which puts the 8-way mask
+        // probe on the tag bits a TLB sees): every lookup outcome and
+        // presence answer must match the reference model.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        // The last shape is the L1 TLB's (64 pages, 8-way): 8 sets of
-        // 4 KiB "blocks" put the 8-way mask probe on the tag bits a TLB
-        // sees.
-        for &(size, block, ways) in &[
-            (128u32, 16u32, 2u32),
-            (1024, 32, 4),
-            (4096, 64, 8),
-            (256, 16, 1),
-            (64 * 4096, 4096, 8),
-        ] {
-            let p = CacheParams { size, block, ways, hit_latency: 1 };
+        for p in [L1I, L1D, L2, pages(TLB1), pages(TLB2)] {
+            let size = p.size as u64;
             let mut flat = Cache::new(p);
             let mut legacy = LegacyCache::new(p);
-            for i in 0..4000u64 {
+            // Each line of the cache about 16 times over, drawn from 8x
+            // its capacity: plenty of evictions in every set.
+            for i in 0..16 * size / p.block as u64 {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                let addr = x % (8 * size as u64); // 8x capacity: plenty of evictions
+                let addr = x % (8 * size);
                 match i % 5 {
                     4 => {
                         flat.fill(addr);
@@ -234,10 +206,7 @@ mod tests {
                     _ => assert_eq!(flat.access(addr), legacy.access(addr), "access {i}"),
                 }
                 assert_eq!(flat.contains(addr), legacy.contains(addr));
-                assert_eq!(
-                    flat.contains(addr ^ (size as u64)),
-                    legacy.contains(addr ^ (size as u64))
-                );
+                assert_eq!(flat.contains(addr ^ size), legacy.contains(addr ^ size));
             }
         }
     }

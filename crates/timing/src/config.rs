@@ -5,6 +5,8 @@
 //! compiles: an edit that gives Table I a shape the model cannot build
 //! or would mis-simulate fails the build, not a run.
 
+use crate::tlb::pages;
+
 /// Parameters of one set-associative cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheParams {
@@ -12,7 +14,7 @@ pub struct CacheParams {
     pub size: u32,
     /// Block (line) size in bytes; must be a power of two.
     pub block: u32,
-    /// Associativity; must be a power of two for tree PLRU.
+    /// Associativity; 4 or 8, the ways of Table I's levels.
     pub ways: u32,
     /// Hit latency in cycles.
     pub hit_latency: u32,
@@ -75,18 +77,14 @@ pub const LAT_SIMPLE_FP: u64 = 2;
 /// Complex FP (mul/div) latency.
 pub const LAT_COMPLEX_FP: u64 = 5;
 
-/// Whether [`Cache::new`](crate::Cache::new) can build `c`: tree PLRU
-/// and the index masks need powers of two, the tag encoding a spare bit.
+/// Whether [`Cache::new`](crate::Cache::new) can build `c`: the cache
+/// probes and tree PLRU come in 4 and 8 ways, the index masks need
+/// powers of two, the tag encoding a spare bit.
 const fn buildable(c: CacheParams) -> bool {
     c.block.is_power_of_two()
         && c.block >= 2
-        && c.ways.is_power_of_two()
+        && (c.ways == 4 || c.ways == 8)
         && c.sets().is_power_of_two()
-}
-
-/// Whether [`Tlb::new`](crate::Tlb::new) can build `t`.
-const fn tlb_buildable(t: TlbParams) -> bool {
-    t.ways.is_power_of_two() && (t.entries / t.ways).is_power_of_two()
 }
 
 // A zero issue width makes every partial-cycle bubble `0/0` and a zero
@@ -100,11 +98,11 @@ const _: () = {
     assert!(PREFETCHER_ENTRIES.is_power_of_two(), "PREFETCHER_ENTRIES must be a power of two");
     assert!(
         buildable(L1I) && buildable(L1D) && buildable(L2),
-        "L1I, L1D and L2 need power-of-two blocks of 2+ bytes, ways and sets"
+        "L1I, L1D and L2 need 4 or 8 ways and power-of-two blocks of 2+ bytes and sets"
     );
     assert!(
-        tlb_buildable(TLB1) && tlb_buildable(TLB2),
-        "TLB1 and TLB2 need power-of-two ways and sets"
+        buildable(pages(TLB1)) && buildable(pages(TLB2)),
+        "TLB1 and TLB2 need 4 or 8 ways and power-of-two sets"
     );
 };
 
@@ -121,7 +119,8 @@ mod tests {
         // What the checks above reject, so that they are known to bite.
         assert!(!buildable(CacheParams { block: 1, ..L1D }));
         assert!(!buildable(CacheParams { ways: 3, ..L1D }));
+        assert!(!buildable(CacheParams { ways: 2, ..L1D }));
         assert!(!buildable(CacheParams { size: 3 * 4096, ..L1D }));
-        assert!(!tlb_buildable(TlbParams { entries: 48, ..TLB1 }));
+        assert!(!buildable(pages(TlbParams { entries: 48, ..TLB1 })));
     }
 }

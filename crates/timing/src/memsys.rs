@@ -139,7 +139,7 @@ impl MemSystem {
                 L2.hit_latency
             }
         } else {
-            1
+            L1I.hit_latency
         };
         InstAccess { latency, l1_miss }
     }

@@ -1,11 +1,11 @@
 //! Tree-based pseudo-LRU replacement state.
 //!
-//! All cache-like structures in Table I use PLRU. For a power-of-two
+//! All cache-like structures in Table I use PLRU, at 4 or 8 ways. For
 //! associativity `w`, the state is a binary tree of `w - 1` bits; a hit
 //! flips the path bits away from the accessed way, and the victim is
 //! found by following the bits.
 
-/// PLRU state for one set (supports up to 64 ways).
+/// PLRU state for one 4- or 8-way set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlruSet {
     bits: u64,
@@ -13,7 +13,7 @@ pub struct PlruSet {
 
 /// The tree after marking `way` most recently used: the path bits flip
 /// away from it. This loop and [`walk_victim`] are the one definition of
-/// the policy; the 2/4/8-way tables below are these functions evaluated
+/// the policy; the 4- and 8-way tables below are these functions evaluated
 /// at compile time.
 const fn walk_touch(mut bits: u64, way: u32, ways: u32) -> u64 {
     let mut node = 0u32; // root at index 0; children of n are 2n+1, 2n+2
@@ -78,43 +78,34 @@ const fn victim_table<const S: usize>(ways: u32) -> [u8; S] {
     t
 }
 
-static TOUCH2: [(u64, u64); 2] = touch_table();
 static TOUCH4: [(u64, u64); 4] = touch_table();
 static TOUCH8: [(u64, u64); 8] = touch_table();
-static VICTIM2: [u8; 2] = victim_table(2);
 static VICTIM4: [u8; 8] = victim_table(4);
 static VICTIM8: [u8; 128] = victim_table(8);
 
 impl PlruSet {
-    /// Marks `way` as most recently used among `ways` ways.
+    /// Marks `way` as most recently used among `ways` (4 or 8) ways.
     ///
     /// # Panics
     ///
-    /// Debug-panics if `ways` is not a power of two or `way >= ways`.
+    /// Debug-panics if `ways` is neither 4 nor 8 or `way >= ways`.
     #[inline]
     pub fn touch(&mut self, way: u32, ways: u32) {
-        debug_assert!(ways.is_power_of_two() && way < ways);
-        let bits = self.bits;
-        let masked = |(and, or): (u64, u64)| (bits & and) | or;
+        debug_assert!((ways == 4 || ways == 8) && way < ways);
         // The `%` are no-ops that spare the bounds checks.
-        self.bits = match ways {
-            2 => masked(TOUCH2[way as usize % 2]),
-            4 => masked(TOUCH4[way as usize % 4]),
-            8 => masked(TOUCH8[way as usize % 8]),
-            _ => walk_touch(bits, way, ways),
-        };
+        let (and, or) = if ways == 4 { TOUCH4[way as usize % 4] } else { TOUCH8[way as usize % 8] };
+        self.bits = (self.bits & and) | or;
     }
 
-    /// Returns the victim way among `ways` ways (the pseudo-least
-    /// recently used one). Does not modify state.
+    /// Returns the victim way among `ways` (4 or 8) ways (the
+    /// pseudo-least recently used one). Does not modify state.
     #[inline]
     pub fn victim(&self, ways: u32) -> u32 {
-        debug_assert!(ways.is_power_of_two());
-        match ways {
-            2 => VICTIM2[self.bits as usize % 2] as u32,
-            4 => VICTIM4[self.bits as usize % 8] as u32,
-            8 => VICTIM8[self.bits as usize % 128] as u32,
-            _ => walk_victim(self.bits, ways),
+        debug_assert!(ways == 4 || ways == 8);
+        if ways == 4 {
+            VICTIM4[self.bits as usize % 8] as u32
+        } else {
+            VICTIM8[self.bits as usize % 128] as u32
         }
     }
 }
@@ -139,12 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn single_way_degenerates() {
-        let p = PlruSet::default();
-        assert_eq!(p.victim(1), 0);
-    }
-
-    #[test]
     fn eight_way_full_rotation() {
         let ways = 8;
         let mut p = PlruSet::default();
@@ -164,7 +149,7 @@ mod tests {
 
     #[test]
     fn tables_agree_with_the_tree_walk_exhaustively() {
-        for ways in [2u32, 4, 8] {
+        for ways in [4u32, 8] {
             for bits in 0..1u64 << (ways - 1) {
                 let p = PlruSet { bits };
                 assert_eq!(

@@ -75,8 +75,9 @@ impl Default for Tlb {
     }
 }
 
-/// A TLB level as a cache of page-sized blocks.
-pub(crate) fn pages(t: TlbParams) -> CacheParams {
+/// A TLB level as a cache of page-sized blocks, the shape
+/// [`Tlb::new`] builds it in.
+pub const fn pages(t: TlbParams) -> CacheParams {
     CacheParams {
         size: t.entries << PAGE_SHIFT,
         block: 1 << PAGE_SHIFT,

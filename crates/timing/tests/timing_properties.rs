@@ -5,24 +5,27 @@
 
 use darco_host::BranchKind;
 use darco_timing::cache::{Cache, Lookup};
-use darco_timing::config::{CacheParams, L1D};
+use darco_timing::config::{CacheParams, L1D, L1I, L2, TLB1, TLB2};
 use darco_timing::plru::PlruSet;
 use darco_timing::predictor::Predictor;
+use darco_timing::tlb::pages;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A line is always present immediately after being accessed, for
-/// any legal cache shape.
+/// Table I's five levels as the caches the model builds: L1-I, L1-D,
+/// L2, and the two TLBs as caches of pages.
+fn table_i_levels() -> [CacheParams; 5] {
+    [L1I, L1D, L2, pages(TLB1), pages(TLB2)]
+}
+
+/// A line is always present immediately after being accessed, whatever
+/// the history, at every Table I level.
 #[test]
-fn hit_after_access_any_shape() {
+fn hit_after_access_at_every_table_i_level() {
     let mut rng = SmallRng::seed_from_u64(0x71_0001);
-    for _ in 0..64 {
-        let ways = 1u32 << rng.gen_range(0u32..4);
-        let block = 1u32 << rng.gen_range(4u32..8);
-        let sets = 1u32 << rng.gen_range(0u32..6);
-        let mut c =
-            Cache::new(CacheParams { size: sets * ways * block, block, ways, hit_latency: 1 });
-        let n = rng.gen_range(1usize..100);
+    for case in 0..64 {
+        let mut c = Cache::new(table_i_levels()[case % 5]);
+        let n = rng.gen_range(1usize..200);
         for _ in 0..n {
             let a: u32 = rng.gen();
             c.access(a as u64);
@@ -52,12 +55,12 @@ fn cache_misses_cover_first_touches() {
 }
 
 /// The PLRU victim is always a legal way and never the way just
-/// touched (for associativity >= 2).
+/// touched, at the associativity of every Table I level.
 #[test]
 fn plru_victim_in_range() {
     let mut rng = SmallRng::seed_from_u64(0x71_0003);
-    for _ in 0..64 {
-        let ways = 1u32 << rng.gen_range(1u32..6);
+    for case in 0..64 {
+        let ways = table_i_levels()[case % 5].ways;
         let mut p = PlruSet::default();
         let n = rng.gen_range(1usize..200);
         for _ in 0..n {

@@ -677,6 +677,55 @@ mod tests {
         assert_eq!(jumps.len(), 3, "no jump, not taken, taken");
     }
 
+    /// `EventBuffer::retire_stream` takes a stream that fits one batch,
+    /// and the interpreter's templates are its one producer: every shape
+    /// `shape_key` can give — each (class, writes-flags) pair a decodable
+    /// instruction has, times each access pattern, times jump or not —
+    /// records a template shorter than `EVENT_BATCH`.
+    #[test]
+    fn every_interpreter_template_fits_one_batch() {
+        use darco_guest::exec::MemAccess;
+        use darco_host::events::EVENT_BATCH;
+        let mut insts = std::collections::BTreeMap::new();
+        for opcode in 0..=u8::MAX {
+            let mut bytes = [0u8; 16];
+            bytes[0] = opcode;
+            if let Ok((inst, _)) = darco_guest::decode(&bytes) {
+                insts.entry((inst.class() as usize, inst.writes_flags())).or_insert(inst);
+            }
+        }
+        assert_eq!(insts.len(), 14, "Int, Load and Store with and without flag writes");
+        let patterns: [&[bool]; 7] = [
+            &[],
+            &[false],
+            &[true],
+            &[false, false],
+            &[false, true],
+            &[true, false],
+            &[true, true],
+        ];
+        let (mut keys, mut longest) = (BTreeSet::new(), 0);
+        for &inst in insts.values() {
+            for stores in patterns {
+                for control in [Control::Next, Control::Jump { target: 0, taken: true }] {
+                    let mut accesses = AccessList::default();
+                    for &is_store in stores {
+                        accesses.push(MemAccess { addr: 0, size: 4, is_store });
+                    }
+                    let info = StepInfo { inst, len: 2, control, accesses };
+                    keys.insert(shape_key(&info));
+                    let mut tpl = Vec::new();
+                    let mut c = Cur::new(TOL_CODE_BASE + code::INTERP, Component::TolIm, &mut tpl);
+                    emit_interp(&mut c, 0x1000, &info, &mut InterpMarks::default());
+                    longest = longest.max(tpl.len());
+                }
+            }
+        }
+        assert_eq!(keys.len(), 14 * 7 * 2, "every shape recorded once");
+        println!("longest interpreter template: {longest} events (batch: {EVENT_BATCH})");
+        assert!(longest < EVENT_BATCH, "a {longest}-event template does not fit one batch");
+    }
+
     #[test]
     fn flag_writers_cost_more_to_interpret_and_translate() {
         let mov = collect(|s| {

@@ -230,11 +230,6 @@ impl Tol {
         self.halted
     }
 
-    /// Current guest program counter.
-    pub fn guest_pc(&self) -> u32 {
-        self.guest_pc
-    }
-
     /// Builds the end-of-run summary.
     pub fn summary(&self) -> RunSummary {
         let s = self.cc.stats();

@@ -23,7 +23,9 @@ cd "$(dirname "$0")/.."
 # timeline marks on the bus, now that the code cache and the timing sink
 # hold those facts; round 19 the chaining switch, the event buffer's
 # by-value append and its write over a boundary slot, now that the layer
-# always chains and the buffer stages retirements only.
+# always chains and the buffer stages retirements only; round 20 the
+# cache and PLRU paths for associativities no Table I level has, and the
+# guest and engine entry points that nothing called.
 # The host-configuration guard names the configurable host and its
 # validator, which Table I's constants replaced.
 echo "== removed switches stay removed"
@@ -44,8 +46,9 @@ round16='OwnerMemStats|owner_stats|owner_idx|record_branch|l2_miss'
 round17='--cosim'
 round18='emit_cursor|WindowMark|last_window'
 round19='\.chaining\b|chaining:|retire_over|fn push\(&mut self, e: HostEvent'
+round20='probe_set_any|TOUCH2|VICTIM2|fn disassemble\(|eval_flags|pub fn exec_decoded|pub fn guest_pc'
 host_config='TimingConfig|TimingConfigError'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$host_config"
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$round20|$host_config"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \

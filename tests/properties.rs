@@ -446,32 +446,17 @@ fn flag_semantics() {
     }
 }
 
-/// Caches: an access immediately after an access to the same line is
-/// always a hit, regardless of history.
-#[test]
-fn cache_hit_after_fill() {
-    use darco::timing::cache::{Cache, Lookup};
-    let mut rng = SmallRng::seed_from_u64(0xDA_0005);
-    for _ in 0..32 {
-        let mut c = Cache::new(darco::timing::config::L1D);
-        let n = rng.gen_range(1usize..200);
-        for _ in 0..n {
-            let a = rng.gen_range(0u64..(1 << 22));
-            c.access(a);
-            assert_eq!(c.access(a), Lookup::Hit);
-        }
-    }
-}
-
 /// The flattened cache layout against an *independent* reference model:
 /// a plain per-set `Vec<Option<u64>>` tag array with a hand-rolled
 /// tree-PLRU (re-derived from the replacement-policy spec, not reusing
 /// the crate's `PlruSet`). For random streams of demand accesses,
 /// prefetch fills and presence probes, every hit/miss outcome, every
 /// victim (observed through `contains`) and the final counters must
-/// agree across shapes covering 1/2/4/8-way associativity.
+/// agree at each of Table I's five levels (the TLBs as caches of pages).
 #[test]
 fn flat_cache_matches_reference_plru_model() {
+    use darco::timing::config::{L1D, L1I, L2, TLB1, TLB2};
+    use darco::timing::tlb::pages;
     use darco::timing::{Cache, CacheParams, Lookup};
 
     /// Textbook tree-PLRU over a `u64` bit heap: node 0 is the root,
@@ -574,17 +559,17 @@ fn flat_cache_matches_reference_plru_model() {
     }
 
     let mut rng = SmallRng::seed_from_u64(0xDA_0008);
-    for &(size, block, ways) in &[(256u32, 16u32, 1u32), (128, 16, 2), (2048, 32, 4), (4096, 64, 8)]
-    {
+    for p in [L1I, L1D, L2, pages(TLB1), pages(TLB2)] {
+        let CacheParams { size, block, ways, .. } = p;
         for case in 0..4 {
-            let p = CacheParams { size, block, ways, hit_latency: 1 };
             let mut dut = Cache::new(p);
             let mut model = RefCache::new(p);
-            // 6x capacity in lines keeps sets contended so PLRU victims
-            // are exercised, not just cold fills.
+            // 6x capacity in lines, each line of the cache about 12
+            // times over, keeps every set contended so PLRU victims are
+            // exercised, not just cold fills.
             let span = 6 * size as u64;
             let (mut accesses, mut misses) = (0, 0);
-            for i in 0..5000u64 {
+            for i in 0..12 * u64::from(size / block) {
                 let addr = rng.gen_range(0u64..span);
                 if rng.gen_range(0u32..5) == 0 {
                     dut.fill(addr);
