@@ -12,7 +12,8 @@
 //! checker, delivery accounting) implement the sink trait and receive
 //! whole batches; the *order* of events inside and across batches is
 //! exactly retire order, so where a batch ends is invisible to every
-//! consumer that acts on an event.
+//! consumer that acts on an event. A stream appended in one piece (an
+//! interpreter template, a few dozen events) never spans two batches.
 
 use crate::stream::{DynInst, DynOp};
 use darco_guest::CpuState;
