@@ -390,6 +390,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_stream_longer_than_a_batch_panics() {
+        let mut out: Vec<HostEvent> = Vec::new();
+        EventBuffer::new(2, &mut out).retire_stream(&[at(0), at(4), at(8)], |_| {});
+    }
+
+    #[test]
     fn storage_round_trip_reuses_allocation() {
         // The storage comes back with its slots still written (it is
         // index-addressed, not cleared); what must hold is that the next

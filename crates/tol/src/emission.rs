@@ -721,7 +721,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(keys.len(), 14 * 7 * 2, "every shape recorded once");
+        assert_eq!(keys.len(), 14 * 7 * 2, "distinct shapes get distinct keys");
         println!("longest interpreter template: {longest} events (batch: {EVENT_BATCH})");
         assert!(longest < EVENT_BATCH, "a {longest}-event template does not fit one batch");
     }
