@@ -5,8 +5,9 @@
 #
 #   scripts/pairs.sh PARENT [N] [OUT] [FIRST]
 #
-# Builds PARENT (any commit-ish, unpacked with `git archive` into a
-# temporary directory) and the current checkout in place, each into a
+# Builds PARENT (any commit-ish, unpacked with `git archive`) and the
+# current checkout (tracked and untracked files, ignored ones left out),
+# one after the other from one temporary source directory, each into a
 # target directory of its own, then runs REPEATS rounds over N seeds
 # (default 10), i = FIRST .. FIRST+N-1 (FIRST defaults to 1). A pair is
 # one short invocation per side of the binary `benchmark/run.sh` builds
@@ -24,6 +25,14 @@
 # the held-out seeds 41-45:
 #
 #   scripts/pairs.sh PARENT 5 heldout.json 41
+#
+# Both sides are built at one path because cargo hashes a path
+# package's directory into its symbol names and the binary embeds its
+# source paths: the same source built at two paths gave two layouts
+# (`.text` 3 KiB apart), and an A/A run read `worse` or `resolved` on 4
+# to 7 of 12 cells by about 1-2 %, also with each side's paths remapped
+# to one prefix. Built at one path, the same source gives byte-identical
+# binaries, which the file records as `same_binary`.
 #
 # OUT defaults (also when given as "") to BENCH_PR<NN>.json at the
 # repository root, NN the number of the checkout's ISSUE.md heading
@@ -72,21 +81,26 @@ cpu=$(python3 -c 'import os; print(max(os.sched_getaffinity(0)))')
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/parent"
-git archive "$parent_sha" | tar -x -C "$work/parent"
 
-# The checkout each side builds and runs in.
-dir_of() { if [ "$1" = parent ]; then echo "$work/parent"; else echo "$root"; fi; }
+# Unpacks one side's source at $work/src and builds it from there. A
+# file deleted from the checkout but not from the index is left out.
 build() {
-    (cd "$(dir_of "$1")" &&
-        CARGO_TARGET_DIR="$work/target-$1" \
-            cargo build --release --offline --manifest-path benchmark/Cargo.toml >&2)
+    rm -rf "$work/src"
+    mkdir "$work/src"
+    if [ "$1" = parent ]; then
+        git archive "$parent_sha" | tar -x -C "$work/src"
+    else
+        git ls-files -z -co --exclude-standard |
+            tar -c --null --ignore-failed-read -T - | tar -x -C "$work/src"
+    fi
+    (cd "$work/src" && CARGO_TARGET_DIR="$work/target-$1" \
+        cargo build --release --offline --manifest-path benchmark/Cargo.toml >&2)
 }
 # One invocation; appends `side workload seed round <last stdout line>`
 # to runs.txt (`null` when it died, which counts as a failed rep).
 run() {
     local side=$1 workload=$2 seed=$3 round=$4 line
-    if line=$(cd "$(dir_of "$side")" &&
+    if line=$(cd "$work" &&
         taskset -c "$cpu" "$work/target-$side/release/darco-benchmark" \
             --workload "$workload" --seed "$seed" --seconds 0 --trace 0 2>/dev/null | tail -1); then
         :
@@ -124,7 +138,11 @@ dirty=false
 if git status --porcelain --untracked-files=all | cut -c4- | grep -vxF "$out_rel" >/dev/null; then
     dirty=true
 fi
-PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty N=$n FIRST=$first \
+same=false
+if cmp -s "$work/target-parent/release/darco-benchmark" "$work/target-change/release/darco-benchmark"; then
+    same=true
+fi
+PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty SAME=$same N=$n FIRST=$first \
 REPEATS=$REPEATS CPU=$cpu CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) \
 RUSTC=$(rustc --version) \
     python3 - "$work/runs.txt" "$out" <<'EOF'
@@ -225,11 +243,13 @@ doc = {
     "parent": os.environ["PARENT_SHA"],
     "head": os.environ["HEAD_SHA"],
     "head_dirty": os.environ["DIRTY"] == "true",
+    "same_binary": os.environ["SAME"] == "true",
     "seeds": n,
     "first_seed": first,
     "rounds": int(os.environ["REPEATS"]),
     "pairs_per_workload": len(keys),
-    "command": "benchmark/run.sh --workload W --seed i --seconds 0 --trace 0",
+    "command": "benchmark/run.sh --workload W --seed i --seconds 0 --trace 0, "
+               "each side built from one source path in turn",
     "order": "alternating within a round, flipped each round; both sides on one CPU",
     "cpu": int(os.environ["CPU"]),
     "verdict": f"sign-test interval of the median change/parent ratio, "
