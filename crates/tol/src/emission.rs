@@ -80,8 +80,10 @@ mod code {
 #[derive(Debug)]
 pub struct Emitter {
     /// Per-shape interpreter stream templates, indexed by
-    /// [`shape_key`]. Filled lazily on first encounter of a shape.
-    interp_tpl: Vec<Option<InterpTemplate>>,
+    /// [`shape_key`]. Filled lazily on first encounter of a shape; boxed,
+    /// because about half of the keys no step reaches, and an empty slot
+    /// then costs a pointer.
+    interp_tpl: Vec<Option<Box<InterpTemplate>>>,
 }
 
 /// A recorded interpreter stream for one step shape, plus the indices of
@@ -340,7 +342,7 @@ impl Emitter {
             let mut marks = InterpMarks::default();
             let mut c = Cur::new(TOL_CODE_BASE + code::INTERP, comp, &mut insts);
             emit_interp(&mut c, guest_pc, info, &mut marks);
-            self.interp_tpl[key] = Some(InterpTemplate { insts, marks });
+            self.interp_tpl[key] = Some(Box::new(InterpTemplate { insts, marks }));
         }
         let tpl = self.interp_tpl[key].as_ref().expect("template just ensured");
         let m = tpl.marks;
@@ -722,6 +724,7 @@ mod tests {
             }
         }
         assert_eq!(keys.len(), 14 * 7 * 2, "distinct shapes get distinct keys");
+        println!("reachable template slots: {} of {INTERP_SHAPES}", keys.len());
         println!("longest interpreter template: {longest} events (batch: {EVENT_BATCH})");
         assert!(longest < EVENT_BATCH, "a {longest}-event template does not fit one batch");
     }

@@ -504,21 +504,56 @@ pub fn generate(profile: &BenchProfile, scale: f64) -> Workload {
 /// call: one guest-memory frame, so each call is one page-table walk.
 const PREFILL_CHUNK: usize = 1024;
 
+/// The prefill LCG is `x ↦ LCG_MUL·x + LCG_ADD`, and each word is the
+/// state's low 32 bits. Those depend only on the state's low 32 bits,
+/// so a `u32` state gives the same words for every seed.
+const LCG_MUL: u32 = 0x9E37_79B9;
+const LCG_ADD: u32 = 12345;
+
+/// Independent LCG lanes [`prefill_data`] steps side by side.
+const LANES: usize = 16;
+
+/// `(A, C)` of `x ↦ A·x + C`, the LCG step composed `LANES` times: the
+/// step of one lane from word `n` to word `n + LANES`.
+const LANE_STEP: (u32, u32) = {
+    let (mut a, mut c) = (1u32, 0u32);
+    let mut i = 0;
+    while i < LANES {
+        a = a.wrapping_mul(LCG_MUL);
+        c = c.wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
+        i += 1;
+    }
+    (a, c)
+};
+
 /// Pre-fills a slice of the data region so loads see varied values: the
 /// first `min(footprint, 64 KiB)` bytes from [`DATA_BASE`], rounded up to
 /// a word, hold consecutive words of an LCG seeded by `seed`. The words
 /// go in one frame at a time; with `DATA_BASE` frame-aligned, the
 /// contents, page generations and write counter are those of one
 /// `write_u32` per word in address order.
+///
+/// One LCG is a chain of dependent multiply-adds, bound by their latency
+/// (about 4 cycles a word). So the frame is filled from [`LANES`]
+/// independent chains instead: lane `i` holds word `n + i` and steps by
+/// [`LANE_STEP`], and a group's trailing part takes the first lanes.
 fn prefill_data(mem: &mut GuestMem, seed: u64, footprint: u32) {
-    let mut lcg = seed | 1;
+    let (a, c) = LANE_STEP;
+    let mut lanes = [0u32; LANES];
+    let mut x = (seed | 1) as u32;
+    for lane in &mut lanes {
+        x = x.wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
+        *lane = x;
+    }
     let mut chunk = [0u8; PREFILL_CHUNK];
     let len = footprint.min(1 << 16).next_multiple_of(4) as usize;
     for start in (0..len).step_by(PREFILL_CHUNK) {
         let bytes = &mut chunk[..(len - start).min(PREFILL_CHUNK)];
-        for word in bytes.chunks_exact_mut(4) {
-            lcg = lcg.wrapping_mul(0x9E37_79B9).wrapping_add(12345);
-            word.copy_from_slice(&(lcg as u32).to_le_bytes());
+        for group in bytes.chunks_mut(4 * LANES) {
+            for (word, lane) in group.chunks_exact_mut(4).zip(&mut lanes) {
+                word.copy_from_slice(&lane.to_le_bytes());
+                *lane = lane.wrapping_mul(a).wrapping_add(c);
+            }
         }
         mem.write_bytes(DATA_BASE + start as u32, bytes);
     }
@@ -561,7 +596,11 @@ mod tests {
         with_code.write_u32(TABLE_BASE, 0xDEAD_BEEF);
         let last_page = (DATA_BASE + (1 << 16)) >> 12;
         for base in [fresh, with_code] {
-            for footprint in [4, 6, 1 << 10, 1_030, 1 << 12, 1 << 16, 1 << 24] {
+            // One word before, at and after a full group of lanes.
+            let group = 4 * LANES as u32;
+            for footprint in
+                [4, 6, group - 4, group, group + 4, 1 << 10, 1_030, 1 << 12, 1 << 16, 1 << 24]
+            {
                 for seed in [0, 42, u64::MAX] {
                     let (mut fast, mut slow) = (base.clone(), base.clone());
                     prefill_data(&mut fast, seed, footprint);

@@ -36,8 +36,10 @@ macro_rules! sample_uniform_int {
         impl SampleUniform for $t {
             fn from_draw(draw: u64, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range: empty range");
-                let span = (hi as i128).wrapping_sub(lo as i128) as u128;
-                let off = (draw as u128) % span;
+                // At most 2^64 - 1 for a type of at most 64 bits, so the
+                // modulo is a 64-bit one, not a call into `u128` division.
+                let span = ((hi as i128) - (lo as i128)) as u64;
+                let off = draw % span;
                 ((lo as i128) + (off as i128)) as $t
             }
         }
@@ -141,7 +143,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::SmallRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SampleUniform, SeedableRng};
 
     #[test]
     fn deterministic_for_seed() {
@@ -163,6 +165,43 @@ mod tests {
             let f: f64 = rng.gen();
             assert!((0.0..1.0).contains(&f));
         }
+    }
+
+    /// `from_draw` against the `i128`/`u128` expression it replaced, on
+    /// every integer type: the full range, the narrowest ranges, spans
+    /// around each power of two, and edge and random draws.
+    #[test]
+    fn from_draw_matches_the_u128_modulo() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut draws = vec![0, 1, 1 << 63, u64::MAX];
+        draws.extend((0..1000).map(|_| rng.next_u64()));
+        macro_rules! check {
+            ($($t:ty),*) => {$({
+                let (min, max) = (<$t>::MIN as i128, <$t>::MAX as i128);
+                let mut ranges = vec![(min, max), (0, 1), (max - 1, max)];
+                for k in 0..=<$t>::BITS {
+                    for span in [(1i128 << k) - 1, 1 << k, (1 << k) + 1] {
+                        if span > 0 && min + span <= max {
+                            ranges.push((min, min + span));
+                        }
+                    }
+                }
+                for (lo, hi) in ranges {
+                    let (lo, hi) = (lo as $t, hi as $t);
+                    for &draw in &draws {
+                        let span = (hi as i128).wrapping_sub(lo as i128) as u128;
+                        let wide = ((lo as i128) + ((draw as u128 % span) as i128)) as $t;
+                        assert_eq!(
+                            <$t as SampleUniform>::from_draw(draw, lo, hi),
+                            wide,
+                            "{} {lo}..{hi}, draw {draw}",
+                            stringify!($t)
+                        );
+                    }
+                }
+            })*};
+        }
+        check!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
     }
 
     #[test]
