@@ -6,10 +6,12 @@
 #   scripts/pairs.sh PARENT [N] [OUT] [FIRST]
 #
 # Builds PARENT (any commit-ish, unpacked with `git archive`) and the
-# current checkout (tracked and untracked files, ignored ones left out),
-# one after the other from one temporary source directory, each into a
-# target directory of its own, then runs REPEATS rounds over N seeds
-# (default 10), i = FIRST .. FIRST+N-1 (FIRST defaults to 1). A pair is
+# current checkout (tracked and untracked files, ignored ones left out)
+# in LAYOUTS source directories of equal name length, both sides in each
+# directory one after the other, each build into a target directory of
+# its own (2 x LAYOUTS builds), then runs REPEATS rounds over N seeds
+# (default 10), i = FIRST .. FIRST+N-1 (FIRST defaults to 1). Round r
+# runs both sides' builds from directory (r - 1) % LAYOUTS + 1. A pair is
 # one short invocation per side of the binary `benchmark/run.sh` builds
 # and execs,
 #
@@ -26,13 +28,17 @@
 #
 #   scripts/pairs.sh PARENT 5 heldout.json 41
 #
-# Both sides are built at one path because cargo hashes a path
+# Both sides of a pair are built at one path because cargo hashes a path
 # package's directory into its symbol names and the binary embeds its
 # source paths: the same source built at two paths gave two layouts
 # (`.text` 3 KiB apart), and an A/A run read `worse` or `resolved` on 4
 # to 7 of 12 cells by about 1-2 %, also with each side's paths remapped
 # to one prefix. Built at one path, the same source gives byte-identical
-# binaries, which the file records as `same_binary`.
+# binaries, which the file records per directory as `same_binary`. Each
+# directory's name still draws one layout of the changed code, and one
+# draw moved `guest_mips` by up to 2.5 %, so a verdict pools pairs from
+# LAYOUTS directories and the file keeps the median ratio of each beside
+# it.
 #
 # OUT defaults (also when given as "") to BENCH_PR<NN>.json at the
 # repository root, NN the number of the checkout's ISSUE.md heading
@@ -64,6 +70,8 @@ root=$PWD
 
 # Rounds over the seeds; sized for 30-40 minutes at the default N.
 REPEATS=12
+# Source directories, one per round in turn; REPEATS is a multiple.
+LAYOUTS=3
 
 parent=${1:?usage: scripts/pairs.sh PARENT [N] [OUT] [FIRST]}
 n=${2:-10}
@@ -82,26 +90,29 @@ cpu=$(python3 -c 'import os; print(max(os.sched_getaffinity(0)))')
 work=$(mktemp -d "${TMPDIR:-/tmp}/pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
-# Unpacks one side's source at $work/src and builds it from there. A
-# file deleted from the checkout but not from the index is left out.
+# Unpacks one side's source at $work/srcL and builds it from there into
+# $work/target-SIDE-L. A file deleted from the checkout but not from the
+# index is left out.
 build() {
-    rm -rf "$work/src"
-    mkdir "$work/src"
-    if [ "$1" = parent ]; then
-        git archive "$parent_sha" | tar -x -C "$work/src"
+    local side=$1 layout=$2 src=$work/src$2
+    rm -rf "$src"
+    mkdir "$src"
+    if [ "$side" = parent ]; then
+        git archive "$parent_sha" | tar -x -C "$src"
     else
         git ls-files -z -co --exclude-standard |
-            tar -c --null --ignore-failed-read -T - | tar -x -C "$work/src"
+            tar -c --null --ignore-failed-read -T - | tar -x -C "$src"
     fi
-    (cd "$work/src" && CARGO_TARGET_DIR="$work/target-$1" \
+    (cd "$src" && CARGO_TARGET_DIR="$work/target-$side-$layout" \
         cargo build --release --offline --manifest-path benchmark/Cargo.toml >&2)
 }
 # One invocation; appends `side workload seed round <last stdout line>`
 # to runs.txt (`null` when it died, which counts as a failed rep).
 run() {
     local side=$1 workload=$2 seed=$3 round=$4 line
+    local layout=$(((round - 1) % LAYOUTS + 1))
     if line=$(cd "$work" &&
-        taskset -c "$cpu" "$work/target-$side/release/darco-benchmark" \
+        taskset -c "$cpu" "$work/target-$side-$layout/release/darco-benchmark" \
             --workload "$workload" --seed "$seed" --seconds 0 --trace 0 2>/dev/null | tail -1); then
         :
     else
@@ -110,8 +121,10 @@ run() {
     printf '%s %s %s %s %s\n' "$side" "$workload" "$seed" "$round" "${line:-null}" >>"$work/runs.txt"
 }
 
-build parent
-build change
+for layout in $(seq 1 "$LAYOUTS"); do
+    build parent "$layout"
+    build change "$layout"
+done
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 : >"$work/runs.txt"
 for round in $(seq 1 "$REPEATS"); do
@@ -138,12 +151,17 @@ dirty=false
 if git status --porcelain --untracked-files=all | cut -c4- | grep -vxF "$out_rel" >/dev/null; then
     dirty=true
 fi
-same=false
-if cmp -s "$work/target-parent/release/darco-benchmark" "$work/target-change/release/darco-benchmark"; then
-    same=true
-fi
+# One word per directory: true where both sides built byte-identical.
+same=$(for layout in $(seq 1 "$LAYOUTS"); do
+    if cmp -s "$work/target-parent-$layout/release/darco-benchmark" \
+        "$work/target-change-$layout/release/darco-benchmark"; then
+        echo true
+    else
+        echo false
+    fi
+done)
 PARENT_SHA=$parent_sha HEAD_SHA=$(git rev-parse HEAD) DIRTY=$dirty SAME=$same N=$n FIRST=$first \
-REPEATS=$REPEATS CPU=$cpu CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) \
+REPEATS=$REPEATS LAYOUTS=$LAYOUTS CPU=$cpu CPU_MODEL=$cpu_model CORES=$(nproc) KERNEL=$(uname -r) \
 RUSTC=$(rustc --version) \
     python3 - "$work/runs.txt" "$out" <<'EOF'
 import json, math, os, sys
@@ -184,6 +202,7 @@ for line in open(sys.argv[1]):
 
 n = int(os.environ["N"])
 first = int(os.environ["FIRST"])
+layouts = int(os.environ["LAYOUTS"])
 keys = [(s, r) for r in range(1, int(os.environ["REPEATS"]) + 1) for s in range(first, first + n)]
 cells = len(bench["workloads"]) * len(bench["end_to_end"])
 alpha = FAMILY_ALPHA / cells
@@ -209,6 +228,9 @@ for w in (w["name"] for w in bench["workloads"]):
             continue
         ratios = [c / p for _, _, p, c in pairs]
         ratio = median(ratios)
+        # Round r ran from directory (r - 1) % layouts + 1.
+        by_layout = [[c / p for _, r, p, c in pairs if (r - 1) % layouts == l]
+                     for l in range(layouts)]
         # Worse by more than the bound, as a ratio of the parent.
         beyond_bound = ratio < 1 - m["bound"] if higher else ratio > 1 + m["bound"]
         interval = sign_interval(ratios, alpha)
@@ -230,6 +252,7 @@ for w in (w["name"] for w in bench["workloads"]):
             "better": m["better"],
             "bound": m["bound"],
             "ratio": ratio,
+            "layout_ratios": [median(xs) if xs else None for xs in by_layout],
             "interval": [lo, hi] if interval else None,
             "half_width": (hi - lo) / 2 if interval else None,
             "verdict": verdict,
@@ -243,13 +266,15 @@ doc = {
     "parent": os.environ["PARENT_SHA"],
     "head": os.environ["HEAD_SHA"],
     "head_dirty": os.environ["DIRTY"] == "true",
-    "same_binary": os.environ["SAME"] == "true",
+    "layouts": layouts,
+    "same_binary": [w == "true" for w in os.environ["SAME"].split()],
     "seeds": n,
     "first_seed": first,
     "rounds": int(os.environ["REPEATS"]),
     "pairs_per_workload": len(keys),
     "command": "benchmark/run.sh --workload W --seed i --seconds 0 --trace 0, "
-               "each side built from one source path in turn",
+               f"both sides built in each of {layouts} source directories of one name "
+               "length in turn; round r runs directory (r - 1) % layouts + 1",
     "order": "alternating within a round, flipped each round; both sides on one CPU",
     "cpu": int(os.environ["CPU"]),
     "verdict": f"sign-test interval of the median change/parent ratio, "
@@ -266,14 +291,15 @@ with open(sys.argv[2], "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
 print(f"{'workload':14} {'metric':12} {'ratio':>7} {'interval':>17} {'±':>6} "
-      f"{'verdict':10} {'parent median':>13}", file=sys.stderr)
+      f"{'verdict':10} {'parent median':>13}  per layout", file=sys.stderr)
 for w, v in workloads.items():
     for name, m in v["metrics"].items():
         iv = m.get("interval")
         iv_text = f"{iv[0]:.4f}-{iv[1]:.4f}" if iv else "-"
         hw = f"{m['half_width'] * 100:.2f}%" if iv else "-"
+        per = " ".join(f"{x:.4f}" if x is not None else "-" for x in m.get("layout_ratios", []))
         print(f"{w:14} {name:12} {m.get('ratio', float('nan')):7.4f} {iv_text:>17} {hw:>6} "
-              f"{m['verdict']:10} {m.get('parent_median', float('nan')):13.6g}",
+              f"{m['verdict']:10} {m.get('parent_median', float('nan')):13.6g}  {per}",
               file=sys.stderr)
     print(f"{w:14} failed reps: parent {v['failed_reps']['parent']}, "
           f"change {v['failed_reps']['change']}", file=sys.stderr)
