@@ -475,7 +475,7 @@ fn disasm(rest: &[String]) {
     println!(
         "hottest {} of {} resident translations in {name}:",
         o.n.min(blocks.len()),
-        tol.cc.resident()
+        tol.cc.health().resident
     );
     for &(b, blk) in blocks.iter().take(o.n) {
         println!(

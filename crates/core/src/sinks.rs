@@ -381,7 +381,7 @@ mod tests {
                 _ => {}
             }
         }
-        format!("{:?}", p.finish())
+        format!("{:?}", p.snapshot())
     }
 
     #[test]

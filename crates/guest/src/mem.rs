@@ -54,7 +54,10 @@
 
 use std::rc::Rc;
 
-const PAGE_SHIFT: u32 = 12;
+/// Guest page size shift (4 KiB pages): the unit of
+/// [`GuestMem::page_gen`], which the software layer's code cache and
+/// profiler key their pages by.
+pub const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
 /// Frame-number bits below the page number: a frame is a quarter page,

@@ -89,9 +89,6 @@ impl<F: FnMut(&DynInst)> HostEventSink for RetireSink<F> {
 const FILLER: HostEvent =
     HostEvent::Retire(DynInst::plain(0, crate::ExecClass::SimpleInt, crate::Component::AppCode));
 
-/// Slots an [`EventBuffer`] adds at a time while its vector grows.
-const GROW: usize = 64;
-
 /// The retirement in a slot: every slot an [`EventBuffer`] writes holds
 /// one, since it stages nothing else.
 #[inline]
@@ -109,7 +106,8 @@ fn retirement(slot: &mut HostEvent) -> &mut DynInst {
 pub struct EventStorage(Vec<HostEvent>);
 
 impl EventStorage {
-    /// Heap bytes of the slots written so far.
+    /// Heap bytes of the slots: every one of the last buffer's capacity,
+    /// as [`EventBuffer::from_storage`] makes them all.
     pub fn bytes(&self) -> usize {
         std::mem::size_of_val(&self.0[..])
     }
@@ -162,17 +160,14 @@ impl Staged<'_> {
 /// control returning to the dispatcher), so a batch never crosses a
 /// point where the controller needs the stream drained.
 ///
-/// Slots are written by index. The vector behind them grows — 64
-/// fillers at a time, inside the one allocation made up front — only
-/// while slots are used for the first time: the buffer has all of them
-/// after its first full batch, and from then on an append is a compare
-/// and a 24-byte store.
+/// Slots are written by index. All of them are made when the buffer is
+/// built (fillers, unless the storage already holds them), so an append
+/// is a compare and a 24-byte store.
 pub struct EventBuffer<'a> {
-    /// `buf[..len]` is the staged batch; anything behind it has been
-    /// delivered already.
+    /// One slot per event of a batch: `buf[..len]` is the staged batch;
+    /// anything behind it has been delivered already.
     buf: Vec<HostEvent>,
     len: usize,
-    capacity: usize,
     sink: &'a mut dyn HostEventSink,
 }
 
@@ -193,27 +188,22 @@ impl<'a> EventBuffer<'a> {
         let capacity = capacity.max(1);
         storage.truncate(capacity);
         storage.reserve_exact(capacity - storage.len());
-        EventBuffer { buf: storage, len: 0, capacity, sink }
+        storage.resize(capacity, FILLER);
+        EventBuffer { buf: storage, len: 0, sink }
     }
 
-    /// Makes slots `len..len + n` exist (`n` ≤ capacity), delivering the
-    /// staged batch first if they do not fit behind it. Once every slot
-    /// has been used, this runs once per batch.
+    /// Delivers the staged batch when an append finds no room behind
+    /// it: once per full batch.
     #[cold]
-    fn make_room(&mut self, n: usize) {
-        if n > self.capacity - self.len {
-            self.flush();
-        }
-        let want = (self.len + n.max(GROW)).min(self.capacity);
-        let missing = want.saturating_sub(self.buf.len());
-        self.buf.extend((0..missing).map(|_| FILLER));
+    fn make_room(&mut self) {
+        self.flush();
     }
 
     /// The next free slot.
     #[inline]
     fn slot(&mut self) -> &mut HostEvent {
         if self.len == self.buf.len() {
-            self.make_room(1);
+            self.make_room();
         }
         self.len += 1;
         &mut self.buf[self.len - 1]
@@ -250,7 +240,7 @@ impl<'a> EventBuffer<'a> {
     #[inline]
     pub fn retire_stream(&mut self, stream: &[DynInst], patch: impl FnOnce(Staged<'_>)) {
         if self.len + stream.len() > self.buf.len() {
-            self.make_room(stream.len());
+            self.make_room();
         }
         let slots = &mut self.buf[self.len..self.len + stream.len()];
         for (slot, d) in slots.iter_mut().zip(stream) {
@@ -285,7 +275,7 @@ impl std::fmt::Debug for EventBuffer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventBuffer")
             .field("pending", &self.len)
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.buf.len())
             .finish()
     }
 }

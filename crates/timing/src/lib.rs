@@ -40,7 +40,7 @@
 //!         .with_srcs(int_reg(2), u8::MAX)
 //!         .with_dst(int_reg(3)),
 //! );
-//! let stats = p.finish();
+//! let stats = p.snapshot();
 //! assert_eq!(stats.total_insts(), 2);
 //! assert!(stats.total_cycles > 2, "cold miss costs cycles");
 //! ```

@@ -16,21 +16,12 @@ use crate::prefetch::StridePrefetcher;
 use crate::tlb::Tlb;
 use darco_host::layout::is_guest_addr;
 
-/// Outcome of a data access.
+/// Outcome of a data access or an instruction fetch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DataAccess {
-    /// Total latency in cycles (TLB + cache hierarchy).
+pub struct Access {
+    /// Total latency in cycles (for data, TLB + cache hierarchy).
     pub latency: u32,
-    /// Missed in the L1 data cache.
-    pub l1_miss: bool,
-}
-
-/// Outcome of an instruction fetch access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstAccess {
-    /// Fetch latency in cycles.
-    pub latency: u32,
-    /// Missed in the L1 instruction cache.
+    /// Missed in the L1 cache (L1-D for data, L1-I for a fetch).
     pub l1_miss: bool,
 }
 
@@ -72,16 +63,15 @@ impl MemSystem {
     ///
     /// The data TLB is consulted only for guest-space addresses: the
     /// software layer works with physical addresses (Sec. II-A-2).
-    pub fn access_data(&mut self, pc: u64, addr: u64) -> DataAccess {
+    pub fn access_data(&mut self, pc: u64, addr: u64) -> Access {
         let line = addr >> D_LINE_SHIFT;
         let fast_hit = line == self.last_d_line;
 
         let mut latency = 0;
         if is_guest_addr(addr) {
-            let (_, tlb_lat) = self.tlb.access(addr);
             // An L1-TLB hit overlaps the cache access; only the excess
             // latency of lower levels is serialized.
-            latency += tlb_lat.saturating_sub(1);
+            latency += self.tlb.access(addr).saturating_sub(1);
         }
 
         let mut l1_miss = false;
@@ -114,7 +104,7 @@ impl MemSystem {
             }
         }
 
-        DataAccess { latency, l1_miss }
+        Access { latency, l1_miss }
     }
 
     /// Brings a line toward the core for a software prefetch: fills L1D
@@ -122,7 +112,7 @@ impl MemSystem {
     /// statistics or latency.
     pub fn prefetch_fill(&mut self, addr: u64) {
         if is_guest_addr(addr) {
-            let _ = self.tlb.access(addr);
+            self.tlb.access(addr);
         }
         self.l1d.fill(addr);
         self.l2.fill(addr);
@@ -130,7 +120,7 @@ impl MemSystem {
     }
 
     /// Performs an instruction-fetch access for the line containing `pc`.
-    pub fn access_inst(&mut self, pc: u64) -> InstAccess {
+    pub fn access_inst(&mut self, pc: u64) -> Access {
         let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = if l1_miss {
             if self.l2.access(pc) == Lookup::Miss {
@@ -141,7 +131,7 @@ impl MemSystem {
         } else {
             L1I.hit_latency
         };
-        InstAccess { latency, l1_miss }
+        Access { latency, l1_miss }
     }
 
     /// Total prefetches issued.

@@ -52,7 +52,7 @@ const SCHEDULING: usize = BubbleCause::Scheduling.index();
 const I_LINE_SHIFT: u32 = L1I.block.trailing_zeros();
 
 /// Trace-driven pipeline simulator; feed with [`Pipeline::retire`] and
-/// collect results with [`Pipeline::finish`].
+/// collect results with [`Pipeline::snapshot`].
 #[derive(Debug)]
 pub struct Pipeline {
     mem: MemSystem,
@@ -315,15 +315,9 @@ impl Pipeline {
         pool[slot] = until;
     }
 
-    /// Completes the run and returns the statistics.
-    pub fn finish(self) -> Stats {
-        self.snapshot()
-    }
-
     /// Read-only view of the running counts: instructions, cache
     /// accesses and misses, branches and mispredictions (cycle, bubble
-    /// and prefetch totals are only filled by
-    /// [`Pipeline::finish`]/[`Pipeline::snapshot`]).
+    /// and prefetch totals are only filled by [`Pipeline::snapshot`]).
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -375,7 +369,7 @@ mod tests {
                 p.retire(d);
             }
         }
-        p.finish()
+        p.snapshot()
     }
 
     #[test]
@@ -420,7 +414,7 @@ mod tests {
             p.retire(&ld);
             p.retire(&use_it);
         }
-        let s = p.finish();
+        let s = p.snapshot();
         let d = s.owner_bubbles(Owner::App, BubbleCause::DCacheMiss);
         assert!(d > 0.0);
         assert!(
@@ -444,7 +438,7 @@ mod tests {
                 true,
             ));
         }
-        let s = p.finish();
+        let s = p.snapshot();
         assert!(s.mispredict_rate(Owner::App) > 0.9);
         let br = s.owner_bubbles(Owner::App, BubbleCause::Branch);
         let per_branch = br / n as f64;
@@ -464,7 +458,7 @@ mod tests {
                 p.retire(&simple(rep + i * 64 * 7));
             }
         }
-        let s = p.finish();
+        let s = p.snapshot();
         assert!(
             s.owner_bubbles(Owner::App, BubbleCause::ICacheMiss) > 0.0,
             "line-crossing misses must produce I$ bubbles"
@@ -518,7 +512,7 @@ mod tests {
                 .with_dst(int_reg(2))
                 .with_mem(0x9000, 4, false),
         );
-        let s = p.finish();
+        let s = p.snapshot();
         assert_eq!(s.d_misses[0], 0, "prefetched line must hit");
         assert_eq!(s.prefetches, 0, "software prefetches are not HW-prefetcher issues");
     }
@@ -559,7 +553,7 @@ mod tests {
                 }
             }
         }
-        let s = p.finish();
+        let s = p.snapshot();
         // Owner rates are ratios of sums: 6 misses over 6 + 21 accesses
         // for the software layer, not a mean of its per-component rates.
         assert_eq!(s.d_miss_rate(Owner::App), 1.0);
@@ -600,7 +594,7 @@ mod tests {
                 .with_dst(int_reg(41)),
             );
         }
-        let s = p.finish();
+        let s = p.snapshot();
         assert!(s.owner_insts(Owner::Tol) > 0);
         assert!(s.owner_insts(Owner::App) > 0);
         assert!(

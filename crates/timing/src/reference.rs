@@ -13,10 +13,10 @@
 
 use crate::cache::Lookup;
 use crate::config::{CacheParams, L1D, L1I, L2, MEM_LATENCY, TLB1, TLB2, TLB_WALK_LATENCY};
-use crate::memsys::{DataAccess, InstAccess};
+use crate::memsys::Access;
 use crate::plru::PlruSet;
 use crate::prefetch::StridePrefetcher;
-use crate::tlb::{pages, TlbOutcome};
+use crate::tlb::pages;
 use darco_host::layout::is_guest_addr;
 
 struct Set {
@@ -96,13 +96,13 @@ impl FullProbeTlb {
         FullProbeTlb { l1: LegacyCache::new(pages(TLB1)), l2: LegacyCache::new(pages(TLB2)) }
     }
 
-    pub(crate) fn access(&mut self, addr: u64) -> (TlbOutcome, u32) {
+    pub(crate) fn access(&mut self, addr: u64) -> u32 {
         if self.l1.access(addr) == Lookup::Hit {
-            (TlbOutcome::L1Hit, TLB1.hit_latency)
+            TLB1.hit_latency
         } else if self.l2.access(addr) == Lookup::Hit {
-            (TlbOutcome::L2Hit, TLB2.hit_latency)
+            TLB2.hit_latency
         } else {
-            (TlbOutcome::Walk, TLB_WALK_LATENCY)
+            TLB_WALK_LATENCY
         }
     }
 }
@@ -128,11 +128,10 @@ impl FullProbeMemSystem {
         }
     }
 
-    pub(crate) fn access_data(&mut self, pc: u64, addr: u64) -> DataAccess {
+    pub(crate) fn access_data(&mut self, pc: u64, addr: u64) -> Access {
         let mut latency = 0;
         if is_guest_addr(addr) {
-            let (_, tlb_lat) = self.tlb.access(addr);
-            latency += tlb_lat.saturating_sub(1);
+            latency += self.tlb.access(addr).saturating_sub(1);
         }
         let l1_miss = self.l1d.access(addr) == Lookup::Miss;
         latency += match l1_miss {
@@ -146,25 +145,25 @@ impl FullProbeMemSystem {
                 self.l2.fill(pf_addr);
             }
         }
-        DataAccess { latency, l1_miss }
+        Access { latency, l1_miss }
     }
 
     pub(crate) fn prefetch_fill(&mut self, addr: u64) {
         if is_guest_addr(addr) {
-            let _ = self.tlb.access(addr);
+            self.tlb.access(addr);
         }
         self.l1d.fill(addr);
         self.l2.fill(addr);
     }
 
-    pub(crate) fn access_inst(&mut self, pc: u64) -> InstAccess {
+    pub(crate) fn access_inst(&mut self, pc: u64) -> Access {
         let l1_miss = self.l1i.access(pc) == Lookup::Miss;
         let latency = match l1_miss {
             false => 1,
             true if self.l2.access(pc) == Lookup::Miss => MEM_LATENCY,
             true => L2.hit_latency,
         };
-        InstAccess { latency, l1_miss }
+        Access { latency, l1_miss }
     }
 
     pub(crate) fn prefetches(&self) -> u64 {

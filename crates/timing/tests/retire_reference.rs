@@ -472,7 +472,7 @@ fn production_retire_matches_reference_model() {
                 assert_stats_identical(&fast.snapshot(), &slow.snapshot(), &at);
             }
         }
-        let s = fast.finish();
+        let s = fast.snapshot();
         assert_stats_identical(&s, &slow.snapshot(), &format!("at finish ({stream_id})"));
         seen.assert_complete(&s, &stream_id);
     }

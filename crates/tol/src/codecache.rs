@@ -26,6 +26,7 @@
 //! without entering the software layer (Sec. III-B).
 
 use crate::pcmap::PcMap;
+use darco_guest::mem::PAGE_SHIFT;
 use darco_guest::GuestMem;
 use darco_host::layout::CODE_CACHE_BASE;
 use darco_host::{compile_block, BlockId, DynOp, Exit, HInst};
@@ -404,11 +405,6 @@ impl CodeCache {
         Ok(())
     }
 
-    /// Host instructions currently allocated (live + dead space).
-    pub fn used(&self) -> u32 {
-        self.used
-    }
-
     /// Lifetime statistics.
     pub fn stats(&self) -> CodeCacheStats {
         self.stats
@@ -423,11 +419,6 @@ impl CodeCache {
             resident: self.map.len() as u32,
             retranslations: self.stats.retranslations,
         }
-    }
-
-    /// Number of currently resident translations.
-    pub fn resident(&self) -> usize {
-        self.map.len()
     }
 
     /// Heap bytes held by the translations installed since the last
@@ -449,9 +440,6 @@ impl CodeCache {
         ]
     }
 }
-
-/// Guest page size shift shared with [`GuestMem`] (4 KiB pages).
-pub(crate) const PAGE_SHIFT: u32 = 12;
 
 /// Collects the guest pages a translation's code spans and the maximum
 /// page write-generation over them. Each instruction is
@@ -504,7 +492,7 @@ mod tests {
         assert_eq!(cc.lookup(0x100), Some(ins.id));
         assert_eq!(cc.lookup(0x104), None);
         assert_eq!(cc.get(ins.id).unwrap().guest_len, 3);
-        assert_eq!(cc.used(), 2);
+        assert_eq!(cc.health().used, 2);
     }
 
     #[test]
@@ -562,7 +550,7 @@ mod tests {
         assert!(ins.flushed);
         assert_eq!(cc.stats().flushes, 1);
         assert_eq!(cc.lookup(0x100), None, "flushed");
-        assert_eq!(cc.resident(), 1);
+        assert_eq!(cc.health().resident, 1);
     }
 
     #[test]
@@ -592,7 +580,7 @@ mod tests {
         // block still runs.
         assert_eq!(cc.stats().flushes, 0);
         assert!(cc.lookup(0x100).is_some());
-        assert!(cc.used() <= 4, "bound never exceeded");
+        assert!(cc.health().used <= 4, "bound never exceeded");
     }
 
     #[test]
@@ -737,7 +725,7 @@ mod tests {
                     }
                 }
             }
-            assert!(cc.used() <= 16, "instruction bound violated");
+            assert!(cc.health().used <= 16, "instruction bound violated");
         }
         assert!(cc.stats().flushes > 10 && stale_seen > 0, "the run must cross epochs");
     }

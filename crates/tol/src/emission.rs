@@ -135,6 +135,13 @@ fn shape_key(info: &StepInfo) -> usize {
     ((opcode * 2 + wf) * 9 + acc) * 2 + jump
 }
 
+/// Where the interpreter dispatches the step at `guest_pc`: a site
+/// hashed from the guest pc in the interpreter's code (see the dispatch
+/// in [`emit_interp`]).
+fn dispatch_site(guest_pc: u32) -> u64 {
+    TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4
+}
+
 /// The single implementation of the interpreter's per-step host-cost
 /// stream, recorded once per shape into a template. The indices of the
 /// per-step-variable instructions are recorded into `marks`.
@@ -162,7 +169,7 @@ fn emit_interp(
     // per-site targets on repeats; predictability still tracks the
     // guest instruction mix and footprint (the Sec. III-C effect).
     let handler = TOL_CODE_BASE + code::HANDLERS + opcode * 0x80;
-    c.pc = TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
+    c.pc = dispatch_site(guest_pc);
     marks.dispatch = c.count as usize;
     c.br(BranchKind::Indirect, handler, true);
     // Handler body.
@@ -355,8 +362,7 @@ impl Emitter {
             for (i, a) in info.accesses.iter().enumerate() {
                 mem_at(m.acc[i], guest_to_host(a.addr));
             }
-            evs.retired(m.dispatch).pc =
-                TOL_CODE_BASE + code::INTERP + 0x400 + ((guest_pc as u64 >> 1) & 0xFF) * 4;
+            evs.retired(m.dispatch).pc = dispatch_site(guest_pc);
             if let Control::Jump { taken, .. } = info.control {
                 evs.retired(m.jump).set_taken(taken);
             }

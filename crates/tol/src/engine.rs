@@ -196,11 +196,6 @@ impl Tol {
         }
     }
 
-    /// Engine counters so far.
-    pub fn counters(&self) -> TolCounters {
-        self.counters
-    }
-
     /// Wall-clock nanoseconds per stage of the compile path, BBM and
     /// SBM combined, in encounter order: the passes keyed like
     /// [`RunSummary::pass_deltas`] (BBM's peephole pair as
@@ -909,7 +904,7 @@ mod tests {
         let run = |iters| {
             let (mut mem, entry) = loop_program(iters);
             let (tol, _) = run_tol(&mut mem, entry, TolConfig::default());
-            (tol.summary().chains, tol.counters().tol_entries)
+            (tol.summary().chains, tol.summary().counters.tol_entries)
         };
         let ((short_chains, short), (long_chains, long)) = (run(2_000), run(20_000));
         assert!(short_chains > 0 && long_chains > 0, "{short_chains} / {long_chains} chains");
@@ -945,7 +940,7 @@ mod tests {
         let cfg = TolConfig { speculate_indirect: true, ..TolConfig::default() };
         let (tol, _) = run_tol(&mut mem, entry, cfg);
         assert!(ref_cpu.arch_eq(&tol.emulated_state()), "speculation must be transparent");
-        let c = tol.counters();
+        let c = tol.summary().counters;
         assert!(c.spec_hits > 0, "the stable return target must speculate successfully");
         assert!(
             c.spec_hits > 10 * c.spec_misses,
@@ -1088,7 +1083,7 @@ mod tests {
         // Run until the loop is translated, then write to its code page
         // (the same byte value: even an idempotent write must invalidate,
         // as the stamp is a page write-generation, not a content hash).
-        let (mut tol, mut mem, entry) = run_until(5_000, |t| t.cc.resident() > 0);
+        let (mut tol, mut mem, entry) = run_until(5_000, |t| t.cc.health().resident > 0);
         let byte = mem.read_u8(entry);
         mem.write_u8(entry, byte);
         finish_exactly(&mut tol, &mut mem, entry, 5_000);
@@ -1109,7 +1104,7 @@ mod tests {
         let byte = mem.read_u8(entry);
         mem.write_u8(entry, byte);
         finish_exactly(&mut tol, &mut mem, entry, 5_000);
-        assert_eq!(tol.counters().smc_flushes, 1);
+        assert_eq!(tol.summary().counters.smc_flushes, 1);
         assert!(tol.ibtc.misses() > misses, "the return must miss after the flush");
     }
 

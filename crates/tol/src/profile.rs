@@ -1,8 +1,8 @@
 //! Runtime profiling: promotion counters, edge profiles and the
 //! static/dynamic mode accounting behind the paper's Fig. 5.
 
-use crate::codecache::PAGE_SHIFT;
 use crate::pcmap::PcMap;
+use darco_guest::mem::PAGE_SHIFT;
 
 /// Highest execution mode a static guest instruction has reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -25,7 +25,10 @@ cd "$(dirname "$0")/.."
 # by-value append and its write over a boundary slot, now that the layer
 # always chains and the buffer stages retirements only; round 20 the
 # cache and PLRU paths for associativities no Table I level has, and the
-# guest and engine entry points that nothing called.
+# guest and engine entry points that nothing called; round 21 the TLB's
+# outcome type, the second access type and the accessors that restated
+# a snapshot, now that the TLB returns its latency and the callers read
+# `Pipeline::snapshot`, `CodeCache::health` and `Tol::summary`.
 # The host-configuration guard names the configurable host and its
 # validator, which Table I's constants replaced.
 echo "== removed switches stay removed"
@@ -47,8 +50,9 @@ round17='--cosim'
 round18='emit_cursor|WindowMark|last_window'
 round19='\.chaining\b|chaining:|retire_over|fn push\(&mut self, e: HostEvent'
 round20='probe_set_any|TOUCH2|VICTIM2|fn disassemble\(|eval_flags|pub fn exec_decoded|pub fn guest_pc'
+round21='TlbOutcome|DataAccess|InstAccess|fn finish\(self\)|fn counters\(&self\)|fn used\(&self\)|fn resident\(&self\)'
 host_config='TimingConfig|TimingConfigError'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$round20|$host_config"
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$round20|$round21|$host_config"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
@@ -149,9 +153,9 @@ timeout 600 cargo test -q --release --test translation_golden --test event_strea
 echo "== cargo test -q --release -p darco-guest (unit tests + mem_reference)"
 timeout 600 cargo test -q --release -p darco-guest
 
-# The event bus writes its staging slots by index and sends oversize
-# streams through a side buffer; that arithmetic and the single pass of
-# `SinkSet` must hold as optimised too.
+# The event bus writes its staging slots by index, all of them made when
+# a buffer is built, and a stream must fit one batch; that arithmetic and
+# the single pass of `SinkSet` must hold as optimised too.
 echo "== cargo test -q --release -p darco-host -p darco-core"
 timeout 600 cargo test -q --release -p darco-host -p darco-core
 

@@ -549,7 +549,7 @@ fn every_opcode_agrees_across_executors_on_boundary_operands() {
         for round in ["Tol (SBM, run 1)", "Tol (SBM, run 2)", "Tol (SBM, run 3)"] {
             assert_agrees(round, case, &want, &translated(&mut tol, case, &mem));
         }
-        superblocks += tol.counters().sbm_invocations;
+        superblocks += tol.summary().counters.sbm_invocations;
     }
     ev.flush();
     assert_eq!(
