@@ -70,7 +70,7 @@ root=$PWD
 
 # Rounds over the seeds; sized for 30-40 minutes at the default N.
 REPEATS=12
-# Source directories, one per round in turn; REPEATS is a multiple.
+# Source directories, one per round in turn; REPEATS is a multiple of it.
 LAYOUTS=3
 
 parent=${1:?usage: scripts/pairs.sh PARENT [N] [OUT] [FIRST]}
