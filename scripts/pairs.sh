@@ -52,10 +52,17 @@
 # file (Bonferroni over its workload x metric cells), so an A/A run
 # reads unresolved on every cell 95 % of the time.
 #
-#   resolved    the interval lies wholly on the better side of 1
-#   worse       the interval lies wholly on the worse side of 1, or the
-#               median ratio is worse than the metric's bound
+#   resolved    the interval lies wholly on the better side of 1, and
+#               so does every directory's median ratio
+#   worse       the interval and every directory's median ratio lie on
+#               the worse side of 1, or the median ratio is worse than
+#               the metric's bound
 #   unresolved  anything else
+#
+# The pooled test treats a directory's pairs as independent, but they
+# share that directory's layout, so a layout effect larger than the
+# interval could decide a cell alone; each cell records whether its
+# directories lie on one side of 1 (`layouts_agree`).
 #
 # `half_width` is half the interval's width as a fraction: an effect much
 # smaller than it cannot resolve at this pair count. Beside each verdict
@@ -238,11 +245,14 @@ for w in (w["name"] for w in bench["workloads"]):
             lo, hi = -math.inf, math.inf
         else:
             lo, hi = interval
-        better_side = lo > 1 if higher else hi < 1
-        worse_side = hi < 1 if higher else lo > 1
-        if beyond_bound or worse_side:
+        layout_ratios = [median(xs) if xs else None for xs in by_layout]
+        better = lambda x: x is not None and (x > 1 if higher else x < 1)
+        worse = lambda x: x is not None and (x < 1 if higher else x > 1)
+        all_better = all(better(x) for x in layout_ratios)
+        all_worse = all(worse(x) for x in layout_ratios)
+        if beyond_bound or (worse(hi if higher else lo) and all_worse):
             verdict = "worse"
-        elif better_side:
+        elif better(lo if higher else hi) and all_better:
             verdict = "resolved"
         else:
             verdict = "unresolved"
@@ -252,7 +262,8 @@ for w in (w["name"] for w in bench["workloads"]):
             "better": m["better"],
             "bound": m["bound"],
             "ratio": ratio,
-            "layout_ratios": [median(xs) if xs else None for xs in by_layout],
+            "layout_ratios": layout_ratios,
+            "layouts_agree": all_better or all_worse,
             "interval": [lo, hi] if interval else None,
             "half_width": (hi - lo) / 2 if interval else None,
             "verdict": verdict,
@@ -274,11 +285,13 @@ doc = {
     "pairs_per_workload": len(keys),
     "command": "benchmark/run.sh --workload W --seed i --seconds 0 --trace 0, "
                f"both sides built in each of {layouts} source directories of one name "
-               "length in turn; round r runs directory (r - 1) % layouts + 1",
+               "length in turn; round r runs directory (r - 1) % layouts + 1, and a "
+               "verdict by the interval needs every directory's median ratio on its side",
     "order": "alternating within a round, flipped each round; both sides on one CPU",
     "cpu": int(os.environ["CPU"]),
     "verdict": f"sign-test interval of the median change/parent ratio, "
-               f"level 1 - {FAMILY_ALPHA}/{cells} per cell",
+               f"level 1 - {FAMILY_ALPHA}/{cells} per cell; resolved or worse by the "
+               "interval only when every directory's median ratio lies on that side of 1",
     "host": {
         "cpu_model": os.environ["CPU_MODEL"],
         "cores": int(os.environ["CORES"]),
