@@ -47,8 +47,8 @@ type Printer = fn(&[BenchRun]);
 
 /// The figures drawn from one run of the whole roster, in `all` order.
 const ROSTER_FIGURES: [(&str, Printer); 8] = [
-    ("fig5a", fig5a),
-    ("fig5b", fig5b),
+    ("fig5a", |runs| fig5(runs, false)),
+    ("fig5b", |runs| fig5(runs, true)),
     ("fig6", fig6),
     ("fig7", fig7),
     ("fig8", fig8),
@@ -115,38 +115,32 @@ fn heading(title: &str) {
 
 // ------------------------------------------------------------------ Fig 5
 
-fn fig5a(runs: &[BenchRun]) {
-    heading("Figure 5a: static guest code distribution (IM / BBM / SBM)");
+/// Fig. 5a, or 5b if `dynamic`: each benchmark's static (dynamic)
+/// guest code per mode, then the suite means.
+fn fig5(runs: &[BenchRun], dynamic: bool) {
+    let (title, anchor) = if dynamic {
+        (
+            "Figure 5b: dynamic guest code distribution (IM / BBM / SBM)",
+            "paper anchor: ~97% of the dynamic stream comes from SBM code (14% of static)",
+        )
+    } else {
+        (
+            "Figure 5a: static guest code distribution (IM / BBM / SBM)",
+            "paper anchors: on average ~36% of static code stays in IM, ~50% in BBM, ~14% in SBM",
+        )
+    };
+    heading(title);
     let rows = experiments::fig5(runs);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![r.name.clone(), pct(r.static_pct[0]), pct(r.static_pct[1]), pct(r.static_pct[2])]
-        })
-        .collect();
+    let shares = |r: &experiments::Fig5Row| if dynamic { r.dyn_pct } else { r.static_pct };
+    let line = |label: String, s: [f64; 3]| vec![label, pct(s[0]), pct(s[1]), pct(s[2])];
+    let table: Vec<Vec<String>> = rows.iter().map(|r| line(r.name.clone(), shares(r))).collect();
     println!("{}", render_table(&["benchmark", "IM", "BBM", "SBM"], &table));
-    let avg: Vec<Vec<String>> = experiments::suite_means(&rows, |r| r.suite, |r| r.static_pct)
+    let avg: Vec<Vec<String>> = experiments::suite_means(&rows, |r| r.suite, shares)
         .into_iter()
-        .map(|(s, st)| vec![s.label().to_owned(), pct(st[0]), pct(st[1]), pct(st[2])])
+        .map(|(s, m)| line(s.label().to_owned(), m))
         .collect();
     println!("{}", render_table(&["suite average", "IM", "BBM", "SBM"], &avg));
-    println!("paper anchors: on average ~36% of static code stays in IM, ~50% in BBM, ~14% in SBM");
-}
-
-fn fig5b(runs: &[BenchRun]) {
-    heading("Figure 5b: dynamic guest code distribution (IM / BBM / SBM)");
-    let rows = experiments::fig5(runs);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| vec![r.name.clone(), pct(r.dyn_pct[0]), pct(r.dyn_pct[1]), pct(r.dyn_pct[2])])
-        .collect();
-    println!("{}", render_table(&["benchmark", "IM", "BBM", "SBM"], &table));
-    let avg: Vec<Vec<String>> = experiments::suite_means(&rows, |r| r.suite, |r| r.dyn_pct)
-        .into_iter()
-        .map(|(s, dy)| vec![s.label().to_owned(), pct(dy[0]), pct(dy[1]), pct(dy[2])])
-        .collect();
-    println!("{}", render_table(&["suite average", "IM", "BBM", "SBM"], &avg));
-    println!("paper anchor: ~97% of the dynamic stream comes from SBM code (14% of static)");
+    println!("{anchor}");
 }
 
 // ------------------------------------------------------------------ Fig 6
@@ -160,7 +154,7 @@ fn fig6(runs: &[BenchRun]) {
             vec![
                 r.name.clone(),
                 pct(r.overhead),
-                pct(r.application),
+                pct(1.0 - r.overhead),
                 format!("{:.0}", r.dyn_static_ratio),
                 r.sbm_invocations.to_string(),
             ]
@@ -261,7 +255,7 @@ fn fig8(runs: &[BenchRun]) {
 fn outlier_runs(runs: &[BenchRun]) -> Vec<BenchRun> {
     suites::outliers()
         .iter()
-        .filter_map(|p| runs.iter().find(|r| r.name == p.name))
+        .filter_map(|p| runs.iter().find(|r| r.report.name == p.name))
         .cloned()
         .collect()
 }
@@ -391,7 +385,7 @@ fn sweep(
     let mut table = Vec::new();
     for (label, tol) in variants {
         for r in run_batch(profiles, o, &SystemConfig { tol, ..base.clone() }) {
-            table.push([vec![label.clone(), r.name.clone()], cells(&r)].concat());
+            table.push([vec![label.clone(), r.report.name.clone()], cells(&r)].concat());
         }
     }
     table
@@ -469,7 +463,10 @@ fn startup(o: &Opts, base: &SystemConfig) {
     let profiles = roster(&["462.libquantum", "400.perlbench", "000.cjpeg"]);
     let cfg = SystemConfig { window_guest_insts: 100_000, ..base.clone() };
     for r in run_batch(&profiles, o, &cfg) {
-        println!("{}: TOL share of host instructions per 100K-guest-instruction window", r.name);
+        println!(
+            "{}: TOL share of host instructions per 100K-guest-instruction window",
+            r.report.name
+        );
         let mut line = String::from("  ");
         for w in r.report.timeline.iter().take(30) {
             line.push_str(&format!("{:4.0}% ", w.overhead_share() * 100.0));

@@ -273,7 +273,7 @@ fn run_set(rest: &[String]) {
         for r in &runs {
             println!(
                 "{:22} {:>14} {:>14} {:>7.3} {:>8.1}%",
-                r.name,
+                r.report.name,
                 r.report.guest_insts,
                 r.report.timing.total_cycles,
                 r.report.timing.ipc(),

@@ -21,14 +21,11 @@ use serde::Serialize;
 /// One benchmark's complete measurement set.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchRun {
-    /// Benchmark name.
-    pub name: String,
     /// Owning suite.
     pub suite: Suite,
-    /// The system report (shared + filtered pipelines + TOL summary).
+    /// The system report (benchmark name, shared + filtered pipelines,
+    /// TOL summary).
     pub report: Report,
-    /// Observed dynamic/static instruction ratio.
-    pub dyn_static_ratio: f64,
 }
 
 /// Runs one benchmark at `scale` (relative to its `dyn_base`) under
@@ -38,13 +35,7 @@ pub struct BenchRun {
 pub fn run_bench(profile: &BenchProfile, scale: f64, cfg: &SystemConfig) -> BenchRun {
     let w = generate(profile, scale);
     let mut sys = System::new(w, cfg.clone());
-    let report = sys.run_to_completion();
-    BenchRun {
-        name: profile.name.clone(),
-        suite: profile.suite,
-        dyn_static_ratio: report.guest_insts as f64 / report.static_insts.max(1) as f64,
-        report,
-    }
+    BenchRun { suite: profile.suite, report: sys.run_to_completion() }
 }
 
 /// Worker threads [`run_set`] uses for `threads` requested and `n`
@@ -136,7 +127,7 @@ fn normalize3(v: [u64; 3]) -> [f64; 3] {
 pub fn fig5(runs: &[BenchRun]) -> Vec<Fig5Row> {
     runs.iter()
         .map(|r| Fig5Row {
-            name: r.name.clone(),
+            name: r.report.name.clone(),
             suite: r.suite,
             static_pct: normalize3(r.report.tol.static_dist),
             dyn_pct: normalize3(r.report.tol.dyn_dist),
@@ -156,10 +147,8 @@ pub struct Fig6Row {
     /// Suite.
     pub suite: Suite,
     /// Fraction of execution time that is TOL overhead (IM included, as
-    /// in the paper).
+    /// in the paper); the rest is application progress.
     pub overhead: f64,
-    /// Fraction that is application progress.
-    pub application: f64,
     /// Dynamic/static instruction ratio (log-scale overlay).
     pub dyn_static_ratio: f64,
     /// Superblocks created (log-scale overlay).
@@ -169,16 +158,12 @@ pub struct Fig6Row {
 /// Builds Fig. 6 rows.
 pub fn fig6(runs: &[BenchRun]) -> Vec<Fig6Row> {
     runs.iter()
-        .map(|r| {
-            let overhead = r.report.timing.tol_overhead_share();
-            Fig6Row {
-                name: r.name.clone(),
-                suite: r.suite,
-                overhead,
-                application: 1.0 - overhead,
-                dyn_static_ratio: r.dyn_static_ratio,
-                sbm_invocations: r.report.tol.counters.sbm_invocations,
-            }
+        .map(|r| Fig6Row {
+            name: r.report.name.clone(),
+            suite: r.suite,
+            overhead: r.report.timing.tol_overhead_share(),
+            dyn_static_ratio: r.report.guest_insts as f64 / r.report.static_insts.max(1) as f64,
+            sbm_invocations: r.report.tol.counters.sbm_invocations,
         })
         .collect()
 }
@@ -220,7 +205,7 @@ pub fn fig7(runs: &[BenchRun]) -> Vec<Fig7Row> {
                 shares[i] = r.report.timing.component_share(*c);
             }
             Fig7Row {
-                name: r.name.clone(),
+                name: r.report.name.clone(),
                 suite: r.suite,
                 shares,
                 indirect_branches: r.report.tol.counters.indirect_branches,
@@ -264,7 +249,7 @@ pub fn fig8(runs: &[BenchRun]) -> Vec<Fig8Row> {
         .map(|r| {
             let s = r.report.tol_only.as_ref().expect("TOL-only pipeline attached");
             Fig8Row {
-                name: r.name.clone(),
+                name: r.report.name.clone(),
                 suite: r.suite,
                 ipc: s.ipc(),
                 d_miss_rate: s.d_miss_rate(Owner::Tol),
@@ -315,7 +300,10 @@ fn fig9_categories(s: &Stats) -> [f64; 10] {
 /// and/or whole suites).
 pub fn fig9(runs: &[BenchRun]) -> Vec<Fig9Row> {
     runs.iter()
-        .map(|r| Fig9Row { label: r.name.clone(), categories: fig9_categories(&r.report.timing) })
+        .map(|r| Fig9Row {
+            label: r.report.name.clone(),
+            categories: fig9_categories(&r.report.timing),
+        })
         .collect()
 }
 
@@ -361,7 +349,7 @@ fn fig10_row(label: String, r: &Report) -> Fig10Row {
 
 /// Builds per-benchmark Fig. 10 rows.
 pub fn fig10(runs: &[BenchRun]) -> Vec<Fig10Row> {
-    runs.iter().map(|r| fig10_row(r.name.clone(), &r.report)).collect()
+    runs.iter().map(|r| fig10_row(r.report.name.clone(), &r.report)).collect()
 }
 
 /// Suite-average Fig. 10 rows.
@@ -412,7 +400,7 @@ pub fn fig11_tol(runs: &[BenchRun]) -> Vec<Fig11Row> {
     runs.iter()
         .map(|r| {
             fig11_row(
-                r.name.clone(),
+                r.report.name.clone(),
                 &r.report.timing,
                 r.report.tol_only.as_ref().expect("TOL-only pipeline"),
                 Owner::Tol,
@@ -426,7 +414,7 @@ pub fn fig11_app(runs: &[BenchRun]) -> Vec<Fig11Row> {
     runs.iter()
         .map(|r| {
             fig11_row(
-                r.name.clone(),
+                r.report.name.clone(),
                 &r.report.timing,
                 r.report.app_only.as_ref().expect("app-only pipeline"),
                 Owner::App,
@@ -495,7 +483,6 @@ mod tests {
 
         let f6 = fig6(&runs);
         for row in &f6 {
-            assert!((row.overhead + row.application - 1.0).abs() < 1e-9);
             assert!(row.overhead > 0.0 && row.overhead < 1.0);
         }
         assert_eq!(suite_means(&f6, |r| r.suite, |r| [r.overhead]).len(), 2);
@@ -549,7 +536,7 @@ mod tests {
         let par = run_set(&profiles, 0.05, &quick(), 3);
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(par.iter()) {
-            assert_eq!(s.name, p.name, "order preserved");
+            assert_eq!(s.report.name, p.report.name, "order preserved");
             assert_eq!(s.report.guest_insts, p.report.guest_insts);
             assert_eq!(s.report.timing.total_cycles, p.report.timing.total_cycles);
         }

@@ -14,16 +14,6 @@ use darco_guest::{CpuState, GuestMem};
 use darco_host::{HostEvent, HostEventSink, Owner, TraceStatsSink};
 use darco_timing::{Pipeline, Stats};
 
-/// Shared-pipeline counters where the current timeline window began;
-/// deltas against them form the next [`Window`].
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowStart {
-    guest_insts: u64,
-    cycles: u64,
-    app_insts: u64,
-    tol_insts: u64,
-}
-
 /// Feeds retired instructions to the timing pipelines and keeps the
 /// timeline ([`SystemConfig::window_guest_insts`]).
 ///
@@ -41,7 +31,9 @@ pub struct TimingSink {
     /// Guest instructions retired at the last [`TimingSink::window_mark`].
     guest_insts: u64,
     timeline: Vec<Window>,
-    start: WindowStart,
+    /// The shared pipeline's running totals where the current window
+    /// began; deltas against them form the next [`Window`].
+    start: Window,
 }
 
 impl TimingSink {
@@ -56,7 +48,7 @@ impl TimingSink {
             window: cfg.window_guest_insts,
             guest_insts: 0,
             timeline: Vec::new(),
-            start: WindowStart::default(),
+            start: Window::default(),
         }
     }
 
@@ -95,7 +87,7 @@ impl TimingSink {
             app_insts: app - m.app_insts,
             tol_insts: tol - m.tol_insts,
         });
-        self.start = WindowStart { guest_insts, cycles, app_insts: app, tol_insts: tol };
+        self.start = Window { guest_insts, cycles, app_insts: app, tol_insts: tol };
     }
 
     /// Routes one retirement to every pipeline that wants it, in one

@@ -66,7 +66,7 @@ impl Default for SystemConfig {
 }
 
 /// One timeline window: deltas over a fixed span of guest instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Window {
     /// Guest instructions retired by the end of this window.
     pub guest_insts: u64,

@@ -8,7 +8,7 @@ use crate::codecache::CompiledBlock;
 use crate::config::TolConfig;
 use crate::ir::{lower, IrBlock, IrFreg, IrReg, RegMap};
 use crate::ir::{FSCRATCH_BASE, FSCRATCH_END, SCRATCH_BASE, SCRATCH_END};
-use crate::opt::{self, OptScratch, PassSample};
+use crate::opt::{self, OptError, OptScratch, PassTally};
 use crate::translate::{translate_region_scratch, IrScratch, RegionInst};
 use darco_host::{HFreg, HReg};
 
@@ -30,22 +30,15 @@ pub(crate) fn timed<T>(nanos: &mut StageNanos, stage: &'static str, f: impl FnOn
     out
 }
 
-/// How a superblock's optimization pipeline ended.
-#[derive(Debug)]
-pub(crate) enum SbOutcome {
-    /// Pipeline ran successfully: one sample per pass application.
-    Optimized(Vec<PassSample>),
-    /// Register allocation failed; the unoptimized lowering was used.
-    OutOfRegisters,
-}
-
 /// A compiled SBM superblock, ready to stamp and install.
 #[derive(Debug)]
 pub(crate) struct SbCompiled {
     pub code: CompiledBlock,
     /// Unoptimized IR length, for the cost model.
     pub ir_len: usize,
-    pub outcome: SbOutcome,
+    /// How the optimization pipeline ended; on an error the unoptimized
+    /// lowering was used.
+    pub optimized: Result<(), OptError>,
 }
 
 /// BBM register allocation: temporaries never live across guest
@@ -124,26 +117,28 @@ pub(crate) fn compile_bb(
 
 /// The SBM compile pipeline as a pure function of `(region, cfg)`:
 /// translate, run the full optimization pipeline (falling back to the
-/// unoptimized lowering on allocation failure), lower. Wall-clock per
-/// stage goes to `nanos`.
+/// unoptimized lowering on allocation failure), lower. A completed
+/// pipeline adds its passes to `tally`; wall-clock per stage goes to
+/// `nanos`.
 pub(crate) fn compile_sb(
     region: &[RegionInst],
     cfg: &TolConfig,
     ir: &mut IrScratch,
     opt: &mut OptScratch,
+    tally: &mut PassTally,
     nanos: &mut StageNanos,
 ) -> SbCompiled {
     let block = timed(nanos, "translate", || translate_region_scratch(region, ir));
     let ir_len = block.ops.len();
-    let (block, outcome) = match opt::run_pipeline(block, cfg, opt, nanos) {
-        Ok((opt_block, samples)) => (opt_block, SbOutcome::Optimized(samples)),
-        Err(opt::OptError::OutOfRegisters) => {
+    let (block, optimized) = match opt::run_pipeline(block, cfg, opt, tally, nanos) {
+        Ok(opt_block) => (opt_block, Ok(())),
+        Err(e) => {
             // The pipeline consumed the block: translate again and lower
             // that unoptimized.
             let block = timed(nanos, "translate", || translate_region_scratch(region, ir));
             timed(nanos, "regalloc", || bbm_allocate(&block, &mut opt.map));
-            (block, SbOutcome::OutOfRegisters)
+            (block, Err(e))
         }
     };
-    SbCompiled { code: finish(block, ir, opt, nanos), ir_len, outcome }
+    SbCompiled { code: finish(block, ir, opt, nanos), ir_len, optimized }
 }

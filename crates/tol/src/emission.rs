@@ -23,7 +23,7 @@
 //! The calibration constants are collected in [`costs`] and justified in
 //! DESIGN.md §2.
 
-use crate::profile::StaticMode;
+use crate::profile::Mode;
 use crate::translate::RegionInst;
 use darco_guest::exec::{Control, StepInfo};
 use darco_guest::GuestClass;
@@ -531,14 +531,14 @@ pub fn transition(ev: &mut EventBuffer<'_>) {
 }
 
 /// The dispatcher's decision work per TOL entry.
-pub fn dispatch(ev: &mut EventBuffer<'_>, mode: StaticMode) {
+pub fn dispatch(ev: &mut EventBuffer<'_>, mode: Mode) {
     let comp = Component::TolOthers;
     let mut c = Cur::new(TOL_CODE_BASE + code::DISPATCH, comp, ev);
     c.alu(5);
     c.ld(TOL_DATA_BASE + data::CONTEXT + 128);
     c.use_load();
     // Mode decision branch: its direction tracks the execution phase.
-    c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::DISPATCH + 0x80, mode != StaticMode::Im);
+    c.br(BranchKind::CondDirect, TOL_CODE_BASE + code::DISPATCH + 0x80, mode != Mode::Im);
 }
 
 /// The inline IBTC probe executed *by translated code* (application
@@ -855,7 +855,7 @@ mod tests {
         let module = |start: u64, end: u64| TOL_CODE_BASE + start..TOL_CODE_BASE + end;
         let (bb_host, sb_ir) = (BB_LIMIT * PER_GUEST_INST, SB_LIMIT * PER_GUEST_INST);
         let routines = [
-            ("dispatch", collect(|s| dispatch(s, StaticMode::Im)), module(0, code::INTERP)),
+            ("dispatch", collect(|s| dispatch(s, Mode::Im)), module(0, code::INTERP)),
             (
                 "interp_step",
                 collect(|s| {

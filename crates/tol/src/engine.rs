@@ -17,14 +17,15 @@
 //! emulator between steps.
 
 use crate::codecache::{BlockKind, CacheError, CacheHealth, CodeCache, Installed, TranslatedBlock};
-use crate::compile::{compile_bb, compile_sb, timed, SbOutcome, StageNanos};
+use crate::compile::{compile_bb, compile_sb, timed, StageNanos};
 use crate::config::TolConfig;
 use crate::emission::{self, Emitter};
 use crate::ibtc::Ibtc;
 use crate::ir::{self, EXIT_TARGET_REG, FLAGS_REG};
-use crate::profile::{Profiler, StaticMode};
+use crate::opt::PassTally;
+use crate::profile::{Mode, Profiler};
 use crate::superblock::form_region_into;
-use crate::translate::{decode_bb_into, RegionInst, TranslateScratch};
+use crate::translate::{decode_bb_into, TranslateScratch};
 use darco_guest::{CpuState, DecodeError, Flags, FpReg, Gpr, GuestMem};
 use darco_host::events::{EventBuffer, EventStorage, HostEventSink, EVENT_BATCH};
 use darco_host::layout::{guest_to_host, CODE_CACHE_BASE, TOL_CODE_BASE};
@@ -33,9 +34,6 @@ use darco_host::{
 };
 use serde::Serialize;
 use std::ops::ControlFlow;
-
-/// Execution mode (re-export of the profiler's mode classification).
-pub type Mode = StaticMode;
 
 /// Counters the engine maintains across a run.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -124,8 +122,8 @@ pub struct Tol {
     /// The guest layer's micro-op execution context (pre-decoded block
     /// buffers + lazy flags): the interpreter's executor.
     fastctx: darco_guest::uops::ExecCtx,
-    /// Accumulated per-pass deltas across every optimized block.
-    pass_deltas: Vec<crate::opt::PassDelta>,
+    /// Per-pass tallies across every optimized superblock.
+    pass_deltas: PassTally,
     /// Wall-clock nanoseconds per compile-path stage. Kept outside
     /// [`TolCounters`] so serialized reports stay deterministic.
     pass_nanos: StageNanos,
@@ -154,7 +152,7 @@ impl Tol {
             spec_targets: std::collections::HashMap::new(),
             ev_storage: EventStorage::default(),
             fastctx: darco_guest::uops::ExecCtx::new(),
-            pass_deltas: Vec::new(),
+            pass_deltas: PassTally::default(),
             pass_nanos: Vec::new(),
             scratch: TranslateScratch::default(),
             cfg,
@@ -238,7 +236,7 @@ impl Tol {
             ibtc_hits: self.ibtc.hits(),
             ibtc_misses: self.ibtc.misses(),
             cache: self.cc.health(),
-            pass_deltas: self.pass_deltas.clone(),
+            pass_deltas: self.pass_deltas.deltas(),
         }
     }
 
@@ -288,13 +286,7 @@ impl Tol {
         emission::map_lookup(ev, pc, false);
 
         if promote {
-            let mut region = std::mem::take(&mut self.scratch.region);
-            region.clear();
-            let decoded =
-                timed(&mut self.pass_nanos, "region", || decode_bb_into(mem, pc, &mut region));
-            let installed = decoded.map(|()| self.install_bb(pc, &region, mem, ev));
-            self.scratch.region = region;
-            if installed?.is_none() {
+            if self.install_bb(pc, mem, ev)?.is_none() {
                 // The translation alone exceeds the whole cache: it can
                 // never be installed, so this block stays interpreted.
                 let n = self.interpret_bb(mem, ev)?;
@@ -352,7 +344,7 @@ impl Tol {
         let Tol { prof, em, counters, fastctx, .. } = self;
         let ran =
             fastctx.run_visiting(&mut cpu, mem, u64::MAX, &mut n, |pc, op, control, accesses| {
-                prof.mark_static([pc], StaticMode::Im);
+                prof.mark_static([pc], Mode::Im);
                 em.interp_step(ev, pc, &op.step_info(control, accesses));
                 if op.inst.is_indirect() {
                     counters.indirect_branches += 1;
@@ -368,14 +360,14 @@ impl Tol {
             // when it then fails to decode. The local `cpu` (which any
             // pending lazy definition refers to) is discarded with the
             // error.
-            self.prof.mark_static([cpu.eip], StaticMode::Im);
+            self.prof.mark_static([cpu.eip], Mode::Im);
             self.fastctx.discard_pending();
             return Err(e);
         }
         // Materialize any pending flag definition before the state
         // becomes visible to `StepBoundary` consumers via `store_cpu`.
         self.fastctx.force_flags(&mut cpu);
-        self.prof.count_dynamic(StaticMode::Im, n);
+        self.prof.count_dynamic(Mode::Im, n);
         self.guest_pc = cpu.eip;
         self.halted = cpu.halted;
         self.store_cpu(&cpu);
@@ -396,29 +388,33 @@ impl Tol {
         self.spec_targets.clear();
     }
 
-    /// Translates and installs the basic block at `entry` (BBM).
-    /// Returns `None` if the translation is larger than the whole cache
-    /// (it is rejected, and the caller falls back to interpretation).
+    /// Decodes, translates and installs the basic block at `entry`
+    /// (BBM). `Ok(None)` means the translation was larger than the whole
+    /// cache (it is rejected, and the caller falls back to
+    /// interpretation).
     fn install_bb(
         &mut self,
         entry: u32,
-        region: &[RegionInst],
         mem: &GuestMem,
         ev: &mut EventBuffer<'_>,
-    ) -> Option<BlockId> {
-        let TranslateScratch { ir, opt, .. } = &mut self.scratch;
+    ) -> Result<Option<BlockId>, DecodeError> {
+        let TranslateScratch { region, ir, opt } = &mut self.scratch;
+        region.clear();
+        timed(&mut self.pass_nanos, "region", || decode_bb_into(mem, entry, region))?;
         let compiled = compile_bb(region, &self.cfg, ir, opt, &mut self.pass_nanos);
         let host_len = compiled.insts.len();
-        self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Bbm);
+        self.prof.mark_static(region.iter().map(|r| r.pc), Mode::Bbm);
         let ins = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled, BlockKind::Bb, region.iter().map(|r| r.pc), mem)
         });
         emission::bb_translate(ev, entry, region, written_at(&ins), host_len);
-        let ins = ins.ok()?;
+        let Ok(ins) = ins else {
+            return Ok(None);
+        };
         if ins.flushed {
             self.forget_flushed();
         }
-        Some(ins.id)
+        Ok(Some(ins.id))
     }
 
     /// Forms, optimizes and installs a superblock rooted at `entry`.
@@ -430,39 +426,23 @@ impl Tol {
         mem: &GuestMem,
         ev: &mut EventBuffer<'_>,
     ) -> Result<Option<(BlockId, bool)>, DecodeError> {
-        let mut region = std::mem::take(&mut self.scratch.region);
-        let mut visited = std::mem::take(&mut self.scratch.visited);
+        let TranslateScratch { region, ir, opt } = &mut self.scratch;
         region.clear();
-        visited.clear();
-        let formed = timed(&mut self.pass_nanos, "region", || {
-            form_region_into(mem, entry, &self.prof, &mut region, &mut visited)
-        });
-        self.scratch.visited = visited;
-        let bbs = match formed {
-            Ok(bbs) => bbs,
-            Err(e) => {
-                self.scratch.region = region;
-                return Err(e);
-            }
-        };
-        let TranslateScratch { ir, opt, .. } = &mut self.scratch;
-        let compiled = compile_sb(&region, &self.cfg, ir, opt, &mut self.pass_nanos);
-        match &compiled.outcome {
-            SbOutcome::Optimized(samples) => {
-                for s in samples {
-                    crate::opt::merge_delta(&mut self.pass_deltas, s);
-                }
-            }
-            SbOutcome::OutOfRegisters => self.counters.opt_bailouts += 1,
+        let bbs = timed(&mut self.pass_nanos, "region", || {
+            form_region_into(mem, entry, &self.prof, region)
+        })?;
+        let compiled =
+            compile_sb(region, &self.cfg, ir, opt, &mut self.pass_deltas, &mut self.pass_nanos);
+        if compiled.optimized.is_err() {
+            self.counters.opt_bailouts += 1;
         }
         let (ir_len, host_len) = (compiled.ir_len, compiled.code.insts.len());
         self.counters.sbm_invocations += 1;
-        self.prof.mark_static(region.iter().map(|r| r.pc), StaticMode::Sbm);
+        self.prof.mark_static(region.iter().map(|r| r.pc), Mode::Sbm);
         let res = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled.code, BlockKind::Sb, region.iter().map(|r| r.pc), mem)
         });
         emission::sb_optimize(ev, bbs as usize, ir_len, written_at(&res), host_len);
-        self.scratch.region = region;
         let Ok(ins) = res else {
             return Ok(None);
         };
@@ -535,7 +515,7 @@ impl Tol {
                 b.exec_count += 1;
                 (b.kind, b.guest_entry, b.host_base, b.exec_count, b.promoted)
             };
-            let mode = if kind == BlockKind::Bb { StaticMode::Bbm } else { StaticMode::Sbm };
+            let mode = if kind == BlockKind::Bb { Mode::Bbm } else { Mode::Sbm };
             self.prof.count_dynamic(mode, guest_n);
             if kind == BlockKind::Bb {
                 emission::bbm_instrumentation(ev, host_base + 4 * exit_idx as u64, entry);
@@ -654,7 +634,7 @@ impl Tol {
                 // reached by a back edge, while the covering superblock
                 // was rooted at the function entry) earns its own
                 // superblock at 4x the threshold.
-                && (self.prof.static_mode(entry) != Some(StaticMode::Sbm)
+                && (self.prof.static_mode(entry) != Some(Mode::Sbm)
                     || exec_count >= 4 * self.cfg.bb_sb_threshold as u64)
             {
                 self.cc.get_mut(bid).expect("guarded live at dispatch").promoted = true;
@@ -1034,6 +1014,54 @@ mod tests {
             let aligned = tol.cc.blocks().all(|(_, b)| b.host_base & 0xFFF == 0);
             assert!(!cfg.codecache_scattered || aligned, "scattered blocks start page-aligned");
         }
+    }
+
+    /// A superblock whose allocation fails adds nothing to the per-pass
+    /// rows: each pass ran once per superblock that was optimized.
+    #[test]
+    fn bailed_superblocks_leave_the_pass_rows_alone() {
+        let counter = |a: &mut Asm, top| {
+            a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Ebp, imm: 1 });
+            a.push(Inst::CmpRI { a: Gpr::Ebp, imm: 200 });
+            a.push_jcc(Cond::Ne, top);
+        };
+        let mut a = Asm::new(0x1000);
+        let (plain, pressure) = (a.fresh_label(), a.fresh_label());
+        a.bind(plain);
+        counter(&mut a, plain);
+        a.push(Inst::MovRI { dst: Gpr::Ebp, imm: 0 });
+        a.bind(pressure);
+        // 24 distinct addresses, each stored to twice: CSE keeps the 24
+        // first computations live across the second half, more than
+        // the scratch file holds.
+        let regs = [Gpr::Eax, Gpr::Ebx, Gpr::Ecx, Gpr::Edx, Gpr::Esi, Gpr::Edi];
+        let addrs: Vec<_> = regs
+            .iter()
+            .flat_map(|&b| regs.iter().filter(move |&&i| i != b).map(move |&i| (b, i)))
+            .take(24)
+            .collect();
+        for disp in [0x8000, 0x9000] {
+            for &(b, i) in &addrs {
+                let addr = darco_guest::MemRef::base_index(b, i, darco_guest::Scale::S4, disp);
+                a.push(Inst::Store { addr, src: Gpr::Eax });
+            }
+        }
+        counter(&mut a, pressure);
+        a.push(Inst::Halt);
+        let p = a.assemble();
+        let mut mem0 = GuestMem::new();
+        mem0.write_bytes(p.base, &p.bytes);
+        let (ref_cpu, _) = run_reference(&mut mem0.clone(), p.base);
+
+        let cfg = TolConfig { im_bb_threshold: 1, bb_sb_threshold: 50, ..TolConfig::default() };
+        let (tol, _) = run_tol(&mut mem0.clone(), p.base, cfg);
+        assert!(ref_cpu.arch_eq(&tol.emulated_state()), "a bailed superblock runs unoptimized");
+        let s = tol.summary();
+        let optimized = s.counters.sbm_invocations - s.counters.opt_bailouts;
+        assert!(s.counters.opt_bailouts > 0 && optimized > 0, "{:?}", s.counters);
+        let rows: Vec<_> = s.pass_deltas.iter().map(|d| (d.pass.as_str(), d.runs)).collect();
+        let passes = ["constprop", "cse", "constprop-cleanup", "dce", "schedule"];
+        assert_eq!(rows, passes.map(|p| (p, optimized)));
     }
 
     #[test]

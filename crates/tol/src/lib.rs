@@ -72,5 +72,6 @@ pub mod superblock;
 pub mod translate;
 
 pub use config::TolConfig;
-pub use engine::{Mode, RunSummary, StepOutcome, Tol, TolCounters};
+pub use engine::{RunSummary, StepOutcome, Tol, TolCounters};
 pub use opt::PassDelta;
+pub use profile::Mode;

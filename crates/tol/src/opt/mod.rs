@@ -62,29 +62,25 @@ pub struct PassDelta {
     pub insts_removed: i64,
 }
 
-/// What one pass application did to one block, as the pass manager
-/// records it: a borrowed name and plain counters, so recording a
-/// sample allocates no `String`. [`merge_delta`] folds samples into the
-/// serialized [`PassDelta`] rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassSample {
-    /// Pass name (matches the pipeline's pass registry).
-    pub pass: &'static str,
-    /// Net non-`Nop` instructions removed (negative if it grew).
-    pub insts_removed: i64,
-}
+/// The per-pass tallies of every pipeline that completed: one
+/// `(runs, insts_removed)` slot per [`PIPELINE`] entry.
+#[derive(Debug, Default)]
+pub(crate) struct PassTally([(u64, i64); PIPELINE.len()]);
 
-/// Folds one pass application into a list keyed by pass name (appending
-/// new passes in encounter order, which is pipeline order). The name is
-/// copied into a `String` only the first time a pass is seen.
-pub fn merge_delta(deltas: &mut Vec<PassDelta>, s: &PassSample) {
-    let at = deltas.iter().position(|e| e.pass == s.pass).unwrap_or_else(|| {
-        deltas.push(PassDelta { pass: s.pass.to_string(), ..PassDelta::default() });
-        deltas.len() - 1
-    });
-    let e = &mut deltas[at];
-    e.runs += 1;
-    e.insts_removed += s.insts_removed;
+impl PassTally {
+    /// The [`PassDelta`] row of every pass that ran, in pipeline order.
+    pub(crate) fn deltas(&self) -> Vec<PassDelta> {
+        PIPELINE
+            .iter()
+            .zip(&self.0)
+            .filter(|(_, &(runs, _))| runs > 0)
+            .map(|((_, pass), &(runs, insts_removed))| PassDelta {
+                pass: pass.name.to_string(),
+                runs,
+                insts_removed,
+            })
+            .collect()
+    }
 }
 
 /// Every buffer the passes and the allocators work in, owned by the
@@ -153,32 +149,37 @@ fn count_live(block: &IrBlock) -> usize {
 /// unusable and the caller should lower the unoptimized IR.
 pub fn optimize(block: IrBlock, cfg: &TolConfig) -> Result<(IrBlock, RegMap), OptError> {
     let mut scratch = OptScratch::default();
-    let (block, _) = run_pipeline(block, cfg, &mut scratch, &mut StageNanos::new())?;
+    let tally = &mut PassTally::default();
+    let block = run_pipeline(block, cfg, &mut scratch, tally, &mut StageNanos::new())?;
     Ok((block, scratch.map))
 }
 
 /// Pipeline driver: the passes `cfg` enables, in pipeline order, then
-/// register allocation. Returns the block and one sample per pass
-/// application; on success the register assignment is in `scratch.map`.
-/// Time spent in each pass and in allocation is added to `nanos` whether
-/// or not the pipeline completes.
+/// register allocation. On success the register assignment is in
+/// `scratch.map` and each pass's run and removed instructions are added
+/// to `tally`. Time spent in each pass and in allocation is added to
+/// `nanos` whether or not the pipeline completes.
 pub(crate) fn run_pipeline(
     mut block: IrBlock,
     cfg: &TolConfig,
     scratch: &mut OptScratch,
+    tally: &mut PassTally,
     nanos: &mut StageNanos,
-) -> Result<(IrBlock, Vec<PassSample>), OptError> {
-    let mut samples = Vec::with_capacity(PIPELINE.len());
+) -> Result<IrBlock, OptError> {
+    let mut tallied = tally.0;
     let mut live = count_live(&block);
-    for (_, pass) in PIPELINE.iter().filter(|(enabled, _)| enabled(cfg)) {
-        timed(nanos, pass.name, || (pass.run)(&mut block, scratch));
-        let live_after = count_live(&block);
-        samples
-            .push(PassSample { pass: pass.name, insts_removed: live as i64 - live_after as i64 });
-        live = live_after;
+    for ((enabled, pass), (runs, removed)) in PIPELINE.iter().zip(&mut tallied) {
+        if enabled(cfg) {
+            timed(nanos, pass.name, || (pass.run)(&mut block, scratch));
+            let live_after = count_live(&block);
+            *runs += 1;
+            *removed += live as i64 - live_after as i64;
+            live = live_after;
+        }
     }
     timed(nanos, "regalloc", || regalloc::run(&block, scratch))?;
-    Ok((block, samples))
+    tally.0 = tallied;
+    Ok(block)
 }
 
 #[cfg(test)]
@@ -248,10 +249,11 @@ mod tests {
     }
 
     /// The passes `run_pipeline` applies under `cfg`, in order.
-    fn passes_run(cfg: &TolConfig) -> Vec<&'static str> {
+    fn passes_run(cfg: &TolConfig) -> Vec<String> {
         let b = block(vec![IrInst::Li { rd: IrReg::Virt(0), imm: 5 }]);
-        let (_, samples) = run_pipeline(b, cfg, &mut OptScratch::default(), &mut vec![]).unwrap();
-        samples.iter().map(|s| s.pass).collect()
+        let mut tally = PassTally::default();
+        run_pipeline(b, cfg, &mut OptScratch::default(), &mut tally, &mut vec![]).unwrap();
+        tally.deltas().into_iter().map(|d| d.pass).collect()
     }
 
     #[test]

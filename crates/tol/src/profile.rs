@@ -4,9 +4,10 @@
 use crate::pcmap::PcMap;
 use darco_guest::mem::PAGE_SHIFT;
 
-/// Highest execution mode a static guest instruction has reached.
+/// An execution mode: the one a step (mostly) ran in, and per static
+/// guest instruction the highest one it has reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum StaticMode {
+pub enum Mode {
     /// Only ever interpreted.
     Im,
     /// Translated as part of a basic block.
@@ -49,7 +50,7 @@ impl EdgeProfile {
 /// Bytes, and so static-mode slots, per guest code page.
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 /// A static-mode byte decoded: 0 is unseen, `mode as u8 + 1` is `mode`.
-const MODES: [StaticMode; 3] = [StaticMode::Im, StaticMode::Bbm, StaticMode::Sbm];
+const MODES: [Mode; 3] = [Mode::Im, Mode::Bbm, Mode::Sbm];
 
 /// The profiler: IM promotion counters, BBM edge profiles, and
 /// per-static-instruction mode tracking.
@@ -97,7 +98,7 @@ impl Profiler {
     /// Marks static instructions as having reached `mode` (monotonic:
     /// a pc never moves back down). A run of same-page pcs looks its
     /// page up once.
-    pub fn mark_static(&mut self, pcs: impl IntoIterator<Item = u32>, mode: StaticMode) {
+    pub fn mark_static(&mut self, pcs: impl IntoIterator<Item = u32>, mode: Mode) {
         let m = mode as u8 + 1;
         let mut pcs = pcs.into_iter().peekable();
         while let Some(mut pc) = pcs.next() {
@@ -115,7 +116,7 @@ impl Profiler {
     }
 
     /// Highest mode a static instruction has reached, if seen.
-    pub fn static_mode(&self, pc: u32) -> Option<StaticMode> {
+    pub fn static_mode(&self, pc: u32) -> Option<Mode> {
         let table = self.static_pages.get(&(pc >> PAGE_SHIFT))?;
         match table[pc as usize & (PAGE_BYTES - 1)] {
             0 => None,
@@ -124,7 +125,7 @@ impl Profiler {
     }
 
     /// Counts `n` dynamic guest instructions executed in `mode`.
-    pub fn count_dynamic(&mut self, mode: StaticMode, n: u64) {
+    pub fn count_dynamic(&mut self, mode: Mode, n: u64) {
         self.dyn_insts[mode as usize] += n;
     }
 
@@ -176,9 +177,9 @@ mod tests {
     #[test]
     fn static_modes_are_monotonic() {
         let mut p = Profiler::new();
-        p.mark_static([0x100, 0x104], StaticMode::Im);
-        p.mark_static([0x104], StaticMode::Sbm);
-        p.mark_static([0x104], StaticMode::Im); // must not demote
+        p.mark_static([0x100, 0x104], Mode::Im);
+        p.mark_static([0x104], Mode::Sbm);
+        p.mark_static([0x104], Mode::Im); // must not demote
         assert_eq!(p.static_distribution(), [1, 0, 1]);
     }
 
@@ -197,8 +198,8 @@ mod tests {
         use std::collections::BTreeMap;
         let mut rng = SmallRng::seed_from_u64(0x0057_471C);
         let mut p = Profiler::new();
-        let mut model: BTreeMap<u32, StaticMode> = BTreeMap::new();
-        let check = |p: &Profiler, model: &BTreeMap<u32, StaticMode>, pcs: &[u32]| {
+        let mut model: BTreeMap<u32, Mode> = BTreeMap::new();
+        let check = |p: &Profiler, model: &BTreeMap<u32, Mode>, pcs: &[u32]| {
             // Each pc, its neighbour and its half-page alias.
             for &pc in pcs {
                 for q in [pc, pc ^ 1, pc ^ 0x800] {
@@ -240,14 +241,14 @@ mod tests {
         }
         let all: Vec<u32> = model.keys().copied().collect();
         check(&p, &model, &all);
-        assert!(model.values().any(|&m| m == StaticMode::Im), "some pc stays interpreted");
+        assert!(model.values().any(|&m| m == Mode::Im), "some pc stays interpreted");
     }
 
     #[test]
     fn dynamic_counting() {
         let mut p = Profiler::new();
-        p.count_dynamic(StaticMode::Im, 10);
-        p.count_dynamic(StaticMode::Sbm, 90);
+        p.count_dynamic(Mode::Im, 10);
+        p.count_dynamic(Mode::Sbm, 90);
         assert_eq!(p.dyn_insts, [10, 0, 90]);
     }
 }

@@ -11,7 +11,6 @@
 use crate::profile::Profiler;
 use crate::translate::{decode_bb_into, RegionInst};
 use darco_guest::{DecodeError, GuestMem, Inst};
-use std::collections::HashSet;
 
 /// Maximum number of basic blocks merged into one superblock.
 pub(crate) const SB_MAX_BBS: u32 = 8;
@@ -21,32 +20,34 @@ pub(crate) const SB_MAX_INSTS: u32 = 128;
 /// a superblock along an edge.
 pub(crate) const SB_EDGE_BIAS: f64 = 0.6;
 
-/// Forms the superblock region rooted at `entry` into caller-provided
-/// buffers (the engine's scratch arena reuses the allocations across
+/// Forms the superblock region rooted at `entry` into a caller-provided
+/// buffer (the engine's scratch arena reuses the allocation across
 /// formations): the guest-instruction path, ready for
 /// [`translate_region`](crate::translate::translate_region), is appended
-/// to `region` and the visited set filled in, both assumed empty on
-/// entry. Returns the number of basic blocks the region spans.
+/// to `region`, assumed empty on entry. Returns the number of basic
+/// blocks the region spans.
 ///
 /// # Errors
 ///
 /// Propagates decode failures (the region root must already have been
 /// translated once, so failures indicate guest self-modification). On
-/// error the buffers hold partial contents.
+/// error the buffer holds partial contents.
 pub(crate) fn form_region_into(
     mem: &GuestMem,
     entry: u32,
     prof: &Profiler,
     region: &mut Vec<RegionInst>,
-    visited: &mut HashSet<u32>,
 ) -> Result<u32, DecodeError> {
     let mut pc = entry;
+    // The entries of the first `bbs` blocks; the cap bounds them.
+    let mut entries = [0u32; SB_MAX_BBS as usize];
     let mut bbs = 0u32;
 
     loop {
-        if !visited.insert(pc) {
+        if entries[..bbs as usize].contains(&pc) {
             break; // closed a loop: stop before re-entering the superblock
         }
+        entries[bbs as usize] = pc;
         let start = region.len();
         decode_bb_into(mem, pc, region)?;
         let bb_len = region.len() - start;
@@ -95,7 +96,7 @@ mod tests {
         prof: &Profiler,
     ) -> Result<(Vec<RegionInst>, u32), DecodeError> {
         let mut region = Vec::new();
-        let bbs = form_region_into(mem, entry, prof, &mut region, &mut HashSet::new())?;
+        let bbs = form_region_into(mem, entry, prof, &mut region)?;
         Ok((region, bbs))
     }
 

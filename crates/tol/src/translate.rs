@@ -103,35 +103,26 @@ impl IrScratch {
         )
     }
 
-    /// Reclaims a finished block's buffers, keeping whichever allocation
-    /// (current or reclaimed) has more capacity.
+    /// Reclaims a finished block's buffers. A translation took the
+    /// arena's own, so they are the ones to keep.
     pub(crate) fn recycle(&mut self, block: IrBlock) {
         let IrBlock { mut ops, mut stubs, mut stub_guest_counts, .. } = block;
         ops.clear();
         stubs.clear();
         stub_guest_counts.clear();
-        if ops.capacity() > self.ops.capacity() {
-            self.ops = ops;
-        }
-        if stubs.capacity() > self.stubs.capacity() {
-            self.stubs = stubs;
-        }
-        if stub_guest_counts.capacity() > self.counts.capacity() {
-            self.counts = stub_guest_counts;
-        }
+        (self.ops, self.stubs, self.counts) = (ops, stubs, stub_guest_counts);
     }
 }
 
 /// Reusable translation buffers for an engine's compile path: the
-/// decoded-region vector, the superblock-formation visited set, the
-/// IR-side [`IrScratch`] and the passes' [`OptScratch`]. One translation
-/// is in flight per engine at a time, so a single arena suffices.
+/// decoded-region vector, the IR-side [`IrScratch`] and the passes'
+/// [`OptScratch`]. One translation is in flight per engine at a time,
+/// so a single arena suffices.
 ///
 /// [`OptScratch`]: crate::opt::OptScratch
 #[derive(Debug, Default)]
 pub(crate) struct TranslateScratch {
     pub(crate) region: Vec<RegionInst>,
-    pub(crate) visited: std::collections::HashSet<u32>,
     pub(crate) ir: IrScratch,
     pub(crate) opt: crate::opt::OptScratch,
 }

@@ -28,7 +28,11 @@ cd "$(dirname "$0")/.."
 # guest and engine entry points that nothing called; round 21 the TLB's
 # outcome type, the second access type and the accessors that restated
 # a snapshot, now that the TLB returns its latency and the callers read
-# `Pipeline::snapshot`, `CodeCache::health` and `Tol::summary`.
+# `Pipeline::snapshot`, `CodeCache::health` and `Tol::summary`; round 22
+# the compile path's outcome enum, per-pass samples and their merge, the
+# second name of the mode type and the timing sink's window-start type,
+# now that `compile_sb` returns a `Result`, the pass manager tallies
+# per pipeline entry and `Mode` and `Window` say it once.
 # The host-configuration guard names the configurable host and its
 # validator, which Table I's constants replaced.
 echo "== removed switches stay removed"
@@ -51,8 +55,9 @@ round18='emit_cursor|WindowMark|last_window'
 round19='\.chaining\b|chaining:|retire_over|fn push\(&mut self, e: HostEvent'
 round20='probe_set_any|TOUCH2|VICTIM2|fn disassemble\(|eval_flags|pub fn exec_decoded|pub fn guest_pc'
 round21='TlbOutcome|DataAccess|InstAccess|fn finish\(self\)|fn counters\(&self\)|fn used\(&self\)|fn resident\(&self\)'
+round22='SbOutcome|PassSample|merge_delta|StaticMode|WindowStart'
 host_config='TimingConfig|TimingConfigError'
-removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$round20|$round21|$host_config"
+removed="$round2|$round3|$round4|$round5|$round6|$round7|$round8|$round9|$round10|$round11|$round12|$round13|$round15|$round16|$round17|$round18|$round19|$round20|$round21|$round22|$host_config"
 kept_test='guest_fast_path_matches_oracle_per_step'
 if grep -rnE "$removed" crates src tests examples scripts .github .claude README.md \
         | grep -v -e '^scripts/check.sh:' -e '^crates/cli/tests/cli.rs:' \
@@ -90,8 +95,15 @@ fi
 
 # Static modes live in per-page byte tables (DESIGN.md §4 "Profiler"),
 # not in a hash map entry per static instruction.
-if grep -n 'PcMap<StaticMode>' crates/tol/src/profile.rs; then
+if grep -n 'PcMap<Mode>' crates/tol/src/profile.rs; then
     echo "error: crates/tol/src/profile.rs keys static modes by pc (see DESIGN.md §4)" >&2
+    exit 1
+fi
+
+# Superblock formation stops at SB_MAX_BBS blocks, so it tests its
+# block entries with a scan of a fixed array (DESIGN.md §4), not a set.
+if grep -n 'HashSet' crates/tol/src/superblock.rs; then
+    echo "error: crates/tol/src/superblock.rs names HashSet (see DESIGN.md §4)" >&2
     exit 1
 fi
 

@@ -39,7 +39,7 @@ fn repetition_gradient_drives_overhead() {
         by("000.cjpeg")
     );
     // And the dynamic/static ratios line up the same way, inverted.
-    let ratio = |n: &str| runs.iter().find(|r| r.name == n).unwrap().dyn_static_ratio;
+    let ratio = |n: &str| f6.iter().find(|r| r.name == n).unwrap().dyn_static_ratio;
     assert!(ratio("462.libquantum") > ratio("433.milc"));
     assert!(ratio("433.milc") > ratio("000.cjpeg"));
 }
