@@ -403,7 +403,6 @@ impl Tol {
         timed(&mut self.pass_nanos, "region", || decode_bb_into(mem, entry, region))?;
         let compiled = compile_bb(region, &self.cfg, ir, opt, &mut self.pass_nanos);
         let host_len = compiled.insts.len();
-        self.prof.mark_static(region.iter().map(|r| r.pc), Mode::Bbm);
         let ins = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled, BlockKind::Bb, region.iter().map(|r| r.pc), mem)
         });
@@ -411,6 +410,8 @@ impl Tol {
         let Ok(ins) = ins else {
             return Ok(None);
         };
+        // Only an installed translation runs its pcs in BBM.
+        self.prof.mark_static(region.iter().map(|r| r.pc), Mode::Bbm);
         if ins.flushed {
             self.forget_flushed();
         }
@@ -438,7 +439,6 @@ impl Tol {
         }
         let (ir_len, host_len) = (compiled.ir_len, compiled.code.insts.len());
         self.counters.sbm_invocations += 1;
-        self.prof.mark_static(region.iter().map(|r| r.pc), Mode::Sbm);
         let res = timed(&mut self.pass_nanos, "install", || {
             self.cc.install(entry, compiled.code, BlockKind::Sb, region.iter().map(|r| r.pc), mem)
         });
@@ -446,6 +446,7 @@ impl Tol {
         let Ok(ins) = res else {
             return Ok(None);
         };
+        self.prof.mark_static(region.iter().map(|r| r.pc), Mode::Sbm);
         if ins.flushed {
             self.forget_flushed();
         }
@@ -1078,6 +1079,62 @@ mod tests {
         let s = tol.summary();
         assert_eq!(s.installed, 0, "nothing fits a 2-inst cache");
         assert_eq!(s.dyn_dist[1] + s.dyn_dist[2], 0, "interpreter-only");
+        // A rejected translation leaves its pcs in IM: no pc is reported
+        // as translated that only ever ran in the interpreter.
+        let statics: u64 = s.static_dist.iter().sum();
+        assert!(statics > 0);
+        assert_eq!(s.static_dist[0], statics, "static modes {:?}", s.static_dist);
+    }
+
+    /// A loop of three blocks: a head that falls through to a body of
+    /// `body` additions on seven iterations in eight and branches to a
+    /// two-instruction side block on the eighth; both rejoin the body.
+    /// With a cache that holds the head and the side block but not the
+    /// body, the body stays interpreted while the head keeps running
+    /// and, entering the installed side block, reaches its promotion:
+    /// the superblock follows the head's biased edge into the body.
+    fn head_side_and_big_body(iters: i32, body: usize) -> (GuestMem, u32) {
+        let mut a = Asm::new(0x1000);
+        let (head, side, rest) = (a.fresh_label(), a.fresh_label(), a.fresh_label());
+        a.push(Inst::MovRI { dst: Gpr::Ecx, imm: iters });
+        a.bind(head);
+        a.push(Inst::MovRR { dst: Gpr::Edx, src: Gpr::Ecx });
+        a.push(Inst::AluRI { op: AluOp::And, dst: Gpr::Edx, imm: 7 });
+        a.push_jcc(Cond::E, side);
+        a.bind(rest);
+        for _ in 0..body {
+            a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Eax, imm: 1 });
+        }
+        a.push(Inst::AluRI { op: AluOp::Sub, dst: Gpr::Ecx, imm: 1 });
+        a.push_jcc(Cond::Ne, head);
+        a.push(Inst::Halt);
+        a.bind(side);
+        a.push(Inst::AluRI { op: AluOp::Add, dst: Gpr::Esi, imm: 1 });
+        a.push_jmp(rest);
+        let p = a.assemble();
+        let mut mem = GuestMem::new();
+        mem.write_bytes(p.base, &p.bytes);
+        (mem, p.base)
+    }
+
+    #[test]
+    fn a_superblock_larger_than_the_cache_is_discarded() {
+        let (mem0, entry) = head_side_and_big_body(800, 40);
+        let mut mem_ref = mem0.clone();
+        let (ref_cpu, ref_n) = run_reference(&mut mem_ref, entry);
+        let cfg =
+            TolConfig { code_cache_capacity: 24, bb_sb_threshold: 50, ..TolConfig::default() };
+        let mut mem = mem0.clone();
+        let (tol, _) = run_tol(&mut mem, entry, cfg);
+        assert!(ref_cpu.arch_eq(&tol.emulated_state()));
+        let s = tol.summary();
+        assert_eq!(s.dyn_dist.iter().sum::<u64>(), ref_n);
+        // One superblock formed and discarded; the promoted head keeps
+        // running in BBM and is not promoted again.
+        assert_eq!(s.counters.sbm_invocations, 1);
+        assert_eq!((s.installed, s.flushes), (2, 0), "head and side block only");
+        assert!(s.dyn_dist[1] > 0);
+        assert_eq!((s.dyn_dist[2], s.static_dist[2]), (0, 0), "nothing ran in SBM");
     }
 
     /// A layer over `loop_program(iters)`, stepped until `until` holds.
