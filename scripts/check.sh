@@ -145,11 +145,11 @@ cargo build --release --workspace
 # Translated code calls `darco_host::exec_inst` once per host instruction
 # from another crate, and the build has no LTO: the function is
 # `#[inline]` so that its match compiles into the translated-block loop
-# (DESIGN.md §3). A symbol of its own in the binary means a call per
+# (DESIGN.md §10). A symbol of its own in the binary means a call per
 # host instruction again.
 echo "== exec_inst is inlined: no symbol of its own in target/release/darco"
 if nm -C target/release/darco | grep -E 'darco_host::state::exec_inst($|[^_[:alnum:]])'; then
-    echo "error: darco_host::state::exec_inst is out of line (see DESIGN.md §3)" >&2
+    echo "error: darco_host::state::exec_inst is out of line (see DESIGN.md §10)" >&2
     exit 1
 fi
 
