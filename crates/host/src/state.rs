@@ -619,4 +619,79 @@ mod tests {
         }
         assert_eq!(flags_word(FlagsKind::Logic, 0, 0), Flags::logic(0).to_word());
     }
+    #[test]
+    fn memory_and_branches() {
+        let mut st = HostState::new();
+        let mut mem = GuestMem::new();
+        st.set_reg(HReg(2), 0x1000);
+        exec_inst(&mut st, &HInst::Li { rd: HReg(3), imm: 77 }, &mut mem);
+        exec_inst(
+            &mut st,
+            &HInst::St { rs: HReg(3), base: HReg(2), off: 4, width: Width::W4 },
+            &mut mem,
+        );
+        assert_eq!(mem.read_u32(0x1004), 77);
+        exec_inst(
+            &mut st,
+            &HInst::Ld { rd: HReg(4), base: HReg(2), off: 4, width: Width::W4 },
+            &mut mem,
+        );
+        assert_eq!(st.reg(HReg(4)), 77);
+
+        let taken = exec_inst(
+            &mut st,
+            &HInst::Br { cond: HCond::Eq, ra: HReg(3), rb: HReg(4), target: 9 },
+            &mut mem,
+        );
+        assert_eq!(taken, Outcome::Taken(9));
+        let not = exec_inst(
+            &mut st,
+            &HInst::Br { cond: HCond::Ne, ra: HReg(3), rb: HReg(4), target: 9 },
+            &mut mem,
+        );
+        assert_eq!(not, Outcome::Next);
+    }
+
+    #[test]
+    fn brflags_agrees_with_guest_conditions() {
+        let mut st = HostState::new();
+        let mut mem = GuestMem::new();
+        let f = Flags::sub(1, 2); // 1 < 2: L, B, Ne, S hold
+        st.set_reg(HReg(9), f.to_word());
+        for (cond, expect) in [
+            (Cond::L, true),
+            (Cond::B, true),
+            (Cond::Ne, true),
+            (Cond::E, false),
+            (Cond::Ge, false),
+        ] {
+            let out =
+                exec_inst(&mut st, &HInst::BrFlags { cond, flags: HReg(9), target: 1 }, &mut mem);
+            assert_eq!(out == Outcome::Taken(1), expect, "cond {cond:?}");
+        }
+    }
+
+    #[test]
+    fn exits_propagate() {
+        let mut st = HostState::new();
+        let mut mem = GuestMem::new();
+        let out = exec_inst(&mut st, &HInst::Exit(Exit::Halt), &mut mem);
+        assert_eq!(out, Outcome::Exited(Exit::Halt));
+    }
+
+    #[test]
+    fn fp_ops() {
+        let mut st = HostState::new();
+        let mut mem = GuestMem::new();
+        st.set_reg(HReg(1), 6);
+        exec_inst(&mut st, &HInst::CvtIF { fd: HFreg(0), ra: HReg(1) }, &mut mem);
+        exec_inst(&mut st, &HInst::FMov { fd: HFreg(1), fa: HFreg(0) }, &mut mem);
+        exec_inst(
+            &mut st,
+            &HInst::FArith { op: FpOp::Mul, fd: HFreg(0), fa: HFreg(0), fb: HFreg(1) },
+            &mut mem,
+        );
+        exec_inst(&mut st, &HInst::CvtFI { rd: HReg(2), fa: HFreg(0) }, &mut mem);
+        assert_eq!(st.reg(HReg(2)), 36);
+    }
 }
